@@ -18,6 +18,14 @@ import (
 // exactly the group element Σ kᵢ·Pᵢ: the prover treats backends as
 // bit-identical drop-ins, and the differential tests pin any registered
 // backend against the CPU driver.
+//
+// The digits of a ScalarDecomposition are sign-folded: they lie in the
+// symmetric range [-2^(c-1), 2^(c-1)] (a backend's bucket index is
+// |d|-1, and a negative digit adds the negated point), and for a scalar
+// s above (r-1)/2 they spell s-r, not s. A backend consuming digits
+// therefore gets Σ kᵢ·Pᵢ only for points of order r, which callers
+// guarantee (see MultiExpG2); one that reassembles scalars from digits
+// must reduce the signed sum mod r.
 type Accelerator interface {
 	// Name identifies the backend in benchmarks and diagnostics.
 	Name() string

@@ -61,21 +61,97 @@ func msmBenchG1Input(n int) ([]G1Affine, []fr.Element) {
 		jacs[i] = cur
 		cur.DoubleAssign()
 	}
+	return BatchJacToAffineG1(jacs), fullScalars(rng, n)
+}
+
+// fullScalars draws n uniform scalars: full-width, the shape sign
+// folding cannot shorten.
+func fullScalars(rng *rand.Rand, n int) []fr.Element {
 	scalars := make([]fr.Element, n)
 	for i := range scalars {
 		scalars[i] = randFr(rng)
 	}
-	return BatchJacToAffineG1(jacs), scalars
+	return scalars
+}
+
+// signedScalars draws n scalars ±x with x < 2^bits, about half of them
+// negative (stored as r−x): the shape of quantized weights, which is
+// what a public-instance verifier's IC multi-exp sees.
+func signedScalars(rng *rand.Rand, n, bits int) []fr.Element {
+	scalars := make([]fr.Element, n)
+	for i := range scalars {
+		b := make([]byte, (bits+7)/8)
+		rng.Read(b)
+		b[0] &= 0xff >> (8*len(b) - bits)
+		scalars[i].SetBytes(b)
+		if rng.Intn(2) == 1 {
+			scalars[i].Neg(&scalars[i])
+		}
+	}
+	return scalars
+}
+
+// witnessScalars draws n scalars in the proportions the benchmark
+// circuit's witness has (33,818 wires: 32% zero, 28% one, 20% small
+// positive, 20% small negative), small meaning below 2^bits.
+func witnessScalars(rng *rand.Rand, n, bits int) []fr.Element {
+	scalars := signedScalars(rng, n, bits)
+	for i := range scalars {
+		switch k := rng.Intn(100); {
+		case k < 32:
+			scalars[i].SetZero()
+		case k < 60:
+			scalars[i].SetOne()
+		}
+	}
+	return scalars
 }
 
 // BenchmarkMSM is the multi-exponentiation benchmark family: size
 // scaling over G1 and G2, core scaling at 2^16 points (the prover-shaped
-// size), and the shared scalar recoding on its own. Compare across PRs
-// before touching the MSM:
+// size), the scalar shapes sign folding exists for (G1Witness: a
+// witness query; G1Signed16: the verifier's IC multi-exp over 16-bit
+// signed weights) beside the full-width ones it cannot help, a streamed
+// chunked case, and the shared scalar recoding on its own. Run with
+// -cpu 1,2 to read the scheduler's parallel efficiency off the pairs.
+// Compare across PRs before touching the MSM:
 //
-//	go test ./internal/bn254/curve/ -run '^$' -bench BenchmarkMSM
+//	go test ./internal/bn254/curve/ -run '^$' -bench BenchmarkMSM -cpu 1,2
 func BenchmarkMSM(b *testing.B) {
-	for _, n := range []int{256, 4096, 1 << 16} {
+	{
+		n := 1 << 15
+		points, full := msmBenchG1Input(n)
+		rng := rand.New(rand.NewSource(7))
+		witness := witnessScalars(rng, n, 32)
+		b.Run(fmt.Sprintf("G1Witness/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = MultiExpG1(points, witness)
+			}
+		})
+		signed := signedScalars(rng, 4096, 16)
+		b.Run("G1Signed16/n=4096", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = MultiExpG1(points[:4096], signed)
+			}
+		})
+		// The out-of-core prover's shape: DefaultStreamChunk-point chunks,
+		// each recoded and run through its own Pippenger pass.
+		src, c := SliceSourceG1(points), StreamWindowSize(n, 0)
+		for _, sh := range []struct {
+			name    string
+			scalars []fr.Element
+		}{{"G1StreamFull", full}, {"G1StreamWitness", witness}} {
+			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := MultiExpG1StreamScalars(src, sh.scalars, c, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+
+	for _, n := range []int{256, 4096, 1 << 15, 1 << 16} {
 		points, scalars := msmBenchG1Input(n)
 		b.Run(fmt.Sprintf("G1/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -94,10 +170,7 @@ func BenchmarkMSM(b *testing.B) {
 			cur.DoubleAssign()
 		}
 		points := BatchJacToAffineG2(jacs)
-		scalars := make([]fr.Element, n)
-		for i := range scalars {
-			scalars[i] = randFr(rng)
-		}
+		scalars := fullScalars(rng, n)
 		b.Run(fmt.Sprintf("G2/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = MultiExpG2(points, scalars)

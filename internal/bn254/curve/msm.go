@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,10 @@ import (
 //   - signed-digit recoding: window digits live in [-2^(c-1), 2^(c-1)]
 //     instead of [0, 2^c), halving the bucket count per window (negative
 //     digits add the negated point, a free transform in affine form);
+//   - sign folding: a scalar above (r-1)/2 is recoded as r-s with every
+//     digit negated, so a negative fixed-point witness value -x (stored
+//     as r-x) costs the two or three low windows x does instead of all
+//     ~254/c of them;
 //   - batch-affine buckets: bucket inserts are affine additions whose
 //     chord/tangent denominators are inverted together (Montgomery's
 //     trick), ~6 field muls amortized against ~15 for a Jacobian mixed
@@ -91,7 +96,7 @@ type ScalarDecomposition struct {
 	// the all-zero rest outright.
 	used int
 	// digits[w*stride+off+i] is scalar i's signed digit for window w, in
-	// [-(2^(c-1)-1), 2^(c-1)]. off/stride exist so a Slice view can
+	// [-2^(c-1), 2^(c-1)]. off/stride exist so a Slice view can
 	// address the digits of a scalar sub-range without copying — the
 	// chunked/streamed MSM walks one full-vector recoding chunk by chunk.
 	off    int
@@ -129,8 +134,16 @@ func (d *ScalarDecomposition) Slice(start, end int) *ScalarDecomposition {
 // window value v ∈ [0, 2^c] (window bits plus incoming carry) becomes
 // v-2^c with a carry into the next window when v > 2^(c-1), so every
 // digit needs only 2^(c-1) buckets. One extra top window absorbs the
-// final carry; scalars are < 2^254, so recoding always terminates with
-// carry zero.
+// final carry; recoded magnitudes are < 2^253, so recoding always
+// terminates with carry zero.
+//
+// The recoding is sign-folded: a scalar s whose canonical value exceeds
+// (r-1)/2 is recoded as r-s with every digit negated, so the digit
+// range is the symmetric [-2^(c-1), 2^(c-1)] (int16 still holds it at
+// c = 15, and the bucket index |d|-1 stays below 2^(c-1)). The digits
+// then represent s-r rather than s: Σ dᵢ·2^(c·i)·P equals s·P only for
+// P of order r — every G1 point, and the precondition the MultiExpG2*
+// entry points state.
 func DecomposeScalars(scalars []fr.Element, c int) *ScalarDecomposition {
 	return decomposeScalarsInto(nil, scalars, c)
 }
@@ -147,7 +160,8 @@ func decomposeScalarsInto(d *ScalarDecomposition, scalars []fr.Element, c int) *
 	}
 	n := len(scalars)
 	windows := (fr.Bits+c-1)/c + 1
-	if d == nil || cap(d.digits) < windows*n {
+	reused := d != nil && cap(d.digits) >= windows*n
+	if !reused {
 		d = &ScalarDecomposition{digits: make([]int16, windows*n)}
 	}
 	d.c, d.windows, d.n, d.stride, d.off = c, windows, n, n, 0
@@ -156,21 +170,48 @@ func decomposeScalarsInto(d *ScalarDecomposition, scalars []fr.Element, c int) *
 	full := int64(1) << c
 	var maxUsed atomic.Int64
 	par.Range(n, func(start, end int) {
+		// Each scalar writes only the windows its magnitude reaches (plus
+		// one for the carry); the rows are zeroed up front so the windows
+		// above — nearly all of them, for a witness — cost one memclr
+		// instead of a strided store per scalar.
+		if reused {
+			for w := 0; w < windows; w++ {
+				clear(d.digits[w*n+start : w*n+end])
+			}
+		}
 		localUsed := 0
 		for i := start; i < end; i++ {
-			limbs := scalars[i].RegularLimbs()
-			carry := int64(0)
-			for w := 0; w < windows; w++ {
-				v := int64(scalarWindow(&limbs, w*c, c)) + carry
+			limbs, neg := scalars[i].SignedLimbs()
+			bitLen := 0
+			for l := fr.Limbs - 1; l >= 0; l-- {
+				if limbs[l] != 0 {
+					bitLen = 64*l + bits.Len64(limbs[l])
+					break
+				}
+			}
+			sign := int64(1)
+			if neg {
+				sign = -1
+			}
+			nw, carry := 0, int64(0)
+			for ; nw*c < bitLen; nw++ {
+				v := int64(scalarWindow(&limbs, nw*c, c)) + carry
 				carry = 0
 				if v > half {
 					v -= full
 					carry = 1
 				}
-				d.digits[w*n+i] = int16(v)
-				if v != 0 && w+1 > localUsed {
-					localUsed = w + 1
-				}
+				d.digits[nw*n+i] = int16(sign * v)
+			}
+			if carry != 0 {
+				d.digits[nw*n+i] = int16(sign)
+				nw++
+			}
+			// The top digit written is nonzero: the highest window holds the
+			// magnitude's leading bit, and it recodes to zero only by
+			// carrying out.
+			if nw > localUsed {
+				localUsed = nw
 			}
 		}
 		for {
@@ -186,24 +227,30 @@ func decomposeScalarsInto(d *ScalarDecomposition, scalars []fr.Element, c int) *
 
 // msmBatchSize caps the number of independent bucket additions gathered
 // before one shared inversion, amortizing it to ~1.5 field muls per add
-// while keeping the op queue cache-resident. The actual batch is scaled
-// down to numBuckets/8 — a batch near the bucket count makes conflicts
-// the common case and starves the scheduler.
+// while keeping the op queue cache-resident.
 const msmBatchSize = 512
 
 // msmMinBatch is the smallest batch worth an inversion; below it (few
 // buckets even after window grouping) the Jacobian path wins.
 const msmMinBatch = 16
 
-// msmGroupBuckets is the combined bucket-pool target for a window
-// group: enough buckets that a full msmBatchSize batch stays mostly
-// conflict-free (batch/pool = 1/16).
+// msmBatchShare is the largest share of a cell's bucket pool one batch
+// may fill: a batch near the bucket count makes conflicts the common
+// case and starves the scheduler. At 1/4 about one op in eight meets
+// its bucket already pending and waits one flush in the conflict queue —
+// far cheaper than the inversion share a smaller batch pays, which is
+// what lets the planner cut narrow window groups for balance.
+const msmBatchShare = 4
+
+// msmGroupBuckets is the largest combined bucket pool of a window
+// group: more than this and the pool falls out of cache for no further
+// gain in batch size.
 const msmGroupBuckets = 8192
 
-// msmOverflowCap is the conflict queue's initial capacity. The queue
-// holds ops whose bucket is already in the pending batch; every flush
-// drains it into the next batch, so it hovers near the per-batch
-// conflict count and growth past the cap is rare.
+// msmOverflowCap is the conflict queue's capacity. The queue holds ops
+// whose bucket is already in the pending batch; every flush drains it
+// into the next batch, so it hovers near the per-batch conflict count
+// and reaching the cap means repeated values, which spill.
 const msmOverflowCap = 512
 
 // msmMinChunk is the minimum number of points per chunk: below this the
@@ -219,6 +266,11 @@ const msmSerialThreshold = 1024
 // machinery can't amortize its flush inversions and plain Jacobian
 // bucket accumulation wins.
 const msmAffineThreshold = 512
+
+// msmBatch is the batch size of a batch-affine cell owning pool buckets.
+func msmBatch(pool int) int {
+	return min(pool/msmBatchShare, msmBatchSize)
+}
 
 // batchOps is the leaf interface of the batch-affine accumulation,
 // implemented by g1BatchAdder and g2BatchAdder.
@@ -237,9 +289,9 @@ type batchOp[A any] struct {
 	pt A
 }
 
-// msmAccumulate folds one chunk×window-group cell of points into
-// signed-digit buckets. digitRows[g] holds the digits of the g-th window
-// in the group, and that window owns the bucket segment
+// msmAccumulate folds one chunk×window-group cell of points into the
+// signed-digit buckets sc.bucketsA. sc.digitRows[g] holds the digits of
+// the g-th window in the group, and that window owns the bucket segment
 // [g·bucketsPerWindow, (g+1)·bucketsPerWindow): grouping narrow windows
 // multiplies the bucket pool so batches stay large — one window of 256
 // buckets can never amortize a 256-op batch, eight of them can.
@@ -257,9 +309,10 @@ type batchOp[A any] struct {
 // the plain-Jacobian cost while everything else stays batch-affine.
 // The returned side buckets (nil when never needed) hold that spilled
 // remainder; the caller folds them into the reduction.
-func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, buckets []A, bucketsPerWindow int, points []A, digitRows [][]int16, pending []bool, idx []int32, pts []A) []J {
+func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], bucketsPerWindow int, points []A) []J {
+	buckets, pending, idx, pts, digitRows := sc.bucketsA, sc.pending, sc.idx, sc.pts, sc.digitRows
 	cnt := 0
-	overflow := make([]batchOp[A], 0, msmOverflowCap)
+	overflow := sc.overflow[:0]
 	var side []J
 	drainToSide := func() {
 		if side == nil {
@@ -309,14 +362,15 @@ func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, buckets []A, bucketsPe
 			}
 			b += int32(g*bucketsPerWindow) - 1
 			if pending[b] {
-				op := batchOp[A]{b: b}
+				overflow = overflow[:len(overflow)+1]
+				op := &overflow[len(overflow)-1]
+				op.b = b
 				if neg {
 					adder.negInto(&op.pt, &points[i])
 				} else {
 					op.pt = points[i]
 				}
-				overflow = append(overflow, op)
-				if len(overflow) >= msmOverflowCap {
+				if len(overflow) == msmOverflowCap {
 					drainToSide()
 				}
 				continue
@@ -353,7 +407,7 @@ type msmCurve[A, J any] interface {
 	// scratch persists across flushes) running msmAccumulate for this
 	// group; the closure returns the Jacobian side buckets of spilled
 	// conflict-queue ops (nil when none spilled).
-	accumulator(batchSize int) func(buckets []A, bucketsPerWindow int, points []A, digitRows [][]int16, pending []bool, idx []int32, pts []A) []J
+	accumulator(batchSize int) func(sc *msmScratch[A, J], bucketsPerWindow int, points []A) []J
 	// jacAccumulate folds digits into Jacobian buckets with mixed adds —
 	// the small-MSM path, where batch-affine flushes can't amortize
 	// their inversion.
@@ -377,16 +431,22 @@ type msmCurve[A, J any] interface {
 	accelerated(acc Accelerator, points []A, dec *ScalarDecomposition) J
 }
 
-// msmScratch is the recycled working set of one MSM task. Buckets are
-// re-zeroed on reuse (the zero affine value is infinity, matching a
-// fresh make); idx and pts need no clearing — the batch adder only
-// reads the [0, cnt) prefix it wrote.
+// msmScratch is the recycled working set of one MSM task. Buckets and
+// the pending flags are re-zeroed on reuse (the zero affine value is
+// infinity, matching a fresh make); idx, pts, the conflict queue and
+// the digit-row headers need no clearing — every reader stays inside
+// the prefix its task wrote. The Jacobian side buckets of a spilling
+// task are not kept: they are as large as the bucket pool and 1.5× as
+// wide, and a pool holding them live across GC cycles costs more
+// resident memory than allocating them saves time.
 type msmScratch[A, J any] struct {
-	bucketsJ []J
-	bucketsA []A
-	pending  []bool
-	idx      []int32
-	pts      []A
+	bucketsJ  []J
+	bucketsA  []A
+	pending   []bool
+	idx       []int32
+	pts       []A
+	overflow  []batchOp[A]
+	digitRows [][]int16
 }
 
 var g1ScratchPool, g2ScratchPool sync.Pool
@@ -400,27 +460,90 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// msmTask is one cell of the driver's work decomposition: a point chunk
-// crossed with a run of windows [w0, w1), accumulated batch-affine or
-// Jacobian.
+// msmTask is one cell of the driver's work decomposition: the point
+// chunk [p0, p1) crossed with the window run [w0, w1), accumulated
+// batch-affine or Jacobian.
 type msmTask struct {
 	chunk  int
+	p0, p1 int
 	w0, w1 int
 	affine bool
 }
 
-// multiExp is the shared signed-digit Pippenger driver. Work splits
-// two-dimensionally into point chunks × window groups; each cell owns
-// its buckets and reduces them independently, and the final fold is a
-// cheap serial pass over numChunks·numWindows partial sums.
+// planMSM lays an n-point MSM at window width c, whose digits occupy
+// the low used windows, out into cells for procs workers; it returns the
+// cells, heaviest first, and the number of point chunks. Every
+// (chunk, window) pair belongs to exactly one cell.
 //
-// Narrow windows are grouped so one batch-affine pass owns several
-// bucket segments at once: a single 256-bucket window can never keep a
-// 256-op batch conflict-free, eight of them together can — and the
-// group scans the point array once instead of once per window. The top
-// windows see only the scalar's high-order sliver of bits, so their
-// digits crowd a handful of buckets; they take the Jacobian path, as do
-// small MSMs where flush inversions can't amortize.
+// Windows 0..wide-1 draw digits from the scalar's full range and run
+// batch-affine, grouped so one pass over the points owns several bucket
+// segments at once: a single 256-bucket window can never keep a batch
+// conflict-free, a run of them can. The windows above see only the
+// scalar's high-order sliver of bits, so their digits crowd a handful
+// of buckets; they take the Jacobian path one window per cell, as does
+// everything in a small MSM, where flush inversions can't amortize.
+//
+// One worker gets the fewest groups msmGroupBuckets allows and a single
+// chunk. More workers get ~2·procs batch-affine cells of near-equal
+// weight, so that a worker that starts late or runs slow costs a
+// fraction of a cell rather than a whole one: the wide windows are cut
+// into more, narrower groups first (which adds no work — reduction cost
+// follows the window count, not the grouping) and the points into
+// chunks only when there are too few windows to go round (each extra
+// chunk reduces every window's buckets once more). The sparse Jacobian
+// cells above wide weigh next to nothing and are not counted: a
+// streamed chunk's 28 wide windows plus one top window is four cells
+// of seven windows, not one of 28 and an idle worker.
+func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
+	numBuckets := 1 << (c - 1)
+	wide := min(fr.Bits/c, used)
+	// A group spans between minGroup windows — the buckets the smallest
+	// batch worth an inversion needs — and maxGroup.
+	minGroup := (msmMinBatch*msmBatchShare + numBuckets - 1) / numBuckets
+	maxGroup := (msmGroupBuckets + numBuckets - 1) / numBuckets
+	if n < msmAffineThreshold || wide < minGroup {
+		wide = 0
+	}
+	target := 1
+	if procs > 1 && n >= msmSerialThreshold {
+		target = 2 * procs
+	}
+	// cols counts the window runs that share the work: the batch-affine
+	// groups, or every window when all of them are Jacobian.
+	cols, groups := used, 0
+	if wide > 0 {
+		groups = max((wide+maxGroup-1)/maxGroup, min(target, wide/minGroup))
+		cols = groups
+	}
+	numChunks = min((target+cols-1)/cols, (n+msmMinChunk-1)/msmMinChunk)
+	chunkLen := (n + numChunks - 1) / numChunks
+
+	cells := func(w0, w1 int, affine bool) {
+		for ch := 0; ch < numChunks; ch++ {
+			p0 := ch * chunkLen
+			tasks = append(tasks, msmTask{chunk: ch, p0: p0, p1: min(p0+chunkLen, n), w0: w0, w1: w1, affine: affine})
+		}
+	}
+	tasks = make([]msmTask, 0, numChunks*(groups+used-wide))
+	// Balanced cut: the first wide%groups groups are one window wider.
+	for g, w0 := 0, 0; g < groups; g++ {
+		w1 := w0 + wide/groups
+		if g < wide%groups {
+			w1++
+		}
+		cells(w0, w1, true)
+		w0 = w1
+	}
+	for w := wide; w < used; w++ {
+		cells(w, w+1, false)
+	}
+	return tasks, numChunks
+}
+
+// multiExp is the shared signed-digit Pippenger driver. Work splits
+// two-dimensionally into point chunks × window groups (planMSM); each
+// cell owns its buckets and reduces them independently, and the final
+// fold is a cheap serial pass over numChunks·numWindows partial sums.
 //
 // tr, when non-nil, records one span per chunk×window-group task under
 // label on a pool of worker lanes — the per-window MSM attribution of
@@ -443,62 +566,7 @@ func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecompo
 		return res
 	}
 	numBuckets := 1 << (c - 1)
-
-	// Windows 0..wide-1 draw digits from the scalar's full range.
-	wide := fr.Bits / c
-	if wide > numWindows {
-		wide = numWindows
-	}
-
-	group, batch := 1, 0
-	useAffine := n >= msmAffineThreshold && wide > 0
-	if useAffine {
-		group = (msmGroupBuckets + numBuckets - 1) / numBuckets
-		if group > wide {
-			group = wide
-		}
-		batch = group * numBuckets / 16
-		if batch > msmBatchSize {
-			batch = msmBatchSize
-		}
-		if batch < msmMinBatch {
-			useAffine = false
-			group = 1
-		}
-	}
-
-	taskCols := numWindows
-	if useAffine {
-		taskCols = (wide+group-1)/group + (numWindows - wide)
-	}
-	numChunks := 1
-	if procs := par.Workers(); procs > taskCols {
-		numChunks = (procs + taskCols - 1) / taskCols
-	}
-	if maxChunks := (n + msmMinChunk - 1) / msmMinChunk; numChunks > maxChunks {
-		numChunks = maxChunks
-	}
-	chunkLen := (n + numChunks - 1) / numChunks
-
-	tasks := make([]msmTask, 0, numChunks*taskCols)
-	for ch := 0; ch < numChunks; ch++ {
-		if useAffine {
-			for w0 := 0; w0 < wide; w0 += group {
-				w1 := w0 + group
-				if w1 > wide {
-					w1 = wide
-				}
-				tasks = append(tasks, msmTask{chunk: ch, w0: w0, w1: w1, affine: true})
-			}
-			for w := wide; w < numWindows; w++ {
-				tasks = append(tasks, msmTask{chunk: ch, w0: w, w1: w + 1})
-			}
-		} else {
-			for w := 0; w < numWindows; w++ {
-				tasks = append(tasks, msmTask{chunk: ch, w0: w, w1: w + 1})
-			}
-		}
-	}
+	tasks, numChunks := planMSM(n, c, numWindows, par.Workers())
 
 	partials := make([]J, numChunks*numWindows)
 	var lanes *obs.Lanes
@@ -512,12 +580,7 @@ func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecompo
 				"/c" + strconv.Itoa(task.chunk))
 			defer sp.End()
 		}
-		start := task.chunk * chunkLen
-		end := start + chunkLen
-		if end > n {
-			end = n
-		}
-		pointsChunk := points[start:end]
+		pointsChunk := points[task.p0:task.p1]
 		sc, _ := cv.scratchPool().Get().(*msmScratch[A, J])
 		if sc == nil {
 			sc = &msmScratch[A, J]{}
@@ -530,35 +593,39 @@ func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecompo
 			for b := range buckets {
 				buckets[b] = cv.infinity()
 			}
-			cv.jacAccumulate(buckets, pointsChunk, dec.row(w)[start:end])
-			cv.jacReduce(buckets, &partials[task.chunk*numWindows+w])
+			cv.jacAccumulate(buckets, pointsChunk, dec.row(w)[task.p0:task.p1])
+			var sum J
+			cv.jacReduce(buckets, &sum)
+			partials[task.chunk*numWindows+w] = sum
 			return
 		}
 		g := task.w1 - task.w0
+		batch := msmBatch(g * numBuckets)
 		sc.bucketsA = grow(sc.bucketsA, g*numBuckets)
 		buckets := sc.bucketsA
 		clear(buckets) // zero value is affine infinity
 		sc.pending = grow(sc.pending, g*numBuckets)
-		pending := sc.pending
-		clear(pending)
+		clear(sc.pending)
 		sc.idx = grow(sc.idx, batch)
 		sc.pts = grow(sc.pts, batch)
-		idx, pts := sc.idx, sc.pts
-		digitRows := make([][]int16, g)
+		sc.overflow = grow(sc.overflow, msmOverflowCap)
+		sc.digitRows = grow(sc.digitRows, g)
 		for j := 0; j < g; j++ {
-			w := task.w0 + j
-			digitRows[j] = dec.row(w)[start:end]
+			sc.digitRows[j] = dec.row(task.w0 + j)[task.p0:task.p1]
 		}
-		accumulate := cv.accumulator(batch)
-		side := accumulate(buckets, numBuckets, pointsChunk, digitRows, pending, idx, pts)
+		side := cv.accumulator(batch)(sc, numBuckets, pointsChunk)
+		clear(sc.digitRows) // a pooled scratch must not pin the digit table
+		// Sums accumulate in locals and land in partials once: neighbouring
+		// partials belong to other workers' cells, and a running sum
+		// rewritten per bucket would bounce their shared cache lines.
 		for j := 0; j < g; j++ {
-			p := &partials[task.chunk*numWindows+task.w0+j]
-			cv.reduce(buckets[j*numBuckets:(j+1)*numBuckets], p)
+			var sum, spill J
+			cv.reduce(buckets[j*numBuckets:(j+1)*numBuckets], &sum)
 			if side != nil {
-				var spill J
 				cv.jacReduce(side[j*numBuckets:(j+1)*numBuckets], &spill)
-				cv.add(p, &spill)
+				cv.add(&sum, &spill)
 			}
+			partials[task.chunk*numWindows+task.w0+j] = sum
 		}
 	}
 	// Tiny MSMs finish in milliseconds serially; goroutine dispatch
@@ -589,10 +656,10 @@ func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecompo
 // g1Msm and g2Msm bind the generic driver to the concrete groups.
 type g1Msm struct{}
 
-func (g1Msm) accumulator(batchSize int) func([]G1Affine, int, []G1Affine, [][]int16, []bool, []int32, []G1Affine) []G1Jac {
+func (g1Msm) accumulator(batchSize int) func(*msmScratch[G1Affine, G1Jac], int, []G1Affine) []G1Jac {
 	adder := newG1BatchAdder(batchSize)
-	return func(buckets []G1Affine, bucketsPerWindow int, points []G1Affine, digitRows [][]int16, pending []bool, idx []int32, pts []G1Affine) []G1Jac {
-		return msmAccumulate[G1Affine, G1Jac](adder, buckets, bucketsPerWindow, points, digitRows, pending, idx, pts)
+	return func(sc *msmScratch[G1Affine, G1Jac], bucketsPerWindow int, points []G1Affine) []G1Jac {
+		return msmAccumulate[G1Affine, G1Jac](adder, sc, bucketsPerWindow, points)
 	}
 }
 
@@ -649,10 +716,10 @@ func (g1Msm) accelerated(acc Accelerator, points []G1Affine, dec *ScalarDecompos
 
 type g2Msm struct{}
 
-func (g2Msm) accumulator(batchSize int) func([]G2Affine, int, []G2Affine, [][]int16, []bool, []int32, []G2Affine) []G2Jac {
+func (g2Msm) accumulator(batchSize int) func(*msmScratch[G2Affine, G2Jac], int, []G2Affine) []G2Jac {
 	adder := newG2BatchAdder(batchSize)
-	return func(buckets []G2Affine, bucketsPerWindow int, points []G2Affine, digitRows [][]int16, pending []bool, idx []int32, pts []G2Affine) []G2Jac {
-		return msmAccumulate[G2Affine, G2Jac](adder, buckets, bucketsPerWindow, points, digitRows, pending, idx, pts)
+	return func(sc *msmScratch[G2Affine, G2Jac], bucketsPerWindow int, points []G2Affine) []G2Jac {
+		return msmAccumulate[G2Affine, G2Jac](adder, sc, bucketsPerWindow, points)
 	}
 }
 
@@ -724,12 +791,23 @@ func MultiExpG1Decomposed(points []G1Affine, dec *ScalarDecomposition) G1Jac {
 }
 
 // MultiExpG2 computes Σ scalars[i]·points[i] over G2.
+//
+// Every point must have order r. The sign-folded recoding computes a
+// scalar s above (r-1)/2 as (r-s)·(-P), which equals s·P only when
+// r·P = 0; G1 has cofactor 1, so there it always holds, but the G2
+// twist has points outside the order-r subgroup. Setup and SRS
+// generation produce subgroup points and the compressed SetBytes checks
+// membership; SetBytesRaw checks the curve equation only, so raw-key
+// material must come from a trusted writer (the engine's CRC-framed
+// cache of its own keys). The same holds for MultiExpG2Decomposed and
+// the MultiExpG2Stream* drivers.
 func MultiExpG2(points []G2Affine, scalars []fr.Element) G2Jac {
 	return ActiveAccelerator().MultiExpG2(points, scalars)
 }
 
 // MultiExpG2Decomposed computes the G2 MSM against pre-recoded scalar
-// digits (see MultiExpG1Decomposed).
+// digits (see MultiExpG1Decomposed). Points must have order r (see
+// MultiExpG2).
 func MultiExpG2Decomposed(points []G2Affine, dec *ScalarDecomposition) G2Jac {
 	return ActiveAccelerator().MultiExpG2Decomposed(points, dec)
 }

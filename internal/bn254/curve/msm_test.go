@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -183,43 +184,69 @@ func TestMultiExpWitnessShapedScalars(t *testing.T) {
 }
 
 // TestDecomposeScalarsReconstructs verifies the signed digits are a
-// radix-2^c representation of the original scalar: Σ dᵢ·2^(c·i) ≡ k.
+// radix-2^c representation of the scalar's balanced representative:
+// every digit lies in the symmetric range [-2^(c-1), 2^(c-1)], and
+// Σ dᵢ·2^(c·i), taken over the integers, is s when s ≤ (r-1)/2 and s-r
+// otherwise — so its magnitude never exceeds (r-1)/2. The fold boundary
+// (r±1)/2, the carry-chain extremes r-1 and r-2^k, and both ends of the
+// width range (c = 2; c = 15, where ±2^14 is the int16-held edge) are
+// pinned explicitly.
 func TestDecomposeScalarsReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
-	scalars := make([]fr.Element, 64)
-	for i := range scalars {
-		switch i {
-		case 0:
-			scalars[i].SetZero()
-		case 1:
-			scalars[i].SetOne()
-		case 2:
-			scalars[i].SetUint64(1)
-			scalars[i].Neg(&scalars[i]) // r-1
-		default:
-			scalars[i] = randFr(rng)
-		}
+	r := GroupOrder()
+	halfR := new(big.Int).Rsh(r, 1) // (r-1)/2
+	var scalars []fr.Element
+	add := func(v *big.Int) {
+		var e fr.Element
+		e.SetBigInt(v)
+		scalars = append(scalars, e)
 	}
+	add(big.NewInt(0))
+	add(big.NewInt(1))
+	add(halfR)                                  // largest unfolded value
+	add(new(big.Int).Add(halfR, big.NewInt(1))) // (r+1)/2: smallest folded value
+	add(new(big.Int).Sub(r, big.NewInt(1)))     // r-1 ≡ -1
+	for k := 1; k < 253; k += 7 {
+		pow := new(big.Int).Lsh(big.NewInt(1), uint(k))
+		add(pow)                                                       // 2^k: window-boundary carries
+		add(new(big.Int).Sub(pow, big.NewInt(1)))                      // 2^k-1: all-ones carry chain
+		add(new(big.Int).Sub(r, pow))                                  // r-2^k ≡ -2^k
+		add(new(big.Int).Add(new(big.Int).Sub(r, pow), big.NewInt(1))) // ≡ -(2^k-1)
+	}
+	for i := 0; i < 64; i++ {
+		scalars = append(scalars, randFr(rng))
+	}
+	n := len(scalars)
 	for c := 2; c <= 15; c++ {
 		dec := DecomposeScalars(scalars, c)
 		half := int64(1) << (c - 1)
 		for i := range scalars {
-			var acc, radix, pw fr.Element
-			pw.SetOne()
-			radix.SetUint64(1 << c)
-			for w := 0; w < dec.windows; w++ {
-				d := int64(dec.digits[w*len(scalars)+i])
-				if d > half || d < -(half-1) {
+			acc := new(big.Int)
+			for w := dec.windows - 1; w >= 0; w-- {
+				d := int64(dec.digits[w*n+i])
+				if d > half || d < -half {
 					t.Fatalf("digit %d out of range at c=%d", d, c)
 				}
-				var term fr.Element
-				term.SetInt64(d)
-				term.Mul(&term, &pw)
-				acc.Add(&acc, &term)
-				pw.Mul(&pw, &radix)
+				if d != 0 && w >= dec.used {
+					t.Fatalf("nonzero digit in window %d above used=%d at c=%d", w, dec.used, c)
+				}
+				acc.Lsh(acc, uint(c)).Add(acc, big.NewInt(d))
 			}
-			if !acc.Equal(&scalars[i]) {
-				t.Fatalf("digits do not reconstruct scalar %d at c=%d", i, c)
+			want := scalars[i].ToBigInt()
+			if want.Cmp(halfR) > 0 {
+				want.Sub(want, r)
+			}
+			if acc.Cmp(want) != 0 {
+				t.Fatalf("digits of scalar %d reconstruct %v, want balanced representative %v at c=%d", i, acc, want, c)
+			}
+		}
+		// ±2^(c-1) are single digits at the two ends of the range (at
+		// c = 15 the int16-held edge ±16384).
+		for _, sign := range []int64{1, -1} {
+			var e fr.Element
+			e.SetInt64(sign * half)
+			if d := DecomposeScalars([]fr.Element{e}, c); int64(d.digits[0]) != sign*half || d.used != 1 {
+				t.Fatalf("%d recodes to digit %d, used %d at c=%d; want one digit", sign*half, d.digits[0], d.used, c)
 			}
 		}
 	}

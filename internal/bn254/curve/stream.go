@@ -145,7 +145,10 @@ func MultiExpG1Stream(src G1Source, dec *ScalarDecomposition, chunk int) (G1Jac,
 	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, dec.n, dec.Slice, chunk, nil, "")
 }
 
-// MultiExpG2Stream is the G2 counterpart of MultiExpG1Stream.
+// MultiExpG2Stream is the G2 counterpart of MultiExpG1Stream. Points
+// must have order r (see MultiExpG2) — a NewG2RawSource decodes with
+// SetBytesRaw, which does not check it, so the bytes it reads must be
+// key material this program wrote.
 func MultiExpG2Stream(src G2Source, dec *ScalarDecomposition, chunk int) (G2Jac, error) {
 	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, dec.n, dec.Slice, chunk, nil, "")
 }

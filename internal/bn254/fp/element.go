@@ -12,6 +12,7 @@
 package fp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -492,17 +493,22 @@ func (z *Element) SetBytes(b []byte) *Element {
 }
 
 // SetBytesCanonical sets z from exactly 32 big-endian bytes, requiring
-// the value to be a canonical (< p) encoding.
+// the value to be a canonical (< p) encoding. It works on limbs alone
+// and allocates nothing: this is the decode under every raw-key point
+// and every wire scalar.
 func (z *Element) SetBytesCanonical(b []byte) error {
 	if len(b) != Bytes {
 		return errors.New("fp: invalid encoding length")
 	}
-	var v big.Int
-	v.SetBytes(b)
-	if v.Cmp(&qModulus) >= 0 {
+	var v Element
+	for i := 0; i < Limbs; i++ {
+		v[i] = binary.BigEndian.Uint64(b[Bytes-8*(i+1):])
+	}
+	if !v.smallerThanModulus() {
 		return errors.New("fp: encoding is not canonical")
 	}
-	z.SetBigInt(&v)
+	*z = v
+	z.toMont()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package fp
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -272,6 +273,77 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 	if err := e.SetBytesCanonical([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short encoding accepted")
+	}
+}
+
+// setBytesCanonicalBig is the math/big decode SetBytesCanonical replaced,
+// kept as its differential oracle.
+func setBytesCanonicalBig(z *Element, b []byte) error {
+	if len(b) != Bytes {
+		return errors.New("fp: invalid encoding length")
+	}
+	var v big.Int
+	v.SetBytes(b)
+	if v.Cmp(&qModulus) >= 0 {
+		return errors.New("fp: encoding is not canonical")
+	}
+	z.SetBigInt(&v)
+	return nil
+}
+
+// TestSetBytesCanonicalMatchesBigInt pins the limb-level decode (and
+// Bytes, its mirror) against the math/big implementation on random
+// 256-bit strings — most of them ≥ p, which must be rejected — random
+// canonical values, and the boundary encodings 0, 1, p−1, p, p+1 and
+// 2²⁵⁶−1. A rejected decode must leave the receiver untouched.
+func TestSetBytesCanonicalMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	enc32 := func(v *big.Int) []byte { return v.FillBytes(make([]byte, Bytes)) }
+	p := Modulus()
+	cases := [][]byte{
+		enc32(big.NewInt(0)),
+		enc32(big.NewInt(1)),
+		enc32(new(big.Int).Sub(p, big.NewInt(1))),
+		enc32(p),
+		enc32(new(big.Int).Add(p, big.NewInt(1))),
+		bytes.Repeat([]byte{0xff}, Bytes),
+		bytes.Repeat([]byte{0xff}, Bytes-1),
+		make([]byte, Bytes+1),
+		nil,
+	}
+	for i := 0; i < 2000; i++ {
+		raw := make([]byte, Bytes)
+		rng.Read(raw)
+		cases = append(cases, raw)
+		a := randElement(rng)
+		enc := a.Bytes()
+		if want := enc32(a.ToBigInt()); !bytes.Equal(enc[:], want) {
+			t.Fatalf("Bytes() = %x, math/big encodes %x", enc, want)
+		}
+		cases = append(cases, enc[:])
+		// One limb equal to the modulus limb, the rest random: the
+		// comparison must not stop at the first equal limb.
+		edge := enc32(p)
+		rng.Read(edge[8*(1+i%3):])
+		cases = append(cases, edge)
+	}
+	accepted := 0
+	for _, b := range cases {
+		sentinel := NewElement(12345)
+		got, want := sentinel, sentinel
+		gotErr, wantErr := got.SetBytesCanonical(b), setBytesCanonicalBig(&want, b)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("SetBytesCanonical(%x): err %v, math/big oracle: %v", b, gotErr, wantErr)
+		}
+		if !got.Equal(&want) {
+			t.Fatalf("SetBytesCanonical(%x) = %v, math/big oracle %v", b, &got, &want)
+		}
+		if gotErr == nil {
+			accepted++
+		}
+	}
+	if rejected := len(cases) - accepted; accepted < 1000 || rejected < 1000 {
+		t.Fatalf("%d encodings accepted, %d rejected: the case mix no longer covers both verdicts", accepted, rejected)
 	}
 }
 

@@ -14,6 +14,7 @@
 package fr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -374,17 +375,22 @@ func (z *Element) SetBytes(b []byte) *Element {
 }
 
 // SetBytesCanonical sets z from exactly 32 big-endian bytes, requiring
-// the value to be a canonical (< p) encoding.
+// the value to be a canonical (< p) encoding. It works on limbs alone
+// and allocates nothing: this is the decode under every raw-key point
+// and every wire scalar.
 func (z *Element) SetBytesCanonical(b []byte) error {
 	if len(b) != Bytes {
 		return errors.New("fr: invalid encoding length")
 	}
-	var v big.Int
-	v.SetBytes(b)
-	if v.Cmp(&qModulus) >= 0 {
+	var v Element
+	for i := 0; i < Limbs; i++ {
+		v[i] = binary.BigEndian.Uint64(b[Bytes-8*(i+1):])
+	}
+	if !v.smallerThanModulus() {
 		return errors.New("fr: encoding is not canonical")
 	}
-	z.SetBigInt(&v)
+	*z = v
+	z.toMont()
 	return nil
 }
 
@@ -432,6 +438,31 @@ func (z *Element) RegularLimbs() [Limbs]uint64 {
 	t := *z
 	t.fromMont()
 	return [Limbs]uint64(t)
+}
+
+// SignedLimbs returns the limbs of z's balanced representative: the
+// canonical value v itself when v ≤ (p−1)/2, otherwise p − v with neg
+// set, so that z ≡ ±limbs with |limbs| < 2²⁵³. Small negative values —
+// stored as p − x — come back as x, which is what lets the MSM recode a
+// negative fixed-point witness value as cheaply as a positive one.
+func (z *Element) SignedLimbs() (limbs [Limbs]uint64, neg bool) {
+	v := z.RegularLimbs()
+	var m [Limbs]uint64
+	var b uint64
+	m[0], b = bits.Sub64(q[0], v[0], 0)
+	m[1], b = bits.Sub64(q[1], v[1], b)
+	m[2], b = bits.Sub64(q[2], v[2], b)
+	m[3], _ = bits.Sub64(q[3], v[3], b)
+	// v > (p−1)/2 ⇔ p − v < v (p is odd, so the two are never equal).
+	for i := Limbs - 1; i >= 0; i-- {
+		if m[i] != v[i] {
+			if m[i] < v[i] {
+				return m, true
+			}
+			break
+		}
+	}
+	return v, false
 }
 
 // Bit returns bit i of the canonical value of z.

@@ -2,6 +2,7 @@ package fr
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -246,6 +247,77 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// setBytesCanonicalBig is the math/big decode SetBytesCanonical replaced,
+// kept as its differential oracle.
+func setBytesCanonicalBig(z *Element, b []byte) error {
+	if len(b) != Bytes {
+		return errors.New("fr: invalid encoding length")
+	}
+	var v big.Int
+	v.SetBytes(b)
+	if v.Cmp(&qModulus) >= 0 {
+		return errors.New("fr: encoding is not canonical")
+	}
+	z.SetBigInt(&v)
+	return nil
+}
+
+// TestSetBytesCanonicalMatchesBigInt pins the limb-level decode (and
+// Bytes, its mirror) against the math/big implementation on random
+// 256-bit strings — most of them ≥ p, which must be rejected — random
+// canonical values, and the boundary encodings 0, 1, p−1, p, p+1 and
+// 2²⁵⁶−1. A rejected decode must leave the receiver untouched.
+func TestSetBytesCanonicalMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	enc32 := func(v *big.Int) []byte { return v.FillBytes(make([]byte, Bytes)) }
+	p := Modulus()
+	cases := [][]byte{
+		enc32(big.NewInt(0)),
+		enc32(big.NewInt(1)),
+		enc32(new(big.Int).Sub(p, big.NewInt(1))),
+		enc32(p),
+		enc32(new(big.Int).Add(p, big.NewInt(1))),
+		bytes.Repeat([]byte{0xff}, Bytes),
+		bytes.Repeat([]byte{0xff}, Bytes-1),
+		make([]byte, Bytes+1),
+		nil,
+	}
+	for i := 0; i < 2000; i++ {
+		raw := make([]byte, Bytes)
+		rng.Read(raw)
+		cases = append(cases, raw)
+		a := randElement(rng)
+		enc := a.Bytes()
+		if want := enc32(a.ToBigInt()); !bytes.Equal(enc[:], want) {
+			t.Fatalf("Bytes() = %x, math/big encodes %x", enc, want)
+		}
+		cases = append(cases, enc[:])
+		// One limb equal to the modulus limb, the rest random: the
+		// comparison must not stop at the first equal limb.
+		edge := enc32(p)
+		rng.Read(edge[8*(1+i%3):])
+		cases = append(cases, edge)
+	}
+	accepted := 0
+	for _, b := range cases {
+		sentinel := NewElement(12345)
+		got, want := sentinel, sentinel
+		gotErr, wantErr := got.SetBytesCanonical(b), setBytesCanonicalBig(&want, b)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("SetBytesCanonical(%x): err %v, math/big oracle: %v", b, gotErr, wantErr)
+		}
+		if !got.Equal(&want) {
+			t.Fatalf("SetBytesCanonical(%x) = %v, math/big oracle %v", b, &got, &want)
+		}
+		if gotErr == nil {
+			accepted++
+		}
+	}
+	if rejected := len(cases) - accepted; accepted < 1000 || rejected < 1000 {
+		t.Fatalf("%d encodings accepted, %d rejected: the case mix no longer covers both verdicts", accepted, rejected)
+	}
+}
+
 func TestCmpAndLexicographicallyLargest(t *testing.T) {
 	var a, b Element
 	a.SetUint64(5)
@@ -332,5 +404,44 @@ func TestSetString(t *testing.T) {
 	}
 	if _, err := a.SetString("not-a-number"); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestSignedLimbs pins the balanced representative the MSM recoder
+// folds on: ±limbs reconstructs z, the magnitude never exceeds (p−1)/2,
+// and the fold flips exactly between (p−1)/2 and (p+1)/2.
+func TestSignedLimbs(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	p := Modulus()
+	half := new(big.Int).Rsh(p, 1) // (p−1)/2
+	check := func(v *big.Int, wantNeg bool) {
+		t.Helper()
+		var z Element
+		z.SetBigInt(v)
+		limbs, neg := z.SignedLimbs()
+		mag := new(big.Int)
+		for i := Limbs - 1; i >= 0; i-- {
+			mag.Lsh(mag, 64).Or(mag, new(big.Int).SetUint64(limbs[i]))
+		}
+		if neg != wantNeg || mag.Cmp(half) > 0 {
+			t.Fatalf("SignedLimbs(%v) = (%v, neg=%v), want neg=%v and magnitude ≤ (p−1)/2", v, mag, neg, wantNeg)
+		}
+		if neg {
+			mag.Sub(p, mag)
+		}
+		if mag.Cmp(v) != 0 {
+			t.Fatalf("SignedLimbs(%v) reconstructs %v", v, mag)
+		}
+	}
+	check(big.NewInt(0), false)
+	check(big.NewInt(1), false)
+	check(half, false)
+	check(new(big.Int).Add(half, big.NewInt(1)), true)
+	check(new(big.Int).Sub(p, big.NewInt(1)), true)
+	check(new(big.Int).Sub(p, new(big.Int).Lsh(big.NewInt(1), 64)), true)
+	for i := 0; i < 500; i++ {
+		a := randElement(rng)
+		v := a.ToBigInt()
+		check(v, v.Cmp(half) > 0)
 	}
 }
