@@ -201,15 +201,35 @@ func BenchmarkMSM(b *testing.B) {
 	}
 }
 
+// BenchmarkFixedBaseMul measures the trusted setup's kernel at the size
+// of a benchmark-circuit key section: dense full-width scalars in both
+// groups, the B1 query's shape (40 % zeros in one stretch, which a
+// static split would leave to one worker), and the table builds. adds/s
+// counts one addition per nonzero digit (per table entry for a build),
+// so the G1 : G2 ratio reads off directly and -cpu 1,2 gives the
+// two-core efficiency.
 func BenchmarkFixedBaseMul(b *testing.B) {
+	const n = 32768
 	rng := rand.New(rand.NewSource(5))
-	g := G1Generator()
-	table := NewG1FixedBaseTable(&g)
-	k := randFr(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = table.Mul(&k)
+	dense := fullScalars(rng, n)
+	sparse := append(make([]fr.Element, n*2/5), dense[n*2/5:]...)
+	g1, g2 := G1Generator(), G2Generator()
+	t1, t2 := NewG1FixedBaseTable(&g1), NewG2FixedBaseTable(&g2)
+	run := func(name string, adds int, f func()) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+			b.ReportMetric(float64(adds)*float64(b.N)/b.Elapsed().Seconds(), "adds/s")
+		})
 	}
+	denseAdds := nonzeroDigits(DecomposeScalars(dense, fixedBaseWindow))
+	sparseAdds := nonzeroDigits(DecomposeScalars(sparse, fixedBaseWindow))
+	run(fmt.Sprintf("G1/MulBatch/n=%d", n), denseAdds, func() { t1.MulBatch(dense) })
+	run(fmt.Sprintf("G2/MulBatch/n=%d", n), denseAdds, func() { t2.MulBatch(dense) })
+	run(fmt.Sprintf("G1/MulBatchSparse/n=%d", n), sparseAdds, func() { t1.MulBatch(sparse) })
+	run("TableBuild/G1", len(t1.entries), func() { NewG1FixedBaseTable(&g1) })
+	run("TableBuild/G2", len(t2.entries), func() { NewG2FixedBaseTable(&g2) })
 }
 
 func BenchmarkG1ScalarMulWNAF(b *testing.B) {

@@ -291,51 +291,6 @@ func TestMultiExpG2MatchesNaive(t *testing.T) {
 	}
 }
 
-func TestFixedBaseTableG1(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	g := G1Generator()
-	table := NewG1FixedBaseTable(&g)
-	for i := 0; i < 20; i++ {
-		k := randFr(rng)
-		got := table.Mul(&k)
-		var want G1Jac
-		want.ScalarMul(&g, &k)
-		if !got.Equal(&want) {
-			t.Fatal("fixed-base G1 mismatch")
-		}
-	}
-	// Batch path.
-	ks := make([]fr.Element, 17)
-	for i := range ks {
-		ks[i] = randFr(rng)
-	}
-	batch := table.MulBatch(ks)
-	for i := range ks {
-		var want G1Jac
-		want.ScalarMul(&g, &ks[i])
-		var wantAff G1Affine
-		wantAff.FromJacobian(&want)
-		if !batch[i].Equal(&wantAff) {
-			t.Fatal("fixed-base G1 batch mismatch")
-		}
-	}
-}
-
-func TestFixedBaseTableG2(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	g := G2Generator()
-	table := NewG2FixedBaseTable(&g)
-	for i := 0; i < 5; i++ {
-		k := randFr(rng)
-		got := table.Mul(&k)
-		var want G2Jac
-		want.ScalarMul(&g, &k)
-		if !got.Equal(&want) {
-			t.Fatal("fixed-base G2 mismatch")
-		}
-	}
-}
-
 func TestG1CompressionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for i := 0; i < 50; i++ {

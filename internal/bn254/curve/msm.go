@@ -155,74 +155,80 @@ func DecomposeScalars(scalars []fr.Element, c int) *ScalarDecomposition {
 // is per-scalar and every slot in the reused window rows is
 // overwritten), so results are unchanged. Passing nil allocates.
 func decomposeScalarsInto(d *ScalarDecomposition, scalars []fr.Element, c int) *ScalarDecomposition {
-	if c < 2 || c > 15 {
-		panic("curve: DecomposeScalars window width out of range [2,15]")
-	}
-	n := len(scalars)
-	windows := (fr.Bits+c-1)/c + 1
-	reused := d != nil && cap(d.digits) >= windows*n
-	if !reused {
-		d = &ScalarDecomposition{digits: make([]int16, windows*n)}
-	}
-	d.c, d.windows, d.n, d.stride, d.off = c, windows, n, n, 0
-	d.digits = d.digits[:windows*n]
-	half := int64(1) << (c - 1)
-	full := int64(1) << c
+	d = resetDecomposition(d, len(scalars), c)
 	var maxUsed atomic.Int64
-	par.Range(n, func(start, end int) {
-		// Each scalar writes only the windows its magnitude reaches (plus
-		// one for the carry); the rows are zeroed up front so the windows
-		// above — nearly all of them, for a witness — cost one memclr
-		// instead of a strided store per scalar.
-		if reused {
-			for w := 0; w < windows; w++ {
-				clear(d.digits[w*n+start : w*n+end])
-			}
-		}
-		localUsed := 0
-		for i := start; i < end; i++ {
-			limbs, neg := scalars[i].SignedLimbs()
-			bitLen := 0
-			for l := fr.Limbs - 1; l >= 0; l-- {
-				if limbs[l] != 0 {
-					bitLen = 64*l + bits.Len64(limbs[l])
-					break
-				}
-			}
-			sign := int64(1)
-			if neg {
-				sign = -1
-			}
-			nw, carry := 0, int64(0)
-			for ; nw*c < bitLen; nw++ {
-				v := int64(scalarWindow(&limbs, nw*c, c)) + carry
-				carry = 0
-				if v > half {
-					v -= full
-					carry = 1
-				}
-				d.digits[nw*n+i] = int16(sign * v)
-			}
-			if carry != 0 {
-				d.digits[nw*n+i] = int16(sign)
-				nw++
-			}
-			// The top digit written is nonzero: the highest window holds the
-			// magnitude's leading bit, and it recodes to zero only by
-			// carrying out.
-			if nw > localUsed {
-				localUsed = nw
-			}
-		}
+	par.Range(len(scalars), func(start, end int) {
+		localUsed := int64(d.recode(scalars, start, end))
 		for {
 			cur := maxUsed.Load()
-			if int64(localUsed) <= cur || maxUsed.CompareAndSwap(cur, int64(localUsed)) {
+			if localUsed <= cur || maxUsed.CompareAndSwap(cur, localUsed) {
 				break
 			}
 		}
 	})
 	d.used = int(maxUsed.Load())
 	return d
+}
+
+// resetDecomposition shapes d for n scalars at width c with every digit
+// zero, reusing its storage when large enough. Each scalar then writes
+// only the windows its magnitude reaches (plus one for the carry): the
+// windows above — nearly all of them, for a witness — cost this one
+// memclr instead of a strided store per scalar.
+func resetDecomposition(d *ScalarDecomposition, n, c int) *ScalarDecomposition {
+	if c < 2 || c > 15 {
+		panic("curve: DecomposeScalars window width out of range [2,15]")
+	}
+	windows := (fr.Bits+c-1)/c + 1
+	if d != nil && cap(d.digits) >= windows*n {
+		d.digits = d.digits[:windows*n]
+		clear(d.digits)
+	} else {
+		d = &ScalarDecomposition{digits: make([]int16, windows*n)}
+	}
+	d.c, d.windows, d.n, d.stride, d.off = c, windows, n, n, 0
+	return d
+}
+
+// recode writes the digits of scalars[start:end] into zeroed rows and
+// returns the number of windows up to their highest nonzero digit.
+func (d *ScalarDecomposition) recode(scalars []fr.Element, start, end int) (used int) {
+	c, n := d.c, d.n
+	half := int64(1) << (c - 1)
+	full := int64(1) << c
+	for i := start; i < end; i++ {
+		limbs, neg := scalars[i].SignedLimbs()
+		bitLen := 0
+		for l := fr.Limbs - 1; l >= 0; l-- {
+			if limbs[l] != 0 {
+				bitLen = 64*l + bits.Len64(limbs[l])
+				break
+			}
+		}
+		sign := int64(1)
+		if neg {
+			sign = -1
+		}
+		nw, carry := 0, int64(0)
+		for ; nw*c < bitLen; nw++ {
+			v := int64(scalarWindow(&limbs, nw*c, c)) + carry
+			carry = 0
+			if v > half {
+				v -= full
+				carry = 1
+			}
+			d.digits[nw*n+i] = int16(sign * v)
+		}
+		if carry != 0 {
+			d.digits[nw*n+i] = int16(sign)
+			nw++
+		}
+		// The top digit written is nonzero: the highest window holds the
+		// magnitude's leading bit, and it recodes to zero only by
+		// carrying out.
+		used = max(used, nw)
+	}
+	return used
 }
 
 // msmBatchSize caps the number of independent bucket additions gathered
@@ -864,115 +870,151 @@ func MultiExpG1Traced(points []G1Affine, scalars []fr.Element, tr *obs.Trace, la
 	return multiExp[G1Affine, G1Jac](g1Msm{}, points, DecomposeScalars(scalars, MSMWindowSize(len(points))), tr, label)
 }
 
-// fixedBaseWindow is the window width used by fixed-base tables: 8 bits
-// trades a ~8k-point table for 32 mixed additions per scalar
-// multiplication.
-const fixedBaseWindow = 8
+// Fixed-base multiplication — k·base for a whole vector of scalars, the
+// cost of a trusted setup — reuses the MSM's parts with the roles
+// swapped: the scalars are recoded into the same signed, sign-folded
+// digits, a table holds every digit's multiple of the base per window,
+// and the accumulators (one per scalar, not one per digit value) take
+// their table entries through the batch-affine flush.
+
+// fixedBaseWindow is the one digit width of every table. Width 11 gives
+// 24 windows of 1024 entries: a 1.6 MB (G1) / 3.1 MB (G2) table built
+// in ~25k additions, and at most 24 per scalar after it. A width chosen
+// per call would need a table per width; the setup's vectors are all
+// tens of thousands of scalars and this width serves them within a few
+// per cent of their best.
+const fixedBaseWindow = 11
+
+// fixedBaseWindows counts the windows a recoded scalar can reach: the
+// folded magnitude is below 2^(fr.Bits-1), and one more window takes
+// the final carry.
+const fixedBaseWindows = (fr.Bits-1+fixedBaseWindow-1)/fixedBaseWindow + 1
+
+// fixedBaseEntries is the table's per-window entry count, one per digit
+// magnitude.
+const fixedBaseEntries = 1 << (fixedBaseWindow - 1)
+
+// fixedBaseBlock is the number of accumulators one worker carries
+// through the windows: enough to share each window's inversion a
+// thousand ways, few enough that the block's digits, gathered entries
+// and denominators stay cache-resident beside a window's table row.
+const fixedBaseBlock = 1024
+
+// fixedBaseCurve is what the fixed-base kernel needs of a group.
+type fixedBaseCurve[A, J any] interface {
+	batchAdder(batchSize int) batchOps[A, J]
+	double(dst *J)
+	batchToAffine(points []J) []A
+}
+
+func (g1Msm) batchAdder(batchSize int) batchOps[G1Affine, G1Jac] { return newG1BatchAdder(batchSize) }
+func (g1Msm) batchToAffine(points []G1Jac) []G1Affine            { return BatchJacToAffineG1(points) }
+func (g2Msm) batchAdder(batchSize int) batchOps[G2Affine, G2Jac] { return newG2BatchAdder(batchSize) }
+func (g2Msm) batchToAffine(points []G2Jac) []G2Affine            { return BatchJacToAffineG2(points) }
+
+// fixedBaseTable holds entries[w·fixedBaseEntries + d-1] = d·2^(cw)·base.
+// It is built per setup and dies with it.
+type fixedBaseTable[A, J any, CV fixedBaseCurve[A, J]] struct {
+	cv      CV
+	entries []A
+}
 
 // G1FixedBaseTable precomputes multiples of a single base point so that
 // many scalar multiplications of that base (the dominant cost of Groth16
-// trusted setup) collapse to ~32 mixed additions each.
-type G1FixedBaseTable struct {
-	windows [][]G1Affine // windows[w][d-1] = (d << (8w))·base
-}
+// trusted setup) collapse to at most 24 amortised affine additions each.
+type G1FixedBaseTable = fixedBaseTable[G1Affine, G1Jac, g1Msm]
+
+// G2FixedBaseTable is the G2 counterpart of G1FixedBaseTable.
+type G2FixedBaseTable = fixedBaseTable[G2Affine, G2Jac, g2Msm]
 
 // NewG1FixedBaseTable builds the table for the given base.
 func NewG1FixedBaseTable(base *G1Jac) *G1FixedBaseTable {
-	numWindows := (fr.Bits + fixedBaseWindow) / fixedBaseWindow
-	t := &G1FixedBaseTable{windows: make([][]G1Affine, numWindows)}
-	cur := *base
-	for w := 0; w < numWindows; w++ {
-		jacs := make([]G1Jac, (1<<fixedBaseWindow)-1)
-		var acc G1Jac
-		acc.SetInfinity()
-		for d := 0; d < len(jacs); d++ {
-			acc.AddAssign(&cur)
-			jacs[d] = acc
-		}
-		t.windows[w] = BatchJacToAffineG1(jacs)
-		// cur <<= 8
-		for i := 0; i < fixedBaseWindow; i++ {
-			cur.DoubleAssign()
-		}
-	}
-	return t
+	return newFixedBaseTable[G1Affine, G1Jac](g1Msm{}, *base)
 }
 
-// Mul returns k·base using the precomputed table.
-func (t *G1FixedBaseTable) Mul(k *fr.Element) G1Jac {
-	limbs := k.RegularLimbs()
-	var res G1Jac
-	res.SetInfinity()
-	for w := range t.windows {
-		d := scalarWindow(&limbs, w*fixedBaseWindow, fixedBaseWindow)
-		if d == 0 {
-			continue
-		}
-		res.AddMixed(&t.windows[w][d-1])
-	}
-	return res
-}
-
-// MulBatch computes k·base for every scalar in ks, in parallel, and
-// returns the affine results.
-func (t *G1FixedBaseTable) MulBatch(ks []fr.Element) []G1Affine {
-	jacs := make([]G1Jac, len(ks))
-	par.Range(len(ks), func(start, end int) {
-		for i := start; i < end; i++ {
-			jacs[i] = t.Mul(&ks[i])
-		}
-	})
-	return BatchJacToAffineG1(jacs)
-}
-
-// G2FixedBaseTable is the G2 counterpart of G1FixedBaseTable.
-type G2FixedBaseTable struct {
-	windows [][]G2Affine
-}
-
-// NewG2FixedBaseTable builds the table for the given base.
+// NewG2FixedBaseTable builds the table for the given base, which must
+// have order r: the sign-folded digits compute a scalar above (r-1)/2 as
+// its negative (see MultiExpG2).
 func NewG2FixedBaseTable(base *G2Jac) *G2FixedBaseTable {
-	numWindows := (fr.Bits + fixedBaseWindow) / fixedBaseWindow
-	t := &G2FixedBaseTable{windows: make([][]G2Affine, numWindows)}
-	cur := *base
-	for w := 0; w < numWindows; w++ {
-		jacs := make([]G2Jac, (1<<fixedBaseWindow)-1)
-		var acc G2Jac
-		acc.SetInfinity()
-		for d := 0; d < len(jacs); d++ {
-			acc.AddAssign(&cur)
-			jacs[d] = acc
-		}
-		t.windows[w] = BatchJacToAffineG2(jacs)
-		for i := 0; i < fixedBaseWindow; i++ {
-			cur.DoubleAssign()
-		}
-	}
-	return t
+	return newFixedBaseTable[G2Affine, G2Jac](g2Msm{}, *base)
 }
 
-// Mul returns k·base using the precomputed table.
-func (t *G2FixedBaseTable) Mul(k *fr.Element) G2Jac {
-	limbs := k.RegularLimbs()
-	var res G2Jac
-	res.SetInfinity()
-	for w := range t.windows {
-		d := scalarWindow(&limbs, w*fixedBaseWindow, fixedBaseWindow)
-		if d == 0 {
-			continue
+// newFixedBaseTable fills the table, windows in parallel. A window's row
+// doubles in length level by level — (have+j+1)·P = have·P + (j+1)·P for
+// every j below have — so each level is one flush whose last slot is the
+// tangent case.
+func newFixedBaseTable[A, J any, CV fixedBaseCurve[A, J]](cv CV, base J) *fixedBaseTable[A, J, CV] {
+	firsts := make([]J, fixedBaseWindows)
+	for w := range firsts {
+		firsts[w] = base
+		for range fixedBaseWindow {
+			cv.double(&base)
 		}
-		res.AddMixed(&t.windows[w][d-1])
 	}
-	return res
-}
-
-// MulBatch computes k·base for every scalar in ks, in parallel.
-func (t *G2FixedBaseTable) MulBatch(ks []fr.Element) []G2Affine {
-	jacs := make([]G2Jac, len(ks))
-	par.Range(len(ks), func(start, end int) {
-		for i := start; i < end; i++ {
-			jacs[i] = t.Mul(&ks[i])
+	first := cv.batchToAffine(firsts)
+	entries := make([]A, fixedBaseWindows*fixedBaseEntries)
+	idx := make([]int32, fixedBaseEntries/2)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	par.Each(fixedBaseWindows, func(w int) {
+		row := entries[w*fixedBaseEntries : (w+1)*fixedBaseEntries]
+		adder := cv.batchAdder(fixedBaseEntries / 2)
+		row[0] = first[w]
+		for have := 1; have < fixedBaseEntries; have *= 2 {
+			next := row[have : 2*have]
+			for j := range next {
+				next[j] = row[have-1]
+			}
+			adder.flush(next, idx[:have], row[:have])
 		}
 	})
-	return BatchJacToAffineG2(jacs)
+	return &fixedBaseTable[A, J, CV]{cv, entries}
+}
+
+// MulBatch returns k·base in affine form for every k in ks. The scalars
+// are cut into blocks that the workers draw one at a time, so a stretch
+// of zero scalars costs its worker nothing and the others pick up the
+// slack. Within a block every accumulator starts at infinity and
+// receives, per window, its digit's table entry (negated for a negative
+// digit) in one flush: the accumulators are distinct by construction, so
+// there is nothing to queue and nothing leaves affine form. A worker's
+// digits, gathered entries and denominators are allocated once and
+// serve every block it draws.
+func (t *fixedBaseTable[A, J, CV]) MulBatch(ks []fr.Element) []A {
+	out := make([]A, len(ks))             // zero value is affine infinity
+	block := min(len(ks), fixedBaseBlock) // the key's lone elements come three at a time
+	blocks := (len(ks) + fixedBaseBlock - 1) / fixedBaseBlock
+	var drawn atomic.Int64
+	par.Each(min(blocks, par.Workers()), func(int) {
+		var dec *ScalarDecomposition
+		idx, pts := make([]int32, block), make([]A, block)
+		adder := t.cv.batchAdder(block)
+		for b := int(drawn.Add(1)) - 1; b < blocks; b = int(drawn.Add(1)) - 1 {
+			lo := b * fixedBaseBlock
+			acc := out[lo:min(lo+fixedBaseBlock, len(ks))]
+			// Recoded here, not through decomposeScalarsInto, which would fan
+			// out again underneath this worker.
+			dec = resetDecomposition(dec, len(acc), fixedBaseWindow)
+			dec.used = dec.recode(ks[lo:lo+len(acc)], 0, len(acc))
+			for w := 0; w < dec.used; w++ {
+				row := t.entries[w*fixedBaseEntries : (w+1)*fixedBaseEntries]
+				cnt := 0
+				for i, d := range dec.row(w) {
+					switch {
+					case d > 0:
+						pts[cnt] = row[d-1]
+					case d < 0:
+						adder.negInto(&pts[cnt], &row[-d-1])
+					default:
+						continue
+					}
+					idx[cnt] = int32(i)
+					cnt++
+				}
+				adder.flush(acc, idx[:cnt], pts[:cnt])
+			}
+		}
+	})
+	return out
 }

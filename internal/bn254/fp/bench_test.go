@@ -54,3 +54,38 @@ func BenchmarkBatchInvert1024(b *testing.B) {
 		_ = BatchInvert(in)
 	}
 }
+
+const randomOperandCount = 1 << 16
+
+// randomOperands is a working set too large for the branch predictor to
+// memorise: whether x+y wraps past the modulus, or x-y borrows, is a
+// coin flip per pair. BenchmarkAdd's single pair is perfectly
+// predictable and measures the other extreme.
+func randomOperands() (x, y []Element) {
+	x, y = make([]Element, randomOperandCount), make([]Element, randomOperandCount)
+	for i := range x {
+		x[i] = MustRandom()
+		y[i] = MustRandom()
+	}
+	return x, y
+}
+
+func BenchmarkAddRandom(b *testing.B) {
+	x, y := randomOperands()
+	var z Element
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Add(&x[i%randomOperandCount], &y[i%randomOperandCount])
+	}
+	_ = z
+}
+
+func BenchmarkSubRandom(b *testing.B) {
+	x, y := randomOperands()
+	var z Element
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Sub(&x[i%randomOperandCount], &y[i%randomOperandCount])
+	}
+	_ = z
+}

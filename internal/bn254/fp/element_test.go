@@ -76,6 +76,54 @@ func TestAddSubMulAgainstBig(t *testing.T) {
 	}
 }
 
+// TestAddSubBoundaries walks the conditional reductions across their edges:
+// sums that land on p exactly and one to either side of it, differences
+// of zero and of minus one, and every way the result can alias an
+// operand.
+func TestAddSubBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	mod := Modulus()
+	var one Element
+	one.SetOne()
+	check := func(what string, got *Element, want *big.Int) {
+		t.Helper()
+		want.Mod(want, mod)
+		if got.ToBigInt().Cmp(want) != 0 {
+			t.Fatalf("%s: got %v want %v", what, got.ToBigInt(), want)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		a := randElement(rng)
+		if i == 0 {
+			a.SetZero()
+		}
+		var neg Element
+		neg.Neg(&a)
+		for _, off := range []int64{-1, 0, 1} {
+			var d, b Element
+			d.SetInt64(off)
+			b.Add(&neg, &d) // b = -a + off
+			ab, bb := a.ToBigInt(), b.ToBigInt()
+
+			var z Element
+			check("a + (-a+off)", z.Add(&a, &b), new(big.Int).Add(ab, bb))
+			check("a - (a+off)", z.Sub(&a, z.Add(&a, &d)), big.NewInt(-off))
+			z = a
+			check("z.Add(z, b)", z.Add(&z, &b), new(big.Int).Add(ab, bb))
+			z = b
+			check("z.Add(a, z)", z.Add(&a, &z), new(big.Int).Add(ab, bb))
+			z = a
+			check("z.Sub(z, b)", z.Sub(&z, &b), new(big.Int).Sub(ab, bb))
+			z = b
+			check("z.Sub(a, z)", z.Sub(&a, &z), new(big.Int).Sub(ab, bb))
+			z = a
+			check("z.Double(z)", z.Double(&z), new(big.Int).Add(ab, ab))
+			z = a
+			check("z.Sub(z, z)", z.Sub(&z, &z), big.NewInt(0))
+		}
+	}
+}
+
 func TestFieldAxiomsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 

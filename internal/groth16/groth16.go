@@ -103,12 +103,10 @@ func Setup(sys r1cs.Constraints, rng io.Reader) (*ProvingKey, *VerifyingKey, err
 	pk.K = t1.MulBatch(sc.kScalars)
 	pk.Z = t1.MulBatch(sc.zScalars)
 
-	pk.AlphaG1 = singleG1(t1, &sc.alpha)
-	pk.BetaG1 = singleG1(t1, &sc.beta)
-	pk.DeltaG1 = singleG1(t1, &sc.delta)
-	pk.BetaG2 = singleG2(t2, &sc.beta)
-	pk.DeltaG2 = singleG2(t2, &sc.delta)
-	*vk = sc.verifyingKey(t1, t2)
+	g1s, g2s := sc.singles(t1, t2)
+	pk.AlphaG1, pk.BetaG1, pk.DeltaG1 = g1s[0], g1s[1], g1s[2]
+	pk.BetaG2, pk.DeltaG2 = g2s[0], g2s[2]
+	*vk = sc.verifyingKey(t1, g1s, g2s)
 	return pk, vk, nil
 }
 
@@ -279,30 +277,21 @@ func computeSetupScalars(sys r1cs.Constraints, rng io.Reader) (*setupScalars, er
 	}, nil
 }
 
+// singles multiplies out the key's lone elements: [α, β, δ]·G1 and
+// [β, γ, δ]·G2, one short batch per group.
+func (sc *setupScalars) singles(t1 *curve.G1FixedBaseTable, t2 *curve.G2FixedBaseTable) ([]curve.G1Affine, []curve.G2Affine) {
+	return t1.MulBatch([]fr.Element{sc.alpha, sc.beta, sc.delta}),
+		t2.MulBatch([]fr.Element{sc.beta, sc.gamma, sc.delta})
+}
+
 // verifyingKey assembles the (small) verifying key from the setup
-// scalars.
-func (sc *setupScalars) verifyingKey(t1 *curve.G1FixedBaseTable, t2 *curve.G2FixedBaseTable) VerifyingKey {
+// scalars and the elements singles returned.
+func (sc *setupScalars) verifyingKey(t1 *curve.G1FixedBaseTable, g1s []curve.G1Affine, g2s []curve.G2Affine) VerifyingKey {
 	vk := VerifyingKey{IC: t1.MulBatch(sc.icScalars)}
-	vk.AlphaG1 = singleG1(t1, &sc.alpha)
-	vk.BetaG2 = singleG2(t2, &sc.beta)
-	vk.GammaG2 = singleG2(t2, &sc.gamma)
-	vk.DeltaG2 = singleG2(t2, &sc.delta)
+	vk.AlphaG1 = g1s[0]
+	vk.BetaG2, vk.GammaG2, vk.DeltaG2 = g2s[0], g2s[1], g2s[2]
 	vk.AlphaBeta = pairing.Pair(&vk.AlphaG1, &vk.BetaG2)
 	return vk
-}
-
-func singleG1(t *curve.G1FixedBaseTable, k *fr.Element) curve.G1Affine {
-	j := t.Mul(k)
-	var a curve.G1Affine
-	a.FromJacobian(&j)
-	return a
-}
-
-func singleG2(t *curve.G2FixedBaseTable, k *fr.Element) curve.G2Affine {
-	j := t.Mul(k)
-	var a curve.G2Affine
-	a.FromJacobian(&j)
-	return a
 }
 
 // Prove produces a proof that the witness satisfies the system. The

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/pairing"
+	"zkrownn/internal/par"
 )
 
 // Binary framing: a 4-byte magic, a format version, then length-prefixed
@@ -97,23 +99,6 @@ func writeG1Slice(w io.Writer, ps []curve.G1Affine) error {
 	return nil
 }
 
-func readG1Slice(r io.Reader) ([]curve.G1Affine, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<28 {
-		return nil, errors.New("groth16: implausible G1 slice length")
-	}
-	out := make([]curve.G1Affine, n)
-	for i := range out {
-		if err := readG1(r, &out[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 func writeG2Slice(w io.Writer, ps []curve.G2Affine) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(ps))); err != nil {
 		return err
@@ -126,21 +111,66 @@ func writeG2Slice(w io.Writer, ps []curve.G2Affine) error {
 	return nil
 }
 
-func readG2Slice(r io.Reader) ([]curve.G2Affine, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+// decodeChunk is the number of points read and decoded at a time: a few
+// hundred kilobytes of encoding, enough to spread a chunk's square roots
+// over the workers.
+const decodeChunk = 4096
+
+// readPoints decodes a length-prefixed run of size-byte point encodings.
+// The length prefix is not trusted with memory: the result grows by
+// doubling as chunks actually arrive, so a short stream behind a huge
+// prefix costs one chunk, not prefix × point size. Each chunk is decoded
+// in parallel (compressed points pay a square root each); the error of
+// the earliest bad point is returned.
+func readPoints[P any](r io.Reader, size int, set func(*P, []byte) error) ([]P, error) {
+	var n32 uint32
+	if err := binary.Read(r, binary.LittleEndian, &n32); err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
-		return nil, errors.New("groth16: implausible G2 slice length")
+	if n32 > 1<<28 {
+		return nil, errors.New("groth16: implausible point slice length")
 	}
-	out := make([]curve.G2Affine, n)
-	for i := range out {
-		if err := readG2(r, &out[i]); err != nil {
+	n := int(n32)
+	buf := make([]byte, min(n, decodeChunk)*size)
+	out := []P{}
+	for len(out) < n {
+		c := min(n-len(out), decodeChunk)
+		if _, err := io.ReadFull(r, buf[:c*size]); err != nil {
 			return nil, err
+		}
+		if len(out)+c > cap(out) {
+			out = append(make([]P, 0, min(n, max(c, 2*cap(out)))), out...)
+		}
+		chunk := out[len(out) : len(out)+c]
+		out = out[:len(out)+c]
+		var mu sync.Mutex
+		var firstErr error
+		firstBad := c
+		par.Range(c, func(start, end int) {
+			for i := start; i < end; i++ {
+				if err := set(&chunk[i], buf[i*size:(i+1)*size]); err != nil {
+					mu.Lock()
+					if i < firstBad {
+						firstBad, firstErr = i, err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		})
+		if firstErr != nil {
+			return nil, firstErr
 		}
 	}
 	return out, nil
+}
+
+func readG1Slice(r io.Reader) ([]curve.G1Affine, error) {
+	return readPoints(r, curve.G1CompressedSize, (*curve.G1Affine).SetBytes)
+}
+
+func readG2Slice(r io.Reader) ([]curve.G2Affine, error) {
+	return readPoints(r, curve.G2CompressedSize, (*curve.G2Affine).SetBytes)
 }
 
 // WriteTo serializes the proof (exactly 3 compressed points after the
@@ -365,70 +395,31 @@ func (pk *ProvingKey) ReadRawFrom(r io.Reader) (int64, error) {
 		return 0, err
 	}
 	var g1buf [curve.G1UncompressedSize]byte
-	var g2buf [curve.G2UncompressedSize]byte
-	readG1Raw := func(p *curve.G1Affine) error {
-		if _, err := io.ReadFull(r, g1buf[:]); err != nil {
-			return err
-		}
-		return p.SetBytesRaw(g1buf[:])
-	}
-	readG2Raw := func(p *curve.G2Affine) error {
-		if _, err := io.ReadFull(r, g2buf[:]); err != nil {
-			return err
-		}
-		return p.SetBytesRaw(g2buf[:])
-	}
 	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		if err := readG1Raw(pt); err != nil {
+		if _, err := io.ReadFull(r, g1buf[:]); err != nil {
+			return 0, err
+		}
+		if err := pt.SetBytesRaw(g1buf[:]); err != nil {
 			return 0, err
 		}
 	}
+	var g2buf [curve.G2UncompressedSize]byte
 	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		if err := readG2Raw(pt); err != nil {
+		if _, err := io.ReadFull(r, g2buf[:]); err != nil {
 			return 0, err
 		}
-	}
-	readG1RawSlice := func() ([]curve.G1Affine, error) {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, err
+		if err := pt.SetBytesRaw(g2buf[:]); err != nil {
+			return 0, err
 		}
-		if n > 1<<28 {
-			return nil, errors.New("groth16: implausible G1 slice length")
-		}
-		out := make([]curve.G1Affine, n)
-		for i := range out {
-			if err := readG1Raw(&out[i]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
 	}
 	var err error
-	if pk.A, err = readG1RawSlice(); err != nil {
-		return 0, err
-	}
-	if pk.B1, err = readG1RawSlice(); err != nil {
-		return 0, err
-	}
-	if pk.K, err = readG1RawSlice(); err != nil {
-		return 0, err
-	}
-	if pk.Z, err = readG1RawSlice(); err != nil {
-		return 0, err
-	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return 0, err
-	}
-	if n > 1<<28 {
-		return 0, errors.New("groth16: implausible G2 slice length")
-	}
-	pk.B2 = make([]curve.G2Affine, n)
-	for i := range pk.B2 {
-		if err := readG2Raw(&pk.B2[i]); err != nil {
+	for _, sec := range []*[]curve.G1Affine{&pk.A, &pk.B1, &pk.K, &pk.Z} {
+		if *sec, err = readPoints(r, curve.G1UncompressedSize, (*curve.G1Affine).SetBytesRaw); err != nil {
 			return 0, err
 		}
+	}
+	if pk.B2, err = readPoints(r, curve.G2UncompressedSize, (*curve.G2Affine).SetBytesRaw); err != nil {
+		return 0, err
 	}
 	return 0, nil
 }

@@ -2,10 +2,19 @@ package groth16
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"zkrownn/internal/bn254/curve"
+	"zkrownn/internal/bn254/fr"
 )
 
 // marshalFixture runs setup+prove once for the cubic toy circuit and
@@ -186,5 +195,147 @@ func TestMarshalRejectsWrongMagic(t *testing.T) {
 	var got2 Proof
 	if _, err := got2.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("proof reader accepted proving-key stream")
+	}
+}
+
+// serialPoints is the decoder readPoints replaced: the whole slice made
+// up front, one point read and decoded at a time.
+func serialPoints[P any](t *testing.T, r io.Reader, size int, set func(*P, []byte) error) []P {
+	t.Helper()
+	var n uint32
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]P, n)
+	buf := make([]byte, size)
+	for i := range out {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := set(&out[i], buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestReadPointsMatchesSerialDecoder checks the chunked, parallel decoder
+// against the serial one on the pinned verifying key and on runs long
+// enough to span several chunks and a partial one, in all four
+// encodings.
+func TestReadPointsMatchesSerialDecoder(t *testing.T) {
+	dump, err := os.ReadFile(filepath.Join("testdata", "golden", "vk.bin.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := hex.DecodeString(string(bytes.ReplaceAll(bytes.TrimSpace(dump), []byte("\n"), nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vk VerifyingKey
+	if _, err := vk.ReadFrom(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	icOff := 8 + curve.G1CompressedSize + 3*curve.G2CompressedSize
+	want := serialPoints(t, bytes.NewReader(raw[icOff:]), curve.G1CompressedSize, (*curve.G1Affine).SetBytes)
+	if len(want) == 0 || !g1Equal(want, vk.IC) {
+		t.Fatal("golden VK: IC differs from the serial decoder's")
+	}
+
+	const n = 2*decodeChunk + 5
+	ks := make([]fr.Element, n)
+	for i := range ks {
+		ks[i].SetUint64(uint64(i)) // includes the point at infinity
+	}
+	g1, g2 := curve.G1Generator(), curve.G2Generator()
+	p1 := curve.NewG1FixedBaseTable(&g1).MulBatch(ks)
+	p2 := curve.NewG2FixedBaseTable(&g2).MulBatch(ks[:decodeChunk+5]) // a G2 decode checks the subgroup: keep it short
+	var c1, c2, r1, r2 bytes.Buffer
+	binary.Write(&c1, binary.LittleEndian, uint32(len(p1)))
+	binary.Write(&r1, binary.LittleEndian, uint32(len(p1)))
+	binary.Write(&c2, binary.LittleEndian, uint32(len(p2)))
+	binary.Write(&r2, binary.LittleEndian, uint32(len(p2)))
+	for i := range p1 {
+		b, u := p1[i].Bytes(), p1[i].BytesRaw()
+		c1.Write(b[:])
+		r1.Write(u[:])
+	}
+	for i := range p2 {
+		b, u := p2[i].Bytes(), p2[i].BytesRaw()
+		c2.Write(b[:])
+		r2.Write(u[:])
+	}
+	got1, err := readG1Slice(bytes.NewReader(c1.Bytes()))
+	if err != nil || !g1Equal(got1, p1) {
+		t.Fatalf("G1 compressed: decoded points differ from the encoded ones (err %v)", err)
+	}
+	got1, err = readPoints(&r1, curve.G1UncompressedSize, (*curve.G1Affine).SetBytesRaw)
+	if err != nil || !g1Equal(got1, p1) {
+		t.Fatalf("G1 raw: decoded points differ from the encoded ones (err %v)", err)
+	}
+	got2, err := readG2Slice(&c2)
+	if err != nil || !g2Equal(got2, p2) {
+		t.Fatalf("G2 compressed: decoded points differ from the encoded ones (err %v)", err)
+	}
+	got2, err = readPoints(&r2, curve.G2UncompressedSize, (*curve.G2Affine).SetBytesRaw)
+	if err != nil || !g2Equal(got2, p2) {
+		t.Fatalf("G2 raw: decoded points differ from the encoded ones (err %v)", err)
+	}
+
+	// The earliest bad point's error comes back, whichever worker met it.
+	bad := c1.Bytes()
+	bad[4+(decodeChunk+7)*curve.G1CompressedSize] = 0 // flags 0b00: invalid
+	bad[4+(2*decodeChunk+1)*curve.G1CompressedSize] = 0
+	if _, err := readG1Slice(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "flags") {
+		t.Fatalf("corrupt point: got %v, want the invalid-flags error", err)
+	}
+}
+
+// TestReadPointsBoundsAllocation: a hostile length prefix must not size
+// an allocation. A hundred-byte envelope claiming 2²⁸ points fails with
+// a read error having allocated less than a megabyte, where the decoder
+// used to ask for 17 GB (G1) or 34 GB (G2) before reading a byte.
+func TestReadPointsBoundsAllocation(t *testing.T) {
+	_, vk, _ := marshalFixture(t)
+	var buf bytes.Buffer
+	if _, err := vk.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	icOff := 8 + curve.G1CompressedSize + 3*curve.G2CompressedSize
+	hostile := append([]byte(nil), buf.Bytes()[:icOff]...)
+	hostile = binary.LittleEndian.AppendUint32(hostile, 1<<28)
+	hostile = append(hostile, buf.Bytes()[icOff+4:icOff+4+curve.G1CompressedSize]...) // one real point, then EOF
+
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var err error
+	got := allocated(func() {
+		var out VerifyingKey
+		_, err = out.ReadFrom(bytes.NewReader(hostile))
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated VK: got %v, want unexpected EOF", err)
+	}
+	if got >= 1<<20 {
+		t.Errorf("truncated VK with a 2^28 prefix allocated %d bytes, want < 1 MiB", got)
+	}
+	prefix := binary.LittleEndian.AppendUint32(nil, 1<<28)
+	got = allocated(func() {
+		_, err = readPoints(bytes.NewReader(prefix), curve.G2UncompressedSize, (*curve.G2Affine).SetBytesRaw)
+	})
+	if err == nil {
+		t.Fatal("empty raw G2 section behind a 2^28 prefix decoded")
+	}
+	if got >= 1<<20 {
+		t.Errorf("raw G2 section with a 2^28 prefix allocated %d bytes, want < 1 MiB", got)
+	}
+	over := binary.LittleEndian.AppendUint32(nil, 1<<28+1)
+	if _, err := readG1Slice(bytes.NewReader(over)); err == nil {
+		t.Fatal("length prefix above the cap accepted")
 	}
 }

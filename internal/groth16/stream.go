@@ -324,15 +324,14 @@ func SetupStreamed(sys r1cs.Constraints, rng io.Reader, w io.Writer) (*Verifying
 	if err := binary.Write(w, binary.LittleEndian, sc.domain.N); err != nil {
 		return nil, err
 	}
-	for _, k := range []*fr.Element{&sc.alpha, &sc.beta, &sc.delta} {
-		p := singleG1(t1, k)
+	g1s, g2s := sc.singles(t1, t2)
+	for _, p := range g1s { // α, β, δ
 		b := p.BytesRaw()
 		if _, err := w.Write(b[:]); err != nil {
 			return nil, err
 		}
 	}
-	for _, k := range []*fr.Element{&sc.beta, &sc.delta} {
-		p := singleG2(t2, k)
+	for _, p := range []curve.G2Affine{g2s[0], g2s[2]} { // β, δ
 		b := p.BytesRaw()
 		if _, err := w.Write(b[:]); err != nil {
 			return nil, err
@@ -395,6 +394,6 @@ func SetupStreamed(sys r1cs.Constraints, rng io.Reader, w io.Writer) (*Verifying
 	}
 	sc.vTau = nil
 
-	vk := sc.verifyingKey(t1, t2)
+	vk := sc.verifyingKey(t1, g1s, g2s)
 	return &vk, nil
 }
