@@ -276,7 +276,7 @@ func main() {
 					tr = obs.NewTrace()
 				}
 				sampler := startRSSSampler()
-				pl, err := core.RunPipelineTraced(eng, art, rng, tr)
+				pl, err := core.RunPipelineWith(eng, art, rng, tr)
 				peakRSS := sampler.Stop()
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "%s: pipeline: %v\n", spec.name, err)

@@ -95,12 +95,8 @@ type ScalarDecomposition struct {
 	// so their digits live in a handful of low windows — the MSM skips
 	// the all-zero rest outright.
 	used int
-	// digits[w*stride+off+i] is scalar i's signed digit for window w, in
-	// [-2^(c-1), 2^(c-1)]. off/stride exist so a Slice view can
-	// address the digits of a scalar sub-range without copying — the
-	// chunked/streamed MSM walks one full-vector recoding chunk by chunk.
-	off    int
-	stride int
+	// digits[w*n+i] is scalar i's signed digit for window w, in
+	// [-2^(c-1), 2^(c-1)].
 	digits []int16
 }
 
@@ -110,23 +106,9 @@ func (d *ScalarDecomposition) C() int { return d.c }
 // Len returns the number of scalars in the decomposition.
 func (d *ScalarDecomposition) Len() int { return d.n }
 
-// row returns the digit row of window w for this view.
+// row returns the digit row of window w.
 func (d *ScalarDecomposition) row(w int) []int16 {
-	base := w*d.stride + d.off
-	return d.digits[base : base+d.n]
-}
-
-// Slice returns a zero-copy view of the decomposition restricted to
-// scalars [start, end). The view shares the underlying digit storage,
-// so one full-vector recoding serves every chunk of a streamed MSM.
-func (d *ScalarDecomposition) Slice(start, end int) *ScalarDecomposition {
-	if start < 0 || end > d.n || start > end {
-		panic("curve: ScalarDecomposition.Slice out of range")
-	}
-	s := *d
-	s.off = d.off + start
-	s.n = end - start
-	return &s
+	return d.digits[w*d.n : (w+1)*d.n]
 }
 
 // DecomposeScalars recodes scalars into signed c-bit window digits
@@ -186,7 +168,7 @@ func resetDecomposition(d *ScalarDecomposition, n, c int) *ScalarDecomposition {
 	} else {
 		d = &ScalarDecomposition{digits: make([]int16, windows*n)}
 	}
-	d.c, d.windows, d.n, d.stride, d.off = c, windows, n, n, 0
+	d.c, d.windows, d.n = c, windows, n
 	return d
 }
 
@@ -431,10 +413,8 @@ type msmCurve[A, J any] interface {
 	// of chunk×window-group tasks, and allocating half-MB bucket arrays
 	// per task is the prover's dominant GC churn.
 	scratchPool() *sync.Pool
-	// accelerated routes one pre-decomposed MSM to acc's entry point for
-	// this group — how the streamed driver dispatches each chunk through
-	// the registered Accelerator.
-	accelerated(acc Accelerator, points []A, dec *ScalarDecomposition) J
+	// scalarMul returns k·p, the whole of a one-point MSM.
+	scalarMul(p *A, k *fr.Element) J
 }
 
 // msmScratch is the recycled working set of one MSM task. Buckets and
@@ -551,10 +531,10 @@ func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
 // cell owns its buckets and reduces them independently, and the final
 // fold is a cheap serial pass over numChunks·numWindows partial sums.
 //
-// tr, when non-nil, records one span per chunk×window-group task under
+// sc, when on, records one span per chunk×window-group task under its
 // label on a pool of worker lanes — the per-window MSM attribution of
-// the telemetry subsystem. The nil path adds only a nil check per task.
-func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, tr *obs.Trace, label string) J {
+// the telemetry subsystem. The off path adds only a nil check per task.
+func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, sc obs.Scope) J {
 	n := len(points)
 	res := cv.infinity()
 	if n == 0 {
@@ -575,14 +555,11 @@ func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecompo
 	tasks, numChunks := planMSM(n, c, numWindows, par.Workers())
 
 	partials := make([]J, numChunks*numWindows)
-	var lanes *obs.Lanes
-	if tr != nil {
-		lanes = tr.Lanes(par.Workers())
-	}
+	lanes := sc.Trace().Lanes(par.Workers())
 	runTask := func(t int) {
 		task := tasks[t]
 		if lanes != nil {
-			sp := lanes.Span(label + "/w" + strconv.Itoa(task.w0) + "-" + strconv.Itoa(task.w1) +
+			sp := lanes.Span(sc.Label() + "/w" + strconv.Itoa(task.w0) + "-" + strconv.Itoa(task.w1) +
 				"/c" + strconv.Itoa(task.chunk))
 			defer sp.End()
 		}
@@ -716,8 +693,11 @@ func (g1Msm) double(dst *G1Jac)   { dst.DoubleAssign() }
 
 func (g1Msm) scratchPool() *sync.Pool { return &g1ScratchPool }
 
-func (g1Msm) accelerated(acc Accelerator, points []G1Affine, dec *ScalarDecomposition) G1Jac {
-	return acc.MultiExpG1Decomposed(points, dec)
+func (g1Msm) scalarMul(p *G1Affine, k *fr.Element) G1Jac {
+	var j G1Jac
+	j.FromAffine(p)
+	j.ScalarMul(&j, k)
+	return j
 }
 
 type g2Msm struct{}
@@ -776,24 +756,62 @@ func (g2Msm) double(dst *G2Jac)   { dst.DoubleAssign() }
 
 func (g2Msm) scratchPool() *sync.Pool { return &g2ScratchPool }
 
-func (g2Msm) accelerated(acc Accelerator, points []G2Affine, dec *ScalarDecomposition) G2Jac {
-	return acc.MultiExpG2Decomposed(points, dec)
+func (g2Msm) scalarMul(p *G2Affine, k *fr.Element) G2Jac {
+	var j G2Jac
+	j.FromAffine(p)
+	j.ScalarMul(&j, k)
+	return j
 }
 
-// MultiExpG1 computes Σ scalars[i]·points[i] with the registered
-// Accelerator (by default the parallel signed-digit Pippenger method).
-// Points and scalars must have equal length; zero scalars and infinity
-// points are skipped naturally.
-func MultiExpG1(points []G1Affine, scalars []fr.Element) G1Jac {
-	return ActiveAccelerator().MultiExpG1(points, scalars)
+// multiExpEntry is the one door to the Pippenger core: every MSM of the
+// package — either group, traced or not, over resident points or over
+// one chunk of a streamed key section — is a call to it, so they all run
+// the same code and a GPU or NEON backend has one place to plug in. The
+// digits come pre-recoded in dec, or, when dec is nil, from scalars,
+// recoded here at the width MSMWindowSize picks for the point count.
+//
+// sc, when on, records the whole call (recoding included) as one span
+// under its label, with multiExp's per-task spans beneath it.
+func multiExpEntry[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.Element, dec *ScalarDecomposition, sc obs.Scope) J {
+	sp := sc.Span()
+	defer sp.End()
+	if dec == nil {
+		n := len(points)
+		if len(scalars) != n {
+			panic("curve: MultiExp length mismatch")
+		}
+		switch n {
+		case 0:
+			return cv.infinity()
+		case 1:
+			return cv.scalarMul(&points[0], &scalars[0])
+		}
+		dec = DecomposeScalars(scalars, MSMWindowSize(n))
+	}
+	return multiExp[A, J](cv, points, dec, sc)
+}
+
+// The exported multi-exponentiations are eight names: G1 and G2 of
+// MultiExp (resident points and scalars), MultiExp…Decomposed (digits
+// recoded once, shared across bases), MultiExp…StreamScalars (points
+// from a source, resident scalars) and MultiExp…StreamScalarSource
+// (both from sources); the streamed four are in stream.go. Each takes a
+// trailing optional obs.Scope: pass tr.Scope("msm/A") to have the call
+// recorded under that label, nothing to run untraced.
+
+// MultiExpG1 computes Σ scalars[i]·points[i] with the parallel
+// signed-digit Pippenger method. Points and scalars must have equal
+// length; zero scalars and infinity points are skipped naturally.
+func MultiExpG1(points []G1Affine, scalars []fr.Element, sc ...obs.Scope) G1Jac {
+	return multiExpEntry[G1Affine, G1Jac](g1Msm{}, points, scalars, nil, obs.Opt(sc))
 }
 
 // MultiExpG1Decomposed computes the G1 MSM against pre-recoded scalar
 // digits, letting callers amortize DecomposeScalars across several bases
 // (the Groth16 prover reuses one witness decomposition for the A, B1,
 // and B2 queries).
-func MultiExpG1Decomposed(points []G1Affine, dec *ScalarDecomposition) G1Jac {
-	return ActiveAccelerator().MultiExpG1Decomposed(points, dec)
+func MultiExpG1Decomposed(points []G1Affine, dec *ScalarDecomposition, sc ...obs.Scope) G1Jac {
+	return multiExpEntry[G1Affine, G1Jac](g1Msm{}, points, nil, dec, obs.Opt(sc))
 }
 
 // MultiExpG2 computes Σ scalars[i]·points[i] over G2.
@@ -807,67 +825,15 @@ func MultiExpG1Decomposed(points []G1Affine, dec *ScalarDecomposition) G1Jac {
 // material must come from a trusted writer (the engine's CRC-framed
 // cache of its own keys). The same holds for MultiExpG2Decomposed and
 // the MultiExpG2Stream* drivers.
-func MultiExpG2(points []G2Affine, scalars []fr.Element) G2Jac {
-	return ActiveAccelerator().MultiExpG2(points, scalars)
+func MultiExpG2(points []G2Affine, scalars []fr.Element, sc ...obs.Scope) G2Jac {
+	return multiExpEntry[G2Affine, G2Jac](g2Msm{}, points, scalars, nil, obs.Opt(sc))
 }
 
 // MultiExpG2Decomposed computes the G2 MSM against pre-recoded scalar
 // digits (see MultiExpG1Decomposed). Points must have order r (see
 // MultiExpG2).
-func MultiExpG2Decomposed(points []G2Affine, dec *ScalarDecomposition) G2Jac {
-	return ActiveAccelerator().MultiExpG2Decomposed(points, dec)
-}
-
-// MultiExpG1DecomposedTraced is MultiExpG1Decomposed recording an
-// overall span (label) plus per-window task spans on tr. With a
-// non-default Accelerator registered, the backend call is recorded as
-// one opaque span (the Accelerator interface is trace-agnostic). A nil
-// tr is exactly MultiExpG1Decomposed.
-func MultiExpG1DecomposedTraced(points []G1Affine, dec *ScalarDecomposition, tr *obs.Trace, label string) G1Jac {
-	if tr == nil {
-		return MultiExpG1Decomposed(points, dec)
-	}
-	sp := tr.Span(label)
-	defer sp.End()
-	acc := ActiveAccelerator()
-	if _, cpu := acc.(pippengerCPU); !cpu {
-		return acc.MultiExpG1Decomposed(points, dec)
-	}
-	return multiExp[G1Affine, G1Jac](g1Msm{}, points, dec, tr, label)
-}
-
-// MultiExpG2DecomposedTraced is the G2 counterpart of
-// MultiExpG1DecomposedTraced.
-func MultiExpG2DecomposedTraced(points []G2Affine, dec *ScalarDecomposition, tr *obs.Trace, label string) G2Jac {
-	if tr == nil {
-		return MultiExpG2Decomposed(points, dec)
-	}
-	sp := tr.Span(label)
-	defer sp.End()
-	acc := ActiveAccelerator()
-	if _, cpu := acc.(pippengerCPU); !cpu {
-		return acc.MultiExpG2Decomposed(points, dec)
-	}
-	return multiExp[G2Affine, G2Jac](g2Msm{}, points, dec, tr, label)
-}
-
-// MultiExpG1Traced is MultiExpG1 with span recording (see
-// MultiExpG1DecomposedTraced). The recoding cost is included in the
-// overall span.
-func MultiExpG1Traced(points []G1Affine, scalars []fr.Element, tr *obs.Trace, label string) G1Jac {
-	if tr == nil {
-		return MultiExpG1(points, scalars)
-	}
-	sp := tr.Span(label)
-	defer sp.End()
-	acc := ActiveAccelerator()
-	if _, cpu := acc.(pippengerCPU); !cpu || len(points) < 2 {
-		return acc.MultiExpG1(points, scalars)
-	}
-	if len(scalars) != len(points) {
-		panic("curve: MultiExpG1 length mismatch")
-	}
-	return multiExp[G1Affine, G1Jac](g1Msm{}, points, DecomposeScalars(scalars, MSMWindowSize(len(points))), tr, label)
+func MultiExpG2Decomposed(points []G2Affine, dec *ScalarDecomposition, sc ...obs.Scope) G2Jac {
+	return multiExpEntry[G2Affine, G2Jac](g2Msm{}, points, nil, dec, obs.Opt(sc))
 }
 
 // Fixed-base multiplication — k·base for a whole vector of scalars, the

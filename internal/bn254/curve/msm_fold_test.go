@@ -151,11 +151,11 @@ func straddleSizes(limit int) []int {
 }
 
 // TestMultiExpG1FoldedShapesMatchBitSerial pins every G1 driver — plain,
-// pre-decomposed, streamed over an eager decomposition, streamed with
-// lazy recoding, and streamed with a scalar source — against the
-// bit-serial oracle on every scalar shape, at sizes straddling each
-// window-width and path threshold. It raises GOMAXPROCS so that the
-// multi-worker cell layouts run wherever the machine has the cores.
+// pre-decomposed, streamed over resident scalars, and streamed with a
+// scalar source — against the bit-serial oracle on every scalar shape,
+// at sizes straddling each window-width and path threshold. It raises
+// GOMAXPROCS so that the multi-worker cell layouts run wherever the
+// machine has the cores.
 func TestMultiExpG1FoldedShapesMatchBitSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	limit := 4096
@@ -188,9 +188,7 @@ func TestMultiExpG1FoldedShapesMatchBitSerial(t *testing.T) {
 			dec := DecomposeScalars(scalars, c)
 			check("MultiExpG1Decomposed", MultiExpG1Decomposed(points, dec), nil)
 			src := SliceSourceG1(points)
-			got, err := MultiExpG1Stream(src, dec, chunk)
-			check("MultiExpG1Stream", got, err)
-			got, err = MultiExpG1StreamScalars(src, scalars, c, chunk)
+			got, err := MultiExpG1StreamScalars(src, scalars, c, chunk)
 			check("MultiExpG1StreamScalars", got, err)
 			got, err = MultiExpG1StreamScalarSource(src, scalarSliceSource(scalars), n, c, chunk)
 			check("MultiExpG1StreamScalarSource", got, err)
@@ -227,9 +225,7 @@ func TestMultiExpG2FoldedShapesMatchBitSerial(t *testing.T) {
 			dec := DecomposeScalars(scalars, c)
 			check("MultiExpG2Decomposed", MultiExpG2Decomposed(points, dec), nil)
 			src := SliceSourceG2(points)
-			got, err := MultiExpG2Stream(src, dec, chunk)
-			check("MultiExpG2Stream", got, err)
-			got, err = MultiExpG2StreamScalars(src, scalars, c, chunk)
+			got, err := MultiExpG2StreamScalars(src, scalars, c, chunk)
 			check("MultiExpG2StreamScalars", got, err)
 			got, err = MultiExpG2StreamScalarSource(src, scalarSliceSource(scalars), n, c, chunk)
 			check("MultiExpG2StreamScalarSource", got, err)

@@ -1,7 +1,6 @@
 package curve
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -58,30 +57,58 @@ type G1Source func(dst []G1Affine, start int) error
 // G2Source is the G2 counterpart of G1Source.
 type G2Source func(dst []G2Affine, start int) error
 
-// multiExpStream runs the shared chunked MSM: it pulls bounded point
-// chunks from src (prefetching one chunk ahead) and folds the per-chunk
-// Pippenger partial sums. digits supplies the recoded scalars for one
-// chunk — either a zero-copy view into a whole-vector decomposition or
-// a fresh per-chunk recoding (identical digits either way, since the
-// signed-digit recoding never crosses scalar boundaries).
+// ScalarSource fills dst with the MSM scalars [start, start+len(dst)) —
+// the scalar-side analogue of G1Source, for MSMs whose scalars live
+// out-of-core too (a spilled witness, the quotient file). Called
+// serially by the streamed driver.
+type ScalarSource func(dst []fr.Element, start int) error
+
+// scalarView yields the scalars [start, end) of a streamed MSM. The
+// slice is only read, and only until the next call.
+type scalarView func(start, end int) ([]fr.Element, error)
+
+// residentScalars views a slice in RAM: each chunk is a sub-slice, no
+// copy.
+func residentScalars(scalars []fr.Element) scalarView {
+	return func(start, end int) ([]fr.Element, error) { return scalars[start:end], nil }
+}
+
+// sourcedScalars views a ScalarSource through buf, which must hold one
+// chunk.
+func sourcedScalars(src ScalarSource, buf []fr.Element) scalarView {
+	return func(start, end int) ([]fr.Element, error) {
+		s := buf[:end-start]
+		if err := src(s, start); err != nil {
+			return nil, fmt.Errorf("curve: streamed MSM scalar read at %d: %w", start, err)
+		}
+		return s, nil
+	}
+}
+
+// multiExpStream is the one chunked MSM driver: it pulls bounded point
+// chunks from src (prefetching one chunk ahead), recodes each chunk's
+// scalars at window width c just before its Pippenger pass, and folds
+// the per-chunk partial sums. Recoding is per-scalar, so the digits —
+// and the result, and any proof built from it — are those of a
+// whole-vector decomposition; only one chunk of them is ever resident.
 //
-// tr, when non-nil, records one span per chunk read (on its own lane —
-// reads overlap compute), per scalar recode, and per chunk MSM under
-// label — exposing whether a streamed prove is disk-bound or
-// compute-bound. The nil path costs one nil check per chunk.
-func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, n int, digits func(start, end int) *ScalarDecomposition, chunk int, tr *obs.Trace, label string) (J, error) {
+// A failed read on either side ends the call at once: the error names
+// the offset, the prefetch goroutine is told to stop, and the driver
+// returns only after it has.
+//
+// sc, when on, records one span per chunk read (on its own lane — reads
+// overlap compute), per scalar recode (a sourced chunk's scalar read
+// included) and per chunk MSM under its label — exposing whether a
+// streamed prove is disk-bound or compute-bound. The chunk MSMs record
+// no per-task spans. The off path costs one nil check per span.
+func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, n int, scalars scalarView, c, chunk int, sc obs.Scope) (J, error) {
 	sum := cv.infinity()
 	if n == 0 {
 		return sum, nil
 	}
 	chunk = streamChunkSize(n, chunk)
-
-	var readName, recodeName, msmName string
-	var readLane int
-	if tr != nil {
-		readName, recodeName, msmName = label+"/read", label+"/recode", label+"/msm"
-		readLane = tr.NextLane()
-	}
+	read, recode, msm := sc.Sub("/read"), sc.Sub("/recode"), sc.Sub("/msm")
+	readLane := sc.Trace().NextLane()
 
 	type filled struct {
 		buf        []A
@@ -89,68 +116,63 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 		err        error
 	}
 	fills := make(chan filled)
+	stop := make(chan struct{})
 	free := make(chan []A, 2)
 	free <- make([]A, chunk)
 	free <- make([]A, chunk)
 	go func() {
 		defer close(fills)
 		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
+			end := min(start+chunk, n)
+			var buf []A
+			select {
+			case buf = <-free:
+			case <-stop:
+				return
 			}
-			buf := <-free
-			var sp *obs.Span
-			if tr != nil {
-				sp = tr.SpanLane(readName, readLane)
-			}
+			sp := read.SpanLane(readLane)
 			err := src(buf[:end-start], start)
 			sp.End()
-			fills <- filled{buf: buf, start: start, end: end, err: err}
+			select {
+			case fills <- filled{buf: buf, start: start, end: end, err: err}:
+			case <-stop:
+				return
+			}
 			if err != nil {
 				return // consumer stops at the error; nothing more to send
 			}
 		}
 	}()
+	defer func() {
+		close(stop)
+		for range fills { // until the prefetcher closes it on its way out
+		}
+	}()
+
+	// The driver consumes each chunk's digits before recoding the next,
+	// so one pooled digit buffer serves every chunk.
+	dec := getDecomposition()
+	defer func() { putDecomposition(dec) }()
 	for f := range fills {
 		if f.err != nil {
 			return sum, fmt.Errorf("curve: streamed MSM read at %d: %w", f.start, f.err)
 		}
-		var sp *obs.Span
-		if tr != nil {
-			sp = tr.Span(recodeName)
+		sp := recode.Span()
+		s, err := scalars(f.start, f.end)
+		if err == nil {
+			dec = decomposeScalarsInto(dec, s, c)
 		}
-		dec := digits(f.start, f.end)
 		sp.End()
-		if tr != nil {
-			sp = tr.Span(msmName)
+		if err != nil {
+			return sum, err
 		}
-		// Each chunk resolves the accelerator at dispatch time, so a
-		// backend registered mid-stream picks up the remaining chunks and
-		// an out-of-process backend serves out-of-core proves unchanged.
-		part := cv.accelerated(ActiveAccelerator(), f.buf[:f.end-f.start], dec)
+		sp = msm.Span()
+		part := multiExpEntry[A, J](cv, f.buf[:f.end-f.start], nil, dec, obs.Scope{})
 		sp.End()
 		free <- f.buf
 		cv.add(&sum, &part)
 	}
 	return sum, nil
-}
-
-// MultiExpG1Stream computes Σ kᵢ·Pᵢ where the points arrive from src in
-// bounded chunks instead of living in RAM. The decomposition covers the
-// full scalar vector (its Len is the MSM size); pick the window width
-// for the chunk size, not the total size — each chunk runs its own
-// Pippenger pass. The result equals MultiExpG1 on the same inputs.
-func MultiExpG1Stream(src G1Source, dec *ScalarDecomposition, chunk int) (G1Jac, error) {
-	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, dec.n, dec.Slice, chunk, nil, "")
-}
-
-// MultiExpG2Stream is the G2 counterpart of MultiExpG1Stream. Points
-// must have order r (see MultiExpG2) — a NewG2RawSource decodes with
-// SetBytesRaw, which does not check it, so the bytes it reads must be
-// key material this program wrote.
-func MultiExpG2Stream(src G2Source, dec *ScalarDecomposition, chunk int) (G2Jac, error) {
-	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, dec.n, dec.Slice, chunk, nil, "")
 }
 
 // decPool recycles per-chunk recode buffers across streamed MSMs: one
@@ -178,7 +200,7 @@ func putDecomposition(d *ScalarDecomposition) {
 }
 
 // scalarChunkPool recycles the scalar read buffers of the
-// scalar-source MSM variants the same way.
+// scalar-source MSMs the same way.
 var scalarChunkPool sync.Pool
 
 func getScalarChunk(n int) []fr.Element {
@@ -192,129 +214,40 @@ func putScalarChunk(s []fr.Element) {
 	scalarChunkPool.Put(&s)
 }
 
-// MultiExpG1StreamScalars is MultiExpG1Stream with lazy scalar recoding:
-// instead of a whole-vector decomposition (two digit bytes per window
-// per scalar — tens of MB at paper scale), each chunk's scalars are
-// recoded with window width c just before its Pippenger pass. Digits are
-// identical to the eager path because the signed-digit recoding is
-// per-scalar, so the result (and any proof built from it) is unchanged;
-// only the resident digit memory drops to one chunk's worth.
-func MultiExpG1StreamScalars(src G1Source, scalars []fr.Element, c, chunk int) (G1Jac, error) {
-	return MultiExpG1StreamScalarsTraced(src, scalars, c, chunk, nil, "")
+// MultiExpG1StreamScalars computes Σ kᵢ·Pᵢ where the points arrive from
+// src in bounded chunks instead of living in RAM and the scalars are a
+// resident slice. Pick the window width c for the chunk size, not the
+// total size (StreamWindowSize) — each chunk runs its own Pippenger
+// pass. The result equals MultiExpG1 on the same inputs.
+func MultiExpG1StreamScalars(src G1Source, scalars []fr.Element, c, chunk int, sc ...obs.Scope) (G1Jac, error) {
+	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, len(scalars), residentScalars(scalars), c, chunk, obs.Opt(sc))
 }
 
-// MultiExpG1StreamScalarsTraced is MultiExpG1StreamScalars recording
-// per-chunk read/recode/MSM spans on tr under label (nil tr is the
-// untraced fast path).
-func MultiExpG1StreamScalarsTraced(src G1Source, scalars []fr.Element, c, chunk int, tr *obs.Trace, label string) (G1Jac, error) {
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, len(scalars), func(start, end int) *ScalarDecomposition {
-		// The driver consumes each chunk's digits before requesting the
-		// next, so one digit buffer serves every chunk.
-		reuse = decomposeScalarsInto(reuse, scalars[start:end], c)
-		return reuse
-	}, chunk, tr, label)
-}
-
-// ScalarSource fills dst with the MSM scalars [start, start+len(dst)) —
-// the scalar-side analogue of G1Source, for MSMs whose scalars live
-// out-of-core too (e.g. a spilled quotient polynomial). Called serially
-// by the streamed driver.
-type ScalarSource func(dst []fr.Element, start int) error
-
-// MultiExpG1StreamScalarSource is MultiExpG1StreamScalars with the
+// MultiExpG1StreamScalarSource is MultiExpG1StreamScalars with the n
 // scalars also arriving from a source instead of RAM: each chunk's
 // scalars are loaded into a reused buffer and recoded just before its
 // Pippenger pass, so neither side of the MSM is ever fully resident.
-// The result equals MultiExpG1 on the same inputs.
-func MultiExpG1StreamScalarSource(src G1Source, scalars ScalarSource, n, c, chunk int) (G1Jac, error) {
-	return MultiExpG1StreamScalarSourceTraced(src, scalars, n, c, chunk, nil, "")
+func MultiExpG1StreamScalarSource(src G1Source, scalars ScalarSource, n, c, chunk int, sc ...obs.Scope) (G1Jac, error) {
+	buf := getScalarChunk(streamChunkSize(n, chunk))
+	defer putScalarChunk(buf)
+	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, n, sourcedScalars(scalars, buf), c, chunk, obs.Opt(sc))
 }
 
-// MultiExpG1StreamScalarSourceTraced is MultiExpG1StreamScalarSource
-// with per-chunk span recording (the scalar-file read is folded into
-// the recode span — both sit between chunks on the consumer side).
-func MultiExpG1StreamScalarSourceTraced(src G1Source, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (G1Jac, error) {
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	sbuf := getScalarChunk(streamChunkSize(n, chunk))
-	defer putScalarChunk(sbuf)
-	var srcErr error
-	res, err := multiExpStream[G1Affine, G1Jac](g1Msm{}, src, n, func(start, end int) *ScalarDecomposition {
-		if cap(sbuf) < end-start {
-			sbuf = make([]fr.Element, end-start)
-		}
-		s := sbuf[:end-start]
-		if srcErr == nil {
-			if err := scalars(s, start); err != nil {
-				srcErr = fmt.Errorf("curve: streamed MSM scalar read at %d: %w", start, err)
-			}
-		}
-		if srcErr != nil {
-			clear(s) // keep the doomed pass harmless; the error surfaces below
-		}
-		reuse = decomposeScalarsInto(reuse, s, c)
-		return reuse
-	}, chunk, tr, label)
-	if err == nil {
-		err = srcErr
-	}
-	return res, err
-}
-
-// MultiExpG2StreamScalars is the G2 counterpart of MultiExpG1StreamScalars.
-func MultiExpG2StreamScalars(src G2Source, scalars []fr.Element, c, chunk int) (G2Jac, error) {
-	return MultiExpG2StreamScalarsTraced(src, scalars, c, chunk, nil, "")
-}
-
-// MultiExpG2StreamScalarsTraced is the G2 counterpart of
-// MultiExpG1StreamScalarsTraced.
-func MultiExpG2StreamScalarsTraced(src G2Source, scalars []fr.Element, c, chunk int, tr *obs.Trace, label string) (G2Jac, error) {
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, len(scalars), func(start, end int) *ScalarDecomposition {
-		reuse = decomposeScalarsInto(reuse, scalars[start:end], c)
-		return reuse
-	}, chunk, tr, label)
+// MultiExpG2StreamScalars is the G2 counterpart of
+// MultiExpG1StreamScalars. Points must have order r (see MultiExpG2) —
+// a NewG2RawSource decodes with SetBytesRaw, which does not check it, so
+// the bytes it reads must be key material this program wrote.
+func MultiExpG2StreamScalars(src G2Source, scalars []fr.Element, c, chunk int, sc ...obs.Scope) (G2Jac, error) {
+	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, len(scalars), residentScalars(scalars), c, chunk, obs.Opt(sc))
 }
 
 // MultiExpG2StreamScalarSource is the G2 counterpart of
-// MultiExpG1StreamScalarSource — bases and scalars both arrive from
-// sources, so neither side is ever fully resident. Used for the B2
-// wire-query MSM when the witness is spilled.
-func MultiExpG2StreamScalarSource(src G2Source, scalars ScalarSource, n, c, chunk int) (G2Jac, error) {
-	return MultiExpG2StreamScalarSourceTraced(src, scalars, n, c, chunk, nil, "")
-}
-
-// MultiExpG2StreamScalarSourceTraced is the G2 counterpart of
-// MultiExpG1StreamScalarSourceTraced.
-func MultiExpG2StreamScalarSourceTraced(src G2Source, scalars ScalarSource, n, c, chunk int, tr *obs.Trace, label string) (G2Jac, error) {
-	reuse := getDecomposition()
-	defer func() { putDecomposition(reuse) }()
-	sbuf := getScalarChunk(streamChunkSize(n, chunk))
-	defer putScalarChunk(sbuf)
-	var srcErr error
-	res, err := multiExpStream[G2Affine, G2Jac](g2Msm{}, src, n, func(start, end int) *ScalarDecomposition {
-		if cap(sbuf) < end-start {
-			sbuf = make([]fr.Element, end-start)
-		}
-		s := sbuf[:end-start]
-		if srcErr == nil {
-			if err := scalars(s, start); err != nil {
-				srcErr = fmt.Errorf("curve: streamed MSM scalar read at %d: %w", start, err)
-			}
-		}
-		if srcErr != nil {
-			clear(s)
-		}
-		reuse = decomposeScalarsInto(reuse, s, c)
-		return reuse
-	}, chunk, tr, label)
-	if err == nil {
-		err = srcErr
-	}
-	return res, err
+// MultiExpG1StreamScalarSource — used for the B2 wire-query MSM when
+// the witness is spilled.
+func MultiExpG2StreamScalarSource(src G2Source, scalars ScalarSource, n, c, chunk int, sc ...obs.Scope) (G2Jac, error) {
+	buf := getScalarChunk(streamChunkSize(n, chunk))
+	defer putScalarChunk(buf)
+	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, n, sourcedScalars(scalars, buf), c, chunk, obs.Opt(sc))
 }
 
 // StreamWindowSize picks the Pippenger window width for a streamed MSM
@@ -384,28 +317,4 @@ func decodeRawChunk(n int, decode func(i int) error) error {
 		}
 	})
 	return firstErr
-}
-
-// SliceSourceG1 adapts an in-memory point slice to a G1Source — the
-// degenerate source used by tests and by callers that already hold the
-// points but want the bounded-memory accumulation path.
-func SliceSourceG1(points []G1Affine) G1Source {
-	return func(dst []G1Affine, start int) error {
-		if start < 0 || start+len(dst) > len(points) {
-			return errors.New("curve: slice source read out of range")
-		}
-		copy(dst, points[start:start+len(dst)])
-		return nil
-	}
-}
-
-// SliceSourceG2 adapts an in-memory point slice to a G2Source.
-func SliceSourceG2(points []G2Affine) G2Source {
-	return func(dst []G2Affine, start int) error {
-		if start < 0 || start+len(dst) > len(points) {
-			return errors.New("curve: slice source read out of range")
-		}
-		copy(dst, points[start:start+len(dst)])
-		return nil
-	}
 }

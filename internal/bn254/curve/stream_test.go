@@ -4,10 +4,36 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"zkrownn/internal/bn254/fr"
 )
+
+// SliceSourceG1 adapts an in-memory point slice to a G1Source — the
+// degenerate source the streamed-driver tests and benchmarks read from.
+func SliceSourceG1(points []G1Affine) G1Source {
+	return func(dst []G1Affine, start int) error {
+		if start < 0 || start+len(dst) > len(points) {
+			return errors.New("curve: slice source read out of range")
+		}
+		copy(dst, points[start:start+len(dst)])
+		return nil
+	}
+}
+
+// SliceSourceG2 adapts an in-memory point slice to a G2Source.
+func SliceSourceG2(points []G2Affine) G2Source {
+	return func(dst []G2Affine, start int) error {
+		if start < 0 || start+len(dst) > len(points) {
+			return errors.New("curve: slice source read out of range")
+		}
+		copy(dst, points[start:start+len(dst)])
+		return nil
+	}
+}
 
 // TestStreamMSMMatchesInMemory drives the chunked driver across sizes
 // that straddle every chunk boundary — chunk−1 (single partial chunk),
@@ -19,10 +45,10 @@ func TestStreamMSMMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for _, n := range []int{1, 2, chunk - 1, chunk, chunk + 1, 2*chunk - 1, 2 * chunk, 3*chunk + 17, 333} {
 		points, scalars := msmTestVectors(rng, n)
-		dec := DecomposeScalars(scalars, StreamWindowSize(n, chunk))
+		c := StreamWindowSize(n, chunk)
 
-		want := MultiExpG1Decomposed(points, dec)
-		got, err := MultiExpG1Stream(SliceSourceG1(points), dec, chunk)
+		want := MultiExpG1Decomposed(points, DecomposeScalars(scalars, c))
+		got, err := MultiExpG1StreamScalars(SliceSourceG1(points), scalars, c, chunk)
 		if err != nil {
 			t.Fatalf("n=%d: streamed MSM: %v", n, err)
 		}
@@ -63,9 +89,9 @@ func TestStreamMSMG2MatchesInMemory(t *testing.T) {
 			scalars[1].Neg(&scalars[1])
 		}
 
-		dec := DecomposeScalars(scalars, StreamWindowSize(n, chunk))
-		want := MultiExpG2Decomposed(points, dec)
-		got, err := MultiExpG2Stream(SliceSourceG2(points), dec, chunk)
+		c := StreamWindowSize(n, chunk)
+		want := MultiExpG2Decomposed(points, DecomposeScalars(scalars, c))
+		got, err := MultiExpG2StreamScalars(SliceSourceG2(points), scalars, c, chunk)
 		if err != nil {
 			t.Fatalf("n=%d: streamed MSM: %v", n, err)
 		}
@@ -96,9 +122,9 @@ func TestStreamMSMRawSource(t *testing.T) {
 		buf.Write(b[:])
 	}
 
-	dec := DecomposeScalars(scalars, StreamWindowSize(n, chunk))
-	want := MultiExpG1Decomposed(points, dec)
-	got, err := MultiExpG1Stream(NewG1RawSource(bytes.NewReader(buf.Bytes()), off), dec, chunk)
+	c := StreamWindowSize(n, chunk)
+	want := MultiExpG1Decomposed(points, DecomposeScalars(scalars, c))
+	got, err := MultiExpG1StreamScalars(NewG1RawSource(bytes.NewReader(buf.Bytes()), off), scalars, c, chunk)
 	if err != nil {
 		t.Fatalf("raw-source streamed MSM: %v", err)
 	}
@@ -124,8 +150,7 @@ func TestStreamMSMWindowWidthIndependence(t *testing.T) {
 
 	for _, c := range []int{3, 7, 11} {
 		for _, chunk := range []int{16, 64, 1024} {
-			dec := DecomposeScalars(scalars, c)
-			got, err := MultiExpG1Stream(SliceSourceG1(points), dec, chunk)
+			got, err := MultiExpG1StreamScalars(SliceSourceG1(points), scalars, c, chunk)
 			if err != nil {
 				t.Fatalf("c=%d chunk=%d: %v", c, chunk, err)
 			}
@@ -138,30 +163,40 @@ func TestStreamMSMWindowWidthIndependence(t *testing.T) {
 	}
 }
 
-// TestStreamMSMLazyRecodingMatchesEager checks the lazy per-chunk
-// scalar recoding path against both the eager streamed path and the
-// one-shot MSM, in G1 and G2, across chunk-straddling sizes.
-func TestStreamMSMLazyRecodingMatchesEager(t *testing.T) {
+// TestStreamMSMScalarSourceMatchesResident checks the two scalar views
+// of the one streamed driver against each other — a resident slice and
+// the same scalars arriving through a ScalarSource — in G1 and G2,
+// across chunk-straddling sizes.
+func TestStreamMSMScalarSourceMatchesResident(t *testing.T) {
 	const chunk = 64
 	rng := rand.New(rand.NewSource(407))
 	for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 3*chunk + 17} {
 		points, scalars := msmTestVectors(rng, n)
 		c := StreamWindowSize(n, chunk)
-		dec := DecomposeScalars(scalars, c)
 
-		eager, err := MultiExpG1Stream(SliceSourceG1(points), dec, chunk)
+		resident, err := MultiExpG1StreamScalars(SliceSourceG1(points), scalars, c, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := MultiExpG1StreamScalars(SliceSourceG1(points), scalars, c, chunk)
+		sourced, err := MultiExpG1StreamScalarSource(SliceSourceG1(points), scalarSliceSource(scalars), n, c, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eagerAff, lazyAff G1Affine
-		eagerAff.FromJacobian(&eager)
-		lazyAff.FromJacobian(&lazy)
-		if !lazyAff.Equal(&eagerAff) {
-			t.Fatalf("n=%d: lazy recoding diverges from eager streamed MSM", n)
+		if !sourced.Equal(&resident) {
+			t.Fatalf("n=%d: sourced scalars diverge from resident scalars (G1)", n)
+		}
+
+		points2 := chainPointsG2(rng, n)
+		resident2, err := MultiExpG2StreamScalars(SliceSourceG2(points2), scalars, c, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sourced2, err := MultiExpG2StreamScalarSource(SliceSourceG2(points2), scalarSliceSource(scalars), n, c, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sourced2.Equal(&resident2) {
+			t.Fatalf("n=%d: sourced scalars diverge from resident scalars (G2)", n)
 		}
 	}
 }
@@ -172,7 +207,6 @@ func TestStreamMSMSourceError(t *testing.T) {
 	rng := rand.New(rand.NewSource(405))
 	n := 100
 	points, scalars := msmTestVectors(rng, n)
-	dec := DecomposeScalars(scalars, StreamWindowSize(n, 32))
 
 	boom := errors.New("disk gone")
 	failAt := 64
@@ -183,32 +217,56 @@ func TestStreamMSMSourceError(t *testing.T) {
 		copy(dst, points[start:start+len(dst)])
 		return nil
 	}
-	if _, err := MultiExpG1Stream(src, dec, 32); !errors.Is(err, boom) {
+	if _, err := MultiExpG1StreamScalars(src, scalars, StreamWindowSize(n, 32), 32); !errors.Is(err, boom) {
 		t.Fatalf("want wrapped source error, got %v", err)
 	}
 }
 
-// TestScalarDecompositionSlice pins the zero-copy Slice view the chunked
-// driver depends on: digits of a sub-range must match a fresh
-// decomposition of the same sub-slice.
-func TestScalarDecompositionSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(406))
-	_, scalars := msmTestVectors(rng, 100)
-	const c = 5
-	full := DecomposeScalars(scalars, c)
-	for _, r := range [][2]int{{0, 100}, {0, 1}, {37, 64}, {64, 100}, {99, 100}, {50, 50}} {
-		view := full.Slice(r[0], r[1])
-		fresh := DecomposeScalars(scalars[r[0]:r[1]], c)
-		if view.Len() != fresh.Len() {
-			t.Fatalf("slice [%d:%d): len %d want %d", r[0], r[1], view.Len(), fresh.Len())
+// TestStreamMSMScalarSourceErrorStopsStream pins what a failed scalar
+// read costs: with the scalars of the second of eight chunks unreadable,
+// the call returns the error with the scalar offset in it, the point
+// source has been asked for at most three chunks (the two consumed and
+// the one prefetched) instead of the whole section, and the prefetch
+// goroutine is gone when the call returns.
+func TestStreamMSMScalarSourceErrorStopsStream(t *testing.T) {
+	const chunk, chunks = 32, 8
+	n := chunk * chunks
+	rng := rand.New(rand.NewSource(408))
+	points, scalars := msmTestVectors(rng, n)
+
+	boom := errors.New("spill file gone")
+	reads := 0 // the driver calls a point source from one goroutine
+	src := func(dst []G1Affine, start int) error {
+		reads++
+		copy(dst, points[start:start+len(dst)])
+		return nil
+	}
+	failing := func(dst []fr.Element, start int) error {
+		if start == chunk {
+			return boom
 		}
-		for w := 0; w < full.windows; w++ {
-			vr, fr2 := view.row(w), fresh.row(w)
-			for i := range vr {
-				if vr[i] != fr2[i] {
-					t.Fatalf("slice [%d:%d) window %d digit %d: %d want %d", r[0], r[1], w, i, vr[i], fr2[i])
-				}
-			}
-		}
+		copy(dst, scalars[start:start+len(dst)])
+		return nil
+	}
+
+	before := runtime.NumGoroutine()
+	_, err := MultiExpG1StreamScalarSource(src, failing, n, StreamWindowSize(n, chunk), chunk)
+	if !errors.Is(err, boom) {
+		t.Fatalf("want the scalar source's error, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "scalar read at 32") {
+		t.Fatalf("error does not name the scalar offset: %v", err)
+	}
+	if reads > 3 {
+		t.Fatalf("point source read %d chunks after a scalar failure on chunk 2, want at most 3", reads)
+	}
+	// The driver waits for its prefetcher, so the count is already back;
+	// the grace period only absorbs unrelated runtime goroutines.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the call, %d after — the prefetcher leaked", before, after)
 	}
 }

@@ -126,19 +126,14 @@ func DefaultEngine() *engine.Engine { return defaultEngine }
 // (crypto/rand when nil). It is a thin wrapper over the process-wide
 // prover engine: a second run for the same circuit digest skips setup.
 func RunPipeline(art *Artifact, rng io.Reader) (*Pipeline, error) {
-	return RunPipelineWith(defaultEngine, art, rng)
+	return RunPipelineWith(defaultEngine, art, rng, nil)
 }
 
-// RunPipelineWith executes the pipeline on a specific prover engine.
-func RunPipelineWith(eng *engine.Engine, art *Artifact, rng io.Reader) (*Pipeline, error) {
-	return RunPipelineTraced(eng, art, rng, nil)
-}
-
-// RunPipelineTraced is RunPipelineWith recording per-phase spans —
-// setup, solve, FFT levels, MSM windows, pairing — on tr, which can
-// then be exported with tr.WriteChrome or aggregated with tr.Totals.
-// A nil tr is the untraced fast path.
-func RunPipelineTraced(eng *engine.Engine, art *Artifact, rng io.Reader, tr *obs.Trace) (*Pipeline, error) {
+// RunPipelineWith executes the pipeline on a specific prover engine,
+// recording per-phase spans — setup, solve, FFT levels, MSM windows,
+// pairing — on tr, which can then be exported with tr.WriteChrome or
+// aggregated with tr.Totals. A nil tr runs untraced.
+func RunPipelineWith(eng *engine.Engine, art *Artifact, rng io.Reader, tr *obs.Trace) (*Pipeline, error) {
 	pl := &Pipeline{Artifact: art}
 	pl.Metrics.Name = art.Name
 	pl.Metrics.NbConstraints = art.System.NbConstraints()

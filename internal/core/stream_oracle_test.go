@@ -76,7 +76,7 @@ func TestStreamedProveOracleTableI(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-memory prove: %v", err)
 			}
-			got, err := groth16.ProveStreamed(art.System, spk, art.Witness, rand.New(rand.NewSource(seed+2)))
+			got, err := groth16.Prove(art.System, spk, art.Witness, rand.New(rand.NewSource(seed+2)))
 			if err != nil {
 				t.Fatalf("streamed prove: %v", err)
 			}
@@ -116,7 +116,7 @@ func TestStreamedProveOracleTableI(t *testing.T) {
 			if err := art.System.SolveSpilled(art.Assignment.Public, art.Assignment.Secret, wf, nil); err != nil {
 				t.Fatalf("spilled solve: %v", err)
 			}
-			spilled, err := groth16.ProveStreamedSpilled(csf, spk, wf, rand.New(rand.NewSource(seed+2)), nil)
+			spilled, err := groth16.ProveSpilled(csf, spk, wf, rand.New(rand.NewSource(seed+2)))
 			if err != nil {
 				t.Fatalf("fully out-of-core prove: %v", err)
 			}

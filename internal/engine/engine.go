@@ -85,11 +85,6 @@ type Options struct {
 	// circuit (r1cs.CompiledSystem.StripForSolve), so no component of
 	// the pipeline scales resident memory with circuit size.
 	MemoryBudget int64
-	// StreamChunk overrides the number of points per streamed-MSM
-	// window (default curve.DefaultStreamChunk). Peak per-MSM point
-	// memory in streamed mode is roughly three chunks of decoded
-	// affine points (double buffering plus the active Pippenger pass).
-	StreamChunk int
 }
 
 // Request is one proving job. The compile-once / solve-many shape is
@@ -417,7 +412,6 @@ func (e *Engine) streamFromDisk(digest string) (*KeyPair, bool) {
 		pkF.Close()
 		return nil, false
 	}
-	spk.Chunk = e.opts.StreamChunk
 	spk.SpillDir = dir
 	vkF, vkr, err := openFramed(filepath.Join(dir, digest+".vk"))
 	if err != nil {
@@ -485,7 +479,6 @@ func (e *Engine) setupStreamed(sys *r1cs.CompiledSystem, digest string, spill bo
 		}
 		return nil, nil, fmt.Errorf("engine: spilled proving key: %w", err)
 	}
-	spk.Chunk = e.opts.StreamChunk
 	spk.SpillDir = dir
 	persistErr = writeFramedFile(filepath.Join(dir, digest+".vk"), func(w io.Writer) error {
 		_, werr := vk.WriteTo(w)
@@ -757,23 +750,26 @@ func (e *Engine) prove(req Request) *Result {
 
 	sp = tr.Span("engine/prove")
 	start = time.Now()
-	var proof *groth16.Proof
+	// One prover whatever the residency: pick the constraints, pick the
+	// key, call.
+	var cons r1cs.Constraints = sys
+	if keys.CSFile != nil {
+		cons = keys.CSFile
+	}
+	var pk groth16.ProverKey = keys.PK
 	if keys.Stream != nil {
 		// The caller chose streaming to bound resident memory; collect
 		// the setup/solve phases' garbage and return the freed pages
 		// before entering the bounded-memory prove, so its footprint is
 		// the pipeline's, not the allocator's leftovers.
 		debug.FreeOSMemory()
-		switch {
-		case wf != nil:
-			proof, err = groth16.ProveStreamedSpilled(keys.CSFile, keys.Stream, wf, e.requestRand(req.Rand), tr)
-		case keys.CSFile != nil:
-			proof, err = groth16.ProveStreamedTraced(keys.CSFile, keys.Stream, witness, e.requestRand(req.Rand), tr)
-		default:
-			proof, err = groth16.ProveStreamedTraced(sys, keys.Stream, witness, e.requestRand(req.Rand), tr)
-		}
+		pk = keys.Stream
+	}
+	var proof *groth16.Proof
+	if wf != nil {
+		proof, err = groth16.ProveSpilled(cons, pk, wf, e.requestRand(req.Rand), tr.Scope(""))
 	} else {
-		proof, err = groth16.ProveTraced(sys, keys.PK, witness, e.requestRand(req.Rand), tr)
+		proof, err = groth16.Prove(cons, pk, witness, e.requestRand(req.Rand), tr.Scope(""))
 	}
 	res.ProveTime = time.Since(start)
 	sp.End()
@@ -854,7 +850,7 @@ func (e *Engine) VerifyCtx(ctx context.Context, vk *groth16.VerifyingKey, proof 
 	}
 	defer e.release()
 	start := time.Now()
-	err := groth16.VerifyTraced(vk, proof, public, obs.TraceFrom(ctx))
+	err := groth16.Verify(vk, proof, public, obs.TraceFrom(ctx).Scope(""))
 	e.verifies.Add(1)
 	mVerifiesTotal.Inc()
 	elapsed := time.Since(start)

@@ -298,15 +298,36 @@ func (sc *setupScalars) verifyingKey(t1 *curve.G1FixedBaseTable, g1s []curve.G1A
 // witness is the full wire assignment (constant wire first); callers
 // normally obtain it from CompiledSystem.Solve (or the frontend's eager
 // compile result).
-func Prove(sys *r1cs.CompiledSystem, pk *ProvingKey, witness []fr.Element, rng io.Reader) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, nil)
+//
+// Residency is a matter of the arguments, not of the function: sys is a
+// resident *r1cs.CompiledSystem or a *r1cs.CompiledSystemFile whose rows
+// stream in bounded windows, and pk a *ProvingKey in memory or a
+// *StreamedProvingKey left on disk (an in-memory key wants a resident
+// system). Under the same seeded rng every combination returns the same
+// proof bytes: chunking only reassociates the MSM partial sums, field
+// arithmetic is exact, and affine normalization is canonical.
+//
+// A trailing obs.Scope records per-phase spans (witness check, scalar
+// recoding, each query MSM, the quotient pipeline — with a streamed key
+// the per-chunk read/recode/msm breakdown and the out-of-core quotient
+// stages) named under it; tr.Scope("") keeps the bare names. Without
+// one the prove is untraced.
+func Prove(sys r1cs.Constraints, pk ProverKey, witness []fr.Element, rng io.Reader, sc ...obs.Scope) (*Proof, error) {
+	return prove(sys, pk, &witnessSrc{mem: witness}, rng, obs.Opt(sc))
 }
 
-// ProveTraced is Prove recording per-phase spans (witness check, scalar
-// recoding, each query MSM, the quotient pipeline) on tr. A nil tr is
-// the untraced fast path — identical to Prove.
-func ProveTraced(sys *r1cs.CompiledSystem, pk *ProvingKey, witness []fr.Element, rng io.Reader, tr *obs.Trace) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, tr)
+// ProveSpilled is Prove with the witness in a spilled store instead of
+// RAM: constraint evaluation reads wires through the store's bounded
+// page cache and every MSM streams witness scalars from the file, so
+// with a streamed key and a file-backed sys neither the key, the
+// matrices, the witness, nor the quotient is ever fully resident. The
+// store must hold a finished solve (r1cs.CompiledSystem.SolveSpilled),
+// and pk must be a *StreamedProvingKey — an in-memory key dwarfs the
+// witness and rejects a spilled one. Proofs are byte-identical to
+// Prove's under the same seeded rng: the spill roundtrip preserves
+// encodings bit for bit.
+func ProveSpilled(sys r1cs.Constraints, pk ProverKey, wf *r1cs.WitnessFile, rng io.Reader, sc ...obs.Scope) (*Proof, error) {
+	return prove(sys, pk, &witnessSrc{file: wf}, rng, obs.Opt(sc))
 }
 
 // pkHeader is the handful of single points every prover backend exposes
@@ -317,13 +338,11 @@ type pkHeader struct {
 	DomainSize               uint64
 }
 
-// proverKey abstracts the structured reference string the prover
-// consumes: the fully in-memory ProvingKey and the disk-backed
-// StreamedProvingKey both implement it, so the two modes share one
-// prove flow and cannot drift. Chunking only changes the order partial
-// sums fold in — MSM linearity plus canonical affine normalization make
-// the resulting proofs byte-identical across backends.
-type proverKey interface {
+// ProverKey is the structured reference string the prover consumes:
+// *ProvingKey (fully in memory) or *StreamedProvingKey (left on disk).
+// The interface is sealed — its methods are unexported — so the two
+// modes share one prove flow and cannot drift.
+type ProverKey interface {
 	header() pkHeader
 	// checkShape verifies the key's query sections match the system's
 	// dimensions before any randomness is drawn.
@@ -333,13 +352,13 @@ type proverKey interface {
 	// serve the witness's residency (the in-memory key with a spilled
 	// witness) reject here, before randomness is drawn.
 	prepWitness(w *witnessSrc) (witnessExp, error)
-	// The exp methods record their spans on tr (nil disables tracing at
-	// zero cost — the *Trace methods are nil-receiver no-ops).
-	expA(w witnessExp, tr *obs.Trace) (curve.G1Jac, error)
-	expB1(w witnessExp, tr *obs.Trace) (curve.G1Jac, error)
-	expB2(w witnessExp, tr *obs.Trace) (curve.G2Jac, error)
+	// The exp methods record their spans under sc, the prove's scope (the
+	// zero Scope disables tracing at zero cost).
+	expA(w witnessExp, sc obs.Scope) (curve.G1Jac, error)
+	expB1(w witnessExp, sc obs.Scope) (curve.G1Jac, error)
+	expB2(w witnessExp, sc obs.Scope) (curve.G2Jac, error)
 	// expK runs the private-wire query over wires [nbPublic, NbWires).
-	expK(w witnessExp, nbPublic int, tr *obs.Trace) (curve.G1Jac, error)
+	expK(w witnessExp, nbPublic int, sc obs.Scope) (curve.G1Jac, error)
 	// expZQuotient computes h = (A·B - C)/Z and immediately folds it
 	// into the Z-query MSM, choosing the backend's memory strategy: two
 	// resident domain vectors in memory, or the out-of-core pipeline
@@ -347,7 +366,7 @@ type proverKey interface {
 	// from the h file). Field arithmetic is exact and fr encodings are
 	// canonical, so h — and the proof — is bit-equal either way. Fusing
 	// the two steps lets the streamed backend never materialize h.
-	expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, tr *obs.Trace) (curve.G1Jac, error)
+	expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, sc obs.Scope) (curve.G1Jac, error)
 }
 
 // witnessExp carries the witness for the A, B1, and B2 queries. The
@@ -395,41 +414,41 @@ func (pk *ProvingKey) prepWitness(w *witnessSrc) (witnessExp, error) {
 	}, nil
 }
 
-func (pk *ProvingKey) expA(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return curve.MultiExpG1DecomposedTraced(pk.A, w.dec, tr, "msm/A"), nil
+func (pk *ProvingKey) expA(w witnessExp, sc obs.Scope) (curve.G1Jac, error) {
+	return curve.MultiExpG1Decomposed(pk.A, w.dec, sc.Sub("msm/A")), nil
 }
 
-func (pk *ProvingKey) expB1(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return curve.MultiExpG1DecomposedTraced(pk.B1, w.dec, tr, "msm/B1"), nil
+func (pk *ProvingKey) expB1(w witnessExp, sc obs.Scope) (curve.G1Jac, error) {
+	return curve.MultiExpG1Decomposed(pk.B1, w.dec, sc.Sub("msm/B1")), nil
 }
 
-func (pk *ProvingKey) expB2(w witnessExp, tr *obs.Trace) (curve.G2Jac, error) {
-	return curve.MultiExpG2DecomposedTraced(pk.B2, w.dec, tr, "msm/B2"), nil
+func (pk *ProvingKey) expB2(w witnessExp, sc obs.Scope) (curve.G2Jac, error) {
+	return curve.MultiExpG2Decomposed(pk.B2, w.dec, sc.Sub("msm/B2")), nil
 }
 
-func (pk *ProvingKey) expK(w witnessExp, nbPublic int, tr *obs.Trace) (curve.G1Jac, error) {
-	return curve.MultiExpG1Traced(pk.K, w.src.mem[nbPublic:], tr, "msm/K"), nil
+func (pk *ProvingKey) expK(w witnessExp, nbPublic int, sc obs.Scope) (curve.G1Jac, error) {
+	return curve.MultiExpG1(pk.K, w.src.mem[nbPublic:], sc.Sub("msm/K")), nil
 }
 
-func (pk *ProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, tr *obs.Trace) (curve.G1Jac, error) {
+func (pk *ProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, sc obs.Scope) (curve.G1Jac, error) {
 	cs, ok := sys.(*r1cs.CompiledSystem)
 	if !ok || w.mem == nil {
 		return curve.G1Jac{}, errors.New("groth16: in-memory proving key requires a resident system and witness")
 	}
-	h, err := quotient(cs, domainSize, w.mem, tr)
+	h, err := quotient(cs, domainSize, w.mem, sc)
 	if err != nil {
 		return curve.G1Jac{}, err
 	}
-	res := curve.MultiExpG1Traced(pk.Z, h, tr, "msm/Z")
+	res := curve.MultiExpG1(pk.Z, h, sc.Sub("msm/Z"))
 	releaseQuotient(h)
 	return res, nil
 }
 
-// prove is the backend-agnostic prover core shared by Prove and
-// ProveStreamed. Randomness is drawn in a fixed order (r then s), so a
-// seeded rng yields identical proofs from either backend. tr, when
-// non-nil, receives one span per prover phase.
-func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr *obs.Trace) (*Proof, error) {
+// prove is the prover: every residency of system, key and witness runs
+// it. Randomness is drawn in a fixed order (r then s), so a seeded rng
+// yields identical proofs from either key backend. sc, when on, receives
+// one span per prover phase.
+func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc obs.Scope) (*Proof, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -437,8 +456,8 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 	if w.len() != d.NbWires {
 		return nil, fmt.Errorf("groth16: witness has %d wires, system expects %d", w.len(), d.NbWires)
 	}
-	sp := tr.Span("prove/satisfy")
-	ok, bad, err := checkSatisfied(sys, w, tr)
+	sp := sc.Sub("prove/satisfy").Span()
+	ok, bad, err := checkSatisfied(sys, w, sc)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("groth16: satisfy check: %w", err)
@@ -460,7 +479,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 		return nil, err
 	}
 
-	sp = tr.Span("prove/recode")
+	sp = sc.Sub("prove/recode").Span()
 	wExp, err := pk.prepWitness(w)
 	sp.End()
 	if err != nil {
@@ -468,7 +487,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 	}
 
 	// A = α + Σ wⱼ·[uⱼ(τ)]₁ + r·δ
-	aJac, err := pk.expA(wExp, tr)
+	aJac, err := pk.expA(wExp, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +500,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 	aJac.AddAssign(&term)
 
 	// B2 = β + Σ wⱼ·[vⱼ(τ)]₂ + s·δ  (and its G1 shadow for C).
-	b2Jac, err := pk.expB2(wExp, tr)
+	b2Jac, err := pk.expB2(wExp, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +512,7 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 	term2.ScalarMul(&term2, &sScalar)
 	b2Jac.AddAssign(&term2)
 
-	b1Jac, err := pk.expB1(wExp, tr)
+	b1Jac, err := pk.expB1(wExp, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -506,11 +525,11 @@ func prove(sys r1cs.Constraints, pk proverKey, w *witnessSrc, rng io.Reader, tr 
 
 	// C = Σ_priv wⱼ·Kⱼ + Σ hᵢ·Zᵢ + s·A + r·B1 - r·s·δ, where h is the
 	// quotient polynomial (A·B - C)/Z computed via coset FFTs.
-	cJac, err := pk.expK(wExp, d.NbPublic, tr)
+	cJac, err := pk.expK(wExp, d.NbPublic, sc)
 	if err != nil {
 		return nil, err
 	}
-	hMSM, err := pk.expZQuotient(sys, hdr.DomainSize, w, tr)
+	hMSM, err := pk.expZQuotient(sys, hdr.DomainSize, w, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -661,10 +680,10 @@ func releaseQuotient(h []fr.Element) { quotientVecs.Put(h) }
 // of the naive three-vector form, so the output is bit-identical. The
 // caller must hand the returned slice to releaseQuotient after use.
 //
-// tr, when non-nil, records one span per pipeline stage (matrix
-// evaluation, each transform with its per-level breakdown, the
-// pointwise folds) under a "quotient/" prefix.
-func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element, tr *obs.Trace) ([]fr.Element, error) {
+// sc is the prove's scope; when on, the pipeline records one span per
+// stage (matrix evaluation, each transform with its per-level
+// breakdown, the pointwise folds) under "quotient".
+func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element, sc obs.Scope) ([]fr.Element, error) {
 	domain, err := poly.NewDomain(domainSize)
 	if err != nil {
 		return nil, err
@@ -678,7 +697,8 @@ func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element,
 	tmp := quotientVecs.Get(n)
 	defer quotientVecs.Put(tmp)
 
-	spAll := tr.Span("quotient")
+	q := sc.Sub("quotient")
+	spAll := q.Span()
 	defer spAll.End()
 
 	// cosetEval evaluates one constraint matrix against the witness and
@@ -686,28 +706,20 @@ func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element,
 	// [nbCons, n) stay zero (Get returns zeroed vectors; reuse of tmp
 	// clears the tail explicitly).
 	cosetEval := func(mx *r1cs.Matrix, dst []fr.Element, name string) {
-		var sp *obs.Span
-		if tr != nil {
-			sp = tr.Span("quotient/eval-" + name)
-		}
+		sp := q.Sub("/eval-").Sub(name).Span()
 		par.Range(nbCons, func(start, end int) {
 			for i := start; i < end; i++ {
 				dst[i] = mx.RowEval(i, witness)
 			}
 		})
 		sp.End()
-		if tr != nil {
-			domain.IFFTTraced(dst, tr, "quotient/ifft-"+name)
-			domain.FFTCosetTraced(dst, tr, "quotient/fft-coset-"+name)
-		} else {
-			domain.IFFT(dst)
-			domain.FFTCoset(dst)
-		}
+		domain.IFFT(dst, q.Sub("/ifft-").Sub(name))
+		domain.FFTCoset(dst, q.Sub("/fft-coset-").Sub(name))
 	}
 
 	cosetEval(&sys.A, ab, "A")
 	cosetEval(&sys.B, tmp, "B")
-	sp := tr.Span("quotient/mul-ab")
+	sp := q.Sub("/mul-ab").Span()
 	par.Range(n, func(lo, hi int) {
 		fr.MulVecInto(ab[lo:hi], ab[lo:hi], tmp[lo:hi])
 	})
@@ -722,12 +734,12 @@ func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element,
 	zc := domain.VanishingOnCoset()
 	var zcInv fr.Element
 	zcInv.Inverse(&zc)
-	sp = tr.Span("quotient/divide-z")
+	sp = q.Sub("/divide-z").Span()
 	par.Range(n, func(lo, hi int) {
 		fr.SubScalarMulVecInto(ab[lo:hi], ab[lo:hi], tmp[lo:hi], &zcInv)
 	})
 	sp.End()
-	domain.IFFTCosetTraced(ab, tr, "quotient/ifft-coset")
+	domain.IFFTCoset(ab, q.Sub("/ifft-coset"))
 
 	// deg h ≤ n-2, so the top coefficient must vanish.
 	if !ab[n-1].IsZero() {
@@ -738,20 +750,17 @@ func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element,
 }
 
 // Verify checks a proof against the public inputs (the instance,
-// excluding the constant wire; len must equal NbPublic-1).
-func Verify(vk *VerifyingKey, proof *Proof, publicInputs []fr.Element) error {
-	return VerifyTraced(vk, proof, publicInputs, nil)
-}
-
-// VerifyTraced is Verify recording the IC multi-exponentiation and the
-// pairing check as spans on tr. A nil tr is the untraced fast path.
-func VerifyTraced(vk *VerifyingKey, proof *Proof, publicInputs []fr.Element, tr *obs.Trace) error {
+// excluding the constant wire; len must equal NbPublic-1). A trailing
+// obs.Scope records the IC multi-exponentiation and the pairing check
+// as spans named under it (tr.Scope("") keeps the bare names).
+func Verify(vk *VerifyingKey, proof *Proof, publicInputs []fr.Element, sc ...obs.Scope) error {
+	s := obs.Opt(sc)
 	if len(publicInputs) != len(vk.IC)-1 {
 		return fmt.Errorf("groth16: got %d public inputs, verifying key expects %d",
 			len(publicInputs), len(vk.IC)-1)
 	}
 	// acc = IC₀ + Σ xⱼ·IC_{j+1}
-	acc := curve.MultiExpG1Traced(vk.IC[1:], publicInputs, tr, "verify/msm-ic")
+	acc := curve.MultiExpG1(vk.IC[1:], publicInputs, s.Sub("verify/msm-ic"))
 	var ic0 curve.G1Jac
 	ic0.FromAffine(&vk.IC[0])
 	acc.AddAssign(&ic0)
@@ -763,7 +772,7 @@ func VerifyTraced(vk *VerifyingKey, proof *Proof, publicInputs []fr.Element, tr 
 	// and the check needs 3 pairings instead of 4.
 	var negA curve.G1Affine
 	negA.Neg(&proof.Ar)
-	sp := tr.Span("verify/pairing")
+	sp := s.Sub("verify/pairing").Span()
 	var ok bool
 	if !vk.AlphaBeta.IsZero() {
 		ok = pairing.PairingCheckMul(

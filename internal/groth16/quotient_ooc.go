@@ -27,10 +27,11 @@ import (
 // produce; the Z-section MSM then streams its scalars straight from the
 // file, so h is never resident either.
 //
-// tr, when non-nil, records one span per stage (matrix evaluation,
-// each out-of-core transform with its split/mem/combine phases, the
-// streamed pointwise merges) under an "ooc/" prefix.
-func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, dir string, tr *obs.Trace) (*poly.VecFile, error) {
+// sc is the prove's scope; when on, the pipeline records one span per
+// stage (matrix evaluation, each out-of-core transform with its
+// split/mem/combine phases, the streamed pointwise merges) under an
+// "ooc/" prefix.
+func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, dir string, sc obs.Scope) (*poly.VecFile, error) {
 	domain, err := poly.NewDomain(domainSize)
 	if err != nil {
 		return nil, err
@@ -45,7 +46,8 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 	// resident vector at the cost of one extra streaming pass.
 	buf := make([]fr.Element, n/4)
 
-	spAll := tr.Span("ooc/quotient")
+	rowWindow, ooc := sc.Sub("csr/row-window"), sc.Sub("ooc/")
+	spAll := ooc.Sub("quotient").Span()
 	defer spAll.End()
 
 	// cosetEval evaluates one constraint matrix against the witness into
@@ -59,10 +61,7 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 		if err != nil {
 			return nil, err
 		}
-		var sp *obs.Span
-		if tr != nil {
-			sp = tr.Span("ooc/eval-" + name)
-		}
+		sp := ooc.Sub("eval-").Sub(name).Span()
 		w := vf.NewWriter()
 		win := &r1cs.RowWindow{}
 		var evals []fr.Element
@@ -72,7 +71,7 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 				vf.Close()
 				return nil, err
 			}
-			spw := tr.Span("csr/row-window")
+			spw := rowWindow.Span()
 			rows := end - start
 			if cap(evals) < rows {
 				evals = make([]fr.Element, rows)
@@ -108,16 +107,11 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 			return nil, fmt.Errorf("groth16: quotient eval spill: %w", err)
 		}
 		sp.End()
-		var ifftLabel, fftLabel string
-		if tr != nil {
-			ifftLabel = "ooc/ifft-" + name
-			fftLabel = "ooc/fft-coset-" + name
-		}
-		if err := domain.IFFTFileTraced(vf, buf, tr, ifftLabel); err != nil {
+		if err := domain.IFFTFile(vf, buf, ooc.Sub("ifft-").Sub(name)); err != nil {
 			vf.Close()
 			return nil, err
 		}
-		if err := domain.FFTCosetFileTraced(vf, buf, tr, fftLabel); err != nil {
+		if err := domain.FFTCosetFile(vf, buf, ooc.Sub("fft-coset-").Sub(name)); err != nil {
 			vf.Close()
 			return nil, err
 		}
@@ -137,7 +131,7 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 	if err != nil {
 		return fail(err)
 	}
-	sp := tr.Span("ooc/mul-ab")
+	sp := ooc.Sub("mul-ab").Span()
 	err = va.StreamMerge(vb, func(dst, b []fr.Element) {
 		fr.MulVecInto(dst, dst, b)
 	})
@@ -155,7 +149,7 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 	zc := domain.VanishingOnCoset()
 	var zcInv fr.Element
 	zcInv.Inverse(&zc)
-	sp = tr.Span("ooc/divide-z")
+	sp = ooc.Sub("divide-z").Span()
 	err = va.StreamMerge(vc, func(dst, c []fr.Element) {
 		fr.SubScalarMulVecInto(dst, dst, c, &zcInv)
 	})
@@ -165,7 +159,7 @@ func quotientOOC(sys r1cs.Constraints, domainSize uint64, witness *witnessSrc, d
 		return fail(err)
 	}
 
-	if err := domain.IFFTCosetFileTraced(va, buf, tr, "ooc/ifft-coset"); err != nil {
+	if err := domain.IFFTCosetFile(va, buf, ooc.Sub("ifft-coset")); err != nil {
 		return fail(err)
 	}
 

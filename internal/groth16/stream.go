@@ -68,9 +68,9 @@ type rawSection struct {
 // StreamedProvingKey is a proving key that stays on disk: it holds the
 // handful of header points in memory plus the offsets of the five query
 // sections in an io.ReaderAt over the raw encoding. It implements the
-// same prover backend interface as ProvingKey, so ProveStreamed yields
-// byte-identical proofs while reading each section once per proof
-// through a bounded window.
+// ProverKey interface as ProvingKey, so Prove yields byte-identical
+// proofs while reading each section once per proof through a bounded
+// window.
 //
 // The ReaderAt must serve overlapping lifetimes: a StreamedProvingKey
 // may be shared across goroutines (ReaderAt is required to be safe for
@@ -206,36 +206,36 @@ func (pk *StreamedProvingKey) prepWitness(w *witnessSrc) (witnessExp, error) {
 // per-chunk scalar recoding, streaming the scalars from the spill file
 // when the witness is not resident. off is the first wire the section
 // covers (NbPublic for the K query, 0 otherwise); n is the section's
-// scalar count.
-func (pk *StreamedProvingKey) streamG1(sec rawSection, w witnessExp, off, n int, tr *obs.Trace, label string) (curve.G1Jac, error) {
+// scalar count; sc is the prove's scope, name the section's span name.
+func (pk *StreamedProvingKey) streamG1(sec rawSection, w witnessExp, off, n int, sc obs.Scope, name string) (curve.G1Jac, error) {
 	c := curve.StreamWindowSize(n, pk.chunkSize())
 	src := curve.NewG1RawSource(pk.r, sec.off)
 	if w.src.mem != nil {
-		return curve.MultiExpG1StreamScalarsTraced(src, w.src.mem[off:off+n], c, pk.chunkSize(), tr, label)
+		return curve.MultiExpG1StreamScalars(src, w.src.mem[off:off+n], c, pk.chunkSize(), sc.Sub(name))
 	}
-	return curve.MultiExpG1StreamScalarSourceTraced(src, w.src.source(off, tr), n, c, pk.chunkSize(), tr, label)
+	return curve.MultiExpG1StreamScalarSource(src, w.src.source(off, sc), n, c, pk.chunkSize(), sc.Sub(name))
 }
 
-func (pk *StreamedProvingKey) expA(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return pk.streamG1(pk.secA, w, 0, w.src.len(), tr, "stream/A")
+func (pk *StreamedProvingKey) expA(w witnessExp, sc obs.Scope) (curve.G1Jac, error) {
+	return pk.streamG1(pk.secA, w, 0, w.src.len(), sc, "stream/A")
 }
 
-func (pk *StreamedProvingKey) expB1(w witnessExp, tr *obs.Trace) (curve.G1Jac, error) {
-	return pk.streamG1(pk.secB1, w, 0, w.src.len(), tr, "stream/B1")
+func (pk *StreamedProvingKey) expB1(w witnessExp, sc obs.Scope) (curve.G1Jac, error) {
+	return pk.streamG1(pk.secB1, w, 0, w.src.len(), sc, "stream/B1")
 }
 
-func (pk *StreamedProvingKey) expB2(w witnessExp, tr *obs.Trace) (curve.G2Jac, error) {
+func (pk *StreamedProvingKey) expB2(w witnessExp, sc obs.Scope) (curve.G2Jac, error) {
 	n := w.src.len()
 	c := curve.StreamWindowSize(n, pk.chunkSize())
 	src := curve.NewG2RawSource(pk.r, pk.secB2.off)
 	if w.src.mem != nil {
-		return curve.MultiExpG2StreamScalarsTraced(src, w.src.mem, c, pk.chunkSize(), tr, "stream/B2")
+		return curve.MultiExpG2StreamScalars(src, w.src.mem, c, pk.chunkSize(), sc.Sub("stream/B2"))
 	}
-	return curve.MultiExpG2StreamScalarSourceTraced(src, w.src.source(0, tr), n, c, pk.chunkSize(), tr, "stream/B2")
+	return curve.MultiExpG2StreamScalarSource(src, w.src.source(0, sc), n, c, pk.chunkSize(), sc.Sub("stream/B2"))
 }
 
-func (pk *StreamedProvingKey) expK(w witnessExp, nbPublic int, tr *obs.Trace) (curve.G1Jac, error) {
-	return pk.streamG1(pk.secK, w, nbPublic, w.src.len()-nbPublic, tr, "stream/K")
+func (pk *StreamedProvingKey) expK(w witnessExp, nbPublic int, sc obs.Scope) (curve.G1Jac, error) {
+	return pk.streamG1(pk.secK, w, nbPublic, w.src.len()-nbPublic, sc, "stream/K")
 }
 
 // expZQuotient runs the fully out-of-core tail of the proof: the
@@ -243,50 +243,18 @@ func (pk *StreamedProvingKey) expK(w witnessExp, nbPublic int, tr *obs.Trace) (c
 // most half a domain vector resident), and the Z-section MSM streams
 // both its points (from the raw key) and its scalars (from the h file)
 // in bounded chunks. h never exists in memory.
-func (pk *StreamedProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, tr *obs.Trace) (curve.G1Jac, error) {
-	hf, err := quotientOOC(sys, domainSize, w, pk.SpillDir, tr)
+func (pk *StreamedProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, sc obs.Scope) (curve.G1Jac, error) {
+	hf, err := quotientOOC(sys, domainSize, w, pk.SpillDir, sc)
 	if err != nil {
 		return curve.G1Jac{}, err
 	}
 	defer hf.Close()
 	nScalars := hf.Len() - 1 // deg h ≤ n-2: the key's Z section has n-1 points
 	c := curve.StreamWindowSize(nScalars, pk.chunkSize())
-	return curve.MultiExpG1StreamScalarSourceTraced(
+	return curve.MultiExpG1StreamScalarSource(
 		curve.NewG1RawSource(pk.r, pk.secZ.off),
 		func(dst []fr.Element, start int) error { return hf.ReadAt(dst, start) },
-		nScalars, c, pk.chunkSize(), tr, "stream/Z")
-}
-
-// ProveStreamed produces a proof using a disk-backed key. With the same
-// system, witness, and seeded rng it returns proofs byte-identical to
-// Prove with the fully materialized key: chunking only reassociates the
-// MSM partial sums, and affine normalization is canonical. sys may be a
-// resident *r1cs.CompiledSystem or a *r1cs.CompiledSystemFile — the
-// satisfy and quotient-eval loops then stream the matrices in bounded
-// row windows.
-func ProveStreamed(sys r1cs.Constraints, pk *StreamedProvingKey, witness []fr.Element, rng io.Reader) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, nil)
-}
-
-// ProveStreamedTraced is ProveStreamed recording per-phase spans —
-// including the out-of-core quotient stages and the per-chunk
-// read/recode/msm breakdown of each streamed section — on tr. A nil tr
-// is the untraced fast path.
-func ProveStreamedTraced(sys r1cs.Constraints, pk *StreamedProvingKey, witness []fr.Element, rng io.Reader, tr *obs.Trace) (*Proof, error) {
-	return prove(sys, pk, memWitness(witness), rng, tr)
-}
-
-// ProveStreamedSpilled is ProveStreamed with the witness in a spilled
-// store instead of RAM: constraint evaluation reads wires through the
-// store's bounded page cache and every MSM streams witness scalars
-// from the file, so neither the key, the matrices (with a file-backed
-// sys), the witness, nor the quotient is ever fully resident. The
-// store must hold a finished solve (r1cs.CompiledSystem.SolveSpilled).
-// Proofs are byte-identical to the resident path under the same seeded
-// rng — the spill roundtrip preserves encodings bit for bit and MSM
-// chunking is exact.
-func ProveStreamedSpilled(sys r1cs.Constraints, pk *StreamedProvingKey, wf *r1cs.WitnessFile, rng io.Reader, tr *obs.Trace) (*Proof, error) {
-	return prove(sys, pk, &witnessSrc{file: wf}, rng, tr)
+		nScalars, c, pk.chunkSize(), sc.Sub("stream/Z"))
 }
 
 // setupSpillChunk is the number of scalars multiplied per batch while

@@ -114,9 +114,9 @@ func TestProveStreamedMatchesProve(t *testing.T) {
 
 	for _, chunk := range []int{1, 2, 3, 64} {
 		spk := openStreamed(t, raw.Bytes(), chunk)
-		got, err := ProveStreamed(sys, spk, witness, rand.New(rand.NewSource(93)))
+		got, err := Prove(sys, spk, witness, rand.New(rand.NewSource(93)))
 		if err != nil {
-			t.Fatalf("chunk=%d: ProveStreamed: %v", chunk, err)
+			t.Fatalf("chunk=%d: streamed Prove: %v", chunk, err)
 		}
 		var gotBuf bytes.Buffer
 		if _, err := got.WriteTo(&gotBuf); err != nil {
@@ -177,7 +177,7 @@ func TestStreamedCheckShape(t *testing.T) {
 	witness := make([]fr.Element, other.NbWires)
 	copy(witness, cubicWitness(3))
 	witness[0].SetOne()
-	if _, err := ProveStreamed(other, spk, witness, rand.New(rand.NewSource(96))); err == nil {
-		t.Fatal("ProveStreamed accepted a key with mismatched shape")
+	if _, err := Prove(other, spk, witness, rand.New(rand.NewSource(96))); err == nil {
+		t.Fatal("Prove accepted a streamed key with mismatched shape")
 	}
 }

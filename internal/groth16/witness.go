@@ -20,8 +20,6 @@ type witnessSrc struct {
 	file *r1cs.WitnessFile
 }
 
-func memWitness(w []fr.Element) *witnessSrc { return &witnessSrc{mem: w} }
-
 func (w *witnessSrc) len() int {
 	if w.mem != nil {
 		return len(w.mem)
@@ -38,20 +36,13 @@ func (w *witnessSrc) at(i uint32) fr.Element {
 	return w.file.Get(i)
 }
 
-// source adapts wires [off, len) to a curve.ScalarSource. The spilled
-// path records one "witness/stream" span per chunk read; the resident
-// path copies (only reached when a resident witness meets a streamed
-// key's scalar-source MSM, which the backends avoid).
-func (w *witnessSrc) source(off int, tr *obs.Trace) curve.ScalarSource {
-	if w.mem != nil {
-		scalars := w.mem[off:]
-		return func(dst []fr.Element, start int) error {
-			copy(dst, scalars[start:start+len(dst)])
-			return nil
-		}
-	}
+// source adapts the spilled wires [off, len) to a curve.ScalarSource,
+// recording one "witness/stream" span per chunk read under sc, the
+// prove's scope. (A resident witness is handed to the MSM as a slice.)
+func (w *witnessSrc) source(off int, sc obs.Scope) curve.ScalarSource {
+	sc = sc.Sub("witness/stream")
 	return func(dst []fr.Element, start int) error {
-		sp := tr.Span("witness/stream")
+		sp := sc.Span()
 		err := w.file.ReadRange(dst, off+start)
 		sp.End()
 		return err
@@ -87,7 +78,7 @@ func (*satisfyStopError) Error() string { return "groth16: satisfy walk stopped"
 // witness is resident and serial when it reads through the spill
 // store's single-goroutine page cache. On failure the returned index
 // is the first violated constraint, matching IsSatisfied.
-func checkSatisfied(sys r1cs.Constraints, w *witnessSrc, tr *obs.Trace) (bool, int, error) {
+func checkSatisfied(sys r1cs.Constraints, w *witnessSrc, sc obs.Scope) (bool, int, error) {
 	if cs, ok := sys.(*r1cs.CompiledSystem); ok && w.mem != nil {
 		ok, bad := cs.IsSatisfied(w.mem)
 		return ok, bad, nil
@@ -99,7 +90,7 @@ func checkSatisfied(sys r1cs.Constraints, w *witnessSrc, tr *obs.Trace) (bool, i
 	err := r1cs.ForRowWindows(r1cs.DefaultRowWindowTerms,
 		[]r1cs.MatrixStream{sys.MatA(), sys.MatB(), sys.MatC()},
 		func(wins []*r1cs.RowWindow) error {
-			sp := tr.Span("csr/row-window")
+			sp := sc.Sub("csr/row-window").Span()
 			defer sp.End()
 			wa, wb, wc := wins[0], wins[1], wins[2]
 			n := wa.Rows

@@ -74,6 +74,61 @@ func (t *Trace) NextLane() int {
 	return int(t.lanes.Add(1))
 }
 
+// Scope is a trace together with the name an operation records its
+// spans under: the operation's own span is named Label, and everything
+// it nests is named Label plus a suffix (Sub). It is how a trace is
+// handed to the prover stack — every MSM, FFT, Prove and Verify takes a
+// trailing optional Scope, so the traced and the untraced call are the
+// same function. The zero Scope records nothing and allocates nothing.
+type Scope struct {
+	tr    *Trace
+	label string
+}
+
+// Scope returns the scope recording under label on t; the empty label
+// is the root scope, whose sub-scopes carry their suffix as the whole
+// name. Safe on a nil Trace (returns the zero Scope).
+func (t *Trace) Scope(label string) Scope {
+	if t == nil {
+		return Scope{}
+	}
+	return Scope{tr: t, label: label}
+}
+
+// Opt resolves a trailing `sc ...Scope` parameter: the scope passed, or
+// the zero Scope when the caller passed none.
+func Opt(sc []Scope) Scope {
+	if len(sc) == 0 {
+		return Scope{}
+	}
+	return sc[0]
+}
+
+// On reports whether the scope records. Callers test it before building
+// a span name that costs a concatenation or a conversion.
+func (s Scope) On() bool { return s.tr != nil }
+
+// Trace returns the underlying trace (nil for the zero Scope).
+func (s Scope) Trace() *Trace { return s.tr }
+
+// Label returns the name the scope records under.
+func (s Scope) Label() string { return s.label }
+
+// Sub returns the scope named Label+suffix. On the zero Scope it returns
+// the zero Scope without concatenating.
+func (s Scope) Sub(suffix string) Scope {
+	if s.tr == nil {
+		return Scope{}
+	}
+	return Scope{tr: s.tr, label: s.label + suffix}
+}
+
+// Span opens the scope's own span on lane 0 (nil for the zero Scope).
+func (s Scope) Span() *Span { return s.tr.SpanLane(s.label, 0) }
+
+// SpanLane opens the scope's own span on an explicit lane.
+func (s Scope) SpanLane(lane int) *Span { return s.tr.SpanLane(s.label, lane) }
+
 // End closes the span and appends it to its trace. No-op on nil.
 func (s *Span) End() {
 	if s == nil {

@@ -70,6 +70,51 @@ func TestNilSpanAllocFree(t *testing.T) {
 	}
 }
 
+// TestScopeNames pins the naming rule of a Scope — its own span is its
+// label, a sub-scope appends, the root scope's label is empty — and that
+// a trailing `...Scope` with nothing passed resolves to the zero Scope.
+func TestScopeNames(t *testing.T) {
+	tr := NewTrace()
+	root := tr.Scope("")
+	msm := root.Sub("msm/A")
+	msm.Span().End()
+	msm.Sub("/w0-3/c1").SpanLane(tr.NextLane()).End()
+	if !msm.On() || msm.Trace() != tr || msm.Label() != "msm/A" {
+		t.Errorf("scope = (%v, %p, %q), want on, the trace, msm/A", msm.On(), msm.Trace(), msm.Label())
+	}
+	evs := tr.Events()
+	if len(evs) != 2 || evs[0].Name != "msm/A" || evs[1].Name != "msm/A/w0-3/c1" || evs[1].Lane == 0 {
+		t.Errorf("events = %+v", evs)
+	}
+	if sc := Opt(nil); sc.On() || sc.Sub("x").On() || sc.Span() != nil {
+		t.Error("an absent scope records")
+	}
+	if sc := Opt([]Scope{msm}); sc != msm {
+		t.Error("Opt dropped the scope it was passed")
+	}
+}
+
+// TestZeroScopeAllocFree is the off path of the prover stack's trailing
+// `sc ...Scope` argument: a scope built on a nil trace, passed down,
+// narrowed and opened as spans allocates nothing.
+func TestZeroScopeAllocFree(t *testing.T) {
+	var tr *Trace
+	op := func(sc ...Scope) {
+		s := Opt(sc)
+		sp := s.Span()
+		s.Sub("/len2").SpanLane(s.Trace().NextLane()).End()
+		sp.End()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		op()
+		op(tr.Scope("quotient/ifft-A"))
+		op(tr.Scope("").Sub("msm/A"))
+	})
+	if allocs != 0 {
+		t.Errorf("zero-scope calls allocate %v times, want 0", allocs)
+	}
+}
+
 func TestWriteChrome(t *testing.T) {
 	tr := NewTrace()
 	s := tr.Span("solve")

@@ -129,10 +129,10 @@ func fftTwiddles(n int, root *fr.Element) []fr.Element {
 // across blocks), late levels have few wide blocks (split inside each
 // block).
 //
-// tr, when non-nil, records one span per butterfly level under label —
-// the per-level FFT attribution of the telemetry subsystem. The nil
+// sc, when on, records one span per butterfly level under its label —
+// the per-level FFT attribution of the telemetry subsystem. The off
 // path costs only the nil checks.
-func (d *Domain) fftInner(a []fr.Element, root *fr.Element, tr *obs.Trace, label string) {
+func (d *Domain) fftInner(a []fr.Element, root *fr.Element, sc obs.Scope) {
 	n := len(a)
 	if uint64(n) != d.N {
 		panic(fmt.Sprintf("poly: FFT input length %d != domain size %d", n, d.N))
@@ -143,10 +143,7 @@ func (d *Domain) fftInner(a []fr.Element, root *fr.Element, tr *obs.Trace, label
 	bitReverse(a)
 
 	// First level: twiddle ≡ 1, pure add/sub butterflies.
-	var sp *obs.Span
-	if tr != nil {
-		sp = tr.Span(label + "/len2")
-	}
+	sp := sc.Sub("/len2").Span()
 	par.Range(n/2, func(bs, be int) {
 		for b := bs; b < be; b++ {
 			fr.Butterfly(&a[2*b], &a[2*b+1])
@@ -160,8 +157,8 @@ func (d *Domain) fftInner(a []fr.Element, root *fr.Element, tr *obs.Trace, label
 	tw := fftTwiddles(n, root)
 	defer twiddlePool.Put(tw)
 	for length := 4; length <= n; length <<= 1 {
-		if tr != nil {
-			sp = tr.Span(label + "/len" + strconv.Itoa(length))
+		if sc.On() {
+			sp = sc.Sub("/len" + strconv.Itoa(length)).Span()
 		}
 		half := length >> 1
 		level := tw[half-1 : 2*half-1]
@@ -180,37 +177,37 @@ func (d *Domain) fftInner(a []fr.Element, root *fr.Element, tr *obs.Trace, label
 				})
 			}
 		}
-		if tr != nil {
+		if sc.On() {
 			sp.End()
 		}
 	}
 }
 
+// The four transforms below, and their four …File forms in ooc.go, each
+// take a trailing optional obs.Scope: pass tr.Scope("quotient/ifft-A")
+// to record the call as one span under that label with one span per
+// butterfly level (per out-of-core phase, for a …File form) beneath it;
+// pass nothing to run untraced.
+
 // FFT evaluates the coefficient vector a on H in place (natural order:
 // out[i] = Σ a[j]·ω^(ij)).
-func (d *Domain) FFT(a []fr.Element) { d.fftInner(a, &d.Gen, nil, "") }
-
-// FFTTraced is FFT recording an overall span plus one span per
-// butterfly level on tr under label. A nil tr is the untraced fast
-// path.
-func (d *Domain) FFTTraced(a []fr.Element, tr *obs.Trace, label string) {
-	sp := tr.Span(label)
-	d.fftInner(a, &d.Gen, tr, label)
+func (d *Domain) FFT(a []fr.Element, sc ...obs.Scope) {
+	s := obs.Opt(sc)
+	sp := s.Span()
+	d.fftInner(a, &d.Gen, s)
 	sp.End()
 }
 
 // IFFT interpolates evaluations on H back to coefficients in place.
-func (d *Domain) IFFT(a []fr.Element) { d.ifftTraced(a, nil, "") }
-
-// IFFTTraced is IFFT with per-level span recording (see FFTTraced).
-func (d *Domain) IFFTTraced(a []fr.Element, tr *obs.Trace, label string) {
-	sp := tr.Span(label)
-	d.ifftTraced(a, tr, label)
+func (d *Domain) IFFT(a []fr.Element, sc ...obs.Scope) {
+	s := obs.Opt(sc)
+	sp := s.Span()
+	d.ifftInner(a, s)
 	sp.End()
 }
 
-func (d *Domain) ifftTraced(a []fr.Element, tr *obs.Trace, label string) {
-	d.fftInner(a, &d.GenInv, tr, label)
+func (d *Domain) ifftInner(a []fr.Element, sc obs.Scope) {
+	d.fftInner(a, &d.GenInv, sc)
 	par.Range(len(a), func(start, end int) {
 		fr.ScalarMulVecInto(a[start:end], a[start:end], &d.NInv)
 	})
@@ -229,32 +226,20 @@ func mulPowers(a []fr.Element, s *fr.Element) {
 }
 
 // FFTCoset evaluates the coefficient vector on the coset g·H in place.
-func (d *Domain) FFTCoset(a []fr.Element) {
+func (d *Domain) FFTCoset(a []fr.Element, sc ...obs.Scope) {
+	s := obs.Opt(sc)
+	sp := s.Span()
 	mulPowers(a, &d.CosetShift)
-	d.FFT(a)
-}
-
-// FFTCosetTraced is FFTCoset with per-level span recording (see
-// FFTTraced).
-func (d *Domain) FFTCosetTraced(a []fr.Element, tr *obs.Trace, label string) {
-	sp := tr.Span(label)
-	mulPowers(a, &d.CosetShift)
-	d.fftInner(a, &d.Gen, tr, label)
+	d.fftInner(a, &d.Gen, s)
 	sp.End()
 }
 
 // IFFTCoset interpolates evaluations on the coset g·H back to
 // coefficients in place.
-func (d *Domain) IFFTCoset(a []fr.Element) {
-	d.IFFT(a)
-	mulPowers(a, &d.CosetShiftInv)
-}
-
-// IFFTCosetTraced is IFFTCoset with per-level span recording (see
-// FFTTraced).
-func (d *Domain) IFFTCosetTraced(a []fr.Element, tr *obs.Trace, label string) {
-	sp := tr.Span(label)
-	d.ifftTraced(a, tr, label)
+func (d *Domain) IFFTCoset(a []fr.Element, sc ...obs.Scope) {
+	s := obs.Opt(sc)
+	sp := s.Span()
+	d.ifftInner(a, s)
 	mulPowers(a, &d.CosetShiftInv)
 	sp.End()
 }

@@ -128,9 +128,9 @@ func oocCombine(vf *VecFile, evens *VecFile, eBuf []fr.Element, odds *VecFile, r
 // fftFileCore runs the unscaled transform with the given root on vf.
 // buf is the resident scratch; sub-transforms small enough to fit it
 // run in memory, larger ones recurse with another out-of-core level.
-// tr, when non-nil, records a span per out-of-core phase (split,
-// in-memory sub-transform, combine) under label.
-func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, tr *obs.Trace, label string) error {
+// sc, when on, records a span per out-of-core phase (split, in-memory
+// sub-transform, combine) under its label.
+func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, sc obs.Scope) error {
 	n := vf.Len()
 	if n == 1 {
 		return nil
@@ -139,8 +139,8 @@ func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, tr *obs.Trace,
 		// The whole transform fits the scratch: one read, one in-memory
 		// butterfly network, one write.
 		var sp *obs.Span
-		if tr != nil {
-			sp = tr.Span(label + "/mem" + strconv.Itoa(n))
+		if sc.On() {
+			sp = sc.Sub("/mem" + strconv.Itoa(n)).Span()
 		}
 		defer sp.End()
 		b := buf[:n]
@@ -148,7 +148,7 @@ func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, tr *obs.Trace,
 			return err
 		}
 		d := Domain{N: uint64(n)}
-		d.fftInner(b, root, nil, "")
+		d.fftInner(b, root, obs.Scope{})
 		return vf.WriteAt(b, 0)
 	}
 	half := n / 2
@@ -157,8 +157,8 @@ func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, tr *obs.Trace,
 	root2.Square(root) // root of the half-size sub-DFTs
 
 	var spSplit *obs.Span
-	if tr != nil {
-		spSplit = tr.Span(label + "/split" + strconv.Itoa(n))
+	if sc.On() {
+		spSplit = sc.Sub("/split" + strconv.Itoa(n)).Span()
 	}
 	if half <= len(buf) {
 		// Last out-of-core level: both sub-transforms run in the
@@ -172,26 +172,26 @@ func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, tr *obs.Trace,
 		defer efile.Close()
 		defer odds.Close()
 		var spMem *obs.Span
-		if tr != nil {
-			spMem = tr.Span(label + "/mem" + strconv.Itoa(half) + "x2")
+		if sc.On() {
+			spMem = sc.Sub("/mem" + strconv.Itoa(half) + "x2").Span()
 		}
 		b := buf[:half]
 		d := Domain{N: uint64(half)}
 		if err := odds.ReadAt(b, 0); err != nil {
 			return err
 		}
-		d.fftInner(b, &root2, nil, "")
+		d.fftInner(b, &root2, obs.Scope{})
 		if err := odds.WriteAt(b, 0); err != nil {
 			return err
 		}
 		if err := efile.ReadAt(b, 0); err != nil {
 			return err
 		}
-		d.fftInner(b, &root2, nil, "")
+		d.fftInner(b, &root2, obs.Scope{})
 		spMem.End()
 		var spComb *obs.Span
-		if tr != nil {
-			spComb = tr.Span(label + "/combine" + strconv.Itoa(n))
+		if sc.On() {
+			spComb = sc.Sub("/combine" + strconv.Itoa(n)).Span()
 		}
 		defer spComb.End()
 		return oocCombine(vf, nil, b, odds, root)
@@ -205,15 +205,15 @@ func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, tr *obs.Trace,
 	}
 	defer evens.Close()
 	defer odds.Close()
-	if err := fftFileCore(evens, buf, &root2, tr, label); err != nil {
+	if err := fftFileCore(evens, buf, &root2, sc); err != nil {
 		return err
 	}
-	if err := fftFileCore(odds, buf, &root2, tr, label); err != nil {
+	if err := fftFileCore(odds, buf, &root2, sc); err != nil {
 		return err
 	}
 	var spComb *obs.Span
-	if tr != nil {
-		spComb = tr.Span(label + "/combine" + strconv.Itoa(n))
+	if sc.On() {
+		spComb = sc.Sub("/combine" + strconv.Itoa(n)).Span()
 	}
 	defer spComb.End()
 	return oocCombine(vf, evens, nil, odds, root)
@@ -222,37 +222,26 @@ func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, tr *obs.Trace,
 // FFTFile evaluates the disk-resident coefficient vector on H in place,
 // the out-of-core counterpart of FFT. buf is the resident scratch
 // (any length; larger halves the number of streaming passes).
-func (d *Domain) FFTFile(vf *VecFile, buf []fr.Element) error {
-	return d.FFTFileTraced(vf, buf, nil, "")
-}
-
-// FFTFileTraced is FFTFile recording an overall span plus one span per
-// out-of-core phase on tr under label; a nil tr is the untraced fast
-// path.
-func (d *Domain) FFTFileTraced(vf *VecFile, buf []fr.Element, tr *obs.Trace, label string) error {
+func (d *Domain) FFTFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
 	if err := d.checkFileLen(vf); err != nil {
 		return err
 	}
-	sp := tr.Span(label)
+	s := obs.Opt(sc)
+	sp := s.Span()
 	defer sp.End()
-	return fftFileCore(vf, buf, &d.Gen, tr, label)
+	return fftFileCore(vf, buf, &d.Gen, s)
 }
 
 // IFFTFile interpolates disk-resident evaluations on H back to
 // coefficients, the out-of-core counterpart of IFFT.
-func (d *Domain) IFFTFile(vf *VecFile, buf []fr.Element) error {
-	return d.IFFTFileTraced(vf, buf, nil, "")
-}
-
-// IFFTFileTraced is IFFTFile with per-phase span recording (see
-// FFTFileTraced).
-func (d *Domain) IFFTFileTraced(vf *VecFile, buf []fr.Element, tr *obs.Trace, label string) error {
+func (d *Domain) IFFTFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
 	if err := d.checkFileLen(vf); err != nil {
 		return err
 	}
-	sp := tr.Span(label)
+	s := obs.Opt(sc)
+	sp := s.Span()
 	defer sp.End()
-	if err := fftFileCore(vf, buf, &d.GenInv, tr, label); err != nil {
+	if err := fftFileCore(vf, buf, &d.GenInv, s); err != nil {
 		return err
 	}
 	nInv := d.NInv
@@ -281,30 +270,22 @@ func MulPowersFile(vf *VecFile, s *fr.Element) error {
 }
 
 // FFTCosetFile evaluates the disk-resident coefficient vector on the
-// coset g·H in place.
-func (d *Domain) FFTCosetFile(vf *VecFile, buf []fr.Element) error {
-	return d.FFTCosetFileTraced(vf, buf, nil, "")
-}
-
-// FFTCosetFileTraced is FFTCosetFile with per-phase span recording
-// (see FFTFileTraced).
-func (d *Domain) FFTCosetFileTraced(vf *VecFile, buf []fr.Element, tr *obs.Trace, label string) error {
+// coset g·H in place. The length is checked before the coset powers
+// touch the file: a vector of the wrong length is rejected unmodified.
+func (d *Domain) FFTCosetFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
+	if err := d.checkFileLen(vf); err != nil {
+		return err
+	}
 	if err := MulPowersFile(vf, &d.CosetShift); err != nil {
 		return err
 	}
-	return d.FFTFileTraced(vf, buf, tr, label)
+	return d.FFTFile(vf, buf, sc...)
 }
 
 // IFFTCosetFile interpolates disk-resident evaluations on the coset g·H
 // back to coefficients in place.
-func (d *Domain) IFFTCosetFile(vf *VecFile, buf []fr.Element) error {
-	return d.IFFTCosetFileTraced(vf, buf, nil, "")
-}
-
-// IFFTCosetFileTraced is IFFTCosetFile with per-phase span recording
-// (see FFTFileTraced).
-func (d *Domain) IFFTCosetFileTraced(vf *VecFile, buf []fr.Element, tr *obs.Trace, label string) error {
-	if err := d.IFFTFileTraced(vf, buf, tr, label); err != nil {
+func (d *Domain) IFFTCosetFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
+	if err := d.IFFTFile(vf, buf, sc...); err != nil {
 		return err
 	}
 	return MulPowersFile(vf, &d.CosetShiftInv)

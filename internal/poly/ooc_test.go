@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/obs"
 )
 
 // vecToFile spills v into a fresh disk vector.
@@ -80,10 +81,10 @@ func TestFFTFileMatchesMemory(t *testing.T) {
 				file func(vf *VecFile) error
 			}
 			for _, tr := range []transform{
-				{"FFT", d.FFT, func(vf *VecFile) error { return d.FFTFile(vf, buf) }},
-				{"IFFT", d.IFFT, func(vf *VecFile) error { return d.IFFTFile(vf, buf) }},
-				{"FFTCoset", d.FFTCoset, func(vf *VecFile) error { return d.FFTCosetFile(vf, buf) }},
-				{"IFFTCoset", d.IFFTCoset, func(vf *VecFile) error { return d.IFFTCosetFile(vf, buf) }},
+				{"FFT", func(a []fr.Element) { d.FFT(a) }, func(vf *VecFile) error { return d.FFTFile(vf, buf) }},
+				{"IFFT", func(a []fr.Element) { d.IFFT(a) }, func(vf *VecFile) error { return d.IFFTFile(vf, buf) }},
+				{"FFTCoset", func(a []fr.Element) { d.FFTCoset(a) }, func(vf *VecFile) error { return d.FFTCosetFile(vf, buf) }},
+				{"IFFTCoset", func(a []fr.Element) { d.IFFTCoset(a) }, func(vf *VecFile) error { return d.IFFTCosetFile(vf, buf) }},
 			} {
 				v := randPoly(rng, int(n))
 				vf := vecToFile(t, v)
@@ -95,6 +96,30 @@ func TestFFTFileMatchesMemory(t *testing.T) {
 				vf.Close()
 			}
 		}
+	}
+}
+
+// TestFFTFileWrongLengthLeavesFileUntouched checks that every
+// out-of-core transform rejects a vector that is not the domain's size
+// before writing to it — FFTCosetFile used to scale the file by the
+// coset powers first and report the length afterwards.
+func TestFFTFileWrongLengthLeavesFileUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d, err := NewDomain(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]fr.Element, 16)
+	for name, file := range map[string]func(*VecFile, []fr.Element, ...obs.Scope) error{
+		"FFTFile": d.FFTFile, "IFFTFile": d.IFFTFile, "FFTCosetFile": d.FFTCosetFile, "IFFTCosetFile": d.IFFTCosetFile,
+	} {
+		v := randPoly(rng, 32)
+		vf := vecToFile(t, v)
+		if err := file(vf, buf); err == nil {
+			t.Errorf("%s accepted a 32-element vector on a 64-point domain", name)
+		}
+		requireFileEquals(t, vf, v)
+		vf.Close()
 	}
 }
 

@@ -1,0 +1,114 @@
+package zkrownn
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// exportedDecl is one exported top-level function, method, type,
+// variable or constant of a non-test file under internal/.
+type exportedDecl struct {
+	pkg  string // directory, e.g. "internal/poly"
+	recv string // receiver type name for a method, "" otherwise
+	name string
+	fn   bool
+}
+
+func internalExports(t *testing.T) []exportedDecl {
+	t.Helper()
+	var out []exportedDecl
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		add := func(recv string, id *ast.Ident, fn bool) {
+			if id.IsExported() {
+				out = append(out, exportedDecl{filepath.ToSlash(filepath.Dir(path)), recv, id.Name, fn})
+			}
+		}
+		for _, decl := range file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				recv := ""
+				if decl.Recv != nil && len(decl.Recv.List) == 1 {
+					typ := decl.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					// A generic receiver stays "": none of the guarded types is one.
+					if id, ok := typ.(*ast.Ident); ok {
+						recv = id.Name
+					}
+				}
+				add(recv, decl.Name, true)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add("", spec.Name, false)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add("", id, false)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestProverStackSurface keeps the prover stack at one exported name per
+// operation. Tracing and residency are arguments (a trailing obs.Scope;
+// which key, constraints and witness types are passed), so a new
+// capability that arrives as a sibling function — FooTraced,
+// ProveSomehow, a ninth MultiExp — fails here and has to become a
+// parameter of the existing path instead.
+func TestProverStackSurface(t *testing.T) {
+	var multiExp, fft, prove []string
+	for _, d := range internalExports(t) {
+		if strings.HasSuffix(d.name, "Traced") {
+			t.Errorf("%s exports %s: pass an obs.Scope to the untraced name instead of adding a twin", d.pkg, d.name)
+		}
+		switch {
+		case d.pkg == "internal/bn254/curve" && strings.Contains(d.name, "Accelerator"):
+			t.Errorf("%s declares %s: the MSM backend hook was removed; a backend plugs in at multiExpEntry", d.pkg, d.name)
+		case d.pkg == "internal/bn254/curve" && d.fn && d.recv == "" && strings.HasPrefix(d.name, "MultiExp"):
+			multiExp = append(multiExp, d.name)
+		case d.pkg == "internal/poly" && d.recv == "Domain" && strings.Contains(d.name, "FFT"):
+			fft = append(fft, d.name)
+		case d.pkg == "internal/groth16" && d.fn && d.recv == "" && strings.HasPrefix(d.name, "Prove"):
+			prove = append(prove, d.name)
+		}
+	}
+	for _, c := range []struct {
+		what  string
+		names []string
+		max   int
+	}{
+		{"curve.MultiExp* functions", multiExp, 8},
+		{"FFT methods on poly.Domain", fft, 8},
+		{"groth16.Prove* functions", prove, 2},
+	} {
+		if len(c.names) == 0 {
+			t.Errorf("found no %s: the guard is looking in the wrong place", c.what)
+		}
+		if len(c.names) > c.max {
+			t.Errorf("%d exported %s, at most %d allowed: %v", len(c.names), c.what, c.max, c.names)
+		}
+	}
+}
