@@ -202,7 +202,7 @@ type EngineStats struct {
 	AggregateMS float64 `json:"aggregate_ms"`
 }
 
-// ServiceStats mirrors the queue/batcher half of /v1/stats.
+// ServiceStats mirrors the prove-queue / verify-pool half of /v1/stats.
 type ServiceStats struct {
 	Models int `json:"models"`
 	// CircuitsCompiled counts server-side Algorithm-1 compilations —
@@ -369,8 +369,12 @@ func (c *Client) Job(ctx context.Context, jobID string) (*JobStatus, error) {
 
 // WaitForProof polls a job until it reaches a terminal state (or ctx
 // expires). A failed job returns an error carrying the server's reason.
+// The poll interval is a tenth of the time waited so far, kept between
+// 1 ms and 250 ms: completion is seen within about 10 % of the job's own
+// duration, at a cost of O(log duration) polls up to 2.5 s and four a
+// second after that.
 func (c *Client) WaitForProof(ctx context.Context, jobID string) (*JobStatus, error) {
-	const poll = 50 * time.Millisecond
+	start := time.Now()
 	for {
 		js, err := c.Job(ctx, jobID)
 		if err != nil {
@@ -385,7 +389,7 @@ func (c *Client) WaitForProof(ctx context.Context, jobID string) (*JobStatus, er
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(poll):
+		case <-time.After(min(max(time.Since(start)/10, time.Millisecond), 250*time.Millisecond)):
 		}
 	}
 }
@@ -412,9 +416,10 @@ func (c *Client) FetchProofBinary(ctx context.Context, jobID string) (*zkrownn.P
 	return proof, nil
 }
 
-// Verify checks an ownership proof over the wire. Concurrent calls for
-// one model coalesce server-side into a single batched pairing product;
-// VerifyResult.BatchSize reports the fold.
+// Verify checks an ownership proof over the wire. On a loaded server,
+// calls for one model that queue behind busy verifiers are checked in a
+// single batched pairing product; VerifyResult.BatchSize reports the
+// fold (1 on an idle server).
 func (c *Client) Verify(ctx context.Context, modelID string, proof *zkrownn.Proof, public zkrownn.Instance) (*VerifyResult, error) {
 	req := struct {
 		Proof        *zkrownn.Proof   `json:"proof"`

@@ -6,7 +6,7 @@
 // Endpoints (see README "Running the proof service" for the full API):
 //
 //	GET  /healthz                  liveness
-//	GET  /v1/stats                 engine + queue + batcher counters
+//	GET  /v1/stats                 engine + queue + batch counters
 //	POST /v1/models                register an ownership circuit
 //	GET  /v1/models                list the registry
 //	GET  /v1/models/{id}           one entry + verifying key
@@ -14,7 +14,7 @@
 //	GET  /v1/jobs/{id}             poll a job
 //	GET  /v1/jobs/{id}/proof       fetch the finished proof (binary)
 //	GET  /v1/jobs/{id}/trace       Chrome trace-event timeline (trace=true jobs)
-//	POST /v1/models/{id}/verify    verify a proof (micro-batched)
+//	POST /v1/models/{id}/verify    verify a proof (batched with queued neighbors under load)
 //	GET  /metrics                  Prometheus text exposition
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/.
@@ -50,24 +50,19 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "per-circuit prover memory budget in bytes: circuits whose raw proving key exceeds it stream from disk, and when the constraint system + witness exceed it too the prover runs fully out-of-core (0 disables)")
 	workers := flag.Int("workers", 0, "prover worker pool size (0: GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "async prove queue depth (overflow answers 429)")
-	proveBatch := flag.Int("prove-batch", 8, "max queued jobs folded into one ProveMany batch")
-	verifyWindow := flag.Duration("verify-window", 2*time.Millisecond, "micro-batch window for concurrent verifications")
-	verifyBatch := flag.Int("verify-batch", 32, "max verifications folded into one BatchVerify")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-	quiet := flag.Bool("quiet", false, "suppress per-event logging")
+	quiet := flag.Bool("quiet", false, "discard logs")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON (default: logfmt-style text)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (do not enable on untrusted networks)")
 	flag.Parse()
 
-	logf := log.Printf
-	var logger *slog.Logger
+	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
 	if *quiet {
-		logf = func(string, ...any) {}
+		handler = slog.DiscardHandler
 	} else if *logJSON {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	} else {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
+	logger := slog.New(handler)
 
 	srv, err := service.New(service.Options{
 		EngineOptions: engine.Options{
@@ -76,14 +71,10 @@ func main() {
 			MemoryBudget: *memBudget,
 			Workers:      *workers,
 		},
-		RegistryDir:  *registryDir,
-		QueueDepth:   *queueDepth,
-		ProveBatch:   *proveBatch,
-		VerifyWindow: *verifyWindow,
-		VerifyBatch:  *verifyBatch,
-		Logf:         logf,
-		Logger:       logger,
-		EnablePprof:  *pprofOn,
+		RegistryDir: *registryDir,
+		QueueDepth:  *queueDepth,
+		Logger:      logger,
+		EnablePprof: *pprofOn,
 	})
 	if err != nil {
 		log.Fatalf("zkrownn-server: %v", err)
@@ -108,11 +99,11 @@ func main() {
 	go func() {
 		defer close(shutdownDone)
 		<-ctx.Done()
-		logf("zkrownn-server: shutdown signal, draining (budget %s)", *drainTimeout)
+		logger.Info("shutdown signal, draining", "budget", drainTimeout.String())
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logf("zkrownn-server: http shutdown: %v", err)
+			logger.Warn("http shutdown", "err", err.Error())
 		}
 	}()
 
@@ -127,5 +118,5 @@ func main() {
 	if err := srv.Close(); err != nil {
 		log.Fatalf("zkrownn-server: close: %v", err)
 	}
-	logf("zkrownn-server: drained, bye")
+	logger.Info("drained, bye")
 }

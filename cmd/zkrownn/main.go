@@ -690,7 +690,7 @@ func cmdVerify(args []string) error {
 
 // remoteVerify submits local proof artifacts to a running proof
 // service, which checks them against its registered verifying key
-// (micro-batching concurrent requests server-side).
+// (batching requests that queue behind busy verifiers server-side).
 func remoteVerify(serverURL, dir, modelID string) error {
 	if modelID == "" {
 		var meta proveMeta
@@ -830,7 +830,7 @@ func remoteAggregate(serverURL string, dirs []string, modelID string) error {
 	if !res.Claim {
 		fmt.Printf("aggregate of %d proofs valid but at least one ownership claim is 0\n", res.Count)
 	}
-	fmt.Printf("aggregated %d proofs in %.1fms over the wire (window %d); artifact locally audited, written to %s (%d B vs %d B unaggregated)\n",
+	fmt.Printf("aggregated %d proofs in %.1fms over the wire (fold of %d); artifact locally audited, written to %s (%d B vs %d B unaggregated)\n",
 		res.Count, float64(elapsed.Microseconds())/1e3, res.BatchSize, out,
 		res.Aggregate.SizeBytes(), len(proofs)*proofs[0].PayloadSize())
 	return nil

@@ -10,9 +10,11 @@
 //     Algorithm 1 and runs trusted setup once.
 //  2. The owner submits async proof jobs; they fan into the engine's
 //     worker pool and every one hits the registration's key cache.
-//  3. A third-party verifier checks the proof over the wire,
-//     concurrently — the service folds the simultaneous requests into
-//     one batched pairing product (watch batch_size / the stats).
+//  3. Third-party verifiers check the proof over the wire, many more at
+//     once than the service has cores — the ones that find every
+//     verifier busy queue, and each verifier that frees up checks all
+//     of them in one batched pairing product (watch batch_size / the
+//     stats). A lone verify would be checked at once, on its own.
 package main
 
 import (
@@ -23,6 +25,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -36,11 +40,7 @@ func main() {
 
 	baseURL := *connect
 	if baseURL == "" {
-		srv, err := zkrownn.NewProofService(zkrownn.ProofServiceOptions{
-			// A generous window so the demo's concurrent verifies
-			// visibly coalesce.
-			VerifyWindow: 100 * time.Millisecond,
-		})
+		srv, err := zkrownn.NewProofService(zkrownn.ProofServiceOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -114,23 +114,29 @@ func main() {
 		lastJob = job
 	}
 
-	// --- The verifier's side: concurrent checks, one pairing product ---
+	// --- The verifiers' side: more requests than cores, so they batch ---
 
-	fmt.Printf("verifying over the wire ×4 concurrently...\n")
+	verifiers := 8 * runtime.NumCPU()
+	fmt.Printf("verifying over the wire ×%d concurrently (%d cores)...\n", verifiers, runtime.NumCPU())
+	batchSizes := make([]int, verifiers)
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for i := range batchSizes {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			v, err := c.Verify(ctx, reg.ModelID, lastJob.Proof, lastJob.PublicInputs)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  verifier %d: valid=%v claim=%v (folded into a batch of %d)\n",
-				i, v.Valid, v.Claim, v.BatchSize)
-		}(i)
+			if !v.Valid || !v.Claim {
+				log.Fatalf("verifier %d: valid=%v claim=%v", i, v.Valid, v.Claim)
+			}
+			batchSizes[i] = v.BatchSize
+		}()
 	}
 	wg.Wait()
+	sort.Ints(batchSizes)
+	fmt.Printf("  all valid; checked in batches of %v\n", batchSizes)
 
 	stats, err := c.Stats(ctx)
 	if err != nil {

@@ -244,6 +244,11 @@ func New(opts Options) *Engine {
 	}
 }
 
+// Workers reports how many requests ProveMany proves at once
+// (Options.Workers, defaulted): the size a caller running its own prove
+// loop should match.
+func (e *Engine) Workers() int { return e.opts.Workers }
+
 // acquire registers one unit of in-flight work against Close. It fails
 // with ErrClosed once Close has run (or is waiting: a pending writer
 // blocks new readers, so requests arriving during a drain are rejected

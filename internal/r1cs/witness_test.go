@@ -12,8 +12,17 @@ import (
 // are exercised, then checks every element against a resident
 // reference.
 func TestWitnessFilePageCache(t *testing.T) {
-	const n = witnessPageElems*3*witnessMinPages + 17 // 3× the page budget, odd tail
-	wf, err := NewWitnessFile(t.TempDir(), n, 1)      // floor: witnessMinPages pages
+	n := witnessPageElems*3*witnessMinPages + 17 // 3× the page budget, odd tail
+	ops := 4 * n
+	if testing.Short() {
+		// The race step: a miss moves two 128 KiB pages through the
+		// instrumented codec, and the full size is a quarter-million
+		// misses. Two pages over the budget and n/2 accesses still evict
+		// thousands of times.
+		n = witnessPageElems*(witnessMinPages+2) + 17
+		ops = n / 2
+	}
+	wf, err := NewWitnessFile(t.TempDir(), n, 1) // floor: witnessMinPages pages
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +30,7 @@ func TestWitnessFilePageCache(t *testing.T) {
 
 	ref := make([]fr.Element, n)
 	rng := rand.New(rand.NewSource(11))
-	for k := 0; k < 4*n; k++ {
+	for k := 0; k < ops; k++ {
 		i := uint32(rng.Intn(n))
 		if rng.Intn(2) == 0 {
 			var v fr.Element

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/groth16"
@@ -19,7 +18,13 @@ import (
 func proveOne(t *testing.T, baseURL string) (RegisterResponse, JobStatus) {
 	t.Helper()
 	reg := register(t, baseURL, 4)
-	resp, data := postJSON(t, baseURL+"/v1/models/"+reg.ModelID+"/prove", ProveRequest{})
+	return reg, proveModel(t, baseURL, reg.ModelID)
+}
+
+// proveModel runs one prove job for a registered model to completion.
+func proveModel(t *testing.T, baseURL, modelID string) JobStatus {
+	t.Helper()
+	resp, data := postJSON(t, baseURL+"/v1/models/"+modelID+"/prove", ProveRequest{})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("prove submit: status %d: %s", resp.StatusCode, data)
 	}
@@ -31,11 +36,11 @@ func proveOne(t *testing.T, baseURL string) (RegisterResponse, JobStatus) {
 	if js.Status != JobDone {
 		t.Fatalf("prove job failed: %s", js.Error)
 	}
-	return reg, js
+	return js
 }
 
 func TestAggregateEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{VerifyWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{})
 	reg, js := proveOne(t, ts.URL)
 
 	const n = 3
@@ -59,7 +64,7 @@ func TestAggregateEndpoint(t *testing.T) {
 	if !ar.Valid || !ar.Claim || ar.Error != "" {
 		t.Fatalf("aggregate rejected honest set: %+v", ar)
 	}
-	if ar.Count != n || ar.BatchSize < n || len(ar.Claims) != n {
+	if ar.Count != n || ar.BatchSize != n || len(ar.Claims) != n {
 		t.Fatalf("aggregate accounting wrong: count=%d batch=%d claims=%d",
 			ar.Count, ar.BatchSize, len(ar.Claims))
 	}
@@ -91,8 +96,8 @@ func TestAggregateEndpoint(t *testing.T) {
 		t.Fatalf("re-decoded artifact does not verify: %v", err)
 	}
 
-	// One tampered member poisons the window: no artifact, failure
-	// attributed to the bad index, honest members individually valid.
+	// One tampered member fails the set: no artifact, failure attributed
+	// to the bad index.
 	bad := *js.Proof
 	bad.Ar, bad.Krs = bad.Krs, bad.Ar
 	resp, data = postJSON(t, ts.URL+"/v1/aggregate", AggregateRequest{
@@ -132,7 +137,7 @@ func TestAggregateEndpoint(t *testing.T) {
 	}
 
 	// Stats corroborate: two accepted requests, one artifact, one
-	// per-proof fallback; the engine folded exactly one window.
+	// per-proof fallback; the engine folded exactly one set.
 	var stats StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Service.AggregateRequests != 2 ||
@@ -163,61 +168,5 @@ func TestAggregateEndpoint(t *testing.T) {
 		if !bytes.Contains(body, []byte(series)) {
 			t.Errorf("/metrics missing %s", series)
 		}
-	}
-}
-
-// TestBatcherShutdownRegression pins the fix for the window leader
-// sleeping out its full batching window during shutdown: with a long
-// VerifyWindow, a verify request in flight when the server closes must
-// return promptly (the leader selects on the shutdown channel), not
-// after the window expires.
-func TestBatcherShutdownRegression(t *testing.T) {
-	srv, ts := newTestServer(t, Options{VerifyWindow: 30 * time.Second})
-	reg, js := proveOne(t, ts.URL)
-
-	body, err := json.Marshal(VerifyRequest{Proof: js.Proof, PublicInputs: js.PublicInputs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		status int
-		err    error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/models/"+reg.ModelID+"/verify",
-			"application/json", bytes.NewReader(body))
-		if err != nil {
-			done <- result{err: err}
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		done <- result{status: resp.StatusCode}
-	}()
-
-	// Let the request become the window leader before closing.
-	time.Sleep(300 * time.Millisecond)
-	start := time.Now()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case res := <-done:
-		if res.err != nil {
-			t.Fatalf("verify request errored: %v", res.err)
-		}
-		// The leader races engine shutdown inside Close: the flush either
-		// completes the check (200) or observes the closed engine (503).
-		// Either way it must not have slept out the 30s window.
-		if res.status != http.StatusOK && res.status != http.StatusServiceUnavailable {
-			t.Fatalf("verify status %d during shutdown", res.status)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("verify request still blocked 10s after Close — leader slept through shutdown")
-	}
-	if waited := time.Since(start); waited > 10*time.Second {
-		t.Fatalf("shutdown flush took %v", waited)
 	}
 }

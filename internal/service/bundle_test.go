@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"zkrownn/internal/groth16"
 )
@@ -37,7 +36,7 @@ func registerBundle(t *testing.T, baseURL string, maxErrors, slots int) Register
 // with the circuit compiled exactly once for the whole bundle.
 func TestBundleProveEndToEnd(t *testing.T) {
 	const slots = 4
-	_, ts := newTestServer(t, Options{VerifyWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{})
 
 	reg := registerBundle(t, ts.URL, 4, slots)
 	if reg.BundleSlots != slots {
@@ -205,7 +204,7 @@ func TestBundleRequestValidation(t *testing.T) {
 // instance must break Groth16 verification — per-slot verdicts are
 // constrained, not asserted.
 func TestBundleClaimForgeryRejected(t *testing.T) {
-	_, ts := newTestServer(t, Options{VerifyWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{})
 	reg := registerBundle(t, ts.URL, 4, 2)
 	suspect, _ := testFixtureSeed(t, 2)
 	resp, data := postJSON(t, ts.URL+"/v1/models/"+reg.ModelID+"/prove", ProveRequest{
@@ -247,7 +246,7 @@ func TestBundleClaimForgeryRejected(t *testing.T) {
 // against circuit B's verifying key (same architecture, different BER
 // tolerance → different circuit) must come back valid=false.
 func TestVerifyUnderWrongModelRejected(t *testing.T) {
-	_, ts := newTestServer(t, Options{VerifyWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{})
 	regA := register(t, ts.URL, 4)
 	regB := register(t, ts.URL, 3) // different maxErrors → different circuit + VK
 	if regA.ModelID == regB.ModelID {

@@ -9,16 +9,16 @@ import (
 	"time"
 
 	"zkrownn/internal/core"
-	"zkrownn/internal/engine"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/nn"
 	"zkrownn/internal/obs"
 )
 
-// Queue sentinels, surfaced by the HTTP layer as 429 and 503.
+// Pool sentinels, surfaced by the HTTP layer as 429, 503 and 500.
 var (
 	errQueueFull = errors.New("service: prove queue full")
 	errShutdown  = errors.New("service: shutting down")
+	errInternal  = errors.New("service: internal error")
 )
 
 // job is one async ownership-proof request — a single claim or a whole
@@ -69,35 +69,26 @@ func (j *job) snapshot() JobStatus {
 	}
 }
 
-func (j *job) fail(err error) {
-	j.mu.Lock()
-	j.status = JobFailed
-	j.errMsg = err.Error()
-	j.mu.Unlock()
-}
-
 // jobQueue is the bounded async prove queue. Submissions land in a
 // buffered channel (backpressure: a full channel rejects with
-// errQueueFull → HTTP 429); a single dispatcher goroutine drains it in
-// batches of up to batch jobs and fans each batch into
-// Engine.ProveMany, so queued neighbors share the engine's worker pool
-// and per-digest setup singleflight.
+// errQueueFull → HTTP 429) and as many workers as the engine proves at
+// once each pull one job at a time from it, so a job starts the moment
+// a worker is free, never behind a batch it was not part of. Jobs for
+// one circuit share the engine's per-digest setup singleflight.
 type jobQueue struct {
 	srv       *Server
-	batch     int
 	retention int
 
-	ch   chan *job
-	quit chan struct{}
-	done chan struct{}
+	ch chan *job
+	wg sync.WaitGroup
 
 	// closeMu serializes submissions against close: submit holds a read
 	// lock across its closing-check *and* channel send, so once close
-	// has taken the write lock and set closing, no job can slip into the
-	// channel behind the dispatcher's final drain (which would strand it
-	// in "queued" forever).
+	// has taken the write lock, set closing and closed the channel, no
+	// job can be sent on it (a panic) or slip in behind the workers'
+	// final drain (which would strand it in "queued" forever).
 	closeMu sync.RWMutex
-	closing bool
+	closing atomic.Bool
 
 	mu       sync.RWMutex
 	byID     map[string]*job
@@ -105,24 +96,29 @@ type jobQueue struct {
 	seq      atomic.Uint64
 }
 
-func newJobQueue(srv *Server, depth, batch, retention int) *jobQueue {
+func newJobQueue(srv *Server, depth, workers, retention int) *jobQueue {
 	q := &jobQueue{
 		srv:       srv,
-		batch:     batch,
 		retention: retention,
 		ch:        make(chan *job, depth),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
 		byID:      make(map[string]*job),
 	}
-	go q.dispatch()
+	for i := 0; i < workers; i++ {
+		q.wg.Add(1)
+		go func() {
+			defer q.wg.Done()
+			for j := range q.ch {
+				q.run(j)
+			}
+		}()
+	}
 	return q
 }
 
 func (q *jobQueue) submit(rec *modelRecord, suspects []*nn.Network, reqID string, traced bool) (*job, error) {
 	q.closeMu.RLock()
 	defer q.closeMu.RUnlock()
-	if q.closing {
+	if q.closing.Load() {
 		return nil, errShutdown
 	}
 	j := &job{
@@ -162,8 +158,8 @@ func (q *jobQueue) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// depth reports the number of jobs waiting in the channel (not the one
-// batch currently proving).
+// depth reports the number of jobs waiting in the channel (not the ones
+// being proved).
 func (q *jobQueue) depth() int { return len(q.ch) }
 
 // retire records a job's terminal state and evicts the oldest finished
@@ -182,137 +178,94 @@ func (q *jobQueue) retire(id string) {
 	q.mu.Unlock()
 }
 
-// close stops the dispatcher: the in-flight batch finishes, jobs still
-// queued are failed with the shutdown sentinel, new submissions are
-// rejected. Idempotent via sync.Once in Server.Close.
+// close stops the workers: jobs being proved finish, jobs still queued
+// are failed with the shutdown sentinel (so pollers see a terminal state
+// instead of "queued" forever), new submissions are rejected.
+// Idempotent via sync.Once in Server.Close.
 func (q *jobQueue) close() {
 	q.closeMu.Lock()
-	q.closing = true
+	q.closing.Store(true)
+	close(q.ch)
 	q.closeMu.Unlock()
-	close(q.quit)
-	<-q.done
+	q.wg.Wait()
 }
 
-func (q *jobQueue) dispatch() {
-	defer close(q.done)
-	for {
-		var first *job
-		select {
-		case first = <-q.ch:
-		case <-q.quit:
-			// Fail whatever is still queued so pollers see a terminal
-			// state instead of "queued" forever.
-			for {
-				select {
-				case j := <-q.ch:
-					j.fail(errShutdown)
-					q.srv.jobsFailed.Add(1)
-					mJobsFailed.Inc()
-					q.retire(j.id)
-				default:
-					return
-				}
-			}
-		}
-		batch := []*job{first}
-		for len(batch) < q.batch {
-			select {
-			case j := <-q.ch:
-				batch = append(batch, j)
-			default:
-				goto run
-			}
-		}
-	run:
-		q.run(batch)
+// failed is the one way a job ends without a proof: terminal status,
+// counters, a log record, and its place in the retention list.
+func (q *jobQueue) failed(j *job, err error) {
+	j.mu.Lock()
+	j.status = JobFailed
+	j.errMsg = err.Error()
+	j.mu.Unlock()
+	q.srv.jobsFailed.Add(1)
+	mJobsFailed.Inc()
+	q.srv.log.Warn("job failed", "job_id", j.id, "req_id", j.reqID, "err", err.Error())
+	q.retire(j.id)
+}
+
+// run binds one job's input assignment onto the circuit compiled at
+// registration and proves it — the solve-many half of the compile-once
+// split: no job recompiles, suspect-model jobs only rewrite the weight
+// slots of the assignment.
+func (q *jobQueue) run(j *job) {
+	defer q.srv.recoverWorker("prove", func(err error) { q.failed(j, err) })
+	if q.closing.Load() {
+		q.failed(j, errShutdown)
+		return
 	}
-}
-
-// run binds each job's input assignment onto the circuit compiled at
-// registration and proves the batch on the engine's worker pool — the
-// solve-many half of the compile-once split: no job recompiles,
-// suspect-model jobs only rewrite the weight slots of the assignment.
-// Binding failures fail the individual job; the rest of the batch
-// proceeds.
-func (q *jobQueue) run(batch []*job) {
 	if q.srv.testJobStall != nil {
 		q.srv.testJobStall()
 	}
-	reqs := make([]engine.Request, 0, len(batch))
-	live := make([]*job, 0, len(batch))
-	for _, j := range batch {
-		j.mu.Lock()
-		j.status = JobRunning
-		j.queuedFor = time.Since(j.submitted)
-		queued := j.queuedFor
-		j.mu.Unlock()
-		mQueueWaitSeconds.Observe(queued.Seconds())
+	j.mu.Lock()
+	j.status = JobRunning
+	j.queuedFor = time.Since(j.submitted)
+	queued := j.queuedFor
+	j.mu.Unlock()
+	mQueueWaitSeconds.Observe(queued.Seconds())
 
-		asg, err := j.rec.assignmentFor(j.suspects)
-		j.suspects = nil // the assignment owns the job's working set now
-		if err != nil {
-			j.fail(err)
-			q.srv.jobsFailed.Add(1)
-			mJobsFailed.Inc()
-			q.srv.log.Warn("job bind failed", "job_id", j.id, "req_id", j.reqID, "err", err.Error())
-			q.retire(j.id)
-			continue
-		}
-		req := j.rec.art.RequestFor(asg, nil)
-		req.Name = j.id
-		if j.trace != nil {
-			req.Ctx = obs.ContextWithTrace(context.Background(), j.trace)
-		}
-		reqs = append(reqs, req)
-		live = append(live, j)
-	}
-	if len(live) == 0 {
+	asg, err := j.rec.assignmentFor(j.suspects)
+	j.suspects = nil // the assignment owns the job's working set now
+	if err != nil {
+		q.failed(j, err)
 		return
 	}
-	results := q.srv.eng.ProveMany(reqs)
-	for i, res := range results {
-		j := live[i]
-		if res.Err != nil {
-			j.fail(res.Err)
-			q.srv.jobsFailed.Add(1)
-			mJobsFailed.Inc()
-			q.srv.log.Warn("job failed", "job_id", j.id, "req_id", j.reqID, "err", res.Err.Error())
-			q.retire(j.id)
-			continue
-		}
-		public := res.PublicInputs
-		// Per-slot verdicts come from the trailing claim bits of the
-		// instance; a decode failure is impossible for circuits the
-		// service itself compiled, but guard anyway.
-		claims, cerr := core.ClaimBits(public, j.rec.slotCount())
-		if cerr != nil {
-			j.fail(cerr)
-			q.srv.jobsFailed.Add(1)
-			mJobsFailed.Inc()
-			q.retire(j.id)
-			continue
-		}
-		j.mu.Lock()
-		j.status = JobDone
-		j.setupCached = res.CacheHit
-		j.solveTime = res.SolveTime
-		j.proveTime = res.ProveTime
-		j.proof = res.Proof
-		j.claims = claims
-		// The instance — including computed outputs such as the claim
-		// bits — comes from the solved witness, so the proof response is
-		// self-contained.
-		j.public = public
-		queued := j.queuedFor
-		j.mu.Unlock()
-		q.srv.jobsCompleted.Add(1)
-		mJobsCompleted.Inc()
-		q.srv.log.Info("job done",
-			"job_id", j.id, "req_id", j.reqID, "model_id", j.rec.ID,
-			"queued_ms", float64(queued.Microseconds())/1e3,
-			"solve_ms", float64(res.SolveTime.Microseconds())/1e3,
-			"prove_ms", float64(res.ProveTime.Microseconds())/1e3,
-			"setup_cached", res.CacheHit, "traced", j.trace != nil)
-		q.retire(j.id)
+	req := j.rec.art.RequestFor(asg, nil)
+	req.Name = j.id
+	if j.trace != nil {
+		req.Ctx = obs.ContextWithTrace(context.Background(), j.trace)
 	}
+	res, err := q.srv.eng.Prove(req)
+	if err != nil {
+		q.failed(j, err)
+		return
+	}
+	// Per-slot verdicts come from the trailing claim bits of the
+	// instance; a decode failure is impossible for circuits the service
+	// itself compiled, but guard anyway.
+	claims, err := core.ClaimBits(res.PublicInputs, j.rec.slotCount())
+	if err != nil {
+		q.failed(j, err)
+		return
+	}
+	j.mu.Lock()
+	j.status = JobDone
+	j.setupCached = res.CacheHit
+	j.solveTime = res.SolveTime
+	j.proveTime = res.ProveTime
+	j.proof = res.Proof
+	j.claims = claims
+	// The instance — including computed outputs such as the claim bits —
+	// comes from the solved witness, so the proof response is
+	// self-contained.
+	j.public = res.PublicInputs
+	j.mu.Unlock()
+	q.srv.jobsCompleted.Add(1)
+	mJobsCompleted.Inc()
+	q.srv.log.Info("job done",
+		"job_id", j.id, "req_id", j.reqID, "model_id", j.rec.ID,
+		"queued_ms", float64(queued.Microseconds())/1e3,
+		"solve_ms", float64(res.SolveTime.Microseconds())/1e3,
+		"prove_ms", float64(res.ProveTime.Microseconds())/1e3,
+		"setup_cached", res.CacheHit, "traced", j.trace != nil)
+	q.retire(j.id)
 }

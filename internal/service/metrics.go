@@ -26,12 +26,20 @@ var (
 		"Requests folded into one verify pairing product.",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
 
+	// mPanics counts panics recovered on a pool worker, by pool.
+	mPanics = map[string]*obs.Counter{"prove": panicCounter("prove"), "verify": panicCounter("verify")}
+
 	mAggregateRequests = obs.Default().Counter("zkrownn_aggregate_requests_total",
 		"Aggregation requests accepted (/v1/aggregate).")
 	mAggregateRequestProofs = obs.Default().Histogram("zkrownn_aggregate_request_proofs",
 		"Proofs carried by one aggregation request.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 )
+
+func panicCounter(pool string) *obs.Counter {
+	return obs.Default().Counter(`zkrownn_panics_total{pool="`+pool+`"}`,
+		"Panics recovered on a pool worker (the job or batch it held failed, the worker kept running).")
+}
 
 // histogramWire converts a registry snapshot into the /v1/stats shape.
 func histogramWire(s obs.HistogramSnapshot) *HistogramWire {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,18 +167,15 @@ type recordMeta struct {
 // metadata (<id>.json) write through to disk and are restored on
 // startup.
 type registry struct {
-	dir  string
-	logf func(format string, args ...any)
+	dir string
+	log *slog.Logger
 
 	mu      sync.RWMutex
 	records map[string]*modelRecord
 }
 
-func newRegistry(dir string, logf func(string, ...any)) (*registry, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	r := &registry{dir: dir, logf: logf, records: make(map[string]*modelRecord)}
+func newRegistry(dir string, log *slog.Logger) (*registry, error) {
+	r := &registry{dir: dir, log: log, records: make(map[string]*modelRecord)}
 	if dir == "" {
 		return r, nil
 	}
@@ -207,7 +205,7 @@ func (r *registry) restore() error {
 		id := strings.TrimSuffix(name, ".json")
 		rec, err := r.loadRecord(id)
 		if err != nil {
-			r.logf("service: registry: skipping corrupt record %s: %v", id, err)
+			r.log.Warn("registry: skipping corrupt record", "model_id", id, "err", err.Error())
 			continue
 		}
 		r.records[rec.ID] = rec

@@ -15,13 +15,17 @@
 //     bounded queue (a full queue answers 429) and returns a job ID;
 //     GET /v1/jobs/{id} polls status; the finished job carries the proof
 //     and public inputs, also available raw at GET /v1/jobs/{id}/proof.
-//     A dispatcher drains the queue in batches through Engine.ProveMany.
+//     As many workers as the engine proves at once each pull one job at
+//     a time.
 //
-//   - Batched verification: POST /v1/models/{id}/verify micro-batches
-//     concurrent requests into single groth16.BatchVerify windows.
+//   - Verification: POST /v1/models/{id}/verify and POST /v1/aggregate
+//     queue for a pool of GOMAXPROCS verifiers. An idle verifier checks
+//     a proof at once; requests that had to queue because every verifier
+//     was busy are folded, per model, into one groth16.BatchVerify.
 //
-// GET /healthz and GET /v1/stats (engine + queue + batcher counters)
-// round out the operational surface.
+// Both pools schedule by load alone — there is no timer and no batch
+// size to tune. GET /healthz and GET /v1/stats (engine + queue + batch
+// counters) round out the operational surface.
 package service
 
 import (
@@ -33,6 +37,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +52,8 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: an in-memory
-// registry, a fresh engine with default options, a 64-deep prove queue
-// and a 2 ms verify window.
+// registry, a fresh engine with default options and a 64-deep prove
+// queue.
 type Options struct {
 	// Engine, when non-nil, is used (and NOT closed by Server.Close —
 	// the caller owns its lifecycle). Otherwise the server builds its
@@ -64,29 +69,19 @@ type Options struct {
 	// QueueDepth bounds the async prove queue (default 64). Submissions
 	// beyond it are rejected with 429.
 	QueueDepth int
-	// ProveBatch caps how many queued jobs one dispatcher pass fans
-	// into Engine.ProveMany (default 8).
-	ProveBatch int
 	// JobRetention caps how many finished (done or failed) jobs remain
 	// pollable; the oldest are evicted beyond it so a long-running
 	// server's job table — proofs included — stays bounded (default
 	// 1024; negative disables eviction).
 	JobRetention int
-	// VerifyWindow is how long the first verification request for a key
-	// waits for concurrent neighbors before flushing the batch
-	// (default 2ms).
-	VerifyWindow time.Duration
-	// VerifyBatch caps requests folded into one BatchVerify (default 32).
-	VerifyBatch int
 	// MaxBodyBytes bounds request bodies (default 64 MiB — model JSON
 	// can be large).
 	MaxBodyBytes int64
-	// Logf, when set, receives one line per significant event.
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured request and job logs
-	// (one record per HTTP request with request ID, route, status, and
-	// latency; one per job state change with job and request IDs).
-	// Unset, structured logs are discarded; Logf still works.
+	// Logger, when set, receives the service's structured logs (one
+	// record per HTTP request with request ID, route, status, and
+	// latency; one per job state change with job and request IDs; one
+	// per registration, persistence failure and recovered panic). Unset,
+	// logs are discarded.
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — off by
 	// default because the profiling surface (heap dumps, symbol tables)
@@ -101,17 +96,12 @@ type Server struct {
 	ownsEngine bool
 	reg        *registry
 	queue      *jobQueue
-	batcher    *verifyBatcher
+	verify     *verifyPool
 	mux        *http.ServeMux
 	log        *slog.Logger
 
 	closed    atomic.Bool
 	closeOnce sync.Once
-	// shutdown is closed by Close; window leaders in the verify batcher
-	// select on it so a pending batch flushes immediately instead of
-	// sleeping out its window against a server that is already refusing
-	// work.
-	shutdown chan struct{}
 
 	circuitsCompiled                        atomic.Uint64
 	jobsSubmitted, jobsRejected             atomic.Uint64
@@ -122,54 +112,46 @@ type Server struct {
 	aggregateRequests, aggregateArtifacts   atomic.Uint64
 	aggregateFallbacks                      atomic.Uint64
 
-	// testJobStall, when set by tests, runs at the head of every
-	// dispatcher batch — a hook to hold the queue busy deterministically.
-	testJobStall func()
+	// testJobStall and testVerifyStall, when set by tests, run at the
+	// head of every prove job and every verify batch — hooks to hold a
+	// pool busy (or panic inside it) deterministically.
+	testJobStall, testVerifyStall func()
 }
 
-// New builds a Server and starts its job dispatcher.
+// New builds a Server and starts its prove and verify workers.
 func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.ProveBatch <= 0 {
-		opts.ProveBatch = 8
-	}
 	if opts.JobRetention == 0 {
 		opts.JobRetention = 1024
-	}
-	if opts.VerifyWindow <= 0 {
-		opts.VerifyWindow = 2 * time.Millisecond
-	}
-	if opts.VerifyBatch <= 0 {
-		opts.VerifyBatch = 32
 	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 64 << 20
 	}
-	reg, err := newRegistry(opts.RegistryDir, opts.Logf)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{opts: opts, reg: reg, shutdown: make(chan struct{})}
-	s.log = opts.Logger
+	s := &Server{opts: opts, log: opts.Logger}
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
+	reg, err := newRegistry(opts.RegistryDir, s.log)
+	if err != nil {
+		return nil, err
+	}
+	s.reg = reg
 	if opts.Engine != nil {
 		s.eng = opts.Engine
 	} else {
 		s.eng = engine.New(opts.EngineOptions)
 		s.ownsEngine = true
 	}
-	s.queue = newJobQueue(s, opts.QueueDepth, opts.ProveBatch, opts.JobRetention)
-	s.batcher = newVerifyBatcher(s, opts.VerifyWindow, opts.VerifyBatch)
+	s.queue = newJobQueue(s, opts.QueueDepth, s.eng.Workers(), opts.JobRetention)
+	s.verify = newVerifyPool(s)
 
 	// The queue-depth gauge is read at scrape time; re-registration
 	// replaces the closure, so the latest server in a process wins (the
 	// registry is process-wide, servers in tests come and go).
 	obs.Default().GaugeFunc("zkrownn_queue_depth",
-		"Prove jobs waiting on the queue (excludes the batch being proved).",
+		"Prove jobs waiting on the queue (excludes the ones being proved).",
 		func() float64 { return float64(s.queue.depth()) })
 
 	mux := http.NewServeMux()
@@ -194,7 +176,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.mux = mux
 	if n := reg.len(); n > 0 {
-		s.logf("service: restored %d model(s) from %s", n, opts.RegistryDir)
+		s.log.Info("registry restored", "models", n, "dir", opts.RegistryDir)
 	}
 	return s, nil
 }
@@ -204,15 +186,16 @@ func New(opts Options) (*Server, error) {
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Close shuts the service down gracefully: new requests are answered
-// 503, the job dispatcher finishes its in-flight batch and fails
-// whatever is still queued, and — when the server owns its engine — the
-// engine drains in-flight provers and flushes its disk cache writes
-// before rejecting further work with engine.ErrClosed. Idempotent.
+// 503, both pools finish the work they hold and fail whatever is still
+// queued (verifies with 503, jobs as failed), and — when the server owns
+// its engine — the engine drains in-flight provers and flushes its disk
+// cache writes before rejecting further work with engine.ErrClosed.
+// Idempotent.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
-		close(s.shutdown)
+		s.verify.close()
 		s.queue.close()
 		if s.ownsEngine {
 			err = s.eng.Close()
@@ -221,10 +204,18 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
+// recoverWorker is deferred around one iteration of a pool worker. A
+// panic there is logged once with its stack, counted, and handed to fail
+// as errInternal so whoever waits on that work gets an answer; the
+// worker itself keeps running.
+func (s *Server) recoverWorker(pool string, fail func(error)) {
+	r := recover()
+	if r == nil {
+		return
 	}
+	mPanics[pool].Inc()
+	s.log.Error("worker panic", "pool", pool, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+	fail(errInternal)
 }
 
 // reqIDKey carries the per-request ID through handler contexts.
@@ -431,10 +422,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The record is registered in memory; persistence is best-effort
 		// but surfaced, matching the engine's PersistErr contract.
-		s.logf("service: %v", err)
+		s.log.Warn("registry persist failed", "model_id", rec.ID, "err", err.Error())
 	}
-	s.logf("service: registered model %s (%d constraints, cached=%v, already=%v)",
-		rec.ID[:12], rec.Constraints, cached, existed)
+	s.log.Info("model registered", "req_id", requestID(r.Context()), "model_id", rec.ID,
+		"constraints", rec.Constraints, "setup_cached", cached, "already_registered", existed)
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		ModelID:           rec.ID,
 		Name:              rec.Name,
@@ -575,7 +566,7 @@ func (s *Server) handleJobProof(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if _, err := snap.Proof.WriteTo(w); err != nil {
-		s.logf("service: proof stream: %v", err)
+		s.log.Warn("proof stream failed", "job_id", j.id, "err", err.Error())
 	}
 }
 
@@ -599,7 +590,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := j.trace.WriteChrome(w); err != nil {
-		s.logf("service: trace stream: %v", err)
+		s.log.Warn("trace stream failed", "job_id", j.id, "err", err.Error())
 	}
 }
 
@@ -628,14 +619,17 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	s.verifyRequests.Add(1)
 
-	err, batchSize := s.batcher.verify(rec, req.Proof, req.PublicInputs)
-	if errors.Is(err, engine.ErrClosed) {
-		writeError(w, http.StatusServiceUnavailable, "service shutting down")
+	out := s.verify.do(&verifyItem{
+		rec:     rec,
+		proofs:  []*groth16.Proof{req.Proof},
+		publics: [][]fr.Element{req.PublicInputs},
+	})
+	if poolFailure(w, out.err) {
 		return
 	}
-	resp := VerifyResponse{BatchSize: batchSize}
-	if err != nil {
-		resp.Error = err.Error()
+	resp := VerifyResponse{BatchSize: out.batchSize}
+	if out.err != nil {
+		resp.Error = out.err.Error()
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -665,12 +659,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAggregate folds N proofs for one registered model into a
-// single O(log N) aggregation artifact (SnarkPack over the batch
-// verifier's windows): the auditable registry object for "these N
-// ownership claims all verify". The request rides the verify
-// micro-batcher, so concurrent plain verifications of the same model
-// share the fold; the response carries the artifact plus the SRS
-// verifier key third parties must check it against.
+// single O(log N) aggregation artifact (SnarkPack): the auditable
+// registry object for "these N ownership claims all verify". The set is
+// one item on the verify queue, folded on its own, so the artifact
+// depends on these proofs and nothing else; the response carries it plus
+// the SRS verifier key third parties must check it against.
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	var req AggregateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -726,30 +719,19 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	for i, pub := range req.PublicInputs {
 		publics[i] = pub
 	}
-	outs := s.batcher.aggregateSet(rec, req.Proofs, publics)
-
-	resp := AggregateResponse{Count: len(req.Proofs)}
-	for i, out := range outs {
-		if errors.Is(out.err, engine.ErrClosed) {
-			writeError(w, http.StatusServiceUnavailable, "service shutting down")
-			return
-		}
-		resp.BatchSize = out.batchSize
-		if out.err != nil && resp.Error == "" {
-			resp.Error = fmt.Sprintf("proof %d: %s", i, out.err.Error())
-		}
-		if out.agg != nil && resp.Aggregate == nil {
-			resp.Aggregate = out.agg
-			resp.SRSKey = out.srsVK
-		}
+	out := s.verify.do(&verifyItem{rec: rec, proofs: req.Proofs, publics: publics, aggregate: true})
+	if poolFailure(w, out.err) {
+		return
 	}
-	if resp.Error == "" && resp.Aggregate == nil {
-		// Every member verified individually but the shared window failed
-		// as a whole (an invalid neighbor poisoned the fold): no artifact
-		// was issued, though these proofs are individually valid.
-		resp.Error = "window aggregation failed (invalid neighboring proof); retry for a fresh window"
+	resp := AggregateResponse{
+		Count:     len(req.Proofs),
+		BatchSize: out.batchSize,
+		Aggregate: out.agg,
+		SRSKey:    out.srsVK,
 	}
-	if resp.Aggregate != nil {
+	if out.err != nil {
+		resp.Error = out.err.Error()
+	} else {
 		resp.Valid = true
 		resp.Claim = true
 		for _, pub := range req.PublicInputs {
@@ -795,6 +777,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
+}
+
+// poolFailure answers the verify outcomes that are the service's doing,
+// not the proof's — shutdown 503, a recovered panic 500 — and reports
+// whether it wrote one.
+func poolFailure(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, errShutdown), errors.Is(err, engine.ErrClosed):
+		writeError(w, http.StatusServiceUnavailable, "service shutting down")
+	case errors.Is(err, errInternal):
+		writeError(w, http.StatusInternalServerError, "internal error")
+	default:
+		return false
+	}
+	return true
 }
 
 // maxUpdate lifts v into the atomic maximum.

@@ -161,9 +161,9 @@ type VerifyRequest struct {
 // verified; Claim means every public ownership-claim bit is 1 — both
 // must hold for the (whole) ownership claim to stand. Claims lists the
 // per-slot verdicts for bundle registrations (a single-slot model
-// reports one entry). BatchSize reports how many concurrent requests
-// shared the pairing product that checked this proof (> 1 when
-// micro-batching coalesced neighbors).
+// reports one entry). BatchSize reports how many requests shared the
+// pairing product that checked this proof (> 1 when it queued behind
+// busy verifiers with neighbors for the same model).
 type VerifyResponse struct {
 	Valid     bool   `json:"valid"`
 	Claim     bool   `json:"claim"`
@@ -187,8 +187,8 @@ type AggregateRequest struct {
 // proof-of-proofs and SRSKey the inner-pairing-product verifier key it
 // must be checked against (groth16.VerifyAggregate). Claims holds one
 // all-slots-claimed verdict per member proof, in order; Claim is their
-// conjunction. BatchSize reports the micro-batch window the fold
-// shared (≥ Count when concurrent plain verifications rode along).
+// conjunction. BatchSize is the size of the fold, which is Count: a set
+// is folded on its own.
 type AggregateResponse struct {
 	Valid     bool                    `json:"valid"`
 	Claim     bool                    `json:"claim"`
@@ -217,7 +217,7 @@ type EngineStatsWire struct {
 	AggregateMS float64 `json:"aggregate_ms"`
 }
 
-// ServiceStats surfaces queue and batcher counters.
+// ServiceStats surfaces prove-queue and verify-pool counters.
 type ServiceStats struct {
 	Models int `json:"models"`
 	// CircuitsCompiled counts Algorithm-1 circuit compilations. Circuits
@@ -231,8 +231,8 @@ type ServiceStats struct {
 	JobsFailed       uint64 `json:"jobs_failed"`
 	QueueDepth       int    `json:"queue_depth"`
 	QueueCapacity    int    `json:"queue_capacity"`
-	// VerifyRequests counts verification requests accepted by the
-	// batcher (well-formed, correct input length).
+	// VerifyRequests counts verification requests accepted onto the
+	// verify queue (well-formed, correct input length).
 	VerifyRequests uint64 `json:"verify_requests"`
 	// VerifyBatchCalls counts BatchVerify invocations that folded ≥ 2
 	// requests into one pairing product.
@@ -246,9 +246,9 @@ type ServiceStats struct {
 	VerifyFallbacks uint64 `json:"verify_fallbacks"`
 	// AggregateRequests counts /v1/aggregate requests accepted.
 	AggregateRequests uint64 `json:"aggregate_requests"`
-	// AggregateArtifacts counts aggregation artifacts issued by windows.
+	// AggregateArtifacts counts aggregation artifacts issued.
 	AggregateArtifacts uint64 `json:"aggregate_artifacts"`
-	// AggregateFallbacks counts aggregate windows that failed as a whole
+	// AggregateFallbacks counts aggregate sets that failed as a whole
 	// and fell back to per-proof attribution (no artifact issued).
 	AggregateFallbacks uint64 `json:"aggregate_fallbacks"`
 	// QueueWaitSeconds is the distribution of time jobs spent queued

@@ -15,13 +15,12 @@ import (
 // TestProofServiceEndToEnd drives the whole networked flow through the
 // public surface only — zkrownn.NewProofService on the server side, the
 // zkrownn/client package on the wire — which pins the client DTOs to
-// the server's JSON API. Owner registers + proves; a third party
-// verifies concurrently and the verifies must coalesce into one
-// batched pairing product (asserted via /v1/stats).
+// the server's JSON API. Owner registers + proves; third parties verify
+// concurrently and every verdict must stand (whether the verifies
+// shared a pairing product depends on load, and is pinned
+// deterministically by the service package's TestVerifyPool tests).
 func TestProofServiceEndToEnd(t *testing.T) {
-	srv, err := zkrownn.NewProofService(zkrownn.ProofServiceOptions{
-		VerifyWindow: 300 * time.Millisecond,
-	})
+	srv, err := zkrownn.NewProofService(zkrownn.ProofServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func TestProofServiceEndToEnd(t *testing.T) {
 		t.Fatal("binary proof differs from JSON proof")
 	}
 
-	// Third party: concurrent verifications, which must micro-batch.
+	// Third party: concurrent verifications.
 	const verifiers = 3
 	verdicts := make([]*client.VerifyResult, verifiers)
 	var wg sync.WaitGroup
@@ -105,7 +104,6 @@ func TestProofServiceEndToEnd(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	coalesced := false
 	for i, v := range verdicts {
 		if v == nil {
 			t.Fatalf("verifier %d got no verdict", i)
@@ -113,20 +111,17 @@ func TestProofServiceEndToEnd(t *testing.T) {
 		if !v.Valid || !v.Claim {
 			t.Fatalf("verifier %d rejected honest proof: %+v", i, v)
 		}
-		if v.BatchSize >= 2 {
-			coalesced = true
+		if v.BatchSize < 1 {
+			t.Fatalf("verifier %d: batch_size %d", i, v.BatchSize)
 		}
-	}
-	if !coalesced {
-		t.Fatal("concurrent verifies did not coalesce")
 	}
 
 	stats, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Service.VerifyBatchCalls < 1 || stats.Service.VerifyMaxBatch < 2 {
-		t.Fatalf("stats show no batched verification: %+v", stats.Service)
+	if stats.Service.VerifyRequests != verifiers {
+		t.Fatalf("stats count %d verify requests, want %d", stats.Service.VerifyRequests, verifiers)
 	}
 	if stats.Engine.Setups != 1 {
 		t.Fatalf("engine ran %d setups, want exactly 1 (registration)", stats.Engine.Setups)
@@ -149,9 +144,7 @@ func TestProofServiceEndToEnd(t *testing.T) {
 // the verify response — all through the public surface only.
 func TestProofServiceBundleEndToEnd(t *testing.T) {
 	const slots = 2
-	srv, err := zkrownn.NewProofService(zkrownn.ProofServiceOptions{
-		VerifyWindow: time.Millisecond,
-	})
+	srv, err := zkrownn.NewProofService(zkrownn.ProofServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

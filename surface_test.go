@@ -112,3 +112,58 @@ func TestProverStackSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestProofServiceSchedulesByLoad keeps the proof service free of
+// scheduling knobs and of clocks on its scheduling path: both pools are
+// goroutines pulling from a queue, so a window, a batch size or a sleep
+// that comes back — as an option or as a timer in the code — fails here.
+func TestProofServiceSchedulesByLoad(t *testing.T) {
+	paths, err := filepath.Glob("internal/service/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var options *ast.StructType
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Options" {
+					options = st
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "time" {
+					switch n.Sel.Name {
+					case "NewTimer", "After", "Sleep", "Tick", "NewTicker", "AfterFunc":
+						t.Errorf("%s: time.%s — the service waits on queues and channels, never on the clock",
+							fset.Position(n.Pos()), n.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if options == nil {
+		t.Fatal("found no service.Options: the guard is looking in the wrong place")
+	}
+	fields := 0
+	for _, f := range options.Fields.List {
+		for _, name := range f.Names {
+			fields++
+			switch name.Name {
+			case "VerifyWindow", "VerifyBatch", "ProveBatch", "Logf":
+				t.Errorf("service.Options declares %s: the pools schedule by load, and Logger is the one log sink", name.Name)
+			}
+		}
+	}
+	if fields > 8 {
+		t.Errorf("service.Options has %d fields, at most 8 allowed", fields)
+	}
+}

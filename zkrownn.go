@@ -418,20 +418,23 @@ var ErrEngineClosed = engine.ErrClosed
 //
 // The proof service puts the engine on the network: an HTTP JSON API
 // with a digest-keyed model/VK registry, an async prove-job queue with
-// backpressure, and micro-batched verification. cmd/zkrownn-server is
-// the standalone binary; zkrownn/client is the Go client;
-// examples/proof_service shows the full owner → verifier round trip.
+// backpressure, and a verifier pool that batches under load.
+// cmd/zkrownn-server is the standalone binary; zkrownn/client is the Go
+// client; examples/proof_service shows the full owner → verifier round
+// trip.
 
 type (
 	// ProofService is the HTTP ownership-proof server (an http.Handler).
 	ProofService = service.Server
 	// ProofServiceOptions configures NewProofService (registry
-	// directory, queue depth, verify batching window, engine options).
+	// directory, queue depth, engine options). Scheduling has no knob:
+	// the prove and verify pools size themselves from the engine's
+	// worker count and GOMAXPROCS.
 	ProofServiceOptions = service.Options
 )
 
-// NewProofService builds a proof service and starts its job
-// dispatcher. Mount it on any mux / http.Server and remember to call
+// NewProofService builds a proof service and starts its prove and
+// verify workers. Mount it on any mux / http.Server and remember to call
 // Close for a graceful drain.
 func NewProofService(opts ProofServiceOptions) (*ProofService, error) {
 	return service.New(opts)
