@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"sync"
 
@@ -307,11 +308,12 @@ func (sc *setupScalars) verifyingKey(t1 *curve.G1FixedBaseTable, g1s []curve.G1A
 // proof bytes: chunking only reassociates the MSM partial sums, field
 // arithmetic is exact, and affine normalization is canonical.
 //
-// A trailing obs.Scope records per-phase spans (witness check, scalar
-// recoding, each query MSM, the quotient pipeline — with a streamed key
-// the per-chunk read/recode/msm breakdown and the out-of-core quotient
-// stages) named under it; tr.Scope("") keeps the bare names. Without
-// one the prove is untraced.
+// A trailing obs.Scope records per-phase spans (the row walk, scalar
+// recoding, each query MSM, and on a lane of their own the quotient
+// pipeline and the Z-query MSM that run beside them — with a streamed
+// key the per-chunk read/recode/msm breakdown and the out-of-core
+// quotient stages) named under it; tr.Scope("") keeps the bare names.
+// Without one the prove is untraced.
 func Prove(sys r1cs.Constraints, pk ProverKey, witness []fr.Element, rng io.Reader, sc ...obs.Scope) (*Proof, error) {
 	return prove(sys, pk, &witnessSrc{mem: witness}, rng, obs.Opt(sc))
 }
@@ -344,14 +346,22 @@ type pkHeader struct {
 // modes share one prove flow and cannot drift.
 type ProverKey interface {
 	header() pkHeader
+	// evalRows is the prove's one walk over the constraint rows: it
+	// checks the witness against every row and keeps the three evaluation
+	// vectors in the backend's residency (pooled domain vectors, or disk
+	// vectors under the spill directory). It runs before anything else —
+	// before checkShape, before randomness is drawn, before any lane
+	// starts — and is the only place the prover reads a spilled witness
+	// through its page cache. Backends that cannot serve the arguments'
+	// residency (the in-memory key with a file-backed system or a spilled
+	// witness) reject here.
+	evalRows(sys r1cs.Constraints, w *witnessSrc, sc obs.Scope) (*rowEvals, error)
 	// checkShape verifies the key's query sections match the system's
 	// dimensions before any randomness is drawn.
 	checkShape(d r1cs.Dims) error
 	// prepWitness binds the witness for the three wire-query MSMs,
-	// choosing the backend's recoding strategy. Backends that cannot
-	// serve the witness's residency (the in-memory key with a spilled
-	// witness) reject here, before randomness is drawn.
-	prepWitness(w *witnessSrc) (witnessExp, error)
+	// choosing the backend's recoding strategy.
+	prepWitness(w *witnessSrc) witnessExp
 	// The exp methods record their spans under sc, the prove's scope (the
 	// zero Scope disables tracing at zero cost).
 	expA(w witnessExp, sc obs.Scope) (curve.G1Jac, error)
@@ -359,14 +369,14 @@ type ProverKey interface {
 	expB2(w witnessExp, sc obs.Scope) (curve.G2Jac, error)
 	// expK runs the private-wire query over wires [nbPublic, NbWires).
 	expK(w witnessExp, nbPublic int, sc obs.Scope) (curve.G1Jac, error)
-	// expZQuotient computes h = (A·B - C)/Z and immediately folds it
-	// into the Z-query MSM, choosing the backend's memory strategy: two
-	// resident domain vectors in memory, or the out-of-core pipeline
+	// expZQuotient is the quotient lane: it reduces the evaluated rows to
+	// h = (A·B - C)/Z and folds h into the Z-query MSM, in the residency
+	// evalRows chose: resident domain vectors, or the out-of-core pipeline
 	// (disk-resident vectors, bounded-memory FFTs, MSM scalars streamed
 	// from the h file). Field arithmetic is exact and fr encodings are
-	// canonical, so h — and the proof — is bit-equal either way. Fusing
-	// the two steps lets the streamed backend never materialize h.
-	expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, sc obs.Scope) (curve.G1Jac, error)
+	// canonical, so h — and the proof — is bit-equal either way. It runs
+	// beside the four witness MSMs and touches only ev, never the witness.
+	expZQuotient(ev *rowEvals, sc obs.Scope) (curve.G1Jac, error)
 }
 
 // witnessExp carries the witness for the A, B1, and B2 queries. The
@@ -401,17 +411,41 @@ func (pk *ProvingKey) checkShape(d r1cs.Dims) error {
 	return nil
 }
 
-func (pk *ProvingKey) prepWitness(w *witnessSrc) (witnessExp, error) {
-	if w.mem == nil {
-		// The fully materialized key dwarfs the witness; pairing it with
-		// a spilled witness would be a configuration bug, not a memory
-		// win.
-		return witnessExp{}, errors.New("groth16: in-memory proving key requires a resident witness")
+// evalRows fills three pooled domain vectors in one parallel pass over
+// the resident rows.
+func (pk *ProvingKey) evalRows(sys r1cs.Constraints, w *witnessSrc, sc obs.Scope) (*rowEvals, error) {
+	if _, ok := sys.(*r1cs.CompiledSystem); !ok || w.mem == nil {
+		// The fully materialized key dwarfs the matrices and the witness;
+		// pairing it with either on disk would be a configuration bug, not
+		// a memory win.
+		return nil, errors.New("groth16: in-memory proving key requires a resident system and witness")
 	}
+	ev, err := newRowEvals(pk.DomainSize, sys.Dims().NbConstraints)
+	if err != nil {
+		return nil, err
+	}
+	for k := range ev.mem {
+		ev.mem[k] = quotientVecs.Get(int(pk.DomainSize))
+	}
+	sp := sc.Sub("prove/rows").Span()
+	err = walkRows(sys, w, math.MaxInt, obs.Scope{},
+		func(start, rows int) (a, b, c []fr.Element) {
+			return ev.mem[0][start : start+rows], ev.mem[1][start : start+rows], ev.mem[2][start : start+rows]
+		},
+		func(int, []fr.Element, []fr.Element, []fr.Element) error { return nil })
+	sp.End()
+	if err != nil {
+		ev.release()
+		return nil, err
+	}
+	return ev, nil
+}
+
+func (pk *ProvingKey) prepWitness(w *witnessSrc) witnessExp {
 	return witnessExp{
 		src: w,
 		dec: curve.DecomposeScalars(w.mem, curve.MSMWindowSize(len(w.mem))),
-	}, nil
+	}
 }
 
 func (pk *ProvingKey) expA(w witnessExp, sc obs.Scope) (curve.G1Jac, error) {
@@ -430,24 +464,27 @@ func (pk *ProvingKey) expK(w witnessExp, nbPublic int, sc obs.Scope) (curve.G1Ja
 	return curve.MultiExpG1(pk.K, w.src.mem[nbPublic:], sc.Sub("msm/K")), nil
 }
 
-func (pk *ProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, sc obs.Scope) (curve.G1Jac, error) {
-	cs, ok := sys.(*r1cs.CompiledSystem)
-	if !ok || w.mem == nil {
-		return curve.G1Jac{}, errors.New("groth16: in-memory proving key requires a resident system and witness")
-	}
-	h, err := quotient(cs, domainSize, w.mem, sc)
+func (pk *ProvingKey) expZQuotient(ev *rowEvals, sc obs.Scope) (curve.G1Jac, error) {
+	h, err := quotient(ev, sc)
 	if err != nil {
 		return curve.G1Jac{}, err
 	}
-	res := curve.MultiExpG1(pk.Z, h, sc.Sub("msm/Z"))
-	releaseQuotient(h)
-	return res, nil
+	return curve.MultiExpG1(pk.Z, h, sc.Sub("msm/Z")), nil
 }
 
 // prove is the prover: every residency of system, key and witness runs
-// it. Randomness is drawn in a fixed order (r then s), so a seeded rng
-// yields identical proofs from either key backend. sc, when on, receives
-// one span per prover phase.
+// it, on one fixed schedule. First, on the calling goroutine, one walk
+// over the constraint rows checks the witness and keeps A·w, B·w, C·w
+// (evalRows); then randomness is drawn in a fixed order (r then s), so a
+// seeded rng yields identical proofs from either key backend. Then two
+// lanes run side by side, at any GOMAXPROCS: the quotient lane
+// (transforms → h → Z-query MSM) on its own goroutine, reading only the
+// evaluated rows, and the witness lane (the A, B2, B1, K MSMs) on the
+// calling goroutine, the only one to read the witness from here on. The
+// join always waits for both — on an error in either, and on a panic,
+// which resurfaces on the calling goroutine — so nothing outlives a
+// failed prove. sc, when on, receives one span per prover phase, the
+// quotient lane's on a lane of their own.
 func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc obs.Scope) (*Proof, error) {
 	if rng == nil {
 		rng = rand.Reader
@@ -456,15 +493,11 @@ func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc 
 	if w.len() != d.NbWires {
 		return nil, fmt.Errorf("groth16: witness has %d wires, system expects %d", w.len(), d.NbWires)
 	}
-	sp := sc.Sub("prove/satisfy").Span()
-	ok, bad, err := checkSatisfied(sys, w, sc)
-	sp.End()
+	ev, err := pk.evalRows(sys, w, sc)
 	if err != nil {
-		return nil, fmt.Errorf("groth16: satisfy check: %w", err)
+		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("groth16: witness does not satisfy constraint %d", bad)
-	}
+	defer ev.release()
 	if err := pk.checkShape(d); err != nil {
 		return nil, err
 	}
@@ -479,18 +512,41 @@ func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc 
 		return nil, err
 	}
 
-	sp = sc.Sub("prove/recode").Span()
-	wExp, err := pk.prepWitness(w)
+	sp := sc.Sub("prove/recode").Span()
+	wExp := pk.prepWitness(w)
 	sp.End()
-	if err != nil {
-		return nil, err
+
+	var (
+		aJac, b1Jac, cJac, hMSM curve.G1Jac
+		b2Jac                   curve.G2Jac
+		quotientErr, witnessErr error
+	)
+	quotientLane := sc.OnLane(sc.Trace().NextLane())
+	par.Do(func() {
+		if testHookQuotientLane != nil {
+			testHookQuotientLane(ev)
+		}
+		hMSM, quotientErr = pk.expZQuotient(ev, quotientLane)
+	}, func() {
+		if aJac, witnessErr = pk.expA(wExp, sc); witnessErr != nil {
+			return
+		}
+		if b2Jac, witnessErr = pk.expB2(wExp, sc); witnessErr != nil {
+			return
+		}
+		if b1Jac, witnessErr = pk.expB1(wExp, sc); witnessErr != nil {
+			return
+		}
+		cJac, witnessErr = pk.expK(wExp, d.NbPublic, sc)
+	})
+	if witnessErr != nil {
+		return nil, witnessErr
+	}
+	if quotientErr != nil {
+		return nil, quotientErr
 	}
 
 	// A = α + Σ wⱼ·[uⱼ(τ)]₁ + r·δ
-	aJac, err := pk.expA(wExp, sc)
-	if err != nil {
-		return nil, err
-	}
 	var term curve.G1Jac
 	var aAlpha curve.G1Jac
 	aAlpha.FromAffine(&hdr.AlphaG1)
@@ -500,10 +556,6 @@ func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc 
 	aJac.AddAssign(&term)
 
 	// B2 = β + Σ wⱼ·[vⱼ(τ)]₂ + s·δ  (and its G1 shadow for C).
-	b2Jac, err := pk.expB2(wExp, sc)
-	if err != nil {
-		return nil, err
-	}
 	var b2Beta curve.G2Jac
 	b2Beta.FromAffine(&hdr.BetaG2)
 	b2Jac.AddAssign(&b2Beta)
@@ -512,10 +564,6 @@ func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc 
 	term2.ScalarMul(&term2, &sScalar)
 	b2Jac.AddAssign(&term2)
 
-	b1Jac, err := pk.expB1(wExp, sc)
-	if err != nil {
-		return nil, err
-	}
 	var b1Beta curve.G1Jac
 	b1Beta.FromAffine(&hdr.BetaG1)
 	b1Jac.AddAssign(&b1Beta)
@@ -525,14 +573,6 @@ func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc 
 
 	// C = Σ_priv wⱼ·Kⱼ + Σ hᵢ·Zᵢ + s·A + r·B1 - r·s·δ, where h is the
 	// quotient polynomial (A·B - C)/Z computed via coset FFTs.
-	cJac, err := pk.expK(wExp, d.NbPublic, sc)
-	if err != nil {
-		return nil, err
-	}
-	hMSM, err := pk.expZQuotient(sys, hdr.DomainSize, w, sc)
-	if err != nil {
-		return nil, err
-	}
 	cJac.AddAssign(&hMSM)
 
 	var sA curve.G1Jac
@@ -658,77 +698,44 @@ func (x *wireIndex) accumulate(lo, hi int, lag, dst []fr.Element) {
 	}
 }
 
-// quotientVecs recycles the domain-sized working vectors of the
-// quotient pipeline across proofs: a long-lived prover (the engine's
-// worker pool) stops churning multi-MB allocations, and concurrent
-// proofs over the same circuit share a small steady-state set.
+// quotientVecs recycles the domain-sized working vectors of the row walk
+// and the quotient pipeline across proofs: a long-lived prover (the
+// engine's worker pool) stops churning multi-MB allocations, and
+// concurrent proofs over the same circuit share a small steady-state
+// set.
 var quotientVecs poly.VecPool
 
-// releaseQuotient returns a quotient coefficient vector obtained from
-// quotient to the pool once its MSM has consumed it.
-func releaseQuotient(h []fr.Element) { quotientVecs.Put(h) }
-
-// quotient computes the coefficients of h(X) = (A(X)·B(X) - C(X))/Z(X),
-// returning n-1 coefficients. Constraint evaluations stream through the
-// flat CSR arrays — contiguous loads instead of per-constraint slice
-// headers.
+// quotient reduces the resident evaluation vectors to the coefficients
+// of h(X) = (A(X)·B(X) - C(X))/Z(X), returning n-1 of them — a view of
+// ev's first vector, valid until ev is released. Each of A·w, B·w, C·w
+// is carried to the coset in turn and folded in pointwise; every vector
+// undergoes exactly the transform sequence of the naive form, so the
+// output is bit-identical.
 //
-// The pipeline is bounded to two domain-sized vectors (both pooled):
-// each of A, B, C is evaluated and transformed to the coset in turn,
-// folding into the accumulator pointwise, instead of materializing all
-// three at once. Every vector undergoes exactly the transform sequence
-// of the naive three-vector form, so the output is bit-identical. The
-// caller must hand the returned slice to releaseQuotient after use.
-//
-// sc is the prove's scope; when on, the pipeline records one span per
-// stage (matrix evaluation, each transform with its per-level
-// breakdown, the pointwise folds) under "quotient".
-func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element, sc obs.Scope) ([]fr.Element, error) {
-	domain, err := poly.NewDomain(domainSize)
-	if err != nil {
-		return nil, err
-	}
-	if domain.N != domainSize {
-		return nil, fmt.Errorf("groth16: domain size %d is not a power of two", domainSize)
-	}
-	n := int(domain.N)
-	nbCons := sys.NbConstraints()
-	ab := quotientVecs.Get(n)
-	tmp := quotientVecs.Get(n)
-	defer quotientVecs.Put(tmp)
+// sc is the quotient lane's scope; when on, the pipeline records one
+// span per stage (each transform with its per-level breakdown, the
+// pointwise folds) under "quotient".
+func quotient(ev *rowEvals, sc obs.Scope) ([]fr.Element, error) {
+	domain, n := ev.domain, int(ev.domain.N)
+	ab, b, c := ev.mem[0], ev.mem[1], ev.mem[2]
 
 	q := sc.Sub("quotient")
 	spAll := q.Span()
 	defer spAll.End()
 
-	// cosetEval evaluates one constraint matrix against the witness and
-	// carries it to the coset: dst holds M·w on the coset g·H. Rows
-	// [nbCons, n) stay zero (Get returns zeroed vectors; reuse of tmp
-	// clears the tail explicitly).
-	cosetEval := func(mx *r1cs.Matrix, dst []fr.Element, name string) {
-		sp := q.Sub("/eval-").Sub(name).Span()
-		par.Range(nbCons, func(start, end int) {
-			for i := start; i < end; i++ {
-				dst[i] = mx.RowEval(i, witness)
-			}
-		})
-		sp.End()
-		domain.IFFT(dst, q.Sub("/ifft-").Sub(name))
-		domain.FFTCoset(dst, q.Sub("/fft-coset-").Sub(name))
+	toCoset := func(v []fr.Element, name string) {
+		domain.IFFT(v, q.Sub("/ifft-").Sub(name))
+		domain.FFTCoset(v, q.Sub("/fft-coset-").Sub(name))
 	}
 
-	cosetEval(&sys.A, ab, "A")
-	cosetEval(&sys.B, tmp, "B")
+	toCoset(ab, "A")
+	toCoset(b, "B")
 	sp := q.Sub("/mul-ab").Span()
 	par.Range(n, func(lo, hi int) {
-		fr.MulVecInto(ab[lo:hi], ab[lo:hi], tmp[lo:hi])
+		fr.MulVecInto(ab[lo:hi], ab[lo:hi], b[lo:hi])
 	})
 	sp.End()
-
-	// tmp is dense after the FFTs; re-zero the tail the C evaluation
-	// won't overwrite before reusing it.
-	clear(tmp[nbCons:])
-	cosetEval(&sys.C, tmp, "C")
+	toCoset(c, "C")
 
 	// On the coset, Z is the non-zero constant g^n - 1.
 	zc := domain.VanishingOnCoset()
@@ -736,14 +743,13 @@ func quotient(sys *r1cs.CompiledSystem, domainSize uint64, witness []fr.Element,
 	zcInv.Inverse(&zc)
 	sp = q.Sub("/divide-z").Span()
 	par.Range(n, func(lo, hi int) {
-		fr.SubScalarMulVecInto(ab[lo:hi], ab[lo:hi], tmp[lo:hi], &zcInv)
+		fr.SubScalarMulVecInto(ab[lo:hi], ab[lo:hi], c[lo:hi], &zcInv)
 	})
 	sp.End()
 	domain.IFFTCoset(ab, q.Sub("/ifft-coset"))
 
 	// deg h ≤ n-2, so the top coefficient must vanish.
 	if !ab[n-1].IsZero() {
-		quotientVecs.Put(ab)
 		return nil, errors.New("groth16: quotient has unexpected degree; witness inconsistent")
 	}
 	return ab[:n-1], nil

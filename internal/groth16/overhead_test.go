@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -91,25 +92,17 @@ func newResidencyFixture(t *testing.T, n int) *residencyFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.csf.Close() })
-	if f.wf, err = r1cs.NewWitnessFile(dir, len(f.witness), 1); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.wf.Close() })
-	for i := range f.witness {
-		f.wf.Set(uint32(i), &f.witness[i])
-	}
-	if err := f.wf.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	f.wf = spill(t, dir, f.witness)
 	return f
 }
 
 // TestProveTracedMatchesProve pins that tracing and residency are
 // observational: on each of the three residencies — everything resident;
 // streamed key with a resident witness; streamed key, CSR file and
-// spilled witness — the traced prove and the untraced prove return the
-// proof bytes of the untraced in-memory prove under the same seeded rng,
-// and a traced prove records spans covering every prover phase.
+// spilled witness — and at GOMAXPROCS 1, 2 and 4 the traced prove and
+// the untraced prove return the proof bytes of the untraced in-memory
+// prove under the same seeded rng, and a traced prove records spans
+// covering every prover phase.
 func TestProveTracedMatchesProve(t *testing.T) {
 	f := newResidencyFixture(t, 64)
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(821)) }
@@ -124,39 +117,39 @@ func TestProveTracedMatchesProve(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	residencies := []struct {
-		name   string
-		prove  func(sc ...obs.Scope) (*Proof, error)
-		phases []string
-	}{
-		{"resident", func(sc ...obs.Scope) (*Proof, error) { return Prove(f.sys, f.pk, f.witness, rng(), sc...) },
-			[]string{"prove/satisfy", "prove/recode", "quotient", "msm/A", "msm/B1", "msm/B2", "msm/K", "msm/Z"}},
-		{"streamed key", func(sc ...obs.Scope) (*Proof, error) { return Prove(f.sys, f.spk, f.witness, rng(), sc...) },
-			[]string{"prove/satisfy", "prove/recode", "ooc/quotient", "stream/A/msm", "stream/B1/msm", "stream/B2/msm", "stream/K/msm", "stream/Z/msm"}},
-		{"out of core", func(sc ...obs.Scope) (*Proof, error) { return ProveSpilled(f.csf, f.spk, f.wf, rng(), sc...) },
-			[]string{"prove/satisfy", "csr/row-window", "witness/stream", "ooc/quotient", "stream/A/read", "stream/Z/recode"}},
+	residencies := f.residencies(t)
+	phases := map[string][]string{
+		"resident":     {"prove/rows", "prove/recode", "quotient", "msm/A", "msm/B1", "msm/B2", "msm/K", "msm/Z"},
+		"streamed key": {"ooc/rows", "prove/recode", "ooc/quotient", "stream/A/msm", "stream/B1/msm", "stream/B2/msm", "stream/K/msm", "stream/Z/msm"},
+		"out of core":  {"ooc/rows", "csr/row-window", "witness/stream", "ooc/quotient", "stream/A/read", "stream/Z/recode"},
 	}
-	proof, err := residencies[0].prove()
+	proof, err := residencies[0].prove(f.witness, rng())
 	want := proofBytes("resident, untraced", proof, err)
 	if err := Verify(f.vk, proof, f.witness[1:f.sys.NbPublic]); err != nil {
 		t.Fatalf("proof rejected: %v", err)
 	}
-	for _, r := range residencies {
-		proof, err := r.prove()
-		if got := proofBytes(r.name+", untraced", proof, err); !bytes.Equal(got, want) {
-			t.Errorf("%s: untraced proof bytes diverge from the in-memory prover", r.name)
-		}
-		tr := obs.NewTrace()
-		proof, err = r.prove(tr.Scope(""))
-		if got := proofBytes(r.name+", traced", proof, err); !bytes.Equal(got, want) {
-			t.Errorf("%s: traced proof bytes diverge from the in-memory prover", r.name)
-		}
-		totals := tr.Totals()
-		for _, phase := range r.phases {
-			if _, ok := totals[phase]; !ok {
-				t.Errorf("%s: traced prove recorded no %q span (got %d span names)", r.name, phase, len(totals))
+	// The schedule is the same two lanes at any GOMAXPROCS, and how many
+	// cores the lanes and their MSM cells land on never reaches the bytes.
+	for _, procs := range []int{1, 2, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		for _, r := range residencies {
+			proof, err := r.prove(f.witness, rng())
+			if got := proofBytes(r.name+", untraced", proof, err); !bytes.Equal(got, want) {
+				t.Errorf("%s, GOMAXPROCS %d: untraced proof bytes diverge from the in-memory prover", r.name, procs)
+			}
+			tr := obs.NewTrace()
+			proof, err = r.prove(f.witness, rng(), tr.Scope(""))
+			if got := proofBytes(r.name+", traced", proof, err); !bytes.Equal(got, want) {
+				t.Errorf("%s, GOMAXPROCS %d: traced proof bytes diverge from the in-memory prover", r.name, procs)
+			}
+			totals := tr.Totals()
+			for _, phase := range phases[r.name] {
+				if _, ok := totals[phase]; !ok {
+					t.Errorf("%s: traced prove recorded no %q span (got %d span names)", r.name, phase, len(totals))
+				}
 			}
 		}
+		runtime.GOMAXPROCS(old)
 	}
 
 	vtr := obs.NewTrace()
@@ -188,9 +181,6 @@ var spanVocabulary = []string{
 	"msm/Z",
 	"msm/Z/w#-#/c#",
 	"ooc/divide-z",
-	"ooc/eval-A",
-	"ooc/eval-B",
-	"ooc/eval-C",
 	"ooc/fft-coset-A",
 	"ooc/fft-coset-A/combine#",
 	"ooc/fft-coset-A/mem#x#",
@@ -221,13 +211,11 @@ var spanVocabulary = []string{
 	"ooc/ifft-coset/split#",
 	"ooc/mul-ab",
 	"ooc/quotient",
+	"ooc/rows",
 	"prove/recode",
-	"prove/satisfy",
+	"prove/rows",
 	"quotient",
 	"quotient/divide-z",
-	"quotient/eval-A",
-	"quotient/eval-B",
-	"quotient/eval-C",
 	"quotient/fft-coset-A",
 	"quotient/fft-coset-A/len#",
 	"quotient/fft-coset-B",

@@ -193,13 +193,55 @@ func (pk *StreamedProvingKey) checkShape(d r1cs.Dims) error {
 	return nil
 }
 
+// evalRows walks the rows in bounded lockstep windows (a zero-copy view
+// of a resident system, disk reads for a CSR file) and writes each
+// window's evaluations to three disk vectors under SpillDir, so nothing
+// domain-sized is resident. Both witness residencies work.
+func (pk *StreamedProvingKey) evalRows(sys r1cs.Constraints, w *witnessSrc, sc obs.Scope) (*rowEvals, error) {
+	ev, err := newRowEvals(pk.hdr.DomainSize, sys.Dims().NbConstraints)
+	if err != nil {
+		return nil, err
+	}
+	sp := sc.Sub("ooc/rows").Span()
+	defer sp.End()
+	// A fresh disk vector reads as zeros, which is what rows
+	// [NbConstraints, n) must hold.
+	for k := 0; k < len(ev.file) && err == nil; k++ {
+		ev.file[k], err = poly.CreateVecFile(pk.SpillDir, int(pk.hdr.DomainSize))
+	}
+	if err == nil {
+		var scratch [3][]fr.Element
+		err = walkRows(sys, w, r1cs.DefaultRowWindowTerms, sc.Sub("csr/row-window"),
+			func(_, rows int) (a, b, c []fr.Element) {
+				if cap(scratch[0]) < rows {
+					for k := range scratch {
+						scratch[k] = make([]fr.Element, rows)
+					}
+				}
+				return scratch[0][:rows], scratch[1][:rows], scratch[2][:rows]
+			},
+			func(start int, a, b, c []fr.Element) error {
+				for k, v := range [3][]fr.Element{a, b, c} {
+					if err := ev.file[k].WriteAt(v, start); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+	}
+	if err != nil {
+		ev.release()
+		return nil, err
+	}
+	return ev, nil
+}
+
 // prepWitness leaves the shared decomposition nil: the streamed MSMs
 // recode each chunk's scalars on the fly, so digit memory stays bounded
-// by the chunk size instead of scaling with the wire count. Both
-// witness residencies work — a spilled witness streams through the
-// scalar-source path below.
-func (pk *StreamedProvingKey) prepWitness(w *witnessSrc) (witnessExp, error) {
-	return witnessExp{src: w}, nil
+// by the chunk size instead of scaling with the wire count. A spilled
+// witness streams through the scalar-source path below.
+func (pk *StreamedProvingKey) prepWitness(w *witnessSrc) witnessExp {
+	return witnessExp{src: w}
 }
 
 // streamG1 runs one G1 query section through the chunked MSM with lazy
@@ -238,17 +280,16 @@ func (pk *StreamedProvingKey) expK(w witnessExp, nbPublic int, sc obs.Scope) (cu
 	return pk.streamG1(pk.secK, w, nbPublic, w.src.len()-nbPublic, sc, "stream/K")
 }
 
-// expZQuotient runs the fully out-of-core tail of the proof: the
-// quotient pipeline leaves h in a disk file (bounded-memory FFTs, at
-// most half a domain vector resident), and the Z-section MSM streams
-// both its points (from the raw key) and its scalars (from the h file)
-// in bounded chunks. h never exists in memory.
-func (pk *StreamedProvingKey) expZQuotient(sys r1cs.Constraints, domainSize uint64, w *witnessSrc, sc obs.Scope) (curve.G1Jac, error) {
-	hf, err := quotientOOC(sys, domainSize, w, pk.SpillDir, sc)
+// expZQuotient runs the fully out-of-core quotient lane: the quotient
+// pipeline leaves h in a disk file (bounded-memory FFTs, a quarter of a
+// domain vector resident), and the Z-section MSM streams both its points
+// (from the raw key) and its scalars (from the h file) in bounded
+// chunks. h never exists in memory.
+func (pk *StreamedProvingKey) expZQuotient(ev *rowEvals, sc obs.Scope) (curve.G1Jac, error) {
+	hf, err := quotientOOC(ev, sc)
 	if err != nil {
 		return curve.G1Jac{}, err
 	}
-	defer hf.Close()
 	nScalars := hf.Len() - 1 // deg h ≤ n-2: the key's Z section has n-1 points
 	c := curve.StreamWindowSize(nScalars, pk.chunkSize())
 	return curve.MultiExpG1StreamScalarSource(

@@ -1,12 +1,15 @@
 package groth16
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/obs"
 	"zkrownn/internal/par"
+	"zkrownn/internal/poly"
 	"zkrownn/internal/r1cs"
 )
 
@@ -64,83 +67,139 @@ func rowEvalSrc(win *r1cs.RowWindow, i int, w *witnessSrc) fr.Element {
 	return acc
 }
 
-// errSatisfyStop aborts the window walk once a violation is found.
-var errSatisfyStop = &satisfyStopError{}
+// rowEvals holds what the prover's one walk over the constraint rows
+// produced: the evaluation vectors A·w, B·w and C·w over the FFT domain
+// (rows [NbConstraints, n) zero), as three pooled resident vectors
+// (in-memory key) or three disk vectors (streamed key). prove owns it
+// and releases it on every path; between the fork and the join only the
+// quotient lane touches it, and it reduces the vectors in place — the
+// quotient's coefficients end up in the first.
+type rowEvals struct {
+	domain *poly.Domain
+	mem    [3][]fr.Element
+	file   [3]*poly.VecFile
+}
 
-type satisfyStopError struct{}
-
-func (*satisfyStopError) Error() string { return "groth16: satisfy walk stopped" }
-
-// checkSatisfied verifies A·w ∘ B·w = C·w row by row. Resident system
-// with resident witness takes the existing parallel CSR fast path;
-// otherwise the three matrices stream through lockstep row windows
-// (one "csr/row-window" span each), with rows parallel when the
-// witness is resident and serial when it reads through the spill
-// store's single-goroutine page cache. On failure the returned index
-// is the first violated constraint, matching IsSatisfied.
-func checkSatisfied(sys r1cs.Constraints, w *witnessSrc, sc obs.Scope) (bool, int, error) {
-	if cs, ok := sys.(*r1cs.CompiledSystem); ok && w.mem != nil {
-		ok, bad := cs.IsSatisfied(w.mem)
-		return ok, bad, nil
+// newRowEvals validates the key's domain against the system before
+// anything is sized from it (the walk runs before checkShape).
+func newRowEvals(domainSize uint64, nbCons int) (*rowEvals, error) {
+	domain, err := poly.NewDomain(domainSize)
+	if err != nil {
+		return nil, err
 	}
+	if domain.N != domainSize {
+		return nil, fmt.Errorf("groth16: domain size %d is not a power of two", domainSize)
+	}
+	if uint64(nbCons) > domainSize {
+		return nil, fmt.Errorf("groth16: key domain size %d is below the system's %d constraints", domainSize, nbCons)
+	}
+	return &rowEvals{domain: domain}, nil
+}
+
+// release returns the pooled vectors and closes (removing) the disk
+// vectors still held. Idempotent.
+func (ev *rowEvals) release() {
+	for k := range ev.mem {
+		quotientVecs.Put(ev.mem[k])
+		ev.mem[k] = nil
+		ev.closeFile(k)
+	}
+}
+
+func (ev *rowEvals) closeFile(k int) {
+	if ev.file[k] != nil {
+		ev.file[k].Close()
+		ev.file[k] = nil
+	}
+}
+
+// Test seams of the prover's schedule, nil outside tests.
+var (
+	// testHookRows receives, after each row window, the number of matrix
+	// rows the walk evaluated in it (three per constraint).
+	testHookRows func(rows int)
+	// testHookQuotientLane runs first thing on the quotient lane, with the
+	// evaluations it is about to consume.
+	testHookQuotientLane func(ev *rowEvals)
+)
+
+// walkRows is the prover's single pass over the constraint rows: every
+// row of A, B and C is evaluated against the witness once, checked
+// (A·w ∘ B·w = C·w) and kept. The three matrices stream through
+// lockstep row windows of at most maxTerms terms (a resident system
+// aliases its arrays, so math.MaxInt makes the whole walk one window);
+// window hands out where rows [start, start+rows) evaluate to, commit
+// stores a finished window. Rows run in parallel when the witness is
+// resident and serially when it reads through the spill store's
+// single-goroutine page cache — which is read here and, from the prover,
+// nowhere else. On a violation the walk stops and the error names the
+// lowest violated row, whichever chunk or window found it.
+func walkRows(sys r1cs.Constraints, w *witnessSrc, maxTerms int, rowWindow obs.Scope,
+	window func(start, rows int) (a, b, c []fr.Element), commit func(start int, a, b, c []fr.Element) error) error {
 	if one := w.at(0); !one.IsOne() {
-		return false, -1, w.fileErr()
+		if err := w.fileErr(); err != nil {
+			return fmt.Errorf("groth16: constraint row walk: %w", err)
+		}
+		return errors.New("groth16: witness constant wire is not one")
 	}
-	bad := -1
-	err := r1cs.ForRowWindows(r1cs.DefaultRowWindowTerms,
+	each := par.Range
+	if w.mem == nil {
+		each = func(n int, f func(lo, hi int)) { f(0, n) }
+	}
+	err := r1cs.ForRowWindows(maxTerms,
 		[]r1cs.MatrixStream{sys.MatA(), sys.MatB(), sys.MatC()},
 		func(wins []*r1cs.RowWindow) error {
-			sp := sc.Sub("csr/row-window").Span()
+			sp := rowWindow.Span()
 			defer sp.End()
 			wa, wb, wc := wins[0], wins[1], wins[2]
 			n := wa.Rows
-			if w.mem != nil {
-				var first atomic.Int64
-				first.Store(int64(n))
-				par.Range(n, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						a := wa.RowEval(i, w.mem)
-						b := wb.RowEval(i, w.mem)
-						c := wc.RowEval(i, w.mem)
-						var ab fr.Element
-						ab.Mul(&a, &b)
-						if !ab.Equal(&c) {
-							for {
-								cur := first.Load()
-								if int64(i) >= cur || first.CompareAndSwap(cur, int64(i)) {
-									break
-								}
+			a, b, c := window(wa.Start, n)
+			var first atomic.Int64
+			first.Store(int64(n))
+			each(n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					a[i] = rowEvalSrc(wa, i, w)
+					b[i] = rowEvalSrc(wb, i, w)
+					c[i] = rowEvalSrc(wc, i, w)
+					var ab fr.Element
+					ab.Mul(&a[i], &b[i])
+					if !ab.Equal(&c[i]) {
+						// Chunks scan ascending, so a chunk's first violation
+						// is its minimum; the atomic min across chunks is the
+						// window's.
+						for {
+							cur := first.Load()
+							if int64(i) >= cur || first.CompareAndSwap(cur, int64(i)) {
+								break
 							}
-							return
 						}
+						return
 					}
-				})
-				if v := first.Load(); v < int64(n) {
-					bad = wa.Start + int(v)
-					return errSatisfyStop
 				}
-				return nil
+			})
+			if testHookRows != nil {
+				testHookRows(3 * n)
 			}
-			for i := 0; i < n; i++ {
-				a := rowEvalSrc(wa, i, w)
-				b := rowEvalSrc(wb, i, w)
-				c := rowEvalSrc(wc, i, w)
-				var ab fr.Element
-				ab.Mul(&a, &b)
-				if !ab.Equal(&c) {
-					bad = wa.Start + i
-					return errSatisfyStop
-				}
+			if err := w.fileErr(); err != nil {
+				return err
 			}
-			return w.fileErr()
+			if v := first.Load(); v < int64(n) {
+				return unsatisfiedError(wa.Start + int(v))
+			}
+			return commit(wa.Start, a, b, c)
 		})
-	if err == errSatisfyStop {
-		return false, bad, w.fileErr()
+	if _, unsatisfied := err.(unsatisfiedError); err != nil && !unsatisfied {
+		err = fmt.Errorf("groth16: constraint row walk: %w", err)
 	}
-	if err != nil {
-		return false, 0, err
-	}
-	return true, 0, w.fileErr()
+	return err
+}
+
+// unsatisfiedError is the walk's verdict on a witness that violates the
+// constraint row it names.
+type unsatisfiedError int
+
+func (e unsatisfiedError) Error() string {
+	return fmt.Sprintf("groth16: witness does not satisfy constraint %d", int(e))
 }
 
 func (w *witnessSrc) fileErr() error {

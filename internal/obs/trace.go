@@ -80,9 +80,15 @@ func (t *Trace) NextLane() int {
 // handed to the prover stack — every MSM, FFT, Prove and Verify takes a
 // trailing optional Scope, so the traced and the untraced call are the
 // same function. The zero Scope records nothing and allocates nothing.
+//
+// A scope also carries the lane its spans open on: lane 0 unless the
+// caller moved it with OnLane, which is what a task running beside the
+// main timeline (the prover's quotient lane) does so the two render as
+// two clean rows.
 type Scope struct {
 	tr    *Trace
 	label string
+	lane  int
 }
 
 // Scope returns the scope recording under label on t; the empty label
@@ -114,17 +120,30 @@ func (s Scope) Trace() *Trace { return s.tr }
 // Label returns the name the scope records under.
 func (s Scope) Label() string { return s.label }
 
-// Sub returns the scope named Label+suffix. On the zero Scope it returns
-// the zero Scope without concatenating.
+// Sub returns the scope named Label+suffix on the same lane. On the zero
+// Scope it returns the zero Scope without concatenating.
 func (s Scope) Sub(suffix string) Scope {
 	if s.tr == nil {
 		return Scope{}
 	}
-	return Scope{tr: s.tr, label: s.label + suffix}
+	s.label += suffix
+	return s
 }
 
-// Span opens the scope's own span on lane 0 (nil for the zero Scope).
-func (s Scope) Span() *Span { return s.tr.SpanLane(s.label, 0) }
+// OnLane returns the scope recording on lane (normally a fresh
+// tr.NextLane()) instead of the lane it was on; every Sub of it
+// inherits the lane. The zero Scope stays the zero Scope.
+func (s Scope) OnLane(lane int) Scope {
+	if s.tr == nil {
+		return Scope{}
+	}
+	s.lane = lane
+	return s
+}
+
+// Span opens the scope's own span on the scope's lane (nil for the zero
+// Scope).
+func (s Scope) Span() *Span { return s.tr.SpanLane(s.label, s.lane) }
 
 // SpanLane opens the scope's own span on an explicit lane.
 func (s Scope) SpanLane(lane int) *Span { return s.tr.SpanLane(s.label, lane) }

@@ -86,7 +86,17 @@ func TestScopeNames(t *testing.T) {
 	if len(evs) != 2 || evs[0].Name != "msm/A" || evs[1].Name != "msm/A/w0-3/c1" || evs[1].Lane == 0 {
 		t.Errorf("events = %+v", evs)
 	}
-	if sc := Opt(nil); sc.On() || sc.Sub("x").On() || sc.Span() != nil {
+	// A scope carries its lane: Span opens on it and Sub inherits it.
+	lane := tr.NextLane()
+	quotient := root.OnLane(lane).Sub("quotient")
+	quotient.Span().End()
+	quotient.Sub("/ifft-A").Span().End()
+	root.Sub("msm/B1").Span().End() // the scope OnLane was called on is unchanged
+	evs = tr.Events()[2:]
+	if len(evs) != 3 || evs[0].Lane != lane || evs[1].Name != "quotient/ifft-A" || evs[1].Lane != lane || evs[2].Lane != 0 {
+		t.Errorf("lane events = %+v, want quotient and quotient/ifft-A on lane %d, msm/B1 on lane 0", evs, lane)
+	}
+	if sc := Opt(nil); sc.On() || sc.Sub("x").On() || sc.OnLane(3).On() || sc.Span() != nil {
 		t.Error("an absent scope records")
 	}
 	if sc := Opt([]Scope{msm}); sc != msm {
@@ -103,6 +113,7 @@ func TestZeroScopeAllocFree(t *testing.T) {
 		s := Opt(sc)
 		sp := s.Span()
 		s.Sub("/len2").SpanLane(s.Trace().NextLane()).End()
+		s.OnLane(s.Trace().NextLane()).Sub("quotient").Span().End()
 		sp.End()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

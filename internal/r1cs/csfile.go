@@ -15,8 +15,9 @@ import (
 
 // Disk-resident constraint systems: a CompiledSystemFile is the CSR
 // half of a CompiledSystem serialized section by section, so a prover
-// can run setup, the satisfy check, and the quotient's eval-A/B/C
-// phases without the term arrays resident. Row offsets (4 bytes per
+// can run setup and the prover's walk over the constraint rows (the
+// satisfy check and the A·w, B·w, C·w evaluations in one pass) without
+// the term arrays resident. Row offsets (4 bytes per
 // constraint) and the coefficient dictionaries (a few hundred entries)
 // stay in memory; the per-term wire and coefficient-index arrays — the
 // dominant cost, 8 bytes per term across three matrices — are read in

@@ -156,7 +156,7 @@ func (cs *CompiledSystem) MatC() MatrixStream { return &cs.C }
 // ForRowWindows walks several matrices over the same rows in lockstep:
 // each step covers the largest row range where every matrix fits
 // maxTerms, so consumers that need A, B, and C of one constraint
-// together (the satisfy check) see aligned windows. fn receives one
+// together (the prover's row walk) see aligned windows. fn receives one
 // window per matrix; windows are reused between steps.
 func ForRowWindows(maxTerms int, mats []MatrixStream, fn func(wins []*RowWindow) error) error {
 	if len(mats) == 0 {

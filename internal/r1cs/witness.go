@@ -34,8 +34,12 @@ const witnessMinPages = 8
 
 // WitnessFile is a disk-resident wire assignment with a bounded page
 // cache. It is NOT safe for concurrent use: the solver writes it from
-// one goroutine and the prover's streaming phases read it serially.
-// Read/write errors are sticky — Get returns zero after a fault and
+// one goroutine, and the prover keeps to one rule — the page cache
+// (Get) is read only by the single walk over the constraint rows that
+// opens a prove, before its two lanes fork; after the fork the witness
+// lane alone touches the store, through ReadRange, on one goroutine, and
+// the quotient lane never does (it works on the row evaluations the walk
+// kept). Read/write errors are sticky — Get returns zero after a fault and
 // Err reports the first failure — so hot loops stay branch-light and
 // callers check once per window.
 type WitnessFile struct {
@@ -46,6 +50,7 @@ type WitnessFile struct {
 	lru       *list.List // front = most recent
 	err       error
 	pageLoads uint64
+	gets      uint64
 }
 
 type witnessPage struct {
@@ -143,6 +148,7 @@ func (wf *WitnessFile) flushPage(p *witnessPage) {
 
 // Get returns wire i's value (zero after a fault; see Err).
 func (wf *WitnessFile) Get(i uint32) fr.Element {
+	wf.gets++
 	p := wf.page(int(i))
 	return p.data[int(i)%witnessPageElems]
 }
@@ -180,6 +186,10 @@ func (wf *WitnessFile) ReadRange(dst []fr.Element, start int) error {
 // PageLoads returns the number of page faults served so far (test and
 // diagnostics hook).
 func (wf *WitnessFile) PageLoads() uint64 { return wf.pageLoads }
+
+// Gets returns the number of single-wire reads served through the page
+// cache so far (test and diagnostics hook, like PageLoads).
+func (wf *WitnessFile) Gets() uint64 { return wf.gets }
 
 func (p *Program) evalLCSpilled(off, end uint32, wf *WitnessFile) fr.Element {
 	var acc, t fr.Element

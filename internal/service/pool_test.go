@@ -17,6 +17,7 @@ import (
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/engine"
 	"zkrownn/internal/groth16"
+	"zkrownn/internal/par"
 )
 
 // reply is one answered POST: the status and the raw body.
@@ -396,9 +397,11 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// TestPoolsRecoverFromPanic: a panic inside one prove job and one verify
-// batch fails that job and answers that request 500; the workers keep
-// serving, each panic is logged once with its stack and counted.
+// TestPoolsRecoverFromPanic: a panic inside one prove job — on a
+// goroutine par.Range started below the pool worker, the way a bug in an
+// MSM cell or an FFT level would arrive — and one in a verify batch fail
+// that job and answer that request 500; the workers keep serving, each
+// panic is logged once with its stack and counted.
 func TestPoolsRecoverFromPanic(t *testing.T) {
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	base := runtime.NumGoroutine()
@@ -416,7 +419,9 @@ func TestPoolsRecoverFromPanic(t *testing.T) {
 	before := panics()
 
 	var proveOnce, verifyOnce sync.Once
-	srv.testJobStall = func() { proveOnce.Do(func() { panic("boom in a prove job") }) }
+	srv.testJobStall = func() {
+		proveOnce.Do(func() { par.Range(1<<10, func(int, int) { panic("boom in a prove job") }) })
+	}
 	srv.testVerifyStall = func() { verifyOnce.Do(func() { panic("boom in a verify batch") }) }
 
 	reg := register(t, ts.URL, 4)
@@ -474,7 +479,11 @@ func TestPoolsRecoverFromPanic(t *testing.T) {
 	if n := strings.Count(out, `msg="worker panic"`); n != 2 {
 		t.Fatalf("%d panic records logged, want 2:\n%s", n, out)
 	}
-	for _, want := range []string{"pool=prove", "pool=verify", "boom in a prove job", "boom in a verify batch", "goroutine "} {
+	wants := []string{"pool=prove", "pool=verify", "boom in a prove job", "boom in a verify batch", "goroutine "}
+	if par.Workers() > 1 {
+		wants = append(wants, "par worker stack") // the chunk ran on a par goroutine, not on the pool worker
+	}
+	for _, want := range wants {
 		if !strings.Contains(out, want) {
 			t.Errorf("panic log lacks %q", want)
 		}
