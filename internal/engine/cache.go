@@ -5,10 +5,10 @@ import (
 	"container/list"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 
+	"zkrownn/internal/diskfile"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/r1cs"
 )
@@ -51,12 +51,10 @@ func (kp *KeyPair) PKSizeBytes() int64 {
 	return 0
 }
 
-// keyCache is a circuit-digest-keyed LRU of Groth16 key pairs with
-// optional write-through persistence to a directory. Proving keys are
-// large (tens of MB at paper scale), so the in-memory tier is bounded by
-// entry count and the disk tier — when enabled — survives process
-// restarts, letting a redeployed prover service skip every trusted setup
-// it has ever run.
+// keyCache is the in-memory tier: a circuit-digest-keyed LRU of Groth16
+// key pairs, bounded by entry count (proving keys run to tens of MB at
+// paper scale). The disk tier — loadKeys and Engine.setup below — is
+// what survives a restart.
 //
 // Each entry also retains the compiled constraint system the keys were
 // set up for: key and circuit share a lifetime (both are functions of
@@ -67,7 +65,6 @@ func (kp *KeyPair) PKSizeBytes() int64 {
 type keyCache struct {
 	mu      sync.Mutex
 	maxSize int
-	dir     string // "" disables the disk tier
 	order   *list.List
 	entries map[string]*list.Element
 }
@@ -78,19 +75,17 @@ type cacheEntry struct {
 	cs     *r1cs.CompiledSystem
 }
 
-func newKeyCache(maxSize int, dir string) *keyCache {
+func newKeyCache(maxSize int) *keyCache {
 	return &keyCache{
 		maxSize: maxSize,
-		dir:     dir,
 		order:   list.New(),
 		entries: make(map[string]*list.Element),
 	}
 }
 
-// getMem returns the key pair for a digest from the in-memory LRU,
-// attaching cs (when non-nil) to the entry so later digest-only
-// requests can find the circuit.
-func (c *keyCache) getMem(digest string, cs *r1cs.CompiledSystem) (*KeyPair, bool) {
+// get returns the key pair for a digest, attaching cs (when non-nil) to
+// the entry so later digest-only requests can find the circuit.
+func (c *keyCache) get(digest string, cs *r1cs.CompiledSystem) (*KeyPair, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[digest]; ok {
@@ -118,34 +113,9 @@ func (c *keyCache) circuit(digest string) (*r1cs.CompiledSystem, bool) {
 	return nil, false
 }
 
-// getDisk loads a key pair from the disk tier (if configured) and
-// promotes it to memory. Callers are expected to hold the engine's
-// per-digest singleflight so a cold burst deserializes a key file once.
-func (c *keyCache) getDisk(digest string, cs *r1cs.CompiledSystem) (*KeyPair, bool) {
-	if c.dir == "" {
-		return nil, false
-	}
-	keys, err := c.loadDisk(digest)
-	if err != nil {
-		return nil, false
-	}
-	c.putMem(digest, keys, cs)
-	return keys, true
-}
-
-// put stores a fresh key pair in memory and, when a directory is
-// configured, on disk. Disk write failures are returned but leave the
-// memory tier populated — the engine keeps working, just without
-// persistence.
-func (c *keyCache) put(digest string, keys *KeyPair, cs *r1cs.CompiledSystem) error {
-	c.putMem(digest, keys, cs)
-	if c.dir == "" {
-		return nil
-	}
-	return c.storeDisk(digest, keys)
-}
-
-func (c *keyCache) putMem(digest string, keys *KeyPair, cs *r1cs.CompiledSystem) {
+// put stores (or refreshes) the entry for a digest, evicting the least
+// recently used one past the bound.
+func (c *keyCache) put(digest string, keys *KeyPair, cs *r1cs.CompiledSystem) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[digest]; ok {
@@ -181,80 +151,120 @@ func (c *keyCache) clear() {
 	c.entries = make(map[string]*list.Element)
 }
 
-func (c *keyCache) pkPath(digest string) string {
-	return filepath.Join(c.dir, digest+".pk")
-}
+// keyFileMagic frames the disk tier's key files: <digest>.pk, the raw
+// (uncompressed) proving key, and <digest>.vk, the compressed verifying
+// key.
+var keyFileMagic = [4]byte{'Z', 'K', 'F', '1'}
 
-func (c *keyCache) vkPath(digest string) string {
-	return filepath.Join(c.dir, digest+".vk")
-}
+// keyPath is where the disk tier keeps a digest's file of one kind
+// (".pk", ".vk", ".csr").
+func keyPath(dir, digest, ext string) string { return filepath.Join(dir, digest+ext) }
 
-// loadDisk reads a cached key pair, validating each file's integrity
-// frame before trusting it — a truncated or corrupted file surfaces
-// here as an error, which getDisk turns into a miss. The proving key
-// uses the raw (uncompressed) encoding: loading it costs a linear pass
-// of cheap field decodings instead of one modular square root per
-// point, which would otherwise make a disk hit slower than re-running
-// setup for small circuits. The directory is the operator's own
-// material, so the weaker G2 checks of the raw format are acceptable.
-func (c *keyCache) loadDisk(digest string) (*KeyPair, error) {
-	pkf, pkr, err := openFramed(c.pkPath(digest))
+// loadKeys is the disk tier's one loader. Both files are fully validated
+// against their integrity frames before a byte is trusted, and any
+// failure — missing, truncated, corrupt, unparsable — is an error the
+// caller treats as a miss: it re-runs setup and overwrites the files.
+// With stream the proving key is indexed in place and its file stays
+// open behind the returned key for the key's lifetime (every prove reads
+// through it; the descriptor is reclaimed by the runtime finalizer once
+// the cache entry is evicted and collected). Otherwise it is read whole:
+// the raw encoding costs a linear pass of cheap field decodings instead
+// of one modular square root per point, which would otherwise make a
+// disk hit slower than re-running setup for small circuits. The
+// directory is the operator's own material, so the weaker G2 checks of
+// the raw format are acceptable.
+func loadKeys(dir, digest string, stream bool) (*KeyPair, error) {
+	kp := &KeyPair{VK: new(groth16.VerifyingKey)}
+	vkf, vkr, err := diskfile.OpenFramed(keyPath(dir, digest, ".vk"), keyFileMagic)
 	if err != nil {
-		return nil, fmt.Errorf("engine: cached proving key %s: %w", digest, err)
+		return nil, err
 	}
-	defer pkf.Close()
-	vkf, vkr, err := openFramed(c.vkPath(digest))
+	_, err = kp.VK.ReadFrom(bufio.NewReader(vkr))
+	vkf.Close()
 	if err != nil {
-		return nil, fmt.Errorf("engine: cached verifying key %s: %w", digest, err)
+		return nil, err
 	}
-	defer vkf.Close()
-
-	keys := &KeyPair{PK: new(groth16.ProvingKey), VK: new(groth16.VerifyingKey)}
-	if _, err := keys.PK.ReadRawFrom(bufio.NewReaderSize(pkr, 1<<20)); err != nil {
-		return nil, fmt.Errorf("engine: corrupt cached proving key %s: %w", digest, err)
-	}
-	if _, err := keys.VK.ReadFrom(bufio.NewReader(vkr)); err != nil {
-		return nil, fmt.Errorf("engine: corrupt cached verifying key %s: %w", digest, err)
-	}
-	return keys, nil
+	return kp, kp.openPK(dir, digest, stream)
 }
 
-// storeDisk writes both keys framed (size + checksum header) via
-// temp-file rename, so a crash mid-write never publishes a partial key
-// and a later corruption is caught at load time.
-func (c *keyCache) storeDisk(digest string, keys *KeyPair) error {
-	if err := writeFramedFile(c.pkPath(digest), func(w io.Writer) error {
-		_, err := keys.PK.WriteRawTo(w)
-		return err
-	}); err != nil {
+// openPK attaches the digest's persisted proving key to kp: as
+// kp.Stream, or decoded into kp.PK.
+func (kp *KeyPair) openPK(dir, digest string, stream bool) error {
+	f, r, err := diskfile.OpenFramed(keyPath(dir, digest, ".pk"), keyFileMagic)
+	if err != nil {
 		return err
 	}
-	return writeFramedFile(c.vkPath(digest), func(w io.Writer) error {
-		_, err := keys.VK.WriteTo(w)
+	if stream {
+		if kp.Stream, err = groth16.OpenStreamedProvingKey(r); err != nil {
+			f.Close()
+			return err
+		}
+		kp.Stream.SpillDir = dir
+		return nil
+	}
+	defer f.Close()
+	kp.PK = new(groth16.ProvingKey)
+	_, err = kp.PK.ReadRawFrom(bufio.NewReaderSize(r, 1<<20))
+	return err
+}
+
+// writeKeyFile publishes one framed key file through diskfile: atomic,
+// fsynced, so a crash never leaves a partial key and a later corruption
+// is caught at load time.
+func writeKeyFile(path string, encode func(io.Writer) (int64, error)) error {
+	_, err := diskfile.WriteFramed(path, keyFileMagic, func(w io.Writer) error {
+		_, err := encode(w)
 		return err
 	})
+	return err
 }
 
-// AtomicWriteFile writes path via temp-file rename so a crash mid-write
-// never leaves a truncated artifact that a later run would trust. Shared
-// by the key cache and the proof service's model registry.
-func AtomicWriteFile(path string, fn func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+// setup runs trusted setup for the chosen residency and persists what it
+// made. In memory (stream false) the keys are written through to
+// CacheDir when one is configured. Streamed, the proving key is spilled
+// straight into its framed cache file — never materialized in RAM — and
+// indexed from there; with spill the constraint system goes out-of-core
+// first, setup streams its QAP accumulation from the CSR file, and the
+// returned KeyPair carries the open handle for proves to share.
+// persistErr is a best-effort persistence failure that leaves the keys
+// fully usable; err is fatal.
+func (e *Engine) setup(sys *r1cs.CompiledSystem, digest string, stream, spill bool, rng io.Reader) (kp *KeyPair, persistErr, err error) {
+	if !stream {
+		pk, vk, err := groth16.Setup(sys, rng)
+		if err != nil {
+			return nil, nil, err
+		}
+		if dir := e.opts.CacheDir; dir != "" {
+			if persistErr = writeKeyFile(keyPath(dir, digest, ".pk"), pk.WriteRawTo); persistErr == nil {
+				persistErr = writeKeyFile(keyPath(dir, digest, ".vk"), vk.WriteTo)
+			}
+		}
+		return &KeyPair{PK: pk, VK: vk}, persistErr, nil
+	}
+	dir, err := e.streamKeyDir()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := fn(bw); err != nil {
-		tmp.Close()
-		return err
+	kp = new(KeyPair)
+	var cons r1cs.Constraints = sys
+	if spill {
+		if kp.CSFile, err = e.ensureCSFile(sys, digest); err != nil {
+			return nil, nil, err
+		}
+		cons = kp.CSFile
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
+	err = writeKeyFile(keyPath(dir, digest, ".pk"), func(w io.Writer) (n int64, err error) {
+		kp.VK, err = groth16.SetupStreamed(cons, rng, w)
+		return 0, err
+	})
+	if err == nil {
+		err = kp.openPK(dir, digest, true)
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err != nil {
+		if kp.CSFile != nil {
+			kp.CSFile.Close()
+		}
+		return nil, nil, fmt.Errorf("engine: streamed setup: %w", err)
 	}
-	return os.Rename(tmp.Name(), path)
+	return kp, writeKeyFile(keyPath(dir, digest, ".vk"), kp.VK.WriteTo), nil
 }

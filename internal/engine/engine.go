@@ -7,7 +7,8 @@
 // *architecture* — the common shape of ownership disputes, where one
 // model family is proved over and over against different suspect
 // weights — share one setup. Keys live in a bounded in-memory LRU with
-// an optional on-disk tier (the groth16 WriteTo/ReadFrom encoding), so
+// an optional on-disk tier (the raw proving-key encoding and the
+// compressed verifying key, each under diskfile's integrity frame), so
 // a restarted service skips every setup it has ever run; the compiled
 // system itself is cached beside the keys, so solve-many requests may
 // name the circuit by digest instead of re-sending it. Concurrent
@@ -27,14 +28,12 @@
 package engine
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -239,7 +238,7 @@ func New(opts Options) *Engine {
 	}
 	return &Engine{
 		opts:     opts,
-		cache:    newKeyCache(opts.CacheEntries, opts.CacheDir),
+		cache:    newKeyCache(opts.CacheEntries),
 		inflight: make(map[string]*setupCall),
 	}
 }
@@ -330,10 +329,6 @@ func (e *Engine) SpillsConstraintSystem(sys *r1cs.CompiledSystem) bool {
 // floor).
 func (e *Engine) witnessPageBudget() int64 { return e.opts.MemoryBudget / 4 }
 
-// csrPath is the digest-keyed spill location of a constraint system's
-// section file, beside the streamed key it was set up into.
-func csrPath(dir, digest string) string { return filepath.Join(dir, digest+".csr") }
-
 // ensureCSFile returns an open, validated handle on the digest's CSR
 // spill file, writing it from sys first when missing or corrupt. A
 // solver-only (stripped) system cannot regenerate the file, so its
@@ -343,7 +338,7 @@ func (e *Engine) ensureCSFile(sys *r1cs.CompiledSystem, digest string) (*r1cs.Co
 	if err != nil {
 		return nil, err
 	}
-	path := csrPath(dir, digest)
+	path := keyPath(dir, digest, ".csr") // beside the streamed key it is set up into
 	if cf, err := r1cs.OpenCompiledSystemFile(path); err == nil {
 		return cf, nil
 	}
@@ -389,107 +384,17 @@ func (e *Engine) streamKeyDir() (string, error) {
 	return e.streamDir, nil
 }
 
-// existingStreamDir returns the spill directory only if one may already
-// hold keys (never creates).
-func (e *Engine) existingStreamDir() (string, bool) {
-	if e.opts.CacheDir != "" {
-		return e.opts.CacheDir, true
+// existingKeyDir returns the directory the disk tier would have put a
+// digest's keys in — CacheDir, or for streamed keys the temp spill
+// directory if one was created — and "" when there is none to look in
+// (never creates).
+func (e *Engine) existingKeyDir(stream bool) string {
+	if e.opts.CacheDir != "" || !stream {
+		return e.opts.CacheDir
 	}
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
-	return e.streamDir, e.streamDir != ""
-}
-
-// streamFromDisk opens a previously spilled streamed key for a digest.
-// Any integrity or parse failure is a miss — the caller re-runs setup
-// and overwrites the bad file.
-func (e *Engine) streamFromDisk(digest string) (*KeyPair, bool) {
-	dir, ok := e.existingStreamDir()
-	if !ok {
-		return nil, false
-	}
-	pkF, pkr, err := openFramed(filepath.Join(dir, digest+".pk"))
-	if err != nil {
-		return nil, false
-	}
-	spk, err := groth16.OpenStreamedProvingKey(pkr)
-	if err != nil {
-		pkF.Close()
-		return nil, false
-	}
-	spk.SpillDir = dir
-	vkF, vkr, err := openFramed(filepath.Join(dir, digest+".vk"))
-	if err != nil {
-		pkF.Close()
-		return nil, false
-	}
-	vk := new(groth16.VerifyingKey)
-	_, err = vk.ReadFrom(bufio.NewReader(vkr))
-	vkF.Close()
-	if err != nil {
-		pkF.Close()
-		return nil, false
-	}
-	// pkF stays open for the key's lifetime: the StreamedProvingKey
-	// reads through it on every prove. Its descriptor is reclaimed by
-	// the runtime finalizer once the cache entry is evicted and
-	// collected.
-	return &KeyPair{VK: vk, Stream: spk}, true
-}
-
-// setupStreamed runs trusted setup in out-of-core mode: the proving key
-// is spilled straight to a framed file (never materialized in RAM) and
-// reopened as a StreamedProvingKey. When spill is set the constraint
-// system goes out-of-core first — setup then streams its QAP
-// accumulation from the CSR spill file, and the returned KeyPair
-// carries the open handle for proves to share. persistErr carries a
-// best-effort verifying-key persistence failure; err is fatal.
-func (e *Engine) setupStreamed(sys *r1cs.CompiledSystem, digest string, spill bool, rng io.Reader) (kp *KeyPair, persistErr, err error) {
-	dir, err := e.streamKeyDir()
-	if err != nil {
-		return nil, nil, err
-	}
-	var cons r1cs.Constraints = sys
-	var csf *r1cs.CompiledSystemFile
-	if spill {
-		if csf, err = e.ensureCSFile(sys, digest); err != nil {
-			return nil, nil, err
-		}
-		cons = csf
-	}
-	var vk *groth16.VerifyingKey
-	pkPath := filepath.Join(dir, digest+".pk")
-	if err := writeFramedFile(pkPath, func(w io.Writer) error {
-		var serr error
-		vk, serr = groth16.SetupStreamed(cons, rng, w)
-		return serr
-	}); err != nil {
-		if csf != nil {
-			csf.Close()
-		}
-		return nil, nil, fmt.Errorf("engine: streamed setup: %w", err)
-	}
-	pkF, pkr, err := openFramed(pkPath)
-	if err != nil {
-		if csf != nil {
-			csf.Close()
-		}
-		return nil, nil, fmt.Errorf("engine: reopen spilled proving key: %w", err)
-	}
-	spk, err := groth16.OpenStreamedProvingKey(pkr)
-	if err != nil {
-		pkF.Close()
-		if csf != nil {
-			csf.Close()
-		}
-		return nil, nil, fmt.Errorf("engine: spilled proving key: %w", err)
-	}
-	spk.SpillDir = dir
-	persistErr = writeFramedFile(filepath.Join(dir, digest+".vk"), func(w io.Writer) error {
-		_, werr := vk.WriteTo(w)
-		return werr
-	})
-	return &KeyPair{VK: vk, Stream: spk, CSFile: csf}, persistErr, nil
+	return e.streamDir
 }
 
 // Keys returns the Groth16 key pair for a compiled system, running the
@@ -525,7 +430,7 @@ func (e *Engine) DropMemoryCache() {
 
 func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (keys *KeyPair, hit bool, digest string, persistErr error, err error) {
 	digest = sys.DigestHex()
-	if keys, ok := e.cache.getMem(digest, sys); ok {
+	if keys, ok := e.cache.get(digest, sys); ok {
 		e.memHits.Add(1)
 		mKeycacheMemHits.Inc()
 		return keys, true, digest, nil, nil
@@ -546,7 +451,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	// Re-check the memory tier under inflightMu: another goroutine may
 	// have finished setup and deregistered between our miss above and
 	// taking the lock — without this, that window runs a redundant setup.
-	if keys, ok := e.cache.getMem(digest, sys); ok {
+	if keys, ok := e.cache.get(digest, sys); ok {
 		e.inflightMu.Unlock()
 		e.memHits.Add(1)
 		mKeycacheMemHits.Inc()
@@ -555,90 +460,73 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	call := &setupCall{done: make(chan struct{})}
 	e.inflight[digest] = call
 	e.inflightMu.Unlock()
+	// Deferred, so a panic below (a par worker failing inside setup
+	// reaches this goroutine as one) still deregisters the call and wakes
+	// its waiters with an error instead of parking every later request
+	// for the digest — and Close behind them — forever. The panic itself
+	// keeps propagating to whoever recovers for this goroutine.
+	defer func() {
+		p := recover()
+		if p != nil {
+			call.err = fmt.Errorf("engine: setup for digest %s panicked: %v", digest, p)
+		}
+		e.inflightMu.Lock()
+		delete(e.inflight, digest)
+		e.inflightMu.Unlock()
+		close(call.done)
+		if p != nil {
+			panic(p)
+		}
+	}()
 
 	// The disk load sits inside the singleflight so a cold-memory burst
 	// of same-digest requests deserializes (or indexes) the key file
-	// once, not once per worker.
-	diskHit := false
+	// once, not once per worker. For a streamed key the disk tier is the
+	// authoritative store; a hit costs one integrity pass plus section
+	// indexing, never a full materialization.
 	stream := e.shouldStream(sys)
 	spill := stream && e.shouldSpillCS(sys)
-	var fromDisk *KeyPair
-	var ok bool
 	sp := tr.Span("keys/disk-load")
-	if stream {
-		// In streamed mode the disk tier is the authoritative key
-		// store; a hit costs one integrity pass plus section indexing,
-		// never a full materialization.
-		if fromDisk, ok = e.streamFromDisk(digest); ok {
-			if spill {
-				// The CSR spill file rides beside the key files; a
-				// missing or corrupt one is rewritten from sys here. If
-				// that fails (solver-only sys, dead disk) the hit is
-				// voided and the setup path below reports the error.
-				if csf, cerr := e.ensureCSFile(sys, digest); cerr == nil {
-					fromDisk.CSFile = csf
-				} else {
-					fromDisk, ok = nil, false
-				}
-			}
-			if ok {
-				e.cache.putMem(digest, fromDisk, cacheSystem(sys, spill))
-			}
+	if dir := e.existingKeyDir(stream); dir != "" {
+		if kp, lerr := loadKeys(dir, digest, stream); lerr == nil {
+			call.keys = kp
 		}
-	} else {
-		fromDisk, ok = e.cache.getDisk(digest, sys)
+	}
+	if call.keys != nil && spill {
+		// The CSR spill file rides beside the key files; a missing or
+		// corrupt one is rewritten from sys here. If that fails
+		// (solver-only sys, dead disk) the hit is voided and the setup
+		// below reports the error.
+		if csf, cerr := e.ensureCSFile(sys, digest); cerr == nil {
+			call.keys.CSFile = csf
+		} else {
+			call.keys = nil
+		}
 	}
 	sp.End()
-	if ok {
+	if hit = call.keys != nil; hit {
 		e.diskHits.Add(1)
 		mKeycacheDiskHits.Inc()
-		call.keys = fromDisk
-		diskHit = true
-	} else if stream {
-		mKeycacheMisses.Inc()
-		sp := tr.Span("keys/setup-streamed")
-		start := time.Now()
-		kp, perr, serr := e.setupStreamed(sys, digest, spill, e.requestRand(rng))
-		elapsed := time.Since(start)
-		sp.End()
-		if serr == nil {
-			call.keys = kp
-			e.setups.Add(1)
-			e.setupNs.Add(int64(elapsed))
-			observeSeconds(mSetupSeconds, elapsed)
-			e.cache.putMem(digest, kp, cacheSystem(sys, spill))
-			call.persistErr = perr
-		}
-		call.err = serr
 	} else {
 		mKeycacheMisses.Inc()
-		sp := tr.Span("keys/setup")
+		name := "keys/setup"
+		if stream {
+			name = "keys/setup-streamed"
+		}
+		sp := tr.Span(name)
 		start := time.Now()
-		pk, vk, serr := groth16.Setup(sys, e.requestRand(rng))
+		call.keys, call.persistErr, call.err = e.setup(sys, digest, stream, spill, e.requestRand(rng))
 		elapsed := time.Since(start)
 		sp.End()
-		if serr == nil {
-			call.keys = &KeyPair{PK: pk, VK: vk}
-			e.setups.Add(1)
-			e.setupNs.Add(int64(elapsed))
-			observeSeconds(mSetupSeconds, elapsed)
-			// Persistence is best-effort; a disk-tier write failure
-			// leaves the keys cached in memory and the engine fully
-			// functional.
-			call.persistErr = e.cache.put(digest, call.keys, sys)
+		if call.err != nil {
+			return nil, false, digest, nil, call.err
 		}
-		call.err = serr
+		e.setups.Add(1)
+		e.setupNs.Add(int64(elapsed))
+		observeSeconds(mSetupSeconds, elapsed)
 	}
-
-	e.inflightMu.Lock()
-	delete(e.inflight, digest)
-	e.inflightMu.Unlock()
-	close(call.done)
-
-	if call.err != nil {
-		return nil, false, digest, nil, call.err
-	}
-	return call.keys, diskHit, digest, call.persistErr, nil
+	e.cache.put(digest, call.keys, cacheSystem(sys, spill))
+	return call.keys, hit, digest, call.persistErr, nil
 }
 
 // Prove runs one job end-to-end: keys from the cache (or a fresh setup)

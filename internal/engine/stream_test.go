@@ -4,99 +4,110 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// cachedPKPath returns the framed proving-key file the disk tier wrote
-// for the given digest.
-func cachedPKPath(t *testing.T, dir, digest string) string {
+// damagedCacheHeals is the disk tier's end-to-end safety check for one
+// residency (budget 0: keys read whole; 1: streamed key, CSR file and
+// spilled witness): a prove populates dir, damage mangles the digest's
+// file with the given extension, and a fresh engine must treat that as a
+// miss — re-run setup, prove soundly, and overwrite the bad file with a
+// good one that a third engine then hits — rather than proving with a
+// mangled key or failing hard. (Which damage the frame detects is
+// diskfile's table; this is what the engine does about it.)
+func damagedCacheHeals(t *testing.T, budget int64, ext string, damage func(path string) error) {
 	t.Helper()
-	p := filepath.Join(dir, digest+".pk")
-	if _, err := os.Stat(p); err != nil {
-		t.Fatalf("expected cached proving key at %s: %v", p, err)
-	}
-	return p
-}
-
-// TestDiskCacheRejectsTruncatedKey corrupts the cached proving key by
-// cutting it short; a fresh engine must treat that as a cache miss and
-// re-run setup rather than proving with a mangled key or hard-failing.
-func TestDiskCacheRejectsTruncatedKey(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(31))
+	opts := Options{CacheDir: dir, MemoryBudget: budget, Rand: rng}
 
-	e1 := New(Options{CacheDir: dir, Rand: rng})
+	e1 := New(opts)
+	defer e1.Close()
 	r1, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkPath := cachedPKPath(t, dir, r1.Digest)
-	info, err := os.Stat(pkPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(pkPath, info.Size()/2); err != nil {
-		t.Fatal(err)
+	if err := damage(filepath.Join(dir, r1.Digest+ext)); err != nil {
+		t.Fatalf("budget %d: damaging the cached %s: %v", budget, ext, err)
 	}
 
-	e2 := New(Options{CacheDir: dir, Rand: rng})
+	e2 := New(opts)
+	defer e2.Close()
 	r2, err := e2.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 4)})
 	if err != nil {
-		t.Fatalf("prove over truncated cache file: %v", err)
+		t.Fatalf("budget %d: prove over a damaged %s: %v", budget, ext, err)
 	}
-	if r2.CacheHit {
-		t.Fatal("truncated key file must not count as a cache hit")
+	if st := e2.Stats(); r2.CacheHit || st.Setups != 1 || st.DiskHits != 0 {
+		t.Fatalf("budget %d: damaged %s served from cache (hit=%v, stats=%+v), want 1 setup and 0 disk hits", budget, ext, r2.CacheHit, st)
 	}
-	st := e2.Stats()
-	if st.Setups != 1 || st.DiskHits != 0 {
-		t.Fatalf("stats = %+v, want 1 setup and 0 disk hits after truncation", st)
+	if r2.Keys.Streamed() != (budget > 0) {
+		t.Fatalf("budget %d: re-setup keys streamed = %v", budget, r2.Keys.Streamed())
 	}
 	if err := e2.Verify(r2.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 4))); err != nil {
-		t.Fatalf("re-setup proof rejected: %v", err)
+		t.Fatalf("budget %d: re-setup proof rejected: %v", budget, err)
 	}
-	// The repaired entry must have been rewritten: a third engine now
-	// hits disk again.
-	e3 := New(Options{CacheDir: dir, Rand: rng})
+
+	// The repaired entry was rewritten whole: a third engine hits disk
+	// again, and its keys interoperate with the re-setup's.
+	e3 := New(opts)
+	defer e3.Close()
 	r3, err := e3.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 6)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r3.CacheHit || e3.Stats().DiskHits != 1 {
-		t.Fatalf("rewritten cache entry not served from disk (hit=%v, stats=%+v)", r3.CacheHit, e3.Stats())
+	if st := e3.Stats(); !r3.CacheHit || st.DiskHits != 1 || st.Setups != 0 {
+		t.Fatalf("budget %d: rewritten %s not served from disk (hit=%v, stats=%+v)", budget, ext, r3.CacheHit, st)
+	}
+	if err := e3.Verify(r2.Keys.VK, r3.Proof, publicOf(cubicWitness(5, 6))); err != nil {
+		t.Fatalf("budget %d: proof from the rewritten cache rejected by the re-setup's VK: %v", budget, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".tmp-") {
+			t.Errorf("budget %d: temp file %s left in the cache directory", budget, e.Name())
+		}
 	}
 }
 
-// TestDiskCacheRejectsBitFlip flips one payload byte inside the frame;
-// the CRC must catch it at open time and force a re-setup.
+// TestDiskCacheRejectsTruncatedKey cuts a cached file short — the key in
+// half, the key by its last byte, the verifying key in half — for both
+// key residencies.
+func TestDiskCacheRejectsTruncatedKey(t *testing.T) {
+	cut := func(keep func(size int64) int64) func(string) error {
+		return func(path string) error {
+			info, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, keep(info.Size()))
+		}
+	}
+	for _, budget := range []int64{0, 1} {
+		damagedCacheHeals(t, budget, ".pk", cut(func(n int64) int64 { return n / 2 }))
+		damagedCacheHeals(t, budget, ".pk", cut(func(n int64) int64 { return n - 1 }))
+		damagedCacheHeals(t, budget, ".vk", cut(func(n int64) int64 { return n / 2 }))
+	}
+}
+
+// TestDiskCacheRejectsBitFlip flips one payload byte inside the frame of
+// the key, then of the verifying key, for both key residencies; the CRC
+// must catch it at open time and force a re-setup.
 func TestDiskCacheRejectsBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(32))
-
-	e1 := New(Options{CacheDir: dir, Rand: rng})
-	r1, err := e1.Prove(Request{System: cubicSystem(7), Witness: cubicWitness(7, 3)})
-	if err != nil {
-		t.Fatal(err)
+	flip := func(path string) error {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		raw[len(raw)/2] ^= 0x40
+		return os.WriteFile(path, raw, 0o644)
 	}
-	pkPath := cachedPKPath(t, dir, r1.Digest)
-	raw, err := os.ReadFile(pkPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(pkPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := New(Options{CacheDir: dir, Rand: rng})
-	r2, err := e2.Prove(Request{System: cubicSystem(7), Witness: cubicWitness(7, 4)})
-	if err != nil {
-		t.Fatalf("prove over corrupted cache file: %v", err)
-	}
-	if r2.CacheHit || e2.Stats().Setups != 1 {
-		t.Fatalf("bit-flipped key served from cache (hit=%v, stats=%+v)", r2.CacheHit, e2.Stats())
-	}
-	if err := e2.Verify(r2.Keys.VK, r2.Proof, publicOf(cubicWitness(7, 4))); err != nil {
-		t.Fatalf("re-setup proof rejected: %v", err)
+	for _, budget := range []int64{0, 1} {
+		damagedCacheHeals(t, budget, ".pk", flip)
+		damagedCacheHeals(t, budget, ".vk", flip)
 	}
 }
 

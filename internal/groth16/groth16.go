@@ -84,38 +84,117 @@ type Proof struct {
 // *r1cs.CompiledSystemFile — the QAP accumulation then streams the
 // matrices in bounded row windows and the key material is identical.
 func Setup(sys r1cs.Constraints, rng io.Reader) (*ProvingKey, *VerifyingKey, error) {
-	sc, err := computeSetupScalars(sys, rng)
+	pk := new(ProvingKey)
+	vk, err := setup(sys, rng, math.MaxInt, &residentKey{pk: pk})
 	if err != nil {
 		return nil, nil, err
 	}
+	return pk, vk, nil
+}
 
+// keySink receives a proving key in raw-layout order (stream.go): the
+// header, then the query sections A, B1, K, Z in G1 and B2 in G2, each
+// announced with its point count and delivered in one or more batches.
+type keySink interface {
+	header(domainSize uint64, g1 [3]curve.G1Affine, g2 [2]curve.G2Affine) error // α β δ; β δ
+	section(n int) error
+	g1(pts []curve.G1Affine) error
+	g2(pts []curve.G2Affine) error
+}
+
+// setup is the one trusted-setup body. It multiplies the key out section
+// by section, at most batch scalars per fixed-base call, and hands every
+// batch to sink: Setup keeps whole sections (residentKey), SetupStreamed
+// encodes bounded batches as they come (rawKeyWriter). A section's
+// scalars are dropped once its last batch is delivered, so the streamed
+// form never holds more than the scalar vectors still to be spent plus
+// one batch of points. Only the verifying key — a handful of points plus
+// one G1 per public input — is returned.
+func setup(sys r1cs.Constraints, rng io.Reader, batch int, sink keySink) (*VerifyingKey, error) {
+	sc, err := computeSetupScalars(sys, rng)
+	if err != nil {
+		return nil, err
+	}
 	// Fixed-base tables amortize the ~4m+n generator multiplications.
 	g1 := curve.G1Generator()
 	g2 := curve.G2Generator()
 	t1 := curve.NewG1FixedBaseTable(&g1)
 	t2 := curve.NewG2FixedBaseTable(&g2)
 
-	pk := &ProvingKey{DomainSize: sc.domain.N}
-	vk := &VerifyingKey{}
-
-	pk.A = t1.MulBatch(sc.uTau)
-	pk.B1 = t1.MulBatch(sc.vTau)
-	pk.B2 = t2.MulBatch(sc.vTau)
-	pk.K = t1.MulBatch(sc.kScalars)
-	pk.Z = t1.MulBatch(sc.zScalars)
-
 	g1s, g2s := sc.singles(t1, t2)
-	pk.AlphaG1, pk.BetaG1, pk.DeltaG1 = g1s[0], g1s[1], g1s[2]
-	pk.BetaG2, pk.DeltaG2 = g2s[0], g2s[2]
-	*vk = sc.verifyingKey(t1, g1s, g2s)
-	return pk, vk, nil
+	if err := sink.header(sc.domain.N, [3]curve.G1Affine(g1s), [2]curve.G2Affine{g2s[0], g2s[2]}); err != nil {
+		return nil, err
+	}
+	section := func(scalars []fr.Element, mul func([]fr.Element) error) error {
+		if err := sink.section(len(scalars)); err != nil {
+			return err
+		}
+		for len(scalars) > batch {
+			if err := mul(scalars[:batch]); err != nil {
+				return err
+			}
+			scalars = scalars[batch:]
+		}
+		return mul(scalars)
+	}
+	mulG1 := func(ks []fr.Element) error { return sink.g1(t1.MulBatch(ks)) }
+	// vTau feeds both B1 and B2, so it alone survives to the end.
+	for _, scalars := range []*[]fr.Element{&sc.uTau, &sc.vTau, &sc.kScalars, &sc.zScalars} {
+		if err := section(*scalars, mulG1); err != nil {
+			return nil, err
+		}
+		if scalars != &sc.vTau {
+			*scalars = nil
+		}
+	}
+	if err := section(sc.vTau, func(ks []fr.Element) error { return sink.g2(t2.MulBatch(ks)) }); err != nil {
+		return nil, err
+	}
+	sc.vTau = nil
+
+	vk := sc.verifyingKey(t1, g1s, g2s)
+	return &vk, nil
+}
+
+// g1Sections lists the key's G1 query sections in raw-layout order; B2,
+// the one G2 section, follows them.
+func (pk *ProvingKey) g1Sections() [4]*[]curve.G1Affine {
+	return [4]*[]curve.G1Affine{&pk.A, &pk.B1, &pk.K, &pk.Z}
+}
+
+// residentKey is the keySink that keeps the key in memory. It is fed
+// whole sections, so a batch is stored as delivered, never copied.
+type residentKey struct {
+	pk  *ProvingKey
+	sec int // sections announced so far
+}
+
+func (k *residentKey) header(domainSize uint64, g1 [3]curve.G1Affine, g2 [2]curve.G2Affine) error {
+	k.pk.DomainSize = domainSize
+	k.pk.AlphaG1, k.pk.BetaG1, k.pk.DeltaG1 = g1[0], g1[1], g1[2]
+	k.pk.BetaG2, k.pk.DeltaG2 = g2[0], g2[1]
+	return nil
+}
+
+func (k *residentKey) section(int) error {
+	k.sec++
+	return nil
+}
+
+func (k *residentKey) g1(pts []curve.G1Affine) error {
+	*k.pk.g1Sections()[k.sec-1] = pts
+	return nil
+}
+
+func (k *residentKey) g2(pts []curve.G2Affine) error {
+	k.pk.B2 = pts
+	return nil
 }
 
 // setupScalars is the scalar half of trusted setup: every query section
-// of the key, still in exponent form. Setup materializes the whole key
-// from it; SetupStreamed spills each section to disk as it multiplies.
-// Both consume identical randomness in identical order, so a seeded rng
-// yields identical key material in either mode.
+// of the key, still in exponent form, and all the randomness a setup
+// draws — so a seeded rng yields identical key material whichever sink
+// the points go to.
 type setupScalars struct {
 	domain                    *poly.Domain
 	alpha, beta, gamma, delta fr.Element

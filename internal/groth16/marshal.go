@@ -340,48 +340,69 @@ func (pk *ProvingKey) ReadFrom(r io.Reader) (int64, error) {
 // twice the bytes of WriteTo, but ReadRawFrom skips the per-point square
 // root of compressed decoding, making deserialization orders of
 // magnitude faster. This is the format of the prover engine's local key
-// cache; use WriteTo for keys that cross a trust boundary.
+// cache; use WriteTo for keys that cross a trust boundary. The layout
+// itself is rawKeyWriter's, shared with SetupStreamed.
 func (pk *ProvingKey) WriteRawTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	if err := writeHeader(cw, magicPKRaw); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, pk.DomainSize); err != nil {
-		return cw.n, err
-	}
-	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		b := pt.BytesRaw()
-		if _, err := cw.Write(b[:]); err != nil {
-			return cw.n, err
+	rw := rawKeyWriter{cw}
+	err := rw.header(pk.DomainSize, [3]curve.G1Affine{pk.AlphaG1, pk.BetaG1, pk.DeltaG1}, [2]curve.G2Affine{pk.BetaG2, pk.DeltaG2})
+	for _, sec := range pk.g1Sections() {
+		if err == nil {
+			err = rw.section(len(*sec))
+		}
+		if err == nil {
+			err = rw.g1(*sec)
 		}
 	}
-	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		b := pt.BytesRaw()
-		if _, err := cw.Write(b[:]); err != nil {
-			return cw.n, err
+	if err == nil {
+		err = rw.section(len(pk.B2))
+	}
+	if err == nil {
+		err = rw.g2(pk.B2)
+	}
+	return cw.n, err
+}
+
+// rawKeyWriter is the keySink that encodes: the one place the raw
+// proving-key layout (stream.go) is written, whether the points come out
+// of a running setup (SetupStreamed) or a resident key (WriteRawTo).
+type rawKeyWriter struct{ w io.Writer }
+
+func (rw rawKeyWriter) header(domainSize uint64, g1 [3]curve.G1Affine, g2 [2]curve.G2Affine) error {
+	if err := writeHeader(rw.w, magicPKRaw); err != nil {
+		return err
+	}
+	if err := binary.Write(rw.w, binary.LittleEndian, domainSize); err != nil {
+		return err
+	}
+	if err := rw.g1(g1[:]); err != nil {
+		return err
+	}
+	return rw.g2(g2[:])
+}
+
+func (rw rawKeyWriter) section(n int) error {
+	return binary.Write(rw.w, binary.LittleEndian, uint32(n))
+}
+
+func (rw rawKeyWriter) g1(pts []curve.G1Affine) error {
+	for i := range pts {
+		b := pts[i].BytesRaw()
+		if _, err := rw.w.Write(b[:]); err != nil {
+			return err
 		}
 	}
-	for _, s := range [][]curve.G1Affine{pk.A, pk.B1, pk.K, pk.Z} {
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(s))); err != nil {
-			return cw.n, err
-		}
-		for i := range s {
-			b := s[i].BytesRaw()
-			if _, err := cw.Write(b[:]); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(pk.B2))); err != nil {
-		return cw.n, err
-	}
-	for i := range pk.B2 {
-		b := pk.B2[i].BytesRaw()
-		if _, err := cw.Write(b[:]); err != nil {
-			return cw.n, err
+	return nil
+}
+
+func (rw rawKeyWriter) g2(pts []curve.G2Affine) error {
+	for i := range pts {
+		b := pts[i].BytesRaw()
+		if _, err := rw.w.Write(b[:]); err != nil {
+			return err
 		}
 	}
-	return cw.n, nil
+	return nil
 }
 
 // ReadRawFrom deserializes a proving key written by WriteRawTo. Points
@@ -413,7 +434,7 @@ func (pk *ProvingKey) ReadRawFrom(r io.Reader) (int64, error) {
 		}
 	}
 	var err error
-	for _, sec := range []*[]curve.G1Affine{&pk.A, &pk.B1, &pk.K, &pk.Z} {
+	for _, sec := range pk.g1Sections() {
 		if *sec, err = readPoints(r, curve.G1UncompressedSize, (*curve.G1Affine).SetBytesRaw); err != nil {
 			return 0, err
 		}

@@ -21,8 +21,8 @@ import (
 // each query section once per proof through a bounded double-buffered
 // point window, so peak prover memory is independent of key size.
 //
-// Raw layout (all integers little-endian), as written by WriteRawTo and
-// SetupStreamed:
+// Raw layout (all integers little-endian), as written by rawKeyWriter
+// for WriteRawTo and SetupStreamed:
 //
 //	offset 0    magic "ZKPR" (4) · version uint32 (4) · DomainSize uint64 (8)
 //	offset 16   AlphaG1, BetaG1, DeltaG1   3 × 64 B uncompressed G1
@@ -298,19 +298,13 @@ func (pk *StreamedProvingKey) expZQuotient(ev *rowEvals, sc obs.Scope) (curve.G1
 		nScalars, c, pk.chunkSize(), sc.Sub("stream/Z"))
 }
 
-// setupSpillChunk is the number of scalars multiplied per batch while
-// SetupStreamed spills a query section — bounding the resident slice of
-// fresh G1/G2 points the same way the prover bounds its read window.
-const setupSpillChunk = curve.DefaultStreamChunk
-
 // SetupStreamed runs trusted setup writing the proving key directly to
-// w in the raw uncompressed layout (exactly the bytes WriteRawTo would
-// produce for the in-memory key from the same seeded rng), without ever
-// holding a full query section of points in memory: each section is
-// generated and spilled in bounded batches. Only the verifying key —
-// a handful of points plus one G1 per public input — is returned in
-// memory. Setup randomness is drawn in the same order as Setup, so a
-// seeded rng yields identical key material in either mode.
+// w in the raw uncompressed layout (rawKeyWriter — exactly the bytes
+// WriteRawTo produces for Setup's key from the same seeded rng) without
+// ever holding a full query section of points in memory: setup's body
+// multiplies curve.DefaultStreamChunk scalars at a time, bounding the
+// resident slice of fresh points the same way the prover bounds its read
+// window. Only the verifying key is returned in memory.
 //
 // The scalar side of setup (a few field elements per wire) still lives
 // in RAM; it is the group elements, an order of magnitude larger, that
@@ -318,91 +312,5 @@ const setupSpillChunk = curve.DefaultStreamChunk
 // QAP accumulation streams the matrices too and nothing
 // circuit-proportional beyond the scalar vectors is resident.
 func SetupStreamed(sys r1cs.Constraints, rng io.Reader, w io.Writer) (*VerifyingKey, error) {
-	sc, err := computeSetupScalars(sys, rng)
-	if err != nil {
-		return nil, err
-	}
-	g1 := curve.G1Generator()
-	g2 := curve.G2Generator()
-	t1 := curve.NewG1FixedBaseTable(&g1)
-	t2 := curve.NewG2FixedBaseTable(&g2)
-
-	if err := writeHeader(w, magicPKRaw); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(w, binary.LittleEndian, sc.domain.N); err != nil {
-		return nil, err
-	}
-	g1s, g2s := sc.singles(t1, t2)
-	for _, p := range g1s { // α, β, δ
-		b := p.BytesRaw()
-		if _, err := w.Write(b[:]); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range []curve.G2Affine{g2s[0], g2s[2]} { // β, δ
-		b := p.BytesRaw()
-		if _, err := w.Write(b[:]); err != nil {
-			return nil, err
-		}
-	}
-
-	spillG1 := func(scalars []fr.Element) error {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(scalars))); err != nil {
-			return err
-		}
-		for start := 0; start < len(scalars); start += setupSpillChunk {
-			end := min(start+setupSpillChunk, len(scalars))
-			pts := t1.MulBatch(scalars[start:end])
-			for i := range pts {
-				b := pts[i].BytesRaw()
-				if _, err := w.Write(b[:]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	spillG2 := func(scalars []fr.Element) error {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(scalars))); err != nil {
-			return err
-		}
-		for start := 0; start < len(scalars); start += setupSpillChunk {
-			end := min(start+setupSpillChunk, len(scalars))
-			pts := t2.MulBatch(scalars[start:end])
-			for i := range pts {
-				b := pts[i].BytesRaw()
-				if _, err := w.Write(b[:]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	// Section order matches WriteRawTo: A, B1, K, Z in G1, then B2 in
-	// G2. Scalar slices are dropped as soon as their last section is
-	// written (vTau feeds both B1 and B2, so it survives to the end).
-	if err := spillG1(sc.uTau); err != nil {
-		return nil, err
-	}
-	sc.uTau = nil
-	if err := spillG1(sc.vTau); err != nil {
-		return nil, err
-	}
-	if err := spillG1(sc.kScalars); err != nil {
-		return nil, err
-	}
-	sc.kScalars = nil
-	if err := spillG1(sc.zScalars); err != nil {
-		return nil, err
-	}
-	sc.zScalars = nil
-	if err := spillG2(sc.vTau); err != nil {
-		return nil, err
-	}
-	sc.vTau = nil
-
-	vk := sc.verifyingKey(t1, g1s, g2s)
-	return &vk, nil
+	return setup(sys, rng, curve.DefaultStreamChunk, rawKeyWriter{w})
 }

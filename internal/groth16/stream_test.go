@@ -2,10 +2,18 @@ package groth16
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/diskfile"
 	"zkrownn/internal/r1cs"
 )
 
@@ -22,39 +30,135 @@ func openStreamed(t *testing.T, raw []byte, chunk int) *StreamedProvingKey {
 	return spk
 }
 
-// TestSetupStreamedMatchesSetup pins the spilled-setup encoding: from
-// the same seeded rng, SetupStreamed must emit byte-for-byte the same
-// raw file as Setup followed by WriteRawTo, and the same verifying key.
+// TestSetupStreamedMatchesSetup pins the one setup body and the one
+// raw-layout writer from every side: under one seeded rng SetupStreamed's
+// bytes equal Setup + WriteRawTo's bytes, whether the constraints are
+// resident or a CSR section file, and both equal the bytes the parent
+// commit's two separate encoders produced (by SHA-256; the cubic key is
+// the one TestGoldenWireFormats pins byte for byte as pk.raw.hex) — on a key whose every section fits in one
+// DefaultStreamChunk batch and on one whose A, B1 and B2 sections span
+// two while K and Z fit in one. The verifying key matches too.
 func TestSetupStreamedMatchesSetup(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sys    *r1cs.CompiledSystem
+		pinned string // SHA-256 of the raw key at 9983528, seed goldenSeed
+	}{
+		{"one batch per section", cubicSystem(), "9b9aa386135a9d1508efe0afdb4ab3cb81260281bf790eb93956d5e21b2f1bd6"},
+		{"sections spanning batches", chainSystem(curve.DefaultStreamChunk - 2), "2231f97bd9b2ab3d3331956073aaed54da0230560416f8a1e8c5b1519ab2f04e"},
+	} {
+		path := filepath.Join(t.TempDir(), "sys.csr")
+		if err := r1cs.WriteCompiledSystemFile(path, tc.sys); err != nil {
+			t.Fatal(err)
+		}
+		csf, err := r1cs.OpenCompiledSystemFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer csf.Close()
+		for _, cons := range []r1cs.Constraints{tc.sys, csf} {
+			pk, vk, err := Setup(cons, rand.New(rand.NewSource(goldenSeed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if _, err := pk.WriteRawTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			svk, err := SetupStreamed(cons, rand.New(rand.NewSource(goldenSeed)), &got)
+			if err != nil {
+				t.Fatalf("%s, %T: SetupStreamed: %v", tc.name, cons, err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s, %T: SetupStreamed bytes diverge from Setup+WriteRawTo (%d vs %d bytes)", tc.name, cons, got.Len(), want.Len())
+			}
+			if sum := fmt.Sprintf("%x", sha256.Sum256(got.Bytes())); sum != tc.pinned {
+				t.Fatalf("%s, %T: raw key hashes to %s, the parent commit's encoders wrote %s", tc.name, cons, sum, tc.pinned)
+			}
+			var vkBuf, svkBuf bytes.Buffer
+			if _, err := vk.WriteTo(&vkBuf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svk.WriteTo(&svkBuf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(vkBuf.Bytes(), svkBuf.Bytes()) {
+				t.Fatalf("%s, %T: SetupStreamed verifying key diverges from Setup", tc.name, cons)
+			}
+		}
+	}
+}
+
+// failAfter is a writer that takes limit bytes and then fails.
+type failAfter struct {
+	limit, n int
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n+len(p) > f.limit {
+		k := f.limit - f.n
+		f.n = f.limit
+		return k, errSinkFull
+	}
+	f.n += len(p)
+	return len(p), nil
+}
+
+// TestSetupStreamedSinkError: a sink that fails — inside the header,
+// inside a G1 section, inside B2 — stops the setup with the sink's error
+// at exactly that byte, no further randomness is drawn on the way out
+// (all of it is spent before the first point is multiplied), and written
+// through diskfile the failed key leaves no file behind.
+func TestSetupStreamedSinkError(t *testing.T) {
 	sys := cubicSystem()
-
-	pk, vk, err := Setup(sys, rand.New(rand.NewSource(90)))
+	size, err := RawPKSizeBytes(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if _, err := pk.WriteRawTo(&want); err != nil {
+	whole := &countingReader{r: rand.New(rand.NewSource(97))}
+	if _, err := SetupStreamed(sys, whole, io.Discard); err != nil {
 		t.Fatal(err)
 	}
+	b2 := int(size) - sys.NbWires*curve.G2UncompressedSize // first point of the last section
+	for _, tc := range []struct {
+		name  string
+		limit int
+	}{
+		{"inside the magic", 2},
+		{"inside the header points", 100},
+		{"inside section A", rawPKFixedHeaderSize + 4 + curve.G1UncompressedSize + 7},
+		{"at B2's count", b2 - 2},
+		{"inside B2", b2 + curve.G2UncompressedSize + 1},
+		{"one byte short", int(size) - 1},
+	} {
+		rng := &countingReader{r: rand.New(rand.NewSource(97))}
+		sink := &failAfter{limit: tc.limit}
+		if _, err := SetupStreamed(sys, rng, sink); !errors.Is(err, errSinkFull) {
+			t.Errorf("%s: got %v, want the sink's error", tc.name, err)
+		}
+		if sink.n != tc.limit {
+			t.Errorf("%s: sink took %d bytes, want the setup to stop at byte %d", tc.name, sink.n, tc.limit)
+		}
+		if rng.n != whole.n {
+			t.Errorf("%s: failed setup drew %d random bytes, a whole one draws %d", tc.name, rng.n, whole.n)
+		}
 
-	var got bytes.Buffer
-	svk, err := SetupStreamed(sys, rand.New(rand.NewSource(90)), &got)
-	if err != nil {
-		t.Fatalf("SetupStreamed: %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("SetupStreamed bytes diverge from Setup+WriteRawTo (%d vs %d bytes)", got.Len(), want.Len())
-	}
-
-	var vkBuf, svkBuf bytes.Buffer
-	if _, err := vk.WriteTo(&vkBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svk.WriteTo(&svkBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(vkBuf.Bytes(), svkBuf.Bytes()) {
-		t.Fatal("SetupStreamed verifying key diverges from Setup")
+		dir := t.TempDir()
+		path := filepath.Join(dir, "key.pk")
+		_, err := diskfile.WriteFramed(path, [4]byte{'Z', 'K', 'F', '1'}, func(w io.Writer) error {
+			// The frame writer buffers; fail between it and setup.
+			_, err := SetupStreamed(sys, rand.New(rand.NewSource(97)), io.MultiWriter(&failAfter{limit: tc.limit}, w))
+			return err
+		})
+		if !errors.Is(err, errSinkFull) {
+			t.Errorf("%s: WriteFramed returned %v, want the sink's error", tc.name, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%s: failed key write left %d entries in the directory", tc.name, len(entries))
+		}
 	}
 }
 

@@ -5,12 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/diskfile"
 )
 
 // Disk-resident constraint systems: a CompiledSystemFile is the CSR
@@ -23,11 +22,11 @@ import (
 // dominant cost, 8 bytes per term across three matrices — are read in
 // bounded row windows.
 //
-// The file carries the same 16-byte integrity frame as the engine's
-// disk key cache (magic · payload length · CRC-32C), fully validated at
-// open: a truncated or bit-flipped file surfaces as an open error the
-// caller degrades to a rewrite, and every later window read skips
-// per-chunk verification.
+// The file is published through diskfile.WriteFramed: one atomic,
+// fsynced write under the shared 16-byte integrity frame (magic · payload
+// length · CRC-32C), fully validated at open. A truncated or bit-flipped
+// file surfaces as an open error the caller degrades to a rewrite, and
+// every later window read skips per-chunk verification.
 //
 // Payload layout (all integers little-endian):
 //
@@ -44,14 +43,12 @@ var csFileMagic = [4]byte{'Z', 'K', 'C', 'S'}
 
 const (
 	csFileVersion    = 1
-	csFrameSize      = 16
+	csFrameSize      = 16 // diskfile's frame, for the size arithmetic below
 	csFileElemSize   = 8 * fr.Limbs
 	csFileFixedHdr   = 4 + 3*4 + 32 // version + dims + digest
 	csFileMatrixHdr  = 2 * 4        // dictLen + nbTerms
 	csFileCopyBuffer = 1 << 20
 )
-
-var csCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadCSRFile marks an integrity or format failure detected while
 // opening a constraint-system file; callers treat it like a cache miss
@@ -73,30 +70,24 @@ func CSRRawSizeBytes(cs *CompiledSystem) int64 {
 }
 
 // WriteCompiledSystemFile serializes cs's CSR matrices to path
-// atomically (temp file + rename) under the integrity frame. The solver
-// program is deliberately not included: it is input-dependent state the
-// engine keeps resident (a few bytes per instruction), while the file
-// replaces only the term arrays that dominate memory.
+// atomically and durably (diskfile.WriteFramed). The solver program is
+// deliberately not included: it is input-dependent state the engine
+// keeps resident (a few bytes per instruction), while the file replaces
+// only the term arrays that dominate memory.
 func WriteCompiledSystemFile(path string, cs *CompiledSystem) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-csr-*")
+	written, err := diskfile.WriteFramed(path, csFileMagic, func(w io.Writer) error {
+		return writeCSRPayload(w, cs)
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("r1cs: write csr file: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	var zero [csFrameSize]byte
-	if _, err := tmp.Write(zero[:]); err != nil {
-		tmp.Close()
-		return err
-	}
-	bw := bufio.NewWriterSize(tmp, csFileCopyBuffer)
-	crc := crc32.New(csCRCTable)
-	var written uint64
-	w := io.MultiWriter(bw, crc)
+	mCSRFilesWritten.Inc()
+	mCSRBytesWritten.Add(uint64(written) + csFrameSize)
+	return nil
+}
+
+func writeCSRPayload(w io.Writer, cs *CompiledSystem) error {
 	put := func(b []byte) error {
-		written += uint64(len(b))
 		_, err := w.Write(b)
 		return err
 	}
@@ -124,74 +115,47 @@ func WriteCompiledSystemFile(path string, cs *CompiledSystem) error {
 		}
 		return nil
 	}
+	if err := putU32(csFileVersion, uint32(cs.NbPublic), uint32(cs.NbWires), uint32(cs.NbConstraints())); err != nil {
+		return err
+	}
 	digest := cs.Digest()
-	writePayload := func() error {
-		if err := putU32(csFileVersion, uint32(cs.NbPublic), uint32(cs.NbWires), uint32(cs.NbConstraints())); err != nil {
+	if err := put(digest[:]); err != nil {
+		return err
+	}
+	var elem [csFileElemSize]byte
+	for _, m := range []*Matrix{&cs.A, &cs.B, &cs.C} {
+		if err := putU32(uint32(len(m.Dict)), uint32(len(m.Wires))); err != nil {
 			return err
 		}
-		if err := put(digest[:]); err != nil {
+		for i := range m.Dict {
+			for l := 0; l < fr.Limbs; l++ {
+				binary.LittleEndian.PutUint64(elem[8*l:], m.Dict[i][l])
+			}
+			if err := put(elem[:]); err != nil {
+				return err
+			}
+		}
+		if err := putU32Slice(m.RowOffs); err != nil {
 			return err
 		}
-		var elem [csFileElemSize]byte
-		for _, m := range []*Matrix{&cs.A, &cs.B, &cs.C} {
-			if err := putU32(uint32(len(m.Dict)), uint32(len(m.Wires))); err != nil {
-				return err
-			}
-			for i := range m.Dict {
-				for l := 0; l < fr.Limbs; l++ {
-					binary.LittleEndian.PutUint64(elem[8*l:], m.Dict[i][l])
-				}
-				if err := put(elem[:]); err != nil {
-					return err
-				}
-			}
-			if err := putU32Slice(m.RowOffs); err != nil {
-				return err
-			}
-			if err := putU32Slice(m.Wires); err != nil {
-				return err
-			}
-			if err := putU32Slice(m.CoeffIdx); err != nil {
-				return err
-			}
+		if err := putU32Slice(m.Wires); err != nil {
+			return err
 		}
-		return nil
+		if err := putU32Slice(m.CoeffIdx); err != nil {
+			return err
+		}
 	}
-	if err := writePayload(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("r1cs: write csr file: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	var hdr [csFrameSize]byte
-	copy(hdr[0:4], csFileMagic[:])
-	binary.LittleEndian.PutUint64(hdr[4:12], written)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc.Sum32())
-	if _, err := tmp.WriteAt(hdr[:], 0); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	mCSRFilesWritten.Inc()
-	mCSRBytesWritten.Add(written + csFrameSize)
 	return nil
 }
 
 // diskMatrix is the streaming view of one matrix section: resident row
 // offsets and dictionary, term arrays read on demand.
 type diskMatrix struct {
-	f        *os.File
+	r        io.ReaderAt // the file's payload
 	rowOffs  []uint32
 	dict     []fr.Element
-	wiresOff int64 // absolute file offset of the wires array
-	coeffOff int64 // absolute file offset of the coeffIdx array
+	wiresOff int64 // payload offset of the wires array
+	coeffOff int64 // payload offset of the coeffIdx array
 }
 
 // NbRows implements MatrixStream.
@@ -208,7 +172,7 @@ func (m *diskMatrix) EndRowForTerms(start, maxTerms int) int {
 // LoadRows implements MatrixStream: two bounded preads (wires, then
 // coefficient indices) decoded into the window's reused buffers.
 // Concurrent LoadRows on distinct windows are safe — the scratch lives
-// in the window and *os.File.ReadAt is goroutine-safe.
+// in the window and SectionReader.ReadAt is goroutine-safe.
 func (m *diskMatrix) LoadRows(win *RowWindow, start, end int) error {
 	lo, hi := m.rowOffs[start], m.rowOffs[end]
 	nt := int(hi - lo)
@@ -227,7 +191,7 @@ func (m *diskMatrix) LoadRows(win *RowWindow, start, end int) error {
 	win.Wires, win.CoeffIdx = win.Wires[:nt], win.CoeffIdx[:nt]
 	buf := win.buf[:4*nt]
 	read := func(off int64, dst []uint32) error {
-		if _, err := m.f.ReadAt(buf, off+4*int64(lo)); err != nil {
+		if _, err := m.r.ReadAt(buf, off+4*int64(lo)); err != nil {
 			return fmt.Errorf("r1cs: csr window read at row %d: %w", start, err)
 		}
 		for i := range dst {
@@ -260,17 +224,20 @@ type CompiledSystemFile struct {
 	a, b, c diskMatrix
 }
 
-// OpenCompiledSystemFile opens and fully validates path — frame magic,
-// recorded payload length, payload CRC (one sequential pass), and the
-// structural invariants of every section header. Any integrity failure
-// returns an error wrapping ErrBadCSRFile so callers can fall back to
-// rewriting the file.
+// OpenCompiledSystemFile opens and fully validates path — the integrity
+// frame (diskfile.OpenFramed: magic, recorded payload length, payload
+// CRC in one sequential pass) and the structural invariants of every
+// section header. Any integrity failure returns an error wrapping
+// ErrBadCSRFile so callers can fall back to rewriting the file.
 func OpenCompiledSystemFile(path string) (*CompiledSystemFile, error) {
-	f, err := os.Open(path)
+	f, payload, err := diskfile.OpenFramed(path, csFileMagic)
 	if err != nil {
+		if errors.Is(err, diskfile.ErrBadFrame) {
+			err = fmt.Errorf("%w: %w", ErrBadCSRFile, err)
+		}
 		return nil, err
 	}
-	cf, err := parseCompiledSystemFile(f, path)
+	cf, err := parseCompiledSystemFile(f, payload, path)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -278,34 +245,9 @@ func OpenCompiledSystemFile(path string) (*CompiledSystemFile, error) {
 	return cf, nil
 }
 
-func parseCompiledSystemFile(f *os.File, path string) (*CompiledSystemFile, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Size() < csFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the frame header", ErrBadCSRFile, st.Size())
-	}
-	var hdr [csFrameSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, err
-	}
-	if [4]byte(hdr[0:4]) != csFileMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadCSRFile, hdr[0:4])
-	}
-	payloadLen := binary.LittleEndian.Uint64(hdr[4:12])
-	if got := uint64(st.Size() - csFrameSize); payloadLen != got {
-		return nil, fmt.Errorf("%w: header records %d payload bytes, file holds %d", ErrBadCSRFile, payloadLen, got)
-	}
-	crc := crc32.New(csCRCTable)
-	if _, err := io.Copy(crc, io.NewSectionReader(f, csFrameSize, int64(payloadLen))); err != nil {
-		return nil, err
-	}
-	if crc.Sum32() != binary.LittleEndian.Uint32(hdr[12:16]) {
-		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadCSRFile)
-	}
-
-	br := bufio.NewReaderSize(io.NewSectionReader(f, csFrameSize, int64(payloadLen)), csFileCopyBuffer)
+func parseCompiledSystemFile(f *os.File, payload *io.SectionReader, path string) (*CompiledSystemFile, error) {
+	payloadLen := uint64(payload.Size())
+	br := bufio.NewReaderSize(payload, csFileCopyBuffer)
 	pos := int64(0) // payload cursor, tracked for the term-array offsets
 	readFull := func(b []byte) error {
 		if _, err := io.ReadFull(br, b); err != nil {
@@ -322,7 +264,7 @@ func parseCompiledSystemFile(f *os.File, path string) (*CompiledSystemFile, erro
 		return binary.LittleEndian.Uint32(u32buf[:]), nil
 	}
 
-	cf := &CompiledSystemFile{f: f, path: path, rawSize: st.Size()}
+	cf := &CompiledSystemFile{f: f, path: path, rawSize: csFrameSize + payload.Size()}
 	version, err := readU32()
 	if err != nil {
 		return nil, err
@@ -345,7 +287,7 @@ func parseCompiledSystemFile(f *os.File, path string) (*CompiledSystemFile, erro
 	}
 
 	for _, m := range []*diskMatrix{&cf.a, &cf.b, &cf.c} {
-		m.f = f
+		m.r = payload
 		dictLen, err := readU32()
 		if err != nil {
 			return nil, err
@@ -354,8 +296,8 @@ func parseCompiledSystemFile(f *os.File, path string) (*CompiledSystemFile, erro
 		if err != nil {
 			return nil, err
 		}
-		if uint64(dictLen)*csFileElemSize > payloadLen || uint64(nbTerms)*8 > payloadLen {
-			return nil, fmt.Errorf("%w: implausible section sizes (dict %d, terms %d)", ErrBadCSRFile, dictLen, nbTerms)
+		if uint64(dictLen)*csFileElemSize > payloadLen || uint64(nbTerms)*8 > payloadLen || uint64(cf.dims.NbConstraints)*4 > payloadLen {
+			return nil, fmt.Errorf("%w: implausible section sizes (dict %d, terms %d, rows %d)", ErrBadCSRFile, dictLen, nbTerms, cf.dims.NbConstraints)
 		}
 		m.dict = make([]fr.Element, dictLen)
 		elems := make([]byte, csFileElemSize)
@@ -381,9 +323,9 @@ func parseCompiledSystemFile(f *os.File, path string) (*CompiledSystemFile, erro
 		if m.rowOffs[0] != 0 || m.rowOffs[len(m.rowOffs)-1] != nbTerms {
 			return nil, fmt.Errorf("%w: row offsets cover %d terms, section records %d", ErrBadCSRFile, m.rowOffs[len(m.rowOffs)-1], nbTerms)
 		}
-		// Term arrays stay on disk: record their absolute offsets and
-		// skip past them in the buffered reader.
-		m.wiresOff = csFrameSize + pos
+		// Term arrays stay on disk: record their offsets in the payload
+		// and skip past them in the buffered reader.
+		m.wiresOff = pos
 		m.coeffOff = m.wiresOff + 4*int64(nbTerms)
 		skip := 8 * int64(nbTerms)
 		if _, err := br.Discard(int(skip)); err != nil {

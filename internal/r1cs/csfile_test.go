@@ -1,13 +1,17 @@
 package r1cs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/diskfile"
 )
 
 // randomCompiled builds a compiled system with nCons random constraints
@@ -112,30 +116,10 @@ func TestCompiledSystemFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenCompiledSystemFileTruncated(t *testing.T) {
-	cs := randomCompiled(t, rand.New(rand.NewSource(7)), 50, 32)
-	path := filepath.Join(t.TempDir(), "sys.csr")
-	if err := WriteCompiledSystemFile(path, cs); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := os.Stat(path)
-	for _, cut := range []int64{1, 100, st.Size() / 2, st.Size() - 4} {
-		if err := os.Truncate(path, st.Size()-cut); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenCompiledSystemFile(path); !errors.Is(err, ErrBadCSRFile) {
-			t.Fatalf("truncated by %d bytes: got %v, want ErrBadCSRFile", cut, err)
-		}
-		// restore for the next cut
-		if err := WriteCompiledSystemFile(path, cs); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestOpenCompiledSystemFileCorrupt(t *testing.T) {
-	cs := randomCompiled(t, rand.New(rand.NewSource(9)), 50, 32)
-	path := filepath.Join(t.TempDir(), "sys.csr")
+// csrPayload writes cs to path and returns the file's payload (the bytes
+// behind the 16-byte frame).
+func csrPayload(t *testing.T, path string, cs *CompiledSystem) []byte {
+	t.Helper()
 	if err := WriteCompiledSystemFile(path, cs); err != nil {
 		t.Fatal(err)
 	}
@@ -143,22 +127,118 @@ func TestOpenCompiledSystemFileCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte deep in the payload: the CRC pass must reject the
-	// file before any section is trusted.
+	return raw[csFrameSize:]
+}
+
+// reframe publishes payload at path under a valid frame: damage the CRC
+// cannot see, so the section-level checks have to.
+func reframe(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	if _, err := diskfile.WriteFramed(path, csFileMagic, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenCompiledSystemFileTruncated: a file cut short is rejected at
+// open with ErrBadCSRFile — by the frame when the cut is visible to it
+// (the full frame table lives in internal/diskfile), and by the section
+// parser's own cursor when a shortened payload arrives correctly framed.
+func TestOpenCompiledSystemFileTruncated(t *testing.T) {
+	cs := randomCompiled(t, rand.New(rand.NewSource(7)), 50, 32)
+	path := filepath.Join(t.TempDir(), "sys.csr")
+	payload := csrPayload(t, path, cs)
+
+	st, _ := os.Stat(path)
+	if err := os.Truncate(path, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCompiledSystemFile(path); !errors.Is(err, ErrBadCSRFile) || !errors.Is(err, diskfile.ErrBadFrame) {
+		t.Fatalf("file cut in half: got %v, want ErrBadCSRFile wrapping the frame failure", err)
+	}
+
+	aDict := csFileFixedHdr + csFileMatrixHdr // matrix A's dictionary starts here
+	aOffs := aDict + len(cs.A.Dict)*csFileElemSize
+	aWires := aOffs + 4*len(cs.A.RowOffs)
+	for _, tc := range []struct {
+		name string
+		keep int
+	}{
+		{"empty payload", 0},
+		{"inside the dimensions", 10},
+		{"inside the digest", 30},
+		{"inside A's section header", csFileFixedHdr + 4},
+		{"inside A's dictionary", aDict + csFileElemSize/2},
+		{"inside A's row offsets", aOffs + 6},
+		{"inside A's term arrays", aWires + 4},
+		{"before C's term arrays end", len(payload) - 4},
+		{"one byte short", len(payload) - 1},
+	} {
+		reframe(t, path, payload[:tc.keep])
+		if _, err := OpenCompiledSystemFile(path); !errors.Is(err, ErrBadCSRFile) {
+			t.Errorf("payload cut %s (%d of %d bytes): got %v, want ErrBadCSRFile", tc.name, tc.keep, len(payload), err)
+		}
+	}
+	reframe(t, path, payload)
+	cf, err := OpenCompiledSystemFile(path)
+	if err != nil {
+		t.Fatalf("whole payload, reframed: %v", err)
+	}
+	cf.Close()
+}
+
+// TestOpenCompiledSystemFileCorrupt: a flipped byte is caught by the
+// frame's CRC before any section is trusted; a payload that is wrong but
+// correctly framed — dimensions, section sizes, row offsets, bytes the
+// sections do not account for — is caught by the structural checks. Both
+// surface as ErrBadCSRFile.
+func TestOpenCompiledSystemFileCorrupt(t *testing.T) {
+	cs := randomCompiled(t, rand.New(rand.NewSource(9)), 50, 32)
+	path := filepath.Join(t.TempDir(), "sys.csr")
+	payload := csrPayload(t, path, cs)
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw[len(raw)/2] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCompiledSystemFile(path); !errors.Is(err, ErrBadCSRFile) {
-		t.Fatalf("corrupt payload: got %v, want ErrBadCSRFile", err)
+	if _, err := OpenCompiledSystemFile(path); !errors.Is(err, ErrBadCSRFile) || !errors.Is(err, diskfile.ErrBadFrame) {
+		t.Fatalf("flipped payload byte: got %v, want ErrBadCSRFile wrapping the frame failure", err)
 	}
-	// Bad magic is rejected immediately.
-	raw[len(raw)/2] ^= 0xff
-	raw[0] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+
+	const (
+		version, nbPublic, nbWires, nbCons = 0, 4, 8, 12 // u32 offsets in the payload
+		aDictLen, aNbTerms                 = csFileFixedHdr, csFileFixedHdr + 4
+	)
+	aOffs := csFileFixedHdr + csFileMatrixHdr + len(cs.A.Dict)*csFileElemSize
+	setU32 := func(off int, v uint32) func([]byte) []byte {
+		return func(b []byte) []byte { binary.LittleEndian.PutUint32(b[off:], v); return b }
 	}
-	if _, err := OpenCompiledSystemFile(path); !errors.Is(err, ErrBadCSRFile) {
-		t.Fatalf("bad magic: got %v, want ErrBadCSRFile", err)
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{"unknown version", setU32(version, csFileVersion+1)},
+		{"no constant wire", setU32(nbPublic, 0)},
+		{"fewer wires than public inputs", setU32(nbWires, 1)},
+		{"more constraints than the payload could index", setU32(nbCons, 1<<31-1)},
+		{"one constraint too many", setU32(nbCons, uint32(cs.NbConstraints()+1))},
+		{"dictionary larger than the payload", setU32(aDictLen, 1<<30)},
+		{"dictionary one entry short", setU32(aDictLen, uint32(len(cs.A.Dict)-1))},
+		{"term count larger than the payload", setU32(aNbTerms, 1<<30)},
+		{"term count disagrees with the row offsets", setU32(aNbTerms, uint32(len(cs.A.Wires)+1))},
+		{"row offsets do not start at zero", setU32(aOffs, 1)},
+		{"row offsets not monotone", setU32(aOffs+4*10, cs.A.RowOffs[len(cs.A.RowOffs)-1]+1)},
+		{"bytes after the last section", func(b []byte) []byte { return append(b, 0) }},
+	} {
+		reframe(t, path, tc.mutate(bytes.Clone(payload)))
+		if _, err := OpenCompiledSystemFile(path); !errors.Is(err, ErrBadCSRFile) {
+			t.Errorf("%s: got %v, want ErrBadCSRFile", tc.name, err)
+		}
 	}
 }

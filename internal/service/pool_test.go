@@ -2,8 +2,10 @@ package service
 
 import (
 	"bytes"
+	"crypto/rand"
 	"encoding/json"
 	"io"
+	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -397,24 +399,50 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
+// explodeOnce is an engine randomness source whose first read panics —
+// on whichever goroutine runs the first trusted setup — and which is
+// crypto/rand from then on.
+type explodeOnce struct{ once sync.Once }
+
+func (r *explodeOnce) Read(p []byte) (int, error) {
+	r.once.Do(func() { panic("boom in a trusted setup") })
+	return rand.Read(p)
+}
+
 // TestPoolsRecoverFromPanic: a panic inside one prove job — on a
 // goroutine par.Range started below the pool worker, the way a bug in an
 // MSM cell or an FFT level would arrive — and one in a verify batch fail
 // that job and answer that request 500; the workers keep serving, each
-// panic is logged once with its stack and counted.
+// panic is logged once with its stack and counted. A panic in a
+// registration's trusted setup, ahead of both, costs that request its
+// connection (net/http's own recover) and nothing else: the same model
+// registers on the next try.
 func TestPoolsRecoverFromPanic(t *testing.T) {
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	base := runtime.NumGoroutine()
 	var logs lockedBuffer
 	srv, err := New(Options{
-		EngineOptions: engine.Options{Workers: 1}, // the one prove worker has to survive
+		// The one prove worker has to survive.
+		EngineOptions: engine.Options{Workers: 1, Rand: new(explodeOnce)},
 		Logger:        slog.New(slog.NewTextHandler(&logs, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // net/http's "panic serving" record
+	ts.Start()
 	defer ts.Close()
+
+	modelJSON, keyJSON := testFixture(t)
+	regBody, err := json.Marshal(RegisterRequest{Name: "test-mlp", Model: modelJSON, Key: keyJSON, MaxErrors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.Post(ts.URL+"/v1/models", "application/json", bytes.NewReader(regBody)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("registration whose setup panics answered %d, want a dropped connection", resp.StatusCode)
+	}
 	panics := func() uint64 { return mPanics["prove"].Value() + mPanics["verify"].Value() }
 	before := panics()
 
@@ -424,7 +452,10 @@ func TestPoolsRecoverFromPanic(t *testing.T) {
 	}
 	srv.testVerifyStall = func() { verifyOnce.Do(func() { panic("boom in a verify batch") }) }
 
-	reg := register(t, ts.URL, 4)
+	reg := register(t, ts.URL, 4) // blocked forever while the panic left the digest in flight
+	if reg.SetupCached || reg.AlreadyRegistered {
+		t.Fatalf("registration after the panicking one: %+v, want a fresh setup of a new record", reg)
+	}
 	resp, data := postJSON(t, ts.URL+"/v1/models/"+reg.ModelID+"/prove", ProveRequest{})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("prove: %d %s", resp.StatusCode, data)

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"zkrownn/internal/core"
-	"zkrownn/internal/engine"
+	"zkrownn/internal/diskfile"
 	"zkrownn/internal/fixpoint"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/nn"
@@ -262,7 +262,7 @@ func (r *registry) put(rec *modelRecord) (existed bool, err error) {
 	if r.dir == "" {
 		return existed, nil
 	}
-	if err := engine.AtomicWriteFile(filepath.Join(r.dir, rec.ID+".vk"), func(w io.Writer) error {
+	if err := diskfile.Write(filepath.Join(r.dir, rec.ID+".vk"), func(w io.Writer) error {
 		_, err := rec.VK.WriteTo(w)
 		return err
 	}); err != nil {
@@ -285,7 +285,7 @@ func (r *registry) put(rec *modelRecord) (existed bool, err error) {
 	if err != nil {
 		return existed, err
 	}
-	if err := engine.AtomicWriteFile(filepath.Join(r.dir, rec.ID+".json"), func(w io.Writer) error {
+	if err := diskfile.Write(filepath.Join(r.dir, rec.ID+".json"), func(w io.Writer) error {
 		_, err := w.Write(metaBytes)
 		return err
 	}); err != nil {

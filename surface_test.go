@@ -167,3 +167,72 @@ func TestProofServiceSchedulesByLoad(t *testing.T) {
 		t.Errorf("service.Options has %d fields, at most 8 allowed", fields)
 	}
 }
+
+// TestOneDiskPath keeps one way to put a file on disk that a later run
+// will trust: the temp-file → fsync → rename → fsync-directory sequence,
+// the integrity frame and the raw proving-key layout each exist at one
+// site. A second writer, a second frame codec or a second encoder that
+// comes back — under an old name or by its calls — fails here.
+func TestOneDiskPath(t *testing.T) {
+	var syncs, crcTables, rawHeaders int
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		inDiskfile := strings.HasPrefix(path, "internal/diskfile/")
+		fn := "" // the top-level function being walked
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				fn = n.Name.Name
+				switch fn {
+				case "AtomicWriteFile", "writeFramedFile", "openFramed", "storeDisk", "loadDisk", "getDisk", "streamFromDisk":
+					t.Errorf("%s declares %s: the disk path is diskfile.Write/WriteFramed/OpenFramed, engine.loadKeys and Engine.setup", path, fn)
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "writeHeader" && len(n.Args) == 2 {
+						if magic, ok := n.Args[1].(*ast.Ident); ok && magic.Name == "magicPKRaw" {
+							rawHeaders++
+						}
+					}
+					return true
+				}
+				pkg, _ := sel.X.(*ast.Ident)
+				switch {
+				case pkg != nil && pkg.Name == "os" && (sel.Sel.Name == "Rename" || sel.Sel.Name == "CreateTemp" || sel.Sel.Name == "MkdirTemp"):
+					scratch := path == "internal/poly/vecfile.go" || (path == "internal/engine/engine.go" && fn == "streamKeyDir")
+					if !inDiskfile && !scratch {
+						t.Errorf("%s: os.%s in %s — a file a later run trusts is written through internal/diskfile",
+							fset.Position(n.Pos()), sel.Sel.Name, fn)
+					}
+				case pkg != nil && pkg.Name == "crc32" && sel.Sel.Name == "MakeTable":
+					crcTables++
+				case inDiskfile && sel.Sel.Name == "Sync" && len(n.Args) == 0:
+					syncs++
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if syncs < 2 {
+		t.Errorf("internal/diskfile calls Sync %d times, want the file and its directory fsynced", syncs)
+	}
+	if crcTables != 1 {
+		t.Errorf("%d crc32.MakeTable calls under internal/, want the one frame codec's", crcTables)
+	}
+	if rawHeaders != 1 {
+		t.Errorf("magicPKRaw is passed to writeHeader at %d call sites, want the one raw-layout writer", rawHeaders)
+	}
+}
