@@ -13,8 +13,8 @@
 //
 //	verdict, _ := c.Verify(ctx, reg.ModelID, job.Proof, job.PublicInputs)
 //
-// The wire types mirror the server's JSON API (internal/service); the
-// end-to-end test at the repository root keeps the two in lockstep.
+// The wire types are the server's own (internal/service), under aliases:
+// each JSON message has one declaration, so the two cannot drift.
 package client
 
 import (
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"zkrownn"
+	"zkrownn/internal/service"
 )
 
 // ErrQueueFull is wrapped by SubmitProve when the server sheds load
@@ -39,6 +40,9 @@ var ErrQueueFull = errors.New("client: prove queue full")
 type APIError struct {
 	Status  int
 	Message string
+	// RequestID is the server's correlation ID for the failed request
+	// (its X-Request-Id), the handle for finding it in the server's logs.
+	RequestID string
 }
 
 func (e *APIError) Error() string {
@@ -90,151 +94,49 @@ type RegisterOptions struct {
 	BundleSlots int
 }
 
-// Registration reports a registered circuit.
-type Registration struct {
-	ModelID           string                `json:"model_id"`
-	Name              string                `json:"name,omitempty"`
-	AlreadyRegistered bool                  `json:"already_registered,omitempty"`
-	SetupCached       bool                  `json:"setup_cached"`
-	Constraints       int                   `json:"constraints"`
-	PublicInputs      int                   `json:"public_inputs"`
-	Committed         bool                  `json:"committed,omitempty"`
-	BundleSlots       int                   `json:"bundle_slots,omitempty"`
-	VK                *zkrownn.VerifyingKey `json:"vk"`
-}
-
-// ModelInfo describes one registry entry.
-type ModelInfo struct {
-	ModelID      string `json:"model_id"`
-	Name         string `json:"name,omitempty"`
-	Committed    bool   `json:"committed,omitempty"`
-	BundleSlots  int    `json:"bundle_slots,omitempty"`
-	FracBits     int    `json:"frac_bits"`
-	MaxErrors    int    `json:"max_errors"`
-	Constraints  int    `json:"constraints"`
-	PublicInputs int    `json:"public_inputs"`
-	CreatedAt    string `json:"created_at"`
-	CanProve     bool   `json:"can_prove"`
-}
-
-// ModelDetail is a registry entry plus its verifying key.
-type ModelDetail struct {
-	ModelInfo
-	VK *zkrownn.VerifyingKey `json:"vk"`
-}
-
-// ProveTicket acknowledges a queued prove job.
-type ProveTicket struct {
-	JobID      string `json:"job_id"`
-	ModelID    string `json:"model_id"`
-	Status     string `json:"status"`
-	QueueDepth int    `json:"queue_depth"`
-}
-
-// JobStatus reports a prove job; Proof and PublicInputs are set once
-// Status is "done".
-type JobStatus struct {
-	JobID       string  `json:"job_id"`
-	ModelID     string  `json:"model_id"`
-	Status      string  `json:"status"`
-	Error       string  `json:"error,omitempty"`
-	SetupCached bool    `json:"setup_cached,omitempty"`
-	QueuedMS    float64 `json:"queued_ms,omitempty"`
-	// SolveMS is the per-job witness generation (solver-program replay
-	// over the circuit compiled at registration).
-	SolveMS float64 `json:"solve_ms,omitempty"`
-	ProveMS float64 `json:"prove_ms,omitempty"`
-	// Claims holds the per-slot ownership verdicts of a bundle job, in
-	// slot order (one entry for single-slot registrations).
-	Claims       []bool           `json:"claims,omitempty"`
-	Proof        *zkrownn.Proof   `json:"proof,omitempty"`
-	PublicInputs zkrownn.Instance `json:"public_inputs,omitempty"`
-}
-
-// Job states, mirroring the server.
-const (
-	JobQueued  = "queued"
-	JobRunning = "running"
-	JobDone    = "done"
-	JobFailed  = "failed"
+// The service's JSON messages, as its handlers declare them.
+type (
+	// Registration reports a registered circuit.
+	Registration = service.RegisterResponse
+	// ModelInfo describes one registry entry.
+	ModelInfo = service.ModelInfo
+	// ModelDetail is a registry entry plus its verifying key.
+	ModelDetail = service.ModelResponse
+	// ProveTicket acknowledges a queued prove job.
+	ProveTicket = service.ProveAccepted
+	// JobStatus reports a prove job; Proof and PublicInputs are set once
+	// Status is "done", and Claims holds the per-slot ownership verdicts
+	// in slot order (one entry for single-slot registrations).
+	JobStatus = service.JobStatus
+	// VerifyResult reports an over-the-wire verification. Claim is the
+	// conjunction of every slot's verdict; Claims lists them per slot for
+	// bundle registrations.
+	VerifyResult = service.VerifyResponse
+	// AggregateResult reports a registry-scale aggregation. When Valid,
+	// the artifact plus SRS key verify client-side against the model's VK
+	// with zkrownn.VerifyAggregateOwnership — no trust in the service's
+	// verdict required. An invalid member yields no artifact; Error names
+	// the first offending proof index.
+	AggregateResult = service.AggregateResponse
+	// EngineStats is the engine half of /v1/stats.
+	EngineStats = service.EngineStatsWire
+	// ServiceStats is the prove-queue / verify-pool half of /v1/stats.
+	ServiceStats = service.ServiceStats
+	// Stats is the /v1/stats payload.
+	Stats = service.StatsResponse
 )
 
-// VerifyResult reports an over-the-wire verification. Claim is the
-// conjunction of every slot's verdict; Claims lists them per slot for
-// bundle registrations.
-type VerifyResult struct {
-	Valid     bool   `json:"valid"`
-	Claim     bool   `json:"claim"`
-	Claims    []bool `json:"claims,omitempty"`
-	BatchSize int    `json:"batch_size"`
-	Error     string `json:"error,omitempty"`
-}
-
-// AggregateResult reports a registry-scale aggregation. When Valid, the
-// artifact plus SRS key verify client-side against the model's VK with
-// zkrownn.VerifyAggregateOwnership — no trust in the service's verdict
-// required. An invalid member yields no artifact; Error names the first
-// offending proof index.
-type AggregateResult struct {
-	Valid     bool                          `json:"valid"`
-	Claim     bool                          `json:"claim"`
-	Claims    []bool                        `json:"claims,omitempty"`
-	Count     int                           `json:"count"`
-	BatchSize int                           `json:"batch_size"`
-	Aggregate *zkrownn.AggregateProof       `json:"aggregate,omitempty"`
-	SRSKey    *zkrownn.AggregateVerifierKey `json:"srs_key,omitempty"`
-	Error     string                        `json:"error,omitempty"`
-}
-
-// EngineStats mirrors the engine half of /v1/stats.
-type EngineStats struct {
-	Setups      uint64  `json:"setups"`
-	MemHits     uint64  `json:"mem_hits"`
-	DiskHits    uint64  `json:"disk_hits"`
-	Solves      uint64  `json:"solves"`
-	Proves      uint64  `json:"proves"`
-	Verifies    uint64  `json:"verifies"`
-	Aggregates  uint64  `json:"aggregates"`
-	SetupMS     float64 `json:"setup_ms"`
-	SolveMS     float64 `json:"solve_ms"`
-	ProveMS     float64 `json:"prove_ms"`
-	VerifyMS    float64 `json:"verify_ms"`
-	AggregateMS float64 `json:"aggregate_ms"`
-}
-
-// ServiceStats mirrors the prove-queue / verify-pool half of /v1/stats.
-type ServiceStats struct {
-	Models int `json:"models"`
-	// CircuitsCompiled counts server-side Algorithm-1 compilations —
-	// flat at one per registered architecture however many jobs run.
-	CircuitsCompiled      uint64 `json:"circuits_compiled"`
-	JobsSubmitted         uint64 `json:"jobs_submitted"`
-	JobsRejected          uint64 `json:"jobs_rejected"`
-	JobsCompleted         uint64 `json:"jobs_completed"`
-	JobsFailed            uint64 `json:"jobs_failed"`
-	QueueDepth            int    `json:"queue_depth"`
-	QueueCapacity         int    `json:"queue_capacity"`
-	VerifyRequests        uint64 `json:"verify_requests"`
-	VerifyBatchCalls      uint64 `json:"verify_batch_calls"`
-	VerifyBatchedRequests uint64 `json:"verify_batched_requests"`
-	VerifyMaxBatch        uint64 `json:"verify_max_batch"`
-	VerifyFallbacks       uint64 `json:"verify_fallbacks"`
-	AggregateRequests     uint64 `json:"aggregate_requests"`
-	AggregateArtifacts    uint64 `json:"aggregate_artifacts"`
-	AggregateFallbacks    uint64 `json:"aggregate_fallbacks"`
-}
-
-// Stats is the /v1/stats payload.
-type Stats struct {
-	Engine  EngineStats  `json:"engine"`
-	Service ServiceStats `json:"service"`
-}
+// Job states.
+const (
+	JobQueued  = service.JobQueued
+	JobRunning = service.JobRunning
+	JobDone    = service.JobDone
+	JobFailed  = service.JobFailed
+)
 
 // Health pings /healthz.
 func (c *Client) Health(ctx context.Context) error {
-	var out struct {
-		Status string `json:"status"`
-	}
+	var out service.HealthResponse
 	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
 		return err
 	}
@@ -265,15 +167,11 @@ func (c *Client) RegisterModel(ctx context.Context, model *zkrownn.Model, key *z
 	if err != nil {
 		return nil, err
 	}
-	req := struct {
-		Name        string          `json:"name,omitempty"`
-		Model       json.RawMessage `json:"model"`
-		Key         json.RawMessage `json:"key"`
-		FracBits    int             `json:"frac_bits,omitempty"`
-		MaxErrors   int             `json:"max_errors,omitempty"`
-		Committed   bool            `json:"committed,omitempty"`
-		BundleSlots int             `json:"bundle_slots,omitempty"`
-	}{opts.Name, modelJSON, keyJSON, opts.FracBits, opts.MaxErrors, opts.Committed, opts.BundleSlots}
+	req := service.RegisterRequest{
+		Name: opts.Name, Model: modelJSON, Key: keyJSON,
+		FracBits: opts.FracBits, MaxErrors: opts.MaxErrors,
+		Committed: opts.Committed, BundleSlots: opts.BundleSlots,
+	}
 	out := new(Registration)
 	if err := c.do(ctx, http.MethodPost, "/v1/models", req, out); err != nil {
 		return nil, err
@@ -304,9 +202,7 @@ func (c *Client) Model(ctx context.Context, modelID string) (*ModelDetail, error
 // architecture); nil proves the registered model. A load-shedding 429
 // surfaces as an error wrapping ErrQueueFull.
 func (c *Client) SubmitProve(ctx context.Context, modelID string, suspect *zkrownn.Model) (*ProveTicket, error) {
-	req := struct {
-		SuspectModel json.RawMessage `json:"suspect_model,omitempty"`
-	}{}
+	var req service.ProveRequest
 	if suspect != nil {
 		m, err := encodeModel(suspect)
 		if err != nil {
@@ -314,16 +210,7 @@ func (c *Client) SubmitProve(ctx context.Context, modelID string, suspect *zkrow
 		}
 		req.SuspectModel = m
 	}
-	out := new(ProveTicket)
-	err := c.do(ctx, http.MethodPost, "/v1/models/"+modelID+"/prove", req, out)
-	var apiErr *APIError
-	if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests {
-		return nil, fmt.Errorf("%w: %s", ErrQueueFull, apiErr.Message)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.submitProve(ctx, modelID, req)
 }
 
 // SubmitProveBundle queues one async proof covering every claim slot of
@@ -332,9 +219,7 @@ func (c *Client) SubmitProve(ctx context.Context, modelID string, suspect *zkrow
 // BundleSlots. The finished job carries ONE proof plus a per-slot
 // verdict vector (JobStatus.Claims).
 func (c *Client) SubmitProveBundle(ctx context.Context, modelID string, suspects []*zkrownn.Model) (*ProveTicket, error) {
-	req := struct {
-		SuspectModels []json.RawMessage `json:"suspect_models,omitempty"`
-	}{}
+	var req service.ProveRequest
 	for _, suspect := range suspects {
 		if suspect == nil {
 			req.SuspectModels = append(req.SuspectModels, json.RawMessage("null"))
@@ -346,6 +231,11 @@ func (c *Client) SubmitProveBundle(ctx context.Context, modelID string, suspects
 		}
 		req.SuspectModels = append(req.SuspectModels, m)
 	}
+	return c.submitProve(ctx, modelID, req)
+}
+
+// submitProve posts one prove request, single-suspect or bundle.
+func (c *Client) submitProve(ctx context.Context, modelID string, req service.ProveRequest) (*ProveTicket, error) {
 	out := new(ProveTicket)
 	err := c.do(ctx, http.MethodPost, "/v1/models/"+modelID+"/prove", req, out)
 	var apiErr *APIError
@@ -421,10 +311,7 @@ func (c *Client) FetchProofBinary(ctx context.Context, jobID string) (*zkrownn.P
 // single batched pairing product; VerifyResult.BatchSize reports the
 // fold (1 on an idle server).
 func (c *Client) Verify(ctx context.Context, modelID string, proof *zkrownn.Proof, public zkrownn.Instance) (*VerifyResult, error) {
-	req := struct {
-		Proof        *zkrownn.Proof   `json:"proof"`
-		PublicInputs zkrownn.Instance `json:"public_inputs"`
-	}{proof, public}
+	req := service.VerifyRequest{Proof: proof, PublicInputs: public}
 	out := new(VerifyResult)
 	if err := c.do(ctx, http.MethodPost, "/v1/models/"+modelID+"/verify", req, out); err != nil {
 		return nil, err
@@ -438,11 +325,7 @@ func (c *Client) Verify(ctx context.Context, modelID string, proof *zkrownn.Proo
 // the result carries the artifact plus the SRS verifier key; audit it
 // locally with zkrownn.VerifyAggregateOwnership against the model's VK.
 func (c *Client) Aggregate(ctx context.Context, modelID string, proofs []*zkrownn.Proof, publics []zkrownn.Instance) (*AggregateResult, error) {
-	req := struct {
-		ModelID      string             `json:"model_id"`
-		Proofs       []*zkrownn.Proof   `json:"proofs"`
-		PublicInputs []zkrownn.Instance `json:"public_inputs"`
-	}{modelID, proofs, publics}
+	req := service.AggregateRequest{ModelID: modelID, Proofs: proofs, PublicInputs: publics}
 	out := new(AggregateResult)
 	if err := c.do(ctx, http.MethodPost, "/v1/aggregate", req, out); err != nil {
 		return nil, err
@@ -498,12 +381,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 
 func decodeAPIError(resp *http.Response) error {
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e service.ErrorResponse
 	msg := strings.TrimSpace(string(data))
 	if json.Unmarshal(data, &e) == nil && e.Error != "" {
 		msg = e.Error
 	}
-	return &APIError{Status: resp.StatusCode, Message: msg}
+	return &APIError{Status: resp.StatusCode, Message: msg, RequestID: e.RequestID}
 }

@@ -100,12 +100,6 @@ type ScalarDecomposition struct {
 	digits []int16
 }
 
-// C returns the window width the scalars were recoded at.
-func (d *ScalarDecomposition) C() int { return d.c }
-
-// Len returns the number of scalars in the decomposition.
-func (d *ScalarDecomposition) Len() int { return d.n }
-
 // row returns the digit row of window w.
 func (d *ScalarDecomposition) row(w int) []int16 {
 	return d.digits[w*d.n : (w+1)*d.n]

@@ -118,7 +118,7 @@ var defaultEngine = engine.New(engine.Options{CacheEntries: 2})
 
 // DefaultEngine returns the process-wide engine behind RunPipeline.
 // Long-lived embedders that are done proving can reclaim the cached
-// proving keys with DefaultEngine().ClearCache().
+// proving keys with DefaultEngine().DropMemoryCache().
 func DefaultEngine() *engine.Engine { return defaultEngine }
 
 // RunPipeline executes setup → prove → verify for the artifact and

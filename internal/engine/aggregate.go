@@ -8,7 +8,6 @@ import (
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/bn254/ipp"
 	"zkrownn/internal/groth16"
-	"zkrownn/internal/obs"
 )
 
 // Proof aggregation: the engine owns the inner-pairing-product SRS and
@@ -27,19 +26,6 @@ const maxAggregateProofs = 1 << 12
 // ramp of small windows doesn't regenerate per size.
 const minAggregateSRS = 64
 
-var (
-	mAggregatesTotal = obs.Default().Counter("zkrownn_aggregates_total",
-		"Aggregation artifacts produced.")
-	mAggregatedProofsTotal = obs.Default().Counter("zkrownn_aggregated_proofs_total",
-		"Proofs folded into aggregation artifacts (pre-padding counts).")
-	mAggregateErrorsTotal = obs.Default().Counter("zkrownn_aggregate_errors_total",
-		"Aggregation requests that failed (invalid member proofs or SRS errors).")
-	mAggregateSeconds = obs.Default().Histogram("zkrownn_aggregate_seconds",
-		"Proof aggregation wall-clock time per artifact (prove + self-check).", obs.TimeBuckets())
-	mAggregateSRSBuilds = obs.Default().Counter("zkrownn_aggregate_srs_builds_total",
-		"Aggregation SRS generations (first use and capacity regrowths).")
-)
-
 // aggregationSRS returns an SRS with capacity ≥ n, building or
 // regrowing it under the engine's SRS lock.
 func (e *Engine) aggregationSRS(n int) (*ipp.SRS, error) {
@@ -56,7 +42,7 @@ func (e *Engine) aggregationSRS(n int) (*ipp.SRS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: aggregation SRS: %w", err)
 	}
-	mAggregateSRSBuilds.Inc()
+	e.m.aggregateSRSBuilds.Inc()
 	e.srs = srs
 	return srs, nil
 }
@@ -95,7 +81,7 @@ func (e *Engine) AggregateMany(vk *groth16.VerifyingKey, proofs []*groth16.Proof
 	}
 	srs, err := e.aggregationSRS(ipp.NextPow2(len(proofs)))
 	if err != nil {
-		mAggregateErrorsTotal.Inc()
+		e.m.aggregateErrors.Inc()
 		return nil, nil, err
 	}
 	start := time.Now()
@@ -105,18 +91,14 @@ func (e *Engine) AggregateMany(vk *groth16.VerifyingKey, proofs []*groth16.Proof
 		// what rejects sets containing invalid proofs.
 		err = groth16.VerifyAggregate(&srs.VK, vk, agg, publicInputs)
 	}
-	elapsed := time.Since(start)
-	e.aggregateNs.Add(int64(elapsed))
-	observeSeconds(mAggregateSeconds, elapsed)
+	observeSeconds(e.m.aggregateSeconds, time.Since(start))
 	if err != nil {
-		mAggregateErrorsTotal.Inc()
+		e.m.aggregateErrors.Inc()
 		return nil, nil, err
 	}
-	e.aggregates.Add(1)
-	mAggregatesTotal.Inc()
-	mAggregatedProofsTotal.Add(uint64(len(proofs)))
-	e.verifies.Add(uint64(len(proofs)))
-	mVerifiesTotal.Add(uint64(len(proofs)))
+	e.m.aggregates.Inc()
+	e.m.aggregatedProofs.Add(uint64(len(proofs)))
+	e.m.verifies.Add(uint64(len(proofs)))
 	svk := srs.VK
 	return agg, &svk, nil
 }

@@ -37,7 +37,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zkrownn/internal/bn254/fr"
@@ -179,13 +178,13 @@ var ErrClosed = errors.New("engine: engine is closed")
 
 // Engine is safe for concurrent use by multiple goroutines.
 //
-// All Stats counters are atomics and may be read (via Stats) at any
-// time, including while proves and verifies are running on other
-// goroutines; the snapshot is per-counter atomic, not a globally
-// consistent cut, which is fine for monitoring.
+// Stats may be read at any time, including while proves and verifies
+// are running on other goroutines; the snapshot is per-series atomic,
+// not a globally consistent cut, which is fine for monitoring.
 type Engine struct {
 	opts  Options
 	cache *keyCache
+	m     *metrics
 
 	// lifecycle serializes Close against in-flight work: every public
 	// entry point holds a read lock for its whole duration, so Close
@@ -207,12 +206,6 @@ type Engine struct {
 	// srs is the lazily built proof-aggregation SRS (see aggregate.go).
 	srsMu sync.Mutex
 	srs   *ipp.SRS
-
-	setups, memHits, diskHits           atomic.Uint64
-	solves, proves, streamProves        atomic.Uint64
-	spillProves, verifies, aggregates   atomic.Uint64
-	setupNs, solveNs, proveNs, verifyNs atomic.Int64
-	aggregateNs                         atomic.Int64
 }
 
 type setupCall struct {
@@ -239,6 +232,7 @@ func New(opts Options) *Engine {
 	return &Engine{
 		opts:     opts,
 		cache:    newKeyCache(opts.CacheEntries),
+		m:        newMetrics(),
 		inflight: make(map[string]*setupCall),
 	}
 }
@@ -431,8 +425,7 @@ func (e *Engine) DropMemoryCache() {
 func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (keys *KeyPair, hit bool, digest string, persistErr error, err error) {
 	digest = sys.DigestHex()
 	if keys, ok := e.cache.get(digest, sys); ok {
-		e.memHits.Add(1)
-		mKeycacheMemHits.Inc()
+		e.m.keycacheMemHits.Inc()
 		return keys, true, digest, nil, nil
 	}
 
@@ -453,8 +446,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	// taking the lock — without this, that window runs a redundant setup.
 	if keys, ok := e.cache.get(digest, sys); ok {
 		e.inflightMu.Unlock()
-		e.memHits.Add(1)
-		mKeycacheMemHits.Inc()
+		e.m.keycacheMemHits.Inc()
 		return keys, true, digest, nil, nil
 	}
 	call := &setupCall{done: make(chan struct{})}
@@ -505,10 +497,9 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	}
 	sp.End()
 	if hit = call.keys != nil; hit {
-		e.diskHits.Add(1)
-		mKeycacheDiskHits.Inc()
+		e.m.keycacheDiskHits.Inc()
 	} else {
-		mKeycacheMisses.Inc()
+		e.m.keycacheMisses.Inc()
 		name := "keys/setup"
 		if stream {
 			name = "keys/setup-streamed"
@@ -521,9 +512,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 		if call.err != nil {
 			return nil, false, digest, nil, call.err
 		}
-		e.setups.Add(1)
-		e.setupNs.Add(int64(elapsed))
-		observeSeconds(mSetupSeconds, elapsed)
+		observeSeconds(e.m.setupSeconds, elapsed)
 	}
 	e.cache.put(digest, call.keys, cacheSystem(sys, spill))
 	return call.keys, hit, digest, call.persistErr, nil
@@ -570,7 +559,7 @@ func (e *Engine) prove(req Request) *Result {
 	res.CacheHit = hit
 	res.PersistErr = persistErr
 	if err != nil {
-		mProveErrorsTotal.Inc()
+		e.m.proveErrors.Inc()
 		res.Err = fmt.Errorf("engine: setup: %w", err)
 		return res
 	}
@@ -581,7 +570,7 @@ func (e *Engine) prove(req Request) *Result {
 		// against it without the spill file would silently "satisfy"
 		// empty constraints. The cache pairs stripped systems with their
 		// CSFile, so this only trips on a programming error.
-		mProveErrorsTotal.Inc()
+		e.m.proveErrors.Inc()
 		res.Err = errors.New("engine: cached circuit is solver-only but no CSR spill file is attached")
 		return res
 	}
@@ -598,7 +587,7 @@ func (e *Engine) prove(req Request) *Result {
 			wf, derr = r1cs.NewWitnessFile(dir, sys.NbWires, e.witnessPageBudget())
 		}
 		if derr != nil {
-			mProveErrorsTotal.Inc()
+			e.m.proveErrors.Inc()
 			res.Err = fmt.Errorf("engine: witness spill store: %w", derr)
 			return res
 		}
@@ -615,20 +604,18 @@ func (e *Engine) prove(req Request) *Result {
 		res.SolveTime = time.Since(start)
 		sp.End()
 		if err != nil {
-			mProveErrorsTotal.Inc()
+			e.m.proveErrors.Inc()
 			res.Err = fmt.Errorf("engine: solve: %w", err)
 			return res
 		}
-		e.solves.Add(1)
-		e.solveNs.Add(int64(res.SolveTime))
-		observeSeconds(mSolveSeconds, res.SolveTime)
+		observeSeconds(e.m.solveSeconds, res.SolveTime)
 	}
 	if wf != nil {
 		// Only the instance comes back resident: public wires [1, NbPublic).
 		if n := sys.NbPublic - 1; n > 0 {
 			pub := make([]fr.Element, n)
 			if err := wf.ReadRange(pub, 1); err != nil {
-				mProveErrorsTotal.Inc()
+				e.m.proveErrors.Inc()
 				res.Err = fmt.Errorf("engine: read spilled public inputs: %w", err)
 				return res
 			}
@@ -667,22 +654,18 @@ func (e *Engine) prove(req Request) *Result {
 	res.ProveTime = time.Since(start)
 	sp.End()
 	if err != nil {
-		mProveErrorsTotal.Inc()
+		e.m.proveErrors.Inc()
 		res.Err = fmt.Errorf("engine: prove: %w", err)
 		return res
 	}
-	e.proves.Add(1)
-	mProvesTotal.Inc()
+	e.m.proves.Inc()
 	if keys.Stream != nil {
-		e.streamProves.Add(1)
-		mStreamProvesTotal.Inc()
+		e.m.streamProves.Inc()
 	}
 	if keys.CSFile != nil {
-		e.spillProves.Add(1)
-		mSpillProvesTotal.Inc()
+		e.m.spillProves.Inc()
 	}
-	e.proveNs.Add(int64(res.ProveTime))
-	observeSeconds(mProveSeconds, res.ProveTime)
+	observeSeconds(e.m.proveSeconds, res.ProveTime)
 	res.Proof = proof
 	return res
 }
@@ -690,8 +673,8 @@ func (e *Engine) prove(req Request) *Result {
 // ProveMany runs the requests on the engine's worker pool and returns
 // one Result per request, order-preserving. Requests sharing a circuit
 // digest trigger a single trusted setup no matter how the pool
-// interleaves them. Failed requests carry their error in Result.Err;
-// the rest of the batch completes.
+// interleaves them. Failed requests — a panicking prove included — carry
+// their error in Result.Err; the rest of the batch completes.
 func (e *Engine) ProveMany(reqs []Request) []*Result {
 	results := make([]*Result, len(reqs))
 	if err := e.acquire(); err != nil {
@@ -707,7 +690,7 @@ func (e *Engine) ProveMany(reqs []Request) []*Result {
 	}
 	if workers <= 1 {
 		for i := range reqs {
-			results[i] = e.prove(reqs[i])
+			results[i] = e.proveIsolated(reqs[i])
 		}
 		return results
 	}
@@ -718,7 +701,7 @@ func (e *Engine) ProveMany(reqs []Request) []*Result {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = e.prove(reqs[i])
+				results[i] = e.proveIsolated(reqs[i])
 			}
 		}()
 	}
@@ -728,6 +711,21 @@ func (e *Engine) ProveMany(reqs []Request) []*Result {
 	close(jobs)
 	wg.Wait()
 	return results
+}
+
+// proveIsolated is prove for ProveMany's goroutines, which nobody else
+// recovers for: a panic — how any par worker failure inside the prover
+// arrives, as a *par.Panic that prints the worker's stack — fails that
+// request, with this goroutine's stack in the error too, instead of
+// taking the process and the rest of the batch with it.
+func (e *Engine) proveIsolated(req Request) (res *Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.m.proveErrors.Inc()
+			res = &Result{Name: req.Name, Err: fmt.Errorf("engine: prove panicked: %v\n\n%s", p, debug.Stack())}
+		}
+	}()
+	return e.prove(req)
 }
 
 // Verify checks one proof against its public inputs.
@@ -744,11 +742,8 @@ func (e *Engine) VerifyCtx(ctx context.Context, vk *groth16.VerifyingKey, proof 
 	defer e.release()
 	start := time.Now()
 	err := groth16.Verify(vk, proof, public, obs.TraceFrom(ctx).Scope(""))
-	e.verifies.Add(1)
-	mVerifiesTotal.Inc()
-	elapsed := time.Since(start)
-	e.verifyNs.Add(int64(elapsed))
-	observeSeconds(mVerifySeconds, elapsed)
+	e.m.verifies.Inc()
+	observeSeconds(e.m.verifySeconds, time.Since(start))
 	return err
 }
 
@@ -762,42 +757,38 @@ func (e *Engine) VerifyMany(vk *groth16.VerifyingKey, proofs []*groth16.Proof, p
 	defer e.release()
 	start := time.Now()
 	err := groth16.BatchVerify(vk, proofs, publicInputs, e.requestRand(nil))
-	e.verifies.Add(uint64(len(proofs)))
-	mVerifiesTotal.Add(uint64(len(proofs)))
-	elapsed := time.Since(start)
-	e.verifyNs.Add(int64(elapsed))
-	observeSeconds(mVerifySeconds, elapsed)
+	e.m.verifies.Add(uint64(len(proofs)))
+	observeSeconds(e.m.verifySeconds, time.Since(start))
 	return err
 }
 
-// Stats returns a snapshot of the engine's counters.
+// Stats returns a snapshot of the engine's counters, read from the
+// series on Metrics: Setups, Solves and Proves are the observation
+// counts of the zkrownn_{setup,solve,prove}_seconds histograms, and
+// each *Time field is the sum of its phase's histogram.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		Setups:        e.setups.Load(),
-		MemHits:       e.memHits.Load(),
-		DiskHits:      e.diskHits.Load(),
-		Solves:        e.solves.Load(),
-		Proves:        e.proves.Load(),
-		StreamProves:  e.streamProves.Load(),
-		SpillProves:   e.spillProves.Load(),
-		Verifies:      e.verifies.Load(),
-		Aggregates:    e.aggregates.Load(),
-		SetupTime:     time.Duration(e.setupNs.Load()),
-		SolveTime:     time.Duration(e.solveNs.Load()),
-		ProveTime:     time.Duration(e.proveNs.Load()),
-		VerifyTime:    time.Duration(e.verifyNs.Load()),
-		AggregateTime: time.Duration(e.aggregateNs.Load()),
+	st := Stats{
+		MemHits:      e.m.keycacheMemHits.Value(),
+		DiskHits:     e.m.keycacheDiskHits.Value(),
+		StreamProves: e.m.streamProves.Value(),
+		SpillProves:  e.m.spillProves.Value(),
+		Verifies:     e.m.verifies.Value(),
+		Aggregates:   e.m.aggregates.Value(),
 	}
+	st.Setups, st.SetupTime = total(e.m.setupSeconds)
+	st.Solves, st.SolveTime = total(e.m.solveSeconds)
+	st.Proves, st.ProveTime = total(e.m.proveSeconds)
+	_, st.VerifyTime = total(e.m.verifySeconds)
+	_, st.AggregateTime = total(e.m.aggregateSeconds)
+	return st
 }
+
+// Metrics returns the registry holding this engine's series — the one
+// Stats reads — for a front-end to render beside its own on /metrics.
+func (e *Engine) Metrics() *obs.Registry { return e.m.reg }
 
 // CachedKeys reports the number of key pairs resident in memory.
 func (e *Engine) CachedKeys() int { return e.cache.len() }
-
-// ClearCache releases every in-memory key pair (proving keys can run to
-// hundreds of MB) so long-lived embedders can reclaim the memory; the
-// disk tier, when configured, is left intact and repopulates the memory
-// tier on the next request.
-func (e *Engine) ClearCache() { e.cache.clear() }
 
 // requestRand resolves the effective randomness source for one request.
 // User-supplied readers (deterministic test sources, typically

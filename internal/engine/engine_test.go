@@ -553,3 +553,60 @@ func TestSetupPanicDoesNotPoisonDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestProveManyPanicIsolated: a panic inside one request of a ProveMany
+// batch — the prover reading a randomness source that panics, the way a
+// par worker failure inside groth16.Prove arrives — becomes that
+// request's Result.Err and a prove error on the engine's registry. The
+// other requests complete, on the pool as on the sequential path. (Before
+// the recover, ProveMany's own goroutines took the process down.)
+func TestProveManyPanicIsolated(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		base := runtime.NumGoroutine()
+		e := New(Options{Workers: workers})
+		sys := cubicSystem(5)
+		// Keys first, so the panicking source is read by the prover and not
+		// by a setup the other two requests would be waiting on.
+		if _, _, err := e.Keys(sys, nil); err != nil {
+			t.Fatal(err)
+		}
+		reqs := []Request{
+			{Name: "before", System: sys, Witness: cubicWitness(5, 2)},
+			{Name: "exploding", System: sys, Witness: cubicWitness(5, 3), Rand: panicReader{}},
+			{Name: "after", System: sys, Witness: cubicWitness(5, 4)},
+		}
+		results := e.ProveMany(reqs)
+		for _, i := range []int{0, 2} {
+			r := results[i]
+			if r == nil || r.Err != nil {
+				t.Fatalf("workers=%d: request %d beside the panicking one: %+v", workers, i, r)
+			}
+			if err := e.Verify(r.Keys.VK, r.Proof, publicOf(reqs[i].Witness)); err != nil {
+				t.Fatalf("workers=%d: proof %d rejected: %v", workers, i, err)
+			}
+		}
+		bad := results[1]
+		if bad == nil || bad.Err == nil || bad.Proof != nil || bad.Name != "exploding" {
+			t.Fatalf("workers=%d: panicking request returned %+v, want its error", workers, bad)
+		}
+		for _, want := range []string{"engine: prove panicked", "rng exploded", "goroutine "} {
+			if !strings.Contains(bad.Err.Error(), want) {
+				t.Errorf("workers=%d: error lacks %q:\n%v", workers, want, bad.Err)
+			}
+		}
+		if st := e.Stats(); st.Proves != 2 {
+			t.Errorf("workers=%d: stats = %+v, want the 2 proofs that were produced", workers, st)
+		}
+		if got := e.m.proveErrors.Value(); got != 1 {
+			t.Errorf("workers=%d: zkrownn_prove_errors_total = %d, want 1", workers, got)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines, want ≤ %d", workers, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+}

@@ -59,6 +59,17 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
+// Max raises the gauge to v when v is larger (CAS loop,
+// allocation-free): a high-water mark.
+func (g *Gauge) Max(v float64) {
+	for {
+		old := g.bits.Load()
+		if v <= math.Float64frombits(old) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -170,9 +181,7 @@ type family struct {
 
 // Registry is a concurrent metrics registry. Registration is
 // idempotent: asking for an existing name+labels returns the existing
-// metric, so several subsystems (or several engines in one process)
-// can share the default registry without coordination. Metric
-// operations after registration touch only atomics.
+// metric. Metric operations after registration touch only atomics.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -185,7 +194,9 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry that /metrics serves.
+// Default returns the process-wide registry: the home of series no
+// engine or server owns (the r1cs disk I/O counters). An engine's and a
+// server's own series live on registries they create.
 func Default() *Registry { return defaultRegistry }
 
 // splitName separates `fam{label="x"}` into family and label text.
@@ -292,17 +303,24 @@ func writeSeries(w io.Writer, fam, labels, value string) error {
 	return err
 }
 
-// WritePrometheus writes every registered metric in the Prometheus
-// text exposition format (version 0.0.4): families sorted by name,
-// series in registration order, histograms with cumulative buckets,
-// +Inf, _sum and _count.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+// WritePrometheus writes every metric registered on r; see the
+// package-level WritePrometheus.
+func (r *Registry) WritePrometheus(w io.Writer) error { return WritePrometheus(w, r) }
+
+// WritePrometheus writes every metric of the given registries as one
+// document in the Prometheus text exposition format (version 0.0.4):
+// families sorted by name across registries, series in registration
+// order, histograms with cumulative buckets, +Inf, _sum and _count. The
+// registries are expected to hold disjoint families.
+func WritePrometheus(w io.Writer, regs ...*Registry) error {
+	var fams []*family
+	for _, r := range regs {
+		r.mu.RLock()
+		for _, f := range r.families {
+			fams = append(fams, f)
+		}
+		r.mu.RUnlock()
 	}
-	r.mu.RUnlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	for _, f := range fams {
@@ -359,11 +377,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// Handler returns an http.Handler serving the registry in Prometheus
-// text format — mount it at GET /metrics.
-func Handler(r *Registry) http.Handler {
+// Handler returns an http.Handler serving the registries as one
+// document in Prometheus text format — mount it at GET /metrics.
+func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = WritePrometheus(w, regs...)
 	})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -172,5 +173,84 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.042)
+	}
+}
+
+// TestWritePrometheusAcrossRegistries: several registries render as one
+// document — families sorted by name across all of them — which is how
+// /metrics shows a server's series, its engine's and the process-wide
+// ones together. One registry through the variadic forms is byte-for-byte
+// what its own method writes.
+func TestWritePrometheusAcrossRegistries(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("u_b_total", "B.").Add(2)
+	a.Histogram("u_d_seconds", "D.", []float64{1}).Observe(0.5)
+	b.Gauge("u_a_depth", "A.").Set(1)
+	b.GaugeFunc("u_c_fn", "C.", func() float64 { return 3 })
+
+	var got strings.Builder
+	if err := WritePrometheus(&got, a, b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP u_a_depth A.
+# TYPE u_a_depth gauge
+u_a_depth 1
+# HELP u_b_total B.
+# TYPE u_b_total counter
+u_b_total 2
+# HELP u_c_fn C.
+# TYPE u_c_fn gauge
+u_c_fn 3
+# HELP u_d_seconds D.
+# TYPE u_d_seconds histogram
+u_d_seconds_bucket{le="1"} 1
+u_d_seconds_bucket{le="+Inf"} 1
+u_d_seconds_sum 0.5
+u_d_seconds_count 1
+`
+	if got.String() != want {
+		t.Errorf("union mismatch:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
+	}
+
+	rec := httptest.NewRecorder()
+	Handler(b, a).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Body.String() != want {
+		t.Errorf("Handler(b, a) differs from WritePrometheus(a, b):\n%s", rec.Body.String())
+	}
+
+	var single, method strings.Builder
+	if err := WritePrometheus(&single, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WritePrometheus(&method); err != nil {
+		t.Fatal(err)
+	}
+	if single.String() != method.String() || single.Len() == 0 {
+		t.Errorf("one registry renders differently through the two forms:\n%s---\n%s", single.String(), method.String())
+	}
+}
+
+// TestGaugeMaxConcurrent: Max is a high-water mark under concurrent
+// writers (the verify pool's largest-batch gauge); under -race it is the
+// method's thread-safety proof.
+func TestGaugeMaxConcurrent(t *testing.T) {
+	var g Gauge
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				g.Max(float64((i*7 + w) % 1000))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := g.Value(); got != 999 {
+		t.Errorf("max = %v, want 999", got)
+	}
+	g.Max(5)
+	if got := g.Value(); got != 999 {
+		t.Errorf("Max(5) lowered the gauge to %v", got)
 	}
 }

@@ -66,6 +66,7 @@ func (j *job) snapshot() JobStatus {
 		Proof:        j.proof,
 		PublicInputs: j.public,
 		HasTrace:     j.trace != nil,
+		RequestID:    j.reqID,
 	}
 }
 
@@ -197,8 +198,7 @@ func (q *jobQueue) failed(j *job, err error) {
 	j.status = JobFailed
 	j.errMsg = err.Error()
 	j.mu.Unlock()
-	q.srv.jobsFailed.Add(1)
-	mJobsFailed.Inc()
+	q.srv.m.jobsFailed.Inc()
 	q.srv.log.Warn("job failed", "job_id", j.id, "req_id", j.reqID, "err", err.Error())
 	q.retire(j.id)
 }
@@ -221,7 +221,7 @@ func (q *jobQueue) run(j *job) {
 	j.queuedFor = time.Since(j.submitted)
 	queued := j.queuedFor
 	j.mu.Unlock()
-	mQueueWaitSeconds.Observe(queued.Seconds())
+	q.srv.m.queueWaitSeconds.Observe(queued.Seconds())
 
 	asg, err := j.rec.assignmentFor(j.suspects)
 	j.suspects = nil // the assignment owns the job's working set now
@@ -259,8 +259,7 @@ func (q *jobQueue) run(j *job) {
 	// self-contained.
 	j.public = res.PublicInputs
 	j.mu.Unlock()
-	q.srv.jobsCompleted.Add(1)
-	mJobsCompleted.Inc()
+	q.srv.m.jobsCompleted.Inc()
 	q.srv.log.Info("job done",
 		"job_id", j.id, "req_id", j.reqID, "model_id", j.rec.ID,
 		"queued_ms", float64(queued.Microseconds())/1e3,

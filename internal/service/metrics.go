@@ -4,41 +4,82 @@ import (
 	"zkrownn/internal/obs"
 )
 
-// Service-level metrics on the process-wide obs registry (idempotent
-// registration — servers in one process share the series). The queue
-// depth gauge is registered per server in New, since it closes over the
-// live queue.
-var (
-	mHTTPRequests = obs.Default().Counter("zkrownn_http_requests_total",
-		"HTTP requests served (all routes).")
-	mJobsSubmitted = obs.Default().Counter("zkrownn_jobs_submitted_total",
-		"Prove jobs accepted onto the queue.")
-	mJobsRejected = obs.Default().Counter("zkrownn_jobs_rejected_total",
-		"Prove jobs rejected with 429 (queue full).")
-	mJobsCompleted = obs.Default().Counter("zkrownn_jobs_completed_total",
-		"Prove jobs finished successfully.")
-	mJobsFailed = obs.Default().Counter("zkrownn_jobs_failed_total",
-		"Prove jobs that failed (bind, solve, prove, or shutdown).")
+// metrics is one server's series, registered once on a registry the
+// server owns. Every event is recorded by one call on one of them;
+// /v1/stats and /metrics are views of these.
+type metrics struct {
+	reg *obs.Registry
 
-	mQueueWaitSeconds = obs.Default().Histogram("zkrownn_queue_wait_seconds",
-		"Time a prove job waited on the queue before dispatch.", obs.TimeBuckets())
-	mVerifyBatchSize = obs.Default().Histogram("zkrownn_verify_batch_size",
-		"Requests folded into one verify pairing product.",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
+	httpRequests     *obs.Counter
+	circuitsCompiled *obs.Counter
+	// panics counts panics recovered on a pool worker, by pool.
+	panics map[string]*obs.Counter
 
-	// mPanics counts panics recovered on a pool worker, by pool.
-	mPanics = map[string]*obs.Counter{"prove": panicCounter("prove"), "verify": panicCounter("verify")}
+	jobsSubmitted, jobsRejected, jobsCompleted, jobsFailed *obs.Counter
+	queueWaitSeconds                                       *obs.Histogram
 
-	mAggregateRequests = obs.Default().Counter("zkrownn_aggregate_requests_total",
-		"Aggregation requests accepted (/v1/aggregate).")
-	mAggregateRequestProofs = obs.Default().Histogram("zkrownn_aggregate_request_proofs",
-		"Proofs carried by one aggregation request.",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-)
+	verifyRequests, verifyBatchCalls, verifyBatchedRequests, verifyFallbacks *obs.Counter
+	verifyMaxBatch                                                           *obs.Gauge
+	verifyBatchSize                                                          *obs.Histogram
 
-func panicCounter(pool string) *obs.Counter {
-	return obs.Default().Counter(`zkrownn_panics_total{pool="`+pool+`"}`,
-		"Panics recovered on a pool worker (the job or batch it held failed, the worker kept running).")
+	aggregateRequests, aggregateArtifacts, aggregateFallbacks *obs.Counter
+	aggregateRequestProofs                                    *obs.Histogram
+}
+
+// newMetrics registers the server's series; queueDepth is read at
+// scrape time.
+func newMetrics(queueDepth func() float64) *metrics {
+	r := obs.NewRegistry()
+	r.GaugeFunc("zkrownn_queue_depth",
+		"Prove jobs waiting on the queue (excludes the ones being proved).", queueDepth)
+	panics := func(pool string) *obs.Counter {
+		return r.Counter(`zkrownn_panics_total{pool="`+pool+`"}`,
+			"Panics recovered on a pool worker (the job or batch it held failed, the worker kept running).")
+	}
+	return &metrics{
+		reg: r,
+
+		httpRequests: r.Counter("zkrownn_http_requests_total",
+			"HTTP requests served (all routes)."),
+		circuitsCompiled: r.Counter("zkrownn_circuits_compiled_total",
+			"Algorithm-1 circuit compilations (one per registration; prove jobs never recompile)."),
+		panics: map[string]*obs.Counter{"prove": panics("prove"), "verify": panics("verify")},
+
+		jobsSubmitted: r.Counter("zkrownn_jobs_submitted_total",
+			"Prove jobs accepted onto the queue."),
+		jobsRejected: r.Counter("zkrownn_jobs_rejected_total",
+			"Prove jobs rejected with 429 (queue full)."),
+		jobsCompleted: r.Counter("zkrownn_jobs_completed_total",
+			"Prove jobs finished successfully."),
+		jobsFailed: r.Counter("zkrownn_jobs_failed_total",
+			"Prove jobs that failed (bind, solve, prove, or shutdown)."),
+		queueWaitSeconds: r.Histogram("zkrownn_queue_wait_seconds",
+			"Time a prove job waited on the queue before dispatch.", obs.TimeBuckets()),
+
+		verifyRequests: r.Counter("zkrownn_verify_requests_total",
+			"Proofs accepted onto the verify queue (well-formed, correct input length; an aggregate set counts each member)."),
+		verifyBatchCalls: r.Counter("zkrownn_verify_batch_calls_total",
+			"BatchVerify calls that folded two or more requests into one pairing product."),
+		verifyBatchedRequests: r.Counter("zkrownn_verify_batched_requests_total",
+			"Verify requests served by a BatchVerify call that folded two or more."),
+		verifyFallbacks: r.Counter("zkrownn_verify_fallbacks_total",
+			"Batches that failed as a whole and were re-checked proof by proof."),
+		verifyMaxBatch: r.Gauge("zkrownn_verify_max_batch",
+			"Largest batch or aggregate set folded so far."),
+		verifyBatchSize: r.Histogram("zkrownn_verify_batch_size",
+			"Requests folded into one verify pairing product.",
+			[]float64{1, 2, 4, 8, 16, 32, 64}),
+
+		aggregateRequests: r.Counter("zkrownn_aggregate_requests_total",
+			"Aggregation requests accepted (/v1/aggregate)."),
+		aggregateArtifacts: r.Counter("zkrownn_aggregate_artifacts_total",
+			"Aggregation artifacts issued."),
+		aggregateFallbacks: r.Counter("zkrownn_aggregate_fallbacks_total",
+			"Aggregate sets that failed as a whole and fell back to per-proof attribution (no artifact issued)."),
+		aggregateRequestProofs: r.Histogram("zkrownn_aggregate_request_proofs",
+			"Proofs carried by one aggregation request.",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
+	}
 }
 
 // histogramWire converts a registry snapshot into the /v1/stats shape.

@@ -443,7 +443,7 @@ func TestPoolsRecoverFromPanic(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("registration whose setup panics answered %d, want a dropped connection", resp.StatusCode)
 	}
-	panics := func() uint64 { return mPanics["prove"].Value() + mPanics["verify"].Value() }
+	panics := func() uint64 { return srv.m.panics["prove"].Value() + srv.m.panics["verify"].Value() }
 	before := panics()
 
 	var proveOnce, verifyOnce sync.Once

@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,18 +100,10 @@ type Server struct {
 	verify     *verifyPool
 	mux        *http.ServeMux
 	log        *slog.Logger
+	m          *metrics
 
 	closed    atomic.Bool
 	closeOnce sync.Once
-
-	circuitsCompiled                        atomic.Uint64
-	jobsSubmitted, jobsRejected             atomic.Uint64
-	jobsCompleted, jobsFailed               atomic.Uint64
-	verifyRequests                          atomic.Uint64
-	verifyBatchCalls, verifyBatchedRequests atomic.Uint64
-	verifyMaxBatch, verifyFallbacks         atomic.Uint64
-	aggregateRequests, aggregateArtifacts   atomic.Uint64
-	aggregateFallbacks                      atomic.Uint64
 
 	// testJobStall and testVerifyStall, when set by tests, run at the
 	// head of every prove job and every verify batch — hooks to hold a
@@ -144,19 +137,15 @@ func New(opts Options) (*Server, error) {
 		s.eng = engine.New(opts.EngineOptions)
 		s.ownsEngine = true
 	}
+	s.m = newMetrics(func() float64 { return float64(s.queue.depth()) })
 	s.queue = newJobQueue(s, opts.QueueDepth, s.eng.Workers(), opts.JobRetention)
 	s.verify = newVerifyPool(s)
 
-	// The queue-depth gauge is read at scrape time; re-registration
-	// replaces the closure, so the latest server in a process wins (the
-	// registry is process-wide, servers in tests come and go).
-	obs.Default().GaugeFunc("zkrownn_queue_depth",
-		"Prove jobs waiting on the queue (excludes the ones being proved).",
-		func() float64 { return float64(s.queue.depth()) })
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.Handle("GET /metrics", obs.Handler(obs.Default()))
+	// This server's series, its engine's, and the process-wide disk I/O
+	// counters that sit below any engine.
+	mux.Handle("GET /metrics", obs.Handler(s.m.reg, s.eng.Metrics(), obs.Default()))
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/models", s.handleRegister)
 	mux.HandleFunc("GET /v1/models", s.handleListModels)
@@ -213,7 +202,7 @@ func (s *Server) recoverWorker(pool string, fail func(error)) {
 	if r == nil {
 		return
 	}
-	mPanics[pool].Inc()
+	s.m.panics[pool].Inc()
 	s.log.Error("worker panic", "pool", pool, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
 	fail(errInternal)
 }
@@ -221,10 +210,21 @@ func (s *Server) recoverWorker(pool string, fail func(error)) {
 // reqIDKey carries the per-request ID through handler contexts.
 type reqIDKey struct{}
 
-// requestID returns the ID minted for this request by ServeHTTP.
+// requestID returns the ID ServeHTTP tagged this request with.
 func requestID(ctx context.Context) string {
 	id, _ := ctx.Value(reqIDKey{}).(string)
 	return id
+}
+
+// requestIDHeader carries the correlation ID in both directions.
+const requestIDHeader = "X-Request-Id"
+
+// validRequestID reports whether a caller-supplied ID may be echoed into
+// headers, logs and JSON bodies: 1–64 bytes of [A-Za-z0-9._-].
+func validRequestID(id string) bool {
+	return 1 <= len(id) && len(id) <= 64 && !strings.ContainsFunc(id, func(r rune) bool {
+		return !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '.' || r == '_' || r == '-')
+	})
 }
 
 // statusRecorder captures the response status for the request log.
@@ -239,15 +239,21 @@ func (sr *statusRecorder) WriteHeader(code int) {
 }
 
 // ServeHTTP implements http.Handler. Every request is tagged with a
-// request ID (propagated to job logs through submission) and logged
+// request ID — the caller's X-Request-Id when it is well-formed, a fresh
+// one otherwise — that is returned on the response header and in error
+// bodies, propagated to the job a submission creates, and logged
 // structurally with route, status, and latency.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	mHTTPRequests.Inc()
+	s.m.httpRequests.Inc()
+	reqID := r.Header.Get(requestIDHeader)
+	if !validRequestID(reqID) {
+		reqID = obs.NewID()
+	}
+	w.Header().Set(requestIDHeader, reqID)
 	if s.closed.Load() {
 		writeError(w, http.StatusServiceUnavailable, "service shutting down")
 		return
 	}
-	reqID := obs.NewID()
 	r = r.WithContext(context.WithValue(r.Context(), reqIDKey{}, reqID))
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -266,41 +272,43 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	es := s.eng.Stats()
+	es, m := s.eng.Stats(), s.m
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Engine: EngineStatsWire{
-			Setups:      es.Setups,
-			MemHits:     es.MemHits,
-			DiskHits:    es.DiskHits,
-			Solves:      es.Solves,
-			Proves:      es.Proves,
-			Verifies:    es.Verifies,
-			Aggregates:  es.Aggregates,
-			SetupMS:     float64(es.SetupTime.Microseconds()) / 1e3,
-			SolveMS:     float64(es.SolveTime.Microseconds()) / 1e3,
-			ProveMS:     float64(es.ProveTime.Microseconds()) / 1e3,
-			VerifyMS:    float64(es.VerifyTime.Microseconds()) / 1e3,
-			AggregateMS: float64(es.AggregateTime.Microseconds()) / 1e3,
+			Setups:       es.Setups,
+			MemHits:      es.MemHits,
+			DiskHits:     es.DiskHits,
+			Solves:       es.Solves,
+			Proves:       es.Proves,
+			StreamProves: es.StreamProves,
+			SpillProves:  es.SpillProves,
+			Verifies:     es.Verifies,
+			Aggregates:   es.Aggregates,
+			SetupMS:      float64(es.SetupTime.Microseconds()) / 1e3,
+			SolveMS:      float64(es.SolveTime.Microseconds()) / 1e3,
+			ProveMS:      float64(es.ProveTime.Microseconds()) / 1e3,
+			VerifyMS:     float64(es.VerifyTime.Microseconds()) / 1e3,
+			AggregateMS:  float64(es.AggregateTime.Microseconds()) / 1e3,
 		},
 		Service: ServiceStats{
 			Models:                s.reg.len(),
-			CircuitsCompiled:      s.circuitsCompiled.Load(),
-			JobsSubmitted:         s.jobsSubmitted.Load(),
-			JobsRejected:          s.jobsRejected.Load(),
-			JobsCompleted:         s.jobsCompleted.Load(),
-			JobsFailed:            s.jobsFailed.Load(),
+			CircuitsCompiled:      m.circuitsCompiled.Value(),
+			JobsSubmitted:         m.jobsSubmitted.Value(),
+			JobsRejected:          m.jobsRejected.Value(),
+			JobsCompleted:         m.jobsCompleted.Value(),
+			JobsFailed:            m.jobsFailed.Value(),
 			QueueDepth:            s.queue.depth(),
 			QueueCapacity:         s.opts.QueueDepth,
-			VerifyRequests:        s.verifyRequests.Load(),
-			VerifyBatchCalls:      s.verifyBatchCalls.Load(),
-			VerifyBatchedRequests: s.verifyBatchedRequests.Load(),
-			VerifyMaxBatch:        s.verifyMaxBatch.Load(),
-			VerifyFallbacks:       s.verifyFallbacks.Load(),
-			AggregateRequests:     s.aggregateRequests.Load(),
-			AggregateArtifacts:    s.aggregateArtifacts.Load(),
-			AggregateFallbacks:    s.aggregateFallbacks.Load(),
-			QueueWaitSeconds:      histogramWire(mQueueWaitSeconds.Snapshot()),
-			VerifyBatchSize:       histogramWire(mVerifyBatchSize.Snapshot()),
+			VerifyRequests:        m.verifyRequests.Value(),
+			VerifyBatchCalls:      m.verifyBatchCalls.Value(),
+			VerifyBatchedRequests: m.verifyBatchedRequests.Value(),
+			VerifyMaxBatch:        uint64(m.verifyMaxBatch.Value()),
+			VerifyFallbacks:       m.verifyFallbacks.Value(),
+			AggregateRequests:     m.aggregateRequests.Value(),
+			AggregateArtifacts:    m.aggregateArtifacts.Value(),
+			AggregateFallbacks:    m.aggregateFallbacks.Value(),
+			QueueWaitSeconds:      histogramWire(m.queueWaitSeconds.Snapshot()),
+			VerifyBatchSize:       histogramWire(m.verifyBatchSize.Snapshot()),
 		},
 	})
 }
@@ -394,7 +402,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "circuit compilation failed: "+err.Error())
 		return
 	}
-	s.circuitsCompiled.Add(1)
+	s.m.circuitsCompiled.Inc()
 	// Prove jobs re-solve witnesses from the assignment; the build-time
 	// eager witness (NbWires × 32 B per model, for the life of the
 	// record) is dead weight here.
@@ -513,8 +521,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	j, err := s.queue.submit(rec, suspects, requestID(r.Context()), req.Trace)
 	switch {
 	case errors.Is(err, errQueueFull):
-		s.jobsRejected.Add(1)
-		mJobsRejected.Inc()
+		s.m.jobsRejected.Inc()
 		writeError(w, http.StatusTooManyRequests, "prove queue full, retry later")
 		return
 	case errors.Is(err, errShutdown):
@@ -524,8 +531,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.jobsSubmitted.Add(1)
-	mJobsSubmitted.Inc()
+	s.m.jobsSubmitted.Inc()
 	s.log.Info("job submitted",
 		"req_id", requestID(r.Context()), "job_id", j.id, "model_id", rec.ID,
 		"traced", req.Trace, "queue_depth", s.queue.depth())
@@ -617,7 +623,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("expected %d public inputs, got %d", want, got))
 		return
 	}
-	s.verifyRequests.Add(1)
+	s.m.verifyRequests.Inc()
 
 	out := s.verify.do(&verifyItem{
 		rec:     rec,
@@ -696,10 +702,9 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.verifyRequests.Add(uint64(len(req.Proofs)))
-	s.aggregateRequests.Add(1)
-	mAggregateRequests.Inc()
-	mAggregateRequestProofs.Observe(float64(len(req.Proofs)))
+	s.m.verifyRequests.Add(uint64(len(req.Proofs)))
+	s.m.aggregateRequests.Inc()
+	s.m.aggregateRequestProofs.Observe(float64(len(req.Proofs)))
 
 	if rec.Committed {
 		// The digest binding is an instance property; check it before
@@ -775,8 +780,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError answers with the uniform error body, naming the request by
+// the ID ServeHTTP put on the response header.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	writeJSON(w, status, ErrorResponse{Error: msg, RequestID: w.Header().Get(requestIDHeader)})
 }
 
 // poolFailure answers the verify outcomes that are the service's doing,
@@ -792,14 +799,4 @@ func poolFailure(w http.ResponseWriter, err error) bool {
 		return false
 	}
 	return true
-}
-
-// maxUpdate lifts v into the atomic maximum.
-func maxUpdate(a *atomic.Uint64, v uint64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

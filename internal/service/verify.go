@@ -149,15 +149,15 @@ func (p *verifyPool) run(batch []*verifyItem) {
 		return
 	}
 	n, vk := len(batch), head.rec.VK
-	mVerifyBatchSize.Observe(float64(n))
+	s.m.verifyBatchSize.Observe(float64(n))
 	if n == 1 {
 		head.done <- verifyOutcome{err: s.eng.Verify(vk, head.proofs[0], head.publics[0]), batchSize: 1}
 		return
 	}
 
-	s.verifyBatchCalls.Add(1)
-	s.verifyBatchedRequests.Add(uint64(n))
-	maxUpdate(&s.verifyMaxBatch, uint64(n))
+	s.m.verifyBatchCalls.Inc()
+	s.m.verifyBatchedRequests.Add(uint64(n))
+	s.m.verifyMaxBatch.Max(float64(n))
 	proofs := make([]*groth16.Proof, n)
 	publics := make([][]fr.Element, n)
 	for i, it := range batch {
@@ -174,7 +174,7 @@ func (p *verifyPool) run(batch []*verifyItem) {
 		return
 	}
 	// The combined product rejected: at least one member is invalid.
-	s.verifyFallbacks.Add(1)
+	s.m.verifyFallbacks.Inc()
 	for i, it := range batch {
 		it.done <- verifyOutcome{err: s.eng.Verify(vk, proofs[i], publics[i]), batchSize: n}
 	}
@@ -185,15 +185,15 @@ func (p *verifyPool) run(batch []*verifyItem) {
 // issued for a set that does not verify as a whole.
 func (p *verifyPool) aggregate(it *verifyItem) verifyOutcome {
 	s, vk, n := p.srv, it.rec.VK, len(it.proofs)
-	mVerifyBatchSize.Observe(float64(n))
+	s.m.verifyBatchSize.Observe(float64(n))
 	out := verifyOutcome{batchSize: n}
 	out.agg, out.srsVK, out.err = s.eng.AggregateMany(vk, it.proofs, it.publics)
 	switch {
 	case out.err == nil:
-		s.aggregateArtifacts.Add(1)
-		maxUpdate(&s.verifyMaxBatch, uint64(n))
+		s.m.aggregateArtifacts.Inc()
+		s.m.verifyMaxBatch.Max(float64(n))
 	case !errors.Is(out.err, engine.ErrClosed):
-		s.aggregateFallbacks.Add(1)
+		s.m.aggregateFallbacks.Inc()
 		for i := range it.proofs {
 			if err := s.eng.Verify(vk, it.proofs[i], it.publics[i]); err != nil {
 				out.err = fmt.Errorf("proof %d: %w", i, err)

@@ -7,10 +7,8 @@ import (
 	"zkrownn/internal/groth16"
 )
 
-// Wire DTOs of the proof-service JSON API. The package-level client
-// (zkrownn/client) mirrors these shapes for external consumers; the
-// cross-package end-to-end test at the repository root keeps the two in
-// sync.
+// Wire DTOs of the proof-service JSON API. The Go client
+// (zkrownn/client) sends and decodes these same types, under aliases.
 
 // RegisterRequest registers one ownership circuit: the owner's model,
 // their (private) watermark key, and the circuit parameters. The server
@@ -148,6 +146,9 @@ type JobStatus struct {
 	// HasTrace reports that the job was submitted with trace=true and its
 	// timeline is available at GET /v1/jobs/{id}/trace once done.
 	HasTrace bool `json:"has_trace,omitempty"`
+	// RequestID is the correlation ID of the HTTP request that submitted
+	// the job (its X-Request-Id, supplied or minted).
+	RequestID string `json:"request_id,omitempty"`
 }
 
 // VerifyRequest checks one ownership proof against a registered
@@ -203,21 +204,25 @@ type AggregateResponse struct {
 // EngineStatsWire mirrors engine.Stats with wall-clock totals in
 // milliseconds.
 type EngineStatsWire struct {
-	Setups      uint64  `json:"setups"`
-	MemHits     uint64  `json:"mem_hits"`
-	DiskHits    uint64  `json:"disk_hits"`
-	Solves      uint64  `json:"solves"`
-	Proves      uint64  `json:"proves"`
-	Verifies    uint64  `json:"verifies"`
-	Aggregates  uint64  `json:"aggregates"`
-	SetupMS     float64 `json:"setup_ms"`
-	SolveMS     float64 `json:"solve_ms"`
-	ProveMS     float64 `json:"prove_ms"`
-	VerifyMS    float64 `json:"verify_ms"`
-	AggregateMS float64 `json:"aggregate_ms"`
+	Setups       uint64  `json:"setups"`
+	MemHits      uint64  `json:"mem_hits"`
+	DiskHits     uint64  `json:"disk_hits"`
+	Solves       uint64  `json:"solves"`
+	Proves       uint64  `json:"proves"`
+	StreamProves uint64  `json:"stream_proves"`
+	SpillProves  uint64  `json:"spill_proves"`
+	Verifies     uint64  `json:"verifies"`
+	Aggregates   uint64  `json:"aggregates"`
+	SetupMS      float64 `json:"setup_ms"`
+	SolveMS      float64 `json:"solve_ms"`
+	ProveMS      float64 `json:"prove_ms"`
+	VerifyMS     float64 `json:"verify_ms"`
+	AggregateMS  float64 `json:"aggregate_ms"`
 }
 
-// ServiceStats surfaces prove-queue and verify-pool counters.
+// ServiceStats surfaces prove-queue and verify-pool counters. Apart from
+// Models and QueueCapacity (state and configuration), every field is a
+// typed view of a series this server serves on /metrics.
 type ServiceStats struct {
 	Models int `json:"models"`
 	// CircuitsCompiled counts Algorithm-1 circuit compilations. Circuits
@@ -251,12 +256,12 @@ type ServiceStats struct {
 	// AggregateFallbacks counts aggregate sets that failed as a whole
 	// and fell back to per-proof attribution (no artifact issued).
 	AggregateFallbacks uint64 `json:"aggregate_fallbacks"`
-	// QueueWaitSeconds is the distribution of time jobs spent queued
-	// before dispatch (process-wide histogram, mirrored on /metrics as
-	// zkrownn_queue_wait_seconds).
+	// QueueWaitSeconds is the distribution of time this server's jobs
+	// spent queued before dispatch (zkrownn_queue_wait_seconds on
+	// /metrics).
 	QueueWaitSeconds *HistogramWire `json:"queue_wait_seconds,omitempty"`
 	// VerifyBatchSize is the distribution of requests folded into one
-	// verify pairing product (mirrored as zkrownn_verify_batch_size).
+	// verify pairing product (zkrownn_verify_batch_size on /metrics).
 	VerifyBatchSize *HistogramWire `json:"verify_batch_size,omitempty"`
 }
 
@@ -281,9 +286,12 @@ type StatsResponse struct {
 	Service ServiceStats    `json:"service"`
 }
 
-// ErrorResponse is the uniform error payload.
+// ErrorResponse is the uniform error payload. RequestID repeats the
+// response's X-Request-Id header so an error quoted without its headers
+// still names the request.
 type ErrorResponse struct {
-	Error string `json:"error"`
+	Error     string `json:"error"`
+	RequestID string `json:"request_id,omitempty"`
 }
 
 // HealthResponse is the /healthz payload.

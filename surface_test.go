@@ -236,3 +236,146 @@ func TestOneDiskPath(t *testing.T) {
 		t.Errorf("magicPKRaw is passed to writeHeader at %d call sites, want the one raw-layout writer", rawHeaders)
 	}
 }
+
+// TestOneMetricsSource keeps every number counted once. An engine's and a
+// server's series live on registries they own, and Stats(), /v1/stats and
+// /metrics are renderings of those series: a shadow atomic counter beside
+// a series, a series parked on the process-wide registry, or a wire
+// struct re-declared in the client — each a second source that can
+// disagree with the first — fails here.
+func TestOneMetricsSource(t *testing.T) {
+	fset := token.NewFileSet()
+	parseDir := func(dir string) map[string]*ast.File {
+		paths, err := filepath.Glob(dir + "/*.go")
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]*ast.File{}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[filepath.ToSlash(path)] = file
+		}
+		return files
+	}
+	// structType finds the declaration of a named struct type in a package.
+	structType := func(dir, name string) *ast.StructType {
+		for _, file := range parseDir(dir) {
+			for _, decl := range file.Decls {
+				gen, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gen.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == name {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							return st
+						}
+					}
+				}
+			}
+		}
+		t.Fatalf("found no struct %s in %s: the guard is looking in the wrong place", name, dir)
+		return nil
+	}
+	countFields := func(st *ast.StructType) (n int) {
+		for _, f := range st.Fields.List {
+			n += max(len(f.Names), 1)
+		}
+		return n
+	}
+
+	// No counter lives outside a registry. atomic.Bool lifecycle flags are
+	// not counters.
+	for _, owner := range []struct{ dir, name string }{{"internal/engine", "Engine"}, {"internal/service", "Server"}} {
+		for _, f := range structType(owner.dir, owner.name).Fields.List {
+			sel, ok := f.Type.(*ast.SelectorExpr)
+			if !ok {
+				continue
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "atomic" {
+				switch sel.Sel.Name {
+				case "Uint64", "Int64", "Uint32", "Int32":
+					t.Errorf("%s.%s declares an atomic.%s field (%v): count on a series of the owner's registry, and read it back from there",
+						owner.dir, owner.name, sel.Sel.Name, f.Names)
+				}
+			}
+		}
+	}
+
+	// The process-wide registry holds only what no engine or server owns,
+	// and is read at the one /metrics mount.
+	defaultCalls := map[string]int{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // build and VCS directories
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Default" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "obs" {
+						defaultCalls[filepath.ToSlash(path)]++
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, n := range defaultCalls {
+		switch {
+		case path == "internal/r1cs/metrics.go":
+		case path == "internal/service/service.go" && n == 1:
+		default:
+			t.Errorf("%s calls obs.Default() %d times: only the r1cs I/O counters register there, and only the /metrics mount reads it", path, n)
+		}
+	}
+	if defaultCalls["internal/r1cs/metrics.go"] == 0 || defaultCalls["internal/service/service.go"] != 1 {
+		t.Errorf("obs.Default() calls: %v, want the r1cs registrations and the one /metrics mount", defaultCalls)
+	}
+
+	// One struct per JSON message: the client uses the server's.
+	clientFiles := parseDir("client")
+	if len(clientFiles) == 0 {
+		t.Fatal("found no client/*.go: the guard is looking in the wrong place")
+	}
+	for _, file := range clientFiles {
+		ast.Inspect(file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				if f.Tag != nil && strings.Contains(f.Tag.Value, "json:") {
+					t.Errorf("%s declares a struct with a json tag: wire messages are declared once, in internal/service/wire.go, and aliased here",
+						fset.Position(st.Pos()))
+					break
+				}
+			}
+			return true
+		})
+	}
+
+	// And none of this became a knob.
+	if n := countFields(structType("internal/service", "Options")); n != 8 {
+		t.Errorf("service.Options has %d fields, want 8", n)
+	}
+	if n := countFields(structType("internal/engine", "Options")); n != 5 {
+		t.Errorf("engine.Options has %d fields, want 5", n)
+	}
+}
