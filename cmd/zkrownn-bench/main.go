@@ -98,8 +98,7 @@ func main() {
 		jsonOut   = flag.String("json", "BENCH_groth16.json", `write machine-readable per-row metrics to this file ("" disables)`)
 		keyCache  = flag.String("keycache", "", "key-cache directory shared across bench invocations")
 		procs     = flag.String("procs", "", `comma-separated GOMAXPROCS values to run the whole table at (e.g. "1,4"); empty keeps the ambient setting`)
-		stream    = flag.Bool("stream", false, "prove out-of-core: spill proving keys to disk and stream them back in bounded windows (engine memory budget of 1 byte)")
-		memBudget = flag.Int64("mem-budget", 0, "engine per-circuit key memory budget in bytes; circuits whose raw proving key exceeds it stream from disk (0 disables; -stream is shorthand for 1)")
+		memBudget = flag.Int64("mem-budget", 0, "engine memory budget in bytes: selects each row's residency tier (raw proving key over it: key streamed from disk; CSR + witness over it too: fully out-of-core; 0 keeps everything resident, 1 forces out-of-core)")
 		phases    = flag.Bool("phases", false, "trace each run and record per-phase prover timings (phase_ms) in the JSON report")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the last sampled run to this file (implies per-run tracing)")
 	)
@@ -205,21 +204,17 @@ func main() {
 	if len(procsList) > 1 {
 		cacheEntries = len(rows)
 	}
-	budget := *memBudget
-	if *stream && budget <= 0 {
-		budget = 1
-	}
 	eng := engine.New(engine.Options{
 		CacheDir:     *keyCache,
 		CacheEntries: cacheEntries,
-		MemoryBudget: budget,
+		MemoryBudget: *memBudget,
 	})
 	defer eng.Close()
 	report := benchReport{
 		Scale:      *scale,
 		FracBits:   *fracBits,
 		GoMaxProcs: procsList[0],
-		Streamed:   budget > 0,
+		Streamed:   *memBudget > 0,
 		Rows:       []benchRecord{},
 	}
 	// lastTrace keeps the most recent run's span timeline for -trace; each
@@ -264,7 +259,7 @@ func main() {
 				// row's retained compiled system from padding this row's
 				// peak. (In-memory mode keeps the cache: without a disk
 				// tier, eviction would mean re-running trusted setup.)
-				if budget > 0 {
+				if *memBudget > 0 {
 					eng.DropMemoryCache()
 				}
 				// Return freed pages to the OS so each run's peak-RSS
@@ -290,7 +285,8 @@ func main() {
 				rec.PKRawBytes = pkRaw
 				rec.CSRRawBytes = csrRaw
 				rec.PeakRSSBytes = peakRSS
-				rec.Streamed = pl.Metrics.Streamed
+				rec.Residency = pl.Metrics.Residency.String()
+				rec.Streamed = pl.Metrics.Residency != engine.Resident
 				if tr != nil {
 					rec.PhaseMS = phaseMS(tr)
 					lastTrace = tr
@@ -301,7 +297,7 @@ func main() {
 				// solve and stream — so release this process's resident CSR
 				// arrays (keeping the solver tape) and let the steady-state
 				// repeats measure the prover's true bounded footprint.
-				if r == 0 && *repeat > 1 && !art.System.Stripped() && eng.SpillsConstraintSystem(art.System) {
+				if r == 0 && *repeat > 1 && !art.System.Stripped() && pl.Metrics.Residency == engine.OutOfCore {
 					art.System = art.System.StripForSolve()
 				}
 			}
@@ -319,7 +315,9 @@ func main() {
 		if rowFilter != nil && !rowFilter[name] {
 			continue
 		}
+		sampler := startRSSSampler()
 		rec, err := runAggregateRow(eng, p, sz, n, *seed)
+		rec.PeakRSSBytes = sampler.Stop()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
@@ -485,9 +483,11 @@ type benchRecord struct {
 	// verification time / N. The headline is this dropping below the
 	// same circuit's single-proof verify_seconds.
 	VerifyPerProofSeconds float64 `json:"verify_per_proof_seconds,omitempty"`
-	PKBytes               int64   `json:"pk_bytes"`
-	VKBytes               int64   `json:"vk_bytes"`
-	ProofBytes            int     `json:"proof_bytes"`
+	// PKBytes is the key's compressed wire encoding (Table I's PK column),
+	// whichever tier the row ran in.
+	PKBytes    int64 `json:"pk_bytes"`
+	VKBytes    int64 `json:"vk_bytes"`
+	ProofBytes int   `json:"proof_bytes"`
 	// PKRawBytes is the raw uncompressed proving-key encoding size —
 	// the prover's full working set if it held the key in RAM, and the
 	// baseline peak_rss_bytes is judged against in streamed mode.
@@ -500,8 +500,10 @@ type benchRecord struct {
 	// PeakRSSBytes is the process's peak resident-set size sampled over
 	// this row's setup+prove+verify run (0 where /proc is unavailable).
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
-	// Streamed marks rows proved out-of-core.
-	Streamed bool `json:"streamed"`
+	// Residency is the tier the engine's plan put the row in ("resident",
+	// "key-streamed", "out-of-core"); Streamed is Residency != "resident".
+	Residency string `json:"residency,omitempty"`
+	Streamed  bool   `json:"streamed"`
 	// FieldBackend names the scalar-field multiplication backend the row
 	// ran on ("adx" for the amd64 assembly kernels, "generic" for the
 	// portable core) — numbers are only comparable across runs with the

@@ -343,8 +343,8 @@ func cmdProve(args []string) error {
 		}
 		fmt.Printf("trace written to %s (load in chrome://tracing or Perfetto)\n", *traceOut)
 	}
-	pk, vk, proof := res.Keys.PK, res.Keys.VK, res.Proof
-	pkSize := res.Keys.PKSizeBytes()
+	vk, proof := res.Keys.VK, res.Proof
+	pkSize := res.Keys.PK.SizeBytes()
 	if res.CacheHit {
 		fmt.Printf("setup:  cache hit %s (keys for digest %s, PK %.1f MB, VK %.1f KB)\n",
 			res.SetupTime, res.Digest[:12], float64(pkSize)/1e6, float64(vk.SizeBytes())/1e3)
@@ -390,6 +390,8 @@ func cmdProve(args []string) error {
 		return err
 	}
 	if *savePK {
+		// This engine has no memory budget, so its plan is always resident.
+		pk := res.Keys.PK.(*groth16.ProvingKey)
 		if err := writeFileWith(filepath.Join(*outDir, "pk.bin"), func(w io.Writer) error {
 			_, err := pk.WriteTo(w)
 			return err
@@ -548,8 +550,8 @@ func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir s
 	if err != nil {
 		return err
 	}
-	fmt.Printf("prove:  %.2fs server-side (proof %d B, setup cache hit %v)\n",
-		job.ProveMS/1e3, job.Proof.PayloadSize(), job.SetupCached)
+	fmt.Printf("prove:  %.2fs server-side (proof %d B, setup cache hit %v, %s)\n",
+		job.ProveMS/1e3, job.Proof.PayloadSize(), job.SetupCached, job.Residency)
 	if len(job.Claims) > 1 || (len(job.Claims) > 0 && len(suspectPaths) > 0) {
 		printClaims(job.Claims, suspectPaths)
 	}

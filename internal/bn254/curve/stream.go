@@ -94,7 +94,8 @@ func sourcedScalars(src ScalarSource, buf []fr.Element) scalarView {
 //
 // A failed read on either side ends the call at once: the error names
 // the offset, the prefetch goroutine is told to stop, and the driver
-// returns only after it has.
+// returns only after it has. A panic in src is a failed read too: it
+// reaches the caller as a *par.Panic once the prefetcher has exited.
 //
 // sc, when on, records one span per chunk read (on its own lane — reads
 // overlap compute), per scalar recode (a sourced chunk's scalar read
@@ -120,7 +121,7 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 	free := make(chan []A, 2)
 	free <- make([]A, chunk)
 	free <- make([]A, chunk)
-	go func() {
+	prefetch := func() {
 		defer close(fills)
 		for start := 0; start < n; start += chunk {
 			end := min(start+chunk, n)
@@ -142,37 +143,46 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 				return // consumer stops at the error; nothing more to send
 			}
 		}
-	}()
-	defer func() {
-		close(stop)
-		for range fills { // until the prefetcher closes it on its way out
-		}
-	}()
-
-	// The driver consumes each chunk's digits before recoding the next,
-	// so one pooled digit buffer serves every chunk.
-	dec := getDecomposition()
-	defer func() { putDecomposition(dec) }()
-	for f := range fills {
-		if f.err != nil {
-			return sum, fmt.Errorf("curve: streamed MSM read at %d: %w", f.start, f.err)
-		}
-		sp := recode.Span()
-		s, err := scalars(f.start, f.end)
-		if err == nil {
-			dec = decomposeScalarsInto(dec, s, c)
-		}
-		sp.End()
-		if err != nil {
-			return sum, err
-		}
-		sp = msm.Span()
-		part := multiExpEntry[A, J](cv, f.buf[:f.end-f.start], nil, dec, obs.Scope{})
-		sp.End()
-		free <- f.buf
-		cv.add(&sum, &part)
 	}
-	return sum, nil
+	var err error
+	consume := func() {
+		defer func() {
+			close(stop)
+			for range fills { // until the prefetcher closes it on its way out
+			}
+		}()
+		// The driver consumes each chunk's digits before recoding the next,
+		// so one pooled digit buffer serves every chunk.
+		dec := getDecomposition()
+		defer func() { putDecomposition(dec) }()
+		for f := range fills {
+			if f.err != nil {
+				err = fmt.Errorf("curve: streamed MSM read at %d: %w", f.start, f.err)
+				return
+			}
+			sp := recode.Span()
+			var s []fr.Element
+			if s, err = scalars(f.start, f.end); err == nil {
+				dec = decomposeScalarsInto(dec, s, c)
+			}
+			sp.End()
+			if err != nil {
+				return
+			}
+			sp = msm.Span()
+			part := multiExpEntry[A, J](cv, f.buf[:f.end-f.start], nil, dec, obs.Scope{})
+			sp.End()
+			free <- f.buf
+			cv.add(&sum, &part)
+		}
+	}
+	// par.Do joins the two: a panic on the prefetcher (src decodes under
+	// par.Range, which re-raises a worker's failure there) closes fills on
+	// its way out, the consumer drains and returns, and the panic is
+	// re-raised here, on the caller, as a *par.Panic carrying the
+	// prefetcher's stack — failing this prove, not the process.
+	par.Do(prefetch, consume)
+	return sum, err
 }
 
 // decPool recycles per-chunk recode buffers across streamed MSMs: one

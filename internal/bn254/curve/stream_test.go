@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/par"
 )
 
 // SliceSourceG1 adapts an in-memory point slice to a G1Source — the
@@ -262,6 +263,45 @@ func TestStreamMSMScalarSourceErrorStopsStream(t *testing.T) {
 	}
 	// The driver waits for its prefetcher, so the count is already back;
 	// the grace period only absorbs unrelated runtime goroutines.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the call, %d after — the prefetcher leaked", before, after)
+	}
+}
+
+// TestStreamMSMSourcePanicReachesCaller: a point source that panics on
+// its second chunk — how a par worker failure inside a raw source's
+// decode arrives, on the prefetch goroutine — fails the call, not the
+// process: the caller recovers a *par.Panic with the source's value and
+// the prefetcher's stack, and the prefetcher is gone by then.
+func TestStreamMSMSourcePanicReachesCaller(t *testing.T) {
+	const chunk, chunks = 32, 4
+	n := chunk * chunks
+	points, scalars := msmTestVectors(rand.New(rand.NewSource(409)), n)
+	src := func(dst []G1Affine, start int) error {
+		if start == chunk {
+			panic("bad chunk")
+		}
+		copy(dst, points[start:start+len(dst)])
+		return nil
+	}
+
+	before := runtime.NumGoroutine()
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		MultiExpG1StreamScalars(src, scalars, StreamWindowSize(n, chunk), chunk)
+	}()
+	p, ok := recovered.(*par.Panic)
+	if !ok {
+		t.Fatalf("recovered %T (%v), want *par.Panic", recovered, recovered)
+	}
+	if p.Value != "bad chunk" || !strings.Contains(string(p.Stack), "stream_test.go") {
+		t.Fatalf("panic value %v, stack does not name the source:\n%s", p.Value, p.Stack)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

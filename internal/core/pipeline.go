@@ -40,11 +40,9 @@ type Metrics struct {
 	ProofSize  int
 	VKSize     int64
 	VerifyTime time.Duration
-	// Streamed is true when the proving key stayed on disk and the
-	// prover ran out-of-core (engine memory budget exceeded). PKSize
-	// then reports the raw on-disk encoding rather than the compressed
-	// wire encoding.
-	Streamed bool
+	// Residency is the tier the engine's plan put this circuit in
+	// (engine.Resident unless a memory budget was exceeded).
+	Residency engine.Residency
 }
 
 // String renders one Table I row.
@@ -67,13 +65,11 @@ func Header() string {
 		"Benchmark", "#Constr", "Setup(s)", "PK(MB)", "Solve(ms)", "Prove(s)", "Proof", "VK(KB)", "Verify(ms)")
 }
 
-// Pipeline bundles the Groth16 artifacts of one circuit. PK is nil
-// when the engine proved out-of-core (Metrics.Streamed); the disk-backed
-// key is then reachable via Keys.Stream.
+// Pipeline bundles the Groth16 artifacts of one circuit. The proving
+// key, in whichever form the engine's plan chose, is Keys.PK.
 type Pipeline struct {
 	Artifact *Artifact
 	Keys     *engine.KeyPair
-	PK       *groth16.ProvingKey
 	VK       *groth16.VerifyingKey
 	Proof    *groth16.Proof
 	Metrics  Metrics
@@ -152,16 +148,16 @@ func RunPipelineWith(eng *engine.Engine, art *Artifact, rng io.Reader, tr *obs.T
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	pl.Keys = res.Keys
-	pl.PK, pl.VK = res.Keys.PK, res.Keys.VK
+	pl.VK = res.Keys.VK
 	pl.Proof = res.Proof
 	pl.Metrics.SetupTime = res.SetupTime
 	pl.Metrics.SetupCached = res.CacheHit
 	pl.Metrics.SolveTime = res.SolveTime
 	pl.Metrics.ProveTime = res.ProveTime
-	pl.Metrics.PKSize = res.Keys.PKSizeBytes()
+	pl.Metrics.PKSize = res.Keys.PK.SizeBytes()
 	pl.Metrics.VKSize = pl.VK.SizeBytes()
 	pl.Metrics.ProofSize = res.Proof.PayloadSize()
-	pl.Metrics.Streamed = res.Keys.Streamed()
+	pl.Metrics.Residency = res.Keys.Plan.Residency
 
 	public := res.PublicInputs
 	start := time.Now()

@@ -13,48 +13,25 @@ import (
 	"zkrownn/internal/r1cs"
 )
 
-// KeyPair bundles the Groth16 keys produced by one trusted setup. In
-// in-memory mode PK is populated; in streamed (out-of-core) mode PK is
-// nil and Stream serves the same material from disk. Exactly one of the
-// two is non-nil; VK is always resident.
+// KeyPair bundles the Groth16 keys produced by one trusted setup with
+// the residency plan they were made under. VK is always resident; PK is
+// the proving key in the form the plan chose — a *groth16.ProvingKey when
+// Plan.Residency is Resident, otherwise a *groth16.StreamedProvingKey over
+// the raw key file, open for the cache entry's lifetime.
 type KeyPair struct {
-	PK *groth16.ProvingKey
-	VK *groth16.VerifyingKey
-	// Stream is the disk-backed proving key used when the engine's
-	// memory budget ruled out materializing PK.
-	Stream *groth16.StreamedProvingKey
-	// CSFile, when non-nil, is the disk-resident constraint system the
-	// keys were set up from: the memory budget ruled out keeping the CSR
-	// matrices (and the solved witness) resident too, so proves stream
-	// constraint rows from this file and spill the witness to disk. Like
-	// Stream, it shares the cache entry's lifetime.
-	CSFile *r1cs.CompiledSystemFile
-}
-
-// Streamed reports whether the proving key is disk-backed.
-func (kp *KeyPair) Streamed() bool { return kp.Stream != nil }
-
-// Spilled reports whether proves also stream the constraint system
-// from disk and spill the solver tape (full out-of-core mode).
-func (kp *KeyPair) Spilled() bool { return kp.CSFile != nil }
-
-// PKSizeBytes returns the serialized size of the proving key in
-// whichever backend holds it: the compressed WriteTo size for an
-// in-memory key, the raw on-disk size for a streamed one.
-func (kp *KeyPair) PKSizeBytes() int64 {
-	switch {
-	case kp.PK != nil:
-		return kp.PK.SizeBytes()
-	case kp.Stream != nil:
-		return kp.Stream.SizeBytes()
-	}
-	return 0
+	VK   *groth16.VerifyingKey
+	PK   groth16.ProverKey
+	Plan Plan
+	// cons is what proves read constraint rows from: the compiled system
+	// the keys were set up for, or out-of-core its CSR section file (open,
+	// like a streamed key, for the entry's lifetime).
+	cons r1cs.Constraints
 }
 
 // keyCache is the in-memory tier: a circuit-digest-keyed LRU of Groth16
 // key pairs, bounded by entry count (proving keys run to tens of MB at
-// paper scale). The disk tier — loadKeys and Engine.setup below — is
-// what survives a restart.
+// paper scale). The disk tier — Engine.loadKeys and Engine.setup below —
+// is what survives a restart.
 //
 // Each entry also retains the compiled constraint system the keys were
 // set up for: key and circuit share a lifetime (both are functions of
@@ -164,17 +141,13 @@ func keyPath(dir, digest, ext string) string { return filepath.Join(dir, digest+
 // against their integrity frames before a byte is trusted, and any
 // failure — missing, truncated, corrupt, unparsable — is an error the
 // caller treats as a miss: it re-runs setup and overwrites the files.
-// With stream the proving key is indexed in place and its file stays
-// open behind the returned key for the key's lifetime (every prove reads
-// through it; the descriptor is reclaimed by the runtime finalizer once
-// the cache entry is evicted and collected). Otherwise it is read whole:
-// the raw encoding costs a linear pass of cheap field decodings instead
-// of one modular square root per point, which would otherwise make a
-// disk hit slower than re-running setup for small circuits. The
-// directory is the operator's own material, so the weaker G2 checks of
-// the raw format are acceptable.
-func loadKeys(dir, digest string, stream bool) (*KeyPair, error) {
-	kp := &KeyPair{VK: new(groth16.VerifyingKey)}
+// Out-of-core the CSR section file rides beside the key files; a missing
+// or corrupt one is rewritten from sys, and when it cannot be (a
+// solver-only sys, a dead disk) the load fails like any other — a KeyPair
+// is returned only complete. The directory is the operator's
+// own material, so the weaker G2 checks of the raw format are acceptable.
+func (e *Engine) loadKeys(dir, digest string, sys *r1cs.CompiledSystem, plan Plan) (*KeyPair, error) {
+	kp := &KeyPair{VK: new(groth16.VerifyingKey), Plan: plan}
 	vkf, vkr, err := diskfile.OpenFramed(keyPath(dir, digest, ".vk"), keyFileMagic)
 	if err != nil {
 		return nil, err
@@ -184,28 +157,48 @@ func loadKeys(dir, digest string, stream bool) (*KeyPair, error) {
 	if err != nil {
 		return nil, err
 	}
-	return kp, kp.openPK(dir, digest, stream)
+	if kp.cons, err = e.constraints(sys, digest, plan); err != nil {
+		return nil, err
+	}
+	if kp.PK, err = openPK(dir, digest, plan); err != nil {
+		closeConstraints(kp.cons)
+		return nil, err
+	}
+	return kp, nil
 }
 
-// openPK attaches the digest's persisted proving key to kp: as
-// kp.Stream, or decoded into kp.PK.
-func (kp *KeyPair) openPK(dir, digest string, stream bool) error {
+// closeConstraints releases a CSR section file a failed load or setup
+// opened; a resident system has nothing to close.
+func closeConstraints(cons r1cs.Constraints) {
+	if c, ok := cons.(io.Closer); ok {
+		c.Close()
+	}
+}
+
+// openPK opens the digest's persisted proving key in the form plan
+// asks for. The raw file is always indexed in place; a resident plan then
+// reads it whole — a linear pass of cheap field decodings instead of the
+// compressed format's square root per point, which would make a disk hit
+// slower than re-running setup for small circuits — and any other plan
+// keeps the file open behind the returned key (every prove reads through
+// it; the descriptor is reclaimed by the runtime finalizer once the cache
+// entry is evicted and collected).
+func openPK(dir, digest string, plan Plan) (groth16.ProverKey, error) {
 	f, r, err := diskfile.OpenFramed(keyPath(dir, digest, ".pk"), keyFileMagic)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if stream {
-		if kp.Stream, err = groth16.OpenStreamedProvingKey(r); err != nil {
-			f.Close()
-			return err
-		}
-		kp.Stream.SpillDir = dir
-		return nil
+	spk, err := groth16.OpenStreamedProvingKey(r)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	if plan.Residency != Resident {
+		spk.SpillDir = dir
+		return spk, nil // f stays open behind spk
 	}
 	defer f.Close()
-	kp.PK = new(groth16.ProvingKey)
-	_, err = kp.PK.ReadRawFrom(bufio.NewReaderSize(r, 1<<20))
-	return err
+	return spk.Load()
 }
 
 // writeKeyFile publishes one framed key file through diskfile: atomic,
@@ -219,51 +212,44 @@ func writeKeyFile(path string, encode func(io.Writer) (int64, error)) error {
 	return err
 }
 
-// setup runs trusted setup for the chosen residency and persists what it
-// made. In memory (stream false) the keys are written through to
-// CacheDir when one is configured. Streamed, the proving key is spilled
-// straight into its framed cache file — never materialized in RAM — and
-// indexed from there; with spill the constraint system goes out-of-core
-// first, setup streams its QAP accumulation from the CSR file, and the
-// returned KeyPair carries the open handle for proves to share.
-// persistErr is a best-effort persistence failure that leaves the keys
-// fully usable; err is fatal.
-func (e *Engine) setup(sys *r1cs.CompiledSystem, digest string, stream, spill bool, rng io.Reader) (kp *KeyPair, persistErr, err error) {
-	if !stream {
-		pk, vk, err := groth16.Setup(sys, rng)
+// setup runs trusted setup under plan and persists what it made.
+// Resident, the keys are written through to CacheDir when one is
+// configured. Otherwise the proving key is spilled straight into its
+// framed cache file — never materialized in RAM — and indexed from there;
+// out-of-core the constraint system goes to disk first and setup streams
+// its QAP accumulation from the CSR file proves will share. persistErr is
+// a best-effort persistence failure that leaves the keys fully usable;
+// err is fatal.
+func (e *Engine) setup(sys *r1cs.CompiledSystem, digest string, plan Plan, rng io.Reader) (kp *KeyPair, persistErr, err error) {
+	kp = &KeyPair{Plan: plan}
+	if kp.cons, err = e.constraints(sys, digest, plan); err != nil {
+		return nil, nil, err
+	}
+	if plan.Residency == Resident {
+		pk, vk, err := groth16.Setup(kp.cons, rng)
 		if err != nil {
 			return nil, nil, err
 		}
+		kp.PK, kp.VK = pk, vk
 		if dir := e.opts.CacheDir; dir != "" {
 			if persistErr = writeKeyFile(keyPath(dir, digest, ".pk"), pk.WriteRawTo); persistErr == nil {
 				persistErr = writeKeyFile(keyPath(dir, digest, ".vk"), vk.WriteTo)
 			}
 		}
-		return &KeyPair{PK: pk, VK: vk}, persistErr, nil
+		return kp, persistErr, nil
 	}
 	dir, err := e.streamKeyDir()
-	if err != nil {
-		return nil, nil, err
-	}
-	kp = new(KeyPair)
-	var cons r1cs.Constraints = sys
-	if spill {
-		if kp.CSFile, err = e.ensureCSFile(sys, digest); err != nil {
-			return nil, nil, err
-		}
-		cons = kp.CSFile
-	}
-	err = writeKeyFile(keyPath(dir, digest, ".pk"), func(w io.Writer) (n int64, err error) {
-		kp.VK, err = groth16.SetupStreamed(cons, rng, w)
-		return 0, err
-	})
 	if err == nil {
-		err = kp.openPK(dir, digest, true)
+		err = writeKeyFile(keyPath(dir, digest, ".pk"), func(w io.Writer) (n int64, err error) {
+			kp.VK, err = groth16.SetupStreamed(kp.cons, rng, w)
+			return 0, err
+		})
+	}
+	if err == nil {
+		kp.PK, err = openPK(dir, digest, plan)
 	}
 	if err != nil {
-		if kp.CSFile != nil {
-			kp.CSFile.Close()
-		}
+		closeConstraints(kp.cons)
 		return nil, nil, fmt.Errorf("engine: streamed setup: %w", err)
 	}
 	return kp, writeKeyFile(keyPath(dir, digest, ".vk"), kp.VK.WriteTo), nil

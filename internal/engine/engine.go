@@ -61,27 +61,14 @@ type Options struct {
 	// It must be safe for concurrent use; the engine serializes setup
 	// internally but proves concurrently.
 	Rand io.Reader
-	// MemoryBudget, when > 0, is a per-circuit ceiling in bytes on key
-	// material held in RAM: circuits whose raw proving-key encoding
-	// (groth16.RawPKSizeBytes) exceeds it are set up and proved
-	// out-of-core — setup spills the key straight to disk and every
-	// prove streams it back in bounded windows, so peak prover memory
-	// stays independent of key size. Keys under the budget use the
-	// ordinary in-memory path. Set it to 1 to force streaming for every
-	// circuit. Streamed keys spill into CacheDir when configured (the
-	// spill file doubles as the cache entry), otherwise into a
-	// temporary directory removed on Close.
-	//
-	// The budget also governs the other two per-circuit residents: when
-	// a streamed circuit's CSR encoding (r1cs.CSRRawSizeBytes) plus its
-	// solved witness would themselves exceed the budget, the engine goes
-	// fully out-of-core — the constraint system is written once to a
-	// digest-keyed section file beside the spilled key, setup and every
-	// prove stream constraint rows from it in bounded windows, and the
-	// solver writes the witness tape to a disk-backed page cache instead
-	// of RAM. The cache then retains only a solver-program copy of the
-	// circuit (r1cs.CompiledSystem.StripForSolve), so no component of
-	// the pipeline scales resident memory with circuit size.
+	// MemoryBudget, when > 0, selects each circuit's residency tier
+	// (planResidency: the one place it is read): a circuit whose raw
+	// proving key exceeds it is set up and proved with the key on disk,
+	// and one whose CSR plus witness exceed it too runs fully out-of-core.
+	// It selects a tier; it is not a ceiling on resident bytes. Set it to
+	// 1 to force the out-of-core tier for every circuit. On-disk residents
+	// live in CacheDir when configured (the spilled key doubles as the
+	// cache entry), otherwise in a temporary directory removed on Close.
 	MemoryBudget int64
 }
 
@@ -279,49 +266,32 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// shouldStream decides the proving-key backend for a system under the
-// configured memory budget.
-func (e *Engine) shouldStream(sys *r1cs.CompiledSystem) bool {
-	if e.opts.MemoryBudget <= 0 {
-		return false
+// measure takes the sizes a residency plan weighs from a compiled system.
+func measure(sys *r1cs.CompiledSystem) sizes {
+	// An unmeasurable key (an empty system) reads 0 and plans resident;
+	// setup then surfaces the real error.
+	raw, _ := groth16.RawPKSizeBytes(sys)
+	return sizes{
+		rawKey:     raw,
+		csr:        r1cs.CSRRawSizeBytes(sys),
+		witness:    int64(sys.NbWires) * int64(8*fr.Limbs),
+		solverOnly: sys.Stripped(),
 	}
-	raw, err := groth16.RawPKSizeBytes(sys)
-	if err != nil {
-		return false // setup will surface the real error
-	}
-	return raw > e.opts.MemoryBudget
 }
 
-// shouldSpillCS decides, for a circuit already past the streaming
-// threshold, whether the constraint system and witness go out-of-core
-// too: they do when their combined resident cost — the CSR section
-// file encoding (a faithful proxy for the in-memory CSR arrays) plus
-// one full wire assignment — exceeds the same budget the key was
-// measured against. A solver-only cached system has no CSR to measure
-// and can only be proved through its spill file, so it always spills.
-func (e *Engine) shouldSpillCS(sys *r1cs.CompiledSystem) bool {
+// constraints returns what proves of the digest read their rows from
+// under plan: sys itself, or out-of-core the digest's CSR section file.
+func (e *Engine) constraints(sys *r1cs.CompiledSystem, digest string, plan Plan) (r1cs.Constraints, error) {
+	if plan.Residency == OutOfCore {
+		return e.ensureCSFile(sys, digest)
+	}
 	if sys.Stripped() {
-		return true
+		// A solver-only copy has placeholder CSR arrays; proving against
+		// them would silently "satisfy" empty constraints.
+		return nil, fmt.Errorf("engine: circuit %s is solver-only and its plan keeps the CSR resident (resend the compiled system)", digest)
 	}
-	witnessBytes := int64(sys.NbWires) * int64(8*fr.Limbs)
-	return r1cs.CSRRawSizeBytes(sys)+witnessBytes > e.opts.MemoryBudget
+	return sys, nil
 }
-
-// SpillsConstraintSystem reports whether a prove of sys on this engine
-// runs fully out-of-core — streamed key plus disk-resident CSR and
-// spilled witness. Once a first prove has populated the disk tier,
-// callers holding the compiled system only for re-proving can swap it
-// for its StripForSolve copy and release the CSR arrays: the engine
-// re-opens the constraint rows from its digest-keyed section file.
-func (e *Engine) SpillsConstraintSystem(sys *r1cs.CompiledSystem) bool {
-	return e.shouldStream(sys) && e.shouldSpillCS(sys)
-}
-
-// witnessPageBudget sizes the spilled witness's resident page cache: a
-// quarter of the memory budget, leaving the rest for streamed-MSM
-// windows and FFT scratch (r1cs.NewWitnessFile enforces its own small
-// floor).
-func (e *Engine) witnessPageBudget() int64 { return e.opts.MemoryBudget / 4 }
 
 // ensureCSFile returns an open, validated handle on the digest's CSR
 // spill file, writing it from sys first when missing or corrupt. A
@@ -349,16 +319,6 @@ func (e *Engine) ensureCSFile(sys *r1cs.CompiledSystem, digest string) (*r1cs.Co
 	return cf, nil
 }
 
-// cacheSystem picks what to retain beside the keys: in full
-// out-of-core mode the CSR arrays live in the spill file, so the cache
-// keeps only the solver program and input layout.
-func cacheSystem(sys *r1cs.CompiledSystem, spill bool) *r1cs.CompiledSystem {
-	if spill && !sys.Stripped() {
-		return sys.StripForSolve()
-	}
-	return sys
-}
-
 // streamKeyDir resolves (creating if needed) the directory streamed
 // keys spill into: the configured CacheDir, where the spill file
 // doubles as the disk cache entry, or a process-lifetime temp dir.
@@ -379,11 +339,11 @@ func (e *Engine) streamKeyDir() (string, error) {
 }
 
 // existingKeyDir returns the directory the disk tier would have put a
-// digest's keys in — CacheDir, or for streamed keys the temp spill
-// directory if one was created — and "" when there is none to look in
-// (never creates).
-func (e *Engine) existingKeyDir(stream bool) string {
-	if e.opts.CacheDir != "" || !stream {
+// digest's keys in under residency r — CacheDir, or for keys left on disk
+// the temp spill directory if one was created — and "" when there is
+// none to look in (never creates).
+func (e *Engine) existingKeyDir(r Residency) string {
+	if e.opts.CacheDir != "" || r == Resident {
 		return e.opts.CacheDir
 	}
 	e.streamMu.Lock()
@@ -476,24 +436,16 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	// once, not once per worker. For a streamed key the disk tier is the
 	// authoritative store; a hit costs one integrity pass plus section
 	// indexing, never a full materialization.
-	stream := e.shouldStream(sys)
-	spill := stream && e.shouldSpillCS(sys)
+	// The one read of the memory budget: decided here, once per setup or
+	// disk load, and carried on the KeyPair from then on.
+	plan := planResidency(measure(sys), e.opts.MemoryBudget)
 	sp := tr.Span("keys/disk-load")
-	if dir := e.existingKeyDir(stream); dir != "" {
-		if kp, lerr := loadKeys(dir, digest, stream); lerr == nil {
-			call.keys = kp
-		}
-	}
-	if call.keys != nil && spill {
-		// The CSR spill file rides beside the key files; a missing or
-		// corrupt one is rewritten from sys here. If that fails
-		// (solver-only sys, dead disk) the hit is voided and the setup
-		// below reports the error.
-		if csf, cerr := e.ensureCSFile(sys, digest); cerr == nil {
-			call.keys.CSFile = csf
-		} else {
-			call.keys = nil
-		}
+	if dir := e.existingKeyDir(plan.Residency); dir != "" {
+		// Any failure — a missing or damaged key file, or out-of-core a CSR
+		// file that cannot be rewritten from sys — is a miss; the setup
+		// below then reports what is really wrong. loadKeys returns keys
+		// only complete, nil with any error.
+		call.keys, _ = e.loadKeys(dir, digest, sys, plan)
 	}
 	sp.End()
 	if hit = call.keys != nil; hit {
@@ -501,12 +453,12 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	} else {
 		e.m.keycacheMisses.Inc()
 		name := "keys/setup"
-		if stream {
+		if plan.Residency != Resident {
 			name = "keys/setup-streamed"
 		}
 		sp := tr.Span(name)
 		start := time.Now()
-		call.keys, call.persistErr, call.err = e.setup(sys, digest, stream, spill, e.requestRand(rng))
+		call.keys, call.persistErr, call.err = e.setup(sys, digest, plan, e.requestRand(rng))
 		elapsed := time.Since(start)
 		sp.End()
 		if call.err != nil {
@@ -514,7 +466,13 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 		}
 		observeSeconds(e.m.setupSeconds, elapsed)
 	}
-	e.cache.put(digest, call.keys, cacheSystem(sys, spill))
+	// Out-of-core the CSR arrays live in the section file, so the cache
+	// keeps only the solver program and input layout beside the keys.
+	cached := sys
+	if plan.Residency == OutOfCore && !sys.Stripped() {
+		cached = sys.StripForSolve()
+	}
+	e.cache.put(digest, call.keys, cached)
 	return call.keys, hit, digest, call.persistErr, nil
 }
 
@@ -565,26 +523,17 @@ func (e *Engine) prove(req Request) *Result {
 	}
 	res.Keys = keys
 
-	if sys.Stripped() && keys.CSFile == nil {
-		// A solver-only circuit copy has placeholder CSR arrays; proving
-		// against it without the spill file would silently "satisfy"
-		// empty constraints. The cache pairs stripped systems with their
-		// CSFile, so this only trips on a programming error.
-		e.m.proveErrors.Inc()
-		res.Err = errors.New("engine: cached circuit is solver-only but no CSR spill file is attached")
-		return res
-	}
-
-	// In full out-of-core mode an input-assignment request solves
-	// straight into a disk-backed witness tape; the prover then reads
-	// wires back through the same file. A caller-supplied witness stays
-	// resident (it already was), but still proves against the CSR file.
+	// Out-of-core an input-assignment request solves straight into a
+	// disk-backed witness tape; the prover then reads wires back through
+	// the same file. A caller-supplied witness stays resident (it already
+	// was), but still proves against the CSR file.
+	plan := keys.Plan
 	witness := req.Witness
 	var wf *r1cs.WitnessFile
-	if witness == nil && keys.CSFile != nil {
+	if witness == nil && plan.Residency == OutOfCore {
 		dir, derr := e.streamKeyDir()
 		if derr == nil {
-			wf, derr = r1cs.NewWitnessFile(dir, sys.NbWires, e.witnessPageBudget())
+			wf, derr = r1cs.NewWitnessFile(dir, sys.NbWires, plan.WitnessPageBytes)
 		}
 		if derr != nil {
 			e.m.proveErrors.Inc()
@@ -630,26 +579,20 @@ func (e *Engine) prove(req Request) *Result {
 
 	sp = tr.Span("engine/prove")
 	start = time.Now()
-	// One prover whatever the residency: pick the constraints, pick the
-	// key, call.
-	var cons r1cs.Constraints = sys
-	if keys.CSFile != nil {
-		cons = keys.CSFile
-	}
-	var pk groth16.ProverKey = keys.PK
-	if keys.Stream != nil {
-		// The caller chose streaming to bound resident memory; collect
-		// the setup/solve phases' garbage and return the freed pages
-		// before entering the bounded-memory prove, so its footprint is
-		// the pipeline's, not the allocator's leftovers.
+	if plan.Residency != Resident {
+		// The caller chose a budget to bound resident memory; collect the
+		// setup/solve phases' garbage and return the freed pages before
+		// entering the bounded-memory prove, so its footprint is the
+		// pipeline's, not the allocator's leftovers.
 		debug.FreeOSMemory()
-		pk = keys.Stream
 	}
+	// One prover whatever the residency: the key and the constraints are
+	// the plan's, the witness is paged or not.
 	var proof *groth16.Proof
 	if wf != nil {
-		proof, err = groth16.ProveSpilled(cons, pk, wf, e.requestRand(req.Rand), tr.Scope(""))
+		proof, err = groth16.ProveSpilled(keys.cons, keys.PK, wf, e.requestRand(req.Rand), tr.Scope(""))
 	} else {
-		proof, err = groth16.Prove(cons, pk, witness, e.requestRand(req.Rand), tr.Scope(""))
+		proof, err = groth16.Prove(keys.cons, keys.PK, witness, e.requestRand(req.Rand), tr.Scope(""))
 	}
 	res.ProveTime = time.Since(start)
 	sp.End()
@@ -659,10 +602,10 @@ func (e *Engine) prove(req Request) *Result {
 		return res
 	}
 	e.m.proves.Inc()
-	if keys.Stream != nil {
+	if plan.Residency >= KeyStreamed {
 		e.m.streamProves.Inc()
 	}
-	if keys.CSFile != nil {
+	if plan.Residency == OutOfCore {
 		e.m.spillProves.Inc()
 	}
 	observeSeconds(e.m.proveSeconds, res.ProveTime)

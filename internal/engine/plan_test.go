@@ -1,0 +1,191 @@
+package engine
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestPlanResidency pins the policy: the two inequalities (raw key >
+// budget, then CSR + witness > budget), tier by tier at every boundary,
+// on the sizes of a compiled circuit.
+func TestPlanResidency(t *testing.T) {
+	sz := measure(cubicSystem(5))
+	rest := sz.csr + sz.witness
+	if sz.solverOnly || rest <= 1 || rest >= sz.rawKey-1 {
+		t.Fatalf("sizes %+v: want a full circuit with 1 < CSR + witness < raw key - 1, or the boundaries below collide", sz)
+	}
+	for _, tc := range []struct {
+		name       string
+		budget     int64
+		want       Residency
+		solverOnly Residency // the tier when the circuit is a solver-only copy
+		reason     string    // the quantity that decided
+	}{
+		{"unset", 0, Resident, Resident, "no memory budget"},
+		{"negative", -5, Resident, Resident, "no memory budget"},
+		{"one byte", 1, OutOfCore, OutOfCore, "CSR"},
+		{"CSR + witness - 1", rest - 1, OutOfCore, OutOfCore, "CSR"},
+		{"CSR + witness", rest, KeyStreamed, OutOfCore, "CSR"},
+		{"raw key - 1", sz.rawKey - 1, KeyStreamed, OutOfCore, "CSR"},
+		{"raw key", sz.rawKey, Resident, Resident, "raw key"},
+		{"raw key + 1", sz.rawKey + 1, Resident, Resident, "raw key"},
+		{"huge", 1 << 50, Resident, Resident, "raw key"},
+	} {
+		p := planResidency(sz, tc.budget)
+		if p.Residency != tc.want || !strings.Contains(p.Reason, tc.reason) {
+			t.Errorf("budget %s (%d): planned %s because %q, want %s because of the %s", tc.name, tc.budget, p.Residency, p.Reason, tc.want, tc.reason)
+		}
+		wantPages := int64(0) // only a paged witness has a page cache: a quarter of the budget
+		if tc.want == OutOfCore {
+			wantPages = tc.budget / 4
+		}
+		if p.WitnessPageBytes != wantPages {
+			t.Errorf("budget %s: witness page cache %d bytes, want %d", tc.name, p.WitnessPageBytes, wantPages)
+		}
+		stripped := sz
+		stripped.solverOnly = true
+		if p := planResidency(stripped, tc.budget); p.Residency != tc.solverOnly || p.Reason == "" {
+			t.Errorf("budget %s, solver-only: planned %s because %q, want %s", tc.name, p.Residency, p.Reason, tc.solverOnly)
+		}
+	}
+
+	// Over random sizes: a smaller budget never moves a circuit toward
+	// Resident, and every plan says why.
+	rng := rand.New(rand.NewSource(51))
+	for i := 0; i < 2000; i++ {
+		sz := sizes{rawKey: rng.Int63n(1 << 20), csr: rng.Int63n(1 << 20), witness: rng.Int63n(1 << 20), solverOnly: rng.Intn(4) == 0}
+		hi := rng.Int63n(1<<21) + 1
+		lo := rng.Int63n(hi) + 1
+		pHi, pLo := planResidency(sz, hi), planResidency(sz, lo)
+		if pLo.Residency < pHi.Residency {
+			t.Fatalf("sizes %+v: budget %d plans %s but the smaller %d plans %s", sz, hi, pHi.Residency, lo, pLo.Residency)
+		}
+		if pHi.Reason == "" || pLo.Reason == "" {
+			t.Fatalf("sizes %+v, budgets %d and %d: a plan without a reason", sz, hi, lo)
+		}
+	}
+}
+
+// TestResidencyTiers runs the engine in every tier — the middle one
+// included, which budgets 0 and 1 never reach — on one circuit, with one
+// budget per tier computed from the circuit's own sizes. Each tier must
+// prove as planned, count as planned, keep on disk what its plan says,
+// serve a digest-only repeat and a restart, and — same seeds — produce
+// the other tiers' proof bytes and key files, which are the files the
+// parent commit wrote.
+func TestResidencyTiers(t *testing.T) {
+	sys := cubicSystem(5)
+	sz := measure(sys)
+	asg := sys.WitnessAssignment(cubicWitness(5, 3))
+	asg7 := sys.WitnessAssignment(cubicWitness(5, 7))
+
+	// SHA-256 of <digest>.pk, .vk and .csr as written at 725543a by an
+	// engine seeded with 41 under MemoryBudget 1, and the compressed A and
+	// K points of the proof it (and the one under budget 0) then produced.
+	const pinnedAr, pinnedKrs = "d23e027e76e06ccb6092b04054caade3228c9a245e0433a3e50f97f70f3dbeee", "82003175239f6456f3aa0f4d92dda25bd7b1665ce5b495026f64c3009c7ec1ee"
+	pinned := map[string]string{
+		".pk":  "e21ec6e5e840d1dff951d366f365a77ab0e83c85f5c2016d2f1fec765a7b4960",
+		".vk":  "8522f962d0d421dc85050889ed8fc574ab68021125d6fd013e0fa298f76bdf43",
+		".csr": "69f2702a2069301f05d8337c53e3aa457cf8b84dd8a49d37b50fe7970c022982",
+	}
+	var first []byte
+	for _, tc := range []struct {
+		want   Residency
+		budget int64
+	}{
+		{Resident, sz.rawKey},
+		{KeyStreamed, sz.csr + sz.witness},
+		{OutOfCore, sz.csr + sz.witness - 1},
+	} {
+		dir := t.TempDir()
+		opts := Options{CacheDir: dir, MemoryBudget: tc.budget, Rand: rand.New(rand.NewSource(41))}
+		e := New(opts)
+		defer e.Close()
+		r1, err := e.Prove(Request{System: cubicSystem(5), Public: asg.Public, Secret: asg.Secret})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.want, err)
+		}
+		if r1.Keys.Plan.Residency != tc.want {
+			t.Fatalf("budget %d: planned %s (%s), want %s", tc.budget, r1.Keys.Plan.Residency, r1.Keys.Plan.Reason, tc.want)
+		}
+		if err := e.Verify(r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
+			t.Fatalf("%s: proof rejected: %v", tc.want, err)
+		}
+		if (r1.Witness == nil) != (tc.want == OutOfCore) {
+			t.Errorf("%s: resident witness returned = %v", tc.want, r1.Witness != nil)
+		}
+
+		// Same seeds, same proof, whatever is resident.
+		var buf bytes.Buffer
+		if _, err := r1.Proof.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(first, buf.Bytes()) {
+			t.Errorf("%s: proof bytes differ from the resident tier's", tc.want)
+		}
+		if ar, krs := fmt.Sprintf("%x", r1.Proof.Ar.Bytes()), fmt.Sprintf("%x", r1.Proof.Krs.Bytes()); ar != pinnedAr || krs != pinnedKrs {
+			t.Errorf("%s: proof (A %s, K %s) is not the parent commit's for these seeds", tc.want, ar, krs)
+		}
+
+		// Same files under the same names, the CSR file iff out-of-core.
+		for ext, want := range pinned {
+			raw, err := os.ReadFile(filepath.Join(dir, r1.Digest+ext))
+			if ext == ".csr" && tc.want != OutOfCore {
+				if !os.IsNotExist(err) {
+					t.Errorf("%s: a CSR file was written (stat err %v)", tc.want, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tc.want, err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+				t.Errorf("%s: %s hashes to %s, the parent commit wrote %s", tc.want, ext, got, want)
+			}
+		}
+
+		// A digest-only repeat is served from memory in every tier.
+		r2, err := e.Prove(Request{Digest: r1.Digest, Public: asg7.Public, Secret: asg7.Secret})
+		if err != nil {
+			t.Fatalf("%s: digest-only prove: %v", tc.want, err)
+		}
+		if !r2.CacheHit || r2.Keys.Plan != r1.Keys.Plan {
+			t.Errorf("%s: digest-only prove hit=%v under plan %+v, want the cached plan", tc.want, r2.CacheHit, r2.Keys.Plan)
+		}
+		if err := e.Verify(r1.Keys.VK, r2.Proof, r2.PublicInputs); err != nil {
+			t.Fatalf("%s: digest-only proof rejected: %v", tc.want, err)
+		}
+		stream, spill := uint64(0), uint64(0)
+		if tc.want >= KeyStreamed {
+			stream = 2
+		}
+		if tc.want == OutOfCore {
+			spill = 2
+		}
+		if st := e.Stats(); st.Setups != 1 || st.Proves != 2 || st.StreamProves != stream || st.SpillProves != spill {
+			t.Errorf("%s: stats %+v, want 1 setup, 2 proves, %d streamed, %d spilled", tc.want, st, stream, spill)
+		}
+
+		// A restart on the directory is a disk hit planned the same way.
+		e2 := New(opts)
+		defer e2.Close()
+		r3, err := e2.Prove(Request{System: cubicSystem(5), Public: asg.Public, Secret: asg.Secret})
+		if err != nil {
+			t.Fatalf("%s: restart: %v", tc.want, err)
+		}
+		if st := e2.Stats(); !r3.CacheHit || st.DiskHits != 1 || st.Setups != 0 || r3.Keys.Plan != r1.Keys.Plan {
+			t.Errorf("%s: restart hit=%v, stats %+v, plan %+v", tc.want, r3.CacheHit, st, r3.Keys.Plan)
+		}
+		if err := e2.Verify(r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
+			t.Fatalf("%s: restarted proof rejected: %v", tc.want, err)
+		}
+	}
+}

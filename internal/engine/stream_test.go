@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"zkrownn/internal/groth16"
 )
 
 // damagedCacheHeals is the disk tier's end-to-end safety check for one
@@ -41,8 +43,8 @@ func damagedCacheHeals(t *testing.T, budget int64, ext string, damage func(path 
 	if st := e2.Stats(); r2.CacheHit || st.Setups != 1 || st.DiskHits != 0 {
 		t.Fatalf("budget %d: damaged %s served from cache (hit=%v, stats=%+v), want 1 setup and 0 disk hits", budget, ext, r2.CacheHit, st)
 	}
-	if r2.Keys.Streamed() != (budget > 0) {
-		t.Fatalf("budget %d: re-setup keys streamed = %v", budget, r2.Keys.Streamed())
+	if want := map[int64]Residency{0: Resident, 1: OutOfCore}[budget]; r2.Keys.Plan.Residency != want {
+		t.Fatalf("budget %d: re-setup keys planned %s, want %s", budget, r2.Keys.Plan.Residency, want)
 	}
 	if err := e2.Verify(r2.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 4))); err != nil {
 		t.Fatalf("budget %d: re-setup proof rejected: %v", budget, err)
@@ -124,14 +126,14 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Keys.Stream == nil || !r1.Keys.Streamed() {
-		t.Fatal("1-byte budget must force a streamed proving key")
+	if _, streamed := r1.Keys.PK.(*groth16.StreamedProvingKey); !streamed || r1.Keys.Plan.Residency != OutOfCore {
+		t.Fatalf("1-byte budget must plan out-of-core with a streamed proving key, got %s with a %T", r1.Keys.Plan.Residency, r1.Keys.PK)
 	}
-	if r1.Keys.PK != nil {
-		t.Fatal("streamed key pair must not hold the in-memory proving key")
+	if r1.Keys.Plan.Reason == "" {
+		t.Fatal("the plan must say why")
 	}
-	if r1.Keys.PKSizeBytes() <= 0 {
-		t.Fatal("streamed key pair must report its raw on-disk size")
+	if r1.Keys.PK.SizeBytes() <= 0 {
+		t.Fatal("streamed key pair must report its key size")
 	}
 	if err := e1.Verify(r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {
 		t.Fatalf("streamed proof rejected: %v", err)
@@ -157,8 +159,8 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r3.CacheHit || r3.Keys.Stream == nil {
-		t.Fatalf("restarted streamed engine must stream from the disk cache (hit=%v)", r3.CacheHit)
+	if _, streamed := r3.Keys.PK.(*groth16.StreamedProvingKey); !r3.CacheHit || !streamed {
+		t.Fatalf("restarted streamed engine must stream from the disk cache (hit=%v, key %T)", r3.CacheHit, r3.Keys.PK)
 	}
 	st2 := e2.Stats()
 	if st2.Setups != 0 || st2.DiskHits != 1 {
@@ -189,8 +191,8 @@ func TestStreamedProofMatchesInMemoryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rSt.Keys.Streamed() {
-		t.Fatal("expected streamed mode")
+	if rIn.Keys.Plan.Residency != Resident || rSt.Keys.Plan.Residency == Resident {
+		t.Fatalf("planned %s and %s, want resident and not", rIn.Keys.Plan.Residency, rSt.Keys.Plan.Residency)
 	}
 	if !rIn.Proof.Ar.Equal(&rSt.Proof.Ar) || !rIn.Proof.Bs.Equal(&rSt.Proof.Bs) || !rIn.Proof.Krs.Equal(&rSt.Proof.Krs) {
 		t.Fatal("streamed engine proof diverges from in-memory engine proof")
@@ -215,8 +217,8 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r1.Keys.Streamed() || !r1.Keys.Spilled() {
-		t.Fatal("1-byte budget must force full out-of-core mode")
+	if r1.Keys.Plan.Residency != OutOfCore {
+		t.Fatalf("1-byte budget must force full out-of-core mode, planned %s", r1.Keys.Plan.Residency)
 	}
 	if r1.Witness != nil {
 		t.Fatal("spilled prove must not return a resident witness")
@@ -259,8 +261,8 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r3.CacheHit || !r3.Keys.Spilled() {
-		t.Fatalf("restart must stream keys and CSR from disk (hit=%v, spilled=%v)", r3.CacheHit, r3.Keys.Spilled())
+	if !r3.CacheHit || r3.Keys.Plan.Residency != OutOfCore {
+		t.Fatalf("restart must stream keys and CSR from disk (hit=%v, planned %s)", r3.CacheHit, r3.Keys.Plan.Residency)
 	}
 	if err := e2.Verify(r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
 		t.Fatalf("restarted spilled proof rejected by original VK: %v", err)
@@ -285,6 +287,29 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if err := e3.Verify(r1.Keys.VK, r4.Proof, r4.PublicInputs); err != nil {
 		t.Fatalf("proof after CSR rewrite rejected: %v", err)
 	}
+
+	// A missing CSR file cannot be rewritten from a solver-only copy: the
+	// disk load is a miss, setup reports what is wrong, and nothing
+	// half-loaded is cached — the full system resent afterwards proves.
+	if err := os.Remove(csrFile); err != nil {
+		t.Fatal(err)
+	}
+	e4 := New(Options{CacheDir: dir, MemoryBudget: 1, Rand: rng})
+	defer e4.Close()
+	_, err = e4.Prove(Request{System: cubicSystem(5).StripForSolve(), Public: asg.Public, Secret: asg.Secret})
+	if err == nil || !strings.Contains(err.Error(), "resend the compiled system") {
+		t.Fatalf("solver-only prove without a CSR file: err = %v, want a resend error", err)
+	}
+	if st := e4.Stats(); st.DiskHits != 0 || e4.cache.len() != 0 {
+		t.Fatalf("failed load counted as a disk hit or cached (%d entries): %+v", e4.cache.len(), st)
+	}
+	r5, err := e4.Prove(Request{System: cubicSystem(5), Public: asg.Public, Secret: asg.Secret})
+	if err != nil {
+		t.Fatalf("prove after resending the system: %v", err)
+	}
+	if err := e4.Verify(r1.Keys.VK, r5.Proof, r5.PublicInputs); err != nil {
+		t.Fatalf("proof after resend rejected: %v", err)
+	}
 }
 
 // TestSpilledProofMatchesInMemoryEngine is the engine-level oracle for
@@ -306,8 +331,8 @@ func TestSpilledProofMatchesInMemoryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rSp.Keys.Spilled() {
-		t.Fatal("expected full out-of-core mode")
+	if rSp.Keys.Plan.Residency != OutOfCore {
+		t.Fatalf("expected full out-of-core mode, planned %s", rSp.Keys.Plan.Residency)
 	}
 	if !rIn.Proof.Ar.Equal(&rSp.Proof.Ar) || !rIn.Proof.Bs.Equal(&rSp.Proof.Bs) || !rIn.Proof.Krs.Equal(&rSp.Proof.Krs) {
 		t.Fatal("spilled engine proof diverges from in-memory engine proof")
@@ -325,7 +350,7 @@ func TestStreamedEngineTempSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r1.Keys.Streamed() {
+	if r1.Keys.Plan.Residency == Resident {
 		t.Fatal("1-byte budget must stream even without a cache dir")
 	}
 	if err := e.Verify(r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {

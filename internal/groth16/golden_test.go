@@ -202,14 +202,23 @@ func TestGoldenVectorsStillVerify(t *testing.T) {
 	if err := Verify(&binVK, &binProof, public); err != nil {
 		t.Fatalf("pinned binary artifacts no longer verify: %v", err)
 	}
-	var rawPK ProvingKey
-	if _, err := rawPK.ReadRawFrom(bytes.NewReader(unhex(read("pk.raw.hex")))); err != nil {
+	spk := openStreamed(t, unhex(read("pk.raw.hex")), 2)
+	rawPK, err := spk.Load()
+	if err != nil {
 		t.Fatalf("pinned raw proving key no longer decodes: %v", err)
+	}
+	// One meaning of key size: both forms report the bytes WriteTo writes.
+	var wire bytes.Buffer
+	if _, err := rawPK.WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(wire.Len()); rawPK.SizeBytes() != n || spk.SizeBytes() != n {
+		t.Fatalf("SizeBytes: resident %d, streamed %d, WriteTo wrote %d", rawPK.SizeBytes(), spk.SizeBytes(), n)
 	}
 	// The decoded proving key must still prove.
 	rng := rand.New(rand.NewSource(goldenSeed + 1))
 	sys := cubicSystem()
-	reproof, err := Prove(sys, &rawPK, cubicWitness(3), rng)
+	reproof, err := Prove(sys, rawPK, cubicWitness(3), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

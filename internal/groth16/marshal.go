@@ -337,11 +337,12 @@ func (pk *ProvingKey) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // WriteRawTo serializes the proving key with uncompressed points — about
-// twice the bytes of WriteTo, but ReadRawFrom skips the per-point square
-// root of compressed decoding, making deserialization orders of
-// magnitude faster. This is the format of the prover engine's local key
-// cache; use WriteTo for keys that cross a trust boundary. The layout
-// itself is rawKeyWriter's, shared with SetupStreamed.
+// twice the bytes of WriteTo, but reading it back (OpenStreamedProvingKey,
+// then Load for a resident key) skips the per-point square root of
+// compressed decoding, making deserialization orders of magnitude
+// faster. This is the format of the prover engine's local key cache; use
+// WriteTo for keys that cross a trust boundary. The layout itself is
+// rawKeyWriter's, shared with SetupStreamed.
 func (pk *ProvingKey) WriteRawTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	rw := rawKeyWriter{cw}
@@ -405,51 +406,19 @@ func (rw rawKeyWriter) g2(pts []curve.G2Affine) error {
 	return nil
 }
 
-// ReadRawFrom deserializes a proving key written by WriteRawTo. Points
-// are checked on-curve but G2 subgroup membership is NOT verified — the
-// raw format is for locally trusted material only.
-func (pk *ProvingKey) ReadRawFrom(r io.Reader) (int64, error) {
-	if err := readHeader(r, magicPKRaw); err != nil {
-		return 0, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &pk.DomainSize); err != nil {
-		return 0, err
-	}
-	var g1buf [curve.G1UncompressedSize]byte
-	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		if _, err := io.ReadFull(r, g1buf[:]); err != nil {
-			return 0, err
-		}
-		if err := pt.SetBytesRaw(g1buf[:]); err != nil {
-			return 0, err
-		}
-	}
-	var g2buf [curve.G2UncompressedSize]byte
-	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		if _, err := io.ReadFull(r, g2buf[:]); err != nil {
-			return 0, err
-		}
-		if err := pt.SetBytesRaw(g2buf[:]); err != nil {
-			return 0, err
-		}
-	}
-	var err error
-	for _, sec := range pk.g1Sections() {
-		if *sec, err = readPoints(r, curve.G1UncompressedSize, (*curve.G1Affine).SetBytesRaw); err != nil {
-			return 0, err
-		}
-	}
-	if pk.B2, err = readPoints(r, curve.G2UncompressedSize, (*curve.G2Affine).SetBytesRaw); err != nil {
-		return 0, err
-	}
-	return 0, nil
+// SizeBytes returns the size of the key's compressed wire encoding — what
+// WriteTo writes, Table I's PK column — from the section lengths alone.
+func (pk *ProvingKey) SizeBytes() int64 {
+	return pkWireSize(len(pk.A)+len(pk.B1)+len(pk.K)+len(pk.Z), len(pk.B2))
 }
 
-// SizeBytes returns the serialized size of the proving key.
-func (pk *ProvingKey) SizeBytes() int64 {
-	cw := &countingWriter{w: io.Discard}
-	_, _ = pk.WriteTo(cw)
-	return cw.n
+// pkWireSize is the WriteTo size of a proving key whose five query
+// sections hold g1 and g2 points in all: the 16-byte header, the five
+// setup points, five uint32 counts, and the compressed points.
+func pkWireSize(g1, g2 int) int64 {
+	return 16 + 5*4 +
+		int64(3+g1)*curve.G1CompressedSize +
+		int64(2+g2)*curve.G2CompressedSize
 }
 
 // SizeBytes returns the serialized size of the verifying key.

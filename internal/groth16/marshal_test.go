@@ -99,11 +99,11 @@ func TestProvingKeyRawRoundTrip(t *testing.T) {
 	if _, err := pk.WriteRawTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var got ProvingKey
-	if _, err := got.ReadRawFrom(&buf); err != nil {
+	got, err := openStreamed(t, buf.Bytes(), 2).Load()
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertPKEqual(t, pk, &got)
+	assertPKEqual(t, pk, got)
 }
 
 // TestRawKeyProvesIdentically is the behavioral check: a proving key
@@ -115,13 +115,13 @@ func TestRawKeyProvesIdentically(t *testing.T) {
 	if _, err := pk.WriteRawTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var restored ProvingKey
-	if _, err := restored.ReadRawFrom(&buf); err != nil {
+	restored, err := openStreamed(t, buf.Bytes(), 0).Load()
+	if err != nil {
 		t.Fatal(err)
 	}
 	sys := cubicSystem()
 	rng := rand.New(rand.NewSource(7))
-	proof, err := Prove(sys, &restored, cubicWitness(4), rng)
+	proof, err := Prove(sys, restored, cubicWitness(4), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestReadPointsMatchesSerialDecoder(t *testing.T) {
 // a read error having allocated less than a megabyte, where the decoder
 // used to ask for 17 GB (G1) or 34 GB (G2) before reading a byte.
 func TestReadPointsBoundsAllocation(t *testing.T) {
-	_, vk, _ := marshalFixture(t)
+	pk, vk, _ := marshalFixture(t)
 	var buf bytes.Buffer
 	if _, err := vk.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -337,5 +337,50 @@ func TestReadPointsBoundsAllocation(t *testing.T) {
 	over := binary.LittleEndian.AppendUint32(nil, 1<<28+1)
 	if _, err := readG1Slice(bytes.NewReader(over)); err == nil {
 		t.Fatal("length prefix above the cap accepted")
+	}
+
+	// The raw key layout has one parser, the index, and it bounds every
+	// section by bytes actually present before Load sizes a slice from
+	// it; Load still rejects a point knocked off the curve.
+	var rawKey bytes.Buffer
+	if _, err := pk.WriteRawTo(&rawKey); err != nil {
+		t.Fatal(err)
+	}
+	secA := rawPKFixedHeaderSize // section A's count, then its points
+	for _, tc := range []struct {
+		name   string
+		mangle func(b []byte) []byte
+	}{
+		{"with a 2^28 count on section A", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[secA:], 1<<28)
+			return b
+		}},
+		{"with a count above the cap", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[secA:], 1<<28+1)
+			return b
+		}},
+		{"cut one byte short", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"with a bit flipped in A's first point", func(b []byte) []byte {
+			b[secA+4+9] ^= 0x10
+			return b
+		}},
+		{"with a bit flipped in B2's last point", func(b []byte) []byte {
+			b[len(b)-9] ^= 0x10
+			return b
+		}},
+	} {
+		b := tc.mangle(append([]byte(nil), rawKey.Bytes()...))
+		got = allocated(func() {
+			var spk *StreamedProvingKey
+			if spk, err = OpenStreamedProvingKey(bytes.NewReader(b)); err == nil {
+				_, err = spk.Load()
+			}
+		})
+		if err == nil {
+			t.Errorf("raw key %s loaded", tc.name)
+		}
+		if got >= 1<<20 {
+			t.Errorf("raw key %s allocated %d bytes before failing, want < 1 MiB", tc.name, got)
+		}
 	}
 }

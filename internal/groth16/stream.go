@@ -162,9 +162,46 @@ func OpenStreamedProvingKey(r io.ReaderAt) (*StreamedProvingKey, error) {
 // DomainSize returns the FFT domain order recorded in the key.
 func (pk *StreamedProvingKey) DomainSize() uint64 { return pk.hdr.DomainSize }
 
-// SizeBytes returns the raw encoding's total size in bytes.
+// SizeBytes returns what ProvingKey.SizeBytes does for the same key: the
+// size of its compressed wire encoding, not of the raw file behind it
+// (that is RawPKSizeBytes).
 func (pk *StreamedProvingKey) SizeBytes() int64 {
-	return pk.secB2.off + int64(pk.secB2.n)*curve.G2UncompressedSize
+	return pkWireSize(pk.secA.n+pk.secB1.n+pk.secK.n+pk.secZ.n, pk.secB2.n)
+}
+
+// Load materializes the indexed key: the resident form of the same raw
+// file, decoded a stream chunk at a time. The index has already bounded
+// every section by bytes actually present (the count cap and last-byte
+// probe of OpenStreamedProvingKey), so a hostile count sizes no
+// allocation. Points are checked on-curve but G2 subgroup membership is
+// NOT verified — the raw format is for locally trusted material only.
+func (pk *StreamedProvingKey) Load() (*ProvingKey, error) {
+	h := pk.hdr
+	out := &ProvingKey{
+		AlphaG1: h.AlphaG1, BetaG1: h.BetaG1, DeltaG1: h.DeltaG1,
+		BetaG2: h.BetaG2, DeltaG2: h.DeltaG2, DomainSize: h.DomainSize,
+	}
+	for i, sec := range []rawSection{pk.secA, pk.secB1, pk.secK, pk.secZ} {
+		pts := make([]curve.G1Affine, sec.n)
+		if err := loadSection(pts, curve.NewG1RawSource(pk.r, sec.off), pk.chunkSize()); err != nil {
+			return nil, err
+		}
+		*out.g1Sections()[i] = pts
+	}
+	out.B2 = make([]curve.G2Affine, pk.secB2.n)
+	if err := loadSection(out.B2, curve.NewG2RawSource(pk.r, pk.secB2.off), pk.chunkSize()); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func loadSection[P any](pts []P, src func(dst []P, start int) error, chunk int) error {
+	for start := 0; start < len(pts); start += chunk {
+		if err := src(pts[start:min(start+chunk, len(pts))], start); err != nil {
+			return fmt.Errorf("groth16: raw key section at point %d: %w", start, err)
+		}
+	}
+	return nil
 }
 
 func (pk *StreamedProvingKey) chunkSize() int {

@@ -182,9 +182,11 @@ func TestRawPKSizeBytes(t *testing.T) {
 		t.Fatalf("RawPKSizeBytes = %d, actual encoding = %d", want, buf.Len())
 	}
 
+	// The streamed form of the key reports the resident form's size: the
+	// wire encoding's, not the raw file's.
 	spk := openStreamed(t, buf.Bytes(), 2)
-	if spk.SizeBytes() != want {
-		t.Fatalf("StreamedProvingKey.SizeBytes = %d, want %d", spk.SizeBytes(), want)
+	if spk.SizeBytes() != pk.SizeBytes() {
+		t.Fatalf("StreamedProvingKey.SizeBytes = %d, ProvingKey.SizeBytes = %d", spk.SizeBytes(), pk.SizeBytes())
 	}
 	if spk.DomainSize() != pk.DomainSize {
 		t.Fatalf("DomainSize = %d, want %d", spk.DomainSize(), pk.DomainSize)

@@ -45,6 +45,7 @@ type job struct {
 	queuedFor   time.Duration
 	solveTime   time.Duration
 	proveTime   time.Duration
+	residency   string
 	claims      []bool
 	proof       *groth16.Proof
 	public      groth16.PublicInputs
@@ -62,6 +63,7 @@ func (j *job) snapshot() JobStatus {
 		QueuedMS:     float64(j.queuedFor.Microseconds()) / 1e3,
 		SolveMS:      float64(j.solveTime.Microseconds()) / 1e3,
 		ProveMS:      float64(j.proveTime.Microseconds()) / 1e3,
+		Residency:    j.residency,
 		Claims:       j.claims,
 		Proof:        j.proof,
 		PublicInputs: j.public,
@@ -252,6 +254,7 @@ func (q *jobQueue) run(j *job) {
 	j.setupCached = res.CacheHit
 	j.solveTime = res.SolveTime
 	j.proveTime = res.ProveTime
+	j.residency = res.Keys.Plan.Residency.String()
 	j.proof = res.Proof
 	j.claims = claims
 	// The instance — including computed outputs such as the claim bits —
@@ -265,6 +268,7 @@ func (q *jobQueue) run(j *job) {
 		"queued_ms", float64(queued.Microseconds())/1e3,
 		"solve_ms", float64(res.SolveTime.Microseconds())/1e3,
 		"prove_ms", float64(res.ProveTime.Microseconds())/1e3,
-		"setup_cached", res.CacheHit, "traced", j.trace != nil)
+		"setup_cached", res.CacheHit, "residency", res.Keys.Plan.Residency.String(),
+		"residency_reason", res.Keys.Plan.Reason, "traced", j.trace != nil)
 	q.retire(j.id)
 }

@@ -315,6 +315,10 @@ func TestRequestID(t *testing.T) {
 			t.Errorf("no %s log record carries req_id=%s:\n%s", msg, jobReq, logs.String())
 		}
 	}
+	// The job done record says which tier the prove ran in and why.
+	if want := `residency=resident residency_reason="no memory budget set"`; !strings.Contains(logs.String(), want) {
+		t.Errorf("job done record lacks %s:\n%s", want, logs.String())
+	}
 
 	// None supplied: minted, returned, distinct per request.
 	r1, _ := do(http.MethodGet, ts.URL+"/healthz", "", nil)

@@ -137,6 +137,9 @@ type JobStatus struct {
 	// recompile).
 	SolveMS float64 `json:"solve_ms,omitempty"`
 	ProveMS float64 `json:"prove_ms,omitempty"`
+	// Residency is the tier the engine's plan proved this job in:
+	// "resident", "key-streamed" or "out-of-core" (set once done).
+	Residency string `json:"residency,omitempty"`
 	// Claims holds the per-slot ownership verdicts decoded from the
 	// instance (the trailing bundle_slots public inputs), in slot order.
 	// A single-slot job reports one entry.

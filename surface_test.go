@@ -379,3 +379,98 @@ func TestOneMetricsSource(t *testing.T) {
 		t.Errorf("engine.Options has %d fields, want 5", n)
 	}
 }
+
+// TestOneResidencyDecision keeps residency decided once. The memory
+// budget is read at one site, which turns it into a Plan; everything
+// after that — the key's form, where proves read constraint rows, whether
+// the witness is paged, which counters tick — reads the plan. A second
+// budget test, a nil-coded backend field on KeyPair, or a stream/spill
+// flag threaded through the engine again fails here.
+func TestOneResidencyDecision(t *testing.T) {
+	fset := token.NewFileSet()
+	budgetReaders := map[string]bool{}
+	var keyPair, options *ast.StructType
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		inEngine := strings.HasPrefix(path, "internal/engine/")
+		for _, decl := range file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "MemoryBudget" {
+						budgetReaders[path+":"+decl.Name.Name] = true
+					}
+					return true
+				})
+				for _, f := range decl.Type.Params.List {
+					id, isBool := f.Type.(*ast.Ident)
+					for _, name := range f.Names {
+						if inEngine && isBool && id.Name == "bool" && (name.Name == "stream" || name.Name == "spill") {
+							t.Errorf("%s: %s takes a bool named %s: pass the Plan", path, decl.Name.Name, name.Name)
+						}
+					}
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !inEngine {
+						continue
+					}
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						switch ts.Name.Name {
+						case "KeyPair":
+							keyPair = st
+						case "Options":
+							options = st
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(budgetReaders) != 1 {
+		t.Errorf("functions under internal/ that read .MemoryBudget: %v, want exactly one", budgetReaders)
+	}
+	if keyPair == nil || options == nil {
+		t.Fatal("found no engine.KeyPair or engine.Options: the guard is looking in the wrong place")
+	}
+	provingKeys := 0
+	for _, f := range keyPair.Fields.List {
+		for _, name := range f.Names {
+			if name.Name == "Stream" || name.Name == "CSFile" {
+				t.Errorf("engine.KeyPair declares %s: the key's form is PK's dynamic type, the constraints' is the plan's", name.Name)
+			}
+		}
+		typ := f.Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if sel, ok := typ.(*ast.SelectorExpr); ok {
+			switch sel.Sel.Name {
+			case "ProverKey", "ProvingKey", "StreamedProvingKey":
+				provingKeys += max(len(f.Names), 1)
+			}
+		}
+	}
+	if provingKeys != 1 {
+		t.Errorf("engine.KeyPair has %d proving-key fields, want the one groth16.ProverKey", provingKeys)
+	}
+	fields := 0
+	for _, f := range options.Fields.List {
+		fields += max(len(f.Names), 1)
+	}
+	if fields != 5 {
+		t.Errorf("engine.Options has %d fields, want 5", fields)
+	}
+}
