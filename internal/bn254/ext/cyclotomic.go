@@ -5,7 +5,9 @@ package ext
 // final exponentiation) using the Granger-Scott compressed formulas —
 // roughly half the cost of a generic F_p¹² squaring. The result is
 // undefined for elements outside the subgroup; callers are responsible
-// for the domain (pairing.FinalExponentiation is the only user).
+// for the domain: pairing.FinalExponentiation squares its easy-part
+// output, and groth16 raises reduced pairing values (the cached e(α, β))
+// to batch challenges through CyclotomicExp.
 func (z *E12) CyclotomicSquare(x *E12) *E12 {
 	// Coordinates as (x.C0.B0, x.C0.B1, x.C0.B2, x.C1.B0, x.C1.B1,
 	// x.C1.B2) = (x0, x1, x2, x3, x4, x5); the Granger-Scott identity
@@ -71,10 +73,13 @@ func (z *E12) CyclotomicExp(x *E12, k interface {
 	Bit(int) uint
 	BitLen() int
 }) *E12 {
-	var res E12
-	res.SetOne()
+	n := k.BitLen()
+	if n == 0 {
+		return z.SetOne()
+	}
 	base := *x
-	for i := k.BitLen() - 1; i >= 0; i-- {
+	res := base // the top bit
+	for i := n - 2; i >= 0; i-- {
 		res.CyclotomicSquare(&res)
 		if k.Bit(i) == 1 {
 			res.Mul(&res, &base)

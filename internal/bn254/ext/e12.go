@@ -1,6 +1,10 @@
 package ext
 
-import "math/big"
+import (
+	"math/big"
+
+	"zkrownn/internal/bn254/fp"
+)
 
 // E12 is an element c0 + c1·w of F_p¹² = F_p⁶[w]/(w² - v).
 type E12 struct {
@@ -136,15 +140,27 @@ func (z *E12) Exp(x *E12, k *big.Int) *E12 {
 	return z.Set(&res)
 }
 
-// MulBy034 performs the sparse multiplication of z by a line element of
-// the form l = c0 + c3·w + c4·v·w (c0 in F_p² embedded at C0.B0, c3 at
-// C1.B0, c4 at C1.B1), which is the shape produced by affine Miller-loop
-// line evaluations with a D-type twist. Falls back to schoolbook
-// combination of the sparse coefficients.
-func (z *E12) MulBy034(c0, c3, c4 *E2) *E12 {
-	var l E12
-	l.C0.B0.Set(c0)
-	l.C1.B0.Set(c3)
-	l.C1.B1.Set(c4)
-	return z.Mul(z, &l)
+// MulBy034 sets z = z·l for a Miller-loop line l = c0 + c3·w + c4·v·w
+// (tower slots C0.B0, C1.B0, C1.B1 — the shape affine line evaluations
+// take through the D-type untwist, where c0 is the G1 point's
+// y-coordinate and so lies in F_p) and returns z. Karatsuba over w with
+// both halves sparse: 10 F_p² and 6 F_p multiplications against the
+// dense Mul's 18 F_p².
+func (z *E12) MulBy034(c0 *fp.Element, c3, c4 *E2) *E12 {
+	var a, b, c E6
+	a.MulByElement(&z.C0, c0) // z0·c0
+	b.MulBy01(&z.C1, c3, c4)  // z1·(c3 + c4·v)
+
+	// c = (z0 + z1)·((c0 + c3) + c4·v) - a - b = z0·(c3 + c4·v) + z1·c0
+	d0 := *c3
+	d0.A0.Add(&d0.A0, c0)
+	c.Add(&z.C0, &z.C1)
+	c.MulBy01(&c, &d0, c4)
+	c.Sub(&c, &a)
+	z.C1.Sub(&c, &b)
+
+	// z0·c0 + v·z1·(c3 + c4·v)
+	b.MulByNonResidue(&b)
+	z.C0.Add(&a, &b)
+	return z
 }

@@ -1,5 +1,7 @@
 package ext
 
+import "zkrownn/internal/bn254/fp"
+
 // E6 is an element b0 + b1·v + b2·v² of F_p⁶ = F_p²[v]/(v³ - ξ).
 type E6 struct {
 	B0, B1, B2 E2
@@ -129,6 +131,46 @@ func (z *E6) MulByE2(x *E6, c *E2) *E6 {
 	z.B0.Mul(&x.B0, c)
 	z.B1.Mul(&x.B1, c)
 	z.B2.Mul(&x.B2, c)
+	return z
+}
+
+// MulByElement scales every coefficient of x by the base-field element c.
+func (z *E6) MulByElement(x *E6, c *fp.Element) *E6 {
+	z.B0.MulByElement(&x.B0, c)
+	z.B1.MulByElement(&x.B1, c)
+	z.B2.MulByElement(&x.B2, c)
+	return z
+}
+
+// MulBy01 sets z = x·(c0 + c1·v), the product with an element whose v²
+// coefficient is zero, and returns z: 5 F_p² multiplications against
+// Mul's 6.
+func (z *E6) MulBy01(x *E6, c0, c1 *E2) *E6 {
+	var t0, t1, r0, r1, r2, tmp E2
+	t0.Mul(&x.B0, c0)
+	t1.Mul(&x.B1, c1)
+
+	// r0 = t0 + ξ·b2·c1 = t0 + ξ((b1+b2)·c1 - t1)
+	r0.Add(&x.B1, &x.B2)
+	r0.Mul(&r0, c1)
+	r0.Sub(&r0, &t1)
+	r0.MulByNonResidue(&r0)
+	r0.Add(&r0, &t0)
+
+	// r1 = b0·c1 + b1·c0 = (b0+b1)(c0+c1) - t0 - t1
+	r1.Add(&x.B0, &x.B1)
+	tmp.Add(c0, c1)
+	r1.Mul(&r1, &tmp)
+	r1.Sub(&r1, &t0)
+	r1.Sub(&r1, &t1)
+
+	// r2 = b2·c0 + t1
+	r2.Mul(&x.B2, c0)
+	r2.Add(&r2, &t1)
+
+	z.B0.Set(&r0)
+	z.B1.Set(&r1)
+	z.B2.Set(&r2)
 	return z
 }
 

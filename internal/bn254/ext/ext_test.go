@@ -20,6 +20,8 @@ func randE2(rng *rand.Rand) E2 {
 	return e
 }
 
+func randFp(rng *rand.Rand) fp.Element { return randE2(rng).A0 }
+
 func randE6(rng *rand.Rand) E6 {
 	return E6{B0: randE2(rng), B1: randE2(rng), B2: randE2(rng)}
 }
@@ -277,24 +279,91 @@ func TestE12ConjugateIsP6Power(t *testing.T) {
 	}
 }
 
+// TestMulBy034MatchesDense: the sparse line multiplication must equal
+// the dense product with the same element written out in full, on random
+// operands and on every shape where a shortcut could go wrong.
 func TestMulBy034MatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	var zero2, one2 E2
+	one2.SetOne()
+	var zero, one, minusOne fp.Element
+	one.SetOne()
+	minusOne.Neg(&one)
+	var zero12, one12 E12
+	one12.SetOne()
+	onlyC1 := randE12(rng)
+	onlyC1.C0.SetZero()
+	onlyC0 := randE12(rng)
+	onlyC0.C1.SetZero()
+
+	type mulCase struct {
+		name   string
+		f      E12
+		c0     fp.Element
+		c3, c4 E2
+	}
+	cases := []mulCase{
+		{"random", randE12(rng), randFp(rng), randE2(rng), randE2(rng)},
+		{"random2", randE12(rng), randFp(rng), randE2(rng), randE2(rng)},
+		{"f=0", zero12, randFp(rng), randE2(rng), randE2(rng)},
+		{"f=1", one12, randFp(rng), randE2(rng), randE2(rng)},
+		{"f.C0=0", onlyC1, randFp(rng), randE2(rng), randE2(rng)},
+		{"f.C1=0", onlyC0, randFp(rng), randE2(rng), randE2(rng)},
+		{"c0=0", randE12(rng), zero, randE2(rng), randE2(rng)},
+		{"c0=-1", randE12(rng), minusOne, randE2(rng), randE2(rng)},
+		{"c3=0", randE12(rng), randFp(rng), zero2, randE2(rng)},
+		{"c4=0", randE12(rng), randFp(rng), randE2(rng), zero2},
+		{"c3=c4=0", randE12(rng), randFp(rng), zero2, zero2},
+		{"line=0", randE12(rng), zero, zero2, zero2},
+		{"line=1", randE12(rng), one, zero2, zero2},
+		{"c3=c4=1", randE12(rng), one, one2, one2},
+	}
 	for i := 0; i < 20; i++ {
-		f := randE12(rng)
-		c0 := randE2(rng)
-		c3 := randE2(rng)
-		c4 := randE2(rng)
-		var line E12
-		line.C0.B0.Set(&c0)
-		line.C1.B0.Set(&c3)
-		line.C1.B1.Set(&c4)
-		var dense E12
-		dense.Mul(&f, &line)
-		sparse := f
-		sparse.MulBy034(&c0, &c3, &c4)
-		if !dense.Equal(&sparse) {
-			t.Fatal("MulBy034 mismatch")
+		cases = append(cases, mulCase{"random", randE12(rng), randFp(rng), randE2(rng), randE2(rng)})
+	}
+	for _, c := range cases {
+		var line, dense E12
+		line.C0.B0.A0.Set(&c.c0)
+		line.C1.B0.Set(&c.c3)
+		line.C1.B1.Set(&c.c4)
+		dense.Mul(&c.f, &line)
+		sparse := c.f
+		if got := sparse.MulBy034(&c.c0, &c.c3, &c.c4); got != &sparse || !dense.Equal(&sparse) {
+			t.Fatalf("%s: MulBy034 disagrees with the dense product", c.name)
 		}
+	}
+}
+
+func TestE6MulBy01MatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 20; i++ {
+		x := randE6(rng)
+		y := E6{B0: randE2(rng), B1: randE2(rng)}
+		var want E6
+		want.Mul(&x, &y)
+		got := x
+		got.MulBy01(&got, &y.B0, &y.B1) // aliased, as MulBy034 calls it
+		if !want.Equal(&got) {
+			t.Fatal("MulBy01 disagrees with Mul")
+		}
+	}
+}
+
+func BenchmarkMulBy034(b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	f, c0, c3, c4 := randE12(rng), randFp(rng), randE2(rng), randE2(rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.MulBy034(&c0, &c3, &c4)
+	}
+}
+
+func BenchmarkE12Mul(b *testing.B) {
+	rng := rand.New(rand.NewSource(22))
+	f, g := randE12(rng), randE12(rng)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Mul(&f, &g)
 	}
 }
 

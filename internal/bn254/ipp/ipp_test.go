@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zkrownn/internal/bn254/curve"
+	"zkrownn/internal/bn254/ext"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/bn254/pairing"
 )
@@ -71,40 +72,44 @@ func TestSRSShape(t *testing.T) {
 	}
 }
 
+// TestPairProductMatchesNaive: the chunked shared-accumulator products
+// equal the product of per-pair pairings — for the empty product, a
+// single pair, fewer pairs than fill a chunk, and a length that spans
+// several chunks with a ragged last one.
 func TestPairProductMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 5
-	ps := make([]curve.G1Affine, n)
-	qs := make([]curve.G2Affine, n)
 	g1 := curve.G1Generator()
 	g2 := curve.G2Generator()
-	for i := range ps {
-		var s fr.Element
-		if _, err := s.SetRandom(rng); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{0, 1, 5, 2*maxChunkPairs + 6} {
+		ps := make([]curve.G1Affine, n)
+		qs := make([]curve.G2Affine, n)
+		for i := range ps {
+			var s fr.Element
+			if _, err := s.SetRandom(rng); err != nil {
+				t.Fatal(err)
+			}
+			var p curve.G1Jac
+			p.ScalarMul(&g1, &s)
+			ps[i].FromJacobian(&p)
+			if _, err := s.SetRandom(rng); err != nil {
+				t.Fatal(err)
+			}
+			var q curve.G2Jac
+			q.ScalarMul(&g2, &s)
+			qs[i].FromJacobian(&q)
 		}
-		var p curve.G1Jac
-		p.ScalarMul(&g1, &s)
-		ps[i].FromJacobian(&p)
-		if _, err := s.SetRandom(rng); err != nil {
-			t.Fatal(err)
+		var want ext.E12
+		want.SetOne()
+		for i := range ps {
+			e := pairing.Pair(&ps[i], &qs[i])
+			want.Mul(&want, &e)
 		}
-		var q curve.G2Jac
-		q.ScalarMul(&g2, &s)
-		qs[i].FromJacobian(&q)
-	}
-	got := PairProduct(ps, qs)
-	var want = pairing.Pair(&ps[0], &qs[0])
-	for i := 1; i < n; i++ {
-		e := pairing.Pair(&ps[i], &qs[i])
-		want.Mul(&want, &e)
-	}
-	if !got.Equal(&want) {
-		t.Fatal("PairProduct disagrees with per-pair products")
-	}
-	got2 := PairProduct2(ps[:2], qs[:2], ps[2:], qs[2:])
-	if !got2.Equal(&want) {
-		t.Fatal("PairProduct2 disagrees with per-pair products")
+		if got := PairProduct(ps, qs); !got.Equal(&want) {
+			t.Fatalf("n=%d: PairProduct disagrees with per-pair products", n)
+		}
+		if got := PairProduct2(ps[:n/3], qs[:n/3], ps[n/3:], qs[n/3:]); !got.Equal(&want) {
+			t.Fatalf("n=%d: PairProduct2 disagrees with per-pair products", n)
+		}
 	}
 }
 

@@ -1,15 +1,55 @@
 // Package pairing implements the optimal ate pairing on BN254
 // (alt_bn128): e: G1 × G2 → GT ⊂ F_p¹².
 //
-// The Miller loop runs over NAF(6x₀+2) with affine twist-point
-// arithmetic; line evaluations are assembled through the D-type untwist
-// (x, y) → (x·w², y·w³), giving sparse F_p¹² elements of shape
-// c0 + c3·w + c4·v·w. The final exponentiation uses the exact cyclotomic
-// decomposition p¹²-1 = (p⁶-1)(p²+1)·((p⁴-p²+1)/r · r): an easy part of
-// cheap Frobenius/conjugation steps followed by a single exponentiation
-// by (p⁴-p²+1)/r. This trades some verifier speed for an implementation
-// whose correctness follows directly from the group order, with no
-// hand-derived addition chains.
+// # Miller loop
+//
+// The Miller function runs over NAF(6x₀+2) with affine twist-point
+// arithmetic, followed by the two BN end steps (+ψ(Q), -ψ²(Q)). Every
+// step contributes one line through the running multiple of Q, assembled
+// through the D-type untwist (x, y) → (x·w², y·w³) as the sparse F_p¹²
+// element yP - λ·xP·w + (λ·x₁ - y₁)·v·w. Everything about that line
+// except (xP, yP) depends on Q alone, so the work is split in two:
+//
+//   - PrecomputeLines(Q) walks the chain once and records, per step, the
+//     pair (λ, λ·x₁ - y₁) — or the vertical x = x₁ where the chain passes
+//     through ∞, or nothing where it restarts from ∞ — in a Lines table
+//     (≈ 12 kB). The table remembers the point it was built for.
+//   - MillerProduct evaluates tables: ONE accumulator for all pairs of a
+//     product, squared once per doubling step, with every pair's line
+//     multiplied in through the sparse ext.E12.MulBy034.
+//
+// A verifier holding fixed G2 points (Groth16's γ and δ) builds their
+// tables once and passes them as cached; a table offered for a different
+// point than the one being paired is ignored and rebuilt, so a stale
+// cache costs time, never soundness. A variable Q gets its table built
+// on the spot — the same code path, there is no second Miller loop.
+//
+// The table holds exactly the λ the affine step-by-step chain computes:
+// PrecomputeLines runs the point chain in Jacobian coordinates, converts
+// every running point to affine with one shared inversion and the slope
+// denominators with a second — affine coordinates and quotients are
+// unique field elements, however they are reached. Sharing the squarings
+// is the distributive law. So the Miller product is the same F_p¹²
+// element, bit for bit, as the product of per-pair textbook loops, which
+// reference_test.go keeps as the oracle.
+//
+// # Final exponentiation
+//
+// (p¹²-1)/r = (p⁶-1)·(p²+1)·(p⁴-p²+1)/r: an easy part of Frobenius and
+// conjugation steps, then the hard exponent in its base-p digits,
+//
+//	(p⁴-p²+1)/r = p³ + (6x²+1)·p² + (-36x³-18x²-12x+1)·p + (-36x³-30x²-18x-2)
+//
+// evaluated as three cyclotomic square-and-multiply passes over the
+// 63-bit x = BNParamX, Frobenius maps, and the vector addition chain
+// y₀·y₁²·y₂⁶·y₃¹²·y₄¹⁸·y₅³⁰·y₆³⁶ (Scott, Benger, Charlemagne, Dominguez
+// Perez, Kachisa: "On the final exponentiation for calculating pairings
+// on ordinary elliptic curves"). init() checks with math/big that this
+// combination is EXACTLY (p⁴-p²+1)/r — not a multiple of it, as some
+// faster chains compute — so GT values are those of the plain 761-bit
+// exponentiation and every cached e(α, β) and serialized aggregate stays
+// valid. BNParamX remains the only exponent constant in the source;
+// everything else is derived from it and checked at start-up.
 package pairing
 
 import (
@@ -23,29 +63,92 @@ import (
 // BNParamX is the BN parameter x₀ with p = 36x₀⁴+36x₀³+24x₀²+6x₀+1.
 const BNParamX = 4965661367192848881
 
+// One entry of ateSteps: what the Miller loop does to the running point
+// T at that step. Every step contributes one line (possibly none).
+const (
+	stepDouble  int8 = iota - 1 // T ← 2T, after squaring the accumulator
+	stepAddQ                    // T ← T + Q       (NAF digit +1)
+	stepSubQ                    // T ← T - Q       (NAF digit -1)
+	stepAddPsi                  // T ← T + ψ(Q)    (first BN end step)
+	stepSubPsi2                 // T ← T - ψ²(Q)   (second BN end step)
+)
+
 var (
 	ateLoopNAF []int8  // NAF digits of 6x₀+2, most significant first
-	hardExp    big.Int // (p⁴ - p² + 1)/r
+	ateSteps   []int8  // the loop over ateLoopNAF plus the end steps, unrolled
+	bnX        big.Int // BNParamX
 )
 
 func init() {
+	bnX.SetUint64(BNParamX)
+
 	// 6x₀ + 2 (exceeds 64 bits).
-	t := new(big.Int).SetUint64(BNParamX)
-	t.Mul(t, big.NewInt(6))
+	t := new(big.Int).Mul(&bnX, big.NewInt(6))
 	t.Add(t, big.NewInt(2))
 	ateLoopNAF = nafDigits(t)
+	for _, d := range ateLoopNAF[1:] {
+		ateSteps = append(ateSteps, stepDouble)
+		switch d {
+		case 1:
+			ateSteps = append(ateSteps, stepAddQ)
+		case -1:
+			ateSteps = append(ateSteps, stepSubQ)
+		}
+	}
+	ateSteps = append(ateSteps, stepAddPsi, stepSubPsi2)
 
 	// Hard exponent (p⁴ - p² + 1)/r; divisibility is a BN-curve identity
 	// and is asserted here.
 	p := fp.Modulus()
 	p2 := new(big.Int).Mul(p, p)
-	p4 := new(big.Int).Mul(p2, p2)
-	hard := new(big.Int).Sub(p4, p2)
+	p3 := new(big.Int).Mul(p2, p)
+	hard := new(big.Int).Mul(p2, p2)
+	hard.Sub(hard, p2)
 	hard.Add(hard, big.NewInt(1))
 	var rem big.Int
-	hardExp.DivMod(hard, curve.GroupOrder(), &rem)
+	hard.DivMod(hard, curve.GroupOrder(), &rem)
 	if rem.Sign() != 0 {
 		panic("pairing: r does not divide p⁴-p²+1")
+	}
+
+	// The exponents of y₀..y₆ as hardPart forms them, and the weights its
+	// addition chain gives them. Collected by powers of p the sum is
+	// p³ + (6x²+1)p² + (-36x³-18x²-12x+1)p + (-36x³-30x²-18x-2).
+	mul := func(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
+	add := func(a, b *big.Int) *big.Int { return new(big.Int).Add(a, b) }
+	neg := func(a *big.Int) *big.Int { return new(big.Int).Neg(a) }
+	x := &bnX
+	x2 := mul(x, x)
+	x3 := mul(x2, x)
+	ys := [7]*big.Int{
+		add(p, add(p2, p3)),      // y₀ = m^p · m^p² · m^p³
+		big.NewInt(-1),           // y₁ = 1/m
+		mul(x2, p2),              // y₂ = (m^x²)^p²
+		neg(mul(x, p)),           // y₃ = 1/(m^x)^p
+		neg(add(x, mul(x2, p))),  // y₄ = 1/(m^x · (m^x²)^p)
+		neg(x2),                  // y₅ = 1/m^x²
+		neg(add(x3, mul(x3, p))), // y₆ = 1/(m^x³ · (m^x³)^p)
+	}
+	sum := new(big.Int)
+	for i, w := range [7]int64{1, 2, 6, 12, 18, 30, 36} {
+		sum.Add(sum, mul(ys[i], big.NewInt(w)))
+	}
+	if sum.Cmp(hard) != 0 {
+		panic("pairing: the x-chain does not compute (p⁴-p²+1)/r")
+	}
+	// ... and the same number in the base-p digits the package comment
+	// quotes, λ₃p³ + λ₂p² + λ₁p + λ₀.
+	poly := func(c3, c2, c1, c0 int64) *big.Int {
+		v := mul(x3, big.NewInt(c3))
+		v.Add(v, mul(x2, big.NewInt(c2)))
+		v.Add(v, mul(x, big.NewInt(c1)))
+		return v.Add(v, big.NewInt(c0))
+	}
+	digits := add(p3, mul(poly(0, 6, 0, 1), p2))
+	digits.Add(digits, mul(poly(-36, -18, -12, 1), p))
+	digits.Add(digits, poly(-36, -30, -18, -2))
+	if digits.Cmp(hard) != 0 {
+		panic("pairing: (p⁴-p²+1)/r is not p³ + (6x²+1)p² + (-36x³-18x²-12x+1)p + (-36x³-30x²-18x-2)")
 	}
 }
 
@@ -78,102 +181,135 @@ func nafDigits(n *big.Int) []int8 {
 	return digits
 }
 
-// lineEval multiplies f in place by the line through the twist points
-// anchored at (x1, y1) with twist slope lambda, evaluated at the G1 point
-// (xP, yP): l = yP - (λ·xP)·w + (λ·x1 - y1)·v·w.
-func lineEval(f *ext.E12, lambda, x1, y1 *ext.E2, p *curve.G1Affine) {
-	var c0, c3, c4 ext.E2
-	c0.A0.Set(&p.Y)
-	c3.MulByElement(lambda, &p.X)
-	c3.Neg(&c3)
-	c4.Mul(lambda, x1)
-	c4.Sub(&c4, y1)
-	f.MulBy034(&c0, &c3, &c4)
+// line is one step's contribution to the Miller function, with
+// everything that depends on Q already worked out.
+type line struct {
+	kind lineKind
+	// lineSlope: the tangent or chord of twist slope λ through the
+	// running point (x₁, y₁), as a = λ and b = λ·x₁ - y₁; at the G1 point
+	// (xP, yP) it evaluates to yP - (a·xP)·w + b·v·w.
+	// lineVertical: the vertical x = x₁, as b = -x₁; it evaluates to
+	// xP + b·v (untwisted: xP - x₁·w²).
+	a, b ext.E2
 }
 
-// verticalEval multiplies f in place by the vertical line x = x1
-// (untwisted: xP - x1·w², i.e. components 1 and v of the C0 tower slot).
-func verticalEval(f *ext.E12, x1 *ext.E2, p *curve.G1Affine) {
-	var l ext.E12
-	l.C0.B0.A0.Set(&p.X)
-	l.C0.B1.Neg(x1)
-	f.Mul(f, &l)
-}
+type lineKind uint8
 
-// doubleStep doubles the affine twist point t in place and multiplies f
-// by the tangent line at t evaluated at p.
-func doubleStep(f *ext.E12, t *curve.G2Affine, p *curve.G1Affine) {
-	if t.Y.IsZero() {
-		// 2t = infinity; the "tangent" degenerates to the vertical.
-		verticalEval(f, &t.X, p)
-		t.X.SetZero()
-		t.Y.SetZero()
-		return
+const (
+	lineNone     lineKind = iota // T was ∞ before an addition: T ← the addend, no line
+	lineSlope                    // the general doubling or addition
+	lineVertical                 // the step lands on ∞ (a 2-torsion T doubled, or T + (-T))
+)
+
+// mulInto multiplies f by the line evaluated at the G1 point p; negX is
+// -p.X, computed once per pair.
+func (l *line) mulInto(f *ext.E12, p *curve.G1Affine, negX *fp.Element) {
+	switch l.kind {
+	case lineSlope:
+		var c3 ext.E2
+		c3.MulByElement(&l.a, negX)
+		f.MulBy034(&p.Y, &c3, &l.b)
+	case lineVertical:
+		var v ext.E12
+		v.C0.B0.A0.Set(&p.X)
+		v.C0.B1.Set(&l.b)
+		f.Mul(f, &v)
 	}
-	// λ = 3x²/(2y)
-	var num, den, lambda ext.E2
-	num.Square(&t.X)
-	var three ext.E2
-	three.SetUint64(3)
-	num.Mul(&num, &three)
-	den.Double(&t.Y)
-	den.Inverse(&den)
-	lambda.Mul(&num, &den)
-
-	lineEval(f, &lambda, &t.X, &t.Y, p)
-
-	// x3 = λ² - 2x, y3 = λ(x - x3) - y
-	var x3, y3 ext.E2
-	x3.Square(&lambda)
-	var twoX ext.E2
-	twoX.Double(&t.X)
-	x3.Sub(&x3, &twoX)
-	y3.Sub(&t.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &t.Y)
-	t.X.Set(&x3)
-	t.Y.Set(&y3)
 }
 
-// addStep sets t = t + q (affine twist points) and multiplies f by the
-// chord line through t and q evaluated at p.
-func addStep(f *ext.E12, t *curve.G2Affine, q *curve.G2Affine, p *curve.G1Affine) {
+// Lines is the line table of one G2 point: what MillerProduct needs of Q
+// to pair it with any number of G1 points. Immutable once built, so one
+// table may serve concurrent verifications. It is derived data — about
+// 12 kB against the point's 64 bytes — and is never serialized.
+type Lines struct {
+	q     curve.G2Affine
+	lines []line // one per ateSteps entry; nil for q = ∞
+}
+
+// builtFor reports whether the table (nil = none) is the table of q.
+func (t *Lines) builtFor(q *curve.G2Affine) bool { return t != nil && t.q.Equal(q) }
+
+// PrecomputeLines builds the line table of q. Points outside the
+// order-r subgroup are handled — the degenerate steps their chains can
+// hit are recorded as such — so a table is exactly as forgiving as the
+// step-by-step loop.
+func PrecomputeLines(q *curve.G2Affine) *Lines {
+	tbl := &Lines{q: *q}
 	if q.IsInfinity() {
-		return
+		return tbl
 	}
-	if t.IsInfinity() {
-		t.Set(q)
-		return
-	}
-	if t.X.Equal(&q.X) {
-		if t.Y.Equal(&q.Y) {
-			doubleStep(f, t, p)
-			return
+	var addends [4]curve.G2Affine // indexed by stepAddQ..stepSubPsi2
+	addends[stepAddQ] = *q
+	addends[stepSubQ].Neg(q)
+	addends[stepAddPsi] = psi(q)
+	q2 := psiSquare(q)
+	addends[stepSubPsi2].Neg(&q2)
+
+	// The running point before every step. Jacobian arithmetic follows
+	// the group law through ∞, T = ±addend and 2-torsion exactly as the
+	// affine case analysis below expects, and costs no inversion.
+	chain := make([]curve.G2Jac, len(ateSteps))
+	var t curve.G2Jac
+	t.FromAffine(q)
+	for k, step := range ateSteps {
+		chain[k] = t
+		if step == stepDouble {
+			t.DoubleAssign()
+		} else {
+			t.AddMixed(&addends[step])
 		}
-		// t = -q: vertical line, result infinity.
-		verticalEval(f, &t.X, p)
-		t.X.SetZero()
-		t.Y.SetZero()
-		return
 	}
-	// λ = (y2-y1)/(x2-x1)
-	var num, den, lambda ext.E2
-	num.Sub(&q.Y, &t.Y)
-	den.Sub(&q.X, &t.X)
-	den.Inverse(&den)
-	lambda.Mul(&num, &den)
+	pts := curve.BatchJacToAffineG2(chain) // ∞ comes back as (0, 0)
 
-	lineEval(f, &lambda, &t.X, &t.Y, p)
-
-	var x3, y3 ext.E2
-	x3.Square(&lambda)
-	x3.Sub(&x3, &t.X)
-	x3.Sub(&x3, &q.X)
-	y3.Sub(&t.X, &x3)
-	y3.Mul(&y3, &lambda)
-	y3.Sub(&y3, &t.Y)
-	t.X.Set(&x3)
-	t.Y.Set(&y3)
+	// λ = num/den per step, all denominators inverted together.
+	tbl.lines = make([]line, len(ateSteps))
+	num := make([]ext.E2, len(ateSteps))
+	den := make([]ext.E2, len(ateSteps)) // stays 0 where there is no slope
+	for k, step := range ateSteps {
+		t, l := &pts[k], &tbl.lines[k]
+		tangent := step == stepDouble
+		if !tangent {
+			a := &addends[step]
+			switch {
+			case t.IsInfinity():
+				continue // lineNone
+			case !t.X.Equal(&a.X):
+				// λ = (y₂-y₁)/(x₂-x₁)
+				l.kind = lineSlope
+				num[k].Sub(&a.Y, &t.Y)
+				den[k].Sub(&a.X, &t.X)
+			case t.Y.Equal(&a.Y):
+				tangent = true // T + T
+			default:
+				l.kind = lineVertical // T + (-T)
+			}
+		}
+		if tangent {
+			if t.Y.IsZero() {
+				// 2T = ∞ (also T = ∞ itself, whose "vertical" is x = 0).
+				l.kind = lineVertical
+			} else {
+				// λ = 3x²/(2y)
+				l.kind = lineSlope
+				num[k].Square(&t.X)
+				den[k].Double(&num[k])
+				num[k].Add(&num[k], &den[k])
+				den[k].Double(&t.Y)
+			}
+		}
+		if l.kind == lineVertical {
+			l.b.Neg(&t.X)
+		}
+	}
+	inv := ext.BatchInvertE2(den)
+	for k := range tbl.lines {
+		if l := &tbl.lines[k]; l.kind == lineSlope {
+			l.a.Mul(&num[k], &inv[k])
+			l.b.Mul(&l.a, &pts[k].X)
+			l.b.Sub(&l.b, &pts[k].Y)
+		}
+	}
+	return tbl
 }
 
 // psi applies the untwist-Frobenius-twist endomorphism to the twist
@@ -200,37 +336,55 @@ func psiSquare(q *curve.G2Affine) curve.G2Affine {
 	return out
 }
 
+// MillerProduct computes Π f_{6x+2,qs[i]}(ps[i]) — each factor the
+// optimal ate Miller function times the two BN end-step lines — in one
+// loop over one accumulator. A pair with ∞ on either side contributes 1.
+// cached is nil or parallel to qs: cached[i], when it is the table of
+// exactly qs[i], spares building one; a nil or stale entry is ignored.
+func MillerProduct(ps []*curve.G1Affine, qs []*curve.G2Affine, cached []*Lines) ext.E12 {
+	if len(ps) != len(qs) || (cached != nil && len(cached) != len(qs)) {
+		panic("pairing: mismatched pair counts")
+	}
+	type pair struct {
+		p     *curve.G1Affine
+		negX  fp.Element
+		lines []line
+	}
+	pairs := make([]pair, 0, len(ps))
+	for i, p := range ps {
+		if p.IsInfinity() || qs[i].IsInfinity() {
+			continue
+		}
+		var tbl *Lines
+		if cached != nil {
+			tbl = cached[i]
+		}
+		if !tbl.builtFor(qs[i]) {
+			tbl = PrecomputeLines(qs[i])
+		}
+		pr := pair{p: p, lines: tbl.lines}
+		pr.negX.Neg(&p.X)
+		pairs = append(pairs, pr)
+	}
+
+	var f ext.E12
+	f.SetOne()
+	for k, step := range ateSteps {
+		if step == stepDouble && k > 0 { // f is still 1 at k = 0
+			f.Square(&f)
+		}
+		for j := range pairs {
+			pr := &pairs[j]
+			pr.lines[k].mulInto(&f, pr.p, &pr.negX)
+		}
+	}
+	return f
+}
+
 // MillerLoop computes the optimal ate Miller function f_{6x+2,Q}(P)
 // multiplied by the two BN end-step lines. Infinity inputs yield 1.
 func MillerLoop(p *curve.G1Affine, q *curve.G2Affine) ext.E12 {
-	var f ext.E12
-	f.SetOne()
-	if p.IsInfinity() || q.IsInfinity() {
-		return f
-	}
-
-	t := *q
-	negQ := *q
-	negQ.Y.Neg(&negQ.Y)
-
-	for i := 1; i < len(ateLoopNAF); i++ {
-		f.Square(&f)
-		doubleStep(&f, &t, p)
-		switch ateLoopNAF[i] {
-		case 1:
-			addStep(&f, &t, q, p)
-		case -1:
-			addStep(&f, &t, &negQ, p)
-		}
-	}
-
-	// BN end steps: add ψ(Q) and subtract ψ²(Q).
-	q1 := psi(q)
-	q2 := psiSquare(q)
-	q2.Y.Neg(&q2.Y)
-	addStep(&f, &t, &q1, p)
-	addStep(&f, &t, &q2, p)
-	return f
+	return MillerProduct([]*curve.G1Affine{p}, []*curve.G2Affine{q}, nil)
 }
 
 // FinalExponentiation raises the Miller-loop output to (p¹²-1)/r.
@@ -249,11 +403,55 @@ func FinalExponentiation(f *ext.E12) ext.E12 {
 	frob2.FrobeniusSquare(&out)
 	out.Mul(&frob2, &out) // ^(p²+1)
 
-	// Hard part: exponentiation by (p⁴-p²+1)/r. The base now lies in the
-	// cyclotomic subgroup, so Granger-Scott compressed squarings apply
-	// (~2× faster than generic F_p¹² squaring).
-	out.CyclotomicExp(&out, &hardExp)
-	return out
+	return hardPart(&out)
+}
+
+// hardPart raises m, an element of the cyclotomic subgroup (the easy
+// part's output), to (p⁴-p²+1)/r. In the subgroup inversion is
+// conjugation and squaring is Granger-Scott's, so the cost is the three
+// exponentiations by x; init() asserts the exponent.
+func hardPart(m *ext.E12) ext.E12 {
+	var mx, mx2, mx3 ext.E12
+	mx.CyclotomicExp(m, &bnX)
+	mx2.CyclotomicExp(&mx, &bnX)
+	mx3.CyclotomicExp(&mx2, &bnX)
+
+	var y [7]ext.E12
+	var t ext.E12
+	y[0].Frobenius(m)
+	t.FrobeniusSquare(m)
+	y[0].Mul(&y[0], &t)
+	t.Frobenius(&t)
+	y[0].Mul(&y[0], &t) // m^p · m^p² · m^p³
+	y[1].Conjugate(m)   // 1/m
+	y[2].FrobeniusSquare(&mx2)
+	y[3].Frobenius(&mx)
+	y[3].Conjugate(&y[3])
+	y[4].Frobenius(&mx2)
+	y[4].Mul(&y[4], &mx)
+	y[4].Conjugate(&y[4])
+	y[5].Conjugate(&mx2)
+	y[6].Frobenius(&mx3)
+	y[6].Mul(&y[6], &mx3)
+	y[6].Conjugate(&y[6])
+
+	// y₀·y₁²·y₂⁶·y₃¹²·y₄¹⁸·y₅³⁰·y₆³⁶ by the vector addition chain of
+	// Scott et al., §5: 9 multiplications and 4 squarings.
+	var t0, t1 ext.E12
+	t0.CyclotomicSquare(&y[6])
+	t0.Mul(&t0, &y[4])
+	t0.Mul(&t0, &y[5]) // y₄ y₅ y₆²
+	t1.Mul(&y[3], &y[5])
+	t1.Mul(&t1, &t0)   // y₃ y₄ y₅² y₆²
+	t0.Mul(&t0, &y[2]) // y₂ y₄ y₅ y₆²
+	t1.CyclotomicSquare(&t1)
+	t1.Mul(&t1, &t0) // y₂ y₃² y₄³ y₅⁵ y₆⁶
+	t1.CyclotomicSquare(&t1)
+	t0.Mul(&t1, &y[1]) // y₁ y₂² y₃⁴ y₄⁶ y₅¹⁰ y₆¹²
+	t1.Mul(&t1, &y[0]) // y₀ y₂² y₃⁴ y₄⁶ y₅¹⁰ y₆¹²
+	t0.CyclotomicSquare(&t0)
+	t0.Mul(&t0, &t1)
+	return t0
 }
 
 // Pair computes the reduced optimal ate pairing e(p, q).
@@ -262,37 +460,29 @@ func Pair(p *curve.G1Affine, q *curve.G2Affine) ext.E12 {
 	return FinalExponentiation(&f)
 }
 
-// PairingCheck reports whether Π e(ps[i], qs[i]) == 1, sharing a single
-// final exponentiation across all pairs (the Groth16 verification shape).
+// PairingCheck reports whether Π e(ps[i], qs[i]) == 1, sharing one
+// Miller accumulator and one final exponentiation across all pairs (the
+// Groth16 verification shape).
 func PairingCheck(ps []*curve.G1Affine, qs []*curve.G2Affine) bool {
-	if len(ps) != len(qs) {
-		panic("pairing: mismatched pair counts")
-	}
-	var acc ext.E12
-	acc.SetOne()
-	for i := range ps {
-		f := MillerLoop(ps[i], qs[i])
-		acc.Mul(&acc, &f)
-	}
-	res := FinalExponentiation(&acc)
-	return res.IsOne()
+	return PairingCheckLines(ps, qs, nil, nil)
 }
 
 // PairingCheckMul reports whether Π e(ps[i], qs[i]) · k == 1. k must
 // already be a reduced pairing value (a Pair output or a product/power
-// of them); verifiers that cache e(α, β) use this to drop one Miller
-// loop from every check.
+// of them); verifiers that cache e(α, β) use this to drop one pair from
+// every check.
 func PairingCheckMul(ps []*curve.G1Affine, qs []*curve.G2Affine, k *ext.E12) bool {
-	if len(ps) != len(qs) {
-		panic("pairing: mismatched pair counts")
+	return PairingCheckLines(ps, qs, nil, k)
+}
+
+// PairingCheckLines is PairingCheckMul for a verifier that also caches
+// line tables of its fixed G2 points: cached is as for MillerProduct, and
+// a nil k stands for 1.
+func PairingCheckLines(ps []*curve.G1Affine, qs []*curve.G2Affine, cached []*Lines, k *ext.E12) bool {
+	f := MillerProduct(ps, qs, cached)
+	res := FinalExponentiation(&f)
+	if k != nil {
+		res.Mul(&res, k)
 	}
-	var acc ext.E12
-	acc.SetOne()
-	for i := range ps {
-		f := MillerLoop(ps[i], qs[i])
-		acc.Mul(&acc, &f)
-	}
-	res := FinalExponentiation(&acc)
-	res.Mul(&res, k)
 	return res.IsOne()
 }

@@ -240,3 +240,31 @@ func fpModulusForTest() *big.Int {
 	v, _ := new(big.Int).SetString("21888242871839275222246405745257275088696311157297823662689037894645226208583", 10)
 	return v
 }
+
+func BenchmarkFinalExponentiation(b *testing.B) {
+	p := curve.G1GeneratorAffine()
+	q := curve.G2GeneratorAffine()
+	f := MillerLoop(&p, &q)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = FinalExponentiation(&f)
+	}
+}
+
+// BenchmarkPairingCheck3 is the Groth16 check on raw points: three
+// pairs, every table built on the fly.
+func BenchmarkPairingCheck3(b *testing.B) {
+	ps, qs := randomPairs(rand.New(rand.NewSource(56)), 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = PairingCheck(ps, qs)
+	}
+}
+
+func BenchmarkPrecomputeLines(b *testing.B) {
+	q := curve.G2GeneratorAffine()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = PrecomputeLines(&q)
+	}
+}

@@ -385,9 +385,10 @@ func VerifyAggregate(svk *ipp.VerifierKey, vk *VerifyingKey, agg *AggregateProof
 	var zabInv ext.E12
 	zabInv.Inverse(&agg.ZAB)
 	alphaBeta.Mul(&alphaBeta, &zabInv)
-	if !pairing.PairingCheckMul(
+	if !pairing.PairingCheckLines(
 		[]*curve.G1Affine{&icAff, &agg.ZC},
 		[]*curve.G2Affine{&vk.GammaG2, &vk.DeltaG2},
+		[]*pairing.Lines{vk.gammaLines, vk.deltaLines},
 		&alphaBeta,
 	) {
 		return errors.New("groth16: aggregate verification failed (Groth16 relation)")

@@ -85,27 +85,26 @@ func BatchVerify(vk *VerifyingKey, proofs []*Proof, publicInputs [][]fr.Element,
 
 	ps = append(ps, icAff, cAff)
 	qs = append(qs, &vk.GammaG2, &vk.DeltaG2)
+	// Cached tables for γ and δ; none for the proofs' own Bs.
+	lines := append(make([]*pairing.Lines, len(proofs), len(proofs)+3), vk.gammaLines, vk.deltaLines)
 
 	// The α-β term e((Σrᵢ)·α, β): with e(α, β) cached on the key it is a
-	// cyclotomic exponentiation e(α, β)^Σrᵢ — one Miller loop fewer —
+	// cyclotomic exponentiation e(α, β)^Σrᵢ — one Miller pair fewer —
 	// otherwise a pairing of the scaled point like any other term.
+	var ab *ext.E12
 	if !vk.AlphaBeta.IsZero() {
-		var ab ext.E12
-		ab.CyclotomicExp(&vk.AlphaBeta, sumR.ToBigInt())
-		if !pairing.PairingCheckMul(ps, qs, &ab) {
-			return errors.New("groth16: batch verification failed")
-		}
-		return nil
+		ab = new(ext.E12).CyclotomicExp(&vk.AlphaBeta, sumR.ToBigInt())
+	} else {
+		var alphaScaled curve.G1Jac
+		alphaScaled.FromAffine(&vk.AlphaG1)
+		alphaScaled.ScalarMul(&alphaScaled, &sumR)
+		alphaAff := new(curve.G1Affine)
+		alphaAff.FromJacobian(&alphaScaled)
+		ps = append(ps, alphaAff)
+		qs = append(qs, &vk.BetaG2)
+		lines = append(lines, nil)
 	}
-	var alphaScaled curve.G1Jac
-	alphaScaled.FromAffine(&vk.AlphaG1)
-	alphaScaled.ScalarMul(&alphaScaled, &sumR)
-	alphaAff := new(curve.G1Affine)
-	alphaAff.FromJacobian(&alphaScaled)
-	ps = append(ps, alphaAff)
-	qs = append(qs, &vk.BetaG2)
-
-	if !pairing.PairingCheck(ps, qs) {
+	if !pairing.PairingCheckLines(ps, qs, lines, ab) {
 		return errors.New("groth16: batch verification failed")
 	}
 	return nil

@@ -60,11 +60,28 @@ type VerifyingKey struct {
 	IC []curve.G1Affine
 	// AlphaBeta caches e(α, β), the proof-independent pairing of the
 	// verification equation: with it, single-proof Verify needs 3 Miller
-	// loops instead of 4. Setup, ReadFrom, and PrecomputeAlphaBeta
+	// pairs instead of 4. Setup, ReadFrom, and PrecomputeAlphaBeta
 	// populate it; the zero value (never a valid pairing output) means
 	// "not computed" and Verify falls back to the 4-pairing check.
 	// Populate before sharing the key across goroutines.
 	AlphaBeta GTElement
+
+	// Line tables of γ and δ (pairing.PrecomputeLines), cached where
+	// AlphaBeta is and by the same three routes: with them a check does
+	// G2 arithmetic only for the proof's own B. Derived data (≈ 12 kB a
+	// point), never serialized, immutable once built. A table remembers
+	// its point and the pairing ignores one that is nil or belongs to
+	// another point, so a hand-assembled key, or one whose GammaG2 /
+	// DeltaG2 were changed after the fact, verifies exactly as a freshly
+	// decoded key does — only slower.
+	gammaLines, deltaLines *pairing.Lines
+}
+
+// precompute derives the key's caches from its points.
+func (vk *VerifyingKey) precompute() {
+	vk.AlphaBeta = pairing.Pair(&vk.AlphaG1, &vk.BetaG2)
+	vk.gammaLines = pairing.PrecomputeLines(&vk.GammaG2)
+	vk.deltaLines = pairing.PrecomputeLines(&vk.DeltaG2)
 }
 
 // Proof is a Groth16 proof: 2 G1 points and 1 G2 point, 128 bytes
@@ -370,7 +387,7 @@ func (sc *setupScalars) verifyingKey(t1 *curve.G1FixedBaseTable, g1s []curve.G1A
 	vk := VerifyingKey{IC: t1.MulBatch(sc.icScalars)}
 	vk.AlphaG1 = g1s[0]
 	vk.BetaG2, vk.GammaG2, vk.DeltaG2 = g2s[0], g2s[1], g2s[2]
-	vk.AlphaBeta = pairing.Pair(&vk.AlphaG1, &vk.BetaG2)
+	vk.precompute()
 	return vk
 }
 
@@ -857,21 +874,25 @@ func Verify(vk *VerifyingKey, proof *Proof, publicInputs []fr.Element, sc ...obs
 
 	// e(-A, B) · e(α, β) · e(acc, γ) · e(C, δ) == 1. With e(α, β) cached
 	// on the key, its Miller loop is replaced by one GT multiplication
-	// and the check needs 3 pairings instead of 4.
+	// and the check needs 3 pairs instead of 4; with the γ and δ line
+	// tables cached too, only B's lines are computed here.
 	var negA curve.G1Affine
 	negA.Neg(&proof.Ar)
 	sp := s.Sub("verify/pairing").Span()
 	var ok bool
 	if !vk.AlphaBeta.IsZero() {
-		ok = pairing.PairingCheckMul(
+		ok = pairing.PairingCheckLines(
 			[]*curve.G1Affine{&negA, &accAff, &proof.Krs},
 			[]*curve.G2Affine{&proof.Bs, &vk.GammaG2, &vk.DeltaG2},
+			[]*pairing.Lines{nil, vk.gammaLines, vk.deltaLines},
 			&vk.AlphaBeta,
 		)
 	} else {
-		ok = pairing.PairingCheck(
+		ok = pairing.PairingCheckLines(
 			[]*curve.G1Affine{&negA, &vk.AlphaG1, &accAff, &proof.Krs},
 			[]*curve.G2Affine{&proof.Bs, &vk.BetaG2, &vk.GammaG2, &vk.DeltaG2},
+			[]*pairing.Lines{nil, nil, vk.gammaLines, vk.deltaLines},
+			nil,
 		)
 	}
 	sp.End()
@@ -899,14 +920,13 @@ func randFr(rng io.Reader) (fr.Element, error) {
 // cache e(α, β).
 type GTElement = ext.E12
 
-// PrecomputeAlphaBeta returns e(α, β), caching it on the key so
-// subsequent Verify/BatchVerify calls take the 3-pairing fast path.
-// Keys produced by Setup or deserialized by ReadFrom arrive with the
-// cache already populated; call this (before sharing the key across
-// goroutines) for keys assembled by hand.
+// PrecomputeAlphaBeta returns e(α, β), caching it — and the γ and δ line
+// tables — on the key so subsequent Verify/BatchVerify/VerifyAggregate
+// calls take the fast path. Keys produced by Setup or deserialized by
+// ReadFrom arrive with the caches already populated; call this (before
+// sharing the key across goroutines) for keys assembled by hand, or
+// after changing a key's points.
 func PrecomputeAlphaBeta(vk *VerifyingKey) GTElement {
-	if vk.AlphaBeta.IsZero() {
-		vk.AlphaBeta = pairing.Pair(&vk.AlphaG1, &vk.BetaG2)
-	}
+	vk.precompute()
 	return vk.AlphaBeta
 }

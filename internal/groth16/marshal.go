@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"zkrownn/internal/bn254/curve"
-	"zkrownn/internal/bn254/pairing"
 	"zkrownn/internal/par"
 )
 
@@ -262,10 +261,10 @@ func (vk *VerifyingKey) ReadFrom(r io.Reader) (int64, error) {
 		return 0, err
 	}
 	vk.IC = ic
-	// Re-derive the cached e(α, β) (it is not serialized — the points
-	// are the authoritative material) so deserialized keys verify on the
-	// 3-pairing fast path.
-	vk.AlphaBeta = pairing.Pair(&vk.AlphaG1, &vk.BetaG2)
+	// Re-derive the cached e(α, β) and line tables (they are not
+	// serialized — the points are the authoritative material) so
+	// deserialized keys verify on the fast path.
+	vk.precompute()
 	return 0, nil
 }
 
