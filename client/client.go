@@ -311,7 +311,7 @@ func (c *Client) FetchProofBinary(ctx context.Context, jobID string) (*zkrownn.P
 // single batched pairing product; VerifyResult.BatchSize reports the
 // fold (1 on an idle server).
 func (c *Client) Verify(ctx context.Context, modelID string, proof *zkrownn.Proof, public zkrownn.Instance) (*VerifyResult, error) {
-	req := service.VerifyRequest{Proof: proof, PublicInputs: public}
+	req := &service.VerifyRequest{Proof: proof, PublicInputs: public}
 	out := new(VerifyResult)
 	if err := c.do(ctx, http.MethodPost, "/v1/models/"+modelID+"/verify", req, out); err != nil {
 		return nil, err
@@ -349,7 +349,15 @@ func encodeModel(m *zkrownn.Model) (json.RawMessage, error) {
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		b, err := json.Marshal(in)
+		var b []byte
+		var err error
+		// A message that writes its own bytes (exactly json.Marshal's, by
+		// its contract) is spared encoding/json's passes over them.
+		if a, ok := in.(interface{ AppendJSON([]byte) []byte }); ok {
+			b = a.AppendJSON(nil)
+		} else {
+			b, err = json.Marshal(in)
+		}
 		if err != nil {
 			return err
 		}

@@ -122,6 +122,11 @@ func TestRequestBodiesUnchanged(t *testing.T) {
 	proof := new(zkrownn.Proof)
 	public := make(zkrownn.Instance, 3)
 	public[1].SetUint64(7)
+	wide := make(zkrownn.Instance, 4129)
+	for i := range wide {
+		wide[i].SetUint64(rng.Uint64())
+		wide[i].Square(&wide[i])
+	}
 
 	type registerBody struct {
 		Name        string          `json:"name,omitempty"`
@@ -163,6 +168,19 @@ func TestRequestBodiesUnchanged(t *testing.T) {
 				Proof        *zkrownn.Proof   `json:"proof"`
 				PublicInputs zkrownn.Instance `json:"public_inputs"`
 			}{proof, public}},
+		// The request client.Verify writes itself (VerifyRequest.AppendJSON,
+		// not encoding/json), at the benchmark's public-instance size and
+		// with the one member that can be null.
+		{"Verify/4129 inputs", func() error { _, err := c.Verify(ctx, "id", proof, wide); return err },
+			struct {
+				Proof        *zkrownn.Proof   `json:"proof"`
+				PublicInputs zkrownn.Instance `json:"public_inputs"`
+			}{proof, wide}},
+		{"Verify/no proof", func() error { _, err := c.Verify(ctx, "id", nil, nil); return err },
+			struct {
+				Proof        *zkrownn.Proof   `json:"proof"`
+				PublicInputs zkrownn.Instance `json:"public_inputs"`
+			}{}},
 		{"Aggregate", func() error {
 			_, err := c.Aggregate(ctx, "id", []*zkrownn.Proof{proof, proof}, []zkrownn.Instance{public, public})
 			return err

@@ -3,6 +3,31 @@
 // Jacobian-coordinate arithmetic, scalar multiplication, fixed-base
 // tables for trusted setup, and a parallel Pippenger multi-exponentiation
 // used by the Groth16 prover.
+//
+// # G2 membership
+//
+// E(F_p) has prime order r, so every point on it is in G1. The twist has
+// order r·(2p - r), and a decoded twist point is in G2 only if its order
+// divides r. G2Affine.IsInSubgroup decides that without multiplying by
+// the 254-bit r: with u = BNParamX and ψ the untwist-Frobenius-twist
+// endomorphism, it accepts exactly when
+//
+//	[u+1]Q + ψ([u]Q) + ψ²([u]Q) = ψ³([2u]Q),
+//
+// one 63-bit double-and-add, three applications of ψ, three additions
+// and a doubling. Write the condition as f(ψ)Q = ∞ for
+// f(X) = (u+1) + uX + uX² - 2uX³. It is complete: ψ acts on G2 as
+// multiplication by p, and f(p) ≡ 0 (mod r). It is sound: ψ satisfies
+// χ(ψ) = ψ² - tψ + p = 0 on all of E'(F_p²), so a point killed by f(ψ) is
+// killed by the integer Res(f, χ) — an integer combination of f and χ —
+// and, like every point, by the group order; gcd(Res(f, χ), r·(2p - r))
+// is r, and r does not divide 2p - r, so the point is an r-torsion point
+// of E'(F_p²), and those are G2. Both integer facts are recomputed from
+// u alone, together with p, r, t and the twist's order, by
+// TestG2MembershipCertificate (membership_test.go), and the criterion is
+// held to [r]Q = ∞ (reference_test.go) on subgroup points, raw twist
+// points, points of the cofactor's two small prime orders and their sums
+// with subgroup points by TestG2MembershipMatchesReference.
 package curve
 
 import (

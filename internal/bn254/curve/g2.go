@@ -3,6 +3,7 @@ package curve
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 
 	"zkrownn/internal/bn254/ext"
 	"zkrownn/internal/bn254/fp"
@@ -60,13 +61,11 @@ func init() {
 		if cand.IsInfinity() {
 			continue
 		}
-		var chk G2Jac
-		chk.ScalarMulBig(&cand, GroupOrder())
-		if !chk.IsInfinity() {
-			panic("curve: cofactor-cleared G2 point does not have order r")
-		}
 		g2Gen = cand
 		g2GenAff.FromJacobian(&g2Gen)
+		if !g2GenAff.IsInSubgroup() {
+			panic("curve: cofactor-cleared G2 point does not have order r")
+		}
 		found = true
 	}
 	if !found {
@@ -117,8 +116,53 @@ func (p *G2Affine) IsOnCurve() bool {
 	return lhs.Equal(&rhs)
 }
 
+// BNParamX is the BN parameter u: p = 36u⁴+36u³+24u²+6u+1,
+// r = 36u⁴+36u³+18u²+6u+1, trace t = 6u²+1. It is the only curve
+// constant the pairing's exponents and the G2 membership test are built
+// from.
+const BNParamX = 4965661367192848881
+
+// psi applies the untwist-Frobenius-twist endomorphism ψ of the twist to
+// the affine coordinates (x, y) in place: (x, y) → (conj(x)·γ₁₂,
+// conj(y)·γ₁₃). On Jacobian coordinates conjugate Z as well. ψ acts on
+// G2 as multiplication by p and satisfies ψ² - tψ + p = 0 on all of
+// E'(F_p²).
+func psi(x, y *ext.E2) {
+	cx, cy := ext.G2FrobeniusCoeffX(), ext.G2FrobeniusCoeffY()
+	x.Conjugate(x)
+	x.Mul(x, &cx)
+	y.Conjugate(y)
+	y.Mul(y, &cy)
+}
+
+// psiSquare applies ψ² in place: (x, y) → (x·γ₂₂, y·γ₂₃); the
+// p²-Frobenius is trivial on F_p², so there is no conjugation and a
+// Jacobian Z is unchanged.
+func psiSquare(x, y *ext.E2) {
+	cx, cy := ext.G2FrobeniusSquareCoeffX(), ext.G2FrobeniusSquareCoeffY()
+	x.Mul(x, &cx)
+	y.Mul(y, &cy)
+}
+
+// Psi sets p = ψ(q) and returns p.
+func (p *G2Affine) Psi(q *G2Affine) *G2Affine {
+	*p = *q
+	psi(&p.X, &p.Y)
+	return p
+}
+
+// PsiSquare sets p = ψ²(q) and returns p.
+func (p *G2Affine) PsiSquare(q *G2Affine) *G2Affine {
+	*p = *q
+	psiSquare(&p.X, &p.Y)
+	return p
+}
+
 // IsInSubgroup reports whether p lies in the order-r subgroup of the
 // twist (required for pairing inputs; the twist has cofactor h₂ > 1).
+// The criterion is [u+1]P + ψ([u]P) + ψ²([u]P) = ψ³([2u]P) — one 63-bit
+// scalar multiplication instead of [r]P = ∞; the package comment says
+// why it is exact.
 func (p *G2Affine) IsInSubgroup() bool {
 	if !p.IsOnCurve() {
 		return false
@@ -126,10 +170,29 @@ func (p *G2Affine) IsInSubgroup() bool {
 	if p.IsInfinity() {
 		return true
 	}
-	var j G2Jac
-	j.FromAffine(p)
-	j.ScalarMulBig(&j, GroupOrder())
-	return j.IsInfinity()
+	var a G2Jac // [u]P
+	a.FromAffine(p)
+	for i := bits.Len64(BNParamX) - 2; i >= 0; i-- {
+		a.DoubleAssign()
+		if BNParamX>>i&1 == 1 {
+			a.AddMixed(p)
+		}
+	}
+	psiA, psi2A := a, a
+	psi(&psiA.X, &psiA.Y)
+	psiA.Z.Conjugate(&psiA.Z)
+	psiSquare(&psi2A.X, &psi2A.Y)
+
+	lhs := a
+	lhs.AddMixed(p)
+	lhs.AddAssign(&psiA)
+	lhs.AddAssign(&psi2A)
+
+	rhs := psi2A // ψ³([2u]P) = ψ(2·ψ²([u]P))
+	rhs.DoubleAssign()
+	psi(&rhs.X, &rhs.Y)
+	rhs.Z.Conjugate(&rhs.Z)
+	return lhs.Equal(&rhs)
 }
 
 // FromJacobian sets p to the affine form of q and returns p.

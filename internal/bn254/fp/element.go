@@ -44,10 +44,10 @@ var (
 	rCube       Element // R³ mod p, converts binary-GCD inverses back to Montgomery form
 	one         Element // Montgomery form of 1
 	zero        Element
-	qMinusOne   big.Int // p-1
-	qMinusTwo   big.Int // p-2, inversion exponent
-	sqrtExp     big.Int // (p+1)/4, square-root exponent (p ≡ 3 mod 4)
-	qHalfPlus1  big.Int // (p+1)/2, used for lexicographic ordering
+	qMinusOne   big.Int       // p-1
+	qMinusTwo   big.Int       // p-2, inversion exponent
+	sqrtExp     big.Int       // (p+1)/4, square-root exponent (p ≡ 3 mod 4)
+	qHalfPlus1  [Limbs]uint64 // (p+1)/2, used for lexicographic ordering
 	negOne      Element
 	twoInv      Element                               // 1/2
 	qBig2       = new(big.Int).Lsh(big.NewInt(1), 64) // 2⁶⁴
@@ -86,8 +86,8 @@ func init() {
 	qMinusTwo.Sub(&qModulus, big.NewInt(2))
 	sqrtExp.Add(&qModulus, big.NewInt(1))
 	sqrtExp.Rsh(&sqrtExp, 2)
-	qHalfPlus1.Add(&qModulus, big.NewInt(1))
-	qHalfPlus1.Rsh(&qHalfPlus1, 1)
+	half := new(big.Int).Add(&qModulus, big.NewInt(1))
+	fillLimbs(half.Rsh(half, 1), &qHalfPlus1)
 
 	negOne.Neg(&one)
 	var two Element
@@ -466,8 +466,9 @@ func (z *Element) Cmp(x *Element) int {
 // strictly greater than (p-1)/2. Used as the "sign" bit in compressed
 // point encodings.
 func (z *Element) LexicographicallyLargest() bool {
-	v := z.ToBigInt()
-	return v.Cmp(&qHalfPlus1) >= 0
+	v := *z
+	v.fromMont()
+	return limbsGeq((*[Limbs]uint64)(&v), &qHalfPlus1)
 }
 
 // Bytes returns the canonical big-endian 32-byte encoding of z.

@@ -411,6 +411,14 @@ func TestCmpAndLexicographicallyLargest(t *testing.T) {
 	if !large.LexicographicallyLargest() {
 		t.Fatal("p-1 should be lexicographically largest")
 	}
+	// The boundary: (p-1)/2 is the largest "small" value, (p+1)/2 the
+	// smallest "large" one.
+	half := new(big.Int).Rsh(Modulus(), 1)
+	small.SetBigInt(half)
+	large.SetBigInt(half.Add(half, big.NewInt(1)))
+	if small.LexicographicallyLargest() || !large.LexicographicallyLargest() {
+		t.Fatal("the (p-1)/2 | (p+1)/2 boundary is misplaced")
+	}
 }
 
 func TestBatchInvert(t *testing.T) {

@@ -358,10 +358,7 @@ func (z *Element) Bytes() [Bytes]byte {
 	t := *z
 	t.fromMont()
 	for i := 0; i < Limbs; i++ {
-		w := t[i]
-		for j := 0; j < 8; j++ {
-			out[Bytes-1-(i*8+j)] = byte(w >> (8 * j))
-		}
+		binary.BigEndian.PutUint64(out[Bytes-8*(i+1):], t[i])
 	}
 	return out
 }

@@ -61,7 +61,7 @@ import (
 )
 
 // BNParamX is the BN parameter x₀ with p = 36x₀⁴+36x₀³+24x₀²+6x₀+1.
-const BNParamX = 4965661367192848881
+const BNParamX = curve.BNParamX
 
 // One entry of ateSteps: what the Miller loop does to the running point
 // T at that step. Every step contributes one line (possibly none).
@@ -241,9 +241,9 @@ func PrecomputeLines(q *curve.G2Affine) *Lines {
 	var addends [4]curve.G2Affine // indexed by stepAddQ..stepSubPsi2
 	addends[stepAddQ] = *q
 	addends[stepSubQ].Neg(q)
-	addends[stepAddPsi] = psi(q)
-	q2 := psiSquare(q)
-	addends[stepSubPsi2].Neg(&q2)
+	addends[stepAddPsi].Psi(q)
+	addends[stepSubPsi2].PsiSquare(q)
+	addends[stepSubPsi2].Neg(&addends[stepSubPsi2])
 
 	// The running point before every step. Jacobian arithmetic follows
 	// the group law through ∞, T = ±addend and 2-torsion exactly as the
@@ -310,30 +310,6 @@ func PrecomputeLines(q *curve.G2Affine) *Lines {
 		}
 	}
 	return tbl
-}
-
-// psi applies the untwist-Frobenius-twist endomorphism to the twist
-// point q: (x, y) → (conj(x)·γ₁₂, conj(y)·γ₁₃).
-func psi(q *curve.G2Affine) curve.G2Affine {
-	var out curve.G2Affine
-	cx := ext.G2FrobeniusCoeffX()
-	cy := ext.G2FrobeniusCoeffY()
-	out.X.Conjugate(&q.X)
-	out.X.Mul(&out.X, &cx)
-	out.Y.Conjugate(&q.Y)
-	out.Y.Mul(&out.Y, &cy)
-	return out
-}
-
-// psiSquare applies ψ²: (x, y) → (x·γ₂₂, y·γ₂₃); the p²-Frobenius is
-// trivial on F_p² so there is no conjugation.
-func psiSquare(q *curve.G2Affine) curve.G2Affine {
-	var out curve.G2Affine
-	cx := ext.G2FrobeniusSquareCoeffX()
-	cy := ext.G2FrobeniusSquareCoeffY()
-	out.X.Mul(&q.X, &cx)
-	out.Y.Mul(&q.Y, &cy)
-	return out
 }
 
 // MillerProduct computes Π f_{6x+2,qs[i]}(ps[i]) — each factor the

@@ -196,7 +196,8 @@ func TestPsiIsFrobeniusEndomorphism(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	k := randFr(rng)
 	q := g2Aff(&k)
-	q1 := psi(&q)
+	var q1 curve.G2Affine
+	q1.Psi(&q)
 	if !q1.IsOnCurve() {
 		t.Fatal("ψ(Q) not on twist")
 	}

@@ -157,8 +157,9 @@ func refMillerLoop(p *curve.G1Affine, q *curve.G2Affine) ext.E12 {
 	}
 
 	// BN end steps: add ψ(Q) and subtract ψ²(Q).
-	q1 := psi(q)
-	q2 := psiSquare(q)
+	var q1, q2 curve.G2Affine
+	q1.Psi(q)
+	q2.PsiSquare(q)
 	q2.Y.Neg(&q2.Y)
 	refAddStep(&f, &t, &q1, p)
 	refAddStep(&f, &t, &q2, p)

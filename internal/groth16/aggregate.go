@@ -851,10 +851,7 @@ func (a *AggregateProof) SizeBytes() int64 {
 // MarshalJSON encodes the aggregate proof as a versioned base64
 // envelope of its binary encoding (the shared wire-envelope shape).
 func (a *AggregateProof) MarshalJSON() ([]byte, error) {
-	return marshalEnvelope(func(buf *bytes.Buffer) error {
-		_, err := a.WriteTo(buf)
-		return err
-	})
+	return marshalEnvelope(a)
 }
 
 // UnmarshalJSON decodes an aggregate-proof envelope with full point

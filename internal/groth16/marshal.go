@@ -172,23 +172,25 @@ func readG2Slice(r io.Reader) ([]curve.G2Affine, error) {
 	return readPoints(r, curve.G2CompressedSize, (*curve.G2Affine).SetBytes)
 }
 
-// WriteTo serializes the proof (exactly 3 compressed points after the
-// 8-byte header: 128 bytes of cryptographic material).
+// proofEncodedSize is the size of a proof's binary encoding: the 8-byte
+// header and 3 compressed points, 128 bytes of cryptographic material.
+const proofEncodedSize = 8 + 2*curve.G1CompressedSize + curve.G2CompressedSize
+
+// appendBinary appends the proof's binary encoding to dst.
+func (p *Proof) appendBinary(dst []byte) []byte {
+	ar, bs, krs := p.Ar.Bytes(), p.Bs.Bytes(), p.Krs.Bytes()
+	dst = append(dst, magicProof[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, formatVersion)
+	dst = append(dst, ar[:]...)
+	dst = append(dst, bs[:]...)
+	return append(dst, krs[:]...)
+}
+
+// WriteTo serializes the proof.
 func (p *Proof) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	if err := writeHeader(cw, magicProof); err != nil {
-		return cw.n, err
-	}
-	if err := writeG1(cw, &p.Ar); err != nil {
-		return cw.n, err
-	}
-	if err := writeG2(cw, &p.Bs); err != nil {
-		return cw.n, err
-	}
-	if err := writeG1(cw, &p.Krs); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	var buf [proofEncodedSize]byte
+	n, err := w.Write(p.appendBinary(buf[:0]))
+	return int64(n), err
 }
 
 // ReadFrom deserializes a proof, validating curve/subgroup membership of
@@ -206,7 +208,7 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	if err := readG1(r, &p.Krs); err != nil {
 		return 0, err
 	}
-	return 8 + curve.G1CompressedSize*2 + curve.G2CompressedSize, nil
+	return proofEncodedSize, nil
 }
 
 // PayloadSize returns the size of the cryptographic payload in bytes

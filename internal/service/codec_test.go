@@ -1,0 +1,313 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math/big"
+	"math/rand"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"zkrownn/internal/bn254/curve"
+	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/groth16"
+)
+
+// benchInputs is the instance a public-instance verify of the regression
+// benchmark's circuit carries — its 4,130 public wires less the constant
+// one: the request the codec budgets are stated for.
+const benchInputs = 4129
+
+// codecRequest is a decodable verify request with n public inputs: the
+// proof's points are the generators (in their groups, which is all a
+// decoder checks), the inputs random.
+func codecRequest(n int) *VerifyRequest {
+	req := &VerifyRequest{
+		Proof:        &groth16.Proof{Ar: curve.G1GeneratorAffine(), Bs: curve.G2GeneratorAffine(), Krs: curve.G1GeneratorAffine()},
+		PublicInputs: make(groth16.PublicInputs, n),
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	for i := range req.PublicInputs {
+		req.PublicInputs[i].SetBigInt(new(big.Int).Rand(rng, fr.Modulus()))
+	}
+	return req
+}
+
+func sameRequest(a, b *VerifyRequest) bool {
+	if (a.Proof == nil) != (b.Proof == nil) || len(a.PublicInputs) != len(b.PublicInputs) ||
+		(a.PublicInputs == nil) != (b.PublicInputs == nil) {
+		return false
+	}
+	if a.Proof != nil && !(a.Proof.Ar.Equal(&b.Proof.Ar) && a.Proof.Bs.Equal(&b.Proof.Bs) && a.Proof.Krs.Equal(&b.Proof.Krs)) {
+		return false
+	}
+	for i := range a.PublicInputs {
+		if !a.PublicInputs[i].Equal(&b.PublicInputs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVerifyRequestCanonicalBytes pins the verify path's hand-written
+// framing to encoding/json so it cannot rot silently: the bytes
+// AppendJSON writes (what client.Verify sends) are json.Marshal's, byte
+// for byte, and the server's direct decoder takes them in a handful of
+// allocations. A field added to VerifyRequest without teaching
+// AppendJSON and decodeCanonical about it fails here, not in a benchmark
+// three changes later.
+func TestVerifyRequestCanonicalBytes(t *testing.T) {
+	if n := reflect.TypeOf(VerifyRequest{}).NumField(); n != 2 {
+		t.Fatalf("VerifyRequest has %d fields: AppendJSON and decodeCanonical frame exactly proof and public_inputs — teach them the new field, then update this count", n)
+	}
+	for _, req := range []*VerifyRequest{
+		codecRequest(benchInputs), codecRequest(1), codecRequest(0),
+		{PublicInputs: codecRequest(2).PublicInputs},
+	} {
+		want, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := req.AppendJSON(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON = %.100s…, json.Marshal = %.100s…", got, want)
+		}
+		var back VerifyRequest
+		if ok := back.decodeCanonical(got); ok != (req.Proof != nil) {
+			t.Fatalf("decodeCanonical = %v on the canonical bytes of a request with proof %v", ok, req.Proof != nil)
+		} else if ok && !sameRequest(&back, req) {
+			t.Fatal("canonical round trip changed the request")
+		}
+		var ref VerifyRequest
+		if err := decodeStrict(bytes.NewReader(got), &ref); err != nil || !sameRequest(&ref, req) {
+			t.Fatalf("encoding/json does not read the canonical bytes back: %v", err)
+		}
+	}
+
+	req := codecRequest(benchInputs)
+	body := req.AppendJSON(nil)
+	if len(body) != 276901 {
+		t.Errorf("a %d-input request is %d bytes on the wire, want 276901 (the bench's client.verify_req_bytes_public)", benchInputs, len(body))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { req.AppendJSON(nil) }); allocs > 10 {
+		t.Errorf("encoding a %d-input request allocates %.0f times, want ≤ 10", benchInputs, allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		var back VerifyRequest
+		if !back.decodeCanonical(body) {
+			t.Fatal("canonical bytes took the fallback")
+		}
+	}); allocs > 10 {
+		t.Errorf("decoding a %d-input request allocates %.0f times, want ≤ 10: the direct path is not being taken", benchInputs, allocs)
+	}
+}
+
+// verifyRequestSeeds: a canonical request from the groth16 goldens, the
+// spellings encoding/json must take instead, and the malformed ones.
+func verifyRequestSeeds(t testing.TB) [][]byte {
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("..", "groth16", "testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	proof, public := read("proof.json"), read("public.json")
+	canonical := `{"proof":` + proof + `,"public_inputs":` + public + `}`
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, []byte(canonical), "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	big := codecRequest(40).AppendJSON(nil)
+	return [][]byte{
+		[]byte(canonical),
+		big,
+		pretty.Bytes(),
+		[]byte(`{"public_inputs":` + public + `,"proof":` + proof + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":` + public + `,"note":"x"}`),
+		[]byte(canonical + "\n"),
+		[]byte(canonical + "trailing"),
+		[]byte(canonical + canonical),
+		[]byte(`{"proof":null,"public_inputs":` + public + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":null}`),
+		[]byte(`{"proof":` + proof + `}`),
+		[]byte(`{"proof":` + strings.Replace(proof, `"format":1`, `"format":2`, 1) + `,"public_inputs":` + public + `}`),
+		[]byte(`{"proof":` + strings.Replace(proof, "WktQ", "AAAA", 1) + `,"public_inputs":` + public + `}`),
+		[]byte(`{"proof":` + strings.Replace(proof, `=="`, "=\n=\"", 1) + `,"public_inputs":` + public + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.ToUpper(public) + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.Replace(public, `23"`, `2"`, 1) + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.Replace(public, `23"`, `230"`, 1) + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.Replace(public, `"00`, `"ff`, 1) + `}`),
+		[]byte(canonical[:len(canonical)/2]),
+		[]byte(`{not json`),
+		nil,
+	}
+}
+
+// checkVerifyRequestDecode holds the handler's decoder, on any body, to
+// encoding/json alone: same verdict, same request, same error text; the
+// fallback series counts exactly the bodies the direct path declined.
+func checkVerifyRequestDecode(t *testing.T, body []byte) (accepted bool) {
+	t.Helper()
+	var want VerifyRequest
+	wantErr := decodeStrict(bytes.NewReader(body), &want)
+
+	var fast VerifyRequest
+	direct := fast.decodeCanonical(body)
+	if direct && (wantErr != nil || !sameRequest(&fast, &want)) {
+		t.Fatalf("the direct decoder accepted %.200q; encoding/json says %v", body, wantErr)
+	}
+
+	s := &Server{m: newMetrics(func() float64 { return 0 })}
+	var got VerifyRequest
+	gotErr := s.decodeVerifyRequest(bytes.NewReader(body), &got)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("decodeVerifyRequest error %v, encoding/json %v, on %.200q", gotErr, wantErr, body)
+	}
+	if gotErr == nil && !sameRequest(&got, &want) {
+		t.Fatalf("decodeVerifyRequest and encoding/json disagree on %.200q", body)
+	}
+	if fell := s.m.verifyDecodeFallbacks.Value() == 1; fell == direct {
+		t.Fatalf("fallback counted: %v, direct path taken: %v", fell, direct)
+	}
+	if len(got.PublicInputs)*2*fr.Bytes > len(body) {
+		t.Fatalf("%d inputs out of a %d-byte body", len(got.PublicInputs), len(body))
+	}
+	return gotErr == nil
+}
+
+func TestVerifyRequestDecodeSeeds(t *testing.T) {
+	accepted := 0
+	for _, seed := range verifyRequestSeeds(t) {
+		if checkVerifyRequestDecode(t, seed) {
+			accepted++
+		}
+	}
+	// canonical, 40 inputs, pretty, reordered, unknown key, trailing
+	// newline, null proof, missing public_inputs, upper-case hex. (A null
+	// or missing member decodes; the handler refuses it afterwards.)
+	if accepted != 9 {
+		t.Fatalf("%d seeds decode, want 9", accepted)
+	}
+}
+
+// FuzzVerifyRequestDecode is the differential fuzz of the verify route's
+// body decoder (ROADMAP item 2b).
+func FuzzVerifyRequestDecode(f *testing.F) {
+	for _, seed := range verifyRequestSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkVerifyRequestDecode(t, body)
+	})
+}
+
+// TestVerifyDecodePathsOverTheWire: the canonical bytes and a re-spelled
+// copy of them get the same verdict, only the second is counted as a
+// fallback — in /v1/stats and on /metrics — and bytes after the request
+// object are refused on both verify routes, whichever path decodes.
+func TestVerifyDecodePathsOverTheWire(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	reg, js := proveOne(t, ts.URL)
+	post := func(url string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	fallbacks := func() uint64 {
+		var st StatsResponse
+		getJSON(t, ts.URL+"/v1/stats", &st)
+		if got := scrape(t, ts.URL)["zkrownn_verify_decode_fallback_total"]; got != float64(st.Service.VerifyDecodeFallbacks) {
+			t.Fatalf("/metrics says %v fallbacks, /v1/stats %d", got, st.Service.VerifyDecodeFallbacks)
+		}
+		return st.Service.VerifyDecodeFallbacks
+	}
+
+	canonical := (&VerifyRequest{Proof: js.Proof, PublicInputs: js.PublicInputs}).AppendJSON(nil)
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, canonical, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	url := verifyURL(ts.URL, reg.ModelID)
+	for i, body := range [][]byte{canonical, pretty.Bytes()} {
+		status, data := post(url, body)
+		var vr VerifyResponse
+		if err := json.Unmarshal([]byte(data), &vr); err != nil || status != http.StatusOK || !vr.Valid || !vr.Claim {
+			t.Fatalf("body %d: status %d, %s", i, status, data)
+		}
+		if got := fallbacks(); got != uint64(i) {
+			t.Fatalf("after body %d: %d decode fallbacks, want %d", i, got, i)
+		}
+	}
+
+	for i, body := range [][]byte{append(canonical[:len(canonical):len(canonical)], "{}"...), append(pretty.Bytes(), 'x')} {
+		if status, data := post(url, body); status != http.StatusBadRequest || !strings.Contains(data, "trailing data") {
+			t.Fatalf("verify with trailing bytes (%d): status %d, %s", i, status, data)
+		}
+	}
+	agg, err := json.Marshal(AggregateRequest{
+		ModelID: reg.ModelID, Proofs: []*groth16.Proof{js.Proof}, PublicInputs: []groth16.PublicInputs{js.PublicInputs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, data := post(ts.URL+"/v1/aggregate", append(agg, "\n "...)); status != http.StatusOK {
+		t.Fatalf("aggregate with trailing whitespace: status %d, %s", status, data)
+	}
+	if status, data := post(ts.URL+"/v1/aggregate", append(agg, "[]"...)); status != http.StatusBadRequest || !strings.Contains(data, "trailing data") {
+		t.Fatalf("aggregate with trailing bytes: status %d, %s", status, data)
+	}
+}
+
+// BenchmarkVerifyRequestCodec: what a public-instance verify spends
+// outside the pairing, per side of the wire. encode is client.Verify's
+// AppendJSON, decode the server's direct path; the json- variants are
+// the encoding/json passes they replace, kept as the yardstick.
+func BenchmarkVerifyRequestCodec(b *testing.B) {
+	req := codecRequest(benchInputs)
+	body := req.AppendJSON(nil)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			req.AppendJSON(nil)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var back VerifyRequest
+			if !back.decodeCanonical(body) {
+				b.Fatal("canonical bytes took the fallback")
+			}
+		}
+	})
+	b.Run("json-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var back VerifyRequest
+			if err := decodeStrict(bytes.NewReader(body), &back); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

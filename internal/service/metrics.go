@@ -19,6 +19,7 @@ type metrics struct {
 	queueWaitSeconds                                       *obs.Histogram
 
 	verifyRequests, verifyBatchCalls, verifyBatchedRequests, verifyFallbacks *obs.Counter
+	verifyDecodeFallbacks                                                    *obs.Counter
 	verifyMaxBatch                                                           *obs.Gauge
 	verifyBatchSize                                                          *obs.Histogram
 
@@ -64,6 +65,8 @@ func newMetrics(queueDepth func() float64) *metrics {
 			"Verify requests served by a BatchVerify call that folded two or more."),
 		verifyFallbacks: r.Counter("zkrownn_verify_fallbacks_total",
 			"Batches that failed as a whole and were re-checked proof by proof."),
+		verifyDecodeFallbacks: r.Counter("zkrownn_verify_decode_fallback_total",
+			"Verify request bodies that were not the canonical bytes (or did not decode) and went through encoding/json."),
 		verifyMaxBatch: r.Gauge("zkrownn_verify_max_batch",
 			"Largest batch or aggregate set folded so far."),
 		verifyBatchSize: r.Histogram("zkrownn_verify_batch_size",

@@ -50,6 +50,7 @@ var (
 		"service.verify_batched_requests": "zkrownn_verify_batched_requests_total",
 		"service.verify_max_batch":        "zkrownn_verify_max_batch",
 		"service.verify_fallbacks":        "zkrownn_verify_fallbacks_total",
+		"service.verify_decode_fallbacks": "zkrownn_verify_decode_fallback_total",
 		"service.aggregate_requests":      "zkrownn_aggregate_requests_total",
 		"service.aggregate_artifacts":     "zkrownn_aggregate_artifacts_total",
 		"service.aggregate_fallbacks":     "zkrownn_aggregate_fallbacks_total",

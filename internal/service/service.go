@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -304,6 +305,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			VerifyBatchedRequests: m.verifyBatchedRequests.Value(),
 			VerifyMaxBatch:        uint64(m.verifyMaxBatch.Value()),
 			VerifyFallbacks:       m.verifyFallbacks.Value(),
+			VerifyDecodeFallbacks: m.verifyDecodeFallbacks.Value(),
 			AggregateRequests:     m.aggregateRequests.Value(),
 			AggregateArtifacts:    m.aggregateArtifacts.Value(),
 			AggregateFallbacks:    m.aggregateFallbacks.Value(),
@@ -600,6 +602,11 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleVerify checks one proof against a registered circuit's key. The
+// body is one VerifyRequest object and nothing after it but whitespace:
+// trailing bytes are a 400 here and on /v1/aggregate, on the direct
+// decode path and the encoding/json one alike (decodeVerifyRequest,
+// decodeStrict).
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
@@ -607,7 +614,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req VerifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeVerifyRequest(r.Body, &req); err != nil {
 		// Malformed or tampered material (a proof point off the curve or
 		// outside its subgroup fails here, in the envelope decoder) is a
 		// client error, not a server one.
@@ -672,7 +679,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 // the SRS verifier key third parties must check it against.
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	var req AggregateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed aggregate request: "+err.Error())
 		return
 	}
@@ -773,6 +780,42 @@ func checkCommittedDigest(rec *modelRecord, public groth16.PublicInputs) error {
 const maxBundleSlots = 32
 
 // --- helpers ---
+
+// decodeVerifyRequest reads the body whole — behind ServeHTTP's
+// MaxBytesReader, into a buffer that grows with the bytes actually read,
+// never from a declared length — and decodes it: directly when it is the
+// canonical bytes every client of ours sends (VerifyRequest.AppendJSON),
+// otherwise, counted, with encoding/json over the same bytes. The
+// verdict, the decoded request and every error message are those of the
+// encoding/json path; the direct one only ever succeeds.
+func (s *Server) decodeVerifyRequest(r io.Reader, req *VerifyRequest) error {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
+		return err
+	}
+	if req.decodeCanonical(buf.Bytes()) {
+		return nil
+	}
+	s.m.verifyDecodeFallbacks.Inc()
+	*req = VerifyRequest{}
+	return decodeStrict(&buf, req)
+}
+
+// decodeStrict decodes one JSON value with encoding/json — the general
+// path of the verify and aggregate routes — and rejects anything but
+// whitespace after it. (A bare json.Decoder.Decode stops at the end of
+// the first value, so `{…}garbage` used to verify; both routes now refuse
+// it, whichever path decodes.)
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the request object")
+	}
+	return nil
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

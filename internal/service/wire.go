@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 
 	"zkrownn/internal/bn254/ipp"
@@ -161,6 +162,59 @@ type VerifyRequest struct {
 	PublicInputs groth16.PublicInputs `json:"public_inputs"`
 }
 
+// The canonical framing of a VerifyRequest: the bytes json.Marshal puts
+// around its two fields. A public-instance request is a few hundred kB
+// of hex, and every encoding/json pass over it costs about as much as
+// the pairing check it asks for; AppendJSON writes these bytes directly
+// and decodeCanonical reads them back without a scanner.
+// TestVerifyRequestCanonicalBytes pins both to json.Marshal: a field
+// added to the struct has to be added here, or that test fails.
+const (
+	verifyRequestOpen  = `{"proof":`
+	verifyRequestMid   = `,"public_inputs":`
+	verifyRequestClose = `}`
+)
+
+// AppendJSON appends exactly json.Marshal(req) to dst.
+func (req *VerifyRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, verifyRequestOpen...)
+	if req.Proof == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = req.Proof.AppendJSON(dst)
+	}
+	dst = append(dst, verifyRequestMid...)
+	dst = req.PublicInputs.AppendJSON(dst)
+	return append(dst, verifyRequestClose...)
+}
+
+// decodeCanonical decodes body into req when it is framed exactly as
+// AppendJSON frames it and both members decode; it reports false
+// otherwise, leaving req in an unspecified state, and the caller decodes
+// the same bytes with encoding/json, which accepts every other spelling
+// and words every error.
+func (req *VerifyRequest) decodeCanonical(body []byte) bool {
+	rest, ok := bytes.CutPrefix(body, []byte(verifyRequestOpen))
+	if !ok {
+		return false
+	}
+	// The proof envelope holds no nested object and base64 has no brace,
+	// so the first '}' ends it (none at all leaves an empty proof, which
+	// does not decode).
+	end := bytes.IndexByte(rest, '}') + 1
+	proof, rest := rest[:end], rest[end:]
+	rest, ok = bytes.CutPrefix(rest, []byte(verifyRequestMid))
+	if !ok {
+		return false
+	}
+	public, ok := bytes.CutSuffix(rest, []byte(verifyRequestClose))
+	if !ok {
+		return false
+	}
+	req.Proof = new(groth16.Proof)
+	return req.Proof.UnmarshalJSON(proof) == nil && req.PublicInputs.UnmarshalJSON(public) == nil
+}
+
 // VerifyResponse reports the verdict. Valid means the Groth16 proof
 // verified; Claim means every public ownership-claim bit is 1 — both
 // must hold for the (whole) ownership claim to stand. Claims lists the
@@ -252,6 +306,10 @@ type ServiceStats struct {
 	// VerifyFallbacks counts batches that failed as a whole and were
 	// re-checked proof-by-proof to attribute the failure.
 	VerifyFallbacks uint64 `json:"verify_fallbacks"`
+	// VerifyDecodeFallbacks counts verify request bodies that took the
+	// general encoding/json path: anything but the canonical bytes
+	// VerifyRequest.AppendJSON writes, malformed requests included.
+	VerifyDecodeFallbacks uint64 `json:"verify_decode_fallbacks"`
 	// AggregateRequests counts /v1/aggregate requests accepted.
 	AggregateRequests uint64 `json:"aggregate_requests"`
 	// AggregateArtifacts counts aggregation artifacts issued.
