@@ -392,25 +392,6 @@ func (p *G1Jac) ScalarMul(q *G1Jac, k *fr.Element) *G1Jac {
 	return p.ScalarMulWNAF(q, k)
 }
 
-// scalarMulBinary is the plain double-and-add ladder, kept as the
-// cross-check oracle for the windowed implementation.
-func (p *G1Jac) scalarMulBinary(q *G1Jac, k *fr.Element) *G1Jac {
-	limbs := k.RegularLimbs()
-	var res G1Jac
-	res.SetInfinity()
-	started := false
-	for i := fr.Limbs*64 - 1; i >= 0; i-- {
-		if started {
-			res.DoubleAssign()
-		}
-		if (limbs[i/64]>>(i%64))&1 == 1 {
-			res.AddAssign(q)
-			started = true
-		}
-	}
-	return p.Set(&res)
-}
-
 // BatchJacToAffineG1 converts a slice of Jacobian points to affine with a
 // single field inversion (Montgomery's trick).
 func BatchJacToAffineG1(points []G1Jac) []G1Affine {

@@ -444,25 +444,6 @@ func (p *G2Jac) ScalarMul(q *G2Jac, k *fr.Element) *G2Jac {
 	return p.ScalarMulWNAF(q, k)
 }
 
-// scalarMulBinary is the plain double-and-add ladder, kept as the
-// cross-check oracle for the windowed implementation.
-func (p *G2Jac) scalarMulBinary(q *G2Jac, k *fr.Element) *G2Jac {
-	limbs := k.RegularLimbs()
-	var res G2Jac
-	res.SetInfinity()
-	started := false
-	for i := fr.Limbs*64 - 1; i >= 0; i-- {
-		if started {
-			res.DoubleAssign()
-		}
-		if (limbs[i/64]>>(i%64))&1 == 1 {
-			res.AddAssign(q)
-			started = true
-		}
-	}
-	return p.Set(&res)
-}
-
 // BatchJacToAffineG2 converts a slice of Jacobian twist points to affine
 // with a single F_p² inversion.
 func BatchJacToAffineG2(points []G2Jac) []G2Affine {

@@ -126,14 +126,6 @@ func (z *E6) MulByNonResidue(x *E6) *E6 {
 	return z
 }
 
-// MulByE2 scales every coefficient of x by the F_p² element c.
-func (z *E6) MulByE2(x *E6, c *E2) *E6 {
-	z.B0.Mul(&x.B0, c)
-	z.B1.Mul(&x.B1, c)
-	z.B2.Mul(&x.B2, c)
-	return z
-}
-
 // MulByElement scales every coefficient of x by the base-field element c.
 func (z *E6) MulByElement(x *E6, c *fp.Element) *E6 {
 	z.B0.MulByElement(&x.B0, c)

@@ -112,11 +112,6 @@ func (a *Artifact) RequestFor(asg r1cs.Assignment, rng io.Reader) engine.Request
 // RunPipelineWith.
 var defaultEngine = engine.New(engine.Options{CacheEntries: 2})
 
-// DefaultEngine returns the process-wide engine behind RunPipeline.
-// Long-lived embedders that are done proving can reclaim the cached
-// proving keys with DefaultEngine().DropMemoryCache().
-func DefaultEngine() *engine.Engine { return defaultEngine }
-
 // RunPipeline executes setup → prove → verify for the artifact and
 // collects Table I metrics. rng supplies setup/prover randomness
 // (crypto/rand when nil). It is a thin wrapper over the process-wide

@@ -7,6 +7,7 @@ import (
 	"zkrownn/internal/fixpoint"
 	"zkrownn/internal/gadgets"
 	"zkrownn/internal/nn"
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
 // tableICircuits enumerates every Table I circuit at smoke scale —
@@ -39,17 +40,39 @@ func tableICircuits(t *testing.T, p fixpoint.Params, seed int64) []*Artifact {
 	}
 }
 
+// pinnedDigests holds the circuit digests of two seed-42 Table I circuits
+// as literals, generated at 8cda237. The digest names every key-cache
+// file and registry model ID: if one of these moves, every persisted
+// .pk/.vk/.csr and registry entry is orphaned, so a change that means to
+// move it (a gadget diet, a new layout) updates the literal and says so.
+var pinnedDigests = map[string]string{
+	"BER-8":     "a6c32f3d9d30bc6f354043ab84bb8fa6c6ad0f3c11cb32fccf9bff574ee96ca3",
+	"MNIST-MLP": "c7283745caacee276f9a76ebdb750aff9807c3f4d5436b5081370bb59e9be08f",
+}
+
 // TestSolveOracleTableI asserts, for every Table I circuit, that the
 // recorded solver program reproduces the eager builder's witness bit
-// for bit — the compile-once / solve-many correctness contract.
+// for bit — the compile-once / solve-many correctness contract — and
+// that the math/big row oracle reads the compiled rows the way the CSR
+// walker and digest do.
 func TestSolveOracleTableI(t *testing.T) {
 	p := fixpoint.Params{FracBits: 8, MagBits: 36}
+	digests := map[string]string{}
 	for _, art := range tableICircuits(t, p, 42) {
 		art := art
 		t.Run(art.Name, func(t *testing.T) {
 			if ok, bad := art.System.IsSatisfied(art.Witness); !ok {
 				t.Fatalf("eager witness violates constraint %d", bad)
 			}
+			rows := r1cstest.RowsOf(art.System)
+			if ok, bad := r1cstest.Satisfied(rows, r1cstest.Big(art.Witness)); !ok {
+				t.Fatalf("oracle: eager witness violates constraint %d", bad)
+			}
+			digest := art.System.DigestHex()
+			if want := r1cstest.Digest(rows); digest != want {
+				t.Fatalf("digest %s, oracle digest %s", digest, want)
+			}
+			digests[art.Name] = digest
 			solved, err := art.System.SolveAssignment(art.Assignment)
 			if err != nil {
 				t.Fatal(err)
@@ -63,6 +86,11 @@ func TestSolveOracleTableI(t *testing.T) {
 				}
 			}
 		})
+	}
+	for name, want := range pinnedDigests {
+		if got := digests[name]; got != want {
+			t.Errorf("CIRCUIT DIGEST DRIFT: %s compiles to %q, pinned %s", name, got, want)
+		}
 	}
 }
 

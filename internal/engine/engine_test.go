@@ -15,63 +15,29 @@ import (
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/obs"
 	"zkrownn/internal/r1cs"
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
-// cubicSystem builds x³ + x + k = out (out public) — the standard toy
-// circuit, compiled through the FromSystem adapter. Different k values
-// produce different constraint coefficients and therefore different
-// circuit digests.
+// cubicSystem is x³ + x + k = out (out public) — the standard toy
+// circuit, every wire an input. Different k values produce different
+// constraint coefficients and therefore different circuit digests.
 func cubicSystem(k uint64) *r1cs.CompiledSystem {
-	cs, err := r1cs.FromSystem(cubicEager(k))
+	cs, err := r1cstest.CSR(r1cstest.Cubic(k))
 	if err != nil {
 		panic(err)
 	}
 	return cs
 }
 
-func cubicEager(k uint64) *r1cs.System {
-	one := func() fr.Element { var e fr.Element; e.SetOne(); return e }
-	kEl := func() fr.Element { var e fr.Element; e.SetUint64(k); return e }
-	lc := func(terms ...r1cs.Term) r1cs.LinearCombination { return terms }
-
-	sys := &r1cs.System{NbPublic: 2, NbWires: 5}
-	sys.Constraints = append(sys.Constraints,
-		r1cs.Constraint{ // x·x = x²
-			A: lc(r1cs.Term{Wire: 2, Coeff: one()}),
-			B: lc(r1cs.Term{Wire: 2, Coeff: one()}),
-			C: lc(r1cs.Term{Wire: 3, Coeff: one()}),
-		},
-		r1cs.Constraint{ // x²·x = x³
-			A: lc(r1cs.Term{Wire: 3, Coeff: one()}),
-			B: lc(r1cs.Term{Wire: 2, Coeff: one()}),
-			C: lc(r1cs.Term{Wire: 4, Coeff: one()}),
-		},
-		r1cs.Constraint{ // (x³ + x + k)·1 = out
-			A: lc(
-				r1cs.Term{Wire: 4, Coeff: one()},
-				r1cs.Term{Wire: 2, Coeff: one()},
-				r1cs.Term{Wire: 0, Coeff: kEl()},
-			),
-			B: lc(r1cs.Term{Wire: 0, Coeff: one()}),
-			C: lc(r1cs.Term{Wire: 1, Coeff: one()}),
-		})
-	return sys
-}
-
-func cubicWitness(k, x uint64) []fr.Element {
-	w := make([]fr.Element, 5)
-	w[0].SetOne()
-	w[2].SetUint64(x)
-	w[3].Mul(&w[2], &w[2])
-	w[4].Mul(&w[3], &w[2])
-	var kEl fr.Element
-	kEl.SetUint64(k)
-	w[1].Add(&w[4], &w[2])
-	w[1].Add(&w[1], &kEl)
-	return w
-}
+func cubicWitness(k, x uint64) []fr.Element { return r1cstest.CubicWitness(k, x) }
 
 func publicOf(w []fr.Element) []fr.Element { return w[1:2] }
+
+// inputsOf splits a cubic witness into the assignment its system solves
+// from: every wire but the constant is an input.
+func inputsOf(w []fr.Element) r1cs.Assignment {
+	return r1cs.Assignment{Public: w[1:2], Secret: w[2:]}
+}
 
 func TestProveCacheHitSkipsSetup(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(1))})
@@ -357,7 +323,7 @@ func TestSolveManyRequests(t *testing.T) {
 
 	// First request carries the system and an assignment (no witness).
 	w1 := cubicWitness(5, 3)
-	asg1 := sys.WitnessAssignment(w1)
+	asg1 := inputsOf(w1)
 	r1, err := e.Prove(Request{Name: "solve-1", System: sys, Public: asg1.Public, Secret: asg1.Secret})
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +345,7 @@ func TestSolveManyRequests(t *testing.T) {
 		t.Fatal("compiled system not cached beside the keys")
 	}
 	w2 := cubicWitness(5, 8)
-	asg2 := sys.WitnessAssignment(w2)
+	asg2 := inputsOf(w2)
 	r2, err := e.Prove(Request{Name: "solve-2", Digest: r1.Digest, Public: asg2.Public, Secret: asg2.Secret})
 	if err != nil {
 		t.Fatal(err)

@@ -82,8 +82,8 @@ func TestPlanResidency(t *testing.T) {
 func TestResidencyTiers(t *testing.T) {
 	sys := cubicSystem(5)
 	sz := measure(sys)
-	asg := sys.WitnessAssignment(cubicWitness(5, 3))
-	asg7 := sys.WitnessAssignment(cubicWitness(5, 7))
+	asg := inputsOf(cubicWitness(5, 3))
+	asg7 := inputsOf(cubicWitness(5, 7))
 
 	// SHA-256 of <digest>.pk, .vk and .csr as written at 725543a by an
 	// engine seeded with 41 under MemoryBudget 1, and the compressed A and

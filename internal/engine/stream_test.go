@@ -209,7 +209,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(36))
 	sys := cubicSystem(5)
-	asg := sys.WitnessAssignment(cubicWitness(5, 3))
+	asg := inputsOf(cubicWitness(5, 3))
 
 	e1 := New(Options{CacheDir: dir, MemoryBudget: 1, Rand: rng})
 	defer e1.Close()
@@ -242,7 +242,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if cs, ok := e1.Circuit(r1.Digest); !ok || !cs.Stripped() {
 		t.Fatalf("cached circuit not stripped (ok=%v)", ok)
 	}
-	asg7 := sys.WitnessAssignment(cubicWitness(5, 7))
+	asg7 := inputsOf(cubicWitness(5, 7))
 	r2, err := e1.Prove(Request{Digest: r1.Digest, Public: asg7.Public, Secret: asg7.Secret})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 // points whether everything is resident or nothing is.
 func TestSpilledProofMatchesInMemoryEngine(t *testing.T) {
 	sys := cubicSystem(5)
-	asg := sys.WitnessAssignment(cubicWitness(5, 3))
+	asg := inputsOf(cubicWitness(5, 3))
 
 	inMem := New(Options{Rand: rand.New(rand.NewSource(37))})
 	rIn, err := inMem.Prove(Request{System: sys, Public: asg.Public, Secret: asg.Secret})

@@ -100,12 +100,6 @@ func (p Params) MulRescale(a, b int64) int64 {
 	return p.Rescale(a * b)
 }
 
-// InRange reports whether v respects the magnitude bound.
-func (p Params) InRange(v int64) bool {
-	bound := int64(1) << uint(p.MagBits)
-	return v > -bound && v < bound
-}
-
 // ToField maps a signed scaled integer into F_r (negative values wrap to
 // r - |v|), the encoding used for circuit wires.
 func ToField(v int64) fr.Element {

@@ -28,6 +28,20 @@ import (
 	"zkrownn/internal/r1cs"
 )
 
+// term is one coefficient·wire entry of a linearCombination — a sparse
+// Σ coeff·wire over the builder's pre-permutation wire ids.
+type term struct {
+	wire  int
+	coeff fr.Element
+}
+
+type linearCombination []term
+
+// constraint is one rank-1 constraint a·b = c awaiting Compile's layout.
+type constraint struct {
+	a, b, c linearCombination
+}
+
 // Variable is a value in the circuit: a linear combination of wires plus
 // its concrete value under the current input assignment.
 //
@@ -35,7 +49,7 @@ import (
 // allocates fresh term slices and Compile copies (never mutates) them —
 // so variables may be freely shared between constraints.
 type Variable struct {
-	lc  r1cs.LinearCombination
+	lc  linearCombination
 	val fr.Element
 }
 
@@ -61,12 +75,12 @@ type tapeInstr struct {
 	op   r1cs.OpCode
 	out  int // first output wire
 	nOut int
-	a, b r1cs.LinearCombination
+	a, b linearCombination
 }
 
 // Builder accumulates constraints, wire values, and the solver tape.
 type Builder struct {
-	constraints []r1cs.Constraint
+	constraints []constraint
 	values      []fr.Element
 	kinds       []wireKind
 	names       []string // parallel to values; "" for unnamed
@@ -100,7 +114,7 @@ func (b *Builder) newWire(v fr.Element, k wireKind, name string) int {
 }
 
 // record appends one solver instruction to the tape.
-func (b *Builder) record(op r1cs.OpCode, out, nOut int, a, bb r1cs.LinearCombination) {
+func (b *Builder) record(op r1cs.OpCode, out, nOut int, a, bb linearCombination) {
 	b.tape = append(b.tape, tapeInstr{op: op, out: out, nOut: nOut, a: a, b: bb})
 }
 
@@ -109,7 +123,7 @@ func (b *Builder) single(wire int) Variable {
 	var one fr.Element
 	one.SetOne()
 	return Variable{
-		lc:  r1cs.LinearCombination{{Wire: wire, Coeff: one}},
+		lc:  linearCombination{{wire: wire, coeff: one}},
 		val: b.values[wire],
 	}
 }
@@ -134,10 +148,10 @@ func (b *Builder) PublicOutput(name string, x Variable) Variable {
 	w := b.newWire(x.val, kindPublicOutput, name)
 	out := b.single(w)
 	b.record(r1cs.OpLC, w, 1, x.lc, nil)
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: b.One().lc,
-		C: out.lc,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: b.One().lc,
+		c: out.lc,
 	})
 	return out
 }
@@ -146,7 +160,7 @@ func (b *Builder) PublicOutput(name string, x Variable) Variable {
 // of the constant wire; no new wire is allocated).
 func (b *Builder) Constant(c fr.Element) Variable {
 	return Variable{
-		lc:  r1cs.LinearCombination{{Wire: 0, Coeff: c}},
+		lc:  linearCombination{{wire: 0, coeff: c}},
 		val: c,
 	}
 }
@@ -155,13 +169,6 @@ func (b *Builder) Constant(c fr.Element) Variable {
 func (b *Builder) ConstUint64(v uint64) Variable {
 	var c fr.Element
 	c.SetUint64(v)
-	return b.Constant(c)
-}
-
-// ConstInt64 returns a (possibly negative) constant variable.
-func (b *Builder) ConstInt64(v int64) Variable {
-	var c fr.Element
-	c.SetInt64(v)
 	return b.Constant(c)
 }
 
@@ -181,8 +188,8 @@ func isConstant(v *Variable) (fr.Element, bool) {
 		var z fr.Element
 		return z, true
 	}
-	if len(v.lc) == 1 && v.lc[0].Wire == 0 {
-		return v.lc[0].Coeff, true
+	if len(v.lc) == 1 && v.lc[0].wire == 0 {
+		return v.lc[0].coeff, true
 	}
 	var z fr.Element
 	return z, false
@@ -194,7 +201,7 @@ func isConstant(v *Variable) (fr.Element, bool) {
 // the compile-path hot spot, kept free of the map+sort of the naive
 // implementation (two-pointer for the dominant pairwise case, a small
 // binary heap of cursors for wide Sums).
-func mergeLC(lcs ...r1cs.LinearCombination) r1cs.LinearCombination {
+func mergeLC(lcs ...linearCombination) linearCombination {
 	k, total := 0, 0
 	for _, lc := range lcs {
 		if len(lc) > 0 {
@@ -217,13 +224,13 @@ func mergeLC(lcs ...r1cs.LinearCombination) r1cs.LinearCombination {
 
 // dropZeros returns lc without zero-coefficient terms, aliasing the
 // input when nothing is dropped (LCs are immutable, so sharing is safe).
-func dropZeros(lc r1cs.LinearCombination) r1cs.LinearCombination {
+func dropZeros(lc linearCombination) linearCombination {
 	for i := range lc {
-		if lc[i].Coeff.IsZero() {
-			out := make(r1cs.LinearCombination, i, len(lc)-1)
+		if lc[i].coeff.IsZero() {
+			out := make(linearCombination, i, len(lc)-1)
 			copy(out, lc[:i])
 			for _, t := range lc[i+1:] {
-				if !t.Coeff.IsZero() {
+				if !t.coeff.IsZero() {
 					out = append(out, t)
 				}
 			}
@@ -234,38 +241,38 @@ func dropZeros(lc r1cs.LinearCombination) r1cs.LinearCombination {
 }
 
 // merge2 merges two sorted LCs with one linear pass.
-func merge2(a, b r1cs.LinearCombination) r1cs.LinearCombination {
-	out := make(r1cs.LinearCombination, 0, len(a)+len(b))
+func merge2(a, b linearCombination) linearCombination {
+	out := make(linearCombination, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case a[i].Wire < b[j].Wire:
-			if !a[i].Coeff.IsZero() {
+		case a[i].wire < b[j].wire:
+			if !a[i].coeff.IsZero() {
 				out = append(out, a[i])
 			}
 			i++
-		case a[i].Wire > b[j].Wire:
-			if !b[j].Coeff.IsZero() {
+		case a[i].wire > b[j].wire:
+			if !b[j].coeff.IsZero() {
 				out = append(out, b[j])
 			}
 			j++
 		default:
 			var c fr.Element
-			c.Add(&a[i].Coeff, &b[j].Coeff)
+			c.Add(&a[i].coeff, &b[j].coeff)
 			if !c.IsZero() {
-				out = append(out, r1cs.Term{Wire: a[i].Wire, Coeff: c})
+				out = append(out, term{wire: a[i].wire, coeff: c})
 			}
 			i++
 			j++
 		}
 	}
 	for ; i < len(a); i++ {
-		if !a[i].Coeff.IsZero() {
+		if !a[i].coeff.IsZero() {
 			out = append(out, a[i])
 		}
 	}
 	for ; j < len(b); j++ {
-		if !b[j].Coeff.IsZero() {
+		if !b[j].coeff.IsZero() {
 			out = append(out, b[j])
 		}
 	}
@@ -275,11 +282,11 @@ func merge2(a, b r1cs.LinearCombination) r1cs.LinearCombination {
 // mergeK merges k ≥ 3 sorted LCs through a binary min-heap of cursors
 // keyed by each LC's current wire: O(total·log k) with three
 // allocations (positions, heap, output).
-func mergeK(lcs []r1cs.LinearCombination, total int) r1cs.LinearCombination {
+func mergeK(lcs []linearCombination, total int) linearCombination {
 	k := len(lcs)
 	pos := make([]int, k)
 	heap := make([]int, k)
-	wireAt := func(li int) int { return lcs[li][pos[li]].Wire }
+	wireAt := func(li int) int { return lcs[li][pos[li]].wire }
 	less := func(x, y int) bool { return wireAt(heap[x]) < wireAt(heap[y]) }
 	siftDown := func(i, n int) {
 		for {
@@ -306,13 +313,13 @@ func mergeK(lcs []r1cs.LinearCombination, total int) r1cs.LinearCombination {
 		siftDown(i, n)
 	}
 
-	out := make(r1cs.LinearCombination, 0, total)
+	out := make(linearCombination, 0, total)
 	for n > 0 {
 		w := wireAt(heap[0])
 		var c fr.Element
 		for n > 0 && wireAt(heap[0]) == w {
 			li := heap[0]
-			c.Add(&c, &lcs[li][pos[li]].Coeff)
+			c.Add(&c, &lcs[li][pos[li]].coeff)
 			pos[li]++
 			if pos[li] == len(lcs[li]) {
 				heap[0] = heap[n-1]
@@ -323,21 +330,21 @@ func mergeK(lcs []r1cs.LinearCombination, total int) r1cs.LinearCombination {
 			}
 		}
 		if !c.IsZero() {
-			out = append(out, r1cs.Term{Wire: w, Coeff: c})
+			out = append(out, term{wire: w, coeff: c})
 		}
 	}
 	return out
 }
 
 // scaleLC returns lc scaled by c.
-func scaleLC(lc r1cs.LinearCombination, c *fr.Element) r1cs.LinearCombination {
+func scaleLC(lc linearCombination, c *fr.Element) linearCombination {
 	if c.IsZero() {
 		return nil
 	}
-	out := make(r1cs.LinearCombination, len(lc))
+	out := make(linearCombination, len(lc))
 	for i, t := range lc {
-		out[i].Wire = t.Wire
-		out[i].Coeff.Mul(&t.Coeff, c)
+		out[i].wire = t.wire
+		out[i].coeff.Mul(&t.coeff, c)
 	}
 	return out
 }
@@ -354,7 +361,7 @@ func (b *Builder) Add(x, y Variable) Variable {
 // quadratic blowup of chained pairwise Adds on wide reductions such as
 // dense layers).
 func (b *Builder) Sum(vs ...Variable) Variable {
-	lcs := make([]r1cs.LinearCombination, len(vs))
+	lcs := make([]linearCombination, len(vs))
 	var val fr.Element
 	for i := range vs {
 		lcs[i] = vs[i].lc
@@ -401,16 +408,13 @@ func (b *Builder) Mul(x, y Variable) Variable {
 	w := b.newWire(val, kindInternal, "")
 	out := b.single(w)
 	b.record(r1cs.OpMul, w, 1, x.lc, y.lc)
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: y.lc,
-		C: out.lc,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: y.lc,
+		c: out.lc,
 	})
 	return out
 }
-
-// Square returns a² (one constraint).
-func (b *Builder) Square(x Variable) Variable { return b.Mul(x, x) }
 
 // Reduce collapses a wide linear combination into a single fresh wire
 // with one constraint (lc · 1 = wire). Use after wide sums so downstream
@@ -422,30 +426,30 @@ func (b *Builder) Reduce(x Variable) Variable {
 	w := b.newWire(x.val, kindInternal, "")
 	out := b.single(w)
 	b.record(r1cs.OpLC, w, 1, x.lc, nil)
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: b.One().lc,
-		C: out.lc,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: b.One().lc,
+		c: out.lc,
 	})
 	return out
 }
 
 // AssertEqual enforces a == b (one constraint).
 func (b *Builder) AssertEqual(x, y Variable) {
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: b.One().lc,
-		C: y.lc,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: b.One().lc,
+		c: y.lc,
 	})
 }
 
 // AssertBoolean enforces a ∈ {0, 1} (one constraint: a·(a-1) = 0).
 func (b *Builder) AssertBoolean(x Variable) {
 	am1 := b.Sub(x, b.One())
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: am1.lc,
-		C: nil,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: am1.lc,
+		c: nil,
 	})
 }
 
@@ -457,10 +461,10 @@ func (b *Builder) Inverse(x Variable) Variable {
 	w := b.newWire(inv, kindInternal, "")
 	out := b.single(w)
 	b.record(r1cs.OpInv, w, 1, x.lc, nil)
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: out.lc,
-		C: b.One().lc,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: out.lc,
+		c: b.One().lc,
 	})
 	return out
 }
@@ -490,16 +494,16 @@ func (b *Builder) IsZero(x Variable) Variable {
 
 	// x·inv = 1 - out
 	oneMinusOut := b.Sub(b.One(), out)
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: inv.lc,
-		C: oneMinusOut.lc,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: inv.lc,
+		c: oneMinusOut.lc,
 	})
 	// x·out = 0
-	b.constraints = append(b.constraints, r1cs.Constraint{
-		A: x.lc,
-		B: out.lc,
-		C: nil,
+	b.constraints = append(b.constraints, constraint{
+		a: x.lc,
+		b: out.lc,
+		c: nil,
 	})
 	return out
 }
@@ -554,9 +558,6 @@ func (b *Builder) FromBinary(bits []Variable) Variable {
 
 // NbConstraints returns the number of constraints emitted so far.
 func (b *Builder) NbConstraints() int { return len(b.constraints) }
-
-// NbWires returns the number of wires allocated so far.
-func (b *Builder) NbWires() int { return len(b.values) }
 
 // CompileResult is the output of Compile: the reusable compiled system,
 // the input assignment recorded at build time, and the eager witness the
@@ -614,9 +615,9 @@ func (b *Builder) Compile() (*CompileResult, error) {
 	}
 
 	// CSR matrices: one count pass, one remapped fill pass per matrix.
-	// Term order within a row is the LC's (old-wire sorted) order —
-	// identical to the eager Finalize layout, so digests agree.
-	fill := func(sel func(*r1cs.Constraint) r1cs.LinearCombination) r1cs.Matrix {
+	// Term order within a row is the LC's (old-wire sorted) order; the
+	// digest covers it.
+	fill := func(sel func(*constraint) linearCombination) r1cs.Matrix {
 		n := len(b.constraints)
 		offs := make([]uint32, n+1)
 		total := 0
@@ -629,17 +630,17 @@ func (b *Builder) Compile() (*CompileResult, error) {
 		k := 0
 		for i := range b.constraints {
 			for _, t := range sel(&b.constraints[i]) {
-				mx.Wires[k] = perm[t.Wire]
-				mx.CoeffIdx[k] = ci.Intern(t.Coeff)
+				mx.Wires[k] = perm[t.wire]
+				mx.CoeffIdx[k] = ci.Intern(t.coeff)
 				k++
 			}
 		}
 		mx.Dict = ci.Dict()
 		return mx
 	}
-	cs.A = fill(func(c *r1cs.Constraint) r1cs.LinearCombination { return c.A })
-	cs.B = fill(func(c *r1cs.Constraint) r1cs.LinearCombination { return c.B })
-	cs.C = fill(func(c *r1cs.Constraint) r1cs.LinearCombination { return c.C })
+	cs.A = fill(func(c *constraint) linearCombination { return c.a })
+	cs.B = fill(func(c *constraint) linearCombination { return c.b })
+	cs.C = fill(func(c *constraint) linearCombination { return c.c })
 
 	// Input-binding layout and the recorded assignment, in declaration
 	// order (pre-permutation wire order).
@@ -683,10 +684,10 @@ func (b *Builder) compileTape(perm []uint32) (r1cs.Program, error) {
 	wireLevel := make([]int32, m)
 	instrLevel := make([]int32, nbInstrs)
 	maxLevel := int32(0)
-	lcLevel := func(lc r1cs.LinearCombination) int32 {
+	lcLevel := func(lc linearCombination) int32 {
 		lvl := int32(0)
 		for _, t := range lc {
-			if l := wireLevel[t.Wire]; l > lvl {
+			if l := wireLevel[t.wire]; l > lvl {
 				lvl = l
 			}
 		}
@@ -737,11 +738,11 @@ func (b *Builder) compileTape(perm []uint32) (r1cs.Program, error) {
 	copy(cursor[1:], prog.Levels[:maxLevel])
 
 	interner := r1cs.NewCoeffInterner()
-	emitLC := func(lc r1cs.LinearCombination) (uint32, uint32) {
+	emitLC := func(lc linearCombination) (uint32, uint32) {
 		off := uint32(len(prog.Wires))
 		for _, t := range lc {
-			prog.Wires = append(prog.Wires, perm[t.Wire])
-			prog.CoeffIdx = append(prog.CoeffIdx, interner.Intern(t.Coeff))
+			prog.Wires = append(prog.Wires, perm[t.wire])
+			prog.CoeffIdx = append(prog.CoeffIdx, interner.Intern(t.coeff))
 		}
 		return off, uint32(len(prog.Wires))
 	}
@@ -767,24 +768,4 @@ func (b *Builder) compileTape(perm []uint32) (r1cs.Program, error) {
 	}
 	prog.Dict = interner.Dict()
 	return prog, nil
-}
-
-// Finalize freezes the circuit into the legacy eager representation:
-// the materialized System plus the full witness vector. It is a thin
-// shim over Compile retained for existing call sites; new code should
-// use Compile and keep the CompiledSystem for repeated solving.
-func (b *Builder) Finalize() (*r1cs.System, []fr.Element, error) {
-	res, err := b.Compile()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.System.ToSystem(), res.Witness, nil
-}
-
-// PublicValues extracts the public-input section (excluding the constant
-// wire) from a finalized witness, in the order Verify expects.
-func PublicValues(sys *r1cs.System, witness []fr.Element) []fr.Element {
-	out := make([]fr.Element, sys.NbPublic-1)
-	copy(out, witness[1:sys.NbPublic])
-	return out
 }

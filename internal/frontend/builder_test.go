@@ -33,18 +33,18 @@ func frOf(v uint64) fr.Element {
 	return e
 }
 
-// finalizeAndCheck finalizes and asserts the witness satisfies the
-// system.
-func finalizeAndCheck(t *testing.T, b *Builder) (*r1cs.System, []fr.Element) {
+// compileAndCheck compiles and asserts the builder's witness satisfies
+// the system.
+func compileAndCheck(t *testing.T, b *Builder) (*r1cs.CompiledSystem, []fr.Element) {
 	t.Helper()
-	sys, w, err := b.Finalize()
+	res, err := b.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, bad := sys.IsSatisfied(w); !ok {
+	if ok, bad := res.System.IsSatisfied(res.Witness); !ok {
 		t.Fatalf("witness does not satisfy constraint %d", bad)
 	}
-	return sys, w
+	return res.System, res.Witness
 }
 
 func TestAddMulConstantsAreFree(t *testing.T) {
@@ -67,7 +67,7 @@ func TestAddMulConstantsAreFree(t *testing.T) {
 		t.Fatalf("linear ops emitted %d constraints", b.NbConstraints())
 	}
 	b.AssertEqual(scaled, b.ConstUint64(70))
-	finalizeAndCheck(t, b)
+	compileAndCheck(t, b)
 }
 
 func TestMulEmitsOneConstraint(t *testing.T) {
@@ -79,7 +79,7 @@ func TestMulEmitsOneConstraint(t *testing.T) {
 		t.Fatalf("Mul emitted %d constraints", b.NbConstraints())
 	}
 	b.AssertEqual(p, b.ConstUint64(42))
-	finalizeAndCheck(t, b)
+	compileAndCheck(t, b)
 }
 
 func TestMulByConstantVariable(t *testing.T) {
@@ -131,18 +131,18 @@ func TestToBinaryFromBinary(t *testing.T) {
 	if !vEq(back, x.val) {
 		t.Fatal("FromBinary(ToBinary(x)) != x")
 	}
-	finalizeAndCheck(t, b)
+	compileAndCheck(t, b)
 }
 
 func TestToBinaryOverflowUnsatisfiable(t *testing.T) {
 	b := NewBuilder()
 	x := b.SecretInput("x", frOf(300)) // does not fit 8 bits
 	_ = b.ToBinary(x, 8)
-	sys, w, err := b.Finalize()
+	res, err := b.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := sys.IsSatisfied(w); ok {
+	if ok, _ := res.System.IsSatisfied(res.Witness); ok {
 		t.Fatal("overflowing decomposition produced a satisfiable witness")
 	}
 }
@@ -159,7 +159,7 @@ func TestIsZero(t *testing.T) {
 	if !vIsZero(inz) {
 		t.Fatal("IsZero(17) != 0")
 	}
-	finalizeAndCheck(t, b)
+	compileAndCheck(t, b)
 }
 
 func TestSelect(t *testing.T) {
@@ -179,7 +179,7 @@ func TestSelect(t *testing.T) {
 	if !vEq(s2, twoHundred) {
 		t.Fatal("Select(0, x, y) != y")
 	}
-	finalizeAndCheck(t, b)
+	compileAndCheck(t, b)
 }
 
 func TestInverseAndDiv(t *testing.T) {
@@ -192,25 +192,25 @@ func TestInverseAndDiv(t *testing.T) {
 	if !vEq(q, three) {
 		t.Fatal("12/4 != 3")
 	}
-	finalizeAndCheck(t, b)
+	compileAndCheck(t, b)
 }
 
 func TestInverseOfZeroUnsatisfiable(t *testing.T) {
 	b := NewBuilder()
 	z := b.SecretInput("z", fr.Element{})
 	_ = b.Inverse(z)
-	sys, w, err := b.Finalize()
+	res, err := b.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := sys.IsSatisfied(w); ok {
+	if ok, _ := res.System.IsSatisfied(res.Witness); ok {
 		t.Fatal("inverse of zero satisfiable")
 	}
 }
 
 func TestPublicWireReordering(t *testing.T) {
 	b := NewBuilder()
-	// Interleave secret and public declarations; Finalize must put the
+	// Interleave secret and public declarations; Compile must put the
 	// publics first regardless.
 	s1 := b.SecretInput("s1", frOf(2))
 	p1 := b.PublicInput("out1", frOf(4))
@@ -219,11 +219,11 @@ func TestPublicWireReordering(t *testing.T) {
 	b.AssertEqual(b.Mul(s1, s1), p1)
 	b.AssertEqual(b.Mul(s2, s2), p2)
 
-	sys, w := finalizeAndCheck(t, b)
+	sys, w := compileAndCheck(t, b)
 	if sys.NbPublic != 3 {
 		t.Fatalf("NbPublic = %d, want 3", sys.NbPublic)
 	}
-	pub := PublicValues(sys, w)
+	pub := sys.PublicValues(w)
 	var four, nine fr.Element
 	four.SetUint64(4)
 	nine.SetUint64(9)
@@ -259,18 +259,19 @@ func TestSumWide(t *testing.T) {
 	if !vEq(r, want) {
 		t.Fatal("reduced sum wrong")
 	}
-	finalizeAndCheck(t, b)
+	compileAndCheck(t, b)
 }
 
 func TestDoubleFinalizeFails(t *testing.T) {
 	b := NewBuilder()
 	x := b.SecretInput("x", frOf(1))
 	b.AssertEqual(x, b.One())
-	if _, _, err := b.Finalize(); err != nil {
+	// The first Compile finalizes the builder.
+	if _, err := b.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Finalize(); err == nil {
-		t.Fatal("second Finalize should fail")
+	if _, err := b.Compile(); err == nil {
+		t.Fatal("second Compile should fail")
 	}
 }
 

@@ -3,12 +3,13 @@ package frontend
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"zkrownn/internal/bn254/fr"
-	"zkrownn/internal/r1cs"
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
 // buildKitchenSink exercises every wire-allocating builder operation —
@@ -70,8 +71,17 @@ func TestSolveMatchesEagerWitness(t *testing.T) {
 			t.Fatalf("wire %d: solved %v != eager %v", i, solved[i], res.Witness[i])
 		}
 	}
-	if res.System.Program.NbInstrs() == 0 || res.System.Program.NbLevels() == 0 {
+	if p := &res.System.Program; len(p.Instrs) == 0 || len(p.Levels) < 2 {
 		t.Fatal("compile recorded no solver program")
+	}
+	// The math/big row oracle, which shares no code with the builder or
+	// the CSR walker, must read the same rows the same way.
+	rows := r1cstest.RowsOf(res.System)
+	if res.System.DigestHex() != r1cstest.Digest(rows) {
+		t.Fatal("compiled digest differs from the oracle's")
+	}
+	if ok, bad := r1cstest.Satisfied(rows, r1cstest.Big(res.Witness)); !ok {
+		t.Fatalf("oracle: eager witness violates constraint %d", bad)
 	}
 }
 
@@ -149,27 +159,11 @@ func TestConcurrentSolve(t *testing.T) {
 	}
 }
 
-// TestFinalizeShimMatchesCompile: the legacy Finalize path must stay
-// digest- and witness-compatible with Compile.
-func TestFinalizeShimMatchesCompile(t *testing.T) {
-	res, err := buildKitchenSink(kitchenInputs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := res.System.ToSystem()
-	if sys.DigestHex() != res.System.DigestHex() {
-		t.Fatal("legacy materialization changes the digest")
-	}
-	if ok, bad := sys.IsSatisfied(res.Witness); !ok {
-		t.Fatalf("eager witness violates legacy constraint %d", bad)
-	}
-}
-
 // --- mergeLC ---
 
 // refMergeLC is the original map-and-sort implementation, kept as the
 // behavioral oracle for the k-way merge.
-func refMergeLC(lcs ...r1cs.LinearCombination) r1cs.LinearCombination {
+func refMergeLC(lcs ...linearCombination) linearCombination {
 	total := 0
 	for _, lc := range lcs {
 		total += len(lc)
@@ -177,43 +171,43 @@ func refMergeLC(lcs ...r1cs.LinearCombination) r1cs.LinearCombination {
 	acc := make(map[int]fr.Element, total)
 	for _, lc := range lcs {
 		for _, t := range lc {
-			cur := acc[t.Wire]
-			cur.Add(&cur, &t.Coeff)
-			acc[t.Wire] = cur
+			cur := acc[t.wire]
+			cur.Add(&cur, &t.coeff)
+			acc[t.wire] = cur
 		}
 	}
-	out := make(r1cs.LinearCombination, 0, len(acc))
+	out := make(linearCombination, 0, len(acc))
 	for w, c := range acc {
 		if c.IsZero() {
 			continue
 		}
-		out = append(out, r1cs.Term{Wire: w, Coeff: c})
+		out = append(out, term{wire: w, coeff: c})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Wire < out[j].Wire })
+	sort.Slice(out, func(i, j int) bool { return out[i].wire < out[j].wire })
 	return out
 }
 
 // randLC draws a sorted LC with unique wires; some coefficients are
 // negations of small values so cross-LC cancellation to zero happens.
-func randLC(rng *rand.Rand, maxLen, wireSpace int) r1cs.LinearCombination {
+func randLC(rng *rand.Rand, maxLen, wireSpace int) linearCombination {
 	n := rng.Intn(maxLen + 1)
 	wires := rng.Perm(wireSpace)[:n]
 	sort.Ints(wires)
-	lc := make(r1cs.LinearCombination, n)
+	lc := make(linearCombination, n)
 	for i, w := range wires {
 		var c fr.Element
 		c.SetInt64(int64(rng.Intn(7)) - 3) // in {-3..3}, zeros included
-		lc[i] = r1cs.Term{Wire: w, Coeff: c}
+		lc[i] = term{wire: w, coeff: c}
 	}
 	return lc
 }
 
-func lcEqual(a, b r1cs.LinearCombination) bool {
+func lcEqual(a, b linearCombination) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Wire != b[i].Wire || !a[i].Coeff.Equal(&b[i].Coeff) {
+		if a[i].wire != b[i].wire || !a[i].coeff.Equal(&b[i].coeff) {
 			return false
 		}
 	}
@@ -224,11 +218,11 @@ func TestMergeLCMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	for trial := 0; trial < 500; trial++ {
 		k := rng.Intn(6) // 0..5 inputs covers every merge strategy
-		lcs := make([]r1cs.LinearCombination, k)
-		ref := make([]r1cs.LinearCombination, k)
+		lcs := make([]linearCombination, k)
+		ref := make([]linearCombination, k)
 		for i := range lcs {
 			lcs[i] = randLC(rng, 10, 24)
-			ref[i] = lcs[i].Clone()
+			ref[i] = slices.Clone(lcs[i])
 		}
 		got := mergeLC(lcs...)
 		want := refMergeLC(ref...)
@@ -239,11 +233,11 @@ func TestMergeLCMatchesReference(t *testing.T) {
 	// Wide Sum shape: many singleton LCs, some sharing wires.
 	for trial := 0; trial < 50; trial++ {
 		k := 3 + rng.Intn(64)
-		lcs := make([]r1cs.LinearCombination, k)
-		ref := make([]r1cs.LinearCombination, k)
+		lcs := make([]linearCombination, k)
+		ref := make([]linearCombination, k)
 		for i := range lcs {
 			lcs[i] = randLC(rng, 2, 8)
-			ref[i] = lcs[i].Clone()
+			ref[i] = slices.Clone(lcs[i])
 		}
 		got := mergeLC(lcs...)
 		want := refMergeLC(ref...)
@@ -258,12 +252,12 @@ func TestMergeLCMatchesReference(t *testing.T) {
 // dense layer's products).
 func BenchmarkMergeLC(b *testing.B) {
 	rng := rand.New(rand.NewSource(91))
-	mk := func(n, space int) r1cs.LinearCombination {
+	mk := func(n, space int) linearCombination {
 		wires := rng.Perm(space)[:n]
 		sort.Ints(wires)
-		lc := make(r1cs.LinearCombination, n)
+		lc := make(linearCombination, n)
 		for i, w := range wires {
-			lc[i] = r1cs.Term{Wire: w, Coeff: frOf(uint64(i + 1))}
+			lc[i] = term{wire: w, coeff: frOf(uint64(i + 1))}
 		}
 		return lc
 	}
@@ -275,9 +269,9 @@ func BenchmarkMergeLC(b *testing.B) {
 		}
 	})
 	b.Run("wide-1024", func(b *testing.B) {
-		lcs := make([]r1cs.LinearCombination, 1024)
+		lcs := make([]linearCombination, 1024)
 		for i := range lcs {
-			lcs[i] = r1cs.LinearCombination{{Wire: i, Coeff: frOf(uint64(i + 1))}}
+			lcs[i] = linearCombination{{wire: i, coeff: frOf(uint64(i + 1))}}
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -285,7 +279,7 @@ func BenchmarkMergeLC(b *testing.B) {
 		}
 	})
 	b.Run("kway-16x64", func(b *testing.B) {
-		lcs := make([]r1cs.LinearCombination, 16)
+		lcs := make([]linearCombination, 16)
 		for i := range lcs {
 			lcs[i] = mk(64, 256)
 		}

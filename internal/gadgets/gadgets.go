@@ -174,19 +174,6 @@ func (c *Ctx) MatMul(a, b [][]frontend.Variable, rescale bool, boundBits int) []
 	return out
 }
 
-// MatVec computes A(M×N) × x(N), the dense-layer primitive.
-func (c *Ctx) MatVec(a [][]frontend.Variable, x []frontend.Variable, rescale bool, boundBits int) []frontend.Variable {
-	out := make([]frontend.Variable, len(a))
-	for i := range a {
-		v := c.InnerProduct(a[i], x)
-		if rescale {
-			v = c.Rescale(v, boundBits)
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // Dense computes W·x + bias with an optional rescale, the zkSNARK
 // fully-connected layer of the feed-forward step.
 func (c *Ctx) Dense(w [][]frontend.Variable, x, bias []frontend.Variable, rescale bool, boundBits int) []frontend.Variable {

@@ -36,11 +36,11 @@ func valOf(t *testing.T, v frontend.Variable) int64 {
 
 func checkSatisfied(t *testing.T, c *Ctx) {
 	t.Helper()
-	sys, w, err := c.B.Finalize()
+	res, err := c.B.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, bad := sys.IsSatisfied(w); !ok {
+	if ok, bad := res.System.IsSatisfied(res.Witness); !ok {
 		t.Fatalf("constraint %d violated", bad)
 	}
 }
@@ -342,11 +342,11 @@ func TestBERNonBooleanInputRejected(t *testing.T) {
 	wm := secretVec(c, []int64{2, 0}) // 2 is not a bit
 	other := secretVec(c, []int64{1, 0})
 	_ = c.BER(wm, other, 1)
-	sys, w, err := c.B.Finalize()
+	res, err := c.B.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := sys.IsSatisfied(w); ok {
+	if ok, _ := res.System.IsSatisfied(res.Witness); ok {
 		t.Fatal("non-boolean watermark bit accepted")
 	}
 }

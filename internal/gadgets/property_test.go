@@ -31,11 +31,11 @@ func TestQuickRescaleMatchesSimulator(t *testing.T) {
 		if gi != testParams.Rescale(int64(v)) {
 			return false
 		}
-		sys, w, err := c.B.Finalize()
+		res, err := c.B.Compile()
 		if err != nil {
 			return false
 		}
-		ok, _ := sys.IsSatisfied(w)
+		ok, _ := res.System.IsSatisfied(res.Witness)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -98,11 +98,11 @@ func TestQuickSigmoidEquality(t *testing.T) {
 		if si != testParams.SigmoidPoly(v) {
 			return false
 		}
-		sys, w, err := c.B.Finalize()
+		res, err := c.B.Compile()
 		if err != nil {
 			return false
 		}
-		ok, _ := sys.IsSatisfied(w)
+		ok, _ := res.System.IsSatisfied(res.Witness)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -191,11 +191,11 @@ func TestQuickBERCount(t *testing.T) {
 		if got != want {
 			t.Fatalf("BER verdict %d, want %d (diff=%d θ=%d)", got, want, diff, theta)
 		}
-		sys, w, err := c.B.Finalize()
+		res, err := c.B.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, bad := sys.IsSatisfied(w); !ok {
+		if ok, bad := res.System.IsSatisfied(res.Witness); !ok {
 			t.Fatalf("constraint %d violated", bad)
 		}
 	}

@@ -109,11 +109,3 @@ func BatchVerify(vk *VerifyingKey, proofs []*Proof, publicInputs [][]fr.Element,
 	}
 	return nil
 }
-
-// GTOne returns the identity of the target group (exposed for tests
-// probing the batching algebra).
-func GTOne() ext.E12 {
-	var one ext.E12
-	one.SetOne()
-	return one
-}

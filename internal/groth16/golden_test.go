@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
 // Golden wire-format vectors.
@@ -89,6 +91,18 @@ func hexDump(raw []byte) []byte {
 	buf.WriteString(s)
 	buf.WriteByte('\n')
 	return buf.Bytes()
+}
+
+// TestGoldenCircuitDigest pins the fixture's circuit digest — the stem
+// of every key-cache file and the registry's model ID — to a committed
+// literal and to the math/big oracle's reading of the same rows. A drift
+// here orphans every persisted .pk/.vk/.csr and registry entry.
+func TestGoldenCircuitDigest(t *testing.T) {
+	got := cubicSystem().DigestHex()
+	goldenCheck(t, "cubic.digest", []byte(got+"\n"))
+	if want := r1cstest.Digest(r1cstest.Cubic(5)); got != want {
+		t.Fatalf("CompiledSystem digest %s, oracle digest %s", got, want)
+	}
 }
 
 func TestGoldenWireFormats(t *testing.T) {

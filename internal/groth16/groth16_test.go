@@ -7,65 +7,27 @@ import (
 
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/r1cs"
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
-// cubicSystem builds the classic toy circuit: prove knowledge of x with
-// x³ + x + 5 = out, out public — hand-built as an eager System, then
-// compiled to CSR through the FromSystem adapter.
-//
-// Wires: 0 = one, 1 = out (public), 2 = x, 3 = x², 4 = x³.
-func cubicSystem() *r1cs.CompiledSystem {
-	cs, err := r1cs.FromSystem(cubicEager())
+// mustCSR compiles hand-written rows, every wire an input; a fixture
+// that does not validate is a bug in the test.
+func mustCSR(rows *r1cstest.Rows) *r1cs.CompiledSystem {
+	cs, err := r1cstest.CSR(rows)
 	if err != nil {
 		panic(err)
 	}
 	return cs
 }
 
-func cubicEager() *r1cs.System {
-	one := func() fr.Element { var e fr.Element; e.SetOne(); return e }
-	five := func() fr.Element { var e fr.Element; e.SetUint64(5); return e }
-	lc := func(terms ...r1cs.Term) r1cs.LinearCombination { return terms }
-
-	sys := &r1cs.System{NbPublic: 2, NbWires: 5}
-	// x·x = x²
-	sys.Constraints = append(sys.Constraints, r1cs.Constraint{
-		A: lc(r1cs.Term{Wire: 2, Coeff: one()}),
-		B: lc(r1cs.Term{Wire: 2, Coeff: one()}),
-		C: lc(r1cs.Term{Wire: 3, Coeff: one()}),
-	})
-	// x²·x = x³
-	sys.Constraints = append(sys.Constraints, r1cs.Constraint{
-		A: lc(r1cs.Term{Wire: 3, Coeff: one()}),
-		B: lc(r1cs.Term{Wire: 2, Coeff: one()}),
-		C: lc(r1cs.Term{Wire: 4, Coeff: one()}),
-	})
-	// (x³ + x + 5)·1 = out
-	sys.Constraints = append(sys.Constraints, r1cs.Constraint{
-		A: lc(
-			r1cs.Term{Wire: 4, Coeff: one()},
-			r1cs.Term{Wire: 2, Coeff: one()},
-			r1cs.Term{Wire: 0, Coeff: five()},
-		),
-		B: lc(r1cs.Term{Wire: 0, Coeff: one()}),
-		C: lc(r1cs.Term{Wire: 1, Coeff: one()}),
-	})
-	return sys
-}
+// cubicSystem is the classic toy circuit: prove knowledge of x with
+// x³ + x + 5 = out, out public.
+//
+// Wires: 0 = one, 1 = out (public), 2 = x, 3 = x², 4 = x³.
+func cubicSystem() *r1cs.CompiledSystem { return mustCSR(r1cstest.Cubic(5)) }
 
 // cubicWitness returns the wire assignment for a given x.
-func cubicWitness(x uint64) []fr.Element {
-	w := make([]fr.Element, 5)
-	w[0].SetOne()
-	w[2].SetUint64(x)
-	w[3].Mul(&w[2], &w[2])
-	w[4].Mul(&w[3], &w[2])
-	w[1].Add(&w[4], &w[2])
-	var five fr.Element
-	five.SetUint64(5)
-	w[1].Add(&w[1], &five)
-	return w
-}
+func cubicWitness(x uint64) []fr.Element { return r1cstest.CubicWitness(5, x) }
 
 func TestSatisfiedWitness(t *testing.T) {
 	sys := cubicSystem()

@@ -14,6 +14,7 @@ import (
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/obs"
 	"zkrownn/internal/r1cs"
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
 // chainSystem builds a squaring chain of n constraints — wire 2 is the
@@ -21,28 +22,18 @@ import (
 // last value is copied to the public output. Big enough chains give the
 // prover a realistic FFT/MSM workload for overhead measurement.
 func chainSystem(n int) *r1cs.CompiledSystem {
-	one := func() fr.Element { var e fr.Element; e.SetOne(); return e }
-	lc := func(terms ...r1cs.Term) r1cs.LinearCombination { return terms }
-
-	sys := &r1cs.System{NbPublic: 2, NbWires: n + 3}
+	T := r1cstest.T
+	rows := &r1cstest.Rows{NbPublic: 2, NbWires: n + 3}
 	for i := 0; i < n; i++ {
-		sys.Constraints = append(sys.Constraints, r1cs.Constraint{
-			A: lc(r1cs.Term{Wire: i + 2, Coeff: one()}),
-			B: lc(r1cs.Term{Wire: i + 2, Coeff: one()}),
-			C: lc(r1cs.Term{Wire: i + 3, Coeff: one()}),
+		rows.Rows = append(rows.Rows, r1cstest.Row{
+			A: []r1cstest.Term{T(i+2, 1)}, B: []r1cstest.Term{T(i+2, 1)}, C: []r1cstest.Term{T(i+3, 1)},
 		})
 	}
 	// last intermediate · 1 = out
-	sys.Constraints = append(sys.Constraints, r1cs.Constraint{
-		A: lc(r1cs.Term{Wire: n + 2, Coeff: one()}),
-		B: lc(r1cs.Term{Wire: 0, Coeff: one()}),
-		C: lc(r1cs.Term{Wire: 1, Coeff: one()}),
+	rows.Rows = append(rows.Rows, r1cstest.Row{
+		A: []r1cstest.Term{T(n+2, 1)}, B: []r1cstest.Term{T(0, 1)}, C: []r1cstest.Term{T(1, 1)},
 	})
-	cs, err := r1cs.FromSystem(sys)
-	if err != nil {
-		panic(err)
-	}
-	return cs
+	return mustCSR(rows)
 }
 
 func chainWitness(n int, x uint64) []fr.Element {

@@ -8,29 +8,18 @@ import (
 	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/r1cs"
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
-// squareSystem: x² = out (public out).
-func squareSystem() *r1cs.CompiledSystem {
-	cs, err := r1cs.FromSystem(squareEager())
-	if err != nil {
-		panic(err)
-	}
-	return cs
+// squareRows: x² = out (public out).
+func squareRows() *r1cstest.Rows {
+	T := r1cstest.T
+	return &r1cstest.Rows{NbPublic: 2, NbWires: 3, Rows: []r1cstest.Row{
+		{A: []r1cstest.Term{T(2, 1)}, B: []r1cstest.Term{T(2, 1)}, C: []r1cstest.Term{T(1, 1)}},
+	}}
 }
 
-func squareEager() *r1cs.System {
-	one := func() fr.Element { var e fr.Element; e.SetOne(); return e }
-	return &r1cs.System{
-		NbPublic: 2,
-		NbWires:  3,
-		Constraints: []r1cs.Constraint{{
-			A: r1cs.LinearCombination{{Wire: 2, Coeff: one()}},
-			B: r1cs.LinearCombination{{Wire: 2, Coeff: one()}},
-			C: r1cs.LinearCombination{{Wire: 1, Coeff: one()}},
-		}},
-	}
-}
+func squareSystem() *r1cs.CompiledSystem { return mustCSR(squareRows()) }
 
 func squareWitness(x uint64) []fr.Element {
 	w := make([]fr.Element, 3)
@@ -161,17 +150,18 @@ func TestZeroKnowledgePublicOnly(t *testing.T) {
 // TestSetupValidation covers malformed-system rejection.
 func TestSetupValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(704))
-	empty, err := r1cs.FromSystem(&r1cs.System{NbPublic: 1, NbWires: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Setup(empty, rng); err == nil {
+	if _, _, err := Setup(mustCSR(&r1cstest.Rows{NbPublic: 1, NbWires: 1}), rng); err == nil {
 		t.Fatal("empty system accepted")
 	}
-	badEager := squareEager()
-	badEager.Constraints[0].A[0].Wire = 99
-	if _, err := r1cs.FromSystem(badEager); err == nil {
-		t.Fatal("invalid wire index accepted by the compile adapter")
+	// The literal an "empty system" starts from has no row offsets at all;
+	// Setup must turn it away through Validate, not index into it.
+	if _, _, err := Setup(&r1cs.CompiledSystem{NbPublic: 1, NbWires: 1}, rng); err == nil {
+		t.Fatal("system without row offsets accepted")
+	}
+	badRows := squareRows()
+	badRows.Rows[0].A[0].Wire = 99
+	if _, err := r1cstest.CSR(badRows); err == nil {
+		t.Fatal("invalid wire index accepted by Validate")
 	}
 	bad := squareSystem()
 	bad.A.Wires[0] = 99
@@ -183,28 +173,11 @@ func TestSetupValidation(t *testing.T) {
 // twoPublicSystem: private x, publics [x², x² + x] — an asymmetric
 // instance where swapping the two public values changes the statement.
 func twoPublicSystem() *r1cs.CompiledSystem {
-	one := func() fr.Element { var e fr.Element; e.SetOne(); return e }
-	sys := &r1cs.System{
-		NbPublic: 3,
-		NbWires:  4,
-		Constraints: []r1cs.Constraint{
-			{ // x·x = pub1
-				A: r1cs.LinearCombination{{Wire: 3, Coeff: one()}},
-				B: r1cs.LinearCombination{{Wire: 3, Coeff: one()}},
-				C: r1cs.LinearCombination{{Wire: 1, Coeff: one()}},
-			},
-			{ // (pub1 + x)·1 = pub2
-				A: r1cs.LinearCombination{{Wire: 1, Coeff: one()}, {Wire: 3, Coeff: one()}},
-				B: r1cs.LinearCombination{{Wire: 0, Coeff: one()}},
-				C: r1cs.LinearCombination{{Wire: 2, Coeff: one()}},
-			},
-		},
-	}
-	cs, err := r1cs.FromSystem(sys)
-	if err != nil {
-		panic(err)
-	}
-	return cs
+	T := r1cstest.T
+	return mustCSR(&r1cstest.Rows{NbPublic: 3, NbWires: 4, Rows: []r1cstest.Row{
+		{A: []r1cstest.Term{T(3, 1)}, B: []r1cstest.Term{T(3, 1)}, C: []r1cstest.Term{T(1, 1)}},          // x·x = pub1
+		{A: []r1cstest.Term{T(1, 1), T(3, 1)}, B: []r1cstest.Term{T(0, 1)}, C: []r1cstest.Term{T(2, 1)}}, // (pub1 + x)·1 = pub2
+	}})
 }
 
 func twoPublicWitness(x uint64) []fr.Element {

@@ -15,6 +15,7 @@ import (
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/diskfile"
 	"zkrownn/internal/r1cs"
+	"zkrownn/internal/r1cs/r1cstest"
 )
 
 // openStreamed wraps a raw proving-key buffer in a StreamedProvingKey
@@ -274,12 +275,9 @@ func TestStreamedCheckShape(t *testing.T) {
 
 	// A cubic system with one extra private wire: wire counts no longer
 	// match the key's section lengths.
-	eager := cubicEager()
-	eager.NbWires++
-	other, err := r1cs.FromSystem(eager)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wider := r1cstest.Cubic(5)
+	wider.NbWires++
+	other := mustCSR(wider)
 	witness := make([]fr.Element, other.NbWires)
 	copy(witness, cubicWitness(3))
 	witness[0].SetOne()

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -198,17 +197,6 @@ func (n *Network) Train(xs [][]float64, ys []int, cfg TrainConfig, rng *rand.Ran
 			cfg.Logf("epoch %d/%d loss=%.4f\n", epoch+1, cfg.Epochs, totalLoss/float64(len(idx)))
 		}
 	}
-}
-
-// LayerIndexByName returns the index of the first layer whose Name
-// matches, or an error.
-func (n *Network) LayerIndexByName(name string) (int, error) {
-	for i, l := range n.Layers {
-		if l.Name() == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("nn: no layer named %q in %s", name, n.String())
 }
 
 // SnapshotParams deep-copies every trainable parameter, for best-state

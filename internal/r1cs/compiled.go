@@ -1,3 +1,24 @@
+// Package r1cs defines the rank-1 constraint system representation that
+// the frontend compiles circuits into and the Groth16 backend consumes.
+//
+// A system over F_r has wires w₀..w_{m-1} with the fixed layout
+//
+//	w₀ = 1 (the constant wire)
+//	w₁..w_{ℓ} = public inputs/outputs (the "instance")
+//	w_{ℓ+1}.. = private witness
+//
+// and constraints ⟨Aᵢ, w⟩ · ⟨Bᵢ, w⟩ = ⟨Cᵢ, w⟩.
+//
+// There is one representation, CompiledSystem: the three matrices in CSR
+// form plus a recorded witness solver. Compilation (circuit synthesis,
+// linear-combination merging, wire permutation) happens once per
+// architecture; every subsequent proof replays the solver program
+// against fresh inputs — orders of magnitude cheaper than re-running the
+// circuit builder. The frontend emits a CompiledSystem; Groth16, the
+// engine and the constraint-system file consume it; tests that need a
+// hand-written system build one from rows through the r1cstest
+// subpackage, whose math/big oracle is the reference IsSatisfied and
+// Digest are held to.
 package r1cs
 
 import (
@@ -12,19 +33,10 @@ import (
 	"zkrownn/internal/par"
 )
 
-// This file defines the compile-once representation of a constraint
-// system: the three R1CS matrices in CSR form plus a recorded solver
-// program. Compilation (circuit synthesis, linear-combination merging,
-// wire permutation) happens once per architecture; every subsequent
-// proof replays the solver program against fresh inputs — orders of
-// magnitude cheaper than re-running the circuit builder.
-
 // Matrix is one R1CS matrix (A, B, or C) in compressed sparse row form:
 // row i's terms are Wires[RowOffs[i]:RowOffs[i+1]] with matching
-// coefficients Dict[CoeffIdx[k]]. The flat layout replaces the
-// per-constraint []Term slices of the eager System, so QAP accumulation
-// and witness checks walk contiguous arrays instead of pointer-chasing
-// per-constraint allocations.
+// coefficients Dict[CoeffIdx[k]], so QAP accumulation and witness checks
+// walk contiguous arrays instead of per-constraint allocations.
 //
 // Coefficients are dictionary-compressed: circuit matrices draw their
 // coefficients from a tiny set (±1, powers of two from bit
@@ -42,9 +54,6 @@ type Matrix struct {
 
 // NbRows returns the number of constraint rows.
 func (m *Matrix) NbRows() int { return len(m.RowOffs) - 1 }
-
-// Coeff returns term k's coefficient.
-func (m *Matrix) Coeff(k uint32) *fr.Element { return &m.Dict[m.CoeffIdx[k]] }
 
 // RowEval computes ⟨row i, w⟩.
 func (m *Matrix) RowEval(i int, w []fr.Element) fr.Element {
@@ -129,17 +138,6 @@ type Program struct {
 	CoeffIdx []uint32
 	Dict     []fr.Element
 	Levels   []uint32
-}
-
-// NbInstrs returns the instruction count.
-func (p *Program) NbInstrs() int { return len(p.Instrs) }
-
-// NbLevels returns the number of dependency levels.
-func (p *Program) NbLevels() int {
-	if len(p.Levels) == 0 {
-		return 0
-	}
-	return len(p.Levels) - 1
 }
 
 func (p *Program) evalLC(off, end uint32, w []fr.Element) fr.Element {
@@ -315,11 +313,14 @@ func (cs *CompiledSystem) IsSatisfied(w []fr.Element) (bool, int) {
 	return true, 0
 }
 
-// Digest returns the SHA-256 digest of the system's structure. The byte
-// stream is identical to System.Digest for the same circuit, so a
-// compiled system and its eager materialization share cache keys (the
-// prover engine's key cache, the proof service's model IDs). The result
-// is computed once and cached; concurrent calls are safe.
+// Digest returns a SHA-256 digest of the system's structure: wire
+// layout and every constraint's sparse coefficients. Two systems share a
+// digest exactly when the Groth16 trusted setup would produce
+// interchangeable keys for them, so it is the engine's key-cache key and
+// the proof service's model ID. Public-wire *values* live in the witness:
+// the same architecture under different model weights keeps its digest
+// (and its keys). The byte stream is pinned by committed literals and by
+// r1cstest.Digest; the result is cached and concurrent calls are safe.
 func (cs *CompiledSystem) Digest() [32]byte {
 	cs.digestOnce.Do(func() {
 		h := sha256.New()
@@ -359,7 +360,8 @@ func (cs *CompiledSystem) DigestHex() string {
 	return hex.EncodeToString(d[:])
 }
 
-// Validate checks structural invariants: matching row counts, wire
+// Validate checks structural invariants: matching row counts, row
+// offsets that start at zero and never decrease, wire and coefficient
 // indices in range, a well-formed public prefix, inputs inside the wire
 // space, and solver-program coverage (every non-input wire written by
 // exactly one instruction, reading only wires of earlier levels or
@@ -372,12 +374,20 @@ func (cs *CompiledSystem) Validate() error {
 		return fmt.Errorf("r1cs: NbWires %d < NbPublic %d", cs.NbWires, cs.NbPublic)
 	}
 	n := cs.A.NbRows()
-	if cs.B.NbRows() != n || cs.C.NbRows() != n {
-		return fmt.Errorf("r1cs: matrix row counts differ (A=%d B=%d C=%d)", n, cs.B.NbRows(), cs.C.NbRows())
+	if n < 0 || cs.B.NbRows() != n || cs.C.NbRows() != n {
+		return fmt.Errorf("r1cs: matrix row counts differ or a matrix has no row offsets (A=%d B=%d C=%d)", n, cs.B.NbRows(), cs.C.NbRows())
 	}
 	checkMatrix := func(name string, m *Matrix) error {
 		if len(m.Wires) != len(m.CoeffIdx) {
 			return fmt.Errorf("r1cs: matrix %s has %d wires but %d coeffs", name, len(m.Wires), len(m.CoeffIdx))
+		}
+		if m.RowOffs[0] != 0 {
+			return fmt.Errorf("r1cs: matrix %s row offsets start at %d, not 0", name, m.RowOffs[0])
+		}
+		for i := range m.RowOffs[1:] {
+			if m.RowOffs[i+1] < m.RowOffs[i] {
+				return fmt.Errorf("r1cs: matrix %s row offsets decrease at row %d", name, i)
+			}
 		}
 		if int(m.RowOffs[len(m.RowOffs)-1]) != len(m.Wires) {
 			return fmt.Errorf("r1cs: matrix %s row offsets end at %d, have %d terms", name, m.RowOffs[len(m.RowOffs)-1], len(m.Wires))
@@ -499,45 +509,6 @@ func (cs *CompiledSystem) Validate() error {
 	return nil
 }
 
-// Stats computes summary statistics.
-func (cs *CompiledSystem) Stats() Stats {
-	return Stats{
-		NbConstraints: cs.NbConstraints(),
-		NbWires:       cs.NbWires,
-		NbPublic:      cs.NbPublic,
-		NbPrivate:     cs.NbPrivate(),
-		NbTerms:       len(cs.A.Wires) + len(cs.B.Wires) + len(cs.C.Wires),
-	}
-}
-
-// ToSystem materializes the legacy eager representation (fresh slices;
-// the compiled system is not aliased). It exists for the Finalize shim
-// and for diagnostics — the Groth16 backend consumes CSR directly.
-func (cs *CompiledSystem) ToSystem() *System {
-	n := cs.NbConstraints()
-	cons := make([]Constraint, n)
-	row := func(m *Matrix, i int) LinearCombination {
-		lo, hi := m.RowOffs[i], m.RowOffs[i+1]
-		if lo == hi {
-			return nil
-		}
-		lc := make(LinearCombination, hi-lo)
-		for k := lo; k < hi; k++ {
-			lc[k-lo] = Term{Wire: int(m.Wires[k]), Coeff: m.Dict[m.CoeffIdx[k]]}
-		}
-		return lc
-	}
-	for i := 0; i < n; i++ {
-		cons[i] = Constraint{A: row(&cs.A, i), B: row(&cs.B, i), C: row(&cs.C, i)}
-	}
-	return &System{
-		Constraints: cons,
-		NbPublic:    cs.NbPublic,
-		NbWires:     cs.NbWires,
-		PublicNames: append([]string(nil), cs.PublicNames...),
-	}
-}
-
 // StripForSolve returns a solver-only copy of the system: the solver
 // program, input layout, and dimensions survive, but the CSR term
 // arrays — the dominant resident cost at paper scale — are dropped.
@@ -572,73 +543,3 @@ func (cs *CompiledSystem) StripForSolve() *CompiledSystem {
 // CSR matrices are placeholders — consumers needing real constraint
 // rows must read them from a CompiledSystemFile instead.
 func (cs *CompiledSystem) Stripped() bool { return cs.stripped }
-
-// FromSystem compiles an eager System into CSR form with an empty
-// solver program: every wire becomes an input (publics provided, then
-// privates), so Solve degenerates to scattering a caller-supplied full
-// assignment. It is the adapter for hand-built systems (tests, external
-// tooling); circuits built through the frontend should use
-// Builder.Compile, which records a real solver program.
-func FromSystem(sys *System) (*CompiledSystem, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	cs := &CompiledSystem{
-		NbPublic:    sys.NbPublic,
-		NbWires:     sys.NbWires,
-		PublicNames: append([]string(nil), sys.PublicNames...),
-	}
-	fill := func(sel func(*Constraint) LinearCombination) Matrix {
-		n := len(sys.Constraints)
-		offs := make([]uint32, n+1)
-		total := 0
-		for i := range sys.Constraints {
-			total += len(sel(&sys.Constraints[i]))
-			offs[i+1] = uint32(total)
-		}
-		ci := NewCoeffInterner()
-		m := Matrix{RowOffs: offs, Wires: make([]uint32, total), CoeffIdx: make([]uint32, total)}
-		k := 0
-		for i := range sys.Constraints {
-			for _, t := range sel(&sys.Constraints[i]) {
-				m.Wires[k] = uint32(t.Wire)
-				m.CoeffIdx[k] = ci.Intern(t.Coeff)
-				k++
-			}
-		}
-		m.Dict = ci.Dict()
-		return m
-	}
-	cs.A = fill(func(c *Constraint) LinearCombination { return c.A })
-	cs.B = fill(func(c *Constraint) LinearCombination { return c.B })
-	cs.C = fill(func(c *Constraint) LinearCombination { return c.C })
-	for w := 1; w < sys.NbPublic; w++ {
-		cs.PubInputs = append(cs.PubInputs, uint32(w))
-		name := ""
-		if w < len(sys.PublicNames) {
-			name = sys.PublicNames[w]
-		}
-		cs.PubInputNames = append(cs.PubInputNames, name)
-	}
-	for w := sys.NbPublic; w < sys.NbWires; w++ {
-		cs.SecretInputs = append(cs.SecretInputs, uint32(w))
-	}
-	return cs, nil
-}
-
-// WitnessAssignment splits a full wire assignment into the Assignment a
-// FromSystem-compiled circuit expects (the inverse of Solve for systems
-// without a solver program).
-func (cs *CompiledSystem) WitnessAssignment(witness []fr.Element) Assignment {
-	asg := Assignment{
-		Public: make([]fr.Element, len(cs.PubInputs)),
-		Secret: make([]fr.Element, len(cs.SecretInputs)),
-	}
-	for i, wi := range cs.PubInputs {
-		asg.Public[i] = witness[wi]
-	}
-	for i, wi := range cs.SecretInputs {
-		asg.Secret[i] = witness[wi]
-	}
-	return asg
-}

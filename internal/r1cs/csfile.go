@@ -152,6 +152,7 @@ func writeCSRPayload(w io.Writer, cs *CompiledSystem) error {
 // offsets and dictionary, term arrays read on demand.
 type diskMatrix struct {
 	r        io.ReaderAt // the file's payload
+	nbWires  uint32
 	rowOffs  []uint32
 	dict     []fr.Element
 	wiresOff int64 // payload offset of the wires array
@@ -190,19 +191,25 @@ func (m *diskMatrix) LoadRows(win *RowWindow, start, end int) error {
 	}
 	win.Wires, win.CoeffIdx = win.Wires[:nt], win.CoeffIdx[:nt]
 	buf := win.buf[:4*nt]
-	read := func(off int64, dst []uint32) error {
+	// The term arrays are the one part of the file the open-time parse
+	// skips over, so their indices are bounded here, where they are first
+	// decoded: a window never hands out a term RowEval would fault on.
+	read := func(off int64, dst []uint32, limit uint32, what string) error {
 		if _, err := m.r.ReadAt(buf, off+4*int64(lo)); err != nil {
 			return fmt.Errorf("r1cs: csr window read at row %d: %w", start, err)
 		}
 		for i := range dst {
 			dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
+			if dst[i] >= limit {
+				return fmt.Errorf("%w: %s index %d out of range [0,%d) in the window at row %d", ErrBadCSRFile, what, dst[i], limit, start)
+			}
 		}
 		return nil
 	}
-	if err := read(m.wiresOff, win.Wires); err != nil {
+	if err := read(m.wiresOff, win.Wires, m.nbWires, "wire"); err != nil {
 		return err
 	}
-	if err := read(m.coeffOff, win.CoeffIdx); err != nil {
+	if err := read(m.coeffOff, win.CoeffIdx, uint32(len(m.dict)), "coefficient"); err != nil {
 		return err
 	}
 	mCSRRowWindows.Inc()
@@ -217,10 +224,8 @@ func (m *diskMatrix) LoadRows(win *RowWindow, start, end int) error {
 // the file open until Close.
 type CompiledSystemFile struct {
 	f       *os.File
-	path    string
 	dims    Dims
 	digest  [32]byte
-	rawSize int64
 	a, b, c diskMatrix
 }
 
@@ -237,7 +242,7 @@ func OpenCompiledSystemFile(path string) (*CompiledSystemFile, error) {
 		}
 		return nil, err
 	}
-	cf, err := parseCompiledSystemFile(f, payload, path)
+	cf, err := parseCompiledSystemFile(f, payload)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -245,7 +250,7 @@ func OpenCompiledSystemFile(path string) (*CompiledSystemFile, error) {
 	return cf, nil
 }
 
-func parseCompiledSystemFile(f *os.File, payload *io.SectionReader, path string) (*CompiledSystemFile, error) {
+func parseCompiledSystemFile(f *os.File, payload *io.SectionReader) (*CompiledSystemFile, error) {
 	payloadLen := uint64(payload.Size())
 	br := bufio.NewReaderSize(payload, csFileCopyBuffer)
 	pos := int64(0) // payload cursor, tracked for the term-array offsets
@@ -264,7 +269,7 @@ func parseCompiledSystemFile(f *os.File, payload *io.SectionReader, path string)
 		return binary.LittleEndian.Uint32(u32buf[:]), nil
 	}
 
-	cf := &CompiledSystemFile{f: f, path: path, rawSize: csFrameSize + payload.Size()}
+	cf := &CompiledSystemFile{f: f}
 	version, err := readU32()
 	if err != nil {
 		return nil, err
@@ -287,7 +292,7 @@ func parseCompiledSystemFile(f *os.File, payload *io.SectionReader, path string)
 	}
 
 	for _, m := range []*diskMatrix{&cf.a, &cf.b, &cf.c} {
-		m.r = payload
+		m.r, m.nbWires = payload, dims[1]
 		dictLen, err := readU32()
 		if err != nil {
 			return nil, err
@@ -342,12 +347,6 @@ func parseCompiledSystemFile(f *os.File, payload *io.SectionReader, path string)
 // Close releases the underlying file (the file itself is kept — it is
 // a cache artifact owned by the caller's directory layout).
 func (cf *CompiledSystemFile) Close() error { return cf.f.Close() }
-
-// Path returns the file path the handle was opened from.
-func (cf *CompiledSystemFile) Path() string { return cf.path }
-
-// RawSize returns the file's total on-disk size in bytes.
-func (cf *CompiledSystemFile) RawSize() int64 { return cf.rawSize }
 
 // Dims implements Constraints.
 func (cf *CompiledSystemFile) Dims() Dims { return cf.dims }

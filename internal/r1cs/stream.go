@@ -20,9 +20,6 @@ type Dims struct {
 	NbPublic      int
 }
 
-// NbPrivate returns the number of private witness wires.
-func (d Dims) NbPrivate() int { return d.NbWires - d.NbPublic }
-
 // Constraints is the read-side contract of a compiled constraint
 // system: dimensions, the structural digest (cache key), and streaming
 // access to the three R1CS matrices. *CompiledSystem implements it with

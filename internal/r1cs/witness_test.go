@@ -85,10 +85,7 @@ func TestWitnessFileReadRangeBounds(t *testing.T) {
 // flush.
 func spillTestSystem(t *testing.T) *CompiledSystem {
 	t.Helper()
-	cs, err := FromSystem(testSystem())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := testSystem()
 	cs.PubInputs = nil
 	cs.PubInputNames = nil
 	cs.SecretInputs = []uint32{2}

@@ -474,3 +474,72 @@ func TestOneResidencyDecision(t *testing.T) {
 		t.Errorf("engine.Options has %d fields, want 5", fields)
 	}
 }
+
+// TestOneConstraintRepresentation keeps r1cs.CompiledSystem the only form
+// a constraint system takes. The eager per-constraint representation, its
+// converters and the builder's shim over them are gone; hand-written
+// systems come from internal/r1cs/r1cstest, which only tests may import
+// and whose oracle may lean on nothing but the standard library — if it
+// shared arithmetic with the stack, agreeing with it would prove nothing.
+func TestOneConstraintRepresentation(t *testing.T) {
+	const testPkg = "zkrownn/internal/r1cs/r1cstest"
+	gone := map[string]bool{"System": true, "Term": true, "LinearCombination": true, "Constraint": true,
+		"FromSystem": true, "ToSystem": true, "WitnessAssignment": true}
+	oracle := map[string]bool{}
+	for _, d := range internalExports(t) {
+		switch {
+		case d.pkg == "internal/r1cs" && gone[d.name]:
+			t.Errorf("internal/r1cs exports %s again: CompiledSystem is the one representation, r1cstest.Rows the test fixture", d.name)
+		case d.pkg == "internal/frontend" && (d.recv == "Builder" && d.name == "Finalize" || d.recv == "" && d.name == "PublicValues"):
+			t.Errorf("internal/frontend exports %s again: Builder.Compile and CompiledSystem.PublicValues are the path", d.name)
+		}
+	}
+
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, build scratch
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		isOracle := path == "internal/r1cs/r1cstest/oracle.go"
+		for _, imp := range file.Imports {
+			target := strings.Trim(imp.Path.Value, `"`)
+			if target == testPkg {
+				t.Errorf("%s imports %s: it is test support, for _test.go files only", path, testPkg)
+			}
+			// A standard-library import path has no dot in its first element
+			// and is not this module's.
+			first, _, _ := strings.Cut(target, "/")
+			if isOracle && (strings.Contains(first, ".") || first == "zkrownn") {
+				t.Errorf("%s imports %s: the oracle is standard library only", path, target)
+			}
+		}
+		if isOracle {
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					oracle[fn.Name.Name] = true
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !oracle["Satisfied"] || !oracle["Digest"] {
+		t.Errorf("internal/r1cs/r1cstest/oracle.go declares %v: Satisfied and Digest belong in the standard-library-only file", oracle)
+	}
+}
