@@ -135,7 +135,8 @@ func BenchmarkMSM(b *testing.B) {
 			}
 		})
 		// The out-of-core prover's shape: DefaultStreamChunk-point chunks,
-		// each recoded and run through its own Pippenger pass.
+		// each recoded and fed into the one bucket set of the MSM —
+		// G1StreamFull against G1/n=32768 below is what streaming costs.
 		src, c := SliceSourceG1(points), StreamWindowSize(n, 0)
 		for _, sh := range []struct {
 			name    string

@@ -32,9 +32,10 @@ import (
 //     so a caller multiplying one scalar vector against several bases —
 //     the Groth16 prover's A/B1/B2 queries — recodes the scalars once.
 //
-// One generic core (multiExp / msmAccumulate) drives both groups; G1 and
-// G2 plug in only their leaf arithmetic (g1BatchAdder / g2BatchAdder and
-// the Jacobian fold ops below).
+// One generic core (msmRun / msmAccumulate) drives both groups, over
+// resident points and streamed ones alike; G1 and G2 plug in only their
+// leaf arithmetic (g1BatchAdder / g2BatchAdder and the Jacobian fold ops
+// below).
 
 // MSMWindowSize picks the Pippenger window width c for n points under
 // signed-digit recoding (2^(c-1) buckets per window). The heuristic
@@ -289,13 +290,13 @@ type batchOp[A any] struct {
 // flush and melt down quadratically. When the queue fills it is dumped
 // into Jacobian side buckets instead — hot buckets degrade to exactly
 // the plain-Jacobian cost while everything else stays batch-affine.
-// The returned side buckets (nil when never needed) hold that spilled
-// remainder; the caller folds them into the reduction.
-func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], bucketsPerWindow int, points []A) []J {
+// side holds what earlier calls on the same buckets spilled (nil when
+// none did); the returned side buckets add this call's spills, and the
+// caller folds them into the reduction.
+func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J {
 	buckets, pending, idx, pts, digitRows := sc.bucketsA, sc.pending, sc.idx, sc.pts, sc.digitRows
 	cnt := 0
 	overflow := sc.overflow[:0]
-	var side []J
 	drainToSide := func() {
 		if side == nil {
 			side = make([]J, len(buckets)) // zero Jacobian value has Z = 0: infinity
@@ -370,13 +371,18 @@ func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], 
 			}
 		}
 	}
-	// Final drain: one flush applies the open batch and re-admits what it
-	// can; anything still queued is same-bucket repetition with no more
-	// stream to amortize against, so it spills to the Jacobian side
-	// rather than trickling out one op per inversion.
+	// Final drain: flush the open batch and the ops the queue re-admits,
+	// for as long as a re-admission fills a batch worth its inversion.
+	// What the queue still holds after a thin one is same-bucket
+	// repetition with no more points to amortize against, so it spills to
+	// the Jacobian side rather than trickling out one op per inversion;
+	// the few ops of distinct scalars that met in the queue take one more
+	// small flush instead, and cost no side bucket array. Every pending
+	// flag is clear again afterwards, so the next call on these buckets
+	// starts from a clean batch.
 	for cnt > 0 {
 		flush()
-		if len(overflow) > 0 {
+		if cnt < msmMinBatch && len(overflow) > 0 {
 			drainToSide()
 		}
 	}
@@ -386,10 +392,9 @@ func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], 
 // msmCurve is the group-level interface of the shared Pippenger driver.
 type msmCurve[A, J any] interface {
 	// accumulator returns a closure over a fresh batch adder (whose
-	// scratch persists across flushes) running msmAccumulate for this
-	// group; the closure returns the Jacobian side buckets of spilled
-	// conflict-queue ops (nil when none spilled).
-	accumulator(batchSize int) func(sc *msmScratch[A, J], bucketsPerWindow int, points []A) []J
+	// scratch persists across flushes and calls) running msmAccumulate
+	// for this group.
+	accumulator(batchSize int) func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J
 	// jacAccumulate folds digits into Jacobian buckets with mixed adds —
 	// the small-MSM path, where batch-affine flushes can't amortize
 	// their inversion.
@@ -402,23 +407,26 @@ type msmCurve[A, J any] interface {
 	jacReduce(buckets []J, sum *J)
 	add(dst, src *J)
 	double(dst *J)
-	// scratchPool recycles per-task bucket scratch (one homogeneous
-	// *msmScratch[A, J] pool per curve): a streamed proof runs thousands
-	// of chunk×window-group tasks, and allocating half-MB bucket arrays
-	// per task is the prover's dominant GC churn.
-	scratchPool() *sync.Pool
+	// scratchPools recycles cell scratch (*msmScratch[A, J], one set of
+	// pools per curve): a prover runs five MSMs per proof, and allocating
+	// their bucket arrays afresh every time is the prover's dominant GC
+	// churn.
+	scratchPools() *scratchPools
+	// chunkPool recycles the streamed MSM's point buffers (*[]A).
+	chunkPool() *sync.Pool
 	// scalarMul returns k·p, the whole of a one-point MSM.
 	scalarMul(p *A, k *fr.Element) J
 }
 
-// msmScratch is the recycled working set of one MSM task. Buckets and
-// the pending flags are re-zeroed on reuse (the zero affine value is
-// infinity, matching a fresh make); idx, pts, the conflict queue and
-// the digit-row headers need no clearing — every reader stays inside
-// the prefix its task wrote. The Jacobian side buckets of a spilling
-// task are not kept: they are as large as the bucket pool and 1.5× as
-// wide, and a pool holding them live across GC cycles costs more
-// resident memory than allocating them saves time.
+// msmScratch is the recycled working set of one cell, held from the
+// cell's first points to its reduction. Buckets and the pending flags
+// are re-zeroed when a cell takes it (the zero affine value is infinity,
+// matching a fresh make); idx, pts, the conflict queue and the digit-row
+// headers need no clearing — every reader stays inside the prefix its
+// call wrote. The Jacobian side buckets of a spilling cell are not kept:
+// they are as large as the bucket pool and 1.5× as wide, and a pool
+// holding them live across GC cycles costs more resident memory than
+// allocating them saves time.
 type msmScratch[A, J any] struct {
 	bucketsJ  []J
 	bucketsA  []A
@@ -427,9 +435,38 @@ type msmScratch[A, J any] struct {
 	pts       []A
 	overflow  []batchOp[A]
 	digitRows [][]int16
+	// acc runs msmAccumulate on a batch adder sized for this scratch's
+	// shape, whose own scratch comes back with it from the pool.
+	acc func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J
 }
 
-var g1ScratchPool, g2ScratchPool sync.Pool
+// scratchPools keeps one pool of cell scratch per shape — a cell's
+// affine bucket count, or minus its Jacobian one — so that a cell reuses
+// scratch sized for cells like it, and the pools do not end up holding
+// every scratch grown to the largest cell's buckets (a streamed MSM holds
+// all its cells' scratch at once, and the pools keep what it returns).
+type scratchPools struct {
+	mu    sync.Mutex
+	pools map[int]*sync.Pool
+}
+
+func (p *scratchPools) pool(shape int) *sync.Pool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pools == nil {
+		p.pools = make(map[int]*sync.Pool)
+	}
+	sp := p.pools[shape]
+	if sp == nil {
+		sp = new(sync.Pool)
+		p.pools[shape] = sp
+	}
+	return sp
+}
+
+var g1ScratchPools, g2ScratchPools scratchPools
+
+var g1ChunkPool, g2ChunkPool sync.Pool
 
 // grow returns s[:n] with the backing array reallocated when too small,
 // without zeroing retained contents — callers reset what they read.
@@ -440,20 +477,27 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// msmTask is one cell of the driver's work decomposition: the point
-// chunk [p0, p1) crossed with the window run [w0, w1), accumulated
-// batch-affine or Jacobian.
+// msmTask is one cell of an MSM's work decomposition: point chunk
+// chunk (of the plan's numChunks) crossed with the window run [w0, w1),
+// accumulated batch-affine or Jacobian.
 type msmTask struct {
 	chunk  int
-	p0, p1 int
 	w0, w1 int
 	affine bool
 }
 
+// chunkRange returns the points [p0, p1) that chunk ch of numChunks
+// covers among n: equal runs, the last one short.
+func chunkRange(ch, numChunks, n int) (p0, p1 int) {
+	chunkLen := (n + numChunks - 1) / numChunks
+	p0 = min(ch*chunkLen, n)
+	return p0, min(p0+chunkLen, n)
+}
+
 // planMSM lays an n-point MSM at window width c, whose digits occupy
 // the low used windows, out into cells for procs workers; it returns the
-// cells, heaviest first, and the number of point chunks. Every
-// (chunk, window) pair belongs to exactly one cell.
+// cells, heaviest first, and the number of point chunks (chunkRange).
+// Every (chunk, window) pair belongs to exactly one cell.
 //
 // Windows 0..wide-1 draw digits from the scalar's full range and run
 // batch-affine, grouped so one pass over the points owns several bucket
@@ -471,9 +515,9 @@ type msmTask struct {
 // follows the window count, not the grouping) and the points into
 // chunks only when there are too few windows to go round (each extra
 // chunk reduces every window's buckets once more). The sparse Jacobian
-// cells above wide weigh next to nothing and are not counted: a
-// streamed chunk's 28 wide windows plus one top window is four cells
-// of seven windows, not one of 28 and an idle worker.
+// cells above wide weigh next to nothing and are not counted: an
+// 8192-point streamed chunk's 28 wide windows plus one top window is
+// four cells of seven windows, not one of 28 and an idle worker.
 func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
 	numBuckets := 1 << (c - 1)
 	wide := min(fr.Bits/c, used)
@@ -496,12 +540,10 @@ func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
 		cols = groups
 	}
 	numChunks = min((target+cols-1)/cols, (n+msmMinChunk-1)/msmMinChunk)
-	chunkLen := (n + numChunks - 1) / numChunks
 
 	cells := func(w0, w1 int, affine bool) {
 		for ch := 0; ch < numChunks; ch++ {
-			p0 := ch * chunkLen
-			tasks = append(tasks, msmTask{chunk: ch, p0: p0, p1: min(p0+chunkLen, n), w0: w0, w1: w1, affine: affine})
+			tasks = append(tasks, msmTask{chunk: ch, w0: w0, w1: w1, affine: affine})
 		}
 	}
 	tasks = make([]msmTask, 0, numChunks*(groups+used-wide))
@@ -520,123 +562,254 @@ func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
 	return tasks, numChunks
 }
 
-// multiExp is the shared signed-digit Pippenger driver. Work splits
-// two-dimensionally into point chunks × window groups (planMSM); each
-// cell owns its buckets and reduces them independently, and the final
-// fold is a cheap serial pass over numChunks·numWindows partial sums.
+// msmRun is one multi-exponentiation from plan to sum: plan, then
+// accumulate, then reduce. The plan is laid out once, when the run is
+// made; each cell then owns its buckets — the affine ones and the
+// Jacobian side buckets a hot bucket spills to — until the reduction, so
+// the points may arrive in one feed (the in-memory entry) or a chunk at
+// a time (multiExpStream), and the chunks pay for one set of
+// buckets and one reduction between them, not one each. The final feed
+// reduces every cell into a partial sum per (point chunk, window), and
+// sum folds those once.
 //
-// sc, when on, records one span per chunk×window-group task under its
-// label on a pool of worker lanes — the per-window MSM attribution of
-// the telemetry subsystem. The off path adds only a nil check per task.
-func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, sc obs.Scope) J {
-	n := len(points)
-	res := cv.infinity()
-	if n == 0 {
-		return res
-	}
-	if n != dec.n {
-		panic("curve: MultiExp decomposition length mismatch")
-	}
-	c := dec.c
-	// All-zero top windows (small witness values) are skipped outright;
-	// the Horner fold below never needs to double past the highest
-	// nonzero digit.
-	numWindows := dec.used
-	if numWindows == 0 {
-		return res
-	}
-	numBuckets := 1 << (c - 1)
-	tasks, numChunks := planMSM(n, c, numWindows, par.Workers())
+// A feed's point chunks are the plan's numChunks equal runs of the points
+// it brings (chunkRange), so every feed keeps all cells busy; chunk ch of
+// one feed and chunk ch of the next share the same buckets.
+type msmRun[A, J any, CV msmCurve[A, J]] struct {
+	cv         CV
+	c          int
+	numBuckets int
+	numChunks  int
+	// used counts the windows the cells cover: the plan's, extended when a
+	// feed's digits reach higher (cover).
+	used int
+	// affine says a single window can run batch-affine in this run: the
+	// feeds are large enough and a window's buckets fill the smallest batch.
+	affine   bool
+	cells    []msmCell[A, J]
+	partials []J // numChunks × used window sums, written by the final feed
 
-	partials := make([]J, numChunks*numWindows)
-	lanes := sc.Trace().Lanes(par.Workers())
-	runTask := func(t int) {
-		task := tasks[t]
-		if lanes != nil {
-			sp := lanes.Span(sc.Label() + "/w" + strconv.Itoa(task.w0) + "-" + strconv.Itoa(task.w1) +
-				"/c" + strconv.Itoa(task.chunk))
-			defer sp.End()
-		}
-		pointsChunk := points[task.p0:task.p1]
-		sc, _ := cv.scratchPool().Get().(*msmScratch[A, J])
-		if sc == nil {
-			sc = &msmScratch[A, J]{}
-		}
-		defer cv.scratchPool().Put(sc)
-		if !task.affine {
-			w := task.w0
-			sc.bucketsJ = grow(sc.bucketsJ, numBuckets)
-			buckets := sc.bucketsJ
-			for b := range buckets {
-				buckets[b] = cv.infinity()
-			}
-			cv.jacAccumulate(buckets, pointsChunk, dec.row(w)[task.p0:task.p1])
-			var sum J
-			cv.jacReduce(buckets, &sum)
-			partials[task.chunk*numWindows+w] = sum
-			return
-		}
-		g := task.w1 - task.w0
-		batch := msmBatch(g * numBuckets)
-		sc.bucketsA = grow(sc.bucketsA, g*numBuckets)
-		buckets := sc.bucketsA
-		clear(buckets) // zero value is affine infinity
-		sc.pending = grow(sc.pending, g*numBuckets)
-		clear(sc.pending)
-		sc.idx = grow(sc.idx, batch)
-		sc.pts = grow(sc.pts, batch)
-		sc.overflow = grow(sc.overflow, msmOverflowCap)
-		sc.digitRows = grow(sc.digitRows, g)
-		for j := 0; j < g; j++ {
-			sc.digitRows[j] = dec.row(task.w0 + j)[task.p0:task.p1]
-		}
-		side := cv.accumulator(batch)(sc, numBuckets, pointsChunk)
-		clear(sc.digitRows) // a pooled scratch must not pin the digit table
-		// Sums accumulate in locals and land in partials once: neighbouring
-		// partials belong to other workers' cells, and a running sum
-		// rewritten per bucket would bounce their shared cache lines.
-		for j := 0; j < g; j++ {
-			var sum, spill J
-			cv.reduce(buckets[j*numBuckets:(j+1)*numBuckets], &sum)
-			if side != nil {
-				cv.jacReduce(side[j*numBuckets:(j+1)*numBuckets], &spill)
-				cv.add(&sum, &spill)
-			}
-			partials[task.chunk*numWindows+task.w0+j] = sum
+	// Per-cell spans of the in-memory entry, nil when untraced.
+	lanes *obs.Lanes
+	label string
+}
+
+// msmCell is one cell of a run with what it carries between feeds.
+type msmCell[A, J any] struct {
+	msmTask
+	sc   *msmScratch[A, J] // taken at the cell's first points, returned by its reduction
+	side []J               // Jacobian side buckets, nil until a batch-affine cell spills
+}
+
+// shape keys the cell's scratch pool (scratchPools).
+func (t *msmTask) shape(numBuckets int) int {
+	if !t.affine {
+		return -numBuckets
+	}
+	return (t.w1 - t.w0) * numBuckets
+}
+
+// newMSMRun plans a run whose feeds bring at most n points at window
+// width c, with digits in the low used windows (a streamed run plans for
+// its first chunk with a nonzero digit). sc, when on, records one span
+// per cell and feed on a pool of worker lanes — the per-window MSM
+// attribution of the telemetry subsystem; the off path adds only a nil
+// check per cell.
+func newMSMRun[A, J any, CV msmCurve[A, J]](cv CV, n, c, used int, sc obs.Scope) *msmRun[A, J, CV] {
+	tasks, numChunks := planMSM(n, c, used, par.Workers())
+	r := &msmRun[A, J, CV]{cv: cv, c: c, numBuckets: 1 << (c - 1), numChunks: numChunks, used: used,
+		affine: n >= msmAffineThreshold && msmBatch(1<<(c-1)) >= msmMinBatch,
+		cells:  make([]msmCell[A, J], len(tasks), len(tasks)+numChunks)}
+	for i, t := range tasks {
+		r.cells[i].msmTask = t
+	}
+	if r.lanes = sc.Trace().Lanes(par.Workers()); r.lanes != nil {
+		r.label = sc.Label()
+	}
+	return r
+}
+
+// cover extends the cells to the low used windows. A feed whose digits
+// reach past the windows the plan was laid out for — a streamed chunk
+// holding wider scalars than the chunk the run was planned on — gets one
+// cell per point chunk for each new window: batch-affine where the
+// planner would have made it so (a wide window in a run whose feeds can
+// amortize a flush), Jacobian for the sparse top window.
+func (r *msmRun[A, J, CV]) cover(used int) {
+	for w := r.used; w < used; w++ {
+		affine := r.affine && w < fr.Bits/r.c
+		for ch := 0; ch < r.numChunks; ch++ {
+			r.cells = append(r.cells, msmCell[A, J]{msmTask: msmTask{chunk: ch, w0: w, w1: w + 1, affine: affine}})
 		}
 	}
-	// Tiny MSMs finish in milliseconds serially; goroutine dispatch
+	r.used = max(r.used, used)
+}
+
+// feed accumulates points against their digits dec (one row per window,
+// len(points) columns) into the cells' buckets. final marks the last
+// feed, which reduces every cell as soon as it has accumulated — in the
+// same task, so that a cell's reduction overlaps the other cells' work.
+func (r *msmRun[A, J, CV]) feed(points []A, dec *ScalarDecomposition, final bool) {
+	r.cover(dec.used)
+	if final {
+		r.partials = make([]J, r.numChunks*r.used) // zero value is Jacobian infinity
+	}
+	n := len(points)
+	run := func(i int) {
+		cell := &r.cells[i]
+		p0, p1 := chunkRange(cell.chunk, r.numChunks, n)
+		if cell.w0 < dec.used && p0 < p1 {
+			if r.lanes != nil {
+				sp := r.lanes.Span(r.label + "/w" + strconv.Itoa(cell.w0) + "-" + strconv.Itoa(cell.w1) +
+					"/c" + strconv.Itoa(cell.chunk))
+				defer sp.End()
+			}
+			r.accumulate(cell, points[p0:p1], dec, p0)
+		}
+		if final {
+			r.reduce(cell)
+		}
+	}
+	// Small feeds finish in milliseconds serially; goroutine dispatch
 	// would cost a measurable slice of that, so they stay inline.
 	if n < msmSerialThreshold {
-		for t := range tasks {
-			runTask(t)
+		for i := range r.cells {
+			run(i)
 		}
 	} else {
-		par.Each(len(tasks), runTask)
+		par.Each(len(r.cells), run)
 	}
+}
 
-	// Horner fold over windows, most significant first; within a window,
-	// chunk partials just add.
-	for w := numWindows - 1; w >= 0; w-- {
-		if w != numWindows-1 {
-			for i := 0; i < c; i++ {
-				cv.double(&res)
+// accumulate adds one feed's points [p0, p0+len(points)) of the cell's
+// chunk into its buckets, taking the cell's scratch first if it has none.
+func (r *msmRun[A, J, CV]) accumulate(cell *msmCell[A, J], points []A, dec *ScalarDecomposition, p0 int) {
+	nb := r.numBuckets
+	s := cell.sc
+	if s == nil {
+		s, _ = r.cv.scratchPools().pool(cell.shape(nb)).Get().(*msmScratch[A, J])
+		if s == nil {
+			s = &msmScratch[A, J]{}
+		}
+		cell.sc = s
+		if !cell.affine {
+			s.bucketsJ = grow(s.bucketsJ, nb)
+			for b := range s.bucketsJ {
+				s.bucketsJ[b] = r.cv.infinity()
+			}
+		} else {
+			g := cell.w1 - cell.w0
+			batch := msmBatch(g * nb)
+			s.bucketsA = grow(s.bucketsA, g*nb)
+			clear(s.bucketsA) // zero value is affine infinity
+			s.pending = grow(s.pending, g*nb)
+			clear(s.pending)
+			s.idx = grow(s.idx, batch)
+			s.pts = grow(s.pts, batch)
+			s.overflow = grow(s.overflow, msmOverflowCap)
+			s.digitRows = grow(s.digitRows, g)
+			if s.acc == nil {
+				s.acc = r.cv.accumulator(batch)
 			}
 		}
-		for ch := 0; ch < numChunks; ch++ {
-			cv.add(&res, &partials[ch*numWindows+w])
+	}
+	if !cell.affine {
+		r.cv.jacAccumulate(s.bucketsJ, points, dec.row(cell.w0)[p0:p0+len(points)])
+		return
+	}
+	for j := range s.digitRows {
+		s.digitRows[j] = dec.row(cell.w0 + j)[p0 : p0+len(points)]
+	}
+	cell.side = s.acc(s, nb, points, cell.side)
+	clear(s.digitRows) // a pooled scratch must not pin the digit table
+}
+
+// reduce writes the cell's window sums into the partials and returns
+// its scratch. A cell that never took points leaves its partials at
+// infinity.
+func (r *msmRun[A, J, CV]) reduce(cell *msmCell[A, J]) {
+	s := cell.sc
+	if s == nil {
+		return
+	}
+	nb := r.numBuckets
+	// Sums accumulate in locals and land in partials once: neighbouring
+	// partials belong to other workers' cells, and a running sum
+	// rewritten per bucket would bounce their shared cache lines.
+	if !cell.affine {
+		var sum J
+		r.cv.jacReduce(s.bucketsJ, &sum)
+		r.partials[cell.chunk*r.used+cell.w0] = sum
+	} else {
+		for j := 0; j < cell.w1-cell.w0; j++ {
+			var sum, spill J
+			r.cv.reduce(s.bucketsA[j*nb:(j+1)*nb], &sum)
+			if cell.side != nil {
+				r.cv.jacReduce(cell.side[j*nb:(j+1)*nb], &spill)
+				r.cv.add(&sum, &spill)
+			}
+			r.partials[cell.chunk*r.used+cell.w0+j] = sum
+		}
+	}
+	r.release(cell)
+}
+
+// release returns the cell's scratch to the pool after its reduction.
+func (r *msmRun[A, J, CV]) release(cell *msmCell[A, J]) {
+	if cell.sc != nil {
+		r.cv.scratchPools().pool(cell.shape(r.numBuckets)).Put(cell.sc)
+		cell.sc, cell.side = nil, nil
+	}
+}
+
+// drop releases every cell of a run abandoned before its final feed.
+func (r *msmRun[A, J, CV]) drop() {
+	for i := range r.cells {
+		r.release(&r.cells[i])
+	}
+}
+
+// sum is the Horner fold over the final feed's partials, most
+// significant window first; within a window, chunk partials just add.
+// All-zero top windows (small witness values) have no cells, so the fold
+// never doubles past the highest nonzero digit.
+func (r *msmRun[A, J, CV]) sum() J {
+	res := r.cv.infinity()
+	for w := r.used - 1; w >= 0; w-- {
+		if w != r.used-1 {
+			for i := 0; i < r.c; i++ {
+				r.cv.double(&res)
+			}
+		}
+		for ch := 0; ch < r.numChunks; ch++ {
+			r.cv.add(&res, &r.partials[ch*r.used+w])
 		}
 	}
 	return res
 }
 
+// multiExp is the in-memory Pippenger MSM: one run, one feed of every
+// point, one fold — the streamed MSM's arithmetic with a single chunk.
+func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, sc obs.Scope) J {
+	n := len(points)
+	if n == 0 || dec.used == 0 {
+		return cv.infinity()
+	}
+	if n != dec.n {
+		panic("curve: MultiExp decomposition length mismatch")
+	}
+	r := newMSMRun[A, J](cv, n, dec.c, dec.used, sc)
+	r.feed(points, dec, true)
+	return r.sum()
+}
+
 // g1Msm and g2Msm bind the generic driver to the concrete groups.
 type g1Msm struct{}
 
-func (g1Msm) accumulator(batchSize int) func(*msmScratch[G1Affine, G1Jac], int, []G1Affine) []G1Jac {
+func (g1Msm) accumulator(batchSize int) func(*msmScratch[G1Affine, G1Jac], int, []G1Affine, []G1Jac) []G1Jac {
 	adder := newG1BatchAdder(batchSize)
-	return func(sc *msmScratch[G1Affine, G1Jac], bucketsPerWindow int, points []G1Affine) []G1Jac {
-		return msmAccumulate[G1Affine, G1Jac](adder, sc, bucketsPerWindow, points)
+	return func(sc *msmScratch[G1Affine, G1Jac], bucketsPerWindow int, points []G1Affine, side []G1Jac) []G1Jac {
+		return msmAccumulate[G1Affine, G1Jac](adder, sc, bucketsPerWindow, points, side)
 	}
 }
 
@@ -685,7 +858,8 @@ func (g1Msm) jacReduce(buckets []G1Jac, sum *G1Jac) {
 func (g1Msm) add(dst, src *G1Jac) { dst.AddAssign(src) }
 func (g1Msm) double(dst *G1Jac)   { dst.DoubleAssign() }
 
-func (g1Msm) scratchPool() *sync.Pool { return &g1ScratchPool }
+func (g1Msm) scratchPools() *scratchPools { return &g1ScratchPools }
+func (g1Msm) chunkPool() *sync.Pool       { return &g1ChunkPool }
 
 func (g1Msm) scalarMul(p *G1Affine, k *fr.Element) G1Jac {
 	var j G1Jac
@@ -696,10 +870,10 @@ func (g1Msm) scalarMul(p *G1Affine, k *fr.Element) G1Jac {
 
 type g2Msm struct{}
 
-func (g2Msm) accumulator(batchSize int) func(*msmScratch[G2Affine, G2Jac], int, []G2Affine) []G2Jac {
+func (g2Msm) accumulator(batchSize int) func(*msmScratch[G2Affine, G2Jac], int, []G2Affine, []G2Jac) []G2Jac {
 	adder := newG2BatchAdder(batchSize)
-	return func(sc *msmScratch[G2Affine, G2Jac], bucketsPerWindow int, points []G2Affine) []G2Jac {
-		return msmAccumulate[G2Affine, G2Jac](adder, sc, bucketsPerWindow, points)
+	return func(sc *msmScratch[G2Affine, G2Jac], bucketsPerWindow int, points []G2Affine, side []G2Jac) []G2Jac {
+		return msmAccumulate[G2Affine, G2Jac](adder, sc, bucketsPerWindow, points, side)
 	}
 }
 
@@ -748,7 +922,8 @@ func (g2Msm) jacReduce(buckets []G2Jac, sum *G2Jac) {
 func (g2Msm) add(dst, src *G2Jac) { dst.AddAssign(src) }
 func (g2Msm) double(dst *G2Jac)   { dst.DoubleAssign() }
 
-func (g2Msm) scratchPool() *sync.Pool { return &g2ScratchPool }
+func (g2Msm) scratchPools() *scratchPools { return &g2ScratchPools }
+func (g2Msm) chunkPool() *sync.Pool       { return &g2ChunkPool }
 
 func (g2Msm) scalarMul(p *G2Affine, k *fr.Element) G2Jac {
 	var j G2Jac
@@ -757,15 +932,16 @@ func (g2Msm) scalarMul(p *G2Affine, k *fr.Element) G2Jac {
 	return j
 }
 
-// multiExpEntry is the one door to the Pippenger core: every MSM of the
-// package — either group, traced or not, over resident points or over
-// one chunk of a streamed key section — is a call to it, so they all run
-// the same code and a GPU or NEON backend has one place to plug in. The
-// digits come pre-recoded in dec, or, when dec is nil, from scalars,
-// recoded here at the width MSMWindowSize picks for the point count.
+// multiExpEntry is the door of every MSM over resident points — either
+// group, traced or not. It and the streamed MSM (multiExpStream, which
+// feeds the points a chunk at a time) run the same msmRun, so every MSM
+// of the package runs the same code and a GPU or NEON backend has one
+// place to plug in. The digits come pre-recoded in dec, or, when dec is
+// nil, from scalars, recoded here at the width MSMWindowSize picks for
+// the point count.
 //
 // sc, when on, records the whole call (recoding included) as one span
-// under its label, with multiExp's per-task spans beneath it.
+// under its label, with the run's per-cell spans beneath it.
 func multiExpEntry[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.Element, dec *ScalarDecomposition, sc obs.Scope) J {
 	sp := sc.Span()
 	defer sp.End()

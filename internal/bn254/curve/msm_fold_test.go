@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/obs"
 )
 
 // Tests of the witness-shaped MSM: sign-folded recoding against a
@@ -115,7 +116,10 @@ type scalarShape struct {
 
 // foldShapes are the distributions sign folding must be invisible on:
 // sign-mixed ±x at each magnitude (one window, a few, half the scalar),
-// the witness mix, and full-width values folding cannot shorten.
+// the witness mix, and full-width values folding cannot shorten — and two
+// a streamed MSM's one bucket set must carry across chunks: one
+// repeated value, whose bucket spills to the Jacobian side in every
+// chunk, and a zero first half, whose leading chunks have no digit at all.
 func foldShapes() []scalarShape {
 	shapes := []scalarShape{
 		{"witness32", func(rng *rand.Rand, n int) []fr.Element { return witnessScalars(rng, n, 32) }},
@@ -126,7 +130,20 @@ func foldShapes() []scalarShape {
 			return signedScalars(rng, n, k)
 		}})
 	}
-	return shapes
+	return append(shapes,
+		scalarShape{"repeated", func(_ *rand.Rand, n int) []fr.Element {
+			s := make([]fr.Element, n)
+			for i := range s {
+				s[i].SetUint64(37)
+			}
+			return s
+		}},
+		scalarShape{"zeroHalf", func(rng *rand.Rand, n int) []fr.Element {
+			s := fullScalars(rng, n)
+			clear(s[:n/2])
+			return s
+		}},
+	)
 }
 
 // scalarSliceSource adapts a scalar slice to a ScalarSource.
@@ -254,6 +271,52 @@ func TestMultiExpFoldedAllWindowWidths(t *testing.T) {
 	}
 }
 
+// TestMSMRunCarriesBucketsAcrossFeeds follows one run through three
+// feeds: a repeated scalar whose hot bucket fills the conflict queue and
+// spills to the Jacobian side buckets, the same scalar again (whose spills
+// must land in those same side buckets, not fresh ones), then full-width
+// scalars whose digits reach windows the run was not planned for (the
+// plan grows to cover them). The sum is MultiExpG1's.
+func TestMSMRunCarriesBucketsAcrossFeeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	const chunk = 600
+	points := chainPointsG1(rng, 3*chunk)
+	scalars := fullScalars(rng, 3*chunk)
+	for i := range scalars[:2*chunk] {
+		scalars[i].SetUint64(5)
+	}
+	c := StreamWindowSize(len(points), chunk)
+	var r *msmRun[G1Affine, G1Jac, g1Msm]
+	var side *G1Jac
+	for f := 0; f < 3; f++ {
+		dec := DecomposeScalars(scalars[f*chunk:(f+1)*chunk], c)
+		if r == nil {
+			r = newMSMRun[G1Affine, G1Jac](g1Msm{}, chunk, c, dec.used, obs.Scope{})
+		}
+		planned := r.used
+		r.feed(points[f*chunk:(f+1)*chunk], dec, f == 2)
+		switch f {
+		case 0:
+			if r.cells[0].side == nil {
+				t.Fatal("a chunk of one repeated scalar did not spill to the side buckets")
+			}
+			side = &r.cells[0].side[0]
+		case 1:
+			if &r.cells[0].side[0] != side {
+				t.Fatal("the second chunk's spills went to fresh side buckets")
+			}
+		case 2:
+			if r.used <= planned {
+				t.Fatalf("full-width digits in %d windows, the run still covers %d", dec.used, r.used)
+			}
+		}
+	}
+	want := MultiExpG1(points, scalars)
+	if got := r.sum(); !got.Equal(&want) {
+		t.Fatal("three feeds of one run diverge from MultiExpG1")
+	}
+}
+
 // TestDecomposeReusedStorageMatchesFresh pins the streamed drivers'
 // buffer reuse: recoding a short-digit vector into storage that last
 // held a full-width one must leave no stale digit behind.
@@ -344,16 +407,12 @@ func TestPlanMSMLayouts(t *testing.T) {
 		tasks, numChunks := planMSM(tc.n, tc.c, tc.used, tc.procs)
 
 		covered := make([]int, numChunks*tc.used)
-		chunkRange := make(map[int][2]int)
 		total, heaviest := 0, 0
 		for _, task := range tasks {
-			if task.chunk < 0 || task.chunk >= numChunks || task.w0 < 0 || task.w1 > tc.used || task.w0 >= task.w1 || task.p0 >= task.p1 {
+			p0, p1 := chunkRange(task.chunk, numChunks, tc.n)
+			if task.chunk < 0 || task.chunk >= numChunks || task.w0 < 0 || task.w1 > tc.used || task.w0 >= task.w1 || p0 >= p1 {
 				t.Fatalf("%s: malformed cell %+v", name, task)
 			}
-			if r, ok := chunkRange[task.chunk]; ok && r != [2]int{task.p0, task.p1} {
-				t.Fatalf("%s: chunk %d spans both %v and [%d %d]", name, task.chunk, r, task.p0, task.p1)
-			}
-			chunkRange[task.chunk] = [2]int{task.p0, task.p1}
 			for w := task.w0; w < task.w1; w++ {
 				covered[task.chunk*tc.used+w]++
 			}
@@ -363,7 +422,7 @@ func TestPlanMSMLayouts(t *testing.T) {
 			if task.affine && msmBatch((task.w1-task.w0)<<(tc.c-1)) < msmMinBatch {
 				t.Fatalf("%s: batch-affine cell %+v owns too few buckets for the smallest batch", name, task)
 			}
-			weight := (task.p1 - task.p0) * (task.w1 - task.w0)
+			weight := (p1 - p0) * (task.w1 - task.w0)
 			total += weight
 			heaviest = max(heaviest, weight)
 		}
@@ -374,10 +433,11 @@ func TestPlanMSMLayouts(t *testing.T) {
 		}
 		next := 0
 		for ch := 0; ch < numChunks; ch++ {
-			if chunkRange[ch][0] != next {
-				t.Fatalf("%s: chunk %d starts at %d, want %d", name, ch, chunkRange[ch][0], next)
+			p0, p1 := chunkRange(ch, numChunks, tc.n)
+			if p0 != next {
+				t.Fatalf("%s: chunk %d starts at %d, want %d", name, ch, p0, next)
 			}
-			next = chunkRange[ch][1]
+			next = p1
 		}
 		if next != tc.n {
 			t.Fatalf("%s: chunks end at %d, want %d", name, next, tc.n)

@@ -14,27 +14,38 @@ import (
 // is small (32 B/scalar) and stays in RAM, but the base points (64 B in
 // G1, 128 B in G2, and there are three point queries per wire in a
 // Groth16 proving key) dominate memory at paper scale. The streamed
-// driver consumes bases from a caller-supplied source in bounded chunks:
+// MSM consumes bases from a caller-supplied source in bounded chunks
+// and feeds every chunk into one msmRun, planned once for the whole MSM:
 //
-//	total = Σ_chunks Pippenger(points[chunk], digits[chunk])
+//	total = reduce(Σ_chunks accumulate(points[chunk], digits[chunk]))
 //
-// MSM linearity makes the chunk decomposition exact — the group element
-// is identical to the one-shot MSM, so streamed and in-memory Groth16
-// proofs are byte-identical after affine normalization.
+// Bucket accumulation is a sum, so feeding the chunks into one set of
+// buckets is exact — the group element is identical to the one-shot
+// MSM's, and streamed and in-memory Groth16 proofs are byte-identical
+// after affine normalization — and the chunks pay for one bucket set, one
+// reduction and one Horner fold between them rather than one each.
 //
 // Chunks are double-buffered: a prefetch goroutine reads and decodes
-// chunk i+1 while the Pippenger core runs on chunk i, overlapping disk
-// latency with compute. Peak point memory is 2·chunk points plus one
-// chunk's bucket pool, independent of the MSM size.
+// chunk i+1 while the run accumulates chunk i, overlapping disk latency
+// with compute. Peak point memory is 2·chunk points, independent of the
+// MSM size; the buckets are the run's, bounded by streamMaxWindow.
 
 // DefaultStreamChunk is the default number of points per streamed-MSM
 // chunk: 8192 G1 points ≈ 512 KiB of decoded bases (1 MiB in G2).
 // Sized by measurement at paper scale: halving from 16384 trims ~4 MB
 // of peak prover RSS (two double-buffered windows plus the raw read
-// buffer, G1 and G2) for no measurable prove-time cost, while halving
-// again costs ~25% prove time for under 1 MB — the bucket reduction
-// stops amortizing.
+// buffer, G1 and G2). Every chunk feeds the same buckets, so the chunk
+// size does not set the MSM's arithmetic — a smaller one costs only its
+// per-chunk fixed work (a recode call, a dispatch of the run's cells and
+// a drain of each cell's open batch) and less read/compute overlap.
 const DefaultStreamChunk = 1 << 13
+
+// streamMaxWindow caps a streamed MSM's window width. The run keeps one
+// bucket set for the whole MSM — 2^(c-1) buckets in each of ⌈254/c⌉
+// windows — and bounded memory is the point of streaming: at c = 12 that
+// is 2048 × 22 affine buckets, ≈ 2.9 MB in G1 and 5.8 MB in G2, and each
+// step above doubles it to save a few per cent of the additions.
+const streamMaxWindow = 12
 
 // streamChunkSize normalizes a caller-supplied chunk size the way the
 // streamed driver does: non-positive selects the default, and a chunk
@@ -85,12 +96,15 @@ func sourcedScalars(src ScalarSource, buf []fr.Element) scalarView {
 	}
 }
 
-// multiExpStream is the one chunked MSM driver: it pulls bounded point
+// multiExpStream is the one chunked MSM: it pulls bounded point
 // chunks from src (prefetching one chunk ahead), recodes each chunk's
-// scalars at window width c just before its Pippenger pass, and folds
-// the per-chunk partial sums. Recoding is per-scalar, so the digits —
+// scalars at window width c just before feeding it to the run, and takes
+// the run's sum after the last. Recoding is per-scalar, so the digits —
 // and the result, and any proof built from it — are those of a
 // whole-vector decomposition; only one chunk of them is ever resident.
+// The run is planned on the first chunk with a nonzero digit (an
+// all-zero chunk adds nothing); a later chunk whose digits reach higher
+// windows extends it (msmRun.cover).
 //
 // A failed read on either side ends the call at once: the error names
 // the offset, the prefetch goroutine is told to stop, and the driver
@@ -99,13 +113,13 @@ func sourcedScalars(src ScalarSource, buf []fr.Element) scalarView {
 //
 // sc, when on, records one span per chunk read (on its own lane — reads
 // overlap compute), per scalar recode (a sourced chunk's scalar read
-// included) and per chunk MSM under its label — exposing whether a
-// streamed prove is disk-bound or compute-bound. The chunk MSMs record
-// no per-task spans. The off path costs one nil check per span.
+// included) and per chunk accumulation (the last one with the reduction)
+// under its label — exposing whether a streamed prove is disk-bound or
+// compute-bound. The run records no per-cell spans. The off path costs
+// one nil check per span.
 func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, n int, scalars scalarView, c, chunk int, sc obs.Scope) (J, error) {
-	sum := cv.infinity()
 	if n == 0 {
-		return sum, nil
+		return cv.infinity(), nil
 	}
 	chunk = streamChunkSize(n, chunk)
 	read, recode, msm := sc.Sub("/read"), sc.Sub("/recode"), sc.Sub("/msm")
@@ -119,8 +133,16 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 	fills := make(chan filled)
 	stop := make(chan struct{})
 	free := make(chan []A, 2)
-	free <- make([]A, chunk)
-	free <- make([]A, chunk)
+	pool := cv.chunkPool()
+	bufs := [2]*[]A{getBuf[A](pool, chunk), getBuf[A](pool, chunk)}
+	// par.Do below returns only once both goroutines have, so nothing
+	// still holds a buffer when they go back — on a panic too.
+	defer func() {
+		pool.Put(bufs[0])
+		pool.Put(bufs[1])
+	}()
+	free <- *bufs[0]
+	free <- *bufs[1]
 	prefetch := func() {
 		defer close(fills)
 		for start := 0; start < n; start += chunk {
@@ -144,7 +166,10 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 			}
 		}
 	}
-	var err error
+	var (
+		run *msmRun[A, J, CV]
+		err error
+	)
 	consume := func() {
 		defer func() {
 			close(stop)
@@ -170,10 +195,15 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 				return
 			}
 			sp = msm.Span()
-			part := multiExpEntry[A, J](cv, f.buf[:f.end-f.start], nil, dec, obs.Scope{})
+			points := f.buf[:f.end-f.start]
+			if run == nil && dec.used > 0 {
+				run = newMSMRun[A, J](cv, len(points), c, dec.used, obs.Scope{})
+			}
+			if run != nil {
+				run.feed(points, dec, f.end == n)
+			}
 			sp.End()
 			free <- f.buf
-			cv.add(&sum, &part)
 		}
 	}
 	// par.Do joins the two: a panic on the prefetcher (src decodes under
@@ -182,7 +212,27 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 	// re-raised here, on the caller, as a *par.Panic carrying the
 	// prefetcher's stack — failing this prove, not the process.
 	par.Do(prefetch, consume)
-	return sum, err
+	switch {
+	case err != nil:
+		if run != nil {
+			run.drop()
+		}
+		return cv.infinity(), err
+	case run == nil: // every scalar zero
+		return cv.infinity(), nil
+	}
+	return run.sum(), nil
+}
+
+// getBuf takes a buffer of length n from pool (*[]T entries),
+// allocating when the pool is empty or holds a smaller one.
+func getBuf[T any](pool *sync.Pool, n int) *[]T {
+	if p, ok := pool.Get().(*[]T); ok && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]T, n)
+	return &s
 }
 
 // decPool recycles per-chunk recode buffers across streamed MSMs: one
@@ -209,38 +259,29 @@ func putDecomposition(d *ScalarDecomposition) {
 	}
 }
 
-// scalarChunkPool recycles the scalar read buffers of the
-// scalar-source MSMs the same way.
+// scalarChunkPool recycles the scalar read buffers (*[]fr.Element) of
+// the scalar-source MSMs the same way.
 var scalarChunkPool sync.Pool
-
-func getScalarChunk(n int) []fr.Element {
-	if p, ok := scalarChunkPool.Get().(*[]fr.Element); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]fr.Element, n)
-}
-
-func putScalarChunk(s []fr.Element) {
-	scalarChunkPool.Put(&s)
-}
 
 // MultiExpG1StreamScalars computes Σ kᵢ·Pᵢ where the points arrive from
 // src in bounded chunks instead of living in RAM and the scalars are a
-// resident slice. Pick the window width c for the chunk size, not the
-// total size (StreamWindowSize) — each chunk runs its own Pippenger
-// pass. The result equals MultiExpG1 on the same inputs.
+// resident slice. Pick the window width c with StreamWindowSize: every
+// chunk feeds one set of buckets, reduced once, so the width that pays
+// is the whole MSM's (capped so that set stays a few MB). The result
+// equals MultiExpG1 on the same inputs.
 func MultiExpG1StreamScalars(src G1Source, scalars []fr.Element, c, chunk int, sc ...obs.Scope) (G1Jac, error) {
 	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, len(scalars), residentScalars(scalars), c, chunk, obs.Opt(sc))
 }
 
 // MultiExpG1StreamScalarSource is MultiExpG1StreamScalars with the n
 // scalars also arriving from a source instead of RAM: each chunk's
-// scalars are loaded into a reused buffer and recoded just before its
-// Pippenger pass, so neither side of the MSM is ever fully resident.
+// scalars are loaded into a reused buffer and recoded just before the
+// chunk is accumulated, so neither side of the MSM is ever fully
+// resident.
 func MultiExpG1StreamScalarSource(src G1Source, scalars ScalarSource, n, c, chunk int, sc ...obs.Scope) (G1Jac, error) {
-	buf := getScalarChunk(streamChunkSize(n, chunk))
-	defer putScalarChunk(buf)
-	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, n, sourcedScalars(scalars, buf), c, chunk, obs.Opt(sc))
+	buf := getBuf[fr.Element](&scalarChunkPool, streamChunkSize(n, chunk))
+	defer scalarChunkPool.Put(buf)
+	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, n, sourcedScalars(scalars, *buf), c, chunk, obs.Opt(sc))
 }
 
 // MultiExpG2StreamScalars is the G2 counterpart of
@@ -255,76 +296,65 @@ func MultiExpG2StreamScalars(src G2Source, scalars []fr.Element, c, chunk int, s
 // MultiExpG1StreamScalarSource — used for the B2 wire-query MSM when
 // the witness is spilled.
 func MultiExpG2StreamScalarSource(src G2Source, scalars ScalarSource, n, c, chunk int, sc ...obs.Scope) (G2Jac, error) {
-	buf := getScalarChunk(streamChunkSize(n, chunk))
-	defer putScalarChunk(buf)
-	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, n, sourcedScalars(scalars, buf), c, chunk, obs.Opt(sc))
+	buf := getBuf[fr.Element](&scalarChunkPool, streamChunkSize(n, chunk))
+	defer scalarChunkPool.Put(buf)
+	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, n, sourcedScalars(scalars, *buf), c, chunk, obs.Opt(sc))
 }
 
 // StreamWindowSize picks the Pippenger window width for a streamed MSM
-// of n total points walked in chunks of the given size: each chunk runs
-// its own bucket accumulation and reduction, so the width that balances
-// inserts against bucket scans is the chunk's, not the total's.
+// of n total points: MSMWindowSize(n), capped at streamMaxWindow. The
+// chunk size does not enter — every chunk feeds the same buckets, so the
+// width that balances inserts against bucket scans is the total's — and
+// is taken only to keep the signature callers already use.
 func StreamWindowSize(n, chunk int) int {
-	return MSMWindowSize(streamChunkSize(n, chunk))
+	return min(MSMWindowSize(n), streamMaxWindow)
 }
 
 // NewG1RawSource returns a G1Source decoding the contiguous run of
 // uncompressed (BytesRaw) points that starts at byte offset off in r —
 // the layout of one proving-key query section in the raw key encoding.
-// Decoding parallelizes across the chunk; the byte buffer is reused
-// between calls, so the source must not be shared across goroutines.
+// Decoding parallelizes across the chunk; the byte buffer comes from a
+// pool for the duration of each call.
 func NewG1RawSource(r io.ReaderAt, off int64) G1Source {
-	var raw []byte
-	return func(dst []G1Affine, start int) error {
-		need := len(dst) * G1UncompressedSize
-		if cap(raw) < need {
-			raw = make([]byte, need)
-		}
-		b := raw[:need]
-		if _, err := r.ReadAt(b, off+int64(start)*G1UncompressedSize); err != nil {
-			return err
-		}
-		return decodeRawChunk(len(dst), func(i int) error {
-			return dst[i].SetBytesRaw(b[i*G1UncompressedSize : (i+1)*G1UncompressedSize])
-		})
-	}
+	return rawSource(r, off, G1UncompressedSize, &g1RawPool, (*G1Affine).SetBytesRaw)
 }
 
 // NewG2RawSource is the G2 counterpart of NewG1RawSource (128-byte
 // uncompressed points).
 func NewG2RawSource(r io.ReaderAt, off int64) G2Source {
-	var raw []byte
-	return func(dst []G2Affine, start int) error {
-		need := len(dst) * G2UncompressedSize
-		if cap(raw) < need {
-			raw = make([]byte, need)
-		}
-		b := raw[:need]
-		if _, err := r.ReadAt(b, off+int64(start)*G2UncompressedSize); err != nil {
-			return err
-		}
-		return decodeRawChunk(len(dst), func(i int) error {
-			return dst[i].SetBytesRaw(b[i*G2UncompressedSize : (i+1)*G2UncompressedSize])
-		})
-	}
+	return rawSource(r, off, G2UncompressedSize, &g2RawPool, (*G2Affine).SetBytesRaw)
 }
 
-// decodeRawChunk runs the per-point decode in parallel, keeping the
-// first error observed.
-func decodeRawChunk(n int, decode func(i int) error) error {
-	var mu sync.Mutex
-	var firstErr error
-	par.Range(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := decode(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
+// g1RawPool and g2RawPool recycle the raw sources' read buffers (*[]byte,
+// one chunk of encoded points: 512 KiB in G1, 1 MiB in G2 at
+// DefaultStreamChunk); one pool per width, so neither trades its buffers
+// for the other's smaller ones.
+var g1RawPool, g2RawPool sync.Pool
+
+// rawSource reads size-byte encoded points from r at off and decodes
+// them with set, in parallel, keeping the first error.
+func rawSource[P any](r io.ReaderAt, off int64, size int, pool *sync.Pool, set func(p *P, b []byte) error) func(dst []P, start int) error {
+	return func(dst []P, start int) error {
+		bp := getBuf[byte](pool, len(dst)*size)
+		defer pool.Put(bp)
+		b := *bp
+		if _, err := r.ReadAt(b, off+int64(start)*int64(size)); err != nil {
+			return err
 		}
-	})
-	return firstErr
+		var mu sync.Mutex
+		var firstErr error
+		par.Range(len(dst), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if err := set(&dst[i], b[i*size:(i+1)*size]); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		})
+		return firstErr
+	}
 }

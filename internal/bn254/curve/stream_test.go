@@ -3,6 +3,7 @@ package curve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -36,72 +37,138 @@ func SliceSourceG2(points []G2Affine) G2Source {
 	}
 }
 
-// TestStreamMSMMatchesInMemory drives the chunked driver across sizes
-// that straddle every chunk boundary — chunk−1 (single partial chunk),
-// chunk (exactly one), chunk+1 (full chunk plus a 1-point tail),
-// multiples, and non-powers-of-two — and asserts the streamed sum equals
-// the one-shot in-memory MSM on the same witness-shaped inputs.
-func TestStreamMSMMatchesInMemory(t *testing.T) {
-	const chunk = 64
-	rng := rand.New(rand.NewSource(401))
-	for _, n := range []int{1, 2, chunk - 1, chunk, chunk + 1, 2*chunk - 1, 2 * chunk, 3*chunk + 17, 333} {
-		points, scalars := msmTestVectors(rng, n)
-		c := StreamWindowSize(n, chunk)
+// streamShape is one row of the streamed-MSM tables: n scalars drawn by
+// scalars, walked in chunks of chunk points.
+type streamShape struct {
+	name     string
+	n, chunk int
+	scalars  func(rng *rand.Rand, n int) []fr.Element
+}
 
-		want := MultiExpG1Decomposed(points, DecomposeScalars(scalars, c))
-		got, err := MultiExpG1StreamScalars(SliceSourceG1(points), scalars, c, chunk)
-		if err != nil {
-			t.Fatalf("n=%d: streamed MSM: %v", n, err)
+// carryScalars are random full-width scalars with the recoding's carry
+// paths mixed in: zeros, ones and r−1.
+func carryScalars(rng *rand.Rand, n int) []fr.Element {
+	scalars := fullScalars(rng, n)
+	for i := range scalars {
+		switch i % 7 {
+		case 0:
+			scalars[i].SetZero()
+		case 3:
+			scalars[i].SetOne()
+			scalars[i].Neg(&scalars[i])
+		case 5:
+			scalars[i].SetOne()
 		}
-		var wantAff, gotAff G1Affine
-		wantAff.FromJacobian(&want)
-		gotAff.FromJacobian(&got)
-		if !gotAff.Equal(&wantAff) {
-			t.Fatalf("n=%d: streamed G1 MSM diverges from in-memory", n)
+	}
+	return scalars
+}
+
+// streamShapes are the chunk patterns the one bucket set of a streamed
+// MSM has to carry: a chunk size that does not divide n, all-zero chunks
+// (the first, so the run is planned on a later one, and one between), a
+// chunk of one repeated scalar that fills the conflict queue and spills
+// to the Jacobian side buckets followed by a chunk that hits the same
+// buckets, and chunks whose digits reach different window counts (the
+// run planned on 16-bit values, then extended). Chunks of 600 points let
+// the cells run batch-affine.
+func streamShapes() []streamShape {
+	const chunk = 600
+	perChunk := func(draws ...func(*rand.Rand, int) []fr.Element) func(*rand.Rand, int) []fr.Element {
+		return func(rng *rand.Rand, n int) []fr.Element {
+			out := make([]fr.Element, 0, n)
+			for i := 0; len(out) < n; i++ {
+				out = append(out, draws[i%len(draws)](rng, min(chunk, n-len(out)))...)
+			}
+			return out
 		}
+	}
+	zeros := func(_ *rand.Rand, n int) []fr.Element { return make([]fr.Element, n) }
+	repeated := func(_ *rand.Rand, n int) []fr.Element {
+		s := make([]fr.Element, n)
+		for i := range s {
+			s[i].SetUint64(5)
+		}
+		return s
+	}
+	bits := func(k int) func(*rand.Rand, int) []fr.Element {
+		return func(rng *rand.Rand, n int) []fr.Element { return signedScalars(rng, n, k) }
+	}
+	return []streamShape{
+		{"chunk not dividing n", 1300, chunk, carryScalars},
+		{"all-zero chunks", 2100, chunk, perChunk(zeros, carryScalars, zeros, carryScalars)},
+		{"spilling repeated scalar, then the same buckets", 1700, chunk, perChunk(repeated, repeated, carryScalars)},
+		{"chunks reaching different windows", 1900, chunk, perChunk(bits(16), carryScalars, bits(64), bits(16))},
 	}
 }
 
-// TestStreamMSMG2MatchesInMemory mirrors the G1 boundary sweep in G2,
-// deriving points from random scalar multiples of the generator.
-func TestStreamMSMG2MatchesInMemory(t *testing.T) {
-	const chunk = 32
-	rng := rand.New(rand.NewSource(402))
-	gen := G2Generator()
-	for _, n := range []int{chunk - 1, chunk, chunk + 1, 2*chunk + 5, 77} {
-		points := make([]G2Affine, n)
-		scalars := make([]fr.Element, n)
-		for i := range points {
-			var k fr.Element
-			if _, err := k.SetRandom(rng); err != nil {
-				t.Fatal(err)
+// TestStreamMSMMatchesInMemory runs the chunked MSM — resident and
+// sourced scalars — over sizes that straddle every chunk boundary
+// (chunk−1: a single partial chunk; chunk; chunk+1: a 1-point tail;
+// multiples and non-powers-of-two) and over the streamShapes, at
+// GOMAXPROCS 1 and 2, and asserts the streamed sum is MultiExpG1's on the
+// same inputs bit for bit.
+func TestStreamMSMMatchesInMemory(t *testing.T) {
+	rows := streamShapes()
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 3*64 + 17, 333} {
+		rows = append(rows, streamShape{fmt.Sprintf("n=%d", n), n, 64, carryScalars})
+	}
+	rng := rand.New(rand.NewSource(401))
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, row := range rows {
+				points, scalars := chainPointsG1(rng, row.n), row.scalars(rng, row.n)
+				var want G1Affine
+				wantJac := MultiExpG1(points, scalars)
+				want.FromJacobian(&wantJac)
+				c := StreamWindowSize(row.n, row.chunk)
+				resident, err := MultiExpG1StreamScalars(SliceSourceG1(points), scalars, c, row.chunk)
+				if err != nil {
+					t.Fatalf("%s: %v", row.name, err)
+				}
+				sourced, err := MultiExpG1StreamScalarSource(SliceSourceG1(points), scalarSliceSource(scalars), row.n, c, row.chunk)
+				if err != nil {
+					t.Fatalf("%s: %v", row.name, err)
+				}
+				for view, got := range map[string]G1Jac{"resident scalars": resident, "sourced scalars": sourced} {
+					var gotAff G1Affine
+					gotAff.FromJacobian(&got)
+					if gotAff.BytesRaw() != want.BytesRaw() {
+						t.Errorf("GOMAXPROCS %d, %s, %s: streamed G1 MSM diverges from MultiExpG1", procs, row.name, view)
+					}
+				}
 			}
-			var j G2Jac
-			j.ScalarMul(&gen, &k)
-			points[i].FromJacobian(&j)
-			if _, err := scalars[i].SetRandom(rng); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Mix in edge scalars so the recoding's carry paths run.
-		scalars[0].SetZero()
-		if n > 1 {
-			scalars[1].SetOne()
-			scalars[1].Neg(&scalars[1])
-		}
+		}()
+	}
+}
 
-		c := StreamWindowSize(n, chunk)
-		want := MultiExpG2Decomposed(points, DecomposeScalars(scalars, c))
-		got, err := MultiExpG2StreamScalars(SliceSourceG2(points), scalars, c, chunk)
-		if err != nil {
-			t.Fatalf("n=%d: streamed MSM: %v", n, err)
-		}
-		var wantAff, gotAff G2Affine
-		wantAff.FromJacobian(&want)
-		gotAff.FromJacobian(&got)
-		if !gotAff.Equal(&wantAff) {
-			t.Fatalf("n=%d: streamed G2 MSM diverges from in-memory", n)
-		}
+// TestStreamMSMG2MatchesInMemory is the G2 counterpart: the boundary
+// sweep at a 32-point chunk and the same streamShapes, at GOMAXPROCS 1
+// and 2, against MultiExpG2 bit for bit.
+func TestStreamMSMG2MatchesInMemory(t *testing.T) {
+	rows := streamShapes()
+	for _, n := range []int{31, 32, 33, 69, 77} {
+		rows = append(rows, streamShape{fmt.Sprintf("n=%d", n), n, 32, carryScalars})
+	}
+	rng := rand.New(rand.NewSource(402))
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, row := range rows {
+				points, scalars := chainPointsG2(rng, row.n), row.scalars(rng, row.n)
+				var want, gotAff G2Affine
+				wantJac := MultiExpG2(points, scalars)
+				want.FromJacobian(&wantJac)
+				got, err := MultiExpG2StreamScalars(SliceSourceG2(points), scalars, StreamWindowSize(row.n, row.chunk), row.chunk)
+				if err != nil {
+					t.Fatalf("%s: %v", row.name, err)
+				}
+				gotAff.FromJacobian(&got)
+				if gotAff.BytesRaw() != want.BytesRaw() {
+					t.Errorf("GOMAXPROCS %d, %s: streamed G2 MSM diverges from MultiExpG2", procs, row.name)
+				}
+			}
+		}()
 	}
 }
 

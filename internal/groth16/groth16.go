@@ -527,7 +527,7 @@ func (pk *ProvingKey) evalRows(sys r1cs.Constraints, w *witnessSrc, sc obs.Scope
 		ev.mem[k] = quotientVecs.Get(int(pk.DomainSize))
 	}
 	sp := sc.Sub("prove/rows").Span()
-	err = walkRows(sys, w, math.MaxInt, obs.Scope{},
+	err = walkRows(sys, w, math.MaxInt, math.MaxInt, obs.Scope{},
 		func(start, rows int) (a, b, c []fr.Element) {
 			return ev.mem[0][start : start+rows], ev.mem[1][start : start+rows], ev.mem[2][start : start+rows]
 		},
@@ -806,10 +806,17 @@ var quotientVecs poly.VecPool
 
 // quotient reduces the resident evaluation vectors to the coefficients
 // of h(X) = (A(X)·B(X) - C(X))/Z(X), returning n-1 of them — a view of
-// ev's first vector, valid until ev is released. Each of A·w, B·w, C·w
-// is carried to the coset in turn and folded in pointwise; every vector
-// undergoes exactly the transform sequence of the naive form, so the
-// output is bit-identical.
+// ev's first vector, valid until ev is released.
+//
+// A·w and B·w are carried to the coset g·H and multiplied there; C·w is
+// only interpolated. Interpolating A·B back off the coset gives the
+// degree-<n polynomial q ≡ a·b mod (X^n - g^n), which agrees with a·b at
+// every coset point, where Z is the constant g^n - 1; so (q - c)/(g^n - 1)
+// and h, both of degree < n, agree at n points and are the same
+// coefficients. Field arithmetic is exact, so this is the vector the
+// textbook form (C·w to the coset too, (A·B - C)/Z there, one
+// interpolation) produces, bit for bit, for one transform fewer. The
+// out-of-core quotient (quotientOOC) runs the same sequence.
 //
 // sc is the quotient lane's scope; when on, the pipeline records one
 // span per stage (each transform with its per-level breakdown, the
@@ -834,25 +841,33 @@ func quotient(ev *rowEvals, sc obs.Scope) ([]fr.Element, error) {
 		fr.MulVecInto(ab[lo:hi], ab[lo:hi], b[lo:hi])
 	})
 	sp.End()
-	toCoset(c, "C")
+	domain.IFFTCoset(ab, q.Sub("/ifft-coset"))
+	domain.IFFT(c, q.Sub("/ifft-C"))
 
-	// On the coset, Z is the non-zero constant g^n - 1.
-	zc := domain.VanishingOnCoset()
-	var zcInv fr.Element
-	zcInv.Inverse(&zc)
+	zcInv := vanishingOnCosetInv(domain)
 	sp = q.Sub("/divide-z").Span()
 	par.Range(n, func(lo, hi int) {
 		fr.SubScalarMulVecInto(ab[lo:hi], ab[lo:hi], c[lo:hi], &zcInv)
 	})
 	sp.End()
-	domain.IFFTCoset(ab, q.Sub("/ifft-coset"))
 
 	// deg h ≤ n-2, so the top coefficient must vanish.
 	if !ab[n-1].IsZero() {
-		return nil, errors.New("groth16: quotient has unexpected degree; witness inconsistent")
+		return nil, errQuotientDegree
 	}
 	return ab[:n-1], nil
 }
+
+// vanishingOnCosetInv returns 1/Z on the coset: Z(g·ωⁱ) is the non-zero
+// constant g^n - 1.
+func vanishingOnCosetInv(domain *poly.Domain) fr.Element {
+	zc := domain.VanishingOnCoset()
+	var inv fr.Element
+	inv.Inverse(&zc)
+	return inv
+}
+
+var errQuotientDegree = errors.New("groth16: quotient has unexpected degree; witness inconsistent")
 
 // Verify checks a proof against the public inputs (the instance,
 // excluding the constant wire; len must equal NbPublic-1). A trailing

@@ -180,10 +180,6 @@ var spanVocabulary = []string{
 	"ooc/fft-coset-B/combine#",
 	"ooc/fft-coset-B/mem#x#",
 	"ooc/fft-coset-B/split#",
-	"ooc/fft-coset-C",
-	"ooc/fft-coset-C/combine#",
-	"ooc/fft-coset-C/mem#x#",
-	"ooc/fft-coset-C/split#",
 	"ooc/ifft-A",
 	"ooc/ifft-A/combine#",
 	"ooc/ifft-A/mem#x#",
@@ -211,8 +207,6 @@ var spanVocabulary = []string{
 	"quotient/fft-coset-A/len#",
 	"quotient/fft-coset-B",
 	"quotient/fft-coset-B/len#",
-	"quotient/fft-coset-C",
-	"quotient/fft-coset-C/len#",
 	"quotient/ifft-A",
 	"quotient/ifft-A/len#",
 	"quotient/ifft-B",

@@ -1,29 +1,30 @@
 package groth16
 
 import (
-	"errors"
-
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/obs"
 	"zkrownn/internal/poly"
 )
 
 // Out-of-core quotient: the in-memory quotient holds its domain-sized
-// vectors resident (tens of MB each at paper scale). quotientOOC works on
-// the three disk vectors the row walk left instead, bounding resident
-// memory to a QUARTER of a domain vector (the bounded-memory FFT's
-// scratch) plus fixed streaming windows:
+// vectors resident (tens of MB each at paper scale). quotientOOC runs the
+// same sequence (see quotient) on the three disk vectors the row walk
+// left instead, bounding resident memory to a QUARTER of a domain vector
+// (the out-of-core transforms' scratch, pooled across proofs) plus fixed
+// streaming windows:
 //
 //	A·w  IFFT, coset FFT                    (out-of-core transforms)
-//	B·w  IFFT, coset FFT, fold A·B          (streamed pointwise merge)
-//	C·w  IFFT, coset FFT, fold (AB-C)/Z
-//	IFFT coset → h coefficients, in A·w's file
+//	B·w  IFFT, coset FFT, fold A·B           (streamed pointwise merge)
+//	     IFFT coset of A·B, in A·w's file
+//	C·w  IFFT, fold (q - c)/Z → h
 //
-// Field arithmetic is exact and fr encodings are canonical, so the h
-// file holds bit for bit the coefficients the in-memory quotient would
-// produce; the Z-section MSM then streams its scalars straight from the
-// file, so h is never resident either. The returned file is ev's first
-// (ev still owns it); the other two are closed as soon as they are
+// Each transform is a split pass, four in-memory sub-transforms and a
+// combine pass, with its sub-vectors in the second half of the vector's
+// own file. Field arithmetic is exact and fr encodings are canonical, so
+// the h file holds bit for bit the coefficients the in-memory quotient
+// would produce; the Z-section MSM then streams its scalars straight from
+// the file, so h is never resident either. The returned file is ev's
+// first (ev still owns it); the other two are closed as soon as they are
 // folded in.
 //
 // sc is the quotient lane's scope; when on, the pipeline records one
@@ -31,58 +32,42 @@ import (
 // phases, the streamed pointwise merges) under an "ooc/" prefix.
 func quotientOOC(ev *rowEvals, sc obs.Scope) (*poly.VecFile, error) {
 	domain, n := ev.domain, int(ev.domain.N)
-	// FFT scratch shared by every transform: a quarter domain peels two
-	// decimation levels out-of-core, quartering the prover's largest
-	// resident vector at the cost of one extra streaming pass.
-	buf := make([]fr.Element, n/4)
+	// A quarter-domain scratch: four sub-transforms per transform, and a
+	// quarter of the prover's largest resident vector.
+	buf := quotientVecs.Get(n / 4)
+	defer quotientVecs.Put(buf)
 
 	ooc := sc.Sub("ooc/")
 	spAll := ooc.Sub("quotient").Span()
 	defer spAll.End()
 
-	toCoset := func(vf *poly.VecFile, name string) error {
-		if err := domain.IFFTFile(vf, buf, ooc.Sub("ifft-").Sub(name)); err != nil {
-			return err
+	va, vb, vc := ev.file[0], ev.file[1], ev.file[2]
+	// fold merges ev.file[k] into va pointwise and closes it.
+	fold := func(name string, k int, fn func(dst, src []fr.Element)) error {
+		sp := ooc.Sub(name).Span()
+		defer sp.End()
+		defer ev.closeFile(k)
+		return va.StreamMerge(ev.file[k], fn)
+	}
+	zcInv := vanishingOnCosetInv(domain)
+	for _, step := range []func() error{
+		func() error { return domain.IFFTFile(va, buf, ooc.Sub("ifft-A")) },
+		func() error { return domain.FFTCosetFile(va, buf, ooc.Sub("fft-coset-A")) },
+		func() error { return domain.IFFTFile(vb, buf, ooc.Sub("ifft-B")) },
+		func() error { return domain.FFTCosetFile(vb, buf, ooc.Sub("fft-coset-B")) },
+		func() error { return fold("mul-ab", 1, func(dst, b []fr.Element) { fr.MulVecInto(dst, dst, b) }) },
+		func() error { return domain.IFFTCosetFile(va, buf, ooc.Sub("ifft-coset")) },
+		func() error { return domain.IFFTFile(vc, buf, ooc.Sub("ifft-C")) },
+		func() error {
+			return fold("divide-z", 2, func(dst, c []fr.Element) { fr.SubScalarMulVecInto(dst, dst, c, &zcInv) })
+		},
+	} {
+		if err := step(); err != nil {
+			return nil, err
 		}
-		return domain.FFTCosetFile(vf, buf, ooc.Sub("fft-coset-").Sub(name))
-	}
-
-	va := ev.file[0]
-	if err := toCoset(va, "A"); err != nil {
-		return nil, err
-	}
-	if err := toCoset(ev.file[1], "B"); err != nil {
-		return nil, err
-	}
-	sp := ooc.Sub("mul-ab").Span()
-	err := va.StreamMerge(ev.file[1], func(dst, b []fr.Element) {
-		fr.MulVecInto(dst, dst, b)
-	})
-	sp.End()
-	ev.closeFile(1)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := toCoset(ev.file[2], "C"); err != nil {
-		return nil, err
-	}
-	// On the coset, Z is the non-zero constant g^n - 1.
-	zc := domain.VanishingOnCoset()
-	var zcInv fr.Element
-	zcInv.Inverse(&zc)
-	sp = ooc.Sub("divide-z").Span()
-	err = va.StreamMerge(ev.file[2], func(dst, c []fr.Element) {
-		fr.SubScalarMulVecInto(dst, dst, c, &zcInv)
-	})
-	sp.End()
-	ev.closeFile(2)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := domain.IFFTCosetFile(va, buf, ooc.Sub("ifft-coset")); err != nil {
-		return nil, err
+		if testHookQuotientStep != nil {
+			testHookQuotientStep(ev)
+		}
 	}
 
 	// deg h ≤ n-2, so the top coefficient must vanish.
@@ -91,7 +76,7 @@ func quotientOOC(ev *rowEvals, sc obs.Scope) (*poly.VecFile, error) {
 		return nil, err
 	}
 	if !top[0].IsZero() {
-		return nil, errors.New("groth16: quotient has unexpected degree; witness inconsistent")
+		return nil, errQuotientDegree
 	}
 	return va, nil
 }

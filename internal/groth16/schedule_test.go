@@ -16,6 +16,7 @@ import (
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/obs"
 	"zkrownn/internal/par"
+	"zkrownn/internal/poly"
 	"zkrownn/internal/r1cs"
 )
 
@@ -232,8 +233,9 @@ func TestUnsatisfiedWitnessRejectedFirst(t *testing.T) {
 
 // TestRowWalkReportsLowestViolation pins first-violation semantics where
 // finding order and row order differ: with violations at rows i < j in
-// different row windows, and in different par.Range chunks of one
-// window, the walk names i — for a resident and for a spilled witness.
+// different row windows, in different row blocks of one window, and in
+// different par.Range chunks of one block, the walk names i — for a
+// resident and for a spilled witness.
 func TestRowWalkReportsLowestViolation(t *testing.T) {
 	const n = 2000
 	sys := chainSystem(n)
@@ -248,15 +250,18 @@ func TestRowWalkReportsLowestViolation(t *testing.T) {
 		// 3 terms a row: 100-row windows put the violations 12 windows
 		// apart; one window puts them in different halves of a 2-worker
 		// Range (and in one serial scan for the spilled witness).
+		// 256-row blocks put them in the second and sixth blocks.
 		for _, maxTerms := range []int{300, math.MaxInt} {
-			committed := 0
-			err := walkRows(sys, w, maxTerms, obs.Scope{}, window,
-				func(start int, a, _, _ []fr.Element) error { committed = start + len(a); return nil })
-			if err == nil || err.Error() != "groth16: witness does not satisfy constraint 300" {
-				t.Errorf("resident=%v maxTerms=%d: error %v, want constraint 300 named", w.mem != nil, maxTerms, err)
-			}
-			if committed > 300 {
-				t.Errorf("resident=%v maxTerms=%d: rows up to %d kept after the violation at 300", w.mem != nil, maxTerms, committed)
+			for _, maxRows := range []int{256, math.MaxInt} {
+				committed := 0
+				err := walkRows(sys, w, maxTerms, maxRows, obs.Scope{}, window,
+					func(start int, a, _, _ []fr.Element) error { committed = start + len(a); return nil })
+				if err == nil || err.Error() != "groth16: witness does not satisfy constraint 300" {
+					t.Errorf("resident=%v maxTerms=%d maxRows=%d: error %v, want constraint 300 named", w.mem != nil, maxTerms, maxRows, err)
+				}
+				if committed > 300 {
+					t.Errorf("resident=%v maxTerms=%d maxRows=%d: rows up to %d kept after the violation at 300", w.mem != nil, maxTerms, maxRows, committed)
+				}
 			}
 		}
 	}
@@ -344,6 +349,30 @@ func TestProveFailureJoins(t *testing.T) {
 
 	t.Run("quotient lane: disk vector I/O", func(t *testing.T) {
 		quotientFails(t, func(ev *rowEvals) { ev.file[1].Close() }, streamed, "file already closed")
+	})
+	// The out-of-core transforms keep their sub-vectors in the second half
+	// of the vector's own file: losing it after A's first transform loses
+	// them, and the next transform's split fails on the closed file.
+	t.Run("quotient lane: sub-vector file closed between transforms", func(t *testing.T) {
+		steps := 0
+		testHookQuotientStep = func(ev *rowEvals) {
+			if steps++; steps == 1 {
+				ev.file[0].Close()
+			}
+		}
+		t.Cleanup(func() { testHookQuotientStep = nil })
+		quotientFails(t, func(*rowEvals) {}, streamed, "file already closed")
+	})
+	// h feeds the Z-query MSM's scalars chunk by chunk; the file goes away
+	// once the run's buckets hold the first chunk.
+	t.Run("quotient lane: h read fails after the Z buckets took chunks", func(t *testing.T) {
+		testHookHRead = func(hf *poly.VecFile, start int) {
+			if start > 0 {
+				hf.Close()
+			}
+		}
+		t.Cleanup(func() { testHookHRead = nil })
+		quotientFails(t, func(*rowEvals) {}, streamed, "scalar read at 16")
 	})
 	t.Run("quotient lane: degree check, out of core", func(t *testing.T) {
 		quotientFails(t, func(ev *rowEvals) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
@@ -247,8 +248,12 @@ func (pk *StreamedProvingKey) evalRows(sys r1cs.Constraints, w *witnessSrc, sc o
 		ev.file[k], err = poly.CreateVecFile(pk.SpillDir, int(pk.hdr.DomainSize))
 	}
 	if err == nil {
-		var scratch [3][]fr.Element
-		err = walkRows(sys, w, r1cs.DefaultRowWindowTerms, sc.Sub("csr/row-window"),
+		scratch, _ := rowWindowPool.Get().(*[3][]fr.Element)
+		if scratch == nil {
+			scratch = new([3][]fr.Element)
+		}
+		defer rowWindowPool.Put(scratch)
+		err = walkRows(sys, w, r1cs.DefaultRowWindowTerms, streamRowBlock, sc.Sub("csr/row-window"),
 			func(_, rows int) (a, b, c []fr.Element) {
 				if cap(scratch[0]) < rows {
 					for k := range scratch {
@@ -272,6 +277,15 @@ func (pk *StreamedProvingKey) evalRows(sys r1cs.Constraints, w *witnessSrc, sc o
 	}
 	return ev, nil
 }
+
+// streamRowBlock is how many rows the streamed row walk evaluates
+// between two writes to its disk vectors: 3 × 256 KiB of evaluations
+// resident, whatever the size of a CSR row window.
+const streamRowBlock = 1 << 13
+
+// rowWindowPool recycles the streamed row walk's three evaluation vectors
+// (*[3][]fr.Element, streamRowBlock elements each) across proofs.
+var rowWindowPool sync.Pool
 
 // prepWitness leaves the shared decomposition nil: the streamed MSMs
 // recode each chunk's scalars on the fly, so digit memory stays bounded
@@ -331,7 +345,12 @@ func (pk *StreamedProvingKey) expZQuotient(ev *rowEvals, sc obs.Scope) (curve.G1
 	c := curve.StreamWindowSize(nScalars, pk.chunkSize())
 	return curve.MultiExpG1StreamScalarSource(
 		curve.NewG1RawSource(pk.r, pk.secZ.off),
-		func(dst []fr.Element, start int) error { return hf.ReadAt(dst, start) },
+		func(dst []fr.Element, start int) error {
+			if testHookHRead != nil {
+				testHookHRead(hf, start)
+			}
+			return hf.ReadAt(dst, start)
+		},
 		nScalars, c, pk.chunkSize(), sc.Sub("stream/Z"))
 }
 

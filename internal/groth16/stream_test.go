@@ -3,17 +3,20 @@ package groth16
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"testing"
 
 	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/diskfile"
+	"zkrownn/internal/obs"
 	"zkrownn/internal/r1cs"
 	"zkrownn/internal/r1cs/r1cstest"
 )
@@ -284,4 +287,122 @@ func TestStreamedCheckShape(t *testing.T) {
 	if _, err := Prove(other, spk, witness, rand.New(rand.NewSource(96))); err == nil {
 		t.Fatal("Prove accepted a streamed key with mismatched shape")
 	}
+}
+
+// TestQuotientOOCMatchesQuotient pins the out-of-core quotient to the
+// resident one bit for bit: the same row evaluations, reduced once in
+// pooled vectors and once on disk through quarter-domain scratch, give the
+// same h coefficients — on domains of even and odd log n, down to one
+// whose scratch holds a single element.
+func TestQuotientOOCMatchesQuotient(t *testing.T) {
+	for _, nbCons := range []int{3, 60, 500, 1000, 2040} {
+		f := newResidencyFixture(t, nbCons)
+		w := &witnessSrc{mem: f.witness}
+		mem, err := f.pk.evalRows(f.sys, w, obs.Scope{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mem.release()
+		disk, err := f.spk.evalRows(f.sys, w, obs.Scope{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer disk.release()
+		want, err := quotient(mem, obs.Scope{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hf, err := quotientOOC(disk, obs.Scope{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]fr.Element, hf.Len()-1)
+		if err := hf.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("domain %d: h[%d] out of core %s, resident %s", mem.domain.N, i, got[i].String(), want[i].String())
+			}
+		}
+	}
+}
+
+// FuzzStreamedProvingKey feeds raw proving-key bytes ("ZKPR") to the
+// layout's one parser and both of its consumers: OpenStreamedProvingKey,
+// then Load (the resident form) and one streamed MSM over every query
+// section (the streamed form, three points a chunk so that sections span
+// chunks). Every input is refused with an error or accepted, none panics,
+// and none allocates more than its own length justifies: sections are
+// bounded by bytes actually present, so decoded points, MSM scalars and
+// buckets all scale with the input. The corpus starts from the committed
+// golden raw key — whole, cut short, and with a count, a point and the
+// magic damaged.
+func FuzzStreamedProvingKey(f *testing.F) {
+	dump, err := os.ReadFile(filepath.Join("testdata", "golden", "pk.raw.hex"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := hex.DecodeString(string(bytes.ReplaceAll(bytes.TrimSpace(dump), []byte("\n"), nil)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	for _, cut := range []int{len(raw) - 1, len(raw) / 2, rawPKFixedHeaderSize + 4, 5} {
+		f.Add(raw[:cut])
+	}
+	for _, at := range []int{0, rawPKFixedHeaderSize, rawPKFixedHeaderSize + 4 + 10, len(raw) - 7} {
+		bad := bytes.Clone(raw)
+		bad[at] ^= 0x5a
+		f.Add(bad)
+	}
+	allocated := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		before := allocated()
+		spk, err := OpenStreamedProvingKey(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		spk.Chunk = 3
+		pk, loadErr := spk.Load()
+		if loadErr != nil && bytes.Equal(b, raw) {
+			t.Fatalf("the golden key no longer loads: %v", loadErr)
+		}
+		scalars := func(n int) []fr.Element {
+			s := make([]fr.Element, n)
+			for i := range s {
+				s[i].SetUint64(uint64(3*i + 1))
+			}
+			return s
+		}
+		// A key that loads has only good points, so its sections stream, to
+		// the sums of the loaded sections.
+		for i, sec := range []rawSection{spk.secA, spk.secB1, spk.secK, spk.secZ} {
+			k := scalars(sec.n)
+			got, err := curve.MultiExpG1StreamScalars(curve.NewG1RawSource(spk.r, sec.off), k, curve.StreamWindowSize(sec.n, spk.Chunk), spk.Chunk)
+			if loadErr != nil {
+				continue
+			}
+			if want := curve.MultiExpG1(*pk.g1Sections()[i], k); err != nil || !got.Equal(&want) {
+				t.Fatalf("G1 section %d loads but streams to %v (error %v)", i, got, err)
+			}
+		}
+		k := scalars(spk.secB2.n)
+		got, err := curve.MultiExpG2StreamScalars(curve.NewG2RawSource(spk.r, spk.secB2.off), k, curve.StreamWindowSize(spk.secB2.n, spk.Chunk), spk.Chunk)
+		if loadErr == nil {
+			if want := curve.MultiExpG2(pk.B2, k); err != nil || !got.Equal(&want) {
+				t.Fatalf("B2 loads but streams to %v (error %v)", got, err)
+			}
+		}
+		// Decoded points, scalars and digits are a small multiple of the
+		// bytes read; the buckets and pooled buffers of a 3-point chunk are a
+		// constant.
+		if grew, bound := allocated()-before, uint64(1<<20+16*len(b)); grew > bound {
+			t.Fatalf("a %d-byte key allocated %d bytes (bound %d)", len(b), grew, bound)
+		}
+	})
 }

@@ -121,20 +121,27 @@ var (
 	// testHookQuotientLane runs first thing on the quotient lane, with the
 	// evaluations it is about to consume.
 	testHookQuotientLane func(ev *rowEvals)
+	// testHookQuotientStep runs after each step of the out-of-core
+	// quotient (a transform or a fold).
+	testHookQuotientStep func(ev *rowEvals)
+	// testHookHRead runs before each read of the h file by the Z-query
+	// MSM, with the file and the first coefficient read.
+	testHookHRead func(hf *poly.VecFile, start int)
 )
 
 // walkRows is the prover's single pass over the constraint rows: every
 // row of A, B and C is evaluated against the witness once, checked
 // (A·w ∘ B·w = C·w) and kept. The three matrices stream through
 // lockstep row windows of at most maxTerms terms (a resident system
-// aliases its arrays, so math.MaxInt makes the whole walk one window);
-// window hands out where rows [start, start+rows) evaluate to, commit
-// stores a finished window. Rows run in parallel when the witness is
-// resident and serially when it reads through the spill store's
-// single-goroutine page cache — which is read here and, from the prover,
-// nowhere else. On a violation the walk stops and the error names the
-// lowest violated row, whichever chunk or window found it.
-func walkRows(sys r1cs.Constraints, w *witnessSrc, maxTerms int, rowWindow obs.Scope,
+// aliases its arrays, so math.MaxInt makes the whole walk one window),
+// evaluated maxRows rows at a time; window hands out where rows
+// [start, start+rows) evaluate to, commit stores finished rows. Rows run
+// in parallel when the witness is resident and serially when it reads
+// through the spill store's single-goroutine page cache — which is read
+// here and, from the prover, nowhere else. On a violation the walk stops
+// and the error names the lowest violated row, whichever chunk or window
+// found it.
+func walkRows(sys r1cs.Constraints, w *witnessSrc, maxTerms, maxRows int, rowWindow obs.Scope,
 	window func(start, rows int) (a, b, c []fr.Element), commit func(start int, a, b, c []fr.Element) error) error {
 	if one := w.at(0); !one.IsOne() {
 		if err := w.fileErr(); err != nil {
@@ -152,41 +159,46 @@ func walkRows(sys r1cs.Constraints, w *witnessSrc, maxTerms int, rowWindow obs.S
 			sp := rowWindow.Span()
 			defer sp.End()
 			wa, wb, wc := wins[0], wins[1], wins[2]
-			n := wa.Rows
-			a, b, c := window(wa.Start, n)
-			var first atomic.Int64
-			first.Store(int64(n))
-			each(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					a[i] = rowEvalSrc(wa, i, w)
-					b[i] = rowEvalSrc(wb, i, w)
-					c[i] = rowEvalSrc(wc, i, w)
-					var ab fr.Element
-					ab.Mul(&a[i], &b[i])
-					if !ab.Equal(&c[i]) {
-						// Chunks scan ascending, so a chunk's first violation
-						// is its minimum; the atomic min across chunks is the
-						// window's.
-						for {
-							cur := first.Load()
-							if int64(i) >= cur || first.CompareAndSwap(cur, int64(i)) {
-								break
+			for lo := 0; lo < wa.Rows; lo += maxRows {
+				n := min(maxRows, wa.Rows-lo)
+				a, b, c := window(wa.Start+lo, n)
+				var first atomic.Int64
+				first.Store(int64(n))
+				each(n, func(clo, chi int) {
+					for i := clo; i < chi; i++ {
+						a[i] = rowEvalSrc(wa, lo+i, w)
+						b[i] = rowEvalSrc(wb, lo+i, w)
+						c[i] = rowEvalSrc(wc, lo+i, w)
+						var ab fr.Element
+						ab.Mul(&a[i], &b[i])
+						if !ab.Equal(&c[i]) {
+							// Chunks scan ascending, so a chunk's first violation
+							// is its minimum; the atomic min across chunks is the
+							// window's.
+							for {
+								cur := first.Load()
+								if int64(i) >= cur || first.CompareAndSwap(cur, int64(i)) {
+									break
+								}
 							}
+							return
 						}
-						return
 					}
+				})
+				if testHookRows != nil {
+					testHookRows(3 * n)
 				}
-			})
-			if testHookRows != nil {
-				testHookRows(3 * n)
+				if err := w.fileErr(); err != nil {
+					return err
+				}
+				if v := first.Load(); v < int64(n) {
+					return unsatisfiedError(wa.Start + lo + int(v))
+				}
+				if err := commit(wa.Start+lo, a, b, c); err != nil {
+					return err
+				}
 			}
-			if err := w.fileErr(); err != nil {
-				return err
-			}
-			if v := first.Load(); v < int64(n) {
-				return unsatisfiedError(wa.Start + int(v))
-			}
-			return commit(wa.Start, a, b, c)
+			return nil
 		})
 	if _, unsatisfied := err.(unsatisfiedError); err != nil && !unsatisfied {
 		err = fmt.Errorf("groth16: constraint row walk: %w", err)

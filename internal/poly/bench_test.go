@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"zkrownn/internal/bn254/fr"
 )
 
 func benchmarkFFT(b *testing.B, n uint64) {
@@ -55,4 +57,41 @@ func BenchmarkLagrangeBasis4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = d.LagrangeBasisAt(&tau)
 	}
+}
+
+// BenchmarkFFTFile runs the out-of-core transform the out-of-core prover
+// runs — 2^15 points on disk, a quarter-domain scratch — beside the
+// in-memory FFT of the same size: the gap is what splitting, spilling
+// and combining cost.
+func BenchmarkFFTFile(b *testing.B) {
+	const n = 1 << 15
+	d, err := NewDomain(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coeffs := randPoly(rand.New(rand.NewSource(n)), n)
+	b.Run(fmt.Sprintf("n=%d/buf=n/4", n), func(b *testing.B) {
+		vf, err := CreateVecFile(b.TempDir(), n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer vf.Close()
+		if err := vf.WriteAt(coeffs, 0); err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]fr.Element, n/4)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.FFTFile(vf, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("n=%d/memory", n), func(b *testing.B) {
+		work := make([]fr.Element, n)
+		for i := 0; i < b.N; i++ {
+			copy(work, coeffs)
+			d.FFT(work)
+		}
+	})
 }

@@ -124,10 +124,10 @@ func fftTwiddles(n int, root *fr.Element) []fr.Element {
 // fftInner runs the iterative Cooley-Tukey butterfly network with the
 // given root of unity (ω for forward, ω⁻¹ for inverse). Twiddles come
 // precomputed from a pooled flat table, so the inner loops are pure
-// vector kernels (fr.TwiddleButterflyVec). Every level is
-// data-parallel: early levels have many independent blocks (split
-// across blocks), late levels have few wide blocks (split inside each
-// block).
+// vector kernels (fr.TwiddleButterflyVec). Every level is one
+// data-parallel fork: early levels have many independent blocks (split
+// across blocks), late levels have few wide blocks (their butterflies
+// split evenly, ranges crossing block boundaries).
 //
 // sc, when on, records one span per butterfly level under its label —
 // the per-level FFT attribution of the telemetry subsystem. The off
@@ -171,11 +171,18 @@ func (d *Domain) fftInner(a []fr.Element, root *fr.Element, sc obs.Scope) {
 				}
 			})
 		} else {
-			for start := 0; start < n; start += length {
-				par.Range(half, func(js, je int) {
-					fr.TwiddleButterflyVec(a[start+js:start+je], a[start+half+js:start+half+je], level[js:je])
-				})
-			}
+			// Few wide blocks: one fork over all n/2 butterflies of the
+			// level, each worker walking the block segments its range
+			// covers — a fork per block would split ranges too narrow for
+			// par.Range's grain, which then runs them serially.
+			par.Range(n/2, func(js, je int) {
+				for j := js; j < je; {
+					start, off := j/half*length, j%half
+					m := min(je-j, half-off)
+					fr.TwiddleButterflyVec(a[start+off:start+off+m], a[start+half+off:start+half+off+m], level[off:off+m])
+					j += m
+				}
+			})
 		}
 		if sc.On() {
 			sp.End()
@@ -213,23 +220,39 @@ func (d *Domain) ifftInner(a []fr.Element, sc obs.Scope) {
 	})
 }
 
-// mulPowers multiplies a[i] by s^i in place, seeding each parallel chunk
-// with s^start.
-func mulPowers(a []fr.Element, s *fr.Element) {
-	par.Range(len(a), func(start, end int) {
-		cur := powUint64(*s, uint64(start))
-		for i := start; i < end; i++ {
-			a[i].Mul(&a[i], &cur)
-			cur.Mul(&cur, s)
-		}
+// scalePowers multiplies a[i] by c·s^i in place, taking c = 1 and s = 1
+// when nil, in parallel chunks (scalePowersFrom).
+func scalePowers(a []fr.Element, c, s *fr.Element) {
+	if c == nil && s == nil {
+		return
+	}
+	par.Range(len(a), func(lo, hi int) {
+		scalePowersFrom(a[lo:hi], c, s, uint64(lo))
 	})
+}
+
+// scalePowersFrom multiplies a[i] by c·s^(start+i) in place on the
+// calling goroutine, taking c = 1 and s = 1 when nil (not both).
+func scalePowersFrom(a []fr.Element, c, s *fr.Element, start uint64) {
+	if s == nil {
+		fr.ScalarMulVecInto(a, a, c)
+		return
+	}
+	cur := powUint64(*s, start)
+	if c != nil {
+		cur.Mul(&cur, c)
+	}
+	for i := range a {
+		a[i].Mul(&a[i], &cur)
+		cur.Mul(&cur, s)
+	}
 }
 
 // FFTCoset evaluates the coefficient vector on the coset g·H in place.
 func (d *Domain) FFTCoset(a []fr.Element, sc ...obs.Scope) {
 	s := obs.Opt(sc)
 	sp := s.Span()
-	mulPowers(a, &d.CosetShift)
+	scalePowers(a, nil, &d.CosetShift)
 	d.fftInner(a, &d.Gen, s)
 	sp.End()
 }
@@ -240,7 +263,7 @@ func (d *Domain) IFFTCoset(a []fr.Element, sc ...obs.Scope) {
 	s := obs.Opt(sc)
 	sp := s.Span()
 	d.ifftInner(a, s)
-	mulPowers(a, &d.CosetShiftInv)
+	scalePowers(a, nil, &d.CosetShiftInv)
 	sp.End()
 }
 

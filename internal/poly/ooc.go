@@ -2,291 +2,278 @@ package poly
 
 import (
 	"fmt"
-	"path/filepath"
+	"math/bits"
 	"strconv"
 
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/obs"
+	"zkrownn/internal/par"
 )
 
 // Bounded-memory FFT: the transforms below run over a disk-resident
-// VecFile with a caller-chosen resident budget. Decimation-in-time
-// levels are peeled off out-of-core —
+// VecFile with a caller-chosen resident scratch. With n = k·L and L the
+// largest power of two the scratch holds, the input splits into k
+// interleaved sub-vectors x_r[m] = x[r + k·m], each small enough for an
+// in-memory transform, and
 //
-//	X[k]      = Ê[k] + ω^k·Ô[k]
-//	X[k+n/2]  = Ê[k] - ω^k·Ô[k]
+//	X[q + L·s] = Σ_r ω_k^(r·s) · ω^(r·q) · Y_r[q],   Y_r = DFT_L(x_r) at root ω^k,
 //
-// where Ê, Ô are the half-size DFTs (root ω²) of the even- and
-// odd-indexed inputs — recursively, until a sub-transform fits the
-// caller's scratch buffer and runs in memory with the ordinary
-// butterfly network. Field arithmetic is exact and every fr value has
-// a unique reduced Montgomery encoding, so the output equals the
-// in-memory FFT of the same vector bit for bit; only the association
-// of the work differs.
+// with ω_k = ω^L — the four-step decomposition. An out-of-core transform
+// is one split pass (vf → the k sub-vectors), the k in-memory
+// sub-transforms, each followed by its twiddles ω^(r·q), and one combine
+// pass (a k-point DFT down every column q, written straight back into
+// vf), whatever the ratio of n to the scratch. Scalings ride the passes
+// that already hold the data: a coset's input powers and an inverse's
+// 1/n go with the sub-transforms, an inverse coset's output powers with
+// the combine. Field arithmetic is exact and every fr value has a unique
+// reduced Montgomery encoding, so the output equals the in-memory FFT of
+// the same vector bit for bit; only the association of the work differs.
 //
-// Peak resident footprint: the scratch plus a few fixed streaming
-// windows. A scratch of n/2 elements peels one level (two disk
-// sub-vectors), n/4 peels two, and so on — each extra level trades one
-// more streaming pass over the data for half the resident memory.
+// The sub-vectors live in the second half of vf's own file (elements
+// [n, 2n)): a transform creates no file, and the space serves every later
+// transform of the vector and goes with it on Close.
+//
+// Peak resident footprint: the scratch plus two pooled 1 MiB streaming
+// windows (the split's, then the combine's k-1 rows of 2^15/k columns),
+// and more only for a scratch so small that k exceeds 2^15. A smaller
+// scratch means more sub-vectors, and shorter reads in the combine
+// (2^15/k elements a row).
 
-// oocSplit streams vf into its even- and odd-indexed halves, each a
-// fresh disk vector beside vf.
-func oocSplit(vf *VecFile, dir string) (evens, odds *VecFile, err error) {
-	half := vf.Len() / 2
-	if evens, err = CreateVecFile(dir, half); err != nil {
-		return nil, nil, err
-	}
-	if odds, err = CreateVecFile(dir, half); err != nil {
-		evens.Close()
-		return nil, nil, err
-	}
-	fail := func(err error) (*VecFile, *VecFile, error) {
-		evens.Close()
-		odds.Close()
-		return nil, nil, err
-	}
-	ew, ow := evens.NewWriter(), odds.NewWriter()
-	wp := getWin()
-	defer putWin(wp)
-	win := *wp
-	n := vf.Len()
-	for start := 0; start < n; start += vecIOChunk {
-		end := start + vecIOChunk
-		if end > n {
-			end = n
-		}
-		w := win[:end-start]
-		if err := vf.ReadAt(w, start); err != nil {
-			return fail(err)
-		}
-		// vecIOChunk is even, so windows never straddle a parity flip.
-		for i := range w {
-			if (start+i)&1 == 0 {
-				ew.Append(&w[i])
-			} else {
-				ow.Append(&w[i])
-			}
-		}
-	}
-	if err := ew.Flush(); err != nil {
-		return fail(fmt.Errorf("poly: out-of-core FFT split: %w", err))
-	}
-	if err := ow.Flush(); err != nil {
-		return fail(fmt.Errorf("poly: out-of-core FFT split: %w", err))
-	}
-	return evens, odds, nil
+// fileTransform is one of the four out-of-core transforms.
+type fileTransform struct {
+	root  *fr.Element // ω (forward) or ω⁻¹ (inverse)
+	scale *fr.Element // 1/n of an inverse transform, nil otherwise
+	pre   *fr.Element // coset shift g multiplied into the input, nil otherwise
+	post  *fr.Element // coset shift g⁻¹ multiplied into the output, nil otherwise
 }
 
-// oocCombine merges the transformed halves into vf:
-// vf[k] = E[k] + ω^k·O[k], vf[k+half] = E[k] - ω^k·O[k]. evens may be
-// nil, in which case the first half resides in eBuf instead.
-func oocCombine(vf *VecFile, evens *VecFile, eBuf []fr.Element, odds *VecFile, root *fr.Element) error {
-	half := vf.Len() / 2
-	op, ep, tp := getWin(), getWin(), getWin()
-	defer putWin(op)
-	defer putWin(ep)
-	defer putWin(tp)
-	ow, ew, twWin := *op, *ep, *tp
-	for start := 0; start < half; start += vecIOChunk {
-		end := start + vecIOChunk
-		if end > half {
-			end = half
-		}
-		c := end - start
-		if err := odds.ReadAt(ow[:c], start); err != nil {
-			return err
-		}
-		e := ew[:c]
-		if evens != nil {
-			if err := evens.ReadAt(e, start); err != nil {
-				return err
-			}
-		} else {
-			e = eBuf[start:end]
-		}
-		tw := twWin[:c]
-		w := powUint64(*root, uint64(start))
-		for i := range tw {
-			tw[i] = w
-			w.Mul(&w, root)
-		}
-		// (e, ow) ← (e + ω^k·o, e − ω^k·o) via the vector kernels. e is
-		// a scratch window either way (ew, or a chunk of the caller's
-		// discarded eBuf), so clobbering it in place is fine.
-		fr.MulVecInto(ow[:c], ow[:c], tw)
-		fr.ButterflyVec(e, ow[:c])
-		if err := vf.WriteAt(e, start); err != nil {
-			return err
-		}
-		if err := vf.WriteAt(ow[:c], start+half); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// testHookSplit runs after a four-step transform's split pass, in tests.
+var testHookSplit func(vf *VecFile)
 
-// fftFileCore runs the unscaled transform with the given root on vf.
-// buf is the resident scratch; sub-transforms small enough to fit it
-// run in memory, larger ones recurse with another out-of-core level.
-// sc, when on, records a span per out-of-core phase (split, in-memory
-// sub-transform, combine) under its label.
-func fftFileCore(vf *VecFile, buf []fr.Element, root *fr.Element, sc obs.Scope) error {
-	n := vf.Len()
-	if n == 1 {
-		return nil
-	}
-	if n <= len(buf) {
-		// The whole transform fits the scratch: one read, one in-memory
-		// butterfly network, one write.
-		var sp *obs.Span
-		if sc.On() {
-			sp = sc.Sub("/mem" + strconv.Itoa(n)).Span()
-		}
-		defer sp.End()
-		b := buf[:n]
-		if err := vf.ReadAt(b, 0); err != nil {
-			return err
-		}
-		d := Domain{N: uint64(n)}
-		d.fftInner(b, root, obs.Scope{})
-		return vf.WriteAt(b, 0)
-	}
-	half := n / 2
-	dir := filepath.Dir(vf.f.Name())
-	var root2 fr.Element
-	root2.Square(root) // root of the half-size sub-DFTs
+// The four …File transforms are the out-of-core counterparts of FFT,
+// IFFT, FFTCoset and IFFTCoset: they transform a disk-resident vector in
+// place with buf as the resident scratch (any length; a transform that
+// fits runs in memory, and a larger scratch means fewer, longer reads).
+// A vector whose length is not the domain's is rejected untouched. sc,
+// when on, records the call and one span per phase (split, in-memory
+// sub-transforms, combine — or the whole in-memory transform) under it.
 
-	var spSplit *obs.Span
-	if sc.On() {
-		spSplit = sc.Sub("/split" + strconv.Itoa(n)).Span()
-	}
-	if half <= len(buf) {
-		// Last out-of-core level: both sub-transforms run in the
-		// scratch, odds round-tripping through their spill file so the
-		// evens can stay resident for the combine.
-		efile, odds, err := oocSplit(vf, dir)
-		spSplit.End()
-		if err != nil {
-			return err
-		}
-		defer efile.Close()
-		defer odds.Close()
-		var spMem *obs.Span
-		if sc.On() {
-			spMem = sc.Sub("/mem" + strconv.Itoa(half) + "x2").Span()
-		}
-		b := buf[:half]
-		d := Domain{N: uint64(half)}
-		if err := odds.ReadAt(b, 0); err != nil {
-			return err
-		}
-		d.fftInner(b, &root2, obs.Scope{})
-		if err := odds.WriteAt(b, 0); err != nil {
-			return err
-		}
-		if err := efile.ReadAt(b, 0); err != nil {
-			return err
-		}
-		d.fftInner(b, &root2, obs.Scope{})
-		spMem.End()
-		var spComb *obs.Span
-		if sc.On() {
-			spComb = sc.Sub("/combine" + strconv.Itoa(n)).Span()
-		}
-		defer spComb.End()
-		return oocCombine(vf, nil, b, odds, root)
-	}
-
-	// Deeper: both halves recurse out-of-core.
-	evens, odds, err := oocSplit(vf, dir)
-	spSplit.End()
-	if err != nil {
-		return err
-	}
-	defer evens.Close()
-	defer odds.Close()
-	if err := fftFileCore(evens, buf, &root2, sc); err != nil {
-		return err
-	}
-	if err := fftFileCore(odds, buf, &root2, sc); err != nil {
-		return err
-	}
-	var spComb *obs.Span
-	if sc.On() {
-		spComb = sc.Sub("/combine" + strconv.Itoa(n)).Span()
-	}
-	defer spComb.End()
-	return oocCombine(vf, evens, nil, odds, root)
-}
-
-// FFTFile evaluates the disk-resident coefficient vector on H in place,
-// the out-of-core counterpart of FFT. buf is the resident scratch
-// (any length; larger halves the number of streaming passes).
+// FFTFile evaluates the disk-resident coefficient vector on H in place.
 func (d *Domain) FFTFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
-	if err := d.checkFileLen(vf); err != nil {
-		return err
-	}
-	s := obs.Opt(sc)
-	sp := s.Span()
-	defer sp.End()
-	return fftFileCore(vf, buf, &d.Gen, s)
+	return d.transformFile(vf, buf, fileTransform{root: &d.Gen}, sc)
 }
 
 // IFFTFile interpolates disk-resident evaluations on H back to
-// coefficients, the out-of-core counterpart of IFFT.
+// coefficients in place.
 func (d *Domain) IFFTFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
-	if err := d.checkFileLen(vf); err != nil {
-		return err
-	}
-	s := obs.Opt(sc)
-	sp := s.Span()
-	defer sp.End()
-	if err := fftFileCore(vf, buf, &d.GenInv, s); err != nil {
-		return err
-	}
-	nInv := d.NInv
-	return vf.StreamUpdate(func(_ int, v []fr.Element) {
-		fr.ScalarMulVecInto(v, v, &nInv)
-	})
-}
-
-func (d *Domain) checkFileLen(vf *VecFile) error {
-	if uint64(vf.Len()) != d.N {
-		return fmt.Errorf("poly: out-of-core FFT input length %d != domain size %d", vf.Len(), d.N)
-	}
-	return nil
-}
-
-// MulPowersFile multiplies element i by s^i in place, streaming — the
-// out-of-core counterpart of mulPowers.
-func MulPowersFile(vf *VecFile, s *fr.Element) error {
-	return vf.StreamUpdate(func(start int, v []fr.Element) {
-		cur := powUint64(*s, uint64(start))
-		for i := range v {
-			v[i].Mul(&v[i], &cur)
-			cur.Mul(&cur, s)
-		}
-	})
+	return d.transformFile(vf, buf, fileTransform{root: &d.GenInv, scale: &d.NInv}, sc)
 }
 
 // FFTCosetFile evaluates the disk-resident coefficient vector on the
-// coset g·H in place. The length is checked before the coset powers
-// touch the file: a vector of the wrong length is rejected unmodified.
+// coset g·H in place.
 func (d *Domain) FFTCosetFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
-	if err := d.checkFileLen(vf); err != nil {
-		return err
-	}
-	if err := MulPowersFile(vf, &d.CosetShift); err != nil {
-		return err
-	}
-	return d.FFTFile(vf, buf, sc...)
+	return d.transformFile(vf, buf, fileTransform{root: &d.Gen, pre: &d.CosetShift}, sc)
 }
 
 // IFFTCosetFile interpolates disk-resident evaluations on the coset g·H
 // back to coefficients in place.
 func (d *Domain) IFFTCosetFile(vf *VecFile, buf []fr.Element, sc ...obs.Scope) error {
-	if err := d.IFFTFile(vf, buf, sc...); err != nil {
+	return d.transformFile(vf, buf, fileTransform{root: &d.GenInv, scale: &d.NInv, post: &d.CosetShiftInv}, sc)
+}
+
+func (d *Domain) transformFile(vf *VecFile, buf []fr.Element, t fileTransform, sc []obs.Scope) error {
+	if uint64(vf.Len()) != d.N {
+		return fmt.Errorf("poly: out-of-core FFT input length %d != domain size %d", vf.Len(), d.N)
+	}
+	s := obs.Opt(sc)
+	sp := s.Span()
+	defer sp.End()
+	n := vf.Len()
+	switch {
+	case n == 1: // every transform of one element is the identity
+		return nil
+	case n <= len(buf):
+		return t.resident(vf, buf[:n], s)
+	}
+	return t.fourStep(vf, buf, s)
+}
+
+// resident runs the whole transform in the scratch: one read, the
+// in-memory transform, one write.
+func (t *fileTransform) resident(vf *VecFile, b []fr.Element, sc obs.Scope) error {
+	var sp *obs.Span
+	if sc.On() {
+		sp = sc.Sub("/mem" + strconv.Itoa(len(b))).Span()
+	}
+	defer sp.End()
+	if err := vf.ReadAt(b, 0); err != nil {
 		return err
 	}
-	return MulPowersFile(vf, &d.CosetShiftInv)
+	scalePowers(b, nil, t.pre)
+	(&Domain{N: uint64(len(b))}).fftInner(b, t.root, obs.Scope{})
+	scalePowers(b, t.scale, t.post)
+	return vf.WriteAt(b, 0)
+}
+
+// fourStep runs the transform out of core: split, the k sub-transforms
+// (the last stays in buf for the combine), combine.
+func (t *fileTransform) fourStep(vf *VecFile, buf []fr.Element, sc obs.Scope) error {
+	n := vf.Len()
+	if len(buf) == 0 {
+		buf = make([]fr.Element, 1) // one-element sub-transforms: the combine is the whole DFT
+	}
+	sub := 1 << (bits.Len(uint(len(buf))) - 1)
+	k := n / sub
+	phase := func(name string) *obs.Span {
+		if !sc.On() {
+			return nil
+		}
+		return sc.Sub(name).Span()
+	}
+
+	sp := phase("/split" + strconv.Itoa(n))
+	err := split(vf, k)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	if testHookSplit != nil {
+		testHookSplit(vf)
+	}
+
+	sp = phase("/mem" + strconv.Itoa(sub) + "x" + strconv.Itoa(k))
+	b := buf[:sub]
+	subDomain := Domain{N: uint64(sub)}
+	subRoot := powUint64(*t.root, uint64(k))
+	// x_r is scaled by g^(r + k·m) for a coset (first g^r, step g^k) and
+	// Y_r by ω^(r·q) (first 1, step ω^r), times 1/n for an inverse.
+	var first, step, twiddle fr.Element
+	first.SetOne()
+	twiddle.SetOne()
+	if t.pre != nil {
+		step = powUint64(*t.pre, uint64(k))
+	}
+	for r := 0; r < k && err == nil; r++ {
+		if err = vf.ReadAt(b, n+r*sub); err != nil {
+			break
+		}
+		if t.pre != nil {
+			scalePowers(b, &first, &step)
+			first.Mul(&first, t.pre)
+		}
+		subDomain.fftInner(b, &subRoot, obs.Scope{})
+		tw := &twiddle
+		if r == 0 {
+			tw = nil
+		}
+		scalePowers(b, t.scale, tw)
+		twiddle.Mul(&twiddle, t.root)
+		if r < k-1 {
+			err = vf.WriteAt(b, n+r*sub)
+		}
+	}
+	sp.End()
+	if err != nil {
+		return err
+	}
+
+	sp = phase("/combine" + strconv.Itoa(n))
+	defer sp.End()
+	return t.combine(vf, b, k)
+}
+
+// split streams vf into its k interleaved sub-vectors: element r + k·m
+// goes to position m of sub-vector r, stored at element n + r·(n/k). A
+// window of W elements (a multiple of k) lands as k contiguous runs of
+// W/k, one per sub-vector.
+func split(vf *VecFile, k int) error {
+	n := vf.Len()
+	sub := n / k
+	w := min(n, max(vecIOChunk, k))
+	inp, outp := getWinLen(w), getWinLen(w)
+	defer putWin(inp)
+	defer putWin(outp)
+	in, out := (*inp)[:w], (*outp)[:w]
+	per := w / k
+	for start := 0; start < n; start += w {
+		if err := vf.ReadAt(in, start); err != nil {
+			return err
+		}
+		par.Range(w, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = in[i%per*k+i/per]
+			}
+		})
+		for r := 0; r < k; r++ {
+			if err := vf.WriteAt(out[r*per:(r+1)*per], n+r*sub+start/k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// combine runs the k-point DFT down every column q of the twiddled
+// sub-transforms — rows 0..k-2 from the spill, row k-1 still in last —
+// and writes output row s to vf at s·(n/k) + q, times g^-(q + s·n/k) for
+// an inverse coset. Columns go a window at a time: k-1 rows of w
+// columns fill one pooled window.
+func (t *fileTransform) combine(vf *VecFile, last []fr.Element, k int) error {
+	n := vf.Len()
+	sub := n / k
+	w := max(1, min(sub, vecIOChunk/k))
+	areap := getWinLen((k - 1) * w)
+	defer putWin(areap)
+	area := *areap
+	// The DFT runs on the rows in bit-reversed order, so that its output
+	// comes out in natural order: rows[s] is output row s.
+	rows := make([][]fr.Element, k)
+	shift := 64 - uint(bits.TrailingZeros(uint(k)))
+	// tw[j] = ω_k^j, ω_k = root^(n/k).
+	tw := make([]fr.Element, max(k/2, 1))
+	wk := powUint64(*t.root, uint64(sub))
+	tw[0].SetOne()
+	for j := 1; j < len(tw); j++ {
+		tw[j].Mul(&tw[j-1], &wk)
+	}
+	for q0 := 0; q0 < sub; q0 += w {
+		cw := min(w, sub-q0)
+		for r := 0; r < k; r++ {
+			var row []fr.Element
+			if r == k-1 {
+				row = last[q0 : q0+cw]
+			} else {
+				row = area[r*w : r*w+cw]
+				if err := vf.ReadAt(row, n+r*sub+q0); err != nil {
+					return err
+				}
+			}
+			rows[bits.Reverse64(uint64(r))>>shift] = row
+		}
+		par.Range(cw, func(lo, hi int) {
+			for length := 2; length <= k; length <<= 1 {
+				half, stride := length/2, k/length
+				for start := 0; start < k; start += length {
+					for j := 0; j < half; j++ {
+						a, b := rows[start+j][lo:hi], rows[start+j+half][lo:hi]
+						if j > 0 {
+							fr.ScalarMulVecInto(b, b, &tw[j*stride])
+						}
+						fr.ButterflyVec(a, b)
+					}
+				}
+			}
+			if t.post != nil {
+				for s, row := range rows {
+					scalePowersFrom(row[lo:hi], nil, t.post, uint64(q0+lo+s*sub))
+				}
+			}
+		})
+		for s, row := range rows {
+			if err := vf.WriteAt(row, s*sub+q0); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,8 @@ package poly
 
 import (
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"zkrownn/internal/bn254/fr"
@@ -57,21 +59,22 @@ func TestVecFileRoundtrip(t *testing.T) {
 
 // TestFFTFileMatchesMemory checks every out-of-core transform against
 // its in-memory counterpart, element for element, across domain sizes
-// (including the n=1 and n=2 degenerate shapes) and scratch budgets
-// (whole-transform-in-memory down to zero scratch, forcing one, two,
-// and log n out-of-core decimation levels).
+// (the n=1 and n=2 degenerate shapes, even and odd log n) and scratch
+// budgets: at least the whole transform (in memory), then n/2, n/4 and
+// n/8 (two, four and eight sub-transforms), and down to one element and
+// none (sub-transforms of one point: the combine is the whole DFT).
 func TestFFTFileMatchesMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []uint64{1, 2, 4, 64, 1 << 10} {
+	for _, n := range []uint64{1, 2, 4, 8, 64, 1 << 10, 1 << 11} {
 		d, err := NewDomain(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bufLens := []int{int(n), int(n) / 2, int(n) / 4, int(n) / 8}
+		bufLens := []int{2 * int(n), int(n), int(n) / 2, int(n) / 4, int(n) / 8}
 		if n <= 64 {
-			// Degenerate budgets force ~log n out-of-core levels; the
-			// file explosion is only affordable on small domains.
-			bufLens = append(bufLens, 1, 0)
+			// A scratch below √n reads the sub-vectors a few elements at a
+			// time; affordable on small domains only.
+			bufLens = append(bufLens, 3, 1, 0)
 		}
 		for _, bufLen := range bufLens {
 			buf := make([]fr.Element, bufLen)
@@ -123,20 +126,33 @@ func TestFFTFileWrongLengthLeavesFileUntouched(t *testing.T) {
 	}
 }
 
-// TestMulPowersFileMatchesMemory checks the streamed power-scaling pass.
-func TestMulPowersFileMatchesMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Odd length exercises a final partial window.
-	v := randPoly(rng, (1<<15)+7)
-	var s fr.Element
-	s.SetUint64(11)
-	vf := vecToFile(t, v)
-	defer vf.Close()
-	if err := MulPowersFile(vf, &s); err != nil {
+// TestFFTFileFailureLeavesNoFile closes the vector between a four-step
+// transform's split and its combine — its sub-vectors live in the second
+// half of its own file — and checks every transform returns the error and
+// leaves no file behind.
+func TestFFTFileFailureLeavesNoFile(t *testing.T) {
+	d, err := NewDomain(64)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mulPowers(v, &s)
-	requireFileEquals(t, vf, v)
+	testHookSplit = func(vf *VecFile) { vf.Close() }
+	defer func() { testHookSplit = nil }()
+	buf := make([]fr.Element, 16)
+	for name, file := range map[string]func(*VecFile, []fr.Element, ...obs.Scope) error{
+		"FFTFile": d.FFTFile, "IFFTFile": d.IFFTFile, "FFTCosetFile": d.FFTCosetFile, "IFFTCosetFile": d.IFFTCosetFile,
+	} {
+		dir := t.TempDir()
+		vf, err := CreateVecFile(dir, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := file(vf, buf); err == nil || !strings.Contains(err.Error(), "file already closed") {
+			t.Errorf("%s: error %v, want the closed file's", name, err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "zkrownn-vec-*")); len(left) > 0 {
+			t.Errorf("%s left %v behind", name, left)
+		}
+	}
 }
 
 // TestStreamMerge checks the two-file pointwise fold.

@@ -1,14 +1,13 @@
 package poly
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/par"
 )
 
 // Out-of-core vectors: a VecFile is a disk-resident vector of field
@@ -51,7 +50,8 @@ func CreateVecFile(dir string, n int) (*VecFile, error) {
 // Len returns the vector length in elements.
 func (vf *VecFile) Len() int { return vf.n }
 
-// Close releases and removes the backing file.
+// Close releases and removes the backing file (and with it the
+// sub-vectors the out-of-core transforms keep in its second half).
 func (vf *VecFile) Close() error {
 	name := vf.f.Name()
 	err := vf.f.Close()
@@ -59,6 +59,21 @@ func (vf *VecFile) Close() error {
 		err = rmErr
 	}
 	return err
+}
+
+// vecCodecGrain is the element count from which one read or write
+// encodes or decodes on every worker: below it (a witness page) the fork
+// costs more than it saves.
+const vecCodecGrain = 1 << 13
+
+// codec runs f over v and its encoding buf (len(v)*VecElemSize bytes),
+// split across workers when v reaches vecCodecGrain.
+func codec(buf []byte, v []fr.Element, f func(buf []byte, v []fr.Element)) {
+	if len(v) < vecCodecGrain {
+		f(buf, v)
+		return
+	}
+	par.Range(len(v), func(lo, hi int) { f(buf[lo*VecElemSize:hi*VecElemSize], v[lo:hi]) })
 }
 
 // encodeElems serializes elements into buf (len(v)*VecElemSize bytes).
@@ -71,7 +86,7 @@ func encodeElems(buf []byte, v []fr.Element) {
 }
 
 // decodeElems deserializes len(v) elements from buf.
-func decodeElems(v []fr.Element, buf []byte) {
+func decodeElems(buf []byte, v []fr.Element) {
 	for i := range v {
 		for l := 0; l < fr.Limbs; l++ {
 			v[i][l] = binary.LittleEndian.Uint64(buf[i*VecElemSize+8*l:])
@@ -80,11 +95,11 @@ func decodeElems(v []fr.Element, buf []byte) {
 }
 
 // The pools below recycle the streaming machinery's fixed-size pieces —
-// 1 MiB codec windows, element windows, bufio writers. They are hot
-// (hundreds of uses per out-of-core quotient) and allocating each use
-// would churn the very GC the pipeline exists to relieve: at one P
-// under a memory limit, tens of MB of transient windows linger as
-// floating garbage and show up in peak RSS.
+// 1 MiB codec buffers and element windows. They are hot (dozens of uses
+// per out-of-core quotient) and allocating each use would churn the very
+// GC the pipeline exists to relieve: at one P under a memory limit, tens
+// of MB of transient windows linger as floating garbage and show up in
+// peak RSS.
 var vecBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, vecIOChunk*VecElemSize)
@@ -99,13 +114,24 @@ var vecWinPool = sync.Pool{
 	},
 }
 
-// getWin borrows one element window; hand the pointer back to
-// putWin when done.
-func getWin() *[]fr.Element  { return vecWinPool.Get().(*[]fr.Element) }
-func putWin(w *[]fr.Element) { vecWinPool.Put(w) }
+// getWin borrows one element window of vecIOChunk elements; hand the
+// pointer back to putWin when done.
+func getWin() *[]fr.Element { return vecWinPool.Get().(*[]fr.Element) }
 
-var vecBWPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(io.Discard, 1<<20) },
+// getWinLen borrows a window of at least n elements: a pooled one when n
+// fits vecIOChunk, a fresh one otherwise, which putWin lets go.
+func getWinLen(n int) *[]fr.Element {
+	if n <= vecIOChunk {
+		return getWin()
+	}
+	w := make([]fr.Element, n)
+	return &w
+}
+
+func putWin(w *[]fr.Element) {
+	if cap(*w) == vecIOChunk {
+		vecWinPool.Put(w)
+	}
 }
 
 // WriteAt stores v at element offset start.
@@ -114,11 +140,8 @@ func (vf *VecFile) WriteAt(v []fr.Element, start int) error {
 	defer vecBufPool.Put(bp)
 	buf := *bp
 	for len(v) > 0 {
-		c := len(v)
-		if c > vecIOChunk {
-			c = vecIOChunk
-		}
-		encodeElems(buf[:c*VecElemSize], v[:c])
+		c := min(len(v), vecIOChunk)
+		codec(buf[:c*VecElemSize], v[:c], encodeElems)
 		if _, err := vf.f.WriteAt(buf[:c*VecElemSize], int64(start)*VecElemSize); err != nil {
 			return fmt.Errorf("poly: vec write at %d: %w", start, err)
 		}
@@ -134,81 +157,22 @@ func (vf *VecFile) ReadAt(v []fr.Element, start int) error {
 	defer vecBufPool.Put(bp)
 	buf := *bp
 	for len(v) > 0 {
-		c := len(v)
-		if c > vecIOChunk {
-			c = vecIOChunk
-		}
+		c := min(len(v), vecIOChunk)
 		if _, err := vf.f.ReadAt(buf[:c*VecElemSize], int64(start)*VecElemSize); err != nil {
 			return fmt.Errorf("poly: vec read at %d: %w", start, err)
 		}
-		decodeElems(v[:c], buf[:c*VecElemSize])
+		codec(buf[:c*VecElemSize], v[:c], decodeElems)
 		v = v[c:]
 		start += c
 	}
 	return nil
 }
 
-// vecWriter streams sequential element writes through one buffer.
-type vecWriter struct {
-	bw  *bufio.Writer
-	buf [VecElemSize]byte
-}
-
-// NewWriter returns a buffered sequential writer positioned at element
-// 0. Interleaving it with WriteAt/ReadAt on the same VecFile is the
-// caller's responsibility. The writer is single-use: Flush finalizes it
-// and recycles its buffer.
-func (vf *VecFile) NewWriter() *vecWriter {
-	vf.f.Seek(0, io.SeekStart)
-	bw := vecBWPool.Get().(*bufio.Writer)
-	bw.Reset(vf.f)
-	return &vecWriter{bw: bw}
-}
-
-// Append writes one element (bufio errors are sticky; Flush reports).
-func (w *vecWriter) Append(e *fr.Element) {
-	for l := 0; l < fr.Limbs; l++ {
-		binary.LittleEndian.PutUint64(w.buf[8*l:], e[l])
-	}
-	w.bw.Write(w.buf[:]) //nolint:errcheck
-}
-
-// Flush commits buffered writes and retires the writer.
-func (w *vecWriter) Flush() error {
-	err := w.bw.Flush()
-	w.bw.Reset(io.Discard) // drop the file reference before pooling
-	vecBWPool.Put(w.bw)
-	w.bw = nil
-	return err
-}
-
-// StreamUpdate rewrites the vector in place: fn receives each loaded
-// window (element offset start) and mutates it before it is stored
-// back. Peak memory is one window.
-func (vf *VecFile) StreamUpdate(fn func(start int, v []fr.Element)) error {
-	vp := getWin()
-	defer putWin(vp)
-	v := *vp
-	for start := 0; start < vf.n; start += vecIOChunk {
-		end := start + vecIOChunk
-		if end > vf.n {
-			end = vf.n
-		}
-		w := v[:end-start]
-		if err := vf.ReadAt(w, start); err != nil {
-			return err
-		}
-		fn(start, w)
-		if err := vf.WriteAt(w, start); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StreamMerge folds other into vf window by window:
-// fn(dst, src) mutates dst = vf[start:end] given src = other[start:end].
-// Both vectors must have equal length; peak memory is two windows.
+// StreamMerge folds other into vf window by window: fn(dst, src)
+// mutates dst = vf[lo:hi] given src = other[lo:hi], called concurrently
+// on disjoint sub-ranges of each window (an elementwise fn needs no
+// care). Both vectors must have equal length; peak memory is two
+// windows.
 func (vf *VecFile) StreamMerge(other *VecFile, fn func(dst, src []fr.Element)) error {
 	if other.n != vf.n {
 		return fmt.Errorf("poly: vec merge length mismatch %d != %d", other.n, vf.n)
@@ -218,10 +182,7 @@ func (vf *VecFile) StreamMerge(other *VecFile, fn func(dst, src []fr.Element)) e
 	defer putWin(sp)
 	dst, src := *dp, *sp
 	for start := 0; start < vf.n; start += vecIOChunk {
-		end := start + vecIOChunk
-		if end > vf.n {
-			end = vf.n
-		}
+		end := min(start+vecIOChunk, vf.n)
 		d, s := dst[:end-start], src[:end-start]
 		if err := vf.ReadAt(d, start); err != nil {
 			return err
@@ -229,7 +190,7 @@ func (vf *VecFile) StreamMerge(other *VecFile, fn func(dst, src []fr.Element)) e
 		if err := other.ReadAt(s, start); err != nil {
 			return err
 		}
-		fn(d, s)
+		par.Range(len(d), func(lo, hi int) { fn(d[lo:hi], s[lo:hi]) })
 		if err := vf.WriteAt(d, start); err != nil {
 			return err
 		}
