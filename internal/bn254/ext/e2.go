@@ -71,25 +71,13 @@ func (z *E2) Equal(x *E2) bool { return z.A0.Equal(&x.A0) && z.A1.Equal(&x.A1) }
 func (z *E2) String() string { return z.A0.String() + "+" + z.A1.String() + "*u" }
 
 // Add sets z = x + y and returns z.
-func (z *E2) Add(x, y *E2) *E2 {
-	z.A0.Add(&x.A0, &y.A0)
-	z.A1.Add(&x.A1, &y.A1)
-	return z
-}
+func (z *E2) Add(x, y *E2) *E2 { addP(z, x, y); return z }
 
 // Sub sets z = x - y and returns z.
-func (z *E2) Sub(x, y *E2) *E2 {
-	z.A0.Sub(&x.A0, &y.A0)
-	z.A1.Sub(&x.A1, &y.A1)
-	return z
-}
+func (z *E2) Sub(x, y *E2) *E2 { subP(z, x, y); return z }
 
 // Double sets z = 2x and returns z.
-func (z *E2) Double(x *E2) *E2 {
-	z.A0.Double(&x.A0)
-	z.A1.Double(&x.A1)
-	return z
-}
+func (z *E2) Double(x *E2) *E2 { addP(z, x, x); return z }
 
 // Neg sets z = -x and returns z.
 func (z *E2) Neg(x *E2) *E2 {
@@ -107,29 +95,29 @@ func (z *E2) Conjugate(x *E2) *E2 {
 
 // Mul sets z = x·y and returns z, using the schoolbook/Karatsuba mix:
 // (a0+a1u)(b0+b1u) = (a0b0 - a1b1) + ((a0+a1)(b0+b1) - a0b0 - a1b1)u.
+// The adds and subs between the products are open-coded (e2_limbs.go).
 func (z *E2) Mul(x, y *E2) *E2 {
-	var t0, t1, s0, s1, r0 fp.Element
+	var t0, t1, s0, s1 fp.Element
 	t0.Mul(&x.A0, &y.A0)
 	t1.Mul(&x.A1, &y.A1)
-	s0.Add(&x.A0, &x.A1)
-	s1.Add(&y.A0, &y.A1)
-	r0.Sub(&t0, &t1)
+	s0 = addBackP(subModulus(limbAdd(&x.A0, &x.A1)))
+	s1 = addBackP(subModulus(limbAdd(&y.A0, &y.A1)))
 	s0.Mul(&s0, &s1)
-	s0.Sub(&s0, &t0)
-	z.A1.Sub(&s0, &t1)
-	z.A0.Set(&r0)
+	z.A0 = addBackP(limbSub(&t0, &t1))
+	s0 = addBackP(limbSub(&s0, &t0))
+	z.A1 = addBackP(limbSub(&s0, &t1))
 	return z
 }
 
 // Square sets z = x² and returns z:
 // (a0+a1u)² = (a0+a1)(a0-a1) + 2a0a1·u.
 func (z *E2) Square(x *E2) *E2 {
-	sum, diff := x.A0, x.A1
-	fp.Butterfly(&sum, &diff) // (a0+a1, a0-a1)
-	var prod fp.Element
+	var sum, diff, prod fp.Element
+	sum = addBackP(subModulus(limbAdd(&x.A0, &x.A1)))
+	diff = addBackP(limbSub(&x.A0, &x.A1))
 	prod.Mul(&x.A0, &x.A1)
 	z.A0.Mul(&sum, &diff)
-	z.A1.Double(&prod)
+	z.A1 = addBackP(subModulus(limbAdd(&prod, &prod)))
 	return z
 }
 
@@ -142,23 +130,18 @@ func (z *E2) MulByElement(x *E2, c *fp.Element) *E2 {
 
 // MulByNonResidue sets z = x·ξ with ξ = 9+u:
 // (a0+a1u)(9+u) = (9a0 - a1) + (a0 + 9a1)u.
-// 9a = 8a + a costs three doublings and an add — much cheaper than a
+// 9x = 8x + x costs three doublings and an add — much cheaper than a
 // Montgomery product by the constant 9 (this runs once per pairing
 // doubling step and throughout the Frobenius tower).
 func (z *E2) MulByNonResidue(x *E2) *E2 {
-	var t0, t1 fp.Element
-	nineTimes := func(dst, a *fp.Element) {
-		dst.Double(a)
-		dst.Double(dst)
-		dst.Double(dst)
-		dst.Add(dst, a)
-	}
-	nineTimes(&t0, &x.A0)
-	t0.Sub(&t0, &x.A1)
-	nineTimes(&t1, &x.A1)
-	t1.Add(&t1, &x.A0)
-	z.A0.Set(&t0)
-	z.A1.Set(&t1)
+	var t E2
+	addP(&t, x, x)
+	addP(&t, &t, &t)
+	addP(&t, &t, &t)
+	addP(&t, &t, x)
+	a1 := x.A1 // z may alias x
+	z.A1 = addBackP(subModulus(limbAdd(&t.A1, &x.A0)))
+	z.A0 = addBackP(limbSub(&t.A0, &a1))
 	return z
 }
 

@@ -420,3 +420,37 @@ func TestBatchInvertE2Into(t *testing.T) {
 		}
 	}
 }
+
+const randomOperandCount = 1 << 16
+
+// randomE2Operands is a working set like fp's BenchmarkAddRandom: the
+// adds and subs between the products wrap past p or not at random, so
+// a reduction that branches on it pays for every misprediction.
+func randomE2Operands() (x, y []E2) {
+	rng := rand.New(rand.NewSource(23))
+	x, y = make([]E2, randomOperandCount), make([]E2, randomOperandCount)
+	for i := range x {
+		x[i], y[i] = randE2(rng), randE2(rng)
+	}
+	return x, y
+}
+
+func BenchmarkE2MulRandom(b *testing.B) {
+	x, y := randomE2Operands()
+	var z E2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Mul(&x[i%randomOperandCount], &y[i%randomOperandCount])
+	}
+	_ = z
+}
+
+func BenchmarkE2SquareRandom(b *testing.B) {
+	x, _ := randomE2Operands()
+	var z E2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Square(&x[i%randomOperandCount])
+	}
+	_ = z
+}

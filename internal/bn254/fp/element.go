@@ -225,43 +225,6 @@ func (z *Element) smallerThanModulus() bool {
 	return false // equal
 }
 
-// Add sets z = x + y mod p and returns z.
-func (z *Element) Add(x, y *Element) *Element {
-	var carry uint64
-	z[0], carry = bits.Add64(x[0], y[0], 0)
-	z[1], carry = bits.Add64(x[1], y[1], carry)
-	z[2], carry = bits.Add64(x[2], y[2], carry)
-	z[3], _ = bits.Add64(x[3], y[3], carry)
-	if !z.smallerThanModulus() {
-		var b uint64
-		z[0], b = bits.Sub64(z[0], q[0], 0)
-		z[1], b = bits.Sub64(z[1], q[1], b)
-		z[2], b = bits.Sub64(z[2], q[2], b)
-		z[3], _ = bits.Sub64(z[3], q[3], b)
-	}
-	return z
-}
-
-// Double sets z = 2x mod p and returns z.
-func (z *Element) Double(x *Element) *Element { return z.Add(x, x) }
-
-// Sub sets z = x - y mod p and returns z.
-func (z *Element) Sub(x, y *Element) *Element {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		z[0], c = bits.Add64(z[0], q[0], 0)
-		z[1], c = bits.Add64(z[1], q[1], c)
-		z[2], c = bits.Add64(z[2], q[2], c)
-		z[3], _ = bits.Add64(z[3], q[3], c)
-	}
-	return z
-}
-
 // Neg sets z = -x mod p and returns z.
 func (z *Element) Neg(x *Element) *Element {
 	if x.IsZero() {

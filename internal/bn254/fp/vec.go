@@ -14,11 +14,3 @@ func MulVecInto(dst, a, b []Element) {
 	}
 	mulVecBackend(dst, a, b)
 }
-
-// Butterfly sets (a, b) = (a+b, a−b) in place — the radix-2 building
-// block shared by the tower arithmetic and the FFTs.
-func Butterfly(a, b *Element) {
-	t := *a
-	a.Add(a, b)
-	b.Sub(&t, b)
-}

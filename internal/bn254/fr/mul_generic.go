@@ -1,18 +1,91 @@
 package fr
 
-// Portable Montgomery multiplication core. This file is byte-identical
-// between internal/bn254/fp and internal/bn254/fr after the package
-// clause — TestGenericCoreLockstep enforces the match, so a fix applied
-// to one field cannot silently miss the other. Keep it free of
-// package-specific identifiers beyond the shared names Element, q,
-// qInvNeg and smallerThanModulus, and keep panics/strings out.
+// Portable arithmetic core: modular add/sub and the Montgomery
+// multiplication. This file is byte-identical between internal/bn254/fp
+// and internal/bn254/fr after the package clause —
+// TestGenericCoreLockstep enforces the match, so a fix applied to one
+// field cannot silently miss the other. Keep it free of
+// package-specific identifiers beyond the shared names Element, q and
+// qInvNeg, and keep panics/strings out.
 //
 // mulGeneric is the reference implementation for every accelerated
 // backend: the build-tagged assembly paths must agree with it bit for
 // bit on all inputs (pinned by the FuzzF*MulBackends differential fuzz
 // targets and the property tests).
+//
+// No reduction here branches on data. Whether a random sum wraps past
+// the modulus is a coin flip a branch predictor cannot learn, so every
+// final correction computes both candidates and selects one with the
+// borrow as a mask. Add, Sub and Double are written out in full: the
+// compiler inlines neither them nor a shared helper, and a second call
+// costs as much as the arithmetic.
 
 import "math/bits"
+
+// Add sets z = x + y mod p and returns z. x+y < 2p < 2²⁵⁶ (the top limb
+// of either modulus is below 2⁶²), so the sum needs no fifth limb.
+func (z *Element) Add(x, y *Element) *Element {
+	t0, c := bits.Add64(x[0], y[0], 0)
+	t1, c := bits.Add64(x[1], y[1], c)
+	t2, c := bits.Add64(x[2], y[2], c)
+	t3, _ := bits.Add64(x[3], y[3], c)
+	u0, b := bits.Sub64(t0, q[0], 0)
+	u1, b := bits.Sub64(t1, q[1], b)
+	u2, b := bits.Sub64(t2, q[2], b)
+	u3, b := bits.Sub64(t3, q[3], b)
+	m := -b // all ones when t < p: keep t
+	z[0] = u0 ^ (u0^t0)&m
+	z[1] = u1 ^ (u1^t1)&m
+	z[2] = u2 ^ (u2^t2)&m
+	z[3] = u3 ^ (u3^t3)&m
+	return z
+}
+
+// Double sets z = 2x mod p and returns z.
+func (z *Element) Double(x *Element) *Element {
+	t0, t1, t2, t3 := x[0]<<1, x[1]<<1|x[0]>>63, x[2]<<1|x[1]>>63, x[3]<<1|x[2]>>63
+	u0, b := bits.Sub64(t0, q[0], 0)
+	u1, b := bits.Sub64(t1, q[1], b)
+	u2, b := bits.Sub64(t2, q[2], b)
+	u3, b := bits.Sub64(t3, q[3], b)
+	m := -b
+	z[0] = u0 ^ (u0^t0)&m
+	z[1] = u1 ^ (u1^t1)&m
+	z[2] = u2 ^ (u2^t2)&m
+	z[3] = u3 ^ (u3^t3)&m
+	return z
+}
+
+// Sub sets z = x - y mod p and returns z: p masked by the borrow is
+// added back, which is p on a wrap and 0 otherwise.
+func (z *Element) Sub(x, y *Element) *Element {
+	t0, b := bits.Sub64(x[0], y[0], 0)
+	t1, b := bits.Sub64(x[1], y[1], b)
+	t2, b := bits.Sub64(x[2], y[2], b)
+	t3, b := bits.Sub64(x[3], y[3], b)
+	m := -b
+	var c uint64
+	z[0], c = bits.Add64(t0, q[0]&m, 0)
+	z[1], c = bits.Add64(t1, q[1]&m, c)
+	z[2], c = bits.Add64(t2, q[2]&m, c)
+	z[3], _ = bits.Add64(t3, q[3]&m, c)
+	return z
+}
+
+// reduceOnce sets z = t mod p for t < 2p, the final correction of the
+// Montgomery products, selected as in Add. z is written only after t
+// is consumed, so callers may pass z's own limbs.
+func (z *Element) reduceOnce(t0, t1, t2, t3 uint64) {
+	u0, b := bits.Sub64(t0, q[0], 0)
+	u1, b := bits.Sub64(t1, q[1], b)
+	u2, b := bits.Sub64(t2, q[2], b)
+	u3, b := bits.Sub64(t3, q[3], b)
+	m := -b
+	z[0] = u0 ^ (u0^t0)&m
+	z[1] = u1 ^ (u1^t1)&m
+	z[2] = u2 ^ (u2^t2)&m
+	z[3] = u3 ^ (u3^t3)&m
+}
 
 // madd0 returns the high word of a*b + c.
 func madd0(a, b, c uint64) uint64 {
@@ -105,13 +178,7 @@ func mulGeneric(z, x, y *Element) {
 		c[1], c[0] = madd2(v, y[3], c[1], t[3])
 		z[3], z[2] = madd3(m, q[3], c[0], c[2], c[1])
 	}
-	if !z.smallerThanModulus() {
-		var b uint64
-		z[0], b = bits.Sub64(z[0], q[0], 0)
-		z[1], b = bits.Sub64(z[1], q[1], b)
-		z[2], b = bits.Sub64(z[2], q[2], b)
-		z[3], _ = bits.Sub64(z[3], q[3], b)
-	}
+	z.reduceOnce(z[0], z[1], z[2], z[3])
 }
 
 // squareGeneric sets z = x² mod p with a dedicated no-carry squaring:
@@ -212,14 +279,7 @@ func squareGeneric(z, x *Element) {
 
 	// The reduced value is below (p² + 2²⁵⁶·p)/2²⁵⁶ < 2p, so one
 	// conditional subtraction restores canonical form.
-	z[0], z[1], z[2], z[3] = t[4], t[5], t[6], t[7]
-	if !z.smallerThanModulus() {
-		var b uint64
-		z[0], b = bits.Sub64(z[0], q[0], 0)
-		z[1], b = bits.Sub64(z[1], q[1], b)
-		z[2], b = bits.Sub64(z[2], q[2], b)
-		z[3], _ = bits.Sub64(z[3], q[3], b)
-	}
+	z.reduceOnce(t[4], t[5], t[6], t[7])
 }
 
 // mulVecGeneric is the portable element-wise product kernel behind

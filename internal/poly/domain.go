@@ -329,34 +329,3 @@ func (d *Domain) LagrangeBasisAt(tau *fr.Element) []fr.Element {
 	})
 	return out
 }
-
-// EvalPoly evaluates the coefficient vector at x with Horner's rule.
-func EvalPoly(coeffs []fr.Element, x *fr.Element) fr.Element {
-	var res fr.Element
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		res.Mul(&res, x)
-		res.Add(&res, &coeffs[i])
-	}
-	return res
-}
-
-// MulNaive returns the product of two coefficient vectors in O(n·m);
-// used as a test oracle and for the small polynomials in gadget
-// preprocessing.
-func MulNaive(a, b []fr.Element) []fr.Element {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]fr.Element, len(a)+len(b)-1)
-	for i := range a {
-		if a[i].IsZero() {
-			continue
-		}
-		for j := range b {
-			var t fr.Element
-			t.Mul(&a[i], &b[j])
-			out[i+j].Add(&out[i+j], &t)
-		}
-	}
-	return out
-}

@@ -24,6 +24,36 @@ func randPoly(rng *rand.Rand, n int) []fr.Element {
 	return out
 }
 
+// evalPoly evaluates the coefficient vector at x with Horner's rule.
+func evalPoly(coeffs []fr.Element, x *fr.Element) fr.Element {
+	var res fr.Element
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		res.Mul(&res, x)
+		res.Add(&res, &coeffs[i])
+	}
+	return res
+}
+
+// mulNaive returns the product of two coefficient vectors in O(n·m), the
+// oracle the FFT-based products are checked against.
+func mulNaive(a, b []fr.Element) []fr.Element {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	out := make([]fr.Element, len(a)+len(b)-1)
+	for i := range a {
+		if a[i].IsZero() {
+			continue
+		}
+		for j := range b {
+			var t fr.Element
+			t.Mul(&a[i], &b[j])
+			out[i+j].Add(&out[i+j], &t)
+		}
+	}
+	return out
+}
+
 func TestNextPow2(t *testing.T) {
 	cases := map[uint64]uint64{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {
@@ -63,7 +93,7 @@ func TestFFTMatchesHorner(t *testing.T) {
 	d.FFT(evals)
 	for i := uint64(0); i < d.N; i++ {
 		x := d.Element(i)
-		want := EvalPoly(coeffs, &x)
+		want := evalPoly(coeffs, &x)
 		if !evals[i].Equal(&want) {
 			t.Fatalf("FFT disagrees with Horner at %d", i)
 		}
@@ -99,7 +129,7 @@ func TestCosetFFTMatchesHorner(t *testing.T) {
 	for i := uint64(0); i < d.N; i++ {
 		x := d.Element(i)
 		x.Mul(&x, &d.CosetShift)
-		want := EvalPoly(coeffs, &x)
+		want := evalPoly(coeffs, &x)
 		if !evals[i].Equal(&want) {
 			t.Fatalf("coset FFT disagrees with Horner at %d", i)
 		}
@@ -153,7 +183,7 @@ func TestLagrangeBasisAt(t *testing.T) {
 	}
 	coeffs := append([]fr.Element(nil), evals...)
 	d.IFFT(coeffs)
-	viaHorner := EvalPoly(coeffs, &tau)
+	viaHorner := evalPoly(coeffs, &tau)
 	if !viaBasis.Equal(&viaHorner) {
 		t.Fatal("Lagrange basis evaluation disagrees with interpolation")
 	}
@@ -181,17 +211,17 @@ func TestMulNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	a := randPoly(rng, 5)
 	b := randPoly(rng, 7)
-	prod := MulNaive(a, b)
+	prod := mulNaive(a, b)
 	x := randFr(rng)
-	ea := EvalPoly(a, &x)
-	eb := EvalPoly(b, &x)
+	ea := evalPoly(a, &x)
+	eb := evalPoly(b, &x)
 	var want fr.Element
 	want.Mul(&ea, &eb)
-	got := EvalPoly(prod, &x)
+	got := evalPoly(prod, &x)
 	if !got.Equal(&want) {
 		t.Fatal("naive multiplication wrong")
 	}
-	if MulNaive(nil, a) != nil {
+	if mulNaive(nil, a) != nil {
 		t.Fatal("empty operand should give nil")
 	}
 }
@@ -200,7 +230,7 @@ func TestFFTMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	a := randPoly(rng, 10)
 	b := randPoly(rng, 12)
-	want := MulNaive(a, b)
+	want := mulNaive(a, b)
 
 	d, err := NewDomain(uint64(len(a) + len(b)))
 	if err != nil {

@@ -269,6 +269,77 @@ func TestVerifyDecodePathsOverTheWire(t *testing.T) {
 	}
 }
 
+// postBytes posts body as is and returns the status and response body.
+func postBytes(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(data)
+}
+
+// TestRegisterRejectsTrailingBytes: POST /v1/models takes one request
+// object and nothing after it but whitespace, as /verify does.
+func TestRegisterRejectsTrailingBytes(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	modelJSON, keyJSON := testFixture(t)
+	body, err := json.Marshal(RegisterRequest{Model: modelJSON, Key: keyJSON, MaxErrors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"{}", "x", `{"max_errors":8}`} {
+		if status, data := postBytes(t, ts.URL+"/v1/models", append(body[:len(body):len(body)], tail...)); status != http.StatusBadRequest || !strings.Contains(data, "trailing data") {
+			t.Fatalf("register with trailing %q: status %d, %s", tail, status, data)
+		}
+	}
+	if n := len(srv.reg.list()); n != 0 {
+		t.Fatalf("%d models registered by refused requests", n)
+	}
+}
+
+// TestProveRejectsTrailingBytes: POST /v1/models/{id}/prove likewise, and
+// a refused body queues no job. Trailing whitespace is no reason to
+// refuse, on either route.
+func TestProveRejectsTrailingBytes(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	modelJSON, keyJSON := testFixture(t)
+	body, err := json.Marshal(RegisterRequest{Model: modelJSON, Key: keyJSON, MaxErrors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, data := postBytes(t, ts.URL+"/v1/models", append(body, "\n \t"...))
+	var reg RegisterResponse
+	if err := json.Unmarshal([]byte(data), &reg); err != nil || status != http.StatusOK {
+		t.Fatalf("register with trailing whitespace: status %d, %s", status, data)
+	}
+	url := ts.URL + "/v1/models/" + reg.ModelID + "/prove"
+	for _, body := range []string{`{}{}`, `{"suspect_models":null}x`, `{} []`} {
+		if status, data := postBytes(t, url, []byte(body)); status != http.StatusBadRequest || !strings.Contains(data, "trailing data") {
+			t.Fatalf("prove with body %q: status %d, %s", body, status, data)
+		}
+	}
+	if n := srv.m.jobsSubmitted.Value(); n != 0 {
+		t.Fatalf("%d jobs submitted by refused requests", n)
+	}
+	status, data = postBytes(t, url, []byte("{}\n"))
+	if status != http.StatusAccepted {
+		t.Fatalf("prove with trailing whitespace: status %d, %s", status, data)
+	}
+	var acc ProveAccepted
+	if err := json.Unmarshal([]byte(data), &acc); err != nil {
+		t.Fatal(err)
+	}
+	if js := waitJob(t, ts.URL, acc.JobID); js.Status != JobDone {
+		t.Fatalf("job %s: %s (%s)", acc.JobID, js.Status, js.Error)
+	}
+}
+
 // BenchmarkVerifyRequestCodec: what a public-instance verify spends
 // outside the pairing, per side of the wire. encode is client.Verify's
 // AppendJSON, decode the server's direct path; the json- variants are

@@ -317,7 +317,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed register request: "+err.Error())
 		return
 	}
@@ -480,7 +480,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ProveRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeStrict(r.Body, &req); err != nil {
 			writeError(w, http.StatusBadRequest, "malformed prove request: "+err.Error())
 			return
 		}
@@ -604,8 +604,8 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleVerify checks one proof against a registered circuit's key. The
 // body is one VerifyRequest object and nothing after it but whitespace:
-// trailing bytes are a 400 here and on /v1/aggregate, on the direct
-// decode path and the encoding/json one alike (decodeVerifyRequest,
+// trailing bytes are a 400 here as on every route, on the direct decode
+// path and the encoding/json one alike (decodeVerifyRequest,
 // decodeStrict).
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.reg.get(r.PathValue("id"))
@@ -801,11 +801,10 @@ func (s *Server) decodeVerifyRequest(r io.Reader, req *VerifyRequest) error {
 	return decodeStrict(&buf, req)
 }
 
-// decodeStrict decodes one JSON value with encoding/json — the general
-// path of the verify and aggregate routes — and rejects anything but
-// whitespace after it. (A bare json.Decoder.Decode stops at the end of
-// the first value, so `{…}garbage` used to verify; both routes now refuse
-// it, whichever path decodes.)
+// decodeStrict decodes one JSON value with encoding/json — every route's
+// request body, and the general path of the verify route — and rejects
+// anything but whitespace after it. (A bare json.Decoder.Decode stops at
+// the end of the first value and would take `{…}garbage`.)
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {

@@ -478,14 +478,11 @@ func TestOneResidencyDecision(t *testing.T) {
 // TestOneConstraintRepresentation keeps r1cs.CompiledSystem the only form
 // a constraint system takes. The eager per-constraint representation, its
 // converters and the builder's shim over them are gone; hand-written
-// systems come from internal/r1cs/r1cstest, which only tests may import
-// and whose oracle may lean on nothing but the standard library — if it
-// shared arithmetic with the stack, agreeing with it would prove nothing.
+// systems come from internal/r1cs/r1cstest, whose oracle file
+// TestOraclesShareNoCode keeps on the standard library alone.
 func TestOneConstraintRepresentation(t *testing.T) {
-	const testPkg = "zkrownn/internal/r1cs/r1cstest"
 	gone := map[string]bool{"System": true, "Term": true, "LinearCombination": true, "Constraint": true,
 		"FromSystem": true, "ToSystem": true, "WitnessAssignment": true}
-	oracle := map[string]bool{}
 	for _, d := range internalExports(t) {
 		switch {
 		case d.pkg == "internal/r1cs" && gone[d.name]:
@@ -495,6 +492,37 @@ func TestOneConstraintRepresentation(t *testing.T) {
 		}
 	}
 
+	const path = "internal/r1cs/r1cstest/oracle.go"
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := map[string]bool{}
+	for _, decl := range file.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+			oracle[fn.Name.Name] = true
+		}
+	}
+	if !oracle["Satisfied"] || !oracle["Digest"] {
+		t.Errorf("%s declares %v: Satisfied and Digest belong in the standard-library-only file", path, oracle)
+	}
+}
+
+// TestOraclesShareNoCode keeps the test references independent of what
+// they check. r1cstest's oracle (constraint rows, digests) and every file
+// of internal/bn254/refimpl (the fields and F_p¹²) import the standard
+// library only — if an oracle shared arithmetic with the stack, agreeing
+// with it would prove nothing — and only _test.go files import either
+// package.
+func TestOraclesShareNoCode(t *testing.T) {
+	oracles := []struct {
+		pkg    string
+		stdlib func(path string) bool // a file that may import the standard library only
+		files  int
+	}{
+		{pkg: "zkrownn/internal/r1cs/r1cstest", stdlib: func(path string) bool { return path == "internal/r1cs/r1cstest/oracle.go" }},
+		{pkg: "zkrownn/internal/bn254/refimpl", stdlib: func(path string) bool { return strings.HasPrefix(path, "internal/bn254/refimpl/") }},
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -509,28 +537,27 @@ func TestOneConstraintRepresentation(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
 		path = filepath.ToSlash(path)
-		isOracle := path == "internal/r1cs/r1cstest/oracle.go"
-		for _, imp := range file.Imports {
-			target := strings.Trim(imp.Path.Value, `"`)
-			if target == testPkg {
-				t.Errorf("%s imports %s: it is test support, for _test.go files only", path, testPkg)
+		for i := range oracles {
+			o := &oracles[i]
+			stdlibOnly := o.stdlib(path)
+			if stdlibOnly {
+				o.files++
 			}
-			// A standard-library import path has no dot in its first element
-			// and is not this module's.
-			first, _, _ := strings.Cut(target, "/")
-			if isOracle && (strings.Contains(first, ".") || first == "zkrownn") {
-				t.Errorf("%s imports %s: the oracle is standard library only", path, target)
-			}
-		}
-		if isOracle {
-			for _, decl := range file.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-					oracle[fn.Name.Name] = true
+			for _, imp := range file.Imports {
+				target := strings.Trim(imp.Path.Value, `"`)
+				if target == o.pkg {
+					t.Errorf("%s imports %s: it is test support, for _test.go files only", path, o.pkg)
+				}
+				// A standard-library import path has no dot in its first element
+				// and is not this module's.
+				first, _, _ := strings.Cut(target, "/")
+				if stdlibOnly && (strings.Contains(first, ".") || first == "zkrownn") {
+					t.Errorf("%s imports %s: the oracle is standard library only", path, target)
 				}
 			}
 		}
@@ -539,7 +566,9 @@ func TestOneConstraintRepresentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !oracle["Satisfied"] || !oracle["Digest"] {
-		t.Errorf("internal/r1cs/r1cstest/oracle.go declares %v: Satisfied and Digest belong in the standard-library-only file", oracle)
+	for _, o := range oracles {
+		if o.files == 0 {
+			t.Errorf("found no oracle file of %s: the guard is looking in the wrong place", o.pkg)
+		}
 	}
 }
