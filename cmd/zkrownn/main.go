@@ -9,14 +9,14 @@
 //
 // Artifacts are files: models and keys are JSON; verifying keys and
 // proofs use the compact binary encoding of internal/groth16; public
-// inputs are hex JSON. Datasets are deterministic given (-data-seed,
-// -data-samples, shape), so every command regenerates them on demand —
-// see DESIGN.md for the synthetic-data substitution rationale.
+// inputs are the service API's versioned envelope of signed decimals.
+// Datasets are deterministic given (-data-seed, -data-samples, shape), so
+// every command regenerates them on demand — see DESIGN.md for the
+// synthetic-data substitution rationale.
 package main
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -382,7 +382,7 @@ func cmdProve(args []string) error {
 	}); err != nil {
 		return err
 	}
-	if err := writeJSON(filepath.Join(*outDir, "public.json"), encodePublic(public)); err != nil {
+	if err := writeJSON(filepath.Join(*outDir, "public.json"), groth16.PublicInputs(public)); err != nil {
 		return err
 	}
 	meta := proveMeta{Committed: *committed, LayerIndex: key.LayerIndex, FracBits: *fracBits, BundleSlots: art.Slots()}
@@ -571,7 +571,7 @@ func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir s
 	}); err != nil {
 		return err
 	}
-	if err := writeJSON(filepath.Join(outDir, "public.json"), encodePublic(job.PublicInputs)); err != nil {
+	if err := writeJSON(filepath.Join(outDir, "public.json"), job.PublicInputs); err != nil {
 		return err
 	}
 	meta := proveMeta{Committed: committed, LayerIndex: key.LayerIndex, FracBits: fracBits, BundleSlots: reg.BundleSlots, ModelID: reg.ModelID}
@@ -617,24 +617,15 @@ func cmdVerify(args []string) error {
 	}
 
 	var vk groth16.VerifyingKey
-	if err := readFileWith(filepath.Join(*dir, "vk.bin"), func(f io.Reader) error {
-		_, err := vk.ReadFrom(f)
-		return err
-	}); err != nil {
+	if err := readBinary(filepath.Join(*dir, "vk.bin"), &vk); err != nil {
 		return err
 	}
 	var proof groth16.Proof
-	if err := readFileWith(filepath.Join(*dir, "proof.bin"), func(f io.Reader) error {
-		_, err := proof.ReadFrom(f)
-		return err
-	}); err != nil {
+	if err := readBinary(filepath.Join(*dir, "proof.bin"), &proof); err != nil {
 		return err
 	}
-	var hexPub []string
-	if err := readJSON(filepath.Join(*dir, "public.json"), &hexPub); err != nil {
-		return err
-	}
-	public, err := decodePublic(hexPub)
+	var public groth16.PublicInputs
+	err := readJSON(filepath.Join(*dir, "public.json"), &public)
 	if err != nil {
 		return err
 	}
@@ -702,18 +693,11 @@ func remoteVerify(serverURL, dir, modelID string) error {
 		modelID = meta.ModelID
 	}
 	var proof groth16.Proof
-	if err := readFileWith(filepath.Join(dir, "proof.bin"), func(f io.Reader) error {
-		_, err := proof.ReadFrom(f)
-		return err
-	}); err != nil {
+	if err := readBinary(filepath.Join(dir, "proof.bin"), &proof); err != nil {
 		return err
 	}
-	var hexPub []string
-	if err := readJSON(filepath.Join(dir, "public.json"), &hexPub); err != nil {
-		return err
-	}
-	public, err := decodePublic(hexPub)
-	if err != nil {
+	var public groth16.PublicInputs
+	if err := readJSON(filepath.Join(dir, "public.json"), &public); err != nil {
 		return err
 	}
 
@@ -752,7 +736,7 @@ type aggregateMeta struct {
 	Count        int                     `json:"count"`
 	Aggregate    *groth16.AggregateProof `json:"aggregate"`
 	SRSKey       *ipp.VerifierKey        `json:"srs_key"`
-	PublicInputs [][]string              `json:"public_inputs"`
+	PublicInputs []groth16.PublicInputs  `json:"public_inputs"`
 }
 
 // remoteAggregate folds the artifact directories' proofs into one
@@ -769,39 +753,26 @@ func remoteAggregate(serverURL string, dirs []string, modelID string) error {
 	}
 
 	proofs := make([]*groth16.Proof, len(dirs))
+	instances := make([]groth16.PublicInputs, len(dirs))
 	publics := make([][]fr.Element, len(dirs))
-	hexPublics := make([][]string, len(dirs))
 	for i, d := range dirs {
 		proofs[i] = new(groth16.Proof)
-		if err := readFileWith(filepath.Join(d, "proof.bin"), func(f io.Reader) error {
-			_, err := proofs[i].ReadFrom(f)
-			return err
-		}); err != nil {
+		if err := readBinary(filepath.Join(d, "proof.bin"), proofs[i]); err != nil {
 			return fmt.Errorf("dir %s: %w", d, err)
 		}
-		if err := readJSON(filepath.Join(d, "public.json"), &hexPublics[i]); err != nil {
+		if err := readJSON(filepath.Join(d, "public.json"), &instances[i]); err != nil {
 			return fmt.Errorf("dir %s: %w", d, err)
 		}
-		var err error
-		if publics[i], err = decodePublic(hexPublics[i]); err != nil {
-			return fmt.Errorf("dir %s: %w", d, err)
-		}
+		publics[i] = instances[i]
 	}
 	var vk groth16.VerifyingKey
-	if err := readFileWith(filepath.Join(dirs[0], "vk.bin"), func(f io.Reader) error {
-		_, err := vk.ReadFrom(f)
-		return err
-	}); err != nil {
+	if err := readBinary(filepath.Join(dirs[0], "vk.bin"), &vk); err != nil {
 		return err
 	}
 
 	c, err := client.New(serverURL)
 	if err != nil {
 		return err
-	}
-	instances := make([]groth16.PublicInputs, len(publics))
-	for i := range publics {
-		instances[i] = publics[i]
 	}
 	start := time.Now()
 	res, err := c.Aggregate(context.Background(), modelID, proofs, instances)
@@ -824,7 +795,7 @@ func remoteAggregate(serverURL string, dirs []string, modelID string) error {
 		Count:        res.Count,
 		Aggregate:    res.Aggregate,
 		SRSKey:       res.SRSKey,
-		PublicInputs: hexPublics,
+		PublicInputs: instances,
 	}
 	if err := writeJSON(out, am); err != nil {
 		return err
@@ -849,18 +820,12 @@ func verifyAggregateFile(dir string) error {
 		return fmt.Errorf("%s/aggregate.json is incomplete", dir)
 	}
 	var vk groth16.VerifyingKey
-	if err := readFileWith(filepath.Join(dir, "vk.bin"), func(f io.Reader) error {
-		_, err := vk.ReadFrom(f)
-		return err
-	}); err != nil {
+	if err := readBinary(filepath.Join(dir, "vk.bin"), &vk); err != nil {
 		return err
 	}
 	publics := make([][]fr.Element, len(am.PublicInputs))
-	for i, hexPub := range am.PublicInputs {
-		var err error
-		if publics[i], err = decodePublic(hexPub); err != nil {
-			return fmt.Errorf("instance %d: %w", i, err)
-		}
+	for i, pub := range am.PublicInputs {
+		publics[i] = pub
 	}
 
 	start := time.Now()
@@ -899,22 +864,19 @@ func loadKey(path string) (*watermark.Key, error) {
 }
 
 func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	return enc.Encode(v)
+	return writeFileWith(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
 }
 
 func readJSON(path string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
+	return readFileWith(path, func(r io.Reader) error { return json.NewDecoder(r).Decode(v) })
+}
+
+// readBinary decodes the binary artifact (vk.bin, proof.bin) at path into v.
+func readBinary(path string, v io.ReaderFrom) error {
+	return readFileWith(path, func(r io.Reader) error {
+		_, err := v.ReadFrom(r)
 		return err
-	}
-	defer f.Close()
-	return json.NewDecoder(f).Decode(v)
+	})
 }
 
 func writeFileWith(path string, fn func(io.Writer) error) error {
@@ -936,27 +898,4 @@ func readFileWith(path string, fn func(io.Reader) error) error {
 	}
 	defer f.Close()
 	return fn(f)
-}
-
-func encodePublic(pub []fr.Element) []string {
-	out := make([]string, len(pub))
-	for i := range pub {
-		b := pub[i].Bytes()
-		out[i] = fmt.Sprintf("%x", b[:])
-	}
-	return out
-}
-
-func decodePublic(hexPub []string) ([]fr.Element, error) {
-	out := make([]fr.Element, len(hexPub))
-	for i, h := range hexPub {
-		raw, err := hex.DecodeString(h)
-		if err != nil {
-			return nil, fmt.Errorf("public input %d: %w", i, err)
-		}
-		if err := out[i].SetBytesCanonical(raw); err != nil {
-			return nil, fmt.Errorf("public input %d: %w", i, err)
-		}
-	}
-	return out, nil
 }

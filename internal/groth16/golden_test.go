@@ -163,6 +163,27 @@ func TestGoldenWireFormats(t *testing.T) {
 	goldenCheck(t, "pk.raw.hex", hexDump(buf.Bytes()))
 }
 
+// TestGoldenPublicInputsMixed pins the instance spelling at its seams
+// (boundaryInputs: zero, ±1, both sides of 2⁶⁴, ±(r−1)/2, a digest) and
+// decodes the pinned bytes back to the same elements.
+func TestGoldenPublicInputsMixed(t *testing.T) {
+	pi, _ := boundaryInputs()
+	goldenCheck(t, "public_mixed.json", pi.AppendJSON(nil))
+	pinned, err := os.ReadFile(filepath.Join("testdata", "golden", "public_mixed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back PublicInputs
+	if err := back.UnmarshalJSON(pinned); err != nil || len(back) != len(pi) {
+		t.Fatalf("pinned vector decodes to %d elements (%v), want %d", len(back), err, len(pi))
+	}
+	for i := range pi {
+		if !back[i].Equal(&pi[i]) {
+			t.Fatalf("pinned element %d decodes to %s, want %s", i, back[i].String(), pi[i].String())
+		}
+	}
+}
+
 // TestGoldenVectorsStillVerify decodes the PINNED vectors (not freshly
 // generated ones) and runs the full verification path: the encodings on
 // disk must stay semantically valid, not just byte-stable.

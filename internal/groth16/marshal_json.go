@@ -3,10 +3,11 @@ package groth16
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/hex"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/big"
 	"slices"
 	"strconv"
 
@@ -22,16 +23,20 @@ import (
 //
 //	{"format": 1, "data": "<base64 of the binary encoding>"}
 //
-// Public inputs use hex field elements instead of an opaque blob —
-// they are the part of a payload humans and dispute transcripts need
-// to read:
+// Public inputs are readable numbers instead of an opaque blob — they
+// are the part of a payload humans and dispute transcripts need to
+// read, and the part that grows with the model:
 //
-//	{"format": 1, "elements": ["00..01", ...]}
+//	{"format": 2, "elements": ["-4821", "0", "17", ...]}
 
 // jsonEnvelopeVersion is the wire-envelope version byte. Bump it when
 // the envelope structure (not the inner binary format, which has its
 // own version) changes incompatibly.
 const jsonEnvelopeVersion = 1
+
+// publicInputsVersion is 2 since elements are signed decimals: format 1
+// (hex) and the bare arrays of older CLIs fail with the version error.
+const publicInputsVersion = 2
 
 // The canonical bytes of the two envelopes: what encoding/json emits for
 // the struct forms below, which the encoders here write directly and the
@@ -41,13 +46,17 @@ const jsonEnvelopeVersion = 1
 var (
 	envelopePrefix     = []byte(`{"format":` + strconv.Itoa(jsonEnvelopeVersion) + `,"data":"`)
 	envelopeSuffix     = []byte(`"}`)
-	publicInputsPrefix = []byte(`{"format":` + strconv.Itoa(jsonEnvelopeVersion) + `,"elements":[`)
+	publicInputsPrefix = []byte(`{"format":` + strconv.Itoa(publicInputsVersion) + `,"elements":[`)
 	publicInputsSuffix = []byte(`]}`)
 )
 
 type jsonEnvelope struct {
 	Format int    `json:"format"`
 	Data   string `json:"data"`
+}
+
+func versionError(what string, got, want int) error {
+	return fmt.Errorf("groth16: unsupported %s envelope version %d (want %d)", what, got, want)
 }
 
 // cutAffixes returns b without prefix and suffix, or false when it does
@@ -103,8 +112,7 @@ func unmarshalEnvelope(b []byte, what string, readFrom func(*bytes.Reader) error
 			return fmt.Errorf("groth16: %s envelope: %w", what, err)
 		}
 		if env.Format != jsonEnvelopeVersion {
-			return fmt.Errorf("groth16: unsupported %s envelope version %d (want %d)",
-				what, env.Format, jsonEnvelopeVersion)
+			return versionError(what, env.Format, jsonEnvelopeVersion)
 		}
 		data = []byte(env.Data)
 	}
@@ -158,8 +166,12 @@ func (vk *VerifyingKey) UnmarshalJSON(b []byte) error {
 }
 
 // PublicInputs is a JSON-marshalable public-input vector: the instance
-// part of an API payload. Elements travel as 32-byte big-endian hex in
-// a versioned envelope.
+// part of an API payload and of the CLI's public.json. Each element is
+// the decimal string of its representative in (−r/2, r/2), so a
+// quantized weight or a claim bit costs a few digits, not 64, and a
+// digest-sized value stays exact in readers that parse JSON numbers as
+// float64. Every value has exactly one accepted spelling: '-' only on a
+// negative, never '+', no leading zero, zero as "0", |s| ≤ (r−1)/2.
 type PublicInputs []fr.Element
 
 type publicInputsEnvelope struct {
@@ -167,53 +179,104 @@ type publicInputsEnvelope struct {
 	Elements []string `json:"elements"`
 }
 
-// MarshalJSON encodes the vector as versioned hex field elements.
+// maxPublicInput is the decimal of (r−1)/2, the largest magnitude
+// spelled: a spelling as long as it compares as a number byte by byte.
+var maxPublicInput = new(big.Int).Rsh(fr.Modulus(), 1).String()
+
+// pow19 is 10¹⁹, the largest power of ten in a uint64: the radix the
+// decoder takes digits in.
+var pow19 = fr.NewElement(1e19)
+
+// MarshalJSON encodes the vector as a versioned signed-decimal envelope.
 func (pi PublicInputs) MarshalJSON() ([]byte, error) { return pi.AppendJSON(nil), nil }
 
-// publicInputJSONLen is the encoded size of one element and the comma
-// (or closing bracket) after it: two quotes around 64 hex digits.
-const publicInputJSONLen = 2*fr.Bytes + 3
-
-// AppendJSON appends the bytes of MarshalJSON to dst, growing it once.
+// AppendJSON appends the bytes of MarshalJSON to dst.
 func (pi PublicInputs) AppendJSON(dst []byte) []byte {
-	dst = slices.Grow(dst, len(publicInputsPrefix)+len(pi)*publicInputJSONLen+len(publicInputsSuffix))
+	// `"-4821",` is 8 bytes: a guess, not a bound, for one growth.
+	dst = slices.Grow(dst, len(publicInputsPrefix)+8*len(pi)+len(publicInputsSuffix))
 	dst = append(dst, publicInputsPrefix...)
 	for i := range pi {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		b := pi[i].Bytes()
 		dst = append(dst, '"')
-		dst = hex.AppendEncode(dst, b[:])
+		m, neg := pi[i].SignedLimbs()
+		if neg {
+			dst = append(dst, '-')
+		}
+		if m[1]|m[2]|m[3] == 0 {
+			dst = strconv.AppendUint(dst, m[0], 10)
+		} else {
+			var be [fr.Bytes]byte
+			for j, l := range m {
+				binary.BigEndian.PutUint64(be[fr.Bytes-8*(j+1):], l)
+			}
+			dst = new(big.Int).SetBytes(be[:]).Append(dst, 10)
+		}
 		dst = append(dst, '"')
 	}
 	return append(dst, publicInputsSuffix...)
 }
 
+// parseSignedDecimal reads one element's spelling: the one parser of
+// both decode paths, so the two accept exactly the same strings. It
+// allocates nothing, whatever the width: the digits go into the field
+// 19 at a time, the first chunk taking the remainder.
+func parseSignedDecimal[S string | []byte](s S) (e fr.Element, ok bool) {
+	digits := s
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		digits = s[1:]
+	}
+	n := len(digits)
+	if n == 0 || n > len(maxPublicInput) || digits[0] == '0' && (n > 1 || neg) ||
+		n == len(maxPublicInput) && string(digits) > maxPublicInput {
+		return e, false
+	}
+	for k := (n-1)%19 + 1; len(digits) > 0; digits, k = digits[k:], 19 {
+		var v uint64
+		for i := 0; i < k; i++ {
+			if digits[i] < '0' || digits[i] > '9' {
+				return e, false
+			}
+			v = 10*v + uint64(digits[i]-'0')
+		}
+		if !e.IsZero() {
+			e.Mul(&e, &pow19)
+		}
+		var c fr.Element
+		e.Add(&e, c.SetUint64(v))
+	}
+	if neg {
+		e.Neg(&e)
+	}
+	return e, true
+}
+
 // decodeCanonicalPublicInputs decodes b when it is, byte for byte, what
-// AppendJSON writes for some vector (hex digits in either case): one
-// pass, one allocation. It reports false for every other input, invalid
-// ones included, and leaves those — and their error messages — to the
-// general decoder.
+// AppendJSON writes for some vector: a pass to count the elements, one
+// allocation (an element spends at least four bytes, `"0",`), a pass to
+// parse them. It reports false for every other input, invalid ones
+// included, and leaves those — and their errors — to the general decoder.
 func decodeCanonicalPublicInputs(b []byte) (PublicInputs, bool) {
 	body, ok := cutAffixes(b, publicInputsPrefix, publicInputsSuffix)
-	if !ok || (len(body) != 0 && (len(body)+1)%publicInputJSONLen != 0) {
+	if !ok || len(body) == 0 {
+		return PublicInputs{}, ok
+	}
+	n := bytes.Count(body, []byte{','}) + 1
+	if 4*n-1 > len(body) {
 		return nil, false
 	}
-	out := make(PublicInputs, (len(body)+1)/publicInputJSONLen)
-	var raw [fr.Bytes]byte
+	out := make(PublicInputs, n)
 	for i := range out {
-		// "<64 hex digits>" and, between elements, a comma.
-		e := body[i*publicInputJSONLen:]
-		if e[0] != '"' || e[publicInputJSONLen-2] != '"' || (i < len(out)-1 && e[publicInputJSONLen-1] != ',') {
+		s, rest, _ := bytes.Cut(body, []byte{','})
+		if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
 			return nil, false
 		}
-		if _, err := hex.Decode(raw[:], e[1:publicInputJSONLen-2]); err != nil {
+		if out[i], ok = parseSignedDecimal(s[1 : len(s)-1]); !ok {
 			return nil, false
 		}
-		if out[i].SetBytesCanonical(raw[:]) != nil {
-			return nil, false
-		}
+		body = rest
 	}
 	return out, true
 }
@@ -222,31 +285,28 @@ func decodeCanonicalPublicInputs(b []byte) (PublicInputs, bool) {
 // envelope, through encoding/json. It is the reference the canonical
 // decoder is fuzzed against.
 func decodePublicInputsJSON(b []byte) (PublicInputs, error) {
+	if t := bytes.TrimLeft(b, " \t\r\n"); len(t) > 0 && t[0] == '[' {
+		return nil, versionError("public inputs", 0, publicInputsVersion) // an unversioned bare array
+	}
 	var env publicInputsEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil, fmt.Errorf("groth16: public inputs envelope: %w", err)
 	}
-	if env.Format != jsonEnvelopeVersion {
-		return nil, fmt.Errorf("groth16: unsupported public inputs envelope version %d (want %d)",
-			env.Format, jsonEnvelopeVersion)
+	if env.Format != publicInputsVersion {
+		return nil, versionError("public inputs", env.Format, publicInputsVersion)
 	}
 	out := make(PublicInputs, len(env.Elements))
-	for i, h := range env.Elements {
-		// hex.DecodeString is strict (Sscanf %x would silently stop at
-		// the first non-hex rune and accept a trailing-garbage payload).
-		raw, err := hex.DecodeString(h)
-		if err != nil {
-			return nil, fmt.Errorf("groth16: public input %d: %w", i, err)
-		}
-		if err := out[i].SetBytesCanonical(raw); err != nil {
-			return nil, fmt.Errorf("groth16: public input %d: %w", i, err)
+	for i, s := range env.Elements {
+		var ok bool
+		if out[i], ok = parseSignedDecimal(s); !ok {
+			return nil, fmt.Errorf("groth16: public input %d: %.40q is not a canonical signed decimal within ±(r-1)/2", i, s)
 		}
 	}
 	return out, nil
 }
 
-// UnmarshalJSON decodes a public-input envelope, rejecting
-// non-canonical (≥ modulus) elements.
+// UnmarshalJSON decodes a public-input envelope, rejecting every
+// spelling but the canonical one of each element.
 func (pi *PublicInputs) UnmarshalJSON(b []byte) error {
 	out, ok := decodeCanonicalPublicInputs(b)
 	if !ok {

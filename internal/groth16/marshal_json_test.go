@@ -2,13 +2,14 @@ package groth16
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/base64"
-	"encoding/hex"
 	"encoding/json"
 	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,23 +131,90 @@ func TestProofJSONRejectsTampering(t *testing.T) {
 	}
 }
 
+// signedDecimal is the reference spelling of e, through math/big alone:
+// the decimal of its representative in (−r/2, r/2).
+func signedDecimal(e *fr.Element) string {
+	v := e.ToBigInt()
+	if v.Cmp(new(big.Int).Rsh(fr.Modulus(), 1)) > 0 {
+		v.Sub(v, fr.Modulus())
+	}
+	return v.String()
+}
+
+// boundaryInputs is the vector at the codec's seams: 0, ±1, ±2⁶³,
+// ±(2⁶⁴−1), ±2⁶⁴ (where strconv hands over to math/big), ±(r−1)/2, and a
+// digest-sized element — with the reference spelling of each.
+func boundaryInputs() (PublicInputs, []string) {
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	half := new(big.Int).Rsh(fr.Modulus(), 1)
+	digest := sha256.Sum256([]byte("zkrownn public inputs"))
+	var pi PublicInputs
+	for _, v := range []*big.Int{
+		big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 63),
+		new(big.Int).Sub(two64, big.NewInt(1)), two64, half,
+	} {
+		var e fr.Element
+		e.SetBigInt(v)
+		pi = append(pi, e)
+		pi = append(pi, *new(fr.Element).Neg(&e))
+	}
+	var d fr.Element
+	d.SetBigInt(new(big.Int).SetBytes(digest[:]))
+	pi = append(PublicInputs{{}}, append(pi, d)...)
+	spellings := make([]string, len(pi))
+	for i := range pi {
+		spellings[i] = signedDecimal(&pi[i])
+	}
+	return pi, spellings
+}
+
+// rejectedSpellings are near misses of canonical spellings, pinned in
+// testdata beside the boundary vector so every package's fuzz seeds them
+// alike: (r+1)/2 — the same element as −(r−1)/2 — written positive, a
+// sign where none belongs, leading zeros, space, exponent, hex, a 78-digit
+// overflow, r itself, and full-width spellings with a stray character.
+func rejectedSpellings(t testing.TB) []string {
+	b, err := os.ReadFile(filepath.Join("testdata", "golden", "public_rejected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spellings []string
+	if err := json.Unmarshal(b, &spellings); err != nil {
+		t.Fatal(err)
+	}
+	halfUp := new(big.Int).Rsh(fr.Modulus(), 1)
+	halfUp.Add(halfUp, big.NewInt(1))
+	if !slices.Contains(spellings, halfUp.String()) {
+		t.Fatal("public_rejected.json lost (r+1)/2, the first value past the range")
+	}
+	return spellings
+}
+
+// TestPublicInputsJSONRejectsNonCanonical: every near miss fails both
+// decode paths, and the error names the element; older envelopes — format
+// 1's hex and the CLI's former bare array — fail with the version error.
 func TestPublicInputsJSONRejectsNonCanonical(t *testing.T) {
-	// r (the field modulus) is not a canonical encoding of any element.
-	over := `{"format":1,"elements":["30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001"]}`
-	var got PublicInputs
-	if err := json.Unmarshal([]byte(over), &got); err == nil {
-		t.Fatal("non-canonical field element accepted")
+	for _, s := range rejectedSpellings(t) {
+		b := []byte(`{"format":2,"elements":["0","-1","` + s + `"]}`)
+		if _, ok := decodeCanonicalPublicInputs(b); ok {
+			t.Errorf("one-pass decoder accepted %q", s)
+		}
+		var got PublicInputs
+		if err := got.UnmarshalJSON(b); err == nil || !strings.Contains(err.Error(), "public input 2:") {
+			t.Errorf("%q: error %v, want one naming public input 2", s, err)
+		}
 	}
-	// A valid 64-digit prefix followed by garbage must be rejected, not
-	// silently truncated at the first non-hex rune.
-	trailing := `{"format":1,"elements":["0000000000000000000000000000000000000000000000000000000000000001ZZ"]}`
-	if err := json.Unmarshal([]byte(trailing), &got); err == nil {
-		t.Fatal("hex element with trailing garbage accepted")
-	}
-	// Odd-length hex is malformed.
-	odd := `{"format":1,"elements":["abc"]}`
-	if err := json.Unmarshal([]byte(odd), &got); err == nil {
-		t.Fatal("odd-length hex element accepted")
+	one := strings.Repeat("0", 63) + "1"
+	for _, old := range []string{
+		`{"format":1,"elements":["` + one + `"]}`,
+		`["` + one + `"]`,
+		" \n[]",
+		`{"elements":["1"]}`,
+	} {
+		var got PublicInputs
+		if err := json.Unmarshal([]byte(old), &got); err == nil || !strings.Contains(err.Error(), "unsupported public inputs envelope version") {
+			t.Errorf("%s: error %v, want the version error", old, err)
+		}
 	}
 }
 
@@ -169,13 +237,20 @@ func TestCanonicalJSONBytes(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(3))
+	boundary, _ := boundaryInputs()
 	for _, n := range []int{0, 1, 2, 300} {
 		pi := make(PublicInputs, n)
-		env := publicInputsEnvelope{Format: jsonEnvelopeVersion, Elements: make([]string, n)}
+		env := publicInputsEnvelope{Format: publicInputsVersion, Elements: make([]string, n)}
 		for i := range pi {
-			pi[i].SetBigInt(new(big.Int).Rand(rng, fr.Modulus()))
-			b := pi[i].Bytes()
-			env.Elements[i] = hex.EncodeToString(b[:])
+			switch i % 3 {
+			case 0: // full width
+				pi[i].SetBigInt(new(big.Int).Rand(rng, fr.Modulus()))
+			case 1: // a quantized weight
+				pi[i].SetInt64(int64(rng.NormFloat64() * 8192))
+			default:
+				pi[i] = boundary[rng.Intn(len(boundary))]
+			}
+			env.Elements[i] = signedDecimal(&pi[i])
 		}
 		want, err := json.Marshal(env)
 		if err != nil {
@@ -200,7 +275,7 @@ func TestCanonicalJSONBytes(t *testing.T) {
 
 	// A nil vector still encodes as an empty list, and still vanishes
 	// under omitempty.
-	if got, _ := json.Marshal(PublicInputs(nil)); string(got) != `{"format":1,"elements":[]}` {
+	if got, _ := json.Marshal(PublicInputs(nil)); string(got) != `{"format":2,"elements":[]}` {
 		t.Fatalf("nil vector encodes as %s", got)
 	}
 	type holder struct {
@@ -212,9 +287,9 @@ func TestCanonicalJSONBytes(t *testing.T) {
 }
 
 // publicInputsJSONSeeds are the shapes the canonical decoder must either
-// take or hand to encoding/json: the golden vector, the wrong envelope,
-// non-canonical spellings of a valid one, and the ways an element can be
-// wrong.
+// take or hand to encoding/json: the goldens, the boundary values and the
+// near misses one element at a time, non-canonical JSON spellings of a
+// valid envelope, older envelopes, and broken framing.
 func publicInputsJSONSeeds(t testing.TB) [][]byte {
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
@@ -228,32 +303,39 @@ func publicInputsJSONSeeds(t testing.TB) [][]byte {
 	if err := json.Indent(&pretty, public, "", "  "); err != nil {
 		t.Fatal(err)
 	}
-	one := strings.Repeat("0", 63) + "1"
-	return [][]byte{
+	seeds := [][]byte{
 		public,
+		read("public_mixed.json"),
 		read("proof.json"),
 		pretty.Bytes(),
-		[]byte(`{"elements":["` + one + `"],"format":1}`),
-		[]byte(`{"format":1,"elements":["` + one + `"],"extra":true}`),
-		[]byte(`{"format":1,"elements":["` + strings.Repeat("AB", 16) + strings.Repeat("ab", 16) + `"]}`),
-		[]byte(`{"format":1,"elements":["` + one[1:] + `"]}`),
-		[]byte(`{"format":1,"elements":["0` + one + `"]}`),
-		[]byte(`{"format":1,"elements":["30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001"]}`),
-		[]byte(`{"format":1,"elements":["` + one + `"]}trailing`),
-		[]byte(`{"format":1,"elements":["` + one + `","` + one + `"]}`),
-		[]byte(`{"format":1,"elements":["` + one + `";"` + one + `"]}`),
-		[]byte(`{"format":1,"elements":["` + one[:63] + `\u0031"]}`), // an escaped digit: valid, not canonical
-		[]byte(`{"format":1,"elements":["` + one[:58] + `\u0031"]}`), // 64 raw bytes that spell 59 digits
-		[]byte(`{"format":1,"elements":[]}`),
+		[]byte(`{"elements":["-17"],"format":2}`),
+		[]byte(`{"format":2,"elements":["-17"],"extra":true}`),
+		[]byte(`{"format":2,"elements":["\u002d17"]}`), // an escaped sign: valid, not canonical
+		[]byte(`{"format":2,"elements":["1"]}trailing`),
+		[]byte(`{"format":2,"elements":["1","-1"]}`),
+		[]byte(`{"format":2,"elements":["1";"-1"]}`),
+		[]byte(`{"format":2,"elements":["1",]}`),
+		[]byte(`{"format":2,"elements":["1","]}`),
+		[]byte(`{"format":2,"elements":["1""2"]}`),
+		[]byte(`{"format":2,"elements":[1]}`),
 		[]byte(`{"format":2,"elements":[]}`),
+		[]byte(`{"format":1,"elements":["` + strings.Repeat("0", 63) + `1"]}`),
+		[]byte(`["` + strings.Repeat("0", 63) + `1"]`),
+		[]byte(`{"format":3,"elements":[]}`),
 		[]byte(`null`),
 		nil,
 	}
+	_, spellings := boundaryInputs()
+	for _, s := range append(spellings, rejectedSpellings(t)...) {
+		seeds = append(seeds, []byte(`{"format":2,"elements":["`+s+`"]}`))
+	}
+	return seeds
 }
 
 // checkPublicInputsDecode holds PublicInputs.UnmarshalJSON, on any bytes
 // at all, to the encoding/json decoder: same verdict, same elements, same
-// error text, and a result no longer than the input could spell.
+// error text, and a result no longer than the input could spell (an
+// element takes at least four bytes: `"0",`).
 func checkPublicInputsDecode(t *testing.T, data []byte) (accepted bool) {
 	t.Helper()
 	want, wantErr := decodePublicInputsJSON(data)
@@ -284,7 +366,7 @@ func checkPublicInputsDecode(t *testing.T, data []byte) (accepted bool) {
 			t.Fatalf("element %d differs from the encoding/json path", i)
 		}
 	}
-	if len(got)*2*fr.Bytes > len(data) {
+	if 4*len(got) > len(data) {
 		t.Fatalf("%d elements out of %d bytes", len(got), len(data))
 	}
 	return true
@@ -297,15 +379,17 @@ func TestPublicInputsJSONSeeds(t *testing.T) {
 			accepted++
 		}
 	}
-	// golden, pretty, reordered, unknown key, mixed case, two elements,
-	// escaped digit, empty.
-	if accepted != 8 {
-		t.Fatalf("%d seeds accepted, want 8", accepted)
+	// golden, mixed golden, pretty, reordered, unknown key, escaped sign,
+	// two elements, empty, and the 12 boundary values one at a time.
+	if accepted != 8+12 {
+		t.Fatalf("%d seeds accepted, want %d", accepted, 8+12)
 	}
 }
 
 // FuzzPublicInputsJSON is the differential fuzz of the instance decoder
-// (ROADMAP item 2b): the one-pass path against encoding/json.
+// (ROADMAP item 2b): the one-pass path against encoding/json, and an
+// exact round trip — what decodes re-encodes to bytes that decode to the
+// same elements, and canonical bytes re-encode to themselves.
 func FuzzPublicInputsJSON(f *testing.F) {
 	for _, seed := range publicInputsJSONSeeds(f) {
 		f.Add(seed)
@@ -314,12 +398,15 @@ func FuzzPublicInputsJSON(f *testing.F) {
 		if !checkPublicInputsDecode(t, data) {
 			return
 		}
-		// What decodes re-encodes canonically and decodes again.
 		var pi PublicInputs
 		if err := pi.UnmarshalJSON(data); err != nil {
 			t.Fatal(err)
 		}
-		again, ok := decodeCanonicalPublicInputs(pi.AppendJSON(nil))
+		enc := pi.AppendJSON(nil)
+		if _, canonical := decodeCanonicalPublicInputs(data); canonical && !bytes.Equal(enc, data) {
+			t.Fatalf("canonical bytes %.120q re-encode as %.120q: a value with two spellings", data, enc)
+		}
+		again, ok := decodeCanonicalPublicInputs(enc)
 		if !ok || len(again) != len(pi) {
 			t.Fatal("re-encoded vector is not canonical")
 		}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"testing"
 
@@ -23,9 +24,15 @@ import (
 // one: the request the codec budgets are stated for.
 const benchInputs = 4129
 
+// codecRequestBytes is the size of codecRequest(benchInputs) on the wire:
+// 7.6 bytes an input, where 64 hex digits made it 276,901 bytes.
+const codecRequestBytes = 31830
+
 // codecRequest is a decodable verify request with n public inputs: the
 // proof's points are the generators (in their groups, which is all a
-// decoder checks), the inputs random.
+// decoder checks); the instance is shaped like a public-instance claim's,
+// one full-width element (a digest's size) and then quantized weights at
+// 16 fractional bits, signed and mostly under 2¹⁷ in magnitude.
 func codecRequest(n int) *VerifyRequest {
 	req := &VerifyRequest{
 		Proof:        &groth16.Proof{Ar: curve.G1GeneratorAffine(), Bs: curve.G2GeneratorAffine(), Krs: curve.G1GeneratorAffine()},
@@ -33,7 +40,11 @@ func codecRequest(n int) *VerifyRequest {
 	}
 	rng := rand.New(rand.NewSource(int64(n)))
 	for i := range req.PublicInputs {
-		req.PublicInputs[i].SetBigInt(new(big.Int).Rand(rng, fr.Modulus()))
+		if i == 0 {
+			req.PublicInputs[i].SetBigInt(new(big.Int).Rand(rng, fr.Modulus()))
+		} else {
+			req.PublicInputs[i].SetInt64(int64(rng.NormFloat64() * 8192))
+		}
 	}
 	return req
 }
@@ -91,8 +102,8 @@ func TestVerifyRequestCanonicalBytes(t *testing.T) {
 
 	req := codecRequest(benchInputs)
 	body := req.AppendJSON(nil)
-	if len(body) != 276901 {
-		t.Errorf("a %d-input request is %d bytes on the wire, want 276901 (the bench's client.verify_req_bytes_public)", benchInputs, len(body))
+	if len(body) != codecRequestBytes {
+		t.Errorf("a %d-input request is %d bytes on the wire, want %d", benchInputs, len(body), codecRequestBytes)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { req.AppendJSON(nil) }); allocs > 10 {
 		t.Errorf("encoding a %d-input request allocates %.0f times, want ≤ 10", benchInputs, allocs)
@@ -103,28 +114,23 @@ func TestVerifyRequestCanonicalBytes(t *testing.T) {
 			t.Fatal("canonical bytes took the fallback")
 		}
 	}); allocs > 10 {
+		// encoding/json makes thousands.
 		t.Errorf("decoding a %d-input request allocates %.0f times, want ≤ 10: the direct path is not being taken", benchInputs, allocs)
 	}
 }
 
 // verifyRequestSeeds: a canonical request from the groth16 goldens, the
-// spellings encoding/json must take instead, and the malformed ones.
+// spellings encoding/json must take instead, the malformed ones, and the
+// instance's boundary values and near misses one element at a time.
 func verifyRequestSeeds(t testing.TB) [][]byte {
-	read := func(name string) string {
-		b, err := os.ReadFile(filepath.Join("..", "groth16", "testdata", "golden", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	proof, public := read("proof.json"), read("public.json")
+	proof, public, mixed := goldenJSON(t, "proof.json"), goldenJSON(t, "public.json"), goldenJSON(t, "public_mixed.json")
 	canonical := `{"proof":` + proof + `,"public_inputs":` + public + `}`
 	var pretty bytes.Buffer
 	if err := json.Indent(&pretty, []byte(canonical), "", "\t"); err != nil {
 		t.Fatal(err)
 	}
 	big := codecRequest(40).AppendJSON(nil)
-	return [][]byte{
+	seeds := [][]byte{
 		[]byte(canonical),
 		big,
 		pretty.Bytes(),
@@ -140,13 +146,41 @@ func verifyRequestSeeds(t testing.TB) [][]byte {
 		[]byte(`{"proof":` + strings.Replace(proof, "WktQ", "AAAA", 1) + `,"public_inputs":` + public + `}`),
 		[]byte(`{"proof":` + strings.Replace(proof, `=="`, "=\n=\"", 1) + `,"public_inputs":` + public + `}`),
 		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.ToUpper(public) + `}`),
-		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.Replace(public, `23"`, `2"`, 1) + `}`),
-		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.Replace(public, `23"`, `230"`, 1) + `}`),
-		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.Replace(public, `"00`, `"ff`, 1) + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":` + mixed + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":` + strings.Replace(public, `"format":2`, `"format":1`, 1) + `}`),
+		[]byte(`{"proof":` + proof + `,"public_inputs":["` + strings.Repeat("0", 62) + `23"]}`),
 		[]byte(canonical[:len(canonical)/2]),
 		[]byte(`{not json`),
 		nil,
 	}
+	for _, s := range instanceSpellings(t) {
+		seeds = append(seeds, []byte(`{"proof":`+proof+`,"public_inputs":{"format":2,"elements":["`+s+`"]}}`))
+	}
+	return seeds
+}
+
+// goldenJSON reads one of the groth16 package's pinned wire vectors.
+func goldenJSON(t testing.TB, name string) string {
+	b, err := os.ReadFile(filepath.Join("..", "groth16", "testdata", "golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// instanceSpellings are the elements of the pinned boundary vector (zero,
+// ±1, ±2⁶³, ±(2⁶⁴−1), ±2⁶⁴, ±(r−1)/2, a digest), which decode, then the
+// pinned near misses the groth16 fuzz is seeded with, which do not.
+func instanceSpellings(t testing.TB) []string {
+	var env struct{ Elements []string }
+	if err := json.Unmarshal([]byte(goldenJSON(t, "public_mixed.json")), &env); err != nil {
+		t.Fatal(err)
+	}
+	var rejected []string
+	if err := json.Unmarshal([]byte(goldenJSON(t, "public_rejected.json")), &rejected); err != nil {
+		t.Fatal(err)
+	}
+	return append(env.Elements, rejected...)
 }
 
 // checkVerifyRequestDecode holds the handler's decoder, on any body, to
@@ -175,7 +209,7 @@ func checkVerifyRequestDecode(t *testing.T, body []byte) (accepted bool) {
 	if fell := s.m.verifyDecodeFallbacks.Value() == 1; fell == direct {
 		t.Fatalf("fallback counted: %v, direct path taken: %v", fell, direct)
 	}
-	if len(got.PublicInputs)*2*fr.Bytes > len(body) {
+	if 4*len(got.PublicInputs) > len(body) {
 		t.Fatalf("%d inputs out of a %d-byte body", len(got.PublicInputs), len(body))
 	}
 	return gotErr == nil
@@ -189,10 +223,12 @@ func TestVerifyRequestDecodeSeeds(t *testing.T) {
 		}
 	}
 	// canonical, 40 inputs, pretty, reordered, unknown key, trailing
-	// newline, null proof, missing public_inputs, upper-case hex. (A null
-	// or missing member decodes; the handler refuses it afterwards.)
-	if accepted != 9 {
-		t.Fatalf("%d seeds decode, want 9", accepted)
+	// newline, null proof, missing public_inputs, upper-case keys (JSON
+	// keys match either case), the boundary vector, and its 12 elements
+	// one at a time. (A null or missing member decodes; the handler
+	// refuses it afterwards.)
+	if accepted != 10+12 {
+		t.Fatalf("%d seeds decode, want %d", accepted, 10+12)
 	}
 }
 
@@ -204,6 +240,133 @@ func FuzzVerifyRequestDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkVerifyRequestDecode(t, body)
+	})
+}
+
+// aggregateRequestSeeds: /v1/aggregate bodies — one instance per proof —
+// built from the goldens, re-spelled, and broken in the ways a verify
+// request can be, plus the instance's boundary values and near misses.
+func aggregateRequestSeeds(t testing.TB) [][]byte {
+	proof, public, mixed := goldenJSON(t, "proof.json"), goldenJSON(t, "public.json"), goldenJSON(t, "public_mixed.json")
+	two := `{"model_id":"m","proofs":[` + proof + `,` + proof + `],"public_inputs":[` + public + `,` + mixed + `]}`
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, []byte(two), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	large, err := json.Marshal(AggregateRequest{
+		ModelID: "m", Proofs: []*groth16.Proof{codecRequest(40).Proof}, PublicInputs: []groth16.PublicInputs{codecRequest(40).PublicInputs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := [][]byte{
+		[]byte(two),
+		large,
+		pretty.Bytes(),
+		[]byte(`{"model_id":"m","proofs":[],"public_inputs":[]}`),
+		[]byte(`{"model_id":"m","proofs":[null],"public_inputs":[null]}`),
+		[]byte(`{"model_id":"m","proofs":[null],"public_inputs":[` + public + `]}`),
+		[]byte(`{"model_id":"m","proofs":null,"public_inputs":null}`),
+		[]byte(`{"public_inputs":[` + public + `],"proofs":[` + proof + `],"model_id":"\u006d"}`),
+		[]byte(`{"model_id":"m","proofs":[` + proof + `],"public_inputs":[` + strings.Replace(public, `"format":2`, `"format":1`, 1) + `]}`),
+		[]byte(`{"model_id":"m","proofs":[` + proof + `],"public_inputs":[["35"]]}`),
+		[]byte(`{"model_id":"m","proofs":[` + proof + `],"public_inputs":` + public + `}`),
+		[]byte(two + "[]"),
+		[]byte(two[:len(two)/2]),
+		nil,
+	}
+	for _, s := range instanceSpellings(t) {
+		seeds = append(seeds, []byte(`{"model_id":"m","proofs":[`+proof+`],"public_inputs":[{"format":2,"elements":["`+s+`"]}]}`))
+	}
+	return seeds
+}
+
+// checkAggregateRequestDecode holds the aggregate route's decoder to the
+// codec invariant: an error or an exact round trip — what decodes
+// re-encodes to bytes that decode to the same request and re-encode to
+// themselves — with the heap it takes bounded by the body, and no more
+// decoded than the body could spell (an element takes at least four
+// bytes, `"0",`, and a proof five, `null,`).
+func checkAggregateRequestDecode(t *testing.T, body []byte) (accepted bool) {
+	t.Helper()
+	var req AggregateRequest
+	before := heapAllocated()
+	err := decodeStrict(bytes.NewReader(body), &req)
+	// The decoder's buffer, a string and an element per spelled element,
+	// a proof's points per envelope: a small multiple of the body. The
+	// constant covers encoding/json's own and the counter's lag: it takes
+	// in a cached span's allocations when the span is handed back, some of
+	// them made before the decode.
+	if grew, bound := heapAllocated()-before, uint64(1<<20+64*len(body)); grew > bound {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes (bound %d)", len(body), grew, bound)
+	}
+	if err != nil {
+		return false
+	}
+	elements := 0
+	for _, pi := range req.PublicInputs {
+		elements += len(pi)
+	}
+	if 4*elements+5*len(req.Proofs) > len(body) {
+		t.Fatalf("%d elements and %d proofs out of a %d-byte body", elements, len(req.Proofs), len(body))
+	}
+	enc, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatalf("a decoded request does not encode: %v", err)
+	}
+	var back AggregateRequest
+	if err := decodeStrict(bytes.NewReader(enc), &back); err != nil {
+		t.Fatalf("re-encoded request %.200q does not decode: %v", enc, err)
+	}
+	if back.ModelID != req.ModelID || len(back.Proofs) != len(req.Proofs) || len(back.PublicInputs) != len(req.PublicInputs) {
+		t.Fatalf("round trip changed the request's shape: %.200q", body)
+	}
+	for i := range req.Proofs {
+		if !sameRequest(&VerifyRequest{Proof: back.Proofs[i]}, &VerifyRequest{Proof: req.Proofs[i]}) {
+			t.Fatalf("proof %d changed in the round trip", i)
+		}
+	}
+	for i := range req.PublicInputs {
+		if !sameRequest(&VerifyRequest{PublicInputs: back.PublicInputs[i]}, &VerifyRequest{PublicInputs: req.PublicInputs[i]}) {
+			t.Fatalf("instance %d changed in the round trip", i)
+		}
+	}
+	if again, err := json.Marshal(&back); err != nil || !bytes.Equal(again, enc) {
+		t.Fatalf("re-encoding is not a fixed point: %.200q then %.200q (%v)", enc, again, err)
+	}
+	return true
+}
+
+// heapAllocated is the bytes this process has allocated on the heap so far.
+func heapAllocated() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+func TestAggregateRequestDecodeSeeds(t *testing.T) {
+	accepted := 0
+	for _, seed := range aggregateRequestSeeds(t) {
+		if checkAggregateRequestDecode(t, seed) {
+			accepted++
+		}
+	}
+	// two, 40 inputs, pretty, empty lists, a null proof, null lists, an
+	// escaped key, and the 12 boundary values one at a time. (A null proof
+	// decodes; the handler refuses it afterwards. A null instance does not.)
+	if accepted != 7+12 {
+		t.Fatalf("%d seeds decode, want %d", accepted, 7+12)
+	}
+}
+
+// FuzzAggregateRequestDecode fuzzes the /v1/aggregate body (ROADMAP item
+// 2b): it carries one instance per proof through encoding/json alone.
+func FuzzAggregateRequestDecode(f *testing.F) {
+	for _, seed := range aggregateRequestSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkAggregateRequestDecode(t, body)
 	})
 }
 

@@ -163,10 +163,10 @@ type VerifyRequest struct {
 }
 
 // The canonical framing of a VerifyRequest: the bytes json.Marshal puts
-// around its two fields. A public-instance request is a few hundred kB
-// of hex, and every encoding/json pass over it costs about as much as
-// the pairing check it asks for; AppendJSON writes these bytes directly
-// and decodeCanonical reads them back without a scanner.
+// around its two fields. A public-instance request carries one decimal
+// per weight, tens of kB, and an encoding/json pass over it costs a good
+// share of the pairing check it asks for; AppendJSON writes these bytes
+// directly and decodeCanonical reads them back without a scanner.
 // TestVerifyRequestCanonicalBytes pins both to json.Marshal: a field
 // added to the struct has to be added here, or that test fails.
 const (

@@ -61,8 +61,9 @@ type (
 	// VerifyingKey is the public verification material any third party
 	// needs to check ownership proofs.
 	VerifyingKey = groth16.VerifyingKey
-	// Instance is a JSON-marshalable public-input vector (versioned hex
-	// envelope) — the instance half of a proof-service API payload.
+	// Instance is a JSON-marshalable public-input vector (versioned
+	// envelope of signed decimals) — the instance half of a proof-service
+	// API payload and of the CLI's public.json.
 	Instance = groth16.PublicInputs
 	// Circuit is a compiled extraction circuit (CSR constraint matrices
 	// plus a recorded witness solver) together with its build-time input
