@@ -64,6 +64,19 @@ func msmBenchG1Input(n int) ([]G1Affine, []fr.Element) {
 	return BatchJacToAffineG1(jacs), fullScalars(rng, n)
 }
 
+// msmBenchG2Input is msmBenchG1Input over G2 (randG2 draws subgroup
+// points).
+func msmBenchG2Input(n int) ([]G2Affine, []fr.Element) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	jacs := make([]G2Jac, n)
+	cur := randG2(rng)
+	for i := 0; i < n; i++ {
+		jacs[i] = cur
+		cur.DoubleAssign()
+	}
+	return BatchJacToAffineG2(jacs), fullScalars(rng, n)
+}
+
 // fullScalars draws n uniform scalars: full-width, the shape sign
 // folding cannot shorten.
 func fullScalars(rng *rand.Rand, n int) []fr.Element {
@@ -161,17 +174,38 @@ func BenchmarkMSM(b *testing.B) {
 		})
 	}
 
+	// The two paths of a small MSM side by side at every size around
+	// msmSmallThreshold: the joint signed-window pass and a Pippenger run
+	// forced through the decomposed entry. The threshold is the smallest
+	// n at which the second wins.
+	for _, n := range []int{2, 4, 8, 16, 32, 48, 64} {
+		points, scalars := msmBenchG1Input(n)
+		g2Points, _ := msmBenchG2Input(n)
+		b.Run(fmt.Sprintf("G1Small/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = multiExpSmall[G1Affine, G1Jac](g1Msm{}, points, scalars)
+			}
+		})
+		b.Run(fmt.Sprintf("G1Pippenger/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = MultiExpG1Decomposed(points, DecomposeScalars(scalars, MSMWindowSize(n)))
+			}
+		})
+		b.Run(fmt.Sprintf("G2Small/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = multiExpSmall[G2Affine, G2Jac](g2Msm{}, g2Points, scalars)
+			}
+		})
+		b.Run(fmt.Sprintf("G2Pippenger/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = MultiExpG2Decomposed(g2Points, DecomposeScalars(scalars, MSMWindowSize(n)))
+			}
+		})
+	}
+
 	{
 		n := 4096
-		rng := rand.New(rand.NewSource(int64(n)))
-		jacs := make([]G2Jac, n)
-		cur := randG2(rng)
-		for i := 0; i < n; i++ {
-			jacs[i] = cur
-			cur.DoubleAssign()
-		}
-		points := BatchJacToAffineG2(jacs)
-		scalars := fullScalars(rng, n)
+		points, scalars := msmBenchG2Input(n)
 		b.Run(fmt.Sprintf("G2/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = MultiExpG2(points, scalars)

@@ -525,6 +525,21 @@ const (
 // G1CompressedSize is the byte length of a compressed G1 point.
 const G1CompressedSize = fp.Bytes
 
+// onlyFlags reports whether a compressed encoding carries nothing but its
+// flag bits — the one spelling of ∞ that Bytes writes. Decoders refuse
+// any other, so every accepted encoding is the canonical one.
+func onlyFlags(buf []byte) bool {
+	if buf[0]&^maskFlags != 0 {
+		return false
+	}
+	for _, b := range buf[1:] {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Bytes returns the 32-byte compressed encoding of p: big-endian X with
 // flag bits (compressed, y-sign, infinity) in the top byte. Valid because
 // p < 2²⁵⁴ leaves the two (three) top bits clear.
@@ -593,6 +608,9 @@ func (p *G1Affine) SetBytes(buf []byte) error {
 	}
 	flags := buf[0] & maskFlags
 	if flags == flagInfinity {
+		if !onlyFlags(buf) {
+			return errors.New("curve: G1 infinity encoding with nonzero payload")
+		}
 		p.X.SetZero()
 		p.Y.SetZero()
 		return nil

@@ -632,6 +632,9 @@ func (p *G2Affine) SetBytes(buf []byte) error {
 	}
 	flags := buf[0] & maskFlags
 	if flags == flagInfinity {
+		if !onlyFlags(buf) {
+			return errors.New("curve: G2 infinity encoding with nonzero payload")
+		}
 		p.X.SetZero()
 		p.Y.SetZero()
 		return nil

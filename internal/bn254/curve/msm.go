@@ -36,6 +36,14 @@ import (
 // resident points and streamed ones alike; G1 and G2 plug in only their
 // leaf arithmetic (g1BatchAdder / g2BatchAdder and the Jacobian fold ops
 // below).
+//
+// Below msmSmallThreshold points (48) none of that pays: Pippenger's
+// per-window bucket reduction and fold cost the same for 2 points as for
+// 40, and a verifier's IC over a weight digest and a claim bit is such an
+// MSM. Those go through multiExpSmall instead — the same sign-folded
+// digits at c = 4, a table of each point's multiples up to its largest
+// digit (at most 8), and one accumulator whose doublings all points
+// share. The one-point MSM is its n = 1.
 
 // MSMWindowSize picks the Pippenger window width c for n points under
 // signed-digit recoding (2^(c-1) buckets per window). The heuristic
@@ -414,8 +422,12 @@ type msmCurve[A, J any] interface {
 	scratchPools() *scratchPools
 	// chunkPool recycles the streamed MSM's point buffers (*[]A).
 	chunkPool() *sync.Pool
-	// scalarMul returns k·p, the whole of a one-point MSM.
-	scalarMul(p *A, k *fr.Element) J
+	// The small pass (multiExpSmall) builds per-point tables of multiples
+	// and walks the digits with mixed additions.
+	fromAffine(p *A) J
+	addMixed(dst *J, p *A)
+	neg(dst, src *A)
+	batchToAffine(points []J) []A
 }
 
 // msmScratch is the recycled working set of one cell, held from the
@@ -861,12 +873,10 @@ func (g1Msm) double(dst *G1Jac)   { dst.DoubleAssign() }
 func (g1Msm) scratchPools() *scratchPools { return &g1ScratchPools }
 func (g1Msm) chunkPool() *sync.Pool       { return &g1ChunkPool }
 
-func (g1Msm) scalarMul(p *G1Affine, k *fr.Element) G1Jac {
-	var j G1Jac
-	j.FromAffine(p)
-	j.ScalarMul(&j, k)
-	return j
-}
+func (g1Msm) fromAffine(p *G1Affine) (j G1Jac)        { j.FromAffine(p); return j }
+func (g1Msm) addMixed(dst *G1Jac, p *G1Affine)        { dst.AddMixed(p) }
+func (g1Msm) neg(dst, src *G1Affine)                  { dst.Neg(src) }
+func (g1Msm) batchToAffine(points []G1Jac) []G1Affine { return BatchJacToAffineG1(points) }
 
 type g2Msm struct{}
 
@@ -925,12 +935,10 @@ func (g2Msm) double(dst *G2Jac)   { dst.DoubleAssign() }
 func (g2Msm) scratchPools() *scratchPools { return &g2ScratchPools }
 func (g2Msm) chunkPool() *sync.Pool       { return &g2ChunkPool }
 
-func (g2Msm) scalarMul(p *G2Affine, k *fr.Element) G2Jac {
-	var j G2Jac
-	j.FromAffine(p)
-	j.ScalarMul(&j, k)
-	return j
-}
+func (g2Msm) fromAffine(p *G2Affine) (j G2Jac)        { j.FromAffine(p); return j }
+func (g2Msm) addMixed(dst *G2Jac, p *G2Affine)        { dst.AddMixed(p) }
+func (g2Msm) neg(dst, src *G2Affine)                  { dst.Neg(src) }
+func (g2Msm) batchToAffine(points []G2Jac) []G2Affine { return BatchJacToAffineG2(points) }
 
 // multiExpEntry is the door of every MSM over resident points — either
 // group, traced or not. It and the streamed MSM (multiExpStream, which
@@ -950,15 +958,95 @@ func multiExpEntry[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.
 		if len(scalars) != n {
 			panic("curve: MultiExp length mismatch")
 		}
-		switch n {
-		case 0:
-			return cv.infinity()
-		case 1:
-			return cv.scalarMul(&points[0], &scalars[0])
+		if n < msmSmallThreshold {
+			return multiExpSmall[A, J](cv, points, scalars)
 		}
 		dec = DecomposeScalars(scalars, MSMWindowSize(n))
 	}
 	return multiExp[A, J](cv, points, dec, sc)
+}
+
+// msmSmallThreshold is the point count below which an MSM over resident
+// scalars skips Pippenger for multiExpSmall. Pippenger pays per window
+// for a bucket reduction and a fold, ~254/c windows whatever n is; a
+// verifier's few-input IC (a weight digest and a claim bit) would spend
+// more on that than on one scalar multiplication. The crossing point is
+// BenchmarkMSM's Small/Pippenger pairs (full-width scalars, 2 vCPUs):
+// the small pass takes a third to a half off at 2 to 16 points and
+// still leads by 10–15 % at 48, while at 64 the two tie in G1 and
+// Pippenger leads by a sixth in G2.
+const msmSmallThreshold = 48
+
+// msmSmallWindow is the small pass's digit width: a table of 2^(c-1)
+// multiples per point against ~254/c additions per full-width scalar.
+const msmSmallWindow = 4
+
+// multiExpSmall computes Σ kᵢ·Pᵢ in one joint signed-window pass: the
+// scalars take the sign-folded c-bit digits of DecomposeScalars; every
+// point gets a table of its multiples 2..2^(c-1), built in Jacobian form
+// only as far as its largest digit and brought to affine with one shared
+// inversion (the multiple 1 is the point itself); then one accumulator
+// runs from the top window down, c doublings per window shared by all
+// points and one mixed addition per nonzero digit (of the negated entry
+// for a negative digit). Like the Pippenger path, the folded digits need
+// points of order r. Infinity points, zero scalars and repeated points
+// need no case of their own: the mixed addition handles ∞ and P + P.
+func multiExpSmall[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.Element) J {
+	n := len(points)
+	dec := resetDecomposition(nil, n, msmSmallWindow)
+	dec.used = dec.recode(scalars, 0, n)
+	res := cv.infinity()
+	if dec.used == 0 {
+		return res
+	}
+	// Point i's multiples 2..top, top its largest digit magnitude, are
+	// tbl[start[i]:start[i+1]]: a claim bit needs no table at all.
+	start := make([]int, n+1)
+	for i := range n {
+		top := int16(1)
+		for w := 0; w < dec.used; w++ {
+			top = max(top, dec.digits[w*n+i], -dec.digits[w*n+i])
+		}
+		start[i+1] = start[i] + int(top) - 1
+	}
+	jac := make([]J, start[n])
+	for i := range points {
+		row := jac[start[i]:start[i+1]]
+		for m := range row {
+			if m == 0 {
+				row[0] = cv.fromAffine(&points[i])
+				cv.double(&row[0])
+			} else {
+				row[m] = row[m-1]
+				cv.addMixed(&row[m], &points[i])
+			}
+		}
+	}
+	tbl := cv.batchToAffine(jac)
+	multiple := func(i int, d int16) *A {
+		if d == 1 {
+			return &points[i]
+		}
+		return &tbl[start[i]+int(d)-2]
+	}
+	var neg A
+	for w := dec.used - 1; w >= 0; w-- {
+		if w != dec.used-1 {
+			for range msmSmallWindow {
+				cv.double(&res)
+			}
+		}
+		for i, d := range dec.row(w) {
+			switch {
+			case d > 0:
+				cv.addMixed(&res, multiple(i, d))
+			case d < 0:
+				cv.neg(&neg, multiple(i, -d))
+				cv.addMixed(&res, &neg)
+			}
+		}
+	}
+	return res
 }
 
 // The exported multi-exponentiations are eight names: G1 and G2 of
@@ -1044,9 +1132,7 @@ type fixedBaseCurve[A, J any] interface {
 }
 
 func (g1Msm) batchAdder(batchSize int) batchOps[G1Affine, G1Jac] { return newG1BatchAdder(batchSize) }
-func (g1Msm) batchToAffine(points []G1Jac) []G1Affine            { return BatchJacToAffineG1(points) }
 func (g2Msm) batchAdder(batchSize int) batchOps[G2Affine, G2Jac] { return newG2BatchAdder(batchSize) }
-func (g2Msm) batchToAffine(points []G2Jac) []G2Affine            { return BatchJacToAffineG2(points) }
 
 // fixedBaseTable holds entries[w·fixedBaseEntries + d-1] = d·2^(cw)·base.
 // It is built per setup and dies with it.

@@ -81,6 +81,94 @@ func TestMultiExpG1StraddlesWindowThresholds(t *testing.T) {
 	}
 }
 
+// smallPathScalars cycles through the scalars the small pass's recoding
+// turns on: 0, 1, r−1, (r−1)/2 and (r+1)/2 (either side of the sign
+// fold), a uniform full-width value, and a verifier IC's pair — a digest
+// (32 hash-like bytes reduced mod r) followed by a claim bit.
+func smallPathScalars(rng *rand.Rand, n int) []fr.Element {
+	r := GroupOrder()
+	one := big.NewInt(1)
+	halfDown := new(big.Int).Rsh(new(big.Int).Sub(r, one), 1)
+	fixed := []*big.Int{
+		new(big.Int), one, new(big.Int).Sub(r, one),
+		halfDown, new(big.Int).Add(halfDown, one),
+	}
+	scalars := make([]fr.Element, n)
+	for i := range scalars {
+		switch k := i % (len(fixed) + 3); {
+		case k < len(fixed):
+			scalars[i].SetBigInt(fixed[k])
+		case k == len(fixed):
+			scalars[i] = randFr(rng)
+		case k == len(fixed)+1:
+			digest := make([]byte, 32)
+			rng.Read(digest)
+			scalars[i].SetBytes(digest)
+		default:
+			scalars[i].SetOne()
+		}
+	}
+	return scalars
+}
+
+// TestMultiExpSmallPathAroundThreshold pins every MSM size from 1 to one
+// past msmSmallThreshold, in both groups, to two references: the sum of
+// per-point ScalarMulBig results, and a Pippenger run forced at the same
+// size through the decomposed entry. The points include infinity and
+// repeats (a point equal to its predecessor); G2 points are in the
+// subgroup, as the sign-folded digits require.
+func TestMultiExpSmallPathAroundThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	top := msmSmallThreshold + 1
+	scalars := smallPathScalars(rng, top)
+	g1s, g2s := make([]G1Affine, top), make([]G2Affine, top)
+	ref1, ref2 := make([]G1Jac, top), make([]G2Jac, top)
+	for i := range top {
+		switch {
+		case i%7 == 3: // infinity
+		case i%5 == 4:
+			g1s[i], g2s[i] = g1s[i-1], g2s[i-1]
+		default:
+			p1, p2 := randG1(rng), randG2(rng)
+			g1s[i].FromJacobian(&p1)
+			g2s[i].FromJacobian(&p2)
+		}
+		k := scalars[i].BigInt(new(big.Int))
+		var j1 G1Jac
+		var j2 G2Jac
+		ref1[i].ScalarMulBig(j1.FromAffine(&g1s[i]), k)
+		ref2[i].ScalarMulBig(j2.FromAffine(&g2s[i]), k)
+	}
+	var want1 G1Jac
+	var want2 G2Jac
+	want1.SetInfinity()
+	want2.SetInfinity()
+	for n := 1; n <= top; n++ {
+		want1.AddAssign(&ref1[n-1])
+		want2.AddAssign(&ref2[n-1])
+		dec := DecomposeScalars(scalars[:n], MSMWindowSize(n))
+		got1, pip1 := MultiExpG1(g1s[:n], scalars[:n]), MultiExpG1Decomposed(g1s[:n], dec)
+		if !got1.Equal(&want1) || !pip1.Equal(&want1) {
+			t.Fatalf("G1 n=%d: entry %v, Pippenger %v, ScalarMulBig sum differs", n, got1.Equal(&want1), pip1.Equal(&want1))
+		}
+		got2, pip2 := MultiExpG2(g2s[:n], scalars[:n]), MultiExpG2Decomposed(g2s[:n], dec)
+		if !got2.Equal(&want2) || !pip2.Equal(&want2) {
+			t.Fatalf("G2 n=%d: entry %v, Pippenger %v, ScalarMulBig sum differs", n, got2.Equal(&want2), pip2.Equal(&want2))
+		}
+	}
+
+	// The verifier's exact shape: a digest and a claim bit of 0 or 1.
+	for _, claim := range []uint64{0, 1} {
+		pair := smallPathScalars(rng, 8)[6:]
+		pair[1].SetUint64(claim)
+		got := MultiExpG1(g1s[:2], pair)
+		want := naiveMSMG1(g1s[:2], pair)
+		if !got.Equal(&want) {
+			t.Fatalf("digest + claim bit %d: small pass differs from the ScalarMul sum", claim)
+		}
+	}
+}
+
 // TestMultiExpAllWindowWidthsAgree forces every supported window width
 // over one input set: the widths must all produce the same point, so a
 // recoding or bucket bug at any c — including the widths only the

@@ -93,10 +93,16 @@ func (z *E2) Conjugate(x *E2) *E2 {
 	return z
 }
 
-// Mul sets z = x·y and returns z, using the schoolbook/Karatsuba mix:
+// Mul (z = x·y) and Square (z = x²) dispatch per build: on amd64 with
+// ADX+BMI2 to the lazy-reduction kernels of e2_amd64.s, otherwise to the
+// portable core below, which is also the reference the kernels are
+// fuzzed against (FuzzE2MulBackends). Both return canonical limbs, so
+// the two are bit-identical.
+
+// mulGeneric sets z = x·y with the schoolbook/Karatsuba mix:
 // (a0+a1u)(b0+b1u) = (a0b0 - a1b1) + ((a0+a1)(b0+b1) - a0b0 - a1b1)u.
 // The adds and subs between the products are open-coded (e2_limbs.go).
-func (z *E2) Mul(x, y *E2) *E2 {
+func mulGeneric(z, x, y *E2) {
 	var t0, t1, s0, s1 fp.Element
 	t0.Mul(&x.A0, &y.A0)
 	t1.Mul(&x.A1, &y.A1)
@@ -106,19 +112,16 @@ func (z *E2) Mul(x, y *E2) *E2 {
 	z.A0 = addBackP(limbSub(&t0, &t1))
 	s0 = addBackP(limbSub(&s0, &t0))
 	z.A1 = addBackP(limbSub(&s0, &t1))
-	return z
 }
 
-// Square sets z = x² and returns z:
-// (a0+a1u)² = (a0+a1)(a0-a1) + 2a0a1·u.
-func (z *E2) Square(x *E2) *E2 {
+// squareGeneric sets z = x²: (a0+a1u)² = (a0+a1)(a0-a1) + 2a0a1·u.
+func squareGeneric(z, x *E2) {
 	var sum, diff, prod fp.Element
 	sum = addBackP(subModulus(limbAdd(&x.A0, &x.A1)))
 	diff = addBackP(limbSub(&x.A0, &x.A1))
 	prod.Mul(&x.A0, &x.A1)
 	z.A0.Mul(&sum, &diff)
 	z.A1 = addBackP(subModulus(limbAdd(&prod, &prod)))
-	return z
 }
 
 // MulByElement sets z = x scaled by the base-field element c.

@@ -103,6 +103,108 @@ func FuzzE2Arith(f *testing.F) {
 	for _, seed := range e2ArithSeeds() {
 		f.Add(seed)
 	}
+	f.Fuzz(checkE2Arith)
+}
+
+// checkE2Arith is FuzzE2Arith's body: every op on the two elements data
+// spells, against the oracle.
+func checkE2Arith(t *testing.T, data []byte) {
+	if len(data) < 128 {
+		return
+	}
+	x := E2{rawFp(data[:32]), rawFp(data[32:64])}
+	y := E2{rawFp(data[64:96]), rawFp(data[96:128])}
+	xo, yo := oracleE2(&x), oracleE2(&y)
+	check := func(op string, got *E2, want refimpl.E2) {
+		t.Helper()
+		if g := oracleE2(got); !g.Equal(want) || fromOracleE2(g) != *got {
+			t.Fatalf("%s(x=%v, y=%v) = %v, want %v", op, xo, yo, g, want)
+		}
+	}
+
+	binops := []struct {
+		name string
+		op   func(z, x, y *E2) *E2
+		want func(x, y refimpl.E2) refimpl.E2
+	}{
+		{"Add", (*E2).Add, refimpl.E2.Add},
+		{"Sub", (*E2).Sub, refimpl.E2.Sub},
+		{"Mul", (*E2).Mul, refimpl.E2.Mul},
+	}
+	for _, b := range binops {
+		var z E2
+		check(b.name, b.op(&z, &x, &y), b.want(xo, yo))
+		z = x
+		check(b.name+"(z=x)", b.op(&z, &z, &y), b.want(xo, yo))
+		z = y
+		check(b.name+"(z=y)", b.op(&z, &x, &z), b.want(xo, yo))
+		z = x
+		check(b.name+"(z=x=y)", b.op(&z, &z, &z), b.want(xo, xo))
+	}
+
+	unops := []struct {
+		name string
+		op   func(z, x *E2) *E2
+		want func(x refimpl.E2) refimpl.E2
+	}{
+		{"Double", (*E2).Double, func(x refimpl.E2) refimpl.E2 { return x.Add(x) }},
+		{"Neg", (*E2).Neg, refimpl.E2.Neg},
+		{"Conjugate", (*E2).Conjugate, refimpl.E2.Conjugate},
+		{"Square", (*E2).Square, func(x refimpl.E2) refimpl.E2 { return x.Mul(x) }},
+		{"MulByNonResidue", (*E2).MulByNonResidue, func(x refimpl.E2) refimpl.E2 { return x.Mul(refimpl.Xi()) }},
+		{"MulByElement(y.A0)", func(z, x *E2) *E2 { return z.MulByElement(x, &y.A0) }, func(x refimpl.E2) refimpl.E2 { return x.Scale(yo.A0) }},
+		{"Inverse", (*E2).Inverse, refimpl.E2.Inverse},
+	}
+	for _, u := range unops {
+		var z E2
+		check(u.name, u.op(&z, &x), u.want(xo))
+		z = x
+		check(u.name+"(z=x)", u.op(&z, &z), u.want(xo))
+	}
+}
+
+// lazyReductionSeeds are x||y inputs at the edges of the lazy-reduction
+// kernel's bounds, in raw limbs: a0·b0 < a1·b1 (c0's difference borrows
+// and p·2²⁵⁶ is added back), a0 + a1 ≥ p and b0 + b1 ≥ p (the
+// unreduced sums pass p), every coordinate p − 1 (the largest products),
+// mixed 0 and 1, and a0 − a1 + p at its extremes for Square.
+func lazyReductionSeeds() [][]byte {
+	m := refimpl.Fp.M
+	one := big.NewInt(1)
+	pm1 := new(big.Int).Sub(m, one)
+	half := new(big.Int).Rsh(m, 1)
+	halfUp := new(big.Int).Add(half, one)
+	zero := new(big.Int)
+	seed := func(a0, a1, b0, b1 *big.Int) []byte {
+		s := make([]byte, 128)
+		for k, v := range []*big.Int{a0, a1, b0, b1} {
+			v.FillBytes(s[32*k : 32*(k+1)])
+		}
+		return s
+	}
+	return [][]byte{
+		seed(one, pm1, one, pm1),             // a0·b0 = 1 < a1·b1
+		seed(zero, pm1, zero, pm1),           // a0·b0 = 0
+		seed(halfUp, halfUp, halfUp, halfUp), // sums p + 1
+		seed(pm1, pm1, pm1, pm1),             // sums 2p − 2
+		seed(pm1, one, one, pm1),             // sums exactly p
+		seed(zero, zero, zero, zero),
+		seed(one, zero, one, zero),
+		seed(zero, one, zero, one), // u·u = −1
+		seed(zero, pm1, pm1, zero), // a0 − a1 + p = 1
+		seed(pm1, zero, zero, pm1), // a0 − a1 + p = 2p − 1
+	}
+}
+
+// FuzzE2MulBackends holds the build's F_p² Mul and Square — the ADX
+// kernel on amd64 with ADX+BMI2 — to the portable core bit for bit and
+// to the math/big oracle, in every aliasing form. On a build without the
+// kernel both sides run the portable core and the first comparison is a
+// self-check.
+func FuzzE2MulBackends(f *testing.F) {
+	for _, seed := range append(lazyReductionSeeds(), e2ArithSeeds()...) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 128 {
 			return
@@ -110,52 +212,34 @@ func FuzzE2Arith(f *testing.F) {
 		x := E2{rawFp(data[:32]), rawFp(data[32:64])}
 		y := E2{rawFp(data[64:96]), rawFp(data[96:128])}
 		xo, yo := oracleE2(&x), oracleE2(&y)
-		check := func(op string, got *E2, want refimpl.E2) {
+		var mulWant, sqWant E2
+		mulGeneric(&mulWant, &x, &y)
+		squareGeneric(&sqWant, &x)
+		if g := oracleE2(&mulWant); !g.Equal(xo.Mul(yo)) {
+			t.Fatalf("portable Mul(%v, %v) = %v, oracle %v", xo, yo, g, xo.Mul(yo))
+		}
+		if g := oracleE2(&sqWant); !g.Equal(xo.Mul(xo)) {
+			t.Fatalf("portable Square(%v) = %v, oracle %v", xo, g, xo.Mul(xo))
+		}
+		check := func(op string, got, want E2) {
 			t.Helper()
-			if g := oracleE2(got); !g.Equal(want) || fromOracleE2(g) != *got {
-				t.Fatalf("%s(x=%v, y=%v) = %v, want %v", op, xo, yo, g, want)
+			if got != want {
+				t.Fatalf("%s(x=%v, y=%v): backend %v, portable core %v", op, xo, yo, got, want)
 			}
 		}
-
-		binops := []struct {
-			name string
-			op   func(z, x, y *E2) *E2
-			want func(x, y refimpl.E2) refimpl.E2
-		}{
-			{"Add", (*E2).Add, refimpl.E2.Add},
-			{"Sub", (*E2).Sub, refimpl.E2.Sub},
-			{"Mul", (*E2).Mul, refimpl.E2.Mul},
-		}
-		for _, b := range binops {
-			var z E2
-			check(b.name, b.op(&z, &x, &y), b.want(xo, yo))
-			z = x
-			check(b.name+"(z=x)", b.op(&z, &z, &y), b.want(xo, yo))
-			z = y
-			check(b.name+"(z=y)", b.op(&z, &x, &z), b.want(xo, yo))
-			z = x
-			check(b.name+"(z=x=y)", b.op(&z, &z, &z), b.want(xo, xo))
-		}
-
-		unops := []struct {
-			name string
-			op   func(z, x *E2) *E2
-			want func(x refimpl.E2) refimpl.E2
-		}{
-			{"Double", (*E2).Double, func(x refimpl.E2) refimpl.E2 { return x.Add(x) }},
-			{"Neg", (*E2).Neg, refimpl.E2.Neg},
-			{"Conjugate", (*E2).Conjugate, refimpl.E2.Conjugate},
-			{"Square", (*E2).Square, func(x refimpl.E2) refimpl.E2 { return x.Mul(x) }},
-			{"MulByNonResidue", (*E2).MulByNonResidue, func(x refimpl.E2) refimpl.E2 { return x.Mul(refimpl.Xi()) }},
-			{"MulByElement(y.A0)", func(z, x *E2) *E2 { return z.MulByElement(x, &y.A0) }, func(x refimpl.E2) refimpl.E2 { return x.Scale(yo.A0) }},
-			{"Inverse", (*E2).Inverse, refimpl.E2.Inverse},
-		}
-		for _, u := range unops {
-			var z E2
-			check(u.name, u.op(&z, &x), u.want(xo))
-			z = x
-			check(u.name+"(z=x)", u.op(&z, &z), u.want(xo))
-		}
+		var z E2
+		check("Mul", *z.Mul(&x, &y), mulWant)
+		z = x
+		check("Mul(z=x)", *z.Mul(&z, &y), mulWant)
+		z = y
+		check("Mul(z=y)", *z.Mul(&x, &z), mulWant)
+		var xx E2
+		mulGeneric(&xx, &x, &x)
+		z = x
+		check("Mul(z=x=y)", *z.Mul(&z, &z), xx)
+		check("Square", *z.Square(&x), sqWant)
+		z = x
+		check("Square(z=x)", *z.Square(&z), sqWant)
 	})
 }
 

@@ -40,8 +40,11 @@
 //
 //	(p⁴-p²+1)/r = p³ + (6x²+1)·p² + (-36x³-18x²-12x+1)·p + (-36x³-30x²-18x-2)
 //
-// evaluated as three cyclotomic square-and-multiply passes over the
-// 63-bit x = BNParamX, Frobenius maps, and the vector addition chain
+// evaluated as three exponentiations by the 63-bit x = BNParamX — each a
+// signed-window chain over x's width-4 NAF (odd digits up to ±7, a
+// negative one multiplying by the conjugate), 62 cyclotomic squarings
+// and 16 multiplications where plain square-and-multiply over x's 28 set
+// bits spends 27 — Frobenius maps, and the vector addition chain
 // y₀·y₁²·y₂⁶·y₃¹²·y₄¹⁸·y₅³⁰·y₆³⁶ (Scott, Benger, Charlemagne, Dominguez
 // Perez, Kachisa: "On the final exponentiation for calculating pairings
 // on ordinary elliptic curves"). init() checks with math/big that this
@@ -54,6 +57,8 @@ package pairing
 
 import (
 	"math/big"
+	"slices"
+	"sync"
 
 	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/ext"
@@ -77,10 +82,20 @@ var (
 	ateLoopNAF []int8  // NAF digits of 6x₀+2, most significant first
 	ateSteps   []int8  // the loop over ateLoopNAF plus the end steps, unrolled
 	bnX        big.Int // BNParamX
+	xDigits    []int8  // width-4 NAF of BNParamX (expByX), most significant first
 )
 
 func init() {
 	bnX.SetUint64(BNParamX)
+	xDigits = windowNAF(BNParamX, 4)
+	var back big.Int
+	for _, d := range xDigits {
+		back.Lsh(&back, 1)
+		back.Add(&back, big.NewInt(int64(d)))
+	}
+	if back.Cmp(&bnX) != 0 || xDigits[0] != 1 {
+		panic("pairing: the signed digits of x do not reconstruct BNParamX")
+	}
 
 	// 6x₀ + 2 (exceeds 64 bits).
 	t := new(big.Int).Mul(&bnX, big.NewInt(6))
@@ -181,6 +196,27 @@ func nafDigits(n *big.Int) []int8 {
 	return digits
 }
 
+// windowNAF returns the width-w non-adjacent form of n, most significant
+// digit first: every digit is 0 or odd with |d| < 2^(w-1), and any two
+// nonzero digits are at least w positions apart.
+func windowNAF(n uint64, w uint) []int8 {
+	var digits []int8
+	for n > 0 {
+		var d int64
+		if n&1 == 1 {
+			d = int64(n & (1<<w - 1))
+			if d >= 1<<(w-1) {
+				d -= 1 << w
+			}
+			n -= uint64(d) // a negative digit adds |d|
+		}
+		digits = append(digits, int8(d))
+		n >>= 1
+	}
+	slices.Reverse(digits)
+	return digits
+}
+
 // line is one step's contribution to the Miller function, with
 // everything that depends on Q already worked out.
 type line struct {
@@ -238,6 +274,40 @@ func PrecomputeLines(q *curve.G2Affine) *Lines {
 	if q.IsInfinity() {
 		return tbl
 	}
+	b := lineBuilds.Get().(*lineBuild)
+	tbl.lines = make([]line, len(ateSteps))
+	b.build(tbl.lines, q)
+	lineBuilds.Put(b)
+	return tbl
+}
+
+// lineBuild is the working set of one table build — the running points
+// in Jacobian and affine form, the slopes' numerators and denominators,
+// and the inverses — plus a table for MillerProduct to build an uncached
+// point's lines into. A verifier builds B's table on every call, about
+// 74 kB of it, so the sets are pooled rather than left to the collector.
+type lineBuild struct {
+	chain          []curve.G2Jac
+	pts            []curve.G2Affine
+	num, den, invs []ext.E2
+	lines          []line
+}
+
+var lineBuilds = sync.Pool{New: func() any {
+	n := len(ateSteps)
+	return &lineBuild{
+		chain: make([]curve.G2Jac, n),
+		pts:   make([]curve.G2Affine, n),
+		num:   make([]ext.E2, n),
+		den:   make([]ext.E2, n),
+		invs:  make([]ext.E2, n),
+		lines: make([]line, n),
+	}
+}}
+
+// build writes the line table of q, a point other than ∞, into lines,
+// overwriting every entry.
+func (b *lineBuild) build(lines []line, q *curve.G2Affine) {
 	var addends [4]curve.G2Affine // indexed by stepAddQ..stepSubPsi2
 	addends[stepAddQ] = *q
 	addends[stepSubQ].Neg(q)
@@ -248,7 +318,7 @@ func PrecomputeLines(q *curve.G2Affine) *Lines {
 	// The running point before every step. Jacobian arithmetic follows
 	// the group law through ∞, T = ±addend and 2-torsion exactly as the
 	// affine case analysis below expects, and costs no inversion.
-	chain := make([]curve.G2Jac, len(ateSteps))
+	chain, pts := b.chain, b.pts
 	var t curve.G2Jac
 	t.FromAffine(q)
 	for k, step := range ateSteps {
@@ -259,14 +329,26 @@ func PrecomputeLines(q *curve.G2Affine) *Lines {
 			t.AddMixed(&addends[step])
 		}
 	}
-	pts := curve.BatchJacToAffineG2(chain) // ∞ comes back as (0, 0)
+	// To affine with one shared inversion; ∞ (Z = 0, whose inverse is
+	// taken as 0) comes out as (0, 0).
+	for k := range chain {
+		b.den[k] = chain[k].Z
+	}
+	ext.BatchInvertE2Into(b.den, b.invs)
+	for k := range chain {
+		var zi2, zi3 ext.E2
+		zi2.Square(&b.invs[k])
+		zi3.Mul(&zi2, &b.invs[k])
+		pts[k].X.Mul(&chain[k].X, &zi2)
+		pts[k].Y.Mul(&chain[k].Y, &zi3)
+	}
 
 	// λ = num/den per step, all denominators inverted together.
-	tbl.lines = make([]line, len(ateSteps))
-	num := make([]ext.E2, len(ateSteps))
-	den := make([]ext.E2, len(ateSteps)) // stays 0 where there is no slope
+	num, den := b.num, b.den
 	for k, step := range ateSteps {
-		t, l := &pts[k], &tbl.lines[k]
+		t, l := &pts[k], &lines[k]
+		*l = line{}
+		den[k].SetZero() // stays 0 where there is no slope
 		tangent := step == stepDouble
 		if !tangent {
 			a := &addends[step]
@@ -301,15 +383,14 @@ func PrecomputeLines(q *curve.G2Affine) *Lines {
 			l.b.Neg(&t.X)
 		}
 	}
-	inv := ext.BatchInvertE2(den)
-	for k := range tbl.lines {
-		if l := &tbl.lines[k]; l.kind == lineSlope {
-			l.a.Mul(&num[k], &inv[k])
+	ext.BatchInvertE2Into(den, b.invs)
+	for k := range lines {
+		if l := &lines[k]; l.kind == lineSlope {
+			l.a.Mul(&num[k], &b.invs[k])
 			l.b.Mul(&l.a, &pts[k].X)
 			l.b.Sub(&l.b, &pts[k].Y)
 		}
 	}
-	return tbl
 }
 
 // MillerProduct computes Π f_{6x+2,qs[i]}(ps[i]) — each factor the
@@ -327,6 +408,15 @@ func MillerProduct(ps []*curve.G1Affine, qs []*curve.G2Affine, cached []*Lines) 
 		lines []line
 	}
 	pairs := make([]pair, 0, len(ps))
+	// An uncached point's table is built into a pooled lineBuild and
+	// lives only for this product.
+	var buf [4]*lineBuild
+	builds := buf[:0]
+	defer func() {
+		for _, b := range builds {
+			lineBuilds.Put(b)
+		}
+	}()
 	for i, p := range ps {
 		if p.IsInfinity() || qs[i].IsInfinity() {
 			continue
@@ -335,10 +425,15 @@ func MillerProduct(ps []*curve.G1Affine, qs []*curve.G2Affine, cached []*Lines) 
 		if cached != nil {
 			tbl = cached[i]
 		}
-		if !tbl.builtFor(qs[i]) {
-			tbl = PrecomputeLines(qs[i])
+		pr := pair{p: p}
+		if tbl.builtFor(qs[i]) {
+			pr.lines = tbl.lines
+		} else {
+			b := lineBuilds.Get().(*lineBuild)
+			builds = append(builds, b)
+			b.build(b.lines, qs[i])
+			pr.lines = b.lines
 		}
-		pr := pair{p: p, lines: tbl.lines}
 		pr.negX.Neg(&p.X)
 		pairs = append(pairs, pr)
 	}
@@ -382,15 +477,46 @@ func FinalExponentiation(f *ext.E12) ext.E12 {
 	return hardPart(&out)
 }
 
+// expByX sets z = m^x for m in the cyclotomic subgroup, x = BNParamX, by
+// the signed-window chain over xDigits: m, m³, m⁵ and m⁷ are tabled (one
+// squaring and three multiplications), then each of x's 62 lower digit
+// positions costs a cyclotomic squaring and its 13 nonzero digits a
+// multiplication — by the conjugate for a negative digit, the inverse
+// in the subgroup. 16 multiplications where square-and-multiply over x's
+// binary weight of 28 spends 27.
+func expByX(z, m *ext.E12) *ext.E12 {
+	var odd [4]ext.E12 // odd[k] = m^(2k+1)
+	var m2 ext.E12
+	odd[0] = *m
+	m2.CyclotomicSquare(m)
+	for k := 1; k < len(odd); k++ {
+		odd[k].Mul(&odd[k-1], &m2)
+	}
+	res := odd[(xDigits[0]-1)/2]
+	var t ext.E12
+	for _, d := range xDigits[1:] {
+		res.CyclotomicSquare(&res)
+		switch {
+		case d > 0:
+			res.Mul(&res, &odd[(d-1)/2])
+		case d < 0:
+			t.Conjugate(&odd[(-d-1)/2])
+			res.Mul(&res, &t)
+		}
+	}
+	*z = res
+	return z
+}
+
 // hardPart raises m, an element of the cyclotomic subgroup (the easy
 // part's output), to (p⁴-p²+1)/r. In the subgroup inversion is
 // conjugation and squaring is Granger-Scott's, so the cost is the three
 // exponentiations by x; init() asserts the exponent.
 func hardPart(m *ext.E12) ext.E12 {
 	var mx, mx2, mx3 ext.E12
-	mx.CyclotomicExp(m, &bnX)
-	mx2.CyclotomicExp(&mx, &bnX)
-	mx3.CyclotomicExp(&mx2, &bnX)
+	expByX(&mx, m)
+	expByX(&mx2, &mx)
+	expByX(&mx3, &mx2)
 
 	var y [7]ext.E12
 	var t ext.E12
