@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/core"
 	"zkrownn/internal/engine"
@@ -509,6 +510,10 @@ type benchRecord struct {
 	// portable core) — numbers are only comparable across runs with the
 	// same backend.
 	FieldBackend string `json:"field_backend"`
+	// CurveBackend names the arithmetic under the G1 batch-affine flush
+	// ("ifma" for the AVX-512 IFMA lanes, else "adx" or "generic"): MSM
+	// and setup times from CPUs with and without IFMA differ by it.
+	CurveBackend string `json:"curve_backend"`
 	// PhaseMS breaks the row's wall time down by prover phase (-phases):
 	// span-name → milliseconds, e.g. engine/solve, keys/setup, msm/A,
 	// quotient/ifft-a, verify/pairing. Nested phases overlap their
@@ -577,6 +582,7 @@ func runAggregateRow(eng *engine.Engine, p fixpoint.Params, sz sizes, n int, see
 		ProofBytes:            int(agg.SizeBytes()),
 		VKBytes:               vk.SizeBytes(),
 		FieldBackend:          fr.MulBackend(),
+		CurveBackend:          curve.Backend(),
 	}, nil
 }
 
@@ -602,6 +608,7 @@ func recordOf(m *core.Metrics) benchRecord {
 		VKBytes:              m.VKSize,
 		ProofBytes:           m.ProofSize,
 		FieldBackend:         fr.MulBackend(),
+		CurveBackend:         curve.Backend(),
 	}
 }
 

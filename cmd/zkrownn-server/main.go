@@ -38,6 +38,8 @@ import (
 	"syscall"
 	"time"
 
+	"zkrownn/internal/bn254/curve"
+	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/engine"
 	"zkrownn/internal/service"
 )
@@ -107,7 +109,8 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("zkrownn-server: proof service listening on %s\n", ln.Addr())
+	fmt.Printf("zkrownn-server: proof service listening on %s (G1 flush backend %s, field backend %s)\n",
+		ln.Addr(), curve.Backend(), fr.MulBackend())
 	err = httpSrv.Serve(ln)
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("zkrownn-server: %v", err)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"zkrownn/internal/bn254/fr"
 )
@@ -47,6 +48,51 @@ func BenchmarkG1ScalarMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.ScalarMul(&p, &k)
+	}
+}
+
+// BenchmarkG1Flush times one 512-op batch of chord additions — the
+// batch-affine flush under every G1 MSM and fixed-base multiplication —
+// on both backends, alternating per iteration so machine drift hits
+// both alike. It reports ns per addition for each and lanes/scalar, the
+// share the lane kernel costs. The buckets keep accumulating across
+// iterations, so every op stays a chord.
+//
+//	go test ./internal/bn254/curve -run '^$' -bench 'G1Flush|FixedBaseMul/G1' -cpu 1
+func BenchmarkG1Flush(b *testing.B) {
+	const n = msmBatchSize
+	rng := rand.New(rand.NewSource(29))
+	jacs := make([]G1Jac, 2*n)
+	for i := range jacs {
+		jacs[i] = randG1(rng)
+	}
+	aff := BatchJacToAffineG1(jacs)
+	buckets, pts := aff[:n], aff[n:]
+	idx := make([]int32, n)
+	for i, k := range rng.Perm(n) {
+		idx[i] = int32(k)
+	}
+	defer func(v bool) { supportIFMA = v }(supportIFMA)
+	lanes := supportIFMA
+	adder := newG1BatchAdder(n)
+	var scalarNs, laneNs time.Duration
+	for i := 0; i < b.N; i++ {
+		supportIFMA = false
+		t0 := time.Now()
+		adder.flush(buckets, idx, pts)
+		scalarNs += time.Since(t0)
+		if lanes {
+			supportIFMA = true
+			t0 = time.Now()
+			adder.flush(buckets, idx, pts)
+			laneNs += time.Since(t0)
+		}
+	}
+	adds := float64(b.N) * n
+	b.ReportMetric(float64(scalarNs)/adds, "scalar-ns/add")
+	if lanes {
+		b.ReportMetric(float64(laneNs)/adds, "ifma-ns/add")
+		b.ReportMetric(float64(laneNs)/float64(scalarNs), "ifma/scalar")
 	}
 }
 

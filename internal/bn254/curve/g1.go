@@ -423,22 +423,21 @@ func BatchJacToAffineG1(points []G1Jac) []G1Affine {
 // ~6 field muls against ~15 for a Jacobian mixed add. The scratch slices
 // persist across flushes so the hot loop never allocates.
 type g1BatchAdder struct {
-	den, inv []fp.Element
-	kind     []uint8 // batchAddSkip/batchAddChord/batchAddTangent per op
+	den, inv []fp.Element // laneWidth longer than a batch: the lane totals ride at the end
+	// Positions in the flush of its tangent ops, its chord ops, and the
+	// ops that take the scalar formulas (tangents, then the chords the
+	// lanes leave).
+	tangents, chords, scalar []int32
+	lanes                    g1Lanes
 }
-
-// Op classification for one slot of a batch-affine flush.
-const (
-	batchAddSkip    = iota // handled inline (infinity cases), no inversion
-	batchAddChord          // general addition, den = x2 - x1
-	batchAddTangent        // doubling, den = 2y
-)
 
 func newG1BatchAdder(batchSize int) *g1BatchAdder {
 	return &g1BatchAdder{
-		den:  make([]fp.Element, batchSize),
-		inv:  make([]fp.Element, batchSize),
-		kind: make([]uint8, batchSize),
+		den:      make([]fp.Element, batchSize+laneWidth),
+		inv:      make([]fp.Element, batchSize+laneWidth),
+		tangents: make([]int32, 0, batchSize),
+		chords:   make([]int32, 0, batchSize),
+		scalar:   make([]int32, 0, batchSize),
 	}
 }
 
@@ -451,54 +450,74 @@ func (a *g1BatchAdder) addMixedJac(dst *G1Jac, p *G1Affine) { dst.AddMixed(p) }
 // flush performs buckets[idx[k]] += pts[k] for all k. Indices must be
 // distinct within one call — the scheduler guarantees it — so the adds
 // are independent and the denominators can be inverted together.
+//
+// A pre-pass settles the infinity cases (an empty bucket takes the
+// point, a point meeting its negation empties the bucket) and sorts
+// the rest into tangents (den = 2y) and chords (den = x₂ − x₁). With
+// supportIFMA the chords go to the lane kernel in blocks of eight
+// (g1_lanes.go), whose eight per-lane denominator products join the
+// scalar ops' denominators in the one inversion; the tangents and the
+// chords past the last full block take the scalar formulas below,
+// which without IFMA take every op.
 func (a *g1BatchAdder) flush(buckets []G1Affine, idx []int32, pts []G1Affine) {
-	n := len(idx)
-	den, inv, kind := a.den[:n], a.inv[:n], a.kind[:n]
-	for k := 0; k < n; k++ {
+	tangents, chords := a.tangents[:0], a.chords[:0]
+	for k := range idx {
 		b := &buckets[idx[k]]
 		p := &pts[k]
 		switch {
 		case b.IsInfinity():
 			*b = *p
-			kind[k] = batchAddSkip
-			den[k].SetZero()
 		case b.X.Equal(&p.X):
 			if b.Y.Equal(&p.Y) {
-				// Doubling: den = 2y (never zero — the subgroup has odd
-				// order, so no 2-torsion).
-				kind[k] = batchAddTangent
-				den[k].Double(&b.Y)
+				// Doubling: den = 2y is never zero — the subgroup has odd
+				// order, so no 2-torsion.
+				tangents = append(tangents, int32(k))
 			} else {
 				// p = -bucket: the sum is infinity.
 				b.X.SetZero()
 				b.Y.SetZero()
-				kind[k] = batchAddSkip
-				den[k].SetZero()
 			}
 		default:
-			kind[k] = batchAddChord
-			den[k].Sub(&p.X, &b.X)
+			chords = append(chords, int32(k))
 		}
 	}
-	fp.BatchInvertInto(den, inv)
-	for k := 0; k < n; k++ {
-		if kind[k] == batchAddSkip {
-			continue
+	lanes := 0
+	if supportIFMA {
+		lanes = len(chords) &^ (laneWidth - 1)
+	}
+	scalar := append(append(a.scalar[:0], tangents...), chords[lanes:]...)
+	m := len(scalar)
+	den, inv := a.den[:m+laneWidth], a.inv[:m+laneWidth]
+	for i, k := range scalar {
+		b, p := &buckets[idx[k]], &pts[k]
+		if i < len(tangents) {
+			den[i].Double(&b.Y)
+		} else {
+			den[i].Sub(&p.X, &b.X)
 		}
+	}
+	if lanes > 0 {
+		a.lanes.prefixPass(buckets, idx, pts, chords[:lanes], den[m:m+laneWidth])
+		fp.BatchInvertInto(den, inv)
+		a.lanes.finishPass(buckets, pts, chords[:lanes], inv[m:])
+	} else {
+		fp.BatchInvertInto(den[:m], inv[:m])
+	}
+	for i, k := range scalar {
 		b := &buckets[idx[k]]
 		p := &pts[k]
 		var lambda, x3, y3 fp.Element
-		if kind[k] == batchAddTangent {
+		if i < len(tangents) {
 			// λ = 3x² / 2y
 			lambda.Square(&b.X)
 			var t fp.Element
 			t.Double(&lambda)
 			lambda.Add(&lambda, &t)
-			lambda.Mul(&lambda, &inv[k])
+			lambda.Mul(&lambda, &inv[i])
 		} else {
 			// λ = (y2 - y1) / (x2 - x1)
 			lambda.Sub(&p.Y, &b.Y)
-			lambda.Mul(&lambda, &inv[k])
+			lambda.Mul(&lambda, &inv[i])
 		}
 		x3.Square(&lambda)
 		x3.Sub(&x3, &b.X)

@@ -473,8 +473,15 @@ func BatchJacToAffineG2(points []G2Jac) []G2Affine {
 // F_p² inversion per flush via ext.BatchInvertE2Into.
 type g2BatchAdder struct {
 	den, inv []ext.E2
-	kind     []uint8
+	kind     []uint8 // batchAddSkip/batchAddChord/batchAddTangent per op
 }
+
+// Op classification for one slot of a G2 batch-affine flush.
+const (
+	batchAddSkip    = iota // handled inline (infinity cases), no inversion
+	batchAddChord          // general addition, den = x2 - x1
+	batchAddTangent        // doubling, den = 2y
+)
 
 func newG2BatchAdder(batchSize int) *g2BatchAdder {
 	return &g2BatchAdder{

@@ -41,7 +41,7 @@ var (
 	qInvNeg  uint64 // -p⁻¹ mod 2⁶⁴
 
 	rSquare     Element // R² mod p (Montgomery form of R)
-	rCube       Element // R³ mod p, converts binary-GCD inverses back to Montgomery form
+	rCube       Element // R³ mod p, converts binary-GCD inverses back to Montgomery form (inverse.go)
 	one         Element // Montgomery form of 1
 	zero        Element
 	qMinusOne   big.Int       // p-1
@@ -265,51 +265,6 @@ func (z *Element) Exp(x *Element, k *big.Int) *Element {
 	return z.Set(&res)
 }
 
-// Inverse sets z = 1/x mod p (or 0 when x == 0) and returns z.
-//
-// It runs the binary extended Euclidean algorithm on the raw Montgomery
-// representative: for x storing a·R, the GCD yields (a·R)⁻¹ = a⁻¹·R⁻¹,
-// and one Montgomery multiplication by R³ restores Montgomery form
-// (a⁻¹·R). This is ~4× faster than the Fermat exponentiation
-// (inverseExp, kept as the cross-check oracle) and inversions sit on hot
-// paths: batch-invert flushes in the MSM, affine Miller-loop steps, and
-// Jacobian-to-affine conversion.
-func (z *Element) Inverse(x *Element) *Element {
-	if x.IsZero() {
-		return z.SetZero()
-	}
-	u := [Limbs]uint64(*x) // the raw representative a·R mod p, non-zero, < p
-	v := q
-	var x1, x2 Element
-	x1 = Element{1} // plain integer accumulators mod p, not Montgomery
-	// Invariants: x1·(a·R) ≡ u and x2·(a·R) ≡ v (mod p).
-	for !limbsAreOne(&u) && !limbsAreOne(&v) {
-		for u[0]&1 == 0 {
-			limbsShiftRight1(&u, 0)
-			halveModAccumulator(&x1)
-		}
-		for v[0]&1 == 0 {
-			limbsShiftRight1(&v, 0)
-			halveModAccumulator(&x2)
-		}
-		if limbsGeq(&u, &v) {
-			limbsSub(&u, &v)
-			x1.Sub(&x1, &x2)
-		} else {
-			limbsSub(&v, &u)
-			x2.Sub(&x2, &x1)
-		}
-	}
-	if limbsAreOne(&u) {
-		*z = x1
-	} else {
-		*z = x2
-	}
-	// z now holds (a·R)⁻¹ = a⁻¹·R⁻¹ as a plain integer; Montgomery
-	// multiplication by R³ yields a⁻¹·R⁻¹·R³·R⁻¹ = a⁻¹·R.
-	return z.Mul(z, &rCube)
-}
-
 // inverseExp is the Fermat-exponentiation inverse, kept as the oracle
 // the fast Inverse is property-tested against.
 func inverseExp(z, x *Element) *Element {
@@ -317,11 +272,6 @@ func inverseExp(z, x *Element) *Element {
 		return z.SetZero()
 	}
 	return z.Exp(x, &qMinusTwo)
-}
-
-// limbsAreOne reports whether a holds the integer 1.
-func limbsAreOne(a *[Limbs]uint64) bool {
-	return a[0] == 1 && a[1]|a[2]|a[3] == 0
 }
 
 // limbsGeq reports whether a >= b as integers.
@@ -344,30 +294,6 @@ func limbsSub(a, b *[Limbs]uint64) {
 	a[1], bw = bits.Sub64(a[1], b[1], bw)
 	a[2], bw = bits.Sub64(a[2], b[2], bw)
 	a[3], _ = bits.Sub64(a[3], b[3], bw)
-}
-
-// limbsShiftRight1 sets a = (a + hi·2²⁵⁶) >> 1.
-func limbsShiftRight1(a *[Limbs]uint64, hi uint64) {
-	a[0] = a[0]>>1 | a[1]<<63
-	a[1] = a[1]>>1 | a[2]<<63
-	a[2] = a[2]>>1 | a[3]<<63
-	a[3] = a[3]>>1 | hi<<63
-}
-
-// halveModAccumulator sets x = x/2 mod p for the GCD's Bezout
-// accumulators: even values shift, odd values first add p (the sum can
-// carry past 2²⁵⁶, tracked in the shift's high bit).
-func halveModAccumulator(x *Element) {
-	if x[0]&1 == 0 {
-		limbsShiftRight1((*[Limbs]uint64)(x), 0)
-		return
-	}
-	var carry uint64
-	x[0], carry = bits.Add64(x[0], q[0], 0)
-	x[1], carry = bits.Add64(x[1], q[1], carry)
-	x[2], carry = bits.Add64(x[2], q[2], carry)
-	x[3], carry = bits.Add64(x[3], q[3], carry)
-	limbsShiftRight1((*[Limbs]uint64)(x), carry)
 }
 
 // Halve sets z = z/2 mod p and returns z.

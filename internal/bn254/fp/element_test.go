@@ -482,7 +482,10 @@ func TestBatchInvertInto(t *testing.T) {
 
 // TestInverseMatchesFermatOracle pins the binary-GCD Inverse against
 // the exponentiation-by-(p-2) oracle, including structured values that
-// stress the GCD's even/odd and comparison branches.
+// stress the GCD's even/odd and comparison branches. The GCD runs on the
+// raw representative, so the raw powers of two, raw values next to 0
+// and p, and single saturated limbs are there too: they hit its long
+// zero runs, its exact 64-bit tail and its sign flips.
 func TestInverseMatchesFermatOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	check := func(x *Element) {
@@ -508,6 +511,28 @@ func TestInverseMatchesFermatOracle(t *testing.T) {
 	for i := 0; i < 254; i++ { // all powers of two in the field
 		check(&x)
 		x.Double(&x)
+	}
+	for i := 0; i < Bits; i++ { // raw powers of two, and one below each
+		x = Element{}
+		x[i/64] = 1 << (i % 64)
+		check(&x)
+		limbsSub((*[Limbs]uint64)(&x), &[Limbs]uint64{1})
+		check(&x)
+	}
+	for _, v := range []uint64{1, 2, 3, 1<<31 - 1, 1 << 31, 1<<33 + 1} {
+		x = Element{v}
+		check(&x)
+		x = Element(q)
+		limbsSub((*[Limbs]uint64)(&x), &[Limbs]uint64{v})
+		check(&x)
+	}
+	for i := 0; i < Limbs; i++ {
+		x = Element{}
+		x[i] = ^uint64(0)
+		if i == Limbs-1 {
+			x[i] = q[i] - 1
+		}
+		check(&x)
 	}
 }
 

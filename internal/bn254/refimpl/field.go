@@ -1,14 +1,15 @@
 // Package refimpl is a test-only reference BN254 arithmetic that shares
-// no code with the stack: the prime fields F_p and F_r, F_p², and F_p¹²
-// as one polynomial ring. Tests hold fp, fr and ext to it differentially;
-// a field change is trusted once it agrees with this package on every op.
+// no code with the stack: the prime fields F_p and F_r, F_p², F_p¹² as
+// one polynomial ring, and affine G1. Tests hold fp, fr, ext and curve's
+// G1 to it differentially; a field or group change is trusted once it
+// agrees with this package on every op.
 //
 // Only _test.go files may import it, and its own files import the
 // standard library only (surface_test.go checks both). Every value is a
 // math/big integer and every operation reduces with Mod, so the oracle
 // has no limbs, no Montgomery form, no carry chains and no tower — the
 // places the stack's bugs would hide. The constants it hard-codes are p,
-// r and ξ = 9 + u. Slow on purpose.
+// r, ξ = 9 + u, G1's b = 3 and generator (1, 2). Slow on purpose.
 package refimpl
 
 import "math/big"

@@ -100,3 +100,35 @@ func TestE12(t *testing.T) {
 		}
 	}
 }
+
+// TestG1 checks the generator is on the curve, that r·G = ∞ while G ≠ ∞,
+// and the group law's identities on a few multiples.
+func TestG1(t *testing.T) {
+	g := G1Generator()
+	if !g.IsOnCurve() {
+		t.Fatal("(1, 2) is not on y² = x³ + 3")
+	}
+	if !g.ScalarMul(Fr.M).Equal(G1Infinity()) {
+		t.Fatal("r·G != ∞")
+	}
+	if g.ScalarMul(big.NewInt(1)).Inf || !g.ScalarMul(new(big.Int)).Inf {
+		t.Fatal("1·G or 0·G wrong")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 8; i++ {
+		a, b := new(big.Int).Rand(rng, Fr.M), new(big.Int).Rand(rng, Fr.M)
+		pa, pb := g.ScalarMul(a), g.ScalarMul(b)
+		if !pa.IsOnCurve() || !pb.IsOnCurve() {
+			t.Fatal("multiple of G off the curve")
+		}
+		if !pa.Add(pb).Equal(g.ScalarMul(Fr.Add(a, b))) {
+			t.Fatal("a·G + b·G != (a+b)·G")
+		}
+		if !pa.Add(pb).Equal(pb.Add(pa)) || !pa.Add(pa).Equal(pa.Double()) {
+			t.Fatal("p + q != q + p or p + p != 2p")
+		}
+		if !pa.Add(pa.Neg()).Inf || !pa.Add(G1Infinity()).Equal(pa) {
+			t.Fatal("p + (-p) != ∞ or p + ∞ != p")
+		}
+	}
+}
