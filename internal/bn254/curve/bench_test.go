@@ -96,6 +96,49 @@ func BenchmarkG1Flush(b *testing.B) {
 	}
 }
 
+// BenchmarkG2Flush is BenchmarkG1Flush in G2: one 512-op batch of F_p²
+// chord additions — the flush under every G2 MSM and the setup's B2
+// fixed-base multiplication — on both backends, alternating per
+// iteration, reporting ns per addition and lanes/scalar.
+//
+//	go test ./internal/bn254/curve -run '^$' -bench 'G2Flush|FixedBaseMul/G2' -cpu 1
+func BenchmarkG2Flush(b *testing.B) {
+	const n = msmBatchSize
+	rng := rand.New(rand.NewSource(30))
+	jacs := make([]G2Jac, 2*n)
+	for i := range jacs {
+		jacs[i] = randG2(rng)
+	}
+	aff := BatchJacToAffineG2(jacs)
+	buckets, pts := aff[:n], aff[n:]
+	idx := make([]int32, n)
+	for i, k := range rng.Perm(n) {
+		idx[i] = int32(k)
+	}
+	defer func(v bool) { supportIFMA = v }(supportIFMA)
+	lanes := supportIFMA
+	adder := newG2BatchAdder(n)
+	var scalarNs, laneNs time.Duration
+	for i := 0; i < b.N; i++ {
+		supportIFMA = false
+		t0 := time.Now()
+		adder.flush(buckets, idx, pts)
+		scalarNs += time.Since(t0)
+		if lanes {
+			supportIFMA = true
+			t0 = time.Now()
+			adder.flush(buckets, idx, pts)
+			laneNs += time.Since(t0)
+		}
+	}
+	adds := float64(b.N) * n
+	b.ReportMetric(float64(scalarNs)/adds, "scalar-ns/add")
+	if lanes {
+		b.ReportMetric(float64(laneNs)/adds, "ifma-ns/add")
+		b.ReportMetric(float64(laneNs)/float64(scalarNs), "ifma/scalar")
+	}
+}
+
 // msmBenchG1Input builds n distinct points via a doubling chain (full
 // per-point ScalarMuls would dominate setup at 2^16) plus uniform
 // scalars.

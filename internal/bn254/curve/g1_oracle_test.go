@@ -61,12 +61,12 @@ func oracleG1Jac(p *G1Jac) refimpl.G1 {
 
 // flushBackends runs one flush on copies of buckets through the scalar
 // formulas and, where the CPU has IFMA, through the lanes.
-func flushBackends(buckets []G1Affine, idx []int32, pts []G1Affine) (scalar, lanes []G1Affine) {
+func flushBackends[A any](flush func([]A, []int32, []A), buckets []A, idx []int32, pts []A) (scalar, lanes []A) {
 	defer func(v bool) { supportIFMA = v }(supportIFMA)
-	run := func(gate bool) []G1Affine {
+	run := func(gate bool) []A {
 		supportIFMA = gate
-		out := append([]G1Affine(nil), buckets...)
-		newG1BatchAdder(len(idx)).flush(out, idx, pts)
+		out := append([]A(nil), buckets...)
+		flush(out, idx, pts)
 		return out
 	}
 	if supportIFMA {
@@ -75,55 +75,71 @@ func flushBackends(buckets []G1Affine, idx []int32, pts []G1Affine) (scalar, lan
 	return run(false), lanes
 }
 
-// checkFlush holds both flush backends to refimpl's sums, op by op.
-func checkFlush(t *testing.T, buckets []G1Affine, idx []int32, pts []G1Affine) {
+// checkFlushOf holds both flush backends to the oracle's sums, op by
+// op; want returns the oracle's bucket + point.
+func checkFlushOf[A comparable](t *testing.T, flush func([]A, []int32, []A), want func(b, p *A) A, buckets []A, idx []int32, pts []A) {
 	t.Helper()
-	scalar, lanes := flushBackends(buckets, idx, pts)
+	scalar, lanes := flushBackends(flush, buckets, idx, pts)
 	for k := range idx {
 		b := idx[k]
-		want := fromOracleG1(oracleG1(&buckets[b]).Add(oracleG1(&pts[k])))
-		if scalar[b] != want {
+		w := want(&buckets[b], &pts[k])
+		if scalar[b] != w {
 			t.Fatalf("op %d of %d: scalar flush differs from refimpl", k, len(idx))
 		}
-		if lanes != nil && lanes[b] != want {
+		if lanes != nil && lanes[b] != w {
 			t.Fatalf("op %d of %d: lane flush differs from refimpl", k, len(idx))
 		}
 	}
 }
 
-// flushCase builds a batch of n ops on n buckets from a byte pattern,
-// two bytes an op (kind, selector) and one more that rotates the bucket
-// order. The buckets and points are multiples of the generator — the
-// buckets from one table, the points from another, so a plain op is a
-// chord — and the kinds inject infinity buckets, tangents (point =
-// bucket), cancellations (point = -bucket) and the curve points with
-// x ∈ {0, 1, p-1} where they exist.
-func flushCase(n int, pattern []byte) (buckets []G1Affine, idx []int32, pts []G1Affine) {
+// checkFlush holds both G1 flush backends to refimpl's sums.
+func checkFlush(t *testing.T, buckets []G1Affine, idx []int32, pts []G1Affine) {
+	t.Helper()
+	checkFlushOf(t, newG1BatchAdder(len(idx)).flush,
+		func(b, p *G1Affine) G1Affine { return fromOracleG1(oracleG1(b).Add(oracleG1(p))) },
+		buckets, idx, pts)
+}
+
+// buildFlushCase builds a batch of n ops on n buckets from a byte
+// pattern, two bytes an op (kind, selector) and one more that rotates
+// the bucket order. The buckets and points come from multiples, a table
+// of 128 generator multiples — the buckets from its top half, the points
+// from its bottom half, so a plain op is a chord — and the kinds inject
+// infinity buckets, tangents (point = bucket), cancellations (point =
+// -bucket) and the specials, curve points with extreme coordinates.
+func buildFlushCase[A any](n int, pattern []byte, multiples, specials []A, neg func(dst, src *A)) (buckets []A, idx []int32, pts []A) {
 	byteAt := func(i int) byte {
 		if i < len(pattern) {
 			return pattern[i]
 		}
 		return byte(i * 37)
 	}
-	buckets, pts, idx = make([]G1Affine, n), make([]G1Affine, n), make([]int32, n)
+	buckets, pts, idx = make([]A, n), make([]A, n), make([]int32, n)
 	rot := int(byteAt(2 * n))
 	for k := range n {
 		kind, sel := byteAt(2*k), int(byteAt(2*k+1))
 		idx[k] = int32((n - 1 - k + rot) % n) // distinct, as the scheduler guarantees
-		bucket, pt := flushMultiples[64+(sel*31+k)%64], flushMultiples[sel%64]
+		bucket, pt := multiples[64+(sel*31+k)%64], multiples[sel%64]
 		switch kind % 8 {
 		case 4:
 			pt = bucket
 		case 5:
-			pt.Neg(&bucket)
+			neg(&pt, &bucket)
 		case 6:
-			bucket = G1Affine{}
+			var inf A
+			bucket = inf
 		case 7:
-			pt = flushSpecials[sel%len(flushSpecials)]
+			pt = specials[sel%len(specials)]
 		}
 		buckets[idx[k]], pts[k] = bucket, pt
 	}
 	return buckets, idx, pts
+}
+
+// flushCase is buildFlushCase in G1, whose specials are the points with
+// x ∈ {0, 1, p-1}.
+func flushCase(n int, pattern []byte) (buckets []G1Affine, idx []int32, pts []G1Affine) {
+	return buildFlushCase(n, pattern, flushMultiples, flushSpecials, func(dst, src *G1Affine) { dst.Neg(src) })
 }
 
 // flushMultiples holds k·G for k = 1..128; flushSpecials the points with

@@ -469,25 +469,25 @@ func BatchJacToAffineG2(points []G2Jac) []G2Affine {
 }
 
 // g2BatchAdder is the G2 leaf of the batch-affine bucket accumulation:
-// identical algebra to g1BatchAdder over F_p² coordinates, sharing one
-// F_p² inversion per flush via ext.BatchInvertE2Into.
+// g1BatchAdder's algebra over F_p² coordinates, sharing one F_p²
+// inversion per flush via ext.BatchInvertE2Into, and with IFMA running
+// its chord additions on lanes (g2_lanes.go).
 type g2BatchAdder struct {
-	den, inv []ext.E2
-	kind     []uint8 // batchAddSkip/batchAddChord/batchAddTangent per op
+	den, inv []ext.E2 // laneWidth longer than a batch: the lane totals ride at the end
+	// Positions in the flush of its tangent ops, its chord ops, and the
+	// ops that take the scalar formulas (tangents, then the chords the
+	// lanes leave).
+	tangents, chords, scalar []int32
+	lanes                    g2Lanes
 }
-
-// Op classification for one slot of a G2 batch-affine flush.
-const (
-	batchAddSkip    = iota // handled inline (infinity cases), no inversion
-	batchAddChord          // general addition, den = x2 - x1
-	batchAddTangent        // doubling, den = 2y
-)
 
 func newG2BatchAdder(batchSize int) *g2BatchAdder {
 	return &g2BatchAdder{
-		den:  make([]ext.E2, batchSize),
-		inv:  make([]ext.E2, batchSize),
-		kind: make([]uint8, batchSize),
+		den:      make([]ext.E2, batchSize+laneWidth),
+		inv:      make([]ext.E2, batchSize+laneWidth),
+		tangents: make([]int32, 0, batchSize),
+		chords:   make([]int32, 0, batchSize),
+		scalar:   make([]int32, 0, batchSize),
 	}
 }
 
@@ -498,50 +498,65 @@ func (a *g2BatchAdder) negInto(dst, src *G2Affine) { dst.Neg(src) }
 func (a *g2BatchAdder) addMixedJac(dst *G2Jac, p *G2Affine) { dst.AddMixed(p) }
 
 // flush performs buckets[idx[k]] += pts[k] for all k; indices are
-// distinct within one call (scheduler invariant).
+// distinct within one call (scheduler invariant). It is
+// g1BatchAdder.flush over F_p²: a pre-pass settles infinity and
+// cancellation and sorts the rest into tangents and chords; with
+// supportIFMA the chords go to the lanes in blocks of eight, whose lane
+// totals join the scalar ops' denominators in the one inversion.
 func (a *g2BatchAdder) flush(buckets []G2Affine, idx []int32, pts []G2Affine) {
-	n := len(idx)
-	den, inv, kind := a.den[:n], a.inv[:n], a.kind[:n]
-	for k := 0; k < n; k++ {
+	tangents, chords := a.tangents[:0], a.chords[:0]
+	for k := range idx {
 		b := &buckets[idx[k]]
 		p := &pts[k]
 		switch {
 		case b.IsInfinity():
 			*b = *p
-			kind[k] = batchAddSkip
-			den[k].SetZero()
 		case b.X.Equal(&p.X):
 			if b.Y.Equal(&p.Y) {
-				kind[k] = batchAddTangent
-				den[k].Double(&b.Y)
+				tangents = append(tangents, int32(k))
 			} else {
 				b.X.SetZero()
 				b.Y.SetZero()
-				kind[k] = batchAddSkip
-				den[k].SetZero()
 			}
 		default:
-			kind[k] = batchAddChord
-			den[k].Sub(&p.X, &b.X)
+			chords = append(chords, int32(k))
 		}
 	}
-	ext.BatchInvertE2Into(den, inv)
-	for k := 0; k < n; k++ {
-		if kind[k] == batchAddSkip {
-			continue
+	lanes := 0
+	if supportIFMA {
+		lanes = len(chords) &^ (laneWidth - 1)
+	}
+	scalar := append(append(a.scalar[:0], tangents...), chords[lanes:]...)
+	m := len(scalar)
+	den, inv := a.den[:m+laneWidth], a.inv[:m+laneWidth]
+	for i, k := range scalar {
+		b, p := &buckets[idx[k]], &pts[k]
+		if i < len(tangents) {
+			den[i].Double(&b.Y)
+		} else {
+			den[i].Sub(&p.X, &b.X)
 		}
+	}
+	if lanes > 0 {
+		a.lanes.prefixPass(buckets, idx, pts, chords[:lanes], den[m:m+laneWidth])
+		ext.BatchInvertE2Into(den, inv)
+		a.lanes.finishPass(buckets, pts, chords[:lanes], inv[m:])
+	} else {
+		ext.BatchInvertE2Into(den[:m], inv[:m])
+	}
+	for i, k := range scalar {
 		b := &buckets[idx[k]]
 		p := &pts[k]
 		var lambda, x3, y3 ext.E2
-		if kind[k] == batchAddTangent {
+		if i < len(tangents) {
 			lambda.Square(&b.X)
 			var t ext.E2
 			t.Double(&lambda)
 			lambda.Add(&lambda, &t)
-			lambda.Mul(&lambda, &inv[k])
+			lambda.Mul(&lambda, &inv[i])
 		} else {
 			lambda.Sub(&p.Y, &b.Y)
-			lambda.Mul(&lambda, &inv[k])
+			lambda.Mul(&lambda, &inv[i])
 		}
 		x3.Square(&lambda)
 		x3.Sub(&x3, &b.X)

@@ -24,12 +24,13 @@ import (
 //   - batch-affine buckets: bucket inserts are affine additions whose
 //     chord/tangent denominators are inverted together (Montgomery's
 //     trick), ~6 field muls amortized against ~15 for a Jacobian mixed
-//     add. In G1, on CPUs with AVX-512 IFMA, the flush's chord additions
-//     run eight at a time on vector lanes (g1_lanes.go): the
-//     denominators x₂ − x₁, their eight per-lane prefix chains, the
-//     backward pass and λ, x₃, y₃. The op classification, tangents, the
-//     chords past the last block of eight and the flush's one
-//     inversion stay scalar;
+//     add. On CPUs with AVX-512 IFMA, both groups' flushes run their
+//     chord additions eight at a time on vector lanes (lanes.go,
+//     g1_lanes.go, g2_lanes.go): the denominators x₂ − x₁, their eight
+//     per-lane prefix chains, the backward pass and λ, x₃, y₃, over F_p
+//     in G1 and F_p² in G2. The op classification, tangents, the chords
+//     past the last block of eight and the flush's one inversion stay
+//     scalar;
 //   - two-dimensional parallelism: work is split into point-chunks ×
 //     windows and scheduled on par.Each, so the MSM keeps scaling past
 //     the ~20-window ceiling of window-only parallelism;

@@ -1,7 +1,7 @@
 // Package refimpl is a test-only reference BN254 arithmetic that shares
 // no code with the stack: the prime fields F_p and F_r, F_p², F_p¹² as
-// one polynomial ring, and affine G1. Tests hold fp, fr, ext and curve's
-// G1 to it differentially; a field or group change is trusted once it
+// one polynomial ring, affine G1 and affine G2 on the twist. Tests hold
+// fp, fr, ext and curve's G1 and G2 to it differentially; a field or group change is trusted once it
 // agrees with this package on every op.
 //
 // Only _test.go files may import it, and its own files import the
@@ -9,7 +9,8 @@
 // math/big integer and every operation reduces with Mod, so the oracle
 // has no limbs, no Montgomery form, no carry chains and no tower — the
 // places the stack's bugs would hide. The constants it hard-codes are p,
-// r, ξ = 9 + u, G1's b = 3 and generator (1, 2). Slow on purpose.
+// r, ξ = 9 + u, G1's b = 3 and generator (1, 2); G2's b' = 3/ξ is
+// derived, and its generator comes from the caller. Slow on purpose.
 package refimpl
 
 import "math/big"

@@ -132,3 +132,77 @@ func TestG1(t *testing.T) {
 		}
 	}
 }
+
+// e2Sqrt returns a square root of a in F_p² by the complex method
+// (p ≡ 3 mod 4), and false when a is not a square.
+func e2Sqrt(a E2) (E2, bool) {
+	sqrtFp := func(n *big.Int) *big.Int {
+		e := new(big.Int).Add(Fp.M, big.NewInt(1))
+		return new(big.Int).Exp(n, e.Rsh(e, 2), Fp.M)
+	}
+	half := Fp.Inverse(big.NewInt(2))
+	alpha := sqrtFp(Fp.Add(Fp.Mul(a.A0, a.A0), Fp.Mul(a.A1, a.A1)))
+	for _, s := range []*big.Int{alpha, Fp.Neg(alpha)} {
+		x0 := sqrtFp(Fp.Mul(Fp.Add(a.A0, s), half))
+		if x0.Sign() == 0 {
+			// a = a0 with -a0 square in F_p: the root is purely imaginary.
+			r := NewE2(new(big.Int), sqrtFp(Fp.Neg(a.A0)))
+			if r.Mul(r).Equal(a) {
+				return r, true
+			}
+			continue
+		}
+		r := NewE2(x0, Fp.Mul(a.A1, Fp.Inverse(Fp.Add(x0, x0))))
+		if r.Mul(r).Equal(a) {
+			return r, true
+		}
+	}
+	return E2{}, false
+}
+
+// twistPoint returns the point of E' with the smallest x = c (c = 1, 2,
+// …, in F_p) that has one.
+func twistPoint(t *testing.T) G2 {
+	for c := int64(1); c < 64; c++ {
+		x := NewE2(big.NewInt(c), new(big.Int))
+		if y, ok := e2Sqrt(x.Mul(x).Mul(x).Add(TwistB())); ok {
+			return NewG2(x, y)
+		}
+	}
+	t.Fatal("no twist point with a small x")
+	return G2{}
+}
+
+// TestG2 checks b'·ξ = 3 and the twist group law's identities on a point
+// found by the test (the twist's full group: it need not lie in the
+// order-r subgroup, so scalars stay plain integers).
+func TestG2(t *testing.T) {
+	if !TwistB().Mul(Xi()).Equal(NewE2(big.NewInt(3), new(big.Int))) {
+		t.Fatal("b'·ξ != 3")
+	}
+	p := twistPoint(t)
+	if !p.IsOnCurve() || p.Inf {
+		t.Fatal("twist point off the twist")
+	}
+	if off := NewG2(p.X, p.Y.Add(E2One())); off.IsOnCurve() {
+		t.Fatal("(x, y+1) on the twist")
+	}
+	q, r := p.ScalarMul(big.NewInt(5)), p.ScalarMul(big.NewInt(11))
+	for _, pt := range []G2{q, r, q.Add(r), p.Double()} {
+		if !pt.IsOnCurve() {
+			t.Fatal("sum or multiple off the twist")
+		}
+	}
+	if !q.Add(r).Equal(r.Add(q)) || !q.Add(r).Equal(p.ScalarMul(big.NewInt(16))) {
+		t.Fatal("5P + 11P != 11P + 5P or != 16P")
+	}
+	if !q.Add(r).Add(p).Equal(q.Add(r.Add(p))) {
+		t.Fatal("(q + r) + p != q + (r + p)")
+	}
+	if !q.Add(q).Equal(q.Double()) || !q.Add(q.Neg()).Inf || !q.Add(G2Infinity()).Equal(q) {
+		t.Fatal("q + q != 2q, q + (-q) != ∞ or q + ∞ != q")
+	}
+	if !G2Infinity().Add(q).Equal(q) || !G2Infinity().Double().Inf || !q.ScalarMul(new(big.Int)).Inf {
+		t.Fatal("∞ + q != q, 2∞ != ∞ or 0·q != ∞")
+	}
+}

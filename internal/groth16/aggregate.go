@@ -862,14 +862,3 @@ func (a *AggregateProof) UnmarshalJSON(b []byte) error {
 		return err
 	})
 }
-
-type countingReader struct {
-	n int64
-	r io.Reader
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}

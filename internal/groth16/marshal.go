@@ -33,6 +33,18 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// countingReader counts the bytes its readers consume.
+type countingReader struct {
+	n int64
+	r io.Reader
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
 func writeHeader(w io.Writer, magic [4]byte) error {
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
@@ -241,33 +253,35 @@ func (vk *VerifyingKey) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom deserializes a verifying key.
+// ReadFrom deserializes a verifying key. It returns the bytes it
+// consumed, on success and on error alike.
 func (vk *VerifyingKey) ReadFrom(r io.Reader) (int64, error) {
-	if err := readHeader(r, magicVK); err != nil {
-		return 0, err
+	cr := &countingReader{r: r}
+	if err := readHeader(cr, magicVK); err != nil {
+		return cr.n, err
 	}
-	if err := readG1(r, &vk.AlphaG1); err != nil {
-		return 0, err
+	if err := readG1(cr, &vk.AlphaG1); err != nil {
+		return cr.n, err
 	}
-	if err := readG2(r, &vk.BetaG2); err != nil {
-		return 0, err
+	if err := readG2(cr, &vk.BetaG2); err != nil {
+		return cr.n, err
 	}
-	if err := readG2(r, &vk.GammaG2); err != nil {
-		return 0, err
+	if err := readG2(cr, &vk.GammaG2); err != nil {
+		return cr.n, err
 	}
-	if err := readG2(r, &vk.DeltaG2); err != nil {
-		return 0, err
+	if err := readG2(cr, &vk.DeltaG2); err != nil {
+		return cr.n, err
 	}
-	ic, err := readG1Slice(r)
+	ic, err := readG1Slice(cr)
 	if err != nil {
-		return 0, err
+		return cr.n, err
 	}
 	vk.IC = ic
 	// Re-derive the cached e(α, β) and line tables (they are not
 	// serialized — the points are the authoritative material) so
 	// deserialized keys verify on the fast path.
 	vk.precompute()
-	return 0, nil
+	return cr.n, nil
 }
 
 // WriteTo serializes the proving key.
@@ -300,41 +314,43 @@ func (pk *ProvingKey) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom deserializes a proving key.
+// ReadFrom deserializes a proving key. It returns the bytes it
+// consumed, on success and on error alike.
 func (pk *ProvingKey) ReadFrom(r io.Reader) (int64, error) {
-	if err := readHeader(r, magicPK); err != nil {
-		return 0, err
+	cr := &countingReader{r: r}
+	if err := readHeader(cr, magicPK); err != nil {
+		return cr.n, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &pk.DomainSize); err != nil {
-		return 0, err
+	if err := binary.Read(cr, binary.LittleEndian, &pk.DomainSize); err != nil {
+		return cr.n, err
 	}
 	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		if err := readG1(r, pt); err != nil {
-			return 0, err
+		if err := readG1(cr, pt); err != nil {
+			return cr.n, err
 		}
 	}
 	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		if err := readG2(r, pt); err != nil {
-			return 0, err
+		if err := readG2(cr, pt); err != nil {
+			return cr.n, err
 		}
 	}
 	var err error
-	if pk.A, err = readG1Slice(r); err != nil {
-		return 0, err
+	if pk.A, err = readG1Slice(cr); err != nil {
+		return cr.n, err
 	}
-	if pk.B1, err = readG1Slice(r); err != nil {
-		return 0, err
+	if pk.B1, err = readG1Slice(cr); err != nil {
+		return cr.n, err
 	}
-	if pk.K, err = readG1Slice(r); err != nil {
-		return 0, err
+	if pk.K, err = readG1Slice(cr); err != nil {
+		return cr.n, err
 	}
-	if pk.Z, err = readG1Slice(r); err != nil {
-		return 0, err
+	if pk.Z, err = readG1Slice(cr); err != nil {
+		return cr.n, err
 	}
-	if pk.B2, err = readG2Slice(r); err != nil {
-		return 0, err
+	if pk.B2, err = readG2Slice(cr); err != nil {
+		return cr.n, err
 	}
-	return 0, nil
+	return cr.n, nil
 }
 
 // WriteRawTo serializes the proving key with uncompressed points — about

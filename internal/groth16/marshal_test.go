@@ -384,3 +384,114 @@ func TestReadPointsBoundsAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyReadFromCountsBytes holds both key decoders to io.ReaderFrom's
+// contract: the count is the bytes consumed — the whole encoding on
+// success, the bytes read before the error on a truncated input.
+func TestKeyReadFromCountsBytes(t *testing.T) {
+	vkBin := readGolden(t, "vk.bin.hex")
+	pk, _, _ := marshalFixture(t)
+	var pkBuf bytes.Buffer
+	wrote, err := pk.WriteTo(&pkBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkBin := pkBuf.Bytes()
+	if wrote != int64(len(pkBin)) {
+		t.Fatalf("ProvingKey.WriteTo reported %d bytes, wrote %d", wrote, len(pkBin))
+	}
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		read func(io.Reader) (int64, error)
+	}{
+		{"vk.bin.hex", vkBin, func(r io.Reader) (int64, error) { return new(VerifyingKey).ReadFrom(r) }},
+		{"fresh proving key", pkBin, func(r io.Reader) (int64, error) { return new(ProvingKey).ReadFrom(r) }},
+	} {
+		// Trailing bytes stay unread.
+		n, err := c.read(bytes.NewReader(append(bytes.Clone(c.enc), 0xAA, 0xBB)))
+		if err != nil || n != int64(len(c.enc)) {
+			t.Fatalf("%s: ReadFrom = (%d, %v), want (%d, nil)", c.name, n, err, len(c.enc))
+		}
+		for _, cut := range []int{0, 3, 8, 8 + curve.G1CompressedSize/2, len(c.enc) / 2, len(c.enc) - 1} {
+			n, err := c.read(bytes.NewReader(c.enc[:cut]))
+			if err == nil || n != int64(cut) {
+				t.Fatalf("%s cut at %d: ReadFrom = (%d, %v), want (%d, an error)", c.name, cut, n, err, cut)
+			}
+		}
+	}
+}
+
+// FuzzVerifyingKeyDecode feeds the same bytes to the verifying key's
+// binary decoder and to its JSON envelope. Either one rejects them, or
+// it accepts a key that encodes back to exactly what it consumed (the
+// binary count n, a JSON key that decodes back to itself); it never
+// panics, and it allocates in proportion to the bytes it read, past a
+// fixed megabyte for the pairing precomputation and one decode chunk.
+// Seeds: vk.bin.hex and vk.json, truncations, one bit flipped in every
+// header and point flag byte, and hostile IC counts.
+func FuzzVerifyingKeyDecode(f *testing.F) {
+	bin := readGolden(f, "vk.bin.hex")
+	env := readGolden(f, "vk.json")
+	f.Add(bin)
+	f.Add(env)
+	icOff := 8 + curve.G1CompressedSize + 3*curve.G2CompressedSize
+	for _, n := range []int{0, 4, 8, 40, icOff, icOff + 4, len(bin) - 1} {
+		f.Add(bin[:n])
+	}
+	for _, n := range []int{0, len(env) / 2, len(env) - 1} {
+		f.Add(env[:n])
+	}
+	offs := []int{0, 4, 8, 8 + curve.G1CompressedSize, 8 + curve.G1CompressedSize + curve.G2CompressedSize, icOff - curve.G2CompressedSize, icOff + 4}
+	for _, off := range offs {
+		for bit := 0; bit < 8; bit++ {
+			c := bytes.Clone(bin)
+			c[off] ^= 1 << bit
+			f.Add(c)
+		}
+	}
+	for _, count := range []uint32{0, 1, 1 << 20, 1 << 28, 1<<28 + 1, ^uint32(0)} {
+		c := bytes.Clone(bin)
+		binary.LittleEndian.PutUint32(c[icOff:], count)
+		f.Add(c)
+		f.Add(appendEnvelope(nil, c))
+	}
+
+	sameVK := func(a, b *VerifyingKey) bool {
+		return a.AlphaG1.Equal(&b.AlphaG1) && a.BetaG2.Equal(&b.BetaG2) && a.GammaG2.Equal(&b.GammaG2) &&
+			a.DeltaG2.Equal(&b.DeltaG2) && g1Equal(a.IC, b.IC)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vk VerifyingKey
+		var n int64
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err = vk.ReadFrom(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if n < 0 || n > int64(len(data)) {
+			t.Fatalf("ReadFrom reported %d bytes of a %d-byte input", n, len(data))
+		}
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+16*n); got > budget {
+			t.Fatalf("ReadFrom allocated %d bytes having read %d (budget %d)", got, n, budget)
+		}
+		if err == nil {
+			var out bytes.Buffer
+			wrote, werr := vk.WriteTo(&out)
+			if werr != nil || wrote != n || !bytes.Equal(out.Bytes(), data[:n]) {
+				t.Fatalf("ReadFrom accepted %d bytes %x, which encode back as %d bytes %x (err %v)", n, data[:n], wrote, out.Bytes(), werr)
+			}
+		}
+		var q VerifyingKey
+		if err := q.UnmarshalJSON(data); err == nil {
+			enc, err := q.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back VerifyingKey
+			if err := back.UnmarshalJSON(enc); err != nil || !sameVK(&back, &q) {
+				t.Fatalf("UnmarshalJSON accepted %q; its re-encoding %q decodes to another key (err %v)", data, enc, err)
+			}
+		}
+	})
+}
