@@ -246,7 +246,7 @@ func cmdProve(args []string) error {
 	modelPath := fs.String("model", "model-wm.json", "suspect model path (public)")
 	keyPath := fs.String("key", "wmkey.json", "watermark key path (private)")
 	outDir := fs.String("out", "ownership", "output directory for vk/proof/public artifacts")
-	savePK := fs.Bool("save-pk", false, "also write the (large) proving key")
+	savePK := fs.Bool("save-pk", false, "also write the (large) proving key, in the raw format of the key cache")
 	maxErrors := fs.Int("max-errors", 0, "BER tolerance θ·N")
 	fracBits := fs.Int("frac-bits", 16, "fixed-point fraction bits")
 	committed := fs.Bool("committed", false, "use the committed-model circuit (constant-size VK; weights bound by digest instead of public inputs)")
@@ -393,7 +393,7 @@ func cmdProve(args []string) error {
 		// This engine has no memory budget, so its plan is always resident.
 		pk := res.Keys.PK.(*groth16.ProvingKey)
 		if err := writeFileWith(filepath.Join(*outDir, "pk.bin"), func(w io.Writer) error {
-			_, err := pk.WriteTo(w)
+			_, err := pk.WriteRawTo(w)
 			return err
 		}); err != nil {
 			return err

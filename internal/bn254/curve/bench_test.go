@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/bn254/lanes"
 )
 
 func BenchmarkG1Double(b *testing.B) {
@@ -72,17 +73,17 @@ func BenchmarkG1Flush(b *testing.B) {
 	for i, k := range rng.Perm(n) {
 		idx[i] = int32(k)
 	}
-	defer func(v bool) { supportIFMA = v }(supportIFMA)
-	lanes := supportIFMA
+	defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
+	onLanes := lanes.SupportIFMA
 	adder := newG1BatchAdder(n)
 	var scalarNs, laneNs time.Duration
 	for i := 0; i < b.N; i++ {
-		supportIFMA = false
+		lanes.SupportIFMA = false
 		t0 := time.Now()
 		adder.flush(buckets, idx, pts)
 		scalarNs += time.Since(t0)
-		if lanes {
-			supportIFMA = true
+		if onLanes {
+			lanes.SupportIFMA = true
 			t0 = time.Now()
 			adder.flush(buckets, idx, pts)
 			laneNs += time.Since(t0)
@@ -90,7 +91,7 @@ func BenchmarkG1Flush(b *testing.B) {
 	}
 	adds := float64(b.N) * n
 	b.ReportMetric(float64(scalarNs)/adds, "scalar-ns/add")
-	if lanes {
+	if onLanes {
 		b.ReportMetric(float64(laneNs)/adds, "ifma-ns/add")
 		b.ReportMetric(float64(laneNs)/float64(scalarNs), "ifma/scalar")
 	}
@@ -115,17 +116,17 @@ func BenchmarkG2Flush(b *testing.B) {
 	for i, k := range rng.Perm(n) {
 		idx[i] = int32(k)
 	}
-	defer func(v bool) { supportIFMA = v }(supportIFMA)
-	lanes := supportIFMA
+	defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
+	onLanes := lanes.SupportIFMA
 	adder := newG2BatchAdder(n)
 	var scalarNs, laneNs time.Duration
 	for i := 0; i < b.N; i++ {
-		supportIFMA = false
+		lanes.SupportIFMA = false
 		t0 := time.Now()
 		adder.flush(buckets, idx, pts)
 		scalarNs += time.Since(t0)
-		if lanes {
-			supportIFMA = true
+		if onLanes {
+			lanes.SupportIFMA = true
 			t0 = time.Now()
 			adder.flush(buckets, idx, pts)
 			laneNs += time.Since(t0)
@@ -133,7 +134,7 @@ func BenchmarkG2Flush(b *testing.B) {
 	}
 	adds := float64(b.N) * n
 	b.ReportMetric(float64(scalarNs)/adds, "scalar-ns/add")
-	if lanes {
+	if onLanes {
 		b.ReportMetric(float64(laneNs)/adds, "ifma-ns/add")
 		b.ReportMetric(float64(laneNs)/float64(scalarNs), "ifma/scalar")
 	}

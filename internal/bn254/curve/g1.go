@@ -36,6 +36,7 @@ import (
 
 	"zkrownn/internal/bn254/fp"
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/bn254/lanes"
 )
 
 // CurveB is the constant term of E: y² = x³ + 3.
@@ -423,7 +424,7 @@ func BatchJacToAffineG1(points []G1Jac) []G1Affine {
 // ~6 field muls against ~15 for a Jacobian mixed add. The scratch slices
 // persist across flushes so the hot loop never allocates.
 type g1BatchAdder struct {
-	den, inv []fp.Element // laneWidth longer than a batch: the lane totals ride at the end
+	den, inv []fp.Element // lanes.Width longer than a batch: the lane totals ride at the end
 	// Positions in the flush of its tangent ops, its chord ops, and the
 	// ops that take the scalar formulas (tangents, then the chords the
 	// lanes leave).
@@ -433,8 +434,8 @@ type g1BatchAdder struct {
 
 func newG1BatchAdder(batchSize int) *g1BatchAdder {
 	return &g1BatchAdder{
-		den:      make([]fp.Element, batchSize+laneWidth),
-		inv:      make([]fp.Element, batchSize+laneWidth),
+		den:      make([]fp.Element, batchSize+lanes.Width),
+		inv:      make([]fp.Element, batchSize+lanes.Width),
 		tangents: make([]int32, 0, batchSize),
 		chords:   make([]int32, 0, batchSize),
 		scalar:   make([]int32, 0, batchSize),
@@ -454,7 +455,7 @@ func (a *g1BatchAdder) addMixedJac(dst *G1Jac, p *G1Affine) { dst.AddMixed(p) }
 // A pre-pass settles the infinity cases (an empty bucket takes the
 // point, a point meeting its negation empties the bucket) and sorts
 // the rest into tangents (den = 2y) and chords (den = x₂ − x₁). With
-// supportIFMA the chords go to the lane kernel in blocks of eight
+// lanes.SupportIFMA the chords go to the lane kernel in blocks of eight
 // (g1_lanes.go), whose eight per-lane denominator products join the
 // scalar ops' denominators in the one inversion; the tangents and the
 // chords past the last full block take the scalar formulas below,
@@ -481,13 +482,13 @@ func (a *g1BatchAdder) flush(buckets []G1Affine, idx []int32, pts []G1Affine) {
 			chords = append(chords, int32(k))
 		}
 	}
-	lanes := 0
-	if supportIFMA {
-		lanes = len(chords) &^ (laneWidth - 1)
+	nl := 0 // chords on the lanes
+	if lanes.SupportIFMA {
+		nl = len(chords) &^ (lanes.Width - 1)
 	}
-	scalar := append(append(a.scalar[:0], tangents...), chords[lanes:]...)
+	scalar := append(append(a.scalar[:0], tangents...), chords[nl:]...)
 	m := len(scalar)
-	den, inv := a.den[:m+laneWidth], a.inv[:m+laneWidth]
+	den, inv := a.den[:m+lanes.Width], a.inv[:m+lanes.Width]
 	for i, k := range scalar {
 		b, p := &buckets[idx[k]], &pts[k]
 		if i < len(tangents) {
@@ -496,10 +497,10 @@ func (a *g1BatchAdder) flush(buckets []G1Affine, idx []int32, pts []G1Affine) {
 			den[i].Sub(&p.X, &b.X)
 		}
 	}
-	if lanes > 0 {
-		a.lanes.prefixPass(buckets, idx, pts, chords[:lanes], den[m:m+laneWidth])
+	if nl > 0 {
+		a.lanes.prefixPass(buckets, idx, pts, chords[:nl], den[m:m+lanes.Width])
 		fp.BatchInvertInto(den, inv)
-		a.lanes.finishPass(buckets, pts, chords[:lanes], inv[m:])
+		a.lanes.finishPass(buckets, pts, chords[:nl], inv[m:])
 	} else {
 		fp.BatchInvertInto(den[:m], inv[:m])
 	}

@@ -8,6 +8,7 @@ import (
 
 	"zkrownn/internal/bn254/fp"
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/bn254/lanes"
 	"zkrownn/internal/bn254/refimpl"
 )
 
@@ -61,18 +62,18 @@ func oracleG1Jac(p *G1Jac) refimpl.G1 {
 
 // flushBackends runs one flush on copies of buckets through the scalar
 // formulas and, where the CPU has IFMA, through the lanes.
-func flushBackends[A any](flush func([]A, []int32, []A), buckets []A, idx []int32, pts []A) (scalar, lanes []A) {
-	defer func(v bool) { supportIFMA = v }(supportIFMA)
+func flushBackends[A any](flush func([]A, []int32, []A), buckets []A, idx []int32, pts []A) (scalar, onLanes []A) {
+	defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
 	run := func(gate bool) []A {
-		supportIFMA = gate
+		lanes.SupportIFMA = gate
 		out := append([]A(nil), buckets...)
 		flush(out, idx, pts)
 		return out
 	}
-	if supportIFMA {
-		lanes = run(true)
+	if lanes.SupportIFMA {
+		onLanes = run(true)
 	}
-	return run(false), lanes
+	return run(false), onLanes
 }
 
 // checkFlushOf holds both flush backends to the oracle's sums, op by
@@ -178,11 +179,11 @@ var flushMultiples, flushSpecials = func() ([]G1Affine, []G1Affine) {
 // with its reason logged; the scalar half runs everywhere.
 func TestG1FlushAgainstRefimpl(t *testing.T) {
 	t.Logf("G1 flush backend: %s", Backend())
-	if !supportIFMA {
+	if !lanes.SupportIFMA {
 		t.Log("no AVX-512 IFMA on this CPU: lane assertions skipped, scalar flush checked")
 	}
 	rng := rand.New(rand.NewSource(29))
-	for n := 1; n <= 5*laneWidth+3; n++ {
+	for n := 1; n <= 5*lanes.Width+3; n++ {
 		pattern := make([]byte, 2*n)
 		rng.Read(pattern)
 		buckets, idx, pts := flushCase(n, pattern)

@@ -8,6 +8,7 @@ import (
 	"zkrownn/internal/bn254/ext"
 	"zkrownn/internal/bn254/fp"
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/bn254/lanes"
 )
 
 // G2Affine is a point on the sextic twist E'(F_p²): y² = x³ + 3/ξ.
@@ -473,7 +474,7 @@ func BatchJacToAffineG2(points []G2Jac) []G2Affine {
 // inversion per flush via ext.BatchInvertE2Into, and with IFMA running
 // its chord additions on lanes (g2_lanes.go).
 type g2BatchAdder struct {
-	den, inv []ext.E2 // laneWidth longer than a batch: the lane totals ride at the end
+	den, inv []ext.E2 // lanes.Width longer than a batch: the lane totals ride at the end
 	// Positions in the flush of its tangent ops, its chord ops, and the
 	// ops that take the scalar formulas (tangents, then the chords the
 	// lanes leave).
@@ -483,8 +484,8 @@ type g2BatchAdder struct {
 
 func newG2BatchAdder(batchSize int) *g2BatchAdder {
 	return &g2BatchAdder{
-		den:      make([]ext.E2, batchSize+laneWidth),
-		inv:      make([]ext.E2, batchSize+laneWidth),
+		den:      make([]ext.E2, batchSize+lanes.Width),
+		inv:      make([]ext.E2, batchSize+lanes.Width),
 		tangents: make([]int32, 0, batchSize),
 		chords:   make([]int32, 0, batchSize),
 		scalar:   make([]int32, 0, batchSize),
@@ -501,8 +502,8 @@ func (a *g2BatchAdder) addMixedJac(dst *G2Jac, p *G2Affine) { dst.AddMixed(p) }
 // distinct within one call (scheduler invariant). It is
 // g1BatchAdder.flush over F_p²: a pre-pass settles infinity and
 // cancellation and sorts the rest into tangents and chords; with
-// supportIFMA the chords go to the lanes in blocks of eight, whose lane
-// totals join the scalar ops' denominators in the one inversion.
+// lanes.SupportIFMA the chords go to the lanes in blocks of eight, whose
+// lane totals join the scalar ops' denominators in the one inversion.
 func (a *g2BatchAdder) flush(buckets []G2Affine, idx []int32, pts []G2Affine) {
 	tangents, chords := a.tangents[:0], a.chords[:0]
 	for k := range idx {
@@ -522,13 +523,13 @@ func (a *g2BatchAdder) flush(buckets []G2Affine, idx []int32, pts []G2Affine) {
 			chords = append(chords, int32(k))
 		}
 	}
-	lanes := 0
-	if supportIFMA {
-		lanes = len(chords) &^ (laneWidth - 1)
+	nl := 0 // chords on the lanes
+	if lanes.SupportIFMA {
+		nl = len(chords) &^ (lanes.Width - 1)
 	}
-	scalar := append(append(a.scalar[:0], tangents...), chords[lanes:]...)
+	scalar := append(append(a.scalar[:0], tangents...), chords[nl:]...)
 	m := len(scalar)
-	den, inv := a.den[:m+laneWidth], a.inv[:m+laneWidth]
+	den, inv := a.den[:m+lanes.Width], a.inv[:m+lanes.Width]
 	for i, k := range scalar {
 		b, p := &buckets[idx[k]], &pts[k]
 		if i < len(tangents) {
@@ -537,10 +538,10 @@ func (a *g2BatchAdder) flush(buckets []G2Affine, idx []int32, pts []G2Affine) {
 			den[i].Sub(&p.X, &b.X)
 		}
 	}
-	if lanes > 0 {
-		a.lanes.prefixPass(buckets, idx, pts, chords[:lanes], den[m:m+laneWidth])
+	if nl > 0 {
+		a.lanes.prefixPass(buckets, idx, pts, chords[:nl], den[m:m+lanes.Width])
 		ext.BatchInvertE2Into(den, inv)
-		a.lanes.finishPass(buckets, pts, chords[:lanes], inv[m:])
+		a.lanes.finishPass(buckets, pts, chords[:nl], inv[m:])
 	} else {
 		ext.BatchInvertE2Into(den[:m], inv[:m])
 	}

@@ -10,6 +10,7 @@ import (
 	"zkrownn/internal/bn254/ext"
 	"zkrownn/internal/bn254/fp"
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/bn254/lanes"
 	"zkrownn/internal/bn254/refimpl"
 )
 
@@ -110,7 +111,7 @@ func checkG2Flush(t *testing.T, buckets []G2Affine, idx []int32, pts []G2Affine)
 // its reason logged; the scalar half runs everywhere.
 func TestG2FlushAgainstRefimpl(t *testing.T) {
 	t.Logf("G2 flush backend: %s", Backend())
-	if !supportIFMA {
+	if !lanes.SupportIFMA {
 		t.Log("no AVX-512 IFMA on this CPU: lane assertions skipped, scalar flush checked")
 	}
 	tables, err := g2FlushTables()
@@ -119,7 +120,7 @@ func TestG2FlushAgainstRefimpl(t *testing.T) {
 	}
 	t.Logf("%d twist points with x coordinates in {0, 1, p-1} among the specials", len(tables[1]))
 	rng := rand.New(rand.NewSource(33))
-	for n := 1; n <= 5*laneWidth+3; n++ {
+	for n := 1; n <= 5*lanes.Width+3; n++ {
 		pattern := make([]byte, 2*n+1)
 		rng.Read(pattern)
 		buckets, idx, pts := g2FlushCase(t, n, pattern)

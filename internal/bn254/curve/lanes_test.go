@@ -1,10 +1,10 @@
-//go:build amd64 && !purego
-
 package curve
 
 import (
 	"math/rand"
 	"testing"
+
+	"zkrownn/internal/bn254/lanes"
 )
 
 // TestG1FlushPortableBranch turns the IFMA gate off and reruns the G1
@@ -13,8 +13,8 @@ import (
 // MSM entry points.
 func TestG1FlushPortableBranch(t *testing.T) {
 	t.Logf("G1 flush backend with the gate on: %s", Backend())
-	defer func(v bool) { supportIFMA = v }(supportIFMA)
-	supportIFMA = false
+	defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
+	lanes.SupportIFMA = false
 	t.Logf("G1 flush backend with the gate off: %s", Backend())
 	for _, c := range []struct {
 		name string
@@ -38,7 +38,7 @@ func TestG1FlushPortableBranch(t *testing.T) {
 // what the flush's callers return: a resident MSM over a full batch
 // layout, and the setup's MulBatch, with IFMA on and off.
 func TestG1LanesBitIdentical(t *testing.T) {
-	if !supportIFMA {
+	if !lanes.SupportIFMA {
 		t.Skip("no AVX-512 IFMA on this CPU: there is no lane path to compare")
 	}
 	rng := rand.New(rand.NewSource(32))
@@ -47,8 +47,8 @@ func TestG1LanesBitIdentical(t *testing.T) {
 	table := NewG1FixedBaseTable(&g)
 	ks := fixedBaseScalars(rng, fixedBaseBlock+37)
 	run := func(gate bool) (G1Jac, []G1Affine, *G1FixedBaseTable) {
-		defer func(v bool) { supportIFMA = v }(supportIFMA)
-		supportIFMA = gate
+		defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
+		lanes.SupportIFMA = gate
 		return MultiExpG1(points, scalars), table.MulBatch(ks), NewG1FixedBaseTable(&g)
 	}
 	msmOn, mulOn, tableOn := run(true)
@@ -76,8 +76,8 @@ func TestG1LanesBitIdentical(t *testing.T) {
 // through the scalar flush.
 func TestG2FlushPortableBranch(t *testing.T) {
 	t.Logf("G2 flush backend with the gate on: %s", Backend())
-	defer func(v bool) { supportIFMA = v }(supportIFMA)
-	supportIFMA = false
+	defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
+	lanes.SupportIFMA = false
 	t.Logf("G2 flush backend with the gate off: %s", Backend())
 	for _, c := range []struct {
 		name string
@@ -97,7 +97,7 @@ func TestG2FlushPortableBranch(t *testing.T) {
 // TestG2LanesBitIdentical is TestG1LanesBitIdentical in G2: MultiExpG2,
 // the G2 MulBatch and the G2 table build, with IFMA on and off.
 func TestG2LanesBitIdentical(t *testing.T) {
-	if !supportIFMA {
+	if !lanes.SupportIFMA {
 		t.Skip("no AVX-512 IFMA on this CPU: there is no lane path to compare")
 	}
 	rng := rand.New(rand.NewSource(37))
@@ -106,8 +106,8 @@ func TestG2LanesBitIdentical(t *testing.T) {
 	table := NewG2FixedBaseTable(&g)
 	ks := fixedBaseScalars(rng, fixedBaseBlock+37)
 	run := func(gate bool) (G2Jac, []G2Affine, *G2FixedBaseTable) {
-		defer func(v bool) { supportIFMA = v }(supportIFMA)
-		supportIFMA = gate
+		defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
+		lanes.SupportIFMA = gate
 		return MultiExpG2(points, scalars), table.MulBatch(ks), NewG2FixedBaseTable(&g)
 	}
 	msmOn, mulOn, tableOn := run(true)

@@ -25,10 +25,10 @@ import (
 //     chord/tangent denominators are inverted together (Montgomery's
 //     trick), ~6 field muls amortized against ~15 for a Jacobian mixed
 //     add. On CPUs with AVX-512 IFMA, both groups' flushes run their
-//     chord additions eight at a time on vector lanes (lanes.go,
-//     g1_lanes.go, g2_lanes.go): the denominators x₂ − x₁, their eight
-//     per-lane prefix chains, the backward pass and λ, x₃, y₃, over F_p
-//     in G1 and F_p² in G2. The op classification, tangents, the chords
+//     chord additions eight at a time on vector lanes (package lanes,
+//     driven from g1_lanes.go and g2_lanes.go): the denominators
+//     x₂ − x₁, their eight per-lane prefix chains, the backward pass
+//     and λ, x₃, y₃, over F_p in G1 and F_p² in G2. The op classification, tangents, the chords
 //     past the last block of eight and the flush's one inversion stay
 //     scalar;
 //   - two-dimensional parallelism: work is split into point-chunks ×

@@ -4,28 +4,28 @@
 #include "go_asm.h"
 #include "lanes_amd64.h"
 
-// The lane kernels of the G1 batch-affine flush: eight chord additions
-// at once, on the toolkit of lanes_amd64.h. The algebra, the two
-// Montgomery domains and the bounds argument are in g1_lanes.go. An
-// affine point is 64 bytes, so the qword indices of its coordinates are
-// 8·idx, X at offset 0 and Y at 32.
+// The G1 kernels: eight chord additions at once, on the toolkit of
+// lanes_amd64.h. The two Montgomery domains are in lanes.go, the algebra
+// and the bound table in g1.go. An affine point is 64 bytes, so the
+// qword indices of its coordinates are 8·idx, X at offset 0 and Y at 32.
 
-#define S_ACCINV g1LaneScratch_accInv
-#define S_DEN g1LaneScratch_den
-#define S_INV g1LaneScratch_inv
-#define S_LAMD g1LaneScratch_lamD
-#define S_X1 g1LaneScratch_x1
-#define S_X2 g1LaneScratch_x2
-#define S_Y1 g1LaneScratch_y1
+#define S_ACCINV G1Scratch_AccInv
+#define S_DEN G1Scratch_den
+#define S_INV G1Scratch_inv
+#define S_LAMD G1Scratch_lamD
+#define S_X1 G1Scratch_x1
+#define S_X2 G1Scratch_x2
+#define S_Y1 G1Scratch_y1
 
-// func g1LanePrefix(buckets, pts *G1Affine, bidx, pidx *int32, prefix *laneVec, nb int)
-TEXT ·g1LanePrefix(SB), NOSPLIT, $0-48
-	MOVQ buckets+0(FP), SI
-	MOVQ pts+8(FP), DI
-	MOVQ bidx+16(FP), R8
-	MOVQ pidx+24(FP), R9
-	MOVQ prefix+32(FP), BX
-	MOVQ nb+40(FP), CX
+// func G1Prefix(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *Vec, nb int)
+TEXT ·G1Prefix(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), R11
+	MOVQ buckets+8(FP), SI
+	MOVQ pts+16(FP), DI
+	MOVQ bidx+24(FP), R8
+	MOVQ pidx+32(FP), R9
+	MOVQ prefix+40(FP), BX
+	MOVQ nb+48(FP), CX
 	CONSTS
 
 prefixLoop:
@@ -52,15 +52,16 @@ prefixLoop:
 	VZEROUPPER
 	RET
 
-// func g1LaneFinish(buckets, pts *G1Affine, bidx, pidx *int32, prefix *laneVec, nb int, s *g1LaneScratch)
-TEXT ·g1LaneFinish(SB), NOSPLIT, $0-56
-	MOVQ buckets+0(FP), SI
-	MOVQ pts+8(FP), DI
-	MOVQ bidx+16(FP), R8
-	MOVQ pidx+24(FP), R9
-	MOVQ prefix+32(FP), BX
-	MOVQ nb+40(FP), CX
-	MOVQ s+48(FP), DX
+// func G1Finish(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *Vec, nb int, s *G1Scratch)
+TEXT ·G1Finish(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), R11
+	MOVQ buckets+8(FP), SI
+	MOVQ pts+16(FP), DI
+	MOVQ bidx+24(FP), R8
+	MOVQ pidx+32(FP), R9
+	MOVQ prefix+40(FP), BX
+	MOVQ nb+48(FP), CX
+	MOVQ s+56(FP), DX
 	CONSTS
 
 	// Start at the last block.
@@ -112,12 +113,12 @@ finishLoop:
 
 	// x₃ = λ² + 2p − x₁ − x₂ < 4p, made canonical.
 	MONTMUL(S_LAMD, DX)
-	ADDK(·laneP2, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
+	ADDK(Consts_p2, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
 	SUBMEM(S_X1, DX)
 	SUBMEM(S_X2, DX)
 	NORM(Z20, Z21, Z22, Z23, Z24)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 	UNPACK(Z20, Z21, Z22, Z23, Z24)
 	SCATTER4(0, SI, Z30)
 
@@ -126,11 +127,11 @@ finishLoop:
 	SUBP(Z0, Z1, Z2, Z3, Z4, Z20, Z21, Z22, Z23, Z24)
 	NORM(Z0, Z1, Z2, Z3, Z4)
 	MONTMUL(S_LAMD, DX)
-	ADDK(·laneP, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
+	ADDK(Consts_p, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
 	SUBMEM(S_Y1, DX)
 	NORM(Z20, Z21, Z22, Z23, Z24)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 	UNPACK(Z20, Z21, Z22, Z23, Z24)
 	SCATTER4(32, SI, Z30)
 

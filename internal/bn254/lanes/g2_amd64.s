@@ -4,27 +4,27 @@
 #include "go_asm.h"
 #include "lanes_amd64.h"
 
-// The lane kernels of the G2 batch-affine flush: eight F_p² chord
-// additions at once, on the toolkit of lanes_amd64.h. The algebra, the
-// Karatsuba layout and the per-product bound table are in g2_lanes.go.
-// A lane F_p² element is two laneVecs 320 bytes apart (A0, A1), a triple
-// adds A0 + A1 at 640; prefix[b] is two laneVecs, 640 bytes a block.
+// The G2 kernels: eight F_p² chord additions at once, on the toolkit of
+// lanes_amd64.h. The algebra, the Karatsuba layout and the bound table
+// are in g2.go.
+// A lane F_p² element is two Vecs 320 bytes apart (A0, A1), a triple
+// adds A0 + A1 at 640; prefix[b] is two Vecs, 640 bytes a block.
 
-#define S_ACCINV g2LaneScratch_accInv
-#define S_DEN g2LaneScratch_den
-#define S_INV g2LaneScratch_inv
-#define S_NUM g2LaneScratch_num
-#define S_LAMD g2LaneScratch_lamD
-#define S_E g2LaneScratch_e
-#define S_X1 g2LaneScratch_x1
-#define S_X2 g2LaneScratch_x2
-#define S_Y1 g2LaneScratch_y1
-#define S_PSUM g2LaneScratch_psum
-#define S_W g2LaneScratch_w
-#define S_LAM0 g2LaneScratch_lam0
-#define S_LAMSUM g2LaneScratch_lamSum
-#define S_LAMDIFF g2LaneScratch_lamDiff
-#define S_X3A1 g2LaneScratch_x3A1
+#define S_ACCINV G2Scratch_AccInv
+#define S_DEN G2Scratch_den
+#define S_INV G2Scratch_inv
+#define S_NUM G2Scratch_num
+#define S_LAMD G2Scratch_lamD
+#define S_E G2Scratch_e
+#define S_X1 G2Scratch_x1
+#define S_X2 G2Scratch_x2
+#define S_Y1 G2Scratch_y1
+#define S_PSUM G2Scratch_psum
+#define S_W G2Scratch_w
+#define S_LAM0 G2Scratch_lam0
+#define S_LAMSUM G2Scratch_lamSum
+#define S_LAMDIFF G2Scratch_lamDiff
+#define S_X3A1 G2Scratch_x3A1
 
 // KMUL01 starts the Karatsuba product of the lane F_p² elements a at
 // aoff(abase) and b at boff(bbase): v0 = a0·b0, v1 = a1·b1. It stores
@@ -42,7 +42,7 @@
 	VPSUBQ Z10, Z20, Z20; VPSUBQ Z11, Z21, Z21;                \
 	VPSUBQ Z12, Z22, Z22; VPSUBQ Z13, Z23, Z23;                \
 	VPSUBQ Z14, Z24, Z24;                                      \
-	ADDK(·laneP2, Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24); \
+	ADDK(Consts_p2, Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24); \
 	NORM(Z20, Z21, Z22, Z23, Z24)
 
 // KMUL2 ends it: v2 = (a0 + a1)·(b0 + b1) for the sums at asoff(asbase)
@@ -50,7 +50,7 @@
 #define KMUL2(asoff, asbase, bsoff, bsbase) \
 	LOAD5(asoff, asbase, Z0, Z1, Z2, Z3, Z4);                       \
 	MONTMUL(bsoff, bsbase);                                         \
-	ADDK(·laneP4, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24); \
+	ADDK(Consts_p4, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24); \
 	SUBMEM(S_W, DX);                                                \
 	NORM(Z20, Z21, Z22, Z23, Z24)
 
@@ -77,8 +77,8 @@
 	MOV5(Z0, Z1, Z2, Z3, Z4, Z20, Z21, Z22, Z23, Z24);                \
 	ADDREG(Z20, Z21, Z22, Z23, Z24, Z10, Z11, Z12, Z13, Z14);         \
 	NORM(Z20, Z21, Z22, Z23, Z24);                                    \
-	CONDSUB(·laneP2);                                                 \
-	CONDSUB(·laneP);                                                  \
+	CONDSUB(Consts_p2);                                                 \
+	CONDSUB(Consts_p);                                                  \
 	SHL4(Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24);           \
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_DEN+640, DX)
 
@@ -89,15 +89,16 @@
 	NORM(Z20, Z21, Z22, Z23, Z24);         \
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_PSUM, DX)
 
-// func g2LanePrefix(buckets, pts *G2Affine, bidx, pidx *int32, prefix *[2]laneVec, nb int, s *g2LaneScratch)
-TEXT ·g2LanePrefix(SB), NOSPLIT, $0-56
-	MOVQ buckets+0(FP), SI
-	MOVQ pts+8(FP), DI
-	MOVQ bidx+16(FP), R8
-	MOVQ pidx+24(FP), R9
-	MOVQ prefix+32(FP), BX
-	MOVQ nb+40(FP), CX
-	MOVQ s+48(FP), DX
+// func G2Prefix(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *[2]Vec, nb int, s *G2Scratch)
+TEXT ·G2Prefix(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), R11
+	MOVQ buckets+8(FP), SI
+	MOVQ pts+16(FP), DI
+	MOVQ bidx+24(FP), R8
+	MOVQ pidx+32(FP), R9
+	MOVQ prefix+40(FP), BX
+	MOVQ nb+48(FP), CX
+	MOVQ s+56(FP), DX
 	CONSTS
 
 prefixLoop:
@@ -107,11 +108,11 @@ prefixLoop:
 
 	// prefix[b+1] = prefix[b]·den, both coordinates reduced below 2p.
 	KMUL01(0, BX, S_DEN, DX)
-	CONDSUB(·laneP2)
+	CONDSUB(Consts_p2)
 	STORE5(Z20, Z21, Z22, Z23, Z24, 640, BX)
 	KMUL2(S_PSUM, DX, S_DEN+640, DX)
-	CONDSUB(·laneP4)
-	CONDSUB(·laneP2)
+	CONDSUB(Consts_p4)
+	CONDSUB(Consts_p2)
 	STORE5(Z20, Z21, Z22, Z23, Z24, 960, BX)
 
 	ADDQ $32, R8
@@ -122,15 +123,16 @@ prefixLoop:
 	VZEROUPPER
 	RET
 
-// func g2LaneFinish(buckets, pts *G2Affine, bidx, pidx *int32, prefix *[2]laneVec, nb int, s *g2LaneScratch)
-TEXT ·g2LaneFinish(SB), NOSPLIT, $0-56
-	MOVQ buckets+0(FP), SI
-	MOVQ pts+8(FP), DI
-	MOVQ bidx+16(FP), R8
-	MOVQ pidx+24(FP), R9
-	MOVQ prefix+32(FP), BX
-	MOVQ nb+40(FP), CX
-	MOVQ s+48(FP), DX
+// func G2Finish(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *[2]Vec, nb int, s *G2Scratch)
+TEXT ·G2Finish(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), R11
+	MOVQ buckets+8(FP), SI
+	MOVQ pts+16(FP), DI
+	MOVQ bidx+24(FP), R8
+	MOVQ pidx+32(FP), R9
+	MOVQ prefix+40(FP), BX
+	MOVQ nb+48(FP), CX
+	MOVQ s+56(FP), DX
 	CONSTS
 
 	// Start at the last block.
@@ -161,11 +163,11 @@ finishLoop:
 	// accInv = accInv·den (R'), < 2p, with its sum. KMUL2 reads only
 	// the old sum, so c0 may overwrite A0 first.
 	KMUL01(S_ACCINV, DX, S_DEN, DX)
-	CONDSUB(·laneP2)
+	CONDSUB(Consts_p2)
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_ACCINV, DX)
 	KMUL2(S_ACCINV+640, DX, S_DEN+640, DX)
-	CONDSUB(·laneP4)
-	CONDSUB(·laneP2)
+	CONDSUB(Consts_p4)
+	CONDSUB(Consts_p2)
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_ACCINV+320, DX)
 	ADDMEM(S_ACCINV, DX)
 	NORM(Z20, Z21, Z22, Z23, Z24)
@@ -195,13 +197,13 @@ finishLoop:
 
 	// λ = num·inv, in the R domain (R·R'/R'), made canonical.
 	KMUL01(S_NUM, DX, S_INV, DX)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_LAM0, DX)
 	KMUL2(S_NUM+640, DX, S_INV+640, DX)
-	CONDSUB(·laneP4)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p4)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 
 	// V = λ1, A = λ0. lamD = (16·λ0, 16·λ1, 16·((λ0 + λ1) mod p)), λ's
 	// R'-domain twin; lamDiff = 16·(λ0 − λ1 + p) and lamSum = λ0 + λ1,
@@ -219,7 +221,7 @@ finishLoop:
 	ADDREG(Z20, Z21, Z22, Z23, Z24, Z0, Z1, Z2, Z3, Z4)
 	NORM(Z20, Z21, Z22, Z23, Z24)
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_LAMSUM, DX)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p)
 	SHL4(Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24)
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_LAMD+640, DX)
 
@@ -227,12 +229,12 @@ finishLoop:
 	ADDREG(Z0, Z1, Z2, Z3, Z4, Z0, Z1, Z2, Z3, Z4)
 	NORM(Z0, Z1, Z2, Z3, Z4)
 	MONTMUL(S_LAMD+320, DX)
-	ADDK(·laneP2, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
+	ADDK(Consts_p2, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
 	SUBMEM(S_X1+320, DX)
 	SUBMEM(S_X2+320, DX)
 	NORM(Z20, Z21, Z22, Z23, Z24)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 	STORE5(Z20, Z21, Z22, Z23, Z24, S_X3A1, DX)
 	UNPACK(Z20, Z21, Z22, Z23, Z24)
 	SCATTER4(32, SI, Z30)
@@ -240,12 +242,12 @@ finishLoop:
 	// x₃.A0 = (λ0 + λ1)·16(λ0 − λ1 + p) + 2p − x₁.A0 − x₂.A0, likewise.
 	LOAD5(S_LAMSUM, DX, Z0, Z1, Z2, Z3, Z4)
 	MONTMUL(S_LAMDIFF, DX)
-	ADDK(·laneP2, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
+	ADDK(Consts_p2, Z10, Z11, Z12, Z13, Z14, Z20, Z21, Z22, Z23, Z24)
 	SUBMEM(S_X1, DX)
 	SUBMEM(S_X2, DX)
 	NORM(Z20, Z21, Z22, Z23, Z24)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 	UNPACK(Z20, Z21, Z22, Z23, Z24)
 	SCATTER4(0, SI, Z30)
 
@@ -266,21 +268,21 @@ finishLoop:
 
 	// y₃ = e·lamD + p − y₁: A0 < 5p, A1 < 7p, made canonical.
 	KMUL01(S_E, DX, S_LAMD, DX)
-	ADDK(·laneP, Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24)
+	ADDK(Consts_p, Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24)
 	SUBMEM(S_Y1, DX)
 	NORM(Z20, Z21, Z22, Z23, Z24)
-	CONDSUB(·laneP4)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p4)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 	UNPACK(Z20, Z21, Z22, Z23, Z24)
 	SCATTER4(64, SI, Z30)
 	KMUL2(S_E+640, DX, S_LAMD+640, DX)
-	ADDK(·laneP, Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24)
+	ADDK(Consts_p, Z20, Z21, Z22, Z23, Z24, Z20, Z21, Z22, Z23, Z24)
 	SUBMEM(S_Y1+320, DX)
 	NORM(Z20, Z21, Z22, Z23, Z24)
-	CONDSUB(·laneP4)
-	CONDSUB(·laneP2)
-	CONDSUB(·laneP)
+	CONDSUB(Consts_p4)
+	CONDSUB(Consts_p2)
+	CONDSUB(Consts_p)
 	UNPACK(Z20, Z21, Z22, Z23, Z24)
 	SCATTER4(96, SI, Z30)
 

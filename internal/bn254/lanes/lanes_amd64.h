@@ -1,13 +1,13 @@
-// The lane toolkit shared by the G1 and G2 flush kernels
-// (g1_lanes_amd64.s, g2_lanes_amd64.s): eight field elements at once,
-// one per 64-bit lane of a ZMM register, multiplied with AVX-512 IFMA
-// (VPMADD52LUQ/VPMADD52HUQ). An element is five 52-bit limbs, one
-// register per limb (a laneVec in memory: 5×64 bytes). The domains and
-// the bounds arguments are in lanes.go, g1_lanes.go and g2_lanes.go;
-// p's limbs (·laneP, ·laneP2 = 2p, ·laneP4 = 4p) and −p⁻¹ mod 2⁵²
-// (·laneInv) are Go variables derived at init from fp.Modulus() and
-// broadcast from memory. Only AVX512F and AVX512IFMA instructions on ZMM
-// registers are used.
+// The lane toolkit every kernel includes (g1_amd64.s, g2_amd64.s):
+// eight field elements at once, one per 64-bit lane of a ZMM register,
+// multiplied with AVX-512 IFMA (VPMADD52LUQ/VPMADD52HUQ). An element is
+// five 52-bit limbs, one register per limb (a Vec in memory: 5×64
+// bytes). The domains are in lanes.go, the bounds in g1.go and g2.go,
+// and TestKernelBounds interprets the macros below by the contracts
+// their comments state. The modulus is a Consts block that R11 points
+// at: p's limbs (Consts_p, Consts_p2 = 2p, Consts_p4 = 4p) and −p⁻¹ mod
+// 2⁵² (Consts_inv), broadcast from memory. Only AVX512F and AVX512IFMA
+// instructions on ZMM registers are used.
 //
 // Register map:
 //
@@ -23,8 +23,9 @@
 //	K1        gather/scatter and select mask
 //
 // Z15 is left alone. A kernel keeps its pointers in general registers:
-// SI buckets, DI points, R8/R9 the block's bucket/point indices, BX the
-// prefix chain, CX the block count and DX its scratch.
+// R11 the Consts block, SI buckets, DI points, R8/R9 the block's
+// bucket/point indices, BX the prefix chain, CX the block count and DX
+// its scratch.
 
 // CONSTS sets the limb mask and the zero register.
 #define CONSTS \
@@ -49,19 +50,19 @@
 // REDROUND clears column t0 modulo 2⁵²: m = t0·(−p⁻¹) mod 2⁵² (IFMA
 // reads only t0's low 52 bits), t0..t5 += m·p, and t0's carry moves up.
 #define REDROUND(t0, t1, t2, t3, t4, t5) \
-	VPXORQ           Z16, Z16, Z16;         \
-	VPMADD52LUQ.BCST ·laneInv(SB), t0, Z16; \
-	VPMADD52LUQ.BCST ·laneP+0(SB), Z16, t0;  \
-	VPMADD52HUQ.BCST ·laneP+0(SB), Z16, t1;  \
-	VPMADD52LUQ.BCST ·laneP+8(SB), Z16, t1;  \
-	VPMADD52HUQ.BCST ·laneP+8(SB), Z16, t2;  \
-	VPMADD52LUQ.BCST ·laneP+16(SB), Z16, t2; \
-	VPMADD52HUQ.BCST ·laneP+16(SB), Z16, t3; \
-	VPMADD52LUQ.BCST ·laneP+24(SB), Z16, t3; \
-	VPMADD52HUQ.BCST ·laneP+24(SB), Z16, t4; \
-	VPMADD52LUQ.BCST ·laneP+32(SB), Z16, t4; \
-	VPMADD52HUQ.BCST ·laneP+32(SB), Z16, t5; \
-	VPSRLQ           $52, t0, Z17;          \
+	VPXORQ           Z16, Z16, Z16;             \
+	VPMADD52LUQ.BCST Consts_inv(R11), t0, Z16;  \
+	VPMADD52LUQ.BCST Consts_p+0(R11), Z16, t0;  \
+	VPMADD52HUQ.BCST Consts_p+0(R11), Z16, t1;  \
+	VPMADD52LUQ.BCST Consts_p+8(R11), Z16, t1;  \
+	VPMADD52HUQ.BCST Consts_p+8(R11), Z16, t2;  \
+	VPMADD52LUQ.BCST Consts_p+16(R11), Z16, t2; \
+	VPMADD52HUQ.BCST Consts_p+16(R11), Z16, t3; \
+	VPMADD52LUQ.BCST Consts_p+24(R11), Z16, t3; \
+	VPMADD52HUQ.BCST Consts_p+24(R11), Z16, t4; \
+	VPMADD52LUQ.BCST Consts_p+32(R11), Z16, t4; \
+	VPMADD52HUQ.BCST Consts_p+32(R11), Z16, t5; \
+	VPSRLQ           $52, t0, Z17;              \
 	VPADDQ           Z17, t1, t1
 
 // NORM propagates carries (or borrows: the shift is arithmetic) so that
@@ -147,11 +148,11 @@
 
 // SUBP sets a = a − b + p, unnormalized.
 #define SUBP(a0, a1, a2, a3, a4, b0, b1, b2, b3, b4) \
-	VPSUBQ b0, a0, a0; VPADDQ.BCST ·laneP+0(SB), a0, a0;  \
-	VPSUBQ b1, a1, a1; VPADDQ.BCST ·laneP+8(SB), a1, a1;  \
-	VPSUBQ b2, a2, a2; VPADDQ.BCST ·laneP+16(SB), a2, a2; \
-	VPSUBQ b3, a3, a3; VPADDQ.BCST ·laneP+24(SB), a3, a3; \
-	VPSUBQ b4, a4, a4; VPADDQ.BCST ·laneP+32(SB), a4, a4
+	VPSUBQ b0, a0, a0; VPADDQ.BCST Consts_p+0(R11), a0, a0;  \
+	VPSUBQ b1, a1, a1; VPADDQ.BCST Consts_p+8(R11), a1, a1;  \
+	VPSUBQ b2, a2, a2; VPADDQ.BCST Consts_p+16(R11), a2, a2; \
+	VPSUBQ b3, a3, a3; VPADDQ.BCST Consts_p+24(R11), a3, a3; \
+	VPSUBQ b4, a4, a4; VPADDQ.BCST Consts_p+32(R11), a4, a4
 
 // ADDREG sets a = a + b, unnormalized.
 #define ADDREG(a0, a1, a2, a3, a4, b0, b1, b2, b3, b4) \
@@ -171,11 +172,11 @@
 
 // ADDK sets d = s + k, unnormalized, for k the multiple of p at kp.
 #define ADDK(kp, s0, s1, s2, s3, s4, d0, d1, d2, d3, d4) \
-	VPADDQ.BCST kp+0(SB), s0, d0;  \
-	VPADDQ.BCST kp+8(SB), s1, d1;  \
-	VPADDQ.BCST kp+16(SB), s2, d2; \
-	VPADDQ.BCST kp+24(SB), s3, d3; \
-	VPADDQ.BCST kp+32(SB), s4, d4
+	VPADDQ.BCST kp+0(R11), s0, d0;  \
+	VPADDQ.BCST kp+8(R11), s1, d1;  \
+	VPADDQ.BCST kp+16(R11), s2, d2; \
+	VPADDQ.BCST kp+24(R11), s3, d3; \
+	VPADDQ.BCST kp+32(R11), s4, d4
 
 // ADDMEM sets V = V + b, unnormalized, for b the element at off(base).
 #define ADDMEM(off, base) \
@@ -194,19 +195,19 @@
 	VPSUBQ off+256(base), Z24, Z24
 
 // CONDSUB replaces V by V − k where that is not negative, for k the
-// multiple of p at kp (laneP, laneP2 or laneP4): V < 2k becomes V < k.
+// multiple of p at kp (Consts_p, Consts_p2 or Consts_p4): V < 2k becomes V < k.
 #define CONDSUB(kp) \
-	VPSUBQ.BCST kp+0(SB), Z20, Z25;  \
-	VPSUBQ.BCST kp+8(SB), Z21, Z26;  \
-	VPSUBQ.BCST kp+16(SB), Z22, Z27; \
-	VPSUBQ.BCST kp+24(SB), Z23, Z28; \
-	VPSUBQ.BCST kp+32(SB), Z24, Z29; \
-	NORM(Z25, Z26, Z27, Z28, Z29);   \
-	VPCMPQ    $5, Z19, Z29, K1;      \
-	VMOVDQA64 Z25, K1, Z20;          \
-	VMOVDQA64 Z26, K1, Z21;          \
-	VMOVDQA64 Z27, K1, Z22;          \
-	VMOVDQA64 Z28, K1, Z23;          \
+	VPSUBQ.BCST kp+0(R11), Z20, Z25;  \
+	VPSUBQ.BCST kp+8(R11), Z21, Z26;  \
+	VPSUBQ.BCST kp+16(R11), Z22, Z27; \
+	VPSUBQ.BCST kp+24(R11), Z23, Z28; \
+	VPSUBQ.BCST kp+32(R11), Z24, Z29; \
+	NORM(Z25, Z26, Z27, Z28, Z29);    \
+	VPCMPQ    $5, Z19, Z29, K1;       \
+	VMOVDQA64 Z25, K1, Z20;           \
+	VMOVDQA64 Z26, K1, Z21;           \
+	VMOVDQA64 Z27, K1, Z22;           \
+	VMOVDQA64 Z28, K1, Z23;           \
 	VMOVDQA64 Z29, K1, Z24
 
 #define LOAD5(off, base, r0, r1, r2, r3, r4) \

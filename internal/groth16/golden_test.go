@@ -113,10 +113,10 @@ func TestGoldenWireFormats(t *testing.T) {
 	{
 		pk2, _, proof2, _ := goldenArtifacts(t)
 		var a, b bytes.Buffer
-		if _, err := pk.WriteTo(&a); err != nil {
+		if _, err := pk.WriteRawTo(&a); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pk2.WriteTo(&b); err != nil {
+		if _, err := pk2.WriteRawTo(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -242,13 +242,10 @@ func TestGoldenVectorsStillVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pinned raw proving key no longer decodes: %v", err)
 	}
-	// One meaning of key size: both forms report the bytes WriteTo writes.
-	var wire bytes.Buffer
-	if _, err := rawPK.WriteTo(&wire); err != nil {
-		t.Fatal(err)
-	}
-	if n := int64(wire.Len()); rawPK.SizeBytes() != n || spk.SizeBytes() != n {
-		t.Fatalf("SizeBytes: resident %d, streamed %d, WriteTo wrote %d", rawPK.SizeBytes(), spk.SizeBytes(), n)
+	// One meaning of key size: both forms report the compressed size of
+	// the key's points and framing.
+	if n := compressedPKSize(rawPK); rawPK.SizeBytes() != n || spk.SizeBytes() != n {
+		t.Fatalf("SizeBytes: resident %d, streamed %d, compressed points and framing %d", rawPK.SizeBytes(), spk.SizeBytes(), n)
 	}
 	// The decoded proving key must still prove.
 	rng := rand.New(rand.NewSource(goldenSeed + 1))

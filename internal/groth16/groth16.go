@@ -441,8 +441,8 @@ type pkHeader struct {
 // The interface is sealed — its methods are unexported — so the two
 // modes share one prove flow and cannot drift.
 type ProverKey interface {
-	// SizeBytes is the size of the key's compressed wire encoding
-	// (ProvingKey.WriteTo), whichever form holds it.
+	// SizeBytes is the key's compressed size, Table I's PK column
+	// (ProvingKey.SizeBytes), whichever form holds it.
 	SizeBytes() int64
 	header() pkHeader
 	// evalRows is the prove's one walk over the constraint rows: it

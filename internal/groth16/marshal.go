@@ -15,7 +15,6 @@ import (
 // compressed points. All integers are little-endian uint32.
 var (
 	magicProof = [4]byte{'Z', 'K', 'P', 'F'}
-	magicPK    = [4]byte{'Z', 'K', 'P', 'K'}
 	magicPKRaw = [4]byte{'Z', 'K', 'P', 'R'}
 	magicVK    = [4]byte{'Z', 'K', 'V', 'K'}
 )
@@ -110,18 +109,6 @@ func writeG1Slice(w io.Writer, ps []curve.G1Affine) error {
 	return nil
 }
 
-func writeG2Slice(w io.Writer, ps []curve.G2Affine) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ps))); err != nil {
-		return err
-	}
-	for i := range ps {
-		if err := writeG2(w, &ps[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // decodeChunk is the number of points read and decoded at a time: a few
 // hundred kilobytes of encoding, enough to spread a chunk's square roots
 // over the workers.
@@ -180,10 +167,6 @@ func readG1Slice(r io.Reader) ([]curve.G1Affine, error) {
 	return readPoints(r, curve.G1CompressedSize, (*curve.G1Affine).SetBytes)
 }
 
-func readG2Slice(r io.Reader) ([]curve.G2Affine, error) {
-	return readPoints(r, curve.G2CompressedSize, (*curve.G2Affine).SetBytes)
-}
-
 // proofEncodedSize is the size of a proof's binary encoding: the 8-byte
 // header and 3 compressed points, 128 bytes of cryptographic material.
 const proofEncodedSize = 8 + 2*curve.G1CompressedSize + curve.G2CompressedSize
@@ -206,21 +189,23 @@ func (p *Proof) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom deserializes a proof, validating curve/subgroup membership of
-// every point.
+// every point. It returns the bytes it consumed, on success and on error
+// alike.
 func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
-	if err := readHeader(r, magicProof); err != nil {
-		return 0, err
+	cr := &countingReader{r: r}
+	if err := readHeader(cr, magicProof); err != nil {
+		return cr.n, err
 	}
-	if err := readG1(r, &p.Ar); err != nil {
-		return 0, err
+	if err := readG1(cr, &p.Ar); err != nil {
+		return cr.n, err
 	}
-	if err := readG2(r, &p.Bs); err != nil {
-		return 0, err
+	if err := readG2(cr, &p.Bs); err != nil {
+		return cr.n, err
 	}
-	if err := readG1(r, &p.Krs); err != nil {
-		return 0, err
+	if err := readG1(cr, &p.Krs); err != nil {
+		return cr.n, err
 	}
-	return proofEncodedSize, nil
+	return cr.n, nil
 }
 
 // PayloadSize returns the size of the cryptographic payload in bytes
@@ -284,81 +269,12 @@ func (vk *VerifyingKey) ReadFrom(r io.Reader) (int64, error) {
 	return cr.n, nil
 }
 
-// WriteTo serializes the proving key.
-func (pk *ProvingKey) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	if err := writeHeader(cw, magicPK); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, pk.DomainSize); err != nil {
-		return cw.n, err
-	}
-	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		if err := writeG1(cw, pt); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		if err := writeG2(cw, pt); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, s := range [][]curve.G1Affine{pk.A, pk.B1, pk.K, pk.Z} {
-		if err := writeG1Slice(cw, s); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := writeG2Slice(cw, pk.B2); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadFrom deserializes a proving key. It returns the bytes it
-// consumed, on success and on error alike.
-func (pk *ProvingKey) ReadFrom(r io.Reader) (int64, error) {
-	cr := &countingReader{r: r}
-	if err := readHeader(cr, magicPK); err != nil {
-		return cr.n, err
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &pk.DomainSize); err != nil {
-		return cr.n, err
-	}
-	for _, pt := range []*curve.G1Affine{&pk.AlphaG1, &pk.BetaG1, &pk.DeltaG1} {
-		if err := readG1(cr, pt); err != nil {
-			return cr.n, err
-		}
-	}
-	for _, pt := range []*curve.G2Affine{&pk.BetaG2, &pk.DeltaG2} {
-		if err := readG2(cr, pt); err != nil {
-			return cr.n, err
-		}
-	}
-	var err error
-	if pk.A, err = readG1Slice(cr); err != nil {
-		return cr.n, err
-	}
-	if pk.B1, err = readG1Slice(cr); err != nil {
-		return cr.n, err
-	}
-	if pk.K, err = readG1Slice(cr); err != nil {
-		return cr.n, err
-	}
-	if pk.Z, err = readG1Slice(cr); err != nil {
-		return cr.n, err
-	}
-	if pk.B2, err = readG2Slice(cr); err != nil {
-		return cr.n, err
-	}
-	return cr.n, nil
-}
-
-// WriteRawTo serializes the proving key with uncompressed points — about
-// twice the bytes of WriteTo, but reading it back (OpenStreamedProvingKey,
-// then Load for a resident key) skips the per-point square root of
-// compressed decoding, making deserialization orders of magnitude
-// faster. This is the format of the prover engine's local key cache; use
-// WriteTo for keys that cross a trust boundary. The layout itself is
+// WriteRawTo serializes the proving key with uncompressed points, the
+// one proving-key format: reading it back (OpenStreamedProvingKey, then
+// Load for a resident key) skips the per-point square root of compressed
+// decoding, and checks points on the curve but not G2 subgroup
+// membership, so it is for locally trusted material — the prover
+// engine's key cache and the CLI's -save-pk. The layout itself is
 // rawKeyWriter's, shared with SetupStreamed.
 func (pk *ProvingKey) WriteRawTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
@@ -423,16 +339,19 @@ func (rw rawKeyWriter) g2(pts []curve.G2Affine) error {
 	return nil
 }
 
-// SizeBytes returns the size of the key's compressed wire encoding — what
-// WriteTo writes, Table I's PK column — from the section lengths alone.
+// SizeBytes returns Table I's PK column, from the section lengths alone:
+// the key's points in compressed form, plus the framing a compressed
+// encoding would carry.
 func (pk *ProvingKey) SizeBytes() int64 {
-	return pkWireSize(len(pk.A)+len(pk.B1)+len(pk.K)+len(pk.Z), len(pk.B2))
+	return pkCompressedSize(len(pk.A)+len(pk.B1)+len(pk.K)+len(pk.Z), len(pk.B2))
 }
 
-// pkWireSize is the WriteTo size of a proving key whose five query
-// sections hold g1 and g2 points in all: the 16-byte header, the five
-// setup points, five uint32 counts, and the compressed points.
-func pkWireSize(g1, g2 int) int64 {
+// pkCompressedSize is the compressed size of a proving key whose five
+// query sections hold g1 and g2 points in all: the five setup points and
+// the query points, 32 bytes a G1 point and 64 a G2 point, plus 36
+// bytes of framing — an 8-byte header, the 8-byte domain size and five
+// uint32 section counts.
+func pkCompressedSize(g1, g2 int) int64 {
 	return 16 + 5*4 +
 		int64(3+g1)*curve.G1CompressedSize +
 		int64(2+g2)*curve.G2CompressedSize

@@ -10,10 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"zkrownn/internal/bn254/curve"
+	"zkrownn/internal/bn254/ext"
 	"zkrownn/internal/bn254/fr"
 )
 
@@ -77,20 +79,20 @@ func assertPKEqual(t *testing.T, want, got *ProvingKey) {
 	}
 }
 
-func TestProvingKeyRoundTrip(t *testing.T) {
-	pk, _, _ := marshalFixture(t)
-	var buf bytes.Buffer
-	if _, err := pk.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// compressedPKSize is what SizeBytes reports, counted from the key's
+// points: the length of every point's compressed encoding, plus 36 bytes
+// of framing (header, domain size and five section counts).
+func compressedPKSize(pk *ProvingKey) int64 {
+	n := int64(36)
+	for _, p := range slices.Concat([]curve.G1Affine{pk.AlphaG1, pk.BetaG1, pk.DeltaG1}, pk.A, pk.B1, pk.K, pk.Z) {
+		b := p.Bytes()
+		n += int64(len(b))
 	}
-	if int64(buf.Len()) != pk.SizeBytes() {
-		t.Fatalf("WriteTo wrote %d bytes, SizeBytes says %d", buf.Len(), pk.SizeBytes())
+	for _, p := range slices.Concat([]curve.G2Affine{pk.BetaG2, pk.DeltaG2}, pk.B2) {
+		b := p.Bytes()
+		n += int64(len(b))
 	}
-	var got ProvingKey
-	if _, err := got.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	assertPKEqual(t, pk, &got)
+	return n
 }
 
 func TestProvingKeyRawRoundTrip(t *testing.T) {
@@ -187,13 +189,8 @@ func TestMarshalRejectsWrongMagic(t *testing.T) {
 	if _, err := pk.WriteRawTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// A raw-format stream must not parse as the compressed format.
-	var got ProvingKey
+	var got Proof
 	if _, err := got.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("compressed reader accepted raw-format stream")
-	}
-	var got2 Proof
-	if _, err := got2.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("proof reader accepted proving-key stream")
 	}
 }
@@ -273,7 +270,7 @@ func TestReadPointsMatchesSerialDecoder(t *testing.T) {
 	if err != nil || !g1Equal(got1, p1) {
 		t.Fatalf("G1 raw: decoded points differ from the encoded ones (err %v)", err)
 	}
-	got2, err := readG2Slice(&c2)
+	got2, err := readPoints(&c2, curve.G2CompressedSize, (*curve.G2Affine).SetBytes)
 	if err != nil || !g2Equal(got2, p2) {
 		t.Fatalf("G2 compressed: decoded points differ from the encoded ones (err %v)", err)
 	}
@@ -385,36 +382,26 @@ func TestReadPointsBoundsAllocation(t *testing.T) {
 	}
 }
 
-// TestKeyReadFromCountsBytes holds both key decoders to io.ReaderFrom's
+// TestKeyReadFromCountsBytes holds the binary decoders to io.ReaderFrom's
 // contract: the count is the bytes consumed — the whole encoding on
 // success, the bytes read before the error on a truncated input.
 func TestKeyReadFromCountsBytes(t *testing.T) {
-	vkBin := readGolden(t, "vk.bin.hex")
-	pk, _, _ := marshalFixture(t)
-	var pkBuf bytes.Buffer
-	wrote, err := pk.WriteTo(&pkBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkBin := pkBuf.Bytes()
-	if wrote != int64(len(pkBin)) {
-		t.Fatalf("ProvingKey.WriteTo reported %d bytes, wrote %d", wrote, len(pkBin))
-	}
 	for _, c := range []struct {
 		name string
-		enc  []byte
 		read func(io.Reader) (int64, error)
 	}{
-		{"vk.bin.hex", vkBin, func(r io.Reader) (int64, error) { return new(VerifyingKey).ReadFrom(r) }},
-		{"fresh proving key", pkBin, func(r io.Reader) (int64, error) { return new(ProvingKey).ReadFrom(r) }},
+		{"vk.bin.hex", func(r io.Reader) (int64, error) { return new(VerifyingKey).ReadFrom(r) }},
+		{"proof.bin.hex", func(r io.Reader) (int64, error) { return new(Proof).ReadFrom(r) }},
+		{"aggregate.bin.hex", func(r io.Reader) (int64, error) { return new(AggregateProof).ReadFrom(r) }},
 	} {
+		enc := readGolden(t, c.name)
 		// Trailing bytes stay unread.
-		n, err := c.read(bytes.NewReader(append(bytes.Clone(c.enc), 0xAA, 0xBB)))
-		if err != nil || n != int64(len(c.enc)) {
-			t.Fatalf("%s: ReadFrom = (%d, %v), want (%d, nil)", c.name, n, err, len(c.enc))
+		n, err := c.read(bytes.NewReader(append(bytes.Clone(enc), 0xAA, 0xBB)))
+		if err != nil || n != int64(len(enc)) {
+			t.Fatalf("%s: ReadFrom = (%d, %v), want (%d, nil)", c.name, n, err, len(enc))
 		}
-		for _, cut := range []int{0, 3, 8, 8 + curve.G1CompressedSize/2, len(c.enc) / 2, len(c.enc) - 1} {
-			n, err := c.read(bytes.NewReader(c.enc[:cut]))
+		for _, cut := range []int{0, 3, 8, 8 + curve.G1CompressedSize/2, len(enc) / 2, len(enc) - 1} {
+			n, err := c.read(bytes.NewReader(enc[:cut]))
 			if err == nil || n != int64(cut) {
 				t.Fatalf("%s cut at %d: ReadFrom = (%d, %v), want (%d, an error)", c.name, cut, n, err, cut)
 			}
@@ -491,6 +478,79 @@ func FuzzVerifyingKeyDecode(f *testing.F) {
 			var back VerifyingKey
 			if err := back.UnmarshalJSON(enc); err != nil || !sameVK(&back, &q) {
 				t.Fatalf("UnmarshalJSON accepted %q; its re-encoding %q decodes to another key (err %v)", data, enc, err)
+			}
+		}
+	})
+}
+
+// FuzzAggregateProofDecode is FuzzVerifyingKeyDecode for the aggregate
+// proof ("ZKAG"): its binary decoder and its JSON envelope either reject
+// the bytes or accept a proof that encodes back to exactly what was
+// consumed; neither panics, and the binary decoder allocates in
+// proportion to the bytes it read. Seeds: aggregate.bin.hex and
+// aggregate.json, truncations, one bit flipped in every header and
+// count byte, and hostile counts and round counts.
+func FuzzAggregateProofDecode(f *testing.F) {
+	bin := readGolden(f, "aggregate.bin.hex")
+	env := readGolden(f, "aggregate.json")
+	f.Add(bin)
+	f.Add(env)
+	const countOff, roundsOff, gtOff = 8, 12, 16
+	for _, n := range []int{0, 4, countOff, roundsOff, gtOff, gtOff + ext.E12Bytes, len(bin) / 2, len(bin) - 1} {
+		f.Add(bin[:n])
+	}
+	for _, n := range []int{0, len(env) / 2, len(env) - 1} {
+		f.Add(env[:n])
+	}
+	for off := range gtOff {
+		for bit := 0; bit < 8; bit++ {
+			c := bytes.Clone(bin)
+			c[off] ^= 1 << bit
+			f.Add(c)
+		}
+	}
+	for _, v := range []uint32{0, 1, 2, 3, 40, 41, 1 << 31, ^uint32(0)} {
+		for _, off := range []int{countOff, roundsOff} {
+			c := bytes.Clone(bin)
+			binary.LittleEndian.PutUint32(c[off:], v)
+			f.Add(c)
+			f.Add(appendEnvelope(nil, c))
+		}
+	}
+
+	encode := func(a *AggregateProof) []byte {
+		var b bytes.Buffer
+		if _, err := a.WriteTo(&b); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a AggregateProof
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := a.ReadFrom(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if n < 0 || n > int64(len(data)) {
+			t.Fatalf("ReadFrom reported %d bytes of a %d-byte input", n, len(data))
+		}
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+16*n); got > budget {
+			t.Fatalf("ReadFrom allocated %d bytes having read %d (budget %d)", got, n, budget)
+		}
+		if err == nil {
+			if out := encode(&a); !bytes.Equal(out, data[:n]) {
+				t.Fatalf("ReadFrom accepted %d bytes %x, which encode back as %x", n, data[:n], out)
+			}
+		}
+		var q AggregateProof
+		if err := q.UnmarshalJSON(data); err == nil {
+			enc, err := q.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back AggregateProof
+			if err := back.UnmarshalJSON(enc); err != nil || !bytes.Equal(encode(&back), encode(&q)) {
+				t.Fatalf("UnmarshalJSON accepted %q; its re-encoding %q decodes to another proof (err %v)", data, enc, err)
 			}
 		}
 	})

@@ -163,11 +163,11 @@ func OpenStreamedProvingKey(r io.ReaderAt) (*StreamedProvingKey, error) {
 // DomainSize returns the FFT domain order recorded in the key.
 func (pk *StreamedProvingKey) DomainSize() uint64 { return pk.hdr.DomainSize }
 
-// SizeBytes returns what ProvingKey.SizeBytes does for the same key: the
-// size of its compressed wire encoding, not of the raw file behind it
-// (that is RawPKSizeBytes).
+// SizeBytes returns what ProvingKey.SizeBytes does for the same key: its
+// compressed size, not that of the raw file behind it (that is
+// RawPKSizeBytes).
 func (pk *StreamedProvingKey) SizeBytes() int64 {
-	return pkWireSize(pk.secA.n+pk.secB1.n+pk.secK.n+pk.secZ.n, pk.secB2.n)
+	return pkCompressedSize(pk.secA.n+pk.secB1.n+pk.secK.n+pk.secZ.n, pk.secB2.n)
 }
 
 // Load materializes the indexed key: the resident form of the same raw

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -570,5 +572,85 @@ func TestOraclesShareNoCode(t *testing.T) {
 		if o.files == 0 {
 			t.Errorf("found no oracle file of %s: the guard is looking in the wrong place", o.pkg)
 		}
+	}
+}
+
+// TestOneLaneToolkit keeps the AVX-512 IFMA arithmetic in one leaf
+// package, internal/bn254/lanes, where TestKernelBounds checks every
+// kernel's bounds:
+//   - no assembly file includes a header from outside its own
+//     directory: go build does not track such a header, so an edit to it
+//     would leave stale kernels linked;
+//   - VPMADD52 appears in no assembly outside the package, and curve
+//     keeps none at all;
+//   - the package imports only internal/cpu and the standard library, so
+//     every field and curve package can import it.
+func TestOneLaneToolkit(t *testing.T) {
+	const lanes = "internal/bn254/lanes/"
+	toolchain := map[string]bool{"textflag.h": true, "go_asm.h": true, "funcdata.h": true}
+	include := regexp.MustCompile(`(?m)^\s*#include\s+"([^"]+)"`)
+	var kernels, laneFiles int
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, build scratch
+			}
+			return nil
+		}
+		slash := filepath.ToSlash(path)
+		switch filepath.Ext(path) {
+		case ".s", ".h":
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if strings.HasPrefix(slash, "internal/bn254/curve/") {
+				t.Errorf("%s: curve keeps no assembly; lane kernels live in %s", slash, lanes)
+			}
+			if strings.Contains(string(src), "VPMADD52") {
+				if !strings.HasPrefix(slash, lanes) {
+					t.Errorf("%s uses VPMADD52: IFMA kernels live in %s, where their bounds are checked", slash, lanes)
+				}
+				kernels++
+			}
+			for _, m := range include.FindAllStringSubmatch(string(src), -1) {
+				h := m[1]
+				if toolchain[h] {
+					continue
+				}
+				if strings.ContainsAny(h, `/\`) {
+					t.Errorf("%s includes %q from another directory: go build does not rebuild on its edits", slash, h)
+				} else if _, err := os.Stat(filepath.Join(filepath.Dir(path), h)); err != nil {
+					t.Errorf("%s includes %q, which is not in its directory", slash, h)
+				}
+			}
+		case ".go":
+			if !strings.HasPrefix(slash, lanes) || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			laneFiles++
+			file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range file.Imports {
+				target := strings.Trim(imp.Path.Value, `"`)
+				first, _, _ := strings.Cut(target, "/")
+				if target != "zkrownn/internal/cpu" && (strings.Contains(first, ".") || first == "zkrownn") {
+					t.Errorf("%s imports %s: the lane package imports only internal/cpu and the standard library", slash, target)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kernels == 0 || laneFiles == 0 {
+		t.Errorf("found %d IFMA assembly files and %d Go files under %s: the guard is looking in the wrong place", kernels, laneFiles, lanes)
 	}
 }
