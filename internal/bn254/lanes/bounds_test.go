@@ -9,87 +9,95 @@ import (
 	"strings"
 	"testing"
 
-	"zkrownn/internal/bn254/fp"
+	"zkrownn/internal/bn254/refimpl"
 )
 
 // TestKernelBounds checks the intermediate bounds of every lane kernel
 // from its text alone, so it runs on any CPU. It reads the kernel's .s
 // file and the header it includes, expands the kernel's own macros, and
 // interprets one loop iteration over the toolkit macros of
-// lanes_amd64.h, each by the contract its comment states. A value is an
-// interval [lo·p, hi·p) per register, and per 64-byte row of memory:
+// lanes_amd64.h, each by the contract its comment states. Each kernel
+// has its own modulus m, p or r. A value is an interval [lo·m, hi·m) per
+// register, and per 64-byte row of memory:
 //
-//   - MONTMUL asserts A·b < p·2²⁶⁰ and yields a value below
-//     A·b/2²⁶⁰ + p, both operands normalized and below 2²⁶⁰;
+//   - MONTMUL asserts A·b < m·2²⁶⁰ and yields a value below
+//     A·b/2²⁶⁰ + m, both operands normalized and below 2²⁶⁰;
 //   - SUBP, ADDK, ADDREG, ADDMEM, SUBMEM and the raw VPADDQ/VPSUBQ add
-//     and subtract intervals, SUBP and ADDK their multiple of p;
+//     and subtract intervals, SUBP and ADDK their multiple of m;
 //   - CONDSUB(k) asserts V < 2k and yields V < k;
 //   - SHL4 multiplies a normalized value below 2²⁵⁶ by 16;
 //   - NORM asserts the value is not negative;
-//   - GATHER4 reads canonical coordinates, and every UNPACK that feeds a
-//     SCATTER4 must hold a canonical value, below p;
+//   - GATHER4 and TLOAD4 read canonical elements, and every UNPACK that
+//     feeds a SCATTER4 or a TSTORE4 must hold a canonical value, below m;
 //   - memory that the iteration reads before it writes is loop-carried:
 //     it has a stated invariant, taken on load and asserted on store.
 //
-// The per-product bounds it finds must equal the tables in g1.go and
-// g2.go, row for row. A header macro without a rule here fails the test,
-// so a new kernel gets its bounds checked once its macros have rules.
+// The per-product bounds it finds must equal the tables in g1.go, g2.go
+// and fr.go, row for row. A header macro without a rule here fails the
+// test, so a new kernel gets its bounds checked once its macros have
+// rules.
 func TestKernelBounds(t *testing.T) {
-	p := fp.Modulus()
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			stmts, err := kernelText(k.file, k.name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := interpret(k, stmts, p)
+			got, err := interpret(k, stmts)
 			if err != nil {
 				t.Fatalf("%s: %v", k.name, err)
 			}
-			want, err := boundTable(k.table, k.name)
+			want, err := boundTable(k.table, k.name, k.unit)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range max(len(got), len(want)) {
 				switch {
 				case i >= len(want):
-					t.Errorf("%s: %s: product %d·%d = %dp² is not in %s's table", k.name, got[i].loc, got[i].a, got[i].b, got[i].ab, k.table)
+					t.Errorf("%s: %s: product %d·%d = %d%s² is not in %s's table", k.name, got[i].loc, got[i].a, got[i].b, got[i].ab, k.unit, k.table)
 				case i >= len(got):
 					t.Errorf("%s: %s row %q has no product in the kernel", k.name, k.table, want[i].loc)
 				case got[i].a != want[i].a || got[i].b != want[i].b || got[i].ab != want[i].ab:
-					t.Errorf("%s: %s: product %dp · %dp = %dp², but %s row %q says %dp · %dp = %dp²",
-						k.name, got[i].loc, got[i].a, got[i].b, got[i].ab, k.table, want[i].loc, want[i].a, want[i].b, want[i].ab)
+					u := k.unit
+					t.Errorf("%s: %s: product %d%s · %d%s = %d%s², but %s row %q says %d%s · %d%s = %d%s²",
+						k.name, got[i].loc, got[i].a, u, got[i].b, u, got[i].ab, u, k.table, want[i].loc, want[i].a, u, want[i].b, u, want[i].ab, u)
 				}
 			}
-			t.Logf("%s: %d lane products, all below p·2²⁶⁰ and matching %s", k.name, len(got), k.table)
+			t.Logf("%s: %d lane products, all below %s·2²⁶⁰ and matching %s", k.name, len(got), k.unit, k.table)
 		})
 	}
 }
 
 // kernels names each kernel with its file, the Go file whose table holds
-// its products, and its loop-carried memory: the prefix chain at BX and
-// the scratch's AccInv, each with the invariant the kernel keeps.
+// its products, its modulus and the letter its table writes it with, and
+// its loop-carried memory: the prefix chain at BX and the scratch's
+// AccInv, each with the invariant the kernel keeps. The moduli come from
+// refimpl: lanes cannot import fr, which imports lanes.
 var kernels = []kernel{
-	{"G1Prefix", "g1_amd64.s", "g1.go", map[string]int64{"(BX)": 2}},
-	{"G1Finish", "g1_amd64.s", "g1.go", map[string]int64{"(BX)": 2, "G1Scratch_AccInv(DX)": 2}},
-	{"G2Prefix", "g2_amd64.s", "g2.go", map[string]int64{"(BX)": 2}},
-	{"G2Finish", "g2_amd64.s", "g2.go", map[string]int64{
+	{"G1Prefix", "g1_amd64.s", "g1.go", refimpl.Fp.M, "p", map[string]int64{"(BX)": 2}},
+	{"G1Finish", "g1_amd64.s", "g1.go", refimpl.Fp.M, "p", map[string]int64{"(BX)": 2, "G1Scratch_AccInv(DX)": 2}},
+	{"G2Prefix", "g2_amd64.s", "g2.go", refimpl.Fp.M, "p", map[string]int64{"(BX)": 2}},
+	{"G2Finish", "g2_amd64.s", "g2.go", refimpl.Fp.M, "p", map[string]int64{
 		"(BX)":                     2,
 		"G2Scratch_AccInv(DX)":     2,
 		"G2Scratch_AccInv+320(DX)": 2,
 		"G2Scratch_AccInv+640(DX)": 4, // A0 + A1
 	}},
+	{"FrMul", "fr_amd64.s", "fr.go", refimpl.Fr.M, "r", nil},
+	{"FrButterfly", "fr_amd64.s", "fr.go", refimpl.Fr.M, "r", nil},
 }
 
 type kernel struct {
 	name, file, table string
-	// carried maps a loop-carried element to its bound in units of p;
+	m                 *big.Int
+	unit              string
+	// carried maps a loop-carried element to its bound in units of m;
 	// "(BX)" stands for every element of the prefix chain.
 	carried map[string]int64
 }
 
 // product is one lane product: its operands' bounds a (the register
-// operand) and b (the memory one) in units of p, and ab in units of p².
+// operand) and b (the memory one) in units of m, and ab in units of m².
 type product struct {
 	loc      string
 	a, b, ab int64
@@ -97,15 +105,15 @@ type product struct {
 
 // boundTable reads the product rows of kernel name from the table in
 // the Go file path: a line "//\t<name>" opens the kernel's rows, each
-// ending in "<a>p · <b>p  <ab>p²", and the first line that is not
-// indented comment text closes them.
-func boundTable(path, name string) ([]product, error) {
+// ending in "<a>u · <b>u  <ab>u²" for the modulus' letter u, and the
+// first line that is not indented comment text closes them.
+func boundTable(path, name, u string) ([]product, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	head := regexp.MustCompile(`^//\t(G[12]\w+)$`)
-	row := regexp.MustCompile(`(\d+)p · (\d+)p\s+(\d+)p²$`)
+	head := regexp.MustCompile(`^//\t(\w+)$`)
+	row := regexp.MustCompile(`(\d+)` + u + ` · (\d+)` + u + `\s+(\d+)` + u + `²$`)
 	var out []product
 	in := false
 	for i, l := range strings.Split(string(raw), "\n") {
@@ -139,10 +147,11 @@ const (
 	word                  // a radix-2⁶⁴ word of one (GATHER4, UNPACK)
 	index                 // qword indices (INDICES)
 	fixed                 // the limb mask or zero (CONSTS)
+	perm                  // the transpose's permutations (TPERMS)
 )
 
 // val is a register's or a memory row's content: for a limb or a word,
-// the element it belongs to lies in [lo·p, hi·p), with normalized limbs
+// the element it belongs to lies in [lo·m, hi·m), with normalized limbs
 // if norm. from names the UNPACK that made a word.
 type val struct {
 	kind   kind
@@ -207,9 +216,11 @@ func (a addr) String() string {
 	return s + "(" + a.base + ")"
 }
 
-// machine interprets one kernel iteration.
+// machine interprets one kernel iteration over the modulus m, which
+// messages write as unit.
 type machine struct {
-	p        *big.Int
+	m        *big.Int
+	unit     string
 	reg      map[string]val
 	mem      map[addr]val
 	carried  map[addr]int64 // element address → invariant; off −1 is every element at base
@@ -217,8 +228,8 @@ type machine struct {
 	loc      string // the statement running
 }
 
-func interpret(k kernel, stmts []stmt, p *big.Int) ([]product, error) {
-	m := &machine{p: p, reg: map[string]val{}, mem: map[addr]val{}, carried: map[addr]int64{}}
+func interpret(k kernel, stmts []stmt) ([]product, error) {
+	m := &machine{m: k.m, unit: k.unit, reg: map[string]val{}, mem: map[addr]val{}, carried: map[addr]int64{}}
 	for s, bound := range k.carried {
 		off, base, _ := strings.Cut(strings.TrimSuffix(s, ")"), "(")
 		a := addr{base: base, off: -1}
@@ -236,7 +247,7 @@ func interpret(k kernel, stmts []stmt, p *big.Int) ([]product, error) {
 			// The loop head: an iteration may rely on the constants the
 			// prologue set and on loop-carried memory, nothing else.
 			for r, v := range m.reg {
-				if v.kind != fixed {
+				if v.kind != fixed && v.kind != perm {
 					delete(m.reg, r)
 				}
 			}
@@ -367,8 +378,8 @@ func (m *machine) store(regs []string, off, base string) error {
 		return err
 	}
 	if b, ok := m.invariant(a); ok && (v.lo < 0 || v.hi > b || !v.norm) {
-		return fmt.Errorf("stores %s, a value below %dp (normalized: %v), to loop-carried %v, whose invariant is below %dp",
-			strings.Join(regs, ","), v.hi, v.norm, a, b)
+		return fmt.Errorf("stores %s, a value below %d%s (normalized: %v), to loop-carried %v, whose invariant is below %d%s",
+			strings.Join(regs, ","), v.hi, m.unit, v.norm, a, b, m.unit)
 	}
 	for i, r := range regs {
 		row := a
@@ -381,7 +392,7 @@ func (m *machine) store(regs []string, off, base string) error {
 // below reports whether k·p ≤ 2^bits, so that every value below k·p is
 // below 2^bits.
 func (m *machine) below(k int64, bits uint) bool {
-	x := new(big.Int).Mul(big.NewInt(k), m.p)
+	x := new(big.Int).Mul(big.NewInt(k), m.m)
 	return x.Cmp(new(big.Int).Lsh(big.NewInt(1), bits)) <= 0
 }
 
@@ -392,14 +403,36 @@ func (m *machine) operand(v val, what string, bits uint) error {
 	case !v.norm:
 		return fmt.Errorf("%s is not normalized", what)
 	case v.lo < 0:
-		return fmt.Errorf("%s may be negative (down to %dp)", what, v.lo)
+		return fmt.Errorf("%s may be negative (down to %d%s)", what, v.lo, m.unit)
 	case !m.below(v.hi, bits):
-		return fmt.Errorf("%s is below %dp, which passes 2^%d", what, v.hi, bits)
+		return fmt.Errorf("%s is below %d%s, which passes 2^%d", what, v.hi, m.unit, bits)
 	}
 	return nil
 }
 
-// multiple reads a Consts offset as its multiple of p.
+// canonicalWords asserts that W0–W3, about to be stored, are the words
+// of a canonical value, below m: memory holds nothing else.
+func (m *machine) canonicalWords() error {
+	for _, r := range regW {
+		if m.reg[r].kind != word {
+			return fmt.Errorf("%s holds no unpacked word", r)
+		}
+	}
+	if v := m.reg[regW[0]]; v.lo < 0 || v.hi > 1 {
+		return fmt.Errorf("%s leaves it a value below %d%s, but a stored element must be below %s", v.from, v.hi, m.unit, m.unit)
+	}
+	return nil
+}
+
+// perms asserts that Z30 and Z31 hold TPERMS' permutations.
+func (m *machine) perms() error {
+	if m.reg["Z30"].kind != perm || m.reg["Z31"].kind != perm {
+		return fmt.Errorf("Z30 and Z31 hold no transpose permutations (TPERMS)")
+	}
+	return nil
+}
+
+// multiple reads a Consts offset as its multiple of the modulus.
 func multiple(kp string) (int64, error) {
 	switch kp {
 	case "Consts_p":
@@ -409,7 +442,7 @@ func multiple(kp string) (int64, error) {
 	case "Consts_p4":
 		return 4, nil
 	}
-	return 0, fmt.Errorf("%s is no multiple of p in Consts", kp)
+	return 0, fmt.Errorf("%s is no multiple of the modulus in Consts", kp)
 }
 
 // montmul is MONTMUL(off, base): T = REDC(A·b) for b at off(base).
@@ -428,14 +461,15 @@ func (m *machine) montmul(off, base string) error {
 	if err := m.operand(y, "b", 260); err != nil {
 		return err
 	}
-	// A·b < ab·p², so REDC needs ab·p ≤ 2²⁶⁰, and its result is below
-	// A·b/2²⁶⁰ + p < (⌈ab·p/2²⁶⁰⌉ + 1)·p.
+	// A·b < ab·m², so REDC needs ab·m ≤ 2²⁶⁰, and its result is below
+	// A·b/2²⁶⁰ + m < (⌈ab·m/2²⁶⁰⌉ + 1)·m.
 	ab := x.hi * y.hi
 	lim := new(big.Int).Lsh(big.NewInt(1), 260)
-	num := new(big.Int).Mul(big.NewInt(ab), m.p)
+	num := new(big.Int).Mul(big.NewInt(ab), m.m)
 	if num.Cmp(lim) > 0 {
-		ratio, _ := new(big.Rat).SetFrac(lim, m.p).Float64()
-		return fmt.Errorf("operands below %dp (A) and %dp (b) make a product below %dp², past p·2²⁶⁰ ≈ %.1fp²", x.hi, y.hi, ab, ratio)
+		ratio, _ := new(big.Rat).SetFrac(lim, m.m).Float64()
+		u := m.unit
+		return fmt.Errorf("operands below %d%s (A) and %d%s (b) make a product below %d%s², past %s·2²⁶⁰ ≈ %.1f%s²", x.hi, u, y.hi, u, ab, u, u, ratio, u)
 	}
 	k := num.Add(num, lim.Sub(lim, big.NewInt(1))).Rsh(num, 260).Int64()
 	m.clobber(tmps)
@@ -464,7 +498,7 @@ var rules = map[string]func(m *machine, a []string) error{
 			return err
 		}
 		if v.lo < 0 {
-			return fmt.Errorf("the value may be negative (down to %dp)", v.lo)
+			return fmt.Errorf("the value may be negative (down to %d%s)", v.lo, m.unit)
 		}
 		m.clobber([]string{"Z17"})
 		v.norm = true
@@ -509,14 +543,33 @@ var rules = map[string]func(m *machine, a []string) error{
 		if m.reg[a[2]].kind != index {
 			return fmt.Errorf("%s holds no indices", a[2])
 		}
-		for _, r := range regW {
-			if m.reg[r].kind != word {
-				return fmt.Errorf("%s holds no unpacked word", r)
-			}
+		return m.canonicalWords()
+	},
+	"TPERMS": func(m *machine, a []string) error {
+		m.set([]string{"Z30", "Z31"}, val{kind: perm})
+		return nil
+	},
+	"TLOAD4": func(m *machine, a []string) error {
+		// The caller's contiguous elements are canonical, as fr keeps
+		// them; the frame at SP holds the kernel's packed limbs instead.
+		if a[1] == "SP" {
+			return fmt.Errorf("SP holds packed limbs, not the caller's elements")
 		}
-		if v := m.reg[regW[0]]; v.lo < 0 || v.hi > 1 {
-			return fmt.Errorf("%s leaves it a value below %dp, but a point coordinate must be below p", v.from, v.hi)
+		if err := m.perms(); err != nil {
+			return err
 		}
+		m.clobber([]string{"Z29"})
+		m.set(regW, val{kind: word, hi: 1, norm: true})
+		return nil
+	},
+	"TSTORE4": func(m *machine, a []string) error {
+		if err := m.perms(); err != nil {
+			return err
+		}
+		if err := m.canonicalWords(); err != nil {
+			return err
+		}
+		m.clobber(append(regW, "Z29"))
 		return nil
 	},
 	"SHL4": func(m *machine, a []string) error {
@@ -610,7 +663,7 @@ var rules = map[string]func(m *machine, a []string) error{
 			return err
 		}
 		if v.hi > 2*k {
-			return fmt.Errorf("needs V below %dp, has V below %dp", 2*k, v.hi)
+			return fmt.Errorf("needs V below %d%s, has V below %d%[2]s", 2*k, m.unit, v.hi)
 		}
 		m.clobber(append(regD, "Z17"))
 		m.set(regV, val{kind: limb, lo: min(v.lo, 0), hi: min(v.hi, k), norm: v.norm})

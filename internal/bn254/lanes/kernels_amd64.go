@@ -28,3 +28,18 @@ func G2Prefix(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *[2]Vec
 //
 //go:noescape
 func G2Finish(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *[2]Vec, nb int, s *G2Scratch)
+
+// FrMul sets dst[i] = a[i]·b[i·bstride] over F_r for the nb·Width
+// contiguous elements at dst and a (fr_amd64.s). bstride is 1, or 0 for
+// a scalar: then b holds Width copies of it, which every block reads.
+// dst may alias a or b element for element. Requires AVX-512 IFMA.
+//
+//go:noescape
+func FrMul(c *Consts, dst, a, b *uint64, bstride, nb int)
+
+// FrButterfly runs the FFT's twiddle butterfly on the nb·Width
+// contiguous elements at a, b and tw (fr_amd64.s): t = b[i]·tw[i], then
+// (a[i], b[i]) = (a[i] + t, a[i] − t). Requires AVX-512 IFMA.
+//
+//go:noescape
+func FrButterfly(c *Consts, a, b, tw *uint64, nb int)

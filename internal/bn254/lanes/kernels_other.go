@@ -20,3 +20,11 @@ func G2Prefix(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *[2]Vec
 func G2Finish(c *Consts, buckets, pts *uint64, bidx, pidx *int32, prefix *[2]Vec, nb int, s *G2Scratch) {
 	panic("lanes: kernel without AVX-512 IFMA")
 }
+
+func FrMul(c *Consts, dst, a, b *uint64, bstride, nb int) {
+	panic("lanes: kernel without AVX-512 IFMA")
+}
+
+func FrButterfly(c *Consts, a, b, tw *uint64, nb int) {
+	panic("lanes: kernel without AVX-512 IFMA")
+}

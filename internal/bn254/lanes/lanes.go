@@ -1,24 +1,32 @@
 // Package lanes is the AVX-512 IFMA toolkit: field arithmetic eight
-// elements at a time, and the kernels built on it. Where the CPU has
-// AVX-512 IFMA (SupportIFMA), curve's batch-affine flushes hand their
-// chord additions to the G1 and G2 kernels here in blocks of Width: lane
-// j of block b is chord op 8b+j, and every F_p element of a block is one
-// Vec — five vectors of eight 52-bit limbs, one vector per limb, one lane
-// per addition. An F_p² element is two Vecs, one per coordinate A0, A1.
-// The kernels multiply with VPMADD52LUQ/HUQ in Montgomery form with
-// radix R' = 2²⁶⁰; fp's radix is R = 2²⁵⁶. The product code, gathers,
-// packing and reductions are one toolkit (lanes_amd64.h) that every
-// kernel includes, and the modulus reaches them as a Consts block.
+// elements at a time, and the kernels built on it, over two moduli.
+// Where the CPU has AVX-512 IFMA (SupportIFMA), curve's batch-affine
+// flushes hand their chord additions over F_p to the G1 and G2 kernels
+// here, and fr hands its vector products and the FFT's twiddle
+// butterflies over F_r to the F_r kernels (fr.go), in blocks of Width.
+// Lane j of a flush block b is chord op 8b+j, and every F_p element of a
+// block is one Vec — five vectors of eight 52-bit limbs, one vector per
+// limb, one lane per addition. An F_p² element is two Vecs, one per
+// coordinate A0, A1. The F_r kernels hold the same five limb vectors in
+// registers, lane j being element 8b+j of a contiguous slice. The kernels
+// multiply with VPMADD52LUQ/HUQ in Montgomery form with radix R' = 2²⁶⁰;
+// fp's and fr's radix is R = 2²⁵⁶. The product code, gathers, transposed
+// loads, packing and reductions are one toolkit (lanes_amd64.h) that
+// every kernel includes, and the modulus reaches them as a Consts block,
+// one per modulus.
 //
 // Bounds. A lane product REDC(u·v) = (u·v + m·p)/2²⁶⁰ with m < 2²⁶⁰ is
 // below u·v/2²⁶⁰ + p, so it is below 2p whenever u·v < p·2²⁶⁰ ≈ 84.6·p²,
-// and below (k+1)·p when u·v < k·p·2²⁶⁰. g1.go and g2.go tabulate every
+// and below (k+1)·p when u·v < k·p·2²⁶⁰; the same holds for r, whose
+// limit is ≈ 84.6·r² too. g1.go, g2.go and fr.go tabulate every
 // product's operand bounds, and TestKernelBounds recomputes those tables
-// from the kernel text.
+// from the kernel text, each over its own modulus.
 //
-// Domains. Inputs are fp elements x = a·R mod p. Their 16-fold, the
-// integer x·2⁴ < 2²⁵⁸ (four modular doublings, none reduced), is a·R'
-// mod p: the conversion into the R' domain is a shift. A product of an
+// Domains, here for the flushes; fr.go has the F_r kernels' own, which
+// follow the same rule. Inputs are fp elements x = a·R mod p. Their
+// 16-fold, the integer x·2⁴ < 2²⁵⁸ (four modular doublings, none
+// reduced), is a·R' mod p: the conversion into the R' domain is a
+// shift. A product of an
 // R-domain value by an R'-domain value is in the R domain again, since
 // a·R · b·R' / R' = ab·R. So the lanes never convert out: denominators
 // and their prefix chains live in the R' domain, slopes and sums in fp's
@@ -36,10 +44,11 @@
 // canonical on the way out. Tangents, infinity and cancellation, and the
 // chords past the last full block stay on the caller's scalar formulas.
 //
-// The kernels take raw-limb memory: base pointers to the first
-// coordinate of the buckets and of the points (a G1 point is 64 bytes,
-// X then Y; a G2 point 128, X.A0, X.A1, Y.A0, Y.A1), the bucket and
-// point index of every lane op, and the prefix chain.
+// The kernels take raw-limb memory: the flushes base pointers to the
+// first coordinate of the buckets and of the points (a G1 point is 64
+// bytes, X then Y; a G2 point 128, X.A0, X.A1, Y.A0, Y.A1), the bucket
+// and point index of every lane op, and the prefix chain; the F_r
+// kernels the first element of each contiguous slice.
 package lanes
 
 import (
@@ -76,6 +85,9 @@ type Consts struct {
 	// one is R' mod m, the lane domain's 1; words is m in radix 2⁶⁴.
 	one   [limbs]uint64
 	words [4]uint64
+	// perm holds the two VPERMT2Q permutations of the transposed loads
+	// and stores (TPERMS): the same for every modulus.
+	perm [2][Width]uint64
 }
 
 // NewConsts builds the constant block of the odd modulus m < 2²⁵⁴.
@@ -95,6 +107,7 @@ func NewConsts(m *big.Int) *Consts {
 		inv *= 2 - m0*inv
 	}
 	c.inv = -inv & mask
+	c.perm = [2][Width]uint64{{0, 4, 8, 12, 1, 5, 9, 13}, {2, 6, 10, 14, 3, 7, 11, 15}}
 	return c
 }
 

@@ -1,13 +1,14 @@
-// The lane toolkit every kernel includes (g1_amd64.s, g2_amd64.s):
-// eight field elements at once, one per 64-bit lane of a ZMM register,
-// multiplied with AVX-512 IFMA (VPMADD52LUQ/VPMADD52HUQ). An element is
-// five 52-bit limbs, one register per limb (a Vec in memory: 5×64
-// bytes). The domains are in lanes.go, the bounds in g1.go and g2.go,
-// and TestKernelBounds interprets the macros below by the contracts
-// their comments state. The modulus is a Consts block that R11 points
-// at: p's limbs (Consts_p, Consts_p2 = 2p, Consts_p4 = 4p) and −p⁻¹ mod
-// 2⁵² (Consts_inv), broadcast from memory. Only AVX512F and AVX512IFMA
-// instructions on ZMM registers are used.
+// The lane toolkit every kernel includes (g1_amd64.s, g2_amd64.s,
+// fr_amd64.s): eight field elements at once, one per 64-bit lane of a
+// ZMM register, multiplied with AVX-512 IFMA (VPMADD52LUQ/VPMADD52HUQ).
+// An element is five 52-bit limbs, one register per limb (a Vec in
+// memory: 5×64 bytes). The domains are in lanes.go, the bounds in g1.go,
+// g2.go and fr.go, and TestKernelBounds interprets the macros below by
+// the contracts their comments state. The modulus, p or r and written p
+// below, is a Consts block that R11 points at: its limbs (Consts_p,
+// Consts_p2 = 2p, Consts_p4 = 4p) and −p⁻¹ mod 2⁵² (Consts_inv),
+// broadcast from memory. Only AVX512F and AVX512IFMA instructions on ZMM
+// registers are used.
 //
 // Register map:
 //
@@ -19,13 +20,17 @@
 //	Z19       zero
 //	Z20–Z24   V, a second element
 //	Z25–Z29   gathered 64-bit words W0–W3, CONDSUB's difference
-//	Z30, Z31  qword indices of the block's buckets and points
+//	Z30, Z31  qword indices of the block's buckets and points, or in a
+//	          kernel over contiguous elements the transpose's
+//	          permutations (TPERMS)
 //	K1        gather/scatter and select mask
 //
 // Z15 is left alone. A kernel keeps its pointers in general registers:
 // R11 the Consts block, SI buckets, DI points, R8/R9 the block's
 // bucket/point indices, BX the prefix chain, CX the block count and DX
-// its scratch.
+// its scratch. The kernels over contiguous elements (fr_amd64.s) keep
+// their element pointers in SI, DI and BX and a packed operand in their
+// stack frame.
 
 // CONSTS sets the limb mask and the zero register.
 #define CONSTS \
@@ -121,6 +126,53 @@
 	KXNORW K1, K1, K1; VPSCATTERQQ Z26, K1, off+8(base)(idx*8);  \
 	KXNORW K1, K1, K1; VPSCATTERQQ Z27, K1, off+16(base)(idx*8); \
 	KXNORW K1, K1, K1; VPSCATTERQQ Z28, K1, off+24(base)(idx*8)
+
+// TPERMS loads the two VPERMT2Q permutations of TLOAD4 and TSTORE4
+// into Z30 and Z31: lo = (0 4 8 12 1 5 9 13), hi = (2 6 10 14 3 7 11 15).
+#define TPERMS \
+	VMOVDQU64 Consts_perm+0(R11), Z30; \
+	VMOVDQU64 Consts_perm+64(R11), Z31
+
+// TLOAD4 loads the eight contiguous 32-byte elements at off(base) into
+// W0–W3 transposed, word k of element j into lane j of Wk: four 64-byte
+// loads, each holding two elements, then a VPERMT2Q pair per two loads
+// (T0 = words 0 and 1 of elements 0–3, T1 words 2 and 3; T2 and T3 the
+// same of elements 4–7) and a VSHUFI64X2 per word joining their 256-bit
+// halves. Needs TPERMS; Z29 is scratch.
+#define TLOAD4(off, base) \
+	VMOVDQU64  off+0(base), Z25;        \
+	VMOVDQA64  Z25, Z26;                \
+	VPERMT2Q   off+64(base), Z30, Z25;  \
+	VPERMT2Q   off+64(base), Z31, Z26;  \
+	VMOVDQU64  off+128(base), Z27;      \
+	VMOVDQA64  Z27, Z28;                \
+	VPERMT2Q   off+192(base), Z30, Z27; \
+	VPERMT2Q   off+192(base), Z31, Z28; \
+	VSHUFI64X2 $0xEE, Z27, Z25, Z29;    \
+	VSHUFI64X2 $0x44, Z27, Z25, Z25;    \
+	VSHUFI64X2 $0x44, Z28, Z26, Z27;    \
+	VSHUFI64X2 $0xEE, Z28, Z26, Z28;    \
+	VMOVDQA64  Z29, Z26
+
+// TSTORE4 is TLOAD4 backwards: it stores W0–W3 to the eight contiguous
+// elements at off(base), lane j of Wk as word k of element j. The same
+// two steps invert themselves in the other order. Needs TPERMS; it
+// clobbers W0–W3 and Z29.
+#define TSTORE4(off, base) \
+	VSHUFI64X2 $0x44, Z26, Z25, Z29; \
+	VSHUFI64X2 $0xEE, Z26, Z25, Z25; \
+	VSHUFI64X2 $0x44, Z28, Z27, Z26; \
+	VSHUFI64X2 $0xEE, Z28, Z27, Z27; \
+	VMOVDQA64  Z29, Z28;             \
+	VPERMT2Q   Z26, Z30, Z29;        \
+	VPERMT2Q   Z26, Z31, Z28;        \
+	VMOVDQU64  Z29, off+0(base);     \
+	VMOVDQU64  Z28, off+64(base);    \
+	VMOVDQA64  Z25, Z29;             \
+	VPERMT2Q   Z27, Z30, Z25;        \
+	VPERMT2Q   Z27, Z31, Z29;        \
+	VMOVDQU64  Z25, off+128(base);   \
+	VMOVDQU64  Z29, off+192(base)
 
 // PACK splits W0–W3, a value below 2²⁵⁶, into five 52-bit limbs.
 // VPTERNLOGQ $0xA8 computes dst = (dst | Z17) & mask.

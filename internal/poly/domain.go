@@ -96,20 +96,17 @@ var twiddlePool VecPool
 // fftTwiddles builds the flat twiddle table for an n-point FFT (n ≥ 4,
 // power of two) with the given root of unity. The level with butterfly
 // half-width h occupies tw[h-1 : 2h-1] and holds (root^(n/2h))^j for
-// j < h. Only the top level (h = n/2, the plain powers of root) costs
-// field multiplications; every lower level is a strided gather from it,
-// since its twiddle step is a power of the top level's. The table is
-// keyed off the root argument, not the Domain — the out-of-core tile
-// FFTs run on ad-hoc domains whose only valid field is N.
+// j < h. Only the top level (h = n/2, the plain powers of root,
+// powersInto) costs field multiplications; every lower level is a
+// strided gather from it, since its twiddle step is a power of the top
+// level's. The table is keyed off the root argument, not the Domain —
+// the out-of-core tile FFTs run on ad-hoc domains whose only valid field
+// is N.
 func fftTwiddles(n int, root *fr.Element) []fr.Element {
 	tw := twiddlePool.Get(n - 1)
 	top := tw[n/2-1:]
 	par.Range(n/2, func(js, je int) {
-		w := powUint64(*root, uint64(js))
-		for j := js; j < je; j++ {
-			top[j] = w
-			w.Mul(&w, root)
-		}
+		powersInto(top[js:je], powUint64(*root, uint64(js)), *root)
 	})
 	for half := n / 4; half >= 1; half >>= 1 {
 		level := tw[half-1 : 2*half-1]
@@ -163,7 +160,20 @@ func (d *Domain) fftInner(a []fr.Element, root *fr.Element, sc obs.Scope) {
 		half := length >> 1
 		level := tw[half-1 : 2*half-1]
 		nbBlocks := n / length
-		if nbBlocks >= half {
+		if half < 8 {
+			// Blocks too short for fr's vector kernels: one loop over
+			// them, with no product for the twiddle ω⁰ = 1.
+			par.Range(nbBlocks, func(bs, be int) {
+				for b := bs; b < be; b++ {
+					lo, hi := a[b*length:b*length+half], a[b*length+half:(b+1)*length]
+					fr.Butterfly(&lo[0], &hi[0])
+					for j := 1; j < half; j++ {
+						hi[j].Mul(&hi[j], &level[j])
+						fr.Butterfly(&lo[j], &hi[j])
+					}
+				}
+			})
+		} else if nbBlocks >= half {
 			par.Range(nbBlocks, func(bs, be int) {
 				for b := bs; b < be; b++ {
 					start := b * length
@@ -209,15 +219,9 @@ func (d *Domain) FFT(a []fr.Element, sc ...obs.Scope) {
 func (d *Domain) IFFT(a []fr.Element, sc ...obs.Scope) {
 	s := obs.Opt(sc)
 	sp := s.Span()
-	d.ifftInner(a, s)
+	d.fftInner(a, &d.GenInv, s)
+	scalePowers(a, &d.NInv, nil)
 	sp.End()
-}
-
-func (d *Domain) ifftInner(a []fr.Element, sc obs.Scope) {
-	d.fftInner(a, &d.GenInv, sc)
-	par.Range(len(a), func(start, end int) {
-		fr.ScalarMulVecInto(a[start:end], a[start:end], &d.NInv)
-	})
 }
 
 // scalePowers multiplies a[i] by c·s^i in place, taking c = 1 and s = 1
@@ -231,20 +235,62 @@ func scalePowers(a []fr.Element, c, s *fr.Element) {
 	})
 }
 
+// powerChunk is how many powers powersInto forms by a chain of scalar
+// products before it switches to vector ones.
+const powerChunk = 256
+
+// powersInto sets dst[i] = first·s^i. The first powerChunk come from a
+// chain of dependent scalar products; every later chunk is those times
+// s^lo, one of fr's vector products per element.
+func powersInto(dst []fr.Element, first, s fr.Element) {
+	k := min(len(dst), powerChunk)
+	if k == 0 {
+		return
+	}
+	dst[0] = first
+	for i := 1; i < k; i++ {
+		dst[i].Mul(&dst[i-1], &s)
+	}
+	step := powUint64(s, uint64(k))
+	cur := step
+	for lo := k; lo < len(dst); lo += k {
+		hi := min(lo+k, len(dst))
+		fr.ScalarMulVecInto(dst[lo:hi], dst[:hi-lo], &cur)
+		cur.Mul(&cur, &step)
+	}
+}
+
+// powerPool recycles scalePowersFrom's powerChunk-element factors.
+var powerPool VecPool
+
 // scalePowersFrom multiplies a[i] by c·s^(start+i) in place on the
-// calling goroutine, taking c = 1 and s = 1 when nil (not both).
+// calling goroutine, taking c = 1 and s = 1 when nil (not both). The
+// factors come a chunk at a time: powersInto forms the first chunk's,
+// and each next chunk's are the last ones times s^k, so every product
+// past the first chunk's runs in fr's vector kernels.
 func scalePowersFrom(a []fr.Element, c, s *fr.Element, start uint64) {
+	if len(a) == 0 {
+		return
+	}
 	if s == nil {
 		fr.ScalarMulVecInto(a, a, c)
 		return
 	}
-	cur := powUint64(*s, start)
+	first := powUint64(*s, start)
 	if c != nil {
-		cur.Mul(&cur, c)
+		first.Mul(&first, c)
 	}
-	for i := range a {
-		a[i].Mul(&a[i], &cur)
-		cur.Mul(&cur, s)
+	buf := powerPool.Get(powerChunk)
+	defer powerPool.Put(buf)
+	f := buf[:min(len(a), powerChunk)]
+	powersInto(f, first, *s)
+	step := powUint64(*s, uint64(len(f)))
+	for lo := 0; lo < len(a); lo += len(f) {
+		if lo > 0 {
+			fr.ScalarMulVecInto(f, f, &step)
+		}
+		chunk := a[lo:min(lo+len(f), len(a))]
+		fr.MulVecInto(chunk, chunk, f[:len(chunk)])
 	}
 }
 
@@ -258,12 +304,13 @@ func (d *Domain) FFTCoset(a []fr.Element, sc ...obs.Scope) {
 }
 
 // IFFTCoset interpolates evaluations on the coset g·H back to
-// coefficients in place.
+// coefficients in place: the inverse transform, then one pass that
+// scales a[i] by N⁻¹·g⁻ⁱ.
 func (d *Domain) IFFTCoset(a []fr.Element, sc ...obs.Scope) {
 	s := obs.Opt(sc)
 	sp := s.Span()
-	d.ifftInner(a, s)
-	scalePowers(a, nil, &d.CosetShiftInv)
+	d.fftInner(a, &d.GenInv, s)
+	scalePowers(a, &d.NInv, &d.CosetShiftInv)
 	sp.End()
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/bn254/lanes"
+	"zkrownn/internal/obs"
 )
 
 func randFr(rng *rand.Rand) fr.Element {
@@ -132,6 +134,69 @@ func TestCosetFFTMatchesHorner(t *testing.T) {
 		want := evalPoly(coeffs, &x)
 		if !evals[i].Equal(&want) {
 			t.Fatalf("coset FFT disagrees with Horner at %d", i)
+		}
+	}
+}
+
+// TestIFFTCosetScalesOnce checks that IFFTCoset's one scaling pass,
+// a[i]·N⁻¹·g⁻ⁱ, returns the bits of IFFT followed by an explicit
+// a[i]·g⁻ⁱ, on random vectors at sizes 2¹…2¹².
+func TestIFFTCosetScalesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for logN := 1; logN <= 12; logN++ {
+		d, err := NewDomain(1 << logN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals := randPoly(rng, int(d.N))
+		got := append([]fr.Element(nil), evals...)
+		d.IFFTCoset(got)
+		want := append([]fr.Element(nil), evals...)
+		d.IFFT(want)
+		var gi fr.Element
+		gi.SetOne()
+		for i := range want {
+			want[i].Mul(&want[i], &gi)
+			gi.Mul(&gi, &d.CosetShiftInv)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: IFFTCoset differs from IFFT then g⁻ⁱ at %d", d.N, i)
+			}
+		}
+	}
+}
+
+// TestTransformsLanesBitIdentical runs the four transforms at sizes
+// 2¹…2¹² with the IFMA lanes on and off: their butterflies and scalings
+// must return the same bits.
+func TestTransformsLanesBitIdentical(t *testing.T) {
+	if !lanes.SupportIFMA {
+		t.Skip("no AVX-512 IFMA on this CPU: there is no lane path to compare")
+	}
+	defer func(v bool) { lanes.SupportIFMA = v }(lanes.SupportIFMA)
+	rng := rand.New(rand.NewSource(65))
+	for logN := 1; logN <= 12; logN++ {
+		d, err := NewDomain(1 << logN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := randPoly(rng, int(d.N))
+		for _, tr := range []struct {
+			name string
+			run  func([]fr.Element, ...obs.Scope)
+		}{{"FFT", d.FFT}, {"IFFT", d.IFFT}, {"FFTCoset", d.FFTCoset}, {"IFFTCoset", d.IFFTCoset}} {
+			var out [2][]fr.Element
+			for i, gate := range []bool{true, false} {
+				lanes.SupportIFMA = gate
+				out[i] = append([]fr.Element(nil), in...)
+				tr.run(out[i])
+			}
+			for i := range in {
+				if out[0][i] != out[1][i] {
+					t.Fatalf("n=%d: %s differs between the lanes and ADX at %d", d.N, tr.name, i)
+				}
+			}
 		}
 	}
 }
