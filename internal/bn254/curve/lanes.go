@@ -3,12 +3,13 @@ package curve
 import (
 	"zkrownn/internal/bn254/fp"
 	"zkrownn/internal/bn254/lanes"
+	"zkrownn/internal/bn254/mont"
 )
 
 // Backend names the arithmetic under the batch-affine flushes, the inner
 // loop of every MSM and of the setup's fixed-base multiplication in
 // both groups: "ifma" when chord additions run on the AVX-512 IFMA lanes
-// (G1's and G2's flushes alike, package lanes), otherwise fp's
+// (G1's and G2's flushes alike, package lanes), otherwise the field
 // multiplication backend, "adx" or "generic". Chosen by CPUID at
 // startup; benchmark records carry it so numbers from different CPUs can
 // be told apart.
@@ -16,7 +17,7 @@ func Backend() string {
 	if lanes.SupportIFMA {
 		return "ifma"
 	}
-	return fp.MulBackend()
+	return mont.MulBackend()
 }
 
 var (

@@ -7,7 +7,7 @@
 // two (Square) — lazy reduction: the Karatsuba products are formed as
 // full 512-bit integers, combined unreduced, and each coordinate is
 // reduced once. p's limbs and −p⁻¹ mod 2⁶⁴ come from the package's Go
-// variables ·pLimbs and ·pInvNeg, derived at init from fp.Modulus().
+// variables ·pLimbs and ·pInvNeg, set from fp's constant block.
 //
 // Why the bounds hold: p < 2²⁵⁴, so a sum of two canonical elements is
 // below 2p < 2²⁵⁵ and needs no fifth limb; every REDC input V below is

@@ -2,14 +2,18 @@
 
 package ext
 
-import "testing"
+import (
+	"testing"
 
-// TestE2PortableBranch turns the ADX gate off and runs FuzzE2Arith's
-// seeds through the portable core, which on ADX hardware no other test
-// reaches through Mul and Square.
+	"zkrownn/internal/bn254/mont"
+)
+
+// TestE2PortableBranch turns the one ADX gate off and runs FuzzE2Arith's
+// seeds through the portable cores, F_p²'s and F_p's, which on ADX
+// hardware no other test reaches through Mul and Square.
 func TestE2PortableBranch(t *testing.T) {
-	defer func(v bool) { supportAdx = v }(supportAdx)
-	supportAdx = false
+	defer func(v bool) { mont.SupportADX = v }(mont.SupportADX)
+	mont.SupportADX = false
 	for _, seed := range append(lazyReductionSeeds(), e2ArithSeeds()...) {
 		checkE2Arith(t, seed)
 	}

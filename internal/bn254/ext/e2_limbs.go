@@ -1,7 +1,6 @@
 package ext
 
 import (
-	"encoding/binary"
 	"math/bits"
 
 	"zkrownn/internal/bn254/fp"
@@ -21,19 +20,11 @@ import (
 // canonical (< p), as every fp.Element is, so x + y < 2p < 2²⁵⁶ needs no
 // fifth limb.
 
-// pLimbs holds p's little-endian limbs. It is a package-level
-// initializer, not an init(): frobenius.go's init() already multiplies
-// in F_p², and package variables are all set before any init() runs.
-var pLimbs = modulusLimbs()
-
-func modulusLimbs() (l [fp.Limbs]uint64) {
-	var buf [fp.Bytes]byte
-	fp.Modulus().FillBytes(buf[:])
-	for i := range l {
-		l[i] = binary.BigEndian.Uint64(buf[fp.Bytes-8*(i+1):])
-	}
-	return l
-}
+// pLimbs holds p's little-endian limbs, from fp's constant block. It is
+// a package-level initializer, not an init(): frobenius.go's init()
+// already multiplies in F_p², and package variables are all set before
+// any init() runs.
+var pLimbs = fp.Mont().Q()
 
 // limbAdd returns the limbs of x + y, unreduced.
 func limbAdd(x, y *fp.Element) (t0, t1, t2, t3 uint64) {

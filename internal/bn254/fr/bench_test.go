@@ -2,15 +2,19 @@ package fr
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"zkrownn/internal/bn254/lanes"
 )
 
+// benchRNG draws the benchmarks' operands.
+var benchRNG = rand.New(rand.NewSource(1))
+
 func BenchmarkMul(b *testing.B) {
-	x := MustRandom()
-	y := MustRandom()
+	x := randElement(benchRNG)
+	y := randElement(benchRNG)
 	var z Element
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -20,11 +24,21 @@ func BenchmarkMul(b *testing.B) {
 }
 
 func BenchmarkSquare(b *testing.B) {
-	x := MustRandom()
+	x := randElement(benchRNG)
 	var z Element
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Square(&x)
+	}
+	_ = z
+}
+
+func BenchmarkInverse(b *testing.B) {
+	x := randElement(benchRNG)
+	var z Element
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Inverse(&x)
 	}
 	_ = z
 }
@@ -78,7 +92,7 @@ func benchVariants(b *testing.B, n int, vs ...benchVariant) {
 func randVec(n int) []Element {
 	v := make([]Element, n)
 	for i := range v {
-		v[i] = MustRandom()
+		v[i] = randElement(benchRNG)
 	}
 	return v
 }
@@ -120,8 +134,8 @@ const randomOperandCount = 1 << 16
 func randomOperands() (x, y []Element) {
 	x, y = make([]Element, randomOperandCount), make([]Element, randomOperandCount)
 	for i := range x {
-		x[i] = MustRandom()
-		y[i] = MustRandom()
+		x[i] = randElement(benchRNG)
+		y[i] = randElement(benchRNG)
 	}
 	return x, y
 }

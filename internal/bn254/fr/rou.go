@@ -17,7 +17,7 @@ var twoAdicRoot Element
 func init() {
 	// Check the advertised two-adicity against the modulus.
 	var rm1 big.Int
-	rm1.Sub(&qModulus, big.NewInt(1))
+	rm1.Sub(field.Modulus(), big.NewInt(1))
 	for i := 0; i < TwoAdicity; i++ {
 		if rm1.Bit(i) != 0 {
 			panic("fr: modulus two-adicity below advertised value")

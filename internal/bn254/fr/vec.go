@@ -1,9 +1,8 @@
 package fr
 
 import (
-	"math/big"
-
 	"zkrownn/internal/bn254/lanes"
+	"zkrownn/internal/bn254/mont"
 )
 
 // Slice-level kernels used by the FFT levels and the Groth16 quotient
@@ -16,13 +15,8 @@ import (
 // ADX, the generic core elsewhere. Every backend returns the same
 // canonical elements, bit for bit.
 
-// laneConsts is r's constant block, the lane kernels' modulus. It parses
-// ModulusStr itself: package variables are set before the init function
-// that sets qModulus runs.
-var laneConsts = func() *lanes.Consts {
-	m, _ := new(big.Int).SetString(ModulusStr, 10)
-	return lanes.NewConsts(m)
-}()
+// laneConsts is r's constant block in the lane kernels' radix.
+var laneConsts = lanes.NewConsts(field.Modulus())
 
 // laneLen returns how many of n elements the lanes take: the whole
 // blocks, or none without IFMA.
@@ -43,10 +37,7 @@ func MulVecInto(dst, a, b []Element) {
 		lanes.FrMul(laneConsts, &dst[0][0], &a[0][0], &b[0][0], 1, nl/lanes.Width)
 		dst, a, b = dst[nl:], a[nl:], b[nl:]
 	}
-	if len(dst) == 0 {
-		return
-	}
-	mulVecBackend(dst, a, b)
+	field.MulVec(mont.Limbs(dst), mont.Limbs(a), mont.Limbs(b))
 }
 
 // ScalarMulVecInto sets dst[i] = a[i]·s for every i. dst may alias a.
@@ -116,9 +107,6 @@ func TwiddleButterflyVec(a, b, tw []Element) {
 		lanes.FrButterfly(laneConsts, &a[0][0], &b[0][0], &tw[0][0], nl/lanes.Width)
 		a, b, tw = a[nl:], b[nl:], tw[nl:]
 	}
-	if len(a) == 0 {
-		return
-	}
-	mulVecBackend(b, b, tw)
+	field.MulVec(mont.Limbs(b), mont.Limbs(b), mont.Limbs(tw))
 	ButterflyVec(a, b)
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"zkrownn/internal/bn254/lanes"
+	"zkrownn/internal/bn254/mont/monttest"
+	"zkrownn/internal/bn254/refimpl"
 )
 
 // vecBackend is one way the vector kernels can run: on the IFMA lanes
@@ -32,7 +34,7 @@ func withVecBackends(t *testing.T, f func(b vecBackend)) {
 		if b.lanes && !laneHW {
 			continue
 		}
-		restore, ok := useADX(b.adx)
+		restore, ok := monttest.UseADX(b.adx)
 		if !ok {
 			continue
 		}
@@ -54,7 +56,7 @@ func vecOperands(data []byte) (a, b, tw []Element, s Element) {
 		for i := range buf {
 			buf[i] = body[(k*Bytes+i)%len(body)]
 		}
-		return rawOperand(buf[:])
+		return suite.Raw(buf[:])
 	}
 	a, b, tw = make([]Element, n), make([]Element, n), make([]Element, n)
 	for i := range n {
@@ -73,7 +75,7 @@ func vecOperands(data []byte) (a, b, tw []Element, s Element) {
 func FuzzFrMulVecBackends(f *testing.F) {
 	one := big.NewInt(1)
 	values := []*big.Int{
-		new(big.Int), one, new(big.Int).Sub(oracle.M, one),
+		new(big.Int), one, new(big.Int).Sub(refimpl.Fr.M, one),
 		new(big.Int).Sub(new(big.Int).Lsh(one, 256), one),
 	}
 	mixed := []byte{0}
@@ -97,22 +99,22 @@ func FuzzFrMulVecBackends(f *testing.F) {
 		value := func(v []Element) []*big.Int {
 			out := make([]*big.Int, len(v))
 			for i := range v {
-				out[i] = oracleValue(&v[i])
+				out[i] = suite.Value((*limbs)(&v[i]))
 			}
 			return out
 		}
-		av, bv, twv, sv := value(a), value(b), value(tw), oracleValue(&s)
+		av, bv, twv, sv := value(a), value(b), value(tw), suite.Value((*limbs)(&s))
 		withVecBackends(t, func(be vecBackend) {
 			check := func(op string, got []Element, want func(i int) *big.Int) {
 				t.Helper()
 				for i := range got {
-					if w := want(i); !got[i].smallerThanModulus() || oracleValue(&got[i]).Cmp(w) != 0 {
-						t.Fatalf("%s: %s, n=%d: element %d is raw %x = %v, want %v", be.name, op, n, i, got[i], oracleValue(&got[i]), w)
+					if w := want(i); !suite.Holds((*limbs)(&got[i]), w) {
+						t.Fatalf("%s: %s, n=%d: element %d is raw %x = %v, want %v", be.name, op, n, i, got[i], suite.Value((*limbs)(&got[i])), w)
 					}
 				}
 			}
-			product := func(i int) *big.Int { return oracle.Mul(av[i], bv[i]) }
-			scaled := func(i int) *big.Int { return oracle.Mul(av[i], sv) }
+			product := func(i int) *big.Int { return refimpl.Fr.Mul(av[i], bv[i]) }
+			scaled := func(i int) *big.Int { return refimpl.Fr.Mul(av[i], sv) }
 
 			dst := make([]Element, n)
 			MulVecInto(dst, a, b)
@@ -130,7 +132,7 @@ func FuzzFrMulVecBackends(f *testing.F) {
 			ScalarMulVecInto(dst, dst, &s)
 			check("ScalarMulVecInto(dst=a)", dst, scaled)
 
-			diff := func(i int) *big.Int { return oracle.Mul(oracle.Sub(av[i], bv[i]), sv) }
+			diff := func(i int) *big.Int { return refimpl.Fr.Mul(refimpl.Fr.Sub(av[i], bv[i]), sv) }
 			SubScalarMulVecInto(dst, a, b, &s)
 			check("SubScalarMulVecInto", dst, diff)
 			copy(dst, a)
@@ -142,8 +144,8 @@ func FuzzFrMulVecBackends(f *testing.F) {
 
 			lo, hi := append([]Element(nil), a...), append([]Element(nil), b...)
 			TwiddleButterflyVec(lo, hi, tw)
-			check("TwiddleButterflyVec.a", lo, func(i int) *big.Int { return oracle.Add(av[i], oracle.Mul(bv[i], twv[i])) })
-			check("TwiddleButterflyVec.b", hi, func(i int) *big.Int { return oracle.Sub(av[i], oracle.Mul(bv[i], twv[i])) })
+			check("TwiddleButterflyVec.a", lo, func(i int) *big.Int { return refimpl.Fr.Add(av[i], refimpl.Fr.Mul(bv[i], twv[i])) })
+			check("TwiddleButterflyVec.b", hi, func(i int) *big.Int { return refimpl.Fr.Sub(av[i], refimpl.Fr.Mul(bv[i], twv[i])) })
 		})
 	})
 }

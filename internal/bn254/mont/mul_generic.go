@@ -1,17 +1,9 @@
-package fr
+package mont
 
-// Portable arithmetic core: modular add/sub and the Montgomery
-// multiplication. This file is byte-identical between internal/bn254/fp
-// and internal/bn254/fr after the package clause —
-// TestGenericCoreLockstep enforces the match, so a fix applied to one
-// field cannot silently miss the other. Keep it free of
-// package-specific identifiers beyond the shared names Element, q and
-// qInvNeg, and keep panics/strings out.
-//
-// mulGeneric is the reference implementation for every accelerated
-// backend: the build-tagged assembly paths must agree with it bit for
-// bit on all inputs (pinned by the FuzzF*MulBackends differential fuzz
-// targets and the property tests).
+// The portable core: modular add, sub and double and the Montgomery
+// products. mulGeneric is the reference for the assembly kernels
+// (mul_amd64.s): the two agree bit for bit on every input, which the
+// FuzzF*MulBackends targets of fp and fr pin for each modulus.
 //
 // No reduction here branches on data. Whether a random sum wraps past
 // the modulus is a coin flip a branch predictor cannot learn, so every
@@ -22,64 +14,61 @@ package fr
 
 import "math/bits"
 
-// Add sets z = x + y mod p and returns z. x+y < 2p < 2²⁵⁶ (the top limb
-// of either modulus is below 2⁶²), so the sum needs no fifth limb.
-func (z *Element) Add(x, y *Element) *Element {
+// Add sets z = x + y mod q. x+y < 2q < 2²⁵⁶ (New holds q's top limb
+// below 2⁶²), so the sum needs no fifth limb.
+func (f *Field) Add(z, x, y *[4]uint64) {
 	t0, c := bits.Add64(x[0], y[0], 0)
 	t1, c := bits.Add64(x[1], y[1], c)
 	t2, c := bits.Add64(x[2], y[2], c)
 	t3, _ := bits.Add64(x[3], y[3], c)
-	u0, b := bits.Sub64(t0, q[0], 0)
-	u1, b := bits.Sub64(t1, q[1], b)
-	u2, b := bits.Sub64(t2, q[2], b)
-	u3, b := bits.Sub64(t3, q[3], b)
-	m := -b // all ones when t < p: keep t
+	u0, b := bits.Sub64(t0, f.q[0], 0)
+	u1, b := bits.Sub64(t1, f.q[1], b)
+	u2, b := bits.Sub64(t2, f.q[2], b)
+	u3, b := bits.Sub64(t3, f.q[3], b)
+	m := -b // all ones when t < q: keep t
 	z[0] = u0 ^ (u0^t0)&m
 	z[1] = u1 ^ (u1^t1)&m
 	z[2] = u2 ^ (u2^t2)&m
 	z[3] = u3 ^ (u3^t3)&m
-	return z
 }
 
-// Double sets z = 2x mod p and returns z.
-func (z *Element) Double(x *Element) *Element {
+// Double sets z = 2x mod q.
+func (f *Field) Double(z, x *[4]uint64) {
 	t0, t1, t2, t3 := x[0]<<1, x[1]<<1|x[0]>>63, x[2]<<1|x[1]>>63, x[3]<<1|x[2]>>63
-	u0, b := bits.Sub64(t0, q[0], 0)
-	u1, b := bits.Sub64(t1, q[1], b)
-	u2, b := bits.Sub64(t2, q[2], b)
-	u3, b := bits.Sub64(t3, q[3], b)
+	u0, b := bits.Sub64(t0, f.q[0], 0)
+	u1, b := bits.Sub64(t1, f.q[1], b)
+	u2, b := bits.Sub64(t2, f.q[2], b)
+	u3, b := bits.Sub64(t3, f.q[3], b)
 	m := -b
 	z[0] = u0 ^ (u0^t0)&m
 	z[1] = u1 ^ (u1^t1)&m
 	z[2] = u2 ^ (u2^t2)&m
 	z[3] = u3 ^ (u3^t3)&m
-	return z
 }
 
-// Sub sets z = x - y mod p and returns z: p masked by the borrow is
-// added back, which is p on a wrap and 0 otherwise.
-func (z *Element) Sub(x, y *Element) *Element {
+// Sub sets z = x - y mod q: q masked by the borrow is added back, which
+// is q on a wrap and 0 otherwise.
+func (f *Field) Sub(z, x, y *[4]uint64) {
 	t0, b := bits.Sub64(x[0], y[0], 0)
 	t1, b := bits.Sub64(x[1], y[1], b)
 	t2, b := bits.Sub64(x[2], y[2], b)
 	t3, b := bits.Sub64(x[3], y[3], b)
 	m := -b
 	var c uint64
-	z[0], c = bits.Add64(t0, q[0]&m, 0)
-	z[1], c = bits.Add64(t1, q[1]&m, c)
-	z[2], c = bits.Add64(t2, q[2]&m, c)
-	z[3], _ = bits.Add64(t3, q[3]&m, c)
-	return z
+	z[0], c = bits.Add64(t0, f.q[0]&m, 0)
+	z[1], c = bits.Add64(t1, f.q[1]&m, c)
+	z[2], c = bits.Add64(t2, f.q[2]&m, c)
+	z[3], _ = bits.Add64(t3, f.q[3]&m, c)
 }
 
-// reduceOnce sets z = t mod p for t < 2p, the final correction of the
+// reduceOnce sets z = t mod q for t < 2q, the final correction of the
 // Montgomery products, selected as in Add. z is written only after t
 // is consumed, so callers may pass z's own limbs.
-func (z *Element) reduceOnce(t0, t1, t2, t3 uint64) {
-	u0, b := bits.Sub64(t0, q[0], 0)
-	u1, b := bits.Sub64(t1, q[1], b)
-	u2, b := bits.Sub64(t2, q[2], b)
-	u3, b := bits.Sub64(t3, q[3], b)
+func (f *Field) reduceOnce(z *[4]uint64, t0, t1, t2, t3 uint64) {
+	u0, b := bits.Sub64(t0, f.q[0], 0)
+	u1, b := bits.Sub64(t1, f.q[1], b)
+	u2, b := bits.Sub64(t2, f.q[2], b)
+	u3, b := bits.Sub64(t3, f.q[3], b)
 	m := -b
 	z[0] = u0 ^ (u0^t0)&m
 	z[1] = u1 ^ (u1^t1)&m
@@ -123,72 +112,71 @@ func madd3(a, b, c, d, e uint64) (uint64, uint64) {
 	return hi, lo
 }
 
-// mulGeneric sets z = x·y mod p (Montgomery product) with the CIOS
-// algorithm; the "no-carry" shortcut applies because the top limb of
-// the modulus is below 2⁶². Safe for z aliasing x and/or y: the final
-// round writes each z limb only after its last read of x and y.
-func mulGeneric(z, x, y *Element) {
+// mulGeneric sets z = x·y/R mod q (Montgomery product) with the CIOS
+// algorithm; the "no-carry" shortcut applies because the top limb of q
+// is below 2⁶². Safe for z aliasing x and/or y: the final round writes
+// each z limb only after its last read of x and y.
+func (f *Field) mulGeneric(z, x, y *[4]uint64) {
 	var t [4]uint64
 	var c [3]uint64
 	{
 		v := x[0]
 		c[1], c[0] = bits.Mul64(v, y[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd1(v, y[1], c[1])
-		c[2], t[0] = madd2(m, q[1], c[2], c[0])
+		c[2], t[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd1(v, y[2], c[1])
-		c[2], t[1] = madd2(m, q[2], c[2], c[0])
+		c[2], t[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd1(v, y[3], c[1])
-		t[3], t[2] = madd3(m, q[3], c[0], c[2], c[1])
+		t[3], t[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
 	{
 		v := x[1]
 		c[1], c[0] = madd1(v, y[0], t[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd2(v, y[1], c[1], t[1])
-		c[2], t[0] = madd2(m, q[1], c[2], c[0])
+		c[2], t[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd2(v, y[2], c[1], t[2])
-		c[2], t[1] = madd2(m, q[2], c[2], c[0])
+		c[2], t[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd2(v, y[3], c[1], t[3])
-		t[3], t[2] = madd3(m, q[3], c[0], c[2], c[1])
+		t[3], t[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
 	{
 		v := x[2]
 		c[1], c[0] = madd1(v, y[0], t[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd2(v, y[1], c[1], t[1])
-		c[2], t[0] = madd2(m, q[1], c[2], c[0])
+		c[2], t[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd2(v, y[2], c[1], t[2])
-		c[2], t[1] = madd2(m, q[2], c[2], c[0])
+		c[2], t[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd2(v, y[3], c[1], t[3])
-		t[3], t[2] = madd3(m, q[3], c[0], c[2], c[1])
+		t[3], t[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
 	{
 		v := x[3]
 		c[1], c[0] = madd1(v, y[0], t[0])
-		m := c[0] * qInvNeg
-		c[2] = madd0(m, q[0], c[0])
+		m := c[0] * f.qInvNeg
+		c[2] = madd0(m, f.q[0], c[0])
 		c[1], c[0] = madd2(v, y[1], c[1], t[1])
-		c[2], z[0] = madd2(m, q[1], c[2], c[0])
+		c[2], z[0] = madd2(m, f.q[1], c[2], c[0])
 		c[1], c[0] = madd2(v, y[2], c[1], t[2])
-		c[2], z[1] = madd2(m, q[2], c[2], c[0])
+		c[2], z[1] = madd2(m, f.q[2], c[2], c[0])
 		c[1], c[0] = madd2(v, y[3], c[1], t[3])
-		z[3], z[2] = madd3(m, q[3], c[0], c[2], c[1])
+		z[3], z[2] = madd3(m, f.q[3], c[0], c[2], c[1])
 	}
-	z.reduceOnce(z[0], z[1], z[2], z[3])
+	f.reduceOnce(z, z[0], z[1], z[2], z[3])
 }
 
-// squareGeneric sets z = x² mod p with a dedicated no-carry squaring:
+// squareGeneric sets z = x²/R mod q with a dedicated no-carry squaring:
 // the 512-bit square needs only the 10 distinct limb products (the 6
 // cross products are doubled by shifts) instead of the 16 a general
 // product scans, and is then folded by four standard REDC rounds.
-// Inputs must be reduced (< p), which every exported constructor
-// guarantees; the overflow analysis in the comments uses q[3] < 2⁶²,
-// true for both BN254 fields.
-func squareGeneric(z, x *Element) {
+// Inputs must be reduced (< q); the overflow analysis in the comments
+// uses f.q[3] < 2⁶², which New checks.
+func (f *Field) squareGeneric(z, x *[4]uint64) {
 	var t [8]uint64
 	var hi, lo, carry uint64
 
@@ -240,54 +228,54 @@ func squareGeneric(z, x *Element) {
 
 	// Four REDC rounds fold t down to four limbs. The exact value
 	// x² + Σᵢ mᵢ·q·2^(64i) stays below 2⁵¹² (x² < 2⁵⁰⁸, Σ mᵢ·2^(64i)·q
-	// < 2²⁵⁶·p < 2⁵¹⁰), so the ripple past each round's m·q high word
+	// < 2²⁵⁶·q < 2⁵¹⁰), so the ripple past each round's m·q high word
 	// never carries out of t[7].
 	var c uint64
-	m := t[0] * qInvNeg
-	c = madd0(m, q[0], t[0])
-	c, t[1] = madd2(m, q[1], t[1], c)
-	c, t[2] = madd2(m, q[2], t[2], c)
-	c, t[3] = madd2(m, q[3], t[3], c)
+	m := t[0] * f.qInvNeg
+	c = madd0(m, f.q[0], t[0])
+	c, t[1] = madd2(m, f.q[1], t[1], c)
+	c, t[2] = madd2(m, f.q[2], t[2], c)
+	c, t[3] = madd2(m, f.q[3], t[3], c)
 	t[4], carry = bits.Add64(t[4], c, 0)
 	t[5], carry = bits.Add64(t[5], 0, carry)
 	t[6], carry = bits.Add64(t[6], 0, carry)
 	t[7], _ = bits.Add64(t[7], 0, carry)
 
-	m = t[1] * qInvNeg
-	c = madd0(m, q[0], t[1])
-	c, t[2] = madd2(m, q[1], t[2], c)
-	c, t[3] = madd2(m, q[2], t[3], c)
-	c, t[4] = madd2(m, q[3], t[4], c)
+	m = t[1] * f.qInvNeg
+	c = madd0(m, f.q[0], t[1])
+	c, t[2] = madd2(m, f.q[1], t[2], c)
+	c, t[3] = madd2(m, f.q[2], t[3], c)
+	c, t[4] = madd2(m, f.q[3], t[4], c)
 	t[5], carry = bits.Add64(t[5], c, 0)
 	t[6], carry = bits.Add64(t[6], 0, carry)
 	t[7], _ = bits.Add64(t[7], 0, carry)
 
-	m = t[2] * qInvNeg
-	c = madd0(m, q[0], t[2])
-	c, t[3] = madd2(m, q[1], t[3], c)
-	c, t[4] = madd2(m, q[2], t[4], c)
-	c, t[5] = madd2(m, q[3], t[5], c)
+	m = t[2] * f.qInvNeg
+	c = madd0(m, f.q[0], t[2])
+	c, t[3] = madd2(m, f.q[1], t[3], c)
+	c, t[4] = madd2(m, f.q[2], t[4], c)
+	c, t[5] = madd2(m, f.q[3], t[5], c)
 	t[6], carry = bits.Add64(t[6], c, 0)
 	t[7], _ = bits.Add64(t[7], 0, carry)
 
-	m = t[3] * qInvNeg
-	c = madd0(m, q[0], t[3])
-	c, t[4] = madd2(m, q[1], t[4], c)
-	c, t[5] = madd2(m, q[2], t[5], c)
-	c, t[6] = madd2(m, q[3], t[6], c)
+	m = t[3] * f.qInvNeg
+	c = madd0(m, f.q[0], t[3])
+	c, t[4] = madd2(m, f.q[1], t[4], c)
+	c, t[5] = madd2(m, f.q[2], t[5], c)
+	c, t[6] = madd2(m, f.q[3], t[6], c)
 	t[7], _ = bits.Add64(t[7], c, 0)
 
-	// The reduced value is below (p² + 2²⁵⁶·p)/2²⁵⁶ < 2p, so one
+	// The reduced value is below (q² + 2²⁵⁶·q)/2²⁵⁶ < 2q, so one
 	// conditional subtraction restores canonical form.
-	z.reduceOnce(t[4], t[5], t[6], t[7])
+	f.reduceOnce(z, t[4], t[5], t[6], t[7])
 }
 
 // mulVecGeneric is the portable element-wise product kernel behind
-// MulVecInto. Lengths are validated by the caller.
-func mulVecGeneric(dst, a, b []Element) {
+// MulVec.
+func (f *Field) mulVecGeneric(dst, a, b [][4]uint64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	for i := range dst {
-		mulGeneric(&dst[i], &a[i], &b[i])
+		f.mulGeneric(&dst[i], &a[i], &b[i])
 	}
 }

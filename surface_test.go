@@ -654,3 +654,92 @@ func TestOneLaneToolkit(t *testing.T) {
 		t.Errorf("found %d IFMA assembly files and %d Go files under %s: the guard is looking in the wrong place", kernels, laneFiles, lanes)
 	}
 }
+
+// TestOneFieldCore keeps the 4-limb Montgomery arithmetic of both BN254
+// fields in one package, internal/bn254/mont, where one suite checks it
+// per modulus: outside it, no non-test Go file declares a mulGeneric or
+// squareGeneric over field elements and no assembly holds a MULXQ
+// kernel. The one exception is the F_p² core in ext: e2_amd64.s and its
+// portable twin, whose mulGeneric and squareGeneric take *E2 operands.
+// fp and fr hold no assembly, and the core imports only internal/cpu and
+// the standard library, so every field package can import it.
+func TestOneFieldCore(t *testing.T) {
+	const core = "internal/bn254/mont/"
+	const e2Kernel = "internal/bn254/ext/e2_amd64.s"
+	generic := map[string]bool{"mulGeneric": true, "squareGeneric": true}
+	coreDecls, coreKernels := map[string]bool{}, 0
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, build scratch
+			}
+			return nil
+		}
+		slash := filepath.ToSlash(path)
+		inCore := strings.HasPrefix(slash, core)
+		switch filepath.Ext(path) {
+		case ".s":
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if strings.HasPrefix(slash, "internal/bn254/fp/") || strings.HasPrefix(slash, "internal/bn254/fr/") {
+				t.Errorf("%s: fp and fr keep no assembly; the field kernels live in %s", slash, core)
+			}
+			if strings.Contains(string(src), "MULXQ") {
+				switch {
+				case inCore:
+					coreKernels++
+				case slash != e2Kernel:
+					t.Errorf("%s holds a MULXQ kernel: the Montgomery kernels live in %s", slash, core)
+				}
+			}
+		case ".go":
+			if strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			if filepath.ToSlash(filepath.Dir(path))+"/" == core {
+				for _, imp := range file.Imports {
+					target := strings.Trim(imp.Path.Value, `"`)
+					first, _, _ := strings.Cut(target, "/")
+					if target != "zkrownn/internal/cpu" && (strings.Contains(first, ".") || first == "zkrownn") {
+						t.Errorf("%s imports %s: the field core imports only internal/cpu and the standard library", slash, target)
+					}
+				}
+			}
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || !generic[fn.Name.Name] {
+					continue
+				}
+				if inCore {
+					coreDecls[fn.Name.Name] = true
+					continue
+				}
+				if params := fn.Type.Params.List; slash == "internal/bn254/ext/e2.go" && len(params) > 0 {
+					if star, ok := params[0].Type.(*ast.StarExpr); ok {
+						if id, ok := star.X.(*ast.Ident); ok && id.Name == "E2" {
+							continue
+						}
+					}
+				}
+				t.Errorf("%s declares %s: the Montgomery core lives in %s", slash, fn.Name.Name, core)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(coreDecls) != len(generic) || coreKernels == 0 {
+		t.Errorf("found %v and %d MULXQ kernels under %s: the guard is looking in the wrong place", coreDecls, coreKernels, core)
+	}
+}
