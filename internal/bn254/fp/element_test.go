@@ -38,6 +38,39 @@ func FuzzFpArith(f *testing.F)                    { monttest.FuzzArith(f, suite)
 // randElement returns a pseudo-random element for deterministic tests.
 func randElement(rng *rand.Rand) Element { return suite.Random(rng) }
 
+// TestBatchInvertInto checks fp's own BatchInvertInto and BatchInvert,
+// the Element-typed entry points over the core's limb-typed one: zero
+// entries map to zero and a garbage-filled result buffer is overwritten.
+func TestBatchInvertInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	in := make([]Element, 50)
+	for i := range in {
+		if i%9 != 4 { // every ninth entry stays zero
+			in[i] = randElement(rng)
+		}
+	}
+	out := make([]Element, len(in))
+	for i := range out {
+		out[i] = randElement(rng)
+	}
+	BatchInvertInto(in, out)
+	for i, inv := range BatchInvert(in) {
+		if inv != out[i] {
+			t.Fatalf("BatchInvert and BatchInvertInto differ at %d", i)
+		}
+		if in[i].IsZero() {
+			if !out[i].IsZero() {
+				t.Fatal("inverse of zero not zero")
+			}
+			continue
+		}
+		var prod Element
+		if !prod.Mul(&in[i], &out[i]).IsOne() {
+			t.Fatalf("batch inverse wrong at %d", i)
+		}
+	}
+}
+
 func TestSqrt(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	found := 0
