@@ -44,3 +44,25 @@ func TestMultiExpICAllocs(t *testing.T) {
 		}()
 	}
 }
+
+// TestScalarMulAllocs keeps the one generic wNAF ScalarMul at or under
+// the 10 allocations a call its two per-group copies made. A local whose
+// address reaches a Jacobian method in the generic body moves to the
+// heap, so a stray one shows here.
+func TestScalarMulAllocs(t *testing.T) {
+	k := randFr(rand.New(rand.NewSource(7)))
+	g1, g2 := G1Generator(), G2Generator()
+	var p1 G1Jac
+	var p2 G2Jac
+	for _, c := range []struct {
+		group string
+		mul   func()
+	}{
+		{"G1", func() { p1.ScalarMul(&g1, &k) }},
+		{"G2", func() { p2.ScalarMul(&g2, &k) }},
+	} {
+		if n := testing.AllocsPerRun(20, c.mul); n > 10 {
+			t.Errorf("%s: %v allocations a ScalarMul, want at most 10", c.group, n)
+		}
+	}
+}

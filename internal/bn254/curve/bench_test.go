@@ -357,13 +357,13 @@ func BenchmarkFixedBaseMul(b *testing.B) {
 	run("TableBuild/G2", len(t2.entries), func() { NewG2FixedBaseTable(&g2) })
 }
 
-func BenchmarkG1ScalarMulWNAF(b *testing.B) {
+func BenchmarkG2ScalarMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	p := G1Generator()
+	p := G2Generator()
 	k := randFr(rng)
-	var out G1Jac
+	var out G2Jac
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out.ScalarMulWNAF(&p, &k)
+		out.ScalarMul(&p, &k)
 	}
 }

@@ -361,54 +361,54 @@ func TestBatchJacToAffine(t *testing.T) {
 }
 
 func TestScalarMulWNAFMatchesBinary(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	g := G1Generator()
-	for i := 0; i < 30; i++ {
-		k := randFr(rng)
-		var want, got G1Jac
-		want.scalarMulBinary(&g, &k)
-		got.ScalarMulWNAF(&g, &k)
-		if !want.Equal(&got) {
-			t.Fatalf("wNAF G1 mismatch at %d", i)
-		}
-	}
-	// Edge cases: zero scalar, small scalars, infinity base.
-	var zero fr.Element
-	var p G1Jac
-	p.ScalarMulWNAF(&g, &zero)
-	if !p.IsInfinity() {
-		t.Fatal("0·G != infinity")
+	checkScalarMul[G1Affine](t, rand.New(rand.NewSource(43)), G1Generator(), 30,
+		(*G1Jac).scalarMulBinary, (*G1Jac).Equal)
+}
+
+func TestScalarMulWNAFG2MatchesBinary(t *testing.T) {
+	checkScalarMul[G2Affine](t, rand.New(rand.NewSource(44)), G2Generator(), 10,
+		(*G2Jac).scalarMulBinary, (*G2Jac).Equal)
+}
+
+// checkScalarMul holds the wNAF ScalarMul to the binary ladder on random
+// and small scalars, into a fresh point and into the base itself (prove
+// and BatchVerify call it with dst aliasing the base), and checks the
+// zero scalar and the infinity base.
+func checkScalarMul[A, J any, P Jacobian[A, J]](t *testing.T, rng *rand.Rand, g J, rounds int,
+	binary func(p, q *J, k *fr.Element) *J, equal func(p, q *J) bool) {
+	t.Helper()
+	ks := make([]fr.Element, rounds)
+	for i := range ks {
+		ks[i] = randFr(rng)
 	}
 	for _, small := range []uint64{1, 2, 3, 15, 16, 17} {
 		var k fr.Element
 		k.SetUint64(small)
-		var want, got G1Jac
-		want.scalarMulBinary(&g, &k)
-		got.ScalarMulWNAF(&g, &k)
-		if !want.Equal(&got) {
-			t.Fatalf("wNAF G1 mismatch for scalar %d", small)
+		ks = append(ks, k)
+	}
+	for i := range ks {
+		var want, got J
+		binary(&want, &g, &ks[i])
+		P(&got).ScalarMul(&g, &ks[i])
+		if !equal(&want, &got) {
+			t.Fatalf("wNAF mismatch at scalar %d (%s)", i, ks[i].String())
+		}
+		aliased := g
+		P(&aliased).ScalarMul(&aliased, &ks[i])
+		if !equal(&want, &aliased) {
+			t.Fatalf("wNAF with dst aliasing the base mismatch at scalar %d (%s)", i, ks[i].String())
 		}
 	}
-	var inf G1Jac
-	inf.SetInfinity()
+	var zero fr.Element
+	var p J
+	if P(&p).ScalarMul(&g, &zero); !P(&p).IsInfinity() {
+		t.Fatal("0·G != infinity")
+	}
+	var inf J
+	P(&inf).SetInfinity()
 	k := randFr(rng)
-	p.ScalarMulWNAF(&inf, &k)
-	if !p.IsInfinity() {
+	if P(&p).ScalarMul(&inf, &k); !P(&p).IsInfinity() {
 		t.Fatal("k·infinity != infinity")
-	}
-}
-
-func TestScalarMulWNAFG2MatchesBinary(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	g := G2Generator()
-	for i := 0; i < 10; i++ {
-		k := randFr(rng)
-		var want, got G2Jac
-		want.scalarMulBinary(&g, &k)
-		got.ScalarMulWNAF(&g, &k)
-		if !want.Equal(&got) {
-			t.Fatalf("wNAF G2 mismatch at %d", i)
-		}
 	}
 }
 

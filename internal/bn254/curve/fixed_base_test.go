@@ -18,11 +18,11 @@ import (
 // bits b of the 254-bit number k is stored as, by Jacobian mixed
 // additions. It shares the doubling chain between scalars and nothing
 // with the recoder or the batch-affine flush.
-func bitSerialMul[A, J any](cv fixedBaseCurve[A, J], base J, ks []fr.Element) []A {
+func bitSerialMul[A, J any, P Jacobian[A, J]](cv fixedBaseCurve[A, J], base J, ks []fr.Element) []A {
 	pows := make([]J, fr.Bits)
 	for b := range pows {
 		pows[b] = base
-		cv.double(&base)
+		P(&base).DoubleAssign()
 	}
 	powsAff := cv.batchToAffine(pows)
 	bit := scalarBits(ks)
@@ -102,9 +102,9 @@ func fixedBaseScalars(rng *rand.Rand, n int) []fr.Element {
 // and checks the results against the oracle at every block layout, the
 // results' independence of the worker count, the zero-clustered layout,
 // and the work gate.
-func checkFixedBase[A comparable, J any](t *testing.T, cv fixedBaseCurve[A, J], base J) {
+func checkFixedBase[A comparable, J any, P Jacobian[A, J]](t *testing.T, cv fixedBaseCurve[A, J], base J) {
 	var adds atomic.Int64
-	table := newFixedBaseTable[A, J](countingCurve[A, J]{cv, &adds}, base)
+	table := newFixedBaseTable[A, J, P](countingCurve[A, J]{cv, &adds}, base)
 	if len(table.entries) > 25*1024 {
 		t.Errorf("table holds %d entries, want ≤ 25·1024", len(table.entries))
 	}
@@ -119,7 +119,7 @@ func checkFixedBase[A comparable, J any](t *testing.T, cv fixedBaseCurve[A, J], 
 	}
 	for _, n := range sizes {
 		ks := fixedBaseScalars(rng, n)
-		want := bitSerialMul(cv, base, ks)
+		want := bitSerialMul[A, J, P](cv, base, ks)
 		nonzero := 0
 		for i := range ks {
 			if !ks[i].IsZero() {

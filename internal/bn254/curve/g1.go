@@ -369,28 +369,13 @@ func (p *G1Jac) SubAssign(q *G1Jac) *G1Jac {
 // ScalarMulBig sets p = k·q for a big.Int scalar (double-and-add, MSB
 // first) and returns p. Negative scalars negate the point.
 func (p *G1Jac) ScalarMulBig(q *G1Jac, k *big.Int) *G1Jac {
-	var kk big.Int
-	kk.Set(k)
-	base := *q
-	if kk.Sign() < 0 {
-		kk.Neg(&kk)
-		base.Neg(&base)
-	}
-	var res G1Jac
-	res.SetInfinity()
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		res.DoubleAssign()
-		if kk.Bit(i) == 1 {
-			res.AddAssign(&base)
-		}
-	}
-	return p.Set(&res)
+	return scalarMulBig[G1Affine](p, q, k)
 }
 
 // ScalarMul sets p = k·q for a scalar-field element k and returns p
-// (width-4 NAF; see wnaf.go).
+// (width-4 NAF; see group.go).
 func (p *G1Jac) ScalarMul(q *G1Jac, k *fr.Element) *G1Jac {
-	return p.ScalarMulWNAF(q, k)
+	return scalarMul[G1Affine](p, q, k)
 }
 
 // BatchJacToAffineG1 converts a slice of Jacobian points to affine with a

@@ -83,9 +83,6 @@ func G2GeneratorAffine() G2Affine { return g2GenAff }
 // TwistB returns the twist curve constant b' = 3/ξ.
 func TwistB() ext.E2 { return twistB }
 
-// G2Cofactor returns h₂ = 2p - r.
-func G2Cofactor() *big.Int { return new(big.Int).Set(&g2Cofactor) }
-
 // IsInfinity reports whether p is the point at infinity.
 func (p *G2Affine) IsInfinity() bool { return p.X.IsZero() && p.Y.IsZero() }
 
@@ -419,30 +416,16 @@ func (p *G2Jac) AddMixed(q *G2Affine) *G2Jac {
 	return p
 }
 
-// ScalarMulBig sets p = k·q for a big.Int scalar and returns p.
+// ScalarMulBig sets p = k·q for a big.Int scalar (double-and-add, MSB
+// first) and returns p. Negative scalars negate the point.
 func (p *G2Jac) ScalarMulBig(q *G2Jac, k *big.Int) *G2Jac {
-	var kk big.Int
-	kk.Set(k)
-	base := *q
-	if kk.Sign() < 0 {
-		kk.Neg(&kk)
-		base.Neg(&base)
-	}
-	var res G2Jac
-	res.SetInfinity()
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		res.DoubleAssign()
-		if kk.Bit(i) == 1 {
-			res.AddAssign(&base)
-		}
-	}
-	return p.Set(&res)
+	return scalarMulBig[G2Affine](p, q, k)
 }
 
 // ScalarMul sets p = k·q for a scalar-field element k and returns p
-// (width-4 NAF; see wnaf.go).
+// (width-4 NAF; see group.go).
 func (p *G2Jac) ScalarMul(q *G2Jac, k *fr.Element) *G2Jac {
-	return p.ScalarMulWNAF(q, k)
+	return scalarMul[G2Affine](p, q, k)
 }
 
 // BatchJacToAffineG2 converts a slice of Jacobian twist points to affine

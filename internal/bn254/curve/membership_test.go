@@ -65,8 +65,8 @@ func TestG2MembershipCertificate(t *testing.T) {
 	if sub(add(mul(p, p), one), twistTrace).Cmp(n) != 0 {
 		t.Fatal("r·(2p - r) is not the sextic-twist order p² + 1 - (t₂ + 3f₂)/2")
 	}
-	if h.Cmp(G2Cofactor()) != 0 {
-		t.Fatal("G2Cofactor() is not 2p - r")
+	if h.Cmp(&g2Cofactor) != 0 {
+		t.Fatal("g2Cofactor is not 2p - r")
 	}
 	if new(big.Int).Mod(h, r).Sign() == 0 {
 		t.Fatal("r divides the cofactor: the r-torsion of E'(F_p²) would not be G2 alone")
@@ -127,7 +127,7 @@ func randTwistPoint(rng *rand.Rand) G2Affine {
 // trial division.
 func smallCofactorPrimes() []uint64 {
 	var hb [32]byte
-	G2Cofactor().FillBytes(hb[:])
+	g2Cofactor.FillBytes(hb[:])
 	var primes []uint64
 	for d := uint64(2); d < 1<<23; d++ {
 		var rem uint64
@@ -191,7 +191,7 @@ func TestG2MembershipMatchesReference(t *testing.T) {
 	if len(primes) != 2 || primes[0] != 10069 || primes[1] != 5864401 {
 		t.Fatalf("prime factors of 2p - r below 2²³: %v, want [10069 5864401]", primes)
 	}
-	order := new(big.Int).Mul(GroupOrder(), G2Cofactor())
+	order := new(big.Int).Mul(GroupOrder(), &g2Cofactor)
 	for _, l := range primes {
 		ell := new(big.Int).SetUint64(l)
 		var pt G2Jac

@@ -39,9 +39,10 @@ import (
 //     the Groth16 prover's A/B1/B2 queries — recodes the scalars once.
 //
 // One generic core (msmRun / msmAccumulate) drives both groups, over
-// resident points and streamed ones alike; G1 and G2 plug in only their
-// leaf arithmetic (g1BatchAdder / g2BatchAdder and the Jacobian fold ops
-// below).
+// resident points and streamed ones alike; G1 and G2 plug in only what
+// touches coordinates (g1Msm / g2Msm below: the batch adders, affine
+// negation and normalization, the pools), and the Jacobian bucket sums
+// run over the Jacobian constraint.
 //
 // Below msmSmallThreshold points (48) none of that pays: Pippenger's
 // per-window bucket reduction and fold cost the same for 2 points as for
@@ -403,24 +404,16 @@ func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], 
 	return side
 }
 
-// msmCurve is the group-level interface of the shared Pippenger driver.
+// msmCurve is what the shared Pippenger core needs of a group beyond
+// the Jacobian methods: the parts that touch coordinates, and the pools.
 type msmCurve[A, J any] interface {
 	// accumulator returns a closure over a fresh batch adder (whose
 	// scratch persists across flushes and calls) running msmAccumulate
 	// for this group.
 	accumulator(batchSize int) func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J
-	// jacAccumulate folds digits into Jacobian buckets with mixed adds —
-	// the small-MSM path, where batch-affine flushes can't amortize
-	// their inversion.
-	jacAccumulate(buckets []J, points []A, digits []int16)
+	// infinity returns the point at infinity by value: a generic body's
+	// local set through a Jacobian method would move to the heap.
 	infinity() J
-	// reduce sets sum = Σ_b (b+1)·buckets[b] with the usual running-sum
-	// scan (affine buckets, so the inner add is mixed).
-	reduce(buckets []A, sum *J)
-	// jacReduce is reduce over Jacobian buckets.
-	jacReduce(buckets []J, sum *J)
-	add(dst, src *J)
-	double(dst *J)
 	// scratchPools recycles cell scratch (*msmScratch[A, J], one set of
 	// pools per curve): a prover runs five MSMs per proof, and allocating
 	// their bucket arrays afresh every time is the prover's dominant GC
@@ -428,10 +421,6 @@ type msmCurve[A, J any] interface {
 	scratchPools() *scratchPools
 	// chunkPool recycles the streamed MSM's point buffers (*[]A).
 	chunkPool() *sync.Pool
-	// The small pass (multiExpSmall) builds per-point tables of multiples
-	// and walks the digits with mixed additions.
-	fromAffine(p *A) J
-	addMixed(dst *J, p *A)
 	neg(dst, src *A)
 	batchToAffine(points []J) []A
 }
@@ -453,6 +442,10 @@ type msmScratch[A, J any] struct {
 	pts       []A
 	overflow  []batchOp[A]
 	digitRows [][]int16
+	// running, sum and spill hold the reduction's sums (bucketSum): fields,
+	// not locals, so that the Jacobian method calls taking their addresses
+	// move nothing to the heap.
+	running, sum, spill J
 	// acc runs msmAccumulate on a batch adder sized for this scratch's
 	// shape, whose own scratch comes back with it from the pool.
 	acc func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J
@@ -593,7 +586,7 @@ func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
 // A feed's point chunks are the plan's numChunks equal runs of the points
 // it brings (chunkRange), so every feed keeps all cells busy; chunk ch of
 // one feed and chunk ch of the next share the same buckets.
-type msmRun[A, J any, CV msmCurve[A, J]] struct {
+type msmRun[A, J any, P Jacobian[A, J], CV msmCurve[A, J]] struct {
 	cv         CV
 	c          int
 	numBuckets int
@@ -633,9 +626,9 @@ func (t *msmTask) shape(numBuckets int) int {
 // per cell and feed on a pool of worker lanes — the per-window MSM
 // attribution of the telemetry subsystem; the off path adds only a nil
 // check per cell.
-func newMSMRun[A, J any, CV msmCurve[A, J]](cv CV, n, c, used int, sc obs.Scope) *msmRun[A, J, CV] {
+func newMSMRun[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, n, c, used int, sc obs.Scope) *msmRun[A, J, P, CV] {
 	tasks, numChunks := planMSM(n, c, used, par.Workers())
-	r := &msmRun[A, J, CV]{cv: cv, c: c, numBuckets: 1 << (c - 1), numChunks: numChunks, used: used,
+	r := &msmRun[A, J, P, CV]{cv: cv, c: c, numBuckets: 1 << (c - 1), numChunks: numChunks, used: used,
 		affine: n >= msmAffineThreshold && msmBatch(1<<(c-1)) >= msmMinBatch,
 		cells:  make([]msmCell[A, J], len(tasks), len(tasks)+numChunks)}
 	for i, t := range tasks {
@@ -653,7 +646,7 @@ func newMSMRun[A, J any, CV msmCurve[A, J]](cv CV, n, c, used int, sc obs.Scope)
 // cell per point chunk for each new window: batch-affine where the
 // planner would have made it so (a wide window in a run whose feeds can
 // amortize a flush), Jacobian for the sparse top window.
-func (r *msmRun[A, J, CV]) cover(used int) {
+func (r *msmRun[A, J, P, CV]) cover(used int) {
 	for w := r.used; w < used; w++ {
 		affine := r.affine && w < fr.Bits/r.c
 		for ch := 0; ch < r.numChunks; ch++ {
@@ -667,7 +660,7 @@ func (r *msmRun[A, J, CV]) cover(used int) {
 // len(points) columns) into the cells' buckets. final marks the last
 // feed, which reduces every cell as soon as it has accumulated — in the
 // same task, so that a cell's reduction overlaps the other cells' work.
-func (r *msmRun[A, J, CV]) feed(points []A, dec *ScalarDecomposition, final bool) {
+func (r *msmRun[A, J, P, CV]) feed(points []A, dec *ScalarDecomposition, final bool) {
 	r.cover(dec.used)
 	if final {
 		r.partials = make([]J, r.numChunks*r.used) // zero value is Jacobian infinity
@@ -701,7 +694,7 @@ func (r *msmRun[A, J, CV]) feed(points []A, dec *ScalarDecomposition, final bool
 
 // accumulate adds one feed's points [p0, p0+len(points)) of the cell's
 // chunk into its buckets, taking the cell's scratch first if it has none.
-func (r *msmRun[A, J, CV]) accumulate(cell *msmCell[A, J], points []A, dec *ScalarDecomposition, p0 int) {
+func (r *msmRun[A, J, P, CV]) accumulate(cell *msmCell[A, J], points []A, dec *ScalarDecomposition, p0 int) {
 	nb := r.numBuckets
 	s := cell.sc
 	if s == nil {
@@ -732,7 +725,7 @@ func (r *msmRun[A, J, CV]) accumulate(cell *msmCell[A, J], points []A, dec *Scal
 		}
 	}
 	if !cell.affine {
-		r.cv.jacAccumulate(s.bucketsJ, points, dec.row(cell.w0)[p0:p0+len(points)])
+		r.jacAccumulate(s.bucketsJ, points, dec.row(cell.w0)[p0:p0+len(points)])
 		return
 	}
 	for j := range s.digitRows {
@@ -742,38 +735,73 @@ func (r *msmRun[A, J, CV]) accumulate(cell *msmCell[A, J], points []A, dec *Scal
 	clear(s.digitRows) // a pooled scratch must not pin the digit table
 }
 
+// jacAccumulate folds digits into Jacobian buckets with mixed adds — the
+// cells whose batch-affine flushes could not amortize their inversion.
+func (r *msmRun[A, J, P, CV]) jacAccumulate(buckets []J, points []A, digits []int16) {
+	var neg A // one per call: the group's neg takes its address
+	for i, d := range digits {
+		switch {
+		case d > 0:
+			P(&buckets[d-1]).AddMixed(&points[i])
+		case d < 0:
+			r.cv.neg(&neg, &points[i])
+			P(&buckets[-d-1]).AddMixed(&neg)
+		}
+	}
+}
+
 // reduce writes the cell's window sums into the partials and returns
 // its scratch. A cell that never took points leaves its partials at
 // infinity.
-func (r *msmRun[A, J, CV]) reduce(cell *msmCell[A, J]) {
+func (r *msmRun[A, J, P, CV]) reduce(cell *msmCell[A, J]) {
 	s := cell.sc
 	if s == nil {
 		return
 	}
 	nb := r.numBuckets
-	// Sums accumulate in locals and land in partials once: neighbouring
-	// partials belong to other workers' cells, and a running sum
-	// rewritten per bucket would bounce their shared cache lines.
+	// Sums accumulate in the scratch and land in partials once:
+	// neighbouring partials belong to other workers' cells, and a running
+	// sum rewritten per bucket would bounce their shared cache lines.
+	running, sum, spill := P(&s.running), P(&s.sum), P(&s.spill)
 	if !cell.affine {
-		var sum J
-		r.cv.jacReduce(s.bucketsJ, &sum)
-		r.partials[cell.chunk*r.used+cell.w0] = sum
+		jacBucketSum[A](s.bucketsJ, running, sum)
+		r.partials[cell.chunk*r.used+cell.w0] = s.sum
 	} else {
 		for j := 0; j < cell.w1-cell.w0; j++ {
-			var sum, spill J
-			r.cv.reduce(s.bucketsA[j*nb:(j+1)*nb], &sum)
+			bucketSum(s.bucketsA[j*nb:(j+1)*nb], running, sum)
 			if cell.side != nil {
-				r.cv.jacReduce(cell.side[j*nb:(j+1)*nb], &spill)
-				r.cv.add(&sum, &spill)
+				jacBucketSum[A](cell.side[j*nb:(j+1)*nb], running, spill)
+				sum.AddAssign(spill)
 			}
-			r.partials[cell.chunk*r.used+cell.w0+j] = sum
+			r.partials[cell.chunk*r.used+cell.w0+j] = s.sum
 		}
 	}
 	r.release(cell)
 }
 
+// bucketSum sets sum = Σ_b (b+1)·buckets[b] with the usual running-sum
+// scan (affine buckets, so the inner add is mixed).
+func bucketSum[A, J any, P Jacobian[A, J]](buckets []A, running, sum P) {
+	running.SetInfinity()
+	sum.SetInfinity()
+	for b := len(buckets) - 1; b >= 0; b-- {
+		running.AddMixed(&buckets[b])
+		sum.AddAssign(running)
+	}
+}
+
+// jacBucketSum is bucketSum over Jacobian buckets.
+func jacBucketSum[A, J any, P Jacobian[A, J]](buckets []J, running, sum P) {
+	running.SetInfinity()
+	sum.SetInfinity()
+	for b := len(buckets) - 1; b >= 0; b-- {
+		running.AddAssign(&buckets[b])
+		sum.AddAssign(running)
+	}
+}
+
 // release returns the cell's scratch to the pool after its reduction.
-func (r *msmRun[A, J, CV]) release(cell *msmCell[A, J]) {
+func (r *msmRun[A, J, P, CV]) release(cell *msmCell[A, J]) {
 	if cell.sc != nil {
 		r.cv.scratchPools().pool(cell.shape(r.numBuckets)).Put(cell.sc)
 		cell.sc, cell.side = nil, nil
@@ -781,7 +809,7 @@ func (r *msmRun[A, J, CV]) release(cell *msmCell[A, J]) {
 }
 
 // drop releases every cell of a run abandoned before its final feed.
-func (r *msmRun[A, J, CV]) drop() {
+func (r *msmRun[A, J, P, CV]) drop() {
 	for i := range r.cells {
 		r.release(&r.cells[i])
 	}
@@ -791,16 +819,17 @@ func (r *msmRun[A, J, CV]) drop() {
 // significant window first; within a window, chunk partials just add.
 // All-zero top windows (small witness values) have no cells, so the fold
 // never doubles past the highest nonzero digit.
-func (r *msmRun[A, J, CV]) sum() J {
+func (r *msmRun[A, J, P, CV]) sum() J {
 	res := r.cv.infinity()
+	acc := P(&res)
 	for w := r.used - 1; w >= 0; w-- {
 		if w != r.used-1 {
 			for i := 0; i < r.c; i++ {
-				r.cv.double(&res)
+				acc.DoubleAssign()
 			}
 		}
 		for ch := 0; ch < r.numChunks; ch++ {
-			r.cv.add(&res, &r.partials[ch*r.used+w])
+			acc.AddAssign(&r.partials[ch*r.used+w])
 		}
 	}
 	return res
@@ -808,7 +837,7 @@ func (r *msmRun[A, J, CV]) sum() J {
 
 // multiExp is the in-memory Pippenger MSM: one run, one feed of every
 // point, one fold — the streamed MSM's arithmetic with a single chunk.
-func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, sc obs.Scope) J {
+func multiExp[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, sc obs.Scope) J {
 	n := len(points)
 	if n == 0 || dec.used == 0 {
 		return cv.infinity()
@@ -816,7 +845,7 @@ func multiExp[A, J any, CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecompo
 	if n != dec.n {
 		panic("curve: MultiExp decomposition length mismatch")
 	}
-	r := newMSMRun[A, J](cv, n, dec.c, dec.used, sc)
+	r := newMSMRun[A, J, P](cv, n, dec.c, dec.used, sc)
 	r.feed(points, dec, true)
 	return r.sum()
 }
@@ -831,56 +860,9 @@ func (g1Msm) accumulator(batchSize int) func(*msmScratch[G1Affine, G1Jac], int, 
 	}
 }
 
-func (g1Msm) jacAccumulate(buckets []G1Jac, points []G1Affine, digits []int16) {
-	for i := range digits {
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			buckets[d-1].AddMixed(&points[i])
-		} else {
-			var neg G1Affine
-			neg.Neg(&points[i])
-			buckets[-d-1].AddMixed(&neg)
-		}
-	}
-}
-
-func (g1Msm) infinity() G1Jac {
-	var j G1Jac
-	j.SetInfinity()
-	return j
-}
-
-func (g1Msm) reduce(buckets []G1Affine, sum *G1Jac) {
-	var acc G1Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
-	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddMixed(&buckets[b])
-		sum.AddAssign(&acc)
-	}
-}
-
-func (g1Msm) jacReduce(buckets []G1Jac, sum *G1Jac) {
-	var acc G1Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
-	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddAssign(&buckets[b])
-		sum.AddAssign(&acc)
-	}
-}
-
-func (g1Msm) add(dst, src *G1Jac) { dst.AddAssign(src) }
-func (g1Msm) double(dst *G1Jac)   { dst.DoubleAssign() }
-
-func (g1Msm) scratchPools() *scratchPools { return &g1ScratchPools }
-func (g1Msm) chunkPool() *sync.Pool       { return &g1ChunkPool }
-
-func (g1Msm) fromAffine(p *G1Affine) (j G1Jac)        { j.FromAffine(p); return j }
-func (g1Msm) addMixed(dst *G1Jac, p *G1Affine)        { dst.AddMixed(p) }
+func (g1Msm) infinity() (j G1Jac)                     { j.SetInfinity(); return j }
+func (g1Msm) scratchPools() *scratchPools             { return &g1ScratchPools }
+func (g1Msm) chunkPool() *sync.Pool                   { return &g1ChunkPool }
 func (g1Msm) neg(dst, src *G1Affine)                  { dst.Neg(src) }
 func (g1Msm) batchToAffine(points []G1Jac) []G1Affine { return BatchJacToAffineG1(points) }
 
@@ -893,56 +875,9 @@ func (g2Msm) accumulator(batchSize int) func(*msmScratch[G2Affine, G2Jac], int, 
 	}
 }
 
-func (g2Msm) jacAccumulate(buckets []G2Jac, points []G2Affine, digits []int16) {
-	for i := range digits {
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			buckets[d-1].AddMixed(&points[i])
-		} else {
-			var neg G2Affine
-			neg.Neg(&points[i])
-			buckets[-d-1].AddMixed(&neg)
-		}
-	}
-}
-
-func (g2Msm) infinity() G2Jac {
-	var j G2Jac
-	j.SetInfinity()
-	return j
-}
-
-func (g2Msm) reduce(buckets []G2Affine, sum *G2Jac) {
-	var acc G2Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
-	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddMixed(&buckets[b])
-		sum.AddAssign(&acc)
-	}
-}
-
-func (g2Msm) jacReduce(buckets []G2Jac, sum *G2Jac) {
-	var acc G2Jac
-	acc.SetInfinity()
-	sum.SetInfinity()
-	for b := len(buckets) - 1; b >= 0; b-- {
-		acc.AddAssign(&buckets[b])
-		sum.AddAssign(&acc)
-	}
-}
-
-func (g2Msm) add(dst, src *G2Jac) { dst.AddAssign(src) }
-func (g2Msm) double(dst *G2Jac)   { dst.DoubleAssign() }
-
-func (g2Msm) scratchPools() *scratchPools { return &g2ScratchPools }
-func (g2Msm) chunkPool() *sync.Pool       { return &g2ChunkPool }
-
-func (g2Msm) fromAffine(p *G2Affine) (j G2Jac)        { j.FromAffine(p); return j }
-func (g2Msm) addMixed(dst *G2Jac, p *G2Affine)        { dst.AddMixed(p) }
+func (g2Msm) infinity() (j G2Jac)                     { j.SetInfinity(); return j }
+func (g2Msm) scratchPools() *scratchPools             { return &g2ScratchPools }
+func (g2Msm) chunkPool() *sync.Pool                   { return &g2ChunkPool }
 func (g2Msm) neg(dst, src *G2Affine)                  { dst.Neg(src) }
 func (g2Msm) batchToAffine(points []G2Jac) []G2Affine { return BatchJacToAffineG2(points) }
 
@@ -956,7 +891,7 @@ func (g2Msm) batchToAffine(points []G2Jac) []G2Affine { return BatchJacToAffineG
 //
 // sc, when on, records the whole call (recoding included) as one span
 // under its label, with the run's per-cell spans beneath it.
-func multiExpEntry[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.Element, dec *ScalarDecomposition, sc obs.Scope) J {
+func multiExpEntry[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, points []A, scalars []fr.Element, dec *ScalarDecomposition, sc obs.Scope) J {
 	sp := sc.Span()
 	defer sp.End()
 	if dec == nil {
@@ -965,11 +900,11 @@ func multiExpEntry[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.
 			panic("curve: MultiExp length mismatch")
 		}
 		if n < msmSmallThreshold {
-			return multiExpSmall[A, J](cv, points, scalars)
+			return multiExpSmall[A, J, P](cv, points, scalars)
 		}
 		dec = DecomposeScalars(scalars, MSMWindowSize(n))
 	}
-	return multiExp[A, J](cv, points, dec, sc)
+	return multiExp[A, J, P](cv, points, dec, sc)
 }
 
 // msmSmallThreshold is the point count below which an MSM over resident
@@ -997,7 +932,7 @@ const msmSmallWindow = 4
 // for a negative digit). Like the Pippenger path, the folded digits need
 // points of order r. Infinity points, zero scalars and repeated points
 // need no case of their own: the mixed addition handles ∞ and P + P.
-func multiExpSmall[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.Element) J {
+func multiExpSmall[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, points []A, scalars []fr.Element) J {
 	n := len(points)
 	dec := resetDecomposition(nil, n, msmSmallWindow)
 	dec.used = dec.recode(scalars, 0, n)
@@ -1020,11 +955,11 @@ func multiExpSmall[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.
 		row := jac[start[i]:start[i+1]]
 		for m := range row {
 			if m == 0 {
-				row[0] = cv.fromAffine(&points[i])
-				cv.double(&row[0])
+				P(&row[0]).FromAffine(&points[i])
+				P(&row[0]).DoubleAssign()
 			} else {
 				row[m] = row[m-1]
-				cv.addMixed(&row[m], &points[i])
+				P(&row[m]).AddMixed(&points[i])
 			}
 		}
 	}
@@ -1035,20 +970,21 @@ func multiExpSmall[A, J any, CV msmCurve[A, J]](cv CV, points []A, scalars []fr.
 		}
 		return &tbl[start[i]+int(d)-2]
 	}
+	acc := P(&res)
 	var neg A
 	for w := dec.used - 1; w >= 0; w-- {
 		if w != dec.used-1 {
 			for range msmSmallWindow {
-				cv.double(&res)
+				acc.DoubleAssign()
 			}
 		}
 		for i, d := range dec.row(w) {
 			switch {
 			case d > 0:
-				cv.addMixed(&res, multiple(i, d))
+				acc.AddMixed(multiple(i, d))
 			case d < 0:
 				cv.neg(&neg, multiple(i, -d))
-				cv.addMixed(&res, &neg)
+				acc.AddMixed(&neg)
 			}
 		}
 	}
@@ -1133,7 +1069,6 @@ const fixedBaseBlock = 1024
 // fixedBaseCurve is what the fixed-base kernel needs of a group.
 type fixedBaseCurve[A, J any] interface {
 	batchAdder(batchSize int) batchOps[A, J]
-	double(dst *J)
 	batchToAffine(points []J) []A
 }
 
@@ -1171,12 +1106,13 @@ func NewG2FixedBaseTable(base *G2Jac) *G2FixedBaseTable {
 // doubles in length level by level — (have+j+1)·P = have·P + (j+1)·P for
 // every j below have — so each level is one flush whose last slot is the
 // tangent case.
-func newFixedBaseTable[A, J any, CV fixedBaseCurve[A, J]](cv CV, base J) *fixedBaseTable[A, J, CV] {
+func newFixedBaseTable[A, J any, P Jacobian[A, J], CV fixedBaseCurve[A, J]](cv CV, base J) *fixedBaseTable[A, J, CV] {
 	firsts := make([]J, fixedBaseWindows)
-	for w := range firsts {
-		firsts[w] = base
+	firsts[0] = base
+	for w := 1; w < len(firsts); w++ {
+		firsts[w] = firsts[w-1]
 		for range fixedBaseWindow {
-			cv.double(&base)
+			P(&firsts[w]).DoubleAssign()
 		}
 	}
 	first := cv.batchToAffine(firsts)

@@ -286,7 +286,7 @@ func TestMSMRunCarriesBucketsAcrossFeeds(t *testing.T) {
 		scalars[i].SetUint64(5)
 	}
 	c := StreamWindowSize(len(points), chunk)
-	var r *msmRun[G1Affine, G1Jac, g1Msm]
+	var r *msmRun[G1Affine, G1Jac, *G1Jac, g1Msm]
 	var side *G1Jac
 	for f := 0; f < 3; f++ {
 		dec := DecomposeScalars(scalars[f*chunk:(f+1)*chunk], c)

@@ -117,7 +117,7 @@ func sourcedScalars(src ScalarSource, buf []fr.Element) scalarView {
 // under its label — exposing whether a streamed prove is disk-bound or
 // compute-bound. The run records no per-cell spans. The off path costs
 // one nil check per span.
-func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, n int, scalars scalarView, c, chunk int, sc obs.Scope) (J, error) {
+func multiExpStream[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, src func(dst []A, start int) error, n int, scalars scalarView, c, chunk int, sc obs.Scope) (J, error) {
 	if n == 0 {
 		return cv.infinity(), nil
 	}
@@ -167,7 +167,7 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 		}
 	}
 	var (
-		run *msmRun[A, J, CV]
+		run *msmRun[A, J, P, CV]
 		err error
 	)
 	consume := func() {
@@ -197,7 +197,7 @@ func multiExpStream[A, J any, CV msmCurve[A, J]](cv CV, src func(dst []A, start 
 			sp = msm.Span()
 			points := f.buf[:f.end-f.start]
 			if run == nil && dec.used > 0 {
-				run = newMSMRun[A, J](cv, len(points), c, dec.used, obs.Scope{})
+				run = newMSMRun[A, J, P](cv, len(points), c, dec.used, obs.Scope{})
 			}
 			if run != nil {
 				run.feed(points, dec, f.end == n)

@@ -74,8 +74,8 @@ func NewSRS(maxN int, rng io.Reader) (*SRS, error) {
 		return nil, errors.New("ipp: degenerate trapdoors")
 	}
 
-	powersA := powerSeries(&a, 2*n)
-	powersB := powerSeries(&b, 2*n)
+	powersA := PowerSeries(&a, 2*n)
+	powersB := PowerSeries(&b, 2*n)
 
 	g1 := curve.G1Generator()
 	g2 := curve.G2Generator()
@@ -117,8 +117,9 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// powerSeries returns [1, x, x², …, x^{k-1}].
-func powerSeries(x *fr.Element, k int) []fr.Element {
+// PowerSeries returns [1, x, x², …, x^{k-1}]: the SRS's trapdoor powers
+// here, and SnarkPack's challenge powers in groth16.
+func PowerSeries(x *fr.Element, k int) []fr.Element {
 	out := make([]fr.Element, k)
 	out[0].SetOne()
 	for i := 1; i < k; i++ {

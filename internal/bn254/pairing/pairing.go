@@ -569,17 +569,11 @@ func PairingCheck(ps []*curve.G1Affine, qs []*curve.G2Affine) bool {
 	return PairingCheckLines(ps, qs, nil, nil)
 }
 
-// PairingCheckMul reports whether Π e(ps[i], qs[i]) · k == 1. k must
+// PairingCheckLines reports whether Π e(ps[i], qs[i]) · k == 1. k must
 // already be a reduced pairing value (a Pair output or a product/power
-// of them); verifiers that cache e(α, β) use this to drop one pair from
-// every check.
-func PairingCheckMul(ps []*curve.G1Affine, qs []*curve.G2Affine, k *ext.E12) bool {
-	return PairingCheckLines(ps, qs, nil, k)
-}
-
-// PairingCheckLines is PairingCheckMul for a verifier that also caches
-// line tables of its fixed G2 points: cached is as for MillerProduct, and
-// a nil k stands for 1.
+// of them), and a nil k stands for 1: verifiers that cache e(α, β) use
+// it to drop one pair from every check. cached holds line tables of the
+// verifier's fixed G2 points, as for MillerProduct.
 func PairingCheckLines(ps []*curve.G1Affine, qs []*curve.G2Affine, cached []*Lines, k *ext.E12) bool {
 	f := MillerProduct(ps, qs, cached)
 	res := FinalExponentiation(&f)

@@ -15,6 +15,7 @@ import (
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/bn254/ipp"
 	"zkrownn/internal/bn254/pairing"
+	"zkrownn/internal/obs"
 	"zkrownn/internal/par"
 )
 
@@ -147,12 +148,12 @@ func AggregateProofs(srs *ipp.SRS, vk *VerifyingKey, proofs []*Proof, publicInpu
 	// Rescale: Aᵢ ← rⁱAᵢ, Cᵢ ← rⁱCᵢ, v-keys by r⁻ⁱ. The commitments
 	// above are unchanged under this rescaling, so GIPA can run on the
 	// rescaled vectors against the same T/U values.
-	rPow := powerSeries(&r, n)
-	rInvPow := powerSeries(&rInv, n)
-	A = scaleG1(A, rPow)
-	C = scaleG1(C, rPow)
-	v1 := scaleG2(v1SRS, rInvPow)
-	v2 := scaleG2(v2SRS, rInvPow)
+	rPow := ipp.PowerSeries(&r, n)
+	rInvPow := ipp.PowerSeries(&rInv, n)
+	A = aggG1.scale(A, rPow)
+	C = aggG1.scale(C, rPow)
+	v1 := aggG2.scale(v1SRS, rInvPow)
+	v2 := aggG2.scale(v2SRS, rInvPow)
 
 	agg.ZAB = ipp.PairProduct(A, B)
 	var zc curve.G1Jac
@@ -191,13 +192,13 @@ func AggregateProofs(srs *ipp.SRS, vk *VerifyingKey, proofs []*Proof, publicInpu
 		var xInv fr.Element
 		xInv.Inverse(&x)
 
-		A = foldG1(A[:m], &x)
-		B = foldG2(B[:m], &xInv)
-		C = foldG1(C[:m], &x)
-		v1 = foldG2(v1[:m], &xInv)
-		v2 = foldG2(v2[:m], &xInv)
-		w1 = foldG1(w1[:m], &x)
-		w2 = foldG1(w2[:m], &x)
+		A = aggG1.fold(A[:m], &x)
+		B = aggG2.fold(B[:m], &xInv)
+		C = aggG1.fold(C[:m], &x)
+		v1 = aggG2.fold(v1[:m], &xInv)
+		v2 = aggG2.fold(v2[:m], &xInv)
+		w1 = aggG1.fold(w1[:m], &x)
+		w2 = aggG1.fold(w2[:m], &x)
 		var onePlusXInv fr.Element
 		onePlusXInv.SetOne()
 		onePlusXInv.Add(&onePlusXInv, &xInv)
@@ -216,10 +217,10 @@ func AggregateProofs(srs *ipp.SRS, vk *VerifyingKey, proofs []*Proof, publicInpu
 
 	// KZG openings of the folded-key polynomials at z.
 	fCoeffs, pCoeffs := finalKeyPolys(n, xs, &rInv)
-	agg.PiV1 = kzgOpenG2(srs.G2A, fCoeffs, &z)
-	agg.PiV2 = kzgOpenG2(srs.G2B, fCoeffs, &z)
-	agg.PiW1 = kzgOpenG1(srs.G1A, pCoeffs, &z)
-	agg.PiW2 = kzgOpenG1(srs.G1B, pCoeffs, &z)
+	agg.PiV1 = aggG2.kzgOpen(srs.G2A, fCoeffs, &z)
+	agg.PiV2 = aggG2.kzgOpen(srs.G2B, fCoeffs, &z)
+	agg.PiW1 = aggG1.kzgOpen(srs.G1A, pCoeffs, &z)
+	agg.PiW2 = aggG1.kzgOpen(srs.G1B, pCoeffs, &z)
 	return agg, nil
 }
 
@@ -351,7 +352,7 @@ func VerifyAggregate(svk *ipp.VerifierKey, vk *VerifyingKey, agg *AggregateProof
 
 	// The aggregated Groth16 relation over the ORIGINAL (unfolded)
 	// Z_AB, Z_C: Z_AB = e(α,β)^Σrⁱ · e(Σrⁱ·ICᵢ, γ) · e(Z_C, δ).
-	rPow := powerSeries(&r, n)
+	rPow := ipp.PowerSeries(&r, n)
 	var sumR fr.Element
 	icScalars := make([]fr.Element, len(vk.IC)-1)
 	for i := 0; i < n; i++ {
@@ -450,54 +451,54 @@ func foldGT(v, l, r *ext.E12, eL, eR *big.Int) {
 	v.Mul(v, &re)
 }
 
-// scaleG1 returns out[i] = s[i]·v[i].
-func scaleG1(v []curve.G1Affine, s []fr.Element) []curve.G1Affine {
-	jac := make([]curve.G1Jac, len(v))
+// aggGroup binds SnarkPack's vector arithmetic, written once over
+// curve.Jacobian, to one group's multi-exponentiation and batch
+// normalization.
+type aggGroup[A, J any, P curve.Jacobian[A, J]] struct {
+	multiExp func(points []A, scalars []fr.Element, sc ...obs.Scope) J
+	toAffine func(points []J) []A
+}
+
+var (
+	aggG1 = aggGroup[curve.G1Affine, curve.G1Jac, *curve.G1Jac]{curve.MultiExpG1, curve.BatchJacToAffineG1}
+	aggG2 = aggGroup[curve.G2Affine, curve.G2Jac, *curve.G2Jac]{curve.MultiExpG2, curve.BatchJacToAffineG2}
+)
+
+// scale returns out[i] = s[i]·v[i]. Each product runs in a point of its
+// own, not in place in jac, whose neighbouring slots belong to other
+// workers.
+func (g aggGroup[A, J, P]) scale(v []A, s []fr.Element) []A {
+	jac := make([]J, len(v))
 	par.Each(len(v), func(i int) {
-		var p curve.G1Jac
+		p := P(new(J))
 		p.FromAffine(&v[i])
-		p.ScalarMul(&p, &s[i])
-		jac[i] = p
+		jac[i] = *p.ScalarMul(p, &s[i])
 	})
-	return curve.BatchJacToAffineG1(jac)
+	return g.toAffine(jac)
 }
 
-func scaleG2(v []curve.G2Affine, s []fr.Element) []curve.G2Affine {
-	jac := make([]curve.G2Jac, len(v))
-	par.Each(len(v), func(i int) {
-		var p curve.G2Jac
-		p.FromAffine(&v[i])
-		p.ScalarMul(&p, &s[i])
-		jac[i] = p
-	})
-	return curve.BatchJacToAffineG2(jac)
-}
-
-// foldG1 halves a vector: out[i] = v[i] + x·v[half+i].
-func foldG1(v []curve.G1Affine, x *fr.Element) []curve.G1Affine {
+// fold halves a vector: out[i] = v[i] + x·v[half+i].
+func (g aggGroup[A, J, P]) fold(v []A, x *fr.Element) []A {
 	half := len(v) / 2
-	jac := make([]curve.G1Jac, half)
+	jac := make([]J, half)
 	par.Each(half, func(i int) {
-		var p curve.G1Jac
+		p := P(new(J))
 		p.FromAffine(&v[half+i])
-		p.ScalarMul(&p, x)
-		p.AddMixed(&v[i])
-		jac[i] = p
+		p.ScalarMul(p, x)
+		jac[i] = *p.AddMixed(&v[i])
 	})
-	return curve.BatchJacToAffineG1(jac)
+	return g.toAffine(jac)
 }
 
-func foldG2(v []curve.G2Affine, x *fr.Element) []curve.G2Affine {
-	half := len(v) / 2
-	jac := make([]curve.G2Jac, half)
-	par.Each(half, func(i int) {
-		var p curve.G2Jac
-		p.FromAffine(&v[half+i])
-		p.ScalarMul(&p, x)
-		p.AddMixed(&v[i])
-		jac[i] = p
-	})
-	return curve.BatchJacToAffineG2(jac)
+// kzgOpen produces the opening g^{q(τ)} of the polynomial with the given
+// coefficients at z, over the given trapdoor-power basis.
+func (g aggGroup[A, J, P]) kzgOpen(powers []A, coeffs []fr.Element, z *fr.Element) A {
+	q, _ := synthDiv(coeffs, z)
+	if len(q) == 0 {
+		var out A
+		return out // constant polynomial: zero quotient, infinity opening
+	}
+	return g.toAffine([]J{g.multiExp(powers[:len(q)], q)})[0]
 }
 
 // sumScaledG1 returns s·Σvᵢ.
@@ -513,16 +514,6 @@ func sumScaledG1(v []curve.G1Affine, s *fr.Element) curve.G1Affine {
 	return out
 }
 
-// powerSeries returns [1, x, …, x^{k-1}].
-func powerSeries(x *fr.Element, k int) []fr.Element {
-	out := make([]fr.Element, k)
-	out[0].SetOne()
-	for i := 1; i < k; i++ {
-		out[i].Mul(&out[i-1], x)
-	}
-	return out
-}
-
 // finalKeyPolys expands the coefficient vectors of the folded-key
 // polynomials. With dⱼ = n/2^{j+1} for round j (0-based):
 //
@@ -533,7 +524,7 @@ func finalKeyPolys(n int, xs []fr.Element, rInv *fr.Element) (fv, pw []fr.Elemen
 	cv := make([]fr.Element, k)
 	cw := make([]fr.Element, k)
 	ds := make([]int, k)
-	rInvPow := powerSeries(rInv, n)
+	rInvPow := ipp.PowerSeries(rInv, n)
 	for j := 0; j < k; j++ {
 		d := n >> (j + 1)
 		ds[j] = d
@@ -630,30 +621,6 @@ func synthDiv(f []fr.Element, z *fr.Element) (q []fr.Element, rem fr.Element) {
 		carry.Add(&carry, &f[i])
 	}
 	return q, carry
-}
-
-// kzgOpenG2 produces the G2 opening h^{q(τ)} of the polynomial with the
-// given coefficients at z, over the given trapdoor-power basis.
-func kzgOpenG2(powers []curve.G2Affine, coeffs []fr.Element, z *fr.Element) curve.G2Affine {
-	q, _ := synthDiv(coeffs, z)
-	var out curve.G2Affine
-	if len(q) == 0 {
-		return out // constant polynomial: zero quotient, infinity opening
-	}
-	jac := curve.MultiExpG2(powers[:len(q)], q)
-	out.FromJacobian(&jac)
-	return out
-}
-
-func kzgOpenG1(powers []curve.G1Affine, coeffs []fr.Element, z *fr.Element) curve.G1Affine {
-	q, _ := synthDiv(coeffs, z)
-	var out curve.G1Affine
-	if len(q) == 0 {
-		return out
-	}
-	jac := curve.MultiExpG1(powers[:len(q)], q)
-	out.FromJacobian(&jac)
-	return out
 }
 
 // kzgCheckG2 verifies a G2 commitment opening: e(g, V·h^{-fz}) ==

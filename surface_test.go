@@ -1,13 +1,16 @@
 package zkrownn
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -741,5 +744,104 @@ func TestOneFieldCore(t *testing.T) {
 	}
 	if len(coreDecls) != len(generic) || coreKernels == 0 {
 		t.Errorf("found %v and %d MULXQ kernels under %s: the guard is looking in the wrong place", coreDecls, coreKernels, core)
+	}
+}
+
+// TestOneGroupCopy keeps the group-level code of G1 and G2 in one
+// generic copy. It pairs the functions and methods of each non-test file
+// under internal/ (refimpl excepted: the oracle keeps its own groups)
+// whose names, receiver included, match once G1 is read as G2 and g1 as
+// g2, and fails on a pair whose bodies print identically under the same
+// reading and hold at least seven statements — nested ones counted,
+// blocks not. Such a body touches no coordinate, so it belongs written
+// once over curve.Jacobian. Seven is one above FromAffine (six), the
+// largest twin that must stay: it writes coordinates.
+func TestOneGroupCopy(t *testing.T) {
+	const minStmts = 7
+	toG2 := strings.NewReplacer("G1", "G2", "g1", "g2")
+	type fn struct {
+		pos   string
+		body  string
+		stmts int
+	}
+	fns := map[string]fn{} // "dir recv.name" or "dir name"
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && filepath.ToSlash(path) == "internal/bn254/refimpl" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			decl, ok := decl.(*ast.FuncDecl)
+			if !ok || decl.Body == nil {
+				continue
+			}
+			recv := ""
+			if decl.Recv != nil && len(decl.Recv.List) == 1 {
+				typ := decl.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				switch g := typ.(type) {
+				case *ast.IndexExpr:
+					typ = g.X
+				case *ast.IndexListExpr:
+					typ = g.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					recv = id.Name
+				}
+			}
+			var body strings.Builder
+			if err := printer.Fprint(&body, fset, decl.Body); err != nil {
+				return err
+			}
+			stmts := 0
+			ast.Inspect(decl.Body, func(n ast.Node) bool {
+				if _, ok := n.(ast.Stmt); ok {
+					if _, block := n.(*ast.BlockStmt); !block {
+						stmts++
+					}
+				}
+				return true
+			})
+			name := strings.TrimPrefix(recv+"."+decl.Name.Name, ".")
+			fns[filepath.ToSlash(filepath.Dir(path))+" "+name] = fn{
+				fmt.Sprintf("%s (%s)", name, fset.Position(decl.Pos())), body.String(), stmts}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(fns))
+	for key := range fns {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	pairs := 0
+	for _, key := range keys {
+		twin := toG2.Replace(key)
+		g2, ok := fns[twin]
+		if twin == key || !ok {
+			continue
+		}
+		pairs++
+		if g1 := fns[key]; g1.stmts >= minStmts && toG2.Replace(g1.body) == g2.body {
+			t.Errorf("%s and %s: one body of %d statements written twice; write it once over curve.Jacobian",
+				g1.pos, g2.pos, g1.stmts)
+		}
+	}
+	if pairs == 0 {
+		t.Error("found no G1/G2 pair: the guard is looking in the wrong place")
 	}
 }
