@@ -213,8 +213,8 @@ func witnessScalars(rng *rand.Rand, n, bits int) []fr.Element {
 // BenchmarkMSM is the multi-exponentiation benchmark family: size
 // scaling over G1 and G2, core scaling at 2^16 points (the prover-shaped
 // size), the scalar shapes sign folding exists for (G1Witness: a
-// witness query; G1Signed16: the verifier's IC multi-exp over 16-bit
-// signed weights) beside the full-width ones it cannot help, a streamed
+// witness query, and G2Witness the B2 one; G1Signed16: the verifier's IC
+// multi-exp over 16-bit signed weights) beside the full-width ones it cannot help, a streamed
 // chunked case, and the shared scalar recoding on its own. Run with
 // -cpu 1,2 to read the scheduler's parallel efficiency off the pairs.
 // Compare across PRs before touching the MSM:
@@ -299,6 +299,14 @@ func BenchmarkMSM(b *testing.B) {
 		b.Run(fmt.Sprintf("G2/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = MultiExpG2(points, scalars)
+			}
+		})
+		// The B2 query's shape: witness scalars, whose repeated values
+		// crowd the conflict queue, in G2.
+		witness := witnessScalars(rand.New(rand.NewSource(8)), n, 32)
+		b.Run(fmt.Sprintf("G2Witness/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = MultiExpG2(points, witness)
 			}
 		})
 	}

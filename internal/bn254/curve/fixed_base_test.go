@@ -18,7 +18,7 @@ import (
 // bits b of the 254-bit number k is stored as, by Jacobian mixed
 // additions. It shares the doubling chain between scalars and nothing
 // with the recoder or the batch-affine flush.
-func bitSerialMul[A, J any, P Jacobian[A, J]](cv fixedBaseCurve[A, J], base J, ks []fr.Element) []A {
+func bitSerialMul[A, J any, P Jacobian[A, J]](cv msmCurve[A, J], base J, ks []fr.Element) []A {
 	pows := make([]J, fr.Bits)
 	for b := range pows {
 		pows[b] = base
@@ -26,12 +26,11 @@ func bitSerialMul[A, J any, P Jacobian[A, J]](cv fixedBaseCurve[A, J], base J, k
 	}
 	powsAff := cv.batchToAffine(pows)
 	bit := scalarBits(ks)
-	adder := cv.batchAdder(0)
 	out := make([]J, len(ks)) // zero Jacobian value has Z = 0: infinity
 	for i := range out {
 		for b := 0; b < fr.Bits; b++ {
 			if bit(i, b) {
-				adder.addMixedJac(&out[i], &powsAff[b])
+				P(&out[i]).AddMixed(&powsAff[b])
 			}
 		}
 	}
@@ -42,20 +41,20 @@ func bitSerialMul[A, J any, P Jacobian[A, J]](cv fixedBaseCurve[A, J], base J, k
 // are asked for (an accumulator's first entry, copied into place,
 // counts as one).
 type countingCurve[A, J any] struct {
-	fixedBaseCurve[A, J]
+	msmCurve[A, J]
 	adds *atomic.Int64
 }
 
-func (c countingCurve[A, J]) batchAdder(batchSize int) batchOps[A, J] {
-	return countingAdder[A, J]{c.fixedBaseCurve.batchAdder(batchSize), c.adds}
+func (c countingCurve[A, J]) batchAdder(batchSize int) batchOps[A] {
+	return countingAdder[A]{c.msmCurve.batchAdder(batchSize), c.adds}
 }
 
-type countingAdder[A, J any] struct {
-	batchOps[A, J]
+type countingAdder[A any] struct {
+	batchOps[A]
 	adds *atomic.Int64
 }
 
-func (a countingAdder[A, J]) flush(buckets []A, idx []int32, pts []A) {
+func (a countingAdder[A]) flush(buckets []A, idx []int32, pts []A) {
 	a.adds.Add(int64(len(idx)))
 	a.batchOps.flush(buckets, idx, pts)
 }
@@ -102,7 +101,7 @@ func fixedBaseScalars(rng *rand.Rand, n int) []fr.Element {
 // and checks the results against the oracle at every block layout, the
 // results' independence of the worker count, the zero-clustered layout,
 // and the work gate.
-func checkFixedBase[A comparable, J any, P Jacobian[A, J]](t *testing.T, cv fixedBaseCurve[A, J], base J) {
+func checkFixedBase[A comparable, J any, P Jacobian[A, J]](t *testing.T, cv msmCurve[A, J], base J) {
 	var adds atomic.Int64
 	table := newFixedBaseTable[A, J, P](countingCurve[A, J]{cv, &adds}, base)
 	if len(table.entries) > 25*1024 {

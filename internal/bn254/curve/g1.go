@@ -427,12 +427,6 @@ func newG1BatchAdder(batchSize int) *g1BatchAdder {
 	}
 }
 
-func (a *g1BatchAdder) isInfinity(p *G1Affine) bool { return p.IsInfinity() }
-
-func (a *g1BatchAdder) negInto(dst, src *G1Affine) { dst.Neg(src) }
-
-func (a *g1BatchAdder) addMixedJac(dst *G1Jac, p *G1Affine) { dst.AddMixed(p) }
-
 // flush performs buckets[idx[k]] += pts[k] for all k. Indices must be
 // distinct within one call — the scheduler guarantees it — so the adds
 // are independent and the denominators can be inverted together.

@@ -475,12 +475,6 @@ func newG2BatchAdder(batchSize int) *g2BatchAdder {
 	}
 }
 
-func (a *g2BatchAdder) isInfinity(p *G2Affine) bool { return p.IsInfinity() }
-
-func (a *g2BatchAdder) negInto(dst, src *G2Affine) { dst.Neg(src) }
-
-func (a *g2BatchAdder) addMixedJac(dst *G2Jac, p *G2Affine) { dst.AddMixed(p) }
-
 // flush performs buckets[idx[k]] += pts[k] for all k; indices are
 // distinct within one call (scheduler invariant). It is
 // g1BatchAdder.flush over F_p²: a pre-pass settles infinity and

@@ -31,6 +31,9 @@ import (
 //     and λ, x₃, y₃, over F_p in G1 and F_p² in G2. The op classification, tangents, the chords
 //     past the last block of eight and the flush's one inversion stay
 //     scalar;
+//   - one flush per cell: a batch-affine cell's conflict queue collapses
+//     and its buckets reduce through its batch adder too, so it adds
+//     nothing in Jacobian form but O(segments) a window (reduceAffine);
 //   - two-dimensional parallelism: work is split into point-chunks ×
 //     windows and scheduled on par.Each, so the MSM keeps scaling past
 //     the ~20-window ceiling of window-only parallelism;
@@ -248,7 +251,7 @@ const msmGroupBuckets = 8192
 // msmOverflowCap is the conflict queue's capacity. The queue holds ops
 // whose bucket is already in the pending batch; every flush drains it
 // into the next batch, so it hovers near the per-batch conflict count
-// and reaching the cap means repeated values, which spill.
+// and reaching the cap means repeated values, which collapse.
 const msmOverflowCap = 512
 
 // msmMinChunk is the minimum number of points per chunk: below this the
@@ -270,21 +273,10 @@ func msmBatch(pool int) int {
 	return min(pool/msmBatchShare, msmBatchSize)
 }
 
-// batchOps is the leaf interface of the batch-affine accumulation,
-// implemented by g1BatchAdder and g2BatchAdder.
-type batchOps[A, J any] interface {
-	isInfinity(p *A) bool
-	negInto(dst, src *A)
+// batchOps is the batch-affine flush, implemented by g1BatchAdder and
+// g2BatchAdder.
+type batchOps[A any] interface {
 	flush(buckets []A, idx []int32, pts []A)
-	// addMixedJac folds one conflict-queue spill into a Jacobian side
-	// bucket (p is already negated when the digit was negative).
-	addMixedJac(dst *J, p *A)
-}
-
-// batchOp is one deferred bucket addition sitting in the conflict queue.
-type batchOp[A any] struct {
-	b  int32
-	pt A
 }
 
 // msmAccumulate folds one chunk×window-group cell of points into the
@@ -295,56 +287,76 @@ type batchOp[A any] struct {
 // buckets can never amortize a 256-op batch, eight of them can.
 //
 // A flush requires distinct buckets (so its affine adds are
-// independent); ops that would duplicate a pending bucket wait in an
-// overflow queue and re-enter after the next flush, which keeps batches
+// independent); ops that would duplicate a pending bucket wait in a
+// conflict queue and re-enter after the next flush, which keeps batches
 // full — flushing on first conflict would cap them near √buckets by the
 // birthday bound. Negative digits enqueue the negated point.
 //
 // Real witnesses repeat values (bit wires, shared constants), sending
 // thousands of ops to one bucket; a queue alone would readmit one per
-// flush and melt down quadratically. When the queue fills it is dumped
-// into Jacobian side buckets instead — hot buckets degrade to exactly
-// the plain-Jacobian cost while everything else stays batch-affine.
-// side holds what earlier calls on the same buckets spilled (nil when
-// none did); the returned side buckets add this call's spills, and the
-// caller folds them into the reduction.
-func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J {
-	buckets, pending, idx, pts, digitRows := sc.bucketsA, sc.pending, sc.idx, sc.pts, sc.digitRows
-	cnt := 0
-	overflow := sc.overflow[:0]
-	drainToSide := func() {
-		if side == nil {
-			side = make([]J, len(buckets)) // zero Jacobian value has Z = 0: infinity
-		}
-		for k := range overflow {
-			adder.addMixedJac(&side[overflow[k].b], &overflow[k].pt)
-		}
-		overflow = overflow[:0]
-	}
+// flush and melt down quadratically. A full queue collapses instead, as
+// does the one left at the end: its ops of each bucket are summed
+// pairwise, a flush per tree level, and the survivors enter the batch.
+func msmAccumulate[A, J any, CV msmCurve[A, J]](cv CV, sc *msmScratch[A, J], bucketsPerWindow int, points []A) {
+	adder, buckets, slot, idx, pts, digitRows := sc.adder, sc.bucketsA, sc.slot, sc.idx, sc.pts, sc.digitRows
+	queue, queueB := sc.queue, sc.queueB
+	cnt, nq := 0, 0 // ops in the open batch and in the queue
 	flush := func() {
 		adder.flush(buckets, idx[:cnt], pts[:cnt])
 		for _, b := range idx[:cnt] {
-			pending[b] = false
+			slot[b] = 0
 		}
 		cnt = 0
-		// Re-admit queued ops; first occurrence of each bucket always
-		// enters the fresh batch, so the queue strictly shrinks.
-		kept := overflow[:0]
-		for k := range overflow {
-			o := &overflow[k]
-			if pending[o.b] || cnt == len(idx) {
-				kept = append(kept, *o)
-				continue
+	}
+	// readmit moves the first queued op of each free bucket into the open
+	// batch while there is room, and keeps the rest in order.
+	readmit := func() {
+		kept := 0
+		for k := range nq {
+			if b := queueB[k]; slot[b] == 0 && cnt < len(idx) {
+				pts[cnt], idx[cnt], slot[b] = queue[k], b, 1
+				cnt++
+			} else {
+				queue[kept], queueB[kept] = queue[k], b
+				kept++
 			}
-			pts[cnt] = o.pt
-			idx[cnt] = o.b
-			pending[o.b] = true
-			cnt++
 		}
-		overflow = kept
+		nq = kept
+	}
+	// collapse runs on a flushed batch, so idx and pts are free and every
+	// slot zero. A tree level pairs the queued ops of each bucket (slot[b]
+	// is 1 + the position of b's op awaiting a partner), adds each pair's
+	// later op into the earlier one's place in one flush, and drops the
+	// pairs that cancel to ∞. Every queued op's bucket had an op in the
+	// batch, so the survivors, one per bucket, all fit in it.
+	collapse := func() {
+		for m := -1; m != 0; {
+			m = 0
+			for k := 0; k < nq && m < len(idx); k++ {
+				b := queueB[k]
+				if j := slot[b]; j != 0 {
+					idx[m], pts[m] = j-1, queue[k]
+					slot[b], queueB[k] = 0, -1
+					m++
+				} else {
+					slot[b] = int32(k) + 1
+				}
+			}
+			adder.flush(queue, idx[:m], pts[:m])
+			kept := 0
+			for k := range nq {
+				if b := queueB[k]; b >= 0 && !cv.isInfinity(&queue[k]) {
+					slot[b] = 0
+					queue[kept], queueB[kept] = queue[k], b
+					kept++
+				}
+			}
+			nq = kept
+		}
+		readmit()
 	}
 	for i := range points {
-		if adder.isInfinity(&points[i]) {
+		if cv.isInfinity(&points[i]) {
 			continue
 		}
 		for g := range digitRows {
@@ -352,65 +364,46 @@ func msmAccumulate[A, J any, AD batchOps[A, J]](adder AD, sc *msmScratch[A, J], 
 			if d == 0 {
 				continue
 			}
-			b := int32(d)
-			neg := false
-			if b < 0 {
-				b = -b
-				neg = true
-			}
-			b += int32(g*bucketsPerWindow) - 1
-			if pending[b] {
-				overflow = overflow[:len(overflow)+1]
-				op := &overflow[len(overflow)-1]
-				op.b = b
-				if neg {
-					adder.negInto(&op.pt, &points[i])
-				} else {
-					op.pt = points[i]
-				}
-				if len(overflow) == msmOverflowCap {
-					drainToSide()
-				}
-				continue
-			}
-			if neg {
-				adder.negInto(&pts[cnt], &points[i])
+			b := int32(max(d, -d)) + int32(g*bucketsPerWindow) - 1
+			dst := &pts[cnt]
+			if slot[b] != 0 {
+				dst, queueB[nq] = &queue[nq], b
+				nq++
 			} else {
-				pts[cnt] = points[i]
+				idx[cnt], slot[b] = b, 1
+				cnt++
 			}
-			idx[cnt] = b
-			pending[b] = true
-			cnt++
-			if cnt == len(idx) {
+			if d < 0 {
+				cv.neg(dst, &points[i])
+			} else {
+				*dst = points[i]
+			}
+			if nq == len(queue) {
 				flush()
+				collapse()
+			}
+			// A full batch flushes; a readmission that fills it again leaves
+			// queued ops whose bucket is free, so flush until one does not.
+			for cnt == len(idx) {
+				flush()
+				readmit()
 			}
 		}
 	}
-	// Final drain: flush the open batch and the ops the queue re-admits,
-	// for as long as a re-admission fills a batch worth its inversion.
-	// What the queue still holds after a thin one is same-bucket
-	// repetition with no more points to amortize against, so it spills to
-	// the Jacobian side rather than trickling out one op per inversion;
-	// the few ops of distinct scalars that met in the queue take one more
-	// small flush instead, and cost no side bucket array. Every pending
-	// flag is clear again afterwards, so the next call on these buckets
-	// starts from a clean batch.
-	for cnt > 0 {
-		flush()
-		if cnt < msmMinBatch && len(overflow) > 0 {
-			drainToSide()
-		}
-	}
-	return side
+	// Every slot is zero again afterwards, so the next call on these
+	// buckets starts from a clean batch.
+	flush()
+	collapse()
+	flush()
 }
 
-// msmCurve is what the shared Pippenger core needs of a group beyond
-// the Jacobian methods: the parts that touch coordinates, and the pools.
+// msmCurve is what the shared Pippenger core and the fixed-base kernel
+// need of a group beyond the Jacobian methods: the parts that touch
+// coordinates, and the pools.
 type msmCurve[A, J any] interface {
-	// accumulator returns a closure over a fresh batch adder (whose
-	// scratch persists across flushes and calls) running msmAccumulate
-	// for this group.
-	accumulator(batchSize int) func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J
+	// batchAdder returns a fresh batch adder for flushes of up to
+	// batchSize ops, whose scratch persists across flushes.
+	batchAdder(batchSize int) batchOps[A]
 	// infinity returns the point at infinity by value: a generic body's
 	// local set through a Jacobian method would move to the heap.
 	infinity() J
@@ -421,34 +414,34 @@ type msmCurve[A, J any] interface {
 	scratchPools() *scratchPools
 	// chunkPool recycles the streamed MSM's point buffers (*[]A).
 	chunkPool() *sync.Pool
+	isInfinity(p *A) bool
 	neg(dst, src *A)
 	batchToAffine(points []J) []A
 }
 
 // msmScratch is the recycled working set of one cell, held from the
-// cell's first points to its reduction. Buckets and the pending flags
-// are re-zeroed when a cell takes it (the zero affine value is infinity,
-// matching a fresh make); idx, pts, the conflict queue and the digit-row
-// headers need no clearing — every reader stays inside the prefix its
-// call wrote. The Jacobian side buckets of a spilling cell are not kept:
-// they are as large as the bucket pool and 1.5× as wide, and a pool
-// holding them live across GC cycles costs more resident memory than
-// allocating them saves time.
+// cell's first points to its reduction. Buckets and slots are re-zeroed
+// when a cell takes it (the zero affine value is infinity, matching a
+// fresh make); idx, pts, the conflict queue and the digit-row headers
+// need no clearing — every reader stays inside the prefix its call
+// wrote. Beside the buckets and slots, nothing grows with the pool.
 type msmScratch[A, J any] struct {
 	bucketsJ  []J
 	bucketsA  []A
-	pending   []bool
-	idx       []int32
+	slot      []int32 // per bucket, zero unless an op of it is in flight (msmAccumulate)
+	idx       []int32 // the open batch: every flush's operands
 	pts       []A
-	overflow  []batchOp[A]
+	queue     []A // the conflict queue, whose ops add to buckets queueB
+	queueB    []int32
+	sums      []A // the reduction's segment sums (reduceAffine)
 	digitRows [][]int16
-	// running, sum and spill hold the reduction's sums (bucketSum): fields,
-	// not locals, so that the Jacobian method calls taking their addresses
+	// running and sum hold the Jacobian sums (bucketSum): fields, not
+	// locals, so that the Jacobian method calls taking their addresses
 	// move nothing to the heap.
-	running, sum, spill J
-	// acc runs msmAccumulate on a batch adder sized for this scratch's
-	// shape, whose own scratch comes back with it from the pool.
-	acc func(sc *msmScratch[A, J], bucketsPerWindow int, points []A, side []J) []J
+	running, sum J
+	// adder is the cell's one flush; its own scratch comes back with it
+	// from the pool.
+	adder batchOps[A]
 }
 
 // scratchPools keeps one pool of cell scratch per shape — a cell's
@@ -575,9 +568,8 @@ func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
 
 // msmRun is one multi-exponentiation from plan to sum: plan, then
 // accumulate, then reduce. The plan is laid out once, when the run is
-// made; each cell then owns its buckets — the affine ones and the
-// Jacobian side buckets a hot bucket spills to — until the reduction, so
-// the points may arrive in one feed (the in-memory entry) or a chunk at
+// made; each cell then owns its buckets until the reduction, so the
+// points may arrive in one feed (the in-memory entry) or a chunk at
 // a time (multiExpStream), and the chunks pay for one set of
 // buckets and one reduction between them, not one each. The final feed
 // reduces every cell into a partial sum per (point chunk, window), and
@@ -608,8 +600,7 @@ type msmRun[A, J any, P Jacobian[A, J], CV msmCurve[A, J]] struct {
 // msmCell is one cell of a run with what it carries between feeds.
 type msmCell[A, J any] struct {
 	msmTask
-	sc   *msmScratch[A, J] // taken at the cell's first points, returned by its reduction
-	side []J               // Jacobian side buckets, nil until a batch-affine cell spills
+	sc *msmScratch[A, J] // taken at the cell's first points, returned by its reduction
 }
 
 // shape keys the cell's scratch pool (scratchPools).
@@ -693,37 +684,9 @@ func (r *msmRun[A, J, P, CV]) feed(points []A, dec *ScalarDecomposition, final b
 }
 
 // accumulate adds one feed's points [p0, p0+len(points)) of the cell's
-// chunk into its buckets, taking the cell's scratch first if it has none.
+// chunk into its buckets.
 func (r *msmRun[A, J, P, CV]) accumulate(cell *msmCell[A, J], points []A, dec *ScalarDecomposition, p0 int) {
-	nb := r.numBuckets
-	s := cell.sc
-	if s == nil {
-		s, _ = r.cv.scratchPools().pool(cell.shape(nb)).Get().(*msmScratch[A, J])
-		if s == nil {
-			s = &msmScratch[A, J]{}
-		}
-		cell.sc = s
-		if !cell.affine {
-			s.bucketsJ = grow(s.bucketsJ, nb)
-			for b := range s.bucketsJ {
-				s.bucketsJ[b] = r.cv.infinity()
-			}
-		} else {
-			g := cell.w1 - cell.w0
-			batch := msmBatch(g * nb)
-			s.bucketsA = grow(s.bucketsA, g*nb)
-			clear(s.bucketsA) // zero value is affine infinity
-			s.pending = grow(s.pending, g*nb)
-			clear(s.pending)
-			s.idx = grow(s.idx, batch)
-			s.pts = grow(s.pts, batch)
-			s.overflow = grow(s.overflow, msmOverflowCap)
-			s.digitRows = grow(s.digitRows, g)
-			if s.acc == nil {
-				s.acc = r.cv.accumulator(batch)
-			}
-		}
-	}
+	s := r.scratch(cell)
 	if !cell.affine {
 		r.jacAccumulate(s.bucketsJ, points, dec.row(cell.w0)[p0:p0+len(points)])
 		return
@@ -731,8 +694,42 @@ func (r *msmRun[A, J, P, CV]) accumulate(cell *msmCell[A, J], points []A, dec *S
 	for j := range s.digitRows {
 		s.digitRows[j] = dec.row(cell.w0 + j)[p0 : p0+len(points)]
 	}
-	cell.side = s.acc(s, nb, points, cell.side)
+	msmAccumulate(r.cv, s, r.numBuckets, points)
 	clear(s.digitRows) // a pooled scratch must not pin the digit table
+}
+
+// scratch returns the cell's scratch, taking one from the pool with
+// every bucket at infinity if the cell has none yet.
+func (r *msmRun[A, J, P, CV]) scratch(cell *msmCell[A, J]) *msmScratch[A, J] {
+	if cell.sc != nil {
+		return cell.sc
+	}
+	nb := r.numBuckets
+	s, _ := r.cv.scratchPools().pool(cell.shape(nb)).Get().(*msmScratch[A, J])
+	if s == nil {
+		s = &msmScratch[A, J]{}
+	}
+	cell.sc = s
+	if !cell.affine {
+		s.bucketsJ = grow(s.bucketsJ, nb)
+		for b := range s.bucketsJ {
+			s.bucketsJ[b] = r.cv.infinity()
+		}
+		return s
+	}
+	g := cell.w1 - cell.w0
+	batch := msmBatch(g * nb)
+	s.bucketsA = grow(s.bucketsA, g*nb)
+	clear(s.bucketsA) // zero value is affine infinity
+	s.slot = grow(s.slot, g*nb)
+	clear(s.slot)
+	s.idx, s.pts = grow(s.idx, batch), grow(s.pts, batch)
+	s.queue, s.queueB = grow(s.queue, msmOverflowCap), grow(s.queueB, msmOverflowCap)
+	s.digitRows = grow(s.digitRows, g)
+	if s.adder == nil {
+		s.adder = r.cv.batchAdder(batch)
+	}
+	return s
 }
 
 // jacAccumulate folds digits into Jacobian buckets with mixed adds — the
@@ -758,25 +755,79 @@ func (r *msmRun[A, J, P, CV]) reduce(cell *msmCell[A, J]) {
 	if s == nil {
 		return
 	}
-	nb := r.numBuckets
 	// Sums accumulate in the scratch and land in partials once:
 	// neighbouring partials belong to other workers' cells, and a running
 	// sum rewritten per bucket would bounce their shared cache lines.
-	running, sum, spill := P(&s.running), P(&s.sum), P(&s.spill)
-	if !cell.affine {
-		jacBucketSum[A](s.bucketsJ, running, sum)
-		r.partials[cell.chunk*r.used+cell.w0] = s.sum
+	if cell.affine {
+		r.reduceAffine(cell)
 	} else {
-		for j := 0; j < cell.w1-cell.w0; j++ {
-			bucketSum(s.bucketsA[j*nb:(j+1)*nb], running, sum)
-			if cell.side != nil {
-				jacBucketSum[A](cell.side[j*nb:(j+1)*nb], running, spill)
-				sum.AddAssign(spill)
-			}
-			r.partials[cell.chunk*r.used+cell.w0+j] = s.sum
-		}
+		jacBucketSum[A](s.bucketsJ, P(&s.running), P(&s.sum))
+		r.partials[cell.chunk*r.used+cell.w0] = s.sum
 	}
 	r.release(cell)
+}
+
+// reduceAffine writes the window sums Σ_b (b+1)·B_b of a batch-affine
+// cell through its flush. Each window's nb buckets split into S segments
+// of L = nb/S whose running sums run in lockstep from the segments' tops
+// down: a step is one flush of acc_s += B and one of sum_s += acc_s over
+// the segments of all the cell's windows, skipping ∞ operands as the
+// flush requires. A window's sum is Σ_s sum_s + L·Σ_s s·acc_s, whose
+// second term (a bucketSum over acc_1…acc_{S-1}, log₂L doublings) is the
+// only Jacobian work left: O(S) additions a window, not two a bucket.
+func (r *msmRun[A, J, P, CV]) reduceAffine(cell *msmCell[A, J]) {
+	s := cell.sc
+	nb, g := r.numBuckets, cell.w1-cell.w0
+	adder, idx, pts := s.adder, s.idx, s.pts
+	segs := reduceSegments(g, nb, len(idx))
+	L, K := nb/segs, g*segs
+	s.sums = grow(s.sums, 2*K)
+	sums := s.sums // window w's segment t: acc at sums[w·segs+t], sum at sums[K+w·segs+t]
+	clear(sums)
+	cnt := 0
+	flush := func() { adder.flush(sums, idx[:cnt], pts[:cnt]); cnt = 0 }
+	add := func(k int, p *A) {
+		if !r.cv.isInfinity(p) {
+			idx[cnt], pts[cnt] = int32(k), *p
+			if cnt++; cnt == len(idx) {
+				flush()
+			}
+		}
+	}
+	for j := L - 1; j >= 0; j-- {
+		for k := range K {
+			add(k, &s.bucketsA[(k/segs)*nb+(k%segs)*L+j])
+		}
+		flush()
+		for k := range K {
+			add(K+k, &sums[k])
+		}
+		flush()
+	}
+	running, sum := P(&s.running), P(&s.sum)
+	for w := range g {
+		acc, segSums := sums[w*segs:(w+1)*segs], sums[K+w*segs:K+(w+1)*segs]
+		bucketSum(acc[1:], running, sum)
+		for l := L; l > 1; l /= 2 {
+			sum.DoubleAssign()
+		}
+		for t := range segSums {
+			sum.AddMixed(&segSums[t])
+		}
+		r.partials[cell.chunk*r.used+cell.w0+w] = s.sum
+	}
+}
+
+// reduceSegments is the segment count S of a reduction over g windows of
+// nb buckets in flushes of up to batch ops: the largest power of two with
+// S·g ≤ batch, S ≤ nb/2 and S²·g ≤ 6·nb, so that the Jacobian tail stays
+// small beside the 2L flushes.
+func reduceSegments(g, nb, batch int) int {
+	segs := 1
+	for 2*segs*g <= batch && 2*segs <= nb/2 && 4*segs*segs*g <= 6*nb {
+		segs *= 2
+	}
+	return segs
 }
 
 // bucketSum sets sum = Σ_b (b+1)·buckets[b] with the usual running-sum
@@ -790,7 +841,8 @@ func bucketSum[A, J any, P Jacobian[A, J]](buckets []A, running, sum P) {
 	}
 }
 
-// jacBucketSum is bucketSum over Jacobian buckets.
+// jacBucketSum is bucketSum over Jacobian buckets, the reduction of the
+// Jacobian cells.
 func jacBucketSum[A, J any, P Jacobian[A, J]](buckets []J, running, sum P) {
 	running.SetInfinity()
 	sum.SetInfinity()
@@ -804,7 +856,7 @@ func jacBucketSum[A, J any, P Jacobian[A, J]](buckets []J, running, sum P) {
 func (r *msmRun[A, J, P, CV]) release(cell *msmCell[A, J]) {
 	if cell.sc != nil {
 		r.cv.scratchPools().pool(cell.shape(r.numBuckets)).Put(cell.sc)
-		cell.sc, cell.side = nil, nil
+		cell.sc = nil
 	}
 }
 
@@ -853,33 +905,23 @@ func multiExp[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, points []A, 
 // g1Msm and g2Msm bind the generic driver to the concrete groups.
 type g1Msm struct{}
 
-func (g1Msm) accumulator(batchSize int) func(*msmScratch[G1Affine, G1Jac], int, []G1Affine, []G1Jac) []G1Jac {
-	adder := newG1BatchAdder(batchSize)
-	return func(sc *msmScratch[G1Affine, G1Jac], bucketsPerWindow int, points []G1Affine, side []G1Jac) []G1Jac {
-		return msmAccumulate[G1Affine, G1Jac](adder, sc, bucketsPerWindow, points, side)
-	}
-}
-
-func (g1Msm) infinity() (j G1Jac)                     { j.SetInfinity(); return j }
-func (g1Msm) scratchPools() *scratchPools             { return &g1ScratchPools }
-func (g1Msm) chunkPool() *sync.Pool                   { return &g1ChunkPool }
-func (g1Msm) neg(dst, src *G1Affine)                  { dst.Neg(src) }
-func (g1Msm) batchToAffine(points []G1Jac) []G1Affine { return BatchJacToAffineG1(points) }
+func (g1Msm) batchAdder(batchSize int) batchOps[G1Affine] { return newG1BatchAdder(batchSize) }
+func (g1Msm) infinity() (j G1Jac)                         { j.SetInfinity(); return j }
+func (g1Msm) scratchPools() *scratchPools                 { return &g1ScratchPools }
+func (g1Msm) chunkPool() *sync.Pool                       { return &g1ChunkPool }
+func (g1Msm) isInfinity(p *G1Affine) bool                 { return p.IsInfinity() }
+func (g1Msm) neg(dst, src *G1Affine)                      { dst.Neg(src) }
+func (g1Msm) batchToAffine(points []G1Jac) []G1Affine     { return BatchJacToAffineG1(points) }
 
 type g2Msm struct{}
 
-func (g2Msm) accumulator(batchSize int) func(*msmScratch[G2Affine, G2Jac], int, []G2Affine, []G2Jac) []G2Jac {
-	adder := newG2BatchAdder(batchSize)
-	return func(sc *msmScratch[G2Affine, G2Jac], bucketsPerWindow int, points []G2Affine, side []G2Jac) []G2Jac {
-		return msmAccumulate[G2Affine, G2Jac](adder, sc, bucketsPerWindow, points, side)
-	}
-}
-
-func (g2Msm) infinity() (j G2Jac)                     { j.SetInfinity(); return j }
-func (g2Msm) scratchPools() *scratchPools             { return &g2ScratchPools }
-func (g2Msm) chunkPool() *sync.Pool                   { return &g2ChunkPool }
-func (g2Msm) neg(dst, src *G2Affine)                  { dst.Neg(src) }
-func (g2Msm) batchToAffine(points []G2Jac) []G2Affine { return BatchJacToAffineG2(points) }
+func (g2Msm) batchAdder(batchSize int) batchOps[G2Affine] { return newG2BatchAdder(batchSize) }
+func (g2Msm) infinity() (j G2Jac)                         { j.SetInfinity(); return j }
+func (g2Msm) scratchPools() *scratchPools                 { return &g2ScratchPools }
+func (g2Msm) chunkPool() *sync.Pool                       { return &g2ChunkPool }
+func (g2Msm) isInfinity(p *G2Affine) bool                 { return p.IsInfinity() }
+func (g2Msm) neg(dst, src *G2Affine)                      { dst.Neg(src) }
+func (g2Msm) batchToAffine(points []G2Jac) []G2Affine     { return BatchJacToAffineG2(points) }
 
 // multiExpEntry is the door of every MSM over resident points — either
 // group, traced or not. It and the streamed MSM (multiExpStream, which
@@ -1066,18 +1108,9 @@ const fixedBaseEntries = 1 << (fixedBaseWindow - 1)
 // and denominators stay cache-resident beside a window's table row.
 const fixedBaseBlock = 1024
 
-// fixedBaseCurve is what the fixed-base kernel needs of a group.
-type fixedBaseCurve[A, J any] interface {
-	batchAdder(batchSize int) batchOps[A, J]
-	batchToAffine(points []J) []A
-}
-
-func (g1Msm) batchAdder(batchSize int) batchOps[G1Affine, G1Jac] { return newG1BatchAdder(batchSize) }
-func (g2Msm) batchAdder(batchSize int) batchOps[G2Affine, G2Jac] { return newG2BatchAdder(batchSize) }
-
 // fixedBaseTable holds entries[w·fixedBaseEntries + d-1] = d·2^(cw)·base.
 // It is built per setup and dies with it.
-type fixedBaseTable[A, J any, CV fixedBaseCurve[A, J]] struct {
+type fixedBaseTable[A, J any, CV msmCurve[A, J]] struct {
 	cv      CV
 	entries []A
 }
@@ -1106,7 +1139,7 @@ func NewG2FixedBaseTable(base *G2Jac) *G2FixedBaseTable {
 // doubles in length level by level — (have+j+1)·P = have·P + (j+1)·P for
 // every j below have — so each level is one flush whose last slot is the
 // tangent case.
-func newFixedBaseTable[A, J any, P Jacobian[A, J], CV fixedBaseCurve[A, J]](cv CV, base J) *fixedBaseTable[A, J, CV] {
+func newFixedBaseTable[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, base J) *fixedBaseTable[A, J, CV] {
 	firsts := make([]J, fixedBaseWindows)
 	firsts[0] = base
 	for w := 1; w < len(firsts); w++ {
@@ -1169,7 +1202,7 @@ func (t *fixedBaseTable[A, J, CV]) MulBatch(ks []fr.Element) []A {
 					case d > 0:
 						pts[cnt] = row[d-1]
 					case d < 0:
-						adder.negInto(&pts[cnt], &row[-d-1])
+						t.cv.neg(&pts[cnt], &row[-d-1])
 					default:
 						continue
 					}

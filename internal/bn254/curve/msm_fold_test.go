@@ -118,7 +118,7 @@ type scalarShape struct {
 // sign-mixed ±x at each magnitude (one window, a few, half the scalar),
 // the witness mix, and full-width values folding cannot shorten — and two
 // a streamed MSM's one bucket set must carry across chunks: one
-// repeated value, whose bucket spills to the Jacobian side in every
+// repeated value, whose bucket collapses the conflict queue in every
 // chunk, and a zero first half, whose leading chunks have no digit at all.
 func foldShapes() []scalarShape {
 	shapes := []scalarShape{
@@ -273,10 +273,10 @@ func TestMultiExpFoldedAllWindowWidths(t *testing.T) {
 
 // TestMSMRunCarriesBucketsAcrossFeeds follows one run through three
 // feeds: a repeated scalar whose hot bucket fills the conflict queue and
-// spills to the Jacobian side buckets, the same scalar again (whose spills
-// must land in those same side buckets, not fresh ones), then full-width
-// scalars whose digits reach windows the run was not planned for (the
-// plan grows to cover them). The sum is MultiExpG1's.
+// collapses it, the same scalar again (which must accumulate into the
+// same buckets, not fresh ones), then full-width scalars whose digits
+// reach windows the run was not planned for (the plan grows to cover
+// them). The sum is MultiExpG1's.
 func TestMSMRunCarriesBucketsAcrossFeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	const chunk = 600
@@ -287,7 +287,7 @@ func TestMSMRunCarriesBucketsAcrossFeeds(t *testing.T) {
 	}
 	c := StreamWindowSize(len(points), chunk)
 	var r *msmRun[G1Affine, G1Jac, *G1Jac, g1Msm]
-	var side *G1Jac
+	var sc *msmScratch[G1Affine, G1Jac]
 	for f := 0; f < 3; f++ {
 		dec := DecomposeScalars(scalars[f*chunk:(f+1)*chunk], c)
 		if r == nil {
@@ -297,13 +297,12 @@ func TestMSMRunCarriesBucketsAcrossFeeds(t *testing.T) {
 		r.feed(points[f*chunk:(f+1)*chunk], dec, f == 2)
 		switch f {
 		case 0:
-			if r.cells[0].side == nil {
-				t.Fatal("a chunk of one repeated scalar did not spill to the side buckets")
+			if sc = r.cells[0].sc; sc == nil || !r.cells[0].affine {
+				t.Fatal("the first chunk left its batch-affine cell without buckets")
 			}
-			side = &r.cells[0].side[0]
 		case 1:
-			if &r.cells[0].side[0] != side {
-				t.Fatal("the second chunk's spills went to fresh side buckets")
+			if r.cells[0].sc != sc {
+				t.Fatal("the second chunk accumulated into fresh buckets")
 			}
 		case 2:
 			if r.used <= planned {

@@ -66,9 +66,8 @@ func carryScalars(rng *rand.Rand, n int) []fr.Element {
 // streamShapes are the chunk patterns the one bucket set of a streamed
 // MSM has to carry: a chunk size that does not divide n, all-zero chunks
 // (the first, so the run is planned on a later one, and one between), a
-// chunk of one repeated scalar that fills the conflict queue and spills
-// to the Jacobian side buckets followed by a chunk that hits the same
-// buckets, and chunks whose digits reach different window counts (the
+// chunk of one repeated scalar that fills the conflict queue and
+// collapses it followed by a chunk that hits the same buckets, and chunks whose digits reach different window counts (the
 // run planned on 16-bit values, then extended). Chunks of 600 points let
 // the cells run batch-affine.
 func streamShapes() []streamShape {
