@@ -268,7 +268,7 @@ func BenchmarkMSM(b *testing.B) {
 	// msmSmallThreshold: the joint signed-window pass and a Pippenger run
 	// forced through the decomposed entry. The threshold is the smallest
 	// n at which the second wins.
-	for _, n := range []int{2, 4, 8, 16, 32, 48, 64} {
+	for _, n := range []int{2, 4, 8, 12, 16, 24, 32, 48, 64} {
 		points, scalars := msmBenchG1Input(n)
 		g2Points, _ := msmBenchG2Input(n)
 		b.Run(fmt.Sprintf("G1Small/n=%d", n), func(b *testing.B) {
@@ -296,6 +296,12 @@ func BenchmarkMSM(b *testing.B) {
 	{
 		n := 4096
 		points, scalars := msmBenchG2Input(n)
+		// The aggregation's shape: its G2 MSMs run over a few hundred points.
+		b.Run("G2/n=256", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = MultiExpG2(points[:256], scalars[:256])
+			}
+		})
 		b.Run(fmt.Sprintf("G2/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = MultiExpG2(points, scalars)

@@ -266,7 +266,7 @@ func TestG1JacAgainstRefimpl(t *testing.T) {
 }
 
 // TestMultiExpG1AgainstRefimpl holds MultiExpG1 at n ≤ 64 — the
-// small-MSM pass, and the Jacobian-bucket Pippenger above its
+// small-MSM pass, and Pippenger with the batch-affine flush above its
 // threshold — to refimpl's double-and-add sum Σ kᵢ·Pᵢ, with infinity
 // and repeated points among the inputs.
 func TestMultiExpG1AgainstRefimpl(t *testing.T) {

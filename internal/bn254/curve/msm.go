@@ -31,9 +31,10 @@ import (
 //     and λ, x₃, y₃, over F_p in G1 and F_p² in G2. The op classification, tangents, the chords
 //     past the last block of eight and the flush's one inversion stay
 //     scalar;
-//   - one flush per cell: a batch-affine cell's conflict queue collapses
-//     and its buckets reduce through its batch adder too, so it adds
-//     nothing in Jacobian form but O(segments) a window (reduceAffine);
+//   - one flush per cell: every cell is batch-affine, and its conflict
+//     queue collapses and its buckets reduce through its batch adder too,
+//     so it adds nothing in Jacobian form but O(segments) a window
+//     (reduce);
 //   - two-dimensional parallelism: work is split into point-chunks ×
 //     windows and scheduled on par.Each, so the MSM keeps scaling past
 //     the ~20-window ceiling of window-only parallelism;
@@ -44,12 +45,13 @@ import (
 // One generic core (msmRun / msmAccumulate) drives both groups, over
 // resident points and streamed ones alike; G1 and G2 plug in only what
 // touches coordinates (g1Msm / g2Msm below: the batch adders, affine
-// negation and normalization, the pools), and the Jacobian bucket sums
-// run over the Jacobian constraint.
+// negation and normalization, the pools), and the few Jacobian additions
+// left — the reduction's tail, the fold — run over the Jacobian
+// constraint.
 //
-// Below msmSmallThreshold points (48) none of that pays: Pippenger's
+// Below msmSmallThreshold points (12) none of that pays: Pippenger's
 // per-window bucket reduction and fold cost the same for 2 points as for
-// 40, and a verifier's IC over a weight digest and a claim bit is such an
+// 10, and a verifier's IC over a weight digest and a claim bit is such an
 // MSM. Those go through multiExpSmall instead — the same sign-folded
 // digits at c = 4, a table of each point's multiples up to its largest
 // digit (at most 8), and one accumulator whose doublings all points
@@ -231,8 +233,9 @@ func (d *ScalarDecomposition) recode(scalars []fr.Element, start, end int) (used
 // while keeping the op queue cache-resident.
 const msmBatchSize = 512
 
-// msmMinBatch is the smallest batch worth an inversion; below it (few
-// buckets even after window grouping) the Jacobian path wins.
+// msmMinBatch is the smallest batch the planner groups windows to reach:
+// a group spans at least the windows whose buckets fill it, unless the
+// MSM has fewer windows than that.
 const msmMinBatch = 16
 
 // msmBatchShare is the largest share of a cell's bucket pool one batch
@@ -263,14 +266,10 @@ const msmMinChunk = 512
 // fraction of a millisecond-scale MSM.
 const msmSerialThreshold = 1024
 
-// msmAffineThreshold is the point count under which the batch-affine
-// machinery can't amortize its flush inversions and plain Jacobian
-// bucket accumulation wins.
-const msmAffineThreshold = 512
-
-// msmBatch is the batch size of a batch-affine cell owning pool buckets.
+// msmBatch is the batch size of a cell owning pool buckets. It floors at
+// one op: a lone window of two buckets still needs room for an insert.
 func msmBatch(pool int) int {
-	return min(pool/msmBatchShare, msmBatchSize)
+	return max(1, min(pool/msmBatchShare, msmBatchSize))
 }
 
 // batchOps is the batch-affine flush, implemented by g1BatchAdder and
@@ -280,7 +279,7 @@ type batchOps[A any] interface {
 }
 
 // msmAccumulate folds one chunk×window-group cell of points into the
-// signed-digit buckets sc.bucketsA. sc.digitRows[g] holds the digits of
+// signed-digit buckets sc.buckets. sc.digitRows[g] holds the digits of
 // the g-th window in the group, and that window owns the bucket segment
 // [g·bucketsPerWindow, (g+1)·bucketsPerWindow): grouping narrow windows
 // multiplies the bucket pool so batches stay large — one window of 256
@@ -298,7 +297,7 @@ type batchOps[A any] interface {
 // does the one left at the end: its ops of each bucket are summed
 // pairwise, a flush per tree level, and the survivors enter the batch.
 func msmAccumulate[A, J any, CV msmCurve[A, J]](cv CV, sc *msmScratch[A, J], bucketsPerWindow int, points []A) {
-	adder, buckets, slot, idx, pts, digitRows := sc.adder, sc.bucketsA, sc.slot, sc.idx, sc.pts, sc.digitRows
+	adder, buckets, slot, idx, pts, digitRows := sc.adder, sc.buckets, sc.slot, sc.idx, sc.pts, sc.digitRows
 	queue, queueB := sc.queue, sc.queueB
 	cnt, nq := 0, 0 // ops in the open batch and in the queue
 	flush := func() {
@@ -426,8 +425,7 @@ type msmCurve[A, J any] interface {
 // need no clearing — every reader stays inside the prefix its call
 // wrote. Beside the buckets and slots, nothing grows with the pool.
 type msmScratch[A, J any] struct {
-	bucketsJ  []J
-	bucketsA  []A
+	buckets   []A
 	slot      []int32 // per bucket, zero unless an op of it is in flight (msmAccumulate)
 	idx       []int32 // the open batch: every flush's operands
 	pts       []A
@@ -445,10 +443,10 @@ type msmScratch[A, J any] struct {
 }
 
 // scratchPools keeps one pool of cell scratch per shape — a cell's
-// affine bucket count, or minus its Jacobian one — so that a cell reuses
-// scratch sized for cells like it, and the pools do not end up holding
-// every scratch grown to the largest cell's buckets (a streamed MSM holds
-// all its cells' scratch at once, and the pools keep what it returns).
+// bucket count — so that a cell reuses scratch sized for cells like it,
+// and the pools do not end up holding every scratch grown to the largest
+// cell's buckets (a streamed MSM holds all its cells' scratch at once,
+// and the pools keep what it returns).
 type scratchPools struct {
 	mu    sync.Mutex
 	pools map[int]*sync.Pool
@@ -482,12 +480,10 @@ func grow[T any](s []T, n int) []T {
 }
 
 // msmTask is one cell of an MSM's work decomposition: point chunk
-// chunk (of the plan's numChunks) crossed with the window run [w0, w1),
-// accumulated batch-affine or Jacobian.
+// chunk (of the plan's numChunks) crossed with the window run [w0, w1).
 type msmTask struct {
 	chunk  int
 	w0, w1 int
-	affine bool
 }
 
 // chunkRange returns the points [p0, p1) that chunk ch of numChunks
@@ -503,65 +499,42 @@ func chunkRange(ch, numChunks, n int) (p0, p1 int) {
 // cells, heaviest first, and the number of point chunks (chunkRange).
 // Every (chunk, window) pair belongs to exactly one cell.
 //
-// Windows 0..wide-1 draw digits from the scalar's full range and run
-// batch-affine, grouped so one pass over the points owns several bucket
-// segments at once: a single 256-bucket window can never keep a batch
-// conflict-free, a run of them can. The windows above see only the
-// scalar's high-order sliver of bits, so their digits crowd a handful
-// of buckets; they take the Jacobian path one window per cell, as does
-// everything in a small MSM, where flush inversions can't amortize.
+// The windows are grouped so one pass over the points owns several
+// bucket segments at once: a single 256-bucket window can never keep a
+// batch conflict-free, a run of them can. A group spans at least the
+// windows whose buckets fill the smallest batch (msmMinBatch); windows
+// too few for that form one group.
 //
 // One worker gets the fewest groups msmGroupBuckets allows and a single
-// chunk. More workers get ~2·procs batch-affine cells of near-equal
-// weight, so that a worker that starts late or runs slow costs a
-// fraction of a cell rather than a whole one: the wide windows are cut
-// into more, narrower groups first (which adds no work — reduction cost
-// follows the window count, not the grouping) and the points into
-// chunks only when there are too few windows to go round (each extra
-// chunk reduces every window's buckets once more). The sparse Jacobian
-// cells above wide weigh next to nothing and are not counted: an
-// 8192-point streamed chunk's 28 wide windows plus one top window is
-// four cells of seven windows, not one of 28 and an idle worker.
+// chunk. More workers get ~2·procs cells of near-equal weight, so that a
+// worker that starts late or runs slow costs a fraction of a cell rather
+// than a whole one: the windows are cut into more, narrower groups first
+// (which adds no work — reduction cost follows the window count, not the
+// grouping) and the points into chunks only when there are too few
+// windows to go round (each extra chunk reduces every window's buckets
+// once more).
 func planMSM(n, c, used, procs int) (tasks []msmTask, numChunks int) {
 	numBuckets := 1 << (c - 1)
-	wide := min(fr.Bits/c, used)
-	// A group spans between minGroup windows — the buckets the smallest
-	// batch worth an inversion needs — and maxGroup.
 	minGroup := (msmMinBatch*msmBatchShare + numBuckets - 1) / numBuckets
 	maxGroup := (msmGroupBuckets + numBuckets - 1) / numBuckets
-	if n < msmAffineThreshold || wide < minGroup {
-		wide = 0
-	}
 	target := 1
 	if procs > 1 && n >= msmSerialThreshold {
 		target = 2 * procs
 	}
-	// cols counts the window runs that share the work: the batch-affine
-	// groups, or every window when all of them are Jacobian.
-	cols, groups := used, 0
-	if wide > 0 {
-		groups = max((wide+maxGroup-1)/maxGroup, min(target, wide/minGroup))
-		cols = groups
-	}
-	numChunks = min((target+cols-1)/cols, (n+msmMinChunk-1)/msmMinChunk)
+	groups := max((used+maxGroup-1)/maxGroup, min(target, used/minGroup))
+	numChunks = min((target+groups-1)/groups, (n+msmMinChunk-1)/msmMinChunk)
 
-	cells := func(w0, w1 int, affine bool) {
-		for ch := 0; ch < numChunks; ch++ {
-			tasks = append(tasks, msmTask{chunk: ch, w0: w0, w1: w1, affine: affine})
-		}
-	}
-	tasks = make([]msmTask, 0, numChunks*(groups+used-wide))
-	// Balanced cut: the first wide%groups groups are one window wider.
+	tasks = make([]msmTask, 0, numChunks*groups)
+	// Balanced cut: the first used%groups groups are one window wider.
 	for g, w0 := 0, 0; g < groups; g++ {
-		w1 := w0 + wide/groups
-		if g < wide%groups {
+		w1 := w0 + used/groups
+		if g < used%groups {
 			w1++
 		}
-		cells(w0, w1, true)
+		for ch := 0; ch < numChunks; ch++ {
+			tasks = append(tasks, msmTask{chunk: ch, w0: w0, w1: w1})
+		}
 		w0 = w1
-	}
-	for w := wide; w < used; w++ {
-		cells(w, w+1, false)
 	}
 	return tasks, numChunks
 }
@@ -585,10 +558,7 @@ type msmRun[A, J any, P Jacobian[A, J], CV msmCurve[A, J]] struct {
 	numChunks  int
 	// used counts the windows the cells cover: the plan's, extended when a
 	// feed's digits reach higher (cover).
-	used int
-	// affine says a single window can run batch-affine in this run: the
-	// feeds are large enough and a window's buckets fill the smallest batch.
-	affine   bool
+	used     int
 	cells    []msmCell[A, J]
 	partials []J // numChunks × used window sums, written by the final feed
 
@@ -605,9 +575,6 @@ type msmCell[A, J any] struct {
 
 // shape keys the cell's scratch pool (scratchPools).
 func (t *msmTask) shape(numBuckets int) int {
-	if !t.affine {
-		return -numBuckets
-	}
 	return (t.w1 - t.w0) * numBuckets
 }
 
@@ -620,8 +587,7 @@ func (t *msmTask) shape(numBuckets int) int {
 func newMSMRun[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, n, c, used int, sc obs.Scope) *msmRun[A, J, P, CV] {
 	tasks, numChunks := planMSM(n, c, used, par.Workers())
 	r := &msmRun[A, J, P, CV]{cv: cv, c: c, numBuckets: 1 << (c - 1), numChunks: numChunks, used: used,
-		affine: n >= msmAffineThreshold && msmBatch(1<<(c-1)) >= msmMinBatch,
-		cells:  make([]msmCell[A, J], len(tasks), len(tasks)+numChunks)}
+		cells: make([]msmCell[A, J], len(tasks), len(tasks)+numChunks)}
 	for i, t := range tasks {
 		r.cells[i].msmTask = t
 	}
@@ -634,14 +600,11 @@ func newMSMRun[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, n, c, used 
 // cover extends the cells to the low used windows. A feed whose digits
 // reach past the windows the plan was laid out for — a streamed chunk
 // holding wider scalars than the chunk the run was planned on — gets one
-// cell per point chunk for each new window: batch-affine where the
-// planner would have made it so (a wide window in a run whose feeds can
-// amortize a flush), Jacobian for the sparse top window.
+// cell per point chunk for each new window.
 func (r *msmRun[A, J, P, CV]) cover(used int) {
 	for w := r.used; w < used; w++ {
-		affine := r.affine && w < fr.Bits/r.c
 		for ch := 0; ch < r.numChunks; ch++ {
-			r.cells = append(r.cells, msmCell[A, J]{msmTask: msmTask{chunk: ch, w0: w, w1: w + 1, affine: affine}})
+			r.cells = append(r.cells, msmCell[A, J]{msmTask: msmTask{chunk: ch, w0: w, w1: w + 1}})
 		}
 	}
 	r.used = max(r.used, used)
@@ -687,10 +650,6 @@ func (r *msmRun[A, J, P, CV]) feed(points []A, dec *ScalarDecomposition, final b
 // chunk into its buckets.
 func (r *msmRun[A, J, P, CV]) accumulate(cell *msmCell[A, J], points []A, dec *ScalarDecomposition, p0 int) {
 	s := r.scratch(cell)
-	if !cell.affine {
-		r.jacAccumulate(s.bucketsJ, points, dec.row(cell.w0)[p0:p0+len(points)])
-		return
-	}
 	for j := range s.digitRows {
 		s.digitRows[j] = dec.row(cell.w0 + j)[p0 : p0+len(points)]
 	}
@@ -704,79 +663,44 @@ func (r *msmRun[A, J, P, CV]) scratch(cell *msmCell[A, J]) *msmScratch[A, J] {
 	if cell.sc != nil {
 		return cell.sc
 	}
-	nb := r.numBuckets
-	s, _ := r.cv.scratchPools().pool(cell.shape(nb)).Get().(*msmScratch[A, J])
+	pool := cell.shape(r.numBuckets)
+	s, _ := r.cv.scratchPools().pool(pool).Get().(*msmScratch[A, J])
 	if s == nil {
 		s = &msmScratch[A, J]{}
 	}
 	cell.sc = s
-	if !cell.affine {
-		s.bucketsJ = grow(s.bucketsJ, nb)
-		for b := range s.bucketsJ {
-			s.bucketsJ[b] = r.cv.infinity()
-		}
-		return s
-	}
-	g := cell.w1 - cell.w0
-	batch := msmBatch(g * nb)
-	s.bucketsA = grow(s.bucketsA, g*nb)
-	clear(s.bucketsA) // zero value is affine infinity
-	s.slot = grow(s.slot, g*nb)
+	batch := msmBatch(pool)
+	s.buckets = grow(s.buckets, pool)
+	clear(s.buckets) // zero value is affine infinity
+	s.slot = grow(s.slot, pool)
 	clear(s.slot)
 	s.idx, s.pts = grow(s.idx, batch), grow(s.pts, batch)
 	s.queue, s.queueB = grow(s.queue, msmOverflowCap), grow(s.queueB, msmOverflowCap)
-	s.digitRows = grow(s.digitRows, g)
+	s.digitRows = grow(s.digitRows, cell.w1-cell.w0)
 	if s.adder == nil {
 		s.adder = r.cv.batchAdder(batch)
 	}
 	return s
 }
 
-// jacAccumulate folds digits into Jacobian buckets with mixed adds — the
-// cells whose batch-affine flushes could not amortize their inversion.
-func (r *msmRun[A, J, P, CV]) jacAccumulate(buckets []J, points []A, digits []int16) {
-	var neg A // one per call: the group's neg takes its address
-	for i, d := range digits {
-		switch {
-		case d > 0:
-			P(&buckets[d-1]).AddMixed(&points[i])
-		case d < 0:
-			r.cv.neg(&neg, &points[i])
-			P(&buckets[-d-1]).AddMixed(&neg)
-		}
-	}
-}
-
-// reduce writes the cell's window sums into the partials and returns
-// its scratch. A cell that never took points leaves its partials at
-// infinity.
+// reduce writes the cell's window sums Σ_b (b+1)·B_b into the partials
+// through its flush, and returns its scratch. A cell that never took
+// points leaves its partials at infinity.
+//
+// Each window's nb buckets split into S segments of L = nb/S whose
+// running sums run in lockstep from the segments' tops down: a step is
+// one flush of acc_s += B and one of sum_s += acc_s over the segments of
+// all the cell's windows, skipping ∞ operands as the flush requires. A
+// window's sum is Σ_s sum_s + L·Σ_s s·acc_s, whose second term (a
+// bucketSum over acc_1…acc_{S-1}, log₂L doublings) is the only Jacobian
+// work left: O(S) additions a window, not two a bucket. The sum lands in
+// partials once: neighbouring partials belong to other workers' cells,
+// and a sum rewritten per step would bounce their shared cache lines.
 func (r *msmRun[A, J, P, CV]) reduce(cell *msmCell[A, J]) {
 	s := cell.sc
 	if s == nil {
 		return
 	}
-	// Sums accumulate in the scratch and land in partials once:
-	// neighbouring partials belong to other workers' cells, and a running
-	// sum rewritten per bucket would bounce their shared cache lines.
-	if cell.affine {
-		r.reduceAffine(cell)
-	} else {
-		jacBucketSum[A](s.bucketsJ, P(&s.running), P(&s.sum))
-		r.partials[cell.chunk*r.used+cell.w0] = s.sum
-	}
-	r.release(cell)
-}
-
-// reduceAffine writes the window sums Σ_b (b+1)·B_b of a batch-affine
-// cell through its flush. Each window's nb buckets split into S segments
-// of L = nb/S whose running sums run in lockstep from the segments' tops
-// down: a step is one flush of acc_s += B and one of sum_s += acc_s over
-// the segments of all the cell's windows, skipping ∞ operands as the
-// flush requires. A window's sum is Σ_s sum_s + L·Σ_s s·acc_s, whose
-// second term (a bucketSum over acc_1…acc_{S-1}, log₂L doublings) is the
-// only Jacobian work left: O(S) additions a window, not two a bucket.
-func (r *msmRun[A, J, P, CV]) reduceAffine(cell *msmCell[A, J]) {
-	s := cell.sc
 	nb, g := r.numBuckets, cell.w1-cell.w0
 	adder, idx, pts := s.adder, s.idx, s.pts
 	segs := reduceSegments(g, nb, len(idx))
@@ -796,7 +720,7 @@ func (r *msmRun[A, J, P, CV]) reduceAffine(cell *msmCell[A, J]) {
 	}
 	for j := L - 1; j >= 0; j-- {
 		for k := range K {
-			add(k, &s.bucketsA[(k/segs)*nb+(k%segs)*L+j])
+			add(k, &s.buckets[(k/segs)*nb+(k%segs)*L+j])
 		}
 		flush()
 		for k := range K {
@@ -816,6 +740,7 @@ func (r *msmRun[A, J, P, CV]) reduceAffine(cell *msmCell[A, J]) {
 		}
 		r.partials[cell.chunk*r.used+cell.w0+w] = s.sum
 	}
+	r.release(cell)
 }
 
 // reduceSegments is the segment count S of a reduction over g windows of
@@ -837,17 +762,6 @@ func bucketSum[A, J any, P Jacobian[A, J]](buckets []A, running, sum P) {
 	sum.SetInfinity()
 	for b := len(buckets) - 1; b >= 0; b-- {
 		running.AddMixed(&buckets[b])
-		sum.AddAssign(running)
-	}
-}
-
-// jacBucketSum is bucketSum over Jacobian buckets, the reduction of the
-// Jacobian cells.
-func jacBucketSum[A, J any, P Jacobian[A, J]](buckets []J, running, sum P) {
-	running.SetInfinity()
-	sum.SetInfinity()
-	for b := len(buckets) - 1; b >= 0; b-- {
-		running.AddAssign(&buckets[b])
 		sum.AddAssign(running)
 	}
 }
@@ -891,11 +805,11 @@ func (r *msmRun[A, J, P, CV]) sum() J {
 // point, one fold — the streamed MSM's arithmetic with a single chunk.
 func multiExp[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, points []A, dec *ScalarDecomposition, sc obs.Scope) J {
 	n := len(points)
-	if n == 0 || dec.used == 0 {
-		return cv.infinity()
-	}
 	if n != dec.n {
 		panic("curve: MultiExp decomposition length mismatch")
+	}
+	if n == 0 || dec.used == 0 {
+		return cv.infinity()
 	}
 	r := newMSMRun[A, J, P](cv, n, dec.c, dec.used, sc)
 	r.feed(points, dec, true)
@@ -954,11 +868,12 @@ func multiExpEntry[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, points 
 // for a bucket reduction and a fold, ~254/c windows whatever n is; a
 // verifier's few-input IC (a weight digest and a claim bit) would spend
 // more on that than on one scalar multiplication. The crossing point is
-// BenchmarkMSM's Small/Pippenger pairs (full-width scalars, 2 vCPUs):
-// the small pass takes a third to a half off at 2 to 16 points and
-// still leads by 10–15 % at 48, while at 64 the two tie in G1 and
-// Pippenger leads by a sixth in G2.
-const msmSmallThreshold = 48
+// BenchmarkMSM's Small/Pippenger pairs (full-width scalars, -cpu 1, five
+// interleaved runs on a 2-vCPU Xeon): the small pass takes a fifth to a
+// third off at 2 points and leads at 4, the two tie in G1 at 8 while
+// Pippenger leads G2 by a sixth, and at 12 Pippenger takes 25–35 % off
+// in both groups.
+const msmSmallThreshold = 12
 
 // msmSmallWindow is the small pass's digit width: a table of 2^(c-1)
 // multiples per point against ~254/c additions per full-width scalar.

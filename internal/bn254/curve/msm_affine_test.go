@@ -14,7 +14,7 @@ import (
 )
 
 // Edge cases of the two places a batch-affine cell adds outside its
-// bucket inserts — the lockstep reduction (reduceAffine) and the
+// bucket inserts — the lockstep reduction (reduce) and the
 // conflict queue's pairwise collapse — held to refimpl in both groups,
 // on every flush backend this CPU has.
 
@@ -145,7 +145,7 @@ func reduceShapes() []reduceShape {
 	)
 }
 
-// testReduceAffine runs reduceAffine over every reduceShape and holds each
+// testReduceAffine runs reduce over every reduceShape and holds each
 // window's sum to refimpl's Σ_b (b+1)·B_b.
 func testReduceAffine[A, J any, P Jacobian[A, J], CV msmCurve[A, J], O oraclePoint[O]](t *testing.T, cv CV, or msmOracle[A, J, O], seed int64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -163,8 +163,8 @@ func testReduceAffine[A, J any, P Jacobian[A, J], CV msmCurve[A, J], O oraclePoi
 			L := nb / reduceSegments(sh.g, nb, msmBatch(sh.g*nb))
 			r := &msmRun[A, J, P, CV]{cv: cv, c: sh.c, numBuckets: nb, numChunks: 1, used: sh.g,
 				partials: make([]J, sh.g)}
-			cell := &msmCell[A, J]{msmTask: msmTask{w1: sh.g, affine: true}}
-			buckets := r.scratch(cell).bucketsA
+			cell := &msmCell[A, J]{msmTask: msmTask{w1: sh.g}}
+			buckets := r.scratch(cell).buckets
 			terms := make([]bucketTerm, sh.g*nb)
 			wants := make([]O, sh.g)
 			for w := range sh.g {
@@ -220,7 +220,8 @@ type conflictCase struct {
 // conflictCases crowd one bucket, or every bucket of a full batch, so
 // that the conflict queue fills and collapses. 600 points are one chunk
 // whatever the workers, whose queue fills once and collapses once more at
-// the end.
+// the end. At 100 points the width MSMWindowSize picks gives a lone
+// used window a cell of 16 buckets and a batch of four.
 func conflictCases() []conflictCase {
 	alternating := func(i int) int64 { return 1 - 2*int64(i%2) }
 	return []conflictCase{
@@ -241,14 +242,17 @@ func conflictCases() []conflictCase {
 		// queue one op behind each and one more fills the queue: the tree
 		// shrinks it by a single pair.
 		{"full queue over 511 buckets", 1100, false, func(i int) int64 { return 1 + int64(i%511) }},
+		{"all 1, 100 points", 100, false, func(int) int64 { return 1 }},
+		{"one point, alternating ±1, 100 points", 100, true, alternating},
 	}
 }
 
 // testConflictQueue runs the conflictCases over a prefix of chain,
 // distinct finite points (its first at every index but the last for a
 // case with same), through the resident and the streamed MSM, at the
-// width MSMWindowSize picks and at c = 12, on one worker and two, and
-// holds both to refimpl's Σ kᵢ·Pᵢ.
+// width MSMWindowSize picks, at c = 12 and at c = 2 (two buckets a
+// window: a lone window's batch is a single op), on one worker and two,
+// and holds both to refimpl's Σ kᵢ·Pᵢ.
 func testConflictQueue[A, J any, P Jacobian[A, J], CV msmCurve[A, J], O oraclePoint[O]](t *testing.T, cv CV, or msmOracle[A, J, O], chain []A) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	onFlushBackends(t, func(t *testing.T) {
@@ -282,7 +286,7 @@ func testConflictQueue[A, J any, P Jacobian[A, J], CV msmCurve[A, J], O oraclePo
 			src := func(dst []A, start int) error { copy(dst, points[start:]); return nil }
 			for _, procs := range []int{1, 2} {
 				runtime.GOMAXPROCS(procs)
-				for _, c := range []int{MSMWindowSize(n), 12} {
+				for _, c := range []int{MSMWindowSize(n), 12, 2} {
 					name := fmt.Sprintf("%s, c=%d, GOMAXPROCS %d", cc.name, c, procs)
 					resident := multiExpEntry[A, J, P](cv, points, nil, DecomposeScalars(scalars, c), obs.Scope{})
 					if !or.ofJac(&resident).Equal(want) {

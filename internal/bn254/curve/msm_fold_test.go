@@ -155,11 +155,11 @@ func scalarSliceSource(scalars []fr.Element) ScalarSource {
 }
 
 // straddleSizes returns the sizes around every MSMWindowSize threshold
-// the oracle can afford plus msmAffineThreshold and msmSerialThreshold
-// (512 and 1024: Jacobian → batch-affine, inline → scheduled).
+// the oracle can afford plus msmMinChunk and msmSerialThreshold (512 and
+// 1024: one point chunk → several, inline → scheduled).
 func straddleSizes(limit int) []int {
 	var sizes []int
-	for _, th := range []int{8, 64, 256, msmAffineThreshold, msmSerialThreshold, 4096} {
+	for _, th := range []int{8, 64, 256, msmMinChunk, msmSerialThreshold, 4096} {
 		if th <= limit {
 			sizes = append(sizes, th-1, th, th+1)
 		}
@@ -297,8 +297,8 @@ func TestMSMRunCarriesBucketsAcrossFeeds(t *testing.T) {
 		r.feed(points[f*chunk:(f+1)*chunk], dec, f == 2)
 		switch f {
 		case 0:
-			if sc = r.cells[0].sc; sc == nil || !r.cells[0].affine {
-				t.Fatal("the first chunk left its batch-affine cell without buckets")
+			if sc = r.cells[0].sc; sc == nil {
+				t.Fatal("the first chunk left its cell without buckets")
 			}
 		case 1:
 			if r.cells[0].sc != sc {
@@ -384,26 +384,30 @@ func TestFoldedRecodingWorkGate(t *testing.T) {
 
 // TestPlanMSMLayouts is the planner's table test. For every input the
 // cells must tile the chunk × window grid exactly once with chunks that
-// tile the points; with several workers and a schedulable size the
-// heaviest cell (points × windows) must leave room for balance, at most
-// three quarters of one worker's even share; and one worker must get
-// the single-chunk layout with the widest groups the bucket pool allows.
+// tile the points; every cell must span the windows whose buckets fill
+// the smallest batch, unless it spans all of them; with several workers
+// and a schedulable size the heaviest cell (points × windows) must leave
+// room for balance, at most three quarters of one worker's even share;
+// and one worker must get the single-chunk layout with the widest groups
+// the bucket pool allows.
 func TestPlanMSMLayouts(t *testing.T) {
 	cases := []struct{ n, c, used, procs int }{
 		{8192, 9, 30, 2},   // a streamed chunk, full-width scalars
 		{32768, 11, 24, 2}, // the quotient query
 		{33818, 11, 3, 2},  // a folded witness query
 		{4129, 9, 3, 4},    // the verifier's IC multi-exp
-		{300, 7, 37, 4},    // below both thresholds: Jacobian, inline
+		{300, 7, 37, 4},    // below msmSerialThreshold: inline
 		{8192, 9, 29, 1},
 		{33818, 11, 3, 1},
 		{1 << 20, 14, 19, 8},
 		{2000, 3, 86, 8}, // four buckets a window: groups stop at the smallest batch
-		{600, 2, 20, 2},  // too few windows' worth of buckets for any batch: all Jacobian
+		{600, 2, 20, 2},  // too few windows' worth of buckets for the smallest batch: one group
+		{600, 2, 1, 2},   // one two-bucket window: one cell, whose batch is a single op
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("n=%d c=%d used=%d procs=%d", tc.n, tc.c, tc.used, tc.procs)
 		tasks, numChunks := planMSM(tc.n, tc.c, tc.used, tc.procs)
+		minGroup := (msmMinBatch*msmBatchShare + 1<<(tc.c-1) - 1) >> (tc.c - 1)
 
 		covered := make([]int, numChunks*tc.used)
 		total, heaviest := 0, 0
@@ -415,11 +419,8 @@ func TestPlanMSMLayouts(t *testing.T) {
 			for w := task.w0; w < task.w1; w++ {
 				covered[task.chunk*tc.used+w]++
 			}
-			if !task.affine && task.w1-task.w0 != 1 {
-				t.Fatalf("%s: Jacobian cell %+v spans several windows", name, task)
-			}
-			if task.affine && msmBatch((task.w1-task.w0)<<(tc.c-1)) < msmMinBatch {
-				t.Fatalf("%s: batch-affine cell %+v owns too few buckets for the smallest batch", name, task)
+			if task.w1-task.w0 < minGroup && task.w1-task.w0 != tc.used {
+				t.Fatalf("%s: cell %+v spans fewer than %d windows and not all %d", name, task, minGroup, tc.used)
 			}
 			weight := (p1 - p0) * (task.w1 - task.w0)
 			total += weight
@@ -451,27 +452,31 @@ func TestPlanMSMLayouts(t *testing.T) {
 			if numChunks != 1 {
 				t.Errorf("%s: one worker got %d chunks", name, numChunks)
 			}
-			wide := min(fr.Bits/tc.c, tc.used)
 			maxGroup := msmGroupBuckets >> (tc.c - 1)
-			if groups := (wide + maxGroup - 1) / maxGroup; len(tasks) != groups+tc.used-wide {
-				t.Errorf("%s: one worker got %d cells, want %d groups + %d top windows", name, len(tasks), groups, tc.used-wide)
+			if groups := (tc.used + maxGroup - 1) / maxGroup; len(tasks) != groups {
+				t.Errorf("%s: one worker got %d cells, want %d", name, len(tasks), groups)
 			}
 		}
 	}
 
-	// The layouts the issue names: the quotient query splits 6/6/6/5 plus
-	// its top window rather than 8/8/7+1, and a streamed chunk is cut by
-	// windows, never left as one 28-window cell beside an idle worker.
-	tasks, numChunks := planMSM(32768, 11, 24, 2)
-	var widths []int
-	for _, task := range tasks {
-		widths = append(widths, task.w1-task.w0)
-	}
-	if fmt.Sprint(widths) != "[6 6 6 5 1]" || numChunks != 1 {
-		t.Errorf("quotient-query layout: group widths %v over %d chunks, want [6 6 6 5 1] over 1", widths, numChunks)
-	}
-	tasks, numChunks = planMSM(8192, 9, 29, 2)
-	if len(tasks) != 5 || numChunks != 1 || tasks[0].w1-tasks[0].w0 != 7 {
-		t.Errorf("streamed-chunk layout: %d cells over %d chunks, first %d windows wide; want 4×7 windows + top over 1 chunk", len(tasks), numChunks, tasks[0].w1-tasks[0].w0)
+	// Two named layouts on two workers: the quotient query splits 6/6/6/6
+	// rather than 8/8/8, and a streamed chunk is cut by windows, never
+	// left as one 29-window cell beside an idle worker.
+	for _, tc := range []struct {
+		name       string
+		n, c, used int
+		widths     string
+	}{
+		{"quotient query", 32768, 11, 24, "[6 6 6 6]"},
+		{"streamed chunk", 8192, 9, 29, "[8 7 7 7]"},
+	} {
+		tasks, numChunks := planMSM(tc.n, tc.c, tc.used, 2)
+		var widths []int
+		for _, task := range tasks {
+			widths = append(widths, task.w1-task.w0)
+		}
+		if fmt.Sprint(widths) != tc.widths || numChunks != 1 {
+			t.Errorf("%s layout: group widths %v over %d chunks, want %s over 1", tc.name, widths, numChunks, tc.widths)
+		}
 	}
 }

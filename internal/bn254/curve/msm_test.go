@@ -175,7 +175,7 @@ func TestMultiExpSmallPathAroundThreshold(t *testing.T) {
 // 2^16..2^22 size brackets select — shows up without a huge oracle run.
 func TestMultiExpAllWindowWidthsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	n := 700 // above msmAffineThreshold so the batch-affine path runs
+	n := 700
 	points, scalars := msmTestVectors(rng, n)
 	want := naiveMSMG1(points, scalars)
 	for c := 2; c <= 15; c++ {
@@ -227,6 +227,40 @@ func TestMultiExpG2Decomposed(t *testing.T) {
 	}
 }
 
+// TestMultiExpDecomposedLengthMismatchPanics: a decomposition of three
+// scalars against two points panics in both groups, all-zero scalars
+// included — their digits would add nothing, but the lengths still
+// disagree.
+func TestMultiExpDecomposedLengthMismatchPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	g1s, g2s := make([]G1Affine, 2), make([]G2Affine, 2)
+	for i := range g1s {
+		p1, p2 := randG1(rng), randG2(rng)
+		g1s[i].FromJacobian(&p1)
+		g2s[i].FromJacobian(&p2)
+	}
+	full := []fr.Element{randFr(rng), randFr(rng), randFr(rng)}
+	for _, sh := range []struct {
+		name    string
+		scalars []fr.Element
+	}{{"zero", make([]fr.Element, 3)}, {"full", full}} {
+		dec := DecomposeScalars(sh.scalars, 4)
+		for group, call := range map[string]func(){
+			"G1": func() { MultiExpG1Decomposed(g1s, dec) },
+			"G2": func() { MultiExpG2Decomposed(g2s, dec) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s scalars, three against two points, did not panic", group, sh.name)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+}
+
 // TestMultiExpDecomposedMatchesPlain is the round-trip required of the
 // precomputed-digit API: decomposing up front must not change results.
 func TestMultiExpDecomposedMatchesPlain(t *testing.T) {
@@ -245,8 +279,7 @@ func TestMultiExpDecomposedMatchesPlain(t *testing.T) {
 // TestMultiExpWitnessShapedScalars pins the MSM on the scalar profile
 // real witnesses have — thousands of repeated bit values and small
 // fixed-point magnitudes all landing in the same low-window buckets —
-// which drives the batch scheduler's conflict queue into its Jacobian
-// spill path.
+// which fills the batch scheduler's conflict queue and collapses it.
 func TestMultiExpWitnessShapedScalars(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	n := 3000
