@@ -16,7 +16,7 @@ func TestAggregateMany(t *testing.T) {
 	var publics [][]fr.Element
 	var vk *groth16.VerifyingKey
 	for _, x := range []uint64{2, 3, 5, 7, 9} {
-		res, err := e.Prove(Request{System: sys, Witness: cubicWitness(5, x)})
+		res, err := e.Prove(withInputs(Request{System: sys}, cubicWitness(5, x)))
 		if err != nil {
 			t.Fatal(err)
 		}

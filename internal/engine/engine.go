@@ -91,12 +91,9 @@ type Request struct {
 	// Result.Digest) so solve-many callers don't re-send the system.
 	// Ignored when System is set.
 	Digest string
-	// Witness, when non-nil, is used as the full wire assignment and
-	// Public/Secret are ignored. Otherwise the engine solves the witness
-	// from the input assignment (Result.SolveTime reports the cost).
-	Witness []fr.Element
 	// Public and Secret bind the circuit's declared inputs, in
-	// declaration order (r1cs.Assignment halves).
+	// declaration order (r1cs.Assignment halves); the engine solves the
+	// witness from them (Result.SolveTime reports the cost).
 	Public []fr.Element
 	Secret []fr.Element
 	// Rand overrides the engine's randomness source for this request
@@ -111,13 +108,6 @@ type Result struct {
 	Digest string
 	Keys   *KeyPair
 	Proof  *groth16.Proof
-	// Witness is the full wire assignment the proof was produced from —
-	// the solved witness when the request carried an input assignment,
-	// or the request's own witness. It is nil when the memory budget
-	// sent the witness to the disk-backed spill store (the whole point
-	// of that mode is never materializing it); use PublicInputs, which
-	// is populated in every mode.
-	Witness []fr.Element
 	// PublicInputs is the proof's instance — the public wires in the
 	// order Verify expects (CompiledSystem.PublicValues). Always
 	// populated, whichever residency the witness had.
@@ -125,8 +115,7 @@ type Result struct {
 	// SetupTime is the wall-clock cost of obtaining keys. On a cache hit
 	// it is the lookup cost — effectively zero next to a real setup.
 	SetupTime time.Duration
-	// SolveTime is the witness-generation cost (zero when the request
-	// supplied a witness).
+	// SolveTime is the witness-generation cost.
 	SolveTime time.Duration
 	ProveTime time.Duration
 	// CacheHit is true when setup was skipped (memory or disk tier).
@@ -523,14 +512,12 @@ func (e *Engine) prove(req Request) *Result {
 	}
 	res.Keys = keys
 
-	// Out-of-core an input-assignment request solves straight into a
-	// disk-backed witness tape; the prover then reads wires back through
-	// the same file. A caller-supplied witness stays resident (it already
-	// was), but still proves against the CSR file.
+	// Out-of-core the witness is solved straight into a disk-backed
+	// tape, and the prover reads wires back through the same file.
 	plan := keys.Plan
-	witness := req.Witness
+	var witness []fr.Element
 	var wf *r1cs.WitnessFile
-	if witness == nil && plan.Residency == OutOfCore {
+	if plan.Residency == OutOfCore {
 		dir, derr := e.streamKeyDir()
 		if derr == nil {
 			wf, derr = r1cs.NewWitnessFile(dir, sys.NbWires, plan.WitnessPageBytes)
@@ -542,23 +529,21 @@ func (e *Engine) prove(req Request) *Result {
 		}
 		defer wf.Close()
 	}
-	if witness == nil {
-		sp = tr.Span("engine/solve")
-		start = time.Now()
-		if wf != nil {
-			err = sys.SolveSpilled(req.Public, req.Secret, wf, tr)
-		} else {
-			witness, err = sys.Solve(req.Public, req.Secret)
-		}
-		res.SolveTime = time.Since(start)
-		sp.End()
-		if err != nil {
-			e.m.proveErrors.Inc()
-			res.Err = fmt.Errorf("engine: solve: %w", err)
-			return res
-		}
-		observeSeconds(e.m.solveSeconds, res.SolveTime)
+	sp = tr.Span("engine/solve")
+	start = time.Now()
+	if wf != nil {
+		err = sys.SolveSpilled(req.Public, req.Secret, wf, tr)
+	} else {
+		witness, err = sys.Solve(req.Public, req.Secret)
 	}
+	res.SolveTime = time.Since(start)
+	sp.End()
+	if err != nil {
+		e.m.proveErrors.Inc()
+		res.Err = fmt.Errorf("engine: solve: %w", err)
+		return res
+	}
+	observeSeconds(e.m.solveSeconds, res.SolveTime)
 	if wf != nil {
 		// Only the instance comes back resident: public wires [1, NbPublic).
 		if n := sys.NbPublic - 1; n > 0 {
@@ -573,7 +558,6 @@ func (e *Engine) prove(req Request) *Result {
 			res.PublicInputs = []fr.Element{}
 		}
 	} else {
-		res.Witness = witness
 		res.PublicInputs = sys.PublicValues(witness)
 	}
 

@@ -39,11 +39,18 @@ func inputsOf(w []fr.Element) r1cs.Assignment {
 	return r1cs.Assignment{Public: w[1:2], Secret: w[2:]}
 }
 
+// withInputs sets req to solve w's inputs (inputsOf).
+func withInputs(req Request, w []fr.Element) Request {
+	asg := inputsOf(w)
+	req.Public, req.Secret = asg.Public, asg.Secret
+	return req
+}
+
 func TestProveCacheHitSkipsSetup(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(1))})
 	sys := cubicSystem(5)
 
-	r1, err := e.Prove(Request{Name: "first", System: sys, Witness: cubicWitness(5, 3)})
+	r1, err := e.Prove(withInputs(Request{Name: "first", System: sys}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +62,7 @@ func TestProveCacheHitSkipsSetup(t *testing.T) {
 	}
 
 	// Same digest, different witness: the repeat-dispute shape.
-	r2, err := e.Prove(Request{Name: "second", System: cubicSystem(5), Witness: cubicWitness(5, 7)})
+	r2, err := e.Prove(withInputs(Request{Name: "second", System: cubicSystem(5)}, cubicWitness(5, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +84,11 @@ func TestProveCacheHitSkipsSetup(t *testing.T) {
 
 func TestDistinctDigestsDistinctKeys(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(2))})
-	ra, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	ra, err := e.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := e.Prove(Request{System: cubicSystem(9), Witness: cubicWitness(9, 3)})
+	rb, err := e.Prove(withInputs(Request{System: cubicSystem(9)}, cubicWitness(9, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +108,14 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 
 	e1 := New(Options{CacheDir: dir, Rand: rng})
-	r1, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e1.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh engine (cold memory) over the same directory: disk hit.
 	e2 := New(Options{CacheDir: dir, Rand: rng})
-	r2, err := e2.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 4)})
+	r2, err := e2.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestConcurrentSetupDeduplicated(t *testing.T) {
 	const jobs = 8
 	reqs := make([]Request, jobs)
 	for i := range reqs {
-		reqs[i] = Request{System: cubicSystem(5), Witness: cubicWitness(5, uint64(i+2))}
+		reqs[i] = withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, uint64(i+2)))
 	}
 	results := e.ProveMany(reqs)
 	for i, r := range results {
@@ -150,7 +157,7 @@ func TestVerifyMany(t *testing.T) {
 	publics := make([][]fr.Element, jobs)
 	for i := range reqs {
 		w := cubicWitness(5, uint64(i+2))
-		reqs[i] = Request{System: cubicSystem(5), Witness: w}
+		reqs[i] = withInputs(Request{System: cubicSystem(5)}, w)
 		publics[i] = publicOf(w)
 	}
 	results := e.ProveMany(reqs)
@@ -175,7 +182,7 @@ func TestVerifyMany(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	e := New(Options{CacheEntries: 2, Rand: rand.New(rand.NewSource(6))})
 	for _, k := range []uint64{5, 6, 7} {
-		if _, err := e.Prove(Request{System: cubicSystem(k), Witness: cubicWitness(k, 3)}); err != nil {
+		if _, err := e.Prove(withInputs(Request{System: cubicSystem(k)}, cubicWitness(k, 3))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +191,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// k=5 was evicted; proving it again runs setup.
 	before := e.Stats().Setups
-	r, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r, err := e.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +208,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	const jobs = 4
 	reqs := make([]Request, jobs)
 	for i := range reqs {
-		reqs[i] = Request{System: cubicSystem(5), Witness: cubicWitness(5, uint64(i+2))}
+		reqs[i] = withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, uint64(i+2)))
 	}
 	var results []*Result
 	done := make(chan struct{})
@@ -220,7 +227,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 
 	// Every entry point must reject with the sentinel after Close.
-	if _, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)}); !errors.Is(err, ErrClosed) {
+	if _, err := e.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Prove after Close: err = %v, want ErrClosed", err)
 	}
 	if _, _, err := e.Keys(cubicSystem(5), nil); !errors.Is(err, ErrClosed) {
@@ -273,7 +280,7 @@ func TestStatsRaceUnderLoad(t *testing.T) {
 	publics := make([][]fr.Element, jobs)
 	for i := range reqs {
 		w := cubicWitness(5, uint64(i+2))
-		reqs[i] = Request{System: cubicSystem(5), Witness: w}
+		reqs[i] = withInputs(Request{System: cubicSystem(5)}, w)
 		publics[i] = publicOf(w)
 	}
 	results := e.ProveMany(reqs)
@@ -328,15 +335,11 @@ func TestSolveManyRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Witness == nil {
-		t.Fatal("result carries no witness")
+	want := publicOf(w1)
+	if len(r1.PublicInputs) != len(want) || !r1.PublicInputs[0].Equal(&want[0]) {
+		t.Fatalf("PublicInputs = %v, want %v", r1.PublicInputs, want)
 	}
-	for i := range w1 {
-		if !r1.Witness[i].Equal(&w1[i]) {
-			t.Fatalf("solved wire %d mismatch", i)
-		}
-	}
-	if err := e.Verify(r1.Keys.VK, r1.Proof, publicOf(w1)); err != nil {
+	if err := e.Verify(r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
 		t.Fatalf("solved proof rejected: %v", err)
 	}
 
@@ -399,7 +402,7 @@ func TestTracedProveManyRace(t *testing.T) {
 	const jobs = 8
 	reqs := make([]Request, jobs)
 	for i := range reqs {
-		reqs[i] = Request{System: cubicSystem(7), Witness: cubicWitness(7, uint64(i+2)), Ctx: ctx}
+		reqs[i] = withInputs(Request{System: cubicSystem(7), Ctx: ctx}, cubicWitness(7, uint64(i+2)))
 	}
 	results := e.ProveMany(reqs)
 	close(stop)
@@ -408,7 +411,7 @@ func TestTracedProveManyRace(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
 		}
-		if err := e.VerifyCtx(ctx, results[0].Keys.VK, r.Proof, publicOf(reqs[i].Witness)); err != nil {
+		if err := e.VerifyCtx(ctx, results[0].Keys.VK, r.Proof, reqs[i].Public); err != nil {
 			t.Fatalf("verify %d: %v", i, err)
 		}
 	}
@@ -537,9 +540,9 @@ func TestProveManyPanicIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqs := []Request{
-			{Name: "before", System: sys, Witness: cubicWitness(5, 2)},
-			{Name: "exploding", System: sys, Witness: cubicWitness(5, 3), Rand: panicReader{}},
-			{Name: "after", System: sys, Witness: cubicWitness(5, 4)},
+			withInputs(Request{Name: "before", System: sys}, cubicWitness(5, 2)),
+			withInputs(Request{Name: "exploding", System: sys, Rand: panicReader{}}, cubicWitness(5, 3)),
+			withInputs(Request{Name: "after", System: sys}, cubicWitness(5, 4)),
 		}
 		results := e.ProveMany(reqs)
 		for _, i := range []int{0, 2} {
@@ -547,7 +550,7 @@ func TestProveManyPanicIsolated(t *testing.T) {
 			if r == nil || r.Err != nil {
 				t.Fatalf("workers=%d: request %d beside the panicking one: %+v", workers, i, r)
 			}
-			if err := e.Verify(r.Keys.VK, r.Proof, publicOf(reqs[i].Witness)); err != nil {
+			if err := e.Verify(r.Keys.VK, r.Proof, reqs[i].Public); err != nil {
 				t.Fatalf("workers=%d: proof %d rejected: %v", workers, i, err)
 			}
 		}

@@ -26,7 +26,7 @@ func damagedCacheHeals(t *testing.T, budget int64, ext string, damage func(path 
 
 	e1 := New(opts)
 	defer e1.Close()
-	r1, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e1.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func damagedCacheHeals(t *testing.T, budget int64, ext string, damage func(path 
 
 	e2 := New(opts)
 	defer e2.Close()
-	r2, err := e2.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 4)})
+	r2, err := e2.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 4)))
 	if err != nil {
 		t.Fatalf("budget %d: prove over a damaged %s: %v", budget, ext, err)
 	}
@@ -54,7 +54,7 @@ func damagedCacheHeals(t *testing.T, budget int64, ext string, damage func(path 
 	// again, and its keys interoperate with the re-setup's.
 	e3 := New(opts)
 	defer e3.Close()
-	r3, err := e3.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 6)})
+	r3, err := e3.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 
 	e1 := New(Options{CacheDir: dir, MemoryBudget: 1, Rand: rng})
 	defer e1.Close()
-	r1, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e1.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 	}
 
 	// Same digest again: the open streamed key is reused from memory.
-	r2, err := e1.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 7)})
+	r2, err := e1.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 	// Restart: the spilled raw key in CacheDir serves a cold engine.
 	e2 := New(Options{CacheDir: dir, MemoryBudget: 1, Rand: rng})
 	defer e2.Close()
-	r3, err := e2.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 4)})
+	r3, err := e2.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +180,14 @@ func TestStreamedProofMatchesInMemoryEngine(t *testing.T) {
 	w := cubicWitness(5, 3)
 
 	inMem := New(Options{Rand: rand.New(rand.NewSource(34))})
-	rIn, err := inMem.Prove(Request{System: sys, Witness: w})
+	rIn, err := inMem.Prove(withInputs(Request{System: sys}, w))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	streamed := New(Options{CacheDir: t.TempDir(), MemoryBudget: 1, Rand: rand.New(rand.NewSource(34))})
 	defer streamed.Close()
-	rSt, err := streamed.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	rSt, err := streamed.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,7 @@ func TestStreamedProofMatchesInMemoryEngine(t *testing.T) {
 
 // TestSpilledEngineRoundTrip forces full out-of-core mode (streamed
 // key, CSR section file, disk-backed witness tape) and checks the whole
-// lifecycle: spilled solve+prove with PublicInputs but no resident
-// witness, a digest-only repeat against the stripped cached circuit, a
+// lifecycle: spilled solve+prove with PublicInputs, a digest-only repeat against the stripped cached circuit, a
 // restart served by the on-disk key and CSR files, and recovery from a
 // corrupted CSR file.
 func TestSpilledEngineRoundTrip(t *testing.T) {
@@ -219,9 +218,6 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	}
 	if r1.Keys.Plan.Residency != OutOfCore {
 		t.Fatalf("1-byte budget must force full out-of-core mode, planned %s", r1.Keys.Plan.Residency)
-	}
-	if r1.Witness != nil {
-		t.Fatal("spilled prove must not return a resident witness")
 	}
 	want := publicOf(cubicWitness(5, 3))
 	if len(r1.PublicInputs) != len(want) || !r1.PublicInputs[0].Equal(&want[0]) {
@@ -346,7 +342,7 @@ func TestSpilledProofMatchesInMemoryEngine(t *testing.T) {
 // the raw key spills to a temp directory that Close removes.
 func TestStreamedEngineTempSpill(t *testing.T) {
 	e := New(Options{MemoryBudget: 1, Rand: rand.New(rand.NewSource(35))})
-	r1, err := e.Prove(Request{System: cubicSystem(5), Witness: cubicWitness(5, 3)})
+	r1, err := e.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -377,12 +377,7 @@ func VerifyAggregate(svk *ipp.VerifierKey, vk *VerifyingKey, agg *AggregateProof
 	icAff.FromJacobian(&icAgg)
 
 	var alphaBeta ext.E12
-	if !vk.AlphaBeta.IsZero() {
-		alphaBeta.CyclotomicExp(&vk.AlphaBeta, sumR.ToBigInt())
-	} else {
-		ab := pairing.Pair(&vk.AlphaG1, &vk.BetaG2)
-		alphaBeta.CyclotomicExp(&ab, sumR.ToBigInt())
-	}
+	alphaBeta.CyclotomicExp(vk.alphaBeta(), sumR.ToBigInt())
 	var zabInv ext.E12
 	zabInv.Inverse(&agg.ZAB)
 	alphaBeta.Mul(&alphaBeta, &zabInv)

@@ -59,10 +59,10 @@ type VerifyingKey struct {
 	// j = 0..ℓ (IC[0] is the constant wire).
 	IC []curve.G1Affine
 	// AlphaBeta caches e(α, β), the proof-independent pairing of the
-	// verification equation: with it, single-proof Verify needs 3 Miller
-	// pairs instead of 4. Setup, ReadFrom, and PrecomputeAlphaBeta
-	// populate it; the zero value (never a valid pairing output) means
-	// "not computed" and Verify falls back to the 4-pairing check.
+	// verification equation, so that no verify pairs α with β. Setup,
+	// ReadFrom, and PrecomputeAlphaBeta populate it; the zero value
+	// (never a valid pairing output) means "not computed", and each
+	// verify then computes e(α, β) itself.
 	// Populate before sharing the key across goroutines.
 	AlphaBeta GTElement
 
@@ -84,6 +84,17 @@ func (vk *VerifyingKey) precompute() {
 	vk.deltaLines = pairing.PrecomputeLines(&vk.DeltaG2)
 }
 
+// alphaBeta returns e(α, β): the cache, or on a key without it the
+// pairing computed on the spot — not stored, so a shared key is only
+// ever read.
+func (vk *VerifyingKey) alphaBeta() *GTElement {
+	if !vk.AlphaBeta.IsZero() {
+		return &vk.AlphaBeta
+	}
+	ab := pairing.Pair(&vk.AlphaG1, &vk.BetaG2)
+	return &ab
+}
+
 // Proof is a Groth16 proof: 2 G1 points and 1 G2 point, 128 bytes
 // compressed — matching the paper's constant "127.375 B" proof size.
 type Proof struct {
@@ -98,8 +109,9 @@ type Proof struct {
 // changes (in ZKROWNN the circuit is static, so this cost is paid once
 // per architecture and shared by every solve-many proof). sys may be a
 // resident *r1cs.CompiledSystem or a disk-backed
-// *r1cs.CompiledSystemFile — the QAP accumulation then streams the
-// matrices in bounded row windows and the key material is identical.
+// *r1cs.CompiledSystemFile: either way the QAP accumulation reads its
+// rows through r1cs.MatrixStream in bounded windows, and the key
+// material is the same.
 func Setup(sys r1cs.Constraints, rng io.Reader) (*ProvingKey, *VerifyingKey, error) {
 	pk := new(ProvingKey)
 	vk, err := setup(sys, rng, math.MaxInt, &residentKey{pk: pk})
@@ -220,6 +232,9 @@ type setupScalars struct {
 	zScalars                  []fr.Element
 }
 
+// computeSetupScalars draws the toxic waste and derives every query's
+// scalars from it: uⱼ(τ), vⱼ(τ), wⱼ(τ) from the matrices' row windows,
+// then the K, IC and Z scalars from those.
 func computeSetupScalars(sys r1cs.Constraints, rng io.Reader) (*setupScalars, error) {
 	if rng == nil {
 		rng = rand.Reader
@@ -262,66 +277,29 @@ func computeSetupScalars(sys r1cs.Constraints, rng io.Reader) (*setupScalars, er
 		return nil, err
 	}
 
-	// QAP polynomials evaluated at τ via the Lagrange basis. For a
-	// resident system the per-constraint accumulation lands in per-wire
-	// slots after a transpose: wireIndex buckets every (constraint,
-	// coeff) term by wire, and the field multiplications parallelize
-	// over disjoint wire ranges with no locking and no redundant scans.
-	// The transpose costs 8 bytes per term, though — GBs at paper scale
-	// — so a file-backed system instead streams each matrix in bounded
-	// row windows (per-term products in parallel, a serial scatter-add
-	// into the per-wire slots), trading setup CPU for a fixed resident
-	// budget. Field addition is commutative and associative over the
-	// same exact term products, but accumulation ORDER matters for
-	// bit-identical scalars: both paths add row-major per wire (the
-	// transpose preserves row order within a wire; the window walk is
-	// row-major), so the key material matches.
+	// QAP polynomials evaluated at τ via the Lagrange basis, one matrix
+	// per goroutine, each walked in bounded row windows (qapAccumulate)
+	// whether the system is resident or file-backed.
 	lag := domain.LagrangeBasisAt(&tau)
 	m := d.NbWires
 	uTau := make([]fr.Element, m)
 	vTau := make([]fr.Element, m)
 	wTau := make([]fr.Element, m)
-	if cs, ok := sys.(*r1cs.CompiledSystem); ok {
-		var uIdx, vIdx, wIdx wireIndex
-		var idxWg sync.WaitGroup
-		idxWg.Add(3)
+	var accWg sync.WaitGroup
+	var accErr [3]error
+	for i, job := range []struct {
+		ms  r1cs.MatrixStream
+		dst []fr.Element
+	}{{sys.MatA(), uTau}, {sys.MatB(), vTau}, {sys.MatC(), wTau}} {
+		accWg.Add(1)
 		go func() {
-			defer idxWg.Done()
-			uIdx = buildWireIndex(&cs.A, m)
+			defer accWg.Done()
+			accErr[i] = qapAccumulate(job.ms, lag, job.dst, setupWindowTerms)
 		}()
-		go func() {
-			defer idxWg.Done()
-			vIdx = buildWireIndex(&cs.B, m)
-		}()
-		go func() {
-			defer idxWg.Done()
-			wIdx = buildWireIndex(&cs.C, m)
-		}()
-		idxWg.Wait()
-		par.Range(m, func(lo, hi int) {
-			uIdx.accumulate(lo, hi, lag, uTau)
-			vIdx.accumulate(lo, hi, lag, vTau)
-			wIdx.accumulate(lo, hi, lag, wTau)
-		})
-	} else {
-		var accWg sync.WaitGroup
-		var accErr [3]error
-		for i, job := range []struct {
-			ms  r1cs.MatrixStream
-			dst []fr.Element
-		}{{sys.MatA(), uTau}, {sys.MatB(), vTau}, {sys.MatC(), wTau}} {
-			accWg.Add(1)
-			go func() {
-				defer accWg.Done()
-				accErr[i] = qapAccumulateStream(job.ms, lag, job.dst)
-			}()
-		}
-		accWg.Wait()
-		for _, err := range accErr {
-			if err != nil {
-				return nil, err
-			}
-		}
+	}
+	accWg.Wait()
+	if err := errors.Join(accErr[:]...); err != nil {
+		return nil, err
 	}
 
 	var gammaInv, deltaInv fr.Element
@@ -698,68 +676,24 @@ func prove(sys r1cs.Constraints, pk ProverKey, w *witnessSrc, rng io.Reader, sc 
 	return proof, nil
 }
 
-// wireIndex is the transpose of one R1CS matrix: for each wire, the
-// (constraint, coefficient) terms in which it appears, stored as CSR
-// (offs[w]..offs[w+1] index into cons/coef). Coefficients stay
-// dictionary-compressed (dict aliases the matrix's dictionary), so the
-// transpose costs 8 bytes per term rather than 36 — it is a transient
-// structure but sits squarely inside setup's peak memory.
-type wireIndex struct {
-	offs []uint32
-	cons []uint32
-	coef []uint32
-	dict []fr.Element
-}
-
-// buildWireIndex transposes one CSR matrix in two O(#terms) passes
-// (count + fill) over its flat term arrays.
-func buildWireIndex(mx *r1cs.Matrix, m int) wireIndex {
-	offs := make([]uint32, m+1)
-	for _, w := range mx.Wires {
-		offs[w+1]++
-	}
-	for w := 0; w < m; w++ {
-		offs[w+1] += offs[w]
-	}
-	idx := wireIndex{
-		offs: offs,
-		cons: make([]uint32, offs[m]),
-		coef: make([]uint32, offs[m]),
-		dict: mx.Dict,
-	}
-	cursor := make([]uint32, m)
-	copy(cursor, offs[:m])
-	for i := 0; i < mx.NbRows(); i++ {
-		for k := mx.RowOffs[i]; k < mx.RowOffs[i+1]; k++ {
-			w := mx.Wires[k]
-			c := cursor[w]
-			cursor[w]++
-			idx.cons[c] = uint32(i)
-			idx.coef[c] = mx.CoeffIdx[k]
-		}
-	}
-	return idx
-}
-
 // setupWindowTerms bounds one QAP-accumulation row window: 64Ki terms
 // keep the per-term product scratch at 2 MiB per matrix (the three
-// matrices accumulate concurrently) — far below the transpose's 8
-// bytes per term over the whole matrix.
+// matrices accumulate concurrently), whatever the circuit's size.
 const setupWindowTerms = 1 << 16
 
-// qapAccumulateStream adds Σ coeff·lag[row] into dst[wire] for every
-// term of a streamed matrix, without the wireIndex transpose: each row
-// window computes its per-term products in parallel (disjoint scratch
-// slots), then a serial scatter-add folds them into the shared per-wire
-// accumulators (wires repeat across rows, so scattering cannot
-// parallelize without per-worker vectors). The walk is row-major —
-// the same per-wire addition order as the transpose path — so the
-// accumulated scalars are bit-identical.
-func qapAccumulateStream(ms r1cs.MatrixStream, lag, dst []fr.Element) error {
+// qapAccumulate adds Σ coeff·lag[row] into dst[wire] for every term of
+// a matrix, walking it in row windows of at most maxTerms terms (a
+// denser row is a window of its own): each window's per-term products
+// run on par.Range into disjoint scratch slots, then a serial
+// scatter-add folds them into the per-wire sums (wires repeat across
+// rows, so the scatter cannot split without per-worker vectors). The
+// walk is row-major, so every wire's sum is added in row order and the
+// result does not depend on maxTerms.
+func qapAccumulate(ms r1cs.MatrixStream, lag, dst []fr.Element, maxTerms int) error {
 	win := &r1cs.RowWindow{}
 	var prod []fr.Element
 	for start, n := 0, ms.NbRows(); start < n; {
-		end := ms.EndRowForTerms(start, setupWindowTerms)
+		end := ms.EndRowForTerms(start, maxTerms)
 		if err := ms.LoadRows(win, start, end); err != nil {
 			return err
 		}
@@ -783,18 +717,6 @@ func qapAccumulateStream(ms r1cs.MatrixStream, lag, dst []fr.Element) error {
 		start = end
 	}
 	return nil
-}
-
-// accumulate adds Σ coeff·lag[constraint] into dst[w] for every wire w
-// in [lo, hi). Disjoint wire ranges touch disjoint dst entries.
-func (x *wireIndex) accumulate(lo, hi int, lag, dst []fr.Element) {
-	for w := lo; w < hi; w++ {
-		for k := x.offs[w]; k < x.offs[w+1]; k++ {
-			var term fr.Element
-			term.Mul(&x.dict[x.coef[k]], &lag[x.cons[k]])
-			dst[w].Add(&dst[w], &term)
-		}
-	}
 }
 
 // quotientVecs recycles the domain-sized working vectors of the row walk
@@ -887,29 +809,18 @@ func Verify(vk *VerifyingKey, proof *Proof, publicInputs []fr.Element, sc ...obs
 	var accAff curve.G1Affine
 	accAff.FromJacobian(&acc)
 
-	// e(-A, B) · e(α, β) · e(acc, γ) · e(C, δ) == 1. With e(α, β) cached
-	// on the key, its Miller loop is replaced by one GT multiplication
-	// and the check needs 3 pairs instead of 4; with the γ and δ line
-	// tables cached too, only B's lines are computed here.
+	// e(-A, B) · e(α, β) · e(acc, γ) · e(C, δ) == 1 with e(α, β) a G_T
+	// factor, so 3 Miller pairs; with the γ and δ line tables cached on
+	// the key, only B's lines are computed here.
 	var negA curve.G1Affine
 	negA.Neg(&proof.Ar)
 	sp := s.Sub("verify/pairing").Span()
-	var ok bool
-	if !vk.AlphaBeta.IsZero() {
-		ok = pairing.PairingCheckLines(
-			[]*curve.G1Affine{&negA, &accAff, &proof.Krs},
-			[]*curve.G2Affine{&proof.Bs, &vk.GammaG2, &vk.DeltaG2},
-			[]*pairing.Lines{nil, vk.gammaLines, vk.deltaLines},
-			&vk.AlphaBeta,
-		)
-	} else {
-		ok = pairing.PairingCheckLines(
-			[]*curve.G1Affine{&negA, &vk.AlphaG1, &accAff, &proof.Krs},
-			[]*curve.G2Affine{&proof.Bs, &vk.BetaG2, &vk.GammaG2, &vk.DeltaG2},
-			[]*pairing.Lines{nil, nil, vk.gammaLines, vk.deltaLines},
-			nil,
-		)
-	}
+	ok := pairing.PairingCheckLines(
+		[]*curve.G1Affine{&negA, &accAff, &proof.Krs},
+		[]*curve.G2Affine{&proof.Bs, &vk.GammaG2, &vk.DeltaG2},
+		[]*pairing.Lines{nil, vk.gammaLines, vk.deltaLines},
+		vk.alphaBeta(),
+	)
 	sp.End()
 	if !ok {
 		return errors.New("groth16: invalid proof")

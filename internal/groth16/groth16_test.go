@@ -63,10 +63,10 @@ func TestProveVerifyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAlphaBetaCache checks the cached-e(α,β) verification fast path:
-// Setup populates the cache, the 3-pairing and 4-pairing checks agree
-// on both honest and corrupted proofs, and PrecomputeAlphaBeta restores
-// the cache on a key that lost it.
+// TestAlphaBetaCache checks the cached e(α,β): Setup populates it, a
+// key without it (e(α,β) then paired per verify) answers as the cached
+// key does on both honest and corrupted proofs, and PrecomputeAlphaBeta
+// restores the cache on a key that lost it.
 func TestAlphaBetaCache(t *testing.T) {
 	sys := cubicSystem()
 	rng := rand.New(rand.NewSource(71))
@@ -83,30 +83,30 @@ func TestAlphaBetaCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	public := w[1:sys.NbPublic]
+	bad := *proof
+	bad.Ar.Neg(&bad.Ar)
 	if err := Verify(vk, proof, public); err != nil {
 		t.Fatalf("cached-path verify rejected honest proof: %v", err)
 	}
+	if err := Verify(vk, &bad, public); err == nil {
+		t.Fatal("cached path accepted corrupted proof")
+	}
 
-	// Strip the cache: the 4-pairing fallback must agree.
-	var stripped VerifyingKey
-	stripped = *vk
+	// Strip the cache: the uncached path must agree on both proofs.
+	stripped := *vk
 	stripped.AlphaBeta.SetZero()
 	if err := Verify(&stripped, proof, public); err != nil {
 		t.Fatalf("fallback verify rejected honest proof: %v", err)
 	}
+	if err := Verify(&stripped, &bad, public); err == nil {
+		t.Fatal("fallback path accepted corrupted proof")
+	}
+	if !stripped.AlphaBeta.IsZero() {
+		t.Fatal("Verify wrote e(α,β) into a key it was only reading")
+	}
 	got := PrecomputeAlphaBeta(&stripped)
 	if got.IsZero() || !stripped.AlphaBeta.Equal(&vk.AlphaBeta) {
 		t.Fatal("PrecomputeAlphaBeta did not restore the cache")
-	}
-
-	// Both paths must still reject corruption.
-	bad := *proof
-	bad.Ar.Neg(&bad.Ar)
-	if err := Verify(vk, &bad, public); err == nil {
-		t.Fatal("cached path accepted corrupted proof")
-	}
-	if err := Verify(&stripped, &bad, public); err == nil {
-		t.Fatal("fallback path accepted corrupted proof")
 	}
 
 	// A deserialized key re-derives the cache from its points.

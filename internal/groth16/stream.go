@@ -364,8 +364,8 @@ func (pk *StreamedProvingKey) expZQuotient(ev *rowEvals, sc obs.Scope) (curve.G1
 //
 // The scalar side of setup (a few field elements per wire) still lives
 // in RAM; it is the group elements, an order of magnitude larger, that
-// are spilled. sys may be file-backed (see Setup), in which case the
-// QAP accumulation streams the matrices too and nothing
+// are spilled. The QAP accumulation walks the matrices in bounded row
+// windows (see Setup), so with a file-backed sys nothing
 // circuit-proportional beyond the scalar vectors is resident.
 func SetupStreamed(sys r1cs.Constraints, rng io.Reader, w io.Writer) (*VerifyingKey, error) {
 	return setup(sys, rng, curve.DefaultStreamChunk, rawKeyWriter{w})

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -89,6 +91,79 @@ func TestSetupStreamedMatchesSetup(t *testing.T) {
 			}
 			if !bytes.Equal(vkBuf.Bytes(), svkBuf.Bytes()) {
 				t.Fatalf("%s, %T: SetupStreamed verifying key diverges from Setup", tc.name, cons)
+			}
+		}
+	}
+}
+
+// TestQAPAccumulateWindows holds setup's one QAP accumulation to a
+// math/big sum per wire, Σ coeff·lag[row] over every term of a matrix
+// spelled out by r1cstest.RowsOf, at window bounds that put every row in
+// a window of its own (1), cut across rows (3, 64) and take the whole
+// matrix in one window (math.MaxInt) — on a resident system and on the
+// same system as a CSR file, for fixtures with one term a row, with
+// several, and with a wire repeated inside a row and across rows.
+func TestQAPAccumulateWindows(t *testing.T) {
+	T := r1cstest.T
+	repeats := mustCSR(&r1cstest.Rows{NbPublic: 2, NbWires: 5, Rows: []r1cstest.Row{
+		{A: []r1cstest.Term{T(2, 3), T(3, 1), T(2, -1)}, B: []r1cstest.Term{T(0, 1)}, C: []r1cstest.Term{T(4, 2), T(4, 5)}},
+		{A: []r1cstest.Term{T(2, 1)}, B: []r1cstest.Term{T(2, 7), T(3, 1), T(2, 1), T(3, 4)}, C: []r1cstest.Term{T(1, 1)}},
+		{A: []r1cstest.Term{T(3, -2), T(4, 1), T(3, 9), T(2, 1), T(0, 6)}, B: []r1cstest.Term{T(4, 1)}, C: []r1cstest.Term{T(2, 1), T(2, 1)}},
+	}})
+	modulus := fr.Modulus()
+	rng := rand.New(rand.NewSource(0x9a9))
+	for _, tc := range []struct {
+		name string
+		sys  *r1cs.CompiledSystem
+	}{{"cubic", cubicSystem()}, {"chain", chainSystem(300)}, {"repeated wires", repeats}} {
+		rows := r1cstest.RowsOf(tc.sys)
+		lag := make([]fr.Element, len(rows.Rows))
+		for i := range lag {
+			if _, err := lag[i].SetRandom(rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want [3][]*big.Int
+		for j := range want {
+			want[j] = make([]*big.Int, rows.NbWires)
+			for w := range want[j] {
+				want[j][w] = new(big.Int)
+			}
+		}
+		for i, row := range rows.Rows {
+			l := lag[i].ToBigInt()
+			for j, terms := range [3][]r1cstest.Term{row.A, row.B, row.C} {
+				for _, term := range terms {
+					sum := want[j][term.Wire]
+					sum.Add(sum, new(big.Int).Mul(term.Coeff, l))
+					sum.Mod(sum, modulus)
+				}
+			}
+		}
+
+		path := filepath.Join(t.TempDir(), "sys.csr")
+		if err := r1cs.WriteCompiledSystemFile(path, tc.sys); err != nil {
+			t.Fatal(err)
+		}
+		csf, err := r1cs.OpenCompiledSystemFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer csf.Close()
+		for _, cons := range []r1cs.Constraints{tc.sys, csf} {
+			for _, bound := range []int{1, 3, 64, math.MaxInt} {
+				for j, ms := range []r1cs.MatrixStream{cons.MatA(), cons.MatB(), cons.MatC()} {
+					dst := make([]fr.Element, rows.NbWires)
+					if err := qapAccumulate(ms, lag, dst, bound); err != nil {
+						t.Fatal(err)
+					}
+					for w := range dst {
+						if got := dst[w].ToBigInt(); got.Cmp(want[j][w]) != 0 {
+							t.Fatalf("%s, %T, %d-term windows, matrix %c, wire %d: got %v, want %v",
+								tc.name, cons, bound, "ABC"[j], w, got, want[j][w])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -21,7 +21,7 @@ const maxVerifyBatch = 32
 // goroutines pull from one FIFO. A verifier takes the oldest queued item
 // plus every other queued request for the same model, so an idle server
 // checks a lone proof at once, and a batch — one combined pairing
-// product, k+3 Miller loops instead of 4k pairings — forms exactly when
+// product, k+2 Miller loops instead of 3k — forms exactly when
 // requests had to queue because every verifier was busy. A failed batch
 // is re-checked proof by proof so a bad proof fails its own request, not
 // its neighbors'.

@@ -484,7 +484,11 @@ func TestOneResidencyDecision(t *testing.T) {
 // a constraint system takes. The eager per-constraint representation, its
 // converters and the builder's shim over them are gone; hand-written
 // systems come from internal/r1cs/r1cstest, whose oracle file
-// TestOraclesShareNoCode keeps on the standard library alone.
+// TestOraclesShareNoCode keeps on the standard library alone. And rows
+// are read one way: outside internal/r1cs and the builder that fills the
+// CSR arrays (internal/frontend), no non-test file selects .RowOffs, so
+// setup, the prover and everything else walk r1cs.MatrixStream windows
+// whether the system is resident or a file.
 func TestOneConstraintRepresentation(t *testing.T) {
 	gone := map[string]bool{"System": true, "Term": true, "LinearCombination": true, "Constraint": true,
 		"FromSystem": true, "ToSystem": true, "WitnessAssignment": true}
@@ -510,6 +514,38 @@ func TestOneConstraintRepresentation(t *testing.T) {
 	}
 	if !oracle["Satisfied"] || !oracle["Digest"] {
 		t.Errorf("%s declares %v: Satisfied and Digest belong in the standard-library-only file", path, oracle)
+	}
+
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+			strings.HasPrefix(path, "internal/r1cs/") || strings.HasPrefix(path, "internal/frontend/") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "RowOffs" {
+				t.Errorf("%s: reads .RowOffs — constraint rows are read through r1cs.MatrixStream windows", fset.Position(sel.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
