@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -380,4 +381,47 @@ func BenchmarkG2ScalarMul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out.ScalarMul(&p, &k)
 	}
+}
+
+// BenchmarkRawSource decodes one DefaultStreamChunk of raw (BytesRaw)
+// points through NewG1RawSource and NewG2RawSource: the decode under
+// every streamed proving-key section, range and curve checks included.
+// It reports ns per point.
+func BenchmarkRawSource(b *testing.B) {
+	const n = DefaultStreamChunk
+	rng := rand.New(rand.NewSource(406))
+	b.Run("G1", func(b *testing.B) {
+		g, p := G1Generator(), randG1(rng)
+		raw := make([]byte, 0, n*G1UncompressedSize)
+		for range n {
+			p.AddAssign(&g)
+			var a G1Affine
+			a.FromJacobian(&p)
+			enc := a.BytesRaw()
+			raw = append(raw, enc[:]...)
+		}
+		benchRawSource(b, NewG1RawSource(bytes.NewReader(raw), 0), make([]G1Affine, n))
+	})
+	b.Run("G2", func(b *testing.B) {
+		g, p := G2Generator(), randG2(rng)
+		raw := make([]byte, 0, n*G2UncompressedSize)
+		for range n {
+			p.AddAssign(&g)
+			var a G2Affine
+			a.FromJacobian(&p)
+			enc := a.BytesRaw()
+			raw = append(raw, enc[:]...)
+		}
+		benchRawSource(b, NewG2RawSource(bytes.NewReader(raw), 0), make([]G2Affine, n))
+	})
+}
+
+func benchRawSource[P any](b *testing.B, src func(dst []P, start int) error, dst []P) {
+	b.ResetTimer()
+	for range b.N {
+		if err := src(dst, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/point")
 }

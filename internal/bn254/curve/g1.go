@@ -559,36 +559,34 @@ func (p *G1Affine) Bytes() [G1CompressedSize]byte {
 }
 
 // G1UncompressedSize is the byte length of an uncompressed G1 point
-// (big-endian X then Y).
+// (X then Y, each as its little-endian Montgomery limbs).
 const G1UncompressedSize = 2 * fp.Bytes
 
-// BytesRaw returns the 64-byte uncompressed encoding of p: X||Y, with
-// the point at infinity as all zeros. Decoding skips the square root
-// that compressed decoding pays, so this is the format of locally
-// trusted bulk material (the prover engine's on-disk key cache).
+// BytesRaw returns the 64-byte uncompressed encoding of p: X||Y, each
+// coordinate its four Montgomery limbs, little-endian — the form the
+// prover computes in, so neither direction converts. The point at
+// infinity is all zeros. Decoding skips the square root that compressed
+// decoding pays and every field product, so this is the format of
+// locally trusted bulk material (the prover engine's on-disk key cache).
 func (p *G1Affine) BytesRaw() [G1UncompressedSize]byte {
 	var out [G1UncompressedSize]byte
-	if p.IsInfinity() {
-		return out
-	}
-	xb := p.X.Bytes()
-	yb := p.Y.Bytes()
+	xb, yb := p.X.MontBytes(), p.Y.MontBytes()
 	copy(out[:fp.Bytes], xb[:])
 	copy(out[fp.Bytes:], yb[:])
 	return out
 }
 
-// SetBytesRaw decodes an uncompressed G1 point, verifying curve
-// membership (which implies subgroup membership: BN254's G1 has
-// cofactor 1).
+// SetBytesRaw decodes an uncompressed G1 point, rejecting a coordinate
+// not below p and verifying curve membership (which implies subgroup
+// membership: BN254's G1 has cofactor 1).
 func (p *G1Affine) SetBytesRaw(buf []byte) error {
 	if len(buf) != G1UncompressedSize {
 		return errors.New("curve: bad uncompressed G1 encoding length")
 	}
-	if err := p.X.SetBytesCanonical(buf[:fp.Bytes]); err != nil {
+	if err := p.X.SetMontBytes(buf[:fp.Bytes]); err != nil {
 		return err
 	}
-	if err := p.Y.SetBytesCanonical(buf[fp.Bytes:]); err != nil {
+	if err := p.Y.SetMontBytes(buf[fp.Bytes:]); err != nil {
 		return err
 	}
 	if p.IsInfinity() {

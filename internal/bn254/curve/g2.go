@@ -572,48 +572,36 @@ func (p *G2Affine) Bytes() [G2CompressedSize]byte {
 }
 
 // G2UncompressedSize is the byte length of an uncompressed G2 point
-// (X.A1, X.A0, Y.A1, Y.A0, each 32 bytes big-endian).
+// (X.A0, X.A1, Y.A0, Y.A1, each as its little-endian Montgomery limbs).
 const G2UncompressedSize = 4 * fp.Bytes
 
-// BytesRaw returns the 128-byte uncompressed encoding of p, with the
-// point at infinity as all zeros. Like the G1 variant it exists for
-// locally trusted bulk material: decoding skips the square root.
+// BytesRaw returns the 128-byte uncompressed encoding of p: the four
+// F_p coordinates in memory order, each its Montgomery limbs
+// little-endian, with the point at infinity as all zeros. Like the G1
+// variant it exists for locally trusted bulk material: decoding skips
+// the square root and every field product.
 func (p *G2Affine) BytesRaw() [G2UncompressedSize]byte {
 	var out [G2UncompressedSize]byte
-	if p.IsInfinity() {
-		return out
+	for i, c := range [4]*fp.Element{&p.X.A0, &p.X.A1, &p.Y.A0, &p.Y.A1} {
+		b := c.MontBytes()
+		copy(out[i*fp.Bytes:], b[:])
 	}
-	xa1 := p.X.A1.Bytes()
-	xa0 := p.X.A0.Bytes()
-	ya1 := p.Y.A1.Bytes()
-	ya0 := p.Y.A0.Bytes()
-	copy(out[:fp.Bytes], xa1[:])
-	copy(out[fp.Bytes:2*fp.Bytes], xa0[:])
-	copy(out[2*fp.Bytes:3*fp.Bytes], ya1[:])
-	copy(out[3*fp.Bytes:], ya0[:])
 	return out
 }
 
-// SetBytesRaw decodes an uncompressed G2 point, verifying twist-curve
-// membership only. G2 has a non-trivial cofactor, so unlike SetBytes
-// this does NOT prove order-r subgroup membership — it is for material
-// the caller already trusts (its own key cache), not for adversarial
-// inputs.
+// SetBytesRaw decodes an uncompressed G2 point, rejecting a coordinate
+// not below p and verifying twist-curve membership only. G2 has a
+// non-trivial cofactor, so unlike SetBytes this does NOT prove order-r
+// subgroup membership — it is for material the caller already trusts
+// (its own key cache), not for adversarial inputs.
 func (p *G2Affine) SetBytesRaw(buf []byte) error {
 	if len(buf) != G2UncompressedSize {
 		return errors.New("curve: bad uncompressed G2 encoding length")
 	}
-	if err := p.X.A1.SetBytesCanonical(buf[:fp.Bytes]); err != nil {
-		return err
-	}
-	if err := p.X.A0.SetBytesCanonical(buf[fp.Bytes : 2*fp.Bytes]); err != nil {
-		return err
-	}
-	if err := p.Y.A1.SetBytesCanonical(buf[2*fp.Bytes : 3*fp.Bytes]); err != nil {
-		return err
-	}
-	if err := p.Y.A0.SetBytesCanonical(buf[3*fp.Bytes:]); err != nil {
-		return err
+	for i, c := range [4]*fp.Element{&p.X.A0, &p.X.A1, &p.Y.A0, &p.Y.A1} {
+		if err := c.SetMontBytes(buf[i*fp.Bytes : (i+1)*fp.Bytes]); err != nil {
+			return err
+		}
 	}
 	if p.IsInfinity() {
 		return nil

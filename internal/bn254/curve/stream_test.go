@@ -2,14 +2,17 @@ package curve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"zkrownn/internal/bn254/fp"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/par"
 )
@@ -200,6 +203,105 @@ func TestStreamMSMRawSource(t *testing.T) {
 	gotAff.FromJacobian(&got)
 	if !gotAff.Equal(&wantAff) {
 		t.Fatal("raw-source streamed MSM diverges from in-memory")
+	}
+}
+
+// rawRoundTrip lays pts out as one raw section behind a 3-byte offset,
+// then requires each encoding to decode back to its point both alone
+// (dec) and through the raw source (src). Each bad encoding must be
+// refused by both.
+func rawRoundTrip[P comparable](t *testing.T, pts []P, enc func(*P) []byte, dec func(*P, []byte) error,
+	src func(io.ReaderAt, int64) func([]P, int) error, bad [][]byte) {
+	t.Helper()
+	section := []byte("pad")
+	for i := range pts {
+		b := enc(&pts[i])
+		var got P
+		if err := dec(&got, b); err != nil || got != pts[i] {
+			t.Fatalf("point %d: decodes to %v, %v", i, got, err)
+		}
+		section = append(section, b...)
+	}
+	got := make([]P, len(pts))
+	if err := src(bytes.NewReader(section), 3)(got, 0); err != nil {
+		t.Fatalf("raw source: %v", err)
+	}
+	for i := range pts {
+		if got[i] != pts[i] {
+			t.Fatalf("raw source: point %d differs", i)
+		}
+	}
+	for i, b := range bad {
+		var p P
+		if err := dec(&p, b); err == nil {
+			t.Errorf("bad encoding %d decoded", i)
+		}
+		if err := src(bytes.NewReader(b), 0)(make([]P, 1), 0); err == nil {
+			t.Errorf("bad encoding %d decoded through the raw source", i)
+		}
+	}
+}
+
+// TestRawEncodingRoundTrip holds BytesRaw and SetBytesRaw (alone and
+// under NewG1RawSource/NewG2RawSource) to an exact round trip of ∞, the
+// generator and random points in G1 and G2, and to refusing a point off
+// the curve, a coordinate equal to p (also where the rest is ∞'s
+// zeros) and a wrong length.
+func TestRawEncodingRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(405))
+	pLimbs := fp.Mont().Q()
+	var pBytes [fp.Bytes]byte
+	for i, w := range pLimbs {
+		binary.LittleEndian.PutUint64(pBytes[8*i:], w)
+	}
+	withP := func(b []byte, at int) []byte {
+		b = bytes.Clone(b)
+		copy(b[at:], pBytes[:])
+		return b
+	}
+	one := fp.NewElement(1)
+
+	g1 := []G1Affine{{}}
+	for i := range 20 {
+		j := G1Generator()
+		if i > 0 {
+			j = randG1(rng)
+		}
+		var a G1Affine
+		a.FromJacobian(&j)
+		g1 = append(g1, a)
+	}
+	offG1 := g1[1]
+	offG1.Y.Add(&offG1.Y, &one)
+	enc1 := func(p *G1Affine) []byte { b := p.BytesRaw(); return b[:] }
+	rawRoundTrip(t, g1, enc1, (*G1Affine).SetBytesRaw,
+		func(r io.ReaderAt, off int64) func([]G1Affine, int) error { return NewG1RawSource(r, off) },
+		[][]byte{enc1(&offG1), withP(enc1(&g1[2]), 0), withP(enc1(&g1[2]), fp.Bytes), withP(enc1(&g1[0]), 0)})
+	if err := new(G1Affine).SetBytesRaw(enc1(&g1[1])[1:]); err == nil {
+		t.Error("a 63-byte G1 encoding decoded")
+	}
+
+	g2 := []G2Affine{{}}
+	for i := range 20 {
+		j := G2Generator()
+		if i > 0 {
+			j = randG2(rng)
+		}
+		var a G2Affine
+		a.FromJacobian(&j)
+		g2 = append(g2, a)
+	}
+	offG2 := g2[1]
+	offG2.Y.A0.Add(&offG2.Y.A0, &one)
+	enc2 := func(p *G2Affine) []byte { b := p.BytesRaw(); return b[:] }
+	bad2 := [][]byte{enc2(&offG2), withP(enc2(&g2[0]), 3*fp.Bytes)}
+	for at := 0; at < G2UncompressedSize; at += fp.Bytes {
+		bad2 = append(bad2, withP(enc2(&g2[2]), at))
+	}
+	rawRoundTrip(t, g2, enc2, (*G2Affine).SetBytesRaw,
+		func(r io.ReaderAt, off int64) func([]G2Affine, int) error { return NewG2RawSource(r, off) }, bad2)
+	if err := new(G2Affine).SetBytesRaw(append(enc2(&g2[1]), 0)); err == nil {
+		t.Error("a 129-byte G2 encoding decoded")
 	}
 }
 

@@ -50,6 +50,20 @@ func BenchmarkInverse(b *testing.B) {
 	_ = z
 }
 
+// BenchmarkSqrt times the square root of a square: one Exp by (p+1)/4
+// and the squaring that checks it, the cost of every compressed point
+// decode.
+func BenchmarkSqrt(b *testing.B) {
+	x := randElement(benchRNG)
+	x.Square(&x)
+	var z Element
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Sqrt(&x)
+	}
+	_ = z
+}
+
 func BenchmarkBatchInvert1024(b *testing.B) {
 	in := make([]Element, 1024)
 	for i := range in {

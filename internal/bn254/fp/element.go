@@ -77,6 +77,14 @@ func (z *Element) SetBigInt(v *big.Int) *Element { field.SetBigInt((*limbs)(z), 
 // the value to be a canonical (< p) encoding; it allocates nothing.
 func (z *Element) SetBytesCanonical(b []byte) error { return field.SetBytesCanonical((*limbs)(z), b) }
 
+// MontBytes returns z's Montgomery limbs as 32 little-endian bytes, with
+// no conversion out of Montgomery form.
+func (z *Element) MontBytes() [Bytes]byte { return field.MontBytes((*limbs)(z)) }
+
+// SetMontBytes sets z from MontBytes' encoding, requiring the limbs to
+// be below p; it converts nothing and allocates nothing.
+func (z *Element) SetMontBytes(b []byte) error { return field.SetMontBytes((*limbs)(z), b) }
+
 // BigInt writes the canonical (non-Montgomery) value of z into res and
 // returns res.
 func (z *Element) BigInt(res *big.Int) *big.Int { return field.BigInt(res, (*limbs)(z)) }

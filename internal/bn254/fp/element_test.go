@@ -2,6 +2,7 @@ package fp
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,7 @@ func TestExp(t *testing.T)                 { monttest.Exp(t, suite) }
 func TestLegendre(t *testing.T)            { monttest.Legendre(t, suite) }
 func TestHalve(t *testing.T)               { monttest.Halve(t, suite) }
 func TestBytesRoundTrip(t *testing.T)      { monttest.BytesRoundTrip(t, suite) }
+func TestMontBytesRoundTrip(t *testing.T)  { monttest.MontBytesRoundTrip(t, suite) }
 func TestSetBytesCanonicalMatchesBigInt(t *testing.T) {
 	monttest.SetBytesCanonicalMatchesBigInt(t, suite)
 }
@@ -93,6 +95,47 @@ func TestSqrt(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("no non-residues sampled; suspicious")
+	}
+}
+
+// TestSqrtMatchesModSqrt holds Sqrt to math/big's ModSqrt on squares,
+// on random values (about half of them non-residues), on 0, 1 and on
+// p−1 = −1, a non-residue since p ≡ 3 mod 4: both find a root or
+// neither does, and the roots agree up to sign.
+func TestSqrtMatchesModSqrt(t *testing.T) {
+	p := Modulus()
+	rng := rand.New(rand.NewSource(44))
+	one := NewElement(1)
+	var minusOne Element
+	minusOne.Neg(&one)
+	cases := []Element{{}, one, minusOne}
+	for range 64 {
+		a := randElement(rng)
+		var sq Element
+		cases = append(cases, a, *sq.Square(&a))
+	}
+	residues, nonResidues := 0, 0
+	for _, x := range cases {
+		want := new(big.Int).ModSqrt(x.ToBigInt(), p)
+		var root Element
+		got := root.Sqrt(&x)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("Sqrt(%s) found a root: %v, ModSqrt: %v", x.String(), got != nil, want != nil)
+		}
+		if want == nil {
+			nonResidues++
+			continue
+		}
+		residues++
+		var w, negW Element
+		w.SetBigInt(want)
+		negW.Neg(&w)
+		if !root.Equal(&w) && !root.Equal(&negW) {
+			t.Fatalf("Sqrt(%s) = %s, ModSqrt ±%s", x.String(), root.String(), want)
+		}
+	}
+	if residues < 64 || nonResidues < 10 {
+		t.Fatalf("%d residues and %d non-residues sampled; suspicious", residues, nonResidues)
 	}
 }
 

@@ -25,6 +25,7 @@ func TestExp(t *testing.T)                 { monttest.Exp(t, suite) }
 func TestLegendre(t *testing.T)            { monttest.Legendre(t, suite) }
 func TestHalve(t *testing.T)               { monttest.Halve(t, suite) }
 func TestBytesRoundTrip(t *testing.T)      { monttest.BytesRoundTrip(t, suite) }
+func TestMontBytesRoundTrip(t *testing.T)  { monttest.MontBytesRoundTrip(t, suite) }
 func TestSetBytesCanonicalMatchesBigInt(t *testing.T) {
 	monttest.SetBytesCanonicalMatchesBigInt(t, suite)
 }

@@ -190,6 +190,38 @@ func (f *Field) SetBytesCanonical(z *[4]uint64, b []byte) error {
 	return nil
 }
 
+// MontBytes returns x's raw limbs as 32 little-endian bytes: the
+// Montgomery form itself, unconverted. It is the coordinate encoding of
+// the raw proving key, which stores points in the form the prover
+// computes in.
+func (f *Field) MontBytes(x *[4]uint64) (out [32]byte) {
+	for i := range x {
+		binary.LittleEndian.PutUint64(out[8*i:], x[i])
+	}
+	return out
+}
+
+// SetMontBytes sets z from exactly 32 bytes of little-endian raw limbs
+// (MontBytes' encoding) below q, and leaves z alone otherwise. The
+// bytes already are Montgomery form, so it multiplies nothing: this is
+// the decode under every raw-key point.
+func (f *Field) SetMontBytes(z *[4]uint64, b []byte) error {
+	if len(b) != 32 {
+		return errors.New(f.name + ": invalid encoding length")
+	}
+	v := [4]uint64{
+		binary.LittleEndian.Uint64(b[0:]),
+		binary.LittleEndian.Uint64(b[8:]),
+		binary.LittleEndian.Uint64(b[16:]),
+		binary.LittleEndian.Uint64(b[24:]),
+	}
+	if !f.below(&v) {
+		return errors.New(f.name + ": Montgomery limbs are not canonical")
+	}
+	*z = v
+	return nil
+}
+
 // below reports whether the integer x is below q.
 func (f *Field) below(x *[4]uint64) bool {
 	_, b := bits.Sub64(x[0], f.q[0], 0)
@@ -226,16 +258,36 @@ func (f *Field) Halve(z, x *[4]uint64) {
 	z[3] = t3 >> 1
 }
 
-// Exp sets z = x^k for a non-negative exponent k.
+// Exp sets z = x^k for a non-negative exponent k, with a fixed 4-bit
+// window: x⁰…x¹⁵ are precomputed, and each nibble of k, most significant
+// first, costs four squarings and at most one product.
 func (f *Field) Exp(z, x *[4]uint64, k *big.Int) {
 	if k.Sign() < 0 {
 		panic(f.name + ": negative exponent")
 	}
-	res, base := f.one, *x
-	for i := k.BitLen() - 1; i >= 0; i-- {
+	var table [16][4]uint64
+	table[0], table[1] = f.one, *x
+	for i := 2; i < len(table); i++ {
+		f.Mul(&table[i], &table[i-1], x)
+	}
+	// A word holds a whole number of nibbles, so none straddles two.
+	words := k.Bits()
+	nibble := func(i int) uint {
+		return uint(words[4*i/bits.UintSize]>>(4*i%bits.UintSize)) & 15
+	}
+	top := (k.BitLen()+3)/4 - 1
+	if top < 0 {
+		*z = f.one
+		return
+	}
+	res := table[nibble(top)]
+	for i := top - 1; i >= 0; i-- {
 		f.Square(&res, &res)
-		if k.Bit(i) == 1 {
-			f.Mul(&res, &res, &base)
+		f.Square(&res, &res)
+		f.Square(&res, &res)
+		f.Square(&res, &res)
+		if d := nibble(i); d != 0 {
+			f.Mul(&res, &res, &table[d])
 		}
 	}
 	*z = res

@@ -289,7 +289,11 @@ func SetString(t *testing.T, f *Field) {
 	}
 }
 
-// Exp checks exponentiation against math/big, and x⁰ = 1, x¹ = x.
+// Exp checks exponentiation against math/big, and x⁰ = 1, x¹ = x. Past
+// random exponents it runs those at the 4-bit window's seams: every k
+// below 40, all-ones and single-bit nibbles, zero nibbles between set
+// ones, the 64-bit word boundary, 2²⁵⁶−1 and (m+1)/4, on random bases
+// and on 0, 1 and −1.
 func Exp(t *testing.T, f *Field) {
 	rng := rand.New(rand.NewSource(3))
 	var got [4]uint64
@@ -299,6 +303,27 @@ func Exp(t *testing.T, f *Field) {
 		f.Exp(&got, &a, k)
 		if want := new(big.Int).Exp(f.canonical(&a), k, f.m); f.canonical(&got).Cmp(want) != 0 {
 			t.Fatalf("exp mismatch at iteration %d", i)
+		}
+	}
+	var ks []*big.Int
+	for k := range 40 {
+		ks = append(ks, big.NewInt(int64(k)))
+	}
+	pow2 := func(n uint) *big.Int { return new(big.Int).Lsh(bigOne, n) }
+	for _, n := range []uint{63, 64, 65, 128, 253, 255, 256} {
+		ks = append(ks, pow2(n), new(big.Int).Sub(pow2(n), bigOne), new(big.Int).Add(pow2(n), bigOne))
+	}
+	quarter := new(big.Int).Add(f.m, bigOne)
+	ks = append(ks, quarter.Rsh(quarter, 2), new(big.Int).Sub(f.m, bigOne), new(big.Int).SetUint64(0xf0f00f0f00000001))
+	var zero, one, minusOne [4]uint64
+	f.SetUint64(&one, 1)
+	f.Neg(&minusOne, &one)
+	for _, a := range [][4]uint64{f.Random(rng), f.Random(rng), zero, one, minusOne} {
+		for _, k := range ks {
+			f.Exp(&got, &a, k)
+			if want := new(big.Int).Exp(f.canonical(&a), k, f.m); f.canonical(&got).Cmp(want) != 0 {
+				t.Fatalf("%s^%s = %s, math/big %s", f.canonical(&a), k, f.canonical(&got), want)
+			}
 		}
 	}
 	a := f.Random(rng)
@@ -371,6 +396,50 @@ func BytesRoundTrip(t *testing.T, f *Field) {
 	}
 	if err := f.SetBytesCanonical(&e, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short encoding accepted")
+	}
+}
+
+// MontBytesRoundTrip checks the Montgomery-limb codec, MontBytes and
+// SetMontBytes: the encoding is the raw limbs little-endian, unconverted,
+// and decodes back to them for 0, 1, m−1 and random limbs; the limbs m,
+// m+1 and 2²⁵⁶−1 and every length but 32 are refused, leaving the
+// destination alone.
+func MontBytesRoundTrip(t *testing.T, f *Field) {
+	q := f.Q()
+	rng := rand.New(rand.NewSource(9))
+	cases := [][4]uint64{{}, {1}, subWord(q, 1)}
+	for range 200 {
+		cases = append(cases, f.Random(rng))
+	}
+	for _, x := range cases {
+		enc := f.MontBytes(&x)
+		for i := range x {
+			if w := binary.LittleEndian.Uint64(enc[8*i:]); w != x[i] {
+				t.Fatalf("MontBytes(%x): limb %d encodes as %x", x, i, w)
+			}
+		}
+		var z [4]uint64
+		if err := f.SetMontBytes(&z, enc[:]); err != nil || z != x {
+			t.Fatalf("SetMontBytes(MontBytes(%x)) = %x, %v", x, z, err)
+		}
+	}
+	sentinel := [4]uint64{7, 7, 7, 7}
+	qPlus1 := [4]uint64{q[0] + 1, q[1], q[2], q[3]} // q is odd: no carry
+	for _, bad := range [][4]uint64{q, qPlus1, {^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}} {
+		enc := f.MontBytes(&bad)
+		z := sentinel
+		if err := f.SetMontBytes(&z, enc[:]); err == nil || z != sentinel {
+			t.Fatalf("SetMontBytes accepted the limbs %x (err %v, z %x)", bad, err, z)
+		}
+	}
+	one := f.MontBytes(&[4]uint64{1})
+	for _, n := range []int{0, 31, 33, 64} {
+		b := make([]byte, n)
+		copy(b, one[:])
+		z := sentinel
+		if err := f.SetMontBytes(&z, b); err == nil || z != sentinel {
+			t.Fatalf("SetMontBytes accepted %d bytes (err %v, z %x)", n, err, z)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"strings"
 	"testing"
 )
@@ -268,4 +269,76 @@ func TestOpenFramedRejectsCorruption(t *testing.T) {
 	if _, _, err := OpenFramed(filepath.Join(t.TempDir(), "missing"), keyMagic); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: got %v, want os.ErrNotExist", err)
 	}
+}
+
+// FuzzOpenFramed feeds arbitrary file bytes to OpenFramed. Every input
+// is refused with an error or accepted, none panics, and an accepted one
+// is an exact round trip: its payload is the bytes after the frame
+// header, and WriteFramed of that payload writes the input back byte for
+// byte. Validation allocates no more than a constant plus the file's own
+// size, so a header that claims a huge payload sizes nothing. The corpus
+// starts from a WriteFramed output, whole, cut short at every field of
+// the frame header and inside the payload, one byte too long, and with
+// its magic, length, checksum and payload each damaged, and an empty
+// payload's.
+func FuzzOpenFramed(f *testing.F) {
+	dir := f.TempDir()
+	var whole []byte
+	for _, body := range []string{"", strings.Repeat("payload bytes ", 20)} {
+		path := filepath.Join(dir, "seed")
+		if _, err := WriteFramed(path, keyMagic, payload(body)); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		whole = b
+	}
+	for _, cut := range []int{len(whole) - 1, frameSize + 1, frameSize, frameSize - 1, 12, 4, 0} {
+		f.Add(whole[:cut])
+	}
+	f.Add(append(bytes.Clone(whole), 0))
+	for _, at := range []int{0, 4, 12, frameSize + 3} {
+		bad := bytes.Clone(whole)
+		bad[at] ^= 0x20
+		f.Add(bad)
+	}
+	allocated := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := allocated()
+		file, sr, err := OpenFramed(path, keyMagic)
+		// os.Open, Stat and io.Copy's 32 KiB buffer are the constant.
+		if grew, bound := allocated()-before, uint64(1<<16+len(b)); grew > bound {
+			t.Fatalf("a %d-byte file allocated %d bytes (bound %d)", len(b), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		got, err := io.ReadAll(sr)
+		file.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, b[frameSize:]) {
+			t.Fatalf("payload of %d bytes is not the file's %d after the frame", len(got), len(b)-frameSize)
+		}
+		again := filepath.Join(dir, "again")
+		if _, err := WriteFramed(again, keyMagic, payload(string(got))); err != nil {
+			t.Fatal(err)
+		}
+		if rewritten, err := os.ReadFile(again); err != nil || !bytes.Equal(rewritten, b) {
+			t.Fatalf("re-framing the accepted payload gave different bytes (%v)", err)
+		}
+	})
 }

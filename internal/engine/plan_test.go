@@ -3,12 +3,16 @@ package engine
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"zkrownn/internal/diskfile"
 )
 
 // TestPlanResidency pins the policy: the two inequalities (raw key >
@@ -72,25 +76,32 @@ func TestPlanResidency(t *testing.T) {
 	}
 }
 
+// The cubicSystem(5) circuit under an engine seeded with 41: the SHA-256
+// of the <digest>.pk file it writes, and the compressed A and K points of
+// the first proof, with witness cubicWitness(5, 3), in every tier.
+const (
+	pinnedPK  = "1eb7bde07dfa542f7a4b7ba53aae78e357cfcc6491b6104231023394013b52db"
+	pinnedAr  = "d23e027e76e06ccb6092b04054caade3228c9a245e0433a3e50f97f70f3dbeee"
+	pinnedKrs = "82003175239f6456f3aa0f4d92dda25bd7b1665ce5b495026f64c3009c7ec1ee"
+)
+
 // TestResidencyTiers runs the engine in every tier — the middle one
 // included, which budgets 0 and 1 never reach — on one circuit, with one
 // budget per tier computed from the circuit's own sizes. Each tier must
 // prove as planned, count as planned, keep on disk what its plan says,
 // serve a digest-only repeat and a restart, and — same seeds — produce
-// the other tiers' proof bytes and key files, which are the files the
-// parent commit wrote.
+// the other tiers' proof bytes and key files, which are the pinned ones.
 func TestResidencyTiers(t *testing.T) {
 	sys := cubicSystem(5)
 	sz := measure(sys)
 	asg := inputsOf(cubicWitness(5, 3))
 	asg7 := inputsOf(cubicWitness(5, 7))
 
-	// SHA-256 of <digest>.pk, .vk and .csr as written at 725543a by an
-	// engine seeded with 41 under MemoryBudget 1, and the compressed A and
-	// K points of the proof it (and the one under budget 0) then produced.
-	const pinnedAr, pinnedKrs = "d23e027e76e06ccb6092b04054caade3228c9a245e0433a3e50f97f70f3dbeee", "82003175239f6456f3aa0f4d92dda25bd7b1665ce5b495026f64c3009c7ec1ee"
+	// SHA-256 of <digest>.pk, .vk and .csr as written by an engine seeded
+	// with 41 under MemoryBudget 1: .vk and .csr as at 725543a, .pk the
+	// same key in the raw key's version-2 encoding.
 	pinned := map[string]string{
-		".pk":  "e21ec6e5e840d1dff951d366f365a77ab0e83c85f5c2016d2f1fec765a7b4960",
+		".pk":  pinnedPK,
 		".vk":  "8522f962d0d421dc85050889ed8fc574ab68021125d6fd013e0fa298f76bdf43",
 		".csr": "69f2702a2069301f05d8337c53e3aa457cf8b84dd8a49d37b50fe7970c022982",
 	}
@@ -132,7 +143,7 @@ func TestResidencyTiers(t *testing.T) {
 			t.Errorf("%s: proof bytes differ from the resident tier's", tc.want)
 		}
 		if ar, krs := fmt.Sprintf("%x", r1.Proof.Ar.Bytes()), fmt.Sprintf("%x", r1.Proof.Krs.Bytes()); ar != pinnedAr || krs != pinnedKrs {
-			t.Errorf("%s: proof (A %s, K %s) is not the parent commit's for these seeds", tc.want, ar, krs)
+			t.Errorf("%s: proof (A %s, K %s) is not the pinned one for these seeds", tc.want, ar, krs)
 		}
 
 		// Same files under the same names, the CSR file iff out-of-core.
@@ -148,7 +159,7 @@ func TestResidencyTiers(t *testing.T) {
 				t.Fatalf("%s: %v", tc.want, err)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
-				t.Errorf("%s: %s hashes to %s, the parent commit wrote %s", tc.want, ext, got, want)
+				t.Errorf("%s: %s hashes to %s, pinned %s", tc.want, ext, got, want)
 			}
 		}
 
@@ -186,6 +197,66 @@ func TestResidencyTiers(t *testing.T) {
 		}
 		if err := e2.Verify(r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
 			t.Fatalf("%s: restarted proof rejected: %v", tc.want, err)
+		}
+	}
+}
+
+// TestRawKeyVersionOneIsAMiss puts in the disk tier a .pk whose frame is
+// sound but whose payload is a version-1 raw key — the cache file of an
+// older build. In the resident and the out-of-core tier the load must
+// count as exactly one miss and one setup, never a disk hit, rewrite the
+// file as the pinned version-2 key, and prove the pinned proof.
+func TestRawKeyVersionOneIsAMiss(t *testing.T) {
+	asg := inputsOf(cubicWitness(5, 3))
+	for _, budget := range []int64{0, 1} {
+		dir := t.TempDir()
+		opts := Options{CacheDir: dir, MemoryBudget: budget, Rand: rand.New(rand.NewSource(41))}
+		e := New(opts)
+		r1, err := e.Prove(Request{System: cubicSystem(5), Public: asg.Public, Secret: asg.Secret})
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkPath := filepath.Join(dir, r1.Digest+".pk")
+		f, payload, err := diskfile.OpenFramed(pkPath, keyFileMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1, err := io.ReadAll(payload)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(v1[4:8], 1)
+		if _, err := diskfile.WriteFramed(pkPath, keyFileMagic, func(w io.Writer) error {
+			_, err := w.Write(v1)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		opts.Rand = rand.New(rand.NewSource(41))
+		e2 := New(opts)
+		defer e2.Close()
+		r2, err := e2.Prove(Request{System: cubicSystem(5), Public: asg.Public, Secret: asg.Secret})
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if st, misses := e2.Stats(), e2.m.keycacheMisses.Value(); r2.CacheHit || st.DiskHits != 0 || st.Setups != 1 || misses != 1 {
+			t.Errorf("budget %d: hit=%v, %d disk hits, %d setups, %d misses; want one miss and one setup", budget, r2.CacheHit, st.DiskHits, st.Setups, misses)
+		}
+		raw, err := os.ReadFile(pkPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != pinnedPK {
+			t.Errorf("budget %d: rewritten .pk hashes to %s, pinned %s", budget, got, pinnedPK)
+		}
+		if v := binary.LittleEndian.Uint32(raw[16+4:]); v != 2 {
+			t.Errorf("budget %d: rewritten .pk holds raw key version %d, want 2", budget, v)
+		}
+		if ar, krs := fmt.Sprintf("%x", r2.Proof.Ar.Bytes()), fmt.Sprintf("%x", r2.Proof.Krs.Bytes()); ar != pinnedAr || krs != pinnedKrs {
+			t.Errorf("budget %d: proof (A %s, K %s) is not the pinned one", budget, ar, krs)
 		}
 	}
 }

@@ -19,7 +19,15 @@ var (
 	magicVK    = [4]byte{'Z', 'K', 'V', 'K'}
 )
 
-const formatVersion = 1
+// formatVersion is the version of the proof, verifying-key and
+// aggregate-proof encodings. The raw proving key counts its own:
+// rawPKVersion is 2 since its points are stored as Montgomery limbs
+// (version 1 stored canonical big-endian coordinates, and no reader for
+// it is kept — a cache file in it is a miss and is rewritten).
+const (
+	formatVersion = 1
+	rawPKVersion  = 2
+)
 
 type countingWriter struct {
 	n int64
@@ -44,11 +52,20 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// versionOf returns the format version written, and required, under
+// magic.
+func versionOf(magic [4]byte) uint32 {
+	if magic == magicPKRaw {
+		return rawPKVersion
+	}
+	return formatVersion
+}
+
 func writeHeader(w io.Writer, magic [4]byte) error {
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
 	}
-	return binary.Write(w, binary.LittleEndian, uint32(formatVersion))
+	return binary.Write(w, binary.LittleEndian, versionOf(magic))
 }
 
 func readHeader(r io.Reader, magic [4]byte) error {
@@ -63,8 +80,8 @@ func readHeader(r io.Reader, magic [4]byte) error {
 	if err := binary.Read(r, binary.LittleEndian, &ver); err != nil {
 		return err
 	}
-	if ver != formatVersion {
-		return fmt.Errorf("groth16: unsupported format version %d", ver)
+	if want := versionOf(magic); ver != want {
+		return fmt.Errorf("groth16: unsupported format version %d (want %d)", ver, want)
 	}
 	return nil
 }
@@ -269,10 +286,12 @@ func (vk *VerifyingKey) ReadFrom(r io.Reader) (int64, error) {
 	return cr.n, nil
 }
 
-// WriteRawTo serializes the proving key with uncompressed points, the
-// one proving-key format: reading it back (OpenStreamedProvingKey, then
-// Load for a resident key) skips the per-point square root of compressed
-// decoding, and checks points on the curve but not G2 subgroup
+// WriteRawTo serializes the proving key with uncompressed points, each
+// coordinate its little-endian Montgomery limbs (format version 2): the
+// one proving-key format. Reading it back (OpenStreamedProvingKey, then
+// Load for a resident key) pays neither the per-point square root of
+// compressed decoding nor any field conversion; it range-checks every
+// coordinate and checks points on the curve but not G2 subgroup
 // membership, so it is for locally trusted material — the prover
 // engine's key cache and the CLI's -save-pk. The layout itself is
 // rawKeyWriter's, shared with SetupStreamed.

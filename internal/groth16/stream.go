@@ -25,7 +25,7 @@ import (
 // Raw layout (all integers little-endian), as written by rawKeyWriter
 // for WriteRawTo and SetupStreamed:
 //
-//	offset 0    magic "ZKPR" (4) · version uint32 (4) · DomainSize uint64 (8)
+//	offset 0    magic "ZKPR" (4) · version uint32 = 2 (4) · DomainSize uint64 (8)
 //	offset 16   AlphaG1, BetaG1, DeltaG1   3 × 64 B uncompressed G1
 //	offset 208  BetaG2, DeltaG2            2 × 128 B uncompressed G2
 //	offset 464  section A   uint32 count · count × 64 B
@@ -33,6 +33,13 @@ import (
 //	            section K   uint32 count · count × 64 B
 //	            section Z   uint32 count · count × 64 B
 //	            section B2  uint32 count · count × 128 B
+//
+// A point is its affine coordinates as Montgomery limbs (G1: X, Y; G2:
+// X.A0, X.A1, Y.A0, Y.A1), each four little-endian uint64 words, ∞ all
+// zeros (curve.G1Affine.BytesRaw): the form the prover computes in, so
+// streaming a section converts nothing. Each coordinate is still
+// range-checked and each point curve-checked as it is read. Version 1
+// held canonical big-endian coordinates and is refused.
 const rawPKFixedHeaderSize = 16 + 3*curve.G1UncompressedSize + 2*curve.G2UncompressedSize
 
 // RawPKSizeBytes returns the size of the raw uncompressed proving-key
@@ -107,8 +114,8 @@ func OpenStreamedProvingKey(r io.ReaderAt) (*StreamedProvingKey, error) {
 	if [4]byte(head[0:4]) != magicPKRaw {
 		return nil, fmt.Errorf("groth16: bad magic %q", head[0:4])
 	}
-	if v := binary.LittleEndian.Uint32(head[4:8]); v != formatVersion {
-		return nil, fmt.Errorf("groth16: unsupported format version %d", v)
+	if v, want := binary.LittleEndian.Uint32(head[4:8]), versionOf(magicPKRaw); v != want {
+		return nil, fmt.Errorf("groth16: unsupported raw proving-key format version %d (want %d)", v, want)
 	}
 	pk := &StreamedProvingKey{r: r}
 	pk.hdr.DomainSize = binary.LittleEndian.Uint64(head[8:16])

@@ -3,6 +3,7 @@ package groth16
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/metrics"
+	"strings"
 	"testing"
 
 	"zkrownn/internal/bn254/curve"
@@ -39,19 +41,19 @@ func openStreamed(t *testing.T, raw []byte, chunk int) *StreamedProvingKey {
 // TestSetupStreamedMatchesSetup pins the one setup body and the one
 // raw-layout writer from every side: under one seeded rng SetupStreamed's
 // bytes equal Setup + WriteRawTo's bytes, whether the constraints are
-// resident or a CSR section file, and both equal the bytes the parent
-// commit's two separate encoders produced (by SHA-256; the cubic key is
-// the one TestGoldenWireFormats pins byte for byte as pk.raw.hex) — on a key whose every section fits in one
+// resident or a CSR section file, and both equal the pinned bytes (by
+// SHA-256; the cubic key is the one TestGoldenWireFormats pins byte for
+// byte as pk.raw.hex) — on a key whose every section fits in one
 // DefaultStreamChunk batch and on one whose A, B1 and B2 sections span
 // two while K and Z fit in one. The verifying key matches too.
 func TestSetupStreamedMatchesSetup(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		sys    *r1cs.CompiledSystem
-		pinned string // SHA-256 of the raw key at 9983528, seed goldenSeed
+		pinned string // SHA-256 of the version-2 raw key, seed goldenSeed
 	}{
-		{"one batch per section", cubicSystem(), "9b9aa386135a9d1508efe0afdb4ab3cb81260281bf790eb93956d5e21b2f1bd6"},
-		{"sections spanning batches", chainSystem(curve.DefaultStreamChunk - 2), "2231f97bd9b2ab3d3331956073aaed54da0230560416f8a1e8c5b1519ab2f04e"},
+		{"one batch per section", cubicSystem(), "ea2b7a639c98ebf396319b10788987cd78dca3b82cd8130d9b2311d63ac8237f"},
+		{"sections spanning batches", chainSystem(curve.DefaultStreamChunk - 2), "0d538953f6a1b390862471764b51ceb14d7213072dc1422a5da129c90aa30e0b"},
 	} {
 		path := filepath.Join(t.TempDir(), "sys.csr")
 		if err := r1cs.WriteCompiledSystemFile(path, tc.sys); err != nil {
@@ -80,7 +82,7 @@ func TestSetupStreamedMatchesSetup(t *testing.T) {
 				t.Fatalf("%s, %T: SetupStreamed bytes diverge from Setup+WriteRawTo (%d vs %d bytes)", tc.name, cons, got.Len(), want.Len())
 			}
 			if sum := fmt.Sprintf("%x", sha256.Sum256(got.Bytes())); sum != tc.pinned {
-				t.Fatalf("%s, %T: raw key hashes to %s, the parent commit's encoders wrote %s", tc.name, cons, sum, tc.pinned)
+				t.Fatalf("%s, %T: raw key hashes to %s, pinned %s", tc.name, cons, sum, tc.pinned)
 			}
 			var vkBuf, svkBuf bytes.Buffer
 			if _, err := vk.WriteTo(&vkBuf); err != nil {
@@ -403,6 +405,39 @@ func TestQuotientOOCMatchesQuotient(t *testing.T) {
 	}
 }
 
+// goldenRawKey returns the committed golden raw proving key's bytes.
+func goldenRawKey(tb testing.TB) []byte {
+	tb.Helper()
+	dump, err := os.ReadFile(filepath.Join("testdata", "golden", "pk.raw.hex"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := hex.DecodeString(string(bytes.ReplaceAll(bytes.TrimSpace(dump), []byte("\n"), nil)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestRawKeyVersionGate holds OpenStreamedProvingKey to the raw key's
+// one format version: the golden key with its version field set to 1
+// (the canonical big-endian coordinates of older builds), 0 or 3 is
+// refused with an error naming that version, never decoded.
+func TestRawKeyVersionGate(t *testing.T) {
+	raw := goldenRawKey(t)
+	if _, err := OpenStreamedProvingKey(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("the golden raw key: %v", err)
+	}
+	for _, v := range []uint32{1, 0, 3} {
+		old := bytes.Clone(raw)
+		binary.LittleEndian.PutUint32(old[4:8], v)
+		_, err := OpenStreamedProvingKey(bytes.NewReader(old))
+		if want := fmt.Sprintf("version %d ", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("raw key version %d: err %v, want one naming %q", v, err, want)
+		}
+	}
+}
+
 // FuzzStreamedProvingKey feeds raw proving-key bytes ("ZKPR") to the
 // layout's one parser and both of its consumers: OpenStreamedProvingKey,
 // then Load (the resident form) and one streamed MSM over every query
@@ -414,14 +449,7 @@ func TestQuotientOOCMatchesQuotient(t *testing.T) {
 // golden raw key — whole, cut short, and with a count, a point and the
 // magic damaged.
 func FuzzStreamedProvingKey(f *testing.F) {
-	dump, err := os.ReadFile(filepath.Join("testdata", "golden", "pk.raw.hex"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	raw, err := hex.DecodeString(string(bytes.ReplaceAll(bytes.TrimSpace(dump), []byte("\n"), nil)))
-	if err != nil {
-		f.Fatal(err)
-	}
+	raw := goldenRawKey(f)
 	f.Add(raw)
 	for _, cut := range []int{len(raw) - 1, len(raw) / 2, rawPKFixedHeaderSize + 4, 5} {
 		f.Add(raw[:cut])

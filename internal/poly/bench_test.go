@@ -95,3 +95,26 @@ func BenchmarkFFTFile(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkVecFile writes one 2^15-element streaming window to a disk
+// vector and reads it back: the spill I/O under every out-of-core
+// transform window and witness page.
+func BenchmarkVecFile(b *testing.B) {
+	const n = 1 << 15
+	v := randPoly(rand.New(rand.NewSource(n)), n)
+	vf, err := CreateVecFile(b.TempDir(), n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer vf.Close()
+	b.SetBytes(2 * n * VecElemSize)
+	b.ResetTimer()
+	for range b.N {
+		if err := vf.WriteAt(v, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := vf.ReadAt(v, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -57,6 +57,40 @@ func TestVecFileRoundtrip(t *testing.T) {
 	}
 }
 
+// TestVecFileLengthsAndOffsets round-trips vectors of 0 and 1 elements,
+// one either side of a streaming window (vecIOChunk±1) and several
+// windows plus a tail, at element offsets that fall on no window
+// boundary, in a file with neighbours on both sides that the write must
+// leave alone. A read that runs past the end of the file is an error.
+func TestVecFileLengthsAndOffsets(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, vecIOChunk - 1, vecIOChunk + 1, 3*vecIOChunk + 5} {
+		for _, off := range []int{1, 13} {
+			fill := randPoly(rng, 2*off+n)
+			vf := vecToFile(t, fill)
+			v := randPoly(rng, n)
+			if err := vf.WriteAt(v, off); err != nil {
+				t.Fatalf("n=%d off=%d: %v", n, off, err)
+			}
+			want := append(append(append([]fr.Element(nil), fill[:off]...), v...), fill[off+n:]...)
+			requireFileEquals(t, vf, want)
+			got := make([]fr.Element, n)
+			if err := vf.ReadAt(got, off); err != nil {
+				t.Fatalf("n=%d off=%d: %v", n, off, err)
+			}
+			for i := range got {
+				if got[i] != v[i] {
+					t.Fatalf("n=%d off=%d: element %d mismatch", n, off, i)
+				}
+			}
+			if err := vf.ReadAt(make([]fr.Element, off+1), off+n); err == nil {
+				t.Fatalf("n=%d off=%d: a read past the end of the file succeeded", n, off)
+			}
+			vf.Close()
+		}
+	}
+}
+
 // TestFFTFileMatchesMemory checks every out-of-core transform against
 // its in-memory counterpart, element for element, across domain sizes
 // (the n=1 and n=2 degenerate shapes, even and odd log n) and scratch

@@ -1,10 +1,10 @@
 package poly
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
+	"unsafe"
 
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/par"
@@ -14,10 +14,14 @@ import (
 // elements, the storage behind the bounded-memory FFT pipeline. At
 // paper scale one FFT-domain vector is tens of MB; the quotient
 // pipeline needs several of them, and an out-of-core prover cannot
-// afford to keep even one fully resident. Elements are stored as four
-// little-endian limbs with the Montgomery form preserved bit-for-bit,
-// so a spill/load roundtrip is exact and every downstream field
-// operation produces the same bits it would have in RAM.
+// afford to keep even one fully resident. A VecFile is process-local
+// scratch — created, read and removed by one process, opened by no other
+// and by no later run — so its format is the elements' own memory: reads
+// and writes are pread/pwrite straight on the element slice, in native
+// limb order with the Montgomery form preserved bit for bit. A
+// spill/load round trip is exact and converts nothing, and every
+// downstream field operation produces the same bits it would have in
+// RAM.
 
 // VecElemSize is the on-disk footprint of one field element.
 const VecElemSize = 8 * fr.Limbs
@@ -61,52 +65,11 @@ func (vf *VecFile) Close() error {
 	return err
 }
 
-// vecCodecGrain is the element count from which one read or write
-// encodes or decodes on every worker: below it (a witness page) the fork
-// costs more than it saves.
-const vecCodecGrain = 1 << 13
-
-// codec runs f over v and its encoding buf (len(v)*VecElemSize bytes),
-// split across workers when v reaches vecCodecGrain.
-func codec(buf []byte, v []fr.Element, f func(buf []byte, v []fr.Element)) {
-	if len(v) < vecCodecGrain {
-		f(buf, v)
-		return
-	}
-	par.Range(len(v), func(lo, hi int) { f(buf[lo*VecElemSize:hi*VecElemSize], v[lo:hi]) })
-}
-
-// encodeElems serializes elements into buf (len(v)*VecElemSize bytes).
-func encodeElems(buf []byte, v []fr.Element) {
-	for i := range v {
-		for l := 0; l < fr.Limbs; l++ {
-			binary.LittleEndian.PutUint64(buf[i*VecElemSize+8*l:], v[i][l])
-		}
-	}
-}
-
-// decodeElems deserializes len(v) elements from buf.
-func decodeElems(buf []byte, v []fr.Element) {
-	for i := range v {
-		for l := 0; l < fr.Limbs; l++ {
-			v[i][l] = binary.LittleEndian.Uint64(buf[i*VecElemSize+8*l:])
-		}
-	}
-}
-
-// The pools below recycle the streaming machinery's fixed-size pieces —
-// 1 MiB codec buffers and element windows. They are hot (dozens of uses
-// per out-of-core quotient) and allocating each use would churn the very
-// GC the pipeline exists to relieve: at one P under a memory limit, tens
-// of MB of transient windows linger as floating garbage and show up in
-// peak RSS.
-var vecBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, vecIOChunk*VecElemSize)
-		return &b
-	},
-}
-
+// vecWinPool recycles the streaming machinery's 1 MiB element windows.
+// They are hot (dozens of uses per out-of-core quotient) and allocating
+// each use would churn the very GC the pipeline exists to relieve: at one
+// P under a memory limit, tens of MB of transient windows linger as
+// floating garbage and show up in peak RSS.
 var vecWinPool = sync.Pool{
 	New: func() any {
 		w := make([]fr.Element, vecIOChunk)
@@ -134,36 +97,24 @@ func putWin(w *[]fr.Element) {
 	}
 }
 
+// elemBytes views v's memory as bytes, without copying: the file image
+// of v.
+func elemBytes(v []fr.Element) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*VecElemSize)
+}
+
 // WriteAt stores v at element offset start.
 func (vf *VecFile) WriteAt(v []fr.Element, start int) error {
-	bp := vecBufPool.Get().(*[]byte)
-	defer vecBufPool.Put(bp)
-	buf := *bp
-	for len(v) > 0 {
-		c := min(len(v), vecIOChunk)
-		codec(buf[:c*VecElemSize], v[:c], encodeElems)
-		if _, err := vf.f.WriteAt(buf[:c*VecElemSize], int64(start)*VecElemSize); err != nil {
-			return fmt.Errorf("poly: vec write at %d: %w", start, err)
-		}
-		v = v[c:]
-		start += c
+	if _, err := vf.f.WriteAt(elemBytes(v), int64(start)*VecElemSize); err != nil {
+		return fmt.Errorf("poly: vec write at %d: %w", start, err)
 	}
 	return nil
 }
 
 // ReadAt loads len(v) elements from element offset start.
 func (vf *VecFile) ReadAt(v []fr.Element, start int) error {
-	bp := vecBufPool.Get().(*[]byte)
-	defer vecBufPool.Put(bp)
-	buf := *bp
-	for len(v) > 0 {
-		c := min(len(v), vecIOChunk)
-		if _, err := vf.f.ReadAt(buf[:c*VecElemSize], int64(start)*VecElemSize); err != nil {
-			return fmt.Errorf("poly: vec read at %d: %w", start, err)
-		}
-		codec(buf[:c*VecElemSize], v[:c], decodeElems)
-		v = v[c:]
-		start += c
+	if _, err := vf.f.ReadAt(elemBytes(v), int64(start)*VecElemSize); err != nil {
+		return fmt.Errorf("poly: vec read at %d: %w", start, err)
 	}
 	return nil
 }
