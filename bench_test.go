@@ -16,7 +16,7 @@ import (
 	"zkrownn/internal/groth16"
 )
 
-var benchP = fixpoint.Params{FracBits: 16, MagBits: 44}
+var benchP = fixpoint.Default16
 
 // benchPipeline measures the three Groth16 phases for one circuit.
 func benchPipeline(b *testing.B, build func(rng *rand.Rand) (*core.Artifact, error)) {

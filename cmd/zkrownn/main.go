@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,7 +34,6 @@ import (
 	"zkrownn/internal/core"
 	"zkrownn/internal/dataset"
 	"zkrownn/internal/engine"
-	"zkrownn/internal/fixpoint"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/nn"
 	"zkrownn/internal/obs"
@@ -228,8 +228,7 @@ func cmdExtract(args []string) error {
 	bits, ber := watermark.Extract(net, key)
 	fmt.Printf("float extraction:      bits=%v BER=%.3f\n", bits, ber)
 
-	p := fixpoint.Params{FracBits: *fracBits, MagBits: 44}
-	q, err := nn.Quantize(net, p)
+	q, err := nn.Quantize(net, core.Spec{FracBits: *fracBits}.Params())
 	if err != nil {
 		return err
 	}
@@ -273,6 +272,15 @@ func cmdProve(args []string) error {
 	if len(suspectPaths) > 0 && *committed {
 		return fmt.Errorf("-suspects needs the rebindable circuit; it cannot be combined with -committed")
 	}
+	spec := core.Spec{Committed: *committed, Slots: max(len(suspectPaths), 1), FracBits: *fracBits, MaxErrors: *maxErrors}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	suspects, err := loadSuspects(suspectPaths)
+	if err != nil {
+		return err
+	}
+	meta := proveMeta{Spec: spec, LayerIndex: key.LayerIndex}
 	if *server != "" {
 		if *savePK {
 			fmt.Fprintln(os.Stderr, "warning: -save-pk is ignored with -server (the service keeps proving keys)")
@@ -283,25 +291,10 @@ func cmdProve(args []string) error {
 		if *traceOut != "" {
 			fmt.Fprintln(os.Stderr, `warning: -trace is ignored with -server (submit with "trace": true and fetch GET /v1/jobs/{id}/trace instead)`)
 		}
-		return remoteProve(*server, net, key, *outDir, *maxErrors, *fracBits, *committed, suspectPaths)
-	}
-	p := fixpoint.Params{FracBits: *fracBits, MagBits: 44}
-	q, err := nn.Quantize(net, p)
-	if err != nil {
-		return err
-	}
-	ck := core.QuantizeKey(key, p)
-	slots := 1
-	if len(suspectPaths) > 0 {
-		slots = len(suspectPaths)
+		return remoteProve(*server, net, key, *outDir, meta, suspects, suspectPaths)
 	}
 	fmt.Println("building extraction circuit...")
-	var art *core.Artifact
-	if *committed {
-		art, err = core.CommittedExtractionCircuit(q, ck, *maxErrors)
-	} else {
-		art, err = core.BatchedExtractionCircuit(q, ck, *maxErrors, slots)
-	}
+	art, err := spec.Compile(net, key)
 	if err != nil {
 		return err
 	}
@@ -309,21 +302,19 @@ func cmdProve(args []string) error {
 		art.System.NbConstraints(), art.System.NbPublic-1, art.Slots())
 
 	req := art.Request(nil)
-	if len(suspectPaths) > 0 {
-		suspects, lerr := loadSuspects(suspectPaths, p)
-		if lerr != nil {
-			return lerr
+	// An all-"-" list degenerates to proving the registered model in
+	// every slot (matching the server's all-null bundle semantics);
+	// binding only happens when at least one real suspect is named.
+	if slices.ContainsFunc(suspects, func(n *nn.Network) bool { return n != nil }) {
+		qs, qerr := core.QuantizeSuspects(art, suspects)
+		if qerr != nil {
+			return qerr
 		}
-		// An all-"-" list degenerates to proving the registered model in
-		// every slot (matching the server's all-null bundle semantics);
-		// binding only happens when at least one real suspect is named.
-		if anySuspect(suspects) {
-			asg, berr := core.BindSuspectSlots(art, suspects)
-			if berr != nil {
-				return berr
-			}
-			req = art.RequestFor(asg, nil)
+		asg, berr := core.BindSuspectSlots(art, qs)
+		if berr != nil {
+			return berr
 		}
+		req = art.RequestFor(asg, nil)
 	}
 
 	var tr *obs.Trace
@@ -363,8 +354,10 @@ func cmdProve(args []string) error {
 	// Surface the verdicts whenever suspects were bound (a single-slot
 	// suspect prove very plausibly yields claim=0 — say so here, not at
 	// some later verify).
-	if claims, cerr := core.ClaimBits(public, art.Slots()); cerr == nil && (art.Slots() > 1 || len(suspectPaths) > 0) {
-		printClaims(claims, suspectPaths)
+	if spec.Slots > 1 || len(suspectPaths) > 0 {
+		if claims, cerr := spec.Verdict(public, nil); cerr == nil {
+			printClaims(claims, suspectPaths)
+		}
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -385,7 +378,6 @@ func cmdProve(args []string) error {
 	if err := writeJSON(filepath.Join(*outDir, "public.json"), groth16.PublicInputs(public)); err != nil {
 		return err
 	}
-	meta := proveMeta{Committed: *committed, LayerIndex: key.LayerIndex, FracBits: *fracBits, BundleSlots: art.Slots()}
 	if err := writeJSON(filepath.Join(*outDir, "meta.json"), meta); err != nil {
 		return err
 	}
@@ -403,15 +395,13 @@ func cmdProve(args []string) error {
 	return nil
 }
 
-// proveMeta records which circuit variant produced the artifacts and,
-// for remote proves, the proof-service model ID. BundleSlots > 1 marks
-// a batched multi-claim proof.
+// proveMeta records the claim spec the artifacts were proved under, the
+// key's layer (a committed verify digests the model through it) and,
+// for remote proves, the proof-service model ID.
 type proveMeta struct {
-	Committed   bool   `json:"committed"`
-	LayerIndex  int    `json:"layer_index"`
-	FracBits    int    `json:"frac_bits"`
-	BundleSlots int    `json:"bundle_slots,omitempty"`
-	ModelID     string `json:"model_id,omitempty"`
+	core.Spec
+	LayerIndex int    `json:"layer_index"`
+	ModelID    string `json:"model_id,omitempty"`
 }
 
 // splitSuspects parses the -suspects flag into per-slot model paths
@@ -438,37 +428,19 @@ func splitPaths(flagName, value string) ([]string, error) {
 	return parts, nil
 }
 
-// anySuspect reports whether at least one slot names a real suspect.
-func anySuspect(suspects []*nn.QuantizedNetwork) bool {
-	for _, s := range suspects {
-		if s != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// loadSuspects loads and quantizes the per-slot suspect models ("-"
-// entries stay nil: registered model). Empty entries are rejected at
-// flag parse; the check here mirrors it for programmatic callers.
-func loadSuspects(paths []string, p fixpoint.Params) ([]*nn.QuantizedNetwork, error) {
-	out := make([]*nn.QuantizedNetwork, len(paths))
+// loadSuspects loads the per-slot suspect models; "-" entries stay nil
+// (the registered model keeps that slot).
+func loadSuspects(paths []string) ([]*nn.Network, error) {
+	out := make([]*nn.Network, len(paths))
 	for i, path := range paths {
 		if path == "-" {
 			continue
-		}
-		if path == "" {
-			return nil, fmt.Errorf(`suspect slot %d: empty model path (use "-" to keep the registered model)`, i)
 		}
 		net, err := loadModel(path)
 		if err != nil {
 			return nil, fmt.Errorf("suspect slot %d: %w", i, err)
 		}
-		q, err := nn.Quantize(net, p)
-		if err != nil {
-			return nil, fmt.Errorf("suspect slot %d: %w", i, err)
-		}
-		out[i] = q
+		out[i] = net
 	}
 	return out, nil
 }
@@ -493,11 +465,11 @@ func printClaims(claims []bool, suspectPaths []string) {
 }
 
 // remoteProve registers the model + key with a running proof service
-// and runs the ownership proof there, writing the same artifact set as
-// a local prove (vk.bin, proof.bin, public.json, meta.json). A
-// non-empty suspectPaths registers a batched circuit with one claim
-// slot per suspect and submits the whole bundle as one job.
-func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir string, maxErrors, fracBits int, committed bool, suspectPaths []string) error {
+// under meta's claim spec and runs the ownership proof there, writing
+// the same artifact set as a local prove (vk.bin, proof.bin,
+// public.json, meta.json). Non-empty suspects (one per slot, nil: the
+// registered model) are submitted as one bundle job.
+func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir string, meta proveMeta, suspects []*nn.Network, suspectPaths []string) error {
 	ctx := context.Background()
 	c, err := client.New(serverURL)
 	if err != nil {
@@ -506,13 +478,9 @@ func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir s
 	if err := c.Health(ctx); err != nil {
 		return err
 	}
-	slots := 0
-	if len(suspectPaths) > 0 {
-		slots = len(suspectPaths)
-	}
 	fmt.Printf("registering circuit with %s...\n", serverURL)
 	reg, err := c.RegisterModel(ctx, net, key, client.RegisterOptions{
-		FracBits: fracBits, MaxErrors: maxErrors, Committed: committed, BundleSlots: slots,
+		FracBits: meta.FracBits, MaxErrors: meta.MaxErrors, Committed: meta.Committed, BundleSlots: meta.Slots,
 	})
 	if err != nil {
 		return err
@@ -525,19 +493,7 @@ func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir s
 		reg.ModelID[:12], reg.Constraints, reg.BundleSlots, state)
 
 	var ticket *client.ProveTicket
-	if len(suspectPaths) > 0 {
-		suspects := make([]*nn.Network, len(suspectPaths))
-		for i, path := range suspectPaths {
-			if path == "-" {
-				continue
-			}
-			if path == "" {
-				return fmt.Errorf(`suspect slot %d: empty model path (use "-" to keep the registered model)`, i)
-			}
-			if suspects[i], err = loadModel(path); err != nil {
-				return fmt.Errorf("suspect slot %d: %w", i, err)
-			}
-		}
+	if len(suspects) > 0 {
 		ticket, err = c.SubmitProveBundle(ctx, reg.ModelID, suspects)
 	} else {
 		ticket, err = c.SubmitProve(ctx, reg.ModelID, nil)
@@ -574,7 +530,7 @@ func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir s
 	if err := writeJSON(filepath.Join(outDir, "public.json"), job.PublicInputs); err != nil {
 		return err
 	}
-	meta := proveMeta{Committed: committed, LayerIndex: key.LayerIndex, FracBits: fracBits, BundleSlots: reg.BundleSlots, ModelID: reg.ModelID}
+	meta.ModelID = reg.ModelID
 	if err := writeJSON(filepath.Join(outDir, "meta.json"), meta); err != nil {
 		return err
 	}
@@ -634,46 +590,31 @@ func cmdVerify(args []string) error {
 	_ = readJSON(filepath.Join(*dir, "meta.json"), &meta) // absent for old artifacts
 
 	start := time.Now()
-	var ok bool
-	if meta.BundleSlots > 1 {
-		// Batched proof: one Groth16 check, then the per-slot verdicts.
-		if verr := groth16.Verify(&vk, &proof, public); verr != nil {
-			err = verr
-		} else if claims, cerr := core.ClaimBits(public, meta.BundleSlots); cerr != nil {
-			err = cerr
-		} else {
-			ok = true
-			printClaims(claims, nil)
-			for _, c := range claims {
-				ok = ok && c
-			}
-		}
-	} else if meta.Committed {
+	var digest *fr.Element
+	if meta.Committed {
 		net, lerr := loadModel(*modelPath)
 		if lerr != nil {
 			return fmt.Errorf("committed proof needs the public model: %w", lerr)
 		}
-		p := fixpoint.Params{FracBits: meta.FracBits, MagBits: 44}
-		q, qerr := nn.Quantize(net, p)
-		if qerr != nil {
-			return qerr
+		d, derr := meta.Digest(net, meta.LayerIndex)
+		if derr != nil {
+			return derr
 		}
-		if verr := groth16.Verify(&vk, &proof, public); verr != nil {
-			err = verr
-		} else if derr := core.VerifyCommittedPublicInputs(q, meta.LayerIndex, public); derr != nil {
-			err = derr
-		} else {
-			ok = true
-		}
-	} else {
-		ok, err = core.VerifyClaim(&vk, &proof, public)
+		digest = &d
+	}
+	var claims []bool
+	if err = groth16.Verify(&vk, &proof, public); err == nil {
+		claims, err = meta.Verdict(public, digest)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Printf("verification FAILED in %.1fms: %v\n", float64(elapsed.Microseconds())/1e3, err)
 		return err
 	}
-	if !ok {
+	if len(claims) > 1 {
+		printClaims(claims, nil)
+	}
+	if slices.Contains(claims, false) {
 		fmt.Printf("proof valid but ownership claim is 0 (watermark did not extract)\n")
 		os.Exit(1)
 	}

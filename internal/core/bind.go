@@ -111,6 +111,24 @@ func BindSuspectInputs(art *Artifact, suspect *nn.QuantizedNetwork) (r1cs.Assign
 	return BindSuspectSlots(art, suspects)
 }
 
+// QuantizeSuspects quantizes suspect models in the fixed-point format
+// the artifact was compiled for, ready for BindSuspectSlots. A nil entry
+// stays nil: the compiled-in model keeps that slot.
+func QuantizeSuspects(art *Artifact, nets []*nn.Network) ([]*nn.QuantizedNetwork, error) {
+	qs := make([]*nn.QuantizedNetwork, len(nets))
+	for i, net := range nets {
+		if net == nil {
+			continue
+		}
+		q, err := nn.Quantize(net, art.archParams)
+		if err != nil {
+			return nil, fmt.Errorf("suspect slot %d: %w", i, err)
+		}
+		qs[i] = q
+	}
+	return qs, nil
+}
+
 // checkSuspectArch rejects a suspect whose architecture or fixed-point
 // format differs from the one the artifact was compiled for.
 func checkSuspectArch(art *Artifact, suspect *nn.QuantizedNetwork) error {

@@ -69,7 +69,9 @@ type Artifact struct {
 
 	// arch pins the layer shapes and fixed-point format the extraction
 	// circuit was compiled for, so BindSuspectInputs can enforce full
-	// architecture equality. Nil for non-extraction artifacts.
+	// architecture equality. Nil for non-extraction artifacts; a
+	// committed one pins only the format (QuantizeSuspects reads it),
+	// since its weights are constants no binding reaches.
 	arch       []layerShape
 	archParams fixpoint.Params
 	// slots is the number of suspect-model weight slots a batched

@@ -197,6 +197,7 @@ func BatchedCommittedExtractionCircuit(qs []*nn.QuantizedNetwork, ck *CircuitKey
 		name = fmt.Sprintf("BatchedCommittedExtraction-x%d", k)
 	}
 	art := newArtifact(name, res)
+	art.archParams = qs[0].Params
 	art.slots = k
 	return art, nil
 }
@@ -213,12 +214,11 @@ func VerifyCommittedPublicInputs(q *nn.QuantizedNetwork, layerIndex int, public 
 	if err != nil {
 		return err
 	}
-	if !public[0].Equal(&want) {
-		return fmt.Errorf("core: model digest mismatch: proof is not about this model")
+	claims, err := Spec{Committed: true}.Verdict(public, &want)
+	if err != nil {
+		return err
 	}
-	var one fr.Element
-	one.SetOne()
-	if !public[1].Equal(&one) {
+	if !claims[0] {
 		return fmt.Errorf("core: ownership claim is 0")
 	}
 	return nil

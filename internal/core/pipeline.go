@@ -163,17 +163,17 @@ func RunPipelineWith(eng *engine.Engine, art *Artifact, rng io.Reader, tr *obs.T
 	return pl, nil
 }
 
-// VerifyClaim checks an ownership proof against a claim bit: the last
-// public input of an extraction circuit is the verdict, which an honest
-// ownership proof pins to 1.
+// VerifyClaim checks a single-slot ownership proof and returns its
+// claim bit, read by ClaimBits(public, 1): the last public input, which
+// an honest ownership proof pins to 1. A bundle's other slots are not
+// read; Spec.Verdict reads every slot.
 func VerifyClaim(vk *groth16.VerifyingKey, proof *groth16.Proof, public []fr.Element) (bool, error) {
-	if len(public) == 0 {
-		return false, fmt.Errorf("core: empty public inputs")
+	claims, err := ClaimBits(public, 1)
+	if err != nil {
+		return false, err
 	}
 	if err := groth16.Verify(vk, proof, public); err != nil {
 		return false, err
 	}
-	var one fr.Element
-	one.SetOne()
-	return public[len(public)-1].Equal(&one), nil
+	return claims[0], nil
 }

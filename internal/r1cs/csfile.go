@@ -183,13 +183,13 @@ func (m *diskMatrix) LoadRows(win *RowWindow, start, end int) error {
 	if cap(win.buf) < 4*nt {
 		win.buf = make([]byte, 4*nt)
 	}
-	if cap(win.Wires) < nt {
-		win.Wires = make([]uint32, nt)
+	if cap(win.wireBuf) < nt {
+		win.wireBuf = make([]uint32, nt)
 	}
-	if cap(win.CoeffIdx) < nt {
-		win.CoeffIdx = make([]uint32, nt)
+	if cap(win.coeffBuf) < nt {
+		win.coeffBuf = make([]uint32, nt)
 	}
-	win.Wires, win.CoeffIdx = win.Wires[:nt], win.CoeffIdx[:nt]
+	win.Wires, win.CoeffIdx = win.wireBuf[:nt], win.coeffBuf[:nt]
 	buf := win.buf[:4*nt]
 	// The term arrays are the one part of the file the open-time parse
 	// skips over, so their indices are bounded here, where they are first

@@ -2,6 +2,7 @@ package r1cs
 
 import (
 	"sort"
+	"sync"
 
 	"zkrownn/internal/bn254/fr"
 )
@@ -74,7 +75,12 @@ type RowWindow struct {
 	CoeffIdx []uint32
 	Dict     []fr.Element
 
-	buf []byte // disk-read scratch, reused across LoadRows calls
+	// Disk-read scratch, reused across LoadRows calls. A resident
+	// matrix points Wires and CoeffIdx into its own arrays, so a disk
+	// matrix decodes into these instead, never into whatever Wires
+	// holds: a window may serve both kinds in turn.
+	buf               []byte
+	wireBuf, coeffBuf []uint32
 }
 
 // NbTerms returns the window's term count.
@@ -150,11 +156,17 @@ func (cs *CompiledSystem) MatB() MatrixStream { return &cs.B }
 // MatC returns the streaming view of matrix C.
 func (cs *CompiledSystem) MatC() MatrixStream { return &cs.C }
 
+// windowPool keeps row windows, and with them a disk matrix's read
+// scratch, from one ForRowWindows walk to the next.
+var windowPool = sync.Pool{New: func() any { return new(RowWindow) }}
+
 // ForRowWindows walks several matrices over the same rows in lockstep:
 // each step covers the largest row range where every matrix fits
 // maxTerms, so consumers that need A, B, and C of one constraint
 // together (the prover's row walk) see aligned windows. fn receives one
-// window per matrix; windows are reused between steps.
+// window per matrix; windows are reused between steps and, through a
+// pool, between walks, so a second walk over a disk-resident system
+// allocates no term buffers.
 func ForRowWindows(maxTerms int, mats []MatrixStream, fn func(wins []*RowWindow) error) error {
 	if len(mats) == 0 {
 		return nil
@@ -162,8 +174,15 @@ func ForRowWindows(maxTerms int, mats []MatrixStream, fn func(wins []*RowWindow)
 	n := mats[0].NbRows()
 	wins := make([]*RowWindow, len(mats))
 	for i := range wins {
-		wins[i] = &RowWindow{}
+		wins[i] = windowPool.Get().(*RowWindow)
 	}
+	defer func() {
+		for _, win := range wins {
+			// Keep the scratch, drop what points into a matrix.
+			*win = RowWindow{buf: win.buf, wireBuf: win.wireBuf, coeffBuf: win.coeffBuf}
+			windowPool.Put(win)
+		}
+	}()
 	for start := 0; start < n; {
 		end := n
 		for _, m := range mats {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"zkrownn/internal/core"
 	"zkrownn/internal/groth16"
 )
 
@@ -139,7 +140,7 @@ func TestBundleRequestValidation(t *testing.T) {
 		t.Fatalf("negative bundle_slots: status %d, want 400", resp.StatusCode)
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/models", RegisterRequest{
-		Model: modelJSON, Key: keyJSON, MaxErrors: 4, BundleSlots: maxBundleSlots + 1,
+		Model: modelJSON, Key: keyJSON, MaxErrors: 4, BundleSlots: core.MaxSlots + 1,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized bundle_slots: status %d, want 400", resp.StatusCode)

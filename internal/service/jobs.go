@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zkrownn/internal/core"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/nn"
 	"zkrownn/internal/obs"
@@ -241,10 +240,10 @@ func (q *jobQueue) run(j *job) {
 		q.failed(j, err)
 		return
 	}
-	// Per-slot verdicts come from the trailing claim bits of the
-	// instance; a decode failure is impossible for circuits the service
-	// itself compiled, but guard anyway.
-	claims, err := core.ClaimBits(res.PublicInputs, j.rec.slotCount())
+	// Per-slot verdicts come from the record's reading of the instance;
+	// a failure is impossible for circuits the service itself compiled,
+	// but guard anyway.
+	claims, err := j.rec.verdict(res.PublicInputs)
 	if err != nil {
 		q.failed(j, err)
 		return

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bufio"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,89 +14,41 @@ import (
 	"sync"
 	"time"
 
+	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/core"
 	"zkrownn/internal/diskfile"
-	"zkrownn/internal/fixpoint"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/nn"
 	"zkrownn/internal/r1cs"
-	"zkrownn/internal/watermark"
 )
 
 // modelRecord is one registered ownership circuit. The verifying key
-// and public metadata persist to the registry directory; the prove
-// material (the owner's model and watermark key) lives in memory only —
-// after a restart the record still serves verification but needs
-// re-registration before it can prove again.
+// and public metadata persist to the registry directory; the circuit
+// compiled at registration lives in memory only — after a restart the
+// record still serves verification but needs re-registration before it
+// can prove again.
 type modelRecord struct {
-	ID        string
-	Name      string
-	Committed bool
-	// Slots is the number of suspect-model claim slots the registered
-	// circuit carries (1 for plain registrations; K for bundle_slots=K,
-	// where one prove job attests K claims with one proof).
-	Slots        int
-	FracBits     int
-	MaxErrors    int
-	LayerIndex   int
-	Constraints  int
-	PublicInputs int
-	CreatedAt    time.Time
-	// CommittedDigest is the hex Fiat-Shamir digest binding committed-
-	// mode proofs to the registered model. Persisted with the metadata so
-	// the binding check survives restarts (the model itself does not).
-	CommittedDigest string
+	recordMeta
 
 	VK *groth16.VerifyingKey
 
-	// Prove material; nil on records restored from disk.
-	model *nn.Network
-	key   *watermark.Key
-	quant *nn.QuantizedNetwork
 	// art pins the circuit compiled at registration — the compile-once
-	// half of the prove path. Prove jobs (registered model or suspect)
-	// never recompile: they bind an input assignment and replay the
-	// compiled system's solver program. CompiledSystem is immutable, so
-	// sharing it across concurrent jobs is safe.
+	// half of the prove path; nil on records restored from disk. Prove
+	// jobs (registered model or suspect) never recompile: they bind an
+	// input assignment and replay the compiled system's solver program.
+	// CompiledSystem is immutable, so sharing it across concurrent jobs
+	// is safe.
 	art *core.Artifact
 }
 
-func (rec *modelRecord) canProve() bool { return rec.model != nil && rec.key != nil && rec.art != nil }
-
-// slotCount normalizes the persisted slot field (records written before
-// bundle support carry 0).
-func (rec *modelRecord) slotCount() int {
-	if rec.Slots < 1 {
-		return 1
-	}
-	return rec.Slots
-}
-
-func (rec *modelRecord) params() fixpoint.Params {
-	return fixpoint.Params{FracBits: rec.FracBits, MagBits: 44}
-}
-
-// compile builds the record's extraction circuit once, at registration
-// time. The resulting artifact's digest becomes the record ID. A
-// multi-slot record compiles the batched circuit: every bundle job
-// afterwards only rebinds slot inputs and replays the solver program.
-func (rec *modelRecord) compile() (*core.Artifact, error) {
-	if rec.model == nil || rec.key == nil || rec.quant == nil {
-		return nil, fmt.Errorf("model record has no prove material")
-	}
-	ck := core.QuantizeKey(rec.key, rec.params())
-	if rec.Committed {
-		return core.CommittedExtractionCircuit(rec.quant, ck, rec.MaxErrors)
-	}
-	return core.BatchedExtractionCircuit(rec.quant, ck, rec.MaxErrors, rec.slotCount())
-}
+func (rec *modelRecord) canProve() bool { return rec.art != nil }
 
 // assignmentFor resolves the input assignment for one prove job: the
 // registration-time assignment for the registered model (all slots), or
 // the suspects' weights rebound slot-by-slot onto the circuit compiled
 // at registration. A nil entry keeps the registered model in that slot.
-// No compilation happens here — architecture mismatches surface as
-// binding errors.
+// No compilation happens here — architecture mismatches, a committed
+// circuit and a wrong slot count surface as binding errors.
 func (rec *modelRecord) assignmentFor(suspects []*nn.Network) (r1cs.Assignment, error) {
 	if !rec.canProve() {
 		return r1cs.Assignment{}, fmt.Errorf("model %s has no prove material (registered before a restart?); re-register it", rec.ID)
@@ -102,29 +56,10 @@ func (rec *modelRecord) assignmentFor(suspects []*nn.Network) (r1cs.Assignment, 
 	if len(suspects) == 0 {
 		return rec.art.Assignment, nil
 	}
-	if rec.Committed {
-		// Committed circuits bake ρ = H(weights) into the constraint
-		// coefficients, so ANY weight change would be a different
-		// circuit: committed proofs are bound to the registered model by
-		// construction.
-		return r1cs.Assignment{}, fmt.Errorf("committed circuits are bound to the registered model; register the suspect model itself (circuit %s)", rec.ID[:12])
+	qs, err := core.QuantizeSuspects(rec.art, suspects)
+	if err != nil {
+		return r1cs.Assignment{}, err
 	}
-	if len(suspects) != rec.slotCount() {
-		return r1cs.Assignment{}, fmt.Errorf("bundle carries %d suspect models, circuit %s has %d claim slots", len(suspects), rec.ID[:12], rec.slotCount())
-	}
-	qs := make([]*nn.QuantizedNetwork, len(suspects))
-	for i, suspect := range suspects {
-		if suspect == nil {
-			continue
-		}
-		q, err := nn.Quantize(suspect, rec.params())
-		if err != nil {
-			return r1cs.Assignment{}, err
-		}
-		qs[i] = q
-	}
-	// BindSuspectSlots enforces full architecture equality against the
-	// shapes pinned in the artifact at compile time.
 	asg, err := core.BindSuspectSlots(rec.art, qs)
 	if err != nil {
 		return r1cs.Assignment{}, fmt.Errorf("suspect model rejected for registered circuit %s: %w", rec.ID[:12], err)
@@ -132,12 +67,30 @@ func (rec *modelRecord) assignmentFor(suspects []*nn.Network) (r1cs.Assignment, 
 	return asg, nil
 }
 
+// verdict reads one instance under the record's claim spec. A committed
+// record holds it to the digest pinned at registration, which persists
+// with the metadata: the binding holds on records restored after a
+// restart, and a proof about another model — even one sharing the
+// architecture — fails it.
+func (rec *modelRecord) verdict(public []fr.Element) ([]bool, error) {
+	if !rec.Committed {
+		return rec.Verdict(public, nil)
+	}
+	b, err := hex.DecodeString(rec.CommittedDigest)
+	if err != nil || len(b) != fr.Bytes {
+		return nil, errors.New("registered record carries no committed digest; re-register the model")
+	}
+	var digest fr.Element
+	digest.SetBytes(b)
+	return rec.Verdict(public, &digest)
+}
+
 func (rec *modelRecord) info() ModelInfo {
 	return ModelInfo{
 		ModelID:      rec.ID,
 		Name:         rec.Name,
 		Committed:    rec.Committed,
-		BundleSlots:  rec.slotCount(),
+		BundleSlots:  max(rec.Slots, 1),
 		FracBits:     rec.FracBits,
 		MaxErrors:    rec.MaxErrors,
 		Constraints:  rec.Constraints,
@@ -147,15 +100,17 @@ func (rec *modelRecord) info() ModelInfo {
 	}
 }
 
-// recordMeta is the persisted (public) half of a record.
+// recordMeta is the persisted (public) half of a record: its claim
+// spec, plus what registration derived from it. Records written before
+// bundles carry no bundle_slots (Spec.Slots 0 reads as one slot).
 type recordMeta struct {
-	ID              string    `json:"id"`
-	Name            string    `json:"name,omitempty"`
-	Committed       bool      `json:"committed,omitempty"`
+	ID   string `json:"id"`
+	Name string `json:"name,omitempty"`
+	core.Spec
+	// CommittedDigest is the hex Fiat-Shamir digest binding committed
+	// proofs to the registered model; it persists so the binding check
+	// survives restarts (the model itself does not).
 	CommittedDigest string    `json:"committed_digest,omitempty"`
-	BundleSlots     int       `json:"bundle_slots,omitempty"`
-	FracBits        int       `json:"frac_bits"`
-	MaxErrors       int       `json:"max_errors"`
 	LayerIndex      int       `json:"layer_index"`
 	Constraints     int       `json:"constraints"`
 	PublicInputs    int       `json:"public_inputs"`
@@ -234,20 +189,7 @@ func (r *registry) loadRecord(id string) (*modelRecord, error) {
 	if _, err := vk.ReadFrom(bufio.NewReader(f)); err != nil {
 		return nil, err
 	}
-	return &modelRecord{
-		ID:              meta.ID,
-		Name:            meta.Name,
-		Committed:       meta.Committed,
-		CommittedDigest: meta.CommittedDigest,
-		Slots:           meta.BundleSlots,
-		FracBits:        meta.FracBits,
-		MaxErrors:       meta.MaxErrors,
-		LayerIndex:      meta.LayerIndex,
-		Constraints:     meta.Constraints,
-		PublicInputs:    meta.PublicInputs,
-		CreatedAt:       meta.CreatedAt,
-		VK:              vk,
-	}, nil
+	return &modelRecord{recordMeta: meta, VK: vk}, nil
 }
 
 // put registers (or refreshes) a record, persisting the verifying key
@@ -268,20 +210,7 @@ func (r *registry) put(rec *modelRecord) (existed bool, err error) {
 	}); err != nil {
 		return existed, fmt.Errorf("service: persist vk: %w", err)
 	}
-	meta := recordMeta{
-		ID:              rec.ID,
-		Name:            rec.Name,
-		Committed:       rec.Committed,
-		CommittedDigest: rec.CommittedDigest,
-		BundleSlots:     rec.Slots,
-		FracBits:        rec.FracBits,
-		MaxErrors:       rec.MaxErrors,
-		LayerIndex:      rec.LayerIndex,
-		Constraints:     rec.Constraints,
-		PublicInputs:    rec.PublicInputs,
-		CreatedAt:       rec.CreatedAt,
-	}
-	metaBytes, err := json.MarshalIndent(meta, "", "  ")
+	metaBytes, err := json.MarshalIndent(rec.recordMeta, "", "  ")
 	if err != nil {
 		return existed, err
 	}

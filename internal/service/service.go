@@ -31,6 +31,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,6 +40,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -342,77 +344,45 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if req.FracBits <= 0 {
 		req.FracBits = 16
 	}
-	if req.MaxErrors < 0 {
-		writeError(w, http.StatusBadRequest, "max_errors must be >= 0")
-		return
-	}
 	if req.BundleSlots == 0 {
 		req.BundleSlots = 1
 	}
-	if req.BundleSlots < 1 || req.BundleSlots > maxBundleSlots {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("bundle_slots must be in [1, %d], got %d", maxBundleSlots, req.BundleSlots))
-		return
-	}
-	if req.Committed && req.BundleSlots > 1 {
-		writeError(w, http.StatusBadRequest,
-			"committed circuits bake the model into the constraints and cannot carry suspect bundle slots; use the non-committed variant for bundles")
-		return
-	}
-
-	rec := &modelRecord{
-		Name:       req.Name,
-		Committed:  req.Committed,
-		Slots:      req.BundleSlots,
-		FracBits:   req.FracBits,
-		MaxErrors:  req.MaxErrors,
-		LayerIndex: key.LayerIndex,
-		CreatedAt:  time.Now(),
-		model:      net,
-		key:        &key,
-	}
-	// frac_bits is remote input: an out-of-range value would silently
-	// produce a degenerate quantization (2^64 scale wraps to 0), so run
-	// the format validator the local pipelines get via their flags.
-	if err := rec.params().Validate(); err != nil {
+	spec := core.Spec{Committed: req.Committed, Slots: req.BundleSlots, FracBits: req.FracBits, MaxErrors: req.MaxErrors}
+	if err := spec.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	q, err := nn.Quantize(net, rec.params())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "quantization failed: "+err.Error())
-		return
-	}
-	rec.quant = q
-	if rec.Committed {
-		// Pin the Fiat-Shamir digest binding committed proofs to this
-		// model; it persists with the metadata so the binding check
-		// survives restarts that drop the model itself.
-		_, digest, derr := core.ModelDigest(q, rec.LayerIndex)
-		if derr != nil {
-			writeError(w, http.StatusBadRequest, "model digest failed: "+derr.Error())
-			return
-		}
-		db := digest.Bytes()
-		rec.CommittedDigest = fmt.Sprintf("%x", db[:])
 	}
 	// Compile once: the circuit is pinned to the record and every prove
 	// job — registered model or same-architecture suspect — only binds
 	// inputs and replays the solver program.
-	art, err := rec.compile()
+	art, err := spec.Compile(net, &key)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "circuit compilation failed: "+err.Error())
 		return
 	}
 	s.m.circuitsCompiled.Inc()
+	rec := &modelRecord{
+		recordMeta: recordMeta{
+			ID:           art.System.DigestHex(),
+			Name:         req.Name,
+			Spec:         spec,
+			LayerIndex:   key.LayerIndex,
+			Constraints:  art.System.NbConstraints(),
+			PublicInputs: art.System.NbPublic - 1,
+			CreatedAt:    time.Now(),
+		},
+		art: art,
+	}
+	if spec.Committed {
+		// Pin the digest binding committed proofs to this model: the
+		// first public input of the instance the circuit was built with.
+		d := art.PublicInputs()[0].Bytes()
+		rec.CommittedDigest = hex.EncodeToString(d[:])
+	}
 	// Prove jobs re-solve witnesses from the assignment; the build-time
 	// eager witness (NbWires × 32 B per model, for the life of the
 	// record) is dead weight here.
 	art.Witness = nil
-	rec.art = art
-	rec.ID = art.System.DigestHex()
-	rec.Constraints = art.System.NbConstraints()
-	rec.PublicInputs = art.System.NbPublic - 1
 
 	// Eager setup: registration pays the trusted-setup cost once so
 	// prove jobs hit the key cache. Same-digest re-registration reuses
@@ -444,7 +414,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Constraints:       rec.Constraints,
 		PublicInputs:      rec.PublicInputs,
 		Committed:         rec.Committed,
-		BundleSlots:       rec.slotCount(),
+		BundleSlots:       rec.Slots,
 		VK:                rec.VK,
 	})
 }
@@ -496,9 +466,9 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	}
 	var suspects []*nn.Network
 	if len(raws) > 0 {
-		if len(raws) != rec.slotCount() {
+		if len(raws) != rec.Slots {
 			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("bundle carries %d suspect models, model has %d claim slots", len(raws), rec.slotCount()))
+				fmt.Sprintf("bundle carries %d suspect models, model has %d claim slots", len(raws), rec.Slots))
 			return
 		}
 		suspects = make([]*nn.Network, len(raws))
@@ -646,27 +616,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	resp.Valid = true
-	if claims, cerr := core.ClaimBits(req.PublicInputs, rec.slotCount()); cerr == nil {
+	if claims, verr := rec.verdict(req.PublicInputs); verr != nil {
+		resp.Error = verr.Error()
+	} else {
+		resp.Valid = true
 		resp.Claims = claims
-		resp.Claim = true
-		for _, c := range claims {
-			resp.Claim = resp.Claim && c
-		}
-	}
-	if rec.Committed {
-		// Committed-model proofs additionally bind the registered model
-		// through the Fiat-Shamir digest in the instance (public input
-		// 0). The expected digest was pinned at registration and
-		// persists with the record, so this check also holds on records
-		// restored after a restart. A proof for a different model — even
-		// one sharing the architecture — fails here by construction.
-		if derr := checkCommittedDigest(rec, req.PublicInputs); derr != nil {
-			resp.Valid = false
-			resp.Claim = false
-			resp.Claims = nil
-			resp.Error = derr.Error()
-		}
+		resp.Claim = !slices.Contains(claims, false)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -713,18 +668,19 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	s.m.aggregateRequests.Inc()
 	s.m.aggregateRequestProofs.Observe(float64(len(req.Proofs)))
 
-	if rec.Committed {
-		// The digest binding is an instance property; check it before
-		// spending pairings on the fold.
-		for i, pub := range req.PublicInputs {
-			if derr := checkCommittedDigest(rec, pub); derr != nil {
-				writeJSON(w, http.StatusOK, AggregateResponse{
-					Count: len(req.Proofs),
-					Error: fmt.Sprintf("proof %d: %s", i, derr.Error()),
-				})
-				return
-			}
+	// The verdicts — and a committed record's digest binding — are
+	// instance properties; read them before spending pairings on the fold.
+	claims := make([]bool, len(req.PublicInputs))
+	for i, pub := range req.PublicInputs {
+		c, verr := rec.verdict(pub)
+		if verr != nil {
+			writeJSON(w, http.StatusOK, AggregateResponse{
+				Count: len(req.Proofs),
+				Error: fmt.Sprintf("proof %d: %s", i, verr.Error()),
+			})
+			return
 		}
+		claims[i] = !slices.Contains(c, false)
 	}
 
 	publics := make([][]fr.Element, len(req.PublicInputs))
@@ -745,39 +701,11 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		resp.Error = out.err.Error()
 	} else {
 		resp.Valid = true
-		resp.Claim = true
-		for _, pub := range req.PublicInputs {
-			if claims, cerr := core.ClaimBits(pub, rec.slotCount()); cerr == nil {
-				all := true
-				for _, c := range claims {
-					all = all && c
-				}
-				resp.Claims = append(resp.Claims, all)
-				resp.Claim = resp.Claim && all
-			}
-		}
+		resp.Claims = claims
+		resp.Claim = !slices.Contains(claims, false)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
-
-func checkCommittedDigest(rec *modelRecord, public groth16.PublicInputs) error {
-	if rec.CommittedDigest == "" {
-		return errors.New("registered record carries no committed digest; re-register the model")
-	}
-	if len(public) == 0 {
-		return errors.New("committed proof has no public inputs")
-	}
-	db := public[0].Bytes()
-	if fmt.Sprintf("%x", db[:]) != rec.CommittedDigest {
-		return errors.New("model digest mismatch: proof is not about the registered model")
-	}
-	return nil
-}
-
-// maxBundleSlots bounds bundle_slots at registration: a K-slot circuit
-// is ~K times the single circuit, so an unbounded remote K would let one
-// request commission an arbitrarily large compile + trusted setup.
-const maxBundleSlots = 32
 
 // --- helpers ---
 

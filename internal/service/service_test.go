@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"zkrownn/internal/bn254/fr"
+	"zkrownn/internal/core"
 	"zkrownn/internal/dataset"
 	"zkrownn/internal/engine"
 	"zkrownn/internal/groth16"
@@ -634,29 +635,31 @@ func TestCommittedDigestBinding(t *testing.T) {
 	}
 }
 
-// TestCheckCommittedDigest pins the binding helper itself: the branch
-// that guards proofs which satisfy the Groth16 equation under the
-// registered VK but name a different model digest in the instance.
+// TestCheckCommittedDigest pins a committed record's verdict on the
+// digest branch: the one that guards proofs which satisfy the Groth16
+// equation under the registered VK but name a different model digest in
+// the instance.
 func TestCheckCommittedDigest(t *testing.T) {
 	var d fr.Element
 	d.SetUint64(7)
 	db := d.Bytes()
-	rec := &modelRecord{CommittedDigest: fmt.Sprintf("%x", db[:])}
+	committed := core.Spec{Committed: true, Slots: 1}
+	rec := &modelRecord{recordMeta: recordMeta{Spec: committed, CommittedDigest: fmt.Sprintf("%x", db[:])}}
 
 	var claim fr.Element
 	claim.SetOne()
-	if err := checkCommittedDigest(rec, groth16.PublicInputs{d, claim}); err != nil {
+	if _, err := rec.verdict(groth16.PublicInputs{d, claim}); err != nil {
 		t.Fatalf("matching digest rejected: %v", err)
 	}
 	var other fr.Element
 	other.SetUint64(8)
-	if err := checkCommittedDigest(rec, groth16.PublicInputs{other, claim}); err == nil {
+	if _, err := rec.verdict(groth16.PublicInputs{other, claim}); err == nil {
 		t.Fatal("mismatched digest accepted")
 	}
-	if err := checkCommittedDigest(&modelRecord{}, groth16.PublicInputs{d, claim}); err == nil {
+	if _, err := (&modelRecord{recordMeta: recordMeta{Spec: committed}}).verdict(groth16.PublicInputs{d, claim}); err == nil {
 		t.Fatal("record without a pinned digest accepted")
 	}
-	if err := checkCommittedDigest(rec, nil); err == nil {
+	if _, err := rec.verdict(nil); err == nil {
 		t.Fatal("empty instance accepted")
 	}
 }

@@ -881,3 +881,51 @@ func TestOneGroupCopy(t *testing.T) {
 		t.Error("found no G1/G2 pair: the guard is looking in the wrong place")
 	}
 }
+
+// TestOneClaimSpec keeps the shape of an ownership claim decided in
+// internal/core. core.Spec owns the fixed-point format, the choice of
+// circuit and the reading of an instance; the CLI and the proof service
+// build a Spec and call it. A front end that compiles a circuit, encodes
+// a key or digests a model itself, or spells out a fixed-point format,
+// fails here.
+func TestOneClaimSpec(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"cmd/zkrownn", "internal/service"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) == 0 {
+			t.Fatalf("no Go files under %s: the guard is looking in the wrong place", dir)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "core" &&
+						(strings.HasSuffix(sel.Sel.Name, "ExtractionCircuit") || sel.Sel.Name == "QuantizeKey" || sel.Sel.Name == "ModelDigest") {
+						t.Errorf("%s: calls core.%s: compile, key and digest go through core.Spec", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				case *ast.CompositeLit:
+					if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Params" {
+						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fixpoint" {
+							t.Errorf("%s: builds a fixpoint.Params literal: the format is core.Spec.Params", fset.Position(n.Pos()))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}

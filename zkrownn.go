@@ -282,9 +282,10 @@ func ProveOwnership(c *Circuit, pk *ProvingKey, rng io.Reader) (*Proof, error) {
 // claim bit) in the order VerifyOwnership expects.
 func PublicInputs(c *Circuit) []fr.Element { return c.PublicInputs() }
 
-// VerifyOwnership checks an ownership proof: the proof must verify and
-// the public claim bit must be 1. Any third party holding the verifying
-// key and the public model can run this in milliseconds.
+// VerifyOwnership checks a single-slot ownership proof: the proof must
+// verify, and its claim bit — the last public input — is the verdict.
+// Any third party holding the verifying key and the public model can
+// run this in milliseconds.
 func VerifyOwnership(vk *VerifyingKey, proof *Proof, public []fr.Element) (bool, error) {
 	return core.VerifyClaim(vk, proof, public)
 }
@@ -441,17 +442,17 @@ func NewProofService(opts ProofServiceOptions) (*ProofService, error) {
 	return service.New(opts)
 }
 
-// BatchVerifyOwnership verifies many proofs under one verifying key with
-// a single combined pairing product (~3× faster than verifying each
-// proof individually) and then checks every claim bit.
+// BatchVerifyOwnership verifies many single-slot proofs under one
+// verifying key with a single combined pairing product (~3× faster than
+// verifying each proof individually) and then checks every claim bit,
+// each read by ClaimBits(public, 1). A bundle's other slots are not
+// read.
 func BatchVerifyOwnership(vk *VerifyingKey, proofs []*Proof, publicInputs [][]fr.Element, rng io.Reader) (bool, error) {
 	if err := groth16.BatchVerify(vk, proofs, publicInputs, rng); err != nil {
 		return false, err
 	}
-	var one fr.Element
-	one.SetOne()
 	for _, pub := range publicInputs {
-		if len(pub) == 0 || !pub[len(pub)-1].Equal(&one) {
+		if claims, err := core.ClaimBits(pub, 1); err != nil || !claims[0] {
 			return false, nil
 		}
 	}
