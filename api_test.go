@@ -3,6 +3,7 @@ package zkrownn
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"zkrownn/internal/bn254/fr"
@@ -217,5 +218,42 @@ func TestBatchVerifyOwnershipAPI(t *testing.T) {
 	ok, err = BatchVerifyOwnership(vk, proofs, publics, rng)
 	if err == nil && ok {
 		t.Fatal("batch with corrupted claim accepted")
+	}
+}
+
+// TestBatchedOwnershipAPI drives the public batched quartet: a two-slot
+// circuit, slot 1 rebound to a foreign model of the same architecture,
+// one proof on an engine, and both readers of its per-slot claims.
+func TestBatchedOwnershipAPI(t *testing.T) {
+	m, key, ds := smallWorkflow(t, 524)
+	q, err := Quantize(m, DefaultFixedPoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuit, err := BuildBatchedOwnershipCircuit(q, key, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := Quantize(NewMLP(16, []int{32}, ds.Classes, rand.New(rand.NewSource(525))), DefaultFixedPoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := BindSuspectModels(circuit, []*QuantizedModel{nil, foreign}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{Rand: rand.New(rand.NewSource(526))})
+	defer eng.Close()
+	res, err := eng.Prove(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{true, false}
+	claims, err := VerifyBatchedOwnership(res.Keys.VK, res.Proof, res.PublicInputs, 2)
+	if err != nil || !slices.Equal(claims, want) {
+		t.Fatalf("VerifyBatchedOwnership = %v, %v; want %v", claims, err, want)
+	}
+	if claims, err := OwnershipClaims(circuit, res.PublicInputs); err != nil || !slices.Equal(claims, want) {
+		t.Fatalf("OwnershipClaims = %v, %v; want %v", claims, err, want)
 	}
 }

@@ -207,7 +207,7 @@ func BenchmarkEngineCachedProve(b *testing.B) {
 	eng := NewEngine(EngineOptions{Rand: rng})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Prove(EngineRequest(art, nil)); err != nil {
+		if _, err := eng.Prove(art.Request(nil)); err != nil {
 			b.Fatal(err)
 		}
 	}

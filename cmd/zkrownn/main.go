@@ -18,9 +18,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -265,7 +267,7 @@ func cmdProve(args []string) error {
 	if err != nil {
 		return err
 	}
-	suspectPaths, err := splitSuspects(*suspectsFlag)
+	suspectPaths, err := splitPaths("-suspects", *suspectsFlag)
 	if err != nil {
 		return err
 	}
@@ -360,38 +362,17 @@ func cmdProve(args []string) error {
 		}
 	}
 
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return err
-	}
-	if err := writeFileWith(filepath.Join(*outDir, "vk.bin"), func(w io.Writer) error {
-		_, err := vk.WriteTo(w)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := writeFileWith(filepath.Join(*outDir, "proof.bin"), func(w io.Writer) error {
-		_, err := proof.WriteTo(w)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := writeJSON(filepath.Join(*outDir, "public.json"), groth16.PublicInputs(public)); err != nil {
-		return err
-	}
-	if err := writeJSON(filepath.Join(*outDir, "meta.json"), meta); err != nil {
+	if err := writeProofDir(*outDir, vk, proof, public, meta); err != nil {
 		return err
 	}
 	if *savePK {
 		// This engine has no memory budget, so its plan is always resident.
 		pk := res.Keys.PK.(*groth16.ProvingKey)
-		if err := writeFileWith(filepath.Join(*outDir, "pk.bin"), func(w io.Writer) error {
+		return writeFileWith(filepath.Join(*outDir, "pk.bin"), func(w io.Writer) error {
 			_, err := pk.WriteRawTo(w)
 			return err
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	fmt.Printf("artifacts written to %s/ (vk.bin, proof.bin, public.json)\n", *outDir)
 	return nil
 }
 
@@ -402,12 +383,6 @@ type proveMeta struct {
 	core.Spec
 	LayerIndex int    `json:"layer_index"`
 	ModelID    string `json:"model_id,omitempty"`
-}
-
-// splitSuspects parses the -suspects flag into per-slot model paths
-// (empty flag → none; "-" keeps the registered model in that slot).
-func splitSuspects(value string) ([]string, error) {
-	return splitPaths("-suspects", value)
 }
 
 // splitPaths parses a comma-separated path flag, rejecting empty
@@ -490,7 +465,7 @@ func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir s
 		state = "setup cached"
 	}
 	fmt.Printf("model %s registered (%d constraints, %d claim slot(s), %s)\n",
-		reg.ModelID[:12], reg.Constraints, reg.BundleSlots, state)
+		reg.ModelID, reg.Constraints, reg.BundleSlots, state)
 
 	var ticket *client.ProveTicket
 	if len(suspects) > 0 {
@@ -506,35 +481,103 @@ func remoteProve(serverURL string, net *nn.Network, key *watermark.Key, outDir s
 	if err != nil {
 		return err
 	}
+	if reg.VK == nil || job.Proof == nil {
+		return fmt.Errorf("service finished job %s without a verifying key or proof", ticket.JobID)
+	}
 	fmt.Printf("prove:  %.2fs server-side (proof %d B, setup cache hit %v, %s)\n",
 		job.ProveMS/1e3, job.Proof.PayloadSize(), job.SetupCached, job.Residency)
 	if len(job.Claims) > 1 || (len(job.Claims) > 0 && len(suspectPaths) > 0) {
 		printClaims(job.Claims, suspectPaths)
 	}
 
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	if err := writeFileWith(filepath.Join(outDir, "vk.bin"), func(w io.Writer) error {
-		_, err := reg.VK.WriteTo(w)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := writeFileWith(filepath.Join(outDir, "proof.bin"), func(w io.Writer) error {
-		_, err := job.Proof.WriteTo(w)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := writeJSON(filepath.Join(outDir, "public.json"), job.PublicInputs); err != nil {
-		return err
-	}
 	meta.ModelID = reg.ModelID
-	if err := writeJSON(filepath.Join(outDir, "meta.json"), meta); err != nil {
+	return writeProofDir(outDir, reg.VK, job.Proof, job.PublicInputs, meta)
+}
+
+// proofDir is a prove's artifact directory as verify reads it back: the
+// proof, its instance and the claim it was proved under. vk.bin is read
+// only where the verifying key is checked locally.
+type proofDir struct {
+	proof  groth16.Proof
+	public groth16.PublicInputs
+	meta   proveMeta
+}
+
+// writeProofDir writes a prove's artifacts, local or remote: vk.bin,
+// proof.bin, public.json and meta.json.
+func writeProofDir(dir string, vk *groth16.VerifyingKey, proof *groth16.Proof, public groth16.PublicInputs, meta proveMeta) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	fmt.Printf("artifacts written to %s/ (vk.bin, proof.bin, public.json)\n", outDir)
+	if err := writeFileWith(filepath.Join(dir, "vk.bin"), func(w io.Writer) error {
+		_, err := vk.WriteTo(w)
+		return err
+	}); err != nil {
+		return err
+	}
+	if err := writeFileWith(filepath.Join(dir, "proof.bin"), func(w io.Writer) error {
+		_, err := proof.WriteTo(w)
+		return err
+	}); err != nil {
+		return err
+	}
+	if err := writeJSON(filepath.Join(dir, "public.json"), public); err != nil {
+		return err
+	}
+	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
+		return err
+	}
+	fmt.Printf("artifacts written to %s/ (vk.bin, proof.bin, public.json)\n", dir)
+	return nil
+}
+
+// readProofDir reads a proof directory. A missing meta.json is an
+// artifact older than the file, a plain one-slot claim; a malformed one
+// is an error, because it decides how the instance is read (a committed
+// claim is checked against its model's digest).
+func readProofDir(dir string) (*proofDir, error) {
+	d := new(proofDir)
+	if err := readBinary(filepath.Join(dir, "proof.bin"), &d.proof); err != nil {
+		return nil, err
+	}
+	if err := readJSON(filepath.Join(dir, "public.json"), &d.public); err != nil {
+		return nil, err
+	}
+	if err := readJSON(filepath.Join(dir, "meta.json"), &d.meta); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	return d, nil
+}
+
+// serviceModelID is the proof-service model a remote verify names: the
+// -model-id flag's, else the one prove -server recorded in meta.json.
+func serviceModelID(flagID, dir string, meta proveMeta) (string, error) {
+	if flagID != "" {
+		return flagID, nil
+	}
+	if meta.ModelID == "" {
+		return "", fmt.Errorf("no -model-id given and %s/meta.json has none (was the proof made with prove -server?)", dir)
+	}
+	return meta.ModelID, nil
+}
+
+// reportVerdict prints a verify's outcome, local or over the wire (where
+// says which), and returns an error unless the proof verified and every
+// claim holds.
+func reportVerdict(claims []bool, err error, elapsed time.Duration, where string) error {
+	ms := float64(elapsed.Microseconds()) / 1e3
+	if err != nil {
+		fmt.Printf("verification FAILED in %.1fms: %v\n", ms, err)
+		return err
+	}
+	if len(claims) > 1 {
+		printClaims(claims, nil)
+	}
+	if slices.Contains(claims, false) {
+		fmt.Println("proof valid but ownership claim is 0 (watermark did not extract)")
+		return errors.New("ownership claim is 0")
+	}
+	fmt.Printf("ownership VERIFIED in %.1fms%s\n", ms, where)
 	return nil
 }
 
@@ -576,18 +619,11 @@ func cmdVerify(args []string) error {
 	if err := readBinary(filepath.Join(*dir, "vk.bin"), &vk); err != nil {
 		return err
 	}
-	var proof groth16.Proof
-	if err := readBinary(filepath.Join(*dir, "proof.bin"), &proof); err != nil {
-		return err
-	}
-	var public groth16.PublicInputs
-	err := readJSON(filepath.Join(*dir, "public.json"), &public)
+	pd, err := readProofDir(*dir)
 	if err != nil {
 		return err
 	}
-
-	var meta proveMeta
-	_ = readJSON(filepath.Join(*dir, "meta.json"), &meta) // absent for old artifacts
+	meta := pd.meta
 
 	start := time.Now()
 	var digest *fr.Element
@@ -603,69 +639,37 @@ func cmdVerify(args []string) error {
 		digest = &d
 	}
 	var claims []bool
-	if err = groth16.Verify(&vk, &proof, public); err == nil {
-		claims, err = meta.Verdict(public, digest)
+	if err = groth16.Verify(&vk, &pd.proof, pd.public); err == nil {
+		claims, err = meta.Verdict(pd.public, digest)
 	}
-	elapsed := time.Since(start)
-	if err != nil {
-		fmt.Printf("verification FAILED in %.1fms: %v\n", float64(elapsed.Microseconds())/1e3, err)
-		return err
-	}
-	if len(claims) > 1 {
-		printClaims(claims, nil)
-	}
-	if slices.Contains(claims, false) {
-		fmt.Printf("proof valid but ownership claim is 0 (watermark did not extract)\n")
-		os.Exit(1)
-	}
-	fmt.Printf("ownership VERIFIED in %.1fms\n", float64(elapsed.Microseconds())/1e3)
-	return nil
+	return reportVerdict(claims, err, time.Since(start), "")
 }
 
 // remoteVerify submits local proof artifacts to a running proof
 // service, which checks them against its registered verifying key
 // (batching requests that queue behind busy verifiers server-side).
 func remoteVerify(serverURL, dir, modelID string) error {
-	if modelID == "" {
-		var meta proveMeta
-		if err := readJSON(filepath.Join(dir, "meta.json"), &meta); err != nil || meta.ModelID == "" {
-			return fmt.Errorf("no -model-id given and %s/meta.json has none (was the proof made with prove -server?)", dir)
-		}
-		modelID = meta.ModelID
-	}
-	var proof groth16.Proof
-	if err := readBinary(filepath.Join(dir, "proof.bin"), &proof); err != nil {
+	pd, err := readProofDir(dir)
+	if err != nil {
 		return err
 	}
-	var public groth16.PublicInputs
-	if err := readJSON(filepath.Join(dir, "public.json"), &public); err != nil {
+	if modelID, err = serviceModelID(modelID, dir, pd.meta); err != nil {
 		return err
 	}
-
 	c, err := client.New(serverURL)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	verdict, err := c.Verify(context.Background(), modelID, &proof, public)
+	verdict, err := c.Verify(context.Background(), modelID, &pd.proof, pd.public)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
 	}
-	if verdict.Valid && len(verdict.Claims) > 1 {
-		printClaims(verdict.Claims, nil)
+	if !verdict.Valid {
+		err = errors.New(verdict.Error)
 	}
-	switch {
-	case !verdict.Valid:
-		fmt.Printf("verification FAILED in %.1fms: %s\n", float64(elapsed.Microseconds())/1e3, verdict.Error)
-		os.Exit(1)
-	case !verdict.Claim:
-		fmt.Printf("proof valid but ownership claim is 0 (watermark did not extract)\n")
-		os.Exit(1)
-	}
-	fmt.Printf("ownership VERIFIED in %.1fms over the wire (server batch size %d)\n",
-		float64(elapsed.Microseconds())/1e3, verdict.BatchSize)
-	return nil
+	return reportVerdict(verdict.Claims, err, elapsed, fmt.Sprintf(" over the wire (server batch size %d)", verdict.BatchSize))
 }
 
 // aggregateMeta is the self-contained aggregate.json artifact: the
@@ -685,26 +689,20 @@ type aggregateMeta struct {
 // against the first directory's vk.bin (the service's verdict is never
 // trusted), and saves aggregate.json alongside the first proof.
 func remoteAggregate(serverURL string, dirs []string, modelID string) error {
-	if modelID == "" {
-		var meta proveMeta
-		if err := readJSON(filepath.Join(dirs[0], "meta.json"), &meta); err != nil || meta.ModelID == "" {
-			return fmt.Errorf("no -model-id given and %s/meta.json has none (was the proof made with prove -server?)", dirs[0])
-		}
-		modelID = meta.ModelID
-	}
-
 	proofs := make([]*groth16.Proof, len(dirs))
 	instances := make([]groth16.PublicInputs, len(dirs))
 	publics := make([][]fr.Element, len(dirs))
 	for i, d := range dirs {
-		proofs[i] = new(groth16.Proof)
-		if err := readBinary(filepath.Join(d, "proof.bin"), proofs[i]); err != nil {
-			return fmt.Errorf("dir %s: %w", d, err)
+		pd, err := readProofDir(d)
+		if err != nil {
+			return err
 		}
-		if err := readJSON(filepath.Join(d, "public.json"), &instances[i]); err != nil {
-			return fmt.Errorf("dir %s: %w", d, err)
+		if i == 0 {
+			if modelID, err = serviceModelID(modelID, d, pd.meta); err != nil {
+				return err
+			}
 		}
-		publics[i] = instances[i]
+		proofs[i], instances[i], publics[i] = &pd.proof, pd.public, pd.public
 	}
 	var vk groth16.VerifyingKey
 	if err := readBinary(filepath.Join(dirs[0], "vk.bin"), &vk); err != nil {
@@ -832,11 +830,16 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
+// readFileWith decodes the file at path with fn; a decode error names
+// the file.
 func readFileWith(path string, fn func(io.Reader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return fn(f)
+	if err := fn(f); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }

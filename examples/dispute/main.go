@@ -8,8 +8,11 @@
 // artifacts alone, in milliseconds, without Alice revealing her trigger
 // keys or watermark and without any further interaction.
 //
-// The example also shows the negative case: Mallory cannot produce a
-// claim-1 proof against Bob's unrelated model with her own key.
+// The example also shows the negative case: Alice's key, fixed before
+// Bob's unrelated model existed, does not extract from it, so no claim-1
+// proof exists for that key. The proof does not name the key, though:
+// nothing public commits to it, so a key chosen after a model is seen
+// can be made to extract from any model (ROADMAP F1, mended by item 20).
 //
 //	go run ./examples/dispute
 package main
@@ -95,7 +98,7 @@ func main() {
 	zkrownn.Train(bob, ds, zkrownn.TrainOptions{Epochs: 10, BatchSize: 16, LearningRate: 0.1}, bobRng)
 	_, _, _, _, err = zkrownn.ProveModelOwnership(bob, aliceKey, zkrownn.DefaultFixedPoint, nil)
 	if err == zkrownn.ErrNotWatermarked {
-		fmt.Println("   Alice's key does not extract from Bob's model: no claim-1 proof exists ✓")
+		fmt.Println("   Alice's key does not extract from Bob's model: no claim-1 proof exists for it ✓")
 	} else if err != nil {
 		log.Fatal(err)
 	} else {

@@ -253,58 +253,6 @@ func TestBatchedExtractionEndToEndProof(t *testing.T) {
 	}
 }
 
-// TestBatchedCommittedExtraction: the committed batch publishes one
-// digest + one claim per slot; digests must match ModelDigest of each
-// slot's model and the solver must reproduce the eager witness.
-func TestBatchedCommittedExtraction(t *testing.T) {
-	qa := tinyQuantNet(20, 5, 3)
-	qb := tinyQuantNet(21, 5, 3)
-	ck := randCircuitKey(rand.New(rand.NewSource(22)), batchP, 5, 3, 4, 2)
-
-	art, err := BatchedCommittedExtractionCircuit([]*nn.QuantizedNetwork{qa, qb}, ck, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Slots() != 2 {
-		t.Fatalf("slots %d, want 2", art.Slots())
-	}
-	// 2 digests + 2 claims, nothing else: the instance stays constant
-	// size however large the models are.
-	if got := art.System.NbPublic - 1; got != 4 {
-		t.Fatalf("committed batch has %d public inputs, want 4", got)
-	}
-	if len(art.System.PubInputs) != 0 {
-		t.Fatalf("committed batch should have no provided public inputs, has %d", len(art.System.PubInputs))
-	}
-	solved, err := art.System.SolveAssignment(art.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range solved {
-		if !solved[i].Equal(&art.Witness[i]) {
-			t.Fatalf("wire %d: solver != eager", i)
-		}
-	}
-	pub := art.System.PublicValues(solved)
-	for s, q := range []*nn.QuantizedNetwork{qa, qb} {
-		_, want, err := ModelDigest(q, ck.LayerIndex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pub[s].Equal(&want) {
-			t.Fatalf("slot %d digest differs from ModelDigest", s)
-		}
-	}
-	// Committed batches cannot be rebound.
-	if _, err := BindSuspectSlots(art, []*nn.QuantizedNetwork{qb, qa}); err == nil {
-		t.Fatal("committed batch rebinding succeeded")
-	}
-	// Mixed architectures are rejected at compile time.
-	if _, err := BatchedCommittedExtractionCircuit([]*nn.QuantizedNetwork{qa, tinyQuantNet(23, 5, 4)}, ck, 4); err == nil {
-		t.Fatal("committed batch accepted mismatched architectures")
-	}
-}
-
 // TestBatchedExtractionRejectsBadSlotCount covers the constructor's
 // parameter validation.
 func TestBatchedExtractionRejectsBadSlotCount(t *testing.T) {
@@ -315,9 +263,6 @@ func TestBatchedExtractionRejectsBadSlotCount(t *testing.T) {
 	}
 	if _, err := BatchedExtractionCircuit(q, ck, 2, -3); err == nil {
 		t.Fatal("negative k accepted")
-	}
-	if _, err := BatchedCommittedExtractionCircuit(nil, ck, 2); err == nil {
-		t.Fatal("empty committed batch accepted")
 	}
 }
 
@@ -385,18 +330,21 @@ func TestClaimBoundaryAtMaxErrors(t *testing.T) {
 		t.Fatal("BER at maxErrors+1 must yield claim 0")
 	}
 
-	// The failed claim still proves and verifies; VerifyClaim reports
-	// ok=false with no error.
+	// The failed claim still proves and verifies; the verdict reads
+	// claim 0 with no error.
 	rng := rand.New(rand.NewSource(311))
 	pl, err := RunPipeline(overTolerance, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := VerifyClaim(pl.VK, pl.Proof, overTolerance.PublicInputs())
-	if err != nil {
+	if err := groth16.Verify(pl.VK, pl.Proof, overTolerance.PublicInputs()); err != nil {
 		t.Fatalf("claim-0 proof must still verify, got %v", err)
 	}
-	if ok {
+	claims, err = Spec{Slots: 1}.Verdict(overTolerance.PublicInputs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if claims[0] {
 		t.Fatal("claim-0 instance reported as a valid ownership claim")
 	}
 }

@@ -22,24 +22,6 @@ import (
 // assignment are rewritten. This is the solve-many path the proof
 // service's prove queue runs on.
 
-// SameArchitecture checks that two quantized networks share layer
-// structure (kinds and shape parameters) through layer upTo inclusive —
-// the condition under which they compile to the identical circuit.
-func SameArchitecture(a, b *nn.QuantizedNetwork, upTo int) error {
-	if a.Params != b.Params {
-		return fmt.Errorf("core: architecture mismatch: fixed-point formats differ (%+v vs %+v)", a.Params, b.Params)
-	}
-	if upTo >= len(a.Layers) || upTo >= len(b.Layers) {
-		return fmt.Errorf("core: architecture mismatch: layer index %d out of range (%d vs %d layers)", upTo, len(a.Layers), len(b.Layers))
-	}
-	for li := 0; li <= upTo; li++ {
-		if err := sameLayerShape(layerShapeOf(&a.Layers[li]), &b.Layers[li], li); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // layerShape is the weight-free image of one quantized layer: enough to
 // decide circuit-shape equality without retaining the weights
 // themselves. Artifacts pin the shapes of the model they were compiled

@@ -66,8 +66,13 @@ func TestCommittedExtractionEndToEnd(t *testing.T) {
 	if err := groth16.Verify(vk, proof, public); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyCommittedPublicInputs(q, ck.LayerIndex, public); err != nil {
+	committed := Spec{Committed: true, Slots: 1}
+	digest, err := committed.DigestQuantized(q, ck.LayerIndex)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if claims, err := committed.Verdict(public, &digest); err != nil || !claims[0] {
+		t.Fatalf("committed verdict = %v, %v", claims, err)
 	}
 }
 
@@ -134,7 +139,12 @@ func TestCommittedRejectsWrongModel(t *testing.T) {
 	// A verifier holding a DIFFERENT model must notice the digest
 	// mismatch even though the proof itself is valid.
 	q.Layers[0].W[0] += 7
-	if err := VerifyCommittedPublicInputs(q, ck.LayerIndex, public); err == nil {
+	committed := Spec{Committed: true, Slots: 1}
+	digest, err := committed.DigestQuantized(q, ck.LayerIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := committed.Verdict(public, &digest); err == nil {
 		t.Fatal("digest check passed against a different model")
 	}
 	q.Layers[0].W[0] -= 7

@@ -8,6 +8,7 @@ import (
 	"zkrownn/internal/dataset"
 	"zkrownn/internal/fixpoint"
 	"zkrownn/internal/gadgets"
+	"zkrownn/internal/groth16"
 	"zkrownn/internal/nn"
 	"zkrownn/internal/watermark"
 )
@@ -92,11 +93,14 @@ func TestExtractionEndToEndProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := VerifyClaim(pl.VK, pl.Proof, art.PublicInputs())
+	if err := groth16.Verify(pl.VK, pl.Proof, art.PublicInputs()); err != nil {
+		t.Fatal(err)
+	}
+	claims, err := Spec{Slots: 1}.Verdict(art.PublicInputs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !claims[0] {
 		t.Fatal("ownership claim not validated")
 	}
 	if pl.Metrics.ProofSize != 128 {

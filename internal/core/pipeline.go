@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/engine"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/obs"
@@ -161,19 +160,4 @@ func RunPipelineWith(eng *engine.Engine, art *Artifact, rng io.Reader, tr *obs.T
 	}
 	pl.Metrics.VerifyTime = time.Since(start)
 	return pl, nil
-}
-
-// VerifyClaim checks a single-slot ownership proof and returns its
-// claim bit, read by ClaimBits(public, 1): the last public input, which
-// an honest ownership proof pins to 1. A bundle's other slots are not
-// read; Spec.Verdict reads every slot.
-func VerifyClaim(vk *groth16.VerifyingKey, proof *groth16.Proof, public []fr.Element) (bool, error) {
-	claims, err := ClaimBits(public, 1)
-	if err != nil {
-		return false, err
-	}
-	if err := groth16.Verify(vk, proof, public); err != nil {
-		return false, err
-	}
-	return claims[0], nil
 }

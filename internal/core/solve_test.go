@@ -161,9 +161,6 @@ func TestBindSuspectInputs(t *testing.T) {
 	}
 
 	suspect := mkNet(2)
-	if err := SameArchitecture(registered, suspect, ck.LayerIndex); err != nil {
-		t.Fatal(err)
-	}
 	asg, err := BindSuspectInputs(art, suspect)
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +195,6 @@ func TestBindSuspectInputs(t *testing.T) {
 			randQuantDense(rand.New(rand.NewSource(3)), p, 5, 4),
 			{Kind: "relu", Out: 4},
 		},
-	}
-	if err := SameArchitecture(registered, wide, ck.LayerIndex); err == nil {
-		t.Fatal("wider suspect accepted as same architecture")
 	}
 	if _, err := BindSuspectInputs(art, wide); err == nil {
 		t.Fatal("binding a mismatched suspect succeeded")

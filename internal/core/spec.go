@@ -19,9 +19,10 @@ const MaxSlots = 32
 // anything is proved: whether the model is bound by its digest
 // (Committed) or published as public inputs, how many suspect slots one
 // proof carries, the fixed-point fraction bits, and the BER tolerance
-// θ·N. The CLI, the proof service and its registry build one and let it
-// compile the circuit and read the instance; its JSON names are those
-// of the registry's records and the CLI's meta.json.
+// θ·N. The CLI, the proof service, its registry and the public Go API
+// build one and let it compile the circuit and read the instance; its
+// JSON names are those of the registry's records and the CLI's
+// meta.json.
 type Spec struct {
 	Committed bool `json:"committed,omitempty"`
 	Slots     int  `json:"bundle_slots,omitempty"`
@@ -53,15 +54,23 @@ func (s Spec) Validate() error {
 	return s.Params().Validate()
 }
 
-// Compile quantizes the model and key in the claim's format and builds
-// its extraction circuit: the committed one, or the batched one with
-// Slots slots (one slot is ExtractionCircuit, digest for digest).
+// Compile quantizes the model in the claim's format and builds its
+// extraction circuit (CompileQuantized).
 func (s Spec) Compile(net *nn.Network, key *watermark.Key) (*Artifact, error) {
 	q, err := nn.Quantize(net, s.Params())
 	if err != nil {
 		return nil, fmt.Errorf("quantization failed: %w", err)
 	}
-	ck := QuantizeKey(key, s.Params())
+	return s.CompileQuantized(q, key)
+}
+
+// CompileQuantized builds the claim's extraction circuit for a model
+// already quantized, with the key quantized in the model's own format
+// (FracBits is not read): the committed circuit, or the batched one
+// with Slots slots (one slot is ExtractionCircuit, digest for digest).
+// It is the one map from a claim to its circuit.
+func (s Spec) CompileQuantized(q *nn.QuantizedNetwork, key *watermark.Key) (*Artifact, error) {
+	ck := QuantizeKey(key, q.Params)
 	if s.Committed {
 		return CommittedExtractionCircuit(q, ck, s.MaxErrors)
 	}
@@ -69,13 +78,19 @@ func (s Spec) Compile(net *nn.Network, key *watermark.Key) (*Artifact, error) {
 }
 
 // Digest returns the digest a committed claim about net names in its
-// first public input: ModelDigest of net quantized in the claim's
-// format, through the key's layer.
+// first public input: net quantized in the claim's format, digested by
+// DigestQuantized.
 func (s Spec) Digest(net *nn.Network, layerIndex int) (fr.Element, error) {
 	q, err := nn.Quantize(net, s.Params())
 	if err != nil {
 		return fr.Element{}, err
 	}
+	return s.DigestQuantized(q, layerIndex)
+}
+
+// DigestQuantized returns ModelDigest of a quantized model through the
+// key's layer: what Verdict compares a committed instance against.
+func (Spec) DigestQuantized(q *nn.QuantizedNetwork, layerIndex int) (fr.Element, error) {
 	_, d, err := ModelDigest(q, layerIndex)
 	return d, err
 }

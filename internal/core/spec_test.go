@@ -7,6 +7,7 @@ import (
 
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/dataset"
+	"zkrownn/internal/fixpoint"
 	"zkrownn/internal/nn"
 	"zkrownn/internal/watermark"
 )
@@ -47,6 +48,23 @@ func TestSpecCompileAndVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// named builds the circuit a spec names for a model quantized in q's
+	// format, key included.
+	named := func(spec Spec, q *nn.QuantizedNetwork) [32]byte {
+		t.Helper()
+		ck := QuantizeKey(key, q.Params)
+		var art *Artifact
+		var err error
+		if spec.Committed {
+			art, err = CommittedExtractionCircuit(q, ck, spec.MaxErrors)
+		} else {
+			art, err = BatchedExtractionCircuit(q, ck, spec.MaxErrors, spec.Slots)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art.System.Digest()
+	}
 	for _, spec := range []Spec{
 		{Slots: 1, FracBits: 12, MaxErrors: 4},
 		{Slots: 2, FracBits: 12, MaxErrors: 4},
@@ -60,18 +78,21 @@ func TestSpecCompileAndVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck := QuantizeKey(key, spec.Params())
-		var want *Artifact
-		if spec.Committed {
-			want, err = CommittedExtractionCircuit(q, ck, spec.MaxErrors)
-		} else {
-			want, err = BatchedExtractionCircuit(q, ck, spec.MaxErrors, spec.Slots)
+		if art.System.Digest() != named(spec, q) {
+			t.Fatalf("%+v: Compile's circuit differs from the one it names", spec)
 		}
+		// A model quantized at a MagBits no spec spells compiles in its
+		// own format.
+		q40, err := nn.Quantize(net, fixpoint.Params{FracBits: 12, MagBits: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if art.System.Digest() != want.System.Digest() {
-			t.Fatalf("%+v: Compile's circuit differs from the one it names", spec)
+		own, err := spec.CompileQuantized(q40, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := own.System.Digest(); d != named(spec, q40) || d == art.System.Digest() {
+			t.Fatalf("%+v: CompileQuantized did not build in the model's own format", spec)
 		}
 
 		var digest *fr.Element

@@ -113,13 +113,15 @@ type ReLULayer struct {
 	mask []bool
 }
 
-// NewReLU returns a ReLU over size elements.
-func NewReLU(size int) *ReLULayer {
-	return &ReLULayer{size: size, mask: make([]bool, size)}
-}
+// NewReLU returns a ReLU over size elements. Its backward mask is sized
+// by the first Forward, so a declared size allocates nothing.
+func NewReLU(size int) *ReLULayer { return &ReLULayer{size: size} }
 
 // Forward implements Layer.
 func (r *ReLULayer) Forward(x []float64) []float64 {
+	if len(r.mask) != len(x) {
+		r.mask = make([]bool, len(x))
+	}
 	out := make([]float64, len(x))
 	for i, v := range x {
 		if v > 0 {

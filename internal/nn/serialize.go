@@ -66,7 +66,79 @@ func (n *Network) Save(w io.Writer) error {
 // collides with the weights field in jsonLayer).
 func (m *MaxPool2D) W2() int { return m.W }
 
-// Load deserializes a network saved by Save.
+// maxElems bounds every dimension and every flattened size a saved
+// model declares: far above the paper's models (the CIFAR-10 CNN's
+// widest activation holds 7,200 values, its widest weight matrix 1.6M),
+// and low enough that no product of declared shapes overflows an int.
+const maxElems = 1 << 24
+
+// elems multiplies declared dimensions, each of which must be positive;
+// ok is false when one is not, or when the product exceeds maxElems.
+func elems(dims ...int) (n int, ok bool) {
+	n = 1
+	for _, d := range dims {
+		if d < 1 || d > maxElems {
+			return 0, false
+		}
+		if n *= d; n > maxElems {
+			return 0, false
+		}
+	}
+	return n, true
+}
+
+// shape checks one decoded layer — positive dimensions within maxElems,
+// weights of the declared shape, a window that fits its input — and
+// returns its flattened input and output sizes.
+func (jl *jsonLayer) shape() (in, out int, err error) {
+	bad := func(what string) (int, int, error) {
+		return 0, 0, fmt.Errorf("%s layer has %s", jl.Kind, what)
+	}
+	switch jl.Kind {
+	case "dense":
+		w, ok := elems(jl.In, jl.Out)
+		switch {
+		case !ok:
+			return bad("a dimension out of range")
+		case len(jl.W) != w || len(jl.B) != jl.Out:
+			return bad("inconsistent shapes")
+		}
+		return jl.In, jl.Out, nil
+	case "relu", "sigmoid":
+		n, ok := elems(jl.Size)
+		if !ok {
+			return bad("a size out of range")
+		}
+		return n, n, nil
+	case "conv", "maxpool":
+		in, ok := elems(jl.InC, jl.InH, jl.InW)
+		if !ok || jl.K < 1 || jl.K > jl.InH || jl.K > jl.InW || jl.S < 1 {
+			return bad("a dimension out of range")
+		}
+		outC := jl.InC
+		if jl.Kind == "conv" {
+			w, ok := elems(jl.OutC, jl.InC, jl.K, jl.K)
+			switch {
+			case !ok:
+				return bad("a dimension out of range")
+			case len(jl.W) != w || len(jl.B) != jl.OutC:
+				return bad("inconsistent shapes")
+			}
+			outC = jl.OutC
+		}
+		out, ok := elems(outC, (jl.InH-jl.K)/jl.S+1, (jl.InW-jl.K)/jl.S+1)
+		if !ok {
+			return bad("an output out of range")
+		}
+		return in, out, nil
+	}
+	return 0, 0, fmt.Errorf("unknown layer kind %q", jl.Kind)
+}
+
+// Load deserializes a network saved by Save. The model may come from
+// outside the program (the proof service decodes request bodies with
+// it), so every layer's shape is checked before anything is sized from
+// it, and each layer must take what the one before it gives.
 func Load(r io.Reader) (*Network, error) {
 	var jn jsonNetwork
 	dec := json.NewDecoder(r)
@@ -76,43 +148,44 @@ func Load(r io.Reader) (*Network, error) {
 	if jn.Format != 1 {
 		return nil, fmt.Errorf("nn: unsupported network format %d", jn.Format)
 	}
+	if len(jn.Layers) == 0 {
+		return nil, fmt.Errorf("nn: network has no layers")
+	}
 	net := &Network{}
+	prev := 0
 	for i, jl := range jn.Layers {
+		in, out, err := jl.shape()
+		if err != nil {
+			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
+		}
+		if i > 0 && in != prev {
+			return nil, fmt.Errorf("nn: layer %d takes %d inputs, layer %d gives %d", i, in, i-1, prev)
+		}
+		prev = out
 		switch jl.Kind {
 		case "dense":
-			if len(jl.W) != jl.In*jl.Out || len(jl.B) != jl.Out {
-				return nil, fmt.Errorf("nn: layer %d has inconsistent dense shapes", i)
-			}
-			d := &Dense{
+			net.Layers = append(net.Layers, &Dense{
 				In: jl.In, Out: jl.Out,
 				W:  jl.W,
 				B:  jl.B,
 				gw: make([]float64, len(jl.W)),
 				gb: make([]float64, len(jl.B)),
-			}
-			net.Layers = append(net.Layers, d)
+			})
 		case "relu":
 			net.Layers = append(net.Layers, NewReLU(jl.Size))
 		case "sigmoid":
 			net.Layers = append(net.Layers, NewSigmoid(jl.Size))
 		case "conv":
-			want := jl.OutC * jl.InC * jl.K * jl.K
-			if len(jl.W) != want || len(jl.B) != jl.OutC {
-				return nil, fmt.Errorf("nn: layer %d has inconsistent conv shapes", i)
-			}
-			c := &Conv2D{
+			net.Layers = append(net.Layers, &Conv2D{
 				InC: jl.InC, InH: jl.InH, InW: jl.InW,
 				OutC: jl.OutC, K: jl.K, S: jl.S,
 				W:  jl.W,
 				B:  jl.B,
 				gw: make([]float64, len(jl.W)),
 				gb: make([]float64, len(jl.B)),
-			}
-			net.Layers = append(net.Layers, c)
+			})
 		case "maxpool":
 			net.Layers = append(net.Layers, NewMaxPool2D(jl.InC, jl.InH, jl.InW, jl.K, jl.S))
-		default:
-			return nil, fmt.Errorf("nn: unknown layer kind %q", jl.Kind)
 		}
 	}
 	return net, nil

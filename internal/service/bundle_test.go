@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"zkrownn/internal/core"
@@ -184,6 +185,21 @@ func TestBundleRequestValidation(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage slot model: status %d (%s), want 400", resp.StatusCode, data)
+	}
+	// A model whose declared shapes do not hold is a bad request, in a
+	// registration (a negative size would size a slice) and in a slot
+	// (a zero stride would divide by zero).
+	resp, data = postJSON(t, ts.URL+"/v1/models", RegisterRequest{
+		Model: json.RawMessage(`{"format":1,"layers":[{"kind":"relu","size":-5}]}`), Key: keyJSON,
+	})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "bad model") {
+		t.Fatalf("negative layer size: status %d (%s), want 400", resp.StatusCode, data)
+	}
+	resp, data = postJSON(t, proveURL, ProveRequest{SuspectModels: []json.RawMessage{
+		suspect, json.RawMessage(`{"format":1,"layers":[{"kind":"maxpool","in_c":1,"in_h":4,"in_w":4,"k":2,"s":0}]}`),
+	}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "bad suspect model in slot 1") {
+		t.Fatalf("zero-stride slot model: status %d (%s), want 400", resp.StatusCode, data)
 	}
 	// An all-null bundle degenerates to proving the registered model.
 	resp, data = postJSON(t, proveURL, ProveRequest{

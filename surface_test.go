@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -884,13 +885,13 @@ func TestOneGroupCopy(t *testing.T) {
 
 // TestOneClaimSpec keeps the shape of an ownership claim decided in
 // internal/core. core.Spec owns the fixed-point format, the choice of
-// circuit and the reading of an instance; the CLI and the proof service
-// build a Spec and call it. A front end that compiles a circuit, encodes
-// a key or digests a model itself, or spells out a fixed-point format,
-// fails here.
+// circuit and the reading of an instance; the CLI, the proof service and
+// the public Go API build a Spec and call it. A front end that compiles
+// a circuit, encodes a key, digests a model or reads claim bits itself,
+// or spells out a fixed-point format, fails here.
 func TestOneClaimSpec(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, dir := range []string{"cmd/zkrownn", "internal/service"} {
+	for _, dir := range []string{".", "cmd/zkrownn", "internal/service"} {
 		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -914,8 +915,8 @@ func TestOneClaimSpec(t *testing.T) {
 						return true
 					}
 					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "core" &&
-						(strings.HasSuffix(sel.Sel.Name, "ExtractionCircuit") || sel.Sel.Name == "QuantizeKey" || sel.Sel.Name == "ModelDigest") {
-						t.Errorf("%s: calls core.%s: compile, key and digest go through core.Spec", fset.Position(n.Pos()), sel.Sel.Name)
+						(strings.HasSuffix(sel.Sel.Name, "ExtractionCircuit") || slices.Contains([]string{"QuantizeKey", "ModelDigest", "ClaimBits"}, sel.Sel.Name)) {
+						t.Errorf("%s: calls core.%s: compile, key, digest and claims go through core.Spec", fset.Position(n.Pos()), sel.Sel.Name)
 					}
 				case *ast.CompositeLit:
 					if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Params" {

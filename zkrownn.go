@@ -25,6 +25,7 @@ package zkrownn
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 
@@ -204,8 +205,7 @@ func Quantize(m *Model, p FixedPoint) (*QuantizedModel, error) {
 // or, via BindSuspectModel, against other models of the same
 // architecture — without being rebuilt.
 func BuildOwnershipCircuit(q *QuantizedModel, key *WatermarkKey, maxErrors int) (*Circuit, error) {
-	ck := core.QuantizeKey(key, q.Params)
-	return core.ExtractionCircuit(q, ck, maxErrors)
+	return core.Spec{Slots: 1, MaxErrors: maxErrors}.CompileQuantized(q, key)
 }
 
 // BindSuspectModel rebinds a compiled (non-committed) ownership
@@ -231,8 +231,7 @@ func BindSuspectModel(c *Circuit, q *QuantizedModel, rng io.Reader) (ProveReques
 // (OwnershipClaims decodes them). slots = 1 is exactly
 // BuildOwnershipCircuit.
 func BuildBatchedOwnershipCircuit(q *QuantizedModel, key *WatermarkKey, maxErrors, slots int) (*Circuit, error) {
-	ck := core.QuantizeKey(key, q.Params)
-	return core.BatchedExtractionCircuit(q, ck, maxErrors, slots)
+	return core.Spec{Slots: slots, MaxErrors: maxErrors}.CompileQuantized(q, key)
 }
 
 // BindSuspectModels rebinds a batched ownership circuit's per-slot
@@ -251,7 +250,7 @@ func BindSuspectModels(c *Circuit, suspects []*QuantizedModel, rng io.Reader) (P
 // (batched) extraction instance: the trailing c.Slots() public inputs,
 // in slot order.
 func OwnershipClaims(c *Circuit, public []fr.Element) ([]bool, error) {
-	return core.ClaimBits(public, c.Slots())
+	return core.Spec{Slots: c.Slots()}.Verdict(public, nil)
 }
 
 // VerifyBatchedOwnership checks one proof carrying many ownership
@@ -260,10 +259,13 @@ func OwnershipClaims(c *Circuit, public []fr.Element) ([]bool, error) {
 // "the watermark did not extract from that suspect" — a sound proof of
 // a failed claim, exactly what an arbiter wants for that slot.
 func VerifyBatchedOwnership(vk *VerifyingKey, proof *Proof, public []fr.Element, slots int) ([]bool, error) {
+	if slots < 1 {
+		return nil, fmt.Errorf("zkrownn: claim slots must be >= 1, got %d", slots)
+	}
 	if err := groth16.Verify(vk, proof, public); err != nil {
 		return nil, err
 	}
-	return core.ClaimBits(public, slots)
+	return core.Spec{Slots: slots}.Verdict(public, nil)
 }
 
 // Setup runs the one-time Groth16 trusted setup for a circuit.
@@ -284,10 +286,19 @@ func PublicInputs(c *Circuit) []fr.Element { return c.PublicInputs() }
 
 // VerifyOwnership checks a single-slot ownership proof: the proof must
 // verify, and its claim bit — the last public input — is the verdict.
+// A bundle's other slots are not read. The instance is read before the
+// pairing, so one too short to carry a claim costs no verification.
 // Any third party holding the verifying key and the public model can
 // run this in milliseconds.
 func VerifyOwnership(vk *VerifyingKey, proof *Proof, public []fr.Element) (bool, error) {
-	return core.VerifyClaim(vk, proof, public)
+	claims, err := core.Spec{Slots: 1}.Verdict(public, nil)
+	if err != nil {
+		return false, err
+	}
+	if err := groth16.Verify(vk, proof, public); err != nil {
+		return false, err
+	}
+	return claims[0], nil
 }
 
 // RunPipeline executes setup → prove → verify for any circuit and
@@ -340,32 +351,47 @@ func ProveModelOwnership(m *Model, key *WatermarkKey, p FixedPoint, rng io.Reade
 // --- Extensions beyond the paper ---
 
 // BuildCommittedOwnershipCircuit compiles the committed-model variant of
-// Algorithm 1: the suspect model's weights stay private, bound to a
+// Algorithm 1: the suspect model's weights stay private, tied to a
 // public Fiat-Shamir digest that verifiers recompute from the public
 // model. Verifying keys become constant-size (~500 B) and verification
-// takes ~10 ms regardless of model size, removing the paper's noted
-// VK-growth drawback (its MNIST-MLP verifying key is 16 MB).
+// takes milliseconds regardless of model size, removing the paper's
+// noted VK-growth drawback (its MNIST-MLP verifying key is 16 MB).
+//
+// The digest does not bind the weights: a prover can pick private
+// weights that match the digest of an unrelated public model and still
+// carry a watermarked model's claim (ROADMAP F2, which item 21 mends by
+// replacing this path).
 func BuildCommittedOwnershipCircuit(q *QuantizedModel, key *WatermarkKey, maxErrors int) (*Circuit, error) {
-	ck := core.QuantizeKey(key, q.Params)
-	return core.CommittedExtractionCircuit(q, ck, maxErrors)
+	return core.Spec{Committed: true, Slots: 1, MaxErrors: maxErrors}.CompileQuantized(q, key)
 }
 
-// ModelDigest returns the Fiat-Shamir digest binding a committed-model
-// proof to the public model prefix (layers 0..layerIndex). Verifiers
+// ModelDigest returns the Fiat-Shamir digest a committed-model proof
+// names for the public model prefix (layers 0..layerIndex). Verifiers
 // compare it against the first public input of a committed proof.
 func ModelDigest(q *QuantizedModel, layerIndex int) (fr.Element, error) {
-	_, d, err := core.ModelDigest(q, layerIndex)
-	return d, err
+	return core.Spec{Committed: true}.DigestQuantized(q, layerIndex)
 }
 
 // VerifyCommittedOwnership verifies a committed-model ownership proof
-// against the public model: the Groth16 check plus the digest and claim
-// checks.
+// against the public model: the Groth16 check, then the digest in the
+// first public input and the claim bit.
 func VerifyCommittedOwnership(vk *VerifyingKey, proof *Proof, public []fr.Element, q *QuantizedModel, layerIndex int) error {
 	if err := groth16.Verify(vk, proof, public); err != nil {
 		return err
 	}
-	return core.VerifyCommittedPublicInputs(q, layerIndex, public)
+	spec := core.Spec{Committed: true, Slots: 1}
+	digest, err := spec.DigestQuantized(q, layerIndex)
+	if err != nil {
+		return err
+	}
+	claims, err := spec.Verdict(public, &digest)
+	if err != nil {
+		return err
+	}
+	if !claims[0] {
+		return errors.New("zkrownn: ownership claim is 0")
+	}
+	return nil
 }
 
 // --- Prover-engine service entry points ---
@@ -383,7 +409,9 @@ type (
 	// EngineOptions configures NewEngine (cache bounds, persistence
 	// directory, worker count, randomness source).
 	EngineOptions = engine.Options
-	// ProveRequest is one proving job for Engine.ProveMany.
+	// ProveRequest is one proving job for Engine.Prove or ProveMany:
+	// Circuit.Request proves a circuit's build-time inputs,
+	// BindSuspectModel(s) a suspect's.
 	ProveRequest = engine.Request
 	// ProveResult reports one job's proof, keys, and per-stage timings.
 	ProveResult = engine.Result
@@ -394,23 +422,6 @@ type (
 // NewEngine builds a prover engine. The zero Options value gives a
 // memory-only cache and one prover worker per core.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
-
-// EngineRequest converts a finalized circuit into an engine proving
-// request. rng overrides the engine's randomness for this job (nil for
-// the engine default).
-func EngineRequest(c *Circuit, rng io.Reader) ProveRequest { return c.Request(rng) }
-
-// ProveOwnershipMany proves a batch of ownership circuits on the
-// engine's worker pool. Circuits sharing an architecture (and therefore
-// a circuit digest) share one trusted setup. One Result per circuit,
-// order-preserving; per-job failures land in Result.Err.
-func ProveOwnershipMany(e *Engine, circuits []*Circuit) []*ProveResult {
-	reqs := make([]ProveRequest, len(circuits))
-	for i, c := range circuits {
-		reqs[i] = c.Request(nil)
-	}
-	return e.ProveMany(reqs)
-}
 
 // ErrEngineClosed is the sentinel every Engine entry point returns
 // after Close — the signal a service front-end maps to "shutting down".
@@ -445,14 +456,14 @@ func NewProofService(opts ProofServiceOptions) (*ProofService, error) {
 // BatchVerifyOwnership verifies many single-slot proofs under one
 // verifying key with a single combined pairing product (~3× faster than
 // verifying each proof individually) and then checks every claim bit,
-// each read by ClaimBits(public, 1). A bundle's other slots are not
-// read.
+// the last public input of each instance. A bundle's other slots are
+// not read.
 func BatchVerifyOwnership(vk *VerifyingKey, proofs []*Proof, publicInputs [][]fr.Element, rng io.Reader) (bool, error) {
 	if err := groth16.BatchVerify(vk, proofs, publicInputs, rng); err != nil {
 		return false, err
 	}
 	for _, pub := range publicInputs {
-		if claims, err := core.ClaimBits(pub, 1); err != nil || !claims[0] {
+		if claims, err := (core.Spec{Slots: 1}).Verdict(pub, nil); err != nil || !claims[0] {
 			return false, nil
 		}
 	}
@@ -467,18 +478,10 @@ type (
 	// files instead of N separate proofs.
 	AggregateProof = groth16.AggregateProof
 	// AggregateVerifierKey is the inner-pairing-product commitment key an
-	// aggregation artifact must be checked against; the engine/service
-	// ships it alongside every artifact it issues.
+	// aggregation artifact must be checked against; Engine.AggregateMany
+	// and the service return it beside every artifact they issue.
 	AggregateVerifierKey = ipp.VerifierKey
 )
-
-// AggregateOwnership folds N proofs for one verifying key into a single
-// aggregation artifact on a prover engine (which owns the aggregation
-// SRS), verifying the artifact before returning it. The returned key
-// pairs with the artifact for VerifyAggregateOwnership.
-func AggregateOwnership(e *Engine, vk *VerifyingKey, proofs []*Proof, publicInputs [][]fr.Element) (*AggregateProof, *AggregateVerifierKey, error) {
-	return e.AggregateMany(vk, proofs, publicInputs)
-}
 
 // VerifyAggregateOwnership checks a proof-of-proofs: the artifact is
 // accepted exactly when every folded proof verifies under vk with its
