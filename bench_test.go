@@ -217,9 +217,10 @@ func BenchmarkEngineCachedProve(b *testing.B) {
 
 // BenchmarkAblationFracBits sweeps the fixed-point precision (DESIGN.md
 // ablation 3): constraint counts and prover cost grow with range-check
-// width, trading extraction fidelity for speed.
+// width, trading extraction fidelity for speed. The sweep stops at
+// FracBits 16: the sigmoid is refused past fixpoint.SigmoidMaxFracBits.
 func BenchmarkAblationFracBits(b *testing.B) {
-	for _, f := range []int{8, 12, 16, 20} {
+	for _, f := range []int{8, 12, 16} {
 		p := fixpoint.Params{FracBits: f, MagBits: f + 28}
 		b.Run(frName(f), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))

@@ -604,12 +604,12 @@ func cmdVerify(args []string) error {
 			}
 		}
 		if *server != "" {
-			return remoteAggregate(*server, dirs, *modelID)
+			return remoteAggregate(*server, dirs, *modelID, *modelPath)
 		}
 		if *dirsFlag != "" {
 			return fmt.Errorf("offline -aggregate re-verifies one saved aggregate.json; -dirs needs -server")
 		}
-		return verifyAggregateFile(*dir)
+		return verifyAggregateFile(*dir, *modelPath)
 	}
 	if *server != "" {
 		return remoteVerify(*server, *dir, *modelID)
@@ -623,26 +623,50 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	meta := pd.meta
-
 	start := time.Now()
-	var digest *fr.Element
-	if meta.Committed {
-		net, lerr := loadModel(*modelPath)
-		if lerr != nil {
-			return fmt.Errorf("committed proof needs the public model: %w", lerr)
-		}
-		d, derr := meta.Digest(net, meta.LayerIndex)
-		if derr != nil {
-			return derr
-		}
-		digest = &d
+	digest, err := claimDigest(pd.meta, *modelPath)
+	if err != nil {
+		return err
 	}
 	var claims []bool
 	if err = groth16.Verify(&vk, &pd.proof, pd.public); err == nil {
-		claims, err = meta.Verdict(pd.public, digest)
+		claims, err = pd.meta.Verdict(pd.public, digest)
 	}
 	return reportVerdict(claims, err, time.Since(start), "")
+}
+
+// claimDigest is what a committed claim is read against: the public
+// model's digest in the claim's format. A plain claim needs none.
+func claimDigest(meta proveMeta, modelPath string) (*fr.Element, error) {
+	if !meta.Committed {
+		return nil, nil
+	}
+	net, err := loadModel(modelPath)
+	if err != nil {
+		return nil, fmt.Errorf("committed proof needs the public model: %w", err)
+	}
+	d, err := meta.Digest(net, meta.LayerIndex)
+	if err != nil {
+		return nil, err
+	}
+	return &d, nil
+}
+
+// aggregateVerdict reads every instance of a verified aggregate under
+// the claim spec, and prints the claim-0 line and returns an error
+// unless every claim holds.
+func aggregateVerdict(meta proveMeta, digest *fr.Element, publics [][]fr.Element) error {
+	for _, pub := range publics {
+		claims, err := meta.Verdict(pub, digest)
+		if err != nil {
+			return err
+		}
+		if slices.Contains(claims, false) {
+			fmt.Printf("aggregate of %d proofs valid but at least one ownership claim is 0\n", len(publics))
+			return errors.New("ownership claim is 0")
+		}
+	}
+	return nil
 }
 
 // remoteVerify submits local proof artifacts to a running proof
@@ -687,11 +711,13 @@ type aggregateMeta struct {
 // remoteAggregate folds the artifact directories' proofs into one
 // aggregate via /v1/aggregate, audits the returned artifact locally
 // against the first directory's vk.bin (the service's verdict is never
-// trusted), and saves aggregate.json alongside the first proof.
-func remoteAggregate(serverURL string, dirs []string, modelID string) error {
+// trusted), saves aggregate.json alongside the first proof, and reads
+// every instance's claims under the first directory's spec.
+func remoteAggregate(serverURL string, dirs []string, modelID, modelPath string) error {
 	proofs := make([]*groth16.Proof, len(dirs))
 	instances := make([]groth16.PublicInputs, len(dirs))
 	publics := make([][]fr.Element, len(dirs))
+	var meta proveMeta
 	for i, d := range dirs {
 		pd, err := readProofDir(d)
 		if err != nil {
@@ -701,8 +727,13 @@ func remoteAggregate(serverURL string, dirs []string, modelID string) error {
 			if modelID, err = serviceModelID(modelID, d, pd.meta); err != nil {
 				return err
 			}
+			meta = pd.meta
 		}
 		proofs[i], instances[i], publics[i] = &pd.proof, pd.public, pd.public
+	}
+	digest, err := claimDigest(meta, modelPath)
+	if err != nil {
+		return err
 	}
 	var vk groth16.VerifyingKey
 	if err := readBinary(filepath.Join(dirs[0], "vk.bin"), &vk); err != nil {
@@ -739,18 +770,16 @@ func remoteAggregate(serverURL string, dirs []string, modelID string) error {
 	if err := writeJSON(out, am); err != nil {
 		return err
 	}
-	if !res.Claim {
-		fmt.Printf("aggregate of %d proofs valid but at least one ownership claim is 0\n", res.Count)
-	}
 	fmt.Printf("aggregated %d proofs in %.1fms over the wire (fold of %d); artifact locally audited, written to %s (%d B vs %d B unaggregated)\n",
 		res.Count, float64(elapsed.Microseconds())/1e3, res.BatchSize, out,
 		res.Aggregate.SizeBytes(), len(proofs)*proofs[0].PayloadSize())
-	return nil
+	return aggregateVerdict(meta, digest, publics)
 }
 
 // verifyAggregateFile re-verifies a saved aggregate.json offline
-// against the directory's vk.bin.
-func verifyAggregateFile(dir string) error {
+// against the directory's vk.bin, and reads every instance's claims
+// under the directory's spec (meta.json).
+func verifyAggregateFile(dir, modelPath string) error {
 	var am aggregateMeta
 	if err := readJSON(filepath.Join(dir, "aggregate.json"), &am); err != nil {
 		return fmt.Errorf("no saved aggregate (run verify -aggregate -server first): %w", err)
@@ -762,16 +791,27 @@ func verifyAggregateFile(dir string) error {
 	if err := readBinary(filepath.Join(dir, "vk.bin"), &vk); err != nil {
 		return err
 	}
+	pd, err := readProofDir(dir)
+	if err != nil {
+		return err
+	}
+	digest, err := claimDigest(pd.meta, modelPath)
+	if err != nil {
+		return err
+	}
 	publics := make([][]fr.Element, len(am.PublicInputs))
 	for i, pub := range am.PublicInputs {
 		publics[i] = pub
 	}
 
 	start := time.Now()
-	err := groth16.VerifyAggregate(am.SRSKey, &vk, am.Aggregate, publics)
+	err = groth16.VerifyAggregate(am.SRSKey, &vk, am.Aggregate, publics)
 	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Printf("aggregate verification FAILED in %.1fms: %v\n", float64(elapsed.Microseconds())/1e3, err)
+		return err
+	}
+	if err := aggregateVerdict(pd.meta, digest, publics); err != nil {
 		return err
 	}
 	fmt.Printf("aggregate of %d proofs VERIFIED in %.1fms (%.2fms per proof)\n",

@@ -46,7 +46,8 @@ func runCmd(t *testing.T, cmd func([]string) error, args ...string) string {
 // model, through the local prover in its three claim shapes (plain,
 // committed, and a two-slot suspect bundle), and through an in-process
 // proof service: prove -server, verify -server, an aggregate folded by
-// the server and re-verified offline.
+// the server and re-verified offline, and claim-0 proofs and aggregates
+// that verify and fail as claims.
 func TestCLIRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	at := func(name string) string { return filepath.Join(dir, name) }
@@ -159,6 +160,15 @@ func TestCLIRoundTrip(t *testing.T) {
 		prove(claim0, "-server", ts.URL, "-max-errors", "0")
 		if v, err := capture(t, cmdVerify, "-server", ts.URL, "-dir", claim0); err == nil || !strings.Contains(v, "ownership claim is 0") {
 			t.Fatalf("verify -server of a claim-0 proof: err = %v, printed %q", err, v)
+		}
+		// An aggregate of claim-0 proofs verifies as an aggregate and
+		// fails as a claim, over the wire and offline.
+		const claim0Line = "aggregate of 2 proofs valid but at least one ownership claim is 0"
+		if v, err := capture(t, cmdVerify, "-aggregate", "-server", ts.URL, "-dir", claim0, "-dirs", claim0+","+claim0); err == nil || !strings.Contains(v, claim0Line) {
+			t.Fatalf("verify -aggregate -server of claim-0 proofs: err = %v, printed %q", err, v)
+		}
+		if v, err := capture(t, cmdVerify, "-aggregate", "-dir", claim0); err == nil || !strings.Contains(v, claim0Line) || strings.Contains(v, "VERIFIED") {
+			t.Fatalf("offline verify -aggregate of claim-0 proofs: err = %v, printed %q", err, v)
 		}
 	})
 

@@ -294,17 +294,14 @@ func TestClaimBits(t *testing.T) {
 // covered by TestExtractionClaimForgeryRejected.
 func TestClaimBoundaryAtMaxErrors(t *testing.T) {
 	_, q, key := watermarkedMLP(t, 310)
-	_, nbErr, err := watermark.ExtractQuantized(q, key)
-	if err != nil {
-		t.Fatal(err)
+	if _, n, err := watermark.ExtractQuantized(q, key); err != nil || n != 0 {
+		t.Fatalf("watermarked model extracts with %d bit errors (err %v), want 0", n, err)
 	}
+	// Flip exactly one signature bit so the extraction error count is
+	// exactly 1 and the boundary is pinned.
 	ck := QuantizeKey(key, testP)
-	if nbErr == 0 {
-		// Flip exactly one signature bit so the extraction error count
-		// is exactly 1 and the boundary is pinned.
-		ck.Signature[0] ^= 1
-		nbErr = 1
-	}
+	ck.Signature[0] ^= 1
+	const nbErr = 1
 
 	atTolerance, err := ExtractionCircuit(q, ck, nbErr) // errors ≤ maxErrors → claim 1
 	if err != nil {

@@ -11,8 +11,11 @@
 //	Private: trigger keys X_key, projection matrix A, watermark wm,
 //	         and (implicitly) the embedded layer's identity.
 //
-// Circuit: zkFeedForward → zkAverage → zkSigmoid → zkHardThresholding →
-// zkBER, assembled from the gadgets package.
+// Circuit: zkFeedForward → zkAverage → projection → sign → zkBER,
+// assembled from the gadgets package. The paper's zkSigmoid →
+// zkHardThresholding at ½ is the sign of the projection: sigmoid is
+// monotone with sigmoid(0) = ½, so [sigmoid(z) ≥ ½] = [z ≥ 0] exactly,
+// and the circuit checks that sign bit alone.
 package core
 
 import (
@@ -297,7 +300,10 @@ func SigmoidCircuit(p fixpoint.Params, n int, rng *rand.Rand) (*Artifact, error)
 		in[i] = p.Encode(rng.Float64()*8 - 4)
 	}
 	xs := secretVec(c, in)
-	outs := c.SigmoidVec(xs, p.MagBits)
+	outs, err := c.SigmoidVec(xs, p.MagBits)
+	if err != nil {
+		return nil, err
+	}
 	publishOutputs(c, "sigmoid_out", outs)
 	res, err := c.B.Compile()
 	if err != nil {
@@ -416,7 +422,10 @@ func forwardPrefix(c *gadgets.Ctx, q *nn.QuantizedNetwork, lv []layerVars, cur [
 		case "relu":
 			cur = c.ReLUVec(cur, p.MagBits)
 		case "sigmoid":
-			cur = c.SigmoidVec(cur, p.MagBits)
+			var err error
+			if cur, err = c.SigmoidVec(cur, p.MagBits); err != nil {
+				return nil, err
+			}
 		case "conv":
 			shape := gadgets.Conv3DShape{
 				InC: l.InC, InH: l.InH, InW: l.InW,
@@ -458,8 +467,11 @@ type sharedKeyVars struct {
 }
 
 // extractionSlot runs Algorithm 1's private tail for one weight slot:
-// zkFeedForward per trigger → zkAverage → projection + zkSigmoid →
-// zkHardThresholding → zkBER, returning the slot's verdict wire.
+// zkFeedForward per trigger → zkAverage → projection → sign → zkBER,
+// returning the slot's verdict wire. Algorithm 1 thresholds
+// sigmoid(zⱼ) at ½; sigmoid is monotone with sigmoid(0) = ½, so that is
+// exactly zⱼ ≥ 0, and the slot pays for one sign bit per signature bit
+// instead of a rescale, a degree-9 polynomial and a comparison.
 func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv []layerVars, kv *sharedKeyVars, maxErrors int) (frontend.Variable, error) {
 	p := q.Params
 
@@ -479,7 +491,7 @@ func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv [
 	// zkAverage: Gaussian-center estimate across triggers.
 	mu := c.AverageCols(acts, p.MagBits)
 
-	// Private projection and zkSigmoid.
+	// Private projection.
 	m := len(mu)
 	if len(ck.A) < m {
 		return frontend.Variable{}, fmt.Errorf("core: projection has %d rows, activations have %d", len(ck.A), m)
@@ -497,15 +509,15 @@ func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv [
 			}
 		}
 	}
-	g := make([]frontend.Variable, nbits)
+	// zkSigmoid + zkHardThresholding at ½, as the sign of the raw
+	// projection: sigmoid is monotone with sigmoid(0) = ½, and the
+	// rescale is a floor, so [sigmoid(⌊acc/2^f⌋) ≥ ½] = [acc ≥ 0]. The
+	// sign check decomposes acc + 2^MagBits into the same MagBits+1 bits
+	// the rescale did, so the satisfiable witnesses are the same.
+	wmHat := make([]frontend.Variable, nbits)
 	for j := 0; j < nbits; j++ {
-		z := c.InnerProduct(mu, kv.aCols[j])
-		z = c.Rescale(z, p.MagBits)
-		g[j] = c.Sigmoid(z, p.MagBits)
+		wmHat[j] = c.IsNonNegative(c.InnerProduct(mu, kv.aCols[j]), p.MagBits)
 	}
-
-	// zkHardThresholding at 0.5.
-	wmHat := c.HardThresholdVec(g, p.Encode(0.5), p.MagBits)
 
 	// zkBER against the private signature.
 	if kv.wmVars == nil {

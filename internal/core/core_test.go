@@ -282,3 +282,42 @@ func TestExtractionCircuitErrors(t *testing.T) {
 		t.Fatal("out-of-range layer accepted")
 	}
 }
+
+// TestQuantizedExtractionMatchesFloat: on every watermarked fixture the
+// fixed-point extraction — the bits the circuit computes — reads the
+// same bits as the float reference. Seed 310 is the fixture on which a
+// sigmoid polynomial thresholded at ½ inverted a bit at FracBits 12.
+func TestQuantizedExtractionMatchesFloat(t *testing.T) {
+	for _, seed := range []int64{300, 301, 308, 310, 800, 801, 804, 806} {
+		net, q, key := watermarkedMLP(t, seed)
+		want, _ := watermark.Extract(net, key)
+		got, _, err := watermark.ExtractQuantized(q, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Errorf("seed %d: bit %d reads %d in fixed point, %d in float", seed, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestExtractionConstraintCount pins the size of Table I's smoke-scale
+// MNIST-MLP circuit (the digest pinned in TestSolveOracleTableI). Each
+// signature bit costs its projection and one sign check of MagBits+2
+// rows; the sigmoid-then-½ tail it replaced cost 3,356 constraints and
+// 3,336 wires here.
+func TestExtractionConstraintCount(t *testing.T) {
+	p := fixpoint.Params{FracBits: 8, MagBits: 36}
+	art, err := BenchMLPExtractionCircuit(p, 6, 4, 4, 2, rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := art.System.NbConstraints(), 1012; got != want {
+		t.Errorf("%d constraints, want %d", got, want)
+	}
+	if got, want := art.System.NbWires, 1044; got != want {
+		t.Errorf("%d wires, want %d", got, want)
+	}
+}

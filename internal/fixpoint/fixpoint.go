@@ -145,12 +145,14 @@ func FromField(e *fr.Element) (int64, error) {
 //	     - 0.0000018848·x⁷ + 0.0000000072·x⁹
 //
 // Index i holds the coefficient of x^(2i+1); C0 (at f fraction bits) is
-// returned separately. The odd coefficients are scaled by 2^(2f) — the
-// degree-7 and degree-9 coefficients would truncate to zero at 2^f
-// ("scaling by several orders of magnitude", §III-B) — so each term
-// product must be rescaled by coeffFracBits = 2f.
+// returned separately. The odd coefficients are scaled by
+// 2^coeffFracBits = 2^max(2f, 32) — the degree-7 and degree-9
+// coefficients would truncate to zero at 2^f ("scaling by several
+// orders of magnitude", §III-B), and at 2^(2f) the x⁹ coefficient still
+// rounds to 0 for f ≤ 13 — so each term product must be rescaled by
+// coeffFracBits. At 2^32 the x⁹ coefficient is 31, 0.3 % from 7.2e-9.
 func (p Params) SigmoidCoefficients() (c0 int64, odd [5]int64, coeffFracBits int) {
-	coeffFracBits = 2 * p.FracBits
+	coeffFracBits = max(2*p.FracBits, 32)
 	scale := math.Ldexp(1, coeffFracBits)
 	c0 = p.Encode(0.5)
 	for i, c := range []float64{
@@ -159,6 +161,29 @@ func (p Params) SigmoidCoefficients() (c0 int64, odd [5]int64, coeffFracBits int
 		odd[i] = int64(math.Round(c * scale))
 	}
 	return c0, odd, coeffFracBits
+}
+
+// The formats at which the fixed-point sigmoid is right: it thresholds
+// at ½ as the sign of its input and stays within 2^-8 + 6·2^-f of
+// SigmoidFloat over the whole clamp range (TestSigmoidFormats sweeps
+// every input). Below SigmoidMinFracBits the floored terms carry
+// inputs to the wrong side of ½; above SigmoidMaxFracBits the power
+// chain's raw product x⁷·x², 2^(27+2f) at the clamp bound, overflows
+// int64.
+const (
+	SigmoidMinFracBits = 4
+	SigmoidMaxFracBits = 17
+)
+
+// CheckSigmoid reports an error when the fixed-point sigmoid
+// (SigmoidPoly and the circuit gadget that mirrors it) is not right at
+// this format. Every sigmoid layer and circuit calls it first.
+func (p Params) CheckSigmoid() error {
+	if p.FracBits < SigmoidMinFracBits || p.FracBits > SigmoidMaxFracBits {
+		return fmt.Errorf("fixpoint: the degree-9 sigmoid needs FracBits %d..%d, got %d",
+			SigmoidMinFracBits, SigmoidMaxFracBits, p.FracBits)
+	}
+	return nil
 }
 
 // SigmoidClampAbs bounds the sigmoid input: the degree-9 Chebyshev
@@ -184,8 +209,9 @@ func (p Params) ClampSigmoidInput(x int64) int64 {
 // SigmoidPoly evaluates the fixed-point sigmoid polynomial with the
 // exact operation order the circuit gadget uses: the input is clamped to
 // ±SigmoidClampAbs, odd powers are built by successive MulRescale with
-// x², each term is scaled by the 2f-bit coefficient and floor-divided by
-// 2^(2f), and the terms are summed exactly.
+// x², each term is scaled by its coefficient and floor-divided by
+// 2^coeffFracBits, and the terms are summed exactly. Its values are
+// meaningful only at formats CheckSigmoid accepts.
 func (p Params) SigmoidPoly(x int64) int64 {
 	x = p.ClampSigmoidInput(x)
 	c0, odd, fc := p.SigmoidCoefficients()

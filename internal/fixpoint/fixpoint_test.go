@@ -87,6 +87,60 @@ func TestSigmoidPolyMatchesFloat(t *testing.T) {
 	}
 }
 
+// sigmoidSweep walks every input of the clamp range and two beyond each
+// end. It returns the first input at which SigmoidPoly thresholds at ½
+// against the input's sign, or strays more than 2^-8 + 6·2^-f from
+// SigmoidFloat (x⁹'s coefficient rounding costs up to 0.0026 at |x| = 8,
+// each floor at most an ulp), and false; or true if there is none.
+func sigmoidSweep(p Params) (bad int64, ok bool) {
+	half := p.Encode(0.5)
+	bound := math.Ldexp(1, -8) + 6*math.Ldexp(1, -p.FracBits)
+	lim := p.Encode(SigmoidClampAbs) + 2
+	for z := -lim; z <= lim; z++ {
+		s := p.SigmoidPoly(z)
+		want := SigmoidFloat(p.Decode(p.ClampSigmoidInput(z)))
+		if (s >= half) != (z >= 0) || math.Abs(p.Decode(s)-want) > bound {
+			return z, false
+		}
+	}
+	return 0, true
+}
+
+// TestSigmoidFormats: at every FracBits Validate accepts, the
+// fixed-point sigmoid is right or refused. An accepted format passes the
+// whole sweep; a refused one up to FracBits 20 fails it somewhere (past
+// 20 the clamp range is too long to sweep, and the power chain
+// overflows int64 from 18 on).
+func TestSigmoidFormats(t *testing.T) {
+	for f := 1; f <= 30; f++ {
+		p := Params{FracBits: f, MagBits: 50}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		err := p.CheckSigmoid()
+		switch {
+		case err == nil:
+			if z, ok := sigmoidSweep(p); !ok {
+				t.Errorf("FracBits %d accepted, but sigmoid(%v) = %v (float %v)", f,
+					p.Decode(z), p.Decode(p.SigmoidPoly(z)), SigmoidFloat(p.Decode(p.ClampSigmoidInput(z))))
+			}
+		case f <= 20:
+			if _, ok := sigmoidSweep(p); ok {
+				t.Errorf("FracBits %d refused (%v), but right over the whole clamp range", f, err)
+			}
+		}
+	}
+	// At the default format the coefficients are the 2^(2f) ones, so the
+	// sweep above also pins that [SigmoidPoly(z) ≥ ½] = [z ≥ 0] on
+	// ±(8·2^16 + 2) for the polynomial every earlier release used.
+	if _, _, fc := Default16.SigmoidCoefficients(); fc != 2*Default16.FracBits {
+		t.Fatalf("Default16 coefficients scaled by 2^%d, want 2^%d", fc, 2*Default16.FracBits)
+	}
+	if err := Default16.CheckSigmoid(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSigmoidApproximatesTrueSigmoid(t *testing.T) {
 	// The Chebyshev polynomial should approximate 1/(1+e^-x) on a
 	// moderate interval (the paper uses it for thresholding at 0.5, so

@@ -334,40 +334,46 @@ func (c *Ctx) Clamp(x frontend.Variable, lo, hi int64, boundBits int) frontend.V
 // the identical operation order as fixpoint.SigmoidPoly: the input is
 // saturated to ±fixpoint.SigmoidClampAbs first (keeping the odd-power
 // intermediates inside their range checks), then the polynomial is
-// evaluated term by term.
-func (c *Ctx) Sigmoid(x frontend.Variable, boundBits int) frontend.Variable {
+// evaluated term by term. It refuses the formats
+// fixpoint.Params.CheckSigmoid refuses.
+func (c *Ctx) Sigmoid(x frontend.Variable, boundBits int) (frontend.Variable, error) {
+	if err := c.P.CheckSigmoid(); err != nil {
+		return frontend.Variable{}, err
+	}
 	clampAbs := c.P.Encode(fixpoint.SigmoidClampAbs)
 	x = c.Clamp(x, -clampAbs, clampAbs, boundBits)
 	c0, odd, fc := c.P.SigmoidCoefficients()
 
 	// The raw power-chain products reach 8⁹·2^(2f) ≈ 2^(27+2f) at the
 	// clamp boundary, which can exceed the caller's accumulation bound;
-	// range-check them at their own width.
-	powBound := 2*c.P.FracBits + 29
-	if powBound < boundBits {
-		powBound = boundBits
-	}
+	// range-check them at their own width. So do the scaled terms:
+	// |odd[i]|·8^(2i+1) < 6·2^fc, so each stays below 2^(fc+f+3).
+	powBound := max(2*c.P.FracBits+29, boundBits)
+	termBound := max(fc+c.P.FracBits+3, boundBits+c.P.FracBits)
 	x2 := c.MulRescale(x, x, powBound)
 	res := c.B.Constant(fixpoint.ToField(c0))
 	pow := x
 	for i := 0; i < 5; i++ {
 		scaled := c.B.MulConst(pow, fixpoint.ToField(odd[i]))
-		term := c.RescaleBits(scaled, fc, boundBits+c.P.FracBits)
+		term := c.RescaleBits(scaled, fc, termBound)
 		res = c.B.Add(res, term)
 		if i < 4 {
 			pow = c.MulRescale(pow, x2, powBound)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // SigmoidVec applies the sigmoid gadget element-wise.
-func (c *Ctx) SigmoidVec(xs []frontend.Variable, boundBits int) []frontend.Variable {
+func (c *Ctx) SigmoidVec(xs []frontend.Variable, boundBits int) ([]frontend.Variable, error) {
 	out := make([]frontend.Variable, len(xs))
 	for i := range xs {
-		out[i] = c.Sigmoid(xs[i], boundBits)
+		var err error
+		if out[i], err = c.Sigmoid(xs[i], boundBits); err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
 // BER compares the private watermark bits wm with the extracted bits

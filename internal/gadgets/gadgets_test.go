@@ -300,12 +300,26 @@ func TestSigmoidMatchesSimulatorExactly(t *testing.T) {
 	for _, x := range []float64{-4, -2.5, -1, -0.1, 0, 0.1, 1, 2.5, 4} {
 		v := testParams.Encode(x)
 		want := testParams.SigmoidPoly(v)
-		got := valOf(t, c.Sigmoid(secret(c, v), 45))
-		if got != want {
+		s, err := c.Sigmoid(secret(c, v), 45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := valOf(t, s); got != want {
 			t.Fatalf("Sigmoid(%v): circuit %d vs simulator %d", x, got, want)
 		}
 	}
 	checkSatisfied(t, c)
+}
+
+// TestSigmoidRefusesFormats: at a format where the fixed-point
+// polynomial is wrong the gadget answers with an error, not a wire.
+func TestSigmoidRefusesFormats(t *testing.T) {
+	for _, f := range []int{fixpoint.SigmoidMinFracBits - 1, fixpoint.SigmoidMaxFracBits + 1} {
+		c := NewCtx(fixpoint.Params{FracBits: f, MagBits: 48})
+		if _, err := c.SigmoidVec([]frontend.Variable{secret(c, 1)}, 48); err == nil {
+			t.Errorf("FracBits %d: sigmoid accepted", f)
+		}
+	}
 }
 
 func TestBER(t *testing.T) {
@@ -392,7 +406,10 @@ func TestGadgetsAreDataOblivious(t *testing.T) {
 		}
 		v := secretVec(c, xs)
 		r := c.ReLUVec(v, 25)
-		s := c.SigmoidVec(r[:4], 45)
+		s, err := c.SigmoidVec(r[:4], 45)
+		if err != nil {
+			t.Fatal(err)
+		}
 		th := c.HardThresholdVec(s, testParams.Encode(0.5), 25)
 		_ = c.BER(th, th, 1)
 		_ = c.Average(v, 30)

@@ -89,7 +89,10 @@ func TestQuickSigmoidEquality(t *testing.T) {
 		// Spread over roughly [-16, 16] to cover both clamp branches.
 		v := int64(raw) * testParams.Scale() / 2048
 		c := NewCtx(testParams)
-		s := c.Sigmoid(secret(c, v), 40)
+		s, err := c.Sigmoid(secret(c, v), 40)
+		if err != nil {
+			return false
+		}
 		e := s.Value()
 		si, err := fixpoint.FromField(&e)
 		if err != nil {

@@ -116,6 +116,9 @@ func (q *QuantizedNetwork) forwardLayer(l *QuantizedLayer, x []int64) ([]int64, 
 		}
 		return out, nil
 	case "sigmoid":
+		if err := p.CheckSigmoid(); err != nil {
+			return nil, err
+		}
 		out := make([]int64, len(x))
 		for i, v := range x {
 			out[i] = p.SigmoidPoly(v)

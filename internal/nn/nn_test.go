@@ -249,6 +249,22 @@ func TestQuantizeRejectsUnknownLayer(t *testing.T) {
 	}
 }
 
+// TestQuantizedSigmoidRefusesFormats: a sigmoid layer at a format where
+// the fixed-point polynomial is wrong fails the forward pass with an
+// error instead of returning wrong activations.
+func TestQuantizedSigmoidRefusesFormats(t *testing.T) {
+	for _, f := range []int{2, 12, 20} {
+		q := &QuantizedNetwork{
+			Params: fixpoint.Params{FracBits: f, MagBits: 48},
+			Layers: []QuantizedLayer{{Kind: "sigmoid", Out: 2}},
+		}
+		_, err := q.Forward([]int64{1, -1})
+		if refused := q.Params.CheckSigmoid() != nil; refused != (err != nil) {
+			t.Errorf("FracBits %d: forward error %v, format refused %v", f, err, refused)
+		}
+	}
+}
+
 type fakeLayer struct{}
 
 func (fakeLayer) Forward(x []float64) []float64  { return x }

@@ -12,7 +12,8 @@ type metrics struct {
 
 	httpRequests     *obs.Counter
 	circuitsCompiled *obs.Counter
-	// panics counts panics recovered on a pool worker, by pool.
+	// panics counts recovered panics, by pool: a prove or verify
+	// worker, or an HTTP handler.
 	panics map[string]*obs.Counter
 
 	jobsSubmitted, jobsRejected, jobsCompleted, jobsFailed *obs.Counter
@@ -35,7 +36,7 @@ func newMetrics(queueDepth func() float64) *metrics {
 		"Prove jobs waiting on the queue (excludes the ones being proved).", queueDepth)
 	panics := func(pool string) *obs.Counter {
 		return r.Counter(`zkrownn_panics_total{pool="`+pool+`"}`,
-			"Panics recovered on a pool worker (the job or batch it held failed, the worker kept running).")
+			"Panics recovered on a prove or verify worker (the job or batch it held failed, the worker kept running) or in an HTTP handler (the request answered 500).")
 	}
 	return &metrics{
 		reg: r,
@@ -44,7 +45,7 @@ func newMetrics(queueDepth func() float64) *metrics {
 			"HTTP requests served (all routes)."),
 		circuitsCompiled: r.Counter("zkrownn_circuits_compiled_total",
 			"Algorithm-1 circuit compilations (one per registration; prove jobs never recompile)."),
-		panics: map[string]*obs.Counter{"prove": panics("prove"), "verify": panics("verify")},
+		panics: map[string]*obs.Counter{"prove": panics("prove"), "verify": panics("verify"), "http": panics("http")},
 
 		jobsSubmitted: r.Counter("zkrownn_jobs_submitted_total",
 			"Prove jobs accepted onto the queue."),

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/json"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -409,13 +408,82 @@ func (r *explodeOnce) Read(p []byte) (int, error) {
 	return rand.Read(p)
 }
 
+// TestHandlerPanicAnswers500: a panic on a handler's own goroutine —
+// here the trusted setup a registration runs — answers that request 500
+// with its request ID instead of a dropped connection, is logged with
+// its stack and counted under the "http" pool; the server serves on.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	var logs lockedBuffer
+	srv, err := New(Options{
+		EngineOptions: engine.Options{Rand: new(explodeOnce)},
+		Logger:        slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+
+	modelJSON, keyJSON := testFixture(t)
+	regBody, err := json.Marshal(RegisterRequest{Name: "test-mlp", Model: modelJSON, Key: keyJSON, MaxErrors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models", bytes.NewReader(regBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(requestIDHeader, "panic-probe-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("registration whose setup panics: %v, want a 500", err)
+	}
+	var body ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusInternalServerError || body.RequestID != "panic-probe-1" {
+		t.Fatalf("registration whose setup panics: %d %+v (%v), want 500 carrying the request ID", resp.StatusCode, body, err)
+	}
+	if got := srv.m.panics["http"].Value(); got != 1 {
+		t.Fatalf(`zkrownn_panics_total{pool="http"} = %d, want 1`, got)
+	}
+	out := logs.String()
+	for _, want := range []string{`msg="handler panic"`, "req_id=panic-probe-1", "boom in a trusted setup", "goroutine "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("panic log lacks %q", want)
+		}
+	}
+	if reg := register(t, ts.URL, 4); reg.ModelID == "" {
+		t.Fatalf("registration after the panic: %+v", reg)
+	}
+
+	// A panic after part of the response went out cannot become a 500:
+	// the connection is cut, so the client sees no complete answer.
+	srv.mux.HandleFunc("POST /test/half-written", func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"status":`))
+		panic("boom after the header")
+	})
+	// A POST, so the transport does not retry it on the cut connection.
+	if resp, err := http.Post(ts.URL+"/test/half-written", "application/json", nil); err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Fatalf("half-written response read as complete (status %d)", resp.StatusCode)
+		}
+	}
+	if got := srv.m.panics["http"].Value(); got != 2 {
+		t.Fatalf(`zkrownn_panics_total{pool="http"} = %d after the half-written panic, want 2`, got)
+	}
+}
+
 // TestPoolsRecoverFromPanic: a panic inside one prove job — on a
 // goroutine par.Range started below the pool worker, the way a bug in an
 // MSM cell or an FFT level would arrive — and one in a verify batch fail
 // that job and answer that request 500; the workers keep serving, each
 // panic is logged once with its stack and counted. A panic in a
-// registration's trusted setup, ahead of both, costs that request its
-// connection (net/http's own recover) and nothing else: the same model
+// registration's trusted setup, ahead of both, answers that request 500
+// (TestHandlerPanicAnswers500) and costs nothing else: the same model
 // registers on the next try.
 func TestPoolsRecoverFromPanic(t *testing.T) {
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
@@ -429,19 +497,13 @@ func TestPoolsRecoverFromPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewUnstartedServer(srv)
-	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // net/http's "panic serving" record
-	ts.Start()
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	modelJSON, keyJSON := testFixture(t)
-	regBody, err := json.Marshal(RegisterRequest{Name: "test-mlp", Model: modelJSON, Key: keyJSON, MaxErrors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := http.Post(ts.URL+"/v1/models", "application/json", bytes.NewReader(regBody)); err == nil {
-		resp.Body.Close()
-		t.Fatalf("registration whose setup panics answered %d, want a dropped connection", resp.StatusCode)
+	regReq := RegisterRequest{Name: "test-mlp", Model: modelJSON, Key: keyJSON, MaxErrors: 4}
+	if resp, data := postJSON(t, ts.URL+"/v1/models", regReq); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("registration whose setup panics answered %d %s, want 500", resp.StatusCode, data)
 	}
 	panics := func() uint64 { return srv.m.panics["prove"].Value() + srv.m.panics["verify"].Value() }
 	before := panics()
@@ -497,7 +559,7 @@ func TestPoolsRecoverFromPanic(t *testing.T) {
 	}
 	body, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	for _, series := range []string{`zkrownn_panics_total{pool="prove"}`, `zkrownn_panics_total{pool="verify"}`} {
+	for _, series := range []string{`zkrownn_panics_total{pool="prove"}`, `zkrownn_panics_total{pool="verify"}`, `zkrownn_panics_total{pool="http"} 1`} {
 		if !bytes.Contains(body, []byte(series)) {
 			t.Errorf("/metrics missing %s", series)
 		}

@@ -230,22 +230,32 @@ func validRequestID(id string) bool {
 	})
 }
 
-// statusRecorder captures the response status for the request log.
+// statusRecorder captures the response status for the request log, and
+// whether any of the response has gone out.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	wrote  bool
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
+	sr.status, sr.wrote = code, true
 	sr.ResponseWriter.WriteHeader(code)
+}
+
+func (sr *statusRecorder) Write(b []byte) (int, error) {
+	sr.wrote = true
+	return sr.ResponseWriter.Write(b)
 }
 
 // ServeHTTP implements http.Handler. Every request is tagged with a
 // request ID — the caller's X-Request-Id when it is well-formed, a fresh
 // one otherwise — that is returned on the response header and in error
 // bodies, propagated to the job a submission creates, and logged
-// structurally with route, status, and latency.
+// structurally with route, status, and latency. A handler panic is
+// logged with its stack, counted under the "http" pool, and answered
+// 500 with the request ID; if part of the response had already gone
+// out, the connection is cut instead.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.m.httpRequests.Inc()
 	reqID := r.Header.Get(requestIDHeader)
@@ -261,11 +271,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
+	defer func() {
+		p := recover()
+		if p != nil {
+			s.m.panics["http"].Inc()
+			s.log.Error("handler panic", "req_id", reqID, "path", r.URL.Path,
+				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+		}
+		cut := p != nil && rec.wrote
+		if p != nil && !cut {
+			writeError(rec, http.StatusInternalServerError, "internal error")
+		}
+		s.log.Info("http",
+			"req_id", reqID, "method", r.Method, "path", r.URL.Path,
+			"status", rec.status,
+			"dur_ms", float64(time.Since(start).Microseconds())/1e3)
+		if cut {
+			panic(http.ErrAbortHandler)
+		}
+	}()
 	s.mux.ServeHTTP(rec, r)
-	s.log.Info("http",
-		"req_id", reqID, "method", r.Method, "path", r.URL.Path,
-		"status", rec.status,
-		"dur_ms", float64(time.Since(start).Microseconds())/1e3)
 }
 
 // --- handlers ---

@@ -7,8 +7,9 @@
 // Embedding fine-tunes the model with an additional loss that pushes
 // sigmoid(mean-activation · A) toward the signature bits; extraction
 // queries the model with the trigger keys, averages the activations,
-// projects, squashes, thresholds, and compares bit error rate — exactly
-// the pipeline ZKROWNN's Algorithm 1 runs inside a zkSNARK.
+// projects, thresholds, and compares bit error rate — exactly the
+// pipeline ZKROWNN's Algorithm 1 runs inside a zkSNARK. Thresholding the
+// squashed projection at ½ is reading its sign, since sigmoid(0) = ½.
 package watermark
 
 import (
@@ -17,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 
-	"zkrownn/internal/fixpoint"
 	"zkrownn/internal/nn"
 )
 
@@ -135,8 +135,9 @@ func Extract(net *nn.Network, k *Key) (bits []int, ber float64) {
 	bits = make([]int, len(z))
 	errCount := 0
 	for j := range z {
-		g := 1.0 / (1.0 + math.Exp(-z[j]))
-		if g >= 0.5 {
+		// [sigmoid(z) ≥ ½] = [z ≥ 0]: sigmoid is monotone with
+		// sigmoid(0) = ½.
+		if z[j] >= 0 {
 			bits[j] = 1
 		}
 		if bits[j] != k.Signature[j] {
@@ -148,9 +149,11 @@ func Extract(net *nn.Network, k *Key) (bits []int, ber float64) {
 
 // ExtractQuantized runs extraction through the fixed-point pipeline that
 // the zkSNARK circuit implements: quantized triggers, quantized forward
-// pass, column-wise fixed-point averaging, projection with one rescale,
-// the degree-9 Chebyshev sigmoid, and hard thresholding at 0.5. The
-// returned bits are what the circuit's zkHardThresholding produces.
+// pass, column-wise fixed-point averaging and the raw projection
+// acc = μ·A. Algorithm 1's [sigmoid(z) ≥ ½] is read as [acc ≥ 0]: sigmoid
+// is monotone with sigmoid(0) = ½, and ⌊acc/2^f⌋ ≥ 0 ⇔ acc ≥ 0, so the
+// rule is exact at every format. The returned bits are the circuit's
+// extracted bits.
 func ExtractQuantized(q *nn.QuantizedNetwork, k *Key) (bits []int, nbErrors int, err error) {
 	p := q.Params
 
@@ -175,22 +178,22 @@ func ExtractQuantized(q *nn.QuantizedNetwork, k *Key) (bits []int, nbErrors int,
 		mu[i] = p.Average(col)
 	}
 
-	// Projection μ·A with a single rescale per output (zkMatMult).
+	// Raw projection μ·A at 2f fraction bits (zkMatMult without its
+	// rescale: only the sign is read).
 	aq := make([][]int64, len(k.A))
 	for i := range k.A {
 		aq[i] = p.EncodeSlice(k.A[i])
 	}
 	n := k.NbBits()
 	bits = make([]int, n)
-	half := p.Encode(0.5)
 	for j := 0; j < n; j++ {
 		var acc int64
 		for i := 0; i < m && i < len(aq); i++ {
 			acc += mu[i] * aq[i][j]
 		}
-		z := p.Rescale(acc)
-		g := p.SigmoidPoly(z)
-		bits[j] = int(fixpoint.HardThreshold(g, half))
+		if acc >= 0 {
+			bits[j] = 1
+		}
 		if bits[j] != k.Signature[j] {
 			nbErrors++
 		}

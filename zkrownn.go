@@ -10,7 +10,8 @@
 //  1. Train a model and embed a watermark (EmbedWatermark).
 //  2. Build the zero-knowledge extraction circuit for the suspect model
 //     (BuildOwnershipCircuit) — Algorithm 1: zkFeedForward → zkAverage →
-//     zkSigmoid → zkHardThresholding → zkBER.
+//     projection → zkBER, the sigmoid-then-½ threshold read as the sign
+//     of the projection (the two are equal: sigmoid(0) = ½).
 //  3. Run the one-time trusted setup (Setup), producing a proving key
 //     for the owner and a small verifying key for everyone else.
 //  4. Generate the ownership proof (ProveOwnership) — a 128-byte
