@@ -282,7 +282,7 @@ func cmdProve(args []string) error {
 	if err != nil {
 		return err
 	}
-	meta := proveMeta{Spec: spec, LayerIndex: key.LayerIndex}
+	meta := proveMeta{Spec: spec, LayerIndex: key.LayerIndex, SignatureBits: key.NbBits()}
 	if *server != "" {
 		if *savePK {
 			fmt.Fprintln(os.Stderr, "warning: -save-pk is ignored with -server (the service keeps proving keys)")
@@ -377,12 +377,14 @@ func cmdProve(args []string) error {
 }
 
 // proveMeta records the claim spec the artifacts were proved under, the
-// key's layer (a committed verify digests the model through it) and,
-// for remote proves, the proof-service model ID.
+// key's layer (a committed verify digests the model through it) and
+// signature length (what max_errors is out of) and, for remote proves,
+// the proof-service model ID.
 type proveMeta struct {
 	core.Spec
-	LayerIndex int    `json:"layer_index"`
-	ModelID    string `json:"model_id,omitempty"`
+	LayerIndex    int    `json:"layer_index"`
+	SignatureBits int    `json:"signature_bits,omitempty"`
+	ModelID       string `json:"model_id,omitempty"`
 }
 
 // splitPaths parses a comma-separated path flag, rejecting empty
@@ -562,9 +564,9 @@ func serviceModelID(flagID, dir string, meta proveMeta) (string, error) {
 }
 
 // reportVerdict prints a verify's outcome, local or over the wire (where
-// says which), and returns an error unless the proof verified and every
-// claim holds.
-func reportVerdict(claims []bool, err error, elapsed time.Duration, where string) error {
+// says which), and what the claim is worth under meta's spec, and
+// returns an error unless the proof verified and every claim holds.
+func reportVerdict(meta proveMeta, claims []bool, err error, elapsed time.Duration, where string) error {
 	ms := float64(elapsed.Microseconds()) / 1e3
 	if err != nil {
 		fmt.Printf("verification FAILED in %.1fms: %v\n", ms, err)
@@ -578,6 +580,10 @@ func reportVerdict(claims []bool, err error, elapsed time.Duration, where string
 		return errors.New("ownership claim is 0")
 	}
 	fmt.Printf("ownership VERIFIED in %.1fms%s\n", ms, where)
+	if meta.SignatureBits > 0 {
+		fmt.Printf("false-claim bound: an unwatermarked model passes with P[Bin(%d, 1/2) <= %d] = %.3g\n",
+			meta.SignatureBits, meta.MaxErrors, meta.FalseClaimBound(meta.SignatureBits))
+	}
 	return nil
 }
 
@@ -632,7 +638,7 @@ func cmdVerify(args []string) error {
 	if err = groth16.Verify(&vk, &pd.proof, pd.public); err == nil {
 		claims, err = pd.meta.Verdict(pd.public, digest)
 	}
-	return reportVerdict(claims, err, time.Since(start), "")
+	return reportVerdict(pd.meta, claims, err, time.Since(start), "")
 }
 
 // claimDigest is what a committed claim is read against: the public
@@ -693,7 +699,7 @@ func remoteVerify(serverURL, dir, modelID string) error {
 	if !verdict.Valid {
 		err = errors.New(verdict.Error)
 	}
-	return reportVerdict(verdict.Claims, err, elapsed, fmt.Sprintf(" over the wire (server batch size %d)", verdict.BatchSize))
+	return reportVerdict(pd.meta, verdict.Claims, err, elapsed, fmt.Sprintf(" over the wire (server batch size %d)", verdict.BatchSize))
 }
 
 // aggregateMeta is the self-contained aggregate.json artifact: the

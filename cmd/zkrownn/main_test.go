@@ -74,10 +74,12 @@ func TestCLIRoundTrip(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		out := at("own")
 		prove(out)
-		if v := runCmd(t, cmdVerify, "-dir", out); !strings.Contains(v, "ownership VERIFIED") {
+		// max_errors 8 of 8 bits: every model passes, and verify says so.
+		if v := runCmd(t, cmdVerify, "-dir", out); !strings.Contains(v, "ownership VERIFIED") ||
+			!strings.Contains(v, "P[Bin(8, 1/2) <= 8] = 1\n") {
 			t.Fatalf("verify printed %q", v)
 		}
-		if m := readMeta(out); m["bundle_slots"] != 1.0 || m["frac_bits"] != 16.0 {
+		if m := readMeta(out); m["bundle_slots"] != 1.0 || m["frac_bits"] != 16.0 || m["signature_bits"] != 8.0 {
 			t.Fatalf("meta.json = %v", m)
 		}
 	})
@@ -149,6 +151,18 @@ func TestCLIRoundTrip(t *testing.T) {
 		}
 		if v := runCmd(t, cmdVerify, "-dir", out); !strings.Contains(v, "ownership VERIFIED") {
 			t.Fatalf("offline verify of a served proof printed %q", v)
+		}
+		// A second key on the same model is a registration of its own,
+		// and its proof does not verify under the first key's ID.
+		key2, out2 := at("wmkey2.json"), at("own-remote-k2")
+		runCmd(t, cmdKeygen, append([]string{"-model", model, "-bits", "8", "-triggers", "2", "-seed", "3", "-out", key2}, data...)...)
+		runCmd(t, cmdProve, "-model", model, "-key", key2, "-max-errors", "8", "-server", ts.URL, "-out", out2)
+		id1, id2 := readMeta(out)["model_id"], readMeta(out2)["model_id"]
+		if id1 == id2 {
+			t.Fatalf("two keys on one model registered as the same model %v", id1)
+		}
+		if v, err := capture(t, cmdVerify, "-server", ts.URL, "-dir", out2, "-model-id", id1.(string)); err == nil || strings.Contains(v, "VERIFIED") {
+			t.Fatalf("second key's proof under the first key's ID: err = %v, printed %q", err, v)
 		}
 		if v := runCmd(t, cmdVerify, "-aggregate", "-server", ts.URL, "-dir", out, "-dirs", out+","+out); !strings.Contains(v, "aggregated 2 proofs") {
 			t.Fatalf("verify -aggregate -server printed %q", v)

@@ -8,11 +8,13 @@
 // artifacts alone, in milliseconds, without Alice revealing her trigger
 // keys or watermark and without any further interaction.
 //
-// The example also shows the negative case: Alice's key, fixed before
-// Bob's unrelated model existed, does not extract from it, so no claim-1
-// proof exists for that key. The proof does not name the key, though:
-// nothing public commits to it, so a key chosen after a model is seen
-// can be made to extract from any model (ROADMAP F1, mended by item 20).
+// The example also shows the negative case: Alice's key does not
+// extract from Bob's unrelated model, so no claim-1 proof exists for it.
+// The key is fixed in the circuit: its triggers, projection and
+// signature are constraint constants, so the verifying key Alice
+// publishes stands for her key alone. A key Mallory chooses after seeing
+// a model compiles to another circuit with another setup, and its proofs
+// do not verify under Alice's verifying key.
 //
 //	go run ./examples/dispute
 package main

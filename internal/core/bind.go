@@ -15,9 +15,10 @@ import (
 //
 // The non-committed extraction circuit exposes the suspect model's
 // weights as *public inputs* named "w<layer>" / "b<layer>". The circuit
-// depends only on the architecture (shapes and layer kinds), not on the
-// weight values — so proving the same registered key against a different
-// suspect model of the same architecture does not need a recompile: the
+// depends on the architecture (shapes and layer kinds) and the watermark
+// key, not on the weight values — so proving the same registered key
+// against a different suspect model of the same architecture does not
+// need a recompile: the
 // compiled system is reused and only the weight slots of the input
 // assignment are rewritten. This is the solve-many path the proof
 // service's prove queue runs on.
@@ -70,11 +71,11 @@ func sameLayerShape(want layerShape, got *nn.QuantizedLayer, li int) error {
 }
 
 // BindSuspectInputs rebinds a compiled extraction circuit's public
-// weight inputs ("w<i>"/"b<i>") to a suspect model's quantized weights,
-// leaving the private key material untouched. The returned assignment
-// drives CompiledSystem.Solve — no circuit recompilation. On a batched
-// circuit the same suspect is bound into every slot; use
-// BindSuspectSlots to bind different suspects per slot.
+// weight inputs ("w<i>"/"b<i>") to a suspect model's quantized weights;
+// the key is constants in the circuit and no binding reaches it. The
+// returned assignment drives CompiledSystem.Solve — no circuit
+// recompilation. On a batched circuit the same suspect is bound into
+// every slot; use BindSuspectSlots to bind different suspects per slot.
 //
 // The artifact must come from ExtractionCircuit (committed circuits bake
 // the model into constraint coefficients and cannot be rebound; they

@@ -4,12 +4,19 @@
 // and its metrics.
 //
 // The prover convinces any third-party verifier that the (public)
-// suspect model M' produces the prover's (private) watermark when
-// queried with the prover's (private) trigger keys:
+// suspect model M' produces the owner's watermark when queried with the
+// owner's trigger keys:
 //
 //	Public:  model weights up to l_wm, target BER θ, the claim bit.
-//	Private: trigger keys X_key, projection matrix A, watermark wm,
-//	         and (implicitly) the embedded layer's identity.
+//	Fixed in the circuit: trigger keys X_key, projection matrix A,
+//	         watermark wm and the embedded layer's index.
+//
+// The key is compiled into the constraint coefficients, so the circuit
+// digest, and with it the verifying key, names one key: a proof under a
+// registered key's VK is a proof about that key, and a key chosen after
+// the model was seen needs its own setup. Groth16's zero knowledge
+// covers the witness, not these constants; the README states what that
+// leaves a VK holder.
 //
 // Circuit: zkFeedForward → zkAverage → projection → sign → zkBER,
 // assembled from the gadgets package. The paper's zkSigmoid →
@@ -31,8 +38,8 @@ import (
 	"zkrownn/internal/watermark"
 )
 
-// CircuitKey is the fixed-point image of a watermark key, ready to feed
-// the extraction circuit as private inputs.
+// CircuitKey is the fixed-point image of a watermark key, ready to be
+// compiled into the extraction circuit as constants.
 type CircuitKey struct {
 	LayerIndex int
 	Triggers   [][]int64
@@ -54,9 +61,10 @@ func QuantizeKey(k *watermark.Key, p fixpoint.Params) *CircuitKey {
 
 // Artifact is a compiled circuit plus the input assignment recorded at
 // build time, ready for the Groth16 pipeline. The compiled system is the
-// reusable half (one per architecture — cache it, set up keys for it,
-// solve it against many assignments); the assignment and eager witness
-// are the build-time instance.
+// reusable half (one per architecture and, for extraction circuits, per
+// watermark key — cache it, set up keys for it, solve it against many
+// assignments); the assignment and eager witness are the build-time
+// instance.
 type Artifact struct {
 	Name   string
 	System *r1cs.CompiledSystem
@@ -127,6 +135,16 @@ func secretVec(c *gadgets.Ctx, vs []int64) []frontend.Variable {
 	out := make([]frontend.Variable, len(vs))
 	for i, v := range vs {
 		out[i] = c.B.SecretInput("", fixpoint.ToField(v))
+	}
+	return out
+}
+
+// constVec declares a vector of circuit constants: no wire, and a
+// product with one is a linear combination, not a row.
+func constVec(c *gadgets.Ctx, vs []int64) []frontend.Variable {
+	out := make([]frontend.Variable, len(vs))
+	for i, v := range vs {
+		out[i] = c.B.Constant(fixpoint.ToField(v))
 	}
 	return out
 }
@@ -454,24 +472,31 @@ func forwardPrefix(c *gadgets.Ctx, q *nn.QuantizedNetwork, lv []layerVars, cur [
 	return cur, nil
 }
 
-// sharedKeyVars caches the secret watermark-key wires shared by every
-// slot of a batched extraction circuit: the trigger inputs, projection
+// sharedKeyVars caches the watermark-key constants shared by every slot
+// of a batched extraction circuit: the trigger inputs, projection
 // columns, and signature bits are declared once (by the first slot that
-// needs them) and reused, so K claims cost one copy of the key
-// material. Declaration happens lazily at the same builder positions
-// the single-slot circuit uses, keeping the k=1 layout byte-identical.
+// needs them) and reused.
 type sharedKeyVars struct {
 	trigs  [][]frontend.Variable
 	aCols  [][]frontend.Variable
 	wmVars []frontend.Variable
 }
 
-// extractionSlot runs Algorithm 1's private tail for one weight slot:
+// extractionSlot runs Algorithm 1's tail for one weight slot:
 // zkFeedForward per trigger → zkAverage → projection → sign → zkBER,
 // returning the slot's verdict wire. Algorithm 1 thresholds
 // sigmoid(zⱼ) at ½; sigmoid is monotone with sigmoid(0) = ½, so that is
 // exactly zⱼ ≥ 0, and the slot pays for one sign bit per signature bit
 // instead of a rescale, a degree-9 polynomial and a comparison.
+//
+// The key is constants, so trigger × weight in the first dense or conv
+// layer, μ·A and the BER's XOR products fold into linear combinations
+// and cost no row. A quantized trigger entry of 0 drops its weight from
+// that trigger's row. A weight wire that every trigger zeroes appears in
+// no constraint: its QAP polynomials are 0, so its IC point in the VK is
+// the identity and the verifier accepts any value in that position. The
+// claim bit is unaffected, because no trigger's forward pass reads that
+// weight: it is the same for every value the instance could carry.
 func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv []layerVars, kv *sharedKeyVars, maxErrors int) (frontend.Variable, error) {
 	p := q.Params
 
@@ -479,7 +504,7 @@ func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv [
 	acts := make([][]frontend.Variable, len(ck.Triggers))
 	for t, trig := range ck.Triggers {
 		if t == len(kv.trigs) {
-			kv.trigs = append(kv.trigs, secretVec(c, trig))
+			kv.trigs = append(kv.trigs, constVec(c, trig))
 		}
 		cur, err := forwardPrefix(c, q, lv, kv.trigs[t], ck.LayerIndex)
 		if err != nil {
@@ -488,10 +513,18 @@ func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv [
 		acts[t] = cur
 	}
 
-	// zkAverage: Gaussian-center estimate across triggers.
+	// zkAverage: Gaussian-center estimate across triggers. Each mean is
+	// a rescale's bit recomposition, MagBits+1−f terms wide; one Reduce
+	// row makes it a wire, so a projection row carries one term a mean,
+	// its coefficient the key's A entry, instead of the recomposition
+	// scaled by every A entry: one distinct coefficient per bit and entry
+	// (15k on the bench circuit, each 32 bytes in the constraint file).
 	mu := c.AverageCols(acts, p.MagBits)
+	for i := range mu {
+		mu[i] = c.B.Reduce(mu[i])
+	}
 
-	// Private projection.
+	// Projection by the key's A.
 	m := len(mu)
 	if len(ck.A) < m {
 		return frontend.Variable{}, fmt.Errorf("core: projection has %d rows, activations have %d", len(ck.A), m)
@@ -503,7 +536,7 @@ func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv [
 			kv.aCols[j] = make([]frontend.Variable, m)
 		}
 		for i := 0; i < m; i++ {
-			rowVars := secretVec(c, ck.A[i][:nbits])
+			rowVars := constVec(c, ck.A[i][:nbits])
 			for j := 0; j < nbits; j++ {
 				kv.aCols[j][i] = rowVars[j]
 			}
@@ -519,21 +552,22 @@ func extractionSlot(c *gadgets.Ctx, q *nn.QuantizedNetwork, ck *CircuitKey, lv [
 		wmHat[j] = c.IsNonNegative(c.InnerProduct(mu, kv.aCols[j]), p.MagBits)
 	}
 
-	// zkBER against the private signature.
+	// zkBER against the key's signature. BER's booleanity check on a
+	// constant bit is made when the circuit is built.
 	if kv.wmVars == nil {
 		wmBits := make([]int64, nbits)
 		for j, b := range ck.Signature {
 			wmBits[j] = int64(b)
 		}
-		kv.wmVars = secretVec(c, wmBits)
+		kv.wmVars = constVec(c, wmBits)
 	}
 	return c.BER(kv.wmVars, wmHat, maxErrors), nil
 }
 
 // ExtractionCircuit builds the end-to-end Algorithm 1 circuit for a
-// quantized model and key: public model weights (layers 0..l_wm),
-// private trigger keys / projection / watermark, and a public claim bit
-// that the circuit constrains to the zkBER verdict.
+// quantized model and key: public model weights (layers 0..l_wm), the
+// trigger keys / projection / watermark compiled in as constants, and a
+// public claim bit that the circuit constrains to the zkBER verdict.
 //
 // maxErrors is the public BER tolerance θ·N. The returned artifact's
 // final public input carries the verdict (1 for a valid ownership
@@ -543,12 +577,12 @@ func ExtractionCircuit(q *nn.QuantizedNetwork, ck *CircuitKey, maxErrors int) (*
 }
 
 // BatchedExtractionCircuit builds Algorithm 1 with K independent
-// suspect-model weight slots sharing one secret watermark key: one
+// suspect-model weight slots sharing one watermark key: one
 // circuit (and therefore one trusted setup and one Groth16 proof)
 // attests ownership claims against a whole batch of suspects. Every
 // slot carries its own public weight inputs ("s<slot>.w<li>" /
-// "s<slot>.b<li>"), evaluated against the shared private triggers,
-// projection, and signature; the last K public inputs are the per-slot
+// "s<slot>.b<li>"), evaluated against the shared triggers, projection,
+// and signature; the last K public inputs are the per-slot
 // claim bits, in slot order (ClaimBits decodes them).
 //
 // All slots are initially bound to q's weights; BindSuspectSlots

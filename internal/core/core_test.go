@@ -111,10 +111,10 @@ func TestExtractionEndToEndProof(t *testing.T) {
 	}
 }
 
-func TestNonWatermarkedModelYieldsClaimZero(t *testing.T) {
-	// A model that was never embedded: the circuit must still be
-	// satisfiable (the prover can honestly prove extraction ran) but the
-	// claim bit comes out 0, so verifiers reject the ownership claim.
+// unwatermarkedMLP returns a small trained MLP that never had a
+// watermark embedded, its training data, and the rng that drew it.
+func unwatermarkedMLP(t *testing.T) (*nn.Network, *dataset.Dataset, *rand.Rand) {
+	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{
 		Samples: 240, Dim: 12, Classes: 3, ClusterStd: 0.25, Seed: 303,
 	})
@@ -124,6 +124,14 @@ func TestNonWatermarkedModelYieldsClaimZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	net := nn.NewMLP(nn.MLPConfig{In: 12, Hidden: []int{16}, Classes: 3}, rng)
 	net.Train(ds.X, ds.Y, nn.TrainConfig{Epochs: 8, BatchSize: 16, LearningRate: 0.1, Silent: true}, rng)
+	return net, ds, rng
+}
+
+func TestNonWatermarkedModelYieldsClaimZero(t *testing.T) {
+	// A model that was never embedded: the circuit must still be
+	// satisfiable (the prover can honestly prove extraction ran) but the
+	// claim bit comes out 0, so verifiers reject the ownership claim.
+	net, ds, rng := unwatermarkedMLP(t)
 	key, err := watermark.GenerateKey(rng, 1, 0, 16, 8, 4, ds.OfClass(0))
 	if err != nil {
 		t.Fatal(err)
@@ -305,19 +313,61 @@ func TestQuantizedExtractionMatchesFloat(t *testing.T) {
 
 // TestExtractionConstraintCount pins the size of Table I's smoke-scale
 // MNIST-MLP circuit (the digest pinned in TestSolveOracleTableI). Each
-// signature bit costs its projection and one sign check of MagBits+2
-// rows; the sigmoid-then-½ tail it replaced cost 3,356 constraints and
-// 3,336 wires here.
+// signature bit costs one projection row and one sign check of
+// MagBits+2 rows, each trigger mean one row that makes it a wire; the
+// key is constants, so trigger × weight, μ·A and the BER's XOR products
+// cost none (1,012 constraints and 1,044 wires with the key as private
+// inputs; the sigmoid-then-½ tail before that cost 3,356 and 3,336).
 func TestExtractionConstraintCount(t *testing.T) {
 	p := fixpoint.Params{FracBits: 8, MagBits: 36}
 	art, err := BenchMLPExtractionCircuit(p, 6, 4, 4, 2, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := art.System.NbConstraints(), 1012; got != want {
+	if got, want := art.System.NbConstraints(), 944; got != want {
 		t.Errorf("%d constraints, want %d", got, want)
 	}
-	if got, want := art.System.NbWires, 1044; got != want {
+	if got, want := art.System.NbWires, 948; got != want {
 		t.Errorf("%d wires, want %d", got, want)
+	}
+}
+
+// TestZeroTriggerEntryFreesItsWeight pins what a quantized trigger
+// entry of 0 does now that the key is constants: the weight it would
+// multiply drops out of that trigger's row, and a weight every trigger
+// zeroes is in no constraint at all. Its IC point is the identity, so a
+// proof verifies with any value in that instance position, and the
+// claim bit, which no trigger's forward pass reads it for, stands.
+func TestZeroTriggerEntryFreesItsWeight(t *testing.T) {
+	net, ds, rng := unwatermarkedMLP(t)
+	key, err := watermark.GenerateKey(rng, 1, 0, 16, 8, 4, ds.OfClass(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trig := range key.Triggers {
+		trig[0] = 0 // input 0: w0[o·In + 0] of every hidden unit o
+	}
+	spec := Spec{Slots: 1, FracBits: testP.FracBits, MaxErrors: 8}
+	art, err := spec.Compile(net, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name := art.System.PubInputNames[0]; name != "w0" {
+		t.Fatalf("first public input is %q, want w0", name)
+	}
+	pl, err := RunPipeline(art, rand.New(rand.NewSource(308)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pl.VK.IC[1].IsInfinity() {
+		t.Fatal("a weight no trigger reads has a non-identity IC point")
+	}
+	public := art.PublicInputs()
+	public[0].SetUint64(12345)
+	if err := groth16.Verify(pl.VK, pl.Proof, public); err != nil {
+		t.Fatalf("changing a weight no trigger reads broke the proof: %v", err)
+	}
+	if claims, err := spec.Verdict(public, nil); err != nil || !claims[0] {
+		t.Fatalf("claims %v, err %v", claims, err)
 	}
 }

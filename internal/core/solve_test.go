@@ -42,14 +42,14 @@ func tableICircuits(t *testing.T, p fixpoint.Params, seed int64) []*Artifact {
 
 // pinnedDigests holds the circuit digests of two seed-42 Table I circuits
 // as literals: BER-8 generated at 8cda237, MNIST-MLP regenerated when
-// extraction began reading the projection's sign instead of a sigmoid
-// thresholded at ½. The digest names every key-cache
+// the watermark key became circuit constants (its digest now names the
+// key as well as the architecture). The digest names every key-cache
 // file and registry model ID: if one of these moves, every persisted
 // .pk/.vk/.csr and registry entry is orphaned, so a change that means to
 // move it (a gadget diet, a new layout) updates the literal and says so.
 var pinnedDigests = map[string]string{
 	"BER-8":     "a6c32f3d9d30bc6f354043ab84bb8fa6c6ad0f3c11cb32fccf9bff574ee96ca3",
-	"MNIST-MLP": "67ace10d54200c9e1d9299df65e3490bfbcc30d0ee616607871efce530935c08",
+	"MNIST-MLP": "0f5c8aae6903cc2314b64cc4be81a497fa75d5d0dd9c200b59ab05a5bb15521c",
 }
 
 // TestSolveOracleTableI asserts, for every Table I circuit, that the

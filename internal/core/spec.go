@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/big"
 
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/fixpoint"
@@ -52,6 +53,29 @@ func (s Spec) Validate() error {
 	// A format out of range would quantize degenerately (a 2^64 scale
 	// wraps to 0).
 	return s.Params().Validate()
+}
+
+// FalseClaimBound is what a claim under the spec is worth against a
+// signature of bits bits: the chance that a model which never carried
+// the watermark passes anyway. Such a model's extracted bits match the
+// signature as fair coins, so this is P[Bin(bits, ½) ≤ MaxErrors] =
+// Σ_{k ≤ MaxErrors} C(bits, k) / 2^bits, summed exactly in math/big and
+// rounded once. At MaxErrors ≥ bits it is 1: every model passes.
+func (s Spec) FalseClaimBound(bits int) float64 {
+	if s.MaxErrors < 0 {
+		return 0
+	}
+	if s.MaxErrors >= bits {
+		return 1
+	}
+	sum, c := new(big.Int), big.NewInt(1)
+	for k := 0; k <= s.MaxErrors; k++ {
+		sum.Add(sum, c)
+		c.Mul(c, big.NewInt(int64(bits-k)))
+		c.Quo(c, big.NewInt(int64(k+1)))
+	}
+	f, _ := new(big.Rat).SetFrac(sum, new(big.Int).Lsh(big.NewInt(1), uint(bits))).Float64()
+	return f
 }
 
 // Compile quantizes the model in the claim's format and builds its

@@ -33,6 +33,39 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestFalseClaimBound pins P[Bin(N, ½) ≤ θ] at its ends and a few
+// exact values, and holds it monotone in θ. The bench's θ = N reads 1:
+// a claim there says nothing about the model.
+func TestFalseClaimBound(t *testing.T) {
+	for _, c := range []struct {
+		bits, maxErrors int
+		want            float64
+	}{
+		{16, 0, 1.0 / 65536},
+		{16, 1, 17.0 / 65536},
+		{16, 2, 137.0 / 65536},
+		{16, 8, 39203.0 / 65536},
+		{16, 16, 1},
+		{16, 17, 1},
+		{16, -1, 0},
+		{8, 0, 1.0 / 256},
+		{64, 0, 1.0 / (1 << 32) / (1 << 32)},
+		{0, 0, 1},
+	} {
+		if got := (Spec{MaxErrors: c.maxErrors}).FalseClaimBound(c.bits); got != c.want {
+			t.Errorf("N=%d θ=%d: bound %v, want %v", c.bits, c.maxErrors, got, c.want)
+		}
+	}
+	prev := 0.0
+	for theta := 0; theta <= 16; theta++ {
+		got := Spec{MaxErrors: theta}.FalseClaimBound(16)
+		if got <= prev {
+			t.Errorf("θ=%d: bound %v not above θ-1's %v", theta, got, prev)
+		}
+		prev = got
+	}
+}
+
 // TestSpecCompileAndVerdict holds Spec.Compile to the circuits it picks,
 // digest for digest, and reads each one's build-time instance back
 // through Spec.Verdict.

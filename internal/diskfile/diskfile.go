@@ -22,8 +22,10 @@ import (
 )
 
 // Write replaces path with the bytes fn writes: temp file in the
-// destination directory (created if missing) → fn → Flush → Sync →
-// Close → Rename → fsync of the directory. On any failure before the
+// destination directory (created 0700 if missing) → fn → Flush → Sync →
+// Close → Rename → fsync of the directory. The file is 0600: the key
+// cache's files, a circuit's compiled system included, hold a watermark
+// key. On any failure before the
 // rename, or a panic in fn, the temp file is removed and whatever was at
 // path is untouched; a failed directory sync leaves the new file in
 // place and is still reported.
@@ -33,7 +35,7 @@ func Write(path string, fn func(io.Writer) error) error {
 
 func write(path string, body func(*os.File, *bufio.Writer) error) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return err
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")

@@ -53,7 +53,9 @@ type Options struct {
 	// negative value means unbounded).
 	CacheEntries int
 	// CacheDir, when non-empty, enables on-disk key persistence keyed by
-	// circuit digest. The directory is created on first write.
+	// circuit digest. The directory is created on first write, mode
+	// 0700: an extraction circuit carries its watermark key in its
+	// coefficients, so the spilled .csr is key material like the .pk.
 	CacheDir string
 	// Workers sizes the ProveMany pool (default GOMAXPROCS).
 	Workers int
@@ -313,7 +315,7 @@ func (e *Engine) ensureCSFile(sys *r1cs.CompiledSystem, digest string) (*r1cs.Co
 // doubles as the disk cache entry, or a process-lifetime temp dir.
 func (e *Engine) streamKeyDir() (string, error) {
 	if e.opts.CacheDir != "" {
-		return e.opts.CacheDir, os.MkdirAll(e.opts.CacheDir, 0o755)
+		return e.opts.CacheDir, os.MkdirAll(e.opts.CacheDir, 0o700)
 	}
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()

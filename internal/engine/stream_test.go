@@ -365,3 +365,36 @@ func TestStreamedEngineTempSpill(t *testing.T) {
 		t.Fatalf("Close must remove the temp spill dir %s (stat err: %v)", spill, err)
 	}
 }
+
+// TestKeyFilesArePrivate: an extraction circuit carries its watermark
+// key in its coefficients, so after a streamed prove under CacheDir
+// neither the directory the engine created nor any .csr, .pk or .vk in
+// it may be group- or world-readable.
+func TestKeyFilesArePrivate(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "keys")
+	e := New(Options{CacheDir: dir, MemoryBudget: 1, Rand: rand.New(rand.NewSource(38))})
+	defer e.Close()
+	res, err := e.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Keys.Plan.Residency != OutOfCore {
+		t.Fatalf("1-byte budget must force the out-of-core tier, planned %s", res.Keys.Plan.Residency)
+	}
+	st, err := os.Stat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := st.Mode().Perm(); perm&0o077 != 0 {
+		t.Errorf("cache dir mode %v: readable beyond its owner", perm)
+	}
+	for _, ext := range []string{".csr", ".pk", ".vk"} {
+		st, err := os.Stat(filepath.Join(dir, res.Digest+ext))
+		if err != nil {
+			t.Fatalf("expected %s in the cache dir: %v", ext, err)
+		}
+		if perm := st.Mode().Perm(); perm&0o077 != 0 {
+			t.Errorf("%s mode %v: readable beyond its owner", ext, perm)
+		}
+	}
+}

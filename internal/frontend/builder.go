@@ -16,8 +16,9 @@
 //
 // Variables carry sparse linear combinations over wires, so Add, Sub,
 // and multiplication by constants are free; only Mul between two
-// non-constant variables, assertions, and bit decompositions emit
-// constraints — mirroring the cost model of the paper's circuits.
+// non-constant variables, assertions on a non-constant, and bit
+// decompositions emit constraints — mirroring the cost model of the
+// paper's circuits.
 package frontend
 
 import (
@@ -88,6 +89,9 @@ type Builder struct {
 	publicOrder []int // wire ids of public wires, in declaration order
 	tape        []tapeInstr
 	finalized   bool
+	// err is the first assertion between constants that failed when it
+	// was built; Compile returns it.
+	err error
 }
 
 // NewBuilder returns an empty builder with the constant wire allocated.
@@ -434,8 +438,18 @@ func (b *Builder) Reduce(x Variable) Variable {
 	return out
 }
 
-// AssertEqual enforces a == b (one constraint).
+// AssertEqual enforces a == b (one constraint). Between two constants
+// it is checked here and emits no row; a failed check is Compile's
+// error.
 func (b *Builder) AssertEqual(x, y Variable) {
+	if cx, ok := isConstant(&x); ok {
+		if cy, ok := isConstant(&y); ok {
+			if !cx.Equal(&cy) && b.err == nil {
+				b.err = fmt.Errorf("frontend: constant assertion %v == %v fails", cx, cy)
+			}
+			return
+		}
+	}
 	b.constraints = append(b.constraints, constraint{
 		a: x.lc,
 		b: b.One().lc,
@@ -443,8 +457,16 @@ func (b *Builder) AssertEqual(x, y Variable) {
 	})
 }
 
-// AssertBoolean enforces a ∈ {0, 1} (one constraint: a·(a-1) = 0).
+// AssertBoolean enforces a ∈ {0, 1} (one constraint: a·(a-1) = 0). On
+// a constant it is checked here and emits no row; a failed check is
+// Compile's error.
 func (b *Builder) AssertBoolean(x Variable) {
+	if c, ok := isConstant(&x); ok {
+		if !c.IsZero() && !c.IsOne() && b.err == nil {
+			b.err = fmt.Errorf("frontend: constant %v asserted boolean", c)
+		}
+		return
+	}
 	am1 := b.Sub(x, b.One())
 	b.constraints = append(b.constraints, constraint{
 		a: x.lc,
@@ -581,6 +603,9 @@ func (b *Builder) Compile() (*CompileResult, error) {
 		return nil, fmt.Errorf("frontend: builder already finalized")
 	}
 	b.finalized = true
+	if b.err != nil {
+		return nil, b.err
+	}
 
 	m := len(b.values)
 	perm := make([]uint32, m) // old wire -> new wire

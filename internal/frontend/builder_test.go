@@ -337,3 +337,37 @@ func TestEndToEndWithGroth16(t *testing.T) {
 		t.Fatal("proof against dummy-setup keys rejected:", err)
 	}
 }
+
+// TestConstantAssertionsAreCheckedAtBuild: an assertion between
+// constants emits no row, and one that fails is Compile's error; an
+// assertion on a wire still costs its row.
+func TestConstantAssertionsAreCheckedAtBuild(t *testing.T) {
+	b := NewBuilder()
+	x := b.SecretInput("", frOf(1))
+	b.AssertBoolean(b.Zero())
+	b.AssertBoolean(b.One())
+	b.AssertEqual(b.ConstUint64(7), b.Add(b.ConstUint64(3), b.ConstUint64(4)))
+	if n := b.NbConstraints(); n != 0 {
+		t.Fatalf("assertions between constants emitted %d rows", n)
+	}
+	b.AssertBoolean(x)
+	b.AssertEqual(x, b.One())
+	if n := b.NbConstraints(); n != 2 {
+		t.Fatalf("assertions on a wire emitted %d rows, want 2", n)
+	}
+	if _, err := b.Compile(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, fail := range map[string]func(b *Builder){
+		"boolean": func(b *Builder) { b.AssertBoolean(b.ConstUint64(2)) },
+		"equal":   func(b *Builder) { b.AssertEqual(b.ConstUint64(3), b.ConstUint64(4)) },
+	} {
+		b := NewBuilder()
+		b.PublicOutput("out", b.SecretInput("", frOf(5)))
+		fail(b)
+		if _, err := b.Compile(); err == nil {
+			t.Errorf("%s: a failed constant assertion compiled", name)
+		}
+	}
+}

@@ -87,17 +87,28 @@ func (rec *modelRecord) verdict(public []fr.Element) ([]bool, error) {
 
 func (rec *modelRecord) info() ModelInfo {
 	return ModelInfo{
-		ModelID:      rec.ID,
-		Name:         rec.Name,
-		Committed:    rec.Committed,
-		BundleSlots:  max(rec.Slots, 1),
-		FracBits:     rec.FracBits,
-		MaxErrors:    rec.MaxErrors,
-		Constraints:  rec.Constraints,
-		PublicInputs: rec.PublicInputs,
-		CreatedAt:    rec.CreatedAt.UTC().Format(time.RFC3339),
-		CanProve:     rec.canProve(),
+		ModelID:         rec.ID,
+		Name:            rec.Name,
+		Committed:       rec.Committed,
+		BundleSlots:     max(rec.Slots, 1),
+		FracBits:        rec.FracBits,
+		MaxErrors:       rec.MaxErrors,
+		Constraints:     rec.Constraints,
+		PublicInputs:    rec.PublicInputs,
+		CreatedAt:       rec.CreatedAt.UTC().Format(time.RFC3339),
+		CanProve:        rec.canProve(),
+		FalseClaimBound: rec.falseClaimBound(),
 	}
+}
+
+// falseClaimBound is Spec.FalseClaimBound at the registered key's
+// signature length; 0 (omitted) on records written before the length
+// was kept.
+func (rec *modelRecord) falseClaimBound() float64 {
+	if rec.SignatureBits == 0 {
+		return 0
+	}
+	return rec.FalseClaimBound(rec.SignatureBits)
 }
 
 // recordMeta is the persisted (public) half of a record: its claim
@@ -110,15 +121,20 @@ type recordMeta struct {
 	// CommittedDigest is the hex Fiat-Shamir digest binding committed
 	// proofs to the registered model; it persists so the binding check
 	// survives restarts (the model itself does not).
-	CommittedDigest string    `json:"committed_digest,omitempty"`
-	LayerIndex      int       `json:"layer_index"`
-	Constraints     int       `json:"constraints"`
-	PublicInputs    int       `json:"public_inputs"`
-	CreatedAt       time.Time `json:"created_at"`
+	CommittedDigest string `json:"committed_digest,omitempty"`
+	LayerIndex      int    `json:"layer_index"`
+	// SignatureBits is the registered key's signature length N, what
+	// the claim's max_errors is out of.
+	SignatureBits int       `json:"signature_bits,omitempty"`
+	Constraints   int       `json:"constraints"`
+	PublicInputs  int       `json:"public_inputs"`
+	CreatedAt     time.Time `json:"created_at"`
 }
 
-// registry maps circuit digests to registered models. When dir is
-// non-empty, verifying keys (binary WriteTo format, <id>.vk) and
+// registry maps circuit digests to registered models. The digest of an
+// extraction circuit names its watermark key, so every key registered
+// on a model is a record of its own, with its own setup and VK. When
+// dir is non-empty, verifying keys (binary WriteTo format, <id>.vk) and
 // metadata (<id>.json) write through to disk and are restored on
 // startup.
 type registry struct {

@@ -388,13 +388,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.m.circuitsCompiled.Inc()
 	rec := &modelRecord{
 		recordMeta: recordMeta{
-			ID:           art.System.DigestHex(),
-			Name:         req.Name,
-			Spec:         spec,
-			LayerIndex:   key.LayerIndex,
-			Constraints:  art.System.NbConstraints(),
-			PublicInputs: art.System.NbPublic - 1,
-			CreatedAt:    time.Now(),
+			ID:            art.System.DigestHex(),
+			Name:          req.Name,
+			Spec:          spec,
+			LayerIndex:    key.LayerIndex,
+			SignatureBits: key.NbBits(),
+			Constraints:   art.System.NbConstraints(),
+			PublicInputs:  art.System.NbPublic - 1,
+			CreatedAt:     time.Now(),
 		},
 		art: art,
 	}
@@ -440,6 +441,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		PublicInputs:      rec.PublicInputs,
 		Committed:         rec.Committed,
 		BundleSlots:       rec.Slots,
+		FalseClaimBound:   rec.falseClaimBound(),
 		VK:                rec.VK,
 	})
 }

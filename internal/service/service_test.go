@@ -36,9 +36,14 @@ func testFixture(t *testing.T) (modelJSON, keyJSON []byte) {
 // the circuit as constants, so only a fixed key keeps the circuit
 // digest stable across seeds.
 func testFixtureSeed(t *testing.T, seed int64) (modelJSON, keyJSON []byte) {
+	return testFixtureKey(t, seed, 1000)
+}
+
+// testFixtureKey is testFixtureSeed with the key drawn from keySeed.
+func testFixtureKey(t *testing.T, seed, keySeed int64) (modelJSON, keyJSON []byte) {
 	t.Helper()
 	modelRng := rand.New(rand.NewSource(seed))
-	keyRng := rand.New(rand.NewSource(1000))
+	keyRng := rand.New(rand.NewSource(keySeed))
 	ds, err := dataset.Generate(dataset.Config{
 		Samples: 30, Dim: 6, Classes: 2, ClusterStd: 0.3, Seed: 7,
 	})
@@ -953,6 +958,65 @@ func TestTracedJobServesChromeTimeline(t *testing.T) {
 	for _, series := range []string{"zkrownn_prove_seconds_count", "zkrownn_queue_depth", "zkrownn_jobs_completed_total"} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("/metrics missing %s", series)
+		}
+	}
+}
+
+// TestSecondKeyIsItsOwnRegistration: the circuit digest names the
+// watermark key, so a second key on the same model registers under its
+// own ID with its own trusted setup, proves with its own key, and its
+// proof is rejected under the first key's ID.
+func TestSecondKeyIsItsOwnRegistration(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	reg1 := register(t, ts.URL, 4)
+	modelJSON, key2JSON := testFixtureKey(t, 1, 1001)
+	resp, data := postJSON(t, ts.URL+"/v1/models", RegisterRequest{Model: modelJSON, Key: key2JSON, MaxErrors: 4})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register second key: status %d: %s", resp.StatusCode, data)
+	}
+	var reg2 RegisterResponse
+	if err := json.Unmarshal(data, &reg2); err != nil {
+		t.Fatal(err)
+	}
+	if reg2.ModelID == reg1.ModelID || reg2.AlreadyRegistered || reg2.SetupCached {
+		t.Fatalf("second key: id %s (first %s), already_registered %v, setup_cached %v",
+			reg2.ModelID, reg1.ModelID, reg2.AlreadyRegistered, reg2.SetupCached)
+	}
+	// max_errors 4 of a 4-bit signature: every model passes.
+	var info ModelResponse
+	getJSON(t, ts.URL+"/v1/models/"+reg2.ModelID, &info)
+	if reg2.FalseClaimBound != 1 || info.FalseClaimBound != 1 {
+		t.Fatalf("false-claim bound: register %v, model info %v, want 1", reg2.FalseClaimBound, info.FalseClaimBound)
+	}
+	var stats StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.Engine.Setups != 2 || stats.Service.Models != 2 {
+		t.Fatalf("after two keys: %d setups, %d models, want 2 and 2", stats.Engine.Setups, stats.Service.Models)
+	}
+
+	resp, data = postJSON(t, ts.URL+"/v1/models/"+reg2.ModelID+"/prove", ProveRequest{})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("prove submit: status %d: %s", resp.StatusCode, data)
+	}
+	var acc ProveAccepted
+	if err := json.Unmarshal(data, &acc); err != nil {
+		t.Fatal(err)
+	}
+	js := waitJob(t, ts.URL, acc.JobID)
+	if js.Status != JobDone {
+		t.Fatalf("job failed: %s", js.Error)
+	}
+	for _, c := range []struct {
+		id    string
+		valid bool
+	}{{reg2.ModelID, true}, {reg1.ModelID, false}} {
+		resp, data := postJSON(t, ts.URL+"/v1/models/"+c.id+"/verify", VerifyRequest{Proof: js.Proof, PublicInputs: js.PublicInputs})
+		var vr VerifyResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &vr) != nil {
+			t.Fatalf("verify against %s: status %d: %s", c.id[:12], resp.StatusCode, data)
+		}
+		if vr.Valid != c.valid {
+			t.Fatalf("second key's proof against %s: valid=%v, want %v", c.id[:12], vr.Valid, c.valid)
 		}
 	}
 }

@@ -39,7 +39,9 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse reports the registered circuit and its verifying
-// key envelope.
+// key envelope. The circuit digest names the watermark key, so a second
+// key on the same model is a new registration with its own setup and
+// VK, not an already_registered one.
 type RegisterResponse struct {
 	// ModelID is the circuit-digest-keyed registry ID.
 	ModelID string `json:"model_id"`
@@ -48,12 +50,16 @@ type RegisterResponse struct {
 	// verifying key is returned and the prove material is refreshed.
 	AlreadyRegistered bool `json:"already_registered,omitempty"`
 	// SetupCached is true when trusted setup was skipped (engine cache).
-	SetupCached  bool                  `json:"setup_cached"`
-	Constraints  int                   `json:"constraints"`
-	PublicInputs int                   `json:"public_inputs"`
-	Committed    bool                  `json:"committed,omitempty"`
-	BundleSlots  int                   `json:"bundle_slots,omitempty"`
-	VK           *groth16.VerifyingKey `json:"vk"`
+	SetupCached  bool `json:"setup_cached"`
+	Constraints  int  `json:"constraints"`
+	PublicInputs int  `json:"public_inputs"`
+	Committed    bool `json:"committed,omitempty"`
+	BundleSlots  int  `json:"bundle_slots,omitempty"`
+	// FalseClaimBound is the chance that a model which never carried the
+	// watermark passes this claim (core.Spec.FalseClaimBound): 1 when
+	// max_errors reaches the signature length.
+	FalseClaimBound float64               `json:"false_claim_bound"`
+	VK              *groth16.VerifyingKey `json:"vk"`
 }
 
 // ModelInfo describes one registry entry.
@@ -74,6 +80,9 @@ type ModelInfo struct {
 	// restart: the verifying key persists, the private prove material
 	// (model + watermark key) does not and needs re-registration.
 	CanProve bool `json:"can_prove"`
+	// FalseClaimBound is as in RegisterResponse; absent on records
+	// registered before it was reported.
+	FalseClaimBound float64 `json:"false_claim_bound,omitempty"`
 }
 
 // ModelResponse is one registry entry plus its verifying key.

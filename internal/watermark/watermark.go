@@ -261,7 +261,9 @@ func DefaultEmbedConfig() EmbedConfig {
 // while task accuracy is maintained: each epoch interleaves task SGD
 // with a watermark step whose gradient is the BCE derivative of
 // sigmoid(μ·A) against the signature, distributed over the trigger
-// activations (μ is their mean).
+// activations (μ is their mean). When its budgets run out with bits
+// still wrong it returns an error naming the BER, and leaves net at the
+// best-margin state it saw.
 func Embed(net *nn.Network, k *Key, xs [][]float64, ys []int, cfg EmbedConfig, rng *rand.Rand) error {
 	if err := k.Validate(); err != nil {
 		return err
@@ -393,6 +395,10 @@ func Embed(net *nn.Network, k *Key, xs [][]float64, ys []int, cfg EmbedConfig, r
 	// necessarily the best one).
 	if bestSnap != nil && bestMargin > lastMargin {
 		net.RestoreParams(bestSnap)
+	}
+	if _, ber := Extract(net, k); ber > 0 {
+		return fmt.Errorf("watermark: embedding did not converge: BER %.4g (%d of %d bits wrong) after %d epochs and %d polish steps",
+			ber, int(math.Round(ber*float64(k.NbBits()))), k.NbBits(), cfg.Epochs, cfg.PolishSteps)
 	}
 	return nil
 }

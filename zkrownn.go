@@ -2,8 +2,11 @@
 // ("Zero Knowledge Right of Ownership for Neural Networks", DAC 2023):
 // an end-to-end framework that lets a model owner prove, in zero
 // knowledge, that a deployed neural network contains their DeepSigns
-// watermark — without revealing the trigger keys, the projection matrix,
-// or the watermark bits.
+// watermark. The key — trigger keys, projection matrix and watermark
+// bits — is compiled into the circuit as constants, so the verifying key
+// stands for one registered key; the proof reveals nothing of the
+// witness, and the README says what a holder of the verifying key can
+// test about the key.
 //
 // The pipeline, mirroring the paper's Figure 1:
 //
@@ -69,7 +72,8 @@ type (
 	Instance = groth16.PublicInputs
 	// Circuit is a compiled extraction circuit (CSR constraint matrices
 	// plus a recorded witness solver) together with its build-time input
-	// assignment and witness. Compile once per architecture; prove many.
+	// assignment and witness. Compile once per architecture and key;
+	// prove many.
 	Circuit = core.Artifact
 	// Dataset is a labelled sample collection.
 	Dataset = dataset.Dataset
@@ -164,7 +168,8 @@ type EmbedOptions struct {
 }
 
 // EmbedWatermark fine-tunes the model until the watermark extracts with
-// zero bit error rate and a quantization-robust margin.
+// zero bit error rate and a quantization-robust margin; it returns an
+// error naming the BER when its budgets run out with bits still wrong.
 func EmbedWatermark(m *Model, key *WatermarkKey, ds *Dataset, opt EmbedOptions, rng *rand.Rand) error {
 	cfg := watermark.DefaultEmbedConfig()
 	if opt.Epochs > 0 {
@@ -198,9 +203,10 @@ func Quantize(m *Model, p FixedPoint) (*QuantizedModel, error) {
 // BuildOwnershipCircuit compiles Algorithm 1 for the given quantized
 // model and key. maxErrors is the BER tolerance θ·N (0 demands an exact
 // watermark match). The suspect model's weights become public inputs;
-// the key material stays private.
+// the key is compiled in as constants, so the circuit (and its setup)
+// is one per key.
 //
-// Compilation happens once per architecture: the returned Circuit holds
+// Compilation happens once per architecture and key: the returned Circuit holds
 // a compiled constraint system (CSR matrices plus a recorded witness
 // solver) that can be proven repeatedly — against the build-time inputs
 // or, via BindSuspectModel, against other models of the same
@@ -224,7 +230,7 @@ func BindSuspectModel(c *Circuit, q *QuantizedModel, rng io.Reader) (ProveReques
 }
 
 // BuildBatchedOwnershipCircuit compiles Algorithm 1 with `slots`
-// suspect-model weight slots sharing one secret watermark key: ONE
+// suspect-model weight slots sharing one watermark key: ONE
 // Groth16 proof then attests `slots` independent ownership claims. All
 // slots start bound to q's weights; BindSuspectModels rebinds
 // individual slots to same-architecture suspects without recompiling.
@@ -275,8 +281,8 @@ func Setup(c *Circuit, rng io.Reader) (*ProvingKey, *VerifyingKey, error) {
 	return groth16.Setup(c.System, rng)
 }
 
-// ProveOwnership generates the ownership proof for a circuit whose
-// witness was built from the owner's private key material.
+// ProveOwnership generates the ownership proof for a circuit compiled
+// with the owner's key.
 func ProveOwnership(c *Circuit, pk *ProvingKey, rng io.Reader) (*Proof, error) {
 	return groth16.Prove(c.System, pk, c.Witness, rng)
 }
@@ -398,8 +404,9 @@ func VerifyCommittedOwnership(vk *VerifyingKey, proof *Proof, public []fr.Elemen
 // --- Prover-engine service entry points ---
 //
 // The one-shot helpers above re-run trusted setup on every call. A
-// long-lived service — a dispute-resolution endpoint proving ownership
-// for many models of the same architecture, say — should instead hold an
+// long-lived service — a dispute-resolution endpoint proving one key's
+// ownership against many models of the same architecture, say — should
+// instead hold an
 // Engine: keys are cached by circuit digest (in memory, and on disk when
 // EngineOptions.CacheDir is set), proofs fan out over a worker pool, and
 // verification batches into one pairing product.
