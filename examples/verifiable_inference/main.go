@@ -79,17 +79,27 @@ func main() {
 		cur[i] = c.B.SecretInput("x", fixpoint.ToField(v))
 	}
 
-	// Feed forward through every layer using the §III-B gadgets.
+	// Feed forward through every layer using the §III-B gadgets. A dense
+	// layer followed by ReLU proves the pair as one rescale-and-sign
+	// decomposition per neuron.
 	denseIdx := 0
-	for _, l := range q.Layers {
+	for li := 0; li < len(q.Layers); li++ {
+		l := q.Layers[li]
 		switch l.Kind {
 		case "dense":
 			rows := make([][]frontend.Variable, l.Out)
 			for o := 0; o < l.Out; o++ {
 				rows[o] = weightVars[denseIdx][o*l.In : (o+1)*l.In]
 			}
-			cur = c.Dense(rows, cur, biasVars[denseIdx], true, p.MagBits)
+			fused := li+1 < len(q.Layers) && q.Layers[li+1].Kind == "relu"
+			cur = c.Dense(rows, cur, biasVars[denseIdx], !fused, p.MagBits)
 			denseIdx++
+			if fused {
+				for i := range cur {
+					cur[i] = c.RescaleReLU(cur[i], p.FracBits, p.MagBits)
+				}
+				li++
+			}
 		case "relu":
 			cur = c.ReLUVec(cur, p.MagBits)
 		}

@@ -422,11 +422,16 @@ func declareSlotWeights(c *gadgets.Ctx, q *nn.QuantizedNetwork, upTo int, prefix
 }
 
 // forwardPrefix is zkFeedForward: it evaluates layers 0..upTo of the
-// model on cur, using the slot's weight variables.
+// model on cur, using the slot's weight variables. A dense or conv layer
+// whose next layer, still inside the prefix, is relu proves the pair as
+// one step: its accumulators stay unrescaled and RescaleReLU reads the
+// rescaled value and its sign off one decomposition. ⌊acc/2^f⌋ ≥ 0
+// exactly when acc ≥ 0, so every value is the separate layers' value.
 func forwardPrefix(c *gadgets.Ctx, q *nn.QuantizedNetwork, lv []layerVars, cur []frontend.Variable, upTo int) ([]frontend.Variable, error) {
 	p := q.Params
 	for li := 0; li <= upTo; li++ {
 		l := &q.Layers[li]
+		fused := (l.Kind == "dense" || l.Kind == "conv") && li < upTo && q.Layers[li+1].Kind == "relu"
 		switch l.Kind {
 		case "dense":
 			if len(cur) != l.In {
@@ -436,7 +441,7 @@ func forwardPrefix(c *gadgets.Ctx, q *nn.QuantizedNetwork, lv []layerVars, cur [
 			for o := 0; o < l.Out; o++ {
 				wRows[o] = lv[li].w[o*l.In : (o+1)*l.In]
 			}
-			cur = c.Dense(wRows, cur, lv[li].bias, true, p.MagBits)
+			cur = c.Dense(wRows, cur, lv[li].bias, !fused, p.MagBits)
 		case "relu":
 			cur = c.ReLUVec(cur, p.MagBits)
 		case "sigmoid":
@@ -451,7 +456,7 @@ func forwardPrefix(c *gadgets.Ctx, q *nn.QuantizedNetwork, lv []layerVars, cur [
 			}
 			vol := reshapeVolume(cur, l.InC, l.InH, l.InW)
 			kv := reshapeKernels(lv[li].w, l.OutC, l.InC, l.K)
-			out := c.Conv3D(shape, vol, kv, lv[li].bias, true, p.MagBits)
+			out := c.Conv3D(shape, vol, kv, lv[li].bias, !fused, p.MagBits)
 			cur = flattenVolume(out)
 		case "maxpool":
 			oh := (l.InH-l.K)/l.S + 1
@@ -467,6 +472,12 @@ func forwardPrefix(c *gadgets.Ctx, q *nn.QuantizedNetwork, lv []layerVars, cur [
 			cur = flat
 		default:
 			return nil, fmt.Errorf("core: unsupported layer kind %q", l.Kind)
+		}
+		if fused {
+			for i := range cur {
+				cur[i] = c.RescaleReLU(cur[i], p.FracBits, p.MagBits)
+			}
+			li++ // the relu is proved
 		}
 	}
 	return cur, nil

@@ -313,22 +313,41 @@ func TestQuantizedExtractionMatchesFloat(t *testing.T) {
 
 // TestExtractionConstraintCount pins the size of Table I's smoke-scale
 // MNIST-MLP circuit (the digest pinned in TestSolveOracleTableI). Each
-// signature bit costs one projection row and one sign check of
-// MagBits+2 rows, each trigger mean one row that makes it a wire; the
-// key is constants, so trigger × weight, μ·A and the BER's XOR products
-// cost none (1,012 constraints and 1,044 wires with the key as private
-// inputs; the sigmoid-then-½ tail before that cost 3,356 and 3,336).
+// hidden neuron of each trigger costs one accumulator row and one
+// RescaleReLU of MagBits+3 rows; each signature bit one projection row
+// and one sign check of MagBits+2 rows; each trigger mean one row that
+// makes it a wire. The key is constants, so trigger × weight, μ·A and
+// the BER's XOR products cost none (944 constraints and 948 wires with
+// a rescale and a ReLU decomposing each neuron twice; 1,012 and 1,044
+// with the key as private inputs; 3,356 and 3,336 with the
+// sigmoid-then-½ tail).
 func TestExtractionConstraintCount(t *testing.T) {
 	p := fixpoint.Params{FracBits: 8, MagBits: 36}
 	art, err := BenchMLPExtractionCircuit(p, 6, 4, 4, 2, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := art.System.NbConstraints(), 944; got != want {
+	if got, want := art.System.NbConstraints(), 640; got != want {
 		t.Errorf("%d constraints, want %d", got, want)
 	}
-	if got, want := art.System.NbWires, 948; got != want {
+	if got, want := art.System.NbWires, 652; got != want {
 		t.Errorf("%d wires, want %d", got, want)
+	}
+}
+
+// TestBenchShapeFitsDomain2p13 keeps the benchmark's extraction circuit
+// (a 128×32 dense layer and its ReLU, 16 signature bits, 2 triggers, the
+// default 16-bit format) inside a 2^13 evaluation domain. Groth16 sizes
+// its domain by the constraint count, so one row past 2^13 doubles the
+// quotient FFTs and the h-query MSM of every proof.
+func TestBenchShapeFitsDomain2p13(t *testing.T) {
+	art, err := BenchMLPExtractionCircuit(fixpoint.Default16, 128, 32, 16, 2, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := art.System.NbConstraints(); n > 1<<13 {
+		t.Errorf("bench shape compiles to %d constraints, over 2^13 = %d: the FFT domain doubles to 2^14, "+
+			"doubling the quotient FFTs and the h-query MSM of every proof", n, 1<<13)
 	}
 }
 

@@ -42,21 +42,23 @@ func tableICircuits(t *testing.T, p fixpoint.Params, seed int64) []*Artifact {
 
 // pinnedDigests holds the circuit digests of two seed-42 Table I circuits
 // as literals: BER-8 generated at 8cda237, MNIST-MLP regenerated when
-// the watermark key became circuit constants (its digest now names the
-// key as well as the architecture). The digest names every key-cache
-// file and registry model ID: if one of these moves, every persisted
-// .pk/.vk/.csr and registry entry is orphaned, so a change that means to
-// move it (a gadget diet, a new layout) updates the literal and says so.
+// its dense layer and ReLU began to prove as one RescaleReLU per neuron
+// (its digest names the key as well as the architecture). The digest
+// names every key-cache file and registry model ID: if one of these
+// moves, every persisted .pk/.vk/.csr and registry entry is orphaned, so
+// a change that means to move it (a gadget diet, a new layout) updates
+// the literal and says so.
 var pinnedDigests = map[string]string{
 	"BER-8":     "a6c32f3d9d30bc6f354043ab84bb8fa6c6ad0f3c11cb32fccf9bff574ee96ca3",
-	"MNIST-MLP": "0f5c8aae6903cc2314b64cc4be81a497fa75d5d0dd9c200b59ab05a5bb15521c",
+	"MNIST-MLP": "3d5587948adf6f76c3d24ee973a805f99f4f2591605d042f3f0e182ec4e268ff",
 }
 
 // TestSolveOracleTableI asserts, for every Table I circuit, that the
 // recorded solver program reproduces the eager builder's witness bit
-// for bit — the compile-once / solve-many correctness contract — and
-// that the math/big row oracle reads the compiled rows the way the CSR
-// walker and digest do.
+// for bit — the compile-once / solve-many correctness contract — that
+// the math/big row oracle reads the compiled rows the way the CSR
+// walker and digest do, and that the rows leave no wire undetermined by
+// the circuit's inputs.
 func TestSolveOracleTableI(t *testing.T) {
 	p := fixpoint.Params{FracBits: 8, MagBits: 36}
 	digests := map[string]string{}
@@ -75,6 +77,9 @@ func TestSolveOracleTableI(t *testing.T) {
 				t.Fatalf("digest %s, oracle digest %s", digest, want)
 			}
 			digests[art.Name] = digest
+			if u := r1cstest.Undetermined(rows, r1cstest.DeclaredInputs(art.System)); len(u) != 0 {
+				t.Fatalf("%d wires undetermined by the inputs, first %v", len(u), u[:min(len(u), 8)])
+			}
 			solved, err := art.System.SolveAssignment(art.Assignment)
 			if err != nil {
 				t.Fatal(err)

@@ -231,14 +231,17 @@ func (e *Engine) setup(sys *r1cs.CompiledSystem, digest string, plan Plan, rng i
 			return nil, nil, err
 		}
 		kp.PK, kp.VK = pk, vk
-		if dir := e.opts.CacheDir; dir != "" {
-			if persistErr = writeKeyFile(keyPath(dir, digest, ".pk"), pk.WriteRawTo); persistErr == nil {
-				persistErr = writeKeyFile(keyPath(dir, digest, ".vk"), vk.WriteTo)
+		if e.opts.CacheDir != "" {
+			var dir string
+			if dir, persistErr = e.keyDir(); persistErr == nil {
+				if persistErr = writeKeyFile(keyPath(dir, digest, ".pk"), pk.WriteRawTo); persistErr == nil {
+					persistErr = writeKeyFile(keyPath(dir, digest, ".vk"), vk.WriteTo)
+				}
 			}
 		}
 		return kp, persistErr, nil
 	}
-	dir, err := e.streamKeyDir()
+	dir, err := e.keyDir()
 	if err == nil {
 		err = writeKeyFile(keyPath(dir, digest, ".pk"), func(w io.Writer) (n int64, err error) {
 			kp.VK, err = groth16.SetupStreamed(kp.cons, rng, w)

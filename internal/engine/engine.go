@@ -289,7 +289,7 @@ func (e *Engine) constraints(sys *r1cs.CompiledSystem, digest string, plan Plan)
 // solver-only (stripped) system cannot regenerate the file, so its
 // absence is an error instructing the caller to resend the circuit.
 func (e *Engine) ensureCSFile(sys *r1cs.CompiledSystem, digest string) (*r1cs.CompiledSystemFile, error) {
-	dir, err := e.streamKeyDir()
+	dir, err := e.keyDir()
 	if err != nil {
 		return nil, err
 	}
@@ -310,12 +310,13 @@ func (e *Engine) ensureCSFile(sys *r1cs.CompiledSystem, digest string) (*r1cs.Co
 	return cf, nil
 }
 
-// streamKeyDir resolves (creating if needed) the directory streamed
-// keys spill into: the configured CacheDir, where the spill file
-// doubles as the disk cache entry, or a process-lifetime temp dir.
-func (e *Engine) streamKeyDir() (string, error) {
+// keyDir resolves (creating if needed) the directory key files are
+// written to: the configured CacheDir, where a streamed key's spill file
+// doubles as the disk cache entry, or a process-lifetime temp dir for
+// keys spilled without one.
+func (e *Engine) keyDir() (string, error) {
 	if e.opts.CacheDir != "" {
-		return e.opts.CacheDir, os.MkdirAll(e.opts.CacheDir, 0o700)
+		return e.opts.CacheDir, e.privateCacheDir(true)
 	}
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
@@ -329,13 +330,42 @@ func (e *Engine) streamKeyDir() (string, error) {
 	return e.streamDir, nil
 }
 
+// privateCacheDir clears the group and world bits of an existing
+// CacheDir and, with create, makes a missing one 0700. The directory
+// lists key-bearing files, and one made 0755 (by hand, or by a build
+// that did not create it 0700) would keep listing them to everyone.
+func (e *Engine) privateCacheDir(create bool) error {
+	dir := e.opts.CacheDir
+	if create {
+		if err := os.MkdirAll(dir, 0o700); err != nil {
+			return err
+		}
+	}
+	st, err := os.Stat(dir)
+	if err != nil {
+		if !create && os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	if perm := st.Mode().Perm(); perm&0o077 != 0 {
+		return os.Chmod(dir, perm&^0o077)
+	}
+	return nil
+}
+
 // existingKeyDir returns the directory the disk tier would have put a
 // digest's keys in under residency r — CacheDir, or for keys left on disk
 // the temp spill directory if one was created — and "" when there is
-// none to look in (never creates).
+// none to look in (never creates). Reading keys from a CacheDir makes it
+// private too; failing to tighten it does not stop the keys being read.
 func (e *Engine) existingKeyDir(r Residency) string {
-	if e.opts.CacheDir != "" || r == Resident {
+	if e.opts.CacheDir != "" {
+		_ = e.privateCacheDir(false)
 		return e.opts.CacheDir
+	}
+	if r == Resident {
+		return ""
 	}
 	e.streamMu.Lock()
 	defer e.streamMu.Unlock()
@@ -520,7 +550,7 @@ func (e *Engine) prove(req Request) *Result {
 	var witness []fr.Element
 	var wf *r1cs.WitnessFile
 	if plan.Residency == OutOfCore {
-		dir, derr := e.streamKeyDir()
+		dir, derr := e.keyDir()
 		if derr == nil {
 			wf, derr = r1cs.NewWitnessFile(dir, sys.NbWires, plan.WitnessPageBytes)
 		}

@@ -398,3 +398,36 @@ func TestKeyFilesArePrivate(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyCacheDirMadePrivate: a key-cache directory that already exists
+// with group and world bits (an older build created it 0755) loses them
+// when the engine writes keys into it, on the resident path and the
+// out-of-core one, and when a fresh engine reads its keys back.
+func TestKeyCacheDirMadePrivate(t *testing.T) {
+	prove := func(dir string, budget int64) {
+		t.Helper()
+		if err := os.Chmod(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		e := New(Options{CacheDir: dir, MemoryBudget: budget, Rand: rand.New(rand.NewSource(45))})
+		defer e.Close()
+		if _, err := e.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, 3))); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := st.Mode().Perm(); perm != 0o700 {
+			t.Errorf("budget %d: cache dir made 0755 is %v after a prove, want 0700", budget, perm)
+		}
+	}
+	for _, budget := range []int64{0, 1} {
+		dir := filepath.Join(t.TempDir(), "keys")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		prove(dir, budget) // sets up and writes the keys
+		prove(dir, budget) // reads them back
+	}
+}

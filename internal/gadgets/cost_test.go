@@ -48,6 +48,18 @@ func TestConstraintCostContracts(t *testing.T) {
 		}
 	}
 
+	// RescaleReLU: boundBits+3 (one shifted decomposition + one product
+	// of its sign bit with its quotient).
+	{
+		c := NewCtx(p)
+		x := secret(c, -5000)
+		before := c.B.NbConstraints()
+		c.RescaleReLU(x, p.FracBits, bound)
+		if d := c.B.NbConstraints() - before; d != bound+3 {
+			t.Errorf("RescaleReLU cost %d, want %d", d, bound+3)
+		}
+	}
+
 	// InnerProduct of length n: n multiplications + 1 reduction.
 	{
 		c := NewCtx(p)
@@ -85,6 +97,25 @@ func TestConstraintCostContracts(t *testing.T) {
 		want := 2 * (3 + 1 + bound + 2)
 		if d := c.B.NbConstraints() - before; d != want {
 			t.Errorf("Dense cost %d, want %d", d, want)
+		}
+	}
+
+	// Dense and its ReLU fused over (out=2, in=3): the accumulator stays
+	// unrescaled and RescaleReLU decomposes it once, so
+	// out·(in + 1 + bound+3) against out·(in + 1 + bound+2 + bound+3)
+	// for a rescaling Dense followed by ReLUVec.
+	{
+		c := NewCtx(p)
+		w := matVars(c, [][]int64{{1, 2, 3}, {4, 5, 6}})
+		x := secretVec(c, []int64{1, 1, 1})
+		bias := secretVec(c, []int64{1, 2})
+		before := c.B.NbConstraints()
+		for _, acc := range c.Dense(w, x, bias, false, bound) {
+			c.RescaleReLU(acc, p.FracBits, bound)
+		}
+		want := 2 * (3 + 1 + bound + 3)
+		if d := c.B.NbConstraints() - before; d != want {
+			t.Errorf("fused Dense+ReLU cost %d, want %d", d, want)
 		}
 	}
 

@@ -8,7 +8,12 @@
 //
 // Numeric convention: wires carry signed fixed-point values per
 // internal/fixpoint; every gadget documents its constraint cost and the
-// magnitude bound (boundBits) its range checks assume.
+// magnitude bound (boundBits) its range checks assume. Rescales and sign
+// checks all decompose x + 2^boundBits into boundBits+1 bits
+// (boundBits+2 rows): the top bit is [x ≥ 0] and the high bits are the
+// floored quotient. A layer followed by ReLU reads both off that one
+// decomposition (RescaleReLU, boundBits+3 rows) instead of a rescale and
+// a ReLU (2·boundBits+5 rows), as zkDL's zkReLU does.
 package gadgets
 
 import (
@@ -42,27 +47,49 @@ func fieldPow2(k int) fr.Element {
 	return out
 }
 
+// offsetBits is the shift-and-decompose idiom every rescale and sign
+// check is built on: for a signed x with |x| < 2^boundBits, x + 2^boundBits
+// is non-negative and fits boundBits+1 bits. The top bit is [x ≥ 0], and
+// the bits from shift up recompose ⌊x/2^shift⌋ + 2^(boundBits−shift)
+// (see quotient). Cost: boundBits+2 constraints (one booleanity row per
+// bit plus the recomposition equality).
+func (c *Ctx) offsetBits(x frontend.Variable, boundBits int) []frontend.Variable {
+	offset := c.B.Constant(fieldPow2(boundBits))
+	shifted := c.B.Add(x, offset)
+	return c.B.ToBinary(shifted, boundBits+1)
+}
+
+// quotient recomposes ⌊x/2^shift⌋ from offsetBits' decomposition of x:
+// the bits from shift up, less the offset they carry. Free (linear).
+func (c *Ctx) quotient(bits []frontend.Variable, shift int) frontend.Variable {
+	boundBits := len(bits) - 1
+	if shift > boundBits {
+		panic(fmt.Sprintf("gadgets: shift %d exceeds boundBits %d", shift, boundBits))
+	}
+	q := c.B.FromBinary(bits[shift:])
+	qOffset := c.B.Constant(fieldPow2(boundBits - shift))
+	return c.B.Sub(q, qOffset)
+}
+
 // RescaleBits computes floor(x / 2^shift) for a signed x with
-// |x| < 2^boundBits, via the shift-and-decompose trick: x + 2^boundBits
-// is non-negative and fits boundBits+1 bits; its top boundBits+1-shift
-// bits recompose to the floored quotient after removing the offset.
+// |x| < 2^boundBits from one offset decomposition (offsetBits).
 // Cost: boundBits+2 constraints.
 func (c *Ctx) RescaleBits(x frontend.Variable, shift, boundBits int) frontend.Variable {
 	if shift <= 0 {
 		return x
 	}
-	if shift > boundBits {
-		panic(fmt.Sprintf("gadgets: shift %d exceeds boundBits %d", shift, boundBits))
-	}
-	offset := c.B.Constant(fieldPow2(boundBits))
-	shifted := c.B.Add(x, offset)
-	bits := c.B.ToBinary(shifted, boundBits+1)
+	return c.quotient(c.offsetBits(x, boundBits), shift)
+}
 
-	// q' = Σ_{i ≥ shift} 2^(i-shift)·bit_i
-	high := bits[shift:]
-	q := c.B.FromBinary(high)
-	qOffset := c.B.Constant(fieldPow2(boundBits - shift))
-	return c.B.Sub(q, qOffset)
+// RescaleReLU computes max(0, ⌊x/2^shift⌋) for a signed x with
+// |x| < 2^boundBits: a layer's rescale and the ReLU after it read off one
+// offset decomposition. ⌊x/2^shift⌋ ≥ 0 exactly when x ≥ 0, so the top
+// bit is the ReLU's sign, and |⌊x/2^shift⌋| < 2^boundBits follows from
+// the bound on x, so nothing the separate ReLU checked is lost.
+// Cost: boundBits+3 constraints (the decomposition and one product).
+func (c *Ctx) RescaleReLU(x frontend.Variable, shift, boundBits int) frontend.Variable {
+	bits := c.offsetBits(x, boundBits)
+	return c.B.Mul(bits[boundBits], c.quotient(bits, shift))
 }
 
 // Rescale divides by the fixed-point scale 2^f (after a product of two
@@ -81,10 +108,7 @@ func (c *Ctx) MulRescale(a, b frontend.Variable, boundBits int) frontend.Variabl
 // IsNonNegative returns a boolean wire = 1 iff x ≥ 0 (as a signed value
 // with |x| < 2^boundBits). Cost: boundBits+2 constraints.
 func (c *Ctx) IsNonNegative(x frontend.Variable, boundBits int) frontend.Variable {
-	offset := c.B.Constant(fieldPow2(boundBits))
-	shifted := c.B.Add(x, offset)
-	bits := c.B.ToBinary(shifted, boundBits+1)
-	return bits[boundBits]
+	return c.offsetBits(x, boundBits)[boundBits]
 }
 
 // GreaterEq returns 1 iff a ≥ b (signed comparison under the bound).

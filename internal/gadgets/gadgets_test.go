@@ -402,10 +402,13 @@ func TestGadgetsAreDataOblivious(t *testing.T) {
 		c := NewCtx(testParams)
 		xs := make([]int64, 8)
 		for i := range xs {
-			xs[i] = rng.Int63n(1 << 12)
+			xs[i] = rng.Int63n(1<<13) - 1<<12
 		}
 		v := secretVec(c, xs)
 		r := c.ReLUVec(v, 25)
+		for i := range v {
+			_ = c.RescaleReLU(v[i], testParams.FracBits, 25)
+		}
 		s, err := c.SigmoidVec(r[:4], 45)
 		if err != nil {
 			t.Fatal(err)

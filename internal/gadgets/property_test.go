@@ -82,6 +82,60 @@ func TestQuickReLUAndThreshold(t *testing.T) {
 	}
 }
 
+// TestRescaleReLUMatchesSimulator: the fused gadget equals the
+// simulator's rescale-then-ReLU on random in-range values and on the
+// edges (0, −1, ±(2^B − 1), multiples of 2^f and their neighbours), and
+// it is unsatisfiable outside the decomposition's range. The offset
+// decomposition's bits are the only wires the gadget adds besides its
+// output, and a (B+1)-bit recomposition, far below the field modulus,
+// has one candidate per value: the builder computes it, so when that
+// candidate violates a row no witness satisfies the circuit. The range is
+// [−2^B, 2^B): x = −2^B decomposes to all-zero bits and reads 0, which
+// is its ReLU.
+func TestRescaleReLUMatchesSimulator(t *testing.T) {
+	const bound = 30
+	p := testParams
+	f := p.FracBits
+	check := func(v int64) {
+		t.Helper()
+		c := NewCtx(p)
+		got := valOf(t, c.RescaleReLU(secret(c, v), f, bound))
+		if want := fixpoint.ReLU(p.Rescale(v)); got != want {
+			t.Fatalf("RescaleReLU(%d) = %d, want %d", v, got, want)
+		}
+		checkSatisfied(t, c)
+	}
+	edges := []int64{0, -1, 1, 1<<bound - 1, -(1<<bound - 1), -(1 << bound)}
+	for _, k := range []int64{1, 2, 3, 1000, 1 << (bound - f - 1)} {
+		for _, m := range []int64{k << f, -(k << f)} {
+			edges = append(edges, m-1, m, m+1)
+		}
+	}
+	for _, v := range edges {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(903))
+	for i := 0; i < 200; i++ {
+		check(rng.Int63n(1<<(bound+1)) - 1<<bound)
+	}
+
+	for _, v := range []int64{1 << bound, 1<<bound + 1, -(1<<bound + 1), 1 << (bound + 5), -(1 << (bound + 5))} {
+		c := NewCtx(p)
+		c.RescaleReLU(secret(c, v), f, bound)
+		res, err := c.B.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := res.System.SolveAssignment(res.Assignment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := res.System.IsSatisfied(w); ok {
+			t.Fatalf("RescaleReLU satisfied at x = %d, outside [-2^%d, 2^%d)", v, bound, bound)
+		}
+	}
+}
+
 // TestQuickSigmoidEquality: the circuit sigmoid is bit-identical to the
 // simulator including the clamp region.
 func TestQuickSigmoidEquality(t *testing.T) {

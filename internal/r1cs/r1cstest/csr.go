@@ -60,6 +60,16 @@ func RowsOf(cs *r1cs.CompiledSystem) *Rows {
 	return rows
 }
 
+// DeclaredInputs lists a compiled system's secret input wires, the
+// inputs Undetermined starts from beside the instance.
+func DeclaredInputs(cs *r1cs.CompiledSystem) []int {
+	out := make([]int, len(cs.SecretInputs))
+	for i, w := range cs.SecretInputs {
+		out[i] = int(w)
+	}
+	return out
+}
+
 // Big converts a witness to the oracle's integers.
 func Big(w []fr.Element) []*big.Int {
 	out := make([]*big.Int, len(w))

@@ -214,7 +214,7 @@ func TestOneDiskPath(t *testing.T) {
 				pkg, _ := sel.X.(*ast.Ident)
 				switch {
 				case pkg != nil && pkg.Name == "os" && (sel.Sel.Name == "Rename" || sel.Sel.Name == "CreateTemp" || sel.Sel.Name == "MkdirTemp"):
-					scratch := path == "internal/poly/vecfile.go" || (path == "internal/engine/engine.go" && fn == "streamKeyDir")
+					scratch := path == "internal/poly/vecfile.go" || (path == "internal/engine/engine.go" && fn == "keyDir")
 					if !inDiskfile && !scratch {
 						t.Errorf("%s: os.%s in %s — a file a later run trusts is written through internal/diskfile",
 							fset.Position(n.Pos()), sel.Sel.Name, fn)
@@ -551,18 +551,20 @@ func TestOneConstraintRepresentation(t *testing.T) {
 }
 
 // TestOraclesShareNoCode keeps the test references independent of what
-// they check. r1cstest's oracle (constraint rows, digests) and every file
-// of internal/bn254/refimpl (the fields and F_p¹²) import the standard
-// library only — if an oracle shared arithmetic with the stack, agreeing
-// with it would prove nothing — and only _test.go files import either
-// package.
+// they check. r1cstest's oracle (constraint rows, digests) and its
+// uniqueness check, and every file of internal/bn254/refimpl (the
+// fields and F_p¹²) import the standard library only — if an oracle
+// shared arithmetic with the stack, agreeing with it would prove
+// nothing — and only _test.go files import either package.
 func TestOraclesShareNoCode(t *testing.T) {
 	oracles := []struct {
 		pkg    string
 		stdlib func(path string) bool // a file that may import the standard library only
 		files  int
 	}{
-		{pkg: "zkrownn/internal/r1cs/r1cstest", stdlib: func(path string) bool { return path == "internal/r1cs/r1cstest/oracle.go" }},
+		{pkg: "zkrownn/internal/r1cs/r1cstest", stdlib: func(path string) bool {
+			return path == "internal/r1cs/r1cstest/oracle.go" || path == "internal/r1cs/r1cstest/unique.go"
+		}},
 		{pkg: "zkrownn/internal/bn254/refimpl", stdlib: func(path string) bool { return strings.HasPrefix(path, "internal/bn254/refimpl/") }},
 	}
 	fset := token.NewFileSet()
