@@ -99,7 +99,7 @@ func main() {
 		jsonOut   = flag.String("json", "BENCH_groth16.json", `write machine-readable per-row metrics to this file ("" disables)`)
 		keyCache  = flag.String("keycache", "", "key-cache directory shared across bench invocations")
 		procs     = flag.String("procs", "", `comma-separated GOMAXPROCS values to run the whole table at (e.g. "1,4"); empty keeps the ambient setting`)
-		memBudget = flag.Int64("mem-budget", 0, "engine memory budget in bytes: selects each row's residency tier (raw proving key over it: key streamed from disk; CSR + witness over it too: fully out-of-core; 0 keeps everything resident, 1 forces out-of-core)")
+		memBudget = flag.Int64("mem-budget", 0, "engine memory budget in bytes: selects each row's residency (raw proving key over it: key, CSR and witness on disk; 0 keeps everything resident, 1 forces out-of-core)")
 		phases    = flag.Bool("phases", false, "trace each run and record per-phase prover timings (phase_ms) in the JSON report")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the last sampled run to this file (implies per-run tracing)")
 	)
@@ -485,7 +485,7 @@ type benchRecord struct {
 	// same circuit's single-proof verify_seconds.
 	VerifyPerProofSeconds float64 `json:"verify_per_proof_seconds,omitempty"`
 	// PKBytes is the key's compressed wire encoding (Table I's PK column),
-	// whichever tier the row ran in.
+	// in either residency.
 	PKBytes    int64 `json:"pk_bytes"`
 	VKBytes    int64 `json:"vk_bytes"`
 	ProofBytes int   `json:"proof_bytes"`
@@ -501,8 +501,8 @@ type benchRecord struct {
 	// PeakRSSBytes is the process's peak resident-set size sampled over
 	// this row's setup+prove+verify run (0 where /proc is unavailable).
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
-	// Residency is the tier the engine's plan put the row in ("resident",
-	// "key-streamed", "out-of-core"); Streamed is Residency != "resident".
+	// Residency is where the engine's plan put the row ("resident" or
+	// "out-of-core"); Streamed is Residency == "out-of-core".
 	Residency string `json:"residency,omitempty"`
 	Streamed  bool   `json:"streamed"`
 	// FieldBackend names the scalar-field multiplication backend the row

@@ -49,7 +49,7 @@ func main() {
 	registryDir := flag.String("registry", "", "directory persisting verifying keys + model metadata across restarts (empty: memory only)")
 	keyCache := flag.String("keycache", "", "prover-engine key cache directory (empty: memory only)")
 	cacheEntries := flag.Int("cache-entries", 16, "in-memory key cache entries (negative: unbounded)")
-	memBudget := flag.Int64("mem-budget", 0, "per-circuit prover memory budget in bytes: circuits whose raw proving key exceeds it stream from disk, and when the constraint system + witness exceed it too the prover runs fully out-of-core (0 disables)")
+	memBudget := flag.Int64("mem-budget", 0, "per-circuit prover memory budget in bytes: a circuit whose raw proving key exceeds it proves fully out-of-core, with key, constraint system and witness on disk (0 disables)")
 	workers := flag.Int("workers", 0, "prover worker pool size (0: GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "async prove queue depth (overflow answers 429)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")

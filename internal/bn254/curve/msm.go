@@ -948,13 +948,14 @@ func multiExpSmall[A, J any, P Jacobian[A, J], CV msmCurve[A, J]](cv CV, points 
 	return res
 }
 
-// The exported multi-exponentiations are eight names: G1 and G2 of
+// The exported multi-exponentiations are seven names: G1 and G2 of
 // MultiExp (resident points and scalars), MultiExp…Decomposed (digits
-// recoded once, shared across bases), MultiExp…StreamScalars (points
-// from a source, resident scalars) and MultiExp…StreamScalarSource
-// (both from sources); the streamed four are in stream.go. Each takes a
-// trailing optional obs.Scope: pass tr.Scope("msm/A") to have the call
-// recorded under that label, nothing to run untraced.
+// recoded once, shared across bases) and MultiExp…StreamScalarSource
+// (points and scalars from sources), plus MultiExpG1StreamScalars
+// (points from a source, resident scalars); the streamed three are in
+// stream.go. Each takes a trailing optional obs.Scope: pass
+// tr.Scope("msm/A") to have the call recorded under that label, nothing
+// to run untraced.
 
 // MultiExpG1 computes Σ scalars[i]·points[i] with the parallel
 // signed-digit Pippenger method. Points and scalars must have equal

@@ -284,17 +284,11 @@ func MultiExpG1StreamScalarSource(src G1Source, scalars ScalarSource, n, c, chun
 	return multiExpStream[G1Affine, G1Jac](g1Msm{}, src, n, sourcedScalars(scalars, *buf), c, chunk, obs.Opt(sc))
 }
 
-// MultiExpG2StreamScalars is the G2 counterpart of
-// MultiExpG1StreamScalars. Points must have order r (see MultiExpG2) —
-// a NewG2RawSource decodes with SetBytesRaw, which does not check it, so
-// the bytes it reads must be key material this program wrote.
-func MultiExpG2StreamScalars(src G2Source, scalars []fr.Element, c, chunk int, sc ...obs.Scope) (G2Jac, error) {
-	return multiExpStream[G2Affine, G2Jac](g2Msm{}, src, len(scalars), residentScalars(scalars), c, chunk, obs.Opt(sc))
-}
-
 // MultiExpG2StreamScalarSource is the G2 counterpart of
-// MultiExpG1StreamScalarSource — used for the B2 wire-query MSM when
-// the witness is spilled.
+// MultiExpG1StreamScalarSource — the streamed key's B2 wire-query MSM.
+// Points must have order r (see MultiExpG2) — a NewG2RawSource decodes
+// with SetBytesRaw, which does not check it, so the bytes it reads must
+// be key material this program wrote.
 func MultiExpG2StreamScalarSource(src G2Source, scalars ScalarSource, n, c, chunk int, sc ...obs.Scope) (G2Jac, error) {
 	buf := getBuf[fr.Element](&scalarChunkPool, streamChunkSize(n, chunk))
 	defer scalarChunkPool.Put(buf)

@@ -161,7 +161,7 @@ func TestStreamMSMG2MatchesInMemory(t *testing.T) {
 				var want, gotAff G2Affine
 				wantJac := MultiExpG2(points, scalars)
 				want.FromJacobian(&wantJac)
-				got, err := MultiExpG2StreamScalars(SliceSourceG2(points), scalars, StreamWindowSize(row.n, row.chunk), row.chunk)
+				got, err := MultiExpG2StreamScalarSource(SliceSourceG2(points), scalarSliceSource(scalars), row.n, StreamWindowSize(row.n, row.chunk), row.chunk)
 				if err != nil {
 					t.Fatalf("%s: %v", row.name, err)
 				}
@@ -334,8 +334,9 @@ func TestStreamMSMWindowWidthIndependence(t *testing.T) {
 
 // TestStreamMSMScalarSourceMatchesResident checks the two scalar views
 // of the one streamed driver against each other — a resident slice and
-// the same scalars arriving through a ScalarSource — in G1 and G2,
-// across chunk-straddling sizes.
+// the same scalars arriving through a ScalarSource — in G1, and the G2
+// scalar-source MSM against the in-memory one, across chunk-straddling
+// sizes.
 func TestStreamMSMScalarSourceMatchesResident(t *testing.T) {
 	const chunk = 64
 	rng := rand.New(rand.NewSource(407))
@@ -356,10 +357,7 @@ func TestStreamMSMScalarSourceMatchesResident(t *testing.T) {
 		}
 
 		points2 := chainPointsG2(rng, n)
-		resident2, err := MultiExpG2StreamScalars(SliceSourceG2(points2), scalars, c, chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resident2 := MultiExpG2(points2, scalars)
 		sourced2, err := MultiExpG2StreamScalarSource(SliceSourceG2(points2), scalarSliceSource(scalars), n, c, chunk)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package ipp
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -181,4 +182,85 @@ func TestVerifierKeyWire(t *testing.T) {
 	if !dec2.GA.Equal(&srs.VK.GA) {
 		t.Fatal("JSON round trip lost a point")
 	}
+}
+
+// FuzzSRSVerifierKeyDecode holds the "ZKSV" decoder — reached from
+// hostile bytes by an offline aggregate verify, which reads the SRS key
+// out of an aggregate artifact — to two outcomes: ReadFrom either
+// rejects the bytes or accepts a key that encodes back to exactly the
+// bytes it consumed, and UnmarshalJSON either rejects the envelope or
+// accepts a key whose binary encoding is the envelope's payload, byte
+// for byte. Every accepted key pays two G2 subgroup checks, so give it
+// -fuzzminimizetime 1s.
+func FuzzSRSVerifierKeyDecode(f *testing.F) {
+	srs, err := NewSRS(2, rand.New(rand.NewSource(99)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := srs.VK.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	bin := buf.Bytes()
+	env, err := json.Marshal(&srs.VK)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bin)
+	f.Add(env)
+	g2Off := 8 + 2*curve.G1CompressedSize
+	for _, n := range []int{0, 4, 8, 8 + curve.G1CompressedSize, g2Off, g2Off + curve.G2CompressedSize, len(bin) - 1} {
+		f.Add(bin[:n])
+	}
+	for _, n := range []int{0, len(env) / 2, len(env) - 1} {
+		f.Add(env[:n])
+	}
+	for _, off := range []int{0, 4, 8, 8 + curve.G1CompressedSize, g2Off, g2Off + curve.G2CompressedSize, len(bin) - 1} {
+		for bit := 0; bit < 8; bit++ {
+			c := bytes.Clone(bin)
+			c[off] ^= 1 << bit
+			f.Add(c)
+		}
+	}
+	f.Add(append(bytes.Clone(bin), 0))
+	f.Add([]byte(`{"format":2,"data":""}`))
+	f.Add([]byte(`{"format":1,"data":"!"}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vk VerifierKey
+		n, err := vk.ReadFrom(bytes.NewReader(data))
+		if n < 0 || n > int64(len(data)) {
+			t.Fatalf("ReadFrom reported %d bytes of a %d-byte input", n, len(data))
+		}
+		if err == nil {
+			var out bytes.Buffer
+			wrote, werr := vk.WriteTo(&out)
+			if werr != nil || wrote != n || !bytes.Equal(out.Bytes(), data[:n]) {
+				t.Fatalf("ReadFrom accepted %d bytes %x, which encode back as %d bytes %x (err %v)", n, data[:n], wrote, out.Bytes(), werr)
+			}
+		}
+		var q VerifierKey
+		if err := q.UnmarshalJSON(data); err == nil {
+			var env struct{ Data string }
+			if err := json.Unmarshal(data, &env); err != nil {
+				t.Fatalf("UnmarshalJSON accepted %q, which encoding/json rejects: %v", data, err)
+			}
+			payload, err := base64.StdEncoding.DecodeString(env.Data)
+			if err != nil {
+				t.Fatalf("UnmarshalJSON accepted %q with an undecodable payload: %v", data, err)
+			}
+			var out bytes.Buffer
+			if _, err := q.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), payload) {
+				t.Fatalf("UnmarshalJSON accepted payload %x, which encodes back as %x (err %v)", payload, out.Bytes(), err)
+			}
+			enc, err := q.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back VerifierKey
+			if err := back.UnmarshalJSON(enc); err != nil || back != q {
+				t.Fatalf("UnmarshalJSON accepted %q; its re-encoding %q decodes to another key (err %v)", data, enc, err)
+			}
+		}
+	})
 }

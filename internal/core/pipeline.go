@@ -39,7 +39,7 @@ type Metrics struct {
 	ProofSize  int
 	VKSize     int64
 	VerifyTime time.Duration
-	// Residency is the tier the engine's plan put this circuit in
+	// Residency is where the engine's plan put this circuit
 	// (engine.Resident unless a memory budget was exceeded).
 	Residency engine.Residency
 }

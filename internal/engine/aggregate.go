@@ -47,22 +47,6 @@ func (e *Engine) aggregationSRS(n int) (*ipp.SRS, error) {
 	return srs, nil
 }
 
-// AggregateSRSKey exposes the current SRS verifier key (building the
-// SRS at minimum capacity if none exists yet) so front-ends can publish
-// it ahead of the first aggregation.
-func (e *Engine) AggregateSRSKey() (*ipp.VerifierKey, error) {
-	if err := e.acquire(); err != nil {
-		return nil, err
-	}
-	defer e.release()
-	srs, err := e.aggregationSRS(1)
-	if err != nil {
-		return nil, err
-	}
-	vk := srs.VK
-	return &vk, nil
-}
-
 // AggregateMany folds the proofs into one aggregation artifact and
 // self-checks it before returning, so a non-nil artifact is always a
 // verifying one: an invalid member proof surfaces here as an error, the

@@ -82,11 +82,11 @@ func TestAggregateMany(t *testing.T) {
 
 func TestAggregateSRSKey(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(22))})
-	svk, err := e.AggregateSRSKey()
+	srs, err := e.aggregationSRS(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svk.GA.IsInfinity() {
+	if srs.MaxN < minAggregateSRS || srs.VK.GA.IsInfinity() {
 		t.Fatal("degenerate SRS key")
 	}
 }

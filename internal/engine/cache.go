@@ -16,8 +16,8 @@ import (
 // KeyPair bundles the Groth16 keys produced by one trusted setup with
 // the residency plan they were made under. VK is always resident; PK is
 // the proving key in the form the plan chose — a *groth16.ProvingKey when
-// Plan.Residency is Resident, otherwise a *groth16.StreamedProvingKey over
-// the raw key file, open for the cache entry's lifetime.
+// Plan.Residency is Resident, out-of-core a *groth16.StreamedProvingKey
+// over the raw key file, open for the cache entry's lifetime.
 type KeyPair struct {
 	VK   *groth16.VerifyingKey
 	PK   groth16.ProverKey
@@ -179,10 +179,10 @@ func closeConstraints(cons r1cs.Constraints) {
 // asks for. The raw file is always indexed in place; a resident plan then
 // reads it whole — a linear pass of cheap field decodings instead of the
 // compressed format's square root per point, which would make a disk hit
-// slower than re-running setup for small circuits — and any other plan
-// keeps the file open behind the returned key (every prove reads through
-// it; the descriptor is reclaimed by the runtime finalizer once the cache
-// entry is evicted and collected).
+// slower than re-running setup for small circuits — and an out-of-core
+// plan keeps the file open behind the returned key (every prove reads
+// through it; the descriptor is reclaimed by the runtime finalizer once
+// the cache entry is evicted and collected).
 func openPK(dir, digest string, plan Plan) (groth16.ProverKey, error) {
 	f, r, err := diskfile.OpenFramed(keyPath(dir, digest, ".pk"), keyFileMagic)
 	if err != nil {
@@ -193,7 +193,7 @@ func openPK(dir, digest string, plan Plan) (groth16.ProverKey, error) {
 		f.Close()
 		return nil, err
 	}
-	if plan.Residency != Resident {
+	if plan.Residency == OutOfCore {
 		spk.SpillDir = dir
 		return spk, nil // f stays open behind spk
 	}
@@ -214,12 +214,12 @@ func writeKeyFile(path string, encode func(io.Writer) (int64, error)) error {
 
 // setup runs trusted setup under plan and persists what it made.
 // Resident, the keys are written through to CacheDir when one is
-// configured. Otherwise the proving key is spilled straight into its
-// framed cache file — never materialized in RAM — and indexed from there;
-// out-of-core the constraint system goes to disk first and setup streams
-// its QAP accumulation from the CSR file proves will share. persistErr is
-// a best-effort persistence failure that leaves the keys fully usable;
-// err is fatal.
+// configured. Out-of-core the constraint system goes to disk first, setup
+// streams its QAP accumulation from the CSR file proves will share, and
+// the proving key is spilled straight into its framed cache file — never
+// materialized in RAM — and indexed from there. persistErr is a
+// best-effort persistence failure that leaves the keys fully usable; err
+// is fatal.
 func (e *Engine) setup(sys *r1cs.CompiledSystem, digest string, plan Plan, rng io.Reader) (kp *KeyPair, persistErr, err error) {
 	kp = &KeyPair{Plan: plan}
 	if kp.cons, err = e.constraints(sys, digest, plan); err != nil {

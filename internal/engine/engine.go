@@ -63,14 +63,14 @@ type Options struct {
 	// It must be safe for concurrent use; the engine serializes setup
 	// internally but proves concurrently.
 	Rand io.Reader
-	// MemoryBudget, when > 0, selects each circuit's residency tier
+	// MemoryBudget, when > 0, selects each circuit's residency
 	// (planResidency: the one place it is read): a circuit whose raw
-	// proving key exceeds it is set up and proved with the key on disk,
-	// and one whose CSR plus witness exceed it too runs fully out-of-core.
-	// It selects a tier; it is not a ceiling on resident bytes. Set it to
-	// 1 to force the out-of-core tier for every circuit. On-disk residents
-	// live in CacheDir when configured (the spilled key doubles as the
-	// cache entry), otherwise in a temporary directory removed on Close.
+	// proving key exceeds it is set up and proved fully out-of-core — key,
+	// CSR and witness on disk — and any other keeps all three in RAM. It
+	// selects a residency; it is not a ceiling on resident bytes. Set it
+	// to 1 to prove every circuit out-of-core. On-disk residents live in
+	// CacheDir when configured (the spilled key doubles as the cache
+	// entry), otherwise in a temporary directory removed on Close.
 	MemoryBudget int64
 }
 
@@ -133,13 +133,16 @@ type Result struct {
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
-	Setups       uint64 // trusted setups actually executed
-	MemHits      uint64 // key lookups served from the in-memory LRU
-	DiskHits     uint64 // key lookups served from the disk tier
-	Solves       uint64 // witnesses generated by solver-program replay
-	Proves       uint64
-	StreamProves uint64 // subset of Proves served by the out-of-core backend
-	SpillProves  uint64 // subset of StreamProves that also streamed the CSR and spilled the witness
+	Setups   uint64 // trusted setups actually executed
+	MemHits  uint64 // key lookups served from the in-memory LRU
+	DiskHits uint64 // key lookups served from the disk tier
+	Solves   uint64 // witnesses generated by solver-program replay
+	Proves   uint64
+	// StreamProves and SpillProves both count the proves made
+	// out-of-core (streamed key, CSR file, spilled witness): a key never
+	// streams without the rest, so the two always read the same.
+	StreamProves uint64
+	SpillProves  uint64
 	Verifies     uint64 // individual + batched verification calls
 	Aggregates   uint64 // aggregation artifacts produced
 	SetupTime    time.Duration
@@ -257,17 +260,12 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// measure takes the sizes a residency plan weighs from a compiled system.
-func measure(sys *r1cs.CompiledSystem) sizes {
-	// An unmeasurable key (an empty system) reads 0 and plans resident;
-	// setup then surfaces the real error.
+// rawKeySize is what a residency plan weighs: the size of the system's
+// raw proving-key encoding. An unmeasurable key (an empty system) reads
+// 0 and plans resident; setup then surfaces the real error.
+func rawKeySize(sys *r1cs.CompiledSystem) int64 {
 	raw, _ := groth16.RawPKSizeBytes(sys)
-	return sizes{
-		rawKey:     raw,
-		csr:        r1cs.CSRRawSizeBytes(sys),
-		witness:    int64(sys.NbWires) * int64(8*fr.Limbs),
-		solverOnly: sys.Stripped(),
-	}
+	return raw
 }
 
 // constraints returns what proves of the digest read their rows from
@@ -387,12 +385,6 @@ func (e *Engine) Keys(sys *r1cs.CompiledSystem, rng io.Reader) (*KeyPair, bool, 
 	return keys, hit, err
 }
 
-// Circuit returns the compiled system cached beside the keys for a
-// digest, if the entry is still resident in the memory tier.
-func (e *Engine) Circuit(digest string) (*r1cs.CompiledSystem, bool) {
-	return e.cache.circuit(digest)
-}
-
 // DropMemoryCache empties the in-memory key/circuit cache; the disk
 // tier is untouched, so later requests for a persisted digest pay a
 // disk load (or, for streamed keys, a cheap re-index of the spilled
@@ -459,7 +451,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	// indexing, never a full materialization.
 	// The one read of the memory budget: decided here, once per setup or
 	// disk load, and carried on the KeyPair from then on.
-	plan := planResidency(measure(sys), e.opts.MemoryBudget)
+	plan := planResidency(rawKeySize(sys), e.opts.MemoryBudget)
 	sp := tr.Span("keys/disk-load")
 	if dir := e.existingKeyDir(plan.Residency); dir != "" {
 		// Any failure — a missing or damaged key file, or out-of-core a CSR
@@ -474,7 +466,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	} else {
 		e.m.keycacheMisses.Inc()
 		name := "keys/setup"
-		if plan.Residency != Resident {
+		if plan.Residency == OutOfCore {
 			name = "keys/setup-streamed"
 		}
 		sp := tr.Span(name)
@@ -595,7 +587,7 @@ func (e *Engine) prove(req Request) *Result {
 
 	sp = tr.Span("engine/prove")
 	start = time.Now()
-	if plan.Residency != Resident {
+	if wf != nil {
 		// The caller chose a budget to bound resident memory; collect the
 		// setup/solve phases' garbage and return the freed pages before
 		// entering the bounded-memory prove, so its footprint is the
@@ -618,10 +610,8 @@ func (e *Engine) prove(req Request) *Result {
 		return res
 	}
 	e.m.proves.Inc()
-	if plan.Residency >= KeyStreamed {
-		e.m.streamProves.Inc()
-	}
 	if plan.Residency == OutOfCore {
+		e.m.streamProves.Inc()
 		e.m.spillProves.Inc()
 	}
 	observeSeconds(e.m.proveSeconds, res.ProveTime)
@@ -745,9 +735,6 @@ func (e *Engine) Stats() Stats {
 // Metrics returns the registry holding this engine's series — the one
 // Stats reads — for a front-end to render beside its own on /metrics.
 func (e *Engine) Metrics() *obs.Registry { return e.m.reg }
-
-// CachedKeys reports the number of key pairs resident in memory.
-func (e *Engine) CachedKeys() int { return e.cache.len() }
 
 // requestRand resolves the effective randomness source for one request.
 // User-supplied readers (deterministic test sources, typically

@@ -186,7 +186,7 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.CachedKeys(); got != 2 {
+	if got := e.cache.len(); got != 2 {
 		t.Fatalf("cache holds %d entries, want 2", got)
 	}
 	// k=5 was evicted; proving it again runs setup.
@@ -246,12 +246,12 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	// The caches survive Close (Close is a request barrier, not a purge).
-	if e.CachedKeys() == 0 {
+	if e.cache.len() == 0 {
 		t.Fatal("Close must not drop cached keys")
 	}
 }
 
-// TestStatsRaceUnderLoad hammers Stats/CachedKeys from many readers
+// TestStatsRaceUnderLoad hammers Stats and the key cache from many readers
 // while proves and verifies run — the access pattern a service /stats
 // endpoint produces. Run under -race (CI does) to audit counter
 // atomicity; all Stats counters must be atomics.
@@ -269,7 +269,7 @@ func TestStatsRaceUnderLoad(t *testing.T) {
 					return
 				default:
 					_ = e.Stats()
-					_ = e.CachedKeys()
+					_ = e.cache.len()
 				}
 			}
 		}()
@@ -344,7 +344,7 @@ func TestSolveManyRequests(t *testing.T) {
 	}
 
 	// The circuit is cached beside the keys: digest-only request.
-	if _, ok := e.Circuit(r1.Digest); !ok {
+	if _, ok := e.cache.circuit(r1.Digest); !ok {
 		t.Fatal("compiled system not cached beside the keys")
 	}
 	w2 := cubicWitness(5, 8)

@@ -48,7 +48,7 @@ func newMetrics() *metrics {
 		proves: r.Counter("zkrownn_proves_total",
 			"Proofs produced."),
 		streamProves: r.Counter("zkrownn_stream_proves_total",
-			"Proofs produced by the out-of-core (streamed-key) backend."),
+			"Proofs produced out-of-core (streamed key, disk-resident CSR, spilled witness); always equals zkrownn_spill_proves_total."),
 		spillProves: r.Counter("zkrownn_spill_proves_total",
 			"Proofs produced fully out-of-core (streamed key, disk-resident CSR, spilled witness)."),
 		proveErrors: r.Counter("zkrownn_prove_errors_total",

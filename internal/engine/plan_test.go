@@ -12,36 +12,41 @@ import (
 	"strings"
 	"testing"
 
+	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/diskfile"
+	"zkrownn/internal/r1cs"
 )
 
-// TestPlanResidency pins the policy: the two inequalities (raw key >
-// budget, then CSR + witness > budget), tier by tier at every boundary,
-// on the sizes of a compiled circuit.
+// TestPlanResidency pins the policy — one comparison, raw key against
+// budget — at every boundary on the sizes of a compiled circuit. A budget
+// between the circuit's CSR + witness and its raw key plans out-of-core:
+// the key never streams beside a resident CSR and witness.
 func TestPlanResidency(t *testing.T) {
-	sz := measure(cubicSystem(5))
-	rest := sz.csr + sz.witness
-	if sz.solverOnly || rest <= 1 || rest >= sz.rawKey-1 {
-		t.Fatalf("sizes %+v: want a full circuit with 1 < CSR + witness < raw key - 1, or the boundaries below collide", sz)
+	sys := cubicSystem(5)
+	raw, rest := rawKeySize(sys), csrAndWitness(sys)
+	if rest <= 1 || rest >= raw-1 {
+		t.Fatalf("raw key %d B, CSR + witness %d B: want 1 < CSR + witness < raw key - 1, or the boundaries below collide", raw, rest)
+	}
+	if got := rawKeySize(sys.StripForSolve()); got != raw {
+		t.Fatalf("solver-only copy measures %d B, the full system %d B", got, raw)
 	}
 	for _, tc := range []struct {
-		name       string
-		budget     int64
-		want       Residency
-		solverOnly Residency // the tier when the circuit is a solver-only copy
-		reason     string    // the quantity that decided
+		name   string
+		budget int64
+		want   Residency
+		reason string
 	}{
-		{"unset", 0, Resident, Resident, "no memory budget"},
-		{"negative", -5, Resident, Resident, "no memory budget"},
-		{"one byte", 1, OutOfCore, OutOfCore, "CSR"},
-		{"CSR + witness - 1", rest - 1, OutOfCore, OutOfCore, "CSR"},
-		{"CSR + witness", rest, KeyStreamed, OutOfCore, "CSR"},
-		{"raw key - 1", sz.rawKey - 1, KeyStreamed, OutOfCore, "CSR"},
-		{"raw key", sz.rawKey, Resident, Resident, "raw key"},
-		{"raw key + 1", sz.rawKey + 1, Resident, Resident, "raw key"},
-		{"huge", 1 << 50, Resident, Resident, "raw key"},
+		{"unset", 0, Resident, "no memory budget"},
+		{"negative", -5, Resident, "no memory budget"},
+		{"one byte", 1, OutOfCore, "raw key"},
+		{"CSR + witness - 1", rest - 1, OutOfCore, "raw key"},
+		{"CSR + witness", rest, OutOfCore, "raw key"},
+		{"raw key - 1", raw - 1, OutOfCore, "raw key"},
+		{"raw key", raw, Resident, "fits"},
+		{"raw key + 1", raw + 1, Resident, "fits"},
+		{"huge", 1 << 50, Resident, "fits"},
 	} {
-		p := planResidency(sz, tc.budget)
+		p := planResidency(raw, tc.budget)
 		if p.Residency != tc.want || !strings.Contains(p.Reason, tc.reason) {
 			t.Errorf("budget %s (%d): planned %s because %q, want %s because of the %s", tc.name, tc.budget, p.Residency, p.Reason, tc.want, tc.reason)
 		}
@@ -52,54 +57,57 @@ func TestPlanResidency(t *testing.T) {
 		if p.WitnessPageBytes != wantPages {
 			t.Errorf("budget %s: witness page cache %d bytes, want %d", tc.name, p.WitnessPageBytes, wantPages)
 		}
-		stripped := sz
-		stripped.solverOnly = true
-		if p := planResidency(stripped, tc.budget); p.Residency != tc.solverOnly || p.Reason == "" {
-			t.Errorf("budget %s, solver-only: planned %s because %q, want %s", tc.name, p.Residency, p.Reason, tc.solverOnly)
-		}
 	}
 
 	// Over random sizes: a smaller budget never moves a circuit toward
 	// Resident, and every plan says why.
 	rng := rand.New(rand.NewSource(51))
 	for i := 0; i < 2000; i++ {
-		sz := sizes{rawKey: rng.Int63n(1 << 20), csr: rng.Int63n(1 << 20), witness: rng.Int63n(1 << 20), solverOnly: rng.Intn(4) == 0}
+		raw := rng.Int63n(1 << 20)
 		hi := rng.Int63n(1<<21) + 1
 		lo := rng.Int63n(hi) + 1
-		pHi, pLo := planResidency(sz, hi), planResidency(sz, lo)
+		pHi, pLo := planResidency(raw, hi), planResidency(raw, lo)
 		if pLo.Residency < pHi.Residency {
-			t.Fatalf("sizes %+v: budget %d plans %s but the smaller %d plans %s", sz, hi, pHi.Residency, lo, pLo.Residency)
+			t.Fatalf("raw key %d B: budget %d plans %s but the smaller %d plans %s", raw, hi, pHi.Residency, lo, pLo.Residency)
 		}
 		if pHi.Reason == "" || pLo.Reason == "" {
-			t.Fatalf("sizes %+v, budgets %d and %d: a plan without a reason", sz, hi, lo)
+			t.Fatalf("raw key %d B, budgets %d and %d: a plan without a reason", raw, hi, lo)
 		}
 	}
 }
 
+// csrAndWitness is what a circuit's CSR section file and one full wire
+// assignment take: a budget between it and the raw key must still plan
+// out-of-core, the key never streaming beside a resident CSR and witness.
+func csrAndWitness(sys *r1cs.CompiledSystem) int64 {
+	return r1cs.CSRRawSizeBytes(sys) + int64(sys.NbWires)*int64(8*fr.Limbs)
+}
+
 // The cubicSystem(5) circuit under an engine seeded with 41: the SHA-256
 // of the <digest>.pk file it writes, and the compressed A and K points of
-// the first proof, with witness cubicWitness(5, 3), in every tier.
+// the first proof, with witness cubicWitness(5, 3), in both residencies.
 const (
 	pinnedPK  = "1eb7bde07dfa542f7a4b7ba53aae78e357cfcc6491b6104231023394013b52db"
 	pinnedAr  = "d23e027e76e06ccb6092b04054caade3228c9a245e0433a3e50f97f70f3dbeee"
 	pinnedKrs = "82003175239f6456f3aa0f4d92dda25bd7b1665ce5b495026f64c3009c7ec1ee"
 )
 
-// TestResidencyTiers runs the engine in every tier — the middle one
-// included, which budgets 0 and 1 never reach — on one circuit, with one
-// budget per tier computed from the circuit's own sizes. Each tier must
-// prove as planned, count as planned, keep on disk what its plan says,
-// serve a digest-only repeat and a restart, and — same seeds — produce
-// the other tiers' proof bytes and key files, which are the pinned ones.
+// TestResidencyTiers runs the engine in both residencies on one circuit,
+// with budgets computed from the circuit's own sizes: the raw key itself
+// (resident), and CSR + witness, which lies below the raw key and so
+// proves out-of-core. Each must prove as planned, count as planned, keep
+// on disk what its plan says, serve a digest-only repeat and a restart,
+// and — same seeds — produce the other's proof bytes and key files,
+// which are the pinned ones.
 func TestResidencyTiers(t *testing.T) {
 	sys := cubicSystem(5)
-	sz := measure(sys)
+	raw, rest := rawKeySize(sys), csrAndWitness(sys)
 	asg := inputsOf(cubicWitness(5, 3))
 	asg7 := inputsOf(cubicWitness(5, 7))
 
 	// SHA-256 of <digest>.pk, .vk and .csr as written by an engine seeded
-	// with 41 under MemoryBudget 1: .vk and .csr as at 725543a, .pk the
-	// same key in the raw key's version-2 encoding.
+	// with 41 (the .csr out-of-core only): .vk and .csr as at 725543a, .pk
+	// the same key in the raw key's version-2 encoding.
 	pinned := map[string]string{
 		".pk":  pinnedPK,
 		".vk":  "8522f962d0d421dc85050889ed8fc574ab68021125d6fd013e0fa298f76bdf43",
@@ -110,9 +118,8 @@ func TestResidencyTiers(t *testing.T) {
 		want   Residency
 		budget int64
 	}{
-		{Resident, sz.rawKey},
-		{KeyStreamed, sz.csr + sz.witness},
-		{OutOfCore, sz.csr + sz.witness - 1},
+		{Resident, raw},
+		{OutOfCore, rest},
 	} {
 		dir := t.TempDir()
 		opts := Options{CacheDir: dir, MemoryBudget: tc.budget, Rand: rand.New(rand.NewSource(41))}
@@ -174,15 +181,12 @@ func TestResidencyTiers(t *testing.T) {
 		if err := e.Verify(r1.Keys.VK, r2.Proof, r2.PublicInputs); err != nil {
 			t.Fatalf("%s: digest-only proof rejected: %v", tc.want, err)
 		}
-		stream, spill := uint64(0), uint64(0)
-		if tc.want >= KeyStreamed {
-			stream = 2
-		}
+		spilled := uint64(0)
 		if tc.want == OutOfCore {
-			spill = 2
+			spilled = 2
 		}
-		if st := e.Stats(); st.Setups != 1 || st.Proves != 2 || st.StreamProves != stream || st.SpillProves != spill {
-			t.Errorf("%s: stats %+v, want 1 setup, 2 proves, %d streamed, %d spilled", tc.want, st, stream, spill)
+		if st := e.Stats(); st.Setups != 1 || st.Proves != 2 || st.StreamProves != spilled || st.SpillProves != spilled {
+			t.Errorf("%s: stats %+v, want 1 setup, 2 proves, %d streamed and spilled", tc.want, st, spilled)
 		}
 
 		// A restart on the directory is a disk hit planned the same way.

@@ -235,7 +235,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 
 	// The cache must hold a solver-only circuit copy, and a digest-only
 	// request must still solve and prove through the spill files.
-	if cs, ok := e1.Circuit(r1.Digest); !ok || !cs.Stripped() {
+	if cs, ok := e1.cache.circuit(r1.Digest); !ok || !cs.Stripped() {
 		t.Fatalf("cached circuit not stripped (ok=%v)", ok)
 	}
 	asg7 := inputsOf(cubicWitness(5, 7))

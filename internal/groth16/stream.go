@@ -295,24 +295,21 @@ const streamRowBlock = 1 << 13
 var rowWindowPool sync.Pool
 
 // prepWitness leaves the shared decomposition nil: the streamed MSMs
-// recode each chunk's scalars on the fly, so digit memory stays bounded
-// by the chunk size instead of scaling with the wire count. A spilled
-// witness streams through the scalar-source path below.
+// read each chunk's scalars through the witness source and recode them on
+// the fly, so digit memory stays bounded by the chunk size instead of
+// scaling with the wire count.
 func (pk *StreamedProvingKey) prepWitness(w *witnessSrc) witnessExp {
 	return witnessExp{src: w}
 }
 
 // streamG1 runs one G1 query section through the chunked MSM with lazy
-// per-chunk scalar recoding, streaming the scalars from the spill file
-// when the witness is not resident. off is the first wire the section
-// covers (NbPublic for the K query, 0 otherwise); n is the section's
-// scalar count; sc is the prove's scope, name the section's span name.
+// per-chunk scalar recoding, the scalars streamed from the witness
+// source. off is the first wire the section covers (NbPublic for the K
+// query, 0 otherwise); n is the section's scalar count; sc is the
+// prove's scope, name the section's span name.
 func (pk *StreamedProvingKey) streamG1(sec rawSection, w witnessExp, off, n int, sc obs.Scope, name string) (curve.G1Jac, error) {
 	c := curve.StreamWindowSize(n, pk.chunkSize())
 	src := curve.NewG1RawSource(pk.r, sec.off)
-	if w.src.mem != nil {
-		return curve.MultiExpG1StreamScalars(src, w.src.mem[off:off+n], c, pk.chunkSize(), sc.Sub(name))
-	}
 	return curve.MultiExpG1StreamScalarSource(src, w.src.source(off, sc), n, c, pk.chunkSize(), sc.Sub(name))
 }
 
@@ -328,9 +325,6 @@ func (pk *StreamedProvingKey) expB2(w witnessExp, sc obs.Scope) (curve.G2Jac, er
 	n := w.src.len()
 	c := curve.StreamWindowSize(n, pk.chunkSize())
 	src := curve.NewG2RawSource(pk.r, pk.secB2.off)
-	if w.src.mem != nil {
-		return curve.MultiExpG2StreamScalars(src, w.src.mem, c, pk.chunkSize(), sc.Sub("stream/B2"))
-	}
 	return curve.MultiExpG2StreamScalarSource(src, w.src.source(0, sc), n, c, pk.chunkSize(), sc.Sub("stream/B2"))
 }
 

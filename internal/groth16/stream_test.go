@@ -495,7 +495,8 @@ func FuzzStreamedProvingKey(f *testing.F) {
 			}
 		}
 		k := scalars(spk.secB2.n)
-		got, err := curve.MultiExpG2StreamScalars(curve.NewG2RawSource(spk.r, spk.secB2.off), k, curve.StreamWindowSize(spk.secB2.n, spk.Chunk), spk.Chunk)
+		w := &witnessSrc{mem: k}
+		got, err := curve.MultiExpG2StreamScalarSource(curve.NewG2RawSource(spk.r, spk.secB2.off), w.source(0, obs.Scope{}), len(k), curve.StreamWindowSize(spk.secB2.n, spk.Chunk), spk.Chunk)
 		if loadErr == nil {
 			if want := curve.MultiExpG2(pk.B2, k); err != nil || !got.Equal(&want) {
 				t.Fatalf("B2 loads but streams to %v (error %v)", got, err)

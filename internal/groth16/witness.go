@@ -39,12 +39,17 @@ func (w *witnessSrc) at(i uint32) fr.Element {
 	return w.file.Get(i)
 }
 
-// source adapts the spilled wires [off, len) to a curve.ScalarSource,
-// recording one "witness/stream" span per chunk read under sc, the
-// prove's scope. (A resident witness is handed to the MSM as a slice.)
+// source adapts the wires [off, len) to a curve.ScalarSource, the one
+// way a streamed key reads wire scalars, recording one "witness/stream"
+// span per chunk read under sc, the prove's scope. A resident witness —
+// handed to a streamed key only by tests — is copied chunk by chunk.
 func (w *witnessSrc) source(off int, sc obs.Scope) curve.ScalarSource {
 	sc = sc.Sub("witness/stream")
 	return func(dst []fr.Element, start int) error {
+		if w.mem != nil {
+			copy(dst, w.mem[off+start:])
+			return nil
+		}
 		sp := sc.Span()
 		err := w.file.ReadRange(dst, off+start)
 		sp.End()

@@ -151,31 +151,43 @@ func (p *Program) evalLC(off, end uint32, w []fr.Element) fr.Element {
 
 // exec evaluates one instruction against the (partially solved) witness.
 func (p *Program) exec(in *Instr, w []fr.Element) {
-	a := p.evalLC(in.AOff, in.AEnd, w)
+	in.apply(func(off, end uint32) fr.Element { return p.evalLC(off, end, w) },
+		func(wire uint32, v fr.Element) { w[wire] = v })
+}
+
+// apply is the one definition of the opcodes, whatever store holds the
+// witness: eval evaluates one of the instruction's linear combinations
+// (a span of the term pools) against the store, and put writes one
+// output wire to it. B is evaluated for OpMul only.
+func (in *Instr) apply(eval func(off, end uint32) fr.Element, put func(wire uint32, v fr.Element)) {
+	a := eval(in.AOff, in.AEnd)
+	var v fr.Element
 	switch in.Op {
 	case OpLC:
-		w[in.Out] = a
+		v = a
 	case OpMul:
-		b := p.evalLC(in.BOff, in.BEnd, w)
-		w[in.Out].Mul(&a, &b)
+		b := eval(in.BOff, in.BEnd)
+		v.Mul(&a, &b)
 	case OpInv:
-		w[in.Out].Inverse(&a)
+		v.Inverse(&a)
 	case OpIsZero:
 		if a.IsZero() {
-			w[in.Out].SetOne()
-		} else {
-			w[in.Out] = fr.Element{}
+			v.SetOne()
 		}
 	case OpBits:
-		v := a.ToBigInt()
+		bits := a.ToBigInt()
+		var one fr.Element
+		one.SetOne()
 		for i := uint32(0); i < in.NOut; i++ {
-			if v.Bit(int(i)) == 1 {
-				w[in.Out+i].SetOne()
+			if bits.Bit(int(i)) == 1 {
+				put(in.Out+i, one)
 			} else {
-				w[in.Out+i] = fr.Element{}
+				put(in.Out+i, fr.Element{})
 			}
 		}
+		return
 	}
+	put(in.Out, v)
 }
 
 // Assignment binds concrete values to a compiled system's declared

@@ -201,41 +201,11 @@ func (p *Program) evalLCSpilled(off, end uint32, wf *WitnessFile) fr.Element {
 	return acc
 }
 
-// execSpilled is exec against a spilled witness. The arithmetic is
-// identical instruction for instruction, so the solved bits match
-// Solve exactly.
+// execSpilled is exec against a spilled witness: the same Instr.apply
+// over the page cache, so the solved bits match Solve exactly.
 func (p *Program) execSpilled(in *Instr, wf *WitnessFile) {
-	a := p.evalLCSpilled(in.AOff, in.AEnd, wf)
-	switch in.Op {
-	case OpLC:
-		wf.Set(in.Out, &a)
-	case OpMul:
-		b := p.evalLCSpilled(in.BOff, in.BEnd, wf)
-		var v fr.Element
-		v.Mul(&a, &b)
-		wf.Set(in.Out, &v)
-	case OpInv:
-		var v fr.Element
-		v.Inverse(&a)
-		wf.Set(in.Out, &v)
-	case OpIsZero:
-		var v fr.Element
-		if a.IsZero() {
-			v.SetOne()
-		}
-		wf.Set(in.Out, &v)
-	case OpBits:
-		v := a.ToBigInt()
-		var one, zero fr.Element
-		one.SetOne()
-		for i := uint32(0); i < in.NOut; i++ {
-			if v.Bit(int(i)) == 1 {
-				wf.Set(in.Out+i, &one)
-			} else {
-				wf.Set(in.Out+i, &zero)
-			}
-		}
-	}
+	in.apply(func(off, end uint32) fr.Element { return p.evalLCSpilled(off, end, wf) },
+		func(wire uint32, v fr.Element) { wf.Set(wire, &v) })
 }
 
 // SolveSpilled replays the solver program against a spilled witness

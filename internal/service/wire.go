@@ -147,8 +147,8 @@ type JobStatus struct {
 	// recompile).
 	SolveMS float64 `json:"solve_ms,omitempty"`
 	ProveMS float64 `json:"prove_ms,omitempty"`
-	// Residency is the tier the engine's plan proved this job in:
-	// "resident", "key-streamed" or "out-of-core" (set once done).
+	// Residency is where the engine's plan proved this job: "resident"
+	// or "out-of-core" (set once done).
 	Residency string `json:"residency,omitempty"`
 	// Claims holds the per-slot ownership verdicts decoded from the
 	// instance (the trailing bundle_slots public inputs), in slot order.
