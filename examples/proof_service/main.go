@@ -9,7 +9,7 @@
 //     and registers the ownership circuit — the service compiles
 //     Algorithm 1 and runs trusted setup once.
 //  2. The owner submits async proof jobs; they fan into the engine's
-//     worker pool and every one hits the registration's key cache.
+//     prove pool and every one hits the registration's key cache.
 //  3. Third-party verifiers check the proof over the wire, many more at
 //     once than the service has cores — the ones that find every
 //     verifier busy queue, and each verifier that frees up checks all

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zkrownn/internal/engine"
+	"zkrownn/internal/groth16"
 	"zkrownn/internal/nn"
 	"zkrownn/internal/watermark"
 )
@@ -77,10 +78,10 @@ func TestForgeKeyChosenAfterTheModel(t *testing.T) {
 		if err != nil || !claims[0] {
 			t.Fatalf("committed=%v: the forgery is not a claim-1 proof for its own key (claims %v, err %v)", spec.Committed, claims, err)
 		}
-		if err := eng.Verify(res.Keys.VK, res.Proof, res.PublicInputs); err != nil {
+		if err := groth16.Verify(res.Keys.VK, res.Proof, res.PublicInputs); err != nil {
 			t.Fatalf("committed=%v: the forgery does not verify under its own VK: %v", spec.Committed, err)
 		}
-		if err := eng.Verify(ownerKeys.VK, res.Proof, res.PublicInputs); err == nil {
+		if err := groth16.Verify(ownerKeys.VK, res.Proof, res.PublicInputs); err == nil {
 			t.Fatalf("committed=%v: a key chosen after the model proves ownership under the owner's VK", spec.Committed)
 		}
 		eng.Close()
@@ -115,10 +116,10 @@ func TestForgeAnotherKeysVK(t *testing.T) {
 	if claims, err := spec.Verdict(res.PublicInputs, nil); err != nil || !claims[0] {
 		t.Fatalf("owner's proof on the watermarked model: claims %v, err %v", claims, err)
 	}
-	if err := eng.Verify(res.Keys.VK, res.Proof, res.PublicInputs); err != nil {
+	if err := groth16.Verify(res.Keys.VK, res.Proof, res.PublicInputs); err != nil {
 		t.Fatalf("owner's proof rejected under the owner's VK: %v", err)
 	}
-	if err := eng.Verify(otherKeys.VK, res.Proof, res.PublicInputs); err == nil {
+	if err := groth16.Verify(otherKeys.VK, res.Proof, res.PublicInputs); err == nil {
 		t.Fatal("owner's proof verifies under another key's VK")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/engine"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/obs"
@@ -153,9 +154,8 @@ func RunPipelineWith(eng *engine.Engine, art *Artifact, rng io.Reader, tr *obs.T
 	pl.Metrics.ProofSize = res.Proof.PayloadSize()
 	pl.Metrics.Residency = res.Keys.Plan.Residency
 
-	public := res.PublicInputs
 	start := time.Now()
-	if err := eng.VerifyCtx(ctx, pl.VK, pl.Proof, public); err != nil {
+	if err := eng.Verify(ctx, pl.VK, []*groth16.Proof{pl.Proof}, [][]fr.Element{res.PublicInputs}); err != nil {
 		return nil, fmt.Errorf("core: verify: %w", err)
 	}
 	pl.Metrics.VerifyTime = time.Since(start)

@@ -50,7 +50,7 @@ func (e *Engine) aggregationSRS(n int) (*ipp.SRS, error) {
 // AggregateMany folds the proofs into one aggregation artifact and
 // self-checks it before returning, so a non-nil artifact is always a
 // verifying one: an invalid member proof surfaces here as an error, the
-// same contract as VerifyMany. The returned verifier key is the SRS
+// same contract as Verify. The returned verifier key is the SRS
 // share the artifact must be checked against downstream.
 func (e *Engine) AggregateMany(vk *groth16.VerifyingKey, proofs []*groth16.Proof, publicInputs [][]fr.Element) (*groth16.AggregateProof, *ipp.VerifierKey, error) {
 	if err := e.acquire(); err != nil {

@@ -32,13 +32,6 @@ type KeyPair struct {
 // key pairs, bounded by entry count (proving keys run to tens of MB at
 // paper scale). The disk tier — Engine.loadKeys and Engine.setup below —
 // is what survives a restart.
-//
-// Each entry also retains the compiled constraint system the keys were
-// set up for: key and circuit share a lifetime (both are functions of
-// the digest), so solve-many callers can address the circuit by digest
-// without re-sending the CSR matrices. The circuit is memory-only — the
-// disk tier persists keys, and a disk hit re-attaches whatever compiled
-// system the triggering request carried.
 type keyCache struct {
 	mu      sync.Mutex
 	maxSize int
@@ -49,7 +42,6 @@ type keyCache struct {
 type cacheEntry struct {
 	digest string
 	keys   *KeyPair
-	cs     *r1cs.CompiledSystem
 }
 
 func newKeyCache(maxSize int) *keyCache {
@@ -60,51 +52,28 @@ func newKeyCache(maxSize int) *keyCache {
 	}
 }
 
-// get returns the key pair for a digest, attaching cs (when non-nil) to
-// the entry so later digest-only requests can find the circuit.
-func (c *keyCache) get(digest string, cs *r1cs.CompiledSystem) (*KeyPair, bool) {
+// get returns the key pair for a digest.
+func (c *keyCache) get(digest string) (*KeyPair, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[digest]; ok {
 		c.order.MoveToFront(el)
-		entry := el.Value.(*cacheEntry)
-		if entry.cs == nil {
-			entry.cs = cs
-		}
-		return entry.keys, true
-	}
-	return nil, false
-}
-
-// circuit returns the compiled system cached beside the keys for a
-// digest, without disturbing the LRU order more than a lookup must.
-func (c *keyCache) circuit(digest string) (*r1cs.CompiledSystem, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[digest]; ok {
-		c.order.MoveToFront(el)
-		if cs := el.Value.(*cacheEntry).cs; cs != nil {
-			return cs, true
-		}
+		return el.Value.(*cacheEntry).keys, true
 	}
 	return nil, false
 }
 
 // put stores (or refreshes) the entry for a digest, evicting the least
 // recently used one past the bound.
-func (c *keyCache) put(digest string, keys *KeyPair, cs *r1cs.CompiledSystem) {
+func (c *keyCache) put(digest string, keys *KeyPair) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[digest]; ok {
 		c.order.MoveToFront(el)
-		entry := el.Value.(*cacheEntry)
-		entry.keys = keys
-		if cs != nil {
-			entry.cs = cs
-		}
+		el.Value.(*cacheEntry).keys = keys
 		return
 	}
-	el := c.order.PushFront(&cacheEntry{digest: digest, keys: keys, cs: cs})
+	el := c.order.PushFront(&cacheEntry{digest: digest, keys: keys})
 	c.entries[digest] = el
 	for c.maxSize > 0 && c.order.Len() > c.maxSize {
 		oldest := c.order.Back()

@@ -9,22 +9,21 @@
 // weights — share one setup. Keys live in a bounded in-memory LRU with
 // an optional on-disk tier (the raw proving-key encoding and the
 // compressed verifying key, each under diskfile's integrity frame), so
-// a restarted service skips every setup it has ever run; the compiled
-// system itself is cached beside the keys, so solve-many requests may
-// name the circuit by digest instead of re-sending it. Concurrent
+// a restarted service skips every setup it has ever run. Concurrent
 // requests for the same digest are deduplicated: one goroutine runs
 // setup, the rest wait for it.
 //
-// Requests carry input assignments rather than full witnesses by
-// default: the engine replays the circuit's recorded solver program
-// (CompiledSystem.Solve) per job — the compile-once / solve-many split
-// that keeps multi-million-constraint circuits from being rebuilt on
-// every proof.
+// Requests carry the compiled system and input assignments rather than
+// full witnesses: the engine replays the circuit's recorded solver
+// program (CompiledSystem.Solve) per job — the compile-once /
+// solve-many split that keeps multi-million-constraint circuits from
+// being rebuilt on every proof.
 //
-// ProveMany fans requests across a worker pool; VerifyMany folds many
-// proofs under one verifying key into a single batched pairing product.
-// Every stage is metered (Stats) so operators can see cache hit rates
-// and where wall-clock time goes.
+// Each operation is one call, safe to make from many goroutines at
+// once: Prove runs one job, Verify checks one or more proofs under one
+// verifying key in a single pairing product, AggregateMany folds a set
+// into one artifact. Every stage is metered (Stats) so operators can see
+// cache hit rates and where wall-clock time goes.
 package engine
 
 import (
@@ -47,7 +46,7 @@ import (
 )
 
 // Options configures an Engine. The zero value is usable: a small
-// memory-only cache and one prover worker per core.
+// memory-only cache and Workers at GOMAXPROCS.
 type Options struct {
 	// CacheEntries bounds the in-memory key cache (default 16; a
 	// negative value means unbounded).
@@ -57,11 +56,15 @@ type Options struct {
 	// 0700: an extraction circuit carries its watermark key in its
 	// coefficients, so the spilled .csr is key material like the .pk.
 	CacheDir string
-	// Workers sizes the ProveMany pool (default GOMAXPROCS).
+	// Workers is how many proves a caller should run at once (default
+	// GOMAXPROCS); the engine only reports it (Workers), for front-ends
+	// that size their own job queues.
 	Workers int
-	// Rand supplies setup and prover randomness (default crypto/rand).
-	// It must be safe for concurrent use; the engine serializes setup
-	// internally but proves concurrently.
+	// Rand supplies setup and prover randomness only (default
+	// crypto/rand): verifier challenges always come from crypto/rand, so
+	// a seeded Rand never hands them to a prover. It must be safe for
+	// concurrent use; the engine serializes setup internally but proves
+	// concurrently.
 	Rand io.Reader
 	// MemoryBudget, when > 0, selects each circuit's residency
 	// (planResidency: the one place it is read): a circuit whose raw
@@ -74,11 +77,10 @@ type Options struct {
 	MemoryBudget int64
 }
 
-// Request is one proving job. The compile-once / solve-many shape is
-// the default: carry the compiled system (or the digest of one the
-// engine has already seen) plus the per-proof input assignment, and the
-// engine replays the circuit's solver program to rebuild the witness.
-// Callers that already hold a full witness may pass it instead.
+// Request is one proving job in the compile-once / solve-many shape:
+// the compiled system plus the per-proof input assignment, from which
+// the engine replays the circuit's solver program to rebuild the
+// witness.
 type Request struct {
 	Name string
 	// Ctx, when non-nil, carries request-scoped telemetry: a trace
@@ -86,13 +88,8 @@ type Request struct {
 	// whole setup → solve → prove pipeline. The engine does not honor
 	// cancellation — proofs run to completion once started.
 	Ctx context.Context
-	// System is the compiled circuit. It may be nil when Digest names a
-	// circuit the engine has cached from an earlier request.
+	// System is the compiled circuit; a request without one is an error.
 	System *r1cs.CompiledSystem
-	// Digest optionally identifies a cached circuit (hex, as returned in
-	// Result.Digest) so solve-many callers don't re-send the system.
-	// Ignored when System is set.
-	Digest string
 	// Public and Secret bind the circuit's declared inputs, in
 	// declaration order (r1cs.Assignment halves); the engine solves the
 	// witness from them (Result.SolveTime reports the cost).
@@ -126,9 +123,6 @@ type Result struct {
 	// are still cached in memory and fully usable; it is surfaced so
 	// callers don't promise on-disk keys that don't exist.
 	PersistErr error
-	// Err is set instead of returned so ProveMany can report per-request
-	// failures without abandoning the rest of the batch.
-	Err error
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -218,9 +212,8 @@ func New(opts Options) *Engine {
 	}
 }
 
-// Workers reports how many requests ProveMany proves at once
-// (Options.Workers, defaulted): the size a caller running its own prove
-// loop should match.
+// Workers reports Options.Workers, defaulted: how many Prove calls a
+// caller running its own job queue should keep in flight.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
 // acquire registers one unit of in-flight work against Close. It fails
@@ -373,9 +366,7 @@ func (e *Engine) existingKeyDir(r Residency) string {
 // Keys returns the Groth16 key pair for a compiled system, running the
 // trusted setup only when no cache tier holds the digest. The bool
 // reports whether setup was skipped. Concurrent callers with the same
-// digest share one setup execution. The compiled system is retained
-// beside the keys (same LRU entry), so later requests may reference it
-// by digest alone.
+// digest share one setup execution.
 func (e *Engine) Keys(sys *r1cs.CompiledSystem, rng io.Reader) (*KeyPair, bool, error) {
 	if err := e.acquire(); err != nil {
 		return nil, false, err
@@ -385,19 +376,19 @@ func (e *Engine) Keys(sys *r1cs.CompiledSystem, rng io.Reader) (*KeyPair, bool, 
 	return keys, hit, err
 }
 
-// DropMemoryCache empties the in-memory key/circuit cache; the disk
-// tier is untouched, so later requests for a persisted digest pay a
-// disk load (or, for streamed keys, a cheap re-index of the spilled
-// file) instead of a re-setup. For operators this is the response to
-// memory pressure; benchmarks use it so one circuit's measurement
-// doesn't retain another's compiled system.
+// DropMemoryCache empties the in-memory key cache; the disk tier is
+// untouched, so later requests for a persisted digest pay a disk load
+// (or, for streamed keys, a cheap re-index of the spilled file) instead
+// of a re-setup. For operators this is the response to memory pressure;
+// benchmarks use it so one circuit's measurement doesn't retain
+// another's keys.
 func (e *Engine) DropMemoryCache() {
 	e.cache.clear()
 }
 
 func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (keys *KeyPair, hit bool, digest string, persistErr error, err error) {
 	digest = sys.DigestHex()
-	if keys, ok := e.cache.get(digest, sys); ok {
+	if keys, ok := e.cache.get(digest); ok {
 		e.m.keycacheMemHits.Inc()
 		return keys, true, digest, nil, nil
 	}
@@ -417,7 +408,7 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 	// Re-check the memory tier under inflightMu: another goroutine may
 	// have finished setup and deregistered between our miss above and
 	// taking the lock — without this, that window runs a redundant setup.
-	if keys, ok := e.cache.get(digest, sys); ok {
+	if keys, ok := e.cache.get(digest); ok {
 		e.inflightMu.Unlock()
 		e.m.keycacheMemHits.Inc()
 		return keys, true, digest, nil, nil
@@ -479,62 +470,42 @@ func (e *Engine) keys(sys *r1cs.CompiledSystem, rng io.Reader, tr *obs.Trace) (k
 		}
 		observeSeconds(e.m.setupSeconds, elapsed)
 	}
-	// Out-of-core the CSR arrays live in the section file, so the cache
-	// keeps only the solver program and input layout beside the keys.
-	cached := sys
-	if plan.Residency == OutOfCore && !sys.Stripped() {
-		cached = sys.StripForSolve()
-	}
-	e.cache.put(digest, call.keys, cached)
+	e.cache.put(digest, call.keys)
 	return call.keys, hit, digest, call.persistErr, nil
 }
 
-// Prove runs one job end-to-end: keys from the cache (or a fresh setup)
-// and then the Groth16 prover. The returned Result always has Err nil —
-// errors are returned — but shares its layout with ProveMany results.
+// Prove runs one job end-to-end: keys from the cache (or a fresh setup),
+// the witness from the solver program, then the Groth16 prover.
 func (e *Engine) Prove(req Request) (*Result, error) {
 	if err := e.acquire(); err != nil {
 		return nil, err
 	}
 	defer e.release()
-	res := e.prove(req)
-	if res.Err != nil {
-		return nil, res.Err
+	res, err := e.prove(req)
+	if err != nil {
+		e.m.proveErrors.Inc()
+		return nil, err
 	}
 	return res, nil
 }
 
-func (e *Engine) prove(req Request) *Result {
-	res := &Result{Name: req.Name}
-	tr := obs.TraceFrom(req.Ctx)
+func (e *Engine) prove(req Request) (*Result, error) {
 	sys := req.System
 	if sys == nil {
-		if req.Digest == "" {
-			res.Err = errors.New("engine: request has no constraint system")
-			return res
-		}
-		cached, ok := e.cache.circuit(req.Digest)
-		if !ok {
-			res.Err = fmt.Errorf("engine: no cached circuit for digest %s (resend the compiled system)", req.Digest)
-			return res
-		}
-		sys = cached
+		return nil, errors.New("engine: request has no constraint system")
 	}
+	res := &Result{Name: req.Name}
+	tr := obs.TraceFrom(req.Ctx)
 
 	sp := tr.Span("engine/keys")
 	start := time.Now()
 	keys, hit, digest, persistErr, err := e.keys(sys, req.Rand, tr)
 	res.SetupTime = time.Since(start)
 	sp.End()
-	res.Digest = digest
-	res.CacheHit = hit
-	res.PersistErr = persistErr
 	if err != nil {
-		e.m.proveErrors.Inc()
-		res.Err = fmt.Errorf("engine: setup: %w", err)
-		return res
+		return nil, fmt.Errorf("engine: setup: %w", err)
 	}
-	res.Keys = keys
+	res.Digest, res.CacheHit, res.PersistErr, res.Keys = digest, hit, persistErr, keys
 
 	// Out-of-core the witness is solved straight into a disk-backed
 	// tape, and the prover reads wires back through the same file.
@@ -542,14 +513,12 @@ func (e *Engine) prove(req Request) *Result {
 	var witness []fr.Element
 	var wf *r1cs.WitnessFile
 	if plan.Residency == OutOfCore {
-		dir, derr := e.keyDir()
-		if derr == nil {
-			wf, derr = r1cs.NewWitnessFile(dir, sys.NbWires, plan.WitnessPageBytes)
+		dir, err := e.keyDir()
+		if err == nil {
+			wf, err = r1cs.NewWitnessFile(dir, sys.NbWires, plan.WitnessPageBytes)
 		}
-		if derr != nil {
-			e.m.proveErrors.Inc()
-			res.Err = fmt.Errorf("engine: witness spill store: %w", derr)
-			return res
+		if err != nil {
+			return nil, fmt.Errorf("engine: witness spill store: %w", err)
 		}
 		defer wf.Close()
 	}
@@ -563,23 +532,14 @@ func (e *Engine) prove(req Request) *Result {
 	res.SolveTime = time.Since(start)
 	sp.End()
 	if err != nil {
-		e.m.proveErrors.Inc()
-		res.Err = fmt.Errorf("engine: solve: %w", err)
-		return res
+		return nil, fmt.Errorf("engine: solve: %w", err)
 	}
 	observeSeconds(e.m.solveSeconds, res.SolveTime)
 	if wf != nil {
 		// Only the instance comes back resident: public wires [1, NbPublic).
-		if n := sys.NbPublic - 1; n > 0 {
-			pub := make([]fr.Element, n)
-			if err := wf.ReadRange(pub, 1); err != nil {
-				e.m.proveErrors.Inc()
-				res.Err = fmt.Errorf("engine: read spilled public inputs: %w", err)
-				return res
-			}
-			res.PublicInputs = pub
-		} else {
-			res.PublicInputs = []fr.Element{}
+		res.PublicInputs = make([]fr.Element, sys.NbPublic-1)
+		if err := wf.ReadRange(res.PublicInputs, 1); err != nil {
+			return nil, fmt.Errorf("engine: read spilled public inputs: %w", err)
 		}
 	} else {
 		res.PublicInputs = sys.PublicValues(witness)
@@ -596,18 +556,15 @@ func (e *Engine) prove(req Request) *Result {
 	}
 	// One prover whatever the residency: the key and the constraints are
 	// the plan's, the witness is paged or not.
-	var proof *groth16.Proof
 	if wf != nil {
-		proof, err = groth16.ProveSpilled(keys.cons, keys.PK, wf, e.requestRand(req.Rand), tr.Scope(""))
+		res.Proof, err = groth16.ProveSpilled(keys.cons, keys.PK, wf, e.requestRand(req.Rand), tr.Scope(""))
 	} else {
-		proof, err = groth16.Prove(keys.cons, keys.PK, witness, e.requestRand(req.Rand), tr.Scope(""))
+		res.Proof, err = groth16.Prove(keys.cons, keys.PK, witness, e.requestRand(req.Rand), tr.Scope(""))
 	}
 	res.ProveTime = time.Since(start)
 	sp.End()
 	if err != nil {
-		e.m.proveErrors.Inc()
-		res.Err = fmt.Errorf("engine: prove: %w", err)
-		return res
+		return nil, fmt.Errorf("engine: prove: %w", err)
 	}
 	e.m.proves.Inc()
 	if plan.Residency == OutOfCore {
@@ -615,97 +572,21 @@ func (e *Engine) prove(req Request) *Result {
 		e.m.spillProves.Inc()
 	}
 	observeSeconds(e.m.proveSeconds, res.ProveTime)
-	res.Proof = proof
-	return res
+	return res, nil
 }
 
-// ProveMany runs the requests on the engine's worker pool and returns
-// one Result per request, order-preserving. Requests sharing a circuit
-// digest trigger a single trusted setup no matter how the pool
-// interleaves them. Failed requests — a panicking prove included — carry
-// their error in Result.Err; the rest of the batch completes.
-func (e *Engine) ProveMany(reqs []Request) []*Result {
-	results := make([]*Result, len(reqs))
-	if err := e.acquire(); err != nil {
-		for i := range reqs {
-			results[i] = &Result{Name: reqs[i].Name, Err: err}
-		}
-		return results
-	}
-	defer e.release()
-	workers := e.opts.Workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i := range reqs {
-			results[i] = e.proveIsolated(reqs[i])
-		}
-		return results
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = e.proveIsolated(reqs[i])
-			}
-		}()
-	}
-	for i := range reqs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
-}
-
-// proveIsolated is prove for ProveMany's goroutines, which nobody else
-// recovers for: a panic — how any par worker failure inside the prover
-// arrives, as a *par.Panic that prints the worker's stack — fails that
-// request, with this goroutine's stack in the error too, instead of
-// taking the process and the rest of the batch with it.
-func (e *Engine) proveIsolated(req Request) (res *Result) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.m.proveErrors.Inc()
-			res = &Result{Name: req.Name, Err: fmt.Errorf("engine: prove panicked: %v\n\n%s", p, debug.Stack())}
-		}
-	}()
-	return e.prove(req)
-}
-
-// Verify checks one proof against its public inputs.
-func (e *Engine) Verify(vk *groth16.VerifyingKey, proof *groth16.Proof, public []fr.Element) error {
-	return e.VerifyCtx(nil, vk, proof, public)
-}
-
-// VerifyCtx is Verify honoring request-scoped telemetry: a trace on ctx
-// (obs.ContextWithTrace) receives the verifier's MSM and pairing spans.
-func (e *Engine) VerifyCtx(ctx context.Context, vk *groth16.VerifyingKey, proof *groth16.Proof, public []fr.Element) error {
+// Verify checks one or more proofs under one verifying key in a single
+// pairing product (groth16.BatchVerify); one proof is the plain check.
+// The batch challenges come from crypto/rand, never from Options.Rand. A
+// trace on ctx (obs.ContextWithTrace) receives the verifier's spans; a
+// nil ctx runs untraced.
+func (e *Engine) Verify(ctx context.Context, vk *groth16.VerifyingKey, proofs []*groth16.Proof, publicInputs [][]fr.Element) error {
 	if err := e.acquire(); err != nil {
 		return err
 	}
 	defer e.release()
 	start := time.Now()
-	err := groth16.Verify(vk, proof, public, obs.TraceFrom(ctx).Scope(""))
-	e.m.verifies.Inc()
-	observeSeconds(e.m.verifySeconds, time.Since(start))
-	return err
-}
-
-// VerifyMany checks many proofs under one verifying key with a single
-// combined pairing product (groth16.BatchVerify) — the verifier-side
-// analogue of ProveMany.
-func (e *Engine) VerifyMany(vk *groth16.VerifyingKey, proofs []*groth16.Proof, publicInputs [][]fr.Element) error {
-	if err := e.acquire(); err != nil {
-		return err
-	}
-	defer e.release()
-	start := time.Now()
-	err := groth16.BatchVerify(vk, proofs, publicInputs, e.requestRand(nil))
+	err := groth16.BatchVerify(vk, proofs, publicInputs, nil, obs.TraceFrom(ctx).Scope(""))
 	e.m.verifies.Add(uint64(len(proofs)))
 	observeSeconds(e.m.verifySeconds, time.Since(start))
 	return err
@@ -739,7 +620,7 @@ func (e *Engine) Metrics() *obs.Registry { return e.m.reg }
 // requestRand resolves the effective randomness source for one request.
 // User-supplied readers (deterministic test sources, typically
 // math/rand) are not concurrency-safe, and the same reader may back
-// several requests running on different pool workers, so all of them
+// several requests proving on different goroutines, so all of them
 // share one package-wide lock. crypto/rand — the production default —
 // bypasses it.
 func (e *Engine) requestRand(override io.Reader) io.Reader {

@@ -8,9 +8,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"zkrownn/internal/bn254/curve"
 	"zkrownn/internal/bn254/fr"
 	"zkrownn/internal/groth16"
 	"zkrownn/internal/obs"
@@ -46,6 +48,34 @@ func withInputs(req Request, w []fr.Element) Request {
 	return req
 }
 
+// verifyOne checks a single proof, untraced.
+func verifyOne(e *Engine, vk *groth16.VerifyingKey, proof *groth16.Proof, public []fr.Element) error {
+	return e.Verify(nil, vk, []*groth16.Proof{proof}, [][]fr.Element{public})
+}
+
+// proveConcurrently proves every request on its own goroutine, as a
+// front-end's job queue does, and returns the results in request order.
+func proveConcurrently(t *testing.T, e *Engine, reqs []Request) []*Result {
+	t.Helper()
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.Prove(reqs[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	return results
+}
+
 func TestProveCacheHitSkipsSetup(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(1))})
 	sys := cubicSystem(5)
@@ -57,7 +87,7 @@ func TestProveCacheHitSkipsSetup(t *testing.T) {
 	if r1.CacheHit {
 		t.Fatal("first prove must run setup")
 	}
-	if err := e.Verify(r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {
+	if err := verifyOne(e, r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {
 		t.Fatalf("first proof rejected: %v", err)
 	}
 
@@ -72,7 +102,7 @@ func TestProveCacheHitSkipsSetup(t *testing.T) {
 	if r2.SetupTime >= r1.SetupTime {
 		t.Fatalf("cache-hit SetupTime %v not cheaper than real setup %v", r2.SetupTime, r1.SetupTime)
 	}
-	if err := e.Verify(r2.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 7))); err != nil {
+	if err := verifyOne(e, r2.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 7))); err != nil {
 		t.Fatalf("cached-key proof rejected: %v", err)
 	}
 
@@ -127,7 +157,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 		t.Fatalf("stats = %+v, want 0 setups and 1 disk hit", st)
 	}
 	// Keys deserialized from disk must interoperate with the original VK.
-	if err := e2.Verify(r1.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 4))); err != nil {
+	if err := verifyOne(e2, r1.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 4))); err != nil {
 		t.Fatalf("proof from disk-cached keys rejected by original VK: %v", err)
 	}
 }
@@ -139,17 +169,13 @@ func TestConcurrentSetupDeduplicated(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, uint64(i+2)))
 	}
-	results := e.ProveMany(reqs)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("request %d: %v", i, r.Err)
-		}
-	}
+	proveConcurrently(t, e, reqs)
 	if got := e.Stats().Setups; got != 1 {
 		t.Fatalf("concurrent same-digest requests ran %d setups, want 1", got)
 	}
 }
 
+// TestVerifyMany checks several proofs in one Verify call.
 func TestVerifyMany(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(5)), Workers: 4})
 	const jobs = 3
@@ -160,22 +186,92 @@ func TestVerifyMany(t *testing.T) {
 		reqs[i] = withInputs(Request{System: cubicSystem(5)}, w)
 		publics[i] = publicOf(w)
 	}
-	results := e.ProveMany(reqs)
+	results := proveConcurrently(t, e, reqs)
 	vk := results[0].Keys.VK
 	proofs := make([]*groth16.Proof, jobs)
 	for i, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
 		proofs[i] = r.Proof
 	}
-	if err := e.VerifyMany(vk, proofs, publics); err != nil {
+	if err := e.Verify(nil, vk, proofs, publics); err != nil {
 		t.Fatalf("batch verification failed: %v", err)
+	}
+	if got := e.Stats().Verifies; got != jobs {
+		t.Fatalf("verifies = %d after one batch of %d", got, jobs)
 	}
 	// Tampered public input must fail the batch.
 	publics[1][0].SetUint64(12345)
-	if err := e.VerifyMany(vk, proofs, publics); err == nil {
+	if err := e.Verify(nil, vk, proofs, publics); err == nil {
 		t.Fatal("tampered batch accepted")
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestVerifyChallengesIgnoreOptionsRand: batch challenges never come
+// from Options.Rand. An embedder that seeds Rand for reproducible setups
+// would otherwise hand a prover the challenges r₀ = 1 and r₁, and with
+// them two invalid proofs that pass as one batch: C₀ + r₁·X and
+// C₁ − r₀·X cancel in Σ rᵢ·Cᵢ.
+func TestVerifyChallengesIgnoreOptionsRand(t *testing.T) {
+	const seed = 42
+	prover := New(Options{Rand: rand.New(rand.NewSource(43))})
+	var vk *groth16.VerifyingKey
+	var proofs []*groth16.Proof
+	var publics [][]fr.Element
+	for _, x := range []uint64{2, 3} {
+		r, err := prover.Prove(withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, x)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vk = r.Keys.VK
+		proofs = append(proofs, r.Proof)
+		publics = append(publics, r.PublicInputs)
+	}
+
+	// r₁ as a verifier reading the seeded stream would draw it: the
+	// first non-zero element, as groth16.BatchVerify draws.
+	replay := rand.New(rand.NewSource(seed))
+	var r1 fr.Element
+	for r1.IsZero() {
+		if _, err := r1.SetRandom(replay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := curve.G1Generator()
+	var c0, c1, r1x curve.G1Jac
+	r1x.ScalarMul(&x, &r1)
+	c0.FromAffine(&proofs[0].Krs).AddAssign(&r1x)
+	c1.FromAffine(&proofs[1].Krs).SubAssign(&x)
+	bad0, bad1 := *proofs[0], *proofs[1]
+	bad0.Krs.FromJacobian(&c0)
+	bad1.Krs.FromJacobian(&c1)
+	bad := []*groth16.Proof{&bad0, &bad1}
+	if err := groth16.BatchVerify(vk, bad, publics, rand.New(rand.NewSource(seed))); err != nil {
+		t.Fatalf("the crafted pair does not cancel under the seeded challenges: %v", err)
+	}
+
+	src := &countingReader{r: rand.New(rand.NewSource(seed))}
+	e := New(Options{Rand: src})
+	for i := range bad {
+		if err := verifyOne(e, vk, bad[i], publics[i]); err == nil {
+			t.Fatalf("crafted proof %d accepted on its own", i)
+		}
+	}
+	if err := e.Verify(nil, vk, bad, publics); err == nil {
+		t.Fatal("a pair crafted against Options.Rand's challenges passed as one batch")
+	}
+	if n := src.n.Load(); n != 0 {
+		t.Fatalf("Verify read %d bytes from Options.Rand, want 0", n)
 	}
 }
 
@@ -210,20 +306,9 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = withInputs(Request{System: cubicSystem(5)}, cubicWitness(5, uint64(i+2)))
 	}
-	var results []*Result
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		results = e.ProveMany(reqs)
-	}()
-	<-done // simplest deterministic ordering: drain, then close
+	results := proveConcurrently(t, e, reqs) // simplest deterministic ordering: drain, then close
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("pre-close request %d failed: %v", i, r.Err)
-		}
 	}
 
 	// Every entry point must reject with the sentinel after Close.
@@ -234,12 +319,8 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatalf("Keys after Close: err = %v, want ErrClosed", err)
 	}
 	vk := results[0].Keys.VK
-	if err := e.Verify(vk, results[0].Proof, publicOf(cubicWitness(5, 2))); !errors.Is(err, ErrClosed) {
+	if err := verifyOne(e, vk, results[0].Proof, publicOf(cubicWitness(5, 2))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Verify after Close: err = %v, want ErrClosed", err)
-	}
-	post := e.ProveMany(reqs[:1])
-	if !errors.Is(post[0].Err, ErrClosed) {
-		t.Fatalf("ProveMany after Close: err = %v, want ErrClosed", post[0].Err)
 	}
 	// Idempotent.
 	if err := e.Close(); err != nil {
@@ -283,12 +364,9 @@ func TestStatsRaceUnderLoad(t *testing.T) {
 		reqs[i] = withInputs(Request{System: cubicSystem(5)}, w)
 		publics[i] = publicOf(w)
 	}
-	results := e.ProveMany(reqs)
+	results := proveConcurrently(t, e, reqs)
 	proofs := make([]*groth16.Proof, jobs)
 	for i, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
 		proofs[i] = r.Proof
 	}
 	var wg sync.WaitGroup
@@ -296,7 +374,7 @@ func TestStatsRaceUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := e.Verify(results[0].Keys.VK, proofs[i], publics[i]); err != nil {
+			if err := verifyOne(e, results[0].Keys.VK, proofs[i], publics[i]); err != nil {
 				t.Errorf("verify %d: %v", i, err)
 			}
 		}(i)
@@ -304,7 +382,7 @@ func TestStatsRaceUnderLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := e.VerifyMany(results[0].Keys.VK, proofs, publics); err != nil {
+		if err := e.Verify(nil, results[0].Keys.VK, proofs, publics); err != nil {
 			t.Errorf("batch verify: %v", err)
 		}
 	}()
@@ -323,7 +401,7 @@ func TestStatsRaceUnderLoad(t *testing.T) {
 
 // TestSolveManyRequests drives the compile-once / solve-many request
 // shape: one system, many input assignments, witnesses generated by the
-// engine; later requests address the circuit by digest alone.
+// engine.
 func TestSolveManyRequests(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(9))})
 	sys := cubicSystem(5)
@@ -339,25 +417,21 @@ func TestSolveManyRequests(t *testing.T) {
 	if len(r1.PublicInputs) != len(want) || !r1.PublicInputs[0].Equal(&want[0]) {
 		t.Fatalf("PublicInputs = %v, want %v", r1.PublicInputs, want)
 	}
-	if err := e.Verify(r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
+	if err := verifyOne(e, r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
 		t.Fatalf("solved proof rejected: %v", err)
 	}
 
-	// The circuit is cached beside the keys: digest-only request.
-	if _, ok := e.cache.circuit(r1.Digest); !ok {
-		t.Fatal("compiled system not cached beside the keys")
-	}
 	w2 := cubicWitness(5, 8)
 	asg2 := inputsOf(w2)
-	r2, err := e.Prove(Request{Name: "solve-2", Digest: r1.Digest, Public: asg2.Public, Secret: asg2.Secret})
+	r2, err := e.Prove(Request{Name: "solve-2", System: sys, Public: asg2.Public, Secret: asg2.Secret})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r2.CacheHit {
-		t.Fatal("digest-only request missed the key cache")
+		t.Fatal("second request for the circuit missed the key cache")
 	}
-	if err := e.Verify(r2.Keys.VK, r2.Proof, publicOf(w2)); err != nil {
-		t.Fatalf("digest-only proof rejected: %v", err)
+	if err := verifyOne(e, r2.Keys.VK, r2.Proof, publicOf(w2)); err != nil {
+		t.Fatalf("second solved proof rejected: %v", err)
 	}
 
 	st := e.Stats()
@@ -365,18 +439,18 @@ func TestSolveManyRequests(t *testing.T) {
 		t.Fatalf("want 2 solves, got %d", st.Solves)
 	}
 
-	// Unknown digest fails fast.
-	if _, err := e.Prove(Request{Digest: "feedface"}); err == nil {
-		t.Fatal("unknown digest accepted")
+	// A request without a system fails fast.
+	if _, err := e.Prove(withInputs(Request{}, w2)); err == nil {
+		t.Fatal("request without a constraint system accepted")
 	}
 }
 
-// TestTracedProveManyRace hammers the span recorder from the worker
-// pool: every job in a ProveMany batch records into the SAME trace
-// (engine workers and the MSM lane pool write events concurrently)
-// while readers snapshot Events/Totals mid-flight. Run under -race
-// this is the telemetry concurrency guard.
-func TestTracedProveManyRace(t *testing.T) {
+// TestTracedProveRace hammers the span recorder from concurrent proves:
+// every job records into the SAME trace (the provers' goroutines and the
+// MSM lane pool write events concurrently) while readers snapshot
+// Events/Totals mid-flight. Run under -race this is the telemetry
+// concurrency guard.
+func TestTracedProveRace(t *testing.T) {
 	e := New(Options{Rand: rand.New(rand.NewSource(17)), Workers: 4})
 	tr := obs.NewTrace()
 	ctx := obs.ContextWithTrace(context.Background(), tr)
@@ -404,14 +478,11 @@ func TestTracedProveManyRace(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = withInputs(Request{System: cubicSystem(7), Ctx: ctx}, cubicWitness(7, uint64(i+2)))
 	}
-	results := e.ProveMany(reqs)
+	results := proveConcurrently(t, e, reqs)
 	close(stop)
 	readers.Wait()
 	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
-		}
-		if err := e.VerifyCtx(ctx, results[0].Keys.VK, r.Proof, reqs[i].Public); err != nil {
+		if err := e.Verify(ctx, results[0].Keys.VK, []*groth16.Proof{r.Proof}, [][]fr.Element{reqs[i].Public}); err != nil {
 			t.Fatalf("verify %d: %v", i, err)
 		}
 	}
@@ -519,63 +590,6 @@ func TestSetupPanicDoesNotPoisonDigest(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines, want ≤ %d", runtime.NumGoroutine(), base)
-		}
-	}
-}
-
-// TestProveManyPanicIsolated: a panic inside one request of a ProveMany
-// batch — the prover reading a randomness source that panics, the way a
-// par worker failure inside groth16.Prove arrives — becomes that
-// request's Result.Err and a prove error on the engine's registry. The
-// other requests complete, on the pool as on the sequential path. (Before
-// the recover, ProveMany's own goroutines took the process down.)
-func TestProveManyPanicIsolated(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		base := runtime.NumGoroutine()
-		e := New(Options{Workers: workers})
-		sys := cubicSystem(5)
-		// Keys first, so the panicking source is read by the prover and not
-		// by a setup the other two requests would be waiting on.
-		if _, _, err := e.Keys(sys, nil); err != nil {
-			t.Fatal(err)
-		}
-		reqs := []Request{
-			withInputs(Request{Name: "before", System: sys}, cubicWitness(5, 2)),
-			withInputs(Request{Name: "exploding", System: sys, Rand: panicReader{}}, cubicWitness(5, 3)),
-			withInputs(Request{Name: "after", System: sys}, cubicWitness(5, 4)),
-		}
-		results := e.ProveMany(reqs)
-		for _, i := range []int{0, 2} {
-			r := results[i]
-			if r == nil || r.Err != nil {
-				t.Fatalf("workers=%d: request %d beside the panicking one: %+v", workers, i, r)
-			}
-			if err := e.Verify(r.Keys.VK, r.Proof, reqs[i].Public); err != nil {
-				t.Fatalf("workers=%d: proof %d rejected: %v", workers, i, err)
-			}
-		}
-		bad := results[1]
-		if bad == nil || bad.Err == nil || bad.Proof != nil || bad.Name != "exploding" {
-			t.Fatalf("workers=%d: panicking request returned %+v, want its error", workers, bad)
-		}
-		for _, want := range []string{"engine: prove panicked", "rng exploded", "goroutine "} {
-			if !strings.Contains(bad.Err.Error(), want) {
-				t.Errorf("workers=%d: error lacks %q:\n%v", workers, want, bad.Err)
-			}
-		}
-		if st := e.Stats(); st.Proves != 2 {
-			t.Errorf("workers=%d: stats = %+v, want the 2 proofs that were produced", workers, st)
-		}
-		if got := e.m.proveErrors.Value(); got != 1 {
-			t.Errorf("workers=%d: zkrownn_prove_errors_total = %d, want 1", workers, got)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: %d goroutines, want ≤ %d", workers, runtime.NumGoroutine(), base)
-			}
 		}
 	}
 }

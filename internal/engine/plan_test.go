@@ -132,7 +132,7 @@ func TestResidencyTiers(t *testing.T) {
 		if r1.Keys.Plan.Residency != tc.want {
 			t.Fatalf("budget %d: planned %s (%s), want %s", tc.budget, r1.Keys.Plan.Residency, r1.Keys.Plan.Reason, tc.want)
 		}
-		if err := e.Verify(r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
+		if err := verifyOne(e, r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
 			t.Fatalf("%s: proof rejected: %v", tc.want, err)
 		}
 		if spilled := e.Stats().SpillProves == 1; spilled != (tc.want == OutOfCore) {
@@ -170,16 +170,16 @@ func TestResidencyTiers(t *testing.T) {
 			}
 		}
 
-		// A digest-only repeat is served from memory in every tier.
-		r2, err := e.Prove(Request{Digest: r1.Digest, Public: asg7.Public, Secret: asg7.Secret})
+		// A repeat is served from memory in every tier.
+		r2, err := e.Prove(Request{System: cubicSystem(5), Public: asg7.Public, Secret: asg7.Secret})
 		if err != nil {
-			t.Fatalf("%s: digest-only prove: %v", tc.want, err)
+			t.Fatalf("%s: repeat prove: %v", tc.want, err)
 		}
 		if !r2.CacheHit || r2.Keys.Plan != r1.Keys.Plan {
-			t.Errorf("%s: digest-only prove hit=%v under plan %+v, want the cached plan", tc.want, r2.CacheHit, r2.Keys.Plan)
+			t.Errorf("%s: repeat prove hit=%v under plan %+v, want the cached plan", tc.want, r2.CacheHit, r2.Keys.Plan)
 		}
-		if err := e.Verify(r1.Keys.VK, r2.Proof, r2.PublicInputs); err != nil {
-			t.Fatalf("%s: digest-only proof rejected: %v", tc.want, err)
+		if err := verifyOne(e, r1.Keys.VK, r2.Proof, r2.PublicInputs); err != nil {
+			t.Fatalf("%s: repeat proof rejected: %v", tc.want, err)
 		}
 		spilled := uint64(0)
 		if tc.want == OutOfCore {
@@ -199,7 +199,7 @@ func TestResidencyTiers(t *testing.T) {
 		if st := e2.Stats(); !r3.CacheHit || st.DiskHits != 1 || st.Setups != 0 || r3.Keys.Plan != r1.Keys.Plan {
 			t.Errorf("%s: restart hit=%v, stats %+v, plan %+v", tc.want, r3.CacheHit, st, r3.Keys.Plan)
 		}
-		if err := e2.Verify(r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
+		if err := verifyOne(e2, r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
 			t.Fatalf("%s: restarted proof rejected: %v", tc.want, err)
 		}
 	}

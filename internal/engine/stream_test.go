@@ -46,7 +46,7 @@ func damagedCacheHeals(t *testing.T, budget int64, ext string, damage func(path 
 	if want := map[int64]Residency{0: Resident, 1: OutOfCore}[budget]; r2.Keys.Plan.Residency != want {
 		t.Fatalf("budget %d: re-setup keys planned %s, want %s", budget, r2.Keys.Plan.Residency, want)
 	}
-	if err := e2.Verify(r2.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 4))); err != nil {
+	if err := verifyOne(e2, r2.Keys.VK, r2.Proof, publicOf(cubicWitness(5, 4))); err != nil {
 		t.Fatalf("budget %d: re-setup proof rejected: %v", budget, err)
 	}
 
@@ -61,7 +61,7 @@ func damagedCacheHeals(t *testing.T, budget int64, ext string, damage func(path 
 	if st := e3.Stats(); !r3.CacheHit || st.DiskHits != 1 || st.Setups != 0 {
 		t.Fatalf("budget %d: rewritten %s not served from disk (hit=%v, stats=%+v)", budget, ext, r3.CacheHit, st)
 	}
-	if err := e3.Verify(r2.Keys.VK, r3.Proof, publicOf(cubicWitness(5, 6))); err != nil {
+	if err := verifyOne(e3, r2.Keys.VK, r3.Proof, publicOf(cubicWitness(5, 6))); err != nil {
 		t.Fatalf("budget %d: proof from the rewritten cache rejected by the re-setup's VK: %v", budget, err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -135,7 +135,7 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 	if r1.Keys.PK.SizeBytes() <= 0 {
 		t.Fatal("streamed key pair must report its key size")
 	}
-	if err := e1.Verify(r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {
+	if err := verifyOne(e1, r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {
 		t.Fatalf("streamed proof rejected: %v", err)
 	}
 
@@ -167,7 +167,7 @@ func TestStreamedEngineRoundTrip(t *testing.T) {
 		t.Fatalf("restart stats = %+v, want 0 setups and 1 disk hit", st2)
 	}
 	// Cross-check against the original engine's VK.
-	if err := e2.Verify(r1.Keys.VK, r3.Proof, publicOf(cubicWitness(5, 4))); err != nil {
+	if err := verifyOne(e2, r1.Keys.VK, r3.Proof, publicOf(cubicWitness(5, 4))); err != nil {
 		t.Fatalf("streamed proof from restart rejected by original VK: %v", err)
 	}
 }
@@ -201,9 +201,9 @@ func TestStreamedProofMatchesInMemoryEngine(t *testing.T) {
 
 // TestSpilledEngineRoundTrip forces full out-of-core mode (streamed
 // key, CSR section file, disk-backed witness tape) and checks the whole
-// lifecycle: spilled solve+prove with PublicInputs, a digest-only repeat against the stripped cached circuit, a
-// restart served by the on-disk key and CSR files, and recovery from a
-// corrupted CSR file.
+// lifecycle: spilled solve+prove with PublicInputs, a repeat that sends
+// a solver-only copy of the circuit, a restart served by the on-disk key
+// and CSR files, and recovery from a corrupted CSR file.
 func TestSpilledEngineRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(36))
@@ -223,7 +223,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if len(r1.PublicInputs) != len(want) || !r1.PublicInputs[0].Equal(&want[0]) {
 		t.Fatalf("PublicInputs = %v, want %v", r1.PublicInputs, want)
 	}
-	if err := e1.Verify(r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
+	if err := verifyOne(e1, r1.Keys.VK, r1.Proof, r1.PublicInputs); err != nil {
 		t.Fatalf("spilled proof rejected: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, r1.Digest+".csr")); err != nil {
@@ -233,21 +233,18 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 spilled prove and 1 solve", st)
 	}
 
-	// The cache must hold a solver-only circuit copy, and a digest-only
-	// request must still solve and prove through the spill files.
-	if cs, ok := e1.cache.circuit(r1.Digest); !ok || !cs.Stripped() {
-		t.Fatalf("cached circuit not stripped (ok=%v)", ok)
-	}
+	// A repeat that sends only a solver-only copy of the circuit must
+	// still solve and prove through the spill files.
 	asg7 := inputsOf(cubicWitness(5, 7))
-	r2, err := e1.Prove(Request{Digest: r1.Digest, Public: asg7.Public, Secret: asg7.Secret})
+	r2, err := e1.Prove(Request{System: sys.StripForSolve(), Public: asg7.Public, Secret: asg7.Secret})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r2.CacheHit {
-		t.Fatal("digest-only spilled prove must hit the key cache")
+		t.Fatal("solver-only spilled prove must hit the key cache")
 	}
-	if err := e1.Verify(r1.Keys.VK, r2.Proof, r2.PublicInputs); err != nil {
-		t.Fatalf("digest-only spilled proof rejected: %v", err)
+	if err := verifyOne(e1, r1.Keys.VK, r2.Proof, r2.PublicInputs); err != nil {
+		t.Fatalf("solver-only spilled proof rejected: %v", err)
 	}
 
 	// Restart: spilled key and CSR file both reopen from CacheDir.
@@ -260,7 +257,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if !r3.CacheHit || r3.Keys.Plan.Residency != OutOfCore {
 		t.Fatalf("restart must stream keys and CSR from disk (hit=%v, planned %s)", r3.CacheHit, r3.Keys.Plan.Residency)
 	}
-	if err := e2.Verify(r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
+	if err := verifyOne(e2, r1.Keys.VK, r3.Proof, r3.PublicInputs); err != nil {
 		t.Fatalf("restarted spilled proof rejected by original VK: %v", err)
 	}
 
@@ -280,7 +277,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prove over corrupted CSR file: %v", err)
 	}
-	if err := e3.Verify(r1.Keys.VK, r4.Proof, r4.PublicInputs); err != nil {
+	if err := verifyOne(e3, r1.Keys.VK, r4.Proof, r4.PublicInputs); err != nil {
 		t.Fatalf("proof after CSR rewrite rejected: %v", err)
 	}
 
@@ -303,7 +300,7 @@ func TestSpilledEngineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prove after resending the system: %v", err)
 	}
-	if err := e4.Verify(r1.Keys.VK, r5.Proof, r5.PublicInputs); err != nil {
+	if err := verifyOne(e4, r1.Keys.VK, r5.Proof, r5.PublicInputs); err != nil {
 		t.Fatalf("proof after resend rejected: %v", err)
 	}
 }
@@ -349,7 +346,7 @@ func TestStreamedEngineTempSpill(t *testing.T) {
 	if r1.Keys.Plan.Residency == Resident {
 		t.Fatal("1-byte budget must stream even without a cache dir")
 	}
-	if err := e.Verify(r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {
+	if err := verifyOne(e, r1.Keys.VK, r1.Proof, publicOf(cubicWitness(5, 3))); err != nil {
 		t.Fatalf("streamed proof rejected: %v", err)
 	}
 	e.streamMu.Lock()

@@ -720,10 +720,10 @@ func qapAccumulate(ms r1cs.MatrixStream, lag, dst []fr.Element, maxTerms int) er
 }
 
 // quotientVecs recycles the domain-sized working vectors of the row walk
-// and the quotient pipeline across proofs: a long-lived prover (the
-// engine's worker pool) stops churning multi-MB allocations, and
-// concurrent proofs over the same circuit share a small steady-state
-// set.
+// and the quotient pipeline across proofs: a long-lived prover (an
+// engine proving from many goroutines) stops churning multi-MB
+// allocations, and concurrent proofs over the same circuit share a
+// small steady-state set.
 var quotientVecs poly.VecPool
 
 // quotient reduces the resident evaluation vectors to the coefficients
@@ -792,40 +792,12 @@ func vanishingOnCosetInv(domain *poly.Domain) fr.Element {
 var errQuotientDegree = errors.New("groth16: quotient has unexpected degree; witness inconsistent")
 
 // Verify checks a proof against the public inputs (the instance,
-// excluding the constant wire; len must equal NbPublic-1). A trailing
-// obs.Scope records the IC multi-exponentiation and the pairing check
-// as spans named under it (tr.Scope("") keeps the bare names).
+// excluding the constant wire; len must equal NbPublic-1): BatchVerify
+// of one proof, which draws no randomness. A trailing obs.Scope records
+// the IC multi-exponentiation and the pairing check as spans named
+// under it (tr.Scope("") keeps the bare names).
 func Verify(vk *VerifyingKey, proof *Proof, publicInputs []fr.Element, sc ...obs.Scope) error {
-	s := obs.Opt(sc)
-	if len(publicInputs) != len(vk.IC)-1 {
-		return fmt.Errorf("groth16: got %d public inputs, verifying key expects %d",
-			len(publicInputs), len(vk.IC)-1)
-	}
-	// acc = IC₀ + Σ xⱼ·IC_{j+1}
-	acc := curve.MultiExpG1(vk.IC[1:], publicInputs, s.Sub("verify/msm-ic"))
-	var ic0 curve.G1Jac
-	ic0.FromAffine(&vk.IC[0])
-	acc.AddAssign(&ic0)
-	var accAff curve.G1Affine
-	accAff.FromJacobian(&acc)
-
-	// e(-A, B) · e(α, β) · e(acc, γ) · e(C, δ) == 1 with e(α, β) a G_T
-	// factor, so 3 Miller pairs; with the γ and δ line tables cached on
-	// the key, only B's lines are computed here.
-	var negA curve.G1Affine
-	negA.Neg(&proof.Ar)
-	sp := s.Sub("verify/pairing").Span()
-	ok := pairing.PairingCheckLines(
-		[]*curve.G1Affine{&negA, &accAff, &proof.Krs},
-		[]*curve.G2Affine{&proof.Bs, &vk.GammaG2, &vk.DeltaG2},
-		[]*pairing.Lines{nil, vk.gammaLines, vk.deltaLines},
-		vk.alphaBeta(),
-	)
-	sp.End()
-	if !ok {
-		return errors.New("groth16: invalid proof")
-	}
-	return nil
+	return BatchVerify(vk, []*Proof{proof}, [][]fr.Element{publicInputs}, nil, sc...)
 }
 
 // randFr draws a uniform scalar, retrying the negligible zero case so

@@ -177,7 +177,7 @@ func TestContextPropagation(t *testing.T) {
 }
 
 // TestTraceConcurrent exercises the span recorder from many goroutines
-// (the ProveMany shape); under -race it is the recorder's
+// (concurrent traced proves); under -race it is the recorder's
 // thread-safety proof.
 func TestTraceConcurrent(t *testing.T) {
 	tr := NewTrace()

@@ -527,9 +527,9 @@ func (cs *CompiledSystem) Validate() error {
 // The three matrices share one all-zero row-offset slice so dimension
 // queries (NbConstraints, Dims) still answer correctly; RowEval,
 // IsSatisfied, and QAP accumulation see empty rows and MUST NOT be
-// used on the copy. The engine caches stripped systems when the
-// matrices live in a CompiledSystemFile, which then serves every
-// constraint read. The digest is carried over (it is a structural
+// used on the copy. A caller may send the engine a stripped system for
+// a circuit it proves out-of-core, whose CompiledSystemFile then serves
+// every constraint read. The digest is carried over (it is a structural
 // property of the full system, precomputed here so the copy never
 // needs the matrices).
 func (cs *CompiledSystem) StripForSolve() *CompiledSystem {

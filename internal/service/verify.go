@@ -150,24 +150,21 @@ func (p *verifyPool) run(batch []*verifyItem) {
 	}
 	n, vk := len(batch), head.rec.VK
 	s.m.verifyBatchSize.Observe(float64(n))
-	if n == 1 {
-		head.done <- verifyOutcome{err: s.eng.Verify(vk, head.proofs[0], head.publics[0]), batchSize: 1}
-		return
+	if n > 1 {
+		s.m.verifyBatchCalls.Inc()
+		s.m.verifyBatchedRequests.Add(uint64(n))
+		s.m.verifyMaxBatch.Max(float64(n))
 	}
-
-	s.m.verifyBatchCalls.Inc()
-	s.m.verifyBatchedRequests.Add(uint64(n))
-	s.m.verifyMaxBatch.Max(float64(n))
 	proofs := make([]*groth16.Proof, n)
 	publics := make([][]fr.Element, n)
 	for i, it := range batch {
 		proofs[i], publics[i] = it.proofs[0], it.publics[0]
 	}
-	err := s.eng.VerifyMany(vk, proofs, publics)
-	if err == nil || errors.Is(err, engine.ErrClosed) {
-		// Passed, or the engine is shutting down — re-running Verify per
-		// proof would collect n more ErrClosed and misreport the shutdown
-		// as a fallback. One answer for everyone.
+	err := s.eng.Verify(nil, vk, proofs, publics)
+	if n == 1 || err == nil || errors.Is(err, engine.ErrClosed) {
+		// One proof, passed, or the engine is shutting down — re-running
+		// Verify per proof would collect n more ErrClosed and misreport
+		// the shutdown as a fallback. One answer for everyone.
 		for _, it := range batch {
 			it.done <- verifyOutcome{err: err, batchSize: n}
 		}
@@ -176,7 +173,7 @@ func (p *verifyPool) run(batch []*verifyItem) {
 	// The combined product rejected: at least one member is invalid.
 	s.m.verifyFallbacks.Inc()
 	for i, it := range batch {
-		it.done <- verifyOutcome{err: s.eng.Verify(vk, proofs[i], publics[i]), batchSize: n}
+		it.done <- verifyOutcome{err: s.eng.Verify(nil, vk, proofs[i:i+1], publics[i:i+1]), batchSize: n}
 	}
 }
 
@@ -195,7 +192,7 @@ func (p *verifyPool) aggregate(it *verifyItem) verifyOutcome {
 	case !errors.Is(out.err, engine.ErrClosed):
 		s.m.aggregateFallbacks.Inc()
 		for i := range it.proofs {
-			if err := s.eng.Verify(vk, it.proofs[i], it.publics[i]); err != nil {
+			if err := s.eng.Verify(nil, vk, it.proofs[i:i+1], it.publics[i:i+1]); err != nil {
 				out.err = fmt.Errorf("proof %d: %w", i, err)
 				break
 			}

@@ -83,9 +83,11 @@ func internalExports(t *testing.T) []exportedDecl {
 // which key, constraints and witness types are passed), so a new
 // capability that arrives as a sibling function — FooTraced,
 // ProveSomehow, a ninth MultiExp — fails here and has to become a
-// parameter of the existing path instead.
+// parameter of the existing path instead. The verifier has one body
+// (Verify is BatchVerify of one proof) and the engine one call per
+// operation: a VerifyMany or ProveMany beside Verify and Prove fails.
 func TestProverStackSurface(t *testing.T) {
-	var multiExp, fft, prove []string
+	var multiExp, fft, prove, verify, engineMethods []string
 	for _, d := range internalExports(t) {
 		if strings.HasSuffix(d.name, "Traced") {
 			t.Errorf("%s exports %s: pass an obs.Scope to the untraced name instead of adding a twin", d.pkg, d.name)
@@ -99,6 +101,10 @@ func TestProverStackSurface(t *testing.T) {
 			fft = append(fft, d.name)
 		case d.pkg == "internal/groth16" && d.fn && d.recv == "" && strings.HasPrefix(d.name, "Prove"):
 			prove = append(prove, d.name)
+		case d.pkg == "internal/groth16" && d.fn && d.recv == "" && strings.Contains(d.name, "Verify"):
+			verify = append(verify, d.name)
+		case d.pkg == "internal/engine" && d.fn && d.recv == "Engine":
+			engineMethods = append(engineMethods, d.name)
 		}
 	}
 	for _, c := range []struct {
@@ -109,6 +115,7 @@ func TestProverStackSurface(t *testing.T) {
 		{"curve.MultiExp* functions", multiExp, 8},
 		{"FFT methods on poly.Domain", fft, 8},
 		{"groth16.Prove* functions", prove, 2},
+		{"groth16 functions named *Verify*", verify, 3},
 	} {
 		if len(c.names) == 0 {
 			t.Errorf("found no %s: the guard is looking in the wrong place", c.what)
@@ -116,6 +123,11 @@ func TestProverStackSurface(t *testing.T) {
 		if len(c.names) > c.max {
 			t.Errorf("%d exported %s, at most %d allowed: %v", len(c.names), c.what, c.max, c.names)
 		}
+	}
+	sort.Strings(engineMethods)
+	want := []string{"AggregateMany", "Close", "DropMemoryCache", "Keys", "Metrics", "Prove", "Stats", "Verify", "Workers"}
+	if !slices.Equal(engineMethods, want) {
+		t.Errorf("engine.Engine exports %v, want exactly %v: an operation gets one entry point, its variants are arguments", engineMethods, want)
 	}
 }
 

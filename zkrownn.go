@@ -408,8 +408,8 @@ func VerifyCommittedOwnership(vk *VerifyingKey, proof *Proof, public []fr.Elemen
 // ownership against many models of the same architecture, say — should
 // instead hold an
 // Engine: keys are cached by circuit digest (in memory, and on disk when
-// EngineOptions.CacheDir is set), proofs fan out over a worker pool, and
-// verification batches into one pairing product.
+// EngineOptions.CacheDir is set), Prove may be called from many
+// goroutines at once, and Verify folds a batch into one pairing product.
 
 type (
 	// Engine is the concurrent, cache-aware prover engine.
@@ -417,7 +417,7 @@ type (
 	// EngineOptions configures NewEngine (cache bounds, persistence
 	// directory, worker count, randomness source).
 	EngineOptions = engine.Options
-	// ProveRequest is one proving job for Engine.Prove or ProveMany:
+	// ProveRequest is one proving job for Engine.Prove:
 	// Circuit.Request proves a circuit's build-time inputs,
 	// BindSuspectModel(s) a suspect's.
 	ProveRequest = engine.Request
@@ -428,7 +428,7 @@ type (
 )
 
 // NewEngine builds a prover engine. The zero Options value gives a
-// memory-only cache and one prover worker per core.
+// memory-only cache and Workers at GOMAXPROCS.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // ErrEngineClosed is the sentinel every Engine entry point returns
